@@ -462,18 +462,12 @@ pub struct EvalVerifier {
 impl EvalVerifier {
     /// Starts the verify workers for the given protocol.
     pub fn start(config: &EvalConfig) -> Self {
-        Self::start_traced(config, TracerHandle::off())
-    }
-
-    /// Starts the verify workers with a journal tracer installed on the pool,
-    /// so admit and cache/panic diagnostics land in the session journal.  With
-    /// [`TracerHandle::off`] this is exactly [`EvalVerifier::start`].
-    pub fn start_traced(config: &EvalConfig, tracer: TracerHandle) -> Self {
-        Self::start_instrumented(config, tracer, &TelemetryHandle::off())
+        Self::start_instrumented(config, TracerHandle::off(), &TelemetryHandle::off())
     }
 
     /// Starts the verify workers with both observability hooks installed: the
-    /// journal tracer and a telemetry registry (the pool records its
+    /// journal tracer (admit and cache/panic diagnostics land in the session
+    /// journal) and a telemetry registry (the pool records its
     /// `verify.queue_wait` / `verify.verdict.latency` histograms into it).
     /// With both hooks off this is exactly [`EvalVerifier::start`].
     pub fn start_instrumented(
@@ -657,6 +651,26 @@ pub fn corpus_fingerprint(entries: &[SvaBugEntry]) -> u64 {
     fnv64(&bytes)
 }
 
+/// `<dir>/<kind>-<model slug>-<hash>.<ext>`: where a run's journal, trace or
+/// profile artifact goes.  The hash covers model identity, protocol seed and
+/// corpus, so runs that differ in any of them never share a file.
+fn artifact_path<M: RepairModel + ?Sized>(
+    dir: &std::path::Path,
+    kind: &str,
+    ext: &str,
+    model: &M,
+    entries: &[SvaBugEntry],
+    config: &EvalConfig,
+) -> std::path::PathBuf {
+    let identity = model.identity();
+    let mut keyed = identity.as_bytes().to_vec();
+    keyed.push(0);
+    keyed.extend_from_slice(&config.seed.to_le_bytes());
+    keyed.extend_from_slice(&corpus_fingerprint(entries).to_le_bytes());
+    let hash = fnv64(&keyed) as u32;
+    dir.join(format!("{kind}-{}-{hash:08x}.{ext}", file_slug(&identity)))
+}
+
 /// Evaluates a model over a set of cases.
 ///
 /// Sampling runs through the `svserve` repair service and verification through a
@@ -698,15 +712,7 @@ pub fn evaluate_model<M: RepairModel + Sync + ?Sized>(
     };
     let manifest = JournalManifest::for_protocol("", "", &model.identity(), entries, config);
     let (evaluation, rendered) = evaluate_model_journaled(model, entries, config, &manifest);
-    let mut keyed = model.identity().as_bytes().to_vec();
-    keyed.push(0);
-    keyed.extend_from_slice(&config.seed.to_le_bytes());
-    keyed.extend_from_slice(&corpus_fingerprint(entries).to_le_bytes());
-    let path = dir.join(format!(
-        "journal-{}-{:08x}.jsonl",
-        file_slug(&model.identity()),
-        fnv64(&keyed) as u32
-    ));
+    let path = artifact_path(&dir, "journal", "jsonl", model, entries, config);
     // Best-effort like the cache flush paths: an unwritable journal directory
     // must not fail the evaluation itself.
     let _ = write_journal(&path, &rendered);
@@ -730,8 +736,17 @@ pub fn evaluate_model_journaled<M: RepairModel + Sync + ?Sized>(
 ) -> (ModelEvaluation, String) {
     let sink = JournalSink::shared(JournalSpec::default());
     let tracer = sink.handle();
-    let verifier = EvalVerifier::start_traced(config, tracer.clone());
-    let evaluation = evaluate_model_traced(model, entries, config, &verifier, &tracer);
+    let telemetry = TelemetryHandle::off();
+    let verifier = EvalVerifier::start_instrumented(config, tracer.clone(), &telemetry);
+    let evaluation = evaluate_model_observed(
+        model,
+        entries,
+        config,
+        &verifier,
+        &tracer,
+        &telemetry,
+        &TraceHandle::off(),
+    );
     verifier.shutdown();
     let records = sink.drain_sorted();
     let header = JournalHeader::expected(&manifest.render());
@@ -756,7 +771,7 @@ pub fn evaluate_model_journaled<M: RepairModel + Sync + ?Sized>(
 /// becomes a zero-sample [`CaseResult`] (`n = 0, c = 0`) and the failure is
 /// counted in the fleet metrics — a killed shard process cannot panic or hang
 /// the evaluation.
-pub fn evaluate_model_sharded<M: RepairModel + Sync + ?Sized>(
+fn evaluate_model_sharded<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
@@ -796,19 +811,11 @@ fn write_trace_artifact<M: RepairModel + Sync + ?Sized>(
     let Some(dir) = config.resolved_profile_dir() else {
         return;
     };
-    let mut keyed = model.identity().as_bytes().to_vec();
-    keyed.push(0);
-    keyed.extend_from_slice(&config.seed.to_le_bytes());
-    keyed.extend_from_slice(&corpus_fingerprint(entries).to_le_bytes());
-    let path = dir.join(format!(
-        "trace-{}-{:08x}.jsonl",
-        file_slug(&model.identity()),
-        fnv64(&keyed) as u32
-    ));
+    let path = artifact_path(&dir, "trace", "jsonl", model, entries, config);
     let _ = svserve::persist::write_atomic(&path, &forest.render_jsonl());
 }
 
-/// [`evaluate_model_sharded`] with externally managed fleet and verifier, so
+/// Evaluation against a remote shard fleet with externally managed fleet and verifier, so
 /// callers can run several evaluations over one set of connections (and read
 /// the fleet's metrics afterwards).
 pub fn evaluate_model_over_fleet<M: RepairModel + Sync + ?Sized>(
@@ -881,7 +888,7 @@ pub fn evaluate_model_over_fleet_traced<M: RepairModel + Sync + ?Sized>(
                         // The driver's own copy of the sample span: identical
                         // deterministic fields to the shard's, wall measured
                         // driver-side (wire time included) so the tree tiles
-                        // even against a v2 shard that returned no spans.
+                        // even over a transport that returned no shard spans.
                         trace.record(span_lap(
                             ctx,
                             "sample",
@@ -955,31 +962,14 @@ pub fn evaluate_model_with<M: RepairModel + Sync + ?Sized>(
     config: &EvalConfig,
     verifier: &EvalVerifier,
 ) -> ModelEvaluation {
-    evaluate_model_traced(model, entries, config, verifier, &TracerHandle::off())
-}
-
-/// [`evaluate_model_with`] with a journal tracer threaded through every layer:
-/// the repair service, the session engine's runtime, and a per-case
-/// [`SessionSpan`] that records phase transitions, sample/candidate tallies,
-/// the verdict split and exactly one terminal event.  Session ids are the
-/// request content hashes, so journal identity survives any concurrency.  With
-/// [`TracerHandle::off`] this is exactly [`evaluate_model_with`] — one branch
-/// per instrumented site.  (The verifier's own tracer is installed at
-/// [`EvalVerifier::start_traced`], since its pool outlives single evaluations.)
-pub fn evaluate_model_traced<M: RepairModel + Sync + ?Sized>(
-    model: &M,
-    entries: &[SvaBugEntry],
-    config: &EvalConfig,
-    verifier: &EvalVerifier,
-    tracer: &TracerHandle,
-) -> ModelEvaluation {
-    evaluate_model_hooked(
+    evaluate_model_observed(
         model,
         entries,
         config,
         verifier,
-        tracer,
+        &TracerHandle::off(),
         &TelemetryHandle::off(),
+        &TraceHandle::off(),
     )
 }
 
@@ -990,7 +980,7 @@ pub fn evaluate_model_traced<M: RepairModel + Sync + ?Sized>(
 /// pool-side at [`EvalVerifier::start_instrumented`], since the pool outlives
 /// single evaluations.  With [`TelemetryHandle::off`] this is exactly
 /// [`evaluate_model_with`].  Starts (and shuts down) a fresh verifier; to
-/// share a warm one, use [`evaluate_model_hooked`].
+/// share a warm one, use [`evaluate_model_observed`].
 pub fn evaluate_model_instrumented<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
@@ -998,13 +988,14 @@ pub fn evaluate_model_instrumented<M: RepairModel + Sync + ?Sized>(
     telemetry: &TelemetryHandle,
 ) -> ModelEvaluation {
     let verifier = EvalVerifier::start_instrumented(config, TracerHandle::off(), telemetry);
-    let evaluation = evaluate_model_hooked(
+    let evaluation = evaluate_model_observed(
         model,
         entries,
         config,
         &verifier,
         &TracerHandle::off(),
         telemetry,
+        &TraceHandle::off(),
     );
     verifier.shutdown();
     evaluation
@@ -1036,15 +1027,7 @@ pub fn evaluate_model_profiled<M: RepairModel + Sync + ?Sized>(
         }
     }
     if let Some(dir) = config.resolved_profile_dir() {
-        let mut keyed = model.identity().as_bytes().to_vec();
-        keyed.push(0);
-        keyed.extend_from_slice(&config.seed.to_le_bytes());
-        keyed.extend_from_slice(&corpus_fingerprint(entries).to_le_bytes());
-        let path = dir.join(format!(
-            "profile-{}-{:08x}.folded",
-            file_slug(&model.identity()),
-            fnv64(&keyed) as u32
-        ));
+        let path = artifact_path(&dir, "profile", "folded", model, entries, config);
         // Best-effort like the journal write: an unwritable profile directory
         // must not fail the evaluation itself.
         let _ = svserve::persist::write_atomic(&path, &profile.render());
@@ -1082,35 +1065,22 @@ fn span_lap(
     TraceSpan::new(&root.child(label), label, seq, units, wall)
 }
 
-/// [`evaluate_model_traced`] with *both* observability hooks: the journal
-/// tracer and a telemetry registry.  The registry receives the pool and
-/// runtime histograms plus the tiled `eval.stage.{setup,sessions,report}`
-/// stage timers (`stage_lap`); per-case spans are opened in dual-clock form
-/// ([`SessionSpan::with_telemetry`]), so wall time lands in `session.span.wall`
-/// while the journal bytes stay deterministic.  Either hook off costs one
-/// branch per site.
-pub fn evaluate_model_hooked<M: RepairModel + Sync + ?Sized>(
-    model: &M,
-    entries: &[SvaBugEntry],
-    config: &EvalConfig,
-    verifier: &EvalVerifier,
-    tracer: &TracerHandle,
-    telemetry: &TelemetryHandle,
-) -> ModelEvaluation {
-    evaluate_model_observed(
-        model,
-        entries,
-        config,
-        verifier,
-        tracer,
-        telemetry,
-        &TraceHandle::off(),
-    )
-}
-
-/// [`evaluate_model_hooked`] with the full observability triple: journal
-/// tracer, telemetry registry, *and* a [`TraceHandle`] collecting causal
-/// spans ([`svserve::trace`]).
+/// [`evaluate_model_with`] with the full observability triple threaded through
+/// every layer; each hook, when off, costs one branch per instrumented site.
+///
+/// * **Journal tracer** — installed on the repair service, the session
+///   engine's runtime, and a per-case [`SessionSpan`] that records phase
+///   transitions, sample/candidate tallies, the verdict split and exactly one
+///   terminal event.  Session ids are the request content hashes, so journal
+///   identity survives any concurrency.  (The verifier's own tracer is
+///   installed at [`EvalVerifier::start_instrumented`], since its pool
+///   outlives single evaluations.)
+/// * **Telemetry registry** — receives the pool and runtime histograms plus
+///   the tiled `eval.stage.{setup,sessions,report}` stage timers
+///   (`stage_lap`); per-case spans are opened in dual-clock form
+///   ([`SessionSpan::with_telemetry`]), so wall time lands in
+///   `session.span.wall` while the journal bytes stay deterministic.
+/// * **[`TraceHandle`]** — collects causal spans ([`svserve::trace`]).
 ///
 /// When tracing is on, every case grows a deterministic five-span tree —
 /// a `session` root with `submit` → `sample` → `verify` → `evaluate`

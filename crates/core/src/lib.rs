@@ -33,12 +33,11 @@ pub mod train;
 
 pub use benchmark::{human_crafted_cases, SvaEval};
 pub use evaluate::{
-    apply_line_edit, corpus_fingerprint, evaluate_ladder, evaluate_model, evaluate_model_hooked,
+    apply_line_edit, corpus_fingerprint, evaluate_ladder, evaluate_model,
     evaluate_model_instrumented, evaluate_model_journaled, evaluate_model_observed,
     evaluate_model_over_fleet, evaluate_model_over_fleet_traced, evaluate_model_profiled,
-    evaluate_model_sharded, evaluate_model_traced, evaluate_model_with, response_is_correct,
-    CaseResult, EscalationTrail, EvalConfig, EvalVerifier, JournalManifest, LadderEvaluation,
-    LadderReport, ModelEvaluation, ShardSpec,
+    evaluate_model_with, response_is_correct, CaseResult, EscalationTrail, EvalConfig,
+    EvalVerifier, JournalManifest, LadderEvaluation, LadderReport, ModelEvaluation, ShardSpec,
 };
 pub use passk::{pass_at_k, PassK};
 pub use report::{

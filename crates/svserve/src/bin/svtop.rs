@@ -14,9 +14,9 @@
 //! shows *recent* behaviour — a shard that was hot an hour ago but idle now
 //! reads as idle.
 //!
-//! A v2 shard (predating the window plane) is reported as `unsupported` and
-//! keeps serving: the probe refuses locally before any bytes move, so
-//! polling an old fleet never disturbs it.  `--once` prints a single poll
+//! A shard behind a transport without the window exchange is reported as
+//! `unsupported` and keeps serving: the probe refuses locally before any
+//! bytes move.  `--once` prints a single poll
 //! and exits (0 when at least one shard answered, 1 when none did) — the
 //! shape CI drives; `--json` prints one JSON object per poll instead of the
 //! table, suitable for scraping.

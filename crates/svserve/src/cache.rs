@@ -27,7 +27,43 @@ pub struct CaseKey(pub u128);
 impl CaseKey {
     /// Folds the 128-bit key into 64 bits (used for shard routing and seeding).
     pub fn fold64(self) -> u64 {
-        (self.0 as u64) ^ ((self.0 >> 64) as u64)
+        ContentKey::fold64(self)
+    }
+}
+
+/// A 128-bit content hash a pool can route, cache and persist by: what
+/// [`crate::pool`] and the [`crate::persist`] codec need from [`CaseKey`] and
+/// [`VerdictKey`] alike.
+pub trait ContentKey: Copy + Eq + Hash + Ord + Send + Sync + 'static {
+    /// Wraps a raw hash (the snapshot codec's decode direction).
+    fn from_raw(raw: u128) -> Self;
+
+    /// The raw hash.
+    fn raw(self) -> u128;
+
+    /// Folds the key into 64 bits; shard placement is `fold64() % workers`.
+    fn fold64(self) -> u64 {
+        (self.raw() as u64) ^ ((self.raw() >> 64) as u64)
+    }
+}
+
+impl ContentKey for CaseKey {
+    fn from_raw(raw: u128) -> Self {
+        Self(raw)
+    }
+
+    fn raw(self) -> u128 {
+        self.0
+    }
+}
+
+impl ContentKey for VerdictKey {
+    fn from_raw(raw: u128) -> Self {
+        Self(raw)
+    }
+
+    fn raw(self) -> u128 {
+        self.0
     }
 }
 
@@ -68,7 +104,7 @@ pub struct VerdictKey(pub u128);
 impl VerdictKey {
     /// Folds the 128-bit key into 64 bits (used for verify-shard routing).
     pub fn fold64(self) -> u64 {
-        (self.0 as u64) ^ ((self.0 >> 64) as u64)
+        ContentKey::fold64(self)
     }
 }
 

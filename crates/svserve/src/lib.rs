@@ -17,8 +17,11 @@
 //! * **Determinism** — sampler seeds derive from the content hash plus the service
 //!   seed, never from arrival order or worker identity, so the same workload yields
 //!   byte-identical responses at any worker count.
-//! * **Verification offload** — a second sharded pool ([`verify`]) built from the
-//!   same recipe judges `(case, candidate response)` pairs on dedicated workers,
+//! * **One engine** — queueing, caching, panic absorption, snapshots and both
+//!   frontends live once, in [`pool`]; the repair pool ([`service`]), the verify
+//!   pool ([`verify`]) and every router backend are instantiations of it.
+//! * **Verification offload** — a second instantiation of the engine ([`verify`])
+//!   judges `(case, candidate response)` pairs on dedicated workers,
 //!   with a content-addressed verdict cache keyed by
 //!   `hash(case, response, checker config)`; sampling and verification pipeline
 //!   through the two pools concurrently in `assertsolver::evaluate_model`.
@@ -80,6 +83,7 @@ pub mod cache;
 pub mod journal;
 pub mod metrics;
 pub mod persist;
+pub mod pool;
 pub mod queue;
 pub mod route;
 pub mod rt;

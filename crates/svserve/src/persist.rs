@@ -40,7 +40,7 @@
 //! previous snapshot or the complete new one — never a torn write.  A crashed
 //! writer leaves at worst a stale `.tmp` file behind, which later writers ignore.
 
-use crate::cache::{CaseKey, VerdictKey};
+use crate::cache::{CaseKey, ContentKey, VerdictKey};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -285,148 +285,186 @@ pub enum SnapshotLoad<T> {
     Rejected(String),
 }
 
-fn read_snapshot<T: Deserialize>(path: &Path) -> SnapshotLoad<T> {
-    let text = match std::fs::read_to_string(path) {
+/// A successfully loaded snapshot: the run counter plus the aged entries
+/// (`(key, value, last_useful_generation)`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotContents<K, V> {
+    /// The snapshot's [`SnapshotHeader::generation`].
+    pub generation: u64,
+    /// Entries with the generation each was last useful in.
+    pub entries: Vec<(K, V, u64)>,
+}
+
+/// What [`load_response_snapshot`] yields: response sets by [`CaseKey`].
+pub type ResponseLoad = SnapshotContents<CaseKey, Arc<Vec<Response>>>;
+
+/// What [`load_verdict_snapshot`] yields: verdicts by [`VerdictKey`].
+pub type VerdictLoad = SnapshotContents<VerdictKey, bool>;
+
+/// One concrete on-disk snapshot type, as the generic codec ([`load_snapshot`] /
+/// [`save_snapshot_aged`]) sees it: a kind tag plus the mapping between the
+/// file's entries and `(key, value, generation)` triples.  The vendored
+/// `serde_derive` rejects generic types, so the file structs stay concrete and
+/// this trait is the seam between them and the one codec.
+pub trait SnapshotFile: Serialize + Deserialize {
+    /// The [`SnapshotHeader::kind`] tag files of this type carry.
+    const KIND: &'static str;
+    /// The cache key the entries are addressed by.
+    type Key: ContentKey;
+    /// The cached value.
+    type Value: Clone + Send;
+
+    /// Builds the file from a header and entries already sorted by key.  Keys
+    /// cross this trait hex-encoded in both directions: the codec owns
+    /// [`encode_key`] / [`decode_key`] and the malformed-key rejection.
+    fn pack(header: SnapshotHeader, entries: Vec<(String, Self::Value, u64)>) -> Self;
+
+    /// Splits the file into its header and entries.
+    fn unpack(self) -> (SnapshotHeader, Vec<(String, Self::Value, u64)>);
+}
+
+impl SnapshotFile for ResponseSnapshot {
+    const KIND: &'static str = RESPONSE_KIND;
+    type Key = CaseKey;
+    type Value = Arc<Vec<Response>>;
+
+    fn pack(header: SnapshotHeader, entries: Vec<(String, Self::Value, u64)>) -> Self {
+        let entry = |(key, responses, gen): (String, Self::Value, u64)| ResponseEntry {
+            key,
+            gen,
+            responses: (*responses).clone(),
+        };
+        Self {
+            header,
+            entries: entries.into_iter().map(entry).collect(),
+        }
+    }
+
+    fn unpack(self) -> (SnapshotHeader, Vec<(String, Self::Value, u64)>) {
+        let entry = |entry: ResponseEntry| (entry.key, Arc::new(entry.responses), entry.gen);
+        (self.header, self.entries.into_iter().map(entry).collect())
+    }
+}
+
+impl SnapshotFile for VerdictSnapshot {
+    const KIND: &'static str = VERDICT_KIND;
+    type Key = VerdictKey;
+    type Value = bool;
+
+    fn pack(header: SnapshotHeader, entries: Vec<(String, bool, u64)>) -> Self {
+        let entry = |(key, verdict, gen)| VerdictEntry { key, gen, verdict };
+        Self {
+            header,
+            entries: entries.into_iter().map(entry).collect(),
+        }
+    }
+
+    fn unpack(self) -> (SnapshotHeader, Vec<(String, bool, u64)>) {
+        let entry = |entry: VerdictEntry| (entry.key, entry.verdict, entry.gen);
+        (self.header, self.entries.into_iter().map(entry).collect())
+    }
+}
+
+/// Loads a snapshot of file type `S`, validating the header against `spec`.
+///
+/// Every failure mode — missing file, corrupt JSON, version/kind/fingerprint/model
+/// mismatch, malformed key — degrades to a cold start; nothing panics or errors.
+pub fn load_snapshot<S: SnapshotFile>(
+    spec: &PersistSpec,
+) -> SnapshotLoad<SnapshotContents<S::Key, S::Value>> {
+    let text = match std::fs::read_to_string(&spec.path) {
         Ok(text) => text,
         Err(err) if err.kind() == io::ErrorKind::NotFound => return SnapshotLoad::Missing,
         Err(err) => return SnapshotLoad::Rejected(format!("unreadable snapshot: {err}")),
     };
-    match serde_json::from_str(&text) {
-        Ok(snapshot) => SnapshotLoad::Loaded(snapshot),
-        Err(err) => SnapshotLoad::Rejected(format!("unparseable snapshot: {err}")),
-    }
-}
-
-/// A successfully loaded response snapshot: the run counter plus the aged
-/// entries (`(key, responses, last_useful_generation)`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResponseLoad {
-    /// The snapshot's [`SnapshotHeader::generation`].
-    pub generation: u64,
-    /// Entries with the generation each was last useful in.
-    pub entries: Vec<(CaseKey, Arc<Vec<Response>>, u64)>,
-}
-
-/// A successfully loaded verdict snapshot: the run counter plus the aged
-/// entries (`(key, verdict, last_useful_generation)`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerdictLoad {
-    /// The snapshot's [`SnapshotHeader::generation`].
-    pub generation: u64,
-    /// Entries with the generation each was last useful in.
-    pub entries: Vec<(VerdictKey, bool, u64)>,
-}
-
-/// Loads a response snapshot, validating the header against `spec`.
-///
-/// Every failure mode — missing file, corrupt JSON, version/kind/fingerprint/model
-/// mismatch, malformed key — degrades to a cold start; nothing panics or errors.
-pub fn load_response_snapshot(spec: &PersistSpec) -> SnapshotLoad<ResponseLoad> {
-    let snapshot: ResponseSnapshot = match read_snapshot(&spec.path) {
-        SnapshotLoad::Loaded(snapshot) => snapshot,
-        SnapshotLoad::Missing => return SnapshotLoad::Missing,
-        SnapshotLoad::Rejected(reason) => return SnapshotLoad::Rejected(reason),
+    let (header, encoded) = match serde_json::from_str::<S>(&text) {
+        Ok(snapshot) => snapshot.unpack(),
+        Err(err) => return SnapshotLoad::Rejected(format!("unparseable snapshot: {err}")),
     };
-    if let Some(reason) = snapshot
-        .header
-        .mismatch(&SnapshotHeader::expected(RESPONSE_KIND, spec))
-    {
+    if let Some(reason) = header.mismatch(&SnapshotHeader::expected(S::KIND, spec)) {
         return SnapshotLoad::Rejected(reason);
     }
-    let mut entries = Vec::with_capacity(snapshot.entries.len());
-    for entry in snapshot.entries {
-        let Some(raw) = decode_key(&entry.key) else {
-            return SnapshotLoad::Rejected(format!("malformed key {:?}", entry.key));
+    let mut entries = Vec::with_capacity(encoded.len());
+    for (key, value, gen) in encoded {
+        let Some(raw) = decode_key(&key) else {
+            return SnapshotLoad::Rejected(format!("malformed key {key:?}"));
         };
-        entries.push((CaseKey(raw), Arc::new(entry.responses), entry.gen));
+        entries.push((S::Key::from_raw(raw), value, gen));
     }
-    SnapshotLoad::Loaded(ResponseLoad {
-        generation: snapshot.header.generation,
+    SnapshotLoad::Loaded(SnapshotContents {
+        generation: header.generation,
         entries,
     })
 }
 
-/// Loads a verdict snapshot, validating the header against `spec`.
-///
-/// Same degradation contract as [`load_response_snapshot`].
-pub fn load_verdict_snapshot(spec: &PersistSpec) -> SnapshotLoad<VerdictLoad> {
-    let snapshot: VerdictSnapshot = match read_snapshot(&spec.path) {
-        SnapshotLoad::Loaded(snapshot) => snapshot,
-        SnapshotLoad::Missing => return SnapshotLoad::Missing,
-        SnapshotLoad::Rejected(reason) => return SnapshotLoad::Rejected(reason),
-    };
-    if let Some(reason) = snapshot
-        .header
-        .mismatch(&SnapshotHeader::expected(VERDICT_KIND, spec))
-    {
-        return SnapshotLoad::Rejected(reason);
-    }
-    let mut entries = Vec::with_capacity(snapshot.entries.len());
-    for entry in snapshot.entries {
-        let Some(raw) = decode_key(&entry.key) else {
-            return SnapshotLoad::Rejected(format!("malformed key {:?}", entry.key));
-        };
-        entries.push((VerdictKey(raw), entry.verdict, entry.gen));
-    }
-    SnapshotLoad::Loaded(VerdictLoad {
-        generation: snapshot.header.generation,
-        entries,
-    })
-}
-
-/// Saves a response snapshot atomically; returns the number of entries written.
-///
-/// Convenience wrapper over [`save_response_snapshot_aged`] that stamps the file
-/// as generation 1 with every entry current — the shape of a freshly computed
-/// cache with no history.
-pub fn save_response_snapshot(
-    spec: &PersistSpec,
-    entries: Vec<(CaseKey, Arc<Vec<Response>>)>,
-) -> io::Result<usize> {
-    let aged = entries
-        .into_iter()
-        .map(|(key, responses)| (key, responses, 1))
-        .collect();
-    save_response_snapshot_aged(spec, 1, aged)
-}
-
-/// Saves a response snapshot atomically under an explicit run counter, with
-/// per-entry `last useful` generations; returns the number of entries written.
+/// Saves a snapshot of file type `S` atomically under an explicit run counter,
+/// with per-entry `last useful` generations; returns the number of entries
+/// written.
 ///
 /// Entries are sorted by key before writing, so saving, loading and saving again
 /// (at the same generation) produces byte-identical files regardless of cache
 /// insertion order or worker count.
-pub fn save_response_snapshot_aged(
+pub fn save_snapshot_aged<S: SnapshotFile>(
     spec: &PersistSpec,
     generation: u64,
-    mut entries: Vec<(CaseKey, Arc<Vec<Response>>, u64)>,
+    mut entries: Vec<(S::Key, S::Value, u64)>,
 ) -> io::Result<usize> {
     entries.sort_by_key(|(key, ..)| *key);
-    let snapshot = ResponseSnapshot {
-        header: SnapshotHeader {
-            generation,
-            ..SnapshotHeader::expected(RESPONSE_KIND, spec)
-        },
-        entries: entries
-            .into_iter()
-            .map(|(key, responses, gen)| ResponseEntry {
-                key: encode_key(key.0),
-                gen,
-                responses: (*responses).clone(),
-            })
-            .collect(),
+    let count = entries.len();
+    let header = SnapshotHeader {
+        generation,
+        ..SnapshotHeader::expected(S::KIND, spec)
     };
-    let count = snapshot.entries.len();
-    let json = serde_json::to_string(&snapshot)
+    let encoded = entries
+        .into_iter()
+        .map(|(key, value, gen)| (encode_key(key.raw()), value, gen));
+    let json = serde_json::to_string(&S::pack(header, encoded.collect()))
         .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
     write_atomic(&spec.path, &json)?;
     Ok(count)
 }
 
-/// Saves a verdict snapshot atomically; returns the number of entries written.
-///
-/// Convenience wrapper over [`save_verdict_snapshot_aged`] that stamps the file
-/// as generation 1 with every entry current.
+/// Stamps a freshly computed cache with no history — generation 1, every
+/// entry current — and saves it.
+fn save_snapshot<S: SnapshotFile>(
+    spec: &PersistSpec,
+    entries: Vec<(S::Key, S::Value)>,
+) -> io::Result<usize> {
+    let aged = entries.into_iter().map(|(key, value)| (key, value, 1));
+    save_snapshot_aged::<S>(spec, 1, aged.collect())
+}
+
+/// Loads a response snapshot; see [`load_snapshot`] for the degradation contract.
+pub fn load_response_snapshot(spec: &PersistSpec) -> SnapshotLoad<ResponseLoad> {
+    load_snapshot::<ResponseSnapshot>(spec)
+}
+
+/// Loads a verdict snapshot; see [`load_snapshot`] for the degradation contract.
+pub fn load_verdict_snapshot(spec: &PersistSpec) -> SnapshotLoad<VerdictLoad> {
+    load_snapshot::<VerdictSnapshot>(spec)
+}
+
+/// Saves a response snapshot atomically as generation 1 with every entry
+/// current; returns the number of entries written.
+pub fn save_response_snapshot(
+    spec: &PersistSpec,
+    entries: Vec<(CaseKey, Arc<Vec<Response>>)>,
+) -> io::Result<usize> {
+    save_snapshot::<ResponseSnapshot>(spec, entries)
+}
+
+/// Saves a response snapshot; see [`save_snapshot_aged`] for the byte-stability
+/// contract.
+pub fn save_response_snapshot_aged(
+    spec: &PersistSpec,
+    generation: u64,
+    entries: Vec<(CaseKey, Arc<Vec<Response>>, u64)>,
+) -> io::Result<usize> {
+    save_snapshot_aged::<ResponseSnapshot>(spec, generation, entries)
+}
+
+/// Saves a verdict snapshot atomically as generation 1 with every entry
+/// current; returns the number of entries written.
 ///
 /// ```
 /// use svserve::persist::{
@@ -453,42 +491,17 @@ pub fn save_verdict_snapshot(
     spec: &PersistSpec,
     entries: Vec<(VerdictKey, bool)>,
 ) -> io::Result<usize> {
-    let aged = entries
-        .into_iter()
-        .map(|(key, verdict)| (key, verdict, 1))
-        .collect();
-    save_verdict_snapshot_aged(spec, 1, aged)
+    save_snapshot::<VerdictSnapshot>(spec, entries)
 }
 
-/// Saves a verdict snapshot atomically under an explicit run counter, with
-/// per-entry `last useful` generations; returns the number of entries written.
-///
-/// Same byte-stability contract as [`save_response_snapshot_aged`].
+/// Saves a verdict snapshot; see [`save_snapshot_aged`] for the byte-stability
+/// contract.
 pub fn save_verdict_snapshot_aged(
     spec: &PersistSpec,
     generation: u64,
-    mut entries: Vec<(VerdictKey, bool, u64)>,
+    entries: Vec<(VerdictKey, bool, u64)>,
 ) -> io::Result<usize> {
-    entries.sort_by_key(|(key, ..)| *key);
-    let snapshot = VerdictSnapshot {
-        header: SnapshotHeader {
-            generation,
-            ..SnapshotHeader::expected(VERDICT_KIND, spec)
-        },
-        entries: entries
-            .into_iter()
-            .map(|(key, verdict, gen)| VerdictEntry {
-                key: encode_key(key.0),
-                gen,
-                verdict,
-            })
-            .collect(),
-    };
-    let count = snapshot.entries.len();
-    let json = serde_json::to_string(&snapshot)
-        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-    write_atomic(&spec.path, &json)?;
-    Ok(count)
+    save_snapshot_aged::<VerdictSnapshot>(spec, generation, entries)
 }
 
 /// Applies the aging + compaction step pools run at flush time.
@@ -548,14 +561,14 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = path.with_file_name(format!(".{file_name}.tmp.{}.{seq}", std::process::id()));
-    std::fs::write(&tmp, contents)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(err) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(err)
-        }
+    let written = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        // A failed or partial write (ENOSPC) leaves the temp file behind just as
+        // a failed rename does; its name is unique per call, so without this
+        // every retried flush would leak another one.
+        let _ = std::fs::remove_file(&tmp);
     }
+    written
 }
 
 #[cfg(test)]
@@ -740,6 +753,24 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(residue.is_empty(), "temp files must be renamed away");
+        cleanup(&spec);
+    }
+
+    #[test]
+    fn a_failed_write_atomic_leaves_no_temp_file_behind() {
+        // The target is a non-empty directory, so the write cannot land; every
+        // failure (a short write just like this failed rename) must take its
+        // uniquely named temp file with it, or each retried flush leaks one.
+        let spec = temp_spec("atomic-failure");
+        std::fs::create_dir_all(spec.path.join("occupied")).unwrap();
+        for _ in 0..3 {
+            assert!(write_atomic(&spec.path, "contents").is_err());
+        }
+        let names: Vec<_> = std::fs::read_dir(spec.path.parent().unwrap())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [spec.path.file_name().unwrap()], "no temp litter");
         cleanup(&spec);
     }
 }

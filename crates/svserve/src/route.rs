@@ -41,8 +41,9 @@
 use crate::cache::CaseKey;
 use crate::journal::{JournalEvent, TracerHandle};
 use crate::metrics::{indent_block, render_block, ServiceMetrics, VerifyMetrics};
+use crate::pool::Pool;
 use crate::queue::{ServiceClosed, Shard, SubmitError};
-use crate::service::{splitmix64, worker_loop, RepairRequest, ServiceConfig, ServiceCore};
+use crate::service::{splitmix64, Repair, RepairRequest, ServiceConfig};
 use crate::telemetry::{Metric, MetricClass, TelemetryHandle};
 use crate::ticket::TicketState;
 use crate::trace::{stage, TraceHandle, TraceSpan};
@@ -387,7 +388,7 @@ struct Backend {
     name: String,
     cost: u32,
     model: Arc<dyn RepairModel + Send + Sync>,
-    core: Arc<ServiceCore>,
+    pool: Arc<Pool<Repair>>,
 }
 
 enum RouteSubmitKind<'a> {
@@ -577,7 +578,7 @@ impl RouterCore {
             // Internal ladder legs bypass per-backend admission: shedding a
             // request halfway up an already-admitted escalation would turn one
             // accepted session into a spurious failure.
-            let Ok(ticket) = backend.core.submit_inner(request.clone(), false) else {
+            let Ok(ticket) = backend.pool.submit_within(request.clone(), 0) else {
                 // Only reachable if a backend pool was closed out from under an
                 // in-flight ladder (the shutdown path drains coordinators
                 // first); degrade to an empty terminal answer.
@@ -708,10 +709,10 @@ fn escalation_loop(core: &RouterCore) {
 /// A routing frontend owning N named repair backends behind one submit/await
 /// surface.
 ///
-/// Each backend runs its own sharded worker pool and response cache (the
-/// [`crate::service`] engine) over its own model; a pool of escalation
-/// coordinators drives [`RoutePolicy::Escalate`] requests through the
-/// cost-ordered ladder.  Shutdown/drop closes the escalation queue first (so
+/// Each backend runs its own sharded worker pool and response cache (a repair
+/// instantiation of the [`crate::pool`] engine) over its own model; a pool of
+/// escalation coordinators drives [`RoutePolicy::Escalate`] requests through
+/// the cost-ordered ladder.  Shutdown/drop closes the escalation queue first (so
 /// in-flight ladders finish against live backends), then the backend pools,
 /// then flushes every backend's snapshot.
 pub struct ModelRouter {
@@ -738,7 +739,7 @@ impl ModelRouter {
             .map(|spec| Backend {
                 name: spec.name,
                 cost: spec.cost,
-                core: Arc::new(ServiceCore::new(spec.config)),
+                pool: Arc::new(Repair::pool(spec.config)),
                 model: spec.model,
             })
             .collect();
@@ -759,19 +760,15 @@ impl ModelRouter {
             rung_metrics,
             backends,
         });
-        let mut backend_handles = Vec::new();
-        for (backend_idx, backend) in core.backends.iter().enumerate() {
-            for shard_idx in 0..backend.core.config().workers {
-                let pool = Arc::clone(&backend.core);
-                let model = Arc::clone(&backend.model);
-                backend_handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("svroute-b{backend_idx}-w{shard_idx}"))
-                        .spawn(move || worker_loop(&pool, &*model, shard_idx))
-                        .expect("spawn backend worker thread"),
-                );
-            }
-        }
+        let backend_handles = core
+            .backends
+            .iter()
+            .enumerate()
+            .flat_map(|(backend_idx, backend)| {
+                let name = move |shard_idx| format!("svroute-b{backend_idx}-w{shard_idx}");
+                backend.pool.spawn_workers(&backend.model, name)
+            })
+            .collect();
         let escalation_handles = (0..config.escalation_workers)
             .map(|idx| {
                 let core = Arc::clone(&core);
@@ -829,7 +826,7 @@ impl ModelRouter {
         }
         let direct = |idx: usize| -> Result<RouteTicket, SubmitError> {
             let backend = &self.core.backends[idx];
-            let ticket = backend.core.submit(request.clone())?;
+            let ticket = backend.pool.submit(request.clone())?;
             Ok(RouteTicket {
                 inner: TicketInner::Direct {
                     ticket,
@@ -908,7 +905,7 @@ impl ModelRouter {
                 Ok(RouteSubmitFuture {
                     core: &self.core,
                     kind: RouteSubmitKind::Direct {
-                        fut: backend.core.submit_async(request.clone())?,
+                        fut: backend.pool.submit_async(request.clone())?,
                         backend: idx,
                         policy,
                     },
@@ -962,7 +959,7 @@ impl ModelRouter {
                 .map(|backend| BackendMetrics {
                     name: backend.name.clone(),
                     cost: backend.cost,
-                    service: backend.core.snapshot(),
+                    service: backend.pool.metrics(),
                 })
                 .collect(),
             ladder: self.core.ladder.clone(),
@@ -983,7 +980,7 @@ impl ModelRouter {
         let mut total = 0;
         let mut first_error = None;
         for backend in &self.core.backends {
-            match backend.core.flush() {
+            match backend.pool.flush() {
                 Ok(count) => total += count,
                 Err(err) => {
                     if first_error.is_none() {
@@ -1008,7 +1005,7 @@ impl ModelRouter {
             let _ = handle.join();
         }
         for backend in &self.core.backends {
-            backend.core.close();
+            backend.pool.close();
         }
         for handle in self.backend_handles.drain(..) {
             let _ = handle.join();

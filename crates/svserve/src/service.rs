@@ -1,15 +1,15 @@
-//! The repair service: submit/await frontend over a sharded worker pool.
+//! The repair service: the *sampling* instantiation of the pool engine.
 //!
-//! This is the *sampling* half of the two-pool serving architecture; its verdict
-//! twin, built from the same recipe, lives in [`crate::verify`].
-//!
-//! Two frontends share one engine (`ServiceCore` + `worker_loop`):
+//! [`crate::pool`] owns queueing, caching, panic absorption, snapshots and both
+//! frontends; this module says what is specific to repair ([`Repair`]): requests
+//! are `(case, samples, temperature)` keyed by [`case_key`], the work is one
+//! [`RepairModel::solve`] call, the value is the sampled response set, and the
+//! pool additionally feeds the time-windowed telemetry served over the wire.
 //!
 //! * [`RepairService`] owns its model (`Arc<M>`) and keeps a persistent pool until
 //!   [`RepairService::shutdown`] or drop — the long-running daemon shape;
-//! * [`serve_scoped`] borrows the model for the duration of a closure using scoped
-//!   threads — the shape `assertsolver::evaluate_model` uses, since evaluation only
-//!   holds `&M`.
+//! * [`serve_scoped`] borrows the model for the duration of a closure — the shape
+//!   `assertsolver::evaluate_model` uses, since evaluation only holds `&M`.
 //!
 //! ## Determinism
 //!
@@ -19,22 +19,14 @@
 //! Running the same workload with 1 or 8 workers therefore yields byte-identical
 //! responses — only the wall-clock changes.
 
-use crate::cache::{case_key, CaseKey, LruCache};
-use crate::journal::{JournalEvent, TracerHandle};
-use crate::metrics::{MetricsRecorder, ServiceMetrics};
-use crate::persist::{self, PersistSpec, SnapshotLoad};
-use crate::queue::{ServiceClosed, Shard, SubmitError};
-use crate::sync::lock_recover;
-use crate::telemetry::{
-    Metric, MetricClass, RegistrySnapshot, TelemetryHandle, TelemetryWindows, WindowSnapshot,
-};
-use crate::ticket::TicketState;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll};
-use std::time::{Duration, Instant};
+use crate::cache::{case_key, CaseKey};
+use crate::journal::TracerHandle;
+use crate::metrics::ServiceMetrics;
+use crate::persist::{PersistSpec, ResponseSnapshot};
+use crate::pool::{self, Owned, Pool, PoolConfig, Serve, Served, Worker};
+use crate::telemetry::{RegistrySnapshot, TelemetryHandle, TelemetryWindows, WindowSnapshot};
+use std::sync::Arc;
+use std::time::Duration;
 use svmodel::{CaseInput, RepairModel, Response};
 
 /// Service tuning parameters.
@@ -51,13 +43,13 @@ pub struct ServiceConfig {
     /// Service seed mixed into every per-case sampler seed.
     pub seed: u64,
     /// Admission control: maximum requests in flight (admitted but not yet
-    /// completed) before `submit` sheds new work with [`SubmitError::Busy`]
+    /// completed) before `submit` sheds new work with [`crate::SubmitError::Busy`]
     /// instead of queueing it.  `0` = unbounded.  Shed requests are counted in
     /// [`ServiceMetrics::shed_busy`]; the rejection is deterministic — it
     /// depends only on the exact in-flight count, never on timing heuristics.
     pub max_in_flight: usize,
     /// On-disk snapshot of the response cache: preloaded at start, written by
-    /// [`RepairService::flush`] / shutdown / the end of [`serve_scoped`].  `None`
+    /// [`Pool::flush`] / shutdown / the end of [`serve_scoped`].  `None`
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
     /// and invalidation rules.
     pub persist: Option<PersistSpec>,
@@ -123,14 +115,6 @@ impl ServiceConfig {
         self.telemetry = telemetry;
         self
     }
-
-    fn normalized(mut self) -> Self {
-        self.workers = self.workers.max(1);
-        self.shard_capacity = self.shard_capacity.max(1);
-        self.max_batch = self.max_batch.max(1);
-        self.cache_capacity = self.cache_capacity.max(self.workers);
-        self
-    }
 }
 
 /// One repair request: the case plus the sampling protocol.
@@ -185,121 +169,16 @@ pub struct RepairOutcome {
 }
 
 /// Await-handle for a submitted request.
-pub struct RepairTicket {
-    state: Arc<TicketState<RepairOutcome>>,
-}
+pub type RepairTicket = pool::Ticket<RepairOutcome>;
 
-impl RepairTicket {
-    /// Blocks until the request has been served.
-    pub fn wait(self) -> RepairOutcome {
-        self.state.wait()
-    }
+/// Future returned by the async submit paths; see [`pool::SubmitFuture`].
+pub type SubmitFuture<'a> = pool::SubmitFuture<'a, Repair>;
 
-    /// Non-blocking poll; returns the outcome once served.
-    pub fn try_take(&self) -> Option<RepairOutcome> {
-        self.state.try_take()
-    }
-}
+/// A persistent repair service owning its model and worker pool.
+pub type RepairService<M> = Owned<Repair, M>;
 
-impl Future for RepairTicket {
-    type Output = RepairOutcome;
-
-    /// Awaits the outcome without holding a thread: the worker's `fulfill`
-    /// wakes the registered task.
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<RepairOutcome> {
-        self.state.poll_take(cx.waker())
-    }
-}
-
-/// Future returned by the async submit paths: resolves to the request's
-/// [`RepairTicket`] once the target shard has accepted the job, parking on a
-/// waker (never a thread) while the shard is at capacity.
-///
-/// Dropping the future before it resolves abandons the submission and rolls
-/// back the admission slot it reserved, so a cancelled session cannot leak
-/// in-flight budget.
-pub struct SubmitFuture<'a> {
-    core: &'a ServiceCore,
-    job: Option<Job>,
-    shard: usize,
-    state: Arc<TicketState<RepairOutcome>>,
-}
-
-impl Future for SubmitFuture<'_> {
-    type Output = Result<RepairTicket, ServiceClosed>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        match this.core.shards[this.shard].poll_push(&mut this.job, &this.core.closed, cx.waker()) {
-            Poll::Ready(Ok(depth)) => {
-                this.core.metrics.record_submit(depth);
-                Poll::Ready(Ok(RepairTicket {
-                    state: Arc::clone(&this.state),
-                }))
-            }
-            Poll::Ready(Err(closed)) => {
-                // The job never reached a queue: hand the admission slot back.
-                this.core.metrics.release_in_flight();
-                Poll::Ready(Err(closed))
-            }
-            Poll::Pending => Poll::Pending,
-        }
-    }
-}
-
-impl Drop for SubmitFuture<'_> {
-    fn drop(&mut self) {
-        // Still holding the job means it was never enqueued: release the
-        // admission slot reserved at `begin_submit`.  (Once enqueued, the
-        // worker releases it when the job completes.)
-        if self.job.is_some() {
-            self.core.metrics.release_in_flight();
-        }
-    }
-}
-
-struct Job {
-    request: RepairRequest,
-    key: CaseKey,
-    seed: u64,
-    enqueued_at: Instant,
-    ticket: Arc<TicketState<RepairOutcome>>,
-}
-
-/// Shared engine state: shard queues, shard caches, metrics, lifecycle flag.
-pub(crate) struct ServiceCore {
-    config: ServiceConfig,
-    shards: Vec<Shard<Job>>,
-    caches: Vec<Mutex<LruCache>>,
-    metrics: MetricsRecorder,
-    timers: PoolTimers,
-    /// Time-windowed rates/latencies (the `StatsWindow` exchange); installed
-    /// with telemetry, `None` otherwise — the hot path pays one branch.
-    windows: Option<Arc<TelemetryWindows>>,
-    closed: AtomicBool,
-    /// Generation of the snapshot this core preloaded (0 when cold); the next
-    /// flush writes generation + 1 and ages entries against it.
-    snapshot_generation: AtomicU64,
-}
-
-/// Latency histograms resolved once at pool start; `None` (telemetry off)
-/// costs one branch per job at each record site.
-struct PoolTimers {
-    queue_wait: Option<Arc<Metric>>,
-    cache_lookup: Option<Arc<Metric>>,
-    solve: Option<Arc<Metric>>,
-}
-
-impl PoolTimers {
-    fn new(telemetry: &TelemetryHandle) -> Self {
-        let vol = MetricClass::Volatile;
-        Self {
-            queue_wait: telemetry.histogram("service.repair.queue_wait", vol),
-            cache_lookup: telemetry.histogram("service.repair.cache_lookup", vol),
-            solve: telemetry.histogram("service.repair.solve", vol),
-        }
-    }
-}
+/// Borrowed-model service handle available inside [`serve_scoped`].
+pub type ScopedService<'a> = &'a Pool<Repair>;
 
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -308,257 +187,104 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl ServiceCore {
-    pub(crate) fn new(config: ServiceConfig) -> Self {
-        let config = config.normalized();
-        let per_shard_cache = config.cache_capacity.div_ceil(config.workers);
-        let core = Self {
-            shards: (0..config.workers)
-                .map(|_| Shard::new(config.shard_capacity))
-                .collect(),
-            caches: (0..config.workers)
-                .map(|_| Mutex::new(LruCache::new(per_shard_cache)))
-                .collect(),
-            metrics: MetricsRecorder::new(),
-            timers: PoolTimers::new(&config.telemetry),
-            windows: config
-                .telemetry
-                .is_on()
-                .then(|| Arc::new(TelemetryWindows::from_env())),
-            closed: AtomicBool::new(false),
-            snapshot_generation: AtomicU64::new(0),
-            config,
+/// The repair instantiation of the pool engine.
+pub struct Repair {
+    /// Service seed mixed into every per-case sampler seed.
+    seed: u64,
+    /// Time-windowed rates/latencies (the `StatsWindow` exchange); installed
+    /// with telemetry, `None` otherwise — the hot path pays one branch.
+    windows: Option<TelemetryWindows>,
+}
+
+impl Repair {
+    /// Builds the (not yet running) pool a config describes.
+    pub(crate) fn pool(config: ServiceConfig) -> Pool<Self> {
+        let worker = Self {
+            seed: config.seed,
+            windows: config.telemetry.is_on().then(TelemetryWindows::from_env),
         };
-        core.preload_snapshot();
-        core
+        let config = PoolConfig {
+            workers: config.workers,
+            shard_capacity: config.shard_capacity,
+            max_batch: config.max_batch,
+            cache_capacity: config.cache_capacity,
+            max_in_flight: config.max_in_flight,
+            persist: config.persist,
+            tracer: config.tracer,
+            telemetry: config.telemetry,
+        };
+        Pool::new(worker, config)
+    }
+}
+
+impl Worker for Repair {
+    type Request = RepairRequest;
+    type Snapshot = ResponseSnapshot;
+    type Outcome = RepairOutcome;
+    type Metrics = ServiceMetrics;
+
+    const POOL: &'static str = "repair";
+    const HISTOGRAMS: [Option<&'static str>; 3] = [
+        Some("service.repair.queue_wait"),
+        Some("service.repair.cache_lookup"),
+        Some("service.repair.solve"),
+    ];
+
+    fn key(request: &RepairRequest) -> CaseKey {
+        request.key()
     }
 
-    /// The normalized config the core runs under (route frontends need the
-    /// worker count to spawn threads).
-    pub(crate) fn config(&self) -> &ServiceConfig {
-        &self.config
+    fn failed() -> Arc<Vec<Response>> {
+        Arc::new(Vec::new())
     }
 
-    /// The persistence spec with the service seed folded into the fingerprint.
+    fn outcome(responses: Arc<Vec<Response>>, served: Served) -> RepairOutcome {
+        RepairOutcome {
+            responses,
+            from_cache: served.from_cache,
+            worker: served.worker,
+            queue_wait: served.queue_wait,
+            service_time: served.service_time,
+        }
+    }
+
+    fn metrics(pool: &Pool<Self>) -> ServiceMetrics {
+        pool.recorder.snapshot(
+            pool.config.workers,
+            pool.queue_depth(),
+            pool.cache_entries(),
+        )
+    }
+
+    /// Folds the service seed into the fingerprint.
     ///
     /// Cached responses depend on the sampler seed (derived from the service seed
     /// plus the content hash), but [`CaseKey`] does not cover it — so the seed must
     /// be part of the snapshot identity or a warm start under a different seed
     /// would silently replay wrong responses.  Folding it here makes the invariant
     /// unbreakable instead of a caller convention.
-    fn persist_spec(&self) -> Option<PersistSpec> {
-        self.config.persist.as_ref().map(|spec| {
-            let mut fingerprint = spec.fingerprint.clone();
-            fingerprint.extend_from_slice(&self.config.seed.to_le_bytes());
-            PersistSpec {
-                fingerprint,
-                ..spec.clone()
-            }
-        })
+    fn extend_fingerprint(&self, fingerprint: &mut Vec<u8>) {
+        fingerprint.extend_from_slice(&self.seed.to_le_bytes());
     }
 
-    /// Warm start: preloads the persisted response snapshot, if one is configured
-    /// and valid.  A missing file is the normal first run; a corrupt or mismatched
-    /// one is counted in the metrics and the service starts cold — never an error.
-    fn preload_snapshot(&self) {
-        let Some(spec) = self.persist_spec() else {
-            return;
-        };
-        match persist::load_response_snapshot(&spec) {
-            SnapshotLoad::Loaded(loaded) => {
-                let count = loaded.entries.len();
-                self.snapshot_generation
-                    .store(loaded.generation, Ordering::Relaxed);
-                for (key, responses, gen) in loaded.entries {
-                    lock_recover(&self.caches[self.shard_for(key)])
-                        .preload_aged(key, responses, gen);
-                }
-                self.metrics.record_snapshot_load(count);
-            }
-            SnapshotLoad::Missing => {}
-            SnapshotLoad::Rejected(_) => self.metrics.record_snapshot_reject(),
-        }
+    fn windows(&self) -> Option<&TelemetryWindows> {
+        self.windows.as_ref()
     }
+}
 
-    /// Spills every cached response set to the configured snapshot path
-    /// (atomically); `Ok(0)` when persistence is not configured.
-    ///
-    /// An **empty** cache is never written: a service that loaded nothing (e.g. a
-    /// reconfigured run whose preload was rejected) and computed nothing must not
-    /// replace a previously valuable snapshot with an empty file.
-    pub(crate) fn flush(&self) -> std::io::Result<usize> {
-        let Some(spec) = self.persist_spec() else {
-            return Ok(0);
-        };
-        let mut entries = Vec::new();
-        for cache in &self.caches {
-            entries.extend(lock_recover(cache).export_aged());
-        }
-        if entries.is_empty() {
-            return Ok(0);
-        }
-        // Age the entries against the preloaded generation: touched entries are
-        // re-stamped current, idle ones keep their old stamp and fall off once
-        // they are `compact_after` runs behind (0 = keep forever).  A snapshot
-        // emptied *by compaction* is still written (the empty file records the
-        // drop and advances the generation); only a cache with nothing in it —
-        // e.g. an idle pool whose preload was rejected — skips the write, so
-        // it cannot clobber a valuable snapshot (the early return above).
-        let loaded_generation = self.snapshot_generation.load(Ordering::Relaxed);
-        let next_generation = loaded_generation + 1;
-        let (entries, compacted) = persist::age_entries(
-            entries,
-            loaded_generation,
-            next_generation,
-            spec.compact_after,
-        );
-        match persist::save_response_snapshot_aged(&spec, next_generation, entries) {
-            Ok(count) => {
-                self.metrics.record_snapshot_save(count);
-                // Counted only once the write landed: a failed save has not
-                // actually dropped anything from disk.
-                if compacted > 0 {
-                    self.metrics.record_snapshot_compaction(compacted);
-                }
-                Ok(count)
-            }
-            Err(err) => {
-                // The automatic flush paths (shutdown/drop/scoped exit) discard
-                // this error; the counter is the surviving signal.
-                self.metrics.record_snapshot_save_failure();
-                Err(err)
-            }
-        }
+impl<M: RepairModel + ?Sized> Serve<M> for Repair {
+    /// Samples the model under a seed that is a pure function of service seed
+    /// and content hash, never of arrival order or worker identity.
+    fn work(&self, model: &M, request: &RepairRequest, key: CaseKey) -> Arc<Vec<Response>> {
+        let seed = splitmix64(self.seed ^ key.fold64());
+        Arc::new(model.solve(&request.case, request.samples, request.temperature, seed))
     }
+}
 
-    /// Derives the sampler seed for a request: a pure function of service seed and
-    /// content hash, never of arrival order or worker identity.
-    fn derive_seed(&self, key: CaseKey) -> u64 {
-        splitmix64(self.config.seed ^ key.fold64())
-    }
-
-    fn shard_for(&self, key: CaseKey) -> usize {
-        (key.fold64() % self.shards.len() as u64) as usize
-    }
-
-    /// Admission + job construction, shared by the blocking and async submit
-    /// paths.  On success the in-flight slot has been reserved; it is released
-    /// by the worker when the job completes, or rolled back by the caller if
-    /// the job never reaches a queue.  `enforce_admission = false` bypasses the
-    /// `max_in_flight` limit (used by the router's internal escalation legs,
-    /// which must not be shed halfway up a ladder) but still counts the slot.
-    fn begin_submit(
-        &self,
-        request: RepairRequest,
-        enforce_admission: bool,
-    ) -> Result<(Job, usize, Arc<TicketState<RepairOutcome>>), SubmitError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(SubmitError::Closed);
-        }
-        let limit = if enforce_admission {
-            self.config.max_in_flight
-        } else {
-            0
-        };
-        if !self.metrics.try_admit(limit) {
-            self.metrics.record_shed();
-            if let Some(windows) = &self.windows {
-                windows.record_shed();
-            }
-            if self.config.tracer.is_on() {
-                // The key is only needed for the diagnostic; don't hash the
-                // request content on the shed fast-path while journaling is off.
-                self.metrics.record_journal_event();
-                self.config.tracer.diagnostic(
-                    request.key().fold64(),
-                    JournalEvent::Shed {
-                        pool: "repair".to_string(),
-                    },
-                );
-            }
-            return Err(SubmitError::Busy);
-        }
-        let key = request.key();
-        if self.config.tracer.is_on() {
-            self.metrics.record_journal_event();
-            self.config.tracer.diagnostic(
-                key.fold64(),
-                JournalEvent::Admit {
-                    pool: "repair".to_string(),
-                },
-            );
-        }
-        if let Some(windows) = &self.windows {
-            windows.record_submit();
-        }
-        let state = TicketState::new();
-        let job = Job {
-            seed: self.derive_seed(key),
-            enqueued_at: Instant::now(),
-            ticket: Arc::clone(&state),
-            request,
-            key,
-        };
-        let shard = self.shard_for(key);
-        Ok((job, shard, state))
-    }
-
-    pub(crate) fn submit(&self, request: RepairRequest) -> Result<RepairTicket, SubmitError> {
-        self.submit_inner(request, true)
-    }
-
-    pub(crate) fn submit_inner(
-        &self,
-        request: RepairRequest,
-        enforce_admission: bool,
-    ) -> Result<RepairTicket, SubmitError> {
-        let (job, shard, state) = self.begin_submit(request, enforce_admission)?;
-        match self.shards[shard].push_blocking(job, &self.closed) {
-            Ok(depth) => {
-                self.metrics.record_submit(depth);
-                Ok(RepairTicket { state })
-            }
-            Err(closed) => {
-                self.metrics.release_in_flight();
-                Err(closed.into())
-            }
-        }
-    }
-
-    /// Non-blocking submit: admission and shutdown are checked eagerly (so a
-    /// deterministic [`SubmitError::Busy`] surfaces before any awaiting), and
-    /// the returned future parks on the shard's submit waker — instead of an OS
-    /// thread — while the queue is at capacity.
-    pub(crate) fn submit_async(
-        &self,
-        request: RepairRequest,
-    ) -> Result<SubmitFuture<'_>, SubmitError> {
-        let (job, shard, state) = self.begin_submit(request, true)?;
-        Ok(SubmitFuture {
-            core: self,
-            job: Some(job),
-            shard,
-            state,
-        })
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
-    }
-
-    fn cache_entries(&self) -> usize {
-        self.caches
-            .iter()
-            .map(|cache| lock_recover(cache).len())
-            .sum()
-    }
-
-    pub(crate) fn snapshot(&self) -> ServiceMetrics {
-        self.metrics.snapshot(
-            self.config.workers,
-            self.queue_depth(),
-            self.cache_entries(),
-        )
+impl Pool<Repair> {
+    /// Submits a whole workload and waits for every answer, preserving input order.
+    pub fn solve_all(&self, requests: Vec<RepairRequest>) -> Vec<RepairOutcome> {
+        self.submit_all(requests)
     }
 
     /// The introspection snapshot served over the wire (`Stats` exchange):
@@ -566,9 +292,9 @@ impl ServiceCore {
     /// over the live telemetry registry (latency histograms, wire frame
     /// sizes) when one is installed.  Works with telemetry off — the
     /// counters and gauges come from the always-on metrics recorder.
-    pub(crate) fn stats_snapshot(&self) -> RegistrySnapshot {
+    pub fn stats_snapshot(&self) -> RegistrySnapshot {
         let mut out = self.config.telemetry.snapshot();
-        self.snapshot().export("service", &mut out);
+        self.metrics().export("service", &mut out);
         out
     }
 
@@ -576,283 +302,19 @@ impl ServiceCore {
     /// exchange).  With telemetry off the windows are not maintained and
     /// this returns an empty default — a counted degradation, never an
     /// error, so `svtop` can poll a mixed fleet.
-    pub(crate) fn stats_window(&self) -> WindowSnapshot {
-        match &self.windows {
-            Some(windows) => windows.snapshot(self.snapshot().in_flight_sessions as u64),
+    pub fn stats_window(&self) -> WindowSnapshot {
+        match self.worker.windows() {
+            Some(windows) => windows.snapshot(self.metrics().in_flight_sessions as u64),
             None => WindowSnapshot::default(),
         }
     }
-
-    pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        for shard in &self.shards {
-            shard.notify_all();
-        }
-    }
-}
-
-/// Closes the core when dropped, so scoped workers exit even if the body panics.
-struct CloseGuard<'a>(&'a ServiceCore);
-
-impl Drop for CloseGuard<'_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-pub(crate) fn worker_loop<M: RepairModel + ?Sized>(
-    core: &ServiceCore,
-    model: &M,
-    shard_idx: usize,
-) {
-    loop {
-        let batch = core.shards[shard_idx].drain_batch(core.config.max_batch, &core.closed);
-        if batch.is_empty() {
-            // Closed and drained.
-            return;
-        }
-        core.metrics.record_batch();
-        for job in batch {
-            let queue_wait = job.enqueued_at.elapsed();
-            let service_start = Instant::now();
-            let cached = lock_recover(&core.caches[shard_idx]).get_tagged(job.key);
-            let cache_lookup = service_start.elapsed();
-            if core.config.tracer.is_on() {
-                core.metrics.record_journal_event();
-                core.config.tracer.diagnostic(
-                    job.key.fold64(),
-                    JournalEvent::Cache {
-                        pool: "repair".to_string(),
-                        hit: cached.is_some(),
-                        warm: matches!(cached, Some((_, true))),
-                    },
-                );
-            }
-            let (responses, solve_time) = match cached {
-                Some((responses, warm)) => {
-                    if warm {
-                        core.metrics.record_warm_hit();
-                    }
-                    (responses, None)
-                }
-                None => {
-                    let solve_start = Instant::now();
-                    // A panicking model must not take the worker down: an unwinding
-                    // worker would strand every ticket in its shard (waiters block
-                    // forever and scoped pools never join).  Catch the panic, serve
-                    // an empty response set, and count it in the metrics.
-                    let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        model.solve(
-                            &job.request.case,
-                            job.request.samples,
-                            job.request.temperature,
-                            job.seed,
-                        )
-                    }));
-                    let elapsed = solve_start.elapsed();
-                    match solved {
-                        Ok(responses) => {
-                            let responses = Arc::new(responses);
-                            lock_recover(&core.caches[shard_idx])
-                                .insert(job.key, Arc::clone(&responses));
-                            (responses, Some(elapsed))
-                        }
-                        Err(_) => {
-                            // Not cached: a retry should reach the model again.
-                            core.metrics.record_solve_panic();
-                            if core.config.tracer.is_on() {
-                                core.metrics.record_journal_event();
-                                core.config.tracer.diagnostic(
-                                    job.key.fold64(),
-                                    JournalEvent::Panic {
-                                        pool: "repair".to_string(),
-                                    },
-                                );
-                            }
-                            (Arc::new(Vec::new()), Some(elapsed))
-                        }
-                    }
-                }
-            };
-            core.metrics
-                .record_job(queue_wait, cache_lookup, solve_time);
-            if let Some(metric) = &core.timers.queue_wait {
-                metric.observe_duration(queue_wait);
-            }
-            if let Some(metric) = &core.timers.cache_lookup {
-                metric.observe_duration(cache_lookup);
-            }
-            if let (Some(metric), Some(solve)) = (&core.timers.solve, solve_time) {
-                metric.observe_duration(solve);
-            }
-            let service_time = service_start.elapsed();
-            if let Some(windows) = &core.windows {
-                windows.record_complete(service_time.as_nanos() as u64);
-            }
-            job.ticket.fulfill(RepairOutcome {
-                responses,
-                from_cache: solve_time.is_none(),
-                worker: shard_idx,
-                queue_wait,
-                service_time,
-            });
-        }
-    }
-}
-
-/// A persistent repair service owning its model and worker pool.
-pub struct RepairService<M: RepairModel + Send + Sync + 'static> {
-    core: Arc<ServiceCore>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    _model: Arc<M>,
 }
 
 impl<M: RepairModel + Send + Sync + 'static> RepairService<M> {
     /// Starts the worker pool.
     pub fn start(model: Arc<M>, config: ServiceConfig) -> Self {
-        let core = Arc::new(ServiceCore::new(config));
-        let handles = (0..core.config.workers)
-            .map(|shard_idx| {
-                let core = Arc::clone(&core);
-                let model = Arc::clone(&model);
-                std::thread::Builder::new()
-                    .name(format!("svserve-worker-{shard_idx}"))
-                    .spawn(move || worker_loop(&core, &*model, shard_idx))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        Self {
-            core,
-            handles,
-            _model: model,
-        }
+        Owned::spawn(Repair::pool(config), model, "svserve-worker")
     }
-
-    /// Submits one request; blocks only when the target shard is at capacity.
-    /// Sheds with [`SubmitError::Busy`] when [`ServiceConfig::max_in_flight`]
-    /// is reached.
-    pub fn submit(&self, request: RepairRequest) -> Result<RepairTicket, SubmitError> {
-        self.core.submit(request)
-    }
-
-    /// Non-blocking submit for async sessions: admission is checked eagerly,
-    /// and the returned future parks on a waker (not a thread) while the
-    /// target shard is at capacity.  Await it, then await the ticket.
-    pub fn submit_async(&self, request: RepairRequest) -> Result<SubmitFuture<'_>, SubmitError> {
-        self.core.submit_async(request)
-    }
-
-    /// Submits a whole workload and waits for every answer, preserving input order.
-    pub fn solve_all(&self, requests: Vec<RepairRequest>) -> Vec<RepairOutcome> {
-        solve_all_on(&self.core, requests)
-    }
-
-    /// Takes a metrics snapshot.
-    pub fn metrics(&self) -> ServiceMetrics {
-        self.core.snapshot()
-    }
-
-    /// The introspection snapshot the wire layer serves for a
-    /// [`crate::wire::Frame::Stats`] request: exported service metrics merged
-    /// over the live telemetry registry (when one is installed).
-    pub fn stats_snapshot(&self) -> RegistrySnapshot {
-        self.core.stats_snapshot()
-    }
-
-    /// The time-windowed snapshot the wire layer serves for a
-    /// [`crate::wire::Frame::StatsWindow`] request; empty when telemetry
-    /// is off.
-    pub fn stats_window(&self) -> WindowSnapshot {
-        self.core.stats_window()
-    }
-
-    /// Writes the current response cache to the configured snapshot path
-    /// (atomically), returning the number of entries written; `Ok(0)` when
-    /// persistence is not configured.  Also runs automatically on shutdown/drop.
-    pub fn flush(&self) -> std::io::Result<usize> {
-        self.core.flush()
-    }
-
-    /// Stops accepting work, drains the queues, joins the workers and flushes the
-    /// response-cache snapshot.
-    pub fn shutdown(mut self) -> ServiceMetrics {
-        self.core.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        let _ = self.core.flush();
-        self.core.snapshot()
-    }
-}
-
-impl<M: RepairModel + Send + Sync + 'static> Drop for RepairService<M> {
-    fn drop(&mut self) {
-        self.core.close();
-        let had_workers = !self.handles.is_empty();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        // `shutdown` already flushed (and emptied `handles`); only flush here when
-        // the service is dropped without an explicit shutdown.
-        if had_workers {
-            let _ = self.core.flush();
-        }
-    }
-}
-
-/// Borrowed-model service handle available inside [`serve_scoped`].
-pub struct ScopedService<'a> {
-    core: &'a ServiceCore,
-}
-
-impl ScopedService<'_> {
-    /// Submits one request; blocks only when the target shard is at capacity.
-    /// Sheds with [`SubmitError::Busy`] when [`ServiceConfig::max_in_flight`]
-    /// is reached.
-    pub fn submit(&self, request: RepairRequest) -> Result<RepairTicket, SubmitError> {
-        self.core.submit(request)
-    }
-
-    /// Non-blocking submit for async sessions: admission is checked eagerly,
-    /// and the returned future parks on a waker (not a thread) while the
-    /// target shard is at capacity.  Await it, then await the ticket.
-    pub fn submit_async(&self, request: RepairRequest) -> Result<SubmitFuture<'_>, SubmitError> {
-        self.core.submit_async(request)
-    }
-
-    /// Submits a whole workload and waits for every answer, preserving input order.
-    pub fn solve_all(&self, requests: Vec<RepairRequest>) -> Vec<RepairOutcome> {
-        solve_all_on(self.core, requests)
-    }
-
-    /// Takes a metrics snapshot.
-    pub fn metrics(&self) -> ServiceMetrics {
-        self.core.snapshot()
-    }
-
-    /// The introspection snapshot the wire layer serves for a
-    /// [`crate::wire::Frame::Stats`] request: exported service metrics merged
-    /// over the live telemetry registry (when one is installed).
-    pub fn stats_snapshot(&self) -> RegistrySnapshot {
-        self.core.stats_snapshot()
-    }
-
-    /// The time-windowed snapshot the wire layer serves for a
-    /// [`crate::wire::Frame::StatsWindow`] request; empty when telemetry
-    /// is off.
-    pub fn stats_window(&self) -> WindowSnapshot {
-        self.core.stats_window()
-    }
-}
-
-fn solve_all_on(core: &ServiceCore, requests: Vec<RepairRequest>) -> Vec<RepairOutcome> {
-    // Submit everything first (backpressure throttles us while workers drain),
-    // then await in input order.
-    let tickets: Vec<RepairTicket> = requests
-        .into_iter()
-        .map(|request| core.submit(request).expect("service open during solve_all"))
-        .collect();
-    tickets.into_iter().map(RepairTicket::wait).collect()
 }
 
 /// Runs a worker pool over a *borrowed* model for the duration of `body`.
@@ -867,29 +329,18 @@ where
     M: RepairModel + Sync + ?Sized,
     F: FnOnce(&ScopedService<'_>) -> R,
 {
-    let core = ServiceCore::new(config);
-    let result = std::thread::scope(|scope| {
-        let guard = CloseGuard(&core);
-        for shard_idx in 0..core.config.workers {
-            let core_ref = &core;
-            scope.spawn(move || worker_loop(core_ref, model, shard_idx));
-        }
-        let service = ScopedService { core: &core };
-        let result = body(&service);
-        drop(guard); // close + wake workers so the scope can join
-        result
-    });
-    let _ = core.flush();
-    result
+    pool::scoped(Repair::pool(config), model, body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::pool::contract::{self, Harness, Tally};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Deterministic test model: echoes a line number derived from case + seed, and
-    /// counts invocations so tests can prove cache hits skip the model.
+    /// counts invocations so tests can prove cache hits skip the model.  Panics on
+    /// a case whose spec says `poison`.
     struct CountingModel {
         calls: AtomicUsize,
     }
@@ -915,6 +366,7 @@ mod tests {
             seed: u64,
         ) -> Vec<Response> {
             self.calls.fetch_add(1, Ordering::SeqCst);
+            assert!(!case.spec.contains("poison"), "malformed case");
             (0..samples)
                 .map(|i| Response {
                     bug_line_number: (case.spec.len() as u32) + i as u32,
@@ -1023,65 +475,92 @@ mod tests {
         assert!(metrics.throughput_per_sec > 0.0);
     }
 
-    #[test]
-    fn a_panicking_model_does_not_strand_tickets() {
-        struct PanickyModel;
-        impl RepairModel for PanickyModel {
-            fn name(&self) -> &str {
-                "panicky"
-            }
-            fn solve(
-                &self,
-                case: &CaseInput,
-                samples: usize,
-                _temperature: f64,
-                _seed: u64,
-            ) -> Vec<Response> {
-                if case.spec.contains("spec 3") {
-                    panic!("malformed case");
-                }
-                vec![
-                    Response {
-                        bug_line_number: 1,
-                        buggy_line: String::new(),
-                        fixed_line: String::new(),
-                        cot: None,
-                    };
-                    samples
-                ]
-            }
+    /// The repair instantiation, as the engine's contract tests drive it.
+    struct RepairHarness;
+
+    impl Harness for RepairHarness {
+        type Worker = Repair;
+        type Backend = CountingModel;
+
+        fn pool(workers: usize, persist: Option<PersistSpec>) -> Pool<Repair> {
+            Repair::pool(ServiceConfig {
+                persist,
+                ..ServiceConfig::default().with_workers(workers)
+            })
         }
 
-        let metrics = serve_scoped(
-            &PanickyModel,
-            ServiceConfig::default().with_workers(2),
-            |service| {
-                let outcomes = service.solve_all((0..8).map(request).collect());
-                assert_eq!(outcomes.len(), 8, "every ticket must be fulfilled");
-                for (i, outcome) in outcomes.iter().enumerate() {
-                    if i == 3 {
-                        assert!(outcome.responses.is_empty());
-                    } else {
-                        assert_eq!(outcome.responses.len(), 4);
-                    }
-                }
-                service.metrics()
-            },
-        );
-        assert_eq!(metrics.solve_panics, 1);
-        assert_eq!(metrics.completed, 8);
+        fn backend() -> Arc<CountingModel> {
+            Arc::new(CountingModel::new())
+        }
+
+        fn request(tag: usize, poisoned: bool) -> RepairRequest {
+            let mut request = request(tag);
+            if poisoned {
+                request.case.spec.push_str(" poison");
+            }
+            request
+        }
+
+        fn view(outcome: &RepairOutcome) -> (bool, bool, usize) {
+            (
+                outcome.responses.is_empty(),
+                outcome.from_cache,
+                outcome.worker,
+            )
+        }
+
+        fn tally(metrics: &ServiceMetrics) -> Tally {
+            Tally {
+                in_flight: metrics.in_flight_sessions,
+                completed: metrics.completed,
+                panics: metrics.solve_panics,
+                snapshot_loaded_entries: metrics.snapshot_loaded_entries,
+                snapshot_saves: metrics.snapshot_saves,
+                snapshot_save_failures: metrics.snapshot_save_failures,
+                snapshot_rejects: metrics.snapshot_rejects,
+                snapshot_compacted_entries: metrics.snapshot_compacted_entries,
+            }
+        }
+    }
+
+    #[test]
+    fn submit_after_close_is_refused() {
+        contract::submit_after_close_is_refused::<RepairHarness>();
+    }
+
+    #[test]
+    fn a_dropped_submit_future_returns_its_slot() {
+        contract::a_dropped_submit_future_returns_its_slot::<RepairHarness>();
+    }
+
+    #[test]
+    fn a_panicking_model_does_not_strand_tickets() {
+        contract::panicking_work_is_absorbed::<RepairHarness>();
+    }
+
+    #[test]
+    fn an_idle_pool_never_overwrites_a_valuable_snapshot() {
+        contract::an_idle_pool_never_overwrites_a_valuable_snapshot::<RepairHarness>();
+    }
+
+    #[test]
+    fn idle_entries_are_compacted_once_the_write_lands() {
+        contract::idle_entries_are_compacted_once_the_write_lands::<RepairHarness>();
     }
 
     #[test]
     fn shard_routing_is_content_based() {
-        let core = ServiceCore::new(ServiceConfig::default().with_workers(4));
-        for tag in 0..32 {
-            let key = request(tag).key();
-            assert_eq!(core.shard_for(key), core.shard_for(key));
-        }
-        // Seeds derive from content, not order: same request, same seed.
-        let key = request(3).key();
-        assert_eq!(core.derive_seed(key), core.derive_seed(key));
-        assert_ne!(core.derive_seed(key), core.derive_seed(request(4).key()));
+        contract::placement_is_key_fold64_modulo_workers::<RepairHarness>();
+        // Seeds derive from content, not order: the same request samples the
+        // same responses on any pool, a different request different ones.
+        let sample = |tag| {
+            let pool = RepairHarness::pool(1, None);
+            let model = CountingModel::new();
+            pool::scoped(pool, &model, |pool| pool.solve_all(vec![request(tag)]))[0]
+                .responses
+                .clone()
+        };
+        assert_eq!(sample(3), sample(3));
+        assert_ne!(sample(3)[0].fixed_line, sample(4)[0].fixed_line);
     }
 }

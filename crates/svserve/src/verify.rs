@@ -1,53 +1,41 @@
-//! The verification offload pool: parallel, cached, deterministic verdicts.
+//! The verification offload pool: the *verdict* instantiation of the pool engine.
 //!
 //! `assertsolver::evaluate_model` used to run every bounded-checker verdict serially
 //! on the caller thread, and ROADMAP profiling showed that loop dominating evaluation
-//! wall-clock.  This module is the second half of the two-pool serving architecture:
-//! a sharded worker pool that accepts `(case, candidate response)` jobs, runs a
-//! caller-supplied [`ResponseJudge`] on dedicated workers, and returns tickets — the
-//! same recipe as the repair pool in [`crate::service`] (bounded queues with
-//! backpressure, micro-batched dequeue, panic absorption, content-hash-derived shard
-//! placement).
-//!
-//! Two frontends share one engine (`VerifyCore` + `verify_worker_loop`):
+//! wall-clock.  [`crate::pool`] owns queueing, caching, panic absorption, snapshots
+//! and both frontends; this module says what is specific to verdicts
+//! ([`Verify`]): requests are `(case, candidate response)` pairs carrying a
+//! caller-built [`VerdictKey`], the work is one [`ResponseJudge::verdict`] call, the
+//! value is a `bool`, every computed verdict is tallied true/false, and there is no
+//! admission limit (the in-flight count is a gauge only).
 //!
 //! * [`VerifyPool`] owns its judge (`Arc<dyn ResponseJudge>`) and keeps a persistent
 //!   pool until [`VerifyPool::shutdown`] or drop — reusable across evaluation runs,
 //!   so the verdict cache stays warm;
-//! * [`verify_scoped`] borrows the judge for the duration of a closure using scoped
-//!   threads.
+//! * [`verify_scoped`] borrows the judge for the duration of a closure.
 //!
 //! ## Determinism
 //!
 //! Verdicts are pure functions of `(case, response, checker config)` — exactly the
 //! content hashed into the [`VerdictKey`] — so the pool introduces no nondeterminism:
 //! a job's verdict is the same whether it was computed on worker 0 or worker 7, on a
-//! cold cache or a warm one.  Shard placement derives from the key (never arrival
-//! order), which keeps per-shard caches disjoint at any worker count.
+//! cold cache or a warm one.
 //!
 //! ## Panic absorption
 //!
-//! A judge that panics must not take its worker down (an unwinding worker would
-//! strand every ticket in its shard and poison the pool for later jobs).  The pool
-//! catches the panic, serves a *failed* verdict for that candidate, counts it in
-//! [`VerifyMetrics::verdict_panics`], and does **not** cache the failure, so a retry
-//! reaches the judge again.
+//! A panicking judge yields a *failed* verdict for that candidate, counted in
+//! [`VerifyMetrics::verdict_panics`] and **not** cached, so a retry reaches the judge
+//! again.
 
-use crate::cache::{LruCache, VerdictKey};
-use crate::journal::{JournalEvent, TracerHandle};
-use crate::metrics::{MetricsRecorder, VerifyMetrics};
-use crate::persist::{self, PersistSpec, SnapshotLoad};
-use crate::queue::{ServiceClosed, Shard, SubmitError};
-use crate::sync::lock_recover;
-use crate::telemetry::{Metric, MetricClass, TelemetryHandle};
-use crate::ticket::TicketState;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::cache::VerdictKey;
+use crate::journal::TracerHandle;
+use crate::metrics::VerifyMetrics;
+use crate::persist::{PersistSpec, VerdictSnapshot};
+use crate::pool::{self, Owned, Pool, PoolConfig, Serve, Served, Worker};
+use crate::telemetry::TelemetryHandle;
+use std::marker::PhantomData;
 use std::sync::Arc;
-use std::sync::Mutex;
-use std::task::{Context, Poll};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use svmodel::Response;
 
 /// Environment variable overriding the default verify worker count
@@ -77,7 +65,7 @@ pub struct VerifyConfig {
     /// Total verdict-cache entries across all shards.
     pub cache_capacity: usize,
     /// On-disk snapshot of the verdict cache: preloaded at start, written by
-    /// [`VerifyPool::flush`] / shutdown / the end of [`verify_scoped`].  `None`
+    /// [`Pool::flush`] / shutdown / the end of [`verify_scoped`].  `None`
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
     /// and invalidation rules.
     pub persist: Option<PersistSpec>,
@@ -137,18 +125,7 @@ impl VerifyConfig {
         self.telemetry = telemetry;
         self
     }
-
-    fn normalized(mut self) -> Self {
-        self.workers = self.workers.max(1);
-        self.shard_capacity = self.shard_capacity.max(1);
-        self.max_batch = self.max_batch.max(1);
-        self.cache_capacity = self.cache_capacity.max(self.workers);
-        self
-    }
 }
-
-/// A constructed-but-unqueued verify job: `(job, target shard, ticket state)`.
-type BegunVerifyJob<C> = (VerifyJob<C>, usize, Arc<TicketState<VerdictOutcome>>);
 
 /// Anything that can judge whether a candidate response solves a case.
 ///
@@ -213,384 +190,10 @@ pub struct VerdictOutcome {
 }
 
 /// Await-handle for a submitted verdict job.
-pub struct VerifyTicket {
-    state: Arc<TicketState<VerdictOutcome>>,
-}
+pub type VerifyTicket = pool::Ticket<VerdictOutcome>;
 
-impl VerifyTicket {
-    /// Blocks until the verdict has been served.
-    pub fn wait(self) -> VerdictOutcome {
-        self.state.wait()
-    }
-
-    /// Non-blocking poll; returns the outcome once served.
-    pub fn try_take(&self) -> Option<VerdictOutcome> {
-        self.state.try_take()
-    }
-}
-
-impl Future for VerifyTicket {
-    type Output = VerdictOutcome;
-
-    /// Awaits the verdict without holding a thread: the worker's `fulfill`
-    /// wakes the registered task.
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<VerdictOutcome> {
-        self.state.poll_take(cx.waker())
-    }
-}
-
-struct VerifyJob<C> {
-    request: VerifyRequest<C>,
-    enqueued_at: Instant,
-    ticket: Arc<TicketState<VerdictOutcome>>,
-}
-
-/// Shared engine state: shard queues, shard verdict caches, metrics, lifecycle flag.
-pub(crate) struct VerifyCore<C> {
-    config: VerifyConfig,
-    shards: Vec<Shard<VerifyJob<C>>>,
-    caches: Vec<Mutex<LruCache<VerdictKey, bool>>>,
-    metrics: MetricsRecorder,
-    timers: VerifyTimers,
-    closed: AtomicBool,
-    /// Generation of the snapshot this core preloaded (0 when cold); the next
-    /// flush writes generation + 1 and ages entries against it.
-    snapshot_generation: AtomicU64,
-}
-
-/// Latency histograms resolved once at pool start; `None` (telemetry off)
-/// costs one branch per job at each record site.
-struct VerifyTimers {
-    queue_wait: Option<Arc<Metric>>,
-    verdict: Option<Arc<Metric>>,
-}
-
-impl VerifyTimers {
-    fn new(telemetry: &TelemetryHandle) -> Self {
-        let vol = MetricClass::Volatile;
-        Self {
-            queue_wait: telemetry.histogram("verify.queue_wait", vol),
-            verdict: telemetry.histogram("verify.verdict.latency", vol),
-        }
-    }
-}
-
-impl<C> VerifyCore<C> {
-    fn new(config: VerifyConfig) -> Self {
-        let config = config.normalized();
-        let per_shard_cache = config.cache_capacity.div_ceil(config.workers);
-        let core = Self {
-            shards: (0..config.workers)
-                .map(|_| Shard::new(config.shard_capacity))
-                .collect(),
-            caches: (0..config.workers)
-                .map(|_| Mutex::new(LruCache::new(per_shard_cache)))
-                .collect(),
-            metrics: MetricsRecorder::new(),
-            timers: VerifyTimers::new(&config.telemetry),
-            closed: AtomicBool::new(false),
-            snapshot_generation: AtomicU64::new(0),
-            config,
-        };
-        core.preload_snapshot();
-        core
-    }
-
-    /// Warm start: preloads the persisted verdict snapshot, if one is configured
-    /// and valid.  A missing file is the normal first run; a corrupt or mismatched
-    /// one is counted in the metrics and the pool starts cold — never an error.
-    fn preload_snapshot(&self) {
-        let Some(spec) = &self.config.persist else {
-            return;
-        };
-        match persist::load_verdict_snapshot(spec) {
-            SnapshotLoad::Loaded(loaded) => {
-                let count = loaded.entries.len();
-                self.snapshot_generation
-                    .store(loaded.generation, Ordering::Relaxed);
-                for (key, verdict, gen) in loaded.entries {
-                    lock_recover(&self.caches[self.shard_for(key)]).preload_aged(key, verdict, gen);
-                }
-                self.metrics.record_snapshot_load(count);
-            }
-            SnapshotLoad::Missing => {}
-            SnapshotLoad::Rejected(_) => self.metrics.record_snapshot_reject(),
-        }
-    }
-
-    /// Spills every cached verdict to the configured snapshot path (atomically);
-    /// `Ok(0)` when persistence is not configured.
-    ///
-    /// An **empty** cache is never written: a pool that loaded nothing (e.g. a
-    /// reconfigured run whose preload was rejected) and judged nothing must not
-    /// replace a previously valuable snapshot with an empty file.
-    fn flush(&self) -> std::io::Result<usize> {
-        let Some(spec) = &self.config.persist else {
-            return Ok(0);
-        };
-        let mut entries = Vec::new();
-        for cache in &self.caches {
-            entries.extend(lock_recover(cache).export_aged());
-        }
-        if entries.is_empty() {
-            return Ok(0);
-        }
-        // Age the entries against the preloaded generation: touched entries are
-        // re-stamped current, idle ones keep their old stamp and fall off once
-        // they are `compact_after` runs behind (0 = keep forever).  A snapshot
-        // emptied *by compaction* is still written (the empty file records the
-        // drop and advances the generation); only a cache with nothing in it —
-        // e.g. an idle pool whose preload was rejected — skips the write, so
-        // it cannot clobber a valuable snapshot (the early return above).
-        let loaded_generation = self.snapshot_generation.load(Ordering::Relaxed);
-        let next_generation = loaded_generation + 1;
-        let (entries, compacted) = persist::age_entries(
-            entries,
-            loaded_generation,
-            next_generation,
-            spec.compact_after,
-        );
-        match persist::save_verdict_snapshot_aged(spec, next_generation, entries) {
-            Ok(count) => {
-                self.metrics.record_snapshot_save(count);
-                // Counted only once the write landed: a failed save has not
-                // actually dropped anything from disk.
-                if compacted > 0 {
-                    self.metrics.record_snapshot_compaction(compacted);
-                }
-                Ok(count)
-            }
-            Err(err) => {
-                // The automatic flush paths (shutdown/drop/scoped exit) discard
-                // this error; the counter is the surviving signal.
-                self.metrics.record_snapshot_save_failure();
-                Err(err)
-            }
-        }
-    }
-
-    fn shard_for(&self, key: VerdictKey) -> usize {
-        (key.fold64() % self.shards.len() as u64) as usize
-    }
-
-    /// Job construction shared by the blocking and async submit paths; the
-    /// in-flight slot reserved here is released by the worker at completion.
-    fn begin_submit(&self, request: VerifyRequest<C>) -> Result<BegunVerifyJob<C>, SubmitError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(SubmitError::Closed);
-        }
-        // No admission limit on the verify pool (limit 0 = gauge only).
-        let _ = self.metrics.try_admit(0);
-        if self.config.tracer.is_on() {
-            self.metrics.record_journal_event();
-            self.config.tracer.diagnostic(
-                request.key.fold64(),
-                JournalEvent::Admit {
-                    pool: "verify".to_string(),
-                },
-            );
-        }
-        let state = TicketState::new();
-        let shard = self.shard_for(request.key);
-        let job = VerifyJob {
-            enqueued_at: Instant::now(),
-            ticket: Arc::clone(&state),
-            request,
-        };
-        Ok((job, shard, state))
-    }
-
-    fn submit(&self, request: VerifyRequest<C>) -> Result<VerifyTicket, SubmitError> {
-        let (job, shard, state) = self.begin_submit(request)?;
-        match self.shards[shard].push_blocking(job, &self.closed) {
-            Ok(depth) => {
-                self.metrics.record_submit(depth);
-                Ok(VerifyTicket { state })
-            }
-            Err(closed) => {
-                self.metrics.release_in_flight();
-                Err(closed.into())
-            }
-        }
-    }
-
-    fn submit_async(
-        &self,
-        request: VerifyRequest<C>,
-    ) -> Result<VerifySubmitFuture<'_, C>, SubmitError> {
-        let (job, shard, state) = self.begin_submit(request)?;
-        Ok(VerifySubmitFuture {
-            core: self,
-            job: Some(job),
-            shard,
-            state,
-        })
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
-    }
-
-    fn cache_entries(&self) -> usize {
-        self.caches
-            .iter()
-            .map(|cache| lock_recover(cache).len())
-            .sum()
-    }
-
-    fn snapshot(&self) -> VerifyMetrics {
-        self.metrics.snapshot_verify(
-            self.config.workers,
-            self.queue_depth(),
-            self.cache_entries(),
-        )
-    }
-
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        for shard in &self.shards {
-            shard.notify_all();
-        }
-    }
-}
-
-/// Future returned by the async submit paths: resolves to the job's
-/// [`VerifyTicket`] once the target shard has accepted it, parking on a waker
-/// (never a thread) while the shard is at capacity.  Dropping it before it
-/// resolves abandons the submission and rolls back the in-flight slot.
-pub struct VerifySubmitFuture<'a, C> {
-    core: &'a VerifyCore<C>,
-    job: Option<VerifyJob<C>>,
-    shard: usize,
-    state: Arc<TicketState<VerdictOutcome>>,
-}
-
-impl<C> Future for VerifySubmitFuture<'_, C> {
-    type Output = Result<VerifyTicket, ServiceClosed>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        match this.core.shards[this.shard].poll_push(&mut this.job, &this.core.closed, cx.waker()) {
-            Poll::Ready(Ok(depth)) => {
-                this.core.metrics.record_submit(depth);
-                Poll::Ready(Ok(VerifyTicket {
-                    state: Arc::clone(&this.state),
-                }))
-            }
-            Poll::Ready(Err(closed)) => {
-                // Never enqueued: hand the in-flight slot back.
-                this.core.metrics.release_in_flight();
-                Poll::Ready(Err(closed))
-            }
-            Poll::Pending => Poll::Pending,
-        }
-    }
-}
-
-impl<C> Drop for VerifySubmitFuture<'_, C> {
-    fn drop(&mut self) {
-        // Never enqueued: hand the in-flight slot back.
-        if self.job.is_some() {
-            self.core.metrics.release_in_flight();
-        }
-    }
-}
-
-/// Closes the core when dropped, so scoped workers exit even if the body panics.
-struct VerifyCloseGuard<'a, C>(&'a VerifyCore<C>);
-
-impl<C> Drop for VerifyCloseGuard<'_, C> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-fn verify_worker_loop<C, J: ResponseJudge<C> + ?Sized>(
-    core: &VerifyCore<C>,
-    judge: &J,
-    shard_idx: usize,
-) {
-    loop {
-        let batch = core.shards[shard_idx].drain_batch(core.config.max_batch, &core.closed);
-        if batch.is_empty() {
-            // Closed and drained.
-            return;
-        }
-        core.metrics.record_batch();
-        for job in batch {
-            let queue_wait = job.enqueued_at.elapsed();
-            let service_start = Instant::now();
-            let cached = lock_recover(&core.caches[shard_idx]).get_tagged(job.request.key);
-            let cache_lookup = service_start.elapsed();
-            if core.config.tracer.is_on() {
-                core.metrics.record_journal_event();
-                core.config.tracer.diagnostic(
-                    job.request.key.fold64(),
-                    JournalEvent::Cache {
-                        pool: "verify".to_string(),
-                        hit: cached.is_some(),
-                        warm: matches!(cached, Some((_, true))),
-                    },
-                );
-            }
-            let (verdict, verdict_time) = match cached {
-                Some((verdict, warm)) => {
-                    if warm {
-                        core.metrics.record_warm_hit();
-                    }
-                    (verdict, None)
-                }
-                None => {
-                    let verdict_start = Instant::now();
-                    // A panicking judge must not take the worker down: an unwinding
-                    // worker would strand every ticket in its shard and poison the
-                    // pool for later jobs.  Catch the panic, serve a failed verdict,
-                    // and count it in the metrics.
-                    let judged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        judge.verdict(&job.request.case, &job.request.response)
-                    }));
-                    let elapsed = verdict_start.elapsed();
-                    match judged {
-                        Ok(verdict) => {
-                            lock_recover(&core.caches[shard_idx]).insert(job.request.key, verdict);
-                            core.metrics.record_verdict(verdict);
-                            (verdict, Some(elapsed))
-                        }
-                        Err(_) => {
-                            // Not cached: a retry should reach the judge again.
-                            core.metrics.record_solve_panic();
-                            if core.config.tracer.is_on() {
-                                core.metrics.record_journal_event();
-                                core.config.tracer.diagnostic(
-                                    job.request.key.fold64(),
-                                    JournalEvent::Panic {
-                                        pool: "verify".to_string(),
-                                    },
-                                );
-                            }
-                            (false, Some(elapsed))
-                        }
-                    }
-                }
-            };
-            core.metrics
-                .record_job(queue_wait, cache_lookup, verdict_time);
-            if let Some(metric) = &core.timers.queue_wait {
-                metric.observe_duration(queue_wait);
-            }
-            if let (Some(metric), Some(verdict_time)) = (&core.timers.verdict, verdict_time) {
-                metric.observe_duration(verdict_time);
-            }
-            job.ticket.fulfill(VerdictOutcome {
-                verdict,
-                from_cache: verdict_time.is_none(),
-                worker: shard_idx,
-                queue_wait,
-                service_time: service_start.elapsed(),
-            });
-        }
-    }
-}
+/// Future returned by the async submit paths; see [`pool::SubmitFuture`].
+pub type VerifySubmitFuture<'a, C> = pool::SubmitFuture<'a, Verify<C>>;
 
 /// A persistent verification pool owning its judge and workers.
 ///
@@ -599,125 +202,93 @@ fn verify_worker_loop<C, J: ResponseJudge<C> + ?Sized>(
 /// bounded-checker verdict.  Keeping one pool across evaluation runs keeps the
 /// verdict cache warm — re-evaluating a corpus the pool has already judged is pure
 /// cache hits.
-pub struct VerifyPool<C: Send + Sync + 'static> {
-    core: Arc<VerifyCore<C>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+pub type VerifyPool<C> = Owned<Verify<C>, dyn ResponseJudge<C> + Send + Sync>;
+
+/// Borrowed-judge pool handle available inside [`verify_scoped`].
+pub type ScopedVerifier<'a, C> = &'a Pool<Verify<C>>;
+
+/// The verdict instantiation of the pool engine, over cases of type `C`.
+pub struct Verify<C>(PhantomData<fn(C)>);
+
+impl<C: Send + Sync> Verify<C> {
+    /// Builds the (not yet running) pool a config describes.
+    fn pool(config: VerifyConfig) -> Pool<Self> {
+        let config = PoolConfig {
+            workers: config.workers,
+            shard_capacity: config.shard_capacity,
+            max_batch: config.max_batch,
+            cache_capacity: config.cache_capacity,
+            max_in_flight: 0,
+            persist: config.persist,
+            tracer: config.tracer,
+            telemetry: config.telemetry,
+        };
+        Pool::new(Self(PhantomData), config)
+    }
+}
+
+impl<C: Send + Sync> Worker for Verify<C> {
+    type Request = VerifyRequest<C>;
+    type Snapshot = VerdictSnapshot;
+    type Outcome = VerdictOutcome;
+    type Metrics = VerifyMetrics;
+
+    const POOL: &'static str = "verify";
+    const HISTOGRAMS: [Option<&'static str>; 3] = [
+        Some("verify.queue_wait"),
+        None,
+        Some("verify.verdict.latency"),
+    ];
+
+    fn key(request: &VerifyRequest<C>) -> VerdictKey {
+        request.key
+    }
+
+    fn failed() -> bool {
+        false
+    }
+
+    fn outcome(verdict: bool, served: Served) -> VerdictOutcome {
+        VerdictOutcome {
+            verdict,
+            from_cache: served.from_cache,
+            worker: served.worker,
+            queue_wait: served.queue_wait,
+            service_time: served.service_time,
+        }
+    }
+
+    fn metrics(pool: &Pool<Self>) -> VerifyMetrics {
+        pool.recorder.snapshot_verify(
+            pool.config.workers,
+            pool.queue_depth(),
+            pool.cache_entries(),
+        )
+    }
+
+    fn computed(pool: &Pool<Self>, verdict: &bool) {
+        pool.recorder.record_verdict(*verdict);
+    }
+}
+
+impl<C: Send + Sync, J: ResponseJudge<C> + ?Sized> Serve<J> for Verify<C> {
+    fn work(&self, judge: &J, request: &VerifyRequest<C>, _key: VerdictKey) -> bool {
+        judge.verdict(&request.case, &request.response)
+    }
+}
+
+impl<C: Send + Sync> Pool<Verify<C>> {
+    /// Submits a whole batch and waits for every verdict, preserving input order.
+    pub fn judge_all(&self, requests: Vec<VerifyRequest<C>>) -> Vec<VerdictOutcome> {
+        self.submit_all(requests)
+    }
 }
 
 impl<C: Send + Sync + 'static> VerifyPool<C> {
     /// Starts the verify workers.
     pub fn start(judge: Arc<dyn ResponseJudge<C> + Send + Sync>, config: VerifyConfig) -> Self {
-        let core = Arc::new(VerifyCore::new(config));
-        let handles = (0..core.config.workers)
-            .map(|shard_idx| {
-                let core = Arc::clone(&core);
-                let judge = Arc::clone(&judge);
-                std::thread::Builder::new()
-                    .name(format!("svserve-verify-{shard_idx}"))
-                    .spawn(move || verify_worker_loop(&core, &*judge, shard_idx))
-                    .expect("spawn verify worker thread")
-            })
-            .collect();
-        Self { core, handles }
+        Owned::spawn(Verify::pool(config), judge, "svserve-verify")
     }
-
-    /// Submits one verdict job; blocks only when the target shard is at capacity.
-    pub fn submit(&self, request: VerifyRequest<C>) -> Result<VerifyTicket, SubmitError> {
-        self.core.submit(request)
-    }
-
-    /// Non-blocking submit for async sessions: the returned future parks on a
-    /// waker (not a thread) while the target shard is at capacity.
-    pub fn submit_async(
-        &self,
-        request: VerifyRequest<C>,
-    ) -> Result<VerifySubmitFuture<'_, C>, SubmitError> {
-        self.core.submit_async(request)
-    }
-
-    /// Submits a whole batch and waits for every verdict, preserving input order.
-    pub fn judge_all(&self, requests: Vec<VerifyRequest<C>>) -> Vec<VerdictOutcome> {
-        judge_all_on(&self.core, requests)
-    }
-
-    /// Takes a metrics snapshot.
-    pub fn metrics(&self) -> VerifyMetrics {
-        self.core.snapshot()
-    }
-
-    /// Writes the current verdict cache to the configured snapshot path
-    /// (atomically), returning the number of entries written; `Ok(0)` when
-    /// persistence is not configured.  Also runs automatically on shutdown/drop.
-    pub fn flush(&self) -> std::io::Result<usize> {
-        self.core.flush()
-    }
-
-    /// Stops accepting work, drains the queues, joins the workers and flushes the
-    /// verdict-cache snapshot.
-    pub fn shutdown(mut self) -> VerifyMetrics {
-        self.core.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        let _ = self.core.flush();
-        self.core.snapshot()
-    }
-}
-
-impl<C: Send + Sync + 'static> Drop for VerifyPool<C> {
-    fn drop(&mut self) {
-        self.core.close();
-        let had_workers = !self.handles.is_empty();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        // `shutdown` already flushed (and emptied `handles`); only flush here when
-        // the pool is dropped without an explicit shutdown.
-        if had_workers {
-            let _ = self.core.flush();
-        }
-    }
-}
-
-/// Borrowed-judge pool handle available inside [`verify_scoped`].
-pub struct ScopedVerifier<'a, C> {
-    core: &'a VerifyCore<C>,
-}
-
-impl<C> ScopedVerifier<'_, C> {
-    /// Submits one verdict job; blocks only when the target shard is at capacity.
-    pub fn submit(&self, request: VerifyRequest<C>) -> Result<VerifyTicket, SubmitError> {
-        self.core.submit(request)
-    }
-
-    /// Non-blocking submit for async sessions: the returned future parks on a
-    /// waker (not a thread) while the target shard is at capacity.
-    pub fn submit_async(
-        &self,
-        request: VerifyRequest<C>,
-    ) -> Result<VerifySubmitFuture<'_, C>, SubmitError> {
-        self.core.submit_async(request)
-    }
-
-    /// Submits a whole batch and waits for every verdict, preserving input order.
-    pub fn judge_all(&self, requests: Vec<VerifyRequest<C>>) -> Vec<VerdictOutcome> {
-        judge_all_on(self.core, requests)
-    }
-
-    /// Takes a metrics snapshot.
-    pub fn metrics(&self) -> VerifyMetrics {
-        self.core.snapshot()
-    }
-}
-
-fn judge_all_on<C>(core: &VerifyCore<C>, requests: Vec<VerifyRequest<C>>) -> Vec<VerdictOutcome> {
-    // Submit everything first (backpressure throttles us while workers drain),
-    // then await in input order.
-    let tickets: Vec<VerifyTicket> = requests
-        .into_iter()
-        .map(|request| core.submit(request).expect("verify pool open"))
-        .collect();
-    tickets.into_iter().map(VerifyTicket::wait).collect()
 }
 
 /// Runs a verify pool over a *borrowed* judge for the duration of `body`.
@@ -733,30 +304,19 @@ where
     J: ResponseJudge<C> + ?Sized,
     F: FnOnce(&ScopedVerifier<'_, C>) -> R,
 {
-    let core = VerifyCore::new(config);
-    let result = std::thread::scope(|scope| {
-        let guard = VerifyCloseGuard(&core);
-        for shard_idx in 0..core.config.workers {
-            let core_ref = &core;
-            scope.spawn(move || verify_worker_loop(core_ref, judge, shard_idx));
-        }
-        let verifier = ScopedVerifier { core: &core };
-        let result = body(&verifier);
-        drop(guard); // close + wake workers so the scope can join
-        result
-    });
-    let _ = core.flush();
-    result
+    pool::scoped(Verify::pool(config), judge, body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::verdict_key;
-    use std::sync::atomic::AtomicUsize;
+    use crate::pool::contract::{self, Harness, Tally};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A case whose verdict is "does the fixed line contain the case text?", plus an
-    /// invocation counter so tests can prove cache hits skip the judge.
+    /// invocation counter so tests can prove cache hits skip the judge.  Panics on a
+    /// fix that says `poison`.
     struct SubstringJudge {
         calls: AtomicUsize,
     }
@@ -764,6 +324,10 @@ mod tests {
     impl ResponseJudge<String> for SubstringJudge {
         fn verdict(&self, case: &String, response: &Response) -> bool {
             self.calls.fetch_add(1, Ordering::SeqCst);
+            assert!(
+                !response.fixed_line.contains("poison"),
+                "malformed candidate"
+            );
             response.fixed_line.contains(case.as_str())
         }
     }
@@ -868,13 +432,91 @@ mod tests {
         );
     }
 
+    /// The verdict instantiation, as the engine's contract tests drive it.
+    struct VerifyHarness;
+
+    impl Harness for VerifyHarness {
+        type Worker = Verify<String>;
+        type Backend = dyn ResponseJudge<String> + Send + Sync;
+
+        fn pool(workers: usize, persist: Option<PersistSpec>) -> Pool<Verify<String>> {
+            Verify::pool(VerifyConfig {
+                persist,
+                ..VerifyConfig::default().with_workers(workers)
+            })
+        }
+
+        fn backend() -> Arc<Self::Backend> {
+            Arc::new(SubstringJudge {
+                calls: AtomicUsize::new(0),
+            })
+        }
+
+        fn request(tag: usize, poisoned: bool) -> VerifyRequest<String> {
+            let fix = if poisoned { "poison" } else { "fix" };
+            request(&format!("case {tag}"), &format!("{fix} case {tag}"))
+        }
+
+        fn view(outcome: &VerdictOutcome) -> (bool, bool, usize) {
+            (!outcome.verdict, outcome.from_cache, outcome.worker)
+        }
+
+        fn tally(metrics: &VerifyMetrics) -> Tally {
+            Tally {
+                in_flight: metrics.in_flight_sessions,
+                completed: metrics.completed,
+                panics: metrics.verdict_panics,
+                snapshot_loaded_entries: metrics.snapshot_loaded_entries,
+                snapshot_saves: metrics.snapshot_saves,
+                snapshot_save_failures: metrics.snapshot_save_failures,
+                snapshot_rejects: metrics.snapshot_rejects,
+                snapshot_compacted_entries: metrics.snapshot_compacted_entries,
+            }
+        }
+    }
+
+    #[test]
+    fn submit_after_close_is_refused() {
+        contract::submit_after_close_is_refused::<VerifyHarness>();
+    }
+
+    #[test]
+    fn a_dropped_submit_future_returns_its_slot() {
+        contract::a_dropped_submit_future_returns_its_slot::<VerifyHarness>();
+    }
+
+    #[test]
+    fn a_panicking_judge_fails_the_candidate_without_poisoning_the_pool() {
+        contract::panicking_work_is_absorbed::<VerifyHarness>();
+        // A panicked invocation tallies no verdict, true or false.
+        let metrics = verify_scoped(
+            &*VerifyHarness::backend(),
+            VerifyConfig::default().with_workers(1),
+            |verifier| {
+                verifier.judge_all(vec![
+                    VerifyHarness::request(0, false),
+                    VerifyHarness::request(1, true),
+                ]);
+                verifier.metrics()
+            },
+        );
+        assert_eq!(metrics.verdicts_true + metrics.verdicts_false, 1);
+        assert_eq!(metrics.cache_misses - metrics.verdict_panics, 1);
+    }
+
+    #[test]
+    fn an_idle_pool_never_overwrites_a_valuable_snapshot() {
+        contract::an_idle_pool_never_overwrites_a_valuable_snapshot::<VerifyHarness>();
+    }
+
+    #[test]
+    fn idle_entries_are_compacted_once_the_write_lands() {
+        contract::idle_entries_are_compacted_once_the_write_lands::<VerifyHarness>();
+    }
+
     #[test]
     fn shard_placement_is_content_based() {
-        let core: VerifyCore<String> = VerifyCore::new(VerifyConfig::default().with_workers(4));
-        for i in 0..32 {
-            let key = request(&format!("case {i}"), "fix").key;
-            assert_eq!(core.shard_for(key), core.shard_for(key));
-        }
+        contract::placement_is_key_fold64_modulo_workers::<VerifyHarness>();
     }
 
     #[test]

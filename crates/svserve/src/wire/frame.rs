@@ -26,12 +26,9 @@ use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use svmodel::Response;
 
-/// Version of the wire format the sender speaks.  Since v3 the `Hello`
-/// exchange **negotiates**: both sides agree on
-/// `min(client version, shard version)` and refuse only when that falls below
-/// [`MIN_WIRE_FORMAT_VERSION`] — so a v3 client degrades losslessly against a
-/// v2 shard (it sends plain [`Frame::Submit`] and simply collects no remote
-/// spans) instead of refusing the fleet.
+/// Version of the wire format the sender speaks.  Each side announces it in
+/// the `Hello` exchange and refuses a peer below
+/// [`MIN_WIRE_FORMAT_VERSION`] with a protocol error — never a hang.
 ///
 /// Version 2 added the [`Frame::Stats`] / [`Frame::StatsReply`] introspection
 /// exchange.  Version 3 added distributed tracing
@@ -39,10 +36,10 @@ use svmodel::Response;
 /// ([`Frame::StatsWindow`] / [`Frame::StatsWindowReply`]).
 pub const WIRE_FORMAT_VERSION: u32 = 3;
 
-/// Oldest wire version this build still speaks.  Negotiation lands on
-/// `min(client, shard)`; anything below this floor is refused in the `Hello`
-/// exchange (v1 predates the `Stats` frames the fleet tooling assumes).
-pub const MIN_WIRE_FORMAT_VERSION: u32 = 2;
+/// Oldest wire version this build still speaks: the current one.  A peer
+/// announcing anything older is refused in the `Hello` exchange (it predates
+/// frames every exchange here assumes); no older peer exists to fall back for.
+pub const MIN_WIRE_FORMAT_VERSION: u32 = WIRE_FORMAT_VERSION;
 
 /// Hard cap on a frame body's declared length.  Larger declarations are
 /// rejected before allocation: a corrupt peer must never drive the process
@@ -76,11 +73,9 @@ pub enum Frame {
     },
     /// A repair request, client → shard.
     Submit(RepairRequest),
-    /// A repair request carrying its [`TraceContext`], client → shard
-    /// (v3+).  The shard emits its spans under the remote parent and answers
-    /// with [`Frame::TraceReply`]; on a v2-negotiated connection the client
-    /// falls back to plain [`Frame::Submit`] — the request is lossless, only
-    /// the trace propagation is dropped.
+    /// A repair request carrying its [`TraceContext`], client → shard.  The
+    /// shard emits its spans under the remote parent and answers with
+    /// [`Frame::TraceReply`].
     SubmitTraced {
         /// The request, identical in shape to a plain `Submit`.
         request: RepairRequest,
@@ -90,7 +85,7 @@ pub enum Frame {
     /// The served answer, shard → client.
     Response(WireOutcome),
     /// The served answer plus the spans the shard recorded while serving it,
-    /// shard → client (the reply to [`Frame::SubmitTraced`], v3+).
+    /// shard → client (the reply to [`Frame::SubmitTraced`]).
     TraceReply {
         /// The served outcome, identical in shape to a plain `Response`.
         outcome: WireOutcome,

@@ -89,9 +89,9 @@ impl RemoteShard {
     /// Submits one request carrying a trace context, blocking for the answer
     /// plus the spans the shard recorded under the remote parent.
     ///
-    /// Same retirement discipline as [`RemoteShard::submit`]; against a v2
-    /// peer the transport degrades to the plain exchange and the span vector
-    /// comes back empty.
+    /// Same retirement discipline as [`RemoteShard::submit`]; a transport
+    /// without trace propagation degrades to the plain exchange and the span
+    /// vector comes back empty.
     pub fn submit_traced(
         &self,
         request: &RepairRequest,
@@ -142,10 +142,9 @@ impl RemoteShard {
 
     /// Requests the shard's time-windowed telemetry (`StatsWindow`
     /// exchange), blocking for the answer.  Same retirement discipline as
-    /// [`RemoteShard::stats`] — except a *local* refusal (the negotiated
-    /// version predates the exchange; no bytes were sent) leaves the healthy
-    /// connection alone, so polling a v2 shard for windows never kills its
-    /// submit path.
+    /// [`RemoteShard::stats`] — except a *local* refusal (the transport does
+    /// not implement the exchange; no bytes were sent) leaves the healthy
+    /// connection alone, so polling for windows never kills a submit path.
     pub fn stats_window(&self) -> Result<WindowSnapshot, WireError> {
         let mut inner = lock_recover(&self.inner);
         if let Some(reason) = &inner.dead {
@@ -272,7 +271,7 @@ impl ShardFleet {
             Err(WireError::Busy) => {
                 self.recorder.shed_busy.fetch_add(1, Ordering::Relaxed);
                 if self.tracer.is_on() {
-                    // Same lifecycle as a local shed (`ServiceCore::begin_submit`):
+                    // Same lifecycle as a local shed (`Pool::begin_submit`):
                     // the diagnostic keys on the request's content hash.
                     self.recorder.journal_events.fetch_add(1, Ordering::Relaxed);
                     self.tracer.diagnostic(
@@ -293,7 +292,7 @@ impl ShardFleet {
     /// Submits one request with a trace context to its content-placed shard,
     /// blocking for the answer plus the shard's spans.  Accounting is
     /// identical to [`ShardFleet::submit`]; the span vector is empty when the
-    /// shard negotiated wire v2.
+    /// transport does not propagate traces.
     pub fn submit_traced(
         &self,
         request: &RepairRequest,
@@ -377,7 +376,7 @@ impl ShardFleet {
 
     /// Asks every shard for its time-windowed telemetry (`StatsWindow` per
     /// shard), in shard order.  One entry per slot; a shard that fails the
-    /// exchange — dead, v2, or mid-frame corruption — contributes an error
+    /// exchange — dead, unsupported, or mid-frame corruption — contributes an error
     /// string and (for real wire failures) a counted wire error, never a
     /// panic.  This is the poll `svtop` runs on every refresh.
     pub fn fleet_windows(&self) -> Vec<ShardWindow> {

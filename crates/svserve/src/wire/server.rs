@@ -148,13 +148,13 @@ fn serve_connection<M: RepairModel + Send + Sync + 'static>(
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    // Handshake: the first frame must be a compatible Hello.  The agreed
-    // version is min(client, ours); a client announcing a *newer* version is
-    // fine (it negotiates down to ours), only one below the floor is refused.
+    // Handshake: the first frame must be a compatible Hello.  A client
+    // announcing a *newer* version is answered with ours (it decides whether
+    // it still speaks that); only one below the floor is refused.
     match read_frame(&mut reader) {
         Ok(Frame::Hello { format_version, .. }) if format_version >= MIN_WIRE_FORMAT_VERSION => {
             let hello = Frame::Hello {
-                format_version: format_version.min(WIRE_FORMAT_VERSION),
+                format_version: WIRE_FORMAT_VERSION,
                 fingerprint: fingerprint.to_string(),
             };
             if write_frame(&mut writer, &hello).is_err() {

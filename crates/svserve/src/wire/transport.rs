@@ -47,7 +47,7 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Prefix on [`WireError::Protocol`] strings for refusals raised *before any
-/// bytes hit the wire* (an exchange the negotiated version does not support).
+/// bytes hit the wire* (an exchange the transport does not implement).
 /// The stream is still consistent, so [`super::RemoteShard`] must not retire
 /// the connection over one.
 pub(crate) const LOCAL_REFUSAL: &str = "unsupported exchange: ";
@@ -67,14 +67,14 @@ pub trait Transport: Send {
     fn call(&mut self, request: &RepairRequest) -> Result<WireOutcome, WireError>;
 
     /// Submits one request carrying a [`TraceContext`] (the `SubmitTraced` /
-    /// `TraceReply` exchange, wire v3) and blocks for the shard's answer plus
-    /// the spans the shard recorded under the remote parent.
+    /// `TraceReply` exchange) and blocks for the shard's answer plus the
+    /// spans the shard recorded under the remote parent.
     ///
-    /// The default degrades losslessly to [`Transport::call`] with no shard
-    /// spans, which is exactly what a v2 peer — that has never heard of
-    /// tracing — would contribute.  Trace trees stay byte-identical because
-    /// every deterministic span field is content-derived on the driver side;
-    /// only the shard's (volatile) wall measurements are missing.
+    /// The default, for transports without trace propagation, degrades
+    /// losslessly to [`Transport::call`] with no shard spans.  Trace trees
+    /// stay byte-identical because every deterministic span field is
+    /// content-derived on the driver side; only the shard's (volatile) wall
+    /// measurements are missing.
     fn call_traced(
         &mut self,
         request: &RepairRequest,
@@ -84,8 +84,8 @@ pub trait Transport: Send {
     }
 
     /// Asks the shard for a live telemetry snapshot (the `Stats` /
-    /// `StatsReply` exchange).  The default refuses, so transports that
-    /// predate the exchange degrade to a counted protocol error.
+    /// `StatsReply` exchange).  The default refuses, so transports that do
+    /// not implement the exchange degrade to a counted protocol error.
     fn stats(&mut self) -> Result<RegistrySnapshot, WireError> {
         Err(WireError::Protocol(format!(
             "{LOCAL_REFUSAL}transport does not support Stats"
@@ -93,8 +93,9 @@ pub trait Transport: Send {
     }
 
     /// Asks the shard for its time-windowed telemetry (the `StatsWindow` /
-    /// `StatsWindowReply` exchange, wire v3).  The default refuses, so v2
-    /// transports degrade to a counted protocol error, never a panic.
+    /// `StatsWindowReply` exchange).  The default refuses, so transports
+    /// that do not implement it degrade to a counted protocol error, never a
+    /// panic.
     fn stats_window(&mut self) -> Result<WindowSnapshot, WireError> {
         Err(WireError::Protocol(format!(
             "{LOCAL_REFUSAL}transport does not support StatsWindow"
@@ -158,9 +159,7 @@ impl<M: RepairModel + Send + Sync + 'static> Transport for LoopbackTransport<M> 
         };
         match codec_round_trip(&reply, self.frame_bytes.as_deref())? {
             Frame::Response(outcome) => Ok(outcome),
-            Frame::Busy => Err(WireError::Busy),
-            Frame::Closed => Err(WireError::Closed),
-            other => Err(WireError::Protocol(format!("unexpected frame {other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 
@@ -206,9 +205,7 @@ impl<M: RepairModel + Send + Sync + 'static> Transport for LoopbackTransport<M> 
         };
         match codec_round_trip(&reply, self.frame_bytes.as_deref())? {
             Frame::TraceReply { outcome, spans } => Ok((outcome, spans)),
-            Frame::Busy => Err(WireError::Busy),
-            Frame::Closed => Err(WireError::Closed),
-            other => Err(WireError::Protocol(format!("unexpected frame {other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 
@@ -222,7 +219,7 @@ impl<M: RepairModel + Send + Sync + 'static> Transport for LoopbackTransport<M> 
         let reply = Frame::StatsReply(self.service.stats_snapshot());
         match codec_round_trip(&reply, self.frame_bytes.as_deref())? {
             Frame::StatsReply(snapshot) => Ok(snapshot),
-            other => Err(WireError::Protocol(format!("unexpected frame {other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 
@@ -238,8 +235,18 @@ impl<M: RepairModel + Send + Sync + 'static> Transport for LoopbackTransport<M> 
         let reply = Frame::StatsWindowReply(self.service.stats_window());
         match codec_round_trip(&reply, self.frame_bytes.as_deref())? {
             Frame::StatsWindowReply(snapshot) => Ok(snapshot),
-            other => Err(WireError::Protocol(format!("unexpected frame {other:?}"))),
+            other => Err(refusal(other)),
         }
+    }
+}
+
+/// The error a reply other than the awaited one stands for.
+fn refusal(reply: Frame) -> WireError {
+    match reply {
+        Frame::Busy => WireError::Busy,
+        Frame::Closed => WireError::Closed,
+        Frame::Err(msg) => WireError::Protocol(format!("shard error: {msg}")),
+        other => WireError::Protocol(format!("unexpected frame {other:?}")),
     }
 }
 
@@ -261,24 +268,19 @@ pub struct UnixTransport {
     reader: BufReader<UnixStream>,
     writer: BufWriter<UnixStream>,
     fingerprint: String,
-    negotiated: u32,
     frame_bytes: Option<Arc<Metric>>,
 }
 
 impl UnixTransport {
-    /// Connects and performs the `Hello` handshake, negotiating the wire
-    /// version down to the highest level both peers speak.
+    /// Connects and performs the `Hello` handshake.
     ///
-    /// The client announces [`WIRE_FORMAT_VERSION`]; the agreed version is
-    /// `min(ours, theirs)`.  The connection is refused — with a
-    /// [`WireError::Protocol`] naming the mismatch — when the agreed version
-    /// falls below [`MIN_WIRE_FORMAT_VERSION`], or when the shard serves a
-    /// model whose identity differs from `expected_fingerprint`: a fleet must
-    /// never silently mix incompatible shards, because their answers would
-    /// differ from the local model's.  Against a v2 shard the connection
-    /// succeeds and the v3-only exchanges ([`Transport::call_traced`],
-    /// [`Transport::stats_window`]) degrade losslessly (plain `Submit`, a
-    /// counted refusal) instead of confusing the peer with unknown frames.
+    /// The client announces [`WIRE_FORMAT_VERSION`] and the shard answers
+    /// with its own.  The connection is refused — with a
+    /// [`WireError::Protocol`] naming the mismatch — when the shard's version
+    /// is below [`MIN_WIRE_FORMAT_VERSION`], or when the shard serves a model
+    /// whose identity differs from `expected_fingerprint`: a fleet must never
+    /// silently mix incompatible shards, because their answers would differ
+    /// from the local model's.
     pub fn connect(
         path: impl AsRef<Path>,
         expected_fingerprint: Option<&str>,
@@ -299,7 +301,6 @@ impl UnixTransport {
             reader,
             writer: BufWriter::new(stream),
             fingerprint: String::new(),
-            negotiated: WIRE_FORMAT_VERSION,
             frame_bytes: None,
         };
         transport.send(&Frame::Hello {
@@ -311,8 +312,7 @@ impl UnixTransport {
                 format_version,
                 fingerprint,
             } => {
-                let agreed = format_version.min(WIRE_FORMAT_VERSION);
-                if agreed < MIN_WIRE_FORMAT_VERSION {
+                if format_version < MIN_WIRE_FORMAT_VERSION {
                     return Err(WireError::Protocol(format!(
                         "wire version mismatch: shard speaks v{format_version}, \
                          client speaks v{WIRE_FORMAT_VERSION} \
@@ -328,7 +328,6 @@ impl UnixTransport {
                     }
                 }
                 transport.fingerprint = fingerprint;
-                transport.negotiated = agreed;
                 Ok(transport)
             }
             Frame::Err(msg) => Err(WireError::Protocol(format!("shard refused hello: {msg}"))),
@@ -336,12 +335,6 @@ impl UnixTransport {
                 "expected Hello, got {other:?}"
             ))),
         }
-    }
-
-    /// The wire version agreed in the handshake: `min` of both peers'
-    /// announced versions, never below [`MIN_WIRE_FORMAT_VERSION`].
-    pub fn negotiated_version(&self) -> u32 {
-        self.negotiated
     }
 
     /// Records every sent frame's encoded byte length into the registry's
@@ -381,10 +374,7 @@ impl Transport for UnixTransport {
         self.send(&Frame::Submit(request.clone()))?;
         match self.receive()? {
             Frame::Response(outcome) => Ok(outcome),
-            Frame::Busy => Err(WireError::Busy),
-            Frame::Closed => Err(WireError::Closed),
-            Frame::Err(msg) => Err(WireError::Protocol(format!("shard error: {msg}"))),
-            other => Err(WireError::Protocol(format!("unexpected frame {other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 
@@ -393,22 +383,13 @@ impl Transport for UnixTransport {
         request: &RepairRequest,
         context: &TraceContext,
     ) -> Result<(WireOutcome, Vec<TraceSpan>), WireError> {
-        if self.negotiated < 3 {
-            // A v2 shard has never heard of SubmitTraced; fall back to the
-            // plain exchange.  Lossless for determinism: the driver derives
-            // every deterministic span field itself.
-            return self.call(request).map(|outcome| (outcome, Vec::new()));
-        }
         self.send(&Frame::SubmitTraced {
             request: request.clone(),
             context: *context,
         })?;
         match self.receive()? {
             Frame::TraceReply { outcome, spans } => Ok((outcome, spans)),
-            Frame::Busy => Err(WireError::Busy),
-            Frame::Closed => Err(WireError::Closed),
-            Frame::Err(msg) => Err(WireError::Protocol(format!("shard error: {msg}"))),
-            other => Err(WireError::Protocol(format!("unexpected frame {other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 
@@ -416,27 +397,15 @@ impl Transport for UnixTransport {
         self.send(&Frame::Stats)?;
         match self.receive()? {
             Frame::StatsReply(snapshot) => Ok(snapshot),
-            Frame::Busy => Err(WireError::Busy),
-            Frame::Closed => Err(WireError::Closed),
-            Frame::Err(msg) => Err(WireError::Protocol(format!("shard error: {msg}"))),
-            other => Err(WireError::Protocol(format!("unexpected frame {other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 
     fn stats_window(&mut self) -> Result<WindowSnapshot, WireError> {
-        if self.negotiated < 3 {
-            return Err(WireError::Protocol(format!(
-                "{LOCAL_REFUSAL}shard negotiated wire v{}, StatsWindow needs v3",
-                self.negotiated
-            )));
-        }
         self.send(&Frame::StatsWindow)?;
         match self.receive()? {
             Frame::StatsWindowReply(snapshot) => Ok(snapshot),
-            Frame::Busy => Err(WireError::Busy),
-            Frame::Closed => Err(WireError::Closed),
-            Frame::Err(msg) => Err(WireError::Protocol(format!("shard error: {msg}"))),
-            other => Err(WireError::Protocol(format!("unexpected frame {other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 }

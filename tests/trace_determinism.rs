@@ -1,8 +1,9 @@
 //! Trace-tree byte-determinism: the deterministic projection of a trace
 //! forest ([`TraceForest::render_deterministic`]) is a pure function of
 //! (corpus, salt) — identical at any driver-thread count, any worker count,
-//! over loopback or unix-socket fleets, warm or cold, and against a v2 peer
-//! that predates the `SubmitTraced` exchange.
+//! over loopback or unix-socket fleets, warm or cold.  A v2 peer, which
+//! predates the `SubmitTraced` exchange, is refused at the handshake and its
+//! cases degrade to counted errors.
 //!
 //! Wall clocks are the *only* volatile span field, and they are excluded
 //! from the projection, so these suites compare bytes, not structures — the
@@ -17,7 +18,7 @@ use svdata::SvaBugEntry;
 use svmodel::{AssertSolverModel, RepairModel};
 use svserve::{
     read_frame, write_frame, Frame, RepairService, ServiceConfig, ShardFleet, ShardServer,
-    TelemetryHandle, TraceForest, TraceHandle, TracerHandle, Transport, UnixTransport,
+    TelemetryHandle, TraceForest, TraceHandle, TracerHandle, UnixTransport, WireError,
     MIN_WIRE_FORMAT_VERSION,
 };
 
@@ -162,121 +163,82 @@ fn fleet_trace_trees_match_in_process_over_loopback_and_unix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A v2 peer — one that answers the hello with the minimum version and only
-/// speaks plain `Submit` — still yields the identical deterministic tree:
-/// `call_traced` falls back losslessly because every deterministic span field
-/// is derived driver-side; only the shard's wall clock is lost.
+/// A v2 peer — one that answers the hello with a version below the floor —
+/// is refused cleanly: the connect returns a protocol error naming the version
+/// (no hang, no panic), the fleet carries the shard as a dead slot, every
+/// request placed on it is a counted wire error, and an evaluation over that
+/// fleet degrades its cases to `n = 0` instead of failing.
 #[test]
-fn v2_peer_negotiates_down_and_loses_no_deterministic_bytes() {
+fn v2_peer_is_refused_cleanly_and_its_cases_degrade() {
     let dir = std::env::temp_dir().join(format!("trace-v2-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let socket = dir.join("v2.sock");
     let listener = std::os::unix::net::UnixListener::bind(&socket).expect("bind");
 
-    // The fake v2 shard: hello pinned at the floor version, then an echo of
-    // canned outcomes for plain Submit frames; any v3-only frame would be a
-    // parse error on its side, so receiving one fails the test by closing.
-    let seed = 17;
-    let service = Arc::new(RepairService::start(
-        Arc::new(AssertSolverModel::base(seed)),
-        ServiceConfig::default().with_seed(seed),
-    ));
-    let peer_service = Arc::clone(&service);
+    // The fake v2 shard: answers each hello one version below the floor, then
+    // waits for the client to hang up.  Any further frame fails the test.
     let peer = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().expect("accept");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        let mut writer = stream.try_clone().expect("clone");
-        let mut reader = std::io::BufReader::new(stream);
-        match read_frame(&mut reader).expect("client hello") {
-            Frame::Hello { .. } => write_frame(
-                &mut writer,
-                &Frame::Hello {
-                    format_version: MIN_WIRE_FORMAT_VERSION,
-                    fingerprint: "assertsolver".into(),
-                },
-            )
-            .expect("reply hello"),
-            other => panic!("expected hello, got {other:?}"),
-        }
-        loop {
-            match read_frame(&mut reader) {
-                Ok(Frame::Submit(request)) => {
-                    let outcome = peer_service.submit(request).expect("open").wait();
-                    write_frame(
-                        &mut writer,
-                        &Frame::Response(svserve::WireOutcome {
-                            responses: outcome.responses.as_ref().clone(),
-                            from_cache: outcome.from_cache,
-                        }),
-                    )
-                    .expect("reply");
-                }
-                Ok(other) => panic!("v2 peer received a v3-only frame: {other:?}"),
-                Err(_) => break, // client hung up
+        for _ in 0..2 {
+            let (stream, _) = listener.accept().expect("accept");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut reader = std::io::BufReader::new(stream);
+            match read_frame(&mut reader).expect("client hello") {
+                Frame::Hello { .. } => write_frame(
+                    &mut writer,
+                    &Frame::Hello {
+                        format_version: MIN_WIRE_FORMAT_VERSION - 1,
+                        fingerprint: "assertsolver".into(),
+                    },
+                )
+                .expect("reply hello"),
+                other => panic!("expected hello, got {other:?}"),
+            }
+            if let Ok(frame) = read_frame(&mut reader) {
+                panic!("a refused peer must be sent nothing more, got {frame:?}");
             }
         }
     });
 
-    let mut transport = UnixTransport::connect(&socket, None, Duration::from_secs(10))
-        .expect("negotiates down instead of refusing");
-    assert_eq!(transport.negotiated_version(), MIN_WIRE_FORMAT_VERSION);
+    match UnixTransport::connect(&socket, None, Duration::from_secs(10)) {
+        Err(WireError::Protocol(msg)) => assert!(
+            msg.contains("version"),
+            "refusal names the version mismatch: {msg}"
+        ),
+        Err(other) => panic!("expected a version refusal, got {other:?}"),
+        Ok(_) => panic!("a v2 hello must refuse the connection"),
+    }
 
+    let seed = 17;
     let config = EvalConfig::quick(seed);
     let model = AssertSolverModel::base(seed);
-    // Drive one traced exchange directly: the fallback path must answer and
-    // return zero shard spans.
-    let request = svserve::RepairRequest::new(
-        svmodel::CaseInput::from_entry(&corpus()[0]),
-        config.samples,
-        config.temperature,
-    );
-    let ctx = svserve::TraceContext::root(request.key(), 0);
-    let (outcome, spans) = transport
-        .call_traced(&request, &ctx)
-        .expect("fallback submit answers");
-    assert_eq!(outcome.responses.len(), config.samples);
-    assert!(spans.is_empty(), "a v2 peer contributes no shard spans");
-
-    // And a full fleet evaluation over the v2 peer still reproduces the
-    // in-process deterministic bytes (single shard ⇒ same placement).
-    let reference = {
-        let trace = TraceHandle::new(0);
-        let verifier = EvalVerifier::start(&config);
-        evaluate_model_observed(
-            &model,
-            &corpus(),
-            &config,
-            &verifier,
-            &TracerHandle::off(),
-            &TelemetryHandle::off(),
-            &trace,
-        );
-        verifier.shutdown();
-        TraceForest::from_spans(trace.drain()).render_deterministic()
-    };
-    let fleet = ShardFleet::new(vec![Box::new(transport) as Box<dyn Transport>]);
+    let cases = corpus();
+    let fleet = ShardFleet::connect_unix(&[&socket], None, Duration::from_secs(10));
+    assert_eq!(fleet.shards(), 1, "the refused shard is a dead slot");
     let trace = TraceHandle::new(0);
     let verifier = EvalVerifier::start(&config);
-    evaluate_model_over_fleet_traced(&model, &corpus(), &config, &fleet, &verifier, &trace);
+    let evaluation =
+        evaluate_model_over_fleet_traced(&model, &cases, &config, &fleet, &verifier, &trace);
     verifier.shutdown();
-    assert_eq!(
-        fleet.metrics().wire_errors,
-        0,
-        "no errors against the v2 peer"
+    assert_eq!(evaluation.results.len(), cases.len());
+    assert!(
+        evaluation
+            .results
+            .iter()
+            .all(|case| case.n == 0 && case.c == 0),
+        "every case on the refused shard degrades to zero samples"
     );
-    let downlevel = TraceForest::from_spans(trace.drain()).render_deterministic();
-    assert_eq!(
-        downlevel, reference,
-        "v2 fallback loses no deterministic trace bytes"
+    let metrics = fleet.metrics();
+    assert_eq!(metrics.wire_errors, cases.len() as u64);
+    assert_eq!(metrics.completed, 0);
+    assert!(
+        trace.drain().is_empty(),
+        "a degraded case contributes no spans"
     );
 
     drop(fleet);
     peer.join().expect("peer thread");
-    Arc::try_unwrap(service)
-        .ok()
-        .expect("sole owner")
-        .shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
