@@ -13,8 +13,11 @@
 //!   through: the parser envelope (no panic, error spans within the source),
 //!   the `parse ↔ emit_file` structural roundtrip, `svmutate` operator closure
 //!   (every injected bug reparses, classifies under the Table-I taxonomy and is
-//!   re-locatable by `sites`), and `svverify` BMC consistency (permuting a
-//!   module's concurrent items must not change the verdict).
+//!   re-locatable by `sites`), `svverify` BMC consistency (permuting a
+//!   module's concurrent items must not change the verdict), and the
+//!   simulator differential (the compiled `svsim` engine and the prefix-resumed
+//!   bounded checker against `svsim::reference` and the plain check loop, cycle
+//!   for cycle and verdict for verdict).
 //! * **Miner** ([`miner`]) — findings are deduplicated by failure class,
 //!   shrunk with a built-in delta-debugging minimizer ([`shrink`]), and written
 //!   to `fuzz/corpus/<family>/` as self-describing JSON cases ([`finding`],
@@ -48,7 +51,7 @@ pub use finding::{case_fingerprint, class_fingerprint, CaseFile, Expectation, CA
 pub use generate::{generate_input, mangle, FuzzInput};
 pub use journal::{derive_entry, find_derivation, render_case_journal, verify_case_journal};
 pub use miner::{compose_case, run_fuzz, FuzzConfig, FuzzReport, FuzzStats};
-pub use oracle::{drive_oracle, OracleKind, OracleOutcome};
+pub use oracle::{drive_oracle, sim_differential, OracleKind, OracleOutcome};
 pub use shrink::ddmin_lines;
 
 #[cfg(test)]

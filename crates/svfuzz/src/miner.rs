@@ -10,7 +10,7 @@
 use crate::finding::{case_fingerprint, class_fingerprint, CaseFile, Expectation, CASE_SCHEMA};
 use crate::generate::{generate_input, iteration_rng, FuzzInput};
 use crate::journal::{case_corpus_tag, find_derivation, render_case_journal};
-use crate::oracle::{drive_oracle, OracleKind, OracleOutcome};
+use crate::oracle::{drive_oracle, sim_differential, OracleKind, OracleOutcome};
 use crate::shrink::ddmin_lines;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -54,6 +54,8 @@ pub struct FuzzStats {
     pub findings: u64,
     /// Unique failure classes.
     pub unique: u64,
+    /// Design × stimulus pairs the `sim-diff` oracle traced through both engines.
+    pub sim_pairs: u64,
 }
 
 /// Everything a run produces.
@@ -89,7 +91,15 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
             stats.parsed += 1;
         }
         for kind in oracles_for(config, iteration, parses) {
-            let OracleOutcome::Fail { detail } = drive_oracle(kind, &input.source) else {
+            let outcome = match kind {
+                OracleKind::SimDifferential => {
+                    let (outcome, pairs) = sim_differential(&input.source);
+                    stats.sim_pairs += pairs;
+                    outcome
+                }
+                _ => drive_oracle(kind, &input.source),
+            };
+            let OracleOutcome::Fail { detail } = outcome else {
                 continue;
             };
             stats.findings += 1;
@@ -123,12 +133,13 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
 
     let _ = writeln!(
         log,
-        "svfuzz: inputs={} parsed={} findings={} unique={} cases={}",
+        "svfuzz: inputs={} parsed={} findings={} unique={} cases={} sim_pairs={}",
         stats.inputs,
         stats.parsed,
         stats.findings,
         stats.unique,
-        cases.len()
+        cases.len(),
+        stats.sim_pairs
     );
     FuzzReport { log, cases, stats }
 }
@@ -143,6 +154,8 @@ fn oracles_for(config: &FuzzConfig, iteration: u64, parses: bool) -> Vec<OracleK
     let mut kinds = vec![OracleKind::ParserEnvelope, OracleKind::WireStats];
     if parses {
         kinds.push(OracleKind::Roundtrip);
+        // The one semantic oracle: every parseable input, every iteration.
+        kinds.push(OracleKind::SimDifferential);
         if iteration.is_multiple_of(config.mutate_every.max(1)) {
             kinds.push(OracleKind::MutateClosure);
         }

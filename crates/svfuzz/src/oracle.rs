@@ -22,6 +22,11 @@
 //!   bytes (flips, truncations, oversized declarations,
 //!   checksummed-but-mangled JSON) degrades to a decode error — never a
 //!   panic.
+//! * [`OracleKind::SimDifferential`] — the compiled simulator and bounded
+//!   checker agree with the reference interpreter (`svsim::reference`) and
+//!   the plain check loop on the source and on `svmutate` mutants of it:
+//!   every value of every cycle, the `SimError`, the assertion failures, the
+//!   rendered log, and the verdict field for field.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -33,7 +38,8 @@ use svparse::ast::Item;
 use svparse::pretty::emit_expr;
 use svparse::{emit_file, emit_module, parse, parse_module, Module};
 use svserve::persist::fnv64;
-use svverify::{BoundedChecker, CheckConfig, Verdict};
+use svsim::{Design, SimError};
+use svverify::{BoundedChecker, CheckConfig, CheckMethod, Verdict};
 
 /// The differential property an input is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,17 +55,20 @@ pub enum OracleKind {
     /// Stats-plane wire-frame robustness (`StatsReply` / `TraceReply` /
     /// `StatsWindowReply`): corrupt bytes never panic.
     WireStats,
+    /// Compiled simulator and checker against the reference interpreter.
+    SimDifferential,
 }
 
 impl OracleKind {
     /// Every oracle, in the order the miner drives them.
-    pub fn all() -> [OracleKind; 5] {
+    pub fn all() -> [OracleKind; 6] {
         [
             OracleKind::ParserEnvelope,
             OracleKind::Roundtrip,
             OracleKind::MutateClosure,
             OracleKind::BmcPermutation,
             OracleKind::WireStats,
+            OracleKind::SimDifferential,
         ]
     }
 
@@ -71,6 +80,7 @@ impl OracleKind {
             OracleKind::MutateClosure => "mutate-closure",
             OracleKind::BmcPermutation => "bmc-permutation",
             OracleKind::WireStats => "wire-stats",
+            OracleKind::SimDifferential => "sim-diff",
         }
     }
 
@@ -134,6 +144,7 @@ pub fn drive_oracle(kind: OracleKind, source: &str) -> OracleOutcome {
         OracleKind::MutateClosure => mutate_closure(source),
         OracleKind::BmcPermutation => bmc_permutation(source),
         OracleKind::WireStats => wire_stats(source),
+        OracleKind::SimDifferential => sim_differential(source).0,
     }
 }
 
@@ -492,6 +503,120 @@ fn frame_corruption_battery(
     None
 }
 
+/// Designs the differential oracle derives from one source: itself and two mutants.
+const SIM_DIFF_MUTANTS: usize = 2;
+/// Random sequences each of them is traced over, and their length.
+const SIM_DIFF_SEQUENCES: usize = 32;
+const SIM_DIFF_DEPTH: usize = 8;
+
+/// Drives the simulator differential and also reports how many design × stimulus
+/// pairs it traced through both engines (the coverage figure CI checks).
+///
+/// The source and two content-seeded `svmutate` mutants of it are each, when they
+/// elaborate, traced over 32 random 8-cycle sequences by
+/// `svsim::reference::first_divergence`, then judged by [`BoundedChecker`] and by the
+/// plain loop over the reference engine; any difference is a finding.
+pub fn sim_differential(source: &str) -> (OracleOutcome, u64) {
+    let Ok(module) = parse_module(source) else {
+        return (OracleOutcome::Pass, 0);
+    };
+    // Same deterministic cost cap as the permutation oracle.
+    if source.lines().count() > 160 {
+        return (OracleOutcome::Pass, 0);
+    }
+    let seed = fnv64(source.as_bytes()) ^ 0x51D1;
+    let mutants = BugInjector::new(seed).inject_batch(&module, SIM_DIFF_MUTANTS);
+    let designs = std::iter::once(module.clone()).chain(mutants.into_iter().map(|bug| bug.buggy));
+    let mut pairs = 0;
+    for (n, module) in designs.enumerate() {
+        let Ok(design) = Design::elaborate(&module) else {
+            continue;
+        };
+        let stimuli =
+            svverify::random_stimuli(&design, SIM_DIFF_DEPTH, SIM_DIFF_SEQUENCES, seed ^ n as u64);
+        for stimulus in stimuli {
+            pairs += 1;
+            if let Some(difference) = svsim::reference::first_divergence(&design, &stimulus) {
+                return (
+                    OracleOutcome::fail(format!("design {n}: engines diverge: {difference}")),
+                    pairs,
+                );
+            }
+        }
+        let config = permutation_check_config();
+        let compiled = catch_unwind(AssertUnwindSafe(|| {
+            BoundedChecker::new(config.clone()).check_design(&design)
+        }));
+        let reference = catch_unwind(AssertUnwindSafe(|| reference_check(&design, &config)));
+        // Both sides panicking is agreement: the arithmetic they share has a few
+        // documented panics, and reaching one is the envelope oracles' business.
+        if compiled.as_ref().ok() != reference.as_ref().ok() {
+            return (
+                OracleOutcome::fail(format!(
+                    "design {n}: verdicts differ: checker {compiled:?}, reference loop {reference:?}"
+                )),
+                pairs,
+            );
+        }
+    }
+    (OracleOutcome::Pass, pairs)
+}
+
+/// `BoundedChecker::check_design` as it was before designs were compiled: build the
+/// whole stimulus set, run every sequence from reset on the reference interpreter,
+/// check every attempt, stop at the first failing sequence.
+fn reference_check(design: &Design, config: &CheckConfig) -> Verdict {
+    if !design.has_assertions() {
+        return Verdict::Pass {
+            method: CheckMethod::Exhaustive,
+            sequences: 0,
+        };
+    }
+    let depth = config.depth.max(design.max_property_horizon() as usize + 4);
+    let (method, stimuli) =
+        if svverify::exhaustive_is_tractable(design, depth, config.max_exhaustive_bits) {
+            (
+                CheckMethod::Exhaustive,
+                svverify::exhaustive_stimuli(design, depth),
+            )
+        } else {
+            (
+                CheckMethod::Randomised,
+                svverify::random_stimuli(design, depth, config.random_cases, config.seed),
+            )
+        };
+    let mut simulated = 0;
+    for stim in &stimuli {
+        match svsim::reference::Simulator::run(design, stim) {
+            Ok(trace) => {
+                simulated += 1;
+                let failures = svsim::reference::check_assertions(design, &trace);
+                if !failures.is_empty() {
+                    return Verdict::Fail {
+                        method,
+                        witness: stim.clone(),
+                        failures,
+                    };
+                }
+            }
+            Err(SimError::CombinationalLoop { module }) => {
+                return Verdict::Unverifiable {
+                    reason: format!("combinational loop in module `{module}`"),
+                }
+            }
+            Err(other) => {
+                return Verdict::Unverifiable {
+                    reason: other.to_string(),
+                }
+            }
+        }
+    }
+    Verdict::Pass {
+        method,
+        sequences: simulated,
+    }
+}
+
 /// Shuffles the positions of `assign`/`always` items among themselves, keeping
 /// declarations, parameters, properties and assertions pinned in place. The
 /// permutation preserves concurrent semantics, so the verdict must not move.
@@ -599,6 +724,25 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b, "concurrent items must be a permutation");
+    }
+
+    #[test]
+    fn sim_differential_traces_the_source_and_its_mutants() {
+        let (outcome, pairs) = sim_differential(&golden(Family::Fifo));
+        assert_eq!(outcome, OracleOutcome::Pass);
+        assert_eq!(
+            pairs,
+            ((1 + SIM_DIFF_MUTANTS) * SIM_DIFF_SEQUENCES) as u64,
+            "the golden and every mutant elaborate and are traced in full"
+        );
+        // Vacuous on what does not parse; a design that cannot settle is still
+        // compared (both engines must report the loop) and counts its pairs.
+        assert_eq!(sim_differential("module m("), (OracleOutcome::Pass, 0));
+        let looped = "module m(input clk, input a, output y);\n  assign y = !y;\n  \
+                      assert property (@(posedge clk) a |-> y);\nendmodule\n";
+        let (outcome, pairs) = sim_differential(looped);
+        assert_eq!(outcome, OracleOutcome::Pass);
+        assert!(pairs >= SIM_DIFF_SEQUENCES as u64);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! clocked groups, identifies the clock and asynchronous reset, and collects the
 //! properties/assertions that the SVA checker will evaluate.
 
+use crate::lower::Compiled;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -63,6 +64,10 @@ pub struct Design {
     pub assertions: Vec<ResolvedAssertion>,
     /// Widths of every signal the simulator needs to track.
     pub widths: BTreeMap<String, u32>,
+    /// The slot-indexed programs the simulator and the assertion checker run; lowered
+    /// from the fields above when the design is elaborated, and not kept in step with
+    /// later edits to them.
+    pub(crate) compiled: Compiled,
 }
 
 impl Design {
@@ -133,6 +138,7 @@ impl Design {
             .collect();
 
         let assertions = resolve_assertions(module)?;
+        let compiled = Compiled::lower(module, &widths, &assertions);
 
         Ok(Design {
             module: module.clone(),
@@ -143,6 +149,7 @@ impl Design {
             reset_n,
             assertions,
             widths,
+            compiled,
         })
     }
 

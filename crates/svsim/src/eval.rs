@@ -1,363 +1,444 @@
-//! Expression evaluation and procedural statement execution.
+//! Slot-indexed programs and the loops that run them.
+//!
+//! [`crate::lower`] turns every expression of a design into a postfix [`Op`] program
+//! and every procedural body into a flat list of [`Step`]s; both live in one [`Code`]
+//! pool per design and are addressed by [`Prog`] ranges.  Signals are slots of a
+//! `[Value]`, so running a program touches no names and allocates nothing.
+//!
+//! The arithmetic is [`crate::value::ops`] — the same functions the reference
+//! interpreter calls — so only the plumbing differs between the two engines.
 
 use crate::value::{ops, Value};
-use std::collections::BTreeMap;
-use svparse::{BinaryOp, Expr, LValue, Stmt, UnaryOp};
+use svparse::{BinaryOp, UnaryOp};
 
-/// The simulator's view of all signal values at one instant.
-pub type State = BTreeMap<String, Value>;
-
-/// A reader callback: `(signal name, cycles in the past)` → value.
-///
-/// Plain design evaluation always asks for `past = 0`; the SVA checker supplies a
-/// reader that indexes into the recorded trace so `$past`, `$rose`, `$fell` and
-/// `$stable` work.
-pub type Reader<'a> = dyn Fn(&str, u32) -> Value + 'a;
-
-/// Evaluates an expression using the supplied reader.
-///
-/// Unknown constructs never panic: reads of undeclared signals are the reader's
-/// responsibility (the simulator returns zero of width 1), and width rules follow the
-/// usual Verilog conventions (arithmetic at the wider operand width, comparisons and
-/// reductions produce single bits).
-pub fn eval_expr(expr: &Expr, read: &Reader<'_>) -> Value {
-    eval_shifted(expr, read, 0)
+/// A half-open range of [`Op`]s (an expression) or [`Step`]s (a body) in a [`Code`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Prog {
+    pub start: u32,
+    pub end: u32,
 }
 
-fn eval_shifted(expr: &Expr, read: &Reader<'_>, shift: u32) -> Value {
-    match expr {
-        Expr::Number(lit) => {
-            let width = lit.width.unwrap_or(32).clamp(1, Value::MAX_WIDTH);
-            Value::new(lit.value, width)
-        }
-        Expr::Ident(name) => read(name, shift),
-        Expr::Unary(op, inner) => {
-            let v = eval_shifted(inner, read, shift);
-            match op {
-                UnaryOp::LogicalNot => Value::bit(!v.is_true()),
-                UnaryOp::BitNot => v.not(),
-                UnaryOp::Neg => v.neg(),
-                UnaryOp::RedAnd => v.reduce_and(),
-                UnaryOp::RedOr => v.reduce_or(),
-                UnaryOp::RedXor => v.reduce_xor(),
-            }
-        }
-        Expr::Binary(op, lhs, rhs) => {
-            let a = eval_shifted(lhs, read, shift);
-            let b = eval_shifted(rhs, read, shift);
-            match op {
-                BinaryOp::Add => ops::add(a, b),
-                BinaryOp::Sub => ops::sub(a, b),
-                BinaryOp::Mul => ops::mul(a, b),
-                BinaryOp::Div => ops::div(a, b),
-                BinaryOp::Mod => ops::rem(a, b),
-                BinaryOp::Shl => ops::shl(a, b),
-                BinaryOp::Shr => ops::shr(a, b),
-                BinaryOp::Lt => ops::lt(a, b),
-                BinaryOp::Le => ops::le(a, b),
-                BinaryOp::Gt => ops::gt(a, b),
-                BinaryOp::Ge => ops::ge(a, b),
-                BinaryOp::Eq => ops::eq(a, b),
-                BinaryOp::Ne => ops::ne(a, b),
-                BinaryOp::BitAnd => ops::bit_and(a, b),
-                BinaryOp::BitOr => ops::bit_or(a, b),
-                BinaryOp::BitXor => ops::bit_xor(a, b),
-                BinaryOp::LogicalAnd => ops::logical_and(a, b),
-                BinaryOp::LogicalOr => ops::logical_or(a, b),
-            }
-        }
-        Expr::Ternary(cond, a, b) => {
-            if eval_shifted(cond, read, shift).is_true() {
-                eval_shifted(a, read, shift)
-            } else {
-                eval_shifted(b, read, shift)
-            }
-        }
-        Expr::Bit(name, index) => {
-            let base = read(name, shift);
-            let idx = eval_shifted(index, read, shift).bits() as u32;
-            base.extract_bit(idx)
-        }
-        Expr::Part(name, range) => {
-            let base = read(name, shift);
-            base.extract_range(range.msb, range.lsb)
-        }
-        Expr::Concat(parts) => {
-            let mut iter = parts.iter();
-            let first = iter
-                .next()
-                .map(|p| eval_shifted(p, read, shift))
-                .unwrap_or_else(|| Value::bit(false));
-            iter.fold(first, |acc, part| {
-                ops::concat(acc, eval_shifted(part, read, shift))
-            })
-        }
-        Expr::Repeat(count, inner) => {
-            let unit = eval_shifted(inner, read, shift);
-            let mut acc = unit;
-            for _ in 1..(*count).max(1) {
-                acc = ops::concat(acc, unit);
-            }
-            acc
-        }
-        Expr::Past(inner, cycles) => eval_shifted(inner, read, shift + cycles),
-        Expr::Rose(inner) => {
-            let now = eval_shifted(inner, read, shift);
-            let before = eval_shifted(inner, read, shift + 1);
-            Value::bit(now.is_true() && !before.is_true())
-        }
-        Expr::Fell(inner) => {
-            let now = eval_shifted(inner, read, shift);
-            let before = eval_shifted(inner, read, shift + 1);
-            Value::bit(!now.is_true() && before.is_true())
-        }
-        Expr::Stable(inner) => {
-            let now = eval_shifted(inner, read, shift);
-            let before = eval_shifted(inner, read, shift + 1);
-            Value::bit(now.bits() == before.bits())
-        }
+/// One postfix instruction; operands are popped from, and the result pushed onto, the
+/// value stack.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op {
+    Const(Value),
+    /// Reads a declared signal, `past` cycles back where the reader keeps a history.
+    Load {
+        slot: u32,
+        past: u32,
+    },
+    /// Reads a name the design never declared: a 1-bit zero until something writes it.
+    LoadLate {
+        slot: u32,
+        past: u32,
+    },
+    Unary(UnaryOp),
+    Binary(BinaryOp),
+    /// `[base, index]` → `base[index]`.
+    Bit,
+    /// `[base]` → `base[msb:lsb]`.
+    Part {
+        msb: u32,
+        lsb: u32,
+    },
+    /// `[high, low]` → `{high, low}`.
+    Concat,
+    /// `[unit]` → `{count{unit}}`.
+    Repeat(u32),
+    /// `[now, before]` → `$rose`, `$fell`, `$stable`.
+    Rose,
+    Fell,
+    Stable,
+    /// Pops the condition of `c ? a : b` and continues at the op index when it is false.
+    SkipUnless(u32),
+    /// Continues at the op index.
+    Skip(u32),
+}
+
+/// Where a program's loads come from: the live state (which has no history, so
+/// `$past(x)` in design code reads the present — pinned) or a sampled trace.
+pub(crate) trait Read {
+    fn read(&self, slot: u32, past: u32) -> Value;
+}
+
+impl Read for [Value] {
+    #[inline]
+    fn read(&self, slot: u32, _past: u32) -> Value {
+        self[slot as usize]
     }
 }
 
-/// Evaluates an expression against a plain [`State`] (no `$past` support needed).
-pub fn eval_in_state(expr: &Expr, state: &State) -> Value {
-    eval_expr(expr, &|name, _| read_state(state, name))
+/// One step of a procedural body.
+#[derive(Debug, Clone)]
+pub(crate) enum Step {
+    /// `target = rhs` or `target <= rhs`.
+    Assign {
+        target: u32,
+        rhs: Prog,
+        nonblocking: bool,
+    },
+    /// Continues at the step index when `cond` is false.
+    Unless { cond: Prog, to: u32 },
+    /// Continues at the step index.
+    Jump(u32),
+    /// Continues at the first label whose bits equal the subject's, else at `default`.
+    Case {
+        subject: Prog,
+        labels: Prog,
+        default: u32,
+    },
 }
 
-/// Reads a signal from a state, defaulting to a 1-bit zero for unknown names.
-pub fn read_state(state: &State, name: &str) -> Value {
-    state
-        .get(name)
-        .copied()
-        .unwrap_or_else(|| Value::bit(false))
+/// One `case` label: the expression and the step its arm starts at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CaseLabel {
+    pub label: Prog,
+    pub to: u32,
 }
 
-/// How procedural assignments are applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AssignMode {
-    /// Blocking semantics: writes become visible to later statements immediately.
-    Immediate,
-    /// Non-blocking semantics: writes are deferred until the end of the time step.
-    Deferred,
+/// A lowered assignment target.
+#[derive(Debug, Clone)]
+pub(crate) enum Target {
+    /// A whole signal, resized to its declared width (left as is for undeclared names).
+    Whole { slot: u32, width: Option<u32> },
+    /// One bit of the signal's current value.
+    Bit { slot: u32, index: Prog },
+    /// A constant part-select of the signal's current value.
+    Part { slot: u32, msb: u32, lsb: u32 },
+    /// `{a, b, ...}`: each part takes `width` bits of the value, `shift` bits up.
+    Concat(Vec<ConcatPart>),
 }
 
-/// Executes a procedural statement.
-///
-/// Blocking assignments write into `state` immediately.  Non-blocking assignments are
-/// appended to `deferred` (resolving bit/part selects against the *current* value, per
-/// Verilog semantics) and must be applied by the caller after all clocked blocks ran.
-pub fn exec_stmt(
-    stmt: &Stmt,
-    state: &mut State,
-    deferred: &mut Vec<(String, Value)>,
-    widths: &BTreeMap<String, u32>,
-) {
-    match stmt {
-        Stmt::Block { stmts, .. } => {
-            for s in stmts {
-                exec_stmt(s, state, deferred, widths);
+#[derive(Debug, Clone)]
+pub(crate) struct ConcatPart {
+    pub target: Target,
+    pub width: u32,
+    pub shift: u32,
+}
+
+/// Every program of one design.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Code {
+    pub ops: Vec<Op>,
+    pub steps: Vec<Step>,
+    pub labels: Vec<CaseLabel>,
+    pub targets: Vec<Target>,
+}
+
+/// Buffers the loops reuse between calls.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    pub stack: Vec<Value>,
+    updates: Vec<(u32, Value)>,
+}
+
+impl Code {
+    /// Evaluates an expression program.
+    pub fn eval<R: Read + ?Sized>(&self, prog: Prog, read: &R, stack: &mut Vec<Value>) -> Value {
+        let (mut pc, end) = (prog.start as usize, prog.end as usize);
+        while pc < end {
+            let op = self.ops[pc];
+            pc += 1;
+            match op {
+                Op::Const(value) => stack.push(value),
+                Op::Load { slot, past } => stack.push(read.read(slot, past)),
+                Op::LoadLate { slot, past } => {
+                    stack.push(read.read(slot, past).present().unwrap_or(Value::bit(false)))
+                }
+                Op::Unary(op) => {
+                    let v = pop(stack);
+                    stack.push(match op {
+                        UnaryOp::LogicalNot => Value::bit(!v.is_true()),
+                        UnaryOp::BitNot => v.not(),
+                        UnaryOp::Neg => v.neg(),
+                        UnaryOp::RedAnd => v.reduce_and(),
+                        UnaryOp::RedOr => v.reduce_or(),
+                        UnaryOp::RedXor => v.reduce_xor(),
+                    });
+                }
+                Op::Binary(op) => {
+                    let b = pop(stack);
+                    let a = pop(stack);
+                    stack.push(match op {
+                        BinaryOp::Add => ops::add(a, b),
+                        BinaryOp::Sub => ops::sub(a, b),
+                        BinaryOp::Mul => ops::mul(a, b),
+                        BinaryOp::Div => ops::div(a, b),
+                        BinaryOp::Mod => ops::rem(a, b),
+                        BinaryOp::Shl => ops::shl(a, b),
+                        BinaryOp::Shr => ops::shr(a, b),
+                        BinaryOp::Lt => ops::lt(a, b),
+                        BinaryOp::Le => ops::le(a, b),
+                        BinaryOp::Gt => ops::gt(a, b),
+                        BinaryOp::Ge => ops::ge(a, b),
+                        BinaryOp::Eq => ops::eq(a, b),
+                        BinaryOp::Ne => ops::ne(a, b),
+                        BinaryOp::BitAnd => ops::bit_and(a, b),
+                        BinaryOp::BitOr => ops::bit_or(a, b),
+                        BinaryOp::BitXor => ops::bit_xor(a, b),
+                        BinaryOp::LogicalAnd => ops::logical_and(a, b),
+                        BinaryOp::LogicalOr => ops::logical_or(a, b),
+                    });
+                }
+                Op::Bit => {
+                    let index = pop(stack).bits() as u32;
+                    let base = pop(stack);
+                    stack.push(base.extract_bit(index));
+                }
+                Op::Part { msb, lsb } => {
+                    let base = pop(stack);
+                    stack.push(base.extract_range(msb, lsb));
+                }
+                Op::Concat => {
+                    let low = pop(stack);
+                    let high = pop(stack);
+                    stack.push(ops::concat(high, low));
+                }
+                Op::Repeat(count) => {
+                    let unit = pop(stack);
+                    let mut acc = unit;
+                    for _ in 1..count.max(1) {
+                        acc = ops::concat(acc, unit);
+                    }
+                    stack.push(acc);
+                }
+                Op::Rose | Op::Fell | Op::Stable => {
+                    let before = pop(stack);
+                    let now = pop(stack);
+                    stack.push(Value::bit(match op {
+                        Op::Rose => now.is_true() && !before.is_true(),
+                        Op::Fell => !now.is_true() && before.is_true(),
+                        _ => now.bits() == before.bits(),
+                    }));
+                }
+                Op::SkipUnless(to) => {
+                    if !pop(stack).is_true() {
+                        pc = to as usize;
+                    }
+                }
+                Op::Skip(to) => pc = to as usize,
             }
         }
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            if eval_in_state(cond, state).is_true() {
-                exec_stmt(then_branch, state, deferred, widths);
-            } else if let Some(e) = else_branch {
-                exec_stmt(e, state, deferred, widths);
-            }
-        }
-        Stmt::Case {
-            subject,
-            arms,
-            default,
-            ..
-        } => {
-            let subject_value = eval_in_state(subject, state);
-            for arm in arms {
-                let matched = arm
-                    .labels
-                    .iter()
-                    .any(|label| eval_in_state(label, state).bits() == subject_value.bits());
-                if matched {
-                    exec_stmt(&arm.body, state, deferred, widths);
-                    return;
+        pop(stack)
+    }
+
+    /// Runs a procedural body against `state`: blocking writes land in it at once,
+    /// non-blocking ones are appended to `deferred` for the caller to commit.
+    pub fn exec(
+        &self,
+        body: Prog,
+        state: &mut [Value],
+        deferred: &mut Vec<(u32, Value)>,
+        scratch: &mut Scratch,
+    ) {
+        let (mut pc, end) = (body.start as usize, body.end as usize);
+        while pc < end {
+            let step = &self.steps[pc];
+            pc += 1;
+            match step {
+                Step::Assign {
+                    target,
+                    rhs,
+                    nonblocking,
+                } => {
+                    let value = self.eval(*rhs, &*state, &mut scratch.stack);
+                    let target = &self.targets[*target as usize];
+                    if *nonblocking {
+                        self.resolve(target, value, state, deferred, &mut scratch.stack);
+                    } else {
+                        self.assign(target, value, state, scratch);
+                    }
+                }
+                Step::Unless { cond, to } => {
+                    if !self.eval(*cond, &*state, &mut scratch.stack).is_true() {
+                        pc = *to as usize;
+                    }
+                }
+                Step::Jump(to) => pc = *to as usize,
+                Step::Case {
+                    subject,
+                    labels,
+                    default,
+                } => {
+                    let subject = self.eval(*subject, &*state, &mut scratch.stack).bits();
+                    pc = self.labels[labels.start as usize..labels.end as usize]
+                        .iter()
+                        .find(|arm| {
+                            self.eval(arm.label, &*state, &mut scratch.stack).bits() == subject
+                        })
+                        .map_or(*default, |arm| arm.to) as usize;
                 }
             }
-            if let Some(d) = default {
-                exec_stmt(d, state, deferred, widths);
+        }
+    }
+
+    /// A blocking or continuous assignment: the write is visible at once.
+    pub fn assign(
+        &self,
+        target: &Target,
+        value: Value,
+        state: &mut [Value],
+        scratch: &mut Scratch,
+    ) {
+        self.resolve(
+            target,
+            value,
+            state,
+            &mut scratch.updates,
+            &mut scratch.stack,
+        );
+        for (slot, value) in scratch.updates.drain(..) {
+            state[slot as usize] = value;
+        }
+    }
+
+    /// Turns a write into whole-signal updates.  Bit and part selects are resolved
+    /// against the *current* value of the signal, and every part of a concatenation
+    /// against the same pre-write state, so a signal named twice keeps only its last
+    /// update — all of which the reference interpreter does, and tests pin.
+    fn resolve(
+        &self,
+        target: &Target,
+        value: Value,
+        state: &[Value],
+        out: &mut Vec<(u32, Value)>,
+        stack: &mut Vec<Value>,
+    ) {
+        match target {
+            Target::Whole { slot, width } => {
+                out.push((*slot, width.map_or(value, |w| value.resize(w))));
+            }
+            Target::Bit { slot, index } => {
+                let current = state[*slot as usize].present().unwrap_or(Value::bit(false));
+                let index = self.eval(*index, state, stack).bits() as u32;
+                out.push((*slot, current.with_bit(index, value.is_true())));
+            }
+            Target::Part { slot, msb, lsb } => {
+                let current = state[*slot as usize]
+                    .present()
+                    .unwrap_or_else(|| Value::zero(msb.abs_diff(*lsb) + 1));
+                out.push((*slot, current.with_range(*msb, *lsb, value.bits())));
+            }
+            Target::Concat(parts) => {
+                for part in parts {
+                    // A concatenation wider than 64 bits shifts by 64 or more; the
+                    // release build has always wrapped the amount, and that is pinned.
+                    let slice = Value::new(value.bits().wrapping_shr(part.shift), part.width);
+                    self.resolve(&part.target, slice, state, out, stack);
+                }
             }
         }
-        Stmt::Blocking { lhs, rhs, .. } => {
-            let value = eval_in_state(rhs, state);
-            apply_assignment(lhs, value, state, AssignMode::Immediate, deferred, widths);
-        }
-        Stmt::NonBlocking { lhs, rhs, .. } => {
-            let value = eval_in_state(rhs, state);
-            apply_assignment(lhs, value, state, AssignMode::Deferred, deferred, widths);
-        }
-        Stmt::Null => {}
     }
 }
 
-/// Resolves an lvalue write into one or more whole-signal updates.
-pub fn apply_assignment(
-    lhs: &LValue,
-    value: Value,
-    state: &mut State,
-    mode: AssignMode,
-    deferred: &mut Vec<(String, Value)>,
-    widths: &BTreeMap<String, u32>,
-) {
-    let updates = resolve_lvalue(lhs, value, state, widths);
-    for (name, new_value) in updates {
-        match mode {
-            AssignMode::Immediate => {
-                state.insert(name, new_value);
-            }
-            AssignMode::Deferred => deferred.push((name, new_value)),
-        }
-    }
-}
-
-fn resolve_lvalue(
-    lhs: &LValue,
-    value: Value,
-    state: &State,
-    widths: &BTreeMap<String, u32>,
-) -> Vec<(String, Value)> {
-    match lhs {
-        LValue::Ident(name) => {
-            let width = widths.get(name).copied().unwrap_or(value.width());
-            vec![(name.clone(), value.resize(width))]
-        }
-        LValue::Bit(name, index) => {
-            let width = widths.get(name).copied().unwrap_or(1);
-            let current = state
-                .get(name)
-                .copied()
-                .unwrap_or_else(|| Value::zero(width));
-            let idx = eval_in_state(index, &state.clone()).bits() as u32;
-            vec![(name.clone(), current.with_bit(idx, value.is_true()))]
-        }
-        LValue::Part(name, range) => {
-            let width = widths.get(name).copied().unwrap_or(range.width());
-            let current = state
-                .get(name)
-                .copied()
-                .unwrap_or_else(|| Value::zero(width));
-            vec![(
-                name.clone(),
-                current.with_range(range.msb, range.lsb, value.bits()),
-            )]
-        }
-        LValue::Concat(parts) => {
-            // Distribute bits from the MSB side, mirroring Verilog concat assignment.
-            let total: u32 = parts
-                .iter()
-                .flat_map(|p| p.base_names())
-                .map(|n| widths.get(&n).copied().unwrap_or(1))
-                .sum();
-            let mut out = Vec::new();
-            let mut consumed = 0u32;
-            for part in parts {
-                let part_width: u32 = part
-                    .base_names()
-                    .iter()
-                    .map(|n| widths.get(n).copied().unwrap_or(1))
-                    .sum();
-                let shift = total.saturating_sub(consumed + part_width);
-                let slice = Value::new(value.bits() >> shift, part_width.max(1));
-                out.extend(resolve_lvalue(part, slice, state, widths));
-                consumed += part_width;
-            }
-            out
-        }
-    }
+#[inline]
+fn pop(stack: &mut Vec<Value>) -> Value {
+    stack
+        .pop()
+        .expect("lowering leaves every operator its operands")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svparse::Parser;
+    use crate::lower::Lowering;
+    use std::collections::BTreeMap;
+    use svparse::{Expr, LValue, Parser};
 
     fn expr(src: &str) -> Expr {
         Parser::new(src).unwrap().parse_expr().unwrap()
     }
 
-    fn state_of(pairs: &[(&str, u64, u32)]) -> State {
-        pairs
-            .iter()
-            .map(|(n, v, w)| (n.to_string(), Value::new(*v, *w)))
-            .collect()
+    /// A lowering over the declared signals `(name, value, width)`, and their state.
+    fn machine(pairs: &[(&str, u64, u32)]) -> (Lowering, Vec<Value>) {
+        let widths: BTreeMap<String, u32> =
+            pairs.iter().map(|(n, _, w)| (n.to_string(), *w)).collect();
+        let lowering = Lowering::new(&widths);
+        let mut state = vec![Value::ABSENT; widths.len()];
+        for (name, value, width) in pairs {
+            state[lowering.slot(name).unwrap() as usize] = Value::new(*value, *width);
+        }
+        (lowering, state)
+    }
+
+    fn eval_in(pairs: &[(&str, u64, u32)], src: &str) -> Value {
+        let (mut lowering, mut state) = machine(pairs);
+        let prog = lowering.expr(&expr(src));
+        state.resize(lowering.slots(), Value::ABSENT);
+        lowering.code().eval(prog, &state[..], &mut Vec::new())
+    }
+
+    fn value_of(lowering: &Lowering, state: &[Value], name: &str) -> Value {
+        state[lowering.slot(name).unwrap() as usize]
     }
 
     #[test]
     fn arithmetic_and_comparison() {
-        let state = state_of(&[("a", 5, 4), ("b", 3, 4)]);
-        assert_eq!(eval_in_state(&expr("a + b"), &state).bits(), 8);
-        assert_eq!(eval_in_state(&expr("a - b"), &state).bits(), 2);
-        assert_eq!(eval_in_state(&expr("a * b"), &state).bits(), 15);
-        assert!(eval_in_state(&expr("a > b"), &state).is_true());
-        assert!(eval_in_state(&expr("a != b"), &state).is_true());
-        assert!(!eval_in_state(&expr("a == b"), &state).is_true());
+        let state = [("a", 5, 4), ("b", 3, 4)];
+        assert_eq!(eval_in(&state, "a + b").bits(), 8);
+        assert_eq!(eval_in(&state, "a - b").bits(), 2);
+        assert_eq!(eval_in(&state, "a * b").bits(), 15);
+        assert!(eval_in(&state, "a > b").is_true());
+        assert!(eval_in(&state, "a != b").is_true());
+        assert!(!eval_in(&state, "a == b").is_true());
     }
 
     #[test]
     fn wrapping_at_declared_width() {
-        let state = state_of(&[("a", 15, 4), ("b", 1, 4)]);
-        assert_eq!(eval_in_state(&expr("a + b"), &state).bits(), 0);
+        assert_eq!(eval_in(&[("a", 15, 4), ("b", 1, 4)], "a + b").bits(), 0);
     }
 
     #[test]
     fn logical_and_ternary() {
-        let state = state_of(&[("en", 1, 1), ("x", 9, 4), ("y", 4, 4)]);
-        assert_eq!(eval_in_state(&expr("en ? x : y"), &state).bits(), 9);
-        assert_eq!(eval_in_state(&expr("!en ? x : y"), &state).bits(), 4);
-        assert!(eval_in_state(&expr("en && x > y"), &state).is_true());
+        let state = [("en", 1, 1), ("x", 9, 4), ("y", 4, 4)];
+        assert_eq!(eval_in(&state, "en ? x : y").bits(), 9);
+        assert_eq!(eval_in(&state, "!en ? x : y").bits(), 4);
+        assert!(eval_in(&state, "en && x > y").is_true());
+        // Nested selects take exactly one branch each.
+        assert_eq!(eval_in(&state, "!en ? x : en ? y + 4'd1 : x").bits(), 5);
     }
 
     #[test]
     fn bit_part_concat() {
-        let state = state_of(&[("d", 0b1100_1010, 8), ("i", 3, 3)]);
-        assert!(eval_in_state(&expr("d[i]"), &state).is_true());
-        assert_eq!(eval_in_state(&expr("d[7:4]"), &state).bits(), 0b1100);
-        assert_eq!(
-            eval_in_state(&expr("{d[3:0], d[7:4]}"), &state).bits(),
-            0b1010_1100
-        );
-        assert_eq!(
-            eval_in_state(&expr("{2{d[3:0]}}"), &state).bits(),
-            0b1010_1010
-        );
+        let state = [("d", 0b1100_1010, 8), ("i", 3, 3)];
+        assert!(eval_in(&state, "d[i]").is_true());
+        assert_eq!(eval_in(&state, "d[7:4]").bits(), 0b1100);
+        assert_eq!(eval_in(&state, "{d[3:0], d[7:4]}").bits(), 0b1010_1100);
+        assert_eq!(eval_in(&state, "{2{d[3:0]}}").bits(), 0b1010_1010);
     }
 
     #[test]
     fn reductions_and_complement() {
-        let state = state_of(&[("d", 0b1111, 4)]);
-        assert!(eval_in_state(&expr("&d"), &state).is_true());
-        assert!(eval_in_state(&expr("~d == 4'b0000"), &state).is_true());
+        let state = [("d", 0b1111, 4)];
+        assert!(eval_in(&state, "&d").is_true());
+        assert!(eval_in(&state, "~d == 4'b0000").is_true());
     }
 
     #[test]
     fn past_rose_fell_stable_via_reader() {
-        // Trace: cycle 0 → a=0, cycle 1 → a=1 (we query at "now"=cycle 1).
-        let read = |name: &str, past: u32| -> Value {
-            assert_eq!(name, "a");
-            if past == 0 {
-                Value::bit(true)
-            } else {
-                Value::bit(false)
+        // A reader with history: `a` is 1 now and was 0 one cycle ago.
+        struct History;
+        impl Read for History {
+            fn read(&self, slot: u32, past: u32) -> Value {
+                assert_eq!(slot, 0);
+                Value::bit(past == 0)
             }
+        }
+        let (mut lowering, _) = machine(&[("a", 0, 1)]);
+        let mut eval = |src: &str| {
+            let prog = lowering.expr(&expr(src));
+            lowering.code().eval(prog, &History, &mut Vec::new())
         };
-        assert!(eval_expr(&expr("$rose(a)"), &read).is_true());
-        assert!(!eval_expr(&expr("$fell(a)"), &read).is_true());
-        assert!(!eval_expr(&expr("$stable(a)"), &read).is_true());
-        assert!(!eval_expr(&expr("$past(a)"), &read).is_true());
-        assert!(eval_expr(&expr("$past(a, 0)"), &read).is_true());
+        assert!(eval("$rose(a)").is_true());
+        assert!(!eval("$fell(a)").is_true());
+        assert!(!eval("$stable(a)").is_true());
+        assert!(!eval("$past(a)").is_true());
+        assert!(eval("$past(a, 0)").is_true());
+        // The live state has no history: design code reads the present.
+        assert!(eval_in(&[("a", 1, 1)], "$past(a)").is_true());
+        assert!(!eval_in(&[("a", 1, 1)], "$rose(a)").is_true());
+        assert!(eval_in(&[("a", 1, 1)], "$stable(a)").is_true());
     }
 
     #[test]
@@ -373,20 +454,19 @@ endmodule
 "#,
         )
         .unwrap();
-        let widths: BTreeMap<String, u32> = [
-            ("q".to_string(), 4u32),
-            ("en".to_string(), 1),
-            ("rst_n".to_string(), 1),
-        ]
-        .into_iter()
-        .collect();
+        let (mut lowering, mut state) = machine(&[("rst_n", 1, 1), ("en", 1, 1), ("q", 7, 4)]);
         let block = module.always_blocks().next().unwrap();
-        let mut state = state_of(&[("rst_n", 1, 1), ("en", 1, 1), ("q", 7, 4)]);
+        let body = lowering.body(&block.body);
         let mut deferred = Vec::new();
-        exec_stmt(&block.body, &mut state, &mut deferred, &widths);
-        assert_eq!(deferred, vec![("q".to_string(), Value::new(8, 4))]);
+        lowering
+            .code()
+            .exec(body, &mut state, &mut deferred, &mut Scratch::default());
+        assert_eq!(
+            deferred,
+            vec![(lowering.slot("q").unwrap(), Value::new(8, 4))]
+        );
         // Deferred writes must not be visible yet.
-        assert_eq!(state.get("q").unwrap().bits(), 7);
+        assert_eq!(value_of(&lowering, &state, "q").bits(), 7);
     }
 
     #[test]
@@ -405,62 +485,55 @@ endmodule
 "#,
         )
         .unwrap();
-        let widths: BTreeMap<String, u32> = [("y".to_string(), 1u32)].into_iter().collect();
         let block = module.always_blocks().next().unwrap();
-        let mut deferred = Vec::new();
-
-        let mut state = state_of(&[("sel", 1, 2), ("a", 0, 1), ("b", 1, 1), ("c", 0, 1)]);
-        exec_stmt(&block.body, &mut state, &mut deferred, &widths);
-        assert!(state.get("y").unwrap().is_true());
-
-        let mut state = state_of(&[("sel", 3, 2), ("a", 0, 1), ("b", 0, 1), ("c", 1, 1)]);
-        exec_stmt(&block.body, &mut state, &mut deferred, &widths);
-        assert!(state.get("y").unwrap().is_true());
+        for (sel, a, b, c) in [(1, 0, 1, 0), (3, 0, 0, 1), (0, 1, 0, 0)] {
+            let (mut lowering, mut state) = machine(&[
+                ("sel", sel, 2),
+                ("a", a, 1),
+                ("b", b, 1),
+                ("c", c, 1),
+                ("y", 0, 1),
+            ]);
+            let body = lowering.body(&block.body);
+            lowering
+                .code()
+                .exec(body, &mut state, &mut Vec::new(), &mut Scratch::default());
+            assert!(value_of(&lowering, &state, "y").is_true(), "sel = {sel}");
+        }
     }
 
     #[test]
     fn bit_select_assignment_read_modify_write() {
-        let widths: BTreeMap<String, u32> = [("flags".to_string(), 4u32)].into_iter().collect();
-        let mut state = state_of(&[("flags", 0b0101, 4)]);
-        let mut deferred = Vec::new();
-        let lhs = LValue::Bit("flags".into(), Box::new(Expr::num(1)));
-        apply_assignment(
-            &lhs,
+        let (mut lowering, mut state) = machine(&[("flags", 0b0101, 4)]);
+        let target = lowering.target(&LValue::Bit("flags".into(), Box::new(Expr::num(1))));
+        lowering.code().assign(
+            &target,
             Value::bit(true),
             &mut state,
-            AssignMode::Immediate,
-            &mut deferred,
-            &widths,
+            &mut Scratch::default(),
         );
-        assert_eq!(state.get("flags").unwrap().bits(), 0b0111);
+        assert_eq!(value_of(&lowering, &state, "flags").bits(), 0b0111);
     }
 
     #[test]
     fn concat_assignment_splits_bits() {
-        let widths: BTreeMap<String, u32> = [("carry".to_string(), 1u32), ("sum".to_string(), 4)]
-            .into_iter()
-            .collect();
-        let mut state = state_of(&[("carry", 0, 1), ("sum", 0, 4)]);
-        let mut deferred = Vec::new();
-        let lhs = LValue::Concat(vec![
+        let (mut lowering, mut state) = machine(&[("carry", 0, 1), ("sum", 0, 4)]);
+        let target = lowering.target(&LValue::Concat(vec![
             LValue::Ident("carry".into()),
             LValue::Ident("sum".into()),
-        ]);
-        apply_assignment(
-            &lhs,
+        ]));
+        lowering.code().assign(
+            &target,
             Value::new(0b1_1010, 5),
             &mut state,
-            AssignMode::Immediate,
-            &mut deferred,
-            &widths,
+            &mut Scratch::default(),
         );
-        assert_eq!(state.get("carry").unwrap().bits(), 1);
-        assert_eq!(state.get("sum").unwrap().bits(), 0b1010);
+        assert_eq!(value_of(&lowering, &state, "carry").bits(), 1);
+        assert_eq!(value_of(&lowering, &state, "sum").bits(), 0b1010);
     }
 
     #[test]
     fn unknown_signal_reads_as_zero() {
-        let state = State::new();
-        assert_eq!(eval_in_state(&expr("ghost + 1"), &state).bits(), 1);
+        assert_eq!(eval_in(&[], "ghost + 1").bits(), 1);
     }
 }

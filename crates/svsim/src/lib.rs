@@ -6,6 +6,23 @@
 //! testbench stimulus, evaluates every concurrent assertion over the recorded trace
 //! and renders tool-style logs.
 //!
+//! ## How it runs
+//!
+//! Elaboration ends by *lowering* the design (`lower.rs`): every signal becomes a slot
+//! of a `Vec<Value>`, every expression a postfix program over slots, every procedural
+//! body a flat list of steps, every assertion a small tree with programs at its
+//! leaves.  [`Simulator`] runs those programs over one slot state — reset state, then
+//! one clock cycle per step — and records a [`Trace`]: one flat vector of rows that
+//! [`check_assertions`] and [`render_log`] read by slot.  A signal is looked up by
+//! name only where a testbench value enters.
+//!
+//! [`mod@reference`] holds the interpreter this replaced — state in a
+//! `BTreeMap<String, Value>`, the syntax tree walked directly.  It defines what the
+//! compiled engine must compute, quirks included, and is called only by the
+//! differential tests and the `svfuzz` `sim-diff` oracle; no production path may use
+//! it.  `docs/ARCHITECTURE.md` ("The checking core") has the slot layout, the cycle,
+//! and the list of behaviours pinned by that oracle.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -33,17 +50,18 @@
 //! ```
 
 pub mod elaborate;
-pub mod eval;
+mod eval;
 pub mod log;
+mod lower;
+pub mod reference;
 pub mod simulator;
 pub mod sva;
 pub mod value;
 
 pub use elaborate::{Design, ElabError, ResolvedAssertion, SignalClass};
-pub use eval::{eval_expr, eval_in_state, State};
 pub use log::{failing_assertions_in_log, render_failure_line, render_log};
 pub use simulator::{simulate, InputVector, SimError, SimOutcome, Simulator, Trace};
-pub use sva::{check_assertion, check_assertions, AssertionFailure};
+pub use sva::{check_assertions, AssertionFailure};
 pub use value::Value;
 
 #[cfg(test)]

@@ -29,18 +29,21 @@ use crate::sva::AssertionFailure;
 /// # Ok::<(), svsim::SimError>(())
 /// ```
 pub fn render_log(design: &Design, trace: &Trace, failures: &[AssertionFailure]) -> String {
+    render(&design.module.name, trace.len(), failures)
+}
+
+/// The log of a run of `cycles` cycles of the named module.
+pub(crate) fn render(module: &str, cycles: usize, failures: &[AssertionFailure]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "# simulation of module {} for {} cycles\n",
-        design.module.name,
-        trace.len()
+        "# simulation of module {module} for {cycles} cycles\n"
     ));
     if failures.is_empty() {
         out.push_str("# all assertions passed\n");
         return out;
     }
     for failure in failures {
-        out.push_str(&render_failure_line(&design.module.name, failure));
+        out.push_str(&render_failure_line(module, failure));
         out.push('\n');
     }
     let mut by_assertion: Vec<(String, usize)> = Vec::new();
@@ -55,8 +58,7 @@ pub fn render_log(design: &Design, trace: &Trace, failures: &[AssertionFailure])
     }
     for (name, count) in &by_assertion {
         out.push_str(&format!(
-            "# assertion {}.{} failed {} time(s)\n",
-            design.module.name, name, count
+            "# assertion {module}.{name} failed {count} time(s)\n"
         ));
     }
     out.push_str(&format!(

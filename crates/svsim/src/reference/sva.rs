@@ -4,89 +4,76 @@
 //! boolean expressions, `|->` / `|=>` implications, `##N` delays, `not`, a
 //! `disable iff` guard and the sampled-value functions `$past`, `$rose`, `$fell`
 //! and `$stable`.
-//!
-//! It reads sampled values by slot from the rows of a [`Trace`].
 
-use crate::elaborate::Design;
-use crate::eval::{Code, Prog, Read};
-use crate::lower::{Property, Seq};
-use crate::simulator::Trace;
+use super::eval::eval_expr;
+use super::simulator::Trace;
+use crate::elaborate::{Design, ResolvedAssertion};
+use crate::sva::AssertionFailure;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
-use std::fmt;
+use svparse::{Expr, PropExpr};
 
-/// One assertion failure detected on a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AssertionFailure {
-    /// Name of the failing assertion (label or property name).
-    pub assertion: String,
-    /// Cycle (0-based) at which the failing attempt started.
-    pub start_cycle: usize,
-    /// Cycle at which the violation was observed.
-    pub fail_cycle: usize,
-    /// Optional `$error` message attached to the assertion.
-    pub message: Option<String>,
+/// The outcome of evaluating one property attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attempt {
+    /// The attempt definitively holds (including vacuous passes).
+    Holds,
+    /// The attempt definitively fails at the given cycle.
+    Fails(usize),
+    /// The trace ended before the attempt could be decided.
+    Pending,
 }
 
-impl fmt::Display for AssertionFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "failed assertion {} (attempt started at cycle {}, violated at cycle {})",
-            self.assertion, self.start_cycle, self.fail_cycle
-        )
-    }
-}
-
-/// Checks every assertion of the design against the trace, one attempt per assertion
-/// and start cycle.
+/// Checks every assertion of the design against the trace.
 ///
 /// Pending attempts at the end of the trace are not reported as failures, matching
 /// simulator behaviour where in-flight assertion attempts are discarded at end of
 /// simulation.
-///
-/// # Panics
-///
-/// Panics if the trace was recorded from a design with a different signal layout.
 pub fn check_assertions(design: &Design, trace: &Trace) -> Vec<AssertionFailure> {
-    assert!(
-        trace.layout() == &design.compiled.layout,
-        "the trace was recorded from a different design than `{}`",
-        design.module.name
-    );
-    let mut stack = Vec::new();
     let mut failures = Vec::new();
-    for (property, assertion) in design.compiled.properties.iter().zip(&design.assertions) {
-        let mut checker = Checker {
-            code: &design.compiled.code,
-            trace,
-            guard: property.guard,
-            stack: &mut stack,
-        };
-        for start in 0..trace.len() {
-            if let Some(fail_cycle) = checker.attempt(property, start) {
-                failures.push(AssertionFailure {
-                    assertion: assertion.name.clone(),
-                    start_cycle: start,
-                    fail_cycle,
-                    message: assertion.message.clone(),
-                });
+    for assertion in &design.assertions {
+        failures.extend(check_assertion(assertion, trace));
+    }
+    failures
+}
+
+/// Checks a single assertion against the trace, one attempt per start cycle.
+pub fn check_assertion(assertion: &ResolvedAssertion, trace: &Trace) -> Vec<AssertionFailure> {
+    let mut failures = Vec::new();
+    for start in 0..trace.len() {
+        if let Some(guard) = &assertion.property.disable_iff {
+            if eval_at(guard, trace, start).is_true() {
+                continue;
             }
+        }
+        match eval_prop(
+            &assertion.property.body,
+            trace,
+            start,
+            &assertion.property.disable_iff,
+        ) {
+            Attempt::Fails(cycle) => failures.push(AssertionFailure {
+                assertion: assertion.name.clone(),
+                start_cycle: start,
+                fail_cycle: cycle,
+                message: assertion.message.clone(),
+            }),
+            Attempt::Holds | Attempt::Pending => {}
         }
     }
     failures
 }
 
-/// The sampled values as seen from one cycle: `past` reaches back, clamping at cycle 0.
-struct Sampled<'t> {
-    trace: &'t Trace,
-    cycle: usize,
+/// Evaluates a boolean expression at a trace cycle, supporting `$past`-style reads.
+pub fn eval_at(expr: &Expr, trace: &Trace, cycle: usize) -> Value {
+    eval_expr(expr, &|name, past| trace.value_past(name, cycle, past))
 }
 
-impl Read for Sampled<'_> {
-    #[inline]
-    fn read(&self, slot: u32, past: u32) -> Value {
-        self.trace.row(self.cycle.saturating_sub(past as usize))[slot as usize]
+fn eval_prop(prop: &PropExpr, trace: &Trace, cycle: usize, guard: &Option<Expr>) -> Attempt {
+    match eval_sequence(prop, trace, cycle, guard) {
+        SeqResult::Pending => Attempt::Pending,
+        SeqResult::Disabled => Attempt::Holds,
+        SeqResult::Match { .. } => Attempt::Holds,
+        SeqResult::NoMatch { at } => Attempt::Fails(at),
     }
 }
 
@@ -103,86 +90,65 @@ enum SeqResult {
     Disabled,
 }
 
-struct Checker<'c> {
-    code: &'c Code,
-    trace: &'c Trace,
-    guard: Option<Prog>,
-    stack: &'c mut Vec<Value>,
-}
-
-impl Checker<'_> {
-    fn is_true(&mut self, prog: Prog, cycle: usize) -> bool {
-        let sampled = Sampled {
-            trace: self.trace,
-            cycle,
-        };
-        self.code.eval(prog, &sampled, self.stack).is_true()
+fn eval_sequence(prop: &PropExpr, trace: &Trace, cycle: usize, guard: &Option<Expr>) -> SeqResult {
+    if cycle >= trace.len() {
+        return SeqResult::Pending;
     }
-
-    /// The cycle at which the attempt starting at `start` fails, if it does; attempts
-    /// that hold, are disabled, or are still pending at the end of the trace do not.
-    fn attempt(&mut self, property: &Property, start: usize) -> Option<usize> {
-        match self.sequence(&property.body, start) {
-            SeqResult::NoMatch { at } => Some(at),
-            SeqResult::Match { .. } | SeqResult::Pending | SeqResult::Disabled => None,
+    if let Some(g) = guard {
+        if eval_at(g, trace, cycle).is_true() {
+            return SeqResult::Disabled;
         }
     }
-
-    /// Evaluates one element; the guard is re-checked at every step (pinned).
-    fn sequence(&mut self, seq: &Seq, cycle: usize) -> SeqResult {
-        if cycle >= self.trace.len() {
-            return SeqResult::Pending;
-        }
-        if let Some(guard) = self.guard {
-            if self.is_true(guard, cycle) {
-                return SeqResult::Disabled;
+    match prop {
+        PropExpr::Expr(e) => {
+            if eval_at(e, trace, cycle).is_true() {
+                SeqResult::Match { end_cycle: cycle }
+            } else {
+                SeqResult::NoMatch { at: cycle }
             }
         }
-        match seq {
-            Seq::Expr(expr) => {
-                if self.is_true(*expr, cycle) {
-                    SeqResult::Match { end_cycle: cycle }
+        PropExpr::Not(inner) => match eval_sequence(inner, trace, cycle, guard) {
+            SeqResult::Match { end_cycle } => SeqResult::NoMatch { at: end_cycle },
+            SeqResult::NoMatch { at } => SeqResult::Match { end_cycle: at },
+            other => other,
+        },
+        PropExpr::Delay { lhs, cycles, rhs } => {
+            let (start_of_rhs, lhs_end) = match lhs {
+                Some(l) => match eval_sequence(l, trace, cycle, guard) {
+                    SeqResult::Match { end_cycle } => (end_cycle + *cycles as usize, end_cycle),
+                    other => return other,
+                },
+                None => (cycle + *cycles as usize, cycle),
+            };
+            let _ = lhs_end;
+            eval_sequence(rhs, trace, start_of_rhs, guard)
+        }
+        PropExpr::Implication {
+            antecedent,
+            consequent,
+            overlapping,
+        } => match eval_sequence(antecedent, trace, cycle, guard) {
+            SeqResult::NoMatch { .. } => SeqResult::Match { end_cycle: cycle },
+            SeqResult::Pending => SeqResult::Pending,
+            SeqResult::Disabled => SeqResult::Disabled,
+            SeqResult::Match { end_cycle } => {
+                let start = if *overlapping {
+                    end_cycle
                 } else {
-                    SeqResult::NoMatch { at: cycle }
-                }
-            }
-            Seq::Not(inner) => match self.sequence(inner, cycle) {
-                SeqResult::Match { end_cycle } => SeqResult::NoMatch { at: end_cycle },
-                SeqResult::NoMatch { at } => SeqResult::Match { end_cycle: at },
-                other => other,
-            },
-            Seq::Delay { lhs, cycles, rhs } => {
-                let start_of_rhs = match lhs {
-                    Some(lhs) => match self.sequence(lhs, cycle) {
-                        SeqResult::Match { end_cycle } => end_cycle + cycles,
-                        other => return other,
-                    },
-                    None => cycle + cycles,
+                    end_cycle + 1
                 };
-                self.sequence(rhs, start_of_rhs)
+                eval_sequence(consequent, trace, start, guard)
             }
-            Seq::Implication {
-                antecedent,
-                consequent,
-                overlapping,
-            } => match self.sequence(antecedent, cycle) {
-                SeqResult::NoMatch { .. } => SeqResult::Match { end_cycle: cycle },
-                SeqResult::Pending => SeqResult::Pending,
-                SeqResult::Disabled => SeqResult::Disabled,
-                SeqResult::Match { end_cycle } => {
-                    let start = end_cycle + usize::from(!*overlapping);
-                    self.sequence(consequent, start)
-                }
-            },
-        }
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::simulator::Simulator;
     use super::*;
     use crate::elaborate::Design;
-    use crate::simulator::{InputVector, Simulator};
+    use crate::simulator::InputVector;
     use std::collections::BTreeMap;
     use svparse::parse_module;
 
@@ -391,18 +357,5 @@ endmodule
         let trace = Simulator::run(&design, &stim).unwrap();
         let failures = check_assertions(&design, &trace);
         assert!(!failures.is_empty());
-    }
-
-    #[test]
-    fn failure_display_contains_cycles() {
-        let f = AssertionFailure {
-            assertion: "p".into(),
-            start_cycle: 3,
-            fail_cycle: 4,
-            message: None,
-        };
-        let text = f.to_string();
-        assert!(text.contains("cycle 3"));
-        assert!(text.contains("cycle 4"));
     }
 }

@@ -11,14 +11,20 @@
 //! This "preponed sampling" matches how concurrent assertions observe signals in event
 //! driven simulators, so golden designs written in the paper's style pass their own
 //! assertions and injected bugs fail them.
+//!
+//! All of it runs on the design's compiled form (`lower.rs`): the state is a
+//! `Vec<Value>` indexed by slot, a cycle executes flat programs against it, and the
+//! trace is one flat vector of rows.
 
 use crate::elaborate::Design;
-use crate::eval::{eval_in_state, exec_stmt, read_state, State};
+use crate::eval::Scratch;
+use crate::lower::{Comb, Layout};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use svparse::{Item, Module};
+use std::sync::Arc;
+use svparse::Module;
 
 /// One cycle's worth of primary-input values (signal name → integer value).
 pub type InputVector = BTreeMap<String, u64>;
@@ -58,55 +64,177 @@ impl From<crate::elaborate::ElabError> for SimError {
     }
 }
 
-/// A recorded simulation trace: one sampled [`State`] per clock cycle.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A recorded simulation trace: one row of sampled slot values per clock cycle.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    samples: Vec<State>,
+    layout: Arc<Layout>,
+    cycles: usize,
+    /// Cycle-major: the row of cycle `t` is `values[t * slots..][..slots]`.
+    values: Vec<Value>,
 }
 
 impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Self::default()
+    fn new(layout: Arc<Layout>) -> Self {
+        Self {
+            layout,
+            cycles: 0,
+            values: Vec::new(),
+        }
+    }
+
+    /// Appends a row for the engine to sample into.
+    fn push_row(&mut self) -> &mut [Value] {
+        let start = self.values.len();
+        self.values.resize(start + self.layout.len(), Value::ABSENT);
+        self.cycles += 1;
+        &mut self.values[start..]
+    }
+
+    pub(crate) fn layout(&self) -> &Arc<Layout> {
+        &self.layout
+    }
+
+    /// The sampled slot values of a recorded cycle.
+    pub(crate) fn row(&self, cycle: usize) -> &[Value] {
+        let slots = self.layout.len();
+        &self.values[cycle * slots..][..slots]
     }
 
     /// Number of recorded cycles.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.cycles
     }
 
     /// Returns `true` when no cycles have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The sampled state at the given cycle.
-    pub fn sample(&self, cycle: usize) -> Option<&State> {
-        self.samples.get(cycle)
+        self.cycles == 0
     }
 
     /// The value of a signal at a cycle (zero for unknown signals, `None` past the end).
     pub fn value(&self, name: &str, cycle: usize) -> Option<Value> {
-        self.samples.get(cycle).map(|s| read_state(s, name))
+        (cycle < self.cycles).then(|| {
+            self.layout
+                .slot(name)
+                .and_then(|slot| self.row(cycle)[slot as usize].present())
+                .unwrap_or(Value::bit(false))
+        })
     }
 
     /// The value of a signal `past` cycles before `cycle`, clamping at cycle 0.
     pub fn value_past(&self, name: &str, cycle: usize, past: u32) -> Value {
-        let idx = cycle.saturating_sub(past as usize);
-        self.samples
-            .get(idx)
-            .map(|s| read_state(s, name))
-            .unwrap_or_else(|| Value::bit(false))
+        self.value(name, cycle.saturating_sub(past as usize))
+            .unwrap_or(Value::bit(false))
+    }
+}
+
+/// The cycle machinery of one design over a slot state (a `[Value]` with one entry
+/// per slot of the layout); it keeps only scratch buffers between calls.
+#[derive(Debug, Clone)]
+struct Engine<'a> {
+    design: &'a Design,
+    before: Vec<Value>,
+    shadow: Vec<Value>,
+    deferred: Vec<(u32, Value)>,
+    scratch: Scratch,
+}
+
+impl<'a> Engine<'a> {
+    fn new(design: &'a Design) -> Self {
+        Self {
+            design,
+            before: Vec::new(),
+            shadow: Vec::new(),
+            deferred: Vec::new(),
+            scratch: Scratch::default(),
+        }
     }
 
-    /// Appends a sample.
-    pub fn push(&mut self, sample: State) {
-        self.samples.push(sample);
+    /// The state every simulation starts from: all signals zero, `initial` blocks
+    /// executed, combinational logic settled.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::CombinationalLoop`] if the design's combinational logic has
+    /// no fixpoint.
+    fn power_up(&mut self) -> Result<Vec<Value>, SimError> {
+        let compiled = &self.design.compiled;
+        let mut state: Vec<Value> = compiled.layout.zeros().collect();
+        for body in &compiled.initial {
+            compiled
+                .code
+                .exec(*body, &mut state, &mut self.deferred, &mut self.scratch);
+        }
+        for (slot, value) in self.deferred.drain(..) {
+            state[slot as usize] = value;
+        }
+        self.settle(&mut state)?;
+        Ok(state)
     }
 
-    /// Iterates over the samples in cycle order.
-    pub fn iter(&self) -> impl Iterator<Item = &State> {
-        self.samples.iter()
+    /// Advances `state` by one clock cycle, the inputs of the cycle already driven
+    /// into it, and copies the pre-edge sample into `row`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::CombinationalLoop`] if combinational logic fails to settle.
+    fn cycle(&mut self, state: &mut [Value], row: &mut [Value]) -> Result<(), SimError> {
+        let compiled = &self.design.compiled;
+        self.settle(state)?;
+        row.copy_from_slice(state);
+
+        // Every clocked block runs against the pre-edge state: one with blocking
+        // assignments writes them into a shadow copy that is then discarded.
+        for block in &compiled.clocked {
+            let pre_edge = if block.blocking {
+                self.shadow.clear();
+                self.shadow.extend_from_slice(state);
+                &mut self.shadow[..]
+            } else {
+                &mut *state
+            };
+            compiled
+                .code
+                .exec(block.body, pre_edge, &mut self.deferred, &mut self.scratch);
+        }
+        for (slot, value) in self.deferred.drain(..) {
+            state[slot as usize] = value.resize(compiled.layout.width(slot));
+        }
+        self.settle(state)
+    }
+
+    /// Sweeps the combinational items, in module order, until a sweep changes nothing.
+    fn settle(&mut self, state: &mut [Value]) -> Result<(), SimError> {
+        let compiled = &self.design.compiled;
+        for _ in 0..MAX_SETTLE_ITERATIONS {
+            self.before.clear();
+            self.before.extend_from_slice(state);
+            for item in &compiled.comb {
+                match item {
+                    Comb::Assign { target, rhs } => {
+                        let value = compiled.code.eval(*rhs, &*state, &mut self.scratch.stack);
+                        compiled
+                            .code
+                            .assign(target, value, state, &mut self.scratch);
+                    }
+                    Comb::Always(body) => {
+                        compiled
+                            .code
+                            .exec(*body, state, &mut self.deferred, &mut self.scratch);
+                        // Non-blocking writes of a combinational block land as they
+                        // are; only the clock edge resizes (pinned).
+                        for (slot, value) in self.deferred.drain(..) {
+                            state[slot as usize] = value;
+                        }
+                    }
+                }
+            }
+            if *state == self.before[..] {
+                return Ok(());
+            }
+        }
+        Err(SimError::CombinationalLoop {
+            module: self.design.module.name.clone(),
+        })
     }
 }
 
@@ -114,7 +242,8 @@ impl Trace {
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     design: &'a Design,
-    state: State,
+    engine: Engine<'a>,
+    state: Vec<Value>,
     trace: Trace,
 }
 
@@ -127,36 +256,14 @@ impl<'a> Simulator<'a> {
     /// Returns [`SimError::CombinationalLoop`] if the design's combinational logic has
     /// no fixpoint.
     pub fn new(design: &'a Design) -> Result<Self, SimError> {
-        let mut state: State = design
-            .widths
-            .iter()
-            .map(|(name, width)| (name.clone(), Value::zero(*width)))
-            .collect();
-
-        // Execute initial blocks once (blocking semantics).
-        let widths = design.widths.clone();
-        let mut deferred = Vec::new();
-        for item in &design.module.items {
-            if let Item::Initial(block) = item {
-                exec_stmt(&block.body, &mut state, &mut deferred, &widths);
-            }
-        }
-        for (name, value) in deferred.drain(..) {
-            state.insert(name, value);
-        }
-
-        let mut sim = Self {
+        let mut engine = Engine::new(design);
+        let state = engine.power_up()?;
+        Ok(Self {
             design,
+            engine,
             state,
-            trace: Trace::new(),
-        };
-        sim.settle()?;
-        Ok(sim)
-    }
-
-    /// The current (post-step) state.
-    pub fn state(&self) -> &State {
-        &self.state
+            trace: Trace::new(design.compiled.layout.clone()),
+        })
     }
 
     /// The trace of pre-edge samples recorded so far.
@@ -171,39 +278,27 @@ impl<'a> Simulator<'a> {
 
     /// Advances the simulation by one clock cycle.
     ///
+    /// Names the design never mentions are ignored.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::CombinationalLoop`] if combinational logic fails to settle.
     pub fn step(&mut self, inputs: &InputVector) -> Result<(), SimError> {
-        // 1. Apply testbench inputs.
+        let layout = &self.design.compiled.layout;
         for (name, value) in inputs {
-            let width = self.design.width(name);
-            self.state.insert(name.clone(), Value::new(*value, width));
-        }
-
-        // 2. Settle combinational logic → pre-edge state.
-        self.settle()?;
-
-        // 3. Record the SVA sample for this cycle.
-        self.trace.push(self.state.clone());
-
-        // 4. Clock edge: run clocked blocks against the pre-edge state, commit
-        //    non-blocking updates, settle again.
-        let widths = self.design.widths.clone();
-        let mut deferred: Vec<(String, Value)> = Vec::new();
-        for block in self.design.module.always_blocks() {
-            if block.sensitivity.is_combinational() {
-                continue;
+            if let Some(slot) = layout.slot(name) {
+                self.state[slot as usize] = Value::new(*value, layout.width(slot));
             }
-            let mut shadow = self.state.clone();
-            exec_stmt(&block.body, &mut shadow, &mut deferred, &widths);
         }
-        for (name, value) in deferred {
-            let width = self.design.width(&name);
-            self.state.insert(name, value.resize(width));
+        let stepped = self.engine.cycle(&mut self.state, self.trace.push_row());
+        if stepped.is_err() {
+            // A cycle that fails leaves no row behind.
+            self.trace.cycles -= 1;
+            self.trace
+                .values
+                .truncate(self.trace.cycles * self.design.compiled.layout.len());
         }
-        self.settle()?;
-        Ok(())
+        stepped
     }
 
     /// Runs the simulator over a full stimulus, returning the recorded trace.
@@ -214,47 +309,13 @@ impl<'a> Simulator<'a> {
     /// at any cycle.
     pub fn run(design: &'a Design, stimulus: &[InputVector]) -> Result<Trace, SimError> {
         let mut sim = Simulator::new(design)?;
+        sim.trace
+            .values
+            .reserve(stimulus.len() * design.compiled.layout.len());
         for inputs in stimulus {
             sim.step(inputs)?;
         }
         Ok(sim.into_trace())
-    }
-
-    fn settle(&mut self) -> Result<(), SimError> {
-        let widths = self.design.widths.clone();
-        for _ in 0..MAX_SETTLE_ITERATIONS {
-            let before = self.state.clone();
-            for item in &self.design.module.items {
-                match item {
-                    Item::Assign(assign) => {
-                        let value = eval_in_state(&assign.rhs, &self.state);
-                        let mut deferred = Vec::new();
-                        crate::eval::apply_assignment(
-                            &assign.lhs,
-                            value,
-                            &mut self.state,
-                            crate::eval::AssignMode::Immediate,
-                            &mut deferred,
-                            &widths,
-                        );
-                    }
-                    Item::Always(block) if block.sensitivity.is_combinational() => {
-                        let mut deferred = Vec::new();
-                        exec_stmt(&block.body, &mut self.state, &mut deferred, &widths);
-                        for (name, value) in deferred {
-                            self.state.insert(name, value);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if self.state == before {
-                return Ok(());
-            }
-        }
-        Err(SimError::CombinationalLoop {
-            module: self.design.module.name.clone(),
-        })
     }
 }
 
@@ -444,17 +505,18 @@ endmodule
 
     #[test]
     fn trace_value_past_clamps_at_zero() {
-        let mut trace = Trace::new();
-        let mut s0 = State::new();
-        s0.insert("x".into(), Value::new(1, 4));
-        let mut s1 = State::new();
-        s1.insert("x".into(), Value::new(2, 4));
-        trace.push(s0);
-        trace.push(s1);
+        let module = parse_module(
+            "module m(input clk, input [3:0] x, output reg [3:0] q);\n  always @(posedge clk) q <= x;\nendmodule",
+        )
+        .unwrap();
+        let design = Design::elaborate(&module).unwrap();
+        let trace = Simulator::run(&design, &vecs(&[&[("x", 1)], &[("x", 2)]])).unwrap();
         assert_eq!(trace.value_past("x", 1, 0).bits(), 2);
         assert_eq!(trace.value_past("x", 1, 1).bits(), 1);
         assert_eq!(trace.value_past("x", 1, 5).bits(), 1);
         assert_eq!(trace.len(), 2);
+        assert_eq!(trace.value("x", 2), None);
+        assert_eq!(trace.value("ghost", 1), Some(Value::bit(false)));
     }
 
     #[test]

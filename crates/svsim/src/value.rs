@@ -45,6 +45,17 @@ impl Value {
         Self::new(0, width)
     }
 
+    /// What the slot of a name the design never declared holds until something writes
+    /// it.  The reference interpreter has no map entry then, which differs from a
+    /// stored 1-bit zero in two places (a part-select write, the settle fixpoint
+    /// test); everything that reads a value maps this marker to a 1-bit zero first.
+    pub(crate) const ABSENT: Value = Value { bits: 0, width: 0 };
+
+    /// `None` for the [`Value::ABSENT`] marker.
+    pub(crate) fn present(self) -> Option<Value> {
+        (self.width != 0).then_some(self)
+    }
+
     /// The raw bits (already masked to the width).
     pub fn bits(&self) -> u64 {
         self.bits

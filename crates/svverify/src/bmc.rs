@@ -4,6 +4,15 @@
 //! answers, for a bounded depth, whether a design's assertions can be violated.  Small
 //! designs are checked exhaustively over every input sequence; larger ones fall back
 //! to a seeded randomised sweep (documented as a substitution in DESIGN.md).
+//!
+//! ## How a sweep runs
+//!
+//! The stimulus set is built, then its sequences are visited in order — `e = 0, 1,
+//! 2, …` for an enumeration, draw order for a random set: each is simulated from the
+//! power-up state on the design's compiled form ([`Simulator::run`]) and its trace
+//! checked, and the first sequence on which an assertion fails is the verdict's
+//! witness.  `tests/checker_vs_reference.rs` holds the verdicts equal, field for
+//! field, to the same loop over the `svsim::reference` interpreter.
 
 use crate::stimulus;
 use serde::{Deserialize, Serialize};

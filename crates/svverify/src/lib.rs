@@ -35,7 +35,7 @@ pub use bmc::{BoundedChecker, CheckConfig, CheckMethod, Verdict};
 pub use oracle::{SvaValidity, VerifyOracle};
 pub use stimulus::{
     driven_inputs, exhaustive_is_tractable, exhaustive_stimuli, input_bits, random_stimuli,
-    reset_then_constant, DrivenInput,
+    reset_then_constant, DrivenInput, MAX_EXHAUSTIVE_BITS,
 };
 
 #[cfg(test)]

@@ -16,6 +16,11 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use svsim::{Design, InputVector};
 
+/// The most decision bits an exhaustive enumeration may span, whatever the
+/// configuration asks for: sequences are numbered in a `u64` and 2^24 of them is
+/// already hours of simulation.
+pub const MAX_EXHAUSTIVE_BITS: u32 = 24;
+
 /// Description of one primary input to drive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrivenInput {
@@ -40,17 +45,32 @@ pub fn driven_inputs(design: &Design) -> Vec<DrivenInput> {
 
 /// Total number of input bits driven per cycle.
 pub fn input_bits(design: &Design) -> u32 {
-    driven_inputs(design).iter().map(|i| i.width).sum()
+    design.inputs.iter().map(|name| design.width(name)).sum()
+}
+
+/// Decision bits per cycle of an exhaustive enumeration: every input but the reset.
+fn free_bits(design: &Design) -> u64 {
+    design
+        .inputs
+        .iter()
+        .filter(|name| Some(*name) != design.reset_n.as_ref())
+        .map(|name| u64::from(design.width(name)))
+        .sum()
 }
 
 /// Returns `true` if exhaustive enumeration up to `depth` cycles is tractable.
 ///
 /// The limit is expressed in total decision bits (`input bits × depth`, with the reset
-/// held by the directed prefix and therefore excluded from the budget).
+/// held by the directed prefix and therefore excluded from the budget), and is never
+/// more than [`MAX_EXHAUSTIVE_BITS`] however large `max_bits` is.
 pub fn exhaustive_is_tractable(design: &Design, depth: usize, max_bits: u32) -> bool {
+    // The budget assumes the reset is a one-bit port; the enumeration spans the
+    // inputs that are not the reset, which is more when it is not.  Both must fit.
     let reset_bits = u32::from(design.reset_n.is_some());
-    let free_bits = input_bits(design).saturating_sub(reset_bits);
-    (free_bits as u64) * (depth as u64) <= u64::from(max_bits)
+    let budgeted = u64::from(input_bits(design).saturating_sub(reset_bits)) * depth as u64;
+    let enumerated = free_bits(design) * depth as u64;
+    budgeted <= u64::from(max_bits.min(MAX_EXHAUSTIVE_BITS))
+        && enumerated <= u64::from(MAX_EXHAUSTIVE_BITS)
 }
 
 /// Generates every input sequence of length `depth` over the non-reset inputs, with
@@ -70,7 +90,7 @@ pub fn exhaustive_stimuli(design: &Design, depth: usize) -> Vec<Vec<InputVector>
     let bits_per_cycle: u32 = free.iter().map(|i| i.width).sum();
     let total_bits = bits_per_cycle as u64 * depth as u64;
     assert!(
-        total_bits <= 24,
+        total_bits <= u64::from(MAX_EXHAUSTIVE_BITS),
         "exhaustive enumeration over {total_bits} bits is intractable"
     );
     let count = 1u64 << total_bits;
@@ -203,6 +223,17 @@ endmodule
         let d = design();
         assert!(exhaustive_is_tractable(&d, 4, 16));
         assert!(!exhaustive_is_tractable(&d, 10, 16));
+    }
+
+    #[test]
+    fn tractability_is_capped_whatever_the_configuration_asks() {
+        // 3 free bits × 10 cycles = 30 bits: inside a budget of 32 or 64, beyond what
+        // `exhaustive_stimuli` enumerates.
+        let d = design();
+        for max_bits in [32, 64, u32::MAX] {
+            assert!(!exhaustive_is_tractable(&d, 10, max_bits));
+            assert!(exhaustive_is_tractable(&d, 8, max_bits));
+        }
     }
 
     #[test]
