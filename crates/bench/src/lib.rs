@@ -1,9 +1,10 @@
 //! Experiment harness regenerating every table and figure of the AssertSolver paper.
 //!
-//! The binaries in `src/bin/` (`table1` … `fig5`, `all_experiments`) are thin wrappers
+//! The `experiments` binary (`experiments table3`, `experiments all`, …) is a thin wrapper
 //! around [`ExperimentSuite`]: the suite trains the three model checkpoints (base,
 //! SFT, AssertSolver), instantiates the six baseline surrogates, evaluates everything
-//! on SVA-Eval and formats the results in the paper's table layouts.
+//! on SVA-Eval and formats the results in the paper's table layouts.  The crate's
+//! other binary, `svobs`, is the operator CLI over the same evaluation entry points.
 //!
 //! Scale is controlled with the `ASSERTSOLVER_SCALE` environment variable: `quick`
 //! (default, minutes on a laptop) or `full` (larger corpus and n = 20 samples per
@@ -15,81 +16,6 @@ use assertsolver::{
 };
 use svdata::distribution;
 use svmodel::{all_baselines, RepairModel};
-
-/// Collects the machine-readable `BENCH_SUMMARY {...}` lines a bench binary
-/// emits, then **asserts the expected count in the binary itself** and writes
-/// the lines to a `BENCH_<name>.json` perf-trajectory file at the repo root.
-///
-/// Before this, only CI grepped the bench logs for the summary-line count, so
-/// a local `cargo bench` could silently emit the wrong shape.  `finish()`
-/// makes the binary its own gate: a missing or extra summary line exits
-/// non-zero with a loud message wherever the bench runs.
-pub struct SummaryWriter {
-    bench: &'static str,
-    expected: usize,
-    lines: Vec<String>,
-}
-
-impl SummaryWriter {
-    /// A writer for the named bench that must emit exactly `expected` lines.
-    pub fn new(bench: &'static str, expected: usize) -> Self {
-        Self {
-            bench,
-            expected,
-            lines: Vec::new(),
-        }
-    }
-
-    /// Prints `BENCH_SUMMARY <json>` (the greppable trajectory line) and
-    /// records the JSON object for the trajectory file.
-    pub fn emit(&mut self, json: String) {
-        println!("BENCH_SUMMARY {json}");
-        self.lines.push(json);
-    }
-
-    /// The trajectory-file contents: one JSON object per summary line, wrapped
-    /// so the file is itself valid JSON.
-    pub fn render(&self) -> String {
-        let mut out = format!("{{\"bench\":{:?},\"summaries\":[\n", self.bench);
-        for (idx, line) in self.lines.iter().enumerate() {
-            out.push_str(line);
-            out.push_str(if idx + 1 < self.lines.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("]}\n");
-        out
-    }
-
-    /// Asserts the emitted-line count and writes `BENCH_<name>.json` at the
-    /// repo root.  Exits non-zero on a count mismatch or an unwritable file —
-    /// the bench binary is the gate, not a CI grep over its logs.
-    pub fn finish(self) {
-        if self.lines.len() != self.expected {
-            eprintln!(
-                "bench {}: emitted {} BENCH_SUMMARY lines, expected {}",
-                self.bench,
-                self.lines.len(),
-                self.expected
-            );
-            std::process::exit(1);
-        }
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(format!("BENCH_{}.json", self.bench));
-        if let Err(err) = std::fs::write(&path, self.render()) {
-            eprintln!(
-                "bench {}: cannot write {}: {err}",
-                self.bench,
-                path.display()
-            );
-            std::process::exit(1);
-        }
-        println!("bench {}: trajectory -> {}", self.bench, path.display());
-    }
-}
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -355,7 +281,7 @@ impl ExperimentSuite {
         out
     }
 
-    /// All experiments concatenated (the `all_experiments` binary).
+    /// All experiments concatenated (`experiments all`).
     pub fn all(&self) -> String {
         let mut out = String::new();
         for section in [
@@ -397,19 +323,6 @@ mod tests {
         let base = suite.checkpoints[0].overall();
         let solver = suite.checkpoints[2].overall();
         assert!(solver.pass1 > base.pass1);
-    }
-
-    #[test]
-    fn summary_writer_renders_valid_trajectory_json() {
-        let mut writer = SummaryWriter::new("unit", 2);
-        writer.emit("{\"bench\":\"unit\",\"mode\":\"a\",\"secs\":0.5}".to_string());
-        writer.emit("{\"bench\":\"unit\",\"mode\":\"b\",\"secs\":0.25}".to_string());
-        let rendered = writer.render();
-        assert!(rendered.starts_with("{\"bench\":\"unit\",\"summaries\":[\n"));
-        assert!(rendered.contains("\"mode\":\"a\""));
-        assert!(rendered.trim_end().ends_with("]}"));
-        // Two objects, comma-separated: exactly one trailing-comma line.
-        assert_eq!(rendered.matches("},\n").count(), 1);
     }
 
     #[test]

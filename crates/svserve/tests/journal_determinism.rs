@@ -98,7 +98,7 @@ fn journal_certifies_the_evaluation_and_one_terminal_per_session() {
     let parsed = parse_journal(&rendered).expect("journal parses");
 
     // The footer payload is the run's serialized evaluation — the byte-equality
-    // `svreplay` asserts covers the outcome, not only the event stream.
+    // `svobs replay` asserts covers the outcome, not only the event stream.
     let payload = serde_json::to_string(&evaluation).expect("evaluation serializes");
     assert_eq!(parsed.footer.payload, payload);
     assert_eq!(parsed.header.manifest, manifest.render());

@@ -24,89 +24,17 @@
 //! `--seed`, and the `Hello` fingerprint handshake refuses a fleet serving a
 //! different model.  CI's transport matrix runs this example at 1 and 2 shards.
 
+mod common;
+
 use assertsolver::{
     evaluate_model_over_fleet, evaluate_model_with, EvalConfig, EvalVerifier, ShardSpec,
 };
-use std::io::{BufRead, BufReader};
+use common::ShardProcess;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 use svdata::SvaBugEntry;
 use svmodel::{AssertSolverModel, CaseInput, RepairModel};
 use svserve::{shard_for_key, RepairRequest, ShardFleet};
-
-/// Locates the `shard-serve` binary next to this example
-/// (`target/<profile>/shard-serve`), building it if it is missing.
-fn shard_serve_binary() -> PathBuf {
-    let exe = std::env::current_exe().expect("current_exe");
-    // target/<profile>/examples/distributed_shards -> target/<profile>
-    let profile_dir = exe
-        .parent()
-        .and_then(Path::parent)
-        .expect("example lives under target/<profile>/examples")
-        .to_path_buf();
-    let binary = profile_dir.join("shard-serve");
-    if !binary.exists() {
-        let mut build = Command::new(env!("CARGO"));
-        build.args(["build", "-p", "svserve", "--bin", "shard-serve"]);
-        if profile_dir.file_name().and_then(|n| n.to_str()) == Some("release") {
-            build.arg("--release");
-        }
-        let status = build.status().expect("run cargo build for shard-serve");
-        assert!(status.success(), "building shard-serve failed");
-    }
-    assert!(binary.exists(), "shard-serve binary at {binary:?}");
-    binary
-}
-
-/// One running `shard-serve` child.  Closing its stdin asks it to flush its
-/// snapshot and exit; killing it simulates a crashed shard.
-struct ShardProcess {
-    child: Child,
-}
-
-impl ShardProcess {
-    fn spawn(binary: &Path, socket: &Path, model_file: &Path, snapshot: &Path, seed: u64) -> Self {
-        let mut child = Command::new(binary)
-            .arg("--socket")
-            .arg(socket)
-            .arg("--model-file")
-            .arg(model_file)
-            .arg("--snapshot-file")
-            .arg(snapshot)
-            .args(["--seed", &seed.to_string(), "--workers", "2"])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn shard-serve");
-        // The child prints `LISTENING <socket>` once the socket is bound.
-        let stdout = child.stdout.take().expect("child stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let banner = lines
-            .next()
-            .expect("shard-serve prints a banner")
-            .expect("read shard-serve banner");
-        assert!(
-            banner.starts_with("LISTENING"),
-            "unexpected shard-serve banner: {banner}"
-        );
-        Self { child }
-    }
-
-    /// Graceful shutdown: close stdin (the child's exit signal) and wait, so
-    /// the shard flushes its response snapshot for the next warm start.
-    fn shutdown(mut self) {
-        drop(self.child.stdin.take());
-        let status = self.child.wait().expect("wait for shard-serve");
-        assert!(status.success(), "shard-serve exited with {status}");
-    }
-
-    /// Simulated crash: SIGKILL, no flush, no goodbye on the wire.
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
 
 fn spawn_fleet(
     binary: &Path,
@@ -121,7 +49,11 @@ fn spawn_fleet(
         let socket = dir.join(format!("shard-{shard}.sock"));
         let snapshot = dir.join(format!("shard-{shard}-snapshot.json"));
         processes.push(ShardProcess::spawn(
-            binary, &socket, model_file, &snapshot, seed,
+            binary,
+            &socket,
+            model_file,
+            Some(&snapshot),
+            seed,
         ));
         sockets.push(socket);
     }
@@ -179,7 +111,7 @@ fn main() {
         baseline.passk().pass1
     );
 
-    let binary = shard_serve_binary();
+    let binary = common::workspace_binary("shard-serve", "svserve");
     let spec_timeout = Duration::from_millis(10_000);
 
     // 2. Cold remote: freshly started shards, empty caches.

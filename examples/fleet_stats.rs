@@ -1,6 +1,6 @@
 //! Live fleet introspection: run traffic through `shard-serve` processes,
-//! then read the fleet back with the `Stats` wire exchange and the `svstat`
-//! binary.
+//! then read the fleet back with the `Stats` wire exchange and `svobs stat`
+//! (called `svstat` below).
 //!
 //! ```text
 //! cargo run --release --example fleet_stats
@@ -15,106 +15,25 @@
 //!    (`service.submitted` equals the cases served) *and* live latency
 //!    histograms (`service.repair.solve` with one observation per solve) —
 //!    shard processes always run with telemetry on;
-//! 2. **binary** — `svstat --sockets a,b` renders the same fleet as a table
+//! 2. **binary** — `svobs stat --sockets a,b` renders the same fleet as a table
 //!    (per-shard liveness, hit rates, percentile columns), and
 //!    `svstat --json` emits a parseable [`RegistrySnapshot`] exposition;
 //! 3. **degradation** — against a half-dead fleet `svstat` still exits 0 and
 //!    reports `1/2 shards live`; against an all-dead fleet it exits 1.
 
+mod common;
+
 use assertsolver::{evaluate_model_over_fleet, EvalConfig, EvalVerifier};
-use std::io::{BufRead, BufReader};
+use common::{workspace_binary, ShardProcess};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 use svdata::SvaBugEntry;
 use svmodel::{AssertSolverModel, RepairModel};
 use svserve::{MetricKind, RegistrySnapshot, ShardFleet};
 
-/// Locates a binary next to this example (`target/<profile>/<name>`),
-/// building it if missing.
-fn workspace_binary(name: &str, package: &str) -> PathBuf {
-    let exe = std::env::current_exe().expect("current_exe");
-    let profile_dir = exe
-        .parent()
-        .and_then(Path::parent)
-        .expect("example lives under target/<profile>/examples")
-        .to_path_buf();
-    let binary = profile_dir.join(name);
-    if !binary.exists() {
-        let mut build = Command::new(env!("CARGO"));
-        build.args(["build", "-p", package, "--bin", name]);
-        if profile_dir.file_name().and_then(|n| n.to_str()) == Some("release") {
-            build.arg("--release");
-        }
-        let status = build.status().expect("run cargo build");
-        assert!(status.success(), "building {name} failed");
-    }
-    assert!(binary.exists(), "{name} binary at {binary:?}");
-    binary
-}
-
-/// One running `shard-serve` child (stdin-close is the shutdown signal).
-struct ShardProcess {
-    child: Child,
-}
-
-impl ShardProcess {
-    fn spawn(binary: &Path, socket: &Path, model_file: &Path, seed: u64) -> Self {
-        let mut child = Command::new(binary)
-            .arg("--socket")
-            .arg(socket)
-            .arg("--model-file")
-            .arg(model_file)
-            .args(["--seed", &seed.to_string(), "--workers", "2"])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn shard-serve");
-        let stdout = child.stdout.take().expect("child stdout");
-        let banner = BufReader::new(stdout)
-            .lines()
-            .next()
-            .expect("shard-serve prints a banner")
-            .expect("read shard-serve banner");
-        assert!(
-            banner.starts_with("LISTENING"),
-            "unexpected shard-serve banner: {banner}"
-        );
-        Self { child }
-    }
-
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// A mid-example assertion failure unwinds past the explicit `kill()` calls;
-/// without this guard the spawned `shard-serve` children would outlive the
-/// example and leak (holding their sockets) until the host reaps them.
-/// `kill()` is idempotent, so the normal path's explicit kills stay valid.
-impl Drop for ShardProcess {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-fn run_svstat(binary: &Path, sockets: &[PathBuf], extra: &[&str]) -> (bool, String, String) {
-    let joined = sockets
-        .iter()
-        .map(|socket| socket.display().to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let output = Command::new(binary)
-        .args(["--sockets", &joined])
-        .args(extra)
-        .output()
-        .expect("run svstat");
-    (
-        output.status.success(),
-        String::from_utf8_lossy(&output.stdout).into_owned(),
-        String::from_utf8_lossy(&output.stderr).into_owned(),
-    )
+fn run_svstat(svobs: &Path, sockets: &[PathBuf], extra: &[&str]) -> (bool, String, String) {
+    let joined = common::socket_list(sockets);
+    common::run(svobs, &[&["stat", "--sockets", &joined], extra].concat())
 }
 
 fn main() {
@@ -140,7 +59,7 @@ fn main() {
     };
 
     let shard_serve = workspace_binary("shard-serve", "svserve");
-    let svstat = workspace_binary("svstat", "svserve");
+    let svstat = workspace_binary("svobs", "assertsolver-bench");
     let timeout = Duration::from_millis(10_000);
 
     let sockets: Vec<PathBuf> = (0..2)
@@ -148,7 +67,7 @@ fn main() {
         .collect();
     let mut processes: Vec<ShardProcess> = sockets
         .iter()
-        .map(|socket| ShardProcess::spawn(&shard_serve, socket, &model_file, config.seed))
+        .map(|socket| ShardProcess::spawn(&shard_serve, socket, &model_file, None, config.seed))
         .collect();
 
     // Drive real traffic so the shards have something to report.

@@ -1,6 +1,7 @@
 //! Cross-process causal tracing: prove the trace tree reconstructed from a
 //! live 2-shard `shard-serve` fleet is byte-identical to the in-process one,
-//! then drive the `svtrace` and `svtop` binaries against the same fleet.
+//! then drive `svobs trace` and `svobs top` (`svtrace` and `svtop` below)
+//! against the same fleet.
 //!
 //! ```text
 //! cargo run --release --example trace_fleet
@@ -23,95 +24,17 @@
 //!    columns, `--once --json` emits a parseable per-shard exposition, and
 //!    against an all-dead fleet `--once` exits 1 without hanging.
 
+mod common;
+
 use assertsolver::{
     evaluate_model_observed, evaluate_model_over_fleet_traced, EvalConfig, EvalVerifier,
 };
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use common::{run, workspace_binary, ShardProcess};
+use std::path::PathBuf;
 use std::time::Duration;
 use svdata::SvaBugEntry;
 use svmodel::{AssertSolverModel, RepairModel};
 use svserve::{ShardFleet, TelemetryHandle, TraceForest, TraceHandle, TracerHandle};
-
-/// Locates a binary next to this example (`target/<profile>/<name>`),
-/// building it if missing.
-fn workspace_binary(name: &str, package: &str) -> PathBuf {
-    let exe = std::env::current_exe().expect("current_exe");
-    let profile_dir = exe
-        .parent()
-        .and_then(Path::parent)
-        .expect("example lives under target/<profile>/examples")
-        .to_path_buf();
-    let binary = profile_dir.join(name);
-    if !binary.exists() {
-        let mut build = Command::new(env!("CARGO"));
-        build.args(["build", "-p", package, "--bin", name]);
-        if profile_dir.file_name().and_then(|n| n.to_str()) == Some("release") {
-            build.arg("--release");
-        }
-        let status = build.status().expect("run cargo build");
-        assert!(status.success(), "building {name} failed");
-    }
-    assert!(binary.exists(), "{name} binary at {binary:?}");
-    binary
-}
-
-/// One running `shard-serve` child (stdin-close is the shutdown signal).
-struct ShardProcess {
-    child: Child,
-}
-
-impl ShardProcess {
-    fn spawn(binary: &Path, socket: &Path, model_file: &Path, seed: u64) -> Self {
-        let mut child = Command::new(binary)
-            .arg("--socket")
-            .arg(socket)
-            .arg("--model-file")
-            .arg(model_file)
-            .args(["--seed", &seed.to_string(), "--workers", "2"])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn shard-serve");
-        let stdout = child.stdout.take().expect("child stdout");
-        let banner = BufReader::new(stdout)
-            .lines()
-            .next()
-            .expect("shard-serve prints a banner")
-            .expect("read shard-serve banner");
-        assert!(
-            banner.starts_with("LISTENING"),
-            "unexpected shard-serve banner: {banner}"
-        );
-        Self { child }
-    }
-
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Assertion failures unwind past the explicit kills; the guard keeps the
-/// children from outliving the example (kill() is idempotent).
-impl Drop for ShardProcess {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-fn run(binary: &Path, args: &[&str]) -> (bool, String, String) {
-    let output = Command::new(binary)
-        .args(args)
-        .output()
-        .expect("run binary");
-    (
-        output.status.success(),
-        String::from_utf8_lossy(&output.stdout).into_owned(),
-        String::from_utf8_lossy(&output.stderr).into_owned(),
-    )
-}
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("assertsolver-trace-{}", std::process::id()));
@@ -154,8 +77,7 @@ fn main() {
     assert!(!reference.is_empty(), "in-process run produced spans");
 
     let shard_serve = workspace_binary("shard-serve", "svserve");
-    let svtrace = workspace_binary("svtrace", "assertsolver-bench");
-    let svtop = workspace_binary("svtop", "svserve");
+    let svobs = workspace_binary("svobs", "assertsolver-bench");
     let timeout = Duration::from_millis(10_000);
 
     let sockets: Vec<PathBuf> = (0..2)
@@ -163,13 +85,9 @@ fn main() {
         .collect();
     let mut processes: Vec<ShardProcess> = sockets
         .iter()
-        .map(|socket| ShardProcess::spawn(&shard_serve, socket, &model_file, config.seed))
+        .map(|socket| ShardProcess::spawn(&shard_serve, socket, &model_file, None, config.seed))
         .collect();
-    let socket_list = sockets
-        .iter()
-        .map(|socket| socket.display().to_string())
-        .collect::<Vec<_>>()
-        .join(",");
+    let socket_list = common::socket_list(&sockets);
 
     // 2. Library surface: the tree merged from live `TraceReply` frames is
     //    byte-identical to the in-process reference.
@@ -190,8 +108,9 @@ fn main() {
     //    projection still matches — warm caches change wall clocks only —
     //    and every session clears the 95% attribution bar.
     let (ok, stdout, stderr) = run(
-        &svtrace,
+        &svobs,
         &[
+            "trace",
             "--seed",
             &seed.to_string(),
             "--limit",
@@ -207,8 +126,9 @@ fn main() {
         "svtrace --sockets --deterministic prints the reference bytes"
     );
     let (ok, stdout, stderr) = run(
-        &svtrace,
+        &svobs,
         &[
+            "trace",
             "--seed",
             &seed.to_string(),
             "--limit",
@@ -233,14 +153,17 @@ fn main() {
 
     // 4. svtop against the same fleet: the shards have served real traffic,
     //    so the window plane reports completions and latency quantiles.
-    let (ok, table, stderr) = run(&svtop, &["--sockets", &socket_list, "--once"]);
+    let (ok, table, stderr) = run(&svobs, &["top", "--sockets", &socket_list, "--once"]);
     assert!(ok, "svtop --once exits 0 (stderr: {stderr})");
     assert!(
         table.contains("fleet: 2/2 shards live"),
         "svtop reports liveness:\n{table}"
     );
     assert!(table.contains("p99_ns"), "svtop renders quantile columns");
-    let (ok, json, _) = run(&svtop, &["--sockets", &socket_list, "--once", "--json"]);
+    let (ok, json, _) = run(
+        &svobs,
+        &["top", "--sockets", &socket_list, "--once", "--json"],
+    );
     assert!(ok, "svtop --once --json exits 0");
     assert!(
         json.contains("\"ok\":true") && json.contains("\"width\":"),
@@ -252,7 +175,7 @@ fn main() {
     for process in &mut processes {
         process.kill();
     }
-    let (ok, _, stderr) = run(&svtop, &["--sockets", &socket_list, "--once"]);
+    let (ok, _, stderr) = run(&svobs, &["top", "--sockets", &socket_list, "--once"]);
     assert!(!ok, "svtop against an all-dead fleet exits nonzero");
     assert!(
         stderr.contains("no shard answered"),
