@@ -26,7 +26,7 @@
 //!
 //! | check | guards against |
 //! |---|---|
-//! | file parses as JSON | corruption, truncated writes |
+//! | file parses as JSON | corruption, truncated writes, nesting past the parser's cap |
 //! | `format_version` | old processes reading a future layout |
 //! | `kind` | pointing a verdict pool at a response snapshot |
 //! | `fingerprint` | stale seeds / changed bounded-check parameters |
@@ -737,6 +737,34 @@ mod tests {
                 entries: vec![(VerdictKey(1), true, 1)],
             })
         );
+        cleanup(&spec);
+    }
+
+    #[test]
+    fn a_snapshot_nested_past_the_parser_cap_is_rejected_not_fatal() {
+        // 200 KB of `[` used to overflow the parser's stack and abort the
+        // process; "loading never fails the service" covers this file too.
+        let spec = temp_spec("too-deep");
+        std::fs::create_dir_all(spec.path.parent().unwrap()).unwrap();
+        std::fs::write(&spec.path, "[".repeat(200_000)).unwrap();
+        let unparseable = |reason: &str| reason.starts_with("unparseable snapshot: ");
+        assert!(matches!(
+            load_verdict_snapshot(&spec),
+            SnapshotLoad::Rejected(reason) if unparseable(&reason)
+        ));
+        assert!(matches!(
+            load_response_snapshot(&spec),
+            SnapshotLoad::Rejected(reason) if unparseable(&reason)
+        ));
+        // A pool pointed at it counts the reject and starts cold.
+        let pool: crate::VerifyPool<String> = crate::VerifyPool::start(
+            Arc::new(|_: &String, _: &Response| true),
+            crate::VerifyConfig::default().with_persist(spec.clone()),
+        );
+        let metrics = pool.metrics();
+        assert_eq!(metrics.snapshot_rejects, 1);
+        assert_eq!(metrics.snapshot_loaded_entries, 0);
+        pool.shutdown();
         cleanup(&spec);
     }
 

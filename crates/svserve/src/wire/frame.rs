@@ -391,11 +391,17 @@ mod tests {
 
     #[test]
     fn garbage_body_with_a_valid_checksum_is_a_codec_error() {
-        let body = b"not json at all";
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&fnv64(body).to_le_bytes());
-        bytes.extend_from_slice(body);
-        assert!(matches!(decode_frame(&bytes), Err(FrameError::Codec(_))));
+        // The sender computes the checksum, so it vouches for nothing: a body
+        // nested 200 000 deep (200 KB, far inside MAX_FRAME_LEN) must come back
+        // as an error too, not overflow the parser's stack and abort the shard.
+        for body in [b"not json at all".to_vec(), vec![b'['; 200_000]] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&fnv64(&body).to_le_bytes());
+            bytes.extend_from_slice(&body);
+            assert!(matches!(decode_frame(&bytes), Err(FrameError::Codec(_))));
+            let mut cursor = std::io::Cursor::new(bytes);
+            assert!(matches!(read_frame(&mut cursor), Err(FrameError::Codec(_))));
+        }
     }
 }
