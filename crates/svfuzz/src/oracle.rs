@@ -533,7 +533,7 @@ pub fn sim_differential(source: &str) -> (OracleOutcome, u64) {
             continue;
         };
         let stimuli =
-            svverify::random_stimuli(&design, SIM_DIFF_DEPTH, SIM_DIFF_SEQUENCES, seed ^ n as u64);
+            svverify::Stimuli::random(&design, SIM_DIFF_DEPTH, SIM_DIFF_SEQUENCES, seed ^ n as u64);
         for stimulus in stimuli {
             pairs += 1;
             if let Some(difference) = svsim::reference::first_divergence(&design, &stimulus) {

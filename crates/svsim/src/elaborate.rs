@@ -5,6 +5,7 @@
 //! properties/assertions that the SVA checker will evaluate.
 
 use crate::lower::Compiled;
+use crate::simulator::InputSlot;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -157,6 +158,21 @@ impl Design {
     /// signals synthesised internally by the simulator).
     pub fn width(&self, name: &str) -> u32 {
         self.widths.get(name).copied().unwrap_or(1)
+    }
+
+    /// Number of slots in a state of this design (see [`crate::Engine`]).
+    pub fn slot_count(&self) -> usize {
+        self.compiled.layout.len()
+    }
+
+    /// Where a testbench value for `name` goes, or `None` for a name the design never
+    /// mentions.  Any signal can be driven, not only the ports; a name the design uses
+    /// without declaring is driven one bit wide.
+    pub fn input_slot(&self, name: &str) -> Option<InputSlot> {
+        let layout = &self.compiled.layout;
+        layout
+            .slot(name)
+            .map(|slot| InputSlot::new(slot, layout.width(slot)))
     }
 
     /// Returns `true` if the design has at least one concurrent assertion.

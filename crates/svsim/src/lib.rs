@@ -11,10 +11,12 @@
 //! Elaboration ends by *lowering* the design (`lower.rs`): every signal becomes a slot
 //! of a `Vec<Value>`, every expression a postfix program over slots, every procedural
 //! body a flat list of steps, every assertion a small tree with programs at its
-//! leaves.  [`Simulator`] runs those programs over one slot state — reset state, then
-//! one clock cycle per step — and records a [`Trace`]: one flat vector of rows that
-//! [`check_assertions`] and [`render_log`] read by slot.  A signal is looked up by
-//! name only where a testbench value enters.
+//! leaves.  [`Engine`] runs those programs — reset state, then one clock cycle per
+//! call — over slot states the caller owns and records a [`Trace`]: one flat vector of
+//! rows that [`check_assertions`] and [`render_log`] read by slot.  [`Simulator`] is an
+//! engine with one state and one trace; it looks a signal up by name only where a
+//! testbench value enters, and a caller that resolves its inputs once
+//! ([`Design::input_slot`]) and drives the engine itself never does.
 //!
 //! [`mod@reference`] holds the interpreter this replaced — state in a
 //! `BTreeMap<String, Value>`, the syntax tree walked directly.  It defines what the
@@ -60,7 +62,9 @@ pub mod value;
 
 pub use elaborate::{Design, ElabError, ResolvedAssertion, SignalClass};
 pub use log::{failing_assertions_in_log, render_failure_line, render_log};
-pub use simulator::{simulate, InputVector, SimError, SimOutcome, Simulator, Trace};
+pub use simulator::{
+    simulate, Engine, InputSlot, InputVector, SimError, SimOutcome, Simulator, Trace,
+};
 pub use sva::{check_assertions, AssertionFailure};
 pub use value::Value;
 

@@ -14,7 +14,10 @@
 //!
 //! All of it runs on the design's compiled form (`lower.rs`): the state is a
 //! `Vec<Value>` indexed by slot, a cycle executes flat programs against it, and the
-//! trace is one flat vector of rows.
+//! trace is one flat vector of rows.  [`Engine`] is that machinery with no state of
+//! its own, which is what lets the bounded checker power up once and run every
+//! sequence of a sweep on a copy of that state; [`Simulator`] is an engine plus one
+//! state and one trace.
 
 use crate::elaborate::Design;
 use crate::eval::Scratch;
@@ -74,20 +77,19 @@ pub struct Trace {
 }
 
 impl Trace {
-    fn new(layout: Arc<Layout>) -> Self {
+    /// An empty trace for [`Engine::cycle`] to record a simulation of `design` into.
+    pub fn new(design: &Design) -> Self {
         Self {
-            layout,
+            layout: design.compiled.layout.clone(),
             cycles: 0,
             values: Vec::new(),
         }
     }
 
-    /// Appends a row for the engine to sample into.
-    fn push_row(&mut self) -> &mut [Value] {
-        let start = self.values.len();
-        self.values.resize(start + self.layout.len(), Value::ABSENT);
-        self.cycles += 1;
-        &mut self.values[start..]
+    /// Forgets the recorded cycles and keeps their storage for the next recording.
+    pub fn clear(&mut self) {
+        self.cycles = 0;
+        self.values.clear();
     }
 
     pub(crate) fn layout(&self) -> &Arc<Layout> {
@@ -127,10 +129,33 @@ impl Trace {
     }
 }
 
-/// The cycle machinery of one design over a slot state (a `[Value]` with one entry
-/// per slot of the layout); it keeps only scratch buffers between calls.
+/// Where the testbench drives one named input: its slot and the width values are
+/// sized to.  Obtained from [`Design::input_slot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InputSlot {
+    slot: u32,
+    width: u32,
+}
+
+impl InputSlot {
+    pub(crate) fn new(slot: u32, width: u32) -> Self {
+        Self { slot, width }
+    }
+
+    /// Sets the input in a slot state, masking `value` to the input's width.
+    pub fn drive(&self, state: &mut [Value], value: u64) {
+        state[self.slot as usize] = Value::new(value, self.width);
+    }
+}
+
+/// The cycle machinery of one design, over slot states the caller owns.
+///
+/// A *slot state* is a `[Value]` of [`Design::slot_count`] entries.  The engine keeps
+/// only scratch buffers between calls, so one engine can advance any number of states
+/// of its design — which is how the bounded checker powers a design up once and runs
+/// every sequence of a sweep on a copy of that state.
 #[derive(Debug, Clone)]
-struct Engine<'a> {
+pub struct Engine<'a> {
     design: &'a Design,
     before: Vec<Value>,
     shadow: Vec<Value>,
@@ -139,7 +164,8 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(design: &'a Design) -> Self {
+    /// An engine for a design.
+    pub fn new(design: &'a Design) -> Self {
         Self {
             design,
             before: Vec::new(),
@@ -156,7 +182,7 @@ impl<'a> Engine<'a> {
     ///
     /// Returns [`SimError::CombinationalLoop`] if the design's combinational logic has
     /// no fixpoint.
-    fn power_up(&mut self) -> Result<Vec<Value>, SimError> {
+    pub fn power_up(&mut self) -> Result<Vec<Value>, SimError> {
         let compiled = &self.design.compiled;
         let mut state: Vec<Value> = compiled.layout.zeros().collect();
         for body in &compiled.initial {
@@ -172,15 +198,17 @@ impl<'a> Engine<'a> {
     }
 
     /// Advances `state` by one clock cycle, the inputs of the cycle already driven
-    /// into it, and copies the pre-edge sample into `row`.
+    /// into it, and appends the pre-edge sample to `trace`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::CombinationalLoop`] if combinational logic fails to settle.
-    fn cycle(&mut self, state: &mut [Value], row: &mut [Value]) -> Result<(), SimError> {
+    /// Returns [`SimError::CombinationalLoop`] if combinational logic fails to settle;
+    /// the failed cycle leaves no row behind.
+    pub fn cycle(&mut self, state: &mut [Value], trace: &mut Trace) -> Result<(), SimError> {
         let compiled = &self.design.compiled;
         self.settle(state)?;
-        row.copy_from_slice(state);
+        trace.values.extend_from_slice(state);
+        trace.cycles += 1;
 
         // Every clocked block runs against the pre-edge state: one with blocking
         // assignments writes them into a shadow copy that is then discarded.
@@ -199,7 +227,12 @@ impl<'a> Engine<'a> {
         for (slot, value) in self.deferred.drain(..) {
             state[slot as usize] = value.resize(compiled.layout.width(slot));
         }
-        self.settle(state)
+        let settled = self.settle(state);
+        if settled.is_err() {
+            trace.cycles -= 1;
+            trace.values.truncate(trace.cycles * state.len());
+        }
+        settled
     }
 
     /// Sweeps the combinational items, in module order, until a sweep changes nothing.
@@ -262,7 +295,7 @@ impl<'a> Simulator<'a> {
             design,
             engine,
             state,
-            trace: Trace::new(design.compiled.layout.clone()),
+            trace: Trace::new(design),
         })
     }
 
@@ -284,21 +317,12 @@ impl<'a> Simulator<'a> {
     ///
     /// Returns [`SimError::CombinationalLoop`] if combinational logic fails to settle.
     pub fn step(&mut self, inputs: &InputVector) -> Result<(), SimError> {
-        let layout = &self.design.compiled.layout;
         for (name, value) in inputs {
-            if let Some(slot) = layout.slot(name) {
-                self.state[slot as usize] = Value::new(*value, layout.width(slot));
+            if let Some(input) = self.design.input_slot(name) {
+                input.drive(&mut self.state, *value);
             }
         }
-        let stepped = self.engine.cycle(&mut self.state, self.trace.push_row());
-        if stepped.is_err() {
-            // A cycle that fails leaves no row behind.
-            self.trace.cycles -= 1;
-            self.trace
-                .values
-                .truncate(self.trace.cycles * self.design.compiled.layout.len());
-        }
-        stepped
+        self.engine.cycle(&mut self.state, &mut self.trace)
     }
 
     /// Runs the simulator over a full stimulus, returning the recorded trace.
@@ -311,7 +335,7 @@ impl<'a> Simulator<'a> {
         let mut sim = Simulator::new(design)?;
         sim.trace
             .values
-            .reserve(stimulus.len() * design.compiled.layout.len());
+            .reserve(stimulus.len() * design.slot_count());
         for inputs in stimulus {
             sim.step(inputs)?;
         }

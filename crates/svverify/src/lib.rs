@@ -31,11 +31,11 @@ pub mod bmc;
 pub mod oracle;
 pub mod stimulus;
 
-pub use bmc::{BoundedChecker, CheckConfig, CheckMethod, Verdict};
+pub use bmc::{BoundedChecker, CheckConfig, CheckMethod, SweepWork, Verdict};
 pub use oracle::{SvaValidity, VerifyOracle};
 pub use stimulus::{
     driven_inputs, exhaustive_is_tractable, exhaustive_stimuli, input_bits, random_stimuli,
-    reset_then_constant, DrivenInput, MAX_EXHAUSTIVE_BITS,
+    reset_then_constant, DrivenInput, Stimuli, MAX_EXHAUSTIVE_BITS,
 };
 
 #[cfg(test)]

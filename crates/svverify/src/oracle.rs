@@ -10,7 +10,7 @@
 //! plus a bounded input/output equivalence check used by tests and ablations.
 
 use crate::bmc::{BoundedChecker, CheckConfig, Verdict};
-use crate::stimulus;
+use crate::stimulus::Stimuli;
 use serde::{Deserialize, Serialize};
 use svparse::Module;
 use svsim::{Design, Simulator};
@@ -91,10 +91,9 @@ impl VerifyOracle {
         let ref_design = Design::elaborate(reference).map_err(|e| e.to_string())?;
         let cand_design = Design::elaborate(candidate).map_err(|e| e.to_string())?;
         let depth = self.checker.config().depth;
-        let stimuli = stimulus::random_stimuli(&ref_design, depth, sequences, seed);
-        for stim in &stimuli {
-            let ref_trace = Simulator::run(&ref_design, stim).map_err(|e| e.to_string())?;
-            let cand_trace = Simulator::run(&cand_design, stim).map_err(|e| e.to_string())?;
+        for stim in Stimuli::random(&ref_design, depth, sequences, seed) {
+            let ref_trace = Simulator::run(&ref_design, &stim).map_err(|e| e.to_string())?;
+            let cand_trace = Simulator::run(&cand_design, &stim).map_err(|e| e.to_string())?;
             for cycle in 0..ref_trace.len() {
                 for output in &ref_design.outputs {
                     let a = ref_trace.value(output, cycle);

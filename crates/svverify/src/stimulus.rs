@@ -14,6 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use svsim::value::mask;
 use svsim::{Design, InputVector};
 
 /// The most decision bits an exhaustive enumeration may span, whatever the
@@ -48,12 +49,17 @@ pub fn input_bits(design: &Design) -> u32 {
     design.inputs.iter().map(|name| design.width(name)).sum()
 }
 
-/// Decision bits per cycle of an exhaustive enumeration: every input but the reset.
-fn free_bits(design: &Design) -> u64 {
+/// The inputs other than the reset, in port order.
+fn free_inputs(design: &Design) -> impl Iterator<Item = &String> {
     design
         .inputs
         .iter()
         .filter(|name| Some(*name) != design.reset_n.as_ref())
+}
+
+/// Decision bits per cycle of an exhaustive enumeration: every input but the reset.
+fn free_bits(design: &Design) -> u64 {
+    free_inputs(design)
         .map(|name| u64::from(design.width(name)))
         .sum()
 }
@@ -73,6 +79,145 @@ pub fn exhaustive_is_tractable(design: &Design, depth: usize, max_bits: u32) -> 
         && enumerated <= u64::from(MAX_EXHAUSTIVE_BITS)
 }
 
+/// A stimulus set that is never built: sequences are decoded one at a time, as plain
+/// integers, and only become [`InputVector`]s when asked to.
+///
+/// A sequence is `depth` rows of one value per driven column — the reset first, when
+/// the design has one, then the other inputs in port order.  An exhaustive set
+/// numbers its sequences `e = 0, 1, 2, …`: the value of a column at a cycle is a bit
+/// field of `e`, cycle 0 in the lowest bits.  A random set draws its values from a
+/// seeded generator in sequence order.
+#[derive(Debug, Clone)]
+pub struct Stimuli {
+    columns: Vec<DrivenInput>,
+    has_reset: bool,
+    depth: usize,
+    next: u64,
+    count: u64,
+    /// `None` enumerates; `Some` draws.
+    rng: Option<StdRng>,
+}
+
+impl Stimuli {
+    fn new(design: &Design, depth: usize, count: u64, rng: Option<StdRng>) -> Self {
+        let columns = design.reset_n.iter().chain(free_inputs(design));
+        Self {
+            columns: columns
+                .map(|name| DrivenInput {
+                    name: name.clone(),
+                    width: design.width(name),
+                })
+                .collect(),
+            has_reset: design.reset_n.is_some(),
+            depth,
+            next: 0,
+            count,
+            rng,
+        }
+    }
+
+    /// Every input sequence of length `depth` over the non-reset inputs, with the
+    /// reset held low on cycle 0 and high afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the enumeration spans more than [`MAX_EXHAUSTIVE_BITS`] bits; callers
+    /// are expected to check [`exhaustive_is_tractable`] first.
+    pub fn exhaustive(design: &Design, depth: usize) -> Self {
+        let total_bits = free_bits(design) * depth as u64;
+        assert!(
+            total_bits <= u64::from(MAX_EXHAUSTIVE_BITS),
+            "exhaustive enumeration over {total_bits} bits is intractable"
+        );
+        Self::new(design, depth, 1u64 << total_bits, None)
+    }
+
+    /// `count` seeded random sequences of length `depth`.
+    ///
+    /// Sequence 0 is fully directed: reset on cycle 0, all other inputs exercised with
+    /// a walking pattern, which catches the common "never triggered the antecedent"
+    /// issue cheaply.  The remaining sequences are uniformly random with the reset
+    /// released after cycle 0 (one in eight sequences also pulses reset mid-run to
+    /// exercise the `disable iff` paths).
+    pub fn random(design: &Design, depth: usize, count: usize, seed: u64) -> Self {
+        let rng = StdRng::seed_from_u64(seed);
+        Self::new(design, depth, count as u64, Some(rng))
+    }
+
+    /// The driven columns: the reset, if any, then the other inputs in port order.
+    pub fn columns(&self) -> &[DrivenInput] {
+        &self.columns
+    }
+
+    /// Cycles per sequence.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Decodes the next sequence into `values`, row-major (`depth` × [`Stimuli::columns`]),
+    /// or returns `false` when the set is exhausted.
+    pub fn next_into(&mut self, values: &mut Vec<u64>) -> bool {
+        if self.next == self.count {
+            return false;
+        }
+        let case = self.next;
+        self.next += 1;
+        values.clear();
+        let pulse_reset_mid = self.rng.is_some() && case % 8 == 7 && self.depth > 4;
+        let mut cursor = 0u32;
+        for cycle in 0..self.depth {
+            if self.has_reset {
+                let mid_pulse = pulse_reset_mid && cycle == self.depth / 2;
+                values.push(u64::from(cycle > 0 && !mid_pulse));
+            }
+            for column in &self.columns[usize::from(self.has_reset)..] {
+                let value = match &mut self.rng {
+                    None => {
+                        cursor += column.width;
+                        case >> (cursor - column.width)
+                    }
+                    // Directed pattern: walk ones / saturate small signals.
+                    Some(_) if case == 0 => match column.width {
+                        1 => u64::from(cycle % 2 == 1 || cycle % 3 == 1),
+                        _ => ((cycle as u64) + 1).wrapping_mul(3),
+                    },
+                    Some(rng) => rng.gen::<u64>(),
+                };
+                values.push(value & mask(column.width));
+            }
+        }
+        true
+    }
+
+    /// A decoded sequence as the name-keyed vectors the public simulator takes.
+    pub fn vectors(&self, values: &[u64]) -> Vec<InputVector> {
+        let mut values = values.iter();
+        (0..self.depth)
+            .map(|_| {
+                let mut vector = InputVector::new();
+                for (column, value) in self.columns.iter().zip(&mut values) {
+                    vector.insert(column.name.clone(), *value);
+                }
+                vector
+            })
+            .collect()
+    }
+}
+
+impl Iterator for Stimuli {
+    type Item = Vec<InputVector>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut values = Vec::new();
+        self.next_into(&mut values).then(|| self.vectors(&values))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.count - self.next) as usize;
+        (left, Some(left))
+    }
+}
+
 /// Generates every input sequence of length `depth` over the non-reset inputs, with
 /// the reset held low on cycle 0 and high afterwards.
 ///
@@ -81,91 +226,18 @@ pub fn exhaustive_is_tractable(design: &Design, depth: usize, max_bits: u32) -> 
 /// Panics if the enumeration would exceed 2^24 sequences; callers are expected to
 /// check [`exhaustive_is_tractable`] first.
 pub fn exhaustive_stimuli(design: &Design, depth: usize) -> Vec<Vec<InputVector>> {
-    let inputs = driven_inputs(design);
-    let reset = design.reset_n.clone();
-    let free: Vec<&DrivenInput> = inputs
-        .iter()
-        .filter(|i| Some(&i.name) != reset.as_ref())
-        .collect();
-    let bits_per_cycle: u32 = free.iter().map(|i| i.width).sum();
-    let total_bits = bits_per_cycle as u64 * depth as u64;
-    assert!(
-        total_bits <= u64::from(MAX_EXHAUSTIVE_BITS),
-        "exhaustive enumeration over {total_bits} bits is intractable"
-    );
-    let count = 1u64 << total_bits;
-    let mut sequences = Vec::with_capacity(count as usize);
-    for encoding in 0..count {
-        let mut sequence = Vec::with_capacity(depth);
-        let mut cursor = 0u32;
-        for cycle in 0..depth {
-            let mut vector = InputVector::new();
-            if let Some(rst) = &reset {
-                vector.insert(rst.clone(), u64::from(cycle > 0));
-            }
-            for input in &free {
-                let field = (encoding >> cursor) & mask_bits(input.width);
-                vector.insert(input.name.clone(), field);
-                cursor += input.width;
-            }
-            sequence.push(vector);
-        }
-        sequences.push(sequence);
-    }
-    sequences
+    Stimuli::exhaustive(design, depth).collect()
 }
 
-fn mask_bits(width: u32) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
-/// Generates `count` seeded random sequences of length `depth`.
-///
-/// Sequence 0 is fully directed: reset on cycle 0, all other inputs exercised with a
-/// walking pattern, which catches the common "never triggered the antecedent" issue
-/// cheaply.  The remaining sequences are uniformly random with the reset released
-/// after cycle 0 (one in eight sequences also pulses reset mid-run to exercise the
-/// `disable iff` paths).
+/// Generates `count` seeded random sequences of length `depth`; see
+/// [`Stimuli::random`] for their shape.
 pub fn random_stimuli(
     design: &Design,
     depth: usize,
     count: usize,
     seed: u64,
 ) -> Vec<Vec<InputVector>> {
-    let inputs = driven_inputs(design);
-    let reset = design.reset_n.clone();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sequences = Vec::with_capacity(count);
-    for case in 0..count {
-        let mut sequence = Vec::with_capacity(depth);
-        let pulse_reset_mid = case % 8 == 7 && depth > 4;
-        for cycle in 0..depth {
-            let mut vector = InputVector::new();
-            if let Some(rst) = &reset {
-                let mid_pulse = pulse_reset_mid && cycle == depth / 2;
-                vector.insert(rst.clone(), u64::from(cycle > 0 && !mid_pulse));
-            }
-            for input in inputs.iter().filter(|i| Some(&i.name) != reset.as_ref()) {
-                let value = if case == 0 {
-                    // Directed pattern: walk ones / saturate small signals.
-                    match input.width {
-                        1 => u64::from(cycle % 2 == 1 || cycle % 3 == 1),
-                        w => ((cycle as u64) + 1).wrapping_mul(3) & mask_bits(w),
-                    }
-                } else {
-                    rng.gen::<u64>() & mask_bits(input.width)
-                };
-                vector.insert(input.name.clone(), value);
-            }
-            sequence.push(vector);
-        }
-        sequences.push(sequence);
-    }
-    sequences
+    Stimuli::random(design, depth, count, seed).collect()
 }
 
 /// A reset-then-constant stimulus useful for smoke tests and examples.
@@ -184,7 +256,7 @@ pub fn reset_then_constant(
             }
             for input in inputs.iter().filter(|i| Some(&i.name) != reset.as_ref()) {
                 let value = constants.get(&input.name).copied().unwrap_or(1);
-                vector.insert(input.name.clone(), value & mask_bits(input.width));
+                vector.insert(input.name.clone(), value & mask(input.width));
             }
             vector
         })

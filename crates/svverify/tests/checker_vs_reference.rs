@@ -1,22 +1,106 @@
-//! Tier-1 differential suite: [`BoundedChecker`] against the same loop over the map
-//! interpreter.
+//! Tier-1 differential suite: [`BoundedChecker`] against the plain loop it replaced.
 //!
-//! The reference checker below is `BoundedChecker::check_design` as it was before
-//! designs were compiled — build the stimulus set, simulate every sequence from reset
-//! on `svsim::reference`, check every attempt, stop at the first failing sequence —
-//! and the production checker, which runs on the compiled engine, must return the
-//! same [`Verdict`] field for field: method, witness, failure list, `sequences`.
+//! The reference checker below is that loop, word for word — build the whole stimulus
+//! set, simulate every sequence from reset on `svsim::reference`, check every attempt,
+//! stop at the first failing sequence — and the production checker (lazy stimuli,
+//! compiled engine driven by slot) must return the same [`Verdict`] field for field:
+//! method, witness, failure list, `sequences`.
+//!
+//! The reference loop builds its sets with the two eager builders `svverify::stimulus`
+//! had before [`Stimuli`], kept here verbatim, so it shares no code with the decoder
+//! under test; a test of its own holds `Stimuli` equal to them.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use svgen::{instantiate, Family, FamilyParams};
 use svmutate::BugInjector;
 use svparse::{emit_module, parse_module, Module};
-use svsim::{Design, SimError};
+use svsim::{Design, InputVector, SimError};
 use svverify::{
-    exhaustive_is_tractable, exhaustive_stimuli, random_stimuli, BoundedChecker, CheckConfig,
-    CheckMethod, Verdict,
+    driven_inputs, exhaustive_is_tractable, BoundedChecker, CheckConfig, CheckMethod, DrivenInput,
+    Stimuli, SweepWork, Verdict, MAX_EXHAUSTIVE_BITS,
 };
 
-/// `BoundedChecker::check_design` as it was before designs were compiled.
+/// `svverify::exhaustive_stimuli` as it was when it built the set itself.
+fn exhaustive_stimuli(design: &Design, depth: usize) -> Vec<Vec<InputVector>> {
+    let inputs = driven_inputs(design);
+    let reset = design.reset_n.clone();
+    let free: Vec<&DrivenInput> = inputs
+        .iter()
+        .filter(|i| Some(&i.name) != reset.as_ref())
+        .collect();
+    let bits_per_cycle: u32 = free.iter().map(|i| i.width).sum();
+    let total_bits = bits_per_cycle as u64 * depth as u64;
+    assert!(
+        total_bits <= u64::from(MAX_EXHAUSTIVE_BITS),
+        "exhaustive enumeration over {total_bits} bits is intractable"
+    );
+    let count = 1u64 << total_bits;
+    let mut sequences = Vec::with_capacity(count as usize);
+    for encoding in 0..count {
+        let mut sequence = Vec::with_capacity(depth);
+        let mut cursor = 0u32;
+        for cycle in 0..depth {
+            let mut vector = InputVector::new();
+            if let Some(rst) = &reset {
+                vector.insert(rst.clone(), u64::from(cycle > 0));
+            }
+            for input in &free {
+                let field = (encoding >> cursor) & mask_bits(input.width);
+                vector.insert(input.name.clone(), field);
+                cursor += input.width;
+            }
+            sequence.push(vector);
+        }
+        sequences.push(sequence);
+    }
+    sequences
+}
+
+fn mask_bits(width: u32) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
+}
+
+/// `svverify::random_stimuli` as it was when it built the set itself.
+fn random_stimuli(design: &Design, depth: usize, count: usize, seed: u64) -> Vec<Vec<InputVector>> {
+    let inputs = driven_inputs(design);
+    let reset = design.reset_n.clone();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sequences = Vec::with_capacity(count);
+    for case in 0..count {
+        let mut sequence = Vec::with_capacity(depth);
+        let pulse_reset_mid = case % 8 == 7 && depth > 4;
+        for cycle in 0..depth {
+            let mut vector = InputVector::new();
+            if let Some(rst) = &reset {
+                let mid_pulse = pulse_reset_mid && cycle == depth / 2;
+                vector.insert(rst.clone(), u64::from(cycle > 0 && !mid_pulse));
+            }
+            for input in inputs.iter().filter(|i| Some(&i.name) != reset.as_ref()) {
+                let value = if case == 0 {
+                    // Directed pattern: walk ones / saturate small signals.
+                    match input.width {
+                        1 => u64::from(cycle % 2 == 1 || cycle % 3 == 1),
+                        w => ((cycle as u64) + 1).wrapping_mul(3) & mask_bits(w),
+                    }
+                } else {
+                    rng.gen::<u64>() & mask_bits(input.width)
+                };
+                vector.insert(input.name.clone(), value);
+            }
+            sequence.push(vector);
+        }
+        sequences.push(sequence);
+    }
+    sequences
+}
+
+/// `BoundedChecker::check_design` as it was before designs were compiled and stimuli
+/// decoded on demand.
 fn reference_check(design: &Design, config: &CheckConfig) -> Verdict {
     if !design.has_assertions() {
         return Verdict::Pass {
@@ -65,15 +149,21 @@ fn reference_check(design: &Design, config: &CheckConfig) -> Verdict {
     }
 }
 
-/// Checks a module both ways and returns the verdict they agree on.
-fn agree(label: &str, module: &Module, config: &CheckConfig) -> Verdict {
+/// Checks a module both ways; returns the verdict they agree on and the work the
+/// sweep did, which is whole sequences from power-up and nothing past the witness.
+fn agree(label: &str, module: &Module, config: &CheckConfig) -> (Verdict, SweepWork) {
     let checker = BoundedChecker::new(config.clone());
     let Ok(design) = Design::elaborate(module) else {
         let verdict = checker.check_module(module);
         assert!(matches!(verdict, Verdict::Unverifiable { .. }), "{label}");
-        return verdict;
+        return (verdict, SweepWork::default());
     };
-    let verdict = checker.check_design(&design);
+    let (verdict, work) = checker.check_design_counted(&design);
+    let depth = config.depth.max(design.max_property_horizon() as usize + 4);
+    assert_eq!(work.cycles, (work.sequences * depth) as u64, "{label}");
+    if let Verdict::Pass { sequences, .. } = verdict {
+        assert_eq!(work.sequences, sequences, "{label}");
+    }
     let expected = reference_check(&design, config);
     assert_eq!(
         verdict,
@@ -82,7 +172,7 @@ fn agree(label: &str, module: &Module, config: &CheckConfig) -> Verdict {
         emit_module(module)
     );
     assert_eq!(verdict, checker.check_module(module), "{label}");
-    verdict
+    (verdict, work)
 }
 
 /// Small enough for the reference loop in a debug build: at most 2^8 sequences of 4
@@ -105,41 +195,107 @@ fn always_random() -> CheckConfig {
     }
 }
 
-#[test]
-fn every_family_variant_and_eight_mutants_of_each_get_the_reference_verdict() {
-    let (mut pass, mut fail, mut unverifiable) = (0, 0, 0);
-    let (mut exhaustive, mut randomised) = (0, 0);
+/// The golden of every family × variant × parameter point — one narrow point, where
+/// sweeps are exhaustive, and the default one — with a seed that names the point.
+fn family_goldens() -> Vec<(u64, Module)> {
+    let mut goldens = Vec::new();
     for (index, family) in Family::all().iter().enumerate() {
         for variant in 0..2 {
-            // One narrow point, where sweeps are exhaustive, and the default one.
             for (width, depth) in [(1, 2), (4, 4)] {
                 let params = FamilyParams {
                     width,
                     depth,
                     variant,
                 };
-                let instance = instantiate(*family, params, index);
-                let golden = parse_module(&instance.source).expect("family sources parse");
+                let source = instantiate(*family, params, index).source;
                 let seed = (index as u64) << 8 | u64::from(variant) << 4 | u64::from(width);
-                let mutants = BugInjector::new(seed).inject_batch(&golden, 8);
-                let modules = std::iter::once(golden.clone())
-                    .chain(mutants.into_iter().map(|bug| bug.buggy))
-                    .chain(looped_and_undeclared(&golden));
-                for (n, module) in modules.enumerate() {
-                    let label = format!("{} #{n}", instance.module_name);
-                    for config in [small_exhaustive(), always_random()] {
-                        match agree(&label, &module, &config) {
-                            Verdict::Pass { method, .. } => {
-                                pass += 1;
-                                match method {
-                                    CheckMethod::Exhaustive => exhaustive += 1,
-                                    CheckMethod::Randomised => randomised += 1,
-                                }
-                            }
-                            Verdict::Fail { .. } => fail += 1,
-                            Verdict::Unverifiable { .. } => unverifiable += 1,
+                goldens.push((seed, parse_module(&source).expect("family sources parse")));
+            }
+        }
+    }
+    goldens
+}
+
+/// [`Stimuli`] decodes, sequence for sequence, what the eager builders built.
+#[test]
+fn lazy_stimuli_equal_the_eager_builders() {
+    let handwritten = [
+        // No reset: no directed column, and no mid-run pulse to leave out.
+        "module free(input clk, input a, input [1:0] b, output reg y);\n  always @(posedge clk) y <= a ^ b[0];\nendmodule",
+        // A 64-bit input: the one width whose mask cannot be computed by shifting.
+        "module wide(input clk, input rst_n, input [63:0] w, input e, output reg y);\n  always @(posedge clk or negedge rst_n) begin\n    if (!rst_n) y <= 0;\n    else y <= e & w[63];\n  end\nendmodule",
+    ];
+    let goldens = family_goldens().into_iter().map(|(_, golden)| golden);
+    let designs: Vec<Design> = goldens
+        .chain(handwritten.map(|source| parse_module(source).unwrap()))
+        .map(|module| Design::elaborate(&module).expect("goldens elaborate"))
+        .collect();
+    assert_eq!(designs.len(), 16 * 2 * 2 + 2);
+    let (free, wide) = (&designs[64], &designs[65]);
+    assert!(free.reset_n.is_none() && wide.reset_n.is_some());
+
+    let mut enumerated = 0;
+    for design in &designs {
+        let name = &design.module.name;
+        // 16 sequences: the directed sequence 0 and two with `case % 8 == 7`; the
+        // reset is pulsed mid-run at depth 8 and, by the `depth > 4` rule, not at 4.
+        for depth in [4, 8] {
+            let eager = random_stimuli(design, depth, 16, 0xD1FF);
+            let lazy: Vec<_> = Stimuli::random(design, depth, 16, 0xD1FF).collect();
+            assert_eq!(lazy, eager, "{name}: random, depth {depth}");
+            assert_eq!(svverify::random_stimuli(design, depth, 16, 0xD1FF), eager);
+            if let Some(reset) = &design.reset_n {
+                for case in [7, 15] {
+                    assert_eq!(eager[case][depth / 2][reset], u64::from(depth <= 4));
+                }
+            }
+        }
+        // As deep as 10 decision bits allow, up to 4 cycles.
+        let bits: u32 = driven_inputs(design)
+            .iter()
+            .filter(|input| Some(&input.name) != design.reset_n.as_ref())
+            .map(|input| input.width)
+            .sum();
+        let depth = (10 / bits.max(1)).min(4) as usize;
+        if depth > 0 {
+            let eager = exhaustive_stimuli(design, depth);
+            let lazy: Vec<_> = Stimuli::exhaustive(design, depth).collect();
+            assert_eq!(lazy, eager, "{name}: exhaustive, depth {depth}");
+            assert_eq!(svverify::exhaustive_stimuli(design, depth), eager);
+            enumerated += 1;
+        }
+    }
+    assert!(enumerated > 32, "only {enumerated} designs were enumerated");
+    // The 64-bit column keeps its high bits.
+    let high = random_stimuli(wide, 8, 16, 0xD1FF)
+        .iter()
+        .flatten()
+        .any(|vector| vector["w"] > u64::from(u32::MAX));
+    assert!(high);
+}
+
+#[test]
+fn every_family_variant_and_eight_mutants_of_each_get_the_reference_verdict() {
+    let (mut pass, mut fail, mut unverifiable) = (0, 0, 0);
+    let (mut exhaustive, mut randomised) = (0, 0);
+    for (seed, golden) in family_goldens() {
+        let mutants = BugInjector::new(seed).inject_batch(&golden, 8);
+        let modules = std::iter::once(golden.clone())
+            .chain(mutants.into_iter().map(|bug| bug.buggy))
+            .chain(looped_and_undeclared(&golden));
+        for (n, module) in modules.enumerate() {
+            let label = format!("{} #{n}", golden.name);
+            for config in [small_exhaustive(), always_random()] {
+                match agree(&label, &module, &config).0 {
+                    Verdict::Pass { method, .. } => {
+                        pass += 1;
+                        match method {
+                            CheckMethod::Exhaustive => exhaustive += 1,
+                            CheckMethod::Randomised => randomised += 1,
                         }
                     }
+                    Verdict::Fail { .. } => fail += 1,
+                    Verdict::Unverifiable { .. } => unverifiable += 1,
                 }
             }
         }
@@ -214,14 +370,23 @@ fn depth_twelve() -> CheckConfig {
     }
 }
 
-/// A full sweep passes, having visited every sequence.
+/// A full sweep passes, having visited every sequence.  The count pin: each of them
+/// is stepped through all twelve cycles from the power-up state.
 #[test]
 fn a_full_one_bit_depth_twelve_sweep_visits_4096_sequences() {
+    let (verdict, work) = agree("latch", &latch("4'd15"), &depth_twelve());
     assert_eq!(
-        agree("latch", &latch("4'd15"), &depth_twelve()),
+        verdict,
         Verdict::Pass {
             method: CheckMethod::Exhaustive,
             sequences: 4096
+        }
+    );
+    assert_eq!(
+        work,
+        SweepWork {
+            sequences: 4096,
+            cycles: 4096 * 12
         }
     );
 }
@@ -230,7 +395,7 @@ fn a_full_one_bit_depth_twelve_sweep_visits_4096_sequences() {
 /// and its failure list is that of its whole trace.
 #[test]
 fn of_several_failing_sequences_the_first_in_canonical_order_is_the_witness() {
-    let verdict = agree("latch ≤ 4", &latch("4'd4"), &depth_twelve());
+    let (verdict, work) = agree("latch ≤ 4", &latch("4'd4"), &depth_twelve());
     let Verdict::Fail {
         witness, failures, ..
     } = verdict
@@ -240,6 +405,14 @@ fn of_several_failing_sequences_the_first_in_canonical_order_is_the_witness() {
     // Five ones in cycles 1..=5, then zeros: sequence 0b111110 = 62, the 63rd visited.
     let ones: Vec<u64> = witness.iter().map(|vector| vector["d"]).collect();
     assert_eq!(ones, [0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0]);
+    // Nothing past the witness is decoded or stepped.
+    assert_eq!(
+        work,
+        SweepWork {
+            sequences: 63,
+            cycles: 63 * 12
+        }
+    );
     // `ones` stays at 5 once reached: every attempt from cycle 6 on fails.
     assert_eq!(failures.len(), 6);
     assert!(failures.iter().all(|f| f.assertion == "counted"));
@@ -250,7 +423,7 @@ fn of_several_failing_sequences_the_first_in_canonical_order_is_the_witness() {
 /// visited late, after more than a thousand passing sequences.
 #[test]
 fn a_failure_only_late_sequences_reach_is_still_found() {
-    let verdict = agree("latch ≤ 9", &latch("4'd9"), &depth_twelve());
+    let (verdict, work) = agree("latch ≤ 9", &latch("4'd9"), &depth_twelve());
     let Verdict::Fail { witness, .. } = verdict else {
         panic!("expected a failure, got {verdict:?}");
     };
@@ -259,6 +432,38 @@ fn a_failure_only_late_sequences_reach_is_still_found() {
     // The sequence's number: cycle `c` of the one free input is bit `c`.
     let encoding: u64 = (0..12).map(|cycle| witness[cycle]["d"] << cycle).sum();
     assert!(encoding > 1000, "sequence {encoding}");
+    assert_eq!(work.sequences as u64, encoding + 1);
+}
+
+/// A sweep of no sequences never powers the design up, so it never reports the
+/// combinational loop the first sequence would have found.
+#[test]
+fn a_sweep_of_no_sequences_passes_even_a_combinational_loop() {
+    let looped = parse_module(
+        "module loopy(input clk, input a, output y);\n  assign y = !y;\n  property p; @(posedge clk) a |-> y; endproperty\n  assert property (p);\nendmodule",
+    )
+    .unwrap();
+    let none = CheckConfig {
+        depth: 8,
+        max_exhaustive_bits: 0,
+        random_cases: 0,
+        seed: 1,
+    };
+    assert_eq!(
+        agree("loopy", &looped, &none).0,
+        Verdict::Pass {
+            method: CheckMethod::Randomised,
+            sequences: 0
+        }
+    );
+    let one = CheckConfig {
+        random_cases: 1,
+        ..none
+    };
+    assert!(matches!(
+        agree("loopy", &looped, &one).0,
+        Verdict::Unverifiable { .. }
+    ));
 }
 
 /// A configuration may ask for more exhaustive bits than can be enumerated; the
