@@ -11,12 +11,12 @@
 //! Elaboration ends by *lowering* the design (`lower.rs`): every signal becomes a slot
 //! of a `Vec<Value>`, every expression a postfix program over slots, every procedural
 //! body a flat list of steps, every assertion a small tree with programs at its
-//! leaves.  [`Engine`] runs those programs — reset state, then one clock cycle per
-//! call — over slot states the caller owns and records a [`Trace`]: one flat vector of
-//! rows that [`check_assertions`] and [`render_log`] read by slot.  [`Simulator`] is an
-//! engine with one state and one trace; it looks a signal up by name only where a
-//! testbench value enters, and a caller that resolves its inputs once
-//! ([`Design::input_slot`]) and drives the engine itself never does.
+//! leaves.  [`Engine`] runs those programs — reset state, one clock cycle, one pass of
+//! the assertion checker — against states and rows the caller owns; [`Simulator`] is an
+//! engine with one state and one [`Trace`], and a trace is one flat vector of rows
+//! that [`check_assertions`] reads by slot through [`Rows`].  A simulator looks a
+//! signal up by name only where a testbench value enters, and a caller that resolves
+//! its inputs once ([`Design::input_slot`]) and drives the engine itself never does.
 //!
 //! [`mod@reference`] holds the interpreter this replaced — state in a
 //! `BTreeMap<String, Value>`, the syntax tree walked directly.  It defines what the
@@ -65,7 +65,7 @@ pub use log::{failing_assertions_in_log, render_failure_line, render_log};
 pub use simulator::{
     simulate, Engine, InputSlot, InputVector, SimError, SimOutcome, Simulator, Trace,
 };
-pub use sva::{check_assertions, AssertionFailure};
+pub use sva::{check_assertions, AssertionFailure, Rows};
 pub use value::Value;
 
 #[cfg(test)]

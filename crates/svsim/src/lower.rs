@@ -87,6 +87,8 @@ pub(crate) enum Seq {
 pub(crate) struct Property {
     pub guard: Option<Prog>,
     pub body: Seq,
+    /// No attempt looks further ahead of its start cycle than this.
+    pub horizon: usize,
 }
 
 /// The compiled form of a design.
@@ -134,6 +136,7 @@ impl Compiled {
                     .as_ref()
                     .map(|guard| lowering.expr(guard)),
                 body: lowering.seq(&assertion.property.body),
+                horizon: assertion.property.body.horizon() as usize,
             })
             .collect();
         Compiled {

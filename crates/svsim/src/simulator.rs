@@ -15,13 +15,13 @@
 //! All of it runs on the design's compiled form (`lower.rs`): the state is a
 //! `Vec<Value>` indexed by slot, a cycle executes flat programs against it, and the
 //! trace is one flat vector of rows.  [`Engine`] is that machinery with no state of
-//! its own, which is what lets the bounded checker power up once and run every
-//! sequence of a sweep on a copy of that state; [`Simulator`] is an engine plus one
-//! state and one trace.
+//! its own, which is what lets the bounded checker resume a sweep from a saved state;
+//! [`Simulator`] is an engine plus one state and one trace.
 
 use crate::elaborate::Design;
 use crate::eval::Scratch;
 use crate::lower::{Comb, Layout};
+use crate::sva::{AssertionFailure, Rows};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -77,29 +77,24 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// An empty trace for [`Engine::cycle`] to record a simulation of `design` into.
-    pub fn new(design: &Design) -> Self {
+    fn new(layout: Arc<Layout>) -> Self {
         Self {
-            layout: design.compiled.layout.clone(),
+            layout,
             cycles: 0,
             values: Vec::new(),
         }
     }
 
-    /// Forgets the recorded cycles and keeps their storage for the next recording.
-    pub fn clear(&mut self) {
-        self.cycles = 0;
-        self.values.clear();
+    /// Appends a row for the engine to sample into.
+    fn push_row(&mut self) -> &mut [Value] {
+        let start = self.values.len();
+        self.values.resize(start + self.layout.len(), Value::ABSENT);
+        self.cycles += 1;
+        &mut self.values[start..]
     }
 
     pub(crate) fn layout(&self) -> &Arc<Layout> {
         &self.layout
-    }
-
-    /// The sampled slot values of a recorded cycle.
-    pub(crate) fn row(&self, cycle: usize) -> &[Value] {
-        let slots = self.layout.len();
-        &self.values[cycle * slots..][..slots]
     }
 
     /// Number of recorded cycles.
@@ -129,6 +124,17 @@ impl Trace {
     }
 }
 
+impl Rows for Trace {
+    fn cycles(&self) -> usize {
+        self.cycles
+    }
+
+    fn row(&self, cycle: usize) -> &[Value] {
+        let slots = self.layout.len();
+        &self.values[cycle * slots..][..slots]
+    }
+}
+
 /// Where the testbench drives one named input: its slot and the width values are
 /// sized to.  Obtained from [`Design::input_slot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,8 +158,8 @@ impl InputSlot {
 ///
 /// A *slot state* is a `[Value]` of [`Design::slot_count`] entries.  The engine keeps
 /// only scratch buffers between calls, so one engine can advance any number of states
-/// of its design — which is how the bounded checker powers a design up once and runs
-/// every sequence of a sweep on a copy of that state.
+/// of its design — which is how the bounded checker resumes a sweep from the saved
+/// state of a shared stimulus prefix instead of replaying it.
 #[derive(Debug, Clone)]
 pub struct Engine<'a> {
     design: &'a Design,
@@ -198,17 +204,15 @@ impl<'a> Engine<'a> {
     }
 
     /// Advances `state` by one clock cycle, the inputs of the cycle already driven
-    /// into it, and appends the pre-edge sample to `trace`.
+    /// into it, and copies the pre-edge sample into `row`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::CombinationalLoop`] if combinational logic fails to settle;
-    /// the failed cycle leaves no row behind.
-    pub fn cycle(&mut self, state: &mut [Value], trace: &mut Trace) -> Result<(), SimError> {
+    /// Returns [`SimError::CombinationalLoop`] if combinational logic fails to settle.
+    pub fn cycle(&mut self, state: &mut [Value], row: &mut [Value]) -> Result<(), SimError> {
         let compiled = &self.design.compiled;
         self.settle(state)?;
-        trace.values.extend_from_slice(state);
-        trace.cycles += 1;
+        row.copy_from_slice(state);
 
         // Every clocked block runs against the pre-edge state: one with blocking
         // assignments writes them into a shadow copy that is then discarded.
@@ -227,12 +231,17 @@ impl<'a> Engine<'a> {
         for (slot, value) in self.deferred.drain(..) {
             state[slot as usize] = value.resize(compiled.layout.width(slot));
         }
-        let settled = self.settle(state);
-        if settled.is_err() {
-            trace.cycles -= 1;
-            trace.values.truncate(trace.cycles * state.len());
-        }
-        settled
+        self.settle(state)
+    }
+
+    /// Checks every assertion of the design over sampled rows; see
+    /// [`crate::sva::check_assertions`] for the semantics.
+    ///
+    /// Attempts that cannot look past row `decided - 1` are skipped: the caller vouches
+    /// that rows `0..decided` were checked before, as the prefix of a sequence on
+    /// which no assertion failed.  Pass 0 to evaluate every attempt.
+    pub fn check<R: Rows + ?Sized>(&mut self, rows: &R, decided: usize) -> Vec<AssertionFailure> {
+        crate::sva::check(self.design, rows, decided, &mut self.scratch.stack)
     }
 
     /// Sweeps the combinational items, in module order, until a sweep changes nothing.
@@ -295,7 +304,7 @@ impl<'a> Simulator<'a> {
             design,
             engine,
             state,
-            trace: Trace::new(design),
+            trace: Trace::new(design.compiled.layout.clone()),
         })
     }
 
@@ -322,7 +331,15 @@ impl<'a> Simulator<'a> {
                 input.drive(&mut self.state, *value);
             }
         }
-        self.engine.cycle(&mut self.state, &mut self.trace)
+        let stepped = self.engine.cycle(&mut self.state, self.trace.push_row());
+        if stepped.is_err() {
+            // A cycle that fails leaves no row behind.
+            self.trace.cycles -= 1;
+            self.trace
+                .values
+                .truncate(self.trace.cycles * self.design.slot_count());
+        }
+        stepped
     }
 
     /// Runs the simulator over a full stimulus, returning the recorded trace.

@@ -13,23 +13,31 @@
 //! [`Stimuli`] decodes sequence `e` from its number when it is reached, and only the
 //! witness is ever turned into [`InputVector`]s.
 //!
-//! A sweep powers the design up once.  Every sequence then starts from a copy of that
-//! state, is driven cycle by cycle through slots resolved before the first sequence
-//! ([`Design::input_slot`]) — no name is looked up and no map is built while it runs —
-//! and records its rows into one [`Trace`] that is cleared, not dropped, between
-//! sequences.  Every assertion attempt of every sequence is evaluated.
+//! An exhaustive sweep is *prefix-resumed*.  Cycle `c` of sequence `e` is a bit field
+//! of `e` with cycle 0 in the lowest bits, so the first `k` cycles of `e` are the
+//! first `k` cycles of `e mod 2^(k·bits)` — a smaller number, hence a sequence already
+//! visited — for the largest `k` with `e ≥ 2^(k·bits)`.  The sweep keeps, for every
+//! prefix it has simulated, the sampled row of the prefix's last cycle and the state
+//! after it (at most `2·2^(depth·bits)` entries of two slot rows each), restores the
+//! state of the longest prefix of `e` and simulates only the cycles after it: a full
+//! depth-12 sweep over one free bit steps 8 190 cycles, not 49 152.  Rows of the
+//! shared cycles are read where the earlier sequence left them.
 //!
-//! The plain "build the whole set, then for each stimulus: run, check" loop this
-//! replaced lives on as the reference checker of `tests/checker_vs_reference.rs`,
-//! which compares verdicts field for field and holds [`Stimuli`] equal to the eager
-//! builders it keeps.  One step is still held back in `docs/pr16-held-back.patch`
-//! (ROADMAP item 2 (iii)): resuming an exhaustive sweep from the saved state of the
-//! longest stimulus prefix an earlier sequence already simulated.
+//! Resuming cannot change a verdict.  The order of visits is untouched, the rows of a
+//! sequence are the rows the plain loop would have recorded (same engine, same
+//! inputs, same state), and the only evaluations skipped are assertion attempts that
+//! cannot read past the shared prefix: an attempt reads no row later than its start
+//! plus the property's look-ahead, so it saw exactly the same rows in the earlier
+//! sequence, which was checked in full and did not fail — or the sweep would have
+//! stopped there.  The plain "build the whole set, then for each stimulus: run, check"
+//! loop this replaced lives on as the reference checker of
+//! `tests/checker_vs_reference.rs`, which compares verdicts field for field and holds
+//! [`Stimuli`] equal to the eager builders it keeps.
 
 use crate::stimulus::{self, Stimuli};
 use serde::{Deserialize, Serialize};
 use svparse::Module;
-use svsim::{check_assertions, AssertionFailure, Design, Engine, InputVector, SimError, Trace};
+use svsim::{AssertionFailure, Design, Engine, InputVector, Rows, SimError, Value};
 
 /// Configuration of a bounded check.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -196,7 +204,7 @@ impl BoundedChecker {
                     Stimuli::random(design, depth, self.config.random_cases, self.config.seed),
                 )
             };
-        let verdict = match sweep(design, method, &mut stimuli, &mut work) {
+        let verdict = match sweep(design, method, &mut stimuli, PREFIX_STORE_BYTES, &mut work) {
             Ok(verdict) => verdict,
             Err(SimError::CombinationalLoop { module }) => Verdict::Unverifiable {
                 reason: format!("combinational loop in module `{module}`"),
@@ -209,20 +217,23 @@ impl BoundedChecker {
     }
 }
 
-/// What a sweep simulated: exact counts, for tests to pin.
+/// What a sweep simulated: the count pin of prefix sharing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepWork {
     /// Sequences visited, the failing one included.
     pub sequences: usize,
-    /// Clock cycles stepped.
+    /// Clock cycles stepped; a sequence resumed from a shared prefix steps only the
+    /// cycles after it.
     pub cycles: u64,
 }
 
-/// Visits the sequences in order until one fails an assertion or cannot be simulated.
+/// Visits the sequences in order until one fails an assertion or cannot be simulated;
+/// the prefix store may take `store_bytes`.
 fn sweep(
     design: &Design,
     method: CheckMethod,
     stimuli: &mut Stimuli,
+    store_bytes: usize,
     work: &mut SweepWork,
 ) -> Result<Verdict, SimError> {
     let depth = stimuli.depth();
@@ -231,32 +242,40 @@ fn sweep(
         .iter()
         .map(|column| design.input_slot(&column.name))
         .collect();
+    // Only an enumeration has prefixes in common; a random sweep shares nothing.
+    let shared_bits = match method {
+        CheckMethod::Exhaustive => stimuli.bits(),
+        CheckMethod::Randomised => 0,
+    };
     let mut engine = Engine::new(design);
-    let mut trace = Trace::new(design);
-    let mut power_up = None;
+    let mut prefixes = PrefixStore::new(design.slot_count(), depth, shared_bits, store_bytes);
+    let mut power_up: Option<Vec<Value>> = None;
     let mut state = Vec::new();
     let mut values = Vec::new();
     while stimuli.next_into(&mut values) {
+        let sequence = work.sequences as u64;
         // A design whose reset state does not settle fails its first sequence, and a
         // sweep of no sequences never finds out: the order the plain loop had.
         let power_up = match &power_up {
-            Some(state) => state,
-            None => power_up.insert(engine.power_up()?),
+            Some(state) => &state[..],
+            None => &power_up.insert(engine.power_up()?)[..],
         };
-        state.clone_from(power_up);
-        trace.clear();
-        for cycle in 0..depth {
+        let resumed = prefixes.longest_prefix(sequence);
+        state.clear();
+        state.extend_from_slice(prefixes.state_after(sequence, resumed).unwrap_or(power_up));
+        for cycle in resumed..depth {
             let row = &values[cycle * inputs.len()..][..inputs.len()];
             for (input, value) in inputs.iter().zip(row) {
                 if let Some(input) = input {
                     input.drive(&mut state, *value);
                 }
             }
-            engine.cycle(&mut state, &mut trace)?;
+            engine.cycle(&mut state, prefixes.row_mut(cycle))?;
+            prefixes.keep_state(cycle, &state);
         }
         work.sequences += 1;
-        work.cycles += depth as u64;
-        let failures = check_assertions(design, &trace);
+        work.cycles += (depth - resumed) as u64;
+        let failures = engine.check(&prefixes.rows_of(sequence), resumed);
         if !failures.is_empty() {
             return Ok(Verdict::Fail {
                 method,
@@ -269,6 +288,118 @@ fn sweep(
         method,
         sequences: work.sequences,
     })
+}
+
+/// Memory the prefix store of a check may take before it stops keeping longer
+/// prefixes; the only budget outside this module's tests.
+const PREFIX_STORE_BYTES: usize = 64 << 20;
+
+/// The sampled rows and post-cycle states of every stimulus prefix simulated so far.
+///
+/// Level `j` holds one entry per prefix of `j` cycles — the row sampled in cycle
+/// `j - 1` and the state after it — at the index of the prefix's number, which is
+/// the order the sweep produces them in.  Levels are kept for `j = 1..=kept`; rows of
+/// later cycles belong to the sequence being simulated alone and live in `tail`.
+struct PrefixStore {
+    slots: usize,
+    depth: usize,
+    bits: u32,
+    kept: usize,
+    levels: Vec<Vec<Value>>,
+    tail: Vec<Value>,
+}
+
+impl PrefixStore {
+    fn new(slots: usize, depth: usize, bits: u32, bytes: usize) -> Self {
+        // Level `j` has 2^(j·bits) entries and levels double, so the longest kept one
+        // is half the store; prefixes of the full depth are never resumed from.
+        let entry_bytes = 2 * slots.max(1) * std::mem::size_of::<Value>();
+        let longest = (bytes / 2 / entry_bytes).checked_ilog2().unwrap_or(0);
+        let kept = match bits {
+            0 => 0,
+            bits => ((longest / bits) as usize).min(depth.saturating_sub(1)),
+        };
+        Self {
+            slots,
+            depth,
+            bits,
+            kept,
+            levels: vec![Vec::new(); kept],
+            tail: vec![Value::bit(false); (depth - kept) * slots],
+        }
+    }
+
+    /// The number of the `level`-cycle prefix of a sequence.
+    fn prefix(&self, sequence: u64, level: usize) -> usize {
+        (sequence & ((1u64 << (level as u32 * self.bits)) - 1)) as usize
+    }
+
+    /// How many leading cycles of the sequence an earlier sequence already simulated:
+    /// the largest kept `k` with `sequence ≥ 2^(k·bits)`.
+    fn longest_prefix(&self, sequence: u64) -> usize {
+        match sequence.checked_ilog2() {
+            Some(top_bit) if self.bits > 0 => ((top_bit / self.bits) as usize).min(self.kept),
+            _ => 0,
+        }
+    }
+
+    fn entry(&self, sequence: u64, level: usize) -> &[Value] {
+        &self.levels[level - 1][self.prefix(sequence, level) * 2 * self.slots..][..2 * self.slots]
+    }
+
+    /// The state after the first `level` cycles of the sequence; `None` for level 0.
+    fn state_after(&self, sequence: u64, level: usize) -> Option<&[Value]> {
+        (level > 0).then(|| &self.entry(sequence, level)[self.slots..])
+    }
+
+    /// Where the row sampled in `cycle` of the sequence being simulated goes.
+    fn row_mut(&mut self, cycle: usize) -> &mut [Value] {
+        if cycle < self.kept {
+            let level = &mut self.levels[cycle];
+            let start = level.len();
+            level.resize(start + 2 * self.slots, Value::bit(false));
+            &mut level[start..start + self.slots]
+        } else {
+            &mut self.tail[(cycle - self.kept) * self.slots..][..self.slots]
+        }
+    }
+
+    /// Completes the entry [`PrefixStore::row_mut`] opened for `cycle`, if it is kept.
+    fn keep_state(&mut self, cycle: usize, state: &[Value]) {
+        if cycle < self.kept {
+            let level = &mut self.levels[cycle];
+            let start = level.len() - self.slots;
+            level[start..].copy_from_slice(state);
+        }
+    }
+
+    fn rows_of(&self, sequence: u64) -> SequenceRows<'_> {
+        SequenceRows {
+            store: self,
+            sequence,
+        }
+    }
+}
+
+/// The rows of one sequence: shared cycles from the store, the rest from its tail.
+struct SequenceRows<'s> {
+    store: &'s PrefixStore,
+    sequence: u64,
+}
+
+impl Rows for SequenceRows<'_> {
+    fn cycles(&self) -> usize {
+        self.store.depth
+    }
+
+    fn row(&self, cycle: usize) -> &[Value] {
+        let store = self.store;
+        if cycle < store.kept {
+            &store.entry(self.sequence, cycle + 1)[..store.slots]
+        } else {
+            &store.tail[(cycle - store.kept) * store.slots..][..store.slots]
+        }
+    }
 }
 
 #[cfg(test)]
@@ -390,6 +521,94 @@ endmodule
                 assert!(sequences > 0);
             }
             other => panic!("expected randomised pass, got {other:?}"),
+        }
+    }
+
+    /// One free input bit: depth 12 is a 4096-sequence exhaustive sweep.
+    const LATCH: &str = r#"
+module latch(input clk, input rst_n, input d, output reg q, output reg [3:0] ones);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) q <= 0;
+    else q <= d;
+  end
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) ones <= 4'd0;
+    else if (d) ones <= ones + 4'd1;
+  end
+  property follows;
+    @(posedge clk) disable iff (!rst_n) d |=> q;
+  endproperty
+  property counted;
+    @(posedge clk) disable iff (!rst_n) ones <= LIMIT;
+  endproperty
+  assert property (follows);
+  assert property (counted);
+endmodule
+"#;
+
+    /// A depth-12 exhaustive sweep under a prefix store of `bytes`.
+    fn swept(design: &Design, bytes: usize) -> (Verdict, SweepWork) {
+        let mut stimuli = Stimuli::exhaustive(design, 12);
+        let mut work = SweepWork::default();
+        let verdict = sweep(
+            design,
+            CheckMethod::Exhaustive,
+            &mut stimuli,
+            bytes,
+            &mut work,
+        );
+        (verdict.expect("the latch settles"), work)
+    }
+
+    /// A store too small for every level resumes from the deepest one it kept: the
+    /// same verdicts, fewer cycles saved.
+    #[test]
+    fn a_capped_prefix_store_resumes_from_shallower_prefixes() {
+        for limit in ["4'd15", "4'd9"] {
+            let module = parse_module(&LATCH.replace("LIMIT", limit)).unwrap();
+            let design = Design::elaborate(&module).unwrap();
+            let slots = design.slot_count();
+            let entry_bytes = 2 * slots * std::mem::size_of::<Value>();
+            let runs: Vec<(Verdict, SweepWork)> = [0, 1, 6, 11]
+                .into_iter()
+                .map(|levels| {
+                    let bytes = (2 * entry_bytes) << levels;
+                    assert_eq!(PrefixStore::new(slots, 12, 1, bytes).kept, levels);
+                    swept(&design, bytes)
+                })
+                .collect();
+            let (verdict, work) = &runs[0];
+            for (other_verdict, other_work) in &runs {
+                assert_eq!(other_verdict, verdict, "{limit}");
+                assert_eq!(other_work.sequences, work.sequences, "{limit}");
+            }
+            assert!(
+                runs.windows(2)
+                    .all(|pair| pair[1].1.cycles <= pair[0].1.cycles),
+                "{limit}: {runs:?}"
+            );
+            // No level kept is the plain loop; the production budget keeps them all.
+            assert_eq!(work.cycles, work.sequences as u64 * 12, "{limit}");
+            assert_eq!(swept(&design, PREFIX_STORE_BYTES), runs[3], "{limit}");
+            if verdict.passed() {
+                assert_eq!(
+                    runs[0].1,
+                    SweepWork {
+                        sequences: 4096,
+                        cycles: 49_152
+                    }
+                );
+                assert_eq!(
+                    runs[3].1,
+                    SweepWork {
+                        sequences: 4096,
+                        cycles: 8_190
+                    }
+                );
+            } else {
+                // `ones <= 9` fails only late, after more than a thousand sequences.
+                assert!(verdict.failed() && work.sequences > 1000, "{runs:?}");
+            }
         }
     }
 

@@ -154,6 +154,16 @@ impl Stimuli {
         self.depth
     }
 
+    /// Decision bits per cycle (the widths of the non-reset columns): the first `k`
+    /// cycles of sequence `e` of an exhaustive set are the first `k` cycles of
+    /// sequence `e mod 2^(k·bits)`.
+    pub(crate) fn bits(&self) -> u32 {
+        self.columns[usize::from(self.has_reset)..]
+            .iter()
+            .map(|column| column.width)
+            .sum()
+    }
+
     /// Decodes the next sequence into `values`, row-major (`depth` × [`Stimuli::columns`]),
     /// or returns `false` when the set is exhausted.
     pub fn next_into(&mut self, values: &mut Vec<u64>) -> bool {
