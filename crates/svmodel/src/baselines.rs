@@ -8,9 +8,10 @@
 //! *relative ordering* — untuned open models near zero, strong general models in the
 //! middle, iterative reasoning on top, and the domain-tuned AssertSolver above all.
 
-use crate::features::{line_candidates, CaseInput};
-use crate::fixgen::{fix_candidates_for_case, FixEdit};
+use crate::features::CaseInput;
+use crate::fixgen::FixEdit;
 use crate::lm::NgramLm;
+use crate::plan::SamplingPlan;
 use crate::policy::Policy;
 use crate::solver::{RepairModel, Response};
 use rand::rngs::StdRng;
@@ -189,14 +190,7 @@ fn hand_tuned_policies(kind: BaselineKind) -> (Policy, Policy) {
             w
         }
     };
-    (from_weights(line), from_weights(fix))
-}
-
-fn from_weights(weights: Vec<f64>) -> Policy {
-    // Policy has no public constructor from weights; emulate it via SFT steps on a
-    // basis: instead we rebuild by zeroing and nudging each weight with a synthetic
-    // one-hot example.  A dedicated constructor keeps this honest.
-    Policy::from_weights(weights)
+    (Policy::from_weights(line), Policy::from_weights(fix))
 }
 
 impl RepairModel for BaselineModel {
@@ -208,6 +202,8 @@ impl RepairModel for BaselineModel {
         self.kind.cost()
     }
 
+    /// Samples through one sampling plan per call, as `AssertSolverModel::solve`
+    /// does: the iterative reasoner's three lines per sample share its fix memo.
     fn solve(
         &self,
         case: &CaseInput,
@@ -215,22 +211,126 @@ impl RepairModel for BaselineModel {
         temperature: f64,
         seed: u64,
     ) -> Vec<Response> {
-        let lines = line_candidates(case, &self.lm);
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..samples)
-            .map(|_| self.propose(case, &lines, temperature, &mut rng))
-            .collect()
+        self.sample(
+            &SamplingPlan::new(case, &self.lm),
+            samples,
+            temperature,
+            seed,
+        )
     }
 }
 
 impl BaselineModel {
-    fn propose(
+    /// Draws `samples` responses through `plan` from one RNG seeded with `seed`.
+    pub(crate) fn sample(
+        &self,
+        plan: &SamplingPlan,
+        samples: usize,
+        temperature: f64,
+        seed: u64,
+    ) -> Vec<Response> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..samples)
+            .map(|_| self.draw(plan, temperature, &mut rng))
+            .collect()
+    }
+
+    fn draw(&self, plan: &SamplingPlan, temperature: f64, rng: &mut StdRng) -> Response {
+        if plan.lines.is_empty() {
+            return Response::unanswered();
+        }
+        // Weak tiers sample at a much higher effective temperature (they are not
+        // confident); the iterative reasoner runs an internal best-of-3 pass.
+        let effective_temperature = match self.kind {
+            BaselineKind::RandomGuess | BaselineKind::AssignmentGuess => temperature.max(3.0),
+            BaselineKind::KeywordMatch => temperature.max(1.0),
+            _ => temperature,
+        };
+        let candidates_to_try = if self.kind == BaselineKind::IterativeReasoner {
+            3
+        } else {
+            1
+        };
+        let mut best: Option<(f64, usize, String)> = None;
+        for _ in 0..candidates_to_try {
+            let line = self
+                .line_policy
+                .sample(&plan.lines.features, effective_temperature, rng);
+            let text = &plan.lines.texts[line];
+            let fixes = plan.fixes(line);
+            let (fixed_line, fix_score) = if fixes.is_empty() {
+                (text.clone(), 0.0)
+            } else {
+                let idx = if matches!(
+                    self.kind,
+                    BaselineKind::RandomGuess | BaselineKind::AssignmentGuess
+                ) {
+                    rng_choice(fixes.texts.len(), rng)
+                } else {
+                    self.fix_policy
+                        .sample(&fixes.features, effective_temperature, rng)
+                };
+                (
+                    fixes.texts[idx].clone(),
+                    self.fix_policy.score(&fixes.features[idx]),
+                )
+            };
+            // Self-check score: line score plus fix score, with a bonus when a
+            // conditional line's fix changes its negations.
+            let mut score = self.line_policy.score(&plan.lines.features[line]) + fix_score;
+            if (text.starts_with("if (") || text.starts_with("else if ("))
+                && fixed_line.matches('!').count() != text.matches('!').count()
+            {
+                score += 0.5;
+            }
+            if best.as_ref().is_none_or(|(s, _, _)| score > *s) {
+                best = Some((score, line, fixed_line));
+            }
+        }
+        let (_, line, fixed_line) = best.expect("at least one candidate generated");
+        let bug_line_number = plan.line_numbers[line];
+        Response {
+            bug_line_number,
+            buggy_line: plan.lines.texts[line].clone(),
+            fixed_line,
+            cot: Some(format!(
+                "Heuristic analysis of the failing assertion points at line {bug_line_number}."
+            )),
+        }
+    }
+}
+
+/// The per-sample path the sampling plan replaced, kept as the oracle of
+/// `plan::tests`: the line features and every drawn line's fix candidates (two
+/// parses) are rebuilt per sample.
+#[cfg(test)]
+impl BaselineModel {
+    pub(crate) fn language_model(&self) -> &NgramLm {
+        &self.lm
+    }
+
+    pub(crate) fn solve_oracle(
+        &self,
+        case: &CaseInput,
+        samples: usize,
+        temperature: f64,
+        seed: u64,
+    ) -> Vec<Response> {
+        let lines = crate::features::line_candidates(case, &self.lm);
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..samples)
+            .map(|_| self.propose_oracle(case, &lines, temperature, &mut rng))
+            .collect()
+    }
+
+    fn propose_oracle(
         &self,
         case: &CaseInput,
         lines: &[crate::features::LineCandidate],
         temperature: f64,
         rng: &mut StdRng,
     ) -> Response {
+        use crate::fixgen::fix_candidates_for_case;
         if lines.is_empty() {
             return Response {
                 bug_line_number: 0,

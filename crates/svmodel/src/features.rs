@@ -10,7 +10,7 @@ use crate::lm::NgramLm;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use svdata::SvaBugEntry;
-use svparse::DependencyGraph;
+use svparse::{DependencyGraph, Module};
 use svsim::failing_assertions_in_log;
 
 /// Number of features describing a candidate line.
@@ -97,13 +97,27 @@ pub fn is_candidate_line(trimmed: &str) -> bool {
 /// pretrained model).
 pub fn line_candidates(case: &CaseInput, lm: &NgramLm) -> Vec<LineCandidate> {
     let module = svparse::parse_module(&case.buggy_source).ok();
-    let failing = case.failing_assertions();
+    line_candidates_in(
+        &case.buggy_source,
+        module.as_ref(),
+        &case.failing_assertions(),
+        lm,
+    )
+}
 
+/// [`line_candidates`] over an already parsed `module` (`None` when `source` does
+/// not parse) and the failing-assertion names of the case's log.
+pub(crate) fn line_candidates_in(
+    source: &str,
+    module: Option<&Module>,
+    failing: &[String],
+    lm: &NgramLm,
+) -> Vec<LineCandidate> {
     let mut assertion_signals: BTreeSet<String> = BTreeSet::new();
     let mut cone: BTreeSet<String> = BTreeSet::new();
     let mut graph = None;
-    if let Some(m) = &module {
-        for name in &failing {
+    if let Some(m) = module {
+        for name in failing {
             for s in svmutate::signals_of_assertion(m, name) {
                 assertion_signals.insert(s);
             }
@@ -123,9 +137,9 @@ pub fn line_candidates(case: &CaseInput, lm: &NgramLm) -> Vec<LineCandidate> {
         graph = Some(g);
     }
 
-    let total_lines = case.buggy_source.lines().count().max(1);
+    let total_lines = source.lines().count().max(1);
     let mut candidates = Vec::new();
-    for (idx, raw) in case.buggy_source.lines().enumerate() {
+    for (idx, raw) in source.lines().enumerate() {
         let trimmed = raw.trim();
         if !is_candidate_line(trimmed) {
             continue;

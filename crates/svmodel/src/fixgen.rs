@@ -297,19 +297,26 @@ pub fn fix_candidates_for_case(
     line_text: &str,
     lm: &crate::lm::NgramLm,
 ) -> Vec<FixCandidate> {
-    let declared = svparse::parse_module(&case.buggy_source)
-        .map(|m| m.declared_names())
-        .unwrap_or_default();
-    let failing = case.failing_assertions();
-    let assertion_signals = svparse::parse_module(&case.buggy_source)
-        .map(|m| {
-            failing
-                .iter()
-                .flat_map(|name| svmutate::signals_of_assertion(&m, name))
-                .collect::<Vec<String>>()
-        })
-        .unwrap_or_default();
+    let module = svparse::parse_module(&case.buggy_source).ok();
+    let (declared, assertion_signals) = fix_context(module.as_ref(), &case.failing_assertions());
     fix_candidates(line_text, &declared, &assertion_signals, lm)
+}
+
+/// The two name lists [`fix_candidates`] needs from a case: every declared name of
+/// `module`, and the signals each failing assertion observes (in log order,
+/// repeats kept).  Both are empty when the source does not parse.
+pub(crate) fn fix_context(
+    module: Option<&svparse::Module>,
+    failing: &[String],
+) -> (Vec<String>, Vec<String>) {
+    let Some(m) = module else {
+        return (Vec::new(), Vec::new());
+    };
+    let signals = failing
+        .iter()
+        .flat_map(|name| svmutate::signals_of_assertion(m, name))
+        .collect();
+    (m.declared_names(), signals)
 }
 
 #[cfg(test)]

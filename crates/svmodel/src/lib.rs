@@ -11,6 +11,18 @@
 //! evaluation.  Rule-based baseline engines stand in for the commercial LLMs the paper
 //! compares against.
 //!
+//! ## What a `solve` does
+//!
+//! Every [`RepairModel::solve`] here builds one crate-private sampling plan for the
+//! case: the buggy source is parsed once, the line candidates and their feature
+//! matrix are built once, and a line's fix candidates (one LM surprisal each) are
+//! built on the first draw of that line and reused by every later draw of it.  The
+//! RNG is consumed in the same order as rebuilding all of that per sample, so the
+//! responses are byte-identical to the per-sample path, which the crate's tests
+//! keep as an oracle.  SFT prepares each example's feature matrices once, before
+//! the epoch loop, and DPO harvesting reads its pairs from the plan it sampled
+//! through.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -28,6 +40,7 @@ pub mod baselines;
 pub mod features;
 pub mod fixgen;
 pub mod lm;
+mod plan;
 pub mod policy;
 pub mod solver;
 

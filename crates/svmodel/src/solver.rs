@@ -6,9 +6,9 @@
 //! training stages: continual pretraining on *Verilog-PT*, supervised fine-tuning on
 //! *SVA-Bug*/*Verilog-Bug*, and DPO on error responses to challenging cases.
 
-use crate::features::{line_candidates, CaseInput, LineCandidate};
-use crate::fixgen::{fix_candidates_for_case, FixCandidate};
+use crate::features::CaseInput;
 use crate::lm::NgramLm;
+use crate::plan::SamplingPlan;
 use crate::policy::Policy;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -34,6 +34,16 @@ impl Response {
     /// Serialises the response as the JSON object the inference interface returns.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("response serialises")
+    }
+
+    /// The answer to a case with no candidate line: line 0, empty texts, no CoT.
+    pub(crate) fn unanswered() -> Self {
+        Self {
+            bug_line_number: 0,
+            buggy_line: String::new(),
+            fixed_line: String::new(),
+            cot: None,
+        }
     }
 }
 
@@ -171,6 +181,11 @@ impl AssertSolverModel {
     }
 
     /// Stage 2: supervised fine-tuning on SVA-Bug plus the auxiliary Verilog-Bug task.
+    ///
+    /// An example's line and fix feature matrices depend only on the case and the
+    /// (frozen) language model, so they are built once, before the first epoch;
+    /// each epoch then shuffles the prepared examples and takes one SGD step per
+    /// policy on each.
     pub fn sft(
         &mut self,
         sva_bug: &[SvaBugEntry],
@@ -180,6 +195,343 @@ impl AssertSolverModel {
         seed: u64,
     ) {
         // Reset the noisy base weights: fine-tuning starts from the pretrained state.
+        self.line_policy = Policy::zeros(crate::features::LINE_FEATURES);
+        self.fix_policy = Policy::zeros(crate::fixgen::FIX_FEATURES);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut examples: Vec<SftExample> = sva_bug
+            .iter()
+            .map(|e| {
+                let case = CaseInput::from_entry(e);
+                SftExample::new(
+                    &case,
+                    e.bug_line_number,
+                    &e.buggy_line,
+                    &e.fixed_line,
+                    &self.lm,
+                )
+            })
+            .collect();
+        examples.extend(verilog_bug.iter().map(|e| {
+            let case = CaseInput {
+                spec: e.spec.clone(),
+                buggy_source: e.buggy_source.clone(),
+                logs: String::new(),
+            };
+            SftExample::new(
+                &case,
+                e.bug_line_number,
+                &e.buggy_line,
+                &e.fixed_line,
+                &self.lm,
+            )
+        }));
+
+        for _ in 0..epochs {
+            examples.shuffle(&mut rng);
+            for example in &examples {
+                if let Some((features, correct)) = &example.line {
+                    self.line_policy.sft_step(features, *correct, learning_rate);
+                }
+                if let Some((features, correct)) = &example.fix {
+                    self.fix_policy.sft_step(features, *correct, learning_rate);
+                }
+            }
+        }
+        self.stage = TrainingStage::Sft;
+        self.display_name = "SFT model".to_string();
+    }
+
+    /// Samples the model on every training case and harvests preference pairs from the
+    /// challenging ones (cases with at least one incorrect response among `samples`).
+    ///
+    /// Each entry gets one sampling plan: its responses are drawn through it, and the
+    /// chosen/rejected features are read from the same line and fix matrices.
+    pub fn collect_challenging(
+        &self,
+        entries: &[SvaBugEntry],
+        samples: usize,
+        temperature: f64,
+        seed: u64,
+    ) -> Vec<PreferencePair> {
+        let mut pairs = Vec::new();
+        for (i, entry) in entries.iter().enumerate() {
+            let case = CaseInput::from_entry(entry);
+            let plan = SamplingPlan::new(&case, &self.lm);
+            let Some(correct_line) = plan.line_index(entry.bug_line_number) else {
+                continue;
+            };
+            // The entry's buggy line is the candidate line's text whenever the
+            // entry is consistent; build its fixes afresh only when it is not.
+            let unlisted;
+            let fixes = if plan.lines.texts[correct_line] == entry.buggy_line.trim() {
+                plan.fixes(correct_line)
+            } else {
+                unlisted = plan.fixes_for(&entry.buggy_line);
+                &unlisted
+            };
+            let correct_fix = fixes.position(entry.fixed_line.trim());
+            let line_features = &plan.lines.features;
+            let chosen_line = &line_features[correct_line];
+
+            let responses = self.sample(&plan, samples, temperature, seed ^ (i as u64));
+            for response in responses {
+                let line_correct = response.bug_line_number == entry.bug_line_number;
+                let fix_correct = response.fixed_line == entry.fixed_line.trim();
+                if line_correct && fix_correct {
+                    continue;
+                }
+                if !line_correct {
+                    if let Some(rejected) = plan.line_index(response.bug_line_number) {
+                        let rejected = &line_features[rejected];
+                        pairs.push(PreferencePair {
+                            chosen: chosen_line.clone(),
+                            rejected: rejected.clone(),
+                            reference_margin: self.line_policy.score(chosen_line)
+                                - self.line_policy.score(rejected),
+                            is_line_pair: true,
+                        });
+                    }
+                } else if let (Some(correct_fix), Some(rejected)) =
+                    (correct_fix, fixes.position(&response.fixed_line))
+                {
+                    let (chosen, rejected) =
+                        (&fixes.features[correct_fix], &fixes.features[rejected]);
+                    pairs.push(PreferencePair {
+                        chosen: chosen.clone(),
+                        rejected: rejected.clone(),
+                        reference_margin: self.fix_policy.score(chosen)
+                            - self.fix_policy.score(rejected),
+                        is_line_pair: false,
+                    });
+                }
+            }
+        }
+        pairs
+    }
+
+    /// Stage 3: DPO on the harvested preference pairs (β = 0.1 in the paper).
+    pub fn dpo(&mut self, pairs: &[PreferencePair], beta: f64, learning_rate: f64) {
+        for pair in pairs {
+            if pair.is_line_pair {
+                self.line_policy.dpo_step(
+                    &pair.chosen,
+                    &pair.rejected,
+                    pair.reference_margin,
+                    beta,
+                    learning_rate,
+                );
+            } else {
+                self.fix_policy.dpo_step(
+                    &pair.chosen,
+                    &pair.rejected,
+                    pair.reference_margin,
+                    beta,
+                    learning_rate,
+                );
+            }
+        }
+        self.stage = TrainingStage::Dpo;
+        self.display_name = "AssertSolver".to_string();
+    }
+
+    /// Draws `samples` responses through `plan` from one RNG seeded with `seed`.
+    pub(crate) fn sample(
+        &self,
+        plan: &SamplingPlan,
+        samples: usize,
+        temperature: f64,
+        seed: u64,
+    ) -> Vec<Response> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..samples)
+            .map(|_| self.draw(plan, temperature, &mut rng))
+            .collect()
+    }
+
+    /// One response: a line from the line policy, then — when that line has fix
+    /// candidates — a fix from the fix policy, one RNG draw each.
+    fn draw(&self, plan: &SamplingPlan, temperature: f64, rng: &mut StdRng) -> Response {
+        if plan.lines.is_empty() {
+            return Response::unanswered();
+        }
+        let line = self
+            .line_policy
+            .sample(&plan.lines.features, temperature, rng);
+        let line_number = plan.line_numbers[line];
+        let buggy_line = &plan.lines.texts[line];
+        let fixes = plan.fixes(line);
+        let fixed_line = if fixes.is_empty() {
+            buggy_line.clone()
+        } else {
+            fixes.texts[self.fix_policy.sample(&fixes.features, temperature, rng)].clone()
+        };
+        let cot = (self.stage >= TrainingStage::Sft).then(|| {
+            format!(
+                "The log reports the failing assertion(s) [{}]. Tracing the signals they observe back through the design, line {line_number} (`{buggy_line}`) drives the observed behaviour and contradicts the specification; replacing it with `{fixed_line}` makes the assertion hold.",
+                plan.failing
+            )
+        });
+        Response {
+            bug_line_number: line_number,
+            buggy_line: buggy_line.clone(),
+            fixed_line,
+            cot,
+        }
+    }
+}
+
+/// One SFT example with its feature matrices prepared: the line candidates with
+/// the index of the labelled bug line, and the labelled buggy line's fix
+/// candidates with the index of the labelled fix.  `None` when the label is not
+/// among the candidates (that policy takes no step on the example).
+struct SftExample {
+    line: Option<(Vec<Vec<f64>>, usize)>,
+    fix: Option<(Vec<Vec<f64>>, usize)>,
+}
+
+impl SftExample {
+    fn new(
+        case: &CaseInput,
+        bug_line: u32,
+        buggy_line: &str,
+        fixed_line: &str,
+        lm: &NgramLm,
+    ) -> Self {
+        let plan = SamplingPlan::new(case, lm);
+        let fixes = plan.fixes_for(buggy_line);
+        Self {
+            fix: fixes
+                .position(fixed_line.trim())
+                .map(|correct| (fixes.features, correct)),
+            line: plan
+                .line_index(bug_line)
+                .map(|correct| (plan.lines.features, correct)),
+        }
+    }
+}
+
+impl RepairModel for AssertSolverModel {
+    fn name(&self) -> &str {
+        &self.display_name
+    }
+
+    /// Display name plus a content hash of the full serialized model, so two
+    /// same-stage models with different weights (e.g. `base(3)` vs `base(11)`,
+    /// or SFT runs with different hyperparameters) never share a cache identity.
+    fn identity(&self) -> String {
+        let serialized = serde_json::to_string(self).expect("model serialises");
+        // FNV-1a/64 over the serialized weights; stable across processes because
+        // every field renders deterministically (BTreeMaps, shortest-float).
+        // Local copy of the hash: svserve's shared helper lives downstream of
+        // this crate in the dependency graph.
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in serialized.bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+        format!("{} [{hash:016x}]", self.display_name)
+    }
+
+    /// Cost tracks the training stage: every stage makes the checkpoint
+    /// strictly pricier to serve, so a multi-stage ladder escalates in
+    /// training order (see [`TrainingStage::cost`]).
+    fn cost(&self) -> u32 {
+        self.stage.cost()
+    }
+
+    /// Builds one sampling plan for the case — one parse, the line feature matrix,
+    /// fix candidates memoised per line on its first draw — and draws every
+    /// sample through it, in the same RNG order as rebuilding all of it per
+    /// sample.
+    fn solve(
+        &self,
+        case: &CaseInput,
+        samples: usize,
+        temperature: f64,
+        seed: u64,
+    ) -> Vec<Response> {
+        self.sample(
+            &SamplingPlan::new(case, &self.lm),
+            samples,
+            temperature,
+            seed,
+        )
+    }
+}
+
+/// The per-sample path the sampling plan replaced, kept as the oracle of
+/// `plan::tests`: `solve` rebuilds the line features and the drawn line's fix
+/// candidates (two parses) per sample, `sft` rebuilds both per example per epoch,
+/// and `collect_challenging` builds them beside a `solve`.
+#[cfg(test)]
+impl AssertSolverModel {
+    pub(crate) fn solve_oracle(
+        &self,
+        case: &CaseInput,
+        samples: usize,
+        temperature: f64,
+        seed: u64,
+    ) -> Vec<Response> {
+        let lines = crate::features::line_candidates(case, &self.lm);
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..samples)
+            .map(|_| self.propose_oracle(case, &lines, temperature, &mut rng))
+            .collect()
+    }
+
+    fn propose_oracle(
+        &self,
+        case: &CaseInput,
+        lines: &[crate::features::LineCandidate],
+        temperature: f64,
+        rng: &mut StdRng,
+    ) -> Response {
+        if lines.is_empty() {
+            return Response {
+                bug_line_number: 0,
+                buggy_line: String::new(),
+                fixed_line: String::new(),
+                cot: None,
+            };
+        }
+        let line_features: Vec<Vec<f64>> = lines.iter().map(|c| c.features.clone()).collect();
+        let line_idx = self.line_policy.sample(&line_features, temperature, rng);
+        let line = &lines[line_idx];
+        let fixes = crate::fixgen::fix_candidates_for_case(case, &line.text, &self.lm);
+        let fixed_line = if fixes.is_empty() {
+            line.text.clone()
+        } else {
+            let fix_features: Vec<Vec<f64>> = fixes.iter().map(|f| f.features.clone()).collect();
+            let fix_idx = self.fix_policy.sample(&fix_features, temperature, rng);
+            fixes[fix_idx].text.clone()
+        };
+        let cot = if self.stage >= TrainingStage::Sft {
+            let failing = case.failing_assertions().join(", ");
+            Some(format!(
+                "The log reports the failing assertion(s) [{failing}]. Tracing the signals they observe back through the design, line {} (`{}`) drives the observed behaviour and contradicts the specification; replacing it with `{}` makes the assertion hold.",
+                line.line_number, line.text, fixed_line
+            ))
+        } else {
+            None
+        };
+        Response {
+            bug_line_number: line.line_number,
+            buggy_line: line.text.clone(),
+            fixed_line,
+            cot,
+        }
+    }
+
+    pub(crate) fn sft_oracle(
+        &mut self,
+        sva_bug: &[SvaBugEntry],
+        verilog_bug: &[VerilogBugEntry],
+        epochs: usize,
+        learning_rate: f64,
+        seed: u64,
+    ) {
+        use crate::features::line_candidates;
+        use crate::fixgen::fix_candidates_for_case;
         self.line_policy = Policy::zeros(crate::features::LINE_FEATURES);
         self.fix_policy = Policy::zeros(crate::fixgen::FIX_FEATURES);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -228,15 +580,15 @@ impl AssertSolverModel {
         self.display_name = "SFT model".to_string();
     }
 
-    /// Samples the model on every training case and harvests preference pairs from the
-    /// challenging ones (cases with at least one incorrect response among `samples`).
-    pub fn collect_challenging(
+    pub(crate) fn collect_challenging_oracle(
         &self,
         entries: &[SvaBugEntry],
         samples: usize,
         temperature: f64,
         seed: u64,
     ) -> Vec<PreferencePair> {
+        use crate::features::line_candidates;
+        use crate::fixgen::fix_candidates_for_case;
         let mut pairs = Vec::new();
         for (i, entry) in entries.iter().enumerate() {
             let case = CaseInput::from_entry(entry);
@@ -250,7 +602,7 @@ impl AssertSolverModel {
             let fixes = fix_candidates_for_case(&case, &entry.buggy_line, &self.lm);
             let correct_fix = fixes.iter().find(|f| f.text == entry.fixed_line.trim());
 
-            let responses = self.solve(&case, samples, temperature, seed ^ (i as u64));
+            let responses = self.solve_oracle(&case, samples, temperature, seed ^ (i as u64));
             for response in responses {
                 let line_correct = response.bug_line_number == entry.bug_line_number;
                 let fix_correct = response.fixed_line == entry.fixed_line.trim();
@@ -287,116 +639,9 @@ impl AssertSolverModel {
         pairs
     }
 
-    /// Stage 3: DPO on the harvested preference pairs (β = 0.1 in the paper).
-    pub fn dpo(&mut self, pairs: &[PreferencePair], beta: f64, learning_rate: f64) {
-        for pair in pairs {
-            if pair.is_line_pair {
-                self.line_policy.dpo_step(
-                    &pair.chosen,
-                    &pair.rejected,
-                    pair.reference_margin,
-                    beta,
-                    learning_rate,
-                );
-            } else {
-                self.fix_policy.dpo_step(
-                    &pair.chosen,
-                    &pair.rejected,
-                    pair.reference_margin,
-                    beta,
-                    learning_rate,
-                );
-            }
-        }
-        self.stage = TrainingStage::Dpo;
-        self.display_name = "AssertSolver".to_string();
-    }
-
-    fn propose(
-        &self,
-        case: &CaseInput,
-        lines: &[LineCandidate],
-        temperature: f64,
-        rng: &mut StdRng,
-    ) -> Response {
-        if lines.is_empty() {
-            return Response {
-                bug_line_number: 0,
-                buggy_line: String::new(),
-                fixed_line: String::new(),
-                cot: None,
-            };
-        }
-        let line_features: Vec<Vec<f64>> = lines.iter().map(|c| c.features.clone()).collect();
-        let line_idx = self.line_policy.sample(&line_features, temperature, rng);
-        let line = &lines[line_idx];
-        let fixes: Vec<FixCandidate> = fix_candidates_for_case(case, &line.text, &self.lm);
-        let fixed_line = if fixes.is_empty() {
-            line.text.clone()
-        } else {
-            let fix_features: Vec<Vec<f64>> = fixes.iter().map(|f| f.features.clone()).collect();
-            let fix_idx = self.fix_policy.sample(&fix_features, temperature, rng);
-            fixes[fix_idx].text.clone()
-        };
-        let cot = if self.stage >= TrainingStage::Sft {
-            let failing = case.failing_assertions().join(", ");
-            Some(format!(
-                "The log reports the failing assertion(s) [{failing}]. Tracing the signals they observe back through the design, line {} (`{}`) drives the observed behaviour and contradicts the specification; replacing it with `{}` makes the assertion hold.",
-                line.line_number, line.text, fixed_line
-            ))
-        } else {
-            None
-        };
-        Response {
-            bug_line_number: line.line_number,
-            buggy_line: line.text.clone(),
-            fixed_line,
-            cot,
-        }
-    }
-}
-
-impl RepairModel for AssertSolverModel {
-    fn name(&self) -> &str {
-        &self.display_name
-    }
-
-    /// Display name plus a content hash of the full serialized model, so two
-    /// same-stage models with different weights (e.g. `base(3)` vs `base(11)`,
-    /// or SFT runs with different hyperparameters) never share a cache identity.
-    fn identity(&self) -> String {
-        let serialized = serde_json::to_string(self).expect("model serialises");
-        // FNV-1a/64 over the serialized weights; stable across processes because
-        // every field renders deterministically (BTreeMaps, shortest-float).
-        // Local copy of the hash: svserve's shared helper lives downstream of
-        // this crate in the dependency graph.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in serialized.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
-        format!("{} [{hash:016x}]", self.display_name)
-    }
-
-    /// Cost tracks the training stage: every stage makes the checkpoint
-    /// strictly pricier to serve, so a multi-stage ladder escalates in
-    /// training order (see [`TrainingStage::cost`]).
-    fn cost(&self) -> u32 {
-        self.stage.cost()
-    }
-
-    fn solve(
-        &self,
-        case: &CaseInput,
-        samples: usize,
-        temperature: f64,
-        seed: u64,
-    ) -> Vec<Response> {
-        let lines = line_candidates(case, &self.lm);
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..samples)
-            .map(|_| self.propose(case, &lines, temperature, &mut rng))
-            .collect()
+    /// Both policies, for bit-exact weight comparisons.
+    pub(crate) fn policies(&self) -> (&Policy, &Policy) {
+        (&self.line_policy, &self.fix_policy)
     }
 }
 
