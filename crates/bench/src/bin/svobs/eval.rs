@@ -2,14 +2,12 @@
 //! and by session.
 
 use crate::{Failure, Flags, Outcome, Quick};
-use assertsolver::{
-    evaluate_model_observed, evaluate_model_over_fleet_traced, evaluate_model_profiled,
-    EvalVerifier,
-};
+use assertsolver::Evaluation;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svmodel::RepairModel;
 use svserve::{
-    CollapsedProfile, ShardFleet, TelemetryHandle, TraceForest, TraceHandle, TracerHandle,
+    CollapsedProfile, MetricsRegistry, ShardFleet, TelemetryHandle, TraceForest, TraceHandle,
 };
 
 /// `svobs prof` — dual-clock stage profiler for the quick evaluation protocol.
@@ -44,8 +42,11 @@ pub fn prof(mut flags: Flags) -> Outcome {
     quick.config.profile_dir = profile_dir;
 
     let wall_start = Instant::now();
-    let (evaluation, profile) =
-        evaluate_model_profiled(&quick.model, &quick.entries, &quick.config);
+    let telemetry = TelemetryHandle::new(Arc::new(MetricsRegistry::default()));
+    let run = Evaluation::new(&quick.model, &quick.entries, &quick.config)
+        .telemetry(&telemetry)
+        .run();
+    let (evaluation, profile) = (run.evaluation, run.profile.expect("telemetry is on"));
     let wall = wall_start.elapsed();
 
     // The rendered profile must round-trip through the parser — the same
@@ -130,35 +131,16 @@ pub fn trace(mut flags: Flags) -> Outcome {
     let trace = TraceHandle::new(0);
 
     let wall_start = Instant::now();
-    let verifier = EvalVerifier::start(&quick.config);
-    let (evaluation, wire_errors) = if sockets.is_empty() {
-        let evaluation = evaluate_model_observed(
-            &quick.model,
-            &quick.entries,
-            &quick.config,
-            &verifier,
-            &TracerHandle::off(),
-            &TelemetryHandle::off(),
-            &trace,
-        );
-        (evaluation, 0)
-    } else {
-        let fleet = ShardFleet::connect_unix(
-            &sockets,
-            Some(&quick.model.identity()),
-            Duration::from_millis(timeout_ms.max(1)),
-        );
-        let evaluation = evaluate_model_over_fleet_traced(
-            &quick.model,
-            &quick.entries,
-            &quick.config,
-            &fleet,
-            &verifier,
-            &trace,
-        );
-        (evaluation, fleet.metrics().wire_errors)
-    };
-    verifier.shutdown();
+    let fleet = (!sockets.is_empty()).then(|| {
+        let timeout = Duration::from_millis(timeout_ms.max(1));
+        ShardFleet::connect_unix(&sockets, Some(&quick.model.identity()), timeout)
+    });
+    let mut run = Evaluation::new(&quick.model, &quick.entries, &quick.config).trace(&trace);
+    if let Some(fleet) = &fleet {
+        run = run.fleet(fleet);
+    }
+    let evaluation = run.run().evaluation;
+    let wire_errors = fleet.map_or(0, |fleet| fleet.metrics().wire_errors);
     if wire_errors > 0 {
         return Err(Failure::Runtime(format!(
             "{wire_errors} wire errors against the fleet — trace is partial"

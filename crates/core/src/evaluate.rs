@@ -13,16 +13,18 @@ use std::sync::Arc;
 use std::time::Instant;
 use svdata::SvaBugEntry;
 use svmodel::{CaseInput, RepairModel, Response};
-use svserve::persist::fnv64;
+use svserve::env::path_knob;
+use svserve::persist::{fnv64, write_atomic};
 use svserve::stage as trace_stage;
 use svserve::{
-    env_cache_dir, env_journal_dir, env_profile_dir, render_journal, serve_scoped, verdict_key,
-    write_journal, BackendSpec, CaseKey, CollapsedProfile, EscalationJudge, JournalHeader,
-    JournalSink, JournalSpec, JudgeReport, Metric, MetricClass, MetricsRegistry, ModelRouter,
-    PersistSpec, RepairRequest, RouteAttempt, RouteMetrics, RoutePolicy, RouterConfig,
-    ServiceConfig, SessionConfig, SessionEngine, SessionPhase, SessionSpan, ShardFleet,
+    block_on, env_cache_dir, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
+    verdict_key, write_journal, BackendSpec, CaseKey, CollapsedProfile, JournalHeader, JournalSink,
+    JournalSpec, JudgeReport, MetricClass, ModelRouter, PersistSpec, RepairRequest, RouteAttempt,
+    RouteMetrics, RoutePolicy, RouterConfig, ScopedService, ServiceConfig, SessionConfig,
+    SessionEngine, SessionMonitor, SessionPhase, SessionSpan, ShardFleet, SpanHandle,
     TelemetryHandle, TraceHandle, TraceSpan, TracerHandle, VerdictKey, VerifyConfig, VerifyMetrics,
-    VerifyPool, VerifyRequest, VerifyTicket, DEFAULT_COMPACT_AFTER_RUNS,
+    VerifyPool, VerifyRequest, VerifyTicket, DEFAULT_COMPACT_AFTER_RUNS, JOURNAL_DIR_ENV,
+    SHARD_SOCKETS_ENV,
 };
 use svverify::{CheckConfig, VerifyOracle};
 
@@ -70,9 +72,10 @@ pub struct EvalConfig {
     pub shards: Option<ShardSpec>,
     /// Directory for collapsed-stack profile artifacts (`None` = the
     /// `ASSERTSOLVER_PROFILE_DIR` environment override, else no profile
-    /// write).  When resolved, [`evaluate_model_profiled`] writes its
-    /// flamegraph-compatible `profile-<slug>-<hash>.folded` there (best
-    /// effort, like the cache flush paths).
+    /// write).  When resolved, an [`Evaluation`] with telemetry on writes its
+    /// flamegraph-compatible `profile-<slug>-<hash>.folded` there, and one
+    /// with tracing on its `trace-<slug>-<hash>.jsonl` (best effort, like the
+    /// cache flush paths).
     pub profile_dir: Option<String>,
     /// Bounded-check configuration used to decide whether a repair solves the failure.
     pub check: CheckConfig,
@@ -141,24 +144,14 @@ impl EvalConfig {
     /// [`EvalConfig::cache_dir`] field, else the `ASSERTSOLVER_CACHE_DIR`
     /// environment override (`svserve::CACHE_DIR_ENV`).
     pub fn resolved_cache_dir(&self) -> Option<std::path::PathBuf> {
-        self.cache_dir
-            .as_deref()
-            .map(|raw| raw.trim())
-            .filter(|raw| !raw.is_empty())
-            .map(std::path::PathBuf::from)
-            .or_else(env_cache_dir)
+        resolve_dir(&self.cache_dir, env_cache_dir)
     }
 
     /// The journal directory this protocol records to, if any: the explicit
     /// [`EvalConfig::journal_dir`] field, else the `ASSERTSOLVER_JOURNAL_DIR`
     /// environment override (`svserve::JOURNAL_DIR_ENV`).
     pub fn resolved_journal_dir(&self) -> Option<std::path::PathBuf> {
-        self.journal_dir
-            .as_deref()
-            .map(|raw| raw.trim())
-            .filter(|raw| !raw.is_empty())
-            .map(std::path::PathBuf::from)
-            .or_else(env_journal_dir)
+        resolve_dir(&self.journal_dir, env_journal_dir)
     }
 
     /// The profile directory this protocol writes collapsed-stack artifacts
@@ -166,12 +159,7 @@ impl EvalConfig {
     /// `ASSERTSOLVER_PROFILE_DIR` environment override
     /// (`svserve::PROFILE_DIR_ENV`).
     pub fn resolved_profile_dir(&self) -> Option<std::path::PathBuf> {
-        self.profile_dir
-            .as_deref()
-            .map(|raw| raw.trim())
-            .filter(|raw| !raw.is_empty())
-            .map(std::path::PathBuf::from)
-            .or_else(env_profile_dir)
+        resolve_dir(&self.profile_dir, env_profile_dir)
     }
 
     /// The remote shard fleet this protocol samples against, if any: the
@@ -279,6 +267,15 @@ impl EvalConfig {
     pub fn session_config(&self) -> SessionConfig {
         SessionConfig::default().with_drivers(self.drivers)
     }
+}
+
+/// An explicit directory field, else the environment override; both read
+/// with the one directory-knob policy ([`path_knob`]: trimmed, blank = unset).
+fn resolve_dir(
+    field: &Option<String>,
+    env: fn() -> Option<std::path::PathBuf>,
+) -> Option<std::path::PathBuf> {
+    field.as_deref().and_then(path_knob).or_else(env)
 }
 
 /// Reduces a model identity to a file-name-safe slug (truncated; uniqueness
@@ -517,40 +514,6 @@ impl EvalVerifier {
         )
     }
 
-    /// Submits one candidate for judgement.
-    pub fn submit(&self, case: Arc<SvaBugEntry>, response: Response) -> VerifyTicket {
-        let key = self.key_for(&case, &response);
-        self.submit_keyed(case, response, key)
-    }
-
-    /// Submits one candidate whose [`VerdictKey`] the caller already computed.
-    pub fn submit_keyed(
-        &self,
-        case: Arc<SvaBugEntry>,
-        response: Response,
-        key: VerdictKey,
-    ) -> VerifyTicket {
-        self.pool
-            .submit(VerifyRequest::new(case, response, key))
-            .expect("verify pool open during evaluation")
-    }
-
-    /// Non-blocking variant of [`EvalVerifier::submit_keyed`] for async
-    /// sessions: parks on a waker (never a thread) while the verify shard is at
-    /// capacity.
-    pub async fn submit_keyed_async(
-        &self,
-        case: Arc<SvaBugEntry>,
-        response: Response,
-        key: VerdictKey,
-    ) -> VerifyTicket {
-        self.pool
-            .submit_async(VerifyRequest::new(case, response, key))
-            .expect("verify pool open during evaluation")
-            .await
-            .expect("verify pool open during evaluation")
-    }
-
     /// Takes a metrics snapshot of the verification stage.
     pub fn metrics(&self) -> VerifyMetrics {
         self.pool.metrics()
@@ -671,428 +634,104 @@ fn artifact_path<M: RepairModel + ?Sized>(
     dir.join(format!("{kind}-{}-{hash:08x}.{ext}", file_slug(&identity)))
 }
 
-/// Evaluates a model over a set of cases.
+/// The branch decision behind [`evaluate_model`], pure so a test can pin it
+/// without process env: whether to journal, and the warning to print.  A
+/// resolved journal directory turns the journal on unless shards resolved
+/// too — a fleet run's sessions happen on the shards and leave no local
+/// journal — and then the warning names both knobs.
+fn journal_decision(shards: bool, journal_dir: bool) -> (bool, Option<String>) {
+    let warning = (shards && journal_dir).then(|| {
+        format!(
+            "warning: {SHARD_SOCKETS_ENV} and {JOURNAL_DIR_ENV} (or EvalConfig::shards and \
+             EvalConfig::journal_dir) are both set; a fleet run keeps no local journal, so none \
+             is written"
+        )
+    });
+    (journal_dir && !shards, warning)
+}
+
+/// Evaluates a model over a set of cases: an [`Evaluation`] with the
+/// facilities the protocol's knobs turn on, judged by a fresh
+/// [`EvalVerifier`].  To share a warm verdict cache across several
+/// evaluations, start an [`EvalVerifier`] once and call
+/// [`evaluate_model_with`].
 ///
-/// Sampling runs through the `svserve` repair service and verification through a
-/// fresh [`EvalVerifier`]; see [`evaluate_model_with`] for the pipeline.  To share a
-/// warm verdict cache across several evaluations, start an [`EvalVerifier`] once and
-/// call [`evaluate_model_with`] directly.
-///
-/// When [`EvalConfig::journal_dir`] (or `ASSERTSOLVER_JOURNAL_DIR`) resolves,
-/// the run additionally records a session journal and writes it to
-/// `journal-<slug>-<hash>.jsonl` in that directory as a record-only artifact
-/// (empty rebuild tags; use `svreplay record` for replayable journals).
+/// * [`EvalConfig::shards`] (or `ASSERTSOLVER_SHARD_SOCKETS`) samples every
+///   case on that remote fleet ([`Evaluation::fleet`]).
+/// * [`EvalConfig::journal_dir`] (or `ASSERTSOLVER_JOURNAL_DIR`) records a
+///   session journal and writes it to `journal-<slug>-<hash>.jsonl` there as
+///   a record-only artifact (empty rebuild tags; `svobs record` writes
+///   replayable ones).  A fleet run keeps no local journal: with both set, a
+///   warning names the two knobs.
+/// * `ASSERTSOLVER_TRACE` collects the trace forest and writes it to
+///   `trace-<slug>-<hash>.jsonl` in the profile directory
+///   ([`EvalConfig::profile_dir`] or `ASSERTSOLVER_PROFILE_DIR`) when one
+///   resolves.  Tracing composes with either of the above.
 pub fn evaluate_model<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
 ) -> ModelEvaluation {
-    if let Some(spec) = config.resolved_shards() {
-        return evaluate_model_sharded(model, entries, config, &spec);
+    let shards = config.resolved_shards();
+    let journal_dir = config.resolved_journal_dir().is_some();
+    let (journal, warning) = journal_decision(shards.is_some(), journal_dir);
+    if let Some(warning) = warning {
+        eprintln!("{warning}");
     }
-    let Some(dir) = config.resolved_journal_dir() else {
-        let verifier = EvalVerifier::start(config);
-        // `ASSERTSOLVER_TRACE` turns on span collection; the drained tree is
-        // written as a `trace-*.jsonl` artifact when a profile directory
-        // resolves (dropped otherwise — collection is cheap, and `svtrace`
-        // renders in-memory).
-        let trace = TraceHandle::from_env();
-        let evaluation = evaluate_model_observed(
-            model,
-            entries,
-            config,
-            &verifier,
-            &TracerHandle::off(),
-            &TelemetryHandle::off(),
-            &trace,
-        );
-        verifier.shutdown();
-        write_trace_artifact(model, entries, config, &trace);
-        return evaluation;
-    };
-    let manifest = JournalManifest::for_protocol("", "", &model.identity(), entries, config);
-    let (evaluation, rendered) = evaluate_model_journaled(model, entries, config, &manifest);
-    let path = artifact_path(&dir, "journal", "jsonl", model, entries, config);
-    // Best-effort like the cache flush paths: an unwritable journal directory
-    // must not fail the evaluation itself.
-    let _ = write_journal(&path, &rendered);
-    evaluation
-}
-
-/// Evaluates a model while recording a session journal, returning the
-/// evaluation plus the *rendered* journal (header, sorted records, the
-/// serialized [`ModelEvaluation`] as payload, checksummed footer).
-///
-/// The rendered bytes are a pure function of `(model, corpus, protocol)`:
-/// identical at any [`EvalConfig::workers`] / [`EvalConfig::verify_workers`] /
-/// [`EvalConfig::drivers`] setting and with warm or cold caches.  That makes
-/// the journal a repro artifact — `svreplay` re-drives it and asserts byte
-/// equality of both the journal and the embedded evaluation payload.
-pub fn evaluate_model_journaled<M: RepairModel + Sync + ?Sized>(
-    model: &M,
-    entries: &[SvaBugEntry],
-    config: &EvalConfig,
-    manifest: &JournalManifest,
-) -> (ModelEvaluation, String) {
-    let sink = JournalSink::shared(JournalSpec::default());
-    let tracer = sink.handle();
-    let telemetry = TelemetryHandle::off();
-    let verifier = EvalVerifier::start_instrumented(config, tracer.clone(), &telemetry);
-    let evaluation = evaluate_model_observed(
-        model,
-        entries,
-        config,
-        &verifier,
-        &tracer,
-        &telemetry,
-        &TraceHandle::off(),
-    );
-    verifier.shutdown();
-    let records = sink.drain_sorted();
-    let header = JournalHeader::expected(&manifest.render());
-    let payload = serde_json::to_string(&evaluation).expect("evaluation serializes");
-    let rendered = render_journal(&header, &records, &payload);
-    (evaluation, rendered)
-}
-
-/// Evaluates a model against a remote shard fleet (`shard-serve` processes
-/// behind unix sockets) instead of an in-process repair service.
-///
-/// `model` is the *local* copy of the model the shards serve: its identity is
-/// the fingerprint the `Hello` handshake enforces, so a fleet serving a
-/// different model (whose answers would differ) refuses the connection
-/// instead of silently corrupting the evaluation.  Sampling happens on the
-/// shards — requests place by content hash, so per-shard caches stay disjoint
-/// — while candidate verification runs locally through a fresh
-/// [`EvalVerifier`].  The result is byte-identical to the in-process
-/// [`evaluate_model`] run at any shard count, warm or cold caches.
-///
-/// Degradation, never failure: a case whose shard is down, busy, or corrupt
-/// becomes a zero-sample [`CaseResult`] (`n = 0, c = 0`) and the failure is
-/// counted in the fleet metrics — a killed shard process cannot panic or hang
-/// the evaluation.
-fn evaluate_model_sharded<M: RepairModel + Sync + ?Sized>(
-    model: &M,
-    entries: &[SvaBugEntry],
-    config: &EvalConfig,
-    spec: &ShardSpec,
-) -> ModelEvaluation {
-    let fleet = ShardFleet::connect_unix(
-        &spec.sockets,
-        Some(&model.identity()),
-        std::time::Duration::from_millis(spec.timeout_ms.max(1)),
-    );
-    let verifier = EvalVerifier::start(config);
+    let fleet = shards.map(|spec| {
+        let timeout = std::time::Duration::from_millis(spec.timeout_ms.max(1));
+        ShardFleet::connect_unix(&spec.sockets, Some(&model.identity()), timeout)
+    });
+    let manifest =
+        journal.then(|| JournalManifest::for_protocol("", "", &model.identity(), entries, config));
     let trace = TraceHandle::from_env();
-    let evaluation =
-        evaluate_model_over_fleet_traced(model, entries, config, &fleet, &verifier, &trace);
-    verifier.shutdown();
-    write_trace_artifact(model, entries, config, &trace);
-    evaluation
+    let mut evaluation = Evaluation::new(model, entries, config).trace(&trace);
+    (evaluation.fleet, evaluation.journal) = (fleet.as_ref(), manifest.as_ref());
+    evaluation.run().evaluation
 }
 
-/// Writes the drained trace tree as a `trace-<slug>-<hash>.jsonl` artifact
-/// into the resolved profile directory, best-effort (like the cache flush
-/// and journal writes — an unwritable directory must not fail the
-/// evaluation).  No-op while tracing is off or nothing was collected.
-fn write_trace_artifact<M: RepairModel + Sync + ?Sized>(
-    model: &M,
-    entries: &[SvaBugEntry],
-    config: &EvalConfig,
-    trace: &TraceHandle,
-) {
-    if !trace.is_on() {
-        return;
-    }
-    let forest = svserve::TraceForest::from_spans(trace.drain());
-    if forest.is_empty() {
-        return;
-    }
-    let Some(dir) = config.resolved_profile_dir() else {
-        return;
-    };
-    let path = artifact_path(&dir, "trace", "jsonl", model, entries, config);
-    let _ = svserve::persist::write_atomic(&path, &forest.render_jsonl());
-}
-
-/// Evaluation against a remote shard fleet with externally managed fleet and verifier, so
-/// callers can run several evaluations over one set of connections (and read
-/// the fleet's metrics afterwards).
-pub fn evaluate_model_over_fleet<M: RepairModel + Sync + ?Sized>(
-    model: &M,
-    entries: &[SvaBugEntry],
-    config: &EvalConfig,
-    fleet: &ShardFleet,
-    verifier: &EvalVerifier,
-) -> ModelEvaluation {
-    evaluate_model_over_fleet_traced(model, entries, config, fleet, verifier, &TraceHandle::off())
-}
-
-/// [`evaluate_model_over_fleet`] with a [`TraceHandle`] collecting the
-/// cross-process trace tree.
-///
-/// The driver derives each case's root context (a pure function of request
-/// content + salt), sends it over the wire inside `SubmitTraced`, and records
-/// the same five-span tree the in-process run builds: `session` root with
-/// `submit` / `sample` / `verify` / `evaluate` children.  The shard — which
-/// adopted the remote parent — answers with its own `sample` span; because
-/// its deterministic fields are derived from the identical context, it merges
-/// byte-for-byte with the driver's (keeping the shard-measured wall via
-/// max-merge).  The drained deterministic tree is therefore byte-identical to
-/// the in-process and loopback trees for the same corpus — the acceptance bar
-/// `tests/trace_determinism.rs` pins.  A degraded case (dead shard, busy,
-/// wire failure) contributes no spans, exactly as it contributes no samples.
-pub fn evaluate_model_over_fleet_traced<M: RepairModel + Sync + ?Sized>(
-    model: &M,
-    entries: &[SvaBugEntry],
-    config: &EvalConfig,
-    fleet: &ShardFleet,
-    verifier: &EvalVerifier,
-    trace: &TraceHandle,
-) -> ModelEvaluation {
-    let results = entries
-        .iter()
-        .map(|entry| {
-            let request = RepairRequest::new(
-                CaseInput::from_entry(entry),
-                config.samples,
-                config.temperature,
-            );
-            let tctx = if trace.is_on() {
-                trace.root(request.key())
-            } else {
-                None
-            };
-            let session_start = Instant::now();
-            let mut lap = session_start;
-            let submit_span = tctx.as_ref().map(|ctx| {
-                span_lap(
-                    ctx,
-                    "submit",
-                    trace_stage::SUBMIT,
-                    request.samples as u64,
-                    &mut lap,
-                )
-            });
-            let wire_result = match &tctx {
-                Some(ctx) => fleet.submit_traced(&request, ctx).map(|(outcome, spans)| {
-                    trace.extend(spans);
-                    outcome
-                }),
-                None => fleet.submit(&request),
-            };
-            match wire_result {
-                Ok(outcome) => {
-                    if let (Some(ctx), Some(submit_span)) = (&tctx, submit_span) {
-                        trace.record(submit_span);
-                        // The driver's own copy of the sample span: identical
-                        // deterministic fields to the shard's, wall measured
-                        // driver-side (wire time included) so the tree tiles
-                        // even over a transport that returned no shard spans.
-                        trace.record(span_lap(
-                            ctx,
-                            "sample",
-                            trace_stage::SAMPLE,
-                            outcome.responses.len() as u64,
-                            &mut lap,
-                        ));
-                    }
-                    let case = Arc::new(entry.clone());
-                    let submitted = fan_out_candidates(verifier, &case, &outcome.responses);
-                    if let Some(ctx) = &tctx {
-                        trace.record(span_lap(
-                            ctx,
-                            "verify",
-                            trace_stage::VERIFY,
-                            submitted.len() as u64,
-                            &mut lap,
-                        ));
-                    }
-                    let mut c = 0;
-                    for (count, ticket) in submitted {
-                        if ticket.wait().verdict {
-                            c += count;
-                        }
-                    }
-                    if let Some(ctx) = &tctx {
-                        trace.record(span_lap(
-                            ctx,
-                            "evaluate",
-                            trace_stage::EVALUATE,
-                            c as u64,
-                            &mut lap,
-                        ));
-                        trace.record(TraceSpan::new(
-                            ctx,
-                            "session",
-                            trace_stage::SESSION,
-                            outcome.responses.len() as u64,
-                            session_start.elapsed().as_nanos() as u64,
-                        ));
-                    }
-                    build_case_result(entry, outcome.responses.len(), c)
-                }
-                // Busy, closed, or a wire failure: a counted degraded case.
-                Err(_) => build_case_result(entry, 0, 0),
-            }
-        })
-        .collect();
-    ModelEvaluation {
-        model: model.name().to_string(),
-        results,
-    }
-}
-
-/// Evaluates a model with an externally managed verification backend.
-///
-/// Every case runs as one **async session** on the `svserve` session engine
-/// (submit → sampled → verify → done): the session submits its request to the
-/// sharded repair pool without blocking, awaits the waker-backed ticket, fans
-/// its distinct candidates out to the verify pool, and awaits the verdicts —
-/// all multiplexed over [`EvalConfig::drivers`] driver threads, so a corpus of
-/// thousands holds thousands of sessions in flight on a handful of threads.
-/// Because sampler seeds derive from case content and verdicts are pure
-/// functions of `(case, response, CheckConfig)`, the result is identical at any
-/// [`EvalConfig::workers`] / [`EvalConfig::verify_workers`] /
-/// [`EvalConfig::drivers`] setting and whether the verifier's verdict cache is
-/// cold or pre-warmed.
+/// [`Evaluation`] judged by a borrowed verifier: re-evaluating a corpus the
+/// verifier has seen replays its verdicts, and the result is identical
+/// whether that cache is cold or warm.
 pub fn evaluate_model_with<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
     verifier: &EvalVerifier,
 ) -> ModelEvaluation {
-    evaluate_model_observed(
-        model,
-        entries,
-        config,
-        verifier,
-        &TracerHandle::off(),
-        &TelemetryHandle::off(),
-        &TraceHandle::off(),
-    )
+    let evaluation = Evaluation::new(model, entries, config).verifier(verifier);
+    evaluation.run().evaluation
 }
 
-/// Evaluates a model with a telemetry registry threaded through every serving
-/// layer — the repair pool (`service.repair.*`), the session engine's runtime
-/// (`rt.poll.duration`), the per-case dual-clock spans (`session.span.wall`)
-/// — plus coarse pipeline stage timers: verification telemetry is installed
-/// pool-side at [`EvalVerifier::start_instrumented`], since the pool outlives
-/// single evaluations.  With [`TelemetryHandle::off`] this is exactly
-/// [`evaluate_model_with`].  Starts (and shuts down) a fresh verifier; to
-/// share a warm one, use [`evaluate_model_observed`].
+/// [`Evaluation`] with the journal on: the evaluation plus the *rendered*
+/// journal, a repro artifact `svobs replay` re-drives.
+pub fn evaluate_model_journaled<M: RepairModel + Sync + ?Sized>(
+    model: &M,
+    entries: &[SvaBugEntry],
+    config: &EvalConfig,
+    manifest: &JournalManifest,
+) -> (ModelEvaluation, String) {
+    let run = Evaluation::new(model, entries, config).journal(manifest);
+    let run = run.run();
+    (run.evaluation, run.journal.expect("the journal is on"))
+}
+
+/// [`Evaluation`] with a telemetry registry threaded through every serving
+/// layer.
 pub fn evaluate_model_instrumented<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
     telemetry: &TelemetryHandle,
 ) -> ModelEvaluation {
-    let verifier = EvalVerifier::start_instrumented(config, TracerHandle::off(), telemetry);
-    let evaluation = evaluate_model_observed(
-        model,
-        entries,
-        config,
-        &verifier,
-        &TracerHandle::off(),
-        telemetry,
-        &TraceHandle::off(),
-    );
-    verifier.shutdown();
-    evaluation
+    let evaluation = Evaluation::new(model, entries, config).telemetry(telemetry);
+    evaluation.run().evaluation
 }
 
-/// Evaluates a model under a fresh telemetry registry and folds the pipeline
-/// stage timers into a flamegraph-compatible [`CollapsedProfile`].
-///
-/// The three `evaluate;*` frames tile the evaluation wall-clock end to end —
-/// `setup` (request/span construction and pool spin-up), `sessions` (the
-/// async session engine driving every case through sample → verify), and
-/// `report` (span finish and result assembly) — so the profile attributes
-/// essentially all of the run to a named stage; `svprof` asserts ≥ 95%.  When
-/// [`EvalConfig::profile_dir`] (or `ASSERTSOLVER_PROFILE_DIR`) resolves, the
-/// rendered profile is also written to `profile-<slug>-<hash>.folded` there,
-/// best-effort.
-pub fn evaluate_model_profiled<M: RepairModel + Sync + ?Sized>(
-    model: &M,
-    entries: &[SvaBugEntry],
-    config: &EvalConfig,
-) -> (ModelEvaluation, CollapsedProfile) {
-    let telemetry = TelemetryHandle::new(Arc::new(MetricsRegistry::default()));
-    let evaluation = evaluate_model_instrumented(model, entries, config, &telemetry);
-    let snapshot = telemetry.snapshot();
-    let mut profile = CollapsedProfile::new();
-    for stage in ["setup", "sessions", "report"] {
-        if let Some(metric) = snapshot.get(&format!("eval.stage.{stage}")) {
-            profile.record(&format!("evaluate;{stage}"), metric.sum);
-        }
-    }
-    if let Some(dir) = config.resolved_profile_dir() {
-        let path = artifact_path(&dir, "profile", "folded", model, entries, config);
-        // Best-effort like the journal write: an unwritable profile directory
-        // must not fail the evaluation itself.
-        let _ = svserve::persist::write_atomic(&path, &profile.render());
-    }
-    (evaluation, profile)
-}
-
-/// Observes the time since `*clock` into `metric` (when on) and restarts the
-/// clock — the tiling primitive behind the `eval.stage.*` timers: consecutive
-/// laps cover the wall-clock contiguously, so the stage sums account for the
-/// whole evaluation.
-fn stage_lap(clock: &mut Instant, metric: Option<&Metric>) {
-    let now = Instant::now();
-    if let Some(metric) = metric {
-        metric.observe_duration(now.duration_since(*clock));
-    }
-    *clock = now;
-}
-
-/// Builds one child [`TraceSpan`] under `root` covering the time since
-/// `*lap`, then restarts the lap — the same tiling discipline as
-/// [`stage_lap`], applied per session: consecutive child spans cover the
-/// session wall contiguously, which is what lets `svtrace` attribute ≥ 95%
-/// of each session to named stages.
-fn span_lap(
-    root: &svserve::TraceContext,
-    label: &str,
-    seq: u32,
-    units: u64,
-    lap: &mut Instant,
-) -> TraceSpan {
-    let now = Instant::now();
-    let wall = now.duration_since(*lap).as_nanos() as u64;
-    *lap = now;
-    TraceSpan::new(&root.child(label), label, seq, units, wall)
-}
-
-/// [`evaluate_model_with`] with the full observability triple threaded through
-/// every layer; each hook, when off, costs one branch per instrumented site.
-///
-/// * **Journal tracer** — installed on the repair service, the session
-///   engine's runtime, and a per-case [`SessionSpan`] that records phase
-///   transitions, sample/candidate tallies, the verdict split and exactly one
-///   terminal event.  Session ids are the request content hashes, so journal
-///   identity survives any concurrency.  (The verifier's own tracer is
-///   installed at [`EvalVerifier::start_instrumented`], since its pool
-///   outlives single evaluations.)
-/// * **Telemetry registry** — receives the pool and runtime histograms plus
-///   the tiled `eval.stage.{setup,sessions,report}` stage timers
-///   (`stage_lap`); per-case spans are opened in dual-clock form
-///   ([`SessionSpan::with_telemetry`]), so wall time lands in
-///   `session.span.wall` while the journal bytes stay deterministic.
-/// * **[`TraceHandle`]** — collects causal spans ([`svserve::trace`]).
-///
-/// When tracing is on, every case grows a deterministic five-span tree —
-/// a `session` root with `submit` → `sample` → `verify` → `evaluate`
-/// children whose ids derive from the request's content hash and whose
-/// lap-measured walls tile the session end to end (the ≥95% attribution
-/// `svtrace` asserts).  Every deterministic span field is a pure function of
-/// `(case content, salt, stage)`, so the drained tree is byte-identical at
-/// any worker/driver count, warm or cold — and identical to the tree a
-/// remote fleet run produces for the same corpus
-/// ([`evaluate_model_over_fleet_traced`]).  With [`TraceHandle::off`] each
-/// instrumented site costs one branch.
-#[allow(clippy::too_many_arguments)]
+/// [`Evaluation`] with a borrowed verifier and the observability handles:
+/// `tracer` is a journal tracer whose sink the caller drains (it sees the
+/// repair service, the session engine and every session's span; the
+/// verifier journals to the tracer it was started with).
 pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
@@ -1102,182 +741,433 @@ pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
     telemetry: &TelemetryHandle,
     trace: &TraceHandle,
 ) -> ModelEvaluation {
-    let stage_setup = telemetry.histogram("eval.stage.setup", MetricClass::Volatile);
-    let stage_sessions = telemetry.histogram("eval.stage.sessions", MetricClass::Volatile);
-    let stage_report = telemetry.histogram("eval.stage.report", MetricClass::Volatile);
-    let mut clock = Instant::now();
-    let engine = SessionEngine::new(
-        config
-            .session_config()
+    let mut evaluation = Evaluation::new(model, entries, config).telemetry(telemetry);
+    (evaluation.tracer, evaluation.trace) = (tracer.clone(), trace.clone());
+    evaluation.verifier(verifier).run().evaluation
+}
+
+/// One run of the paper's protocol — `n` samples per case at the configured
+/// temperature, each judged by the bounded checker — with the facilities that
+/// observe or redirect it switched on one method at a time.
+///
+/// No facility changes the [`ModelEvaluation`]: sampler seeds derive from case
+/// content and verdicts are pure functions of `(case, response, CheckConfig)`,
+/// so it is identical at any worker/verify-worker/driver count, with warm or
+/// cold caches, in process or over a fleet.  A facility that is off costs one
+/// branch per instrumented site.  With the journal on, the repair service,
+/// the session engine and one [`SessionSpan`] per case journal into a fresh
+/// sink; tracing grows one five-span tree per case (a `session` root over
+/// `submit` → `sample` → `verify` → `evaluate` laps that tile it),
+/// byte-identical in process and over a fleet ([`svserve::trace`]).
+///
+/// Artifacts, best effort: with the journal on, `journal-<slug>-<hash>.jsonl`
+/// in the journal directory; in the profile directory, `trace-….jsonl` when
+/// the trace handle holds spans and `profile-….folded` with telemetry on.
+/// Each directory resolves from its [`EvalConfig`] field, else the
+/// environment, and is read only when a facility writing there is on.
+pub struct Evaluation<'a, M: ?Sized> {
+    model: &'a M,
+    entries: &'a [SvaBugEntry],
+    config: &'a EvalConfig,
+    verifier: Option<&'a EvalVerifier>,
+    journal: Option<&'a JournalManifest>,
+    tracer: TracerHandle,
+    trace: TraceHandle,
+    telemetry: TelemetryHandle,
+    fleet: Option<&'a ShardFleet>,
+}
+
+/// What [`Evaluation::run`] returns.
+#[derive(Debug)]
+pub struct EvaluationRun {
+    /// The pass@k data.
+    pub evaluation: ModelEvaluation,
+    /// The rendered session journal, when [`Evaluation::journal`] was on.
+    pub journal: Option<String>,
+    /// The `evaluate;{setup,sessions,report}` profile of this run, when
+    /// [`Evaluation::telemetry`] was on.
+    pub profile: Option<CollapsedProfile>,
+}
+
+impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
+    /// The plain protocol: a fresh verifier, in-process sampling, every
+    /// facility off.
+    pub fn new(model: &'a M, entries: &'a [SvaBugEntry], config: &'a EvalConfig) -> Self {
+        Self {
+            model,
+            entries,
+            config,
+            verifier: None,
+            journal: None,
+            tracer: TracerHandle::off(),
+            trace: TraceHandle::off(),
+            telemetry: TelemetryHandle::off(),
+            fleet: None,
+        }
+    }
+
+    /// Judges through `verifier` (one with a warm verdict cache, say) instead
+    /// of a fresh one; it keeps the tracer and telemetry it was started with.
+    pub fn verifier(mut self, verifier: &'a EvalVerifier) -> Self {
+        self.verifier = Some(verifier);
+        self
+    }
+
+    /// Records a session journal whose header carries `manifest`.
+    pub fn journal(mut self, manifest: &'a JournalManifest) -> Self {
+        self.journal = Some(manifest);
+        self
+    }
+
+    /// Collects the per-case trace trees into `trace`; the caller drains it.
+    pub fn trace(mut self, trace: &TraceHandle) -> Self {
+        self.trace = trace.clone();
+        self
+    }
+
+    /// Records into `telemetry`'s registry: the pool, runtime and span
+    /// histograms, the tiled `eval.stage.*` timers and the deterministic
+    /// `eval.{cases,samples,correct}` tallies.
+    pub fn telemetry(mut self, telemetry: &TelemetryHandle) -> Self {
+        self.telemetry = telemetry.clone();
+        self
+    }
+
+    /// Samples on `fleet`, whose shards serve this model at this seed;
+    /// verification stays local, and a case whose shard is down, busy or
+    /// corrupt degrades to `n = 0, c = 0` (counted in the fleet metrics).
+    pub fn fleet(mut self, fleet: &'a ShardFleet) -> Self {
+        self.fleet = Some(fleet);
+        self
+    }
+
+    /// Runs the evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both [`Evaluation::fleet`] and [`Evaluation::journal`] are
+    /// on: a fleet run's sessions happen on the shards and leave no local
+    /// journal.
+    pub fn run(self) -> EvaluationRun {
+        assert!(
+            self.fleet.is_none() || self.journal.is_none(),
+            "a fleet evaluation keeps no local journal"
+        );
+        let sink = self
+            .journal
+            .map(|_| JournalSink::shared(JournalSpec::default()));
+        let tracer = sink
+            .as_ref()
+            .map_or(self.tracer.clone(), JournalSink::handle);
+        let owned = self.verifier.is_none().then(|| {
+            EvalVerifier::start_instrumented(self.config, tracer.clone(), &self.telemetry)
+        });
+        let verifier = self.verifier.or(owned.as_ref()).expect("a verifier");
+        let mut stages = StageClock {
+            telemetry: &self.telemetry,
+            clock: Instant::now(),
+            laps: 0,
+            profile: CollapsedProfile::new(),
+        };
+        let results = self.sample(verifier, &tracer, &mut stages);
+        let evaluation = ModelEvaluation {
+            model: self.model.name().to_string(),
+            results,
+        };
+        // Workload tallies are pure functions of `(model, corpus, protocol)` —
+        // the registry's deterministic plane, byte-stable at any driver/worker
+        // count and cache temperature (unlike the volatile stage timers).
+        let results = &evaluation.results;
+        for (name, total) in [
+            ("eval.cases", results.len()),
+            ("eval.samples", results.iter().map(|r| r.n).sum()),
+            ("eval.correct", results.iter().map(|r| r.c).sum()),
+        ] {
+            if let Some(metric) = self.telemetry.counter(name, MetricClass::Deterministic) {
+                metric.add(total as u64);
+            }
+        }
+        stages.lap();
+        if let Some(owned) = owned {
+            owned.shutdown();
+        }
+        let journal = self.journal.zip(sink).map(|(manifest, sink)| {
+            let header = JournalHeader::expected(&manifest.render());
+            let payload = serde_json::to_string(&evaluation).expect("evaluation serializes");
+            render_journal(&header, &sink.drain_sorted(), &payload)
+        });
+        let profile = self.telemetry.is_on().then_some(stages.profile);
+        self.write_artifacts(journal.as_deref(), profile.as_ref());
+        EvaluationRun {
+            evaluation,
+            journal,
+            profile,
+        }
+    }
+
+    /// The two drivers, both running every case through [`run_case`].  Over
+    /// a fleet, a blocking loop, since [`ShardFleet::submit`] blocks; in
+    /// process, every case is one async session on the session engine, so a
+    /// corpus of thousands holds thousands of sessions in flight on
+    /// [`EvalConfig::drivers`] threads.
+    fn sample(
+        &self,
+        verifier: &EvalVerifier,
+        tracer: &TracerHandle,
+        stages: &mut StageClock,
+    ) -> Vec<CaseResult> {
+        if let Some(fleet) = self.fleet {
+            stages.lap();
+            let results = self.entries.iter().map(|entry| {
+                let (request, case) = (request_for(entry, self.config), Arc::new(entry.clone()));
+                let sampler = Sampler::Fleet(fleet);
+                let case = run_case(sampler, verifier, &self.trace, case, request, (None, None));
+                let (n, c, _) = block_on(case).unwrap_or_default();
+                build_case_result(entry, n, c)
+            });
+            let results = results.collect();
+            stages.lap();
+            return results;
+        }
+        let (config, telemetry) = (self.config, &self.telemetry);
+        let engine = SessionEngine::new(
+            config
+                .session_config()
+                .with_tracer(tracer.clone())
+                .with_telemetry(telemetry.clone()),
+        );
+        let monitor = engine.monitor();
+        let service_config = config
+            .service_config_for(&self.model.identity())
             .with_tracer(tracer.clone())
-            .with_telemetry(telemetry.clone()),
-    );
-    let monitor = engine.monitor();
-    let results = serve_scoped(
-        model,
-        config
-            .service_config_for(&model.identity())
-            .with_tracer(tracer.clone())
-            .with_telemetry(telemetry.clone()),
-        |service| {
-            let requests: Vec<RepairRequest> = entries
-                .iter()
-                .map(|entry| {
-                    RepairRequest::new(
-                        CaseInput::from_entry(entry),
-                        config.samples,
-                        config.temperature,
-                    )
-                })
-                .collect();
+            .with_telemetry(telemetry.clone());
+        serve_scoped(self.model, service_config, |service| {
             // One owner span per case, keyed by the request's content hash;
             // the futures hold clone handles, and the owners emit the terminal
             // events from the engine outcomes after `run_all` returns.
-            let spans: Vec<SessionSpan> = requests
+            let (spans, sessions): (Vec<SessionSpan>, Vec<_>) = self
+                .entries
                 .iter()
-                .map(|request| {
-                    SessionSpan::with_telemetry(tracer, telemetry, request.key().fold64())
+                .map(|entry| {
+                    let request = request_for(entry, config);
+                    let span =
+                        SessionSpan::with_telemetry(tracer, telemetry, request.key().fold64());
+                    let observers = (Some(monitor.clone()), Some(span.handle()));
+                    let case = Arc::new(entry.clone());
+                    let sampler = Sampler::Local(service);
+                    let session =
+                        run_case(sampler, verifier, &self.trace, case, request, observers);
+                    (span, session)
                 })
-                .collect();
-            let sessions: Vec<_> = entries
-                .iter()
-                .zip(requests)
-                .zip(&spans)
-                .map(|((entry, request), span)| {
-                    let monitor = monitor.clone();
-                    let span = span.handle();
-                    // Root trace context: a pure function of request content
-                    // and the handle's salt, never of scheduling.  `None`
-                    // (tracing off) keeps the future span-free for one branch.
-                    let tctx = if trace.is_on() {
-                        trace.root(request.key())
-                    } else {
-                        None
-                    };
-                    let samples_requested = request.samples as u64;
-                    async move {
-                        let session_start = Instant::now();
-                        let mut lap = session_start;
-                        let ticket = service
-                            .submit_async(request)
-                            .expect("service open during evaluation")
-                            .await
-                            .expect("service open during evaluation");
-                        monitor.phase(SessionPhase::Submitted);
-                        span.phase(SessionPhase::Submitted);
-                        if let Some(ctx) = &tctx {
-                            trace.record(span_lap(
-                                ctx,
-                                "submit",
-                                trace_stage::SUBMIT,
-                                samples_requested,
-                                &mut lap,
-                            ));
-                        }
-                        let outcome = ticket.await;
-                        monitor.phase(SessionPhase::Sampled);
-                        span.phase(SessionPhase::Sampled);
-                        span.timing("samples", outcome.responses.len() as u64);
-                        if let Some(ctx) = &tctx {
-                            trace.record(span_lap(
-                                ctx,
-                                "sample",
-                                trace_stage::SAMPLE,
-                                outcome.responses.len() as u64,
-                                &mut lap,
-                            ));
-                        }
-                        let case = Arc::new(entry.clone());
-                        let submitted =
-                            fan_out_candidates_async(verifier, &case, &outcome.responses).await;
-                        monitor.phase(SessionPhase::Verifying);
-                        span.phase(SessionPhase::Verifying);
-                        span.timing("distinct-candidates", submitted.len() as u64);
-                        if let Some(ctx) = &tctx {
-                            trace.record(span_lap(
-                                ctx,
-                                "verify",
-                                trace_stage::VERIFY,
-                                submitted.len() as u64,
-                                &mut lap,
-                            ));
-                        }
-                        let c = judge_submitted(submitted).await;
-                        span.verdict(c as u64, outcome.responses.len().saturating_sub(c) as u64);
-                        monitor.phase(SessionPhase::Done);
-                        span.phase(SessionPhase::Done);
-                        if let Some(ctx) = &tctx {
-                            trace.record(span_lap(
-                                ctx,
-                                "evaluate",
-                                trace_stage::EVALUATE,
-                                c as u64,
-                                &mut lap,
-                            ));
-                            // The root span last: its wall is the whole
-                            // session, which the four child laps tile.
-                            trace.record(TraceSpan::new(
-                                ctx,
-                                "session",
-                                trace_stage::SESSION,
-                                outcome.responses.len() as u64,
-                                session_start.elapsed().as_nanos() as u64,
-                            ));
-                        }
-                        (outcome.responses.len(), c)
-                    }
-                })
-                .collect();
-            stage_lap(&mut clock, stage_setup.as_deref());
+                .unzip();
+            stages.lap();
             let outcomes = engine.run_all(sessions);
-            stage_lap(&mut clock, stage_sessions.as_deref());
+            stages.lap();
             for (span, outcome) in spans.iter().zip(&outcomes) {
                 span.finish(outcome);
             }
-            entries
+            self.entries
                 .iter()
                 .zip(outcomes)
                 .map(|(entry, outcome)| {
-                    let (n, c) = outcome.completed().expect("evaluation session completed");
+                    let (n, c, _) = outcome.completed().flatten().expect("session completed");
                     build_case_result(entry, n, c)
                 })
-                .collect::<Vec<_>>()
-        },
-    );
-    let evaluation = ModelEvaluation {
-        model: model.name().to_string(),
-        results,
-    };
-    // Workload tallies are pure functions of `(model, corpus, protocol)` —
-    // the registry's deterministic plane, byte-stable at any driver/worker
-    // count and cache temperature (unlike the volatile stage timers above).
-    if telemetry.is_on() {
-        let det = MetricClass::Deterministic;
-        if let Some(metric) = telemetry.counter("eval.cases", det) {
-            metric.add(evaluation.results.len() as u64);
+                .collect()
+        })
+    }
+
+    /// Writes the artifacts of the facilities that are on, best effort: an
+    /// unwritable directory must not fail the evaluation itself.
+    fn write_artifacts(&self, journal: Option<&str>, profile: Option<&CollapsedProfile>) {
+        let path = |dir: &std::path::Path, kind: &str, ext: &str| {
+            artifact_path(dir, kind, ext, self.model, self.entries, self.config)
+        };
+        if let Some(rendered) = journal {
+            if let Some(dir) = self.config.resolved_journal_dir() {
+                let _ = write_journal(&path(&dir, "journal", "jsonl"), rendered);
+            }
         }
-        if let Some(metric) = telemetry.counter("eval.samples", det) {
-            metric.add(evaluation.results.iter().map(|r| r.n as u64).sum());
+        if !self.trace.is_on() && profile.is_none() {
+            return;
         }
-        if let Some(metric) = telemetry.counter("eval.correct", det) {
-            metric.add(evaluation.results.iter().map(|r| r.c as u64).sum());
+        let Some(dir) = self.config.resolved_profile_dir() else {
+            return;
+        };
+        let forest = self.trace.forest();
+        if !forest.is_empty() {
+            let _ = write_atomic(&path(&dir, "trace", "jsonl"), &forest.render_jsonl());
+        }
+        if let Some(profile) = profile {
+            let _ = write_atomic(&path(&dir, "profile", "folded"), &profile.render());
         }
     }
-    stage_lap(&mut clock, stage_report.as_deref());
-    evaluation
 }
 
-/// Dedups one case's candidates into `(multiplicity, key, response)` triples.
+/// The repair request the protocol submits for one case.
+fn request_for(entry: &SvaBugEntry, config: &EvalConfig) -> RepairRequest {
+    RepairRequest::new(
+        CaseInput::from_entry(entry),
+        config.samples,
+        config.temperature,
+    )
+}
+
+/// The tiled `eval.stage.{setup,sessions,report}` timers: each lap closes the
+/// next stage at the time since the previous lap, so the three cover the
+/// run's wall-clock end to end (`svobs prof` asserts ≥ 95% attributed), and
+/// with telemetry on `profile` folds them as `evaluate;<stage>` frames.
+struct StageClock<'t> {
+    telemetry: &'t TelemetryHandle,
+    clock: Instant,
+    laps: usize,
+    profile: CollapsedProfile,
+}
+
+impl StageClock<'_> {
+    fn lap(&mut self) {
+        let now = Instant::now();
+        let elapsed = now.duration_since(self.clock);
+        self.clock = now;
+        let (name, frame) = [
+            ("eval.stage.setup", "evaluate;setup"),
+            ("eval.stage.sessions", "evaluate;sessions"),
+            ("eval.stage.report", "evaluate;report"),
+        ][self.laps];
+        self.laps += 1;
+        if let Some(metric) = self.telemetry.histogram(name, MetricClass::Volatile) {
+            metric.observe_duration(elapsed);
+            self.profile.record(frame, elapsed.as_nanos() as u64);
+        }
+    }
+}
+
+/// Where a case's samples come from.
+enum Sampler<'s> {
+    /// The in-process repair pool, awaited on a waker.
+    Local(&'s ScopedService<'s>),
+    /// A remote shard fleet, whose submit blocks.
+    Fleet(&'s ShardFleet),
+    /// A model router placing each request under one policy.
+    Router(&'s ModelRouter, RoutePolicy),
+}
+
+/// One case, start to finish — submit → sample → verify → evaluate — for
+/// every driver: the engine monitor's phases and the journal span's events
+/// (`observers`), and the trace laps.  Returns `(n, c, routed attempts)`;
+/// `None` is a degraded fleet case (shard down, busy or corrupt): no samples
+/// and, its laps dropped unrecorded, no spans.
+///
+/// Each lap covers the time since the previous one, so the four child spans
+/// tile the `session` root's wall (what lets `svobs trace` attribute ≥ 95% of
+/// each session).  Every deterministic span field is a pure function of
+/// `(case content, salt, stage)`; over a fleet, the shard's own `sample` span
+/// (`SubmitTraced`) merges with the driver's, keeping the larger wall.
+async fn run_case(
+    sampler: Sampler<'_>,
+    verifier: &EvalVerifier,
+    trace: &TraceHandle,
+    case: Arc<SvaBugEntry>,
+    request: RepairRequest,
+    (monitor, span): (Option<SessionMonitor>, Option<SpanHandle>),
+) -> Option<(usize, usize, Vec<RouteAttempt>)> {
+    let enter = |phase| {
+        monitor.iter().for_each(|monitor| monitor.phase(phase));
+        span.iter().for_each(|span| span.phase(phase));
+    };
+    let timing = |label, units: usize| span.iter().for_each(|s| s.timing(label, units as u64));
+    let root = trace.is_on().then(|| trace.root(request.key())).flatten();
+    let start = Instant::now();
+    let (mut clock, mut laps) = (start, Vec::new());
+    let mut lap = |label: &str, seq, units: usize| {
+        if let Some(root) = &root {
+            let wall = clock.elapsed().as_nanos() as u64;
+            clock = Instant::now();
+            laps.push(TraceSpan::new(
+                &root.child(label),
+                label,
+                seq,
+                units as u64,
+                wall,
+            ));
+        }
+    };
+    let samples = request.samples;
+    let mut submitted = || {
+        enter(SessionPhase::Submitted);
+        lap("submit", trace_stage::SUBMIT, samples);
+    };
+    let (responses, attempts) = match sampler {
+        Sampler::Local(service) => {
+            let ticket = service.submit_async(request).expect(OPEN).await;
+            submitted();
+            (ticket.expect(OPEN).await.responses, Vec::new())
+        }
+        Sampler::Router(router, policy) => {
+            let ticket = router.submit_async(request, policy).expect(OPEN).await;
+            submitted();
+            let outcome = ticket.expect(OPEN).await;
+            (outcome.responses, outcome.attempts)
+        }
+        Sampler::Fleet(fleet) => {
+            submitted();
+            let outcome = match &root {
+                Some(ctx) => fleet.submit_traced(&request, ctx).map(|(outcome, spans)| {
+                    trace.extend(spans);
+                    outcome
+                }),
+                None => fleet.submit(&request),
+            };
+            (Arc::new(outcome.ok()?.responses), Vec::new())
+        }
+    };
+    let n = responses.len();
+    enter(SessionPhase::Sampled);
+    if attempts.len() > 1 {
+        enter(SessionPhase::Escalated);
+    }
+    timing("samples", n);
+    lap("sample", trace_stage::SAMPLE, n);
+    let submitted = fan_out_candidates(verifier, &case, &responses).await;
+    enter(SessionPhase::Verifying);
+    timing("distinct-candidates", submitted.len());
+    lap("verify", trace_stage::VERIFY, submitted.len());
+    let c = judge_submitted(submitted).await;
+    span.iter()
+        .for_each(|span| span.verdict(c as u64, n.saturating_sub(c) as u64));
+    enter(SessionPhase::Done);
+    lap("evaluate", trace_stage::EVALUATE, c);
+    if let Some(root) = &root {
+        // The root span last: its wall is the whole session, which the four
+        // child laps tile.
+        let wall = start.elapsed().as_nanos() as u64;
+        laps.push(TraceSpan::new(
+            root,
+            "session",
+            trace_stage::SESSION,
+            n as u64,
+            wall,
+        ));
+        trace.extend(laps);
+    }
+    Some((n, c, attempts))
+}
+
+/// The panic message for a pool or router that closed mid-evaluation.
+const OPEN: &str = "serving pool open during evaluation";
+
+/// Dedups one case's candidates and submits the distinct ones for judgement,
+/// parking on wakers (never a thread) while the verify shard is at capacity;
+/// the returned pairs are `(multiplicity, ticket)`.
 ///
 /// Identical responses within a case collapse to one verdict job with a
 /// multiplicity, which keeps the per-case correct count `c` independent of
-/// verify-pool scheduling.  Shared by the blocking and async fan-outs so the
-/// two paths cannot diverge.
-fn dedup_candidates(
+/// verify-pool scheduling.
+async fn fan_out_candidates(
     verifier: &EvalVerifier,
     case: &Arc<SvaBugEntry>,
     responses: &[Response],
-) -> Vec<(usize, VerdictKey, Response)> {
+) -> Vec<(usize, VerifyTicket)> {
     let mut multiplicity: BTreeMap<VerdictKey, usize> = BTreeMap::new();
     let mut distinct: Vec<(VerdictKey, Response)> = Vec::new();
     for response in responses {
@@ -1289,46 +1179,11 @@ fn dedup_candidates(
             }
         }
     }
-    distinct
-        .into_iter()
-        .map(|(key, response)| (multiplicity[&key], key, response))
-        .collect()
-}
-
-/// Dedups one case's candidates and submits the distinct ones for judgement
-/// (blocking submit — the escalation judge runs on coordinator threads); the
-/// returned pairs are `(multiplicity, ticket)`.
-fn fan_out_candidates(
-    verifier: &EvalVerifier,
-    case: &Arc<SvaBugEntry>,
-    responses: &[Response],
-) -> Vec<(usize, VerifyTicket)> {
-    dedup_candidates(verifier, case, responses)
-        .into_iter()
-        .map(|(count, key, response)| {
-            (
-                count,
-                verifier.submit_keyed(Arc::clone(case), response, key),
-            )
-        })
-        .collect()
-}
-
-/// Async variant of [`fan_out_candidates`] for session futures: same dedup
-/// (shared via [`dedup_candidates`]), but submissions park on wakers instead
-/// of threads.
-async fn fan_out_candidates_async(
-    verifier: &EvalVerifier,
-    case: &Arc<SvaBugEntry>,
-    responses: &[Response],
-) -> Vec<(usize, VerifyTicket)> {
-    let candidates = dedup_candidates(verifier, case, responses);
-    let mut submitted = Vec::with_capacity(candidates.len());
-    for (count, key, response) in candidates {
-        let ticket = verifier
-            .submit_keyed_async(Arc::clone(case), response, key)
-            .await;
-        submitted.push((count, ticket));
+    let mut submitted = Vec::with_capacity(distinct.len());
+    for (key, response) in distinct {
+        let request = VerifyRequest::new(Arc::clone(case), response, key);
+        let ticket = verifier.pool.submit_async(request).expect(OPEN).await;
+        submitted.push((multiplicity[&key], ticket.expect(OPEN)));
     }
     submitted
 }
@@ -1400,94 +1255,6 @@ pub struct LadderReport {
     pub ladder: Vec<usize>,
 }
 
-/// The escalation judge `evaluate_ladder` plugs into the router: maps a routed
-/// request back to its corpus entry, fans the distinct candidates out to the
-/// shared [`EvalVerifier`] (the existing verify pool), and folds the verdicts
-/// into a [`JudgeReport`].  Pure in `(request, responses)` because verdicts
-/// are pure — so escalation stays deterministic at any concurrency.
-///
-/// Corpus entries with byte-identical case content necessarily share one map
-/// slot (the router can only see request content), so on such twins the
-/// *routing* decision is judged against one golden fix; the reported
-/// per-case `c` stays truthful regardless, because `evaluate_ladder`
-/// re-judges each terminal response set positionally against its own entry.
-struct LadderJudge {
-    verifier: Arc<EvalVerifier>,
-    cases: HashMap<CaseKey, Arc<SvaBugEntry>>,
-}
-
-impl EscalationJudge for LadderJudge {
-    fn judge(&self, request: &RepairRequest, responses: &[Response]) -> JudgeReport {
-        let Some(case) = self.cases.get(&request.key()) else {
-            // A request the evaluation never registered: nothing to judge
-            // against, so every rung is rejected (and the ladder runs out).
-            return JudgeReport {
-                distinct: 0,
-                correct: 0,
-            };
-        };
-        let submitted = fan_out_candidates(&self.verifier, case, responses);
-        let distinct = submitted.len();
-        let correct = submitted
-            .into_iter()
-            .map(|(count, ticket)| if ticket.wait().verdict { count } else { 0 })
-            .sum();
-        JudgeReport { distinct, correct }
-    }
-}
-
-/// Routes every case under one policy as an async session and judges the
-/// answers into results; returns each case's result plus its routed attempt
-/// trail (length 1 for the direct policies, the full ladder walk for
-/// [`RoutePolicy::Escalate`]).
-fn route_phase(
-    engine: &SessionEngine,
-    router: &ModelRouter,
-    policy: RoutePolicy,
-    requests: &[RepairRequest],
-    cases: &[Arc<SvaBugEntry>],
-    entries: &[SvaBugEntry],
-    verifier: &EvalVerifier,
-) -> Vec<(CaseResult, Vec<RouteAttempt>)> {
-    let monitor = engine.monitor();
-    let sessions: Vec<_> = requests
-        .iter()
-        .zip(cases)
-        .map(|(request, case)| {
-            let request = request.clone();
-            let case = Arc::clone(case);
-            let monitor = monitor.clone();
-            async move {
-                let ticket = router
-                    .submit_async(request, policy)
-                    .expect("router open during evaluation")
-                    .await
-                    .expect("router open during evaluation");
-                monitor.phase(SessionPhase::Submitted);
-                let outcome = ticket.await;
-                monitor.phase(SessionPhase::Sampled);
-                if outcome.escalations() > 0 {
-                    monitor.phase(SessionPhase::Escalated);
-                }
-                let submitted = fan_out_candidates_async(verifier, &case, &outcome.responses).await;
-                monitor.phase(SessionPhase::Verifying);
-                let c = judge_submitted(submitted).await;
-                monitor.phase(SessionPhase::Done);
-                (outcome.responses.len(), c, outcome.attempts)
-            }
-        })
-        .collect();
-    let outcomes = engine.run_all(sessions);
-    entries
-        .iter()
-        .zip(outcomes)
-        .map(|(entry, outcome)| {
-            let (n, c, attempts) = outcome.completed().expect("ladder session completed");
-            (build_case_result(entry, n, c), attempts)
-        })
-        .collect()
-}
-
 /// Evaluates a ladder of models over a corpus in one pass: per-model (pinned),
 /// A/B-split and escalation [`ModelEvaluation`]s, plus per-case attempt trails
 /// and the full per-route metrics.
@@ -1519,26 +1286,35 @@ pub fn evaluate_ladder(
     let verifier = Arc::new(EvalVerifier::start(config));
     let requests: Vec<RepairRequest> = entries
         .iter()
-        .map(|entry| {
-            RepairRequest::new(
-                CaseInput::from_entry(entry),
-                config.samples,
-                config.temperature,
-            )
-        })
+        .map(|entry| request_for(entry, config))
         .collect();
     let cases: Vec<Arc<SvaBugEntry>> = entries
         .iter()
         .map(|entry| Arc::new(entry.clone()))
         .collect();
-    let judge = Arc::new(LadderJudge {
-        verifier: Arc::clone(&verifier),
-        cases: requests
-            .iter()
-            .zip(&cases)
-            .map(|(request, case)| (request.key(), Arc::clone(case)))
-            .collect(),
-    });
+    // The escalation judge: maps a routed request back to its corpus entry
+    // and judges the candidates on the shared verifier — pure in `(request,
+    // responses)` because verdicts are pure.  Corpus entries with
+    // byte-identical case content share one map slot (the router sees only
+    // request content), so on such twins the *routing* decision is judged
+    // against one golden fix; the reported `c` stays truthful because each
+    // session re-judges its terminal responses against its own entry.  A
+    // request the evaluation never registered rejects every rung.
+    let by_key: HashMap<CaseKey, Arc<SvaBugEntry>> = requests
+        .iter()
+        .zip(&cases)
+        .map(|(request, case)| (request.key(), Arc::clone(case)))
+        .collect();
+    let judge_verifier = Arc::clone(&verifier);
+    let judge = move |request: &RepairRequest, responses: &[Response]| {
+        let (mut distinct, mut correct) = (0, 0);
+        if let Some(case) = by_key.get(&request.key()) {
+            let submitted = block_on(fan_out_candidates(&judge_verifier, case, responses));
+            distinct = submitted.len();
+            correct = block_on(judge_submitted(submitted));
+        }
+        JudgeReport { distinct, correct }
+    };
     let backends: Vec<BackendSpec> = models
         .iter()
         .map(|model| {
@@ -1548,9 +1324,43 @@ pub fn evaluate_ladder(
             )
         })
         .collect();
-    let router = ModelRouter::start(backends, judge, RouterConfig::default());
+    let router = ModelRouter::start(backends, Arc::new(judge), RouterConfig::default());
     let ladder = router.ladder().to_vec();
     let engine = SessionEngine::new(config.session_config());
+
+    // Every case under one policy as an async session; each yields its
+    // `(n, c)` and routed attempt trail (length 1 for the direct policies,
+    // the full ladder walk for `Escalate`).
+    let (monitor, no_trace) = (engine.monitor(), TraceHandle::off());
+    let phase = |policy| {
+        let sessions: Vec<_> = (requests.iter().zip(&cases))
+            .map(|(request, case)| {
+                let (case, observers) = (Arc::clone(case), (Some(monitor.clone()), None));
+                let sampler = Sampler::Router(&router, policy);
+                run_case(
+                    sampler,
+                    &verifier,
+                    &no_trace,
+                    case,
+                    request.clone(),
+                    observers,
+                )
+            })
+            .collect();
+        let outcomes = engine.run_all(sessions).into_iter();
+        let completed = outcomes.map(|outcome| outcome.completed().flatten());
+        completed
+            .map(|case| case.expect("ladder session completed"))
+            .collect::<Vec<_>>()
+    };
+    let evaluation = |model: String, phase: Vec<(usize, usize, Vec<RouteAttempt>)>| {
+        let results = entries.iter().zip(phase);
+        let results = results.map(|(entry, (n, c, _))| build_case_result(entry, n, c));
+        ModelEvaluation {
+            model,
+            results: results.collect(),
+        }
+    };
 
     // Phase 1 — pinned: one full evaluation per model.  This also warms every
     // backend's response cache and the shared verdict cache, so the later
@@ -1558,39 +1368,12 @@ pub fn evaluate_ladder(
     let per_model: Vec<ModelEvaluation> = models
         .iter()
         .enumerate()
-        .map(|(idx, model)| ModelEvaluation {
-            model: model.name().to_string(),
-            results: route_phase(
-                &engine,
-                &router,
-                RoutePolicy::Pinned(idx),
-                &requests,
-                &cases,
-                entries,
-                &verifier,
-            )
-            .into_iter()
-            .map(|(result, _)| result)
-            .collect(),
-        })
+        .map(|(idx, model)| evaluation(model.name().to_string(), phase(RoutePolicy::Pinned(idx))))
         .collect();
 
     // Phase 2 — A/B split: the content hash of each case picks its arm.
-    let ab_split = ModelEvaluation {
-        model: format!("A/B split ({} arms)", models.len()),
-        results: route_phase(
-            &engine,
-            &router,
-            RoutePolicy::AbSplit,
-            &requests,
-            &cases,
-            entries,
-            &verifier,
-        )
-        .into_iter()
-        .map(|(result, _)| result)
-        .collect(),
-    };
+    let arms = format!("A/B split ({} arms)", models.len());
+    let ab_split = evaluation(arms, phase(RoutePolicy::AbSplit));
 
     // Phase 3 — escalation: cheapest rung first, re-submitting on failed
     // verdicts.  The terminal rung's responses are re-judged *positionally*
@@ -1600,27 +1383,16 @@ pub fn evaluate_ladder(
     // identical case content but different golden fixes — the router's judge,
     // which can only see request content, necessarily judges such twins
     // against one of them.
-    let mut escalate_results = Vec::with_capacity(entries.len());
-    let mut trails = Vec::with_capacity(entries.len());
-    for (entry, (result, attempts)) in entries.iter().zip(route_phase(
-        &engine,
-        &router,
-        RoutePolicy::Escalate,
-        &requests,
-        &cases,
-        entries,
-        &verifier,
-    )) {
-        escalate_results.push(result);
-        trails.push(EscalationTrail {
+    let escalated = phase(RoutePolicy::Escalate);
+    let trails = entries
+        .iter()
+        .zip(&escalated)
+        .map(|(entry, (_, _, attempts))| EscalationTrail {
             module_name: entry.module_name.clone(),
-            attempts,
-        });
-    }
-    let escalate = ModelEvaluation {
-        model: format!("Escalate ({} rungs)", models.len()),
-        results: escalate_results,
-    };
+            attempts: attempts.clone(),
+        })
+        .collect();
+    let escalate = evaluation(format!("Escalate ({} rungs)", models.len()), escalated);
 
     let route_metrics = router.shutdown();
     // The router (and its judge) are gone, so the verifier Arc is ours again;
@@ -1955,6 +1727,21 @@ mod tests {
             assert_eq!(none.service_config_for("m").persist, None);
             assert_eq!(none.verify_config().persist, None);
         }
+    }
+
+    #[test]
+    fn a_fleet_skips_the_journal_and_says_so() {
+        assert_eq!(journal_decision(false, false), (false, None));
+        assert_eq!(journal_decision(false, true), (true, None));
+        assert_eq!(journal_decision(true, false), (false, None));
+        let (journal, warning) = journal_decision(true, true);
+        assert!(!journal, "a fleet run keeps no local journal");
+        let warning = warning.expect("both knobs set warns");
+        assert!(warning.starts_with("warning: "), "{warning}");
+        assert!(
+            warning.contains(SHARD_SOCKETS_ENV) && warning.contains(JOURNAL_DIR_ENV),
+            "the warning names both knobs: {warning}"
+        );
     }
 
     #[test]

@@ -11,6 +11,17 @@
 //!    breakdowns behind Tables III/IV and Figures 3–5;
 //! 3. [`report`] renders those results in the paper's table formats.
 //!
+//! Every evaluation runs one body, [`Evaluation`]: `Evaluation::new(model,
+//! entries, config)` is the plain protocol, and `.verifier(..)`,
+//! `.journal(..)`, `.trace(..)`, `.telemetry(..)` and `.fleet(..)` each
+//! switch on one facility; [`Evaluation::run`] returns the
+//! [`ModelEvaluation`] plus, when they are on, the rendered journal and the
+//! stage profile.  [`evaluate_model`] is the builder with the facilities the
+//! `EvalConfig` fields and `ASSERTSOLVER_*` knobs turn on;
+//! [`evaluate_model_with`], [`evaluate_model_journaled`],
+//! [`evaluate_model_instrumented`] and [`evaluate_model_observed`] are thin
+//! shims over it.
+//!
 //! ## Quick example
 //!
 //! ```no_run
@@ -35,9 +46,9 @@ pub use benchmark::{human_crafted_cases, SvaEval};
 pub use evaluate::{
     apply_line_edit, corpus_fingerprint, evaluate_ladder, evaluate_model,
     evaluate_model_instrumented, evaluate_model_journaled, evaluate_model_observed,
-    evaluate_model_over_fleet, evaluate_model_over_fleet_traced, evaluate_model_profiled,
     evaluate_model_with, response_is_correct, CaseResult, EscalationTrail, EvalConfig,
-    EvalVerifier, JournalManifest, LadderEvaluation, LadderReport, ModelEvaluation, ShardSpec,
+    EvalVerifier, Evaluation, EvaluationRun, JournalManifest, LadderEvaluation, LadderReport,
+    ModelEvaluation, ShardSpec,
 };
 pub use passk::{pass_at_k, PassK};
 pub use report::{

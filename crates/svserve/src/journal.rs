@@ -50,7 +50,7 @@ use crate::session::{SessionOutcome, SessionPhase};
 use crate::sync::lock_recover;
 use crate::telemetry::{Metric, MetricClass, TelemetryHandle};
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -61,23 +61,9 @@ pub const JOURNAL_FORMAT_VERSION: u32 = 1;
 /// Header kind tag for session-journal files.
 pub const JOURNAL_KIND: &str = "session-journal";
 
-/// Environment variable naming the directory `assertsolver::evaluate_model`
-/// writes session journals to; unset (the default) disables journaling.
-pub const JOURNAL_DIR_ENV: &str = "ASSERTSOLVER_JOURNAL_DIR";
-
 /// Sequence number reserved for a session's terminal event, so the terminal
 /// record always sorts after every other record of the session.
 pub const TERMINAL_SEQ: u32 = u32::MAX;
-
-/// Reads the journal-directory override from the environment, if set and
-/// non-empty.
-pub fn env_journal_dir() -> Option<PathBuf> {
-    std::env::var(JOURNAL_DIR_ENV)
-        .ok()
-        .map(|raw| raw.trim().to_string())
-        .filter(|raw| !raw.is_empty())
-        .map(PathBuf::from)
-}
 
 /// Logical timestamp of record `(session, seq)`.
 ///

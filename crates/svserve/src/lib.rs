@@ -80,6 +80,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod env;
 pub mod journal;
 pub mod metrics;
 pub mod persist;
@@ -97,16 +98,20 @@ pub mod verify;
 pub mod wire;
 
 pub use cache::{case_key, verdict_key, CaseKey, LruCache, VerdictKey};
+pub use env::{
+    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_shard_sockets, env_telemetry,
+    env_trace, env_verify_workers, env_window_width, CACHE_DIR_ENV, DRIVERS_ENV, JOURNAL_DIR_ENV,
+    PROFILE_DIR_ENV, SHARD_SOCKETS_ENV, TELEMETRY_ENV, TRACE_ENV, WINDOW_WIDTH_ENV,
+};
 pub use journal::{
-    env_journal_dir, logical_tick, parse_journal, render_journal, write_journal, JournalCounters,
-    JournalEvent, JournalFooter, JournalHeader, JournalMode, JournalRecord, JournalSink,
-    JournalSpec, ParsedJournal, SessionEnd, SessionSpan, SpanHandle, Tracer, TracerHandle,
-    JOURNAL_DIR_ENV, JOURNAL_FORMAT_VERSION, JOURNAL_KIND, TERMINAL_SEQ,
+    logical_tick, parse_journal, render_journal, write_journal, JournalCounters, JournalEvent,
+    JournalFooter, JournalHeader, JournalMode, JournalRecord, JournalSink, JournalSpec,
+    ParsedJournal, SessionEnd, SessionSpan, SpanHandle, Tracer, TracerHandle,
+    JOURNAL_FORMAT_VERSION, JOURNAL_KIND, TERMINAL_SEQ,
 };
 pub use metrics::{indent_block, render_block, ServiceMetrics, VerifyMetrics};
 pub use persist::{
-    env_cache_dir, PersistSpec, SnapshotHeader, SnapshotLoad, CACHE_DIR_ENV,
-    DEFAULT_COMPACT_AFTER_RUNS, SNAPSHOT_FORMAT_VERSION,
+    PersistSpec, SnapshotHeader, SnapshotLoad, DEFAULT_COMPACT_AFTER_RUNS, SNAPSHOT_FORMAT_VERSION,
 };
 pub use queue::{ServiceClosed, SubmitError};
 pub use route::{
@@ -114,7 +119,7 @@ pub use route::{
     ModelRouter, RouteAttempt, RouteMetrics, RouteOutcome, RoutePolicy, RouteSubmitFuture,
     RouteTicket, RouterConfig,
 };
-pub use rt::{block_on, env_drivers, Runtime, TaskHandle, DRIVERS_ENV};
+pub use rt::{block_on, Runtime, TaskHandle};
 pub use service::{
     serve_scoped, RepairOutcome, RepairRequest, RepairService, RepairTicket, ScopedService,
     ServiceConfig, SubmitFuture,
@@ -124,25 +129,21 @@ pub use session::{
     SessionPhase, DEFAULT_DRIVERS,
 };
 pub use telemetry::{
-    env_profile_dir, env_telemetry, env_window_width, percentile_from_buckets, ratio,
-    CollapsedProfile, Metric, MetricClass, MetricKind, MetricSnapshot, MetricsRegistry,
-    RegistrySnapshot, TelemetryHandle, TelemetryWindows, WindowBucketSnapshot, WindowSnapshot,
-    DEFAULT_WINDOW_WIDTH, HISTOGRAM_BUCKETS, PROFILE_DIR_ENV, TELEMETRY_ENV, WINDOW_RING_BUCKETS,
-    WINDOW_WIDTH_ENV,
+    percentile_from_buckets, ratio, CollapsedProfile, Metric, MetricClass, MetricKind,
+    MetricSnapshot, MetricsRegistry, RegistrySnapshot, TelemetryHandle, TelemetryWindows,
+    WindowBucketSnapshot, WindowSnapshot, DEFAULT_WINDOW_WIDTH, HISTOGRAM_BUCKETS,
+    WINDOW_RING_BUCKETS,
 };
-pub use trace::{
-    env_trace, stage, TraceContext, TraceForest, TraceHandle, TraceSessionSummary, TraceSpan,
-    TRACE_ENV,
-};
+pub use trace::{stage, TraceContext, TraceForest, TraceHandle, TraceSessionSummary, TraceSpan};
 pub use verify::{
-    env_verify_workers, verify_scoped, ResponseJudge, ScopedVerifier, VerdictOutcome, VerifyConfig,
-    VerifyPool, VerifyRequest, VerifySubmitFuture, VerifyTicket, VERIFY_WORKERS_ENV,
+    verify_scoped, ResponseJudge, ScopedVerifier, VerdictOutcome, VerifyConfig, VerifyPool,
+    VerifyRequest, VerifySubmitFuture, VerifyTicket,
 };
 pub use wire::{
-    decode_frame, encode_frame, env_shard_sockets, read_frame, shard_for_key, write_frame,
-    FleetMetrics, FleetStats, Frame, FrameError, LoopbackTransport, RemoteShard, ShardFleet,
-    ShardServer, ShardStats, ShardWindow, Transport, UnixTransport, WireError, WireOutcome,
-    MAX_FRAME_LEN, MIN_WIRE_FORMAT_VERSION, SHARD_SOCKETS_ENV, WIRE_FORMAT_VERSION,
+    decode_frame, encode_frame, read_frame, shard_for_key, write_frame, FleetMetrics, FleetStats,
+    Frame, FrameError, LoopbackTransport, RemoteShard, ShardFleet, ShardServer, ShardStats,
+    ShardWindow, Transport, UnixTransport, WireError, WireOutcome, MAX_FRAME_LEN,
+    MIN_WIRE_FORMAT_VERSION, WIRE_FORMAT_VERSION,
 };
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! `(case, response, CheckConfig)` — so their contents can be spilled to disk and
 //! reloaded by a later process without changing any result.  This module is the
 //! "cache persistence & warmup" layer: repeated benchmark runs against the same
-//! [`CACHE_DIR_ENV`] directory skip already-resolved cases entirely.
+//! [`crate::env::CACHE_DIR_ENV`] directory skip already-resolved cases entirely.
 //!
 //! ## Snapshot format
 //!
@@ -64,19 +64,6 @@ pub const RESPONSE_KIND: &str = "response-cache";
 
 /// Snapshot kind tag for verdict-cache files (verify pool).
 pub const VERDICT_KIND: &str = "verdict-cache";
-
-/// Environment variable naming the cache directory `assertsolver::EvalConfig`
-/// persists to; when set, `evaluate_model` runs warm across process invocations.
-pub const CACHE_DIR_ENV: &str = "ASSERTSOLVER_CACHE_DIR";
-
-/// Reads the cache-directory override from the environment, if set and non-empty.
-pub fn env_cache_dir() -> Option<PathBuf> {
-    std::env::var(CACHE_DIR_ENV)
-        .ok()
-        .map(|raw| raw.trim().to_string())
-        .filter(|raw| !raw.is_empty())
-        .map(PathBuf::from)
-}
 
 /// Where and under what identity a pool persists its cache.
 ///

@@ -10,7 +10,7 @@
 //!
 //! ## Shape
 //!
-//! * [`Runtime::new`] spawns N driver threads ([`DRIVERS_ENV`] overrides the
+//! * [`Runtime::new`] spawns N driver threads ([`crate::env::DRIVERS_ENV`] overrides the
 //!   default); [`Runtime::spawn`] schedules a `'static` future and returns a
 //!   [`TaskHandle`] to join, poll or cancel it.
 //! * [`Runtime::scope`] is the borrowed-data variant (mirroring
@@ -47,64 +47,6 @@ use std::time::{Duration, Instant};
 use crate::journal::{JournalEvent, TracerHandle};
 use crate::sync::{lock_recover, wait_timeout_recover};
 use crate::telemetry::{Metric, MetricClass, TelemetryHandle};
-
-/// Environment variable overriding the default session-driver count
-/// (see [`crate::session::SessionConfig`]); CI runs the async suite at 1 and 4.
-pub const DRIVERS_ENV: &str = "ASSERTSOLVER_DRIVERS";
-
-/// Hard ceiling on thread counts accepted from the environment.  A typo like
-/// `ASSERTSOLVER_DRIVERS=40000` would otherwise spawn forty thousand OS
-/// threads and wedge the process before the first task runs.
-pub(crate) const MAX_ENV_THREADS: usize = 512;
-
-/// Outcome of parsing a thread-count knob from the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KnobParse {
-    /// A usable positive count.
-    Ok(usize),
-    /// Larger than [`MAX_ENV_THREADS`]; carries the clamped value.
-    Clamped(usize),
-    /// Zero, negative, or not a number at all.
-    Invalid,
-}
-
-/// Parses a raw thread-count knob value: `0`, garbage, or an empty string are
-/// [`KnobParse::Invalid`] (fall back to the default), and anything above
-/// [`MAX_ENV_THREADS`] clamps.  Pure so every knob's policy is testable
-/// without touching process-global environment state.
-pub(crate) fn parse_thread_knob(raw: &str) -> KnobParse {
-    match raw.trim().parse::<usize>() {
-        Ok(0) | Err(_) => KnobParse::Invalid,
-        Ok(n) if n > MAX_ENV_THREADS => KnobParse::Clamped(MAX_ENV_THREADS),
-        Ok(n) => KnobParse::Ok(n),
-    }
-}
-
-/// Applies [`parse_thread_knob`] to one named knob, warning once on stderr
-/// when the value is clamped or discarded.
-pub(crate) fn resolve_thread_knob(name: &str, raw: &str) -> Option<usize> {
-    match parse_thread_knob(raw) {
-        KnobParse::Ok(n) => Some(n),
-        KnobParse::Clamped(n) => {
-            eprintln!("warning: {name}={raw:?} exceeds {MAX_ENV_THREADS} threads; clamped to {n}");
-            Some(n)
-        }
-        KnobParse::Invalid => {
-            eprintln!("warning: {name}={raw:?} is not a positive thread count; using the default");
-            None
-        }
-    }
-}
-
-/// Reads the driver-count override from the environment, if set and valid.
-///
-/// Zero or unparsable values fall back to the default with a one-line warning
-/// instead of silently vanishing, and absurdly large values clamp to the
-/// 512-thread ceiling instead of wedging the process in thread spawns.
-pub fn env_drivers() -> Option<usize> {
-    let raw = std::env::var(DRIVERS_ENV).ok()?;
-    resolve_thread_knob(DRIVERS_ENV, &raw)
-}
 
 /// Longest a driver parks between checks for shutdown and due timers.
 const MAX_PARK: Duration = Duration::from_millis(50);
@@ -846,6 +788,7 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::{parse_thread_knob, resolve_thread_knob, KnobParse, MAX_ENV_THREADS};
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -1013,7 +956,7 @@ mod tests {
 
     #[test]
     fn env_override_clamps_huge_thread_counts() {
-        // Regression: `ASSERTSOLVER_DRIVERS=40000` used to be taken at face
+        // Regression: a driver count of 40000 used to be taken at face
         // value and spawn forty thousand driver threads.
         assert_eq!(
             parse_thread_knob("40000"),

@@ -39,9 +39,10 @@
 //! shard placement, pure verdicts).  The async determinism suite pins
 //! evaluation results byte-for-byte at 1/2/4/8 drivers, warm or cold caches.
 
+use crate::env::env_drivers;
 use crate::journal::{JournalEvent, TracerHandle};
 use crate::metrics::render_block;
-use crate::rt::{env_drivers, with_deadline, Expiry, Runtime, Scope, TaskHandle};
+use crate::rt::{with_deadline, Expiry, Runtime, Scope, TaskHandle};
 use crate::telemetry::TelemetryHandle;
 use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,14 +50,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Driver-thread count used when [`SessionConfig::drivers`] is 0 and the
-/// `ASSERTSOLVER_DRIVERS` environment variable is unset.
+/// [`crate::env::DRIVERS_ENV`] environment variable is unset.
 pub const DEFAULT_DRIVERS: usize = 2;
 
 /// Session-engine tuning parameters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SessionConfig {
     /// Driver threads multiplexing the sessions.  `0` = auto: the
-    /// `ASSERTSOLVER_DRIVERS` environment override ([`crate::rt::DRIVERS_ENV`]),
+    /// [`crate::env::DRIVERS_ENV`] environment override,
     /// else [`DEFAULT_DRIVERS`].  Results never depend on this; only wall-clock
     /// and memory profile do.
     pub drivers: usize,

@@ -31,7 +31,7 @@
 //!   clocks and cache temperature; they are the profiling signal.
 //! * **[`TelemetryHandle`]** — the off-by-default config handle (the
 //!   [`crate::TracerHandle`] recipe): every hot-path hook is one branch while
-//!   telemetry is off, and `ASSERTSOLVER_TELEMETRY=1` turns it on from the
+//!   telemetry is off, and [`crate::env::TELEMETRY_ENV`]`=1` turns it on from the
 //!   environment.
 //! * **[`CollapsedProfile`]** — a flamegraph-compatible collapsed-stack
 //!   profile (`stack;frames value` lines) assembled from stage-timer
@@ -43,56 +43,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::env::{env_telemetry, env_window_width};
 use crate::sync::lock_recover;
-
-/// Environment knob enabling telemetry in `assertsolver::EvalConfig` driven
-/// runs: `1`/`on`/`true`/`yes` enable, `0`/`off`/`false`/unset disable.
-pub const TELEMETRY_ENV: &str = "ASSERTSOLVER_TELEMETRY";
-
-/// Environment variable naming the directory profiled evaluations write
-/// collapsed-stack profiles to; unset (the default) disables the write.
-pub const PROFILE_DIR_ENV: &str = "ASSERTSOLVER_PROFILE_DIR";
-
-/// Reads the profile-directory override from the environment, if set and
-/// non-empty.
-pub fn env_profile_dir() -> Option<std::path::PathBuf> {
-    std::env::var(PROFILE_DIR_ENV)
-        .ok()
-        .map(|raw| raw.trim().to_string())
-        .filter(|raw| !raw.is_empty())
-        .map(std::path::PathBuf::from)
-}
 
 /// Number of log-2 histogram buckets: bucket 0 holds zeros, bucket `i` holds
 /// values in `[2^(i-1), 2^i)`, and bucket 64 holds `>= 2^63`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// Reads [`TELEMETRY_ENV`], warning (once per call) on unrecognized values
-/// instead of silently ignoring them.
-pub fn env_telemetry() -> bool {
-    match std::env::var(TELEMETRY_ENV) {
-        Err(_) => false,
-        Ok(raw) => {
-            let value = raw.trim();
-            if value.is_empty() {
-                return false;
-            }
-            if ["1", "on", "true", "yes"]
-                .iter()
-                .any(|v| value.eq_ignore_ascii_case(v))
-            {
-                return true;
-            }
-            if !["0", "off", "false", "no"]
-                .iter()
-                .any(|v| value.eq_ignore_ascii_case(v))
-            {
-                eprintln!("warning: {TELEMETRY_ENV}={value:?} is not on/off; telemetry stays off");
-            }
-            false
-        }
-    }
-}
 
 /// `numerator / denominator` with the 0-request rate defined as 0 — never
 /// `NaN`.  Every rate computed from registry counters goes through this.
@@ -579,7 +535,7 @@ impl TelemetryHandle {
         Self(Some(registry))
     }
 
-    /// A handle honoring [`TELEMETRY_ENV`]: a fresh registry when the knob is
+    /// A handle honoring [`crate::env::TELEMETRY_ENV`]: a fresh registry when the knob is
     /// on, `off()` otherwise.
     pub fn from_env() -> Self {
         if env_telemetry() {
@@ -718,41 +674,12 @@ impl CollapsedProfile {
     }
 }
 
-/// Environment knob setting the time-window bucket width in logical ticks
-/// (one tick per recorded service event); invalid or zero values fall back to
-/// [`DEFAULT_WINDOW_WIDTH`] with a warning.
-pub const WINDOW_WIDTH_ENV: &str = "ASSERTSOLVER_WINDOW_WIDTH";
-
 /// Default window bucket width in logical ticks.
 pub const DEFAULT_WINDOW_WIDTH: u64 = 64;
 
 /// How many window buckets the ring retains (the observable horizon is
 /// `WINDOW_RING_BUCKETS * width` ticks).
 pub const WINDOW_RING_BUCKETS: usize = 8;
-
-/// Reads [`WINDOW_WIDTH_ENV`], clamping to at least 1 and warning on
-/// unparseable values instead of silently ignoring them.
-pub fn env_window_width() -> u64 {
-    match std::env::var(WINDOW_WIDTH_ENV) {
-        Err(_) => DEFAULT_WINDOW_WIDTH,
-        Ok(raw) => {
-            let value = raw.trim();
-            if value.is_empty() {
-                return DEFAULT_WINDOW_WIDTH;
-            }
-            match value.parse::<u64>() {
-                Ok(width) if width > 0 => width,
-                _ => {
-                    eprintln!(
-                        "warning: {WINDOW_WIDTH_ENV}={value:?} is not a positive tick count; \
-                         using {DEFAULT_WINDOW_WIDTH}"
-                    );
-                    DEFAULT_WINDOW_WIDTH
-                }
-            }
-        }
-    }
-}
 
 /// One bucket of a time window: event tallies plus a log-2 latency histogram
 /// covering `[start_tick, start_tick + width)` logical ticks.
@@ -888,7 +815,7 @@ impl TelemetryWindows {
         }
     }
 
-    /// A ring honoring [`WINDOW_WIDTH_ENV`].
+    /// A ring honoring [`crate::env::WINDOW_WIDTH_ENV`].
     pub fn from_env() -> Self {
         Self::new(env_window_width())
     }
@@ -957,6 +884,7 @@ impl TelemetryWindows {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::{TELEMETRY_ENV, WINDOW_WIDTH_ENV};
 
     #[test]
     fn ratio_defines_zero_over_zero_as_zero() {

@@ -26,6 +26,7 @@
 //! every deterministic field derives from content on both sides.
 
 use crate::cache::CaseKey;
+use crate::env::env_trace;
 use crate::journal::logical_tick;
 use crate::persist::fnv64;
 use crate::service::splitmix64;
@@ -34,10 +35,6 @@ use crate::telemetry::CollapsedProfile;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-
-/// Environment knob enabling tracing in `assertsolver::EvalConfig`-driven
-/// runs: `1`/`on`/`true`/`yes` enable, `0`/`off`/`false`/unset disable.
-pub const TRACE_ENV: &str = "ASSERTSOLVER_TRACE";
 
 /// Salt folded into every trace id; distinct from the A/B and shard-placement
 /// salts so trace identity is an independent hash dimension.
@@ -59,33 +56,6 @@ pub mod stage {
     pub const EVALUATE: u32 = 4;
     /// First escalation rung; rung `n` uses `RUNG_BASE + n`.
     pub const RUNG_BASE: u32 = 16;
-}
-
-/// Reads [`TRACE_ENV`], warning (once per call) on unrecognized values
-/// instead of silently ignoring them.
-pub fn env_trace() -> bool {
-    match std::env::var(TRACE_ENV) {
-        Err(_) => false,
-        Ok(raw) => {
-            let value = raw.trim();
-            if value.is_empty() {
-                return false;
-            }
-            if ["1", "on", "true", "yes"]
-                .iter()
-                .any(|v| value.eq_ignore_ascii_case(v))
-            {
-                return true;
-            }
-            if !["0", "off", "false", "no"]
-                .iter()
-                .any(|v| value.eq_ignore_ascii_case(v))
-            {
-                eprintln!("warning: {TRACE_ENV}={value:?} is not on/off; tracing stays off");
-            }
-            false
-        }
-    }
 }
 
 /// The propagated identity of one span: enough to adopt a remote parent.
@@ -213,7 +183,7 @@ impl TraceHandle {
         })))
     }
 
-    /// A handle honoring [`TRACE_ENV`]: enabled with salt 0 when the knob is
+    /// A handle honoring [`crate::env::TRACE_ENV`]: enabled with salt 0 when the knob is
     /// on, `off()` otherwise.
     pub fn from_env() -> Self {
         if env_trace() {
@@ -258,6 +228,15 @@ impl TraceHandle {
             None => Vec::new(),
         };
         TraceForest::from_spans(spans).into_spans()
+    }
+
+    /// The spans collected so far as a forest, leaving them in the sink for
+    /// a later [`TraceHandle::drain`]; empty while tracing is off.
+    pub fn forest(&self) -> TraceForest {
+        match &self.0 {
+            Some(core) => TraceForest::from_spans(lock_recover(&core.spans).clone()),
+            None => TraceForest::default(),
+        }
     }
 }
 
@@ -533,6 +512,7 @@ impl TraceForest {
 mod tests {
     use super::*;
     use crate::cache::case_key;
+    use crate::env::TRACE_ENV;
     use svmodel::CaseInput;
 
     fn key(tag: usize) -> CaseKey {

@@ -28,6 +28,7 @@
 //! again.
 
 use crate::cache::VerdictKey;
+use crate::env::env_verify_workers;
 use crate::journal::TracerHandle;
 use crate::metrics::VerifyMetrics;
 use crate::persist::{PersistSpec, VerdictSnapshot};
@@ -37,21 +38,6 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 use svmodel::Response;
-
-/// Environment variable overriding the default verify worker count
-/// (`VerifyConfig::default()`); CI runs the suite at 1 and 4 to exercise both the
-/// single-threaded and the parallel verdict paths.
-pub const VERIFY_WORKERS_ENV: &str = "ASSERTSOLVER_VERIFY_WORKERS";
-
-/// Reads the verify-worker override from the environment, if set and valid.
-///
-/// Same policy as [`crate::rt::env_drivers`]: zero or garbage falls back to
-/// the default with a one-line warning, and huge values clamp instead of
-/// spawning an unbounded number of judge threads.
-pub fn env_verify_workers() -> Option<usize> {
-    let raw = std::env::var(VERIFY_WORKERS_ENV).ok()?;
-    crate::rt::resolve_thread_knob(VERIFY_WORKERS_ENV, &raw)
-}
 
 /// Verify-pool tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +65,7 @@ pub struct VerifyConfig {
 }
 
 impl Default for VerifyConfig {
-    /// Defaults to 4 workers unless [`VERIFY_WORKERS_ENV`] overrides it.  Verdict
+    /// Defaults to 4 workers unless [`crate::env::VERIFY_WORKERS_ENV`] overrides it.  Verdict
     /// jobs are much smaller than repair requests, so queues and caches run deeper
     /// than [`crate::ServiceConfig`]'s.
     fn default() -> Self {

@@ -48,24 +48,3 @@ pub use remote::{
 };
 pub use server::ShardServer;
 pub use transport::{LoopbackTransport, Transport, UnixTransport, WireError};
-
-/// Environment variable listing shard socket paths (comma-separated); when
-/// set, `assertsolver::evaluate_model` runs against the remote fleet instead
-/// of an in-process service.
-pub const SHARD_SOCKETS_ENV: &str = "ASSERTSOLVER_SHARD_SOCKETS";
-
-/// Reads the shard socket list from the environment, if set and non-empty.
-pub fn env_shard_sockets() -> Option<Vec<String>> {
-    let raw = std::env::var(SHARD_SOCKETS_ENV).ok()?;
-    let sockets: Vec<String> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|socket| !socket.is_empty())
-        .map(str::to_string)
-        .collect();
-    if sockets.is_empty() {
-        None
-    } else {
-        Some(sockets)
-    }
-}

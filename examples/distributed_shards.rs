@@ -26,9 +26,7 @@
 
 mod common;
 
-use assertsolver::{
-    evaluate_model_over_fleet, evaluate_model_with, EvalConfig, EvalVerifier, ShardSpec,
-};
+use assertsolver::{evaluate_model_with, EvalConfig, EvalVerifier, Evaluation, ShardSpec};
 use common::ShardProcess;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -123,7 +121,11 @@ fn main() {
             .collect(),
     );
     let cold_fleet = ShardFleet::connect_unix(&spec.sockets, Some(&model.identity()), spec_timeout);
-    let cold = evaluate_model_over_fleet(&model, &cases, &config, &cold_fleet, &verifier);
+    let cold = Evaluation::new(&model, &cases, &config)
+        .verifier(&verifier)
+        .fleet(&cold_fleet)
+        .run()
+        .evaluation;
     let cold_metrics = cold_fleet.metrics();
     println!("{}", cold_metrics.render());
     assert_eq!(cold_metrics.dead_shards, 0, "all shards connected");
@@ -144,7 +146,11 @@ fn main() {
     // 3. Warm remote: restarted shards preload those snapshots.
     let (mut processes, _) = spawn_fleet(&binary, &dir, shards, &model_file, config.seed);
     let warm_fleet = ShardFleet::connect_unix(&spec.sockets, Some(&model.identity()), spec_timeout);
-    let warm = evaluate_model_over_fleet(&model, &cases, &config, &warm_fleet, &verifier);
+    let warm = Evaluation::new(&model, &cases, &config)
+        .verifier(&verifier)
+        .fleet(&warm_fleet)
+        .run()
+        .evaluation;
     let warm_metrics = warm_fleet.metrics();
     println!("{}", warm_metrics.render());
     assert_eq!(
@@ -182,7 +188,11 @@ fn main() {
         cases.len()
     );
     processes[victim].kill();
-    let degraded = evaluate_model_over_fleet(&model, &cases, &config, &warm_fleet, &verifier);
+    let degraded = Evaluation::new(&model, &cases, &config)
+        .verifier(&verifier)
+        .fleet(&warm_fleet)
+        .run()
+        .evaluation;
     let degraded_metrics = warm_fleet.metrics();
     println!("{}", degraded_metrics.render());
     assert_eq!(

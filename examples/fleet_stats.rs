@@ -23,7 +23,7 @@
 
 mod common;
 
-use assertsolver::{evaluate_model_over_fleet, EvalConfig, EvalVerifier};
+use assertsolver::{EvalConfig, Evaluation};
 use common::{workspace_binary, ShardProcess};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -72,8 +72,10 @@ fn main() {
 
     // Drive real traffic so the shards have something to report.
     let fleet = ShardFleet::connect_unix(&sockets, Some(&model.identity()), timeout);
-    let verifier = EvalVerifier::start(&config);
-    let evaluation = evaluate_model_over_fleet(&model, &cases, &config, &fleet, &verifier);
+    let evaluation = Evaluation::new(&model, &cases, &config)
+        .fleet(&fleet)
+        .run()
+        .evaluation;
     assert_eq!(evaluation.results.len(), cases.len());
 
     // 1. Library surface: every shard answers, and the merged registry holds
@@ -139,7 +141,6 @@ fn main() {
         "svstat explains the failure: {stderr}"
     );
 
-    verifier.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
     println!("fleet introspection: all invariants held");
 }

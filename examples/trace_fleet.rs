@@ -26,15 +26,13 @@
 
 mod common;
 
-use assertsolver::{
-    evaluate_model_observed, evaluate_model_over_fleet_traced, EvalConfig, EvalVerifier,
-};
+use assertsolver::{EvalConfig, Evaluation};
 use common::{run, workspace_binary, ShardProcess};
 use std::path::PathBuf;
 use std::time::Duration;
 use svdata::SvaBugEntry;
 use svmodel::{AssertSolverModel, RepairModel};
-use svserve::{ShardFleet, TelemetryHandle, TraceForest, TraceHandle, TracerHandle};
+use svserve::{ShardFleet, TraceForest, TraceHandle};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("assertsolver-trace-{}", std::process::id()));
@@ -62,17 +60,7 @@ fn main() {
     // 1. The in-process reference tree.  Salt 0 matches what `svtrace` uses,
     //    so binary output below is comparable byte-for-byte.
     let trace = TraceHandle::new(0);
-    let verifier = EvalVerifier::start(&config);
-    evaluate_model_observed(
-        &model,
-        &cases,
-        &config,
-        &verifier,
-        &TracerHandle::off(),
-        &TelemetryHandle::off(),
-        &trace,
-    );
-    verifier.shutdown();
+    Evaluation::new(&model, &cases, &config).trace(&trace).run();
     let reference = TraceForest::from_spans(trace.drain()).render_deterministic();
     assert!(!reference.is_empty(), "in-process run produced spans");
 
@@ -93,9 +81,10 @@ fn main() {
     //    byte-identical to the in-process reference.
     let fleet = ShardFleet::connect_unix(&sockets, Some(&model.identity()), timeout);
     let trace = TraceHandle::new(0);
-    let verifier = EvalVerifier::start(&config);
-    evaluate_model_over_fleet_traced(&model, &cases, &config, &fleet, &verifier, &trace);
-    verifier.shutdown();
+    Evaluation::new(&model, &cases, &config)
+        .trace(&trace)
+        .fleet(&fleet)
+        .run();
     assert_eq!(fleet.metrics().wire_errors, 0, "clean fleet run");
     let remote = TraceForest::from_spans(trace.drain()).render_deterministic();
     assert_eq!(

@@ -9,9 +9,7 @@
 //! from the projection, so these suites compare bytes, not structures — the
 //! same bar the journal and deterministic-metrics planes hold.
 
-use assertsolver::{
-    evaluate_model_observed, evaluate_model_over_fleet_traced, EvalConfig, EvalVerifier,
-};
+use assertsolver::{evaluate_model_observed, EvalConfig, EvalVerifier, Evaluation};
 use std::sync::Arc;
 use std::time::Duration;
 use svdata::SvaBugEntry;
@@ -108,7 +106,11 @@ fn fleet_trace_trees_match_in_process_over_loopback_and_unix() {
     ))]);
     let trace = TraceHandle::new(0);
     let verifier = EvalVerifier::start(&config);
-    evaluate_model_over_fleet_traced(&model, &corpus(), &config, &fleet, &verifier, &trace);
+    Evaluation::new(&model, &corpus(), &config)
+        .verifier(&verifier)
+        .trace(&trace)
+        .fleet(&fleet)
+        .run();
     verifier.shutdown();
     let loopback = TraceForest::from_spans(trace.drain()).render_deterministic();
     assert_eq!(loopback, reference, "loopback tree matches in-process");
@@ -144,7 +146,11 @@ fn fleet_trace_trees_match_in_process_over_loopback_and_unix() {
     for pass in ["cold", "warm"] {
         let trace = TraceHandle::new(0);
         let verifier = EvalVerifier::start(&config);
-        evaluate_model_over_fleet_traced(&model, &corpus(), &config, &fleet, &verifier, &trace);
+        Evaluation::new(&model, &corpus(), &config)
+            .verifier(&verifier)
+            .trace(&trace)
+            .fleet(&fleet)
+            .run();
         verifier.shutdown();
         let unix = TraceForest::from_spans(trace.drain()).render_deterministic();
         assert_eq!(unix, reference, "{pass} unix fleet tree matches in-process");
@@ -219,8 +225,12 @@ fn v2_peer_is_refused_cleanly_and_its_cases_degrade() {
     assert_eq!(fleet.shards(), 1, "the refused shard is a dead slot");
     let trace = TraceHandle::new(0);
     let verifier = EvalVerifier::start(&config);
-    let evaluation =
-        evaluate_model_over_fleet_traced(&model, &cases, &config, &fleet, &verifier, &trace);
+    let evaluation = Evaluation::new(&model, &cases, &config)
+        .verifier(&verifier)
+        .trace(&trace)
+        .fleet(&fleet)
+        .run()
+        .evaluation;
     verifier.shutdown();
     assert_eq!(evaluation.results.len(), cases.len());
     assert!(
