@@ -199,9 +199,9 @@ fn render_merged(merged: &RegistrySnapshot) -> String {
 /// Unlike `stat`, it shows *recent* behaviour — a shard that was hot an hour
 /// ago but idle now reads as idle.
 ///
-/// A shard behind a transport without the window exchange is reported as
-/// `unsupported` and keeps serving: the probe refuses locally before any
-/// bytes move.  `--once` prints a single poll and exits — the shape CI
+/// A shard that fails the window exchange is reported with its error and
+/// counted as a wire error; the other shards still render.  `--once` prints
+/// a single poll and exits — the shape CI
 /// drives; `--json` prints one JSON object per poll instead of the table,
 /// suitable for scraping.
 pub fn top(flags: Flags) -> Outcome {

@@ -141,9 +141,9 @@ pub use verify::{
 };
 pub use wire::{
     decode_frame, encode_frame, read_frame, shard_for_key, write_frame, FleetMetrics, FleetStats,
-    Frame, FrameError, LoopbackTransport, RemoteShard, ShardFleet, ShardServer, ShardStats,
-    ShardWindow, Transport, UnixTransport, WireError, WireOutcome, MAX_FRAME_LEN,
-    MIN_WIRE_FORMAT_VERSION, WIRE_FORMAT_VERSION,
+    Frame, FrameError, LoopbackTransport, RemoteShard, ShardAnswer, ShardFleet, ShardServer,
+    ShardStats, ShardWindow, Transport, UnixTransport, WireError, WireOutcome, MAX_FRAME_LEN,
+    WIRE_FORMAT_VERSION,
 };
 
 #[cfg(test)]

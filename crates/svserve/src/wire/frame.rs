@@ -26,20 +26,15 @@ use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use svmodel::Response;
 
-/// Version of the wire format the sender speaks.  Each side announces it in
-/// the `Hello` exchange and refuses a peer below
-/// [`MIN_WIRE_FORMAT_VERSION`] with a protocol error — never a hang.
+/// The one wire format version this build speaks.  Each side announces it in
+/// the `Hello` exchange and refuses a peer announcing any other with a
+/// protocol error — never a hang.
 ///
 /// Version 2 added the [`Frame::Stats`] / [`Frame::StatsReply`] introspection
 /// exchange.  Version 3 added distributed tracing
 /// ([`Frame::SubmitTraced`] / [`Frame::TraceReply`]) and windowed telemetry
 /// ([`Frame::StatsWindow`] / [`Frame::StatsWindowReply`]).
 pub const WIRE_FORMAT_VERSION: u32 = 3;
-
-/// Oldest wire version this build still speaks: the current one.  A peer
-/// announcing anything older is refused in the `Hello` exchange (it predates
-/// frames every exchange here assumes); no older peer exists to fall back for.
-pub const MIN_WIRE_FORMAT_VERSION: u32 = WIRE_FORMAT_VERSION;
 
 /// Hard cap on a frame body's declared length.  Larger declarations are
 /// rejected before allocation: a corrupt peer must never drive the process

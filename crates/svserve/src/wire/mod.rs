@@ -5,18 +5,24 @@
 //!
 //! Every message is one length-prefixed, checksummed frame
 //! (the `frame` codec): `[u32 len][u64 fnv64 checksum][JSON body]`.  A connection
-//! opens with a `Hello{format_version, fingerprint}` exchange — version skew
-//! or a model-identity mismatch refuses the connection instead of silently
-//! serving different answers — then runs `Submit` → `Response`/`Busy`/
-//! `Closed`/`Err` request-reply.  A `Stats` request answers with a
-//! `StatsReply` carrying the shard's live telemetry snapshot
-//! ([`crate::RegistrySnapshot`]), which [`ShardFleet::fleet_stats`] merges
-//! fleet-wide.  The declared length is capped
+//! opens with a `Hello{format_version, fingerprint}` exchange — any other
+//! version or a model-identity mismatch refuses the connection instead of
+//! silently serving different answers — then runs request-reply, one client
+//! frame answered by one shard frame: `Submit` → `Response`; `SubmitTraced` →
+//! `TraceReply`, which adds the spans the shard recorded under the driver's
+//! trace context; `Stats` → `StatsReply`, the shard's live telemetry snapshot
+//! ([`crate::RegistrySnapshot`]) that [`ShardFleet::fleet_stats`] merges
+//! fleet-wide; `StatsWindow` → `StatsWindowReply`.  A submission may instead
+//! be answered `Busy` or `Closed`, and any other frame `Err`, a counted
+//! protocol error.  One shard-side dispatcher answers every frame, for socket
+//! connections and [`LoopbackTransport`] alike.  The declared length is capped
 //! ([`MAX_FRAME_LEN`]) *before* allocation and the checksum is verified
 //! *before* parsing, so a corrupt peer degrades to a counted error, never a
 //! panic or an unbounded allocation.
 //!
 //! ## Transports
+//!
+//! A [`Transport`] is one exchange: frame in, frame out.
 //!
 //! * [`LoopbackTransport`] — in process, every frame still encoded and
 //!   decoded, for deterministic tests that cover the codec;
@@ -41,10 +47,11 @@ mod transport;
 
 pub use frame::{
     decode_frame, encode_frame, read_frame, write_frame, Frame, FrameError, WireOutcome,
-    MAX_FRAME_LEN, MIN_WIRE_FORMAT_VERSION, WIRE_FORMAT_VERSION,
+    MAX_FRAME_LEN, WIRE_FORMAT_VERSION,
 };
 pub use remote::{
-    shard_for_key, FleetMetrics, FleetStats, RemoteShard, ShardFleet, ShardStats, ShardWindow,
+    shard_for_key, FleetMetrics, FleetStats, RemoteShard, ShardAnswer, ShardFleet, ShardStats,
+    ShardWindow,
 };
 pub use server::ShardServer;
 pub use transport::{LoopbackTransport, Transport, UnixTransport, WireError};

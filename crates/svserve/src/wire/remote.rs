@@ -18,8 +18,8 @@
 //! protocol failure poisons only that shard's slot.  The fleet itself never
 //! panics or hangs on a sick peer.
 
-use super::frame::WireOutcome;
-use super::transport::{is_local_refusal, Transport, UnixTransport, WireError};
+use super::frame::{Frame, WireOutcome};
+use super::transport::{Transport, UnixTransport, WireError};
 use crate::cache::CaseKey;
 use crate::journal::{JournalEvent, TracerHandle};
 use crate::metrics::render_block;
@@ -47,14 +47,19 @@ pub fn shard_for_key(key: CaseKey, shards: usize) -> usize {
 
 /// One connected shard: a [`Transport`] behind a mutex (calls are
 /// strictly request/response, so one in-flight call per connection).
+///
+/// Every call shares one discipline: a retired connection fails fast, and a
+/// protocol failure — a broken exchange or a reply other than the awaited
+/// one — retires the connection, because the stream may be desynchronized.
+/// `Busy` and `Closed` leave it consistent.
 pub struct RemoteShard {
     inner: Mutex<RemoteInner>,
 }
 
 struct RemoteInner {
     transport: Box<dyn Transport>,
-    /// Set after a protocol failure: the stream may be desynchronized, so all
-    /// later submissions fail fast instead of corrupting frames.
+    /// Set after a protocol failure: all later calls fail fast instead of
+    /// corrupting frames.
     dead: Option<String>,
 }
 
@@ -71,43 +76,27 @@ impl RemoteShard {
 
     /// Submits one request, blocking for the shard's answer.
     pub fn submit(&self, request: &RepairRequest) -> Result<WireOutcome, WireError> {
-        let mut inner = lock_recover(&self.inner);
-        if let Some(reason) = &inner.dead {
-            return Err(WireError::Protocol(format!(
-                "shard connection failed earlier: {reason}"
-            )));
-        }
-        let result = inner.transport.call(request);
-        if let Err(WireError::Protocol(reason)) = &result {
-            // Busy/Closed leave the stream consistent; a protocol failure may
-            // not (half-read frame, dead peer), so retire the connection.
-            inner.dead = Some(reason.clone());
-        }
-        result
+        self.call(&Frame::Submit(request.clone()), |reply| match reply {
+            Frame::Response(outcome) => Ok(outcome),
+            other => Err(other),
+        })
     }
 
     /// Submits one request carrying a trace context, blocking for the answer
     /// plus the spans the shard recorded under the remote parent.
-    ///
-    /// Same retirement discipline as [`RemoteShard::submit`]; a transport
-    /// without trace propagation degrades to the plain exchange and the span
-    /// vector comes back empty.
     pub fn submit_traced(
         &self,
         request: &RepairRequest,
         context: &TraceContext,
     ) -> Result<(WireOutcome, Vec<TraceSpan>), WireError> {
-        let mut inner = lock_recover(&self.inner);
-        if let Some(reason) = &inner.dead {
-            return Err(WireError::Protocol(format!(
-                "shard connection failed earlier: {reason}"
-            )));
-        }
-        let result = inner.transport.call_traced(request, context);
-        if let Err(WireError::Protocol(reason)) = &result {
-            inner.dead = Some(reason.clone());
-        }
-        result
+        let frame = Frame::SubmitTraced {
+            request: request.clone(),
+            context: *context,
+        };
+        self.call(&frame, |reply| match reply {
+            Frame::TraceReply { outcome, spans } => Ok((outcome, spans)),
+            other => Err(other),
+        })
     }
 
     /// The shard's model fingerprint, learned at the `Hello` handshake.
@@ -119,46 +108,53 @@ impl RemoteShard {
     }
 
     /// Requests the shard's telemetry snapshot, blocking for the answer.
-    ///
-    /// Same retirement discipline as [`RemoteShard::submit`]: a protocol
-    /// failure (which includes a corrupt `StatsReply` frame) poisons the
-    /// connection so later calls fail fast instead of reading desynchronized
-    /// bytes.
     pub fn stats(&self) -> Result<RegistrySnapshot, WireError> {
-        let mut inner = lock_recover(&self.inner);
-        if let Some(reason) = &inner.dead {
-            return Err(WireError::Protocol(format!(
-                "shard connection failed earlier: {reason}"
-            )));
-        }
-        let result = inner.transport.stats();
-        if let Err(err @ WireError::Protocol(reason)) = &result {
-            if !is_local_refusal(err) {
-                inner.dead = Some(reason.clone());
-            }
-        }
-        result
+        self.call(&Frame::Stats, |reply| match reply {
+            Frame::StatsReply(snapshot) => Ok(snapshot),
+            other => Err(other),
+        })
     }
 
     /// Requests the shard's time-windowed telemetry (`StatsWindow`
-    /// exchange), blocking for the answer.  Same retirement discipline as
-    /// [`RemoteShard::stats`] — except a *local* refusal (the transport does
-    /// not implement the exchange; no bytes were sent) leaves the healthy
-    /// connection alone, so polling for windows never kills a submit path.
+    /// exchange), blocking for the answer.
     pub fn stats_window(&self) -> Result<WindowSnapshot, WireError> {
+        self.call(&Frame::StatsWindow, |reply| match reply {
+            Frame::StatsWindowReply(snapshot) => Ok(snapshot),
+            other => Err(other),
+        })
+    }
+
+    /// One exchange under the shared discipline; `expect` takes the awaited
+    /// reply apart and hands any other frame back for [`refusal`].
+    fn call<T>(
+        &self,
+        frame: &Frame,
+        expect: impl FnOnce(Frame) -> Result<T, Frame>,
+    ) -> Result<T, WireError> {
         let mut inner = lock_recover(&self.inner);
         if let Some(reason) = &inner.dead {
             return Err(WireError::Protocol(format!(
                 "shard connection failed earlier: {reason}"
             )));
         }
-        let result = inner.transport.stats_window();
-        if let Err(err @ WireError::Protocol(reason)) = &result {
-            if !is_local_refusal(err) {
-                inner.dead = Some(reason.clone());
-            }
+        let result = inner
+            .transport
+            .exchange(frame)
+            .and_then(|reply| expect(reply).map_err(refusal));
+        if let Err(WireError::Protocol(reason)) = &result {
+            inner.dead = Some(reason.clone());
         }
         result
+    }
+}
+
+/// The error a reply other than the awaited one stands for.
+fn refusal(reply: Frame) -> WireError {
+    match reply {
+        Frame::Busy => WireError::Busy,
+        Frame::Closed => WireError::Closed,
+        Frame::Err(msg) => WireError::Protocol(format!("shard error: {msg}")),
+        other => WireError::Protocol(format!("unexpected frame {other:?}")),
     }
 }
 
@@ -190,14 +186,11 @@ pub struct ShardFleet {
 impl ShardFleet {
     /// Builds a fleet over already-connected transports (loopback or unix).
     pub fn new(transports: Vec<Box<dyn Transport>>) -> Self {
-        Self {
-            slots: transports
+        Self::from_slots(
+            transports
                 .into_iter()
-                .map(|transport| ShardSlot::Connected(RemoteShard::new(transport)))
-                .collect(),
-            recorder: Arc::new(FleetRecorder::default()),
-            tracer: TracerHandle::off(),
-        }
+                .map(|transport| ShardSlot::Connected(RemoteShard::new(transport))),
+        )
     }
 
     /// Connects one [`UnixTransport`] per socket path.
@@ -212,19 +205,17 @@ impl ShardFleet {
         expected_fingerprint: Option<&str>,
         timeout: Duration,
     ) -> Self {
-        let slots = sockets
-            .iter()
-            .map(
-                |path| match UnixTransport::connect(path, expected_fingerprint, timeout) {
-                    Ok(transport) => ShardSlot::Connected(RemoteShard::new(Box::new(transport))),
-                    Err(err) => {
-                        ShardSlot::Dead(format!("{}: {err}", path.as_ref().to_string_lossy()))
-                    }
-                },
-            )
-            .collect();
+        Self::from_slots(sockets.iter().map(|path| {
+            match UnixTransport::connect(path, expected_fingerprint, timeout) {
+                Ok(transport) => ShardSlot::Connected(RemoteShard::new(Box::new(transport))),
+                Err(err) => ShardSlot::Dead(format!("{}: {err}", path.as_ref().display())),
+            }
+        }))
+    }
+
+    fn from_slots(slots: impl Iterator<Item = ShardSlot>) -> Self {
         Self {
-            slots,
+            slots: slots.collect(),
             recorder: Arc::new(FleetRecorder::default()),
             tracer: TracerHandle::off(),
         }
@@ -251,16 +242,40 @@ impl ShardFleet {
     /// Submits one request to its content-placed shard, blocking for the
     /// answer.  Every failure is counted in the fleet metrics; none panic.
     pub fn submit(&self, request: &RepairRequest) -> Result<WireOutcome, WireError> {
+        self.place(request, None).map(|(outcome, _spans)| outcome)
+    }
+
+    /// Submits one request with a trace context to its content-placed shard,
+    /// blocking for the answer plus the shard's spans.  Accounting is
+    /// identical to [`ShardFleet::submit`].
+    pub fn submit_traced(
+        &self,
+        request: &RepairRequest,
+        context: &TraceContext,
+    ) -> Result<(WireOutcome, Vec<TraceSpan>), WireError> {
+        self.place(request, Some(context))
+    }
+
+    /// The submission both entry points share: place, call (`Submit`, or
+    /// `SubmitTraced` when a context is given) and account the outcome.
+    fn place(
+        &self,
+        request: &RepairRequest,
+        context: Option<&TraceContext>,
+    ) -> Result<(WireOutcome, Vec<TraceSpan>), WireError> {
         self.recorder.submitted.fetch_add(1, Ordering::Relaxed);
         let shard = self.placement(request);
-        let result = match &self.slots[shard] {
-            ShardSlot::Connected(remote) => remote.submit(request),
-            ShardSlot::Dead(reason) => Err(WireError::Protocol(format!(
+        let result = match (&self.slots[shard], context) {
+            (ShardSlot::Connected(remote), Some(context)) => remote.submit_traced(request, context),
+            (ShardSlot::Connected(remote), None) => {
+                remote.submit(request).map(|outcome| (outcome, Vec::new()))
+            }
+            (ShardSlot::Dead(reason), _) => Err(WireError::Protocol(format!(
                 "shard {shard} is down: {reason}"
             ))),
         };
         match &result {
-            Ok(outcome) => {
+            Ok((outcome, _spans)) => {
                 self.recorder.completed.fetch_add(1, Ordering::Relaxed);
                 if outcome.from_cache {
                     self.recorder
@@ -289,51 +304,6 @@ impl ShardFleet {
         result
     }
 
-    /// Submits one request with a trace context to its content-placed shard,
-    /// blocking for the answer plus the shard's spans.  Accounting is
-    /// identical to [`ShardFleet::submit`]; the span vector is empty when the
-    /// transport does not propagate traces.
-    pub fn submit_traced(
-        &self,
-        request: &RepairRequest,
-        context: &TraceContext,
-    ) -> Result<(WireOutcome, Vec<TraceSpan>), WireError> {
-        self.recorder.submitted.fetch_add(1, Ordering::Relaxed);
-        let shard = self.placement(request);
-        let result = match &self.slots[shard] {
-            ShardSlot::Connected(remote) => remote.submit_traced(request, context),
-            ShardSlot::Dead(reason) => Err(WireError::Protocol(format!(
-                "shard {shard} is down: {reason}"
-            ))),
-        };
-        match &result {
-            Ok((outcome, _spans)) => {
-                self.recorder.completed.fetch_add(1, Ordering::Relaxed);
-                if outcome.from_cache {
-                    self.recorder
-                        .remote_cache_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(WireError::Busy) => {
-                self.recorder.shed_busy.fetch_add(1, Ordering::Relaxed);
-                if self.tracer.is_on() {
-                    self.recorder.journal_events.fetch_add(1, Ordering::Relaxed);
-                    self.tracer.diagnostic(
-                        request.key().fold64(),
-                        JournalEvent::Shed {
-                            pool: "wire".to_string(),
-                        },
-                    );
-                }
-            }
-            Err(WireError::Closed) | Err(WireError::Protocol(_)) => {
-                self.recorder.wire_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        result
-    }
-
     /// Asks every live shard for its telemetry snapshot and merges them into
     /// one fleet-wide view (the `Stats` wire exchange per shard).
     ///
@@ -341,67 +311,44 @@ impl ShardFleet {
     /// a snapshot — and a counted wire error — so one sick peer never hides
     /// the rest of the fleet's numbers.
     pub fn fleet_stats(&self) -> FleetStats {
+        let shards = self.poll(RemoteShard::stats);
         let mut merged = RegistrySnapshot::new();
-        let shards = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                let (fingerprint, result) = match slot {
-                    ShardSlot::Connected(remote) => {
-                        let fingerprint = remote.fingerprint();
-                        let result = remote.stats().map_err(|err| {
-                            self.recorder.wire_errors.fetch_add(1, Ordering::Relaxed);
-                            err.to_string()
-                        });
-                        (fingerprint, result)
-                    }
-                    ShardSlot::Dead(reason) => (
-                        String::new(),
-                        Err(format!("shard {index} is down: {reason}")),
-                    ),
-                };
-                if let Ok(snapshot) = &result {
-                    merged.merge(snapshot);
-                }
-                ShardStats {
-                    shard: index,
-                    fingerprint,
-                    result,
-                }
-            })
-            .collect();
+        for snapshot in shards.iter().filter_map(|shard| shard.result.as_ref().ok()) {
+            merged.merge(snapshot);
+        }
         FleetStats { shards, merged }
     }
 
     /// Asks every shard for its time-windowed telemetry (`StatsWindow` per
-    /// shard), in shard order.  One entry per slot; a shard that fails the
-    /// exchange — dead, unsupported, or mid-frame corruption — contributes an error
-    /// string and (for real wire failures) a counted wire error, never a
-    /// panic.  This is the poll `svtop` runs on every refresh.
+    /// shard), in shard order.  Failures degrade exactly as in
+    /// [`ShardFleet::fleet_stats`].  This is the poll `svobs top` runs on
+    /// every refresh.
     pub fn fleet_windows(&self) -> Vec<ShardWindow> {
+        self.poll(RemoteShard::stats_window)
+    }
+
+    /// One answer per slot, in shard order: a dead slot answers with why,
+    /// and a failed exchange with its error, counted as a wire error.
+    fn poll<T>(&self, ask: impl Fn(&RemoteShard) -> Result<T, WireError>) -> Vec<ShardAnswer<T>> {
         self.slots
             .iter()
             .enumerate()
-            .map(|(index, slot)| {
+            .map(|(shard, slot)| {
                 let (fingerprint, result) = match slot {
                     ShardSlot::Connected(remote) => {
-                        let fingerprint = remote.fingerprint();
-                        let result = remote.stats_window().map_err(|err| {
-                            if !super::transport::is_local_refusal(&err) {
-                                self.recorder.wire_errors.fetch_add(1, Ordering::Relaxed);
-                            }
+                        let result = ask(remote).map_err(|err| {
+                            self.recorder.wire_errors.fetch_add(1, Ordering::Relaxed);
                             err.to_string()
                         });
-                        (fingerprint, result)
+                        (remote.fingerprint(), result)
                     }
                     ShardSlot::Dead(reason) => (
                         String::new(),
-                        Err(format!("shard {index} is down: {reason}")),
+                        Err(format!("shard {shard} is down: {reason}")),
                     ),
                 };
-                ShardWindow {
-                    shard: index,
+                ShardAnswer {
+                    shard,
                     fingerprint,
                     result,
                 }
@@ -533,28 +480,23 @@ impl FleetStats {
     }
 }
 
-/// One shard's answer to the `Stats` exchange.
+/// One shard's answer to a per-slot poll ([`ShardFleet::fleet_stats`],
+/// [`ShardFleet::fleet_windows`]).
 #[derive(Debug, Clone)]
-pub struct ShardStats {
+pub struct ShardAnswer<T> {
     /// Fleet slot index (also the placement index).
     pub shard: usize,
     /// The shard's model fingerprint; empty for slots that never connected.
     pub fingerprint: String,
-    /// The snapshot, or why the exchange failed.
-    pub result: Result<RegistrySnapshot, String>,
+    /// The answer, or why the exchange failed.
+    pub result: Result<T, String>,
 }
 
-/// One shard's answer to the `StatsWindow` exchange
-/// ([`ShardFleet::fleet_windows`]).
-#[derive(Debug, Clone)]
-pub struct ShardWindow {
-    /// Fleet slot index (also the placement index).
-    pub shard: usize,
-    /// The shard's model fingerprint; empty for slots that never connected.
-    pub fingerprint: String,
-    /// The windowed snapshot, or why the exchange failed.
-    pub result: Result<WindowSnapshot, String>,
-}
+/// One shard's answer to the `Stats` exchange.
+pub type ShardStats = ShardAnswer<RegistrySnapshot>;
+
+/// One shard's answer to the `StatsWindow` exchange.
+pub type ShardWindow = ShardAnswer<WindowSnapshot>;
 
 #[cfg(test)]
 mod tests {

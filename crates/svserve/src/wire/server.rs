@@ -1,22 +1,21 @@
 //! The shard's side of the socket: a [`ShardServer`] hosting one
-//! [`RepairService`] behind a unix listener.
+//! [`RepairService`] behind a unix listener, and the one dispatcher that
+//! answers a client frame — shared with [`super::LoopbackTransport`].
 //!
 //! One thread accepts connections (non-blocking, polling a shutdown flag);
-//! each connection gets a dedicated thread running the frame loop.  A corrupt
-//! or hostile client degrades to an `Err` frame plus a counted protocol error
-//! and a closed connection — never a panic, never an unbounded allocation
-//! (the codec caps frame length before allocating).  Shutdown closes every
-//! live connection stream, so connection threads unblock from `read` and the
-//! whole server joins deterministically.
+//! each connection gets a dedicated thread running the frame loop, and drops
+//! its bookkeeping when it ends.  A corrupt or hostile client degrades to an
+//! `Err` frame plus a counted protocol error — never a panic, never an
+//! unbounded allocation (the codec caps frame length before allocating).
+//! Shutdown closes every live connection stream, so connection threads
+//! unblock from `read` and the whole server joins deterministically.
 
-use super::frame::{
-    read_frame, write_frame, Frame, FrameError, WireOutcome, MIN_WIRE_FORMAT_VERSION,
-    WIRE_FORMAT_VERSION,
-};
+use super::frame::{read_frame, write_frame, Frame, FrameError, WireOutcome, WIRE_FORMAT_VERSION};
 use crate::queue::SubmitError;
 use crate::service::RepairService;
 use crate::sync::lock_recover;
 use crate::trace::{stage, TraceSpan};
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -30,11 +29,16 @@ use svmodel::RepairModel;
 /// shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
+/// Live connections by accept order: a stream clone (so shutdown can close
+/// it) and the thread serving it.  A connection thread removes its own entry
+/// when it ends, so a long-lived server holds only what is still open.
+type Connections = Arc<Mutex<HashMap<u64, (UnixStream, JoinHandle<()>)>>>;
+
 /// A unix-socket server exposing one repair service as a shard.
 pub struct ShardServer {
     path: PathBuf,
     closed: Arc<AtomicBool>,
-    connections: Arc<Mutex<Vec<UnixStream>>>,
+    connections: Connections,
     protocol_errors: Arc<AtomicU64>,
     accept_thread: Option<JoinHandle<()>>,
 }
@@ -55,7 +59,7 @@ impl ShardServer {
         let listener = UnixListener::bind(&path)?;
         listener.set_nonblocking(true)?;
         let closed = Arc::new(AtomicBool::new(false));
-        let connections: Arc<Mutex<Vec<UnixStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let connections = Connections::default();
         let protocol_errors = Arc::new(AtomicU64::new(0));
         let fingerprint = fingerprint.into();
         let accept_thread = {
@@ -63,28 +67,37 @@ impl ShardServer {
             let connections = Arc::clone(&connections);
             let protocol_errors = Arc::clone(&protocol_errors);
             std::thread::spawn(move || {
-                let mut workers: Vec<JoinHandle<()>> = Vec::new();
+                let mut next_id = 0u64;
                 while !closed.load(Ordering::Acquire) {
                     match listener.accept() {
                         Ok((stream, _addr)) => {
-                            if let Ok(clone) = stream.try_clone() {
-                                lock_recover(&connections).push(clone);
-                            }
+                            let Ok(clone) = stream.try_clone() else {
+                                continue;
+                            };
+                            let id = next_id;
+                            next_id += 1;
                             let service = Arc::clone(&service);
                             let fingerprint = fingerprint.clone();
                             let protocol_errors = Arc::clone(&protocol_errors);
-                            workers.push(std::thread::spawn(move || {
-                                serve_connection(stream, &service, &fingerprint, &protocol_errors);
-                            }));
+                            let registry = Arc::clone(&connections);
+                            // Held across the spawn, so the thread's own
+                            // removal cannot run before its entry exists.
+                            let mut live = lock_recover(&connections);
+                            let worker = std::thread::spawn(move || {
+                                serve_connection(&stream, &service, &fingerprint, &protocol_errors);
+                                // Release the service before the entry: once
+                                // the entry is gone, shutdown no longer joins
+                                // this thread.
+                                drop(service);
+                                lock_recover(&registry).remove(&id);
+                            });
+                            live.insert(id, (clone, worker));
                         }
                         Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(ACCEPT_POLL);
                         }
                         Err(_) => break,
                     }
-                }
-                for worker in workers {
-                    let _ = worker.join();
                 }
             })
         };
@@ -111,130 +124,112 @@ impl ShardServer {
     /// Stops accepting, closes every live connection, joins all threads and
     /// removes the socket file.  The wrapped service is untouched — shut it
     /// down separately (it may outlive the listener).
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.closed.store(true, Ordering::Release);
-        for stream in lock_recover(&self.connections).drain(..) {
-            // Unblocks the connection thread's read with a clean EOF.
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
-        }
-        let _ = std::fs::remove_file(&self.path);
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ShardServer {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.stop();
+        self.closed.store(true, Ordering::Release);
+        if let Some(thread) = self.accept_thread.take() {
+            let _ = thread.join();
         }
+        // No connection is accepted past this point.
+        let live: Vec<_> = lock_recover(&self.connections).drain().collect();
+        for (_, (stream, _)) in &live {
+            // Unblocks the connection thread's read with a clean EOF.
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+        for (_, (_, worker)) in live {
+            let _ = worker.join();
+        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
-/// One connection's frame loop: handshake, then `Submit` → answer until EOF.
+/// The shard's answer to one client frame — the only copy, run by every
+/// socket connection and by [`super::LoopbackTransport`].  Any other frame (a
+/// reply, a second `Hello`) gets an `Err` reply, which the socket loop counts
+/// as a protocol error.
+pub(crate) fn dispatch<M: RepairModel + Send + Sync + 'static>(
+    service: &RepairService<M>,
+    frame: Frame,
+) -> Frame {
+    let (request, context) = match frame {
+        Frame::Submit(request) => (request, None),
+        Frame::SubmitTraced { request, context } => (request, Some(context)),
+        Frame::Stats => return Frame::StatsReply(service.stats_snapshot()),
+        Frame::StatsWindow => return Frame::StatsWindowReply(service.stats_window()),
+        other => return Frame::Err(format!("unexpected frame {other:?}")),
+    };
+    let started = Instant::now();
+    let served = match service.submit(request) {
+        Ok(ticket) => ticket.wait(),
+        Err(SubmitError::Busy) => return Frame::Busy,
+        Err(SubmitError::Closed) => return Frame::Closed,
+    };
+    let elapsed_ns = started.elapsed().as_nanos() as u64;
+    let outcome = WireOutcome {
+        responses: (*served.responses).clone(),
+        from_cache: served.from_cache,
+    };
+    let Some(context) = context else {
+        return Frame::Response(outcome);
+    };
+    // Adopt the remote parent: the sample span's deterministic fields are
+    // pure functions of the driver-sent context, so the driver's own copy of
+    // this span merges with it byte-for-byte — only the shard-measured wall
+    // time is new information.
+    let sample = TraceSpan::new(
+        &context.child("sample"),
+        "sample",
+        stage::SAMPLE,
+        outcome.responses.len() as u64,
+        elapsed_ns,
+    );
+    Frame::TraceReply {
+        outcome,
+        spans: vec![sample],
+    }
+}
+
+/// One connection's frame loop: handshake, then [`dispatch`] each frame
+/// until EOF.
 fn serve_connection<M: RepairModel + Send + Sync + 'static>(
-    stream: UnixStream,
+    stream: &UnixStream,
     service: &RepairService<M>,
     fingerprint: &str,
     protocol_errors: &AtomicU64,
 ) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
-    // Handshake: the first frame must be a compatible Hello.  A client
-    // announcing a *newer* version is answered with ours (it decides whether
-    // it still speaks that); only one below the floor is refused.
-    match read_frame(&mut reader) {
-        Ok(Frame::Hello { format_version, .. }) if format_version >= MIN_WIRE_FORMAT_VERSION => {
-            let hello = Frame::Hello {
-                format_version: WIRE_FORMAT_VERSION,
-                fingerprint: fingerprint.to_string(),
-            };
-            if write_frame(&mut writer, &hello).is_err() {
-                return;
-            }
-        }
-        Ok(Frame::Hello { format_version, .. }) => {
-            protocol_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = write_frame(
-                &mut writer,
-                &Frame::Err(format!(
-                    "wire version mismatch: client speaks v{format_version}, \
-                     shard speaks v{WIRE_FORMAT_VERSION} \
-                     (minimum v{MIN_WIRE_FORMAT_VERSION})"
-                )),
-            );
-            return;
-        }
-        Ok(other) => {
-            protocol_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = write_frame(
-                &mut writer,
-                &Frame::Err(format!("expected Hello, got {other:?}")),
-            );
-            return;
-        }
-        Err(_) => {
-            protocol_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = write_frame(&mut writer, &Frame::Err("undecodable hello".into()));
-            return;
-        }
+    // Handshake: the first frame must be a Hello at this build's version.
+    let hello = match read_frame(&mut reader) {
+        Ok(Frame::Hello {
+            format_version: WIRE_FORMAT_VERSION,
+            ..
+        }) => Frame::Hello {
+            format_version: WIRE_FORMAT_VERSION,
+            fingerprint: fingerprint.to_string(),
+        },
+        Ok(Frame::Hello { format_version, .. }) => Frame::Err(format!(
+            "wire version mismatch: client speaks v{format_version}, \
+             shard speaks v{WIRE_FORMAT_VERSION}"
+        )),
+        Ok(other) => Frame::Err(format!("expected Hello, got {other:?}")),
+        Err(_) => Frame::Err("undecodable hello".into()),
+    };
+    let refused = matches!(hello, Frame::Err(_));
+    if refused {
+        protocol_errors.fetch_add(1, Ordering::Relaxed);
+    }
+    if write_frame(&mut writer, &hello).is_err() || refused {
+        return;
     }
     loop {
         let reply = match read_frame(&mut reader) {
-            Ok(Frame::Submit(request)) => match service.submit(request) {
-                Ok(ticket) => {
-                    let outcome = ticket.wait();
-                    Frame::Response(WireOutcome {
-                        responses: (*outcome.responses).clone(),
-                        from_cache: outcome.from_cache,
-                    })
-                }
-                Err(SubmitError::Busy) => Frame::Busy,
-                Err(SubmitError::Closed) => Frame::Closed,
-            },
-            Ok(Frame::SubmitTraced { request, context }) => {
-                let started = Instant::now();
-                match service.submit(request) {
-                    Ok(ticket) => {
-                        let outcome = ticket.wait();
-                        // Adopt the remote parent: the sample span's
-                        // deterministic fields are pure functions of the
-                        // driver-sent context, so the driver's own copy of
-                        // this span merges with it byte-for-byte — only the
-                        // shard-measured wall time is new information.
-                        let sample = TraceSpan::new(
-                            &context.child("sample"),
-                            "sample",
-                            stage::SAMPLE,
-                            outcome.responses.len() as u64,
-                            started.elapsed().as_nanos() as u64,
-                        );
-                        Frame::TraceReply {
-                            outcome: WireOutcome {
-                                responses: (*outcome.responses).clone(),
-                                from_cache: outcome.from_cache,
-                            },
-                            spans: vec![sample],
-                        }
-                    }
-                    Err(SubmitError::Busy) => Frame::Busy,
-                    Err(SubmitError::Closed) => Frame::Closed,
-                }
-            }
-            Ok(Frame::Stats) => Frame::StatsReply(service.stats_snapshot()),
-            Ok(Frame::StatsWindow) => Frame::StatsWindowReply(service.stats_window()),
-            Ok(other) => {
-                protocol_errors.fetch_add(1, Ordering::Relaxed);
-                Frame::Err(format!("unexpected frame {other:?}"))
-            }
+            Ok(frame) => dispatch(service, frame),
             Err(FrameError::Eof) => return,
             Err(err) => {
                 // Oversized, checksum, codec, or I/O failure: the stream may
@@ -244,8 +239,163 @@ fn serve_connection<M: RepairModel + Send + Sync + 'static>(
                 return;
             }
         };
+        if matches!(reply, Frame::Err(_)) {
+            protocol_errors.fetch_add(1, Ordering::Relaxed);
+        }
         if write_frame(&mut writer, &reply).is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::{RepairRequest, ServiceConfig};
+    use crate::trace::TraceContext;
+    use crate::wire::{Transport, UnixTransport};
+    use svmodel::{CaseInput, Response};
+
+    struct EchoModel;
+
+    impl RepairModel for EchoModel {
+        fn name(&self) -> &str {
+            "echo"
+        }
+
+        fn solve(&self, case: &CaseInput, samples: usize, _: f64, seed: u64) -> Vec<Response> {
+            (0..samples)
+                .map(|i| Response {
+                    bug_line_number: i as u32,
+                    buggy_line: case.buggy_source.clone(),
+                    fixed_line: format!("seed-{seed}-sample-{i}"),
+                    cot: None,
+                })
+                .collect()
+        }
+    }
+
+    fn echo_service() -> Arc<RepairService<EchoModel>> {
+        Arc::new(RepairService::start(
+            Arc::new(EchoModel),
+            ServiceConfig::default().with_workers(1).with_seed(5),
+        ))
+    }
+
+    fn request() -> RepairRequest {
+        RepairRequest::new(
+            CaseInput {
+                spec: "spec".into(),
+                buggy_source: "module m(); endmodule".into(),
+                logs: "assertion a failed".into(),
+            },
+            3,
+            0.2,
+        )
+    }
+
+    fn stop(service: Arc<RepairService<EchoModel>>) {
+        Arc::try_unwrap(service)
+            .ok()
+            .expect("sole owner")
+            .shutdown();
+    }
+
+    #[test]
+    fn dispatch_answers_every_client_frame_with_its_reply() {
+        let service = echo_service();
+        let Frame::Response(cold) = dispatch(&service, Frame::Submit(request())) else {
+            panic!("a submission is answered with a Response");
+        };
+        assert_eq!(cold.responses.len(), 3);
+        assert!(!cold.from_cache);
+
+        // The traced arm serves the same outcome and adds one `sample` span
+        // under the driver's context.
+        let context = TraceContext::root(request().key(), 1);
+        let reply = dispatch(
+            &service,
+            Frame::SubmitTraced {
+                request: request(),
+                context,
+            },
+        );
+        let Frame::TraceReply { outcome, spans } = reply else {
+            panic!("a traced submission is answered with a TraceReply");
+        };
+        assert_eq!(outcome.responses, cold.responses);
+        assert!(outcome.from_cache, "the second sighting is a cache hit");
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "sample");
+        assert_eq!(spans[0].parent, Some(context.span_id));
+        assert_eq!(spans[0].units, 3);
+
+        assert!(matches!(
+            dispatch(&service, Frame::Stats),
+            Frame::StatsReply(_)
+        ));
+        assert!(matches!(
+            dispatch(&service, Frame::StatsWindow),
+            Frame::StatsWindowReply(_)
+        ));
+        stop(service);
+    }
+
+    #[test]
+    fn dispatch_refuses_every_frame_but_the_four_requests() {
+        let service = echo_service();
+        let replies = [
+            Frame::Hello {
+                format_version: WIRE_FORMAT_VERSION,
+                fingerprint: "echo".into(),
+            },
+            Frame::Busy,
+            Frame::Closed,
+            Frame::StatsReply(Default::default()),
+            Frame::Err("boom".into()),
+        ];
+        for frame in replies {
+            let reply = dispatch(&service, frame.clone());
+            assert!(
+                matches!(&reply, Frame::Err(msg) if msg.starts_with("unexpected frame")),
+                "{frame:?} must be refused, got {reply:?}"
+            );
+        }
+        assert_eq!(service.metrics().submitted, 0, "nothing reached the pool");
+        stop(service);
+    }
+
+    #[test]
+    fn finished_connections_release_their_stream_and_thread() {
+        let service = echo_service();
+        let socket = std::env::temp_dir().join(format!("svserve-leak-{}.sock", std::process::id()));
+        let server = ShardServer::bind(&socket, Arc::clone(&service), "echo").expect("bind");
+        let held = || lock_recover(&server.connections).len();
+        let wait_for = |count: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while held() != count && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            held()
+        };
+        for _ in 0..64 {
+            // A completed handshake proves the server accepted the connection.
+            let transport = UnixTransport::connect(&socket, Some("echo"), Duration::from_secs(10))
+                .expect("connect");
+            drop(transport);
+        }
+        assert_eq!(
+            wait_for(0),
+            0,
+            "64 closed connections leave no stream clone and no thread handle behind"
+        );
+
+        // A connection still open is held until shutdown closes it.
+        let mut open = UnixTransport::connect(&socket, Some("echo"), Duration::from_secs(10))
+            .expect("connect");
+        assert_eq!(wait_for(1), 1);
+        server.shutdown();
+        assert!(open.exchange(&Frame::Stats).is_err(), "shutdown closed it");
+        stop(service);
     }
 }

@@ -11,8 +11,8 @@ use svmodel::{CaseInput, RepairModel, Response};
 use svserve::persist::PersistSpec;
 use svserve::{
     read_frame, write_frame, Frame, JournalEvent, JournalMode, JournalSink, JournalSpec,
-    LoopbackTransport, RepairRequest, RepairService, ServiceConfig, ShardFleet, ShardServer,
-    Transport, UnixTransport, WireError, MIN_WIRE_FORMAT_VERSION, WIRE_FORMAT_VERSION,
+    LoopbackTransport, RemoteShard, RepairRequest, RepairService, ServiceConfig, ShardFleet,
+    ShardServer, Transport, UnixTransport, WireError, WIRE_FORMAT_VERSION,
 };
 
 /// Deterministic model: responses are a pure function of `(case, samples, seed)`,
@@ -226,56 +226,33 @@ fn hello_version_skew_negotiates_down_or_refuses_below_the_floor() {
     let socket = socket_path("version");
     let server = ShardServer::bind(&socket, Arc::clone(&service), "echo").expect("bind");
 
-    // A *newer* peer is not an error: the server answers with its own (lower)
-    // version and the connection proceeds at the agreed minimum, so a rolling
-    // upgrade never partitions the fleet.
-    let stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let mut writer = stream.try_clone().expect("clone");
-    write_frame(
-        &mut writer,
-        &Frame::Hello {
-            format_version: WIRE_FORMAT_VERSION + 1,
-            fingerprint: "echo".into(),
-        },
-    )
-    .expect("send hello");
-    let mut reader = std::io::BufReader::new(stream);
-    match read_frame(&mut reader).expect("server replies") {
-        Frame::Hello { format_version, .. } => assert_eq!(
-            format_version, WIRE_FORMAT_VERSION,
-            "the server offers its own version for the peer to settle on"
-        ),
-        other => panic!("expected a negotiated Hello, got {other:?}"),
+    // The wire has one version: a peer announcing any other — newer or older
+    // — is refused with an `Err` frame naming the mismatch (and counted)
+    // instead of being served frames it might misparse.
+    for (skewed, refusals) in [(WIRE_FORMAT_VERSION + 1, 1), (WIRE_FORMAT_VERSION - 1, 2)] {
+        let stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        write_frame(
+            &mut writer,
+            &Frame::Hello {
+                format_version: skewed,
+                fingerprint: "echo".into(),
+            },
+        )
+        .expect("send hello");
+        let mut reader = std::io::BufReader::new(stream);
+        match read_frame(&mut reader).expect("server replies") {
+            Frame::Err(msg) => assert!(
+                msg.contains("version"),
+                "refusal of v{skewed} names the version mismatch: {msg}"
+            ),
+            other => panic!("expected an Err frame for v{skewed}, got {other:?}"),
+        }
+        assert_eq!(server.protocol_errors(), refusals, "the refusal is counted");
     }
-    assert_eq!(server.protocol_errors(), 0, "negotiation is not an error");
-
-    // A peer below the supported floor *is* refused with an `Err` frame (and
-    // counted) instead of serving frames it would misparse.
-    let stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let mut writer = stream.try_clone().expect("clone");
-    write_frame(
-        &mut writer,
-        &Frame::Hello {
-            format_version: MIN_WIRE_FORMAT_VERSION - 1,
-            fingerprint: "echo".into(),
-        },
-    )
-    .expect("send hello");
-    let mut reader = std::io::BufReader::new(stream);
-    match read_frame(&mut reader).expect("server replies") {
-        Frame::Err(msg) => assert!(
-            msg.contains("version"),
-            "refusal names the version mismatch: {msg}"
-        ),
-        other => panic!("expected Err frame, got {other:?}"),
-    }
-    assert!(server.protocol_errors() > 0, "the refusal is counted");
 
     server.shutdown();
     Arc::try_unwrap(service)
@@ -425,9 +402,11 @@ fn a_shard_warm_starts_from_its_snapshot_over_the_wire() {
             .with_persist(spec.clone()),
     ));
     let server = ShardServer::bind(&socket, Arc::clone(&cold), "counting").expect("bind");
-    let mut transport = UnixTransport::connect(&socket, Some("counting"), Duration::from_secs(10))
-        .expect("connect");
-    let first = transport.call(&request(7)).expect("served");
+    let transport = RemoteShard::new(Box::new(
+        UnixTransport::connect(&socket, Some("counting"), Duration::from_secs(10))
+            .expect("connect"),
+    ));
+    let first = transport.submit(&request(7)).expect("served");
     assert!(!first.from_cache, "cold shard computes the answer");
     assert_eq!(cold_model.calls.load(Ordering::SeqCst), 1);
     drop(transport);
@@ -447,9 +426,11 @@ fn a_shard_warm_starts_from_its_snapshot_over_the_wire() {
             .with_persist(spec),
     ));
     let server = ShardServer::bind(&socket, Arc::clone(&warm), "counting").expect("bind");
-    let mut transport = UnixTransport::connect(&socket, Some("counting"), Duration::from_secs(10))
-        .expect("connect");
-    let warm_outcome = transport.call(&request(7)).expect("served");
+    let transport = RemoteShard::new(Box::new(
+        UnixTransport::connect(&socket, Some("counting"), Duration::from_secs(10))
+            .expect("connect"),
+    ));
+    let warm_outcome = transport.submit(&request(7)).expect("served");
     assert!(
         warm_outcome.from_cache,
         "restarted shard answers from its snapshot"
@@ -467,4 +448,79 @@ fn a_shard_warm_starts_from_its_snapshot_over_the_wire() {
     server.shutdown();
     Arc::try_unwrap(warm).ok().expect("sole owner").shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn loopback_and_socket_exchanges_answer_every_frame_alike() {
+    let (local, remote) = (echo_service(), echo_service());
+    let socket = socket_path("exchange");
+    let server = ShardServer::bind(&socket, Arc::clone(&remote), "echo").expect("bind");
+    let mut loopback = LoopbackTransport::new(Arc::clone(&local), "echo");
+    let mut unix =
+        UnixTransport::connect(&socket, Some("echo"), Duration::from_secs(10)).expect("connect");
+    let mut both = |frame: Frame| {
+        let looped = loopback.exchange(&frame).expect("loopback exchange");
+        let socketed = unix.exchange(&frame).expect("socket exchange");
+        (looped, socketed)
+    };
+
+    match both(Frame::Submit(request(1))) {
+        (Frame::Response(a), Frame::Response(b)) => {
+            assert_eq!(a.responses, b.responses);
+            assert_eq!(a.from_cache, b.from_cache);
+        }
+        other => panic!("a Submit must be answered with a Response on both sides: {other:?}"),
+    }
+
+    let context = svserve::TraceContext::root(request(2).key(), 9);
+    match both(Frame::SubmitTraced {
+        request: request(2),
+        context,
+    }) {
+        (
+            Frame::TraceReply {
+                outcome: a,
+                spans: spans_a,
+            },
+            Frame::TraceReply {
+                outcome: b,
+                spans: spans_b,
+            },
+        ) => {
+            assert_eq!(a.responses, b.responses);
+            assert_eq!(a.from_cache, b.from_cache);
+            assert!(!spans_a.is_empty());
+            let identity = |spans: &[svserve::TraceSpan]| {
+                spans
+                    .iter()
+                    .map(|span| (span.trace, span.span, span.parent, span.start, span.units))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(identity(&spans_a), identity(&spans_b));
+        }
+        other => panic!("a SubmitTraced must be answered with a TraceReply: {other:?}"),
+    }
+
+    assert!(matches!(
+        both(Frame::Stats),
+        (Frame::StatsReply(_), Frame::StatsReply(_))
+    ));
+    assert!(matches!(
+        both(Frame::StatsWindow),
+        (Frame::StatsWindowReply(_), Frame::StatsWindowReply(_))
+    ));
+
+    // A frame no client sends is refused alike, and the socket counts it.
+    let before = server.protocol_errors();
+    assert!(matches!(both(Frame::Busy), (Frame::Err(_), Frame::Err(_))));
+    assert_eq!(server.protocol_errors(), before + 1);
+
+    drop((loopback, unix));
+    server.shutdown();
+    for service in [local, remote] {
+        Arc::try_unwrap(service)
+            .ok()
+            .expect("sole owner")
+            .shutdown();
+    }
 }

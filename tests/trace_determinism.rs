@@ -17,7 +17,7 @@ use svmodel::{AssertSolverModel, RepairModel};
 use svserve::{
     read_frame, write_frame, Frame, RepairService, ServiceConfig, ShardFleet, ShardServer,
     TelemetryHandle, TraceForest, TraceHandle, TracerHandle, UnixTransport, WireError,
-    MIN_WIRE_FORMAT_VERSION,
+    WIRE_FORMAT_VERSION,
 };
 
 fn corpus() -> Vec<SvaBugEntry> {
@@ -169,7 +169,7 @@ fn fleet_trace_trees_match_in_process_over_loopback_and_unix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A v2 peer — one that answers the hello with a version below the floor —
+/// A v2 peer — one that answers the hello with a version other than ours —
 /// is refused cleanly: the connect returns a protocol error naming the version
 /// (no hang, no panic), the fleet carries the shard as a dead slot, every
 /// request placed on it is a counted wire error, and an evaluation over that
@@ -181,7 +181,7 @@ fn v2_peer_is_refused_cleanly_and_its_cases_degrade() {
     let socket = dir.join("v2.sock");
     let listener = std::os::unix::net::UnixListener::bind(&socket).expect("bind");
 
-    // The fake v2 shard: answers each hello one version below the floor, then
+    // The fake v2 shard: answers each hello one version below ours, then
     // waits for the client to hang up.  Any further frame fails the test.
     let peer = std::thread::spawn(move || {
         for _ in 0..2 {
@@ -195,7 +195,7 @@ fn v2_peer_is_refused_cleanly_and_its_cases_degrade() {
                 Frame::Hello { .. } => write_frame(
                     &mut writer,
                     &Frame::Hello {
-                        format_version: MIN_WIRE_FORMAT_VERSION - 1,
+                        format_version: WIRE_FORMAT_VERSION - 1,
                         fingerprint: "assertsolver".into(),
                     },
                 )
