@@ -15,7 +15,7 @@
 //!   (every injected bug reparses, classifies under the Table-I taxonomy and is
 //!   re-locatable by `sites`), `svverify` BMC consistency (permuting a
 //!   module's concurrent items must not change the verdict), and the
-//!   simulator differential (the compiled `svsim` engine and the prefix-resumed
+//!   simulator differential (the compiled `svsim` engine and the state-searching
 //!   bounded checker against `svsim::reference` and the plain check loop, cycle
 //!   for cycle and verdict for verdict).
 //! * **Miner** ([`miner`]) — findings are deduplicated by failure class,

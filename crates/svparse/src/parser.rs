@@ -141,6 +141,20 @@ impl Parser {
         }
     }
 
+    /// A cycle count (`##N`, `$past(x, N)`): a number that fits in 32 bits.
+    fn expect_cycles(&mut self, what: &str) -> Result<u32, ParseError> {
+        let count = self.expect_number()?;
+        u32::try_from(count).map_err(|_| {
+            ParseError::new(
+                format!(
+                    "{what} count {count} exceeds the largest supported, {}",
+                    u32::MAX
+                ),
+                self.line(),
+            )
+        })
+    }
+
     fn unexpected(&self, expected: &str) -> ParseError {
         ParseError::new(
             format!("expected {expected}, found {}", self.peek().kind),
@@ -727,7 +741,7 @@ impl Parser {
                 let result = match sys.as_str() {
                     "past" => {
                         let cycles = if self.eat_symbol(",") {
-                            self.expect_number()? as u32
+                            self.expect_cycles("`$past`")?
                         } else {
                             1
                         };
@@ -860,7 +874,7 @@ impl Parser {
             Some(PropExpr::Expr(self.parse_expr()?))
         };
         while self.eat_symbol("##") {
-            let cycles = self.expect_number()? as u32;
+            let cycles = self.expect_cycles("`##` delay")?;
             let rhs = PropExpr::Expr(self.parse_expr()?);
             lhs = Some(PropExpr::Delay {
                 lhs: lhs.map(Box::new),
@@ -1097,6 +1111,33 @@ endmodule
         let ids = p.body.idents();
         assert!(ids.contains(&"req".to_string()));
         assert!(ids.contains(&"ack".to_string()));
+    }
+
+    #[test]
+    fn cycle_counts_beyond_u32_are_errors_not_truncated() {
+        let with = |property: &str| {
+            crate::parse_module(&format!(
+                "module m(input clk, input a, input b);\n  assert property (@(posedge clk) {property});\nendmodule"
+            ))
+        };
+        // The largest count still parses, as itself.
+        let delay = with("a ##4294967295 b").unwrap();
+        match &delay.assertions().next().unwrap().target {
+            AssertTarget::Inline(p) => assert_eq!(p.body.horizon(), u32::MAX),
+            other => panic!("expected inline property, got {other:?}"),
+        }
+        assert!(with("$past(a, 4294967295) |-> b").is_ok());
+        // One more no longer wraps to `##0` / `$past(x, 1)`.
+        let err = with("a ##4294967296 b").unwrap_err();
+        assert!(
+            err.to_string().contains("`##` delay count 4294967296"),
+            "{err}"
+        );
+        let err = with("$past(a, 4294967297) |-> b").unwrap_err();
+        assert!(
+            err.to_string().contains("`$past` count 4294967297"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -218,6 +218,18 @@ impl Design {
             .max()
             .unwrap_or(0)
     }
+
+    /// How many cycles the deepest assertion reads back from an attempt's start: the
+    /// largest `$past` depth in any guard or body, nested depths added up and
+    /// `$rose`/`$fell`/`$stable` counting one.
+    pub fn max_property_lookback(&self) -> u32 {
+        self.compiled
+            .properties
+            .iter()
+            .map(|property| property.lookback as u32)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 fn resolve_assertions(module: &Module) -> Result<Vec<ResolvedAssertion>, ElabError> {
@@ -329,6 +341,28 @@ endmodule
         assert!(design.has_assertions());
         assert_eq!(design.assertions[0].name, "valid_out_check_assertion");
         assert_eq!(design.max_property_horizon(), 1);
+        assert_eq!(design.max_property_lookback(), 0);
+    }
+
+    #[test]
+    fn lookback_is_the_deepest_past_of_guard_or_body() {
+        let lookback = |property: &str| {
+            let src = format!(
+                "module m(input clk, input a, input b, output reg q);\n  always @(posedge clk) q <= a;\n  assert property ({property});\nendmodule"
+            );
+            Design::elaborate(&parse_module(&src).unwrap())
+                .unwrap()
+                .max_property_lookback()
+        };
+        assert_eq!(lookback("@(posedge clk) a |=> q"), 0);
+        assert_eq!(lookback("@(posedge clk) $rose(a) |-> b"), 1);
+        assert_eq!(lookback("@(posedge clk) a |-> $past(b, 3)"), 3);
+        assert_eq!(lookback("@(posedge clk) $past($past(a, 2)) |-> b"), 3);
+        assert_eq!(lookback("@(posedge clk) $stable($past(a, 2)) |-> b"), 3);
+        assert_eq!(
+            lookback("@(posedge clk) disable iff ($past(b, 4)) a |-> b"),
+            4
+        );
     }
 
     #[test]

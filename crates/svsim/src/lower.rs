@@ -89,6 +89,9 @@ pub(crate) struct Property {
     pub body: Seq,
     /// No attempt looks further ahead of its start cycle than this.
     pub horizon: usize,
+    /// No attempt reads a row further back from its start cycle than this: the
+    /// largest `past` of any load in the guard or the body.
+    pub lookback: usize,
 }
 
 /// The compiled form of a design.
@@ -129,14 +132,20 @@ impl Compiled {
         }
         let properties = assertions
             .iter()
-            .map(|assertion| Property {
-                guard: assertion
+            .map(|assertion| {
+                lowering.deepest_past = 0;
+                let guard = assertion
                     .property
                     .disable_iff
                     .as_ref()
-                    .map(|guard| lowering.expr(guard)),
-                body: lowering.seq(&assertion.property.body),
-                horizon: assertion.property.body.horizon() as usize,
+                    .map(|guard| lowering.expr(guard));
+                let body = lowering.seq(&assertion.property.body);
+                Property {
+                    guard,
+                    body,
+                    horizon: assertion.property.body.horizon() as usize,
+                    lookback: lowering.deepest_past as usize,
+                }
             })
             .collect();
         Compiled {
@@ -159,6 +168,8 @@ pub(crate) struct Lowering {
     slots: BTreeMap<String, u32>,
     widths: Vec<Option<u32>>,
     code: Code,
+    /// The largest `past` of any load emitted since it was last reset.
+    deepest_past: u32,
 }
 
 impl Lowering {
@@ -167,6 +178,7 @@ impl Lowering {
             slots: widths.keys().cloned().zip(0..).collect(),
             widths: widths.values().map(|width| Some(*width)).collect(),
             code: Code::default(),
+            deepest_past: 0,
         }
     }
 
@@ -213,6 +225,7 @@ impl Lowering {
     }
 
     fn load(&mut self, name: &str, past: u32) {
+        self.deepest_past = self.deepest_past.max(past);
         let slot = self.resolve(name);
         self.code.ops.push(match self.widths[slot as usize] {
             Some(_) => Op::Load { slot, past },

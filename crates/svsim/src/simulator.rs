@@ -15,7 +15,7 @@
 //! All of it runs on the design's compiled form (`lower.rs`): the state is a
 //! `Vec<Value>` indexed by slot, a cycle executes flat programs against it, and the
 //! trace is one flat vector of rows.  [`Engine`] is that machinery with no state of
-//! its own, which is what lets the bounded checker resume a sweep from a saved state;
+//! its own, which is what lets the bounded checker step from any state it saved;
 //! [`Simulator`] is an engine plus one state and one trace.
 
 use crate::elaborate::Design;
@@ -158,8 +158,8 @@ impl InputSlot {
 ///
 /// A *slot state* is a `[Value]` of [`Design::slot_count`] entries.  The engine keeps
 /// only scratch buffers between calls, so one engine can advance any number of states
-/// of its design — which is how the bounded checker resumes a sweep from the saved
-/// state of a shared stimulus prefix instead of replaying it.
+/// of its design — which is how the bounded checker steps every input from each
+/// distinct state it has reached instead of replaying whole sequences.
 #[derive(Debug, Clone)]
 pub struct Engine<'a> {
     design: &'a Design,
@@ -239,7 +239,10 @@ impl<'a> Engine<'a> {
     ///
     /// Attempts that cannot look past row `decided - 1` are skipped: the caller vouches
     /// that rows `0..decided` were checked before, as the prefix of a sequence on
-    /// which no assertion failed.  Pass 0 to evaluate every attempt.
+    /// which no assertion failed.  Pass 0 to evaluate every attempt.  The attempts
+    /// left read no row before `decided - horizon - lookback` (the design's
+    /// [`Design::max_property_horizon`] and [`Design::max_property_lookback`]), so
+    /// `rows` need not hold any earlier one.
     pub fn check<R: Rows + ?Sized>(&mut self, rows: &R, decided: usize) -> Vec<AssertionFailure> {
         crate::sva::check(self.design, rows, decided, &mut self.scratch.stack)
     }

@@ -6,7 +6,14 @@
 //! and `$stable`.
 //!
 //! It reads sampled values by slot through [`Rows`], so the same code checks a
-//! [`Trace`] and the row store of a bounded sweep that shares stimulus prefixes.
+//! [`Trace`] and the last few rows a bounded check keeps beside a design state.
+//!
+//! An attempt started at cycle `start` reads no row after `start + horizon` and none
+//! before `start − lookback`: `horizon` is its property's look-ahead
+//! ([`svparse::PropExpr::horizon`]) and `lookback` the largest `$past` depth its guard
+//! or body loads with (nested depths added, one for `$rose`/`$fell`/`$stable`).
+//! [`Design::max_property_horizon`] and [`Design::max_property_lookback`] bound both
+//! over a design; `tests/property_horizon.rs` pins them.
 
 use crate::elaborate::Design;
 use crate::eval::{Code, Prog, Read};
@@ -42,13 +49,14 @@ impl fmt::Display for AssertionFailure {
 /// Sampled values by cycle and slot: what the assertion checker reads.
 ///
 /// A row is the pre-edge slot state of one cycle, as [`crate::Engine::cycle`] wrote
-/// it.  [`Trace`] stores its rows itself; a sweep that shares prefixes between
-/// sequences serves the rows of a sequence from wherever it keeps them.
+/// it.  [`Trace`] stores its rows itself; a bounded check may serve only the rows
+/// the attempts it asks about can read (see [`crate::Engine::check`]).
 pub trait Rows {
     /// Number of sampled cycles.
     fn cycles(&self) -> usize;
 
-    /// The row of a cycle below [`Rows::cycles`].
+    /// The row of a cycle below [`Rows::cycles`]; the checker asks only for rows an
+    /// attempt it evaluates can read.
     fn row(&self, cycle: usize) -> &[Value];
 }
 

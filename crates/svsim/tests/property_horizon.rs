@@ -1,14 +1,17 @@
-//! Tier-1 pin of the one assumption the bounded checker's prefix resume rests on: an
-//! attempt that starts at cycle `start` reads no row after `start + horizon`, where
-//! `horizon` is its property's [`svparse::PropExpr::horizon`].
+//! Tier-1 pin of the two bounds the bounded checker's search rests on: an attempt that
+//! starts at cycle `start` reads no row after `start + horizon`, where `horizon` is its
+//! property's [`svparse::PropExpr::horizon`], and none before `start − lookback`, where
+//! `lookback` is [`Design::max_property_lookback`].
 //!
-//! `svverify::bmc` skips every attempt that cannot read past a stimulus prefix an
-//! earlier, passing sequence shared.  Here each attempt is run through
-//! [`Engine::check`] over rows that agree with a real trace up to `start + horizon`
-//! and hold arbitrary values after it; its failures must be the ones the trace gives.
+//! `svverify::bmc` keys a design state with only the last `horizon + lookback` rows
+//! and checks each new cycle over them alone.  Here each attempt is run through
+//! [`Engine::check`] over rows that agree with a real trace from `start − lookback`
+//! to `start + horizon` and hold arbitrary values outside; its failures must be the
+//! ones the trace gives.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::RangeInclusive;
 use svgen::{instantiate, Family, FamilyParams};
 use svmutate::BugInjector;
 use svparse::{parse_module, Module};
@@ -17,19 +20,19 @@ use svsim::{
     Trace, Value,
 };
 
-/// A trace whose rows after `kept` hold random values of the same widths.
+/// A trace whose rows outside `kept` hold random values of the same widths.
 struct Rewritten {
     slots: usize,
     values: Vec<Value>,
 }
 
 impl Rewritten {
-    fn new(trace: &Trace, kept: usize, rng: &mut StdRng) -> Self {
+    fn new(trace: &Trace, kept: RangeInclusive<usize>, rng: &mut StdRng) -> Self {
         let slots = trace.row(0).len();
         let values = (0..trace.cycles())
             .flat_map(|cycle| trace.row(cycle).iter().map(move |value| (cycle, *value)))
             .map(|(cycle, value)| {
-                if cycle <= kept {
+                if kept.contains(&cycle) {
                     value
                 } else {
                     Value::new(rng.gen(), value.width().max(1))
@@ -78,7 +81,8 @@ struct Tally {
     rewrites_that_bit: usize,
 }
 
-/// Rewrites past every attempt's horizon over a few traces of the module.
+/// Rewrites outside every attempt's look-back and horizon over a few traces of the
+/// module.
 fn pin(label: &str, module: &Module, seed: u64, tally: &mut Tally) {
     let Ok(design) = Design::elaborate(module) else {
         return;
@@ -86,6 +90,7 @@ fn pin(label: &str, module: &Module, seed: u64, tally: &mut Tally) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut engine = Engine::new(&design);
     let depth = design.max_property_horizon() as usize + 8;
+    let lookback = design.max_property_lookback() as usize;
     for case in 0..4 {
         let trace = match Simulator::run(&design, &stimulus(&design, depth, case, &mut rng)) {
             Ok(trace) => trace,
@@ -111,12 +116,14 @@ fn pin(label: &str, module: &Module, seed: u64, tally: &mut Tally) {
                         .cloned()
                         .collect()
                 };
-                let rows = Rewritten::new(&trace, start + horizon, &mut rng);
+                let kept = start.saturating_sub(lookback)..=start + horizon;
+                let rows = Rewritten::new(&trace, kept, &mut rng);
                 let rewritten = engine.check(&rows, 0);
                 assert_eq!(
                     of_attempt(&rewritten),
                     of_attempt(&all),
-                    "{label}: `{}` started at {start} read past {start} + {horizon}",
+                    "{label}: `{}` started at {start} read outside {start} − {lookback} ..= \
+                     {start} + {horizon}",
                     assertion.name
                 );
                 tally.attempts += 1;
@@ -128,7 +135,8 @@ fn pin(label: &str, module: &Module, seed: u64, tally: &mut Tally) {
 }
 
 /// `|->`, `|=>`, chained and leading delays, nested implication, `not`, the
-/// sampled-value functions and `disable iff`, each written so that it fails often.
+/// sampled-value functions (nested, and in a guard) and `disable iff`, each written
+/// so that it fails often.
 const HANDWRITTEN: &str = r#"
 module temporal(input clk, input rst_n, input a, input b, input c, input [1:0] x, output reg [2:0] n);
   always @(posedge clk or negedge rst_n) begin
@@ -148,6 +156,8 @@ module temporal(input clk, input rst_n, input a, input b, input c, input [1:0] x
   property stable; @(posedge clk) $stable(x) |-> ##1 $past(a, 3) == a; endproperty
   property guarded; @(posedge clk) disable iff (!rst_n) b |-> ##1 n < 3'd3; endproperty
   property guarded_by_input; @(posedge clk) disable iff (c) a |=> ##2 x != 2'd1; endproperty
+  property nested_past; @(posedge clk) $past($past(x, 2), 3) != x |-> ##1 b; endproperty
+  property guarded_by_past; @(posedge clk) disable iff ($past(c, 4)) a |=> b; endproperty
   assert property (overlapping);
   assert property (next_cycle);
   assert property (chained);
@@ -161,6 +171,8 @@ module temporal(input clk, input rst_n, input a, input b, input c, input [1:0] x
   assert property (stable);
   assert property (guarded);
   assert property (guarded_by_input);
+  assert property (nested_past);
+  assert property (guarded_by_past);
   assert property (@(posedge clk) a |-> ##3 n > 3'd0);
 endmodule
 "#;
@@ -199,4 +211,26 @@ fn no_attempt_reads_a_row_past_its_start_plus_horizon() {
     }
     assert!(handwritten.failures_kept > 500, "{handwritten:?}");
     assert!(handwritten.rewrites_that_bit > 2_000, "{handwritten:?}");
+
+    // Each look-back construct alone, so the design's look-back is its own: one too
+    // small anywhere lets a rewrite reach a row the attempt reads.
+    for property in [
+        "$past($past(x, 2), 3) != x |-> ##1 b",
+        "disable iff ($past(c, 4)) a |=> b",
+        "$stable(x) |-> ##1 $past(a, 3) == a",
+        "$rose(a) |=> $fell(b)",
+    ] {
+        let source = HANDWRITTEN
+            .split("  property overlapping;")
+            .next()
+            .expect("the module header comes first")
+            .to_string()
+            + &format!("  assert property (@(posedge clk) {property});\nendmodule\n");
+        let module = parse_module(&source).unwrap();
+        let mut alone = Tally::default();
+        for seed in 0..8 {
+            pin(property, &module, seed, &mut alone);
+        }
+        assert!(alone.failures_kept > 20, "{property}: {alone:?}");
+    }
 }

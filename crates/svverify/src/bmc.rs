@@ -5,39 +5,70 @@
 //! designs are checked exhaustively over every input sequence; larger ones fall back
 //! to a seeded randomised sweep (documented as a substitution in DESIGN.md).
 //!
-//! ## How a sweep runs
+//! Either way the verdict is that of the first sequence in canonical order — `e = 0,
+//! 1, 2, …` for an enumeration, draw order for a random set — on which an assertion
+//! fails or the design cannot be simulated.  A random sweep finds it by the plain
+//! loop: decode a sequence ([`Stimuli`]), step it from the power-up state into one
+//! flat row buffer, check every attempt, stop at the first failure.
 //!
-//! Sequences are visited in canonical order — `e = 0, 1, 2, …` for an exhaustive
-//! sweep, draw order for a random one — and the first one on which an assertion fails
-//! is the verdict's witness.  Nothing is built ahead of the sequence being simulated:
-//! [`Stimuli`] decodes sequence `e` from its number when it is reached, and only the
-//! witness is ever turned into [`InputVector`]s.
+//! ## How an exhaustive check runs
 //!
-//! An exhaustive sweep is *prefix-resumed*.  Cycle `c` of sequence `e` is a bit field
-//! of `e` with cycle 0 in the lowest bits, so the first `k` cycles of `e` are the
-//! first `k` cycles of `e mod 2^(k·bits)` — a smaller number, hence a sequence already
-//! visited — for the largest `k` with `e ≥ 2^(k·bits)`.  The sweep keeps, for every
-//! prefix it has simulated, the sampled row of the prefix's last cycle and the state
-//! after it (at most `2·2^(depth·bits)` entries of two slot rows each), restores the
-//! state of the longest prefix of `e` and simulates only the cycles after it: a full
-//! depth-12 sweep over one free bit steps 8 190 cycles, not 49 152.  Rows of the
-//! shared cycles are read where the earlier sequence left them.
+//! An enumeration is a breadth-first search over *keys*, not a sweep over sequences.
+//! Cycle `c` of sequence `e` is the bit field `e >> (c·bits)` (`bits` decision bits a
+//! cycle, cycle 0 lowest), so the numbers below `2^((c+1)·bits)` are exactly the
+//! prefixes of `c + 1` cycles, and prefix `r` followed by input `i` in cycle `c` is
+//! prefix `r + (i << (c·bits))`.
 //!
-//! Resuming cannot change a verdict.  The order of visits is untouched, the rows of a
-//! sequence are the rows the plain loop would have recorded (same engine, same
-//! inputs, same state), and the only evaluations skipped are assertion attempts that
-//! cannot read past the shared prefix: an attempt reads no row later than its start
-//! plus the property's look-ahead, so it saw exactly the same rows in the earlier
-//! sequence, which was checked in full and did not fail — or the sweep would have
-//! stopped there.  The plain "build the whole set, then for each stimulus: run, check"
-//! loop this replaced lives on as the reference checker of
-//! `tests/checker_vs_reference.rs`, which compares verdicts field for field and holds
-//! [`Stimuli`] equal to the eager builders it keeps.
+//! **The key.**  The key of a prefix of `c + 1` cycles is its layer `c`, the state
+//! after cycle `c`, and its last `W` sampled rows, `c + 1 − W ..= c`.  `W` is the
+//! design's [`Design::max_property_horizon`] plus its
+//! [`Design::max_property_lookback`], clamped to the depth.  The rows a check of a
+//! later cycle `c' > c` reads are those of attempts that start at `c' − horizon` or
+//! later, which read back no further than `c' − W`: the window, or rows after it.  So
+//! two prefixes with equal keys have equal futures — every continuation steps the
+//! same states, samples the same rows and fails the same attempts — and each key is
+//! stepped once per layer, whatever number of prefixes reach it.
+//!
+//! **One step.**  Each key of layer `c − 1` tries every input of cycle `c`: the
+//! cycle's values come from [`Stimuli`]'s decoder, the engine steps the key's state,
+//! and [`Engine::check`] evaluates the attempts that can read the new row, over the
+//! key's window plus that row (the `Window` view).  A passing edge becomes a key of
+//! layer `c`.  The last layer's keys have no successor and are not kept.
+//!
+//! **The witness.**  Each key remembers the smallest number `r` of the prefixes that
+//! reach it: the first to arrive, because edges run in increasing order (inputs
+//! outer, keys in increasing `r` inner).  An edge that fails an assertion or returns a
+//! [`SimError`] makes every sequence through it bad; the smallest of those is the
+//! *candidate* `r + (i << (c·bits))`, zeros after cycle `c`.  The canonical witness
+//! `e*` — the smallest bad sequence — is the smallest candidate: its first bad edge
+//! leaves a key whose representative `r ≤` its own prefix, and the representative's
+//! candidate is bad (equal keys, equal futures) and no larger than `e*`.  So an edge
+//! whose sequence number is at least the best candidate so far is never stepped, and
+//! neither is a key whose `r` is.
+//!
+//! **The verdict.**  No candidate: `Pass {Exhaustive, sequences: 2^(bits·depth)}`.  A
+//! candidate: `e*` is decoded and replayed once from power-up, all `depth` cycles
+//! then every attempt — exactly what the plain loop does with each sequence — which
+//! gives `Fail` with `e*`'s witness and whole failure list, or the `SimError` the
+//! plain loop would stop at.  A sequence that both fails an assertion and errors is
+//! therefore `Unverifiable`, as it always was: a `SimError` edge is a candidate like
+//! a failing one, so the search keeps the order of the plain loop, which stops at the
+//! first sequence with either and lets the error win within it.  A design that does
+//! not settle at power-up is `Unverifiable` before anything is searched.
+//!
+//! A search whose frontier outgrows `FRONTIER_BYTES` (64 MiB) gives up and runs the
+//! plain loop over the enumeration instead: the same verdict, more cycles.
+//! [`SweepWork`] counts what ran.  The plain "build the whole set, then for each
+//! stimulus: run, check" loop lives on as the reference checker of
+//! `tests/checker_vs_reference.rs`, which compares verdicts field for field, counts
+//! keys by brute force and holds [`Stimuli`] equal to the eager builders it keeps.
 
 use crate::stimulus::{self, Stimuli};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use svparse::Module;
-use svsim::{AssertionFailure, Design, Engine, InputVector, Rows, SimError, Value};
+use svsim::{AssertionFailure, Design, Engine, InputSlot, InputVector, Rows, SimError, Value};
 
 /// Configuration of a bounded check.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -195,7 +226,7 @@ impl BoundedChecker {
             .depth
             .max(design.max_property_horizon() as usize + 4);
 
-        let (method, mut stimuli) =
+        let (method, stimuli) =
             if stimulus::exhaustive_is_tractable(design, depth, self.config.max_exhaustive_bits) {
                 (CheckMethod::Exhaustive, Stimuli::exhaustive(design, depth))
             } else {
@@ -204,7 +235,7 @@ impl BoundedChecker {
                     Stimuli::random(design, depth, self.config.random_cases, self.config.seed),
                 )
             };
-        let verdict = match sweep(design, method, &mut stimuli, PREFIX_STORE_BYTES, &mut work) {
+        let verdict = match run(design, method, stimuli, FRONTIER_BYTES, &mut work) {
             Ok(verdict) => verdict,
             Err(SimError::CombinationalLoop { module }) => Verdict::Unverifiable {
                 reason: format!("combinational loop in module `{module}`"),
@@ -217,65 +248,61 @@ impl BoundedChecker {
     }
 }
 
-/// What a sweep simulated: the count pin of prefix sharing.
+/// What a check simulated: the count pin of the search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepWork {
-    /// Sequences visited, the failing one included.
+    /// Sequences the verdict accounts for: every one for a pass, those up to and
+    /// including the witness for a fail, those before the one that could not be
+    /// simulated for an unverifiable design.
     pub sequences: usize,
-    /// Clock cycles stepped; a sequence resumed from a shared prefix steps only the
-    /// cycles after it.
+    /// Clock cycles stepped, by the search, the replay of its witness and the plain
+    /// loop alike.
     pub cycles: u64,
+    /// Keys the search of an exhaustive check kept: distinct (layer, state, window)
+    /// triples of every layer but the last.
+    pub keys: usize,
 }
 
-/// Visits the sequences in order until one fails an assertion or cannot be simulated;
-/// the prefix store may take `store_bytes`.
-fn sweep(
+/// Memory the frontier of a search may take before the check falls back to the plain
+/// loop; the only budget outside this module's tests.
+const FRONTIER_BYTES: usize = 64 << 20;
+
+/// Checks the stimuli: an enumeration by the search, falling back to the plain loop
+/// if its frontier outgrows `budget` bytes; a random set by the plain loop.
+fn run(
     design: &Design,
     method: CheckMethod,
-    stimuli: &mut Stimuli,
-    store_bytes: usize,
+    mut stimuli: Stimuli,
+    budget: usize,
     work: &mut SweepWork,
 ) -> Result<Verdict, SimError> {
-    let depth = stimuli.depth();
-    let inputs: Vec<_> = stimuli
-        .columns()
-        .iter()
-        .map(|column| design.input_slot(&column.name))
-        .collect();
-    // Only an enumeration has prefixes in common; a random sweep shares nothing.
-    let shared_bits = match method {
-        CheckMethod::Exhaustive => stimuli.bits(),
-        CheckMethod::Randomised => 0,
+    let mut bench = Bench {
+        engine: Engine::new(design),
+        inputs: stimuli
+            .columns()
+            .iter()
+            .map(|column| design.input_slot(&column.name))
+            .collect(),
+        slots: design.slot_count(),
+        rows: Vec::new(),
     };
-    let mut engine = Engine::new(design);
-    let mut prefixes = PrefixStore::new(design.slot_count(), depth, shared_bits, store_bytes);
+    if method == CheckMethod::Exhaustive {
+        let power_up = bench.engine.power_up()?;
+        if let Some(verdict) = search(design, &mut bench, &stimuli, &power_up, budget, work)? {
+            return Ok(verdict);
+        }
+    }
     let mut power_up: Option<Vec<Value>> = None;
-    let mut state = Vec::new();
     let mut values = Vec::new();
     while stimuli.next_into(&mut values) {
-        let sequence = work.sequences as u64;
         // A design whose reset state does not settle fails its first sequence, and a
         // sweep of no sequences never finds out: the order the plain loop had.
         let power_up = match &power_up {
-            Some(state) => &state[..],
-            None => &power_up.insert(engine.power_up()?)[..],
+            Some(state) => state,
+            None => power_up.insert(bench.engine.power_up()?),
         };
-        let resumed = prefixes.longest_prefix(sequence);
-        state.clear();
-        state.extend_from_slice(prefixes.state_after(sequence, resumed).unwrap_or(power_up));
-        for cycle in resumed..depth {
-            let row = &values[cycle * inputs.len()..][..inputs.len()];
-            for (input, value) in inputs.iter().zip(row) {
-                if let Some(input) = input {
-                    input.drive(&mut state, *value);
-                }
-            }
-            engine.cycle(&mut state, prefixes.row_mut(cycle))?;
-            prefixes.keep_state(cycle, &state);
-        }
+        let failures = bench.simulate(power_up, &values, stimuli.depth(), work)?;
         work.sequences += 1;
-        work.cycles += (depth - resumed) as u64;
-        let failures = engine.check(&prefixes.rows_of(sequence), resumed);
         if !failures.is_empty() {
             return Ok(Verdict::Fail {
                 method,
@@ -290,115 +317,188 @@ fn sweep(
     })
 }
 
-/// Memory the prefix store of a check may take before it stops keeping longer
-/// prefixes; the only budget outside this module's tests.
-const PREFIX_STORE_BYTES: usize = 64 << 20;
+/// The search of an exhaustive check (see the module docs); `None` if its frontier
+/// outgrew `budget` bytes.
+fn search(
+    design: &Design,
+    bench: &mut Bench,
+    stimuli: &Stimuli,
+    power_up: &[Value],
+    budget: usize,
+    work: &mut SweepWork,
+) -> Result<Option<Verdict>, SimError> {
+    let (depth, bits, slots) = (stimuli.depth(), stimuli.bits(), bench.slots);
+    let window = (design.max_property_horizon() as usize)
+        .saturating_add(design.max_property_lookback() as usize)
+        .min(depth);
+    let key_bytes = (window + 1) * slots * std::mem::size_of::<Value>();
+    if key_bytes > budget {
+        return Ok(None);
+    }
+    // Layer −1: power-up, no rows, reached by the empty prefix 0.  A key is its rows
+    // then its state; frontiers are sorted by their smallest prefix.
+    let mut frontier = vec![(0u64, power_up.to_vec())];
+    let mut best = u64::MAX;
+    let (mut row, mut scratch) = (Vec::new(), Vec::new());
+    for cycle in 0..depth {
+        let (held, kept) = (cycle.min(window), (cycle + 1).min(window));
+        let last = cycle + 1 == depth;
+        let shift = cycle as u32 * bits;
+        let mut layer: HashMap<Vec<Value>, u64, BuildHasherDefault<KeyHasher>> = HashMap::default();
+        'inputs: for input in 0..1u64 << bits {
+            row.clear();
+            stimuli.exhaustive_row(cycle, input, &mut row);
+            for (first, key) in &frontier {
+                let sequence = first + (input << shift);
+                if sequence >= best {
+                    // Every later edge of this layer has a larger number still.
+                    break 'inputs;
+                }
+                // [rows cycle − held ..= cycle − 1 | row cycle | state]: the old state
+                // is copied twice, once where the new row goes and once to step.
+                scratch.clear();
+                scratch.extend_from_slice(key);
+                scratch.extend_from_slice(&key[held * slots..]);
+                let (rows, state) = scratch.split_at_mut((held + 1) * slots);
+                bench.drive(state, &row);
+                work.cycles += 1;
+                let stepped = bench.engine.cycle(state, &mut rows[held * slots..]);
+                let window = Window {
+                    first: cycle - held,
+                    cycles: cycle + 1,
+                    slots,
+                    values: rows,
+                };
+                if stepped.is_err() || !bench.engine.check(&window, cycle).is_empty() {
+                    best = sequence;
+                    break 'inputs;
+                }
+                let child = &scratch[(held + 1 - kept) * slots..];
+                if !last && !layer.contains_key(child) {
+                    if (frontier.len() + layer.len() + 1) * key_bytes > budget {
+                        return Ok(None);
+                    }
+                    layer.insert(child.to_vec(), sequence);
+                    work.keys += 1;
+                }
+            }
+        }
+        let mut next: Vec<(u64, Vec<Value>)> =
+            layer.into_iter().map(|(key, first)| (first, key)).collect();
+        next.sort_unstable_by_key(|(first, _)| *first);
+        frontier = next;
+    }
+    if best == u64::MAX {
+        work.sequences = 1 << (bits as usize * depth);
+        return Ok(Some(Verdict::Pass {
+            method: CheckMethod::Exhaustive,
+            sequences: work.sequences,
+        }));
+    }
+    let mut values = Vec::new();
+    stimuli.decode_into(best, &mut values);
+    work.sequences = best as usize;
+    let failures = bench.simulate(power_up, &values, depth, work)?;
+    work.sequences += 1;
+    debug_assert!(!failures.is_empty(), "sequence {best} passed its replay");
+    Ok(Some(Verdict::Fail {
+        method: CheckMethod::Exhaustive,
+        witness: stimuli.vectors(&values),
+        failures,
+    }))
+}
 
-/// The sampled rows and post-cycle states of every stimulus prefix simulated so far.
-///
-/// Level `j` holds one entry per prefix of `j` cycles — the row sampled in cycle
-/// `j - 1` and the state after it — at the index of the prefix's number, which is
-/// the order the sweep produces them in.  Levels are kept for `j = 1..=kept`; rows of
-/// later cycles belong to the sequence being simulated alone and live in `tail`.
-struct PrefixStore {
+/// The engine of a check, where each stimulus column is driven, and the row buffer of
+/// the plain loop.
+struct Bench<'d> {
+    engine: Engine<'d>,
+    inputs: Vec<Option<InputSlot>>,
     slots: usize,
-    depth: usize,
-    bits: u32,
-    kept: usize,
-    levels: Vec<Vec<Value>>,
-    tail: Vec<Value>,
+    rows: Vec<Value>,
 }
 
-impl PrefixStore {
-    fn new(slots: usize, depth: usize, bits: u32, bytes: usize) -> Self {
-        // Level `j` has 2^(j·bits) entries and levels double, so the longest kept one
-        // is half the store; prefixes of the full depth are never resumed from.
-        let entry_bytes = 2 * slots.max(1) * std::mem::size_of::<Value>();
-        let longest = (bytes / 2 / entry_bytes).checked_ilog2().unwrap_or(0);
-        let kept = match bits {
-            0 => 0,
-            bits => ((longest / bits) as usize).min(depth.saturating_sub(1)),
-        };
-        Self {
+impl Bench<'_> {
+    /// Drives one cycle's decoded values, one per stimulus column.
+    fn drive(&self, state: &mut [Value], values: &[u64]) {
+        for (input, value) in self.inputs.iter().zip(values) {
+            if let Some(input) = input {
+                input.drive(state, *value);
+            }
+        }
+    }
+
+    /// Steps one decoded sequence from `power_up` and checks every attempt over it.
+    fn simulate(
+        &mut self,
+        power_up: &[Value],
+        values: &[u64],
+        depth: usize,
+        work: &mut SweepWork,
+    ) -> Result<Vec<AssertionFailure>, SimError> {
+        let (slots, columns) = (self.slots, self.inputs.len());
+        self.rows.resize(depth * slots, Value::bit(false));
+        let mut state = power_up.to_vec();
+        for cycle in 0..depth {
+            self.drive(&mut state, &values[cycle * columns..][..columns]);
+            work.cycles += 1;
+            self.engine
+                .cycle(&mut state, &mut self.rows[cycle * slots..][..slots])?;
+        }
+        let rows = Window {
+            first: 0,
+            cycles: depth,
             slots,
-            depth,
-            bits,
-            kept,
-            levels: vec![Vec::new(); kept],
-            tail: vec![Value::bit(false); (depth - kept) * slots],
-        }
-    }
-
-    /// The number of the `level`-cycle prefix of a sequence.
-    fn prefix(&self, sequence: u64, level: usize) -> usize {
-        (sequence & ((1u64 << (level as u32 * self.bits)) - 1)) as usize
-    }
-
-    /// How many leading cycles of the sequence an earlier sequence already simulated:
-    /// the largest kept `k` with `sequence ≥ 2^(k·bits)`.
-    fn longest_prefix(&self, sequence: u64) -> usize {
-        match sequence.checked_ilog2() {
-            Some(top_bit) if self.bits > 0 => ((top_bit / self.bits) as usize).min(self.kept),
-            _ => 0,
-        }
-    }
-
-    fn entry(&self, sequence: u64, level: usize) -> &[Value] {
-        &self.levels[level - 1][self.prefix(sequence, level) * 2 * self.slots..][..2 * self.slots]
-    }
-
-    /// The state after the first `level` cycles of the sequence; `None` for level 0.
-    fn state_after(&self, sequence: u64, level: usize) -> Option<&[Value]> {
-        (level > 0).then(|| &self.entry(sequence, level)[self.slots..])
-    }
-
-    /// Where the row sampled in `cycle` of the sequence being simulated goes.
-    fn row_mut(&mut self, cycle: usize) -> &mut [Value] {
-        if cycle < self.kept {
-            let level = &mut self.levels[cycle];
-            let start = level.len();
-            level.resize(start + 2 * self.slots, Value::bit(false));
-            &mut level[start..start + self.slots]
-        } else {
-            &mut self.tail[(cycle - self.kept) * self.slots..][..self.slots]
-        }
-    }
-
-    /// Completes the entry [`PrefixStore::row_mut`] opened for `cycle`, if it is kept.
-    fn keep_state(&mut self, cycle: usize, state: &[Value]) {
-        if cycle < self.kept {
-            let level = &mut self.levels[cycle];
-            let start = level.len() - self.slots;
-            level[start..].copy_from_slice(state);
-        }
-    }
-
-    fn rows_of(&self, sequence: u64) -> SequenceRows<'_> {
-        SequenceRows {
-            store: self,
-            sequence,
-        }
+            values: &self.rows,
+        };
+        Ok(self.engine.check(&rows, 0))
     }
 }
 
-/// The rows of one sequence: shared cycles from the store, the rest from its tail.
-struct SequenceRows<'s> {
-    store: &'s PrefixStore,
-    sequence: u64,
+/// Rows `first..cycles` of one sequence, one flat buffer of `slots`-wide rows; the
+/// checker never asks for an earlier one (see the module docs).
+struct Window<'v> {
+    first: usize,
+    cycles: usize,
+    slots: usize,
+    values: &'v [Value],
 }
 
-impl Rows for SequenceRows<'_> {
+impl Rows for Window<'_> {
     fn cycles(&self) -> usize {
-        self.store.depth
+        self.cycles
     }
 
     fn row(&self, cycle: usize) -> &[Value] {
-        let store = self.store;
-        if cycle < store.kept {
-            &store.entry(self.sequence, cycle + 1)[..store.slots]
-        } else {
-            &store.tail[(cycle - store.kept) * store.slots..][..store.slots]
-        }
+        &self.values[(cycle - self.first) * self.slots..][..self.slots]
+    }
+}
+
+/// A multiply-rotate hash for keys.  Every word of a key is a [`Value`]'s bits or
+/// width, which no adversary chooses, so SipHash's cost buys nothing here.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes
+            .iter()
+            .for_each(|byte| self.write_u64(u64::from(*byte)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
     }
 }
 
@@ -546,69 +646,40 @@ module latch(input clk, input rst_n, input d, output reg q, output reg [3:0] one
 endmodule
 "#;
 
-    /// A depth-12 exhaustive sweep under a prefix store of `bytes`.
-    fn swept(design: &Design, bytes: usize) -> (Verdict, SweepWork) {
-        let mut stimuli = Stimuli::exhaustive(design, 12);
+    /// A depth-12 exhaustive check whose search may keep `bytes` of frontier.
+    fn checked(design: &Design, bytes: usize) -> (Verdict, SweepWork) {
+        let stimuli = Stimuli::exhaustive(design, 12);
         let mut work = SweepWork::default();
-        let verdict = sweep(
-            design,
-            CheckMethod::Exhaustive,
-            &mut stimuli,
-            bytes,
-            &mut work,
-        );
+        let verdict = run(design, CheckMethod::Exhaustive, stimuli, bytes, &mut work);
         (verdict.expect("the latch settles"), work)
     }
 
-    /// A store too small for every level resumes from the deepest one it kept: the
-    /// same verdicts, fewer cycles saved.
+    /// A budget too small for the frontier falls back to the plain loop: the same
+    /// verdicts and sequences, the cycles of both.
     #[test]
-    fn a_capped_prefix_store_resumes_from_shallower_prefixes() {
-        for limit in ["4'd15", "4'd9"] {
+    fn a_search_over_budget_falls_back_to_the_plain_loop() {
+        for limit in ["4'd15", "4'd9", "4'd4"] {
             let module = parse_module(&LATCH.replace("LIMIT", limit)).unwrap();
             let design = Design::elaborate(&module).unwrap();
-            let slots = design.slot_count();
-            let entry_bytes = 2 * slots * std::mem::size_of::<Value>();
-            let runs: Vec<(Verdict, SweepWork)> = [0, 1, 6, 11]
-                .into_iter()
-                .map(|levels| {
-                    let bytes = (2 * entry_bytes) << levels;
-                    assert_eq!(PrefixStore::new(slots, 12, 1, bytes).kept, levels);
-                    swept(&design, bytes)
-                })
-                .collect();
-            let (verdict, work) = &runs[0];
-            for (other_verdict, other_work) in &runs {
-                assert_eq!(other_verdict, verdict, "{limit}");
-                assert_eq!(other_work.sequences, work.sequences, "{limit}");
-            }
+            // One free bit, a window of one row: a key is two slot rows.
+            let key_bytes = 2 * design.slot_count() * std::mem::size_of::<Value>();
+            let (verdict, searched) = checked(&design, FRONTIER_BYTES);
+            let (plain_verdict, plain) = checked(&design, 0);
+            let (capped_verdict, capped) = checked(&design, 6 * key_bytes);
+            assert_eq!(plain_verdict, verdict, "{limit}");
+            assert_eq!(capped_verdict, verdict, "{limit}");
+            assert_eq!(plain.sequences, searched.sequences, "{limit}");
+            assert_eq!(capped.sequences, searched.sequences, "{limit}");
+            // No room for even power-up is the plain loop alone; room for a few keys
+            // is part of a search, then the plain loop.
+            assert_eq!(plain.keys, 0, "{limit}");
+            assert_eq!(plain.cycles, plain.sequences as u64 * 12, "{limit}");
             assert!(
-                runs.windows(2)
-                    .all(|pair| pair[1].1.cycles <= pair[0].1.cycles),
-                "{limit}: {runs:?}"
+                capped.keys > 0 && capped.keys < searched.keys,
+                "{limit}: {capped:?}"
             );
-            // No level kept is the plain loop; the production budget keeps them all.
-            assert_eq!(work.cycles, work.sequences as u64 * 12, "{limit}");
-            assert_eq!(swept(&design, PREFIX_STORE_BYTES), runs[3], "{limit}");
-            if verdict.passed() {
-                assert_eq!(
-                    runs[0].1,
-                    SweepWork {
-                        sequences: 4096,
-                        cycles: 49_152
-                    }
-                );
-                assert_eq!(
-                    runs[3].1,
-                    SweepWork {
-                        sequences: 4096,
-                        cycles: 8_190
-                    }
-                );
-            } else {
-                // `ones <= 9` fails only late, after more than a thousand sequences.
-                assert!(verdict.failed() && work.sequences > 1000, "{runs:?}");
-            }
+            assert!(capped.cycles > plain.cycles, "{limit}: {capped:?}");
+            assert!(searched.cycles * 4 < plain.cycles, "{limit}: {searched:?}");
         }
     }
 

@@ -173,30 +173,54 @@ impl Stimuli {
         let case = self.next;
         self.next += 1;
         values.clear();
-        let pulse_reset_mid = self.rng.is_some() && case % 8 == 7 && self.depth > 4;
-        let mut cursor = 0u32;
+        let Some(rng) = &mut self.rng else {
+            self.decode_into(case, values);
+            return true;
+        };
+        let pulse_reset_mid = case % 8 == 7 && self.depth > 4;
         for cycle in 0..self.depth {
             if self.has_reset {
                 let mid_pulse = pulse_reset_mid && cycle == self.depth / 2;
                 values.push(u64::from(cycle > 0 && !mid_pulse));
             }
             for column in &self.columns[usize::from(self.has_reset)..] {
-                let value = match &mut self.rng {
-                    None => {
-                        cursor += column.width;
-                        case >> (cursor - column.width)
-                    }
+                let value = if case == 0 {
                     // Directed pattern: walk ones / saturate small signals.
-                    Some(_) if case == 0 => match column.width {
+                    match column.width {
                         1 => u64::from(cycle % 2 == 1 || cycle % 3 == 1),
                         _ => ((cycle as u64) + 1).wrapping_mul(3),
-                    },
-                    Some(rng) => rng.gen::<u64>(),
+                    }
+                } else {
+                    rng.gen::<u64>()
                 };
                 values.push(value & mask(column.width));
             }
         }
         true
+    }
+
+    /// Appends the row of one cycle of an enumeration whose decision bits in that
+    /// cycle are `word`: the reset (low on cycle 0 only), then each other column's
+    /// bit field of `word`, lowest bits first.  Sequence `e` is, cycle by cycle, the
+    /// rows of the words `e >> (cycle · bits)`.
+    pub(crate) fn exhaustive_row(&self, cycle: usize, word: u64, values: &mut Vec<u64>) {
+        if self.has_reset {
+            values.push(u64::from(cycle > 0));
+        }
+        let mut cursor = 0;
+        for column in &self.columns[usize::from(self.has_reset)..] {
+            values.push((word >> cursor) & mask(column.width));
+            cursor += column.width;
+        }
+    }
+
+    /// Decodes sequence `case` of an enumeration into `values`, row-major.
+    pub(crate) fn decode_into(&self, case: u64, values: &mut Vec<u64>) {
+        values.clear();
+        let bits = self.bits();
+        for cycle in 0..self.depth {
+            self.exhaustive_row(cycle, case >> (cycle as u32 * bits), values);
+        }
     }
 
     /// A decoded sequence as the name-keyed vectors the public simulator takes.

@@ -3,8 +3,8 @@
 //! The reference checker below is that loop, word for word — build the whole stimulus
 //! set, simulate every sequence from reset on `svsim::reference`, check every attempt,
 //! stop at the first failing sequence — and the production checker (lazy stimuli,
-//! compiled engine driven by slot, prefix-resumed sweeps) must return the same
-//! [`Verdict`] field for field: method, witness, failure list, `sequences`.
+//! compiled engine driven by slot, exhaustive checks searched by state) must return
+//! the same [`Verdict`] field for field: method, witness, failure list, `sequences`.
 //!
 //! The reference loop builds its sets with the two eager builders `svverify::stimulus`
 //! had before [`Stimuli`], kept here verbatim, so it shares no code with the decoder
@@ -12,10 +12,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use svgen::{instantiate, Family, FamilyParams};
 use svmutate::BugInjector;
 use svparse::{emit_module, parse_module, Module};
-use svsim::{Design, InputVector, SimError};
+use svsim::{Design, Engine, InputVector, SimError, Value};
 use svverify::{
     driven_inputs, exhaustive_is_tractable, BoundedChecker, CheckConfig, CheckMethod, DrivenInput,
     Stimuli, SweepWork, Verdict, MAX_EXHAUSTIVE_BITS,
@@ -149,29 +150,19 @@ fn reference_check(design: &Design, config: &CheckConfig) -> Verdict {
     }
 }
 
-/// The cycles a sweep of `sequences` steps.  A random sweep steps every sequence from
-/// power-up.  An exhaustive one resumes sequence `e` after its first
-/// `⌊log2 e⌋ / bits` cycles — the longest prefix a smaller sequence shares — and
-/// always steps the last cycle.
-fn expected_cycles(design: &Design, config: &CheckConfig, depth: usize, sequences: usize) -> u64 {
-    if !exhaustive_is_tractable(design, depth, config.max_exhaustive_bits) {
-        return (sequences * depth) as u64;
-    }
-    let bits: u32 = driven_inputs(design)
+/// Decision bits per cycle of an enumeration: every driven input but the reset.
+fn free_bits(design: &Design) -> u32 {
+    driven_inputs(design)
         .iter()
         .filter(|input| Some(&input.name) != design.reset_n.as_ref())
         .map(|input| input.width)
-        .sum();
-    (0..sequences as u64)
-        .map(|e| {
-            let shared = e.checked_ilog2().map_or(0, |top| (top / bits) as usize);
-            (depth - shared.min(depth - 1)) as u64
-        })
         .sum()
 }
 
 /// Checks a module both ways; returns the verdict they agree on and the work the
-/// sweep did, which is exactly the resumed cycles of the sequences up to the witness.
+/// check did.  A random sweep steps every sequence up to the witness from power-up
+/// (and the one it could not simulate, up to the cycle that failed) and keeps no key; a passing search steps every input of cycle 0 from power-up and
+/// every input of the next cycle from each key it kept.
 fn agree(label: &str, module: &Module, config: &CheckConfig) -> (Verdict, SweepWork) {
     let checker = BoundedChecker::new(config.clone());
     let Ok(design) = Design::elaborate(module) else {
@@ -181,11 +172,19 @@ fn agree(label: &str, module: &Module, config: &CheckConfig) -> (Verdict, SweepW
     };
     let (verdict, work) = checker.check_design_counted(&design);
     let depth = config.depth.max(design.max_property_horizon() as usize + 4);
-    assert_eq!(
-        work.cycles,
-        expected_cycles(&design, config, depth, work.sequences),
-        "{label}: {work:?}"
-    );
+    if !exhaustive_is_tractable(&design, depth, config.max_exhaustive_bits) {
+        // A sequence that cannot be simulated ends the sweep part way through.
+        let plain = (work.sequences * depth) as u64;
+        let partial = match verdict {
+            Verdict::Unverifiable { .. } => depth as u64,
+            _ => 0,
+        };
+        let stepped = (plain..=plain + partial).contains(&work.cycles);
+        assert!(stepped && work.keys == 0, "{label}: {work:?}");
+    } else if verdict.passed() {
+        let edges = (1u64 << free_bits(&design)) * (1 + work.keys as u64);
+        assert_eq!(work.cycles, edges, "{label}: {work:?}");
+    }
     if let Verdict::Pass { sequences, .. } = verdict {
         assert_eq!(work.sequences, sequences, "{label}");
     }
@@ -302,7 +301,7 @@ fn lazy_stimuli_equal_the_eager_builders() {
 #[test]
 fn every_family_variant_and_eight_mutants_of_each_get_the_reference_verdict() {
     let (mut pass, mut fail, mut unverifiable) = (0, 0, 0);
-    let (mut exhaustive, mut randomised, mut shared) = (0, 0, 0);
+    let (mut exhaustive, mut randomised, mut merged) = (0, 0, 0);
     for (seed, golden) in family_goldens() {
         let mutants = BugInjector::new(seed).inject_batch(&golden, 8);
         let modules = std::iter::once(golden.clone())
@@ -320,7 +319,7 @@ fn every_family_variant_and_eight_mutants_of_each_get_the_reference_verdict() {
                             CheckMethod::Randomised => randomised += 1,
                         }
                         let replayed = (sequences * config.depth.max(4)) as u64;
-                        shared += usize::from(work.cycles < replayed);
+                        merged += usize::from(work.cycles < replayed);
                     }
                     Verdict::Fail { .. } => fail += 1,
                     Verdict::Unverifiable { .. } => unverifiable += 1,
@@ -328,7 +327,7 @@ fn every_family_variant_and_eight_mutants_of_each_get_the_reference_verdict() {
             }
         }
     }
-    // Every kind of verdict, both methods, and real prefix sharing were compared.
+    // Every kind of verdict, both methods, and searches that merged keys were compared.
     assert!(
         pass > 100 && fail > 300 && unverifiable > 100,
         "{pass} {fail} {unverifiable}"
@@ -337,7 +336,10 @@ fn every_family_variant_and_eight_mutants_of_each_get_the_reference_verdict() {
         exhaustive > 20 && randomised > 50,
         "{exhaustive} {randomised}"
     );
-    assert!(shared > 20, "only {shared} sweeps resumed from a prefix");
+    assert!(
+        merged > 20,
+        "only {merged} searches stepped fewer cycles than a sweep"
+    );
 }
 
 /// Two edits `svmutate` would not make: a combinational loop through the first
@@ -399,9 +401,13 @@ fn depth_twelve() -> CheckConfig {
     }
 }
 
-/// A full sweep passes, having visited every sequence.  The count pin: with every
-/// prefix shared, a passing depth-12 sweep over one free bit steps 2·2^12 − 2 cycles.
-/// Losing prefix sharing fails here, not in a benchmark.
+/// A full search passes, accounting for every sequence.  The count pin: the latch's
+/// window is one row (`d |=> q` looks one cycle ahead, nothing looks back), so a key
+/// of layer `c ≥ 2` is the last two inputs and the count of ones so far: 2 + 2 +
+/// Σ 4(c − 1) = 184 keys over layers 0..=10, where a sweep visits 4 096 sequences.
+/// The search steps both inputs from power-up and from each key: 2 · 185 = 370
+/// cycles, against 49 152 for the plain loop.  Losing deduplication fails here, not
+/// in a benchmark.
 #[test]
 fn a_full_one_bit_depth_twelve_sweep_visits_4096_sequences() {
     let (verdict, work) = agree("latch", &latch("4'd15"), &depth_twelve());
@@ -416,8 +422,13 @@ fn a_full_one_bit_depth_twelve_sweep_visits_4096_sequences() {
         work,
         SweepWork {
             sequences: 4096,
-            cycles: 2 * 4096 - 2
+            cycles: 370,
+            keys: 184
         }
+    );
+    assert_eq!(
+        distinct_keys(&Design::elaborate(&latch("4'd15")).unwrap(), 12),
+        184
     );
 }
 
@@ -435,14 +446,14 @@ fn of_several_failing_sequences_the_first_in_canonical_order_is_the_witness() {
     // Five ones in cycles 1..=5, then zeros: sequence 0b111110 = 62, the 63rd visited.
     let ones: Vec<u64> = witness.iter().map(|vector| vector["d"]).collect();
     assert_eq!(ones, [0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0]);
-    // Nothing past the witness is decoded or stepped, and each sequence `e` of the
-    // 63 resumes after its first ⌊log2 e⌋ cycles: 12 + 12 + 2·11 + 4·10 + 8·9 + 16·8
-    // + 31·7.
+    // The witness accounts for 63 sequences; the search stepped 103 cycles up to it
+    // and the replay 12 more.
     assert_eq!(
         work,
         SweepWork {
             sequences: 63,
-            cycles: 503
+            cycles: 115,
+            keys: 73
         }
     );
     // `ones` stays at 5 once reached: every attempt from cycle 6 on fails.
@@ -452,8 +463,8 @@ fn of_several_failing_sequences_the_first_in_canonical_order_is_the_witness() {
 }
 
 /// Only sequences with ten ones after reset violate `ones <= 9`: the first of them is
-/// visited late, after more than a thousand passing sequences were resumed from
-/// prefixes.
+/// numbered late, after more than a thousand passing sequences, and the search finds
+/// it without stepping them.
 #[test]
 fn a_failure_only_late_sequences_reach_is_still_found() {
     let (verdict, work) = agree("latch ≤ 9", &latch("4'd9"), &depth_twelve());
@@ -466,7 +477,7 @@ fn a_failure_only_late_sequences_reach_is_still_found() {
     let encoding: u64 = (0..12).map(|cycle| witness[cycle]["d"] << cycle).sum();
     assert!(encoding > 1000, "sequence {encoding}");
     assert_eq!(work.sequences as u64, encoding + 1);
-    assert!(work.cycles < 3 * work.sequences as u64, "{work:?}");
+    assert!(work.cycles < work.sequences as u64 / 4, "{work:?}");
 }
 
 /// A sweep of no sequences never powers the design up, so it never reports the
@@ -538,4 +549,86 @@ endmodule
     let design = Design::elaborate(&module).unwrap();
     assert!(exhaustive_is_tractable(&design, 12, 64));
     assert!(!exhaustive_is_tractable(&design, 13, 64));
+}
+
+/// Distinct (layer, state, window) keys of layers `0..depth − 1` over every sequence of
+/// the enumeration, found by stepping each sequence from power-up with the public
+/// engine: what `SweepWork::keys` counts for a passing search.
+fn distinct_keys(design: &Design, depth: usize) -> usize {
+    let window = (design.max_property_horizon() + design.max_property_lookback()) as usize;
+    let window = window.min(depth);
+    let slots = design.slot_count();
+    let mut stimuli = Stimuli::exhaustive(design, depth);
+    let inputs: Vec<_> = stimuli
+        .columns()
+        .iter()
+        .map(|column| design.input_slot(&column.name))
+        .collect();
+    let mut engine = Engine::new(design);
+    let power_up = engine.power_up().expect("the design settles");
+    let mut keys: HashSet<(usize, Vec<Value>)> = HashSet::new();
+    let mut values = Vec::new();
+    while stimuli.next_into(&mut values) {
+        let mut state = power_up.clone();
+        let mut rows = vec![Value::bit(false); depth * slots];
+        for cycle in 0..depth - 1 {
+            let row = &values[cycle * inputs.len()..][..inputs.len()];
+            for (input, value) in inputs.iter().zip(row) {
+                if let Some(input) = input {
+                    input.drive(&mut state, *value);
+                }
+            }
+            engine
+                .cycle(&mut state, &mut rows[cycle * slots..][..slots])
+                .expect("a passing design steps");
+            let first = (cycle + 1).saturating_sub(window);
+            let mut key = rows[first * slots..(cycle + 1) * slots].to_vec();
+            key.extend_from_slice(&state);
+            keys.insert((cycle, key));
+        }
+    }
+    keys.len()
+}
+
+/// The search against the reference loop where windows merge: the pipeline's depth 12
+/// over one free bit, 4 096 sequences, for every golden that is exhaustive there and
+/// eight mutants of each — and, for every pass, its key count against brute force.
+/// The reference interpreter steps up to 49 152 cycles a check, so this runs in
+/// release builds only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn at_depth_twelve_the_search_gets_the_reference_verdict_and_counts_its_keys() {
+    let config = depth_twelve();
+    let (mut goldens, mut passes, mut fails) = (0, 0, 0);
+    for (seed, golden) in family_goldens() {
+        let design = Design::elaborate(&golden).expect("goldens elaborate");
+        let depth = config.depth.max(design.max_property_horizon() as usize + 4);
+        if !exhaustive_is_tractable(&design, depth, config.max_exhaustive_bits) {
+            continue;
+        }
+        goldens += 1;
+        let mutants = BugInjector::new(seed).inject_batch(&golden, 8);
+        let modules = std::iter::once(golden.clone()).chain(mutants.into_iter().map(|b| b.buggy));
+        for (n, module) in modules.enumerate() {
+            let label = format!("{} #{n} at depth {depth}", golden.name);
+            let (verdict, work) = agree(&label, &module, &config);
+            match verdict {
+                Verdict::Pass {
+                    method: CheckMethod::Exhaustive,
+                    ..
+                } => {
+                    passes += 1;
+                    let design = Design::elaborate(&module).unwrap();
+                    assert_eq!(work.keys, distinct_keys(&design, depth), "{label}");
+                }
+                Verdict::Fail { .. } => fails += 1,
+                _ => {}
+            }
+        }
+    }
+    assert!(
+        goldens >= 20,
+        "only {goldens} goldens are exhaustive at depth 12"
+    );
+    assert!(passes > 100 && fails > 50, "{passes} passes, {fails} fails");
 }
