@@ -17,13 +17,13 @@ use svserve::env::path_knob;
 use svserve::persist::{fnv64, write_atomic};
 use svserve::stage as trace_stage;
 use svserve::{
-    block_on, env_cache_dir, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
+    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
     verdict_key, write_journal, BackendSpec, CaseKey, CollapsedProfile, JournalHeader, JournalSink,
-    JournalSpec, JudgeReport, MetricClass, ModelRouter, PersistSpec, RepairRequest, RouteAttempt,
-    RouteMetrics, RoutePolicy, RouterConfig, ScopedService, ServiceConfig, SessionConfig,
-    SessionEngine, SessionMonitor, SessionPhase, SessionSpan, ShardFleet, SpanHandle,
-    TelemetryHandle, TraceHandle, TraceSpan, TracerHandle, VerdictKey, VerifyConfig, VerifyMetrics,
-    VerifyPool, VerifyRequest, VerifyTicket, DEFAULT_COMPACT_AFTER_RUNS, JOURNAL_DIR_ENV,
+    JournalSpec, JudgeReport, MetricClass, ModelRouter, PersistSpec, RepairRequest, RepairTicket,
+    RouteAttempt, RouteMetrics, RoutePolicy, RouteTicket, RouterConfig, ScopedService,
+    ServiceConfig, SessionPhase, SessionSpan, ShardFleet, TelemetryHandle, TraceContext,
+    TraceHandle, TraceSpan, TracerHandle, VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool,
+    VerifyRequest, VerifyTicket, DEFAULT_COMPACT_AFTER_RUNS, DEFAULT_DRIVERS, JOURNAL_DIR_ENV,
     SHARD_SOCKETS_ENV,
 };
 use svverify::{CheckConfig, VerifyOracle};
@@ -45,10 +45,12 @@ pub struct EvalConfig {
     /// (0 = auto: the `ASSERTSOLVER_VERIFY_WORKERS` environment override, else the
     /// `svserve::VerifyConfig` default).  Results are identical at any worker count.
     pub verify_workers: usize,
-    /// Driver threads for the async session engine that multiplexes the
-    /// per-case repair sessions (0 = auto: the `ASSERTSOLVER_DRIVERS`
-    /// environment override, else `svserve::DEFAULT_DRIVERS`).  Results are
-    /// identical at any driver count.
+    /// Threads that drive the cases through submit, sample, verify and
+    /// evaluate (0 = auto: the `ASSERTSOLVER_DRIVERS` environment override,
+    /// else `svserve::DEFAULT_DRIVERS`), never more than there are cases.
+    /// Each thread keeps every case of its share in flight at once, so one
+    /// is enough to keep the pools busy.  Results are identical at any
+    /// driver count.
     pub drivers: usize,
     /// Directory for persistent cache snapshots (`None` = the
     /// `ASSERTSOLVER_CACHE_DIR` environment override, else no persistence).  When
@@ -258,14 +260,6 @@ impl EvalConfig {
             }
             None => base,
         }
-    }
-
-    /// The session-engine configuration this protocol implies:
-    /// [`EvalConfig::drivers`] driver threads (0 = auto via the
-    /// `ASSERTSOLVER_DRIVERS` environment override), no per-session deadline —
-    /// an evaluation must judge every case.
-    pub fn session_config(&self) -> SessionConfig {
-        SessionConfig::default().with_drivers(self.drivers)
     }
 }
 
@@ -730,8 +724,8 @@ pub fn evaluate_model_instrumented<M: RepairModel + Sync + ?Sized>(
 
 /// [`Evaluation`] with a borrowed verifier and the observability handles:
 /// `tracer` is a journal tracer whose sink the caller drains (it sees the
-/// repair service, the session engine and every session's span; the
-/// verifier journals to the tracer it was started with).
+/// repair service and every case's span; the verifier journals to the
+/// tracer it was started with).
 pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
@@ -754,11 +748,11 @@ pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
 /// content and verdicts are pure functions of `(case, response, CheckConfig)`,
 /// so it is identical at any worker/verify-worker/driver count, with warm or
 /// cold caches, in process or over a fleet.  A facility that is off costs one
-/// branch per instrumented site.  With the journal on, the repair service,
-/// the session engine and one [`SessionSpan`] per case journal into a fresh
-/// sink; tracing grows one five-span tree per case (a `session` root over
-/// `submit` → `sample` → `verify` → `evaluate` laps that tile it),
-/// byte-identical in process and over a fleet ([`svserve::trace`]).
+/// branch per instrumented site.  With the journal on, the repair service
+/// and one [`SessionSpan`] per case journal into a fresh sink; tracing grows
+/// one five-span tree per case (a `session` root over `submit` → `sample` →
+/// `verify` → `evaluate` laps that tile it), byte-identical in process and
+/// over a fleet ([`svserve::trace`]).
 ///
 /// Artifacts, best effort: with the journal on, `journal-<slug>-<hash>.jsonl`
 /// in the journal directory; in the profile directory, `trace-….jsonl` when
@@ -905,75 +899,30 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         }
     }
 
-    /// The two drivers, both running every case through [`run_case`].  Over
-    /// a fleet, a blocking loop, since [`ShardFleet::submit`] blocks; in
-    /// process, every case is one async session on the session engine, so a
-    /// corpus of thousands holds thousands of sessions in flight on
-    /// [`EvalConfig::drivers`] threads.
+    /// Samples and judges every case on the one case driver ([`drive_cases`])
+    /// as the run's `sessions` stage: on the fleet when one is set, else on an
+    /// in-process repair pool.
     fn sample(
         &self,
         verifier: &EvalVerifier,
         tracer: &TracerHandle,
         stages: &mut StageClock,
     ) -> Vec<CaseResult> {
+        let mut drive = |sampler: Sampler<'_>| {
+            stages.lap();
+            let judged = drive_cases(sampler, verifier, self.entries, self.config, &self.trace);
+            stages.lap();
+            judged.into_iter().map(|(result, _)| result).collect()
+        };
         if let Some(fleet) = self.fleet {
-            stages.lap();
-            let results = self.entries.iter().map(|entry| {
-                let (request, case) = (request_for(entry, self.config), Arc::new(entry.clone()));
-                let sampler = Sampler::Fleet(fleet);
-                let case = run_case(sampler, verifier, &self.trace, case, request, (None, None));
-                let (n, c, _) = block_on(case).unwrap_or_default();
-                build_case_result(entry, n, c)
-            });
-            let results = results.collect();
-            stages.lap();
-            return results;
+            return drive(Sampler::Fleet(fleet));
         }
-        let (config, telemetry) = (self.config, &self.telemetry);
-        let engine = SessionEngine::new(
-            config
-                .session_config()
-                .with_tracer(tracer.clone())
-                .with_telemetry(telemetry.clone()),
-        );
-        let monitor = engine.monitor();
-        let service_config = config
+        let service_config = (self.config)
             .service_config_for(&self.model.identity())
             .with_tracer(tracer.clone())
-            .with_telemetry(telemetry.clone());
+            .with_telemetry(self.telemetry.clone());
         serve_scoped(self.model, service_config, |service| {
-            // One owner span per case, keyed by the request's content hash;
-            // the futures hold clone handles, and the owners emit the terminal
-            // events from the engine outcomes after `run_all` returns.
-            let (spans, sessions): (Vec<SessionSpan>, Vec<_>) = self
-                .entries
-                .iter()
-                .map(|entry| {
-                    let request = request_for(entry, config);
-                    let span =
-                        SessionSpan::with_telemetry(tracer, telemetry, request.key().fold64());
-                    let observers = (Some(monitor.clone()), Some(span.handle()));
-                    let case = Arc::new(entry.clone());
-                    let sampler = Sampler::Local(service);
-                    let session =
-                        run_case(sampler, verifier, &self.trace, case, request, observers);
-                    (span, session)
-                })
-                .unzip();
-            stages.lap();
-            let outcomes = engine.run_all(sessions);
-            stages.lap();
-            for (span, outcome) in spans.iter().zip(&outcomes) {
-                span.finish(outcome);
-            }
-            self.entries
-                .iter()
-                .zip(outcomes)
-                .map(|(entry, outcome)| {
-                    let (n, c, _) = outcome.completed().flatten().expect("session completed");
-                    build_case_result(entry, n, c)
-                })
-                .collect()
+            drive(Sampler::Local(service, tracer, &self.telemetry))
         })
     }
 
@@ -1043,127 +992,209 @@ impl StageClock<'_> {
 }
 
 /// Where a case's samples come from.
+#[derive(Clone, Copy)]
 enum Sampler<'s> {
-    /// The in-process repair pool, awaited on a waker.
-    Local(&'s ScopedService<'s>),
-    /// A remote shard fleet, whose submit blocks.
+    /// The in-process repair pool; each case journals through one
+    /// [`SessionSpan`] on the tracer, its wall clock landing in the telemetry.
+    Local(&'s ScopedService<'s>, &'s TracerHandle, &'s TelemetryHandle),
+    /// A remote shard fleet, whose submit blocks for the answer.
     Fleet(&'s ShardFleet),
     /// A model router placing each request under one policy.
     Router(&'s ModelRouter, RoutePolicy),
 }
 
-/// One case, start to finish — submit → sample → verify → evaluate — for
-/// every driver: the engine monitor's phases and the journal span's events
-/// (`observers`), and the trace laps.  Returns `(n, c, routed attempts)`;
-/// `None` is a degraded fleet case (shard down, busy or corrupt): no samples
-/// and, its laps dropped unrecorded, no spans.
+/// One case's result and routed attempts.
+type Judged = (CaseResult, Vec<RouteAttempt>);
+
+/// The one case driver: every case of `entries` through `sampler`, judged on
+/// `verifier`, its trace laps into `trace`; returns each case's result and
+/// routed attempts in corpus order (a degraded fleet case is `n = c = 0`).
 ///
-/// Each lap covers the time since the previous one, so the four child spans
-/// tile the `session` root's wall (what lets `svobs trace` attribute ≥ 95% of
-/// each session).  Every deterministic span field is a pure function of
-/// `(case content, salt, stage)`; over a fleet, the shard's own `sample` span
-/// (`SubmitTraced`) merges with the driver's, keeping the larger wall.
-async fn run_case(
+/// Each of `min(drivers, cases)` threads takes a strided share (thread `t`:
+/// cases `t, t + threads, …`; the caller's thread when there is one) through
+/// three stages: submit every repair request; in order, take each case's
+/// samples and submit its distinct candidates; in order, fold its verdicts.
+/// Every job is queued before the driver waits on it, so the pools' workers,
+/// not the driver, bound how much runs at once, and the thread count moves
+/// only the wall clock.
+fn drive_cases(
     sampler: Sampler<'_>,
     verifier: &EvalVerifier,
+    entries: &[SvaBugEntry],
+    config: &EvalConfig,
     trace: &TraceHandle,
+) -> Vec<Judged> {
+    let drivers = Some(config.drivers).filter(|&drivers| drivers > 0);
+    let drivers = drivers.or_else(env_drivers).unwrap_or(DEFAULT_DRIVERS);
+    let threads = drivers.min(entries.len()).max(1);
+    let share = |first: usize| {
+        let cases = entries.iter().skip(first).step_by(threads);
+        let submit = |entry| CaseRun::submit(sampler, entry, config, trace);
+        let cases: Vec<_> = cases.map(submit).collect();
+        let fan_out = |(case, pending): (CaseRun, _)| case.fan_out(pending, verifier);
+        let cases: Vec<_> = cases.into_iter().map(fan_out).collect();
+        let judge = |(case, submitted): (CaseRun, _)| case.judge(submitted, trace);
+        cases.into_iter().map(judge).collect::<Vec<_>>()
+    };
+    if threads == 1 {
+        return share(0);
+    }
+    let mut judged: Vec<Option<Judged>> = vec![None; entries.len()];
+    std::thread::scope(|scope| {
+        let share = &share;
+        let spawn = |first| scope.spawn(move || share(first));
+        let shares: Vec<_> = (0..threads).map(spawn).collect();
+        for (first, share) in shares.into_iter().enumerate() {
+            let share = share.join().expect("a case driver panicked");
+            let slots = judged.iter_mut().skip(first).step_by(threads);
+            slots.zip(share).for_each(|(slot, case)| *slot = Some(case));
+        }
+    });
+    judged.into_iter().map(Option::unwrap).collect()
+}
+
+/// What a case's samples wait on: its ticket, or its fleet call, which blocks
+/// and so is made when the samples are due.
+enum Pending<'s> {
+    Repair(RepairTicket),
+    Routed(RouteTicket),
+    Fleet(&'s ShardFleet, RepairRequest),
+}
+
+/// A case's sample count, routed attempts and `(multiplicity, ticket)` jobs.
+type Submitted = (usize, Vec<RouteAttempt>, Vec<(usize, VerifyTicket)>);
+
+/// One case between the driver's stages.  Its span gets the journal phases
+/// and its trace the laps, each covering the time since the previous one, so
+/// the four child spans tile the `session` root's wall (`svobs trace`'s
+/// ≥ 95% bar); over a fleet, the shard's own `sample` span merges with the
+/// driver's, keeping the larger wall.
+struct CaseRun {
     case: Arc<SvaBugEntry>,
-    request: RepairRequest,
-    (monitor, span): (Option<SessionMonitor>, Option<SpanHandle>),
-) -> Option<(usize, usize, Vec<RouteAttempt>)> {
-    let enter = |phase| {
-        monitor.iter().for_each(|monitor| monitor.phase(phase));
-        span.iter().for_each(|span| span.phase(phase));
-    };
-    let timing = |label, units: usize| span.iter().for_each(|s| s.timing(label, units as u64));
-    let root = trace.is_on().then(|| trace.root(request.key())).flatten();
-    let start = Instant::now();
-    let (mut clock, mut laps) = (start, Vec::new());
-    let mut lap = |label: &str, seq, units: usize| {
-        if let Some(root) = &root {
-            let wall = clock.elapsed().as_nanos() as u64;
-            clock = Instant::now();
-            laps.push(TraceSpan::new(
-                &root.child(label),
-                label,
-                seq,
-                units as u64,
-                wall,
-            ));
-        }
-    };
-    let samples = request.samples;
-    let mut submitted = || {
-        enter(SessionPhase::Submitted);
-        lap("submit", trace_stage::SUBMIT, samples);
-    };
-    let (responses, attempts) = match sampler {
-        Sampler::Local(service) => {
-            let ticket = service.submit_async(request).expect(OPEN).await;
-            submitted();
-            (ticket.expect(OPEN).await.responses, Vec::new())
-        }
-        Sampler::Router(router, policy) => {
-            let ticket = router.submit_async(request, policy).expect(OPEN).await;
-            submitted();
-            let outcome = ticket.expect(OPEN).await;
-            (outcome.responses, outcome.attempts)
-        }
-        Sampler::Fleet(fleet) => {
-            submitted();
-            let outcome = match &root {
-                Some(ctx) => fleet.submit_traced(&request, ctx).map(|(outcome, spans)| {
-                    trace.extend(spans);
-                    outcome
-                }),
-                None => fleet.submit(&request),
-            };
-            (Arc::new(outcome.ok()?.responses), Vec::new())
-        }
-    };
-    let n = responses.len();
-    enter(SessionPhase::Sampled);
-    if attempts.len() > 1 {
-        enter(SessionPhase::Escalated);
-    }
-    timing("samples", n);
-    lap("sample", trace_stage::SAMPLE, n);
-    let submitted = fan_out_candidates(verifier, &case, &responses).await;
-    enter(SessionPhase::Verifying);
-    timing("distinct-candidates", submitted.len());
-    lap("verify", trace_stage::VERIFY, submitted.len());
-    let c = judge_submitted(submitted).await;
-    span.iter()
-        .for_each(|span| span.verdict(c as u64, n.saturating_sub(c) as u64));
-    enter(SessionPhase::Done);
-    lap("evaluate", trace_stage::EVALUATE, c);
-    if let Some(root) = &root {
-        // The root span last: its wall is the whole session, which the four
-        // child laps tile.
-        let wall = start.elapsed().as_nanos() as u64;
-        laps.push(TraceSpan::new(
+    span: Option<SessionSpan>,
+    root: Option<TraceContext>,
+    start: Instant,
+    clock: Instant,
+    laps: Vec<TraceSpan>,
+}
+
+impl CaseRun {
+    /// Stage 1: opens the case's span and submits its repair request.
+    fn submit<'s>(
+        sampler: Sampler<'s>,
+        entry: &SvaBugEntry,
+        config: &EvalConfig,
+        trace: &TraceHandle,
+    ) -> (Self, Pending<'s>) {
+        let request = request_for(entry, config);
+        let (key, samples, start) = (request.key(), request.samples, Instant::now());
+        let mut span = None;
+        let pending = match sampler {
+            Sampler::Local(service, tracer, telemetry) => {
+                span = Some(SessionSpan::with_telemetry(tracer, telemetry, key.fold64()));
+                Pending::Repair(service.submit(request).expect(OPEN))
+            }
+            Sampler::Router(router, policy) => {
+                Pending::Routed(router.submit(request, policy).expect(OPEN))
+            }
+            Sampler::Fleet(fleet) => Pending::Fleet(fleet, request),
+        };
+        let (case, root) = (Arc::new(entry.clone()), trace.root(key));
+        let mut run = Self {
+            case,
+            span,
             root,
-            "session",
-            trace_stage::SESSION,
-            n as u64,
-            wall,
-        ));
-        trace.extend(laps);
+            start,
+            clock: start,
+            laps: Vec::new(),
+        };
+        run.journal(|span| span.phase(SessionPhase::Submitted));
+        run.lap("submit", trace_stage::SUBMIT, samples);
+        (run, pending)
     }
-    Some((n, c, attempts))
+
+    /// Stage 2: takes the case's samples and submits its distinct candidates
+    /// for judgement; `None` for a degraded fleet case.
+    fn fan_out(mut self, pending: Pending, verifier: &EvalVerifier) -> (Self, Option<Submitted>) {
+        let (responses, attempts) = match pending {
+            Pending::Repair(ticket) => (ticket.wait().responses, Vec::new()),
+            Pending::Routed(ticket) => {
+                let outcome = ticket.wait();
+                (outcome.responses, outcome.attempts)
+            }
+            Pending::Fleet(fleet, request) => {
+                let outcome = match &self.root {
+                    Some(ctx) => fleet.submit_traced(&request, ctx).map(|(outcome, spans)| {
+                        self.laps.extend(spans);
+                        outcome
+                    }),
+                    None => fleet.submit(&request),
+                };
+                let Ok(outcome) = outcome else {
+                    return (self, None);
+                };
+                (Arc::new(outcome.responses), Vec::new())
+            }
+        };
+        let n = responses.len();
+        self.journal(|span| span.phase(SessionPhase::Sampled));
+        if attempts.len() > 1 {
+            self.journal(|span| span.phase(SessionPhase::Escalated));
+        }
+        self.journal(|span| span.timing("samples", n as u64));
+        self.lap("sample", trace_stage::SAMPLE, n);
+        let submitted = fan_out_candidates(verifier, &self.case, &responses);
+        self.journal(|span| span.phase(SessionPhase::Verifying));
+        self.journal(|span| span.timing("distinct-candidates", submitted.len() as u64));
+        self.lap("verify", trace_stage::VERIFY, submitted.len());
+        (self, Some((n, attempts, submitted)))
+    }
+
+    /// Stage 3: folds the case's verdicts, closes its span and hands its
+    /// trace laps to `trace`, the `session` root last.
+    fn judge(mut self, submitted: Option<Submitted>, trace: &TraceHandle) -> Judged {
+        let Some((n, attempts, submitted)) = submitted else {
+            return (build_case_result(&self.case, 0, 0), Vec::new());
+        };
+        let c = judge_submitted(submitted);
+        self.journal(|span| span.verdict(c as u64, n.saturating_sub(c) as u64));
+        self.journal(|span| span.phase(SessionPhase::Done));
+        self.lap("evaluate", trace_stage::EVALUATE, c);
+        if let Some(root) = &self.root {
+            let wall = self.start.elapsed().as_nanos() as u64;
+            let session = TraceSpan::new(root, "session", trace_stage::SESSION, n as u64, wall);
+            self.laps.push(session);
+            trace.extend(std::mem::take(&mut self.laps));
+        }
+        self.span.iter().for_each(SessionSpan::finish);
+        (build_case_result(&self.case, n, c), attempts)
+    }
+
+    fn journal(&self, event: impl Fn(&SessionSpan)) {
+        self.span.iter().for_each(event);
+    }
+
+    fn lap(&mut self, label: &str, seq: u32, units: usize) {
+        if let Some(root) = &self.root {
+            let wall = self.clock.elapsed().as_nanos() as u64;
+            self.clock = Instant::now();
+            let lap = TraceSpan::new(&root.child(label), label, seq, units as u64, wall);
+            self.laps.push(lap);
+        }
+    }
 }
 
 /// The panic message for a pool or router that closed mid-evaluation.
 const OPEN: &str = "serving pool open during evaluation";
 
 /// Dedups one case's candidates and submits the distinct ones for judgement,
-/// parking on wakers (never a thread) while the verify shard is at capacity;
-/// the returned pairs are `(multiplicity, ticket)`.
+/// blocking only while the verify shard is at capacity; the returned pairs
+/// are `(multiplicity, ticket)`.
 ///
 /// Identical responses within a case collapse to one verdict job with a
 /// multiplicity, which keeps the per-case correct count `c` independent of
 /// verify-pool scheduling.
-async fn fan_out_candidates(
+fn fan_out_candidates(
     verifier: &EvalVerifier,
     case: &Arc<SvaBugEntry>,
     responses: &[Response],
@@ -1179,25 +1210,25 @@ async fn fan_out_candidates(
             }
         }
     }
-    let mut submitted = Vec::with_capacity(distinct.len());
-    for (key, response) in distinct {
-        let request = VerifyRequest::new(Arc::clone(case), response, key);
-        let ticket = verifier.pool.submit_async(request).expect(OPEN).await;
-        submitted.push((multiplicity[&key], ticket.expect(OPEN)));
-    }
-    submitted
+    let submit = |(key, response)| {
+        let ticket = verifier
+            .pool
+            .submit(VerifyRequest::new(Arc::clone(case), response, key));
+        (multiplicity[&key], ticket.expect(OPEN))
+    };
+    distinct.into_iter().map(submit).collect()
 }
 
-/// Awaits one case's verdicts and folds them into the correct count `c`
+/// Waits for one case's verdicts and folds them into the correct count `c`
 /// (multiplicities included).
-async fn judge_submitted(submitted: Vec<(usize, VerifyTicket)>) -> usize {
-    let mut correct = 0;
-    for (count, ticket) in submitted {
-        if ticket.await.verdict {
-            correct += count;
-        }
-    }
-    correct
+fn judge_submitted(submitted: Vec<(usize, VerifyTicket)>) -> usize {
+    let verdicts = submitted
+        .into_iter()
+        .map(|(count, ticket)| (count, ticket.wait()));
+    verdicts
+        .filter(|(_, outcome)| outcome.verdict)
+        .map(|(count, _)| count)
+        .sum()
 }
 
 /// Folds one case's sample and correct counts into a [`CaseResult`].
@@ -1284,14 +1315,7 @@ pub fn evaluate_ladder(
 ) -> LadderReport {
     assert!(!models.is_empty(), "ladder needs at least one model");
     let verifier = Arc::new(EvalVerifier::start(config));
-    let requests: Vec<RepairRequest> = entries
-        .iter()
-        .map(|entry| request_for(entry, config))
-        .collect();
-    let cases: Vec<Arc<SvaBugEntry>> = entries
-        .iter()
-        .map(|entry| Arc::new(entry.clone()))
-        .collect();
+    let requests = entries.iter().map(|entry| request_for(entry, config));
     // The escalation judge: maps a routed request back to its corpus entry
     // and judges the candidates on the shared verifier — pure in `(request,
     // responses)` because verdicts are pure.  Corpus entries with
@@ -1300,18 +1324,16 @@ pub fn evaluate_ladder(
     // against one golden fix; the reported `c` stays truthful because each
     // session re-judges its terminal responses against its own entry.  A
     // request the evaluation never registered rejects every rung.
-    let by_key: HashMap<CaseKey, Arc<SvaBugEntry>> = requests
-        .iter()
-        .zip(&cases)
-        .map(|(request, case)| (request.key(), Arc::clone(case)))
+    let by_key: HashMap<CaseKey, Arc<SvaBugEntry>> = (requests.zip(entries))
+        .map(|(request, entry)| (request.key(), Arc::new(entry.clone())))
         .collect();
     let judge_verifier = Arc::clone(&verifier);
     let judge = move |request: &RepairRequest, responses: &[Response]| {
         let (mut distinct, mut correct) = (0, 0);
         if let Some(case) = by_key.get(&request.key()) {
-            let submitted = block_on(fan_out_candidates(&judge_verifier, case, responses));
+            let submitted = fan_out_candidates(&judge_verifier, case, responses);
             distinct = submitted.len();
-            correct = block_on(judge_submitted(submitted));
+            correct = judge_submitted(submitted);
         }
         JudgeReport { distinct, correct }
     };
@@ -1326,40 +1348,18 @@ pub fn evaluate_ladder(
         .collect();
     let router = ModelRouter::start(backends, Arc::new(judge), RouterConfig::default());
     let ladder = router.ladder().to_vec();
-    let engine = SessionEngine::new(config.session_config());
 
-    // Every case under one policy as an async session; each yields its
-    // `(n, c)` and routed attempt trail (length 1 for the direct policies,
-    // the full ladder walk for `Escalate`).
-    let (monitor, no_trace) = (engine.monitor(), TraceHandle::off());
+    // Every case under one policy on the case driver; each yields its `(n, c)`
+    // and routed attempt trail (length 1 for the direct policies, the full
+    // ladder walk for `Escalate`).
+    let no_trace = TraceHandle::off();
     let phase = |policy| {
-        let sessions: Vec<_> = (requests.iter().zip(&cases))
-            .map(|(request, case)| {
-                let (case, observers) = (Arc::clone(case), (Some(monitor.clone()), None));
-                let sampler = Sampler::Router(&router, policy);
-                run_case(
-                    sampler,
-                    &verifier,
-                    &no_trace,
-                    case,
-                    request.clone(),
-                    observers,
-                )
-            })
-            .collect();
-        let outcomes = engine.run_all(sessions).into_iter();
-        let completed = outcomes.map(|outcome| outcome.completed().flatten());
-        completed
-            .map(|case| case.expect("ladder session completed"))
-            .collect::<Vec<_>>()
+        let sampler = Sampler::Router(&router, policy);
+        drive_cases(sampler, &verifier, entries, config, &no_trace)
     };
-    let evaluation = |model: String, phase: Vec<(usize, usize, Vec<RouteAttempt>)>| {
-        let results = entries.iter().zip(phase);
-        let results = results.map(|(entry, (n, c, _))| build_case_result(entry, n, c));
-        ModelEvaluation {
-            model,
-            results: results.collect(),
-        }
+    let evaluation = |model: String, phase: Vec<Judged>| {
+        let results = phase.into_iter().map(|(result, _)| result).collect();
+        ModelEvaluation { model, results }
     };
 
     // Phase 1 — pinned: one full evaluation per model.  This also warms every
@@ -1384,11 +1384,9 @@ pub fn evaluate_ladder(
     // which can only see request content, necessarily judges such twins
     // against one of them.
     let escalated = phase(RoutePolicy::Escalate);
-    let trails = entries
-        .iter()
-        .zip(&escalated)
-        .map(|(entry, (_, _, attempts))| EscalationTrail {
-            module_name: entry.module_name.clone(),
+    let trails = (escalated.iter())
+        .map(|(result, attempts)| EscalationTrail {
+            module_name: result.module_name.clone(),
             attempts: attempts.clone(),
         })
         .collect();
@@ -1509,6 +1507,94 @@ mod tests {
             },
         );
         assert_eq!(one, four, "worker count changed evaluation results");
+    }
+
+    #[test]
+    fn the_driver_count_is_bounded_by_the_cases() {
+        // Regression: a nonzero `drivers` used to pass through unclamped, so
+        // this spawned 65 536 driver threads for two cases.
+        let entries: Vec<SvaBugEntry> = human_crafted_cases().into_iter().take(2).collect();
+        let model = svmodel::AssertSolverModel::base(3);
+        let run = |drivers| {
+            let config = EvalConfig {
+                drivers,
+                ..EvalConfig::quick(5)
+            };
+            evaluate_model(&model, &entries, &config)
+        };
+        assert_eq!(run(1 << 16), run(1));
+    }
+
+    /// A model whose `solve` blocks until the test opens its gate.
+    struct Gated {
+        model: svmodel::AssertSolverModel,
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+    }
+
+    impl RepairModel for Gated {
+        fn name(&self) -> &str {
+            self.model.name()
+        }
+
+        fn solve(&self, case: &CaseInput, samples: usize, temp: f64, seed: u64) -> Vec<Response> {
+            let open = self.open.lock().unwrap();
+            drop(self.opened.wait_while(open, |open| !*open).unwrap());
+            self.model.solve(case, samples, temp, seed)
+        }
+    }
+
+    #[test]
+    fn every_case_is_queued_before_the_driver_waits_on_any() {
+        let entries = human_crafted_cases();
+        assert!(entries.len() >= 3);
+        let config = EvalConfig {
+            workers: 1,
+            drivers: 1,
+            ..EvalConfig::quick(5)
+        };
+        let gated = Gated {
+            model: svmodel::AssertSolverModel::base(3),
+            open: std::sync::Mutex::new(false),
+            opened: std::sync::Condvar::new(),
+        };
+        let (tracer, telemetry, trace) = (
+            TracerHandle::off(),
+            TelemetryHandle::off(),
+            TraceHandle::off(),
+        );
+        let verifier = EvalVerifier::start(&config);
+        let drive = |model: &(dyn RepairModel + Sync),
+                     opener: &(dyn Fn(ScopedService<'_>) + Sync)| {
+            serve_scoped(model, config.service_config(), |service| {
+                std::thread::scope(|scope| {
+                    scope.spawn(|| opener(service));
+                    let sampler = Sampler::Local(service, &tracer, &telemetry);
+                    drive_cases(sampler, &verifier, &entries, &config, &trace)
+                })
+            })
+        };
+        let queued = std::sync::atomic::AtomicBool::new(false);
+        let gated_run = drive(&gated, &|service| {
+            // With the one repair worker stuck in `solve`, every case must
+            // still reach the queue.  Opened regardless, so a failure cannot
+            // hang the test.
+            let deadline = Instant::now() + std::time::Duration::from_secs(20);
+            while service.metrics().submitted < entries.len() as u64 && Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let all = service.metrics().submitted == entries.len() as u64;
+            queued.store(all, std::sync::atomic::Ordering::SeqCst);
+            *gated.open.lock().unwrap() = true;
+            gated.opened.notify_all();
+        });
+        assert!(
+            queued.load(std::sync::atomic::Ordering::SeqCst),
+            "the driver must submit every case before it waits on one"
+        );
+        let ungated = drive(&gated.model, &|_| {});
+        verifier.shutdown();
+        assert_eq!(gated_run, ungated);
     }
 
     #[test]

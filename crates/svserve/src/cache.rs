@@ -156,7 +156,7 @@ struct Entry<V> {
 /// Defaults to the repair pool's shape (response sets keyed by [`CaseKey`]); the
 /// verify pool instantiates it as `LruCache<VerdictKey, bool>`.  Recency is tracked
 /// with a monotonically increasing stamp per access plus a stamp-ordered index,
-/// giving `O(log n)` lookup/insert/evict without unsafe code.
+/// giving `O(log n)` lookup/insert/evict with no linked list to maintain.
 ///
 /// Entries inserted with [`LruCache::preload`] (snapshot warm-start) are tagged, so
 /// pools can report how much of their traffic a persisted snapshot absorbed:

@@ -30,9 +30,14 @@ pub const JOURNAL_DIR_ENV: &str = "ASSERTSOLVER_JOURNAL_DIR";
 /// disables both writes.
 pub const PROFILE_DIR_ENV: &str = "ASSERTSOLVER_PROFILE_DIR";
 
-/// Environment variable overriding the default session-driver count
-/// (see [`crate::session::SessionConfig`]); CI runs the async suite at 1 and 4.
+/// Environment variable overriding the default number of threads that drive
+/// an evaluation's cases (`assertsolver::EvalConfig::drivers`); CI runs the
+/// driver-determinism suite at 1 and 4.
 pub const DRIVERS_ENV: &str = "ASSERTSOLVER_DRIVERS";
+
+/// Case-driver thread count used when `assertsolver::EvalConfig::drivers` is 0
+/// and [`DRIVERS_ENV`] is unset.
+pub const DEFAULT_DRIVERS: usize = 2;
 
 /// Environment variable overriding the default verify worker count
 /// (`VerifyConfig::default()`); CI runs the suite at 1 and 4 to exercise both the
@@ -213,4 +218,45 @@ pub fn env_shard_sockets() -> Option<Vec<String>> {
         .map(str::to_string)
         .collect();
     (!sockets.is_empty()).then_some(sockets)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn env_override_parses_only_positive_integers() {
+        assert_eq!(parse_thread_knob(" 4 "), KnobParse::Ok(4));
+        assert_eq!(parse_thread_knob("0"), KnobParse::Invalid);
+        assert_eq!(parse_thread_knob("lots"), KnobParse::Invalid);
+        assert_eq!(parse_thread_knob(""), KnobParse::Invalid);
+        assert_eq!(parse_thread_knob("-3"), KnobParse::Invalid);
+    }
+
+    #[test]
+    fn env_override_clamps_huge_thread_counts() {
+        // Regression: a driver count of 40000 used to be taken at face
+        // value and spawn forty thousand driver threads.
+        assert_eq!(
+            parse_thread_knob("40000"),
+            KnobParse::Clamped(MAX_ENV_THREADS)
+        );
+        assert_eq!(
+            parse_thread_knob(&usize::MAX.to_string()),
+            KnobParse::Clamped(MAX_ENV_THREADS)
+        );
+        assert_eq!(
+            parse_thread_knob(&MAX_ENV_THREADS.to_string()),
+            KnobParse::Ok(MAX_ENV_THREADS)
+        );
+        // The resolver surfaces clamped/invalid values as warnings but still
+        // returns a usable count (or the default sentinel `None`).
+        assert_eq!(
+            resolve_thread_knob("TEST_KNOB", "40000"),
+            Some(MAX_ENV_THREADS)
+        );
+        assert_eq!(resolve_thread_knob("TEST_KNOB", "0"), None);
+        assert_eq!(resolve_thread_knob("TEST_KNOB", "garbage"), None);
+        assert_eq!(resolve_thread_knob("TEST_KNOB", "8"), Some(8));
+    }
 }

@@ -18,8 +18,8 @@
 //!   logical timings, terminal outcomes) depend only on content.  They are
 //!   emitted through [`Tracer::event`] with a caller-assigned sequence number
 //!   and are serialized in every journal.
-//! * **Volatile** events (cache hit/miss, pool admit/shed, solve/judge panics,
-//!   runtime scheduling spans) depend on interleaving or cache temperature.
+//! * **Volatile** events (cache hit/miss, pool admit/shed, solve/judge panics)
+//!   depend on interleaving or cache temperature.
 //!   They are emitted through [`Tracer::diagnostic`], always counted in the
 //!   metrics, but serialized only when [`JournalSpec::mode`] is
 //!   [`JournalMode::Full`] — a warm run and a cold run must render the same
@@ -46,7 +46,6 @@
 
 use crate::persist::{self, fnv64};
 use crate::service::splitmix64;
-use crate::session::{SessionOutcome, SessionPhase};
 use crate::sync::lock_recover;
 use crate::telemetry::{Metric, MetricClass, TelemetryHandle};
 use serde::{Deserialize, Serialize};
@@ -75,17 +74,35 @@ pub fn logical_tick(session: u64, seq: u32) -> u64 {
     u64::from(seq) * 16 + jitter
 }
 
+/// The observable phases of one case's repair session, journaled through a
+/// [`SpanHandle`] in this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionPhase {
+    /// The repair request has been accepted by a pool.
+    Submitted,
+    /// The model's samples arrived (repair ticket fulfilled).
+    Sampled,
+    /// The distinct candidates were submitted to the verify pool.
+    Verifying,
+    /// A verdict-triggered re-submit walked the session up an escalation rung.
+    Escalated,
+    /// The session produced its result.
+    Done,
+}
+
 /// How a session ended; exactly one terminal event is journaled per session.
+///
+/// Nothing produces `TimedOut` or `Panicked` any more; they stay so journals
+/// recorded when something did still parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SessionEnd {
-    /// The session future ran to completion.
+    /// The session ran to completion.
     Completed,
-    /// The engine deadline expired before the session completed.
+    /// A per-session deadline expired before the session completed.
     TimedOut,
-    /// The session was cancelled (or its span dropped unfinished).
+    /// The session's span was dropped unfinished.
     Aborted,
-    /// The session's future panicked while being polled — a crash, distinct
-    /// from deliberate cancellation.
+    /// The session panicked — a crash, distinct from an abort.
     Panicked,
     /// Admission control refused the session's submission (`SubmitError::Busy`).
     Shed,
@@ -161,7 +178,8 @@ pub enum JournalEvent {
         /// Pool name.
         pool: String,
     },
-    /// A runtime scheduling span such as a task spawn (volatile).
+    /// A scheduling span such as a task spawn (volatile).  Nothing emits it
+    /// any more; it stays so older full-mode journals still parse.
     Span {
         /// Span name.
         name: String,
@@ -492,8 +510,8 @@ impl SpanCore {
     }
 
     /// Emits the session's terminal event, exactly once: the first caller —
-    /// in-future shed, owner finish, or owner drop — wins the CAS and later
-    /// attempts are no-ops.
+    /// shed, owner finish, or owner drop — wins the CAS and later attempts
+    /// are no-ops.
     fn emit_terminal(&self, outcome: SessionEnd) {
         if self
             .ended
@@ -514,13 +532,12 @@ impl SpanCore {
 
 /// The owner side of a session's journal span.
 ///
-/// The evaluation loop keeps the owner outside the session future (the future
-/// cannot know it timed out — the deadline drops it first) and calls
-/// [`SessionSpan::finish`] with the joined [`SessionOutcome`].  Dropping an
-/// unfinished span journals `Aborted`.  In-future events go through a cloned
-/// [`SpanHandle`].
+/// The case driver owns one per case and calls [`SessionSpan::finish`] once
+/// the case is judged.  Dropping an unfinished span journals `Aborted`.
+/// Events along the way go through the span itself, which dereferences to
+/// its [`SpanHandle`], or through a clone of that handle.
 pub struct SessionSpan {
-    core: Arc<SpanCore>,
+    handle: SpanHandle,
 }
 
 impl SessionSpan {
@@ -538,64 +555,69 @@ impl SessionSpan {
         telemetry: &TelemetryHandle,
         session: u64,
     ) -> Self {
+        let core = Arc::new(SpanCore {
+            tracer: tracer.clone(),
+            session,
+            seq: AtomicU32::new(0),
+            ended: AtomicBool::new(false),
+            started: Instant::now(),
+            wall: telemetry.histogram("session.span.wall", MetricClass::Volatile),
+        });
         Self {
-            core: Arc::new(SpanCore {
-                tracer: tracer.clone(),
-                session,
-                seq: AtomicU32::new(0),
-                ended: AtomicBool::new(false),
-                started: Instant::now(),
-                wall: telemetry.histogram("session.span.wall", MetricClass::Volatile),
-            }),
+            handle: SpanHandle { core },
         }
     }
 
     /// The session id the span journals under.
     pub fn session(&self) -> u64 {
-        self.core.session
+        self.handle.core.session
     }
 
     /// Wall-clock time since the span opened — the volatile half of the dual
     /// clock.  Never journaled; compare with [`SessionSpan::logical_now`].
     pub fn elapsed(&self) -> Duration {
-        self.core.started.elapsed()
+        self.handle.core.started.elapsed()
     }
 
     /// The [`logical_tick`] the span's *next* event would journal under — the
     /// deterministic half of the dual clock (a pure function of content and
     /// event count, identical at any driver count).
     pub fn logical_now(&self) -> u64 {
-        logical_tick(self.core.session, self.core.seq.load(Ordering::Relaxed))
+        logical_tick(
+            self.handle.core.session,
+            self.handle.core.seq.load(Ordering::Relaxed),
+        )
     }
 
-    /// A clonable handle for emitting events from inside the session future.
+    /// A clonable handle for emitting the session's events.
     pub fn handle(&self) -> SpanHandle {
-        SpanHandle {
-            core: Arc::clone(&self.core),
-        }
+        self.handle.clone()
     }
 
-    /// Journals the terminal event for the joined outcome (exactly once; a
-    /// terminal already emitted in-future — e.g. a shed — wins).
-    pub fn finish<T>(&self, outcome: &SessionOutcome<T>) {
-        let end = match outcome {
-            SessionOutcome::Completed(_) => SessionEnd::Completed,
-            SessionOutcome::TimedOut => SessionEnd::TimedOut,
-            SessionOutcome::Aborted => SessionEnd::Aborted,
-            SessionOutcome::Panicked => SessionEnd::Panicked,
-        };
-        self.core.emit_terminal(end);
+    /// Journals the `Completed` terminal (exactly once; a terminal already
+    /// emitted — e.g. a shed — wins).
+    pub fn finish(&self) {
+        self.handle.core.emit_terminal(SessionEnd::Completed);
+    }
+}
+
+/// The owner emits the session's events itself, too.
+impl std::ops::Deref for SessionSpan {
+    type Target = SpanHandle;
+
+    fn deref(&self) -> &SpanHandle {
+        &self.handle
     }
 }
 
 impl Drop for SessionSpan {
     fn drop(&mut self) {
-        // An owner dropped without `finish` means the session never joined.
-        self.core.emit_terminal(SessionEnd::Aborted);
+        // An owner dropped without `finish` means the session never finished.
+        self.handle.core.emit_terminal(SessionEnd::Aborted);
     }
 }
 
-/// The in-future side of a session span; clone freely.
+/// The event side of a session span; clone freely.
 #[derive(Clone)]
 pub struct SpanHandle {
     core: Arc<SpanCore>,
@@ -631,8 +653,8 @@ impl SpanHandle {
         self.core.emit(JournalEvent::Verdict { accepted, rejected });
     }
 
-    /// Journals the `Shed` terminal from inside the future (exactly once, even
-    /// if the owner later finishes the span).
+    /// Journals the `Shed` terminal (exactly once, even if the owner later
+    /// finishes the span).
     pub fn shed(&self) {
         self.core.emit_terminal(SessionEnd::Shed);
     }
@@ -935,8 +957,8 @@ mod tests {
         {
             let span = SessionSpan::new(&sink.handle(), 11);
             span.handle().phase(SessionPhase::Submitted);
-            span.finish(&SessionOutcome::Completed(5u32));
-            span.finish(&SessionOutcome::<u32>::Aborted);
+            span.finish();
+            span.finish();
         }
         let records = sink.drain_sorted();
         let terminals: Vec<&JournalRecord> = records
@@ -964,10 +986,10 @@ mod tests {
             }
         );
 
-        // In-future shed wins over a later owner finish.
+        // A shed wins over a later owner finish.
         let span = SessionSpan::new(&sink2.handle(), 13);
         span.handle().shed();
-        span.finish(&SessionOutcome::Completed(()));
+        span.finish();
         drop(span);
         let records = sink2.drain_sorted();
         assert_eq!(records.len(), 1);
@@ -990,7 +1012,7 @@ mod tests {
         // the registry.
         let plain = SessionSpan::new(&sink.handle(), 21);
         plain.handle().phase(SessionPhase::Submitted);
-        plain.finish(&SessionOutcome::Completed(()));
+        plain.finish();
         let plain_records = sink.drain_sorted();
 
         let dual = SessionSpan::with_telemetry(&sink.handle(), &telemetry, 21);
@@ -1001,7 +1023,7 @@ mod tests {
             dual.logical_now() > before,
             "logical clock advances with events"
         );
-        dual.finish(&SessionOutcome::Completed(()));
+        dual.finish();
         let dual_records = sink.drain_sorted();
 
         let render = |records: &[JournalRecord]| {
@@ -1028,7 +1050,7 @@ mod tests {
         span.handle().phase(SessionPhase::Submitted);
         span.handle().timing("candidates", 8);
         span.handle().verdict(3, 5);
-        span.finish(&SessionOutcome::Completed(()));
+        span.finish();
         let header = JournalHeader::expected("{\"recipe\":\"test\"}");
         let rendered = render_journal(&header, &sink.drain_sorted(), "payload bytes");
         let parsed = parse_journal(&rendered).expect("roundtrip parses");

@@ -36,21 +36,18 @@
 //!   pool and cache, behind one submit/await surface; a [`RoutePolicy`] places
 //!   each request (pinned, deterministic A/B split, or cheapest-first escalation
 //!   with verification-failure re-submits and a full attempt trail).
-//! * **Async session runtime** — a hand-rolled, dependency-free executor
-//!   ([`rt`]) plus a [`session::SessionEngine`] that drives each repair session
-//!   as a waker-scheduled state machine (submit → sampled → verify →
-//!   accept/escalate → done), so thousands of in-flight sessions multiplex over
-//!   a handful of driver threads instead of parking one OS thread per waiter.
-//!   Tickets are `Future`s, pool submission is non-blocking
-//!   (`submit_async`), and per-backend admission control sheds overload with a
-//!   deterministic [`SubmitError::Busy`].
+//! * **Admission control** — a pool with a `max_in_flight` limit sheds the
+//!   overflow with a deterministic [`SubmitError::Busy`] instead of queueing
+//!   it.  Submission is blocking and tickets are plain one-shot slots:
+//!   `assertsolver`'s case driver keeps every case in flight by submitting
+//!   them all before it waits on any.
 //! * **Structured session journal** — a typed-event observability layer
-//!   ([`journal`]): span hooks on the pools, the router and the session engine
-//!   record phases, rung attempts, verdict tallies and terminal outcomes into a
-//!   sharded sink with logical timestamps, rendered as a checksummed JSONL
-//!   artifact whose bytes are deterministic at any driver/worker count — a
-//!   replayable repro artifact, not just a log.  Off by default; the hot path
-//!   pays one branch.
+//!   ([`journal`]): span hooks on the pools, the router and each case's
+//!   session record phases, rung attempts, verdict tallies and terminal
+//!   outcomes into a sharded sink with logical timestamps, rendered as a
+//!   checksummed JSONL artifact whose bytes are deterministic at any
+//!   driver/worker count — a replayable repro artifact, not just a log.  Off
+//!   by default; the hot path pays one branch.
 //! * **Distributed shard fabric** — a versioned, checksummed, length-capped
 //!   frame protocol ([`wire`]) with loopback and unix-socket transports, a
 //!   [`ShardFleet`] client placing requests by content hash (per-shard caches
@@ -78,6 +75,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod env;
@@ -87,9 +85,7 @@ pub mod persist;
 pub mod pool;
 pub mod queue;
 pub mod route;
-pub mod rt;
 pub mod service;
-pub mod session;
 pub(crate) mod sync;
 pub mod telemetry;
 mod ticket;
@@ -100,13 +96,14 @@ pub mod wire;
 pub use cache::{case_key, verdict_key, CaseKey, LruCache, VerdictKey};
 pub use env::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_shard_sockets, env_telemetry,
-    env_trace, env_verify_workers, env_window_width, CACHE_DIR_ENV, DRIVERS_ENV, JOURNAL_DIR_ENV,
-    PROFILE_DIR_ENV, SHARD_SOCKETS_ENV, TELEMETRY_ENV, TRACE_ENV, WINDOW_WIDTH_ENV,
+    env_trace, env_verify_workers, env_window_width, CACHE_DIR_ENV, DEFAULT_DRIVERS, DRIVERS_ENV,
+    JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SHARD_SOCKETS_ENV, TELEMETRY_ENV, TRACE_ENV,
+    WINDOW_WIDTH_ENV,
 };
 pub use journal::{
     logical_tick, parse_journal, render_journal, write_journal, JournalCounters, JournalEvent,
     JournalFooter, JournalHeader, JournalMode, JournalRecord, JournalSink, JournalSpec,
-    ParsedJournal, SessionEnd, SessionSpan, SpanHandle, Tracer, TracerHandle,
+    ParsedJournal, SessionEnd, SessionPhase, SessionSpan, SpanHandle, Tracer, TracerHandle,
     JOURNAL_FORMAT_VERSION, JOURNAL_KIND, TERMINAL_SEQ,
 };
 pub use metrics::{indent_block, render_block, ServiceMetrics, VerifyMetrics};
@@ -116,17 +113,11 @@ pub use persist::{
 pub use queue::{ServiceClosed, SubmitError};
 pub use route::{
     ab_arm, BackendMetrics, BackendSpec, EscalationJudge, EscalationMetrics, JudgeReport,
-    ModelRouter, RouteAttempt, RouteMetrics, RouteOutcome, RoutePolicy, RouteSubmitFuture,
-    RouteTicket, RouterConfig,
+    ModelRouter, RouteAttempt, RouteMetrics, RouteOutcome, RoutePolicy, RouteTicket, RouterConfig,
 };
-pub use rt::{block_on, Runtime, TaskHandle};
 pub use service::{
     serve_scoped, RepairOutcome, RepairRequest, RepairService, RepairTicket, ScopedService,
-    ServiceConfig, SubmitFuture,
-};
-pub use session::{
-    SessionConfig, SessionEngine, SessionHandle, SessionMetrics, SessionMonitor, SessionOutcome,
-    SessionPhase, DEFAULT_DRIVERS,
+    ServiceConfig,
 };
 pub use telemetry::{
     percentile_from_buckets, ratio, CollapsedProfile, Metric, MetricClass, MetricKind,
@@ -137,7 +128,7 @@ pub use telemetry::{
 pub use trace::{stage, TraceContext, TraceForest, TraceHandle, TraceSessionSummary, TraceSpan};
 pub use verify::{
     verify_scoped, ResponseJudge, ScopedVerifier, VerdictOutcome, VerifyConfig, VerifyPool,
-    VerifyRequest, VerifySubmitFuture, VerifyTicket,
+    VerifyRequest, VerifyTicket,
 };
 pub use wire::{
     decode_frame, encode_frame, read_frame, shard_for_key, write_frame, FleetMetrics, FleetStats,

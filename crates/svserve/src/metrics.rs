@@ -115,7 +115,7 @@ impl MetricsRecorder {
     }
 
     /// Releases an in-flight slot for a submission that never became a job
-    /// (closed while enqueueing, or an async submit future dropped first).
+    /// (the pool closed while it waited for queue space).
     /// Saturating, so a stray release can never wrap the gauge.
     pub(crate) fn release_in_flight(&self) {
         let _ = self
@@ -390,10 +390,10 @@ pub struct ServiceMetrics {
     /// Highest single-shard depth observed at submit time.
     pub peak_queue_depth: usize,
     /// Requests admitted but not yet completed — the in-flight session gauge.
-    /// Admission happens before enqueueing, so this also counts submissions
-    /// parked awaiting queue space (it can exceed `submitted - completed`
-    /// while async submits are waiting, and drops back when they enqueue,
-    /// complete, or are abandoned).
+    /// Admission happens before enqueueing, so this also counts submitters
+    /// blocked awaiting queue space (it can exceed `submitted - completed`
+    /// while they wait, and drops back when they enqueue, complete, or are
+    /// refused at close).
     pub in_flight_sessions: usize,
     /// Highest concurrent in-flight count observed over the pool's lifetime.
     pub peak_in_flight_sessions: usize,

@@ -20,10 +20,9 @@
 //! * **Placement** — a job runs on shard `key.fold64() % workers`, a pure
 //!   function of request content, so per-shard caches are disjoint and results
 //!   are independent of worker count and arrival order.
-//! * **Backpressure and admission** — bounded shard queues block (or park, on
-//!   the async path) submitters; `max_in_flight` sheds with
-//!   [`SubmitError::Busy`]; a submission that never reaches a queue hands its
-//!   in-flight slot back, whether it failed or its future was dropped.
+//! * **Backpressure and admission** — bounded shard queues block submitters;
+//!   `max_in_flight` sheds with [`SubmitError::Busy`]; a submission that never
+//!   reaches a queue hands its in-flight slot back.
 //! * **Panic absorption** — panicking work fulfils its ticket with
 //!   [`Worker::failed`], is counted, is *not* cached (a retry reaches the
 //!   backend again), and leaves the worker serving its shard.
@@ -38,15 +37,12 @@ use crate::cache::{ContentKey, LruCache};
 use crate::journal::{JournalEvent, TracerHandle};
 use crate::metrics::MetricsRecorder;
 use crate::persist::{self, PersistSpec, SnapshotFile, SnapshotLoad};
-use crate::queue::{ServiceClosed, Shard, SubmitError};
+use crate::queue::{Shard, SubmitError};
 use crate::sync::lock_recover;
 use crate::telemetry::{Metric, MetricClass, TelemetryHandle, TelemetryWindows};
 use crate::ticket::TicketState;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -144,61 +140,11 @@ impl<O> Ticket<O> {
     }
 }
 
-impl<O> Future for Ticket<O> {
-    type Output = O;
-
-    /// Awaits the outcome without holding a thread: the worker's `fulfill`
-    /// wakes the registered task.
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<O> {
-        self.0.poll_take(cx.waker())
-    }
-}
-
 struct Job<W: Worker> {
     request: W::Request,
     key: Key<W>,
     enqueued_at: Instant,
     ticket: Arc<TicketState<W::Outcome>>,
-}
-
-/// Future returned by [`Pool::submit_async`]: resolves to the job's [`Ticket`]
-/// once the target shard has accepted it, parking on a waker (never a thread)
-/// while the shard is at capacity.
-///
-/// Dropping the future before it resolves abandons the submission and rolls
-/// back the admission slot it reserved, so a cancelled session cannot leak
-/// in-flight budget.
-pub struct SubmitFuture<'a, W: Worker> {
-    pool: &'a Pool<W>,
-    job: Option<Job<W>>,
-    shard: usize,
-    state: Arc<TicketState<W::Outcome>>,
-}
-
-// Nothing in the future is pinned in place; the job moves into the queue.
-impl<W: Worker> Unpin for SubmitFuture<'_, W> {}
-
-impl<W: Worker> Future for SubmitFuture<'_, W> {
-    type Output = Result<Ticket<W::Outcome>, ServiceClosed>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let pool = this.pool;
-        pool.shards[this.shard]
-            .poll_push(&mut this.job, &pool.closed, cx.waker())
-            .map(|pushed| pool.settle(pushed, &this.state))
-    }
-}
-
-impl<W: Worker> Drop for SubmitFuture<'_, W> {
-    fn drop(&mut self) {
-        // Still holding the job means it was never enqueued: release the
-        // admission slot reserved at `begin_submit`.  (Once enqueued, the
-        // worker releases it when the job completes.)
-        if self.job.is_some() {
-            self.pool.recorder.release_in_flight();
-        }
-    }
 }
 
 /// The engine: shard queues, shard caches, metrics and the lifecycle flag of
@@ -341,11 +287,10 @@ impl<W: Worker> Pool<W> {
         }
     }
 
-    /// Admission + job construction, shared by the blocking and async submit
-    /// paths.  On success the in-flight slot has been reserved; it is released
-    /// by the worker when the job completes, or rolled back by the caller if
-    /// the job never reaches a queue.  `max_in_flight = 0` admits without limit
-    /// (the slot is still counted).
+    /// Admission + job construction.  On success the in-flight slot has been
+    /// reserved; it is released by the worker when the job completes, or
+    /// rolled back by the caller if the job never reaches a queue.
+    /// `max_in_flight = 0` admits without limit (the slot is still counted).
     fn begin_submit(
         &self,
         request: W::Request,
@@ -395,36 +340,13 @@ impl<W: Worker> Pool<W> {
     ) -> Result<Ticket<W::Outcome>, SubmitError> {
         let job = self.begin_submit(request, max_in_flight)?;
         let state = Arc::clone(&job.ticket);
-        let pushed = self.shards[self.shard_for(job.key)].push_blocking(job, &self.closed);
-        Ok(self.settle(pushed, &state)?)
-    }
-
-    /// Settles a push attempt, blocking or polled: an enqueued job is counted
-    /// and yields its ticket; one that never reached a queue (the pool closed
-    /// first) hands its admission slot back.
-    fn settle(
-        &self,
-        pushed: Result<usize, ServiceClosed>,
-        state: &Arc<TicketState<W::Outcome>>,
-    ) -> Result<Ticket<W::Outcome>, ServiceClosed> {
-        let depth = pushed.inspect_err(|_| self.recorder.release_in_flight())?;
+        // A job that never reached a queue (the pool closed first) hands its
+        // admission slot back.
+        let depth = self.shards[self.shard_for(job.key)]
+            .push_blocking(job, &self.closed)
+            .inspect_err(|_| self.recorder.release_in_flight())?;
         self.recorder.record_submit(depth);
-        Ok(Ticket(Arc::clone(state)))
-    }
-
-    /// Non-blocking submit for async sessions: admission and shutdown are
-    /// checked eagerly (so a deterministic [`SubmitError::Busy`] surfaces
-    /// before any awaiting), and the returned future parks on the shard's
-    /// submit waker — not an OS thread — while the queue is at capacity.
-    /// Await it, then await the ticket.
-    pub fn submit_async(&self, request: W::Request) -> Result<SubmitFuture<'_, W>, SubmitError> {
-        let job = self.begin_submit(request, self.config.max_in_flight)?;
-        Ok(SubmitFuture {
-            pool: self,
-            shard: self.shard_for(job.key),
-            state: Arc::clone(&job.ticket),
-            job: Some(job),
-        })
+        Ok(Ticket(state))
     }
 
     /// Submits a whole workload and waits for every outcome, preserving input
@@ -737,20 +659,28 @@ pub(crate) mod contract {
             pool.submit(H::request(0, false)).err(),
             Some(SubmitError::Closed)
         );
-        assert_eq!(
-            pool.submit_async(H::request(1, false)).err(),
-            Some(SubmitError::Closed)
-        );
         assert_eq!(tally::<H>(&pool).in_flight, 0, "a refusal reserves nothing");
     }
 
-    pub(crate) fn a_dropped_submit_future_returns_its_slot<H: Harness>() {
-        let pool = H::pool(1, None);
-        let future = pool.submit_async(H::request(0, false)).unwrap();
-        assert_eq!(tally::<H>(&pool).in_flight, 1);
-        drop(future); // never polled, never enqueued
-        assert_eq!(tally::<H>(&pool).in_flight, 0);
-        assert_eq!(pool.queue_depth(), 0);
+    /// A submitter blocked on a full shard when the pool closes is refused
+    /// and hands back the admission slot it reserved; the queued jobs keep
+    /// theirs until served.
+    pub(crate) fn a_submit_refused_at_close_returns_its_slot<H: Harness>() {
+        let pool = H::pool(1, None); // no workers: nothing drains
+        let capacity = pool.config.shard_capacity;
+        for tag in 0..capacity {
+            pool.submit(H::request(tag, false)).unwrap();
+        }
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| pool.submit(H::request(capacity, false)).err());
+            while tally::<H>(&pool).in_flight <= capacity {
+                std::thread::yield_now();
+            }
+            pool.close();
+            assert_eq!(blocked.join().unwrap(), Some(SubmitError::Closed));
+        });
+        assert_eq!(tally::<H>(&pool).in_flight, capacity);
+        assert_eq!(pool.queue_depth(), capacity);
     }
 
     /// Panicking work fulfils its ticket with the failed value, is counted, is

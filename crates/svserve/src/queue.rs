@@ -1,23 +1,16 @@
-//! Bounded, sharded job queue with blocking *and* waker-based backpressure.
+//! Bounded, sharded job queue with blocking backpressure.
 //!
 //! Each worker owns one shard.  Requests are routed to a shard by content hash, so
 //! the mapping from case to worker is a pure function of the request — one of the two
 //! ingredients (with hash-derived seeds) that make service output independent of
-//! worker count and arrival order.  Backpressure comes in two shapes:
-//!
-//! * `Shard::push_blocking` parks the submitting OS thread while the shard is at
-//!   capacity — the original synchronous surface;
-//! * `Shard::try_push` + `Shard::register_submit_waker` are the async surface:
-//!   a full shard returns the job to the caller, which registers its task's waker
-//!   and yields; `Shard::drain_batch` wakes every registered submitter when it
-//!   frees capacity.  This is what lets thousands of sessions wait for queue space
-//!   without holding a driver thread each.
+//! worker count and arrival order.  `Shard::push_blocking` parks the submitting
+//! thread while the shard is at capacity, and `Shard::drain_batch` wakes it when
+//! a batch frees space.
 
 use crate::sync::{lock_recover, wait_timeout_recover};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::task::Waker;
 
 /// Error returned when submitting to a service that is shutting down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,24 +52,11 @@ impl From<ServiceClosed> for SubmitError {
     }
 }
 
-/// Outcome of a non-blocking push attempt.
-pub(crate) enum TryPush<T> {
-    /// Enqueued; carries the shard depth after the push.
-    Pushed(usize),
-    /// The shard is at capacity; the job comes back to the caller.
-    Full(T),
-    /// The service is shutting down; the job is dropped.
-    Closed,
-}
-
 /// One worker's bounded queue.
 pub(crate) struct Shard<T> {
     jobs: Mutex<VecDeque<T>>,
     not_empty: Condvar,
     not_full: Condvar,
-    /// Wakers of async submitters waiting for capacity; drained (and woken)
-    /// whenever a batch frees space or the shard is notified at shutdown.
-    submit_wakers: Mutex<Vec<Waker>>,
     capacity: usize,
 }
 
@@ -86,7 +66,6 @@ impl<T> Shard<T> {
             jobs: Mutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            submit_wakers: Mutex::new(Vec::new()),
             capacity: capacity.max(1),
         }
     }
@@ -122,53 +101,6 @@ impl<T> Shard<T> {
         Ok(depth)
     }
 
-    /// Non-blocking push: enqueues if there is capacity, otherwise hands the
-    /// job straight back so an async submitter can park on a waker instead of a
-    /// thread.
-    pub(crate) fn try_push(&self, job: T, closed: &AtomicBool) -> TryPush<T> {
-        if closed.load(Ordering::Acquire) {
-            return TryPush::Closed;
-        }
-        let mut jobs = lock_recover(&self.jobs);
-        if jobs.len() >= self.capacity {
-            return TryPush::Full(job);
-        }
-        jobs.push_back(job);
-        let depth = jobs.len();
-        drop(jobs);
-        self.not_empty.notify_one();
-        TryPush::Pushed(depth)
-    }
-
-    /// Registers an async submitter waiting for capacity.  The caller must
-    /// re-attempt [`Shard::try_push`] after registering (capacity may have been
-    /// freed in between — the classic lost-wakeup check).
-    ///
-    /// No dedup scan: every wake drains the whole list, so a parked task holds
-    /// at most one live entry (it only re-registers after being woken), and an
-    /// occasional duplicate from the re-check window costs one spurious wake —
-    /// cheaper than an O(parked) `will_wake` scan on every registration.
-    pub(crate) fn register_submit_waker(&self, waker: &Waker) {
-        lock_recover(&self.submit_wakers).push(waker.clone());
-    }
-
-    /// Wakes every registered async submitter (capacity freed, or shutdown).
-    ///
-    /// Deliberately wakes *all* of them rather than one-per-freed-slot: a woken
-    /// entry may belong to a cancelled session that will never re-push (and
-    /// will not wake a replacement), and if the queue drains empty no later
-    /// drain would wake the survivors — waking everyone keeps capacity from
-    /// idling next to parked submitters.  The cost is O(parked) per drain,
-    /// quadratic when parked ≫ capacity; that regime is a configuration smell
-    /// (bound it with `max_in_flight` admission control), and correctness wins
-    /// over a wake-accounting scheme with liveness holes.
-    fn wake_submitters(&self) {
-        let wakers: Vec<Waker> = lock_recover(&self.submit_wakers).drain(..).collect();
-        for waker in wakers {
-            waker.wake();
-        }
-    }
-
     /// Dequeues up to `max_batch` jobs in one lock acquisition, blocking while the
     /// shard is empty.  Returns an empty vector once the service is closed and the
     /// shard has drained — the worker's signal to exit.
@@ -179,10 +111,8 @@ impl<T> Shard<T> {
                 let take = jobs.len().min(max_batch.max(1));
                 let batch: Vec<T> = jobs.drain(..take).collect();
                 drop(jobs);
-                // Draining freed capacity: wake every blocked submitter, parked
-                // threads and parked tasks alike.
+                // Draining freed capacity: wake every blocked submitter.
                 self.not_full.notify_all();
-                self.wake_submitters();
                 return batch;
             }
             if closed.load(Ordering::Acquire) {
@@ -194,46 +124,10 @@ impl<T> Shard<T> {
         }
     }
 
-    /// One step of the async submit protocol, shared by every submit future
-    /// (`SubmitFuture`, `VerifySubmitFuture`, the router's escalate arm) so the
-    /// lost-wakeup guard lives in exactly one place: try to push; on a full
-    /// shard register the task's waker and try once more (capacity may have
-    /// been freed in between); still full → park the job back in `job` and
-    /// return `Pending`.
-    ///
-    /// `Ready(Ok(depth))` means the job was enqueued; `Ready(Err)` means the
-    /// service closed and the job was dropped (the caller owns any admission
-    /// rollback).
-    pub(crate) fn poll_push(
-        &self,
-        job: &mut Option<T>,
-        closed: &AtomicBool,
-        waker: &Waker,
-    ) -> std::task::Poll<Result<usize, ServiceClosed>> {
-        use std::task::Poll;
-        let item = job.take().expect("poll_push called after completion");
-        match self.try_push(item, closed) {
-            TryPush::Pushed(depth) => Poll::Ready(Ok(depth)),
-            TryPush::Closed => Poll::Ready(Err(ServiceClosed)),
-            TryPush::Full(item) => {
-                self.register_submit_waker(waker);
-                match self.try_push(item, closed) {
-                    TryPush::Pushed(depth) => Poll::Ready(Ok(depth)),
-                    TryPush::Closed => Poll::Ready(Err(ServiceClosed)),
-                    TryPush::Full(item) => {
-                        *job = Some(item);
-                        Poll::Pending
-                    }
-                }
-            }
-        }
-    }
-
     /// Wakes all waiters (used at shutdown).
     pub(crate) fn notify_all(&self) {
         self.not_empty.notify_all();
         self.not_full.notify_all();
-        self.wake_submitters();
     }
 }
 
@@ -280,50 +174,6 @@ mod tests {
         }
         assert_eq!(shard.drain_batch(4, &closed).len(), 4);
         assert_eq!(shard.len(), 6);
-    }
-
-    #[test]
-    fn try_push_returns_the_job_when_full_and_accepts_after_drain() {
-        let shard = Shard::new(1);
-        let closed = AtomicBool::new(false);
-        assert!(matches!(shard.try_push(1u32, &closed), TryPush::Pushed(1)));
-        let TryPush::Full(job) = shard.try_push(2u32, &closed) else {
-            panic!("full shard must hand the job back");
-        };
-        assert_eq!(job, 2);
-        assert_eq!(shard.drain_batch(4, &closed), vec![1]);
-        assert!(matches!(shard.try_push(job, &closed), TryPush::Pushed(1)));
-        closed.store(true, Ordering::Release);
-        assert!(matches!(shard.try_push(3u32, &closed), TryPush::Closed));
-    }
-
-    #[test]
-    fn draining_wakes_registered_submitters() {
-        let shard = Shard::new(1);
-        let closed = AtomicBool::new(false);
-        assert!(matches!(shard.try_push(1u32, &closed), TryPush::Pushed(1)));
-
-        // A future that parks on the shard until capacity frees up.
-        let push_when_free = std::future::poll_fn(|cx| match shard.try_push(9u32, &closed) {
-            TryPush::Pushed(depth) => std::task::Poll::Ready(depth),
-            TryPush::Full(_) => {
-                shard.register_submit_waker(cx.waker());
-                // Re-check after registering (lost-wakeup guard).
-                match shard.try_push(9u32, &closed) {
-                    TryPush::Pushed(depth) => std::task::Poll::Ready(depth),
-                    _ => std::task::Poll::Pending,
-                }
-            }
-            TryPush::Closed => unreachable!(),
-        });
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                assert_eq!(shard.drain_batch(4, &closed), vec![1]);
-            });
-            assert_eq!(crate::rt::block_on(push_when_free), 1);
-        });
-        assert_eq!(shard.len(), 1);
     }
 
     #[test]

@@ -42,17 +42,14 @@ use crate::cache::CaseKey;
 use crate::journal::{JournalEvent, TracerHandle};
 use crate::metrics::{indent_block, render_block, ServiceMetrics, VerifyMetrics};
 use crate::pool::Pool;
-use crate::queue::{ServiceClosed, Shard, SubmitError};
+use crate::queue::{Shard, SubmitError};
 use crate::service::{splitmix64, Repair, RepairRequest, ServiceConfig};
 use crate::telemetry::{Metric, MetricClass, TelemetryHandle};
 use crate::ticket::TicketState;
 use crate::trace::{stage, TraceHandle, TraceSpan};
 use serde::{Deserialize, Serialize};
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
 use std::time::Instant;
 use svmodel::{RepairModel, Response};
 
@@ -357,112 +354,11 @@ impl RouteTicket {
     }
 }
 
-impl Future for RouteTicket {
-    type Output = RouteOutcome;
-
-    /// Awaits the routed outcome without holding a thread; works for every
-    /// policy (direct tickets finalize on completion, escalated tickets are
-    /// fulfilled by a coordinator).
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<RouteOutcome> {
-        match &mut self.get_mut().inner {
-            TicketInner::Direct {
-                ticket,
-                backend,
-                name,
-                cost,
-            } => match Pin::new(ticket).poll(cx) {
-                Poll::Ready(outcome) => Poll::Ready(finalize_direct(
-                    outcome,
-                    *backend,
-                    std::mem::take(name),
-                    *cost,
-                )),
-                Poll::Pending => Poll::Pending,
-            },
-            TicketInner::Escalated(state) => state.poll_take(cx.waker()),
-        }
-    }
-}
-
 struct Backend {
     name: String,
     cost: u32,
     model: Arc<dyn RepairModel + Send + Sync>,
     pool: Arc<Pool<Repair>>,
-}
-
-enum RouteSubmitKind<'a> {
-    /// Pinned / A/B routes: the backend pool's own submit future.
-    Direct {
-        fut: crate::service::SubmitFuture<'a>,
-        backend: usize,
-        policy: RoutePolicy,
-    },
-    /// Escalate routes: a waker-parked push onto the escalation queue.
-    Escalate {
-        job: Option<EscalateJob>,
-        state: Arc<TicketState<RouteOutcome>>,
-    },
-}
-
-/// Future returned by [`ModelRouter::submit_async`]: resolves to the request's
-/// [`RouteTicket`] once the backend shard (direct policies) or the escalation
-/// queue has accepted the job, parking on a waker while at capacity.
-pub struct RouteSubmitFuture<'a> {
-    core: &'a RouterCore,
-    kind: RouteSubmitKind<'a>,
-}
-
-impl Future for RouteSubmitFuture<'_> {
-    type Output = Result<RouteTicket, ServiceClosed>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        match &mut this.kind {
-            RouteSubmitKind::Direct {
-                fut,
-                backend,
-                policy,
-            } => match Pin::new(fut).poll(cx) {
-                Poll::Ready(Ok(ticket)) => {
-                    // Counted only once the backend accepted the job, matching
-                    // the blocking path's accounting.
-                    let counter = match policy {
-                        RoutePolicy::AbSplit => &this.core.recorder.ab_split_requests,
-                        _ => &this.core.recorder.pinned_requests,
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    let spec = &this.core.backends[*backend];
-                    Poll::Ready(Ok(RouteTicket {
-                        inner: TicketInner::Direct {
-                            ticket,
-                            backend: *backend,
-                            name: spec.name.clone(),
-                            cost: spec.cost,
-                        },
-                    }))
-                }
-                Poll::Ready(Err(closed)) => Poll::Ready(Err(closed)),
-                Poll::Pending => Poll::Pending,
-            },
-            RouteSubmitKind::Escalate { job, state } => {
-                match this
-                    .core
-                    .queue
-                    .poll_push(job, &this.core.closed, cx.waker())
-                {
-                    Poll::Ready(Ok(_)) => {
-                        this.core.recorder.submitted.fetch_add(1, Ordering::Relaxed);
-                        Poll::Ready(Ok(RouteTicket {
-                            inner: TicketInner::Escalated(Arc::clone(state)),
-                        }))
-                    }
-                    Poll::Ready(Err(closed)) => Poll::Ready(Err(closed)),
-                    Poll::Pending => Poll::Pending,
-                }
-            }
-        }
-    }
 }
 
 struct EscalateJob {
@@ -881,57 +777,6 @@ impl ModelRouter {
             "pinned backend index {idx} out of range ({} backends)",
             self.core.backends.len()
         );
-    }
-
-    /// Non-blocking submit for async sessions: admission and shutdown are
-    /// checked eagerly (so [`SubmitError::Busy`] sheds deterministically before
-    /// any awaiting), and the returned future parks on a waker — never a
-    /// thread — while the backend shard or escalation queue is at capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`RoutePolicy::Pinned`] index is out of range.
-    pub fn submit_async(
-        &self,
-        request: RepairRequest,
-        policy: RoutePolicy,
-    ) -> Result<RouteSubmitFuture<'_>, SubmitError> {
-        if self.core.closed.load(Ordering::Acquire) {
-            return Err(SubmitError::Closed);
-        }
-        let direct =
-            |idx: usize, policy: RoutePolicy| -> Result<RouteSubmitFuture<'_>, SubmitError> {
-                let backend = &self.core.backends[idx];
-                Ok(RouteSubmitFuture {
-                    core: &self.core,
-                    kind: RouteSubmitKind::Direct {
-                        fut: backend.pool.submit_async(request.clone())?,
-                        backend: idx,
-                        policy,
-                    },
-                })
-            };
-        match policy {
-            RoutePolicy::Pinned(idx) => {
-                self.assert_backend_index(idx);
-                direct(idx, policy)
-            }
-            RoutePolicy::AbSplit => direct(ab_arm(request.key(), self.core.backends.len()), policy),
-            RoutePolicy::Escalate => {
-                let state = TicketState::new();
-                let job = EscalateJob {
-                    request,
-                    ticket: Arc::clone(&state),
-                };
-                Ok(RouteSubmitFuture {
-                    core: &self.core,
-                    kind: RouteSubmitKind::Escalate {
-                        job: Some(job),
-                        state,
-                    },
-                })
-            }
-        }
     }
 
     /// Submits a whole workload under one policy and waits for every outcome,

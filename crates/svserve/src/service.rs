@@ -171,9 +171,6 @@ pub struct RepairOutcome {
 /// Await-handle for a submitted request.
 pub type RepairTicket = pool::Ticket<RepairOutcome>;
 
-/// Future returned by the async submit paths; see [`pool::SubmitFuture`].
-pub type SubmitFuture<'a> = pool::SubmitFuture<'a, Repair>;
-
 /// A persistent repair service owning its model and worker pool.
 pub type RepairService<M> = Owned<Repair, M>;
 
@@ -336,6 +333,7 @@ where
 mod tests {
     use super::*;
     use crate::pool::contract::{self, Harness, Tally};
+    use crate::queue::SubmitError;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Deterministic test model: echoes a line number derived from case + seed, and
@@ -475,6 +473,62 @@ mod tests {
         assert!(metrics.throughput_per_sec > 0.0);
     }
 
+    /// [`CountingModel`] behind a gate the test opens: while it is shut every
+    /// worker blocks inside `solve`, so nothing completes and in-flight counts
+    /// are exact.
+    struct GatedModel {
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+        inner: CountingModel,
+    }
+
+    impl RepairModel for GatedModel {
+        fn name(&self) -> &str {
+            "gated"
+        }
+
+        fn solve(&self, case: &CaseInput, samples: usize, temp: f64, seed: u64) -> Vec<Response> {
+            let open = self.open.lock().unwrap();
+            drop(self.opened.wait_while(open, |open| !*open).unwrap());
+            self.inner.solve(case, samples, temp, seed)
+        }
+    }
+
+    #[test]
+    fn admission_sheds_exactly_the_overflow_deterministically() {
+        let model = Arc::new(GatedModel {
+            open: std::sync::Mutex::new(false),
+            opened: std::sync::Condvar::new(),
+            inner: CountingModel::new(),
+        });
+        let config = ServiceConfig::default().with_workers(2);
+        let service = RepairService::start(Arc::clone(&model), config.with_max_in_flight(64));
+        // Gate shut: nothing completes, so exactly the first 64 of 96
+        // submissions are admitted and the other 32 are shed.
+        let submits: Vec<_> = (0..96).map(|tag| service.submit(request(tag))).collect();
+        let busy = submits[64..].iter().map(|submit| submit.as_ref().err());
+        assert!(busy.into_iter().all(|err| err == Some(&SubmitError::Busy)));
+        let admitted: Vec<RepairTicket> =
+            submits.into_iter().take(64).map(Result::unwrap).collect();
+        let metrics = service.metrics();
+        assert_eq!((metrics.shed_busy, metrics.in_flight_sessions), (32, 64));
+
+        *model.open.lock().unwrap() = true;
+        model.opened.notify_all();
+        for ticket in admitted {
+            assert_eq!(ticket.wait().responses.len(), 4);
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.in_flight_sessions, 0);
+        assert_eq!((metrics.submitted, metrics.completed), (64, 64));
+        assert_eq!(metrics.peak_in_flight_sessions, 64);
+        assert!(metrics.render().contains("shed busy"));
+        // With the pool drained, admission has recovered.
+        let late = service.submit(request(96)).expect("slots free again");
+        assert_eq!(late.wait().responses.len(), 4);
+        service.shutdown();
+    }
+
     /// The repair instantiation, as the engine's contract tests drive it.
     struct RepairHarness;
 
@@ -529,8 +583,8 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_submit_future_returns_its_slot() {
-        contract::a_dropped_submit_future_returns_its_slot::<RepairHarness>();
+    fn a_submit_refused_at_close_returns_its_slot() {
+        contract::a_submit_refused_at_close_returns_its_slot::<RepairHarness>();
     }
 
     #[test]

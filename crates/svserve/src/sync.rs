@@ -1,14 +1,14 @@
 //! Poison-recovering lock helpers.
 //!
 //! Every pool in this crate already absorbs panics at the boundary where user
-//! code runs (`catch_unwind` around model solves, judge verdicts and task
-//! polls), so a panic that slips through while a `Mutex` is held — a panicking
-//! `Waker::wake`, a panicking `Drop` in a queued job — must not escalate into
-//! cascading `PoisonError` panics in *unrelated* threads that merely touch the
-//! same lock later.  None of the protected state carries cross-field
-//! invariants that a mid-update panic could break (queues of owned jobs,
-//! one-shot ticket slots, append-only journal buffers, ready lists), so
-//! recovering the guard is strictly better than poisoning the whole pool.
+//! code runs (`catch_unwind` around model solves and judge verdicts), so a
+//! panic that slips through while a `Mutex` is held — a panicking `Drop` in a
+//! queued job — must not escalate into cascading `PoisonError` panics in
+//! *unrelated* threads that merely touch the same lock later.  None of the
+//! protected state carries cross-field invariants that a mid-update panic
+//! could break (queues of owned jobs, one-shot ticket slots, append-only
+//! journal buffers), so recovering the guard is strictly better than
+//! poisoning the whole pool.
 //!
 //! All internal lock sites go through these helpers instead of
 //! `.lock().expect(..)`.

@@ -1,8 +1,8 @@
 //! Unified telemetry plane: one registry of counters, gauges and log-2-bucketed
 //! latency histograms shared by every subsystem in the serving stack.
 //!
-//! The five bespoke metrics snapshots (`ServiceMetrics`, `VerifyMetrics`,
-//! `RouteMetrics`, `SessionMetrics`, `FleetMetrics`) each grew their own ad-hoc
+//! The bespoke metrics snapshots (`ServiceMetrics`, `VerifyMetrics`,
+//! `RouteMetrics`, `FleetMetrics`) each grew their own ad-hoc
 //! counters and `render()` blocks; none of them could answer a latency
 //! *distribution* question (p50/p90/p99), and none of them could be asked over
 //! the wire.  This module is the common substrate underneath them:
@@ -10,9 +10,9 @@
 //! * **[`MetricsRegistry`]** — a process-wide (or per-fleet-shard) registry of
 //!   named metrics.  Registration is idempotent: the same hierarchical name
 //!   (`service.repair.queue_wait`, `verify.verdict.latency`,
-//!   `route.rung.<n>.cost`, `wire.frame.bytes`, `rt.poll.duration`) always
-//!   resolves to the same [`Metric`], so every subsystem can pre-register its
-//!   handles at pool start and record with lock-free atomics on the hot path.
+//!   `route.rung.<n>.cost`, `wire.frame.bytes`) always resolves to the same
+//!   [`Metric`], so every subsystem can pre-register its handles at pool
+//!   start and record with lock-free atomics on the hot path.
 //! * **[`Metric`]** — counter, gauge, or histogram.  Histograms bucket values
 //!   by `log2` (65 buckets cover the full `u64` range) and track the exact
 //!   maximum, so [`MetricSnapshot::percentile`] reports p50/p90/p99 with

@@ -1,103 +1,60 @@
-//! Shared submit/await ticket used by both worker pools and the router.
+//! Shared submit/wait ticket used by both worker pools and the router.
 //!
-//! A ticket is one slot guarded by a mutex, awaitable two ways:
+//! A ticket is one slot guarded by a mutex: the worker that serves a job
+//! deposits its outcome with [`TicketState::fulfill`], and the submitter
+//! either blocks on a condvar ([`TicketState::wait`]) or polls
+//! ([`TicketState::try_take`]).  The typed handles ([`crate::RepairTicket`],
+//! [`crate::VerifyTicket`], [`crate::RouteTicket`]) wrap it.
 //!
-//! * **Blocking** — [`TicketState::wait`] parks the calling OS thread on a
-//!   condvar until the outcome arrives (the original shape; one thread per
-//!   waiter).
-//! * **Async** — [`TicketState::poll_take`] registers the task's [`Waker`];
-//!   [`TicketState::fulfill`] wakes it, so thousands of waiting sessions cost a
-//!   stored waker each instead of a parked thread.  The typed handles
-//!   ([`crate::RepairTicket`], [`crate::VerifyTicket`], [`crate::RouteTicket`])
-//!   implement `Future` on top of this.
-//!
-//! A fulfilled ticket whose waiter has been dropped (a cancelled or expired
-//! session) is simply a slot nobody takes: the stored waker, if any, wakes a
-//! task whose future is already gone, which the runtime treats as a no-op.
+//! A fulfilled ticket whose waiter has been dropped is simply a slot nobody
+//! takes.
 
 use crate::sync::lock_recover;
 use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Poll, Waker};
-
-struct Inner<T> {
-    slot: Option<T>,
-    waker: Option<Waker>,
-}
 
 /// One-shot rendezvous between a submitter and the worker that serves its job.
 pub(crate) struct TicketState<T> {
-    inner: Mutex<Inner<T>>,
+    slot: Mutex<Option<T>>,
     ready: Condvar,
 }
 
 impl<T> TicketState<T> {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self {
-            inner: Mutex::new(Inner {
-                slot: None,
-                waker: None,
-            }),
+            slot: Mutex::new(None),
             ready: Condvar::new(),
         })
     }
 
-    /// Deposits the outcome, wakes the registered async waiter (if any) and
-    /// every blocking waiter.
+    /// Deposits the outcome and wakes every blocking waiter.
     pub(crate) fn fulfill(&self, outcome: T) {
-        let waker = {
-            let mut inner = lock_recover(&self.inner);
-            inner.slot = Some(outcome);
-            inner.waker.take()
-        };
+        *lock_recover(&self.slot) = Some(outcome);
         self.ready.notify_all();
-        if let Some(waker) = waker {
-            waker.wake();
-        }
     }
 
-    /// Blocks until the outcome arrives (the synchronous shim).
+    /// Blocks until the outcome arrives.
     pub(crate) fn wait(&self) -> T {
-        let mut inner = lock_recover(&self.inner);
+        let mut slot = lock_recover(&self.slot);
         loop {
-            if let Some(outcome) = inner.slot.take() {
+            if let Some(outcome) = slot.take() {
                 return outcome;
             }
-            inner = self
+            slot = self
                 .ready
-                .wait(inner)
+                .wait(slot)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 
     /// Non-blocking poll.
     pub(crate) fn try_take(&self) -> Option<T> {
-        lock_recover(&self.inner).slot.take()
-    }
-
-    /// Async poll: takes the outcome if it is there, otherwise stores the
-    /// task's waker (replacing any previous one — a ticket has one consumer)
-    /// for [`TicketState::fulfill`] to fire.
-    pub(crate) fn poll_take(&self, waker: &Waker) -> Poll<T> {
-        let mut inner = lock_recover(&self.inner);
-        match inner.slot.take() {
-            Some(outcome) => Poll::Ready(outcome),
-            None => {
-                match &mut inner.waker {
-                    Some(existing) if existing.will_wake(waker) => {}
-                    registered => *registered = Some(waker.clone()),
-                }
-                Poll::Pending
-            }
-        }
+        lock_recover(&self.slot).take()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::task::Context;
 
     #[test]
     fn fulfill_then_wait_round_trips() {
@@ -108,48 +65,26 @@ mod tests {
     }
 
     #[test]
-    fn poll_take_registers_a_waker_and_fulfill_fires_it() {
-        struct TicketFuture(Arc<TicketState<u32>>);
-        impl Future for TicketFuture {
-            type Output = u32;
-            fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u32> {
-                self.0.poll_take(cx.waker())
-            }
-        }
-
-        let state = TicketState::new();
-        let fulfiller = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                state.fulfill(9u32);
-            })
-        };
-        assert_eq!(crate::rt::block_on(TicketFuture(Arc::clone(&state))), 9);
-        fulfiller.join().unwrap();
-    }
-
-    #[test]
     fn fulfilling_a_ticket_with_a_dropped_waiter_is_a_no_op() {
         let state = TicketState::new();
-        // No waiter ever registered; fulfilling must not panic or leak a wake.
+        // No waiter ever blocked; fulfilling must not panic.
         state.fulfill(1u32);
         assert_eq!(state.try_take(), Some(1));
     }
 
     #[test]
     fn a_poisoned_ticket_still_round_trips() {
-        // Regression: a panic while the ticket mutex was held (e.g. a panicking
-        // waker clone) used to turn every later fulfill/wait on the same ticket
-        // into a `PoisonError` panic on an unrelated thread.
+        // Regression: a panic while the ticket mutex was held used to turn
+        // every later fulfill/wait on the same ticket into a `PoisonError`
+        // panic on an unrelated thread.
         let state: Arc<TicketState<u32>> = TicketState::new();
         let poisoner = Arc::clone(&state);
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.inner.lock().unwrap();
+            let _guard = poisoner.slot.lock().unwrap();
             panic!("poison the ticket lock");
         })
         .join();
-        assert!(state.inner.lock().is_err(), "the ticket lock is poisoned");
+        assert!(state.slot.lock().is_err(), "the ticket lock is poisoned");
         state.fulfill(5u32);
         assert_eq!(state.wait(), 5);
     }

@@ -178,9 +178,6 @@ pub struct VerdictOutcome {
 /// Await-handle for a submitted verdict job.
 pub type VerifyTicket = pool::Ticket<VerdictOutcome>;
 
-/// Future returned by the async submit paths; see [`pool::SubmitFuture`].
-pub type VerifySubmitFuture<'a, C> = pool::SubmitFuture<'a, Verify<C>>;
-
 /// A persistent verification pool owning its judge and workers.
 ///
 /// The judge is type-erased (`dyn ResponseJudge`) so callers can hold the pool in a
@@ -467,8 +464,8 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_submit_future_returns_its_slot() {
-        contract::a_dropped_submit_future_returns_its_slot::<VerifyHarness>();
+    fn a_submit_refused_at_close_returns_its_slot() {
+        contract::a_submit_refused_at_close_returns_its_slot::<VerifyHarness>();
     }
 
     #[test]

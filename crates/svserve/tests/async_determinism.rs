@@ -1,12 +1,13 @@
-//! End-to-end determinism of the async session runtime: `evaluate_model` and
-//! `evaluate_ladder` now drive every case as a waker-scheduled session on the
-//! `svserve` session engine, and the results must be byte-identical at any
-//! driver count (1/2/4/8), with warm or cold caches (in-memory and on-disk).
+//! End-to-end determinism of the case driver: `evaluate_model` and
+//! `evaluate_ladder` drive every case through submit → sample → verify →
+//! evaluate on `EvalConfig::drivers` threads, and the results must be
+//! byte-identical at any driver count (1/2/4/8), with warm or cold caches
+//! (in-memory and on-disk).
 //!
-//! Driver scheduling only changes *when* a session runs; everything a session
-//! produces is a pure function of request content (content-derived sampler
-//! seeds, content-hash shard placement, pure verdicts).  These tests pin that
-//! contract.
+//! The driver count only changes *which thread* drives a case and when;
+//! everything a case produces is a pure function of request content
+//! (content-derived sampler seeds, content-hash shard placement, pure
+//! verdicts).  These tests pin that contract.
 
 use assertsolver::{evaluate_ladder, evaluate_model, EvalConfig, LadderEvaluation};
 use std::sync::Arc;

@@ -1,28 +1,22 @@
-//! Journal behaviour on the failure paths: every way a session can die must
+//! Journal behaviour on the failure paths: every way a session can end must
 //! journal **exactly one** terminal event and leave the sink fully drainable.
 //!
 //! The contracts under test:
 //!
-//! * a **timed-out** session journals one `Terminal { TimedOut }` — emitted by
-//!   the owner span after the join, because the future itself is dropped by
-//!   the deadline and can never report;
-//! * a **cancelled** session journals one `Terminal { Aborted } `, whether the
-//!   owner calls `finish` with the joined outcome or merely drops the span;
-//! * a **shed** session journals one `Terminal { Shed }` from inside the
-//!   future, and the owner's later `finish` with the completed outcome does
-//!   not double-journal (first terminal wins);
+//! * a **shed** session journals one `Terminal { Shed }` when admission
+//!   refuses its submission, and the owner's later `finish` does not
+//!   double-journal (first terminal wins);
 //! * a **panicking judge** is absorbed into a failed verdict: the session
 //!   still journals one `Terminal { Completed }`, the panic surfaces as a
 //!   volatile `Panic` diagnostic, and nothing stays buffered after a drain.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 use svmodel::{CaseInput, RepairModel, Response};
 use svserve::{
     verdict_key, JournalEvent, JournalMode, JournalRecord, JournalSink, JournalSpec, RepairRequest,
-    RepairService, ServiceConfig, SessionConfig, SessionEnd, SessionEngine, SessionOutcome,
-    SessionSpan, SubmitError, VerifyConfig, VerifyPool, VerifyRequest, TERMINAL_SEQ,
+    RepairService, ServiceConfig, SessionEnd, SessionSpan, SubmitError, VerifyConfig, VerifyPool,
+    VerifyRequest, TERMINAL_SEQ,
 };
 
 struct Gate {
@@ -103,17 +97,6 @@ fn gated_service(gate: &Arc<Gate>, config: ServiceConfig) -> RepairService<Gated
     )
 }
 
-fn wait_until(deadline: Duration, mut predicate: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if predicate() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    predicate()
-}
-
 /// The terminal records of `session`, in drain order.
 fn terminals(records: &[JournalRecord], session: u64) -> Vec<SessionEnd> {
     records
@@ -137,135 +120,6 @@ fn assert_fully_drained(sink: &Arc<JournalSink>) {
 }
 
 #[test]
-fn timed_out_sessions_journal_exactly_one_terminal() {
-    let sink = JournalSink::shared(JournalSpec::default());
-    let tracer = sink.handle();
-    let gate = Gate::new();
-    let service = gated_service(&gate, ServiceConfig::default().with_workers(1));
-    let engine = SessionEngine::new(
-        SessionConfig::default()
-            .with_drivers(2)
-            .with_deadline(Duration::from_millis(40)),
-    );
-
-    let spans: Vec<SessionSpan> = (0..3)
-        .map(|tag| SessionSpan::new(&tracer, 100 + tag as u64))
-        .collect();
-    let sessions: Vec<_> = (0..3)
-        .map(|tag| {
-            let service = &service;
-            let handle = spans[tag].handle();
-            async move {
-                let ticket = service
-                    .submit_async(request(tag))
-                    .expect("pool open")
-                    .await
-                    .expect("pool open");
-                let outcome = ticket.await;
-                // Dropped by the deadline before this point: the phase below
-                // must never be journaled for a timed-out session.
-                handle.timing("samples", outcome.responses.len() as u64);
-                outcome.responses.len()
-            }
-        })
-        .collect();
-    let outcomes = engine.run_all(sessions);
-    assert!(outcomes.iter().all(|o| *o == SessionOutcome::TimedOut));
-    for (span, outcome) in spans.iter().zip(&outcomes) {
-        span.finish(outcome);
-    }
-    // Finishing twice must not double-journal.
-    for (span, outcome) in spans.iter().zip(&outcomes) {
-        span.finish(outcome);
-    }
-    drop(spans); // drop after finish must not add an Aborted terminal
-
-    let records = sink.drain_sorted();
-    for tag in 0..3u64 {
-        assert_eq!(
-            terminals(&records, 100 + tag),
-            vec![SessionEnd::TimedOut],
-            "session {tag} must journal exactly one TimedOut terminal"
-        );
-    }
-    assert_eq!(
-        records.len(),
-        3,
-        "timed-out sessions journal nothing but their terminals"
-    );
-    assert_fully_drained(&sink);
-
-    gate.open();
-    assert!(wait_until(Duration::from_secs(10), || {
-        service.metrics().in_flight_sessions == 0
-    }));
-    service.shutdown();
-}
-
-#[test]
-fn cancelled_sessions_journal_exactly_one_aborted_terminal() {
-    let sink = JournalSink::shared(JournalSpec::default());
-    let tracer = sink.handle();
-    let gate = Gate::new();
-    let service = gated_service(&gate, ServiceConfig::default().with_workers(1));
-    let engine = SessionEngine::new(SessionConfig::default().with_drivers(2));
-
-    let spans: Vec<SessionSpan> = (0..2)
-        .map(|tag| SessionSpan::new(&tracer, 200 + tag as u64))
-        .collect();
-    let started = Arc::new(AtomicUsize::new(0));
-    engine.runtime().scope(|scope| {
-        let handles: Vec<_> = (0..2)
-            .map(|tag| {
-                let service = &service;
-                let started = Arc::clone(&started);
-                engine.spawn_session(scope, async move {
-                    started.fetch_add(1, Ordering::SeqCst);
-                    let ticket = service
-                        .submit_async(request(tag))
-                        .expect("pool open")
-                        .await
-                        .expect("pool open");
-                    ticket.await.responses.len()
-                })
-            })
-            .collect();
-        assert!(wait_until(Duration::from_secs(10), || {
-            started.load(Ordering::SeqCst) == 2
-        }));
-        for handle in &handles {
-            handle.cancel();
-        }
-        // Owner 0 finishes with the joined outcome; owner 1 just drops its
-        // span — both paths must journal exactly one Aborted terminal.
-        for (tag, handle) in handles.into_iter().enumerate() {
-            let outcome = handle.join();
-            assert_eq!(outcome, SessionOutcome::Aborted);
-            if tag == 0 {
-                spans[0].finish(&outcome);
-            }
-        }
-        gate.open();
-    });
-    drop(spans);
-
-    let records = sink.drain_sorted();
-    for tag in 0..2u64 {
-        assert_eq!(
-            terminals(&records, 200 + tag),
-            vec![SessionEnd::Aborted],
-            "session {tag} must journal exactly one Aborted terminal"
-        );
-    }
-    assert_fully_drained(&sink);
-
-    assert!(wait_until(Duration::from_secs(10), || {
-        service.metrics().in_flight_sessions == 0
-    }));
-    service.shutdown();
-}
-
-#[test]
 fn shed_sessions_journal_one_shed_terminal_that_wins_over_finish() {
     let sink = JournalSink::shared(JournalSpec::default());
     let tracer = sink.handle();
@@ -276,45 +130,29 @@ fn shed_sessions_journal_one_shed_terminal_that_wins_over_finish() {
             .with_workers(2)
             .with_max_in_flight(4),
     );
-    let engine = SessionEngine::new(SessionConfig::default().with_drivers(4));
 
+    // Gate shut: nothing completes, so exactly 4 of 10 submissions are
+    // admitted and the other 6 shed.
     let spans: Vec<SessionSpan> = (0..10)
         .map(|tag| SessionSpan::new(&tracer, 300 + tag as u64))
         .collect();
-    let sessions: Vec<_> = (0..10)
-        .map(|tag| {
-            let service = &service;
-            let handle = spans[tag].handle();
-            async move {
-                match service.submit_async(request(tag)) {
-                    Ok(submit) => {
-                        let ticket = submit.await.expect("pool open");
-                        ticket.await;
-                        "served"
-                    }
-                    Err(SubmitError::Busy) => {
-                        handle.shed();
-                        "shed"
-                    }
-                    Err(SubmitError::Closed) => panic!("pool must be open"),
-                }
-            }
-        })
-        .collect();
-    let outcomes = std::thread::scope(|s| {
-        s.spawn(|| {
-            assert!(wait_until(Duration::from_secs(10), || {
-                let m = service.metrics();
-                m.in_flight_sessions == 4 && m.shed_busy == 6
-            }));
-            gate.open();
-        });
-        engine.run_all(sessions)
-    });
-    // Every future completed (with "served" or "shed"); the owner finish must
-    // not overwrite an in-future Shed terminal.
-    for (span, outcome) in spans.iter().zip(&outcomes) {
-        span.finish(outcome);
+    let mut tickets = Vec::new();
+    for (tag, span) in spans.iter().enumerate() {
+        match service.submit(request(tag)) {
+            Ok(ticket) => tickets.push(ticket),
+            Err(SubmitError::Busy) => span.handle().shed(),
+            Err(SubmitError::Closed) => panic!("pool must be open"),
+        }
+    }
+    let metrics = service.metrics();
+    assert_eq!((metrics.in_flight_sessions, metrics.shed_busy), (4, 6));
+    gate.open();
+    for ticket in tickets {
+        ticket.wait();
+    }
+    // The owner finish must not overwrite a Shed terminal.
+    for span in &spans {
+        span.finish();
     }
     drop(spans);
 
@@ -382,7 +220,7 @@ fn judge_panic_journals_a_diagnostic_and_a_single_completed_terminal() {
         !bad.wait().verdict,
         "absorbed panic serves a failed verdict"
     );
-    span.finish(&SessionOutcome::Completed(()));
+    span.finish();
     drop(span);
 
     assert_eq!(verifier.metrics().verdict_panics, 1);
