@@ -83,8 +83,8 @@ pub fn prof(mut flags: Flags) -> Outcome {
 /// Runs the quick protocol over the human-crafted corpus with the trace
 /// plane on and prints the reconstructed trace forest: one tree per repair
 /// session, `session` at the root, `submit`/`sample`/`verify`/`evaluate`
-/// (and `rung.N` under a router) below it, each line carrying the span's
-/// logical start tick, content-derived units and wall-clock nanoseconds.
+/// below it, each line carrying the span's logical start tick,
+/// content-derived units and wall-clock nanoseconds.
 /// With `--sockets` the same evaluation runs against a live `shard-serve`
 /// fleet instead: the shard-side `sample` spans travel back in `TraceReply`
 /// frames and merge into the driver's tree, so the printed forest is the

@@ -8,20 +8,20 @@
 use crate::passk::PassK;
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry as BTreeEntry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use svdata::SvaBugEntry;
 use svmodel::{CaseInput, RepairModel, Response};
 use svserve::env::path_knob;
 use svserve::persist::{fnv64, write_atomic};
+use svserve::service::splitmix64;
 use svserve::stage as trace_stage;
 use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
-    verdict_key, write_journal, BackendSpec, CaseKey, CollapsedProfile, JournalHeader, JournalSink,
-    JournalSpec, JudgeReport, MetricClass, ModelRouter, PersistSpec, RepairRequest, RepairTicket,
-    RouteAttempt, RouteMetrics, RoutePolicy, RouteTicket, RouterConfig, ScopedService,
-    ServiceConfig, SessionPhase, SessionSpan, ShardFleet, TelemetryHandle, TraceContext,
+    verdict_key, write_journal, CaseKey, CollapsedProfile, JournalHeader, JournalSink, JournalSpec,
+    MetricClass, PersistSpec, RepairRequest, RepairTicket, ScopedService, ServiceConfig,
+    ServiceMetrics, SessionPhase, SessionSpan, ShardFleet, TelemetryHandle, TraceContext,
     TraceHandle, TraceSpan, TracerHandle, VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool,
     VerifyRequest, VerifyTicket, DEFAULT_COMPACT_AFTER_RUNS, DEFAULT_DRIVERS, JOURNAL_DIR_ENV,
     SHARD_SOCKETS_ENV,
@@ -857,16 +857,11 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             EvalVerifier::start_instrumented(self.config, tracer.clone(), &self.telemetry)
         });
         let verifier = self.verifier.or(owned.as_ref()).expect("a verifier");
-        let mut stages = StageClock {
-            telemetry: &self.telemetry,
-            clock: Instant::now(),
-            laps: 0,
-            profile: CollapsedProfile::new(),
-        };
-        let results = self.sample(verifier, &tracer, &mut stages);
+        let mut stages = StageClock::start(&self.telemetry);
+        let (judged, _) = self.sample(verifier, &tracer, &mut stages);
         let evaluation = ModelEvaluation {
             model: self.model.name().to_string(),
-            results,
+            results: judged.into_iter().map(|(result, _)| result).collect(),
         };
         // Workload tallies are pure functions of `(model, corpus, protocol)` —
         // the registry's deterministic plane, byte-stable at any driver/worker
@@ -901,28 +896,29 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
 
     /// Samples and judges every case on the one case driver ([`drive_cases`])
     /// as the run's `sessions` stage: on the fleet when one is set, else on an
-    /// in-process repair pool.
+    /// in-process repair pool, whose metrics are taken once the cases are done.
     fn sample(
         &self,
         verifier: &EvalVerifier,
         tracer: &TracerHandle,
         stages: &mut StageClock,
-    ) -> Vec<CaseResult> {
+    ) -> (Vec<Judged>, Option<ServiceMetrics>) {
         let mut drive = |sampler: Sampler<'_>| {
             stages.lap();
             let judged = drive_cases(sampler, verifier, self.entries, self.config, &self.trace);
             stages.lap();
-            judged.into_iter().map(|(result, _)| result).collect()
+            judged
         };
         if let Some(fleet) = self.fleet {
-            return drive(Sampler::Fleet(fleet));
+            return (drive(Sampler::Fleet(fleet)), None);
         }
         let service_config = (self.config)
             .service_config_for(&self.model.identity())
             .with_tracer(tracer.clone())
             .with_telemetry(self.telemetry.clone());
         serve_scoped(self.model, service_config, |service| {
-            drive(Sampler::Local(service, tracer, &self.telemetry))
+            let judged = drive(Sampler::Local(service, tracer, &self.telemetry));
+            (judged, Some(service.metrics()))
         })
     }
 
@@ -973,7 +969,16 @@ struct StageClock<'t> {
     profile: CollapsedProfile,
 }
 
-impl StageClock<'_> {
+impl<'t> StageClock<'t> {
+    fn start(telemetry: &'t TelemetryHandle) -> Self {
+        Self {
+            telemetry,
+            clock: Instant::now(),
+            laps: 0,
+            profile: CollapsedProfile::new(),
+        }
+    }
+
     fn lap(&mut self) {
         let now = Instant::now();
         let elapsed = now.duration_since(self.clock);
@@ -999,16 +1004,15 @@ enum Sampler<'s> {
     Local(&'s ScopedService<'s>, &'s TracerHandle, &'s TelemetryHandle),
     /// A remote shard fleet, whose submit blocks for the answer.
     Fleet(&'s ShardFleet),
-    /// A model router placing each request under one policy.
-    Router(&'s ModelRouter, RoutePolicy),
 }
 
-/// One case's result and routed attempts.
-type Judged = (CaseResult, Vec<RouteAttempt>);
+/// One case's result and its number of distinct candidates.
+type Judged = (CaseResult, usize);
 
 /// The one case driver: every case of `entries` through `sampler`, judged on
 /// `verifier`, its trace laps into `trace`; returns each case's result and
-/// routed attempts in corpus order (a degraded fleet case is `n = c = 0`).
+/// distinct-candidate count in corpus order (a degraded fleet case is
+/// `n = c = 0` with no candidates).
 ///
 /// Each of `min(drivers, cases)` threads takes a strided share (thread `t`:
 /// cases `t, t + threads, …`; the caller's thread when there is one) through
@@ -1057,12 +1061,11 @@ fn drive_cases(
 /// and so is made when the samples are due.
 enum Pending<'s> {
     Repair(RepairTicket),
-    Routed(RouteTicket),
     Fleet(&'s ShardFleet, RepairRequest),
 }
 
-/// A case's sample count, routed attempts and `(multiplicity, ticket)` jobs.
-type Submitted = (usize, Vec<RouteAttempt>, Vec<(usize, VerifyTicket)>);
+/// A case's sample count and `(multiplicity, ticket)` jobs.
+type Submitted = (usize, Vec<(usize, VerifyTicket)>);
 
 /// One case between the driver's stages.  Its span gets the journal phases
 /// and its trace the laps, each covering the time since the previous one, so
@@ -1094,9 +1097,6 @@ impl CaseRun {
                 span = Some(SessionSpan::with_telemetry(tracer, telemetry, key.fold64()));
                 Pending::Repair(service.submit(request).expect(OPEN))
             }
-            Sampler::Router(router, policy) => {
-                Pending::Routed(router.submit(request, policy).expect(OPEN))
-            }
             Sampler::Fleet(fleet) => Pending::Fleet(fleet, request),
         };
         let (case, root) = (Arc::new(entry.clone()), trace.root(key));
@@ -1116,12 +1116,8 @@ impl CaseRun {
     /// Stage 2: takes the case's samples and submits its distinct candidates
     /// for judgement; `None` for a degraded fleet case.
     fn fan_out(mut self, pending: Pending, verifier: &EvalVerifier) -> (Self, Option<Submitted>) {
-        let (responses, attempts) = match pending {
-            Pending::Repair(ticket) => (ticket.wait().responses, Vec::new()),
-            Pending::Routed(ticket) => {
-                let outcome = ticket.wait();
-                (outcome.responses, outcome.attempts)
-            }
+        let responses = match pending {
+            Pending::Repair(ticket) => ticket.wait().responses,
             Pending::Fleet(fleet, request) => {
                 let outcome = match &self.root {
                     Some(ctx) => fleet.submit_traced(&request, ctx).map(|(outcome, spans)| {
@@ -1133,29 +1129,27 @@ impl CaseRun {
                 let Ok(outcome) = outcome else {
                     return (self, None);
                 };
-                (Arc::new(outcome.responses), Vec::new())
+                Arc::new(outcome.responses)
             }
         };
         let n = responses.len();
         self.journal(|span| span.phase(SessionPhase::Sampled));
-        if attempts.len() > 1 {
-            self.journal(|span| span.phase(SessionPhase::Escalated));
-        }
         self.journal(|span| span.timing("samples", n as u64));
         self.lap("sample", trace_stage::SAMPLE, n);
         let submitted = fan_out_candidates(verifier, &self.case, &responses);
         self.journal(|span| span.phase(SessionPhase::Verifying));
         self.journal(|span| span.timing("distinct-candidates", submitted.len() as u64));
         self.lap("verify", trace_stage::VERIFY, submitted.len());
-        (self, Some((n, attempts, submitted)))
+        (self, Some((n, submitted)))
     }
 
     /// Stage 3: folds the case's verdicts, closes its span and hands its
     /// trace laps to `trace`, the `session` root last.
     fn judge(mut self, submitted: Option<Submitted>, trace: &TraceHandle) -> Judged {
-        let Some((n, attempts, submitted)) = submitted else {
-            return (build_case_result(&self.case, 0, 0), Vec::new());
+        let Some((n, submitted)) = submitted else {
+            return (build_case_result(&self.case, 0, 0), 0);
         };
+        let distinct = submitted.len();
         let c = judge_submitted(submitted);
         self.journal(|span| span.verdict(c as u64, n.saturating_sub(c) as u64));
         self.journal(|span| span.phase(SessionPhase::Done));
@@ -1167,7 +1161,7 @@ impl CaseRun {
             trace.extend(std::mem::take(&mut self.laps));
         }
         self.span.iter().for_each(SessionSpan::finish);
-        (build_case_result(&self.case, n, c), attempts)
+        (build_case_result(&self.case, n, c), distinct)
     }
 
     fn journal(&self, event: impl Fn(&SessionSpan)) {
@@ -1184,7 +1178,7 @@ impl CaseRun {
     }
 }
 
-/// The panic message for a pool or router that closed mid-evaluation.
+/// The panic message for a pool that closed mid-evaluation.
 const OPEN: &str = "serving pool open during evaluation";
 
 /// Dedups one case's candidates and submits the distinct ones for judgement,
@@ -1243,67 +1237,101 @@ fn build_case_result(entry: &SvaBugEntry, n: usize, c: usize) -> CaseResult {
     }
 }
 
-/// One case's escalation record: which rungs ran, what each one's judge said.
+/// Salt mixed into the A/B arm hash so arm assignment decorrelates from shard
+/// placement (both start from the same 64-bit key fold).
+const AB_SALT: u64 = 0xAB5E_C0DE_5EED_0A2B;
+
+/// The deterministic A/B arm for a request key over `arms` models.
+///
+/// A salted hash of the request content modulo the model count, so the split
+/// is reproducible and independent of worker counts, shard capacities and
+/// arrival order.
+pub fn ab_arm(key: CaseKey, arms: usize) -> usize {
+    (splitmix64(key.fold64() ^ AB_SALT) % arms.max(1) as u64) as usize
+}
+
+/// One rung of a case's escalation trail: which model ran, what its
+/// candidates scored.  Every field is a pure function of request content.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LadderAttempt {
+    /// Model display name.
+    pub backend: String,
+    /// The model's ladder cost ([`RepairModel::cost`]).
+    pub cost: u32,
+    /// Whether the rung's candidates were judged; always `true`.
+    pub judged: bool,
+    /// Distinct candidates judged (identical fixes collapse to one verdict).
+    pub distinct_candidates: usize,
+    /// Candidates judged correct, with multiplicity: the rung's `c`.
+    pub correct_candidates: usize,
+    /// Whether escalation stopped here: the rung solved the case, or it is
+    /// the last one.
+    pub terminal: bool,
+}
+
+/// One case's escalation record: which rungs ran, what each one scored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EscalationTrail {
     /// Module the case came from.
     pub module_name: String,
     /// One judged attempt per rung tried, in ladder (cheapest-first) order.
-    pub attempts: Vec<RouteAttempt>,
+    pub attempts: Vec<LadderAttempt>,
 }
 
-/// The pure evaluation data of one ladder run: per-model and per-policy
-/// [`ModelEvaluation`]s plus the per-case escalation trails.
+/// The pure evaluation data of one ladder run: per-model, A/B-split and
+/// escalation [`ModelEvaluation`]s plus the per-case escalation trails.
 ///
 /// Everything here is a deterministic function of `(models, corpus, config)` —
 /// byte-identical at any worker count and with warm or cold caches — which is
-/// what the route-determinism suite asserts on.
+/// what the ladder-determinism suite asserts on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LadderEvaluation {
-    /// One evaluation per model, in registration order (served via
-    /// [`RoutePolicy::Pinned`]).
+    /// One evaluation per model, in registration order.
     pub per_model: Vec<ModelEvaluation>,
-    /// The deterministic [`RoutePolicy::AbSplit`] evaluation: each case is
-    /// answered by its content-hash arm.
+    /// The A/B split: each case is answered by its content-hash arm
+    /// ([`ab_arm`]).
     pub ab_split: ModelEvaluation,
-    /// The [`RoutePolicy::Escalate`] evaluation: each case is answered by the
-    /// first (cheapest) rung whose candidates pass verification; `c` is that
-    /// terminal rung's correct count.
+    /// Escalation: each case is answered by the first (cheapest) rung with a
+    /// correct candidate, else by the last rung; `c` is that rung's.
     pub escalate: ModelEvaluation,
     /// Per-case escalation trails, aligned with the corpus order.
     pub trails: Vec<EscalationTrail>,
 }
 
-/// Everything [`evaluate_ladder`] produces: the pure evaluation data plus the
-/// router/verify metrics snapshot (per-backend throughput and cache hit rates,
-/// escalation depth histogram, verdict-triggered re-submits).
+/// Everything [`evaluate_ladder`] produces: the pure evaluation data plus
+/// each pool's metrics snapshot.
 pub struct LadderReport {
     /// The deterministic evaluation data.
     pub evaluation: LadderEvaluation,
-    /// The observability snapshot (not part of the determinism contract).
-    pub metrics: RouteMetrics,
-    /// Backend indices in escalation (cheapest-first) order.
+    /// Each model's repair-pool metrics, in registration order, taken once
+    /// its pass has judged every case (not part of the determinism contract).
+    pub metrics: Vec<ServiceMetrics>,
+    /// The shared verify pool's final metrics.
+    pub verify: VerifyMetrics,
+    /// Model indices in escalation (cheapest-first) order.
     pub ladder: Vec<usize>,
 }
 
-/// Evaluates a ladder of models over a corpus in one pass: per-model (pinned),
-/// A/B-split and escalation [`ModelEvaluation`]s, plus per-case attempt trails
-/// and the full per-route metrics.
+/// Evaluates a ladder of models over a corpus: per-model, A/B-split and
+/// escalation [`ModelEvaluation`]s, plus per-case escalation trails.
 ///
-/// All models are served concurrently by one [`ModelRouter`] — each backend
-/// keeps its own sharded pool and response cache (persisted under its own model
-/// identity when [`EvalConfig::cache_dir`] resolves) — and all verification
-/// flows through one shared [`EvalVerifier`], so the pinned pass warms exactly
-/// the caches the A/B and escalation passes replay.  The escalation policy
-/// walks backends cheapest-first ([`RepairModel::cost`]) and re-submits on
-/// failed verdicts; its `ModelEvaluation` therefore dominates the cheapest
-/// rung's own evaluation case-for-case, which is the serving-side payoff the
-/// routing layer exists for.
+/// Each model is sampled once, in registration order, by the same case-driver
+/// pass [`Evaluation`] runs — its own repair pool and response cache
+/// (persisted under its own identity when [`EvalConfig::cache_dir`]
+/// resolves), all judged by one shared [`EvalVerifier`].  The A/B split and
+/// escalation are then folds over those per-model results: a case's A/B
+/// result is its [`ab_arm`]'s, and escalation walks the models cheapest-first
+/// (by `(`[`RepairModel::cost`]`, index)`), stopping at the first rung whose
+/// `c` is non-zero.  Sampling is content-seeded and verdicts are pure, so
+/// serving a case again on the rung it was pinned to could only replay the
+/// same responses and verdicts.  Each case's escalation is decided by its own
+/// `c`: corpus entries that share case content but not a golden fix are each
+/// judged against their own.
 ///
 /// Determinism: [`LadderReport::evaluation`] is byte-identical at any
 /// [`EvalConfig::workers`] / [`EvalConfig::verify_workers`] /
 /// [`EvalConfig::drivers`] setting and with warm or cold caches (in-memory or
-/// on-disk), for every policy.
+/// on-disk).
 ///
 /// # Panics
 ///
@@ -1314,96 +1342,54 @@ pub fn evaluate_ladder(
     config: &EvalConfig,
 ) -> LadderReport {
     assert!(!models.is_empty(), "ladder needs at least one model");
-    let verifier = Arc::new(EvalVerifier::start(config));
-    let requests = entries.iter().map(|entry| request_for(entry, config));
-    // The escalation judge: maps a routed request back to its corpus entry
-    // and judges the candidates on the shared verifier — pure in `(request,
-    // responses)` because verdicts are pure.  Corpus entries with
-    // byte-identical case content share one map slot (the router sees only
-    // request content), so on such twins the *routing* decision is judged
-    // against one golden fix; the reported `c` stays truthful because each
-    // session re-judges its terminal responses against its own entry.  A
-    // request the evaluation never registered rejects every rung.
-    let by_key: HashMap<CaseKey, Arc<SvaBugEntry>> = (requests.zip(entries))
-        .map(|(request, entry)| (request.key(), Arc::new(entry.clone())))
-        .collect();
-    let judge_verifier = Arc::clone(&verifier);
-    let judge = move |request: &RepairRequest, responses: &[Response]| {
-        let (mut distinct, mut correct) = (0, 0);
-        if let Some(case) = by_key.get(&request.key()) {
-            let submitted = fan_out_candidates(&judge_verifier, case, responses);
-            distinct = submitted.len();
-            correct = judge_submitted(submitted);
-        }
-        JudgeReport { distinct, correct }
-    };
-    let backends: Vec<BackendSpec> = models
-        .iter()
+    let verifier = EvalVerifier::start(config);
+    let (passes, metrics): (Vec<Vec<Judged>>, Vec<ServiceMetrics>) = (models.iter())
         .map(|model| {
-            BackendSpec::new(
-                Arc::clone(model),
-                config.service_config_for(&model.identity()),
-            )
+            let pass = Evaluation::new(&**model, entries, config);
+            let mut stages = StageClock::start(&pass.telemetry);
+            let (judged, metrics) = pass.sample(&verifier, &TracerHandle::off(), &mut stages);
+            (judged, metrics.expect("an in-process pass"))
+        })
+        .unzip();
+    let verify = verifier.shutdown();
+    let mut ladder: Vec<usize> = (0..models.len()).collect();
+    ladder.sort_by_key(|&idx| (models[idx].cost(), idx));
+
+    let result = |idx: usize, case: usize| passes[idx][case].0.clone();
+    let evaluation = |model: String, results| ModelEvaluation { model, results };
+    let per_model = (models.iter().enumerate())
+        .map(|(idx, model)| {
+            let results = (0..entries.len()).map(|case| result(idx, case)).collect();
+            evaluation(model.name().to_string(), results)
         })
         .collect();
-    let router = ModelRouter::start(backends, Arc::new(judge), RouterConfig::default());
-    let ladder = router.ladder().to_vec();
+    let arm = |(case, entry)| result(ab_arm(request_for(entry, config).key(), models.len()), case);
+    let arms = entries.iter().enumerate().map(arm).collect();
+    let ab_split = evaluation(format!("A/B split ({} arms)", models.len()), arms);
 
-    // Every case under one policy on the case driver; each yields its `(n, c)`
-    // and routed attempt trail (length 1 for the direct policies, the full
-    // ladder walk for `Escalate`).
-    let no_trace = TraceHandle::off();
-    let phase = |policy| {
-        let sampler = Sampler::Router(&router, policy);
-        drive_cases(sampler, &verifier, entries, config, &no_trace)
-    };
-    let evaluation = |model: String, phase: Vec<Judged>| {
-        let results = phase.into_iter().map(|(result, _)| result).collect();
-        ModelEvaluation { model, results }
-    };
-
-    // Phase 1 — pinned: one full evaluation per model.  This also warms every
-    // backend's response cache and the shared verdict cache, so the later
-    // passes replay instead of recomputing.
-    let per_model: Vec<ModelEvaluation> = models
-        .iter()
-        .enumerate()
-        .map(|(idx, model)| evaluation(model.name().to_string(), phase(RoutePolicy::Pinned(idx))))
-        .collect();
-
-    // Phase 2 — A/B split: the content hash of each case picks its arm.
-    let arms = format!("A/B split ({} arms)", models.len());
-    let ab_split = evaluation(arms, phase(RoutePolicy::AbSplit));
-
-    // Phase 3 — escalation: cheapest rung first, re-submitting on failed
-    // verdicts.  The terminal rung's responses are re-judged *positionally*
-    // against each entry's own golden fix (pure verdict-cache hits on a
-    // duplicate-free corpus, where this equals the terminal attempt's correct
-    // count).  This keeps `c` truthful even when two corpus entries share
-    // identical case content but different golden fixes — the router's judge,
-    // which can only see request content, necessarily judges such twins
-    // against one of them.
-    let escalated = phase(RoutePolicy::Escalate);
-    let trails = (escalated.iter())
-        .map(|(result, attempts)| EscalationTrail {
-            module_name: result.module_name.clone(),
-            attempts: attempts.clone(),
+    let (escalate, trails) = (entries.iter().enumerate())
+        .map(|(case, entry)| {
+            let stop = (ladder.iter())
+                .position(|&idx| passes[idx][case].0.c > 0)
+                .unwrap_or(ladder.len() - 1);
+            let attempt = |(rung, &idx): (usize, &usize)| LadderAttempt {
+                backend: models[idx].name().to_string(),
+                cost: models[idx].cost(),
+                judged: true,
+                distinct_candidates: passes[idx][case].1,
+                correct_candidates: passes[idx][case].0.c,
+                terminal: rung == stop,
+            };
+            let attempts = ladder[..=stop].iter().enumerate().map(attempt).collect();
+            let module_name = entry.module_name.clone();
+            let trail = EscalationTrail {
+                module_name,
+                attempts,
+            };
+            (result(ladder[stop], case), trail)
         })
-        .collect();
-    let escalate = evaluation(format!("Escalate ({} rungs)", models.len()), escalated);
-
-    let route_metrics = router.shutdown();
-    // The router (and its judge) are gone, so the verifier Arc is ours again;
-    // shutting it down flushes the verdict snapshot exactly once and returns
-    // the final verify view, save counters included.
-    let verify_metrics = match Arc::try_unwrap(verifier) {
-        Ok(verifier) => verifier.shutdown(),
-        Err(verifier) => {
-            let _ = verifier.flush();
-            verifier.metrics()
-        }
-    };
-    let metrics = route_metrics.with_verify(verify_metrics);
+        .unzip();
+    let escalate = evaluation(format!("Escalate ({} rungs)", models.len()), escalate);
     LadderReport {
         evaluation: LadderEvaluation {
             per_model,
@@ -1412,6 +1398,7 @@ pub fn evaluate_ladder(
             trails,
         },
         metrics,
+        verify,
         ladder,
     }
 }
@@ -1595,6 +1582,129 @@ mod tests {
         let ungated = drive(&gated.model, &|_| {});
         verifier.shutdown();
         assert_eq!(gated_run, ungated);
+    }
+
+    /// A ladder rung: answers every case it solves with its golden fix on the
+    /// first sample, and otherwise with one of two wrong fixes (line 0).
+    struct Toy {
+        name: &'static str,
+        cost: u32,
+        solves: Vec<Response>,
+        sources: Vec<String>,
+    }
+
+    impl RepairModel for Toy {
+        fn name(&self) -> &str {
+            self.name
+        }
+
+        fn cost(&self) -> u32 {
+            self.cost
+        }
+
+        fn solve(&self, case: &CaseInput, samples: usize, _: f64, _: u64) -> Vec<Response> {
+            let solved = self.sources.iter().position(|s| *s == case.buggy_source);
+            let fix = solved.map(|idx| &self.solves[idx]);
+            let wrong = |i: usize| Response {
+                bug_line_number: 0,
+                buggy_line: String::new(),
+                fixed_line: format!("wrong {}", i % 4 / 2),
+                cot: None,
+            };
+            let sample = |i| fix.filter(|_| i == 0).cloned().unwrap_or_else(|| wrong(i));
+            (0..samples).map(sample).collect()
+        }
+    }
+
+    /// Three human cases and a toy rung per `(name, cost, solved cases)`.
+    fn toy_ladder(rungs: &[(&'static str, u32, &[usize])]) -> (Vec<SvaBugEntry>, LadderReport) {
+        let entries: Vec<SvaBugEntry> = human_crafted_cases().into_iter().take(3).collect();
+        let golden = |entry: &SvaBugEntry| Response {
+            bug_line_number: entry.bug_line_number,
+            buggy_line: entry.buggy_line.clone(),
+            fixed_line: entry.fixed_line.clone(),
+            cot: None,
+        };
+        let models: Vec<Arc<dyn RepairModel + Send + Sync>> = (rungs.iter())
+            .map(|&(name, cost, solved)| {
+                let solved = solved.iter().map(|&idx| &entries[idx]);
+                Arc::new(Toy {
+                    name,
+                    cost,
+                    solves: solved.clone().map(golden).collect(),
+                    sources: solved.map(|entry| entry.buggy_source.clone()).collect(),
+                }) as Arc<dyn RepairModel + Send + Sync>
+            })
+            .collect();
+        let report = evaluate_ladder(&models, &entries, &EvalConfig::quick(3));
+        (entries, report)
+    }
+
+    #[test]
+    fn ladder_orders_models_by_cost_then_index() {
+        // Registered strongest-first, with a cost tie between the last two.
+        let (_, report) =
+            toy_ladder(&[("strong", 50, &[0, 1]), ("weak", 1, &[0]), ("tie", 1, &[])]);
+        assert_eq!(report.ladder, [1, 2, 0], "(cost, index) order");
+        let trail = &report.evaluation.trails[1].attempts;
+        let names: Vec<&str> = trail.iter().map(|a| a.backend.as_str()).collect();
+        assert_eq!(names, ["weak", "tie", "strong"]);
+        assert_eq!(trail.iter().map(|a| a.cost).collect::<Vec<_>>(), [1, 1, 50]);
+    }
+
+    #[test]
+    fn escalation_stops_at_the_first_rung_with_a_correct_candidate() {
+        let (_, report) =
+            toy_ladder(&[("weak", 1, &[0]), ("mid", 5, &[0, 1]), ("strong", 9, &[1])]);
+        let evaluation = &report.evaluation;
+        assert_eq!(evaluation.escalate.model, "Escalate (3 rungs)");
+        // Case 0 stops at the first rung, case 1 at the second: never later.
+        for (case, rungs) in [(0, 1), (1, 2)] {
+            let trail = &evaluation.trails[case].attempts;
+            assert_eq!(trail.len(), rungs, "case {case}");
+            let stop = &trail[rungs - 1];
+            assert!(stop.terminal && stop.judged && stop.correct_candidates > 0);
+            assert!(trail[..rungs - 1]
+                .iter()
+                .all(|a| !a.terminal && a.correct_candidates == 0));
+            let stopped = &evaluation.per_model[report.ladder[rungs - 1]].results[case];
+            assert_eq!(&evaluation.escalate.results[case], stopped);
+        }
+        // Distinct candidates are distinct verdict keys: the golden fix plus
+        // two wrong ones on a solving rung, the two wrong ones elsewhere.
+        let distinct: Vec<usize> = (evaluation.trails[1].attempts.iter())
+            .map(|a| a.distinct_candidates)
+            .collect();
+        assert_eq!(distinct, [2, 3]);
+        assert_eq!(evaluation.escalate.results[1].c, 1, "one golden sample");
+    }
+
+    #[test]
+    fn an_exhausted_ladder_ends_on_its_last_rung() {
+        let (_, report) = toy_ladder(&[("weak", 1, &[0]), ("mid", 5, &[0])]);
+        let evaluation = &report.evaluation;
+        let trail = &evaluation.trails[2].attempts;
+        assert_eq!(trail.len(), 2, "every rung was tried");
+        assert!(!trail[0].terminal && trail[1].terminal);
+        assert_eq!(trail[1].backend, "mid");
+        assert_eq!(trail[1].correct_candidates, 0);
+        assert_eq!(
+            evaluation.escalate.results[2],
+            evaluation.per_model[1].results[2]
+        );
+    }
+
+    #[test]
+    fn ab_split_answers_each_case_with_its_predicted_arm() {
+        let (entries, report) = toy_ladder(&[("a", 1, &[0]), ("b", 2, &[1]), ("c", 3, &[2])]);
+        let evaluation = &report.evaluation;
+        assert_eq!(evaluation.ab_split.model, "A/B split (3 arms)");
+        let config = EvalConfig::quick(3);
+        for (case, entry) in entries.iter().enumerate() {
+            let arm = ab_arm(request_for(entry, &config).key(), 3);
+            let predicted = &evaluation.per_model[arm].results[case];
+            assert_eq!(&evaluation.ab_split.results[case], predicted, "case {case}");
+        }
     }
 
     #[test]

@@ -64,12 +64,12 @@ pub trait RepairModel {
 
     /// Relative cost of one [`RepairModel::solve`] invocation, in abstract units.
     ///
-    /// Routing ladders (`svserve::route`) order their rungs cheapest-first by
-    /// this number, so it only needs to be *ordinally* correct — "the SFT
-    /// checkpoint is pricier than the base model, o1-style iterative reasoning
-    /// is the most expensive baseline".  Defaults to 100 so un-annotated models
-    /// sort after every annotated one (and are tried last by an escalation
-    /// ladder).  [`AssertSolverModel`] maps its [`TrainingStage`] onto this
+    /// Ladder evaluations (`assertsolver::evaluate_ladder`) escalate through
+    /// their models cheapest-first by this number, so it only needs to be
+    /// *ordinally* correct — "the SFT checkpoint is pricier than the base
+    /// model, o1-style iterative reasoning is the most expensive baseline".
+    /// Defaults to 100 so un-annotated models sort after every annotated one
+    /// (and are tried last by an escalation ladder).  [`AssertSolverModel`] maps its [`TrainingStage`] onto this
     /// scale; `BaselineModel` maps its tier.
     fn cost(&self) -> u32 {
         100

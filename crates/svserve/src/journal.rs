@@ -2,7 +2,7 @@
 //! JSONL artifact.
 //!
 //! Counters ([`crate::ServiceMetrics`] and friends) say *how much* happened;
-//! they cannot say which rung attempted a session, which verdict killed a
+//! they cannot say which phase a session reached, which verdict killed a
 //! candidate, or where a session's time went.  This module records that story as
 //! a stream of typed [`JournalEvent`]s keyed by **session id** (the 64-bit fold
 //! of the request's content hash) so the journal of an evaluation is a pure
@@ -14,8 +14,8 @@
 //! Events split into two classes, and the split is what makes the artifact
 //! reproducible:
 //!
-//! * **Deterministic** events (session phases, rung attempts, verdict tallies,
-//!   logical timings, terminal outcomes) depend only on content.  They are
+//! * **Deterministic** events (session phases, verdict tallies, logical
+//!   timings, terminal outcomes) depend only on content.  They are
 //!   emitted through [`Tracer::event`] with a caller-assigned sequence number
 //!   and are serialized in every journal.
 //! * **Volatile** events (cache hit/miss, pool admit/shed, solve/judge panics)
@@ -85,6 +85,7 @@ pub enum SessionPhase {
     /// The distinct candidates were submitted to the verify pool.
     Verifying,
     /// A verdict-triggered re-submit walked the session up an escalation rung.
+    /// Nothing produces it any more; it stays so older journals still parse.
     Escalated,
     /// The session produced its result.
     Done,
@@ -135,7 +136,8 @@ pub enum JournalEvent {
         /// Candidates judged incorrect.
         rejected: u64,
     },
-    /// One rung attempt on the escalation ladder (deterministic).
+    /// One rung attempt on the escalation ladder (deterministic).  Nothing
+    /// produces it any more; it stays so older journals still parse.
     Rung {
         /// Rung index, 0 = cheapest backend.
         rung: u32,
@@ -225,7 +227,7 @@ impl JournalRecord {
     }
 }
 
-/// Receives journal events from instrumented pools, sessions and routers.
+/// Receives journal events from instrumented pools and sessions.
 ///
 /// Both methods default to no-ops, so an implementor may observe only the class
 /// it cares about; the instrumented hot paths cost a single branch when no

@@ -18,8 +18,8 @@
 //!   seed, never from arrival order or worker identity, so the same workload yields
 //!   byte-identical responses at any worker count.
 //! * **One engine** — queueing, caching, panic absorption, snapshots and both
-//!   frontends live once, in [`pool`]; the repair pool ([`service`]), the verify
-//!   pool ([`verify`]) and every router backend are instantiations of it.
+//!   frontends live once, in [`pool`]; the repair pool ([`service`]) and the
+//!   verify pool ([`verify`]) are instantiations of it.
 //! * **Verification offload** — a second instantiation of the engine ([`verify`])
 //!   judges `(case, candidate response)` pairs on dedicated workers,
 //!   with a content-addressed verdict cache keyed by
@@ -31,22 +31,16 @@
 //!   corrupt or mismatched snapshots degrade to a cold start, never an error.
 //!   Snapshots carry a generation counter, and entries that go unused for
 //!   [`PersistSpec::compact_after`] runs are compacted away at flush.
-//! * **Multi-model routing** — a [`route::ModelRouter`] serves N named backends
-//!   (e.g. base/SFT/DPO checkpoints plus baseline surrogates), each with its own
-//!   pool and cache, behind one submit/await surface; a [`RoutePolicy`] places
-//!   each request (pinned, deterministic A/B split, or cheapest-first escalation
-//!   with verification-failure re-submits and a full attempt trail).
 //! * **Admission control** — a pool with a `max_in_flight` limit sheds the
 //!   overflow with a deterministic [`SubmitError::Busy`] instead of queueing
 //!   it.  Submission is blocking and tickets are plain one-shot slots:
 //!   `assertsolver`'s case driver keeps every case in flight by submitting
 //!   them all before it waits on any.
 //! * **Structured session journal** — a typed-event observability layer
-//!   ([`journal`]): span hooks on the pools, the router and each case's
-//!   session record phases, rung attempts, verdict tallies and terminal
-//!   outcomes into a sharded sink with logical timestamps, rendered as a
-//!   checksummed JSONL artifact whose bytes are deterministic at any
-//!   driver/worker count — a replayable repro artifact, not just a log.  Off
+//!   ([`journal`]): span hooks on the pools and each case's session record
+//!   phases, verdict tallies and terminal outcomes into a sharded sink with
+//!   logical timestamps, rendered as a checksummed JSONL artifact whose bytes
+//!   are deterministic at any driver/worker count — a replayable repro artifact, not just a log.  Off
 //!   by default; the hot path pays one branch.
 //! * **Distributed shard fabric** — a versioned, checksummed, length-capped
 //!   frame protocol ([`wire`]) with loopback and unix-socket transports, a
@@ -84,7 +78,6 @@ pub mod metrics;
 pub mod persist;
 pub mod pool;
 pub mod queue;
-pub mod route;
 pub mod service;
 pub(crate) mod sync;
 pub mod telemetry;
@@ -106,15 +99,11 @@ pub use journal::{
     ParsedJournal, SessionEnd, SessionPhase, SessionSpan, SpanHandle, Tracer, TracerHandle,
     JOURNAL_FORMAT_VERSION, JOURNAL_KIND, TERMINAL_SEQ,
 };
-pub use metrics::{indent_block, render_block, ServiceMetrics, VerifyMetrics};
+pub use metrics::{render_block, ServiceMetrics, VerifyMetrics};
 pub use persist::{
     PersistSpec, SnapshotHeader, SnapshotLoad, DEFAULT_COMPACT_AFTER_RUNS, SNAPSHOT_FORMAT_VERSION,
 };
 pub use queue::{ServiceClosed, SubmitError};
-pub use route::{
-    ab_arm, BackendMetrics, BackendSpec, EscalationJudge, EscalationMetrics, JudgeReport,
-    ModelRouter, RouteAttempt, RouteMetrics, RouteOutcome, RoutePolicy, RouteTicket, RouterConfig,
-};
 pub use service::{
     serve_scoped, RepairOutcome, RepairRequest, RepairService, RepairTicket, ScopedService,
     ServiceConfig,

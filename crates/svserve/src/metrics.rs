@@ -536,9 +536,8 @@ pub struct VerifyMetrics {
 /// Formats one labelled, aligned metrics block: a title line followed by
 /// `  name  value` rows with the names left-padded to a shared column.
 ///
-/// Every `render()` in this crate — `ServiceMetrics`, `VerifyMetrics`, and the
-/// per-route views in [`crate::route`] — is built from this helper, so nested
-/// views compose out of the same formatting instead of each duplicating it.
+/// Every `render()` in this crate — `ServiceMetrics`, `VerifyMetrics` and
+/// `FleetMetrics` — is built from this helper instead of each duplicating it.
 pub fn render_block(title: &str, rows: &[(&str, String)]) -> String {
     let mut out = String::from(title);
     for (name, value) in rows {
@@ -546,17 +545,6 @@ pub fn render_block(title: &str, rows: &[(&str, String)]) -> String {
         out.push_str(&format!("\x20 {name:<17} {value}"));
     }
     out
-}
-
-/// Indents every line of an already rendered block by `spaces`, so a child
-/// block (e.g. one backend of a router) nests visually under its parent.
-pub fn indent_block(block: &str, spaces: usize) -> String {
-    let pad = " ".repeat(spaces);
-    block
-        .lines()
-        .map(|line| format!("{pad}{line}"))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 impl VerifyMetrics {
@@ -605,9 +593,8 @@ impl VerifyMetrics {
         );
     }
 
-    /// The aligned rows behind [`VerifyMetrics::render`], exposed so composite
-    /// views (e.g. a router's per-backend listing) can re-title or nest them.
-    pub fn rows(&self) -> Vec<(&'static str, String)> {
+    /// The aligned rows behind [`VerifyMetrics::render`].
+    fn rows(&self) -> Vec<(&'static str, String)> {
         vec![
             ("workers", format!("{:>10}", self.workers)),
             ("submitted", format!("{:>10}", self.submitted)),
@@ -752,11 +739,10 @@ impl ServiceMetrics {
         }
     }
 
-    /// The aligned rows behind [`ServiceMetrics::render`], exposed so composite
-    /// views (e.g. a router's per-backend listing) can re-title or nest them.
-    /// The attached verify stage, if any, is not part of the rows; `render`
-    /// appends it as its own block.
-    pub fn rows(&self) -> Vec<(&'static str, String)> {
+    /// The aligned rows behind [`ServiceMetrics::render`].  The attached
+    /// verify stage, if any, is not part of the rows; `render` appends it as
+    /// its own block.
+    fn rows(&self) -> Vec<(&'static str, String)> {
         vec![
             ("workers", format!("{:>10}", self.workers)),
             ("submitted", format!("{:>10}", self.submitted)),
@@ -940,9 +926,6 @@ mod tests {
         assert!(block.contains("alpha"));
         // Each row lands on its own line, names padded to a shared column.
         assert_eq!(block.lines().count(), 3);
-        let nested = indent_block(&block, 4);
-        assert!(nested.lines().all(|line| line.starts_with("    ")));
-        assert_eq!(nested.lines().count(), 3);
         // The real snapshots render through the same helper.
         let recorder = MetricsRecorder::new();
         let snap = recorder.snapshot(1, 0, 0);

@@ -3,8 +3,7 @@
 //!
 //! The paper's protocol is one loop — sample repairs, let the bounded check judge
 //! them — and both halves are served by this engine: [`crate::service`] (repair)
-//! and [`crate::verify`] (verdicts) are two instantiations of it, and the router
-//! ([`crate::route`]) runs one repair instantiation per backend.
+//! and [`crate::verify`] (verdicts) are two instantiations of it.
 //!
 //! ## What an instantiation provides
 //!
@@ -291,15 +290,11 @@ impl<W: Worker> Pool<W> {
     /// reserved; it is released by the worker when the job completes, or
     /// rolled back by the caller if the job never reaches a queue.
     /// `max_in_flight = 0` admits without limit (the slot is still counted).
-    fn begin_submit(
-        &self,
-        request: W::Request,
-        max_in_flight: usize,
-    ) -> Result<Job<W>, SubmitError> {
+    fn begin_submit(&self, request: W::Request) -> Result<Job<W>, SubmitError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(SubmitError::Closed);
         }
-        if !self.recorder.try_admit(max_in_flight) {
+        if !self.recorder.try_admit(self.config.max_in_flight) {
             self.recorder.record_shed();
             if let Some(windows) = self.worker.windows() {
                 windows.record_shed();
@@ -327,18 +322,7 @@ impl<W: Worker> Pool<W> {
     /// Submits one job; blocks only while the target shard is at capacity.
     /// Sheds with [`SubmitError::Busy`] at the pool's in-flight limit.
     pub fn submit(&self, request: W::Request) -> Result<Ticket<W::Outcome>, SubmitError> {
-        self.submit_within(request, self.config.max_in_flight)
-    }
-
-    /// [`Pool::submit`] under an explicit in-flight limit; the router's
-    /// escalation legs pass `0` (unbounded — they must not be shed halfway up a
-    /// ladder — but the slot is still counted).
-    pub(crate) fn submit_within(
-        &self,
-        request: W::Request,
-        max_in_flight: usize,
-    ) -> Result<Ticket<W::Outcome>, SubmitError> {
-        let job = self.begin_submit(request, max_in_flight)?;
+        let job = self.begin_submit(request)?;
         let state = Arc::clone(&job.ticket);
         // A job that never reached a queue (the pool closed first) hands its
         // admission slot back.
@@ -475,28 +459,6 @@ impl<W: Worker> Pool<W> {
         };
         job.ticket.fulfill(W::outcome(value, served));
     }
-
-    /// Spawns one named worker thread per shard over a shared backend.
-    pub(crate) fn spawn_workers<B>(
-        self: &Arc<Self>,
-        backend: &Arc<B>,
-        name: impl Fn(usize) -> String,
-    ) -> Vec<JoinHandle<()>>
-    where
-        W: Serve<B> + 'static,
-        B: ?Sized + Send + Sync + 'static,
-    {
-        (0..self.config.workers)
-            .map(|shard_idx| {
-                let pool = Arc::clone(self);
-                let backend = Arc::clone(backend);
-                std::thread::Builder::new()
-                    .name(name(shard_idx))
-                    .spawn(move || pool.run(&*backend, shard_idx))
-                    .expect("spawn pool worker thread")
-            })
-            .collect()
-    }
 }
 
 /// Closes the pool when dropped, so scoped workers exit even if the body panics.
@@ -550,7 +512,15 @@ impl<W: Worker, B: ?Sized> Owned<W, B> {
         B: Send + Sync + 'static,
     {
         let pool = Arc::new(pool);
-        let handles = pool.spawn_workers(&backend, |idx| format!("{thread_prefix}-{idx}"));
+        let handles = (0..pool.config.workers)
+            .map(|shard_idx| {
+                let (pool, backend) = (Arc::clone(&pool), Arc::clone(&backend));
+                std::thread::Builder::new()
+                    .name(format!("{thread_prefix}-{shard_idx}"))
+                    .spawn(move || pool.run(&*backend, shard_idx))
+                    .expect("spawn pool worker thread")
+            })
+            .collect();
         Self {
             pool,
             handles,

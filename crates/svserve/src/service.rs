@@ -177,7 +177,9 @@ pub type RepairService<M> = Owned<Repair, M>;
 /// Borrowed-model service handle available inside [`serve_scoped`].
 pub type ScopedService<'a> = &'a Pool<Repair>;
 
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+/// The SplitMix64 finalizer: every content-derived seed, placement and arm
+/// in the serving stack mixes its key through it.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

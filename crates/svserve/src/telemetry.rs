@@ -2,15 +2,15 @@
 //! latency histograms shared by every subsystem in the serving stack.
 //!
 //! The bespoke metrics snapshots (`ServiceMetrics`, `VerifyMetrics`,
-//! `RouteMetrics`, `FleetMetrics`) each grew their own ad-hoc
-//! counters and `render()` blocks; none of them could answer a latency
-//! *distribution* question (p50/p90/p99), and none of them could be asked over
-//! the wire.  This module is the common substrate underneath them:
+//! `FleetMetrics`) each grew their own ad-hoc counters and `render()` blocks;
+//! none of them could answer a latency *distribution* question (p50/p90/p99),
+//! and none of them could be asked over the wire.  This module is the common
+//! substrate underneath them:
 //!
 //! * **[`MetricsRegistry`]** — a process-wide (or per-fleet-shard) registry of
 //!   named metrics.  Registration is idempotent: the same hierarchical name
 //!   (`service.repair.queue_wait`, `verify.verdict.latency`,
-//!   `route.rung.<n>.cost`, `wire.frame.bytes`) always resolves to the same
+//!   `wire.frame.bytes`) always resolves to the same
 //!   [`Metric`], so every subsystem can pre-register its handles at pool
 //!   start and record with lock-free atomics on the hot path.
 //! * **[`Metric`]** — counter, gauge, or histogram.  Histograms bucket values
@@ -24,7 +24,7 @@
 //!   `Stats` frame) and fleet-wide aggregation ([`RegistrySnapshot::merge`]).
 //! * **[`MetricClass`]** — the same deterministic/volatile split the journal
 //!   uses.  *Deterministic* metrics derive only from request content (request
-//!   counts, rung costs, verdict tallies), so their snapshot bytes are
+//!   counts, verdict tallies), so their snapshot bytes are
 //!   identical at any worker/driver/shard count, warm or cold — pinned by
 //!   `tests/telemetry_determinism.rs` over
 //!   [`RegistrySnapshot::deterministic_only`].  *Volatile* metrics carry wall

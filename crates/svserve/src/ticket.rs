@@ -1,10 +1,10 @@
-//! Shared submit/wait ticket used by both worker pools and the router.
+//! Shared submit/wait ticket used by both worker pools.
 //!
 //! A ticket is one slot guarded by a mutex: the worker that serves a job
 //! deposits its outcome with [`TicketState::fulfill`], and the submitter
 //! either blocks on a condvar ([`TicketState::wait`]) or polls
 //! ([`TicketState::try_take`]).  The typed handles ([`crate::RepairTicket`],
-//! [`crate::VerifyTicket`], [`crate::RouteTicket`]) wrap it.
+//! [`crate::VerifyTicket`]) wrap it.
 //!
 //! A fulfilled ticket whose waiter has been dropped is simply a slot nobody
 //! takes.

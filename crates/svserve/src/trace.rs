@@ -54,8 +54,6 @@ pub mod stage {
     pub const VERIFY: u32 = 3;
     /// Verdict collection and tallying.
     pub const EVALUATE: u32 = 4;
-    /// First escalation rung; rung `n` uses `RUNG_BASE + n`.
-    pub const RUNG_BASE: u32 = 16;
 }
 
 /// The propagated identity of one span: enough to adopt a remote parent.

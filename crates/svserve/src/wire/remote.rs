@@ -4,10 +4,11 @@
 //! ## Placement
 //!
 //! [`shard_for_key`] is a pure function of request content and shard count —
-//! the same recipe as [`crate::ab_arm`], salted differently so A/B arm and
-//! shard placement stay independent.  Placement never consults load, so
-//! per-shard caches stay disjoint (each key always lands on the same shard)
-//! and a re-run replays against warm caches byte-for-byte.
+//! the same recipe as the ladder evaluation's A/B arm
+//! (`assertsolver::ab_arm`), salted differently so A/B arm and shard
+//! placement stay independent.  Placement never consults load, so per-shard
+//! caches stay disjoint (each key always lands on the same shard) and a
+//! re-run replays against warm caches byte-for-byte.
 //!
 //! ## Degradation
 //!
@@ -37,7 +38,7 @@ use std::time::Duration;
 const PLACEMENT_SALT: u64 = 0x5AAD_F1EE_791A_CE00;
 
 /// Deterministic shard placement: a pure function of request content and
-/// shard count, mirroring [`crate::ab_arm`].
+/// shard count, mirroring `assertsolver::ab_arm`.
 ///
 /// Placement by content (not load) keeps per-shard caches disjoint: every
 /// occurrence of a key — this run or the next — lands on the same shard.
@@ -535,9 +536,10 @@ mod tests {
     #[test]
     fn placement_differs_from_ab_arm() {
         // Same fold-and-mix recipe, different salt: a request's experiment arm
-        // must not determine its shard.
+        // (`assertsolver::ab_arm`, restated here) must not determine its shard.
+        let ab_arm = |key: CaseKey| splitmix64(key.fold64() ^ 0xAB5E_C0DE_5EED_0A2B) % 2;
         let disagreements = (0..64)
-            .filter(|&tag| shard_for_key(key(tag), 2) != crate::ab_arm(key(tag), 2))
+            .filter(|&tag| shard_for_key(key(tag), 2) as u64 != ab_arm(key(tag)))
             .count();
         assert!(disagreements > 0, "placement must not alias the A/B split");
     }

@@ -1,19 +1,22 @@
-//! Determinism of the multi-model routing layer, end to end.
+//! Determinism of the ladder evaluation, end to end.
 //!
-//! The contract under test: a `LadderEvaluation` — per-model (pinned), A/B-split
-//! and escalation results plus the per-case attempt trails — is a pure function
-//! of `(models, corpus, protocol)`.  Worker counts per backend, verify worker
+//! The contract under test: a `LadderEvaluation` — per-model, A/B-split and
+//! escalation results plus the per-case attempt trails — is a pure function
+//! of `(models, corpus, protocol)`.  Worker counts per model, verify worker
 //! counts, and warm vs cold caches (in-memory or on-disk) must not change a
-//! byte.  On top of that, the escalation policy must demonstrably solve more
-//! cases than its cheapest rung alone, and A/B arm assignment must be stable
-//! under pool-shape changes (vendored-rand property tests).
+//! byte.  On top of that, escalation must demonstrably solve more cases than
+//! its cheapest rung alone, each case's trail must agree with its own result,
+//! and A/B arm assignment must be stable under pool-shape changes
+//! (vendored-rand property tests).
 
+use assertsolver::ab_arm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use svdata::SvaBugEntry;
-use svmodel::{BaselineKind, BaselineModel, CaseInput, RepairModel};
-use svserve::{ab_arm, RepairRequest};
+use svmodel::{BaselineKind, BaselineModel, CaseInput, RepairModel, Response};
+use svserve::{serve_scoped, RepairRequest};
+use svverify::VerifyOracle;
 
 fn corpus(limit: usize) -> Vec<SvaBugEntry> {
     let mut entries = assertsolver::human_crafted_cases();
@@ -74,7 +77,7 @@ fn warm_ladder_from_disk_is_byte_identical_and_replays_every_rung() {
         ..assertsolver::EvalConfig::quick(19)
     };
 
-    // Cold run: every backend snapshot is written under its own model identity.
+    // Cold run: every model's snapshot is written under its own identity.
     let cold = assertsolver::evaluate_ladder(&models, &entries, &config);
     let mut snapshot_paths = Vec::new();
     for model in &models {
@@ -94,32 +97,33 @@ fn warm_ladder_from_disk_is_byte_identical_and_replays_every_rung() {
         "each backend persists under its own identity"
     );
 
-    // Warm run from fresh pools: byte-identical, and every backend preloads.
+    // Warm run from fresh pools: byte-identical, and every model preloads.
     let warm = assertsolver::evaluate_ladder(&models, &entries, &config);
     assert_eq!(
         cold.evaluation, warm.evaluation,
         "a warm ladder must be byte-identical to a cold one"
     );
-    for backend in &warm.metrics.backends {
+    assert_eq!(warm.metrics.len(), models.len());
+    for (model, service) in models.iter().zip(&warm.metrics) {
         assert!(
-            backend.service.snapshot_loaded_entries > 0,
-            "backend {} must preload its snapshot",
-            backend.name
+            service.snapshot_loaded_entries > 0,
+            "model {} must preload its snapshot",
+            model.name()
         );
         assert!(
-            backend.service.warm_hits > 0,
-            "backend {} must replay responses from its snapshot",
-            backend.name
+            service.warm_hits > 0,
+            "model {} must replay responses from its snapshot",
+            model.name()
         );
         assert_eq!(
-            backend.service.cache_misses, 0,
-            "a fully warm backend {} re-samples nothing",
-            backend.name
+            service.cache_misses,
+            0,
+            "a fully warm model {} re-samples nothing",
+            model.name()
         );
     }
-    let verify = warm.metrics.verify.as_ref().expect("verify view attached");
     assert_eq!(
-        verify.cache_misses, 0,
+        warm.verify.cache_misses, 0,
         "a fully warm verdict cache re-judges nothing"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -165,8 +169,7 @@ fn escalation_solves_more_cases_than_its_cheapest_rung_alone() {
             assert_eq!(ladder_case.c, rung_case.c);
         }
     }
-    // The attempt trail is recorded per request, walks cheapest-first, and
-    // matches the escalation metrics.
+    // The attempt trail is recorded per case and walks cheapest-first.
     assert_eq!(report.evaluation.trails.len(), entries.len());
     let mut resubmits = 0;
     for (trail, result) in report
@@ -189,16 +192,57 @@ fn escalation_solves_more_cases_than_its_cheapest_rung_alone() {
         resubmits += trail.attempts.len() as u64 - 1;
     }
     assert!(resubmits > 0, "the quick corpus must trigger escalations");
-    assert_eq!(report.metrics.escalation.verdict_resubmits, resubmits);
-    assert_eq!(
-        report
-            .metrics
-            .escalation
-            .depth_histogram
-            .iter()
-            .sum::<u64>(),
-        entries.len() as u64
+}
+
+#[test]
+fn each_twin_case_is_judged_against_its_own_golden_fix() {
+    // Twins share spec, buggy source and logs — so one request key — but not
+    // their golden fix.  `twin` takes as its golden a fix the cheapest rung
+    // samples on `case` that is wrong for `case`, so that rung scores higher
+    // on the twin than on the case; each trail must still end on its own `c`.
+    let models = ladder_models(&[BaselineKind::RandomGuess, BaselineKind::IterativeReasoner]);
+    let config = config(2, 2);
+    let case = corpus(1).remove(0);
+    let request = RepairRequest::new(
+        CaseInput::from_entry(&case),
+        config.samples,
+        config.temperature,
     );
+    let samples = serve_scoped(&*models[0], config.service_config(), |service| {
+        service.solve_all(vec![request])
+    });
+    let oracle = VerifyOracle::new(config.check.clone());
+    let edit = |r: &&Response| r.bug_line_number != 0 && !r.fixed_line.trim().is_empty();
+    let wrong = (samples[0].responses.iter())
+        .find(|r| edit(r) && !assertsolver::response_is_correct(&case, r, &oracle))
+        .expect("the cheapest rung proposes a wrong line edit")
+        .clone();
+    let twin = SvaBugEntry {
+        bug_line_number: wrong.bug_line_number,
+        fixed_line: wrong.fixed_line,
+        ..case.clone()
+    };
+    let entries = vec![case, twin];
+    let report = assertsolver::evaluate_ladder(&models, &entries, &config);
+    let evaluation = &report.evaluation;
+    let cheapest = &evaluation.per_model[report.ladder[0]];
+    assert!(
+        cheapest.results[1].c > cheapest.results[0].c,
+        "the wrong fix solves the twin"
+    );
+    for (idx, (trail, result)) in evaluation
+        .trails
+        .iter()
+        .zip(&evaluation.escalate.results)
+        .enumerate()
+    {
+        let terminal = trail.attempts.last().expect("a terminal attempt");
+        assert!(terminal.terminal);
+        assert_eq!(
+            terminal.correct_candidates, result.c,
+            "case {idx}: the terminal rung's count must be the case's own c"
+        );
+    }
 }
 
 fn random_request(rng: &mut StdRng) -> RepairRequest {

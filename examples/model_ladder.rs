@@ -1,6 +1,6 @@
-//! Multi-model routing over the quick corpus: a cost ladder of baseline
-//! surrogates served by one `svserve::ModelRouter`, with escalation on
-//! verification failure.
+//! A ladder evaluation over the quick corpus: a cost ladder of baseline
+//! surrogates, each evaluated once, with escalation on verification failure
+//! folded over the per-model results.
 //!
 //! ```text
 //! cargo run --release --example model_ladder                         # both policies
@@ -9,16 +9,16 @@
 //! cargo run --release --example model_ladder -- --expect-escalations # CI assertion mode
 //! ```
 //!
-//! The run evaluates every rung (pinned), the deterministic A/B split, and the
-//! cheapest-first escalation policy in one pass, then prints the per-rung solve
-//! rates and the per-case attempt trail.  With `--expect-escalations` the
-//! example exits nonzero unless (a) at least one failed verdict triggered a
-//! re-submit and (b) the escalation policy solved strictly more cases than its
-//! cheapest rung alone — the property the routing layer exists for.
+//! The run evaluates every rung, the deterministic A/B split, and cheapest-first
+//! escalation, then prints the per-rung solve rates and the per-case attempt
+//! trail.  With `--expect-escalations` the example exits nonzero unless (a) at
+//! least one case's trail escalated past a failed rung and (b) escalation
+//! solved strictly more cases than its cheapest rung alone.
 
+use assertsolver::ab_arm;
 use std::sync::Arc;
 use svmodel::{BaselineKind, BaselineModel, CaseInput, RepairModel};
-use svserve::{ab_arm, RepairRequest};
+use svserve::RepairRequest;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -36,7 +36,7 @@ fn main() {
     }
 
     // The quick corpus: machine-generated pipeline cases (the same protocol the
-    // route-determinism suite pins down).
+    // ladder-determinism suite pins down).
     let pipeline = svdata::run_pipeline(&svdata::PipelineConfig::tiny(23));
     let mut entries = pipeline.datasets.sva_bug;
     entries.truncate(6);
@@ -66,7 +66,7 @@ fn main() {
     let evaluation = &report.evaluation;
 
     // Per-rung solve rates, in escalation (cheapest-first) order, then the two
-    // routed policies.
+    // folds over them.
     println!(
         "\n{:<34} {:>6} {:>10} {:>8}",
         "rung", "cost", "solved", "pass@1"
@@ -141,12 +141,18 @@ fn main() {
         println!("  (assertion passed: every case served by its predicted arm)");
     }
 
-    println!("\n{}", report.metrics.render());
+    for (model, metrics) in models.iter().zip(&report.metrics) {
+        println!("\n{}\n{}", model.name(), metrics.render());
+    }
+    println!("\n{}", report.verify.render());
 
     if expect_escalations {
-        let escalation = &report.metrics.escalation;
+        // Every attempt past a trail's first followed a failed rung.
+        let resubmits: usize = (evaluation.trails.iter())
+            .map(|trail| trail.attempts.len() - 1)
+            .sum();
         assert!(
-            escalation.verdict_resubmits > 0,
+            resubmits > 0,
             "expected at least one verdict-triggered re-submit, got none"
         );
         let cheapest = &evaluation.per_model[report.ladder[0]];
@@ -159,7 +165,7 @@ fn main() {
         );
         println!(
             "\nescalation verified: {} re-submits, ladder solved {} vs cheapest rung {}",
-            escalation.verdict_resubmits,
+            resubmits,
             evaluation.escalate.solved_cases(),
             cheapest.solved_cases()
         );
