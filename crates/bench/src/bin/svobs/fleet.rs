@@ -123,24 +123,19 @@ fn short_fingerprint(fingerprint: &str) -> &str {
 }
 
 /// Derived fleet-wide rates from counters that exist whenever any shard has
-/// served traffic; silently absent rows (a fresh fleet) render as 0.
+/// served traffic; silently absent rows (a fresh fleet) render as 0.  Shards
+/// serve sampling only, so every series is the repair pool's.
 fn render_rates(merged: &RegistrySnapshot) -> String {
     let value = |name: &str| merged.get(name).map(|m| m.value).unwrap_or(0);
-    let hits = value("service.cache.hits");
-    let misses = value("service.cache.misses");
-    let verdict_hits = value("service.verify.cache.hits");
-    let verdict_misses = value("service.verify.cache.misses");
+    let (hits, misses) = (value("service.cache.hits"), value("service.cache.misses"));
     format!(
-        "  cache: {:.1}% response hit rate ({hits}/{}), \
-         {:.1}% verdict hit rate ({verdict_hits}/{})\n  \
+        "  cache: {:.1}% response hit rate ({hits}/{})\n  \
          pressure: queue depth {}, shed {}, panics {}, journal events {}\n",
         100.0 * ratio(hits, hits + misses),
         hits + misses,
-        100.0 * ratio(verdict_hits, verdict_hits + verdict_misses),
-        verdict_hits + verdict_misses,
         value("service.queue.depth"),
-        value("service.shed_busy") + value("service.verify.shed_busy"),
-        value("service.panics") + value("service.verify.panics"),
+        value("service.shed_busy"),
+        value("service.panics"),
         value("service.journal.events"),
     )
 }
@@ -337,7 +332,35 @@ fn render_shard_row(
 
 #[cfg(test)]
 mod tests {
-    use super::short_fingerprint;
+    use super::{render_rates, short_fingerprint};
+    use svserve::{MetricClass, RegistrySnapshot};
+
+    #[test]
+    fn rates_line_reads_the_repair_pool_series() {
+        let mut merged = RegistrySnapshot::new();
+        let vol = MetricClass::Volatile;
+        for (name, value) in [
+            ("service.cache.hits", 3),
+            ("service.cache.misses", 1),
+            ("service.shed_busy", 2),
+            ("service.panics", 1),
+            ("service.journal.events", 7),
+        ] {
+            merged.upsert_counter(name, vol, value);
+        }
+        merged.upsert_gauge("service.queue.depth", vol, 5);
+        assert_eq!(
+            render_rates(&merged),
+            "  cache: 75.0% response hit rate (3/4)\n  \
+             pressure: queue depth 5, shed 2, panics 1, journal events 7\n"
+        );
+        assert_eq!(
+            render_rates(&RegistrySnapshot::new()),
+            "  cache: 0.0% response hit rate (0/0)\n  \
+             pressure: queue depth 0, shed 0, panics 0, journal events 0\n",
+            "a fresh fleet renders zeros, not NaN"
+        );
+    }
 
     #[test]
     fn short_fingerprint_cuts_on_a_char_boundary() {

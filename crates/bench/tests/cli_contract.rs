@@ -1,15 +1,21 @@
 //! The command-line contract of the crate's two binaries: every `svobs`
 //! subcommand (and `experiments`) answers a bad command line with exit 2 and
-//! usage on stderr before doing any work, a runtime failure with exit 1, and
-//! the journal round trip `record` → `replay` → re-`record` holds bytes.
+//! usage on stderr before doing any work, a runtime failure with exit 1, the
+//! journal round trip `record` → `replay` → re-`record` holds bytes, and a
+//! fresh `record` reproduces the checked-in golden journal.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn svobs(args: &[&str]) -> Output {
+    svobs_with(args, &[])
+}
+
+fn svobs_with(args: &[&str], envs: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_svobs"))
         .args(args)
         .env_remove("ASSERTSOLVER_SHARD_SOCKETS")
+        .envs(envs.iter().copied())
         .output()
         .expect("run svobs")
 }
@@ -151,5 +157,33 @@ fn journal_round_trip_holds_bytes_and_refuses_a_flipped_one() {
         stderr(&output)
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `svobs record --seed 9 --limit 6` as checked in; regenerate it only in a
+/// change that means to move journal bytes, and say so.
+const GOLDEN_JOURNAL: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/journal-quick-seed9-limit6.jsonl"
+);
+
+#[test]
+fn record_reproduces_the_golden_journal_at_any_driver_count() {
+    let golden = std::fs::read(GOLDEN_JOURNAL).expect("read golden journal");
+    let dir = scratch_dir("golden");
+    for drivers in ["1", "4"] {
+        let out = format!("{}/drivers-{drivers}.jsonl", dir.display());
+        let args = ["record", "--out", &out, "--seed", "9", "--limit", "6"];
+        let output = svobs_with(&args, &[("ASSERTSOLVER_DRIVERS", drivers)]);
+        assert!(output.status.success(), "record: {}", stderr(&output));
+        let recorded = std::fs::read(&out).expect("read journal");
+        assert!(
+            recorded == golden,
+            "{drivers} driver(s): the recorded journal differs from {GOLDEN_JOURNAL}"
+        );
+    }
+    let output = svobs(&["replay", GOLDEN_JOURNAL]);
+    assert!(output.status.success(), "replay: {}", stderr(&output));
+    assert!(String::from_utf8_lossy(&output.stdout).contains("byte-identical"));
     let _ = std::fs::remove_dir_all(&dir);
 }

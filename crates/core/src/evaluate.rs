@@ -21,10 +21,9 @@ use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
     verdict_key, write_journal, CaseKey, CollapsedProfile, JournalHeader, JournalSink, JournalSpec,
     MetricClass, PersistSpec, RepairRequest, RepairTicket, ScopedService, ServiceConfig,
-    ServiceMetrics, SessionPhase, SessionSpan, ShardFleet, TelemetryHandle, TraceContext,
-    TraceHandle, TraceSpan, TracerHandle, VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool,
-    VerifyRequest, VerifyTicket, DEFAULT_COMPACT_AFTER_RUNS, DEFAULT_DRIVERS, JOURNAL_DIR_ENV,
-    SHARD_SOCKETS_ENV,
+    ServiceMetrics, ShardFleet, TelemetryHandle, TraceContext, TraceHandle, TraceSpan,
+    TracerHandle, VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool, VerifyRequest, VerifyTicket,
+    DEFAULT_COMPACT_AFTER_RUNS, DEFAULT_DRIVERS, JOURNAL_DIR_ENV, SHARD_SOCKETS_ENV,
 };
 use svverify::{CheckConfig, VerifyOracle};
 
@@ -724,7 +723,7 @@ pub fn evaluate_model_instrumented<M: RepairModel + Sync + ?Sized>(
 
 /// [`Evaluation`] with a borrowed verifier and the observability handles:
 /// `tracer` is a journal tracer whose sink the caller drains (it sees the
-/// repair service and every case's span; the verifier journals to the
+/// repair service and every judged case; the verifier journals to the
 /// tracer it was started with).
 pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
     model: &M,
@@ -749,7 +748,7 @@ pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
 /// so it is identical at any worker/verify-worker/driver count, with warm or
 /// cold caches, in process or over a fleet.  A facility that is off costs one
 /// branch per instrumented site.  With the journal on, the repair service
-/// and one [`SessionSpan`] per case journal into a fresh sink; tracing grows
+/// and every judged case journal into a fresh sink; tracing grows
 /// one five-span tree per case (a `session` root over `submit` → `sample` →
 /// `verify` → `evaluate` laps that tile it), byte-identical in process and
 /// over a fleet ([`svserve::trace`]).
@@ -999,8 +998,8 @@ impl<'t> StageClock<'t> {
 /// Where a case's samples come from.
 #[derive(Clone, Copy)]
 enum Sampler<'s> {
-    /// The in-process repair pool; each case journals through one
-    /// [`SessionSpan`] on the tracer, its wall clock landing in the telemetry.
+    /// The in-process repair pool; each judged case journals on the tracer
+    /// ([`TracerHandle::case`]), its wall clock landing in the telemetry.
     Local(&'s ScopedService<'s>, &'s TracerHandle, &'s TelemetryHandle),
     /// A remote shard fleet, whose submit blocks for the answer.
     Fleet(&'s ShardFleet),
@@ -1037,7 +1036,7 @@ fn drive_cases(
         let cases: Vec<_> = cases.map(submit).collect();
         let fan_out = |(case, pending): (CaseRun, _)| case.fan_out(pending, verifier);
         let cases: Vec<_> = cases.into_iter().map(fan_out).collect();
-        let judge = |(case, submitted): (CaseRun, _)| case.judge(submitted, trace);
+        let judge = |(case, submitted): (CaseRun, _)| case.judge(submitted, sampler, trace);
         cases.into_iter().map(judge).collect::<Vec<_>>()
     };
     if threads == 1 {
@@ -1067,14 +1066,14 @@ enum Pending<'s> {
 /// A case's sample count and `(multiplicity, ticket)` jobs.
 type Submitted = (usize, Vec<(usize, VerifyTicket)>);
 
-/// One case between the driver's stages.  Its span gets the journal phases
-/// and its trace the laps, each covering the time since the previous one, so
-/// the four child spans tile the `session` root's wall (`svobs trace`'s
-/// ≥ 95% bar); over a fleet, the shard's own `sample` span merges with the
-/// driver's, keeping the larger wall.
+/// One case between the driver's stages.  Its trace gets the laps, each
+/// covering the time since the previous one, so the four child spans tile
+/// the `session` root's wall (`svobs trace`'s ≥ 95% bar); over a fleet, the
+/// shard's own `sample` span merges with the driver's, keeping the larger
+/// wall.
 struct CaseRun {
     case: Arc<SvaBugEntry>,
-    span: Option<SessionSpan>,
+    session: u64,
     root: Option<TraceContext>,
     start: Instant,
     clock: Instant,
@@ -1082,7 +1081,7 @@ struct CaseRun {
 }
 
 impl CaseRun {
-    /// Stage 1: opens the case's span and submits its repair request.
+    /// Stage 1: submits the case's repair request.
     fn submit<'s>(
         sampler: Sampler<'s>,
         entry: &SvaBugEntry,
@@ -1091,24 +1090,19 @@ impl CaseRun {
     ) -> (Self, Pending<'s>) {
         let request = request_for(entry, config);
         let (key, samples, start) = (request.key(), request.samples, Instant::now());
-        let mut span = None;
         let pending = match sampler {
-            Sampler::Local(service, tracer, telemetry) => {
-                span = Some(SessionSpan::with_telemetry(tracer, telemetry, key.fold64()));
-                Pending::Repair(service.submit(request).expect(OPEN))
-            }
+            Sampler::Local(service, ..) => Pending::Repair(service.submit(request).expect(OPEN)),
             Sampler::Fleet(fleet) => Pending::Fleet(fleet, request),
         };
         let (case, root) = (Arc::new(entry.clone()), trace.root(key));
         let mut run = Self {
             case,
-            span,
+            session: key.fold64(),
             root,
             start,
             clock: start,
             laps: Vec::new(),
         };
-        run.journal(|span| span.phase(SessionPhase::Submitted));
         run.lap("submit", trace_stage::SUBMIT, samples);
         (run, pending)
     }
@@ -1133,26 +1127,26 @@ impl CaseRun {
             }
         };
         let n = responses.len();
-        self.journal(|span| span.phase(SessionPhase::Sampled));
-        self.journal(|span| span.timing("samples", n as u64));
         self.lap("sample", trace_stage::SAMPLE, n);
         let submitted = fan_out_candidates(verifier, &self.case, &responses);
-        self.journal(|span| span.phase(SessionPhase::Verifying));
-        self.journal(|span| span.timing("distinct-candidates", submitted.len() as u64));
         self.lap("verify", trace_stage::VERIFY, submitted.len());
         (self, Some((n, submitted)))
     }
 
-    /// Stage 3: folds the case's verdicts, closes its span and hands its
-    /// trace laps to `trace`, the `session` root last.
-    fn judge(mut self, submitted: Option<Submitted>, trace: &TraceHandle) -> Judged {
+    /// Stage 3: folds the case's verdicts, journals the case when its samples
+    /// were local, and hands its trace laps to `trace`, the `session` root
+    /// last.
+    fn judge(
+        mut self,
+        submitted: Option<Submitted>,
+        sampler: Sampler<'_>,
+        trace: &TraceHandle,
+    ) -> Judged {
         let Some((n, submitted)) = submitted else {
             return (build_case_result(&self.case, 0, 0), 0);
         };
         let distinct = submitted.len();
         let c = judge_submitted(submitted);
-        self.journal(|span| span.verdict(c as u64, n.saturating_sub(c) as u64));
-        self.journal(|span| span.phase(SessionPhase::Done));
         self.lap("evaluate", trace_stage::EVALUATE, c);
         if let Some(root) = &self.root {
             let wall = self.start.elapsed().as_nanos() as u64;
@@ -1160,12 +1154,13 @@ impl CaseRun {
             self.laps.push(session);
             trace.extend(std::mem::take(&mut self.laps));
         }
-        self.span.iter().for_each(SessionSpan::finish);
+        if let Sampler::Local(_, tracer, telemetry) = sampler {
+            tracer.case(self.session, n as u64, distinct as u64, c as u64);
+            if let Some(wall) = telemetry.histogram("session.span.wall", MetricClass::Volatile) {
+                wall.observe_duration(self.start.elapsed());
+            }
+        }
         (build_case_result(&self.case, n, c), distinct)
-    }
-
-    fn journal(&self, event: impl Fn(&SessionSpan)) {
-        self.span.iter().for_each(event);
     }
 
     fn lap(&mut self, label: &str, seq: u32, units: usize) {

@@ -1,13 +1,12 @@
-//! Structured session journal: typed events, span hooks, and a byte-deterministic
-//! JSONL artifact.
+//! Structured session journal: typed events, one record set per judged case,
+//! and a byte-deterministic JSONL artifact.
 //!
 //! Counters ([`crate::ServiceMetrics`] and friends) say *how much* happened;
-//! they cannot say which phase a session reached, which verdict killed a
-//! candidate, or where a session's time went.  This module records that story as
-//! a stream of typed [`JournalEvent`]s keyed by **session id** (the 64-bit fold
-//! of the request's content hash) so the journal of an evaluation is a pure
-//! function of its inputs — the same determinism contract the caches and the
-//! verdict pool already honour.
+//! they cannot say which phase a session reached or how its verdicts fell.
+//! This module records that story as a stream of typed [`JournalEvent`]s keyed
+//! by **session id** (the 64-bit fold of the request's content hash) so the
+//! journal of an evaluation is a pure function of its inputs — the same
+//! determinism contract the caches and the verdict pool already honour.
 //!
 //! ## Event classes
 //!
@@ -15,13 +14,14 @@
 //! reproducible:
 //!
 //! * **Deterministic** events (session phases, verdict tallies, logical
-//!   timings, terminal outcomes) depend only on content.  They are
-//!   emitted through [`Tracer::event`] with a caller-assigned sequence number
-//!   and are serialized in every journal.
+//!   timings, terminal outcomes) depend only on content.  A case's are a pure
+//!   function of three counts — samples drawn, distinct candidates, samples
+//!   judged correct — and [`TracerHandle::case`] journals all of them at once
+//!   when the case is judged.  They are serialized in every journal.
 //! * **Volatile** events (cache hit/miss, pool admit/shed, solve/judge panics)
 //!   depend on interleaving or cache temperature.
-//!   They are emitted through [`Tracer::diagnostic`], always counted in the
-//!   metrics, but serialized only when [`JournalSpec::mode`] is
+//!   They are emitted through [`TracerHandle::diagnostic`], always counted in
+//!   the sink, but serialized only when [`JournalSpec::mode`] is
 //!   [`JournalMode::Full`] — a warm run and a cold run must render the same
 //!   default journal bytes.
 //!
@@ -34,25 +34,22 @@
 //!
 //! ## Buffering and drain
 //!
-//! [`JournalSink`] shards records across bounded per-shard buffers (lock held
-//! only for a push).  A full shard spills to an unbounded overflow vector —
-//! deterministic events are **never dropped**, the spill is merely counted.
-//! [`JournalSink::drain_sorted`] takes every buffered record and sorts by
-//! `(session, seq, serialized bytes)`, which is what makes the rendered JSONL
-//! independent of arrival interleaving.  [`render_journal`] then writes the
-//! versioned header (mirroring [`crate::persist::SnapshotHeader`]), one record
-//! per line, and a checksummed footer carrying an opaque payload — the same
-//! atomic-write flush path the cache snapshots use.
+//! [`JournalSink`] appends records to one buffer (lock held only for the
+//! append); nothing is ever dropped.  [`JournalSink::drain_sorted`] takes every
+//! buffered record and sorts by `(session, seq, serialized bytes)`, which is
+//! what makes the rendered JSONL independent of arrival interleaving.
+//! [`render_journal`] then writes the versioned header (mirroring
+//! [`crate::persist::SnapshotHeader`]), one record per line, and a checksummed
+//! footer carrying an opaque payload — the same atomic-write flush path the
+//! cache snapshots use.
 
 use crate::persist::{self, fnv64};
 use crate::service::splitmix64;
 use crate::sync::lock_recover;
-use crate::telemetry::{Metric, MetricClass, TelemetryHandle};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Journal file layout version (bumped on any incompatible change).
 pub const JOURNAL_FORMAT_VERSION: u32 = 1;
@@ -74,34 +71,17 @@ pub fn logical_tick(session: u64, seq: u32) -> u64 {
     u64::from(seq) * 16 + jitter
 }
 
-/// The observable phases of one case's repair session, journaled through a
-/// [`SpanHandle`] in this order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionPhase {
-    /// The repair request has been accepted by a pool.
-    Submitted,
-    /// The model's samples arrived (repair ticket fulfilled).
-    Sampled,
-    /// The distinct candidates were submitted to the verify pool.
-    Verifying,
-    /// A verdict-triggered re-submit walked the session up an escalation rung.
-    /// Nothing produces it any more; it stays so older journals still parse.
-    Escalated,
-    /// The session produced its result.
-    Done,
-}
-
 /// How a session ended; exactly one terminal event is journaled per session.
 ///
-/// Nothing produces `TimedOut` or `Panicked` any more; they stay so journals
-/// recorded when something did still parse.
+/// Only `Completed` is produced; the others stay so journals recorded when
+/// something produced them still parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SessionEnd {
     /// The session ran to completion.
     Completed,
     /// A per-session deadline expired before the session completed.
     TimedOut,
-    /// The session's span was dropped unfinished.
+    /// The session was dropped unfinished.
     Aborted,
     /// The session panicked — a crash, distinct from an abort.
     Panicked,
@@ -227,33 +207,15 @@ impl JournalRecord {
     }
 }
 
-/// Receives journal events from instrumented pools and sessions.
-///
-/// Both methods default to no-ops, so an implementor may observe only the class
-/// it cares about; the instrumented hot paths cost a single branch when no
-/// tracer is installed (see [`TracerHandle`]).
-pub trait Tracer: Send + Sync {
-    /// Records one **deterministic** event: `seq` orders it within `session`
-    /// and must itself be content-derived (phase index, rung index, …).
-    fn event(&self, session: u64, seq: u32, event: JournalEvent) {
-        let _ = (session, seq, event);
-    }
-
-    /// Records one **volatile** diagnostic event for `session`; ordering is
-    /// assigned by the sink and carries no determinism contract.
-    fn diagnostic(&self, session: u64, event: JournalEvent) {
-        let _ = (session, event);
-    }
-}
-
-/// A cheaply clonable, optional [`Tracer`] — the form configs carry.
+/// A cheaply clonable, optional handle on a [`JournalSink`] — the form configs
+/// carry.
 ///
 /// The default handle is **off**: every emit is one `Option` branch and
 /// nothing else, which is what keeps journaling free on untraced hot paths.
 /// Equality is identity (two handles are equal when they point at the same
-/// tracer, or are both off), so configs that derive `PartialEq` keep working.
+/// sink, or are both off), so configs that derive `PartialEq` keep working.
 #[derive(Clone, Default)]
-pub struct TracerHandle(Option<Arc<dyn Tracer>>);
+pub struct TracerHandle(Option<Arc<JournalSink>>);
 
 impl TracerHandle {
     /// The disabled handle (also what `Default` returns).
@@ -261,27 +223,52 @@ impl TracerHandle {
         Self(None)
     }
 
-    /// Wraps a live tracer.
-    pub fn new(tracer: Arc<dyn Tracer>) -> Self {
-        Self(Some(tracer))
-    }
-
-    /// Whether a tracer is installed — the one branch instrumented code pays.
+    /// Whether a sink is installed — the one branch instrumented code pays.
     pub fn is_on(&self) -> bool {
         self.0.is_some()
     }
 
-    /// Forwards a deterministic event to the tracer, if any.
-    pub fn event(&self, session: u64, seq: u32, event: JournalEvent) {
-        if let Some(tracer) = &self.0 {
-            tracer.event(session, seq, event);
-        }
+    /// Journals one judged case under `session`: `samples` drawn, `candidates`
+    /// distinct among them, `correct` judged correct.  The eight deterministic
+    /// records go to the sink in one append — the phases `submitted`,
+    /// `sampled`, `verifying` and `done` with the two timings and the verdict
+    /// tally between them (seq 0..=6), then the `Completed` terminal.
+    pub fn case(&self, session: u64, samples: u64, candidates: u64, correct: u64) {
+        let Some(sink) = &self.0 else {
+            return;
+        };
+        let phase = |phase: &str| JournalEvent::Phase {
+            phase: phase.to_string(),
+        };
+        let timing = |label: &str, units| JournalEvent::Timing {
+            label: label.to_string(),
+            units,
+        };
+        let rejected = samples.saturating_sub(correct);
+        let events = [
+            phase("submitted"),
+            phase("sampled"),
+            timing("samples", samples),
+            phase("verifying"),
+            timing("distinct-candidates", candidates),
+            JournalEvent::Verdict {
+                accepted: correct,
+                rejected,
+            },
+            phase("done"),
+        ];
+        let terminal = JournalEvent::Terminal {
+            outcome: SessionEnd::Completed,
+        };
+        let seqs = (0..).take(events.len()).chain([TERMINAL_SEQ]);
+        let records = seqs.zip(events.into_iter().chain([terminal]));
+        sink.record(records.map(|(seq, event)| JournalRecord::new(session, seq, event)));
     }
 
-    /// Forwards a volatile diagnostic to the tracer, if any.
+    /// Forwards a volatile diagnostic to the sink, if any.
     pub fn diagnostic(&self, session: u64, event: JournalEvent) {
-        if let Some(tracer) = &self.0 {
-            tracer.diagnostic(session, event);
+        if let Some(sink) = &self.0 {
+            sink.diagnostic(session, event);
         }
     }
 }
@@ -300,11 +287,7 @@ impl PartialEq for TracerHandle {
     fn eq(&self, other: &Self) -> bool {
         match (&self.0, &other.0) {
             (None, None) => true,
-            // Identity comparison on the data pointer only (not the vtable),
-            // so the comparison is stable across codegen units.
-            (Some(a), Some(b)) => {
-                std::ptr::eq(Arc::as_ptr(a) as *const (), Arc::as_ptr(b) as *const ())
-            }
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -324,43 +307,17 @@ pub enum JournalMode {
     Full,
 }
 
-/// Sink tuning: shard count, per-shard buffer capacity, and event-class mode.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Sink tuning: which event classes are serialized.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct JournalSpec {
-    /// Bounded buffers the sink shards records across (by `session % shards`).
-    pub shards: usize,
-    /// Records a shard buffer holds before overflow spills centrally.
-    pub shard_capacity: usize,
     /// Which event classes are serialized.
     pub mode: JournalMode,
-}
-
-impl Default for JournalSpec {
-    fn default() -> Self {
-        Self {
-            shards: 8,
-            shard_capacity: 1024,
-            mode: JournalMode::Deterministic,
-        }
-    }
 }
 
 impl JournalSpec {
     /// Returns the spec with the mode replaced.
     pub fn with_mode(mut self, mode: JournalMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Returns the spec with the per-shard buffer capacity replaced.
-    pub fn with_shard_capacity(mut self, shard_capacity: usize) -> Self {
-        self.shard_capacity = shard_capacity;
-        self
-    }
-
-    fn normalized(mut self) -> Self {
-        self.shards = self.shards.max(1);
-        self.shard_capacity = self.shard_capacity.max(1);
         self
     }
 }
@@ -374,302 +331,84 @@ pub struct JournalCounters {
     pub diagnostics: u64,
     /// Volatile events observed but not serialized (deterministic mode).
     pub suppressed: u64,
-    /// Records that overflowed a shard buffer into the central spill.
-    pub spilled: u64,
-    /// Records currently buffered (shards + spill); zero after a drain.
+    /// Records currently buffered; zero after a drain.
     pub buffered: usize,
 }
 
-/// The in-memory event sink: sharded bounded buffers plus an overflow spill.
+/// The in-memory event sink: one append-only buffer, drained sorted.
 ///
-/// Implements [`Tracer`]; install it on configs via
-/// `TracerHandle::new(sink.clone())`.  See the module docs for the buffering
-/// and drain contract.
+/// Install it on configs via [`JournalSink::handle`].  See the module docs for
+/// the buffering and drain contract.
 pub struct JournalSink {
     spec: JournalSpec,
-    shards: Vec<Mutex<Vec<JournalRecord>>>,
-    spill: Mutex<Vec<JournalRecord>>,
+    records: Mutex<Vec<JournalRecord>>,
     diag_seq: AtomicU32,
     recorded: AtomicU64,
     diagnostics: AtomicU64,
     suppressed: AtomicU64,
-    spilled: AtomicU64,
 }
 
 impl JournalSink {
     /// Builds a sink with the given spec.
     pub fn new(spec: JournalSpec) -> Self {
-        let spec = spec.normalized();
         Self {
-            shards: (0..spec.shards)
-                .map(|_| Mutex::new(Vec::with_capacity(spec.shard_capacity.min(64))))
-                .collect(),
-            spill: Mutex::new(Vec::new()),
+            spec,
+            records: Mutex::new(Vec::new()),
             diag_seq: AtomicU32::new(0),
             recorded: AtomicU64::new(0),
             diagnostics: AtomicU64::new(0),
             suppressed: AtomicU64::new(0),
-            spilled: AtomicU64::new(0),
-            spec,
         }
     }
 
-    /// A shared sink with the default spec, ready to wrap in a handle.
+    /// A shared sink with the given spec, ready to wrap in a handle.
     pub fn shared(spec: JournalSpec) -> Arc<Self> {
         Arc::new(Self::new(spec))
     }
 
     /// A [`TracerHandle`] pointing at this sink.
     pub fn handle(self: &Arc<Self>) -> TracerHandle {
-        TracerHandle::new(Arc::clone(self) as Arc<dyn Tracer>)
+        TracerHandle(Some(Arc::clone(self)))
     }
 
-    fn push(&self, record: JournalRecord) {
-        let shard = (record.session % self.shards.len() as u64) as usize;
-        let mut buffer = lock_recover(&self.shards[shard]);
-        if buffer.len() < self.spec.shard_capacity {
-            buffer.push(record);
+    /// Appends deterministic records in one lock acquisition.
+    fn record(&self, records: impl IntoIterator<Item = JournalRecord>) {
+        let mut buffer = lock_recover(&self.records);
+        let before = buffer.len();
+        buffer.extend(records);
+        let added = buffer.len() - before;
+        self.recorded.fetch_add(added as u64, Ordering::Relaxed);
+    }
+
+    /// Records one volatile diagnostic for `session`, serialized only in
+    /// [`JournalMode::Full`]; its sequence number comes from the sink and
+    /// carries no determinism contract.
+    fn diagnostic(&self, session: u64, event: JournalEvent) {
+        if self.spec.mode == JournalMode::Full {
+            self.diagnostics.fetch_add(1, Ordering::Relaxed);
+            let seq = self.diag_seq.fetch_add(1, Ordering::Relaxed);
+            lock_recover(&self.records).push(JournalRecord::new(session, seq, event));
         } else {
-            drop(buffer);
-            // Never drop an event: a full shard spills centrally and the spill
-            // is merely counted (the drain re-sorts everything anyway).
-            self.spilled.fetch_add(1, Ordering::Relaxed);
-            lock_recover(&self.spill).push(record);
+            self.suppressed.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Takes every buffered record, sorted by `(session, seq, rendered bytes)`
     /// — the canonical order the JSONL serialization uses.
     pub fn drain_sorted(&self) -> Vec<JournalRecord> {
-        let mut records = Vec::new();
-        for shard in &self.shards {
-            records.append(&mut lock_recover(shard));
-        }
-        records.append(&mut lock_recover(&self.spill));
+        let mut records = std::mem::take(&mut *lock_recover(&self.records));
         records.sort_by_cached_key(|record| (record.session, record.seq, record.render()));
         records
     }
 
     /// Snapshot of the sink's counters.
     pub fn counters(&self) -> JournalCounters {
-        let buffered = self
-            .shards
-            .iter()
-            .map(|shard| lock_recover(shard).len())
-            .sum::<usize>()
-            + lock_recover(&self.spill).len();
         JournalCounters {
             recorded: self.recorded.load(Ordering::Relaxed),
             diagnostics: self.diagnostics.load(Ordering::Relaxed),
             suppressed: self.suppressed.load(Ordering::Relaxed),
-            spilled: self.spilled.load(Ordering::Relaxed),
-            buffered,
+            buffered: lock_recover(&self.records).len(),
         }
-    }
-}
-
-impl Tracer for JournalSink {
-    fn event(&self, session: u64, seq: u32, event: JournalEvent) {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        self.push(JournalRecord::new(session, seq, event));
-    }
-
-    fn diagnostic(&self, session: u64, event: JournalEvent) {
-        if self.spec.mode == JournalMode::Full {
-            self.diagnostics.fetch_add(1, Ordering::Relaxed);
-            let seq = self.diag_seq.fetch_add(1, Ordering::Relaxed);
-            self.push(JournalRecord::new(session, seq, event));
-        } else {
-            self.suppressed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Shared state behind a [`SessionSpan`] and its [`SpanHandle`]s.
-///
-/// Spans keep **two clocks**: the journaled [`logical_tick`] (derived from the
-/// per-span sequence counter — byte-deterministic) and a wall clock started at
-/// span open.  The wall clock never enters the journal; it feeds the volatile
-/// `session.span.wall` telemetry histogram at terminal emit, so profile data
-/// and replayable artifacts come from one instrumentation point without the
-/// journal bytes depending on machine speed.
-struct SpanCore {
-    tracer: TracerHandle,
-    session: u64,
-    seq: AtomicU32,
-    ended: AtomicBool,
-    started: Instant,
-    wall: Option<Arc<Metric>>,
-}
-
-impl SpanCore {
-    fn emit(&self, event: JournalEvent) {
-        if !self.tracer.is_on() {
-            return;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.tracer.event(self.session, seq, event);
-    }
-
-    /// Emits the session's terminal event, exactly once: the first caller —
-    /// shed, owner finish, or owner drop — wins the CAS and later attempts
-    /// are no-ops.
-    fn emit_terminal(&self, outcome: SessionEnd) {
-        if self
-            .ended
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            if let Some(metric) = &self.wall {
-                metric.observe_duration(self.started.elapsed());
-            }
-            self.tracer.event(
-                self.session,
-                TERMINAL_SEQ,
-                JournalEvent::Terminal { outcome },
-            );
-        }
-    }
-}
-
-/// The owner side of a session's journal span.
-///
-/// The case driver owns one per case and calls [`SessionSpan::finish`] once
-/// the case is judged.  Dropping an unfinished span journals `Aborted`.
-/// Events along the way go through the span itself, which dereferences to
-/// its [`SpanHandle`], or through a clone of that handle.
-pub struct SessionSpan {
-    handle: SpanHandle,
-}
-
-impl SessionSpan {
-    /// Opens a span for `session` (the request's 64-bit content-hash fold).
-    pub fn new(tracer: &TracerHandle, session: u64) -> Self {
-        Self::with_telemetry(tracer, &TelemetryHandle::off(), session)
-    }
-
-    /// Opens a span that also records its wall-clock lifetime into the
-    /// volatile `session.span.wall` telemetry histogram at terminal emit —
-    /// the dual-clock form: logical ticks in the journal, wall time in the
-    /// registry.
-    pub fn with_telemetry(
-        tracer: &TracerHandle,
-        telemetry: &TelemetryHandle,
-        session: u64,
-    ) -> Self {
-        let core = Arc::new(SpanCore {
-            tracer: tracer.clone(),
-            session,
-            seq: AtomicU32::new(0),
-            ended: AtomicBool::new(false),
-            started: Instant::now(),
-            wall: telemetry.histogram("session.span.wall", MetricClass::Volatile),
-        });
-        Self {
-            handle: SpanHandle { core },
-        }
-    }
-
-    /// The session id the span journals under.
-    pub fn session(&self) -> u64 {
-        self.handle.core.session
-    }
-
-    /// Wall-clock time since the span opened — the volatile half of the dual
-    /// clock.  Never journaled; compare with [`SessionSpan::logical_now`].
-    pub fn elapsed(&self) -> Duration {
-        self.handle.core.started.elapsed()
-    }
-
-    /// The [`logical_tick`] the span's *next* event would journal under — the
-    /// deterministic half of the dual clock (a pure function of content and
-    /// event count, identical at any driver count).
-    pub fn logical_now(&self) -> u64 {
-        logical_tick(
-            self.handle.core.session,
-            self.handle.core.seq.load(Ordering::Relaxed),
-        )
-    }
-
-    /// A clonable handle for emitting the session's events.
-    pub fn handle(&self) -> SpanHandle {
-        self.handle.clone()
-    }
-
-    /// Journals the `Completed` terminal (exactly once; a terminal already
-    /// emitted — e.g. a shed — wins).
-    pub fn finish(&self) {
-        self.handle.core.emit_terminal(SessionEnd::Completed);
-    }
-}
-
-/// The owner emits the session's events itself, too.
-impl std::ops::Deref for SessionSpan {
-    type Target = SpanHandle;
-
-    fn deref(&self) -> &SpanHandle {
-        &self.handle
-    }
-}
-
-impl Drop for SessionSpan {
-    fn drop(&mut self) {
-        // An owner dropped without `finish` means the session never finished.
-        self.handle.core.emit_terminal(SessionEnd::Aborted);
-    }
-}
-
-/// The event side of a session span; clone freely.
-#[derive(Clone)]
-pub struct SpanHandle {
-    core: Arc<SpanCore>,
-}
-
-impl SpanHandle {
-    /// Journals a phase transition.
-    pub fn phase(&self, phase: SessionPhase) {
-        if !self.core.tracer.is_on() {
-            return;
-        }
-        self.core.emit(JournalEvent::Phase {
-            phase: phase_name(phase).to_string(),
-        });
-    }
-
-    /// Journals a content-derived per-phase timing.
-    pub fn timing(&self, label: &str, units: u64) {
-        if !self.core.tracer.is_on() {
-            return;
-        }
-        self.core.emit(JournalEvent::Timing {
-            label: label.to_string(),
-            units,
-        });
-    }
-
-    /// Journals the session's verdict tally.
-    pub fn verdict(&self, accepted: u64, rejected: u64) {
-        if !self.core.tracer.is_on() {
-            return;
-        }
-        self.core.emit(JournalEvent::Verdict { accepted, rejected });
-    }
-
-    /// Journals the `Shed` terminal (exactly once, even if the owner later
-    /// finishes the span).
-    pub fn shed(&self) {
-        self.core.emit_terminal(SessionEnd::Shed);
-    }
-}
-
-/// Lower-kebab name of a phase, as journaled.
-fn phase_name(phase: SessionPhase) -> &'static str {
-    match phase {
-        SessionPhase::Submitted => "submitted",
-        SessionPhase::Sampled => "sampled",
-        SessionPhase::Verifying => "verifying",
-        SessionPhase::Escalated => "escalated",
-        SessionPhase::Done => "done",
     }
 }
 
@@ -846,14 +585,7 @@ mod tests {
     fn off_handle_is_inert_and_comparable() {
         let handle = TracerHandle::off();
         assert!(!handle.is_on());
-        handle.event(
-            1,
-            0,
-            JournalEvent::Verdict {
-                accepted: 1,
-                rejected: 0,
-            },
-        );
+        handle.case(1, 8, 3, 1);
         assert_eq!(handle, TracerHandle::default());
         let sink = sink();
         let on = sink.handle();
@@ -892,173 +624,99 @@ mod tests {
 
     #[test]
     fn deterministic_events_survive_overflow_and_sort_canonically() {
-        let sink = JournalSink::shared(JournalSpec {
-            shards: 2,
-            shard_capacity: 4,
-            mode: JournalMode::Deterministic,
-        });
-        // 64 events over 4 sessions, emitted in a scrambled order and far past
-        // the shard capacity: nothing may be dropped.
+        let sink = sink();
+        // 64 events over 4 sessions, appended in a scrambled order: nothing
+        // may be dropped, and the drain restores the canonical order.
         for seq in (0..16u32).rev() {
-            for session in [3u64, 1, 2, 0] {
-                sink.event(
-                    session,
-                    seq,
-                    JournalEvent::Timing {
-                        label: "t".to_string(),
-                        units: u64::from(seq),
-                    },
-                );
-            }
+            sink.record([3u64, 1, 2, 0].map(|session| {
+                let units = u64::from(seq);
+                let label = "t".to_string();
+                JournalRecord::new(session, seq, JournalEvent::Timing { label, units })
+            }));
         }
         let counters = sink.counters();
         assert_eq!(counters.recorded, 64);
-        assert!(counters.spilled > 0, "tiny buffers must have spilled");
-        assert_eq!(counters.buffered, 64, "spill keeps every record");
+        assert_eq!(counters.buffered, 64, "the buffer keeps every record");
         let records = sink.drain_sorted();
         assert_eq!(records.len(), 64);
         let keys: Vec<(u64, u32)> = records.iter().map(|r| (r.session, r.seq)).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "drain must sort by (session, seq)");
-        assert_eq!(sink.counters().buffered, 0, "drain empties every buffer");
+        assert_eq!(sink.counters().buffered, 0, "drain empties the buffer");
     }
 
     #[test]
     fn volatile_events_are_suppressed_unless_full_mode() {
+        let cache = || JournalEvent::Cache {
+            pool: "repair".to_string(),
+            hit: true,
+            warm: false,
+        };
         let deterministic = sink();
-        deterministic.diagnostic(
-            7,
-            JournalEvent::Cache {
-                pool: "repair".to_string(),
-                hit: true,
-                warm: false,
-            },
-        );
+        deterministic.handle().diagnostic(7, cache());
         let counters = deterministic.counters();
         assert_eq!(counters.suppressed, 1);
         assert_eq!(counters.buffered, 0);
 
         let full = JournalSink::shared(JournalSpec::default().with_mode(JournalMode::Full));
-        full.diagnostic(
-            7,
-            JournalEvent::Cache {
-                pool: "repair".to_string(),
-                hit: true,
-                warm: false,
-            },
-        );
+        full.handle().diagnostic(7, cache());
         assert_eq!(full.counters().diagnostics, 1);
         assert_eq!(full.drain_sorted().len(), 1);
     }
 
     #[test]
-    fn span_emits_exactly_one_terminal_through_every_exit() {
-        // finish(Completed) then drop: one Completed terminal.
+    fn a_journaled_case_is_eight_records_ending_in_one_completed_terminal() {
         let sink = sink();
-        {
-            let span = SessionSpan::new(&sink.handle(), 11);
-            span.handle().phase(SessionPhase::Submitted);
-            span.finish();
-            span.finish();
-        }
+        sink.handle().case(11, 8, 5, 3);
         let records = sink.drain_sorted();
-        let terminals: Vec<&JournalRecord> = records
-            .iter()
-            .filter(|r| matches!(r.event, JournalEvent::Terminal { .. }))
-            .collect();
-        assert_eq!(terminals.len(), 1);
-        assert_eq!(terminals[0].seq, TERMINAL_SEQ);
-        assert_eq!(
-            terminals[0].event,
-            JournalEvent::Terminal {
-                outcome: SessionEnd::Completed
-            }
-        );
-
-        // Drop without finish: Aborted.
-        let sink2 = sink.clone();
-        drop(SessionSpan::new(&sink2.handle(), 12));
-        let records = sink2.drain_sorted();
-        assert_eq!(records.len(), 1);
-        assert_eq!(
-            records[0].event,
-            JournalEvent::Terminal {
-                outcome: SessionEnd::Aborted
-            }
-        );
-
-        // A shed wins over a later owner finish.
-        let span = SessionSpan::new(&sink2.handle(), 13);
-        span.handle().shed();
-        span.finish();
-        drop(span);
-        let records = sink2.drain_sorted();
-        assert_eq!(records.len(), 1);
-        assert_eq!(
-            records[0].event,
-            JournalEvent::Terminal {
-                outcome: SessionEnd::Shed
-            }
-        );
-    }
-
-    #[test]
-    fn dual_clock_span_keeps_wall_time_out_of_the_journal() {
-        use crate::telemetry::MetricsRegistry;
-        let sink = sink();
-        let telemetry = TelemetryHandle::new(std::sync::Arc::new(MetricsRegistry::default()));
-
-        // Render the same event sequence through a plain span and a dual-clock
-        // span: the journal bytes must be identical — wall time lives only in
-        // the registry.
-        let plain = SessionSpan::new(&sink.handle(), 21);
-        plain.handle().phase(SessionPhase::Submitted);
-        plain.finish();
-        let plain_records = sink.drain_sorted();
-
-        let dual = SessionSpan::with_telemetry(&sink.handle(), &telemetry, 21);
-        assert!(dual.elapsed() >= Duration::ZERO);
-        let before = dual.logical_now();
-        dual.handle().phase(SessionPhase::Submitted);
-        assert!(
-            dual.logical_now() > before,
-            "logical clock advances with events"
-        );
-        dual.finish();
-        let dual_records = sink.drain_sorted();
-
-        let render = |records: &[JournalRecord]| {
-            records
-                .iter()
-                .map(JournalRecord::render)
-                .collect::<Vec<_>>()
+        let seqs: Vec<u32> = records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4, 5, 6, TERMINAL_SEQ]);
+        assert!(records.iter().all(|r| r.session == 11));
+        assert!(records.iter().all(|r| r.tick == logical_tick(11, r.seq)));
+        let phase = |phase: &str| JournalEvent::Phase {
+            phase: phase.to_string(),
         };
-        assert_eq!(render(&plain_records), render(&dual_records));
+        let timing = |label: &str, units| JournalEvent::Timing {
+            label: label.to_string(),
+            units,
+        };
+        let events: Vec<JournalEvent> = records.into_iter().map(|r| r.event).collect();
+        assert_eq!(
+            events,
+            [
+                phase("submitted"),
+                phase("sampled"),
+                timing("samples", 8),
+                phase("verifying"),
+                timing("distinct-candidates", 5),
+                JournalEvent::Verdict {
+                    accepted: 3,
+                    rejected: 5
+                },
+                phase("done"),
+                JournalEvent::Terminal {
+                    outcome: SessionEnd::Completed
+                },
+            ]
+        );
+        assert_eq!(sink.counters().recorded, 8);
 
-        // The wall clock landed in telemetry instead.
-        let wall = telemetry
-            .snapshot()
-            .get("session.span.wall")
-            .cloned()
-            .expect("dual-clock span records session.span.wall");
-        assert_eq!(wall.count, 1);
+        // The off handle records nothing.
+        TracerHandle::off().case(12, 8, 5, 3);
+        assert!(sink.drain_sorted().is_empty());
     }
 
     #[test]
     fn render_parse_roundtrip_validates_checksum() {
         let sink = sink();
-        let span = SessionSpan::new(&sink.handle(), 42);
-        span.handle().phase(SessionPhase::Submitted);
-        span.handle().timing("candidates", 8);
-        span.handle().verdict(3, 5);
-        span.finish();
+        sink.handle().case(42, 8, 6, 3);
         let header = JournalHeader::expected("{\"recipe\":\"test\"}");
         let rendered = render_journal(&header, &sink.drain_sorted(), "payload bytes");
         let parsed = parse_journal(&rendered).expect("roundtrip parses");
         assert_eq!(parsed.header, header);
-        assert_eq!(parsed.records.len(), 4);
-        assert_eq!(parsed.footer.events, 4);
+        assert_eq!(parsed.records.len(), 8);
+        assert_eq!(parsed.footer.events, 8);
         assert_eq!(parsed.footer.payload, "payload bytes");
         assert_eq!(
             rendered,
@@ -1067,6 +725,7 @@ mod tests {
 
         // Corruption in a record line must fail the checksum (or the parse).
         let tampered = rendered.replace("\"units\":8", "\"units\":9");
+        assert_ne!(tampered, rendered);
         assert!(parse_journal(&tampered).is_err());
         assert!(header
             .mismatch(&JournalHeader::expected("{\"recipe\":\"other\"}"))

@@ -37,10 +37,11 @@
 //!   `assertsolver`'s case driver keeps every case in flight by submitting
 //!   them all before it waits on any.
 //! * **Structured session journal** — a typed-event observability layer
-//!   ([`journal`]): span hooks on the pools and each case's session record
-//!   phases, verdict tallies and terminal outcomes into a sharded sink with
-//!   logical timestamps, rendered as a checksummed JSONL artifact whose bytes
-//!   are deterministic at any driver/worker count — a replayable repro artifact, not just a log.  Off
+//!   ([`journal`]): each judged case journals its phases, verdict tally and
+//!   terminal outcome in one call ([`TracerHandle::case`]), and the pools add
+//!   volatile diagnostics, into one sink with logical timestamps, rendered as a
+//!   checksummed JSONL artifact whose bytes are deterministic at any
+//!   driver/worker count — a replayable repro artifact, not just a log.  Off
 //!   by default; the hot path pays one branch.
 //! * **Distributed shard fabric** — a versioned, checksummed, length-capped
 //!   frame protocol ([`wire`]) with loopback and unix-socket transports, a
@@ -96,8 +97,7 @@ pub use env::{
 pub use journal::{
     logical_tick, parse_journal, render_journal, write_journal, JournalCounters, JournalEvent,
     JournalFooter, JournalHeader, JournalMode, JournalRecord, JournalSink, JournalSpec,
-    ParsedJournal, SessionEnd, SessionPhase, SessionSpan, SpanHandle, Tracer, TracerHandle,
-    JOURNAL_FORMAT_VERSION, JOURNAL_KIND, TERMINAL_SEQ,
+    ParsedJournal, SessionEnd, TracerHandle, JOURNAL_FORMAT_VERSION, JOURNAL_KIND, TERMINAL_SEQ,
 };
 pub use metrics::{render_block, ServiceMetrics, VerifyMetrics};
 pub use persist::{
@@ -146,8 +146,6 @@ mod tests {
         assert_send_sync::<super::MetricsRegistry>();
         assert_send_sync::<super::RegistrySnapshot>();
         assert_send_sync::<super::JournalSink>();
-        assert_send_sync::<super::SessionSpan>();
-        assert_send_sync::<super::SpanHandle>();
         assert_send_sync::<super::TraceHandle>();
         assert_send_sync::<super::TraceSpan>();
         assert_send_sync::<super::TraceForest>();

@@ -3,11 +3,9 @@
 //!
 //! One `MetricsRecorder` instruments one worker pool.  The repair pool snapshots it
 //! as [`ServiceMetrics`]; the verify pool snapshots the same counters (plus the
-//! verdict tallies) as [`VerifyMetrics`], and a combined view is available through
-//! [`ServiceMetrics::with_verify`].
+//! verdict tallies) as [`VerifyMetrics`].
 
 use crate::telemetry::{MetricClass, RegistrySnapshot};
-use crate::wire::FleetMetrics;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -108,8 +106,8 @@ impl MetricsRecorder {
         self.shed_busy.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one event this pool emitted to an installed [`crate::Tracer`];
-    /// stays zero while no tracer is configured (journaling off).
+    /// Counts one event this pool emitted to an installed journal sink; stays
+    /// zero while journaling is off.
     pub(crate) fn record_journal_event(&self) {
         self.journal_events.fetch_add(1, Ordering::Relaxed);
     }
@@ -299,8 +297,6 @@ impl MetricsRecorder {
             mean_solve_us: stage.mean_work_us,
             uptime_secs: stage.uptime_secs,
             throughput_per_sec: stage.throughput_per_sec,
-            verify: None,
-            fleet: None,
         }
     }
 
@@ -400,7 +396,7 @@ pub struct ServiceMetrics {
     /// Requests shed by admission control (`max_in_flight` reached); each one
     /// was rejected with `SubmitError::Busy` instead of queued.
     pub shed_busy: u64,
-    /// Events this pool emitted to an installed [`crate::Tracer`] (admits,
+    /// Events this pool emitted to an installed journal sink (admits,
     /// sheds, cache provenance, panics); zero while journaling is off.
     pub journal_events: u64,
     /// Requests answered from the response cache.
@@ -450,12 +446,6 @@ pub struct ServiceMetrics {
     pub uptime_secs: f64,
     /// Completed requests per second of uptime.
     pub throughput_per_sec: f64,
-    /// Verification-stage metrics, when the service runs in tandem with a verify
-    /// pool (see [`ServiceMetrics::with_verify`]); `None` for a sampling-only pool.
-    pub verify: Option<VerifyMetrics>,
-    /// Shard-fleet wire metrics, when sampling ran over a distributed fleet
-    /// (see [`ServiceMetrics::with_fleet`]); `None` for in-process serving.
-    pub fleet: Option<FleetMetrics>,
 }
 
 /// A point-in-time view of the verification offload pool.
@@ -477,7 +467,7 @@ pub struct VerifyMetrics {
     pub peak_in_flight_sessions: usize,
     /// Verdict jobs shed by admission control (0 unless a limit is configured).
     pub shed_busy: u64,
-    /// Events this pool emitted to an installed [`crate::Tracer`] (admits,
+    /// Events this pool emitted to an installed journal sink (admits,
     /// cache provenance, judge panics); zero while journaling is off.
     pub journal_events: u64,
     /// Verdicts answered from the verdict cache.
@@ -548,51 +538,6 @@ pub fn render_block(title: &str, rows: &[(&str, String)]) -> String {
 }
 
 impl VerifyMetrics {
-    /// Exports the snapshot's fields as registry series under `prefix` (see
-    /// [`ServiceMetrics::export`]).  Verdict tallies are deterministic — a
-    /// verdict is a pure function of `(case, response, checker config)`.
-    pub fn export(&self, prefix: &str, out: &mut RegistrySnapshot) {
-        let det = MetricClass::Deterministic;
-        let vol = MetricClass::Volatile;
-        out.upsert_counter(&format!("{prefix}.submitted"), det, self.submitted);
-        out.upsert_counter(&format!("{prefix}.completed"), det, self.completed);
-        out.upsert_counter(
-            &format!("{prefix}.verdicts.accepted"),
-            det,
-            self.verdicts_true,
-        );
-        out.upsert_counter(
-            &format!("{prefix}.verdicts.rejected"),
-            det,
-            self.verdicts_false,
-        );
-        out.upsert_counter(&format!("{prefix}.cache.hits"), vol, self.cache_hits);
-        out.upsert_counter(&format!("{prefix}.cache.misses"), vol, self.cache_misses);
-        out.upsert_counter(&format!("{prefix}.cache.warm_hits"), vol, self.warm_hits);
-        out.upsert_gauge(
-            &format!("{prefix}.cache.entries"),
-            vol,
-            self.cache_entries as u64,
-        );
-        out.upsert_gauge(
-            &format!("{prefix}.queue.depth"),
-            vol,
-            self.queue_depth as u64,
-        );
-        out.upsert_gauge(
-            &format!("{prefix}.queue.peak_depth"),
-            vol,
-            self.peak_queue_depth as u64,
-        );
-        out.upsert_counter(&format!("{prefix}.shed_busy"), vol, self.shed_busy);
-        out.upsert_counter(&format!("{prefix}.panics"), vol, self.verdict_panics);
-        out.upsert_counter(
-            &format!("{prefix}.journal.events"),
-            vol,
-            self.journal_events,
-        );
-    }
-
     /// The aligned rows behind [`VerifyMetrics::render`].
     fn rows(&self) -> Vec<(&'static str, String)> {
         vec![
@@ -675,22 +620,6 @@ impl VerifyMetrics {
 }
 
 impl ServiceMetrics {
-    /// Attaches a verify-pool snapshot, producing the combined two-pool view.
-    pub fn with_verify(mut self, verify: VerifyMetrics) -> Self {
-        self.verify = Some(verify);
-        self
-    }
-
-    /// Attaches a shard-fleet snapshot, producing the combined sharded view.
-    ///
-    /// Before this existed, a sharded evaluation's top-level summary silently
-    /// omitted wire errors and per-shard sheds — the fleet counters were
-    /// snapshotted and dropped on the floor.
-    pub fn with_fleet(mut self, fleet: FleetMetrics) -> Self {
-        self.fleet = Some(fleet);
-        self
-    }
-
     /// Exports the snapshot's fields as registry series under `prefix`
     /// (`<prefix>.submitted`, `<prefix>.cache.hits`, …), so the bespoke view
     /// and the unified telemetry plane expose one set of numbers.  Request and
@@ -731,17 +660,9 @@ impl ServiceMetrics {
             vol,
             self.journal_events,
         );
-        if let Some(verify) = &self.verify {
-            verify.export(&format!("{prefix}.verify"), out);
-        }
-        if let Some(fleet) = &self.fleet {
-            fleet.export(&format!("{prefix}.fleet"), out);
-        }
     }
 
-    /// The aligned rows behind [`ServiceMetrics::render`].  The attached
-    /// verify stage, if any, is not part of the rows; `render` appends it as
-    /// its own block.
+    /// The aligned rows behind [`ServiceMetrics::render`].
     fn rows(&self) -> Vec<(&'static str, String)> {
         vec![
             ("workers", format!("{:>10}", self.workers)),
@@ -810,20 +731,9 @@ impl ServiceMetrics {
         ]
     }
 
-    /// Renders the snapshot as an aligned text block for logs and examples; a
-    /// combined snapshot appends the verification stage — and, for sharded
-    /// runs, the fleet stage — as their own blocks.
+    /// Renders the snapshot as an aligned text block for logs and examples.
     pub fn render(&self) -> String {
-        let mut out = render_block("service metrics", &self.rows());
-        if let Some(verify) = &self.verify {
-            out.push('\n');
-            out.push_str(&verify.render());
-        }
-        if let Some(fleet) = &self.fleet {
-            out.push('\n');
-            out.push_str(&fleet.render());
-        }
-        out
+        render_block("service metrics", &self.rows())
     }
 }
 
@@ -951,35 +861,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_summary_includes_fleet_wire_errors_and_sheds() {
-        // Regression: before `with_fleet`, a sharded evaluation's top-level
-        // summary dropped the fleet counters entirely — wire errors and
-        // per-shard sheds were invisible in the rendered report.
-        let fleet = FleetMetrics {
-            shards: 2,
-            dead_shards: 1,
-            submitted: 10,
-            completed: 7,
-            remote_cache_hits: 3,
-            shed_busy: 1,
-            wire_errors: 2,
-            journal_events: 0,
-        };
-        let recorder = MetricsRecorder::new();
-        let plain = recorder.snapshot(2, 0, 0);
-        assert!(
-            !plain.render().contains("fleet metrics"),
-            "in-process runs must not grow a fleet block"
-        );
-        let combined = recorder.snapshot(2, 0, 0).with_fleet(fleet.clone());
-        let text = combined.render();
-        assert!(text.contains("fleet metrics"));
-        assert!(text.contains("wire errors"));
-        assert!(text.contains("shed busy"));
-        assert_eq!(combined.fleet.as_ref().unwrap(), &fleet);
-    }
-
-    #[test]
     fn export_mirrors_the_bespoke_snapshot() {
         let recorder = MetricsRecorder::new();
         recorder.record_submit(1);
@@ -988,29 +869,13 @@ mod tests {
             Duration::from_micros(1),
             Some(Duration::from_micros(100)),
         );
-        let verify = MetricsRecorder::new();
-        let fleet = FleetMetrics {
-            shards: 2,
-            dead_shards: 0,
-            submitted: 1,
-            completed: 1,
-            remote_cache_hits: 0,
-            shed_busy: 0,
-            wire_errors: 0,
-            journal_events: 0,
-        };
-        let snap = recorder
-            .snapshot(1, 0, 1)
-            .with_verify(verify.snapshot_verify(1, 0, 0))
-            .with_fleet(fleet);
+        let snap = recorder.snapshot(1, 0, 1);
         let mut out = RegistrySnapshot::new();
         snap.export("service", &mut out);
-        // One namespace for all three stages, stable names.
+        // One namespace, stable names.
         let submitted = out.get("service.submitted").expect("service.submitted");
         assert_eq!(submitted.class, MetricClass::Deterministic);
         assert_eq!(submitted.value, 1);
-        assert!(out.get("service.verify.submitted").is_some());
-        assert!(out.get("service.fleet.wire_errors").is_some());
         assert_eq!(
             out.get("service.cache.misses").map(|m| m.value),
             Some(1),
@@ -1020,18 +885,5 @@ mod tests {
         let det = out.deterministic_only();
         assert!(det.get("service.submitted").is_some());
         assert!(det.get("service.cache.misses").is_none());
-    }
-
-    #[test]
-    fn combined_render_includes_both_stages() {
-        let repair = MetricsRecorder::new();
-        let verify = MetricsRecorder::new();
-        let combined = repair
-            .snapshot(2, 0, 0)
-            .with_verify(verify.snapshot_verify(4, 0, 0));
-        let text = combined.render();
-        assert!(text.contains("service metrics"));
-        assert!(text.contains("verify metrics"));
-        assert_eq!(combined.verify.as_ref().unwrap().workers, 4);
     }
 }

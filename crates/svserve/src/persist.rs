@@ -2,7 +2,7 @@
 //!
 //! Both pool caches are pure content-addressed maps — responses are a deterministic
 //! function of `(case, samples, temperature, model, seed)` and verdicts of
-//! `(case, response, CheckConfig)` — so their contents can be spilled to disk and
+//! `(case, response, CheckConfig)` — so their contents can be written to disk and
 //! reloaded by a later process without changing any result.  This module is the
 //! "cache persistence & warmup" layer: repeated benchmark runs against the same
 //! [`crate::env::CACHE_DIR_ENV`] directory skip already-resolved cases entirely.

@@ -26,7 +26,7 @@ use crate::journal::{JournalEvent, TracerHandle};
 use crate::metrics::render_block;
 use crate::service::{splitmix64, RepairRequest};
 use crate::sync::lock_recover;
-use crate::telemetry::{MetricClass, RegistrySnapshot, WindowSnapshot};
+use crate::telemetry::{RegistrySnapshot, WindowSnapshot};
 use crate::trace::{TraceContext, TraceSpan};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -425,38 +425,6 @@ impl FleetMetrics {
     /// Renders the snapshot through the shared [`render_block`] formatter.
     pub fn render(&self) -> String {
         render_block("fleet metrics", &self.rows())
-    }
-
-    /// Exports the counters into a registry snapshot under `prefix`
-    /// (e.g. `service.fleet`).
-    ///
-    /// Submission and completion totals are content-derived for a fixed
-    /// workload, so they carry [`MetricClass::Deterministic`]; everything
-    /// timing- or failure-dependent (cache warmth, sheds, wire errors) is
-    /// [`MetricClass::Volatile`].
-    pub fn export(&self, prefix: &str, out: &mut RegistrySnapshot) {
-        let det = MetricClass::Deterministic;
-        let vol = MetricClass::Volatile;
-        out.upsert_gauge(&format!("{prefix}.shards"), vol, self.shards as u64);
-        out.upsert_gauge(
-            &format!("{prefix}.dead_shards"),
-            vol,
-            self.dead_shards as u64,
-        );
-        out.upsert_counter(&format!("{prefix}.submitted"), det, self.submitted);
-        out.upsert_counter(&format!("{prefix}.completed"), det, self.completed);
-        out.upsert_counter(
-            &format!("{prefix}.remote_cache_hits"),
-            vol,
-            self.remote_cache_hits,
-        );
-        out.upsert_counter(&format!("{prefix}.shed_busy"), vol, self.shed_busy);
-        out.upsert_counter(&format!("{prefix}.wire_errors"), vol, self.wire_errors);
-        out.upsert_counter(
-            &format!("{prefix}.journal.events"),
-            vol,
-            self.journal_events,
-        );
     }
 }
 

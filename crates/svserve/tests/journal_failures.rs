@@ -1,13 +1,14 @@
-//! Journal behaviour on the failure paths: every way a session can end must
-//! journal **exactly one** terminal event and leave the sink fully drainable.
+//! Journal behaviour on the failure paths: a refused submission and a
+//! panicking judge each surface as volatile diagnostics, a judged case still
+//! journals **exactly one** terminal event, and the sink stays fully
+//! drainable.
 //!
 //! The contracts under test:
 //!
-//! * a **shed** session journals one `Terminal { Shed }` when admission
-//!   refuses its submission, and the owner's later `finish` does not
-//!   double-journal (first terminal wins);
-//! * a **panicking judge** is absorbed into a failed verdict: the session
-//!   still journals one `Terminal { Completed }`, the panic surfaces as a
+//! * a **shed** submission journals one `Shed { pool: "repair" }`
+//!   diagnostic when admission refuses it;
+//! * a **panicking judge** is absorbed into a failed verdict: the case still
+//!   journals one `Terminal { Completed }`, the panic surfaces as a
 //!   volatile `Panic` diagnostic, and nothing stays buffered after a drain.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,8 +16,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use svmodel::{CaseInput, RepairModel, Response};
 use svserve::{
     verdict_key, JournalEvent, JournalMode, JournalRecord, JournalSink, JournalSpec, RepairRequest,
-    RepairService, ServiceConfig, SessionEnd, SessionSpan, SubmitError, VerifyConfig, VerifyPool,
-    VerifyRequest, TERMINAL_SEQ,
+    RepairService, ServiceConfig, SessionEnd, SubmitError, VerifyConfig, VerifyPool, VerifyRequest,
+    TERMINAL_SEQ,
 };
 
 struct Gate {
@@ -120,60 +121,47 @@ fn assert_fully_drained(sink: &Arc<JournalSink>) {
 }
 
 #[test]
-fn shed_sessions_journal_one_shed_terminal_that_wins_over_finish() {
-    let sink = JournalSink::shared(JournalSpec::default());
-    let tracer = sink.handle();
+fn shed_submissions_journal_one_shed_diagnostic_each() {
+    // Full mode so the volatile Shed diagnostics are serialized, not only
+    // counted.
+    let sink = JournalSink::shared(JournalSpec::default().with_mode(JournalMode::Full));
     let gate = Gate::new();
     let service = gated_service(
         &gate,
         ServiceConfig::default()
             .with_workers(2)
-            .with_max_in_flight(4),
+            .with_max_in_flight(4)
+            .with_tracer(sink.handle()),
     );
 
     // Gate shut: nothing completes, so exactly 4 of 10 submissions are
     // admitted and the other 6 shed.
-    let spans: Vec<SessionSpan> = (0..10)
-        .map(|tag| SessionSpan::new(&tracer, 300 + tag as u64))
-        .collect();
     let mut tickets = Vec::new();
-    for (tag, span) in spans.iter().enumerate() {
+    let mut shed = 0usize;
+    for tag in 0..10 {
         match service.submit(request(tag)) {
             Ok(ticket) => tickets.push(ticket),
-            Err(SubmitError::Busy) => span.handle().shed(),
+            Err(SubmitError::Busy) => shed += 1,
             Err(SubmitError::Closed) => panic!("pool must be open"),
         }
     }
+    assert_eq!((tickets.len(), shed), (4, 6));
     let metrics = service.metrics();
     assert_eq!((metrics.in_flight_sessions, metrics.shed_busy), (4, 6));
     gate.open();
     for ticket in tickets {
         ticket.wait();
     }
-    // The owner finish must not overwrite a Shed terminal.
-    for span in &spans {
-        span.finish();
-    }
-    drop(spans);
 
     let records = sink.drain_sorted();
-    let mut served = 0usize;
-    let mut shed = 0usize;
-    for tag in 0..10u64 {
-        let ends = terminals(&records, 300 + tag);
-        assert_eq!(
-            ends.len(),
-            1,
-            "session {tag} must journal exactly one terminal"
-        );
-        match ends[0] {
-            SessionEnd::Shed => shed += 1,
-            SessionEnd::Completed => served += 1,
-            other => panic!("unexpected terminal {other:?} for session {tag}"),
-        }
-    }
-    assert_eq!(shed, 6, "every shed session journals Shed");
-    assert_eq!(served, 4, "every admitted session journals Completed");
+    let sheds = records
+        .iter()
+        .filter(|r| matches!(&r.event, JournalEvent::Shed { pool } if pool == "repair"))
+        .count();
+    assert_eq!(
+        sheds, 6,
+        "every shed submission journals one Shed diagnostic"
+    );
     assert_fully_drained(&sink);
     service.shutdown();
 }
@@ -210,7 +198,6 @@ fn judge_panic_journals_a_diagnostic_and_a_single_completed_terminal() {
         VerifyRequest::new(Arc::new(case), response, key)
     };
 
-    let span = SessionSpan::new(&tracer, 400);
     let good = verifier
         .submit(make("good", "fix case good"))
         .expect("pool open");
@@ -220,8 +207,8 @@ fn judge_panic_journals_a_diagnostic_and_a_single_completed_terminal() {
         !bad.wait().verdict,
         "absorbed panic serves a failed verdict"
     );
-    span.finish();
-    drop(span);
+    // The case is journaled once judged: two samples, two distinct, one correct.
+    tracer.case(400, 2, 2, 1);
 
     assert_eq!(verifier.metrics().verdict_panics, 1);
     let records = sink.drain_sorted();

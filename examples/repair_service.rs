@@ -194,10 +194,7 @@ fn main() {
         cases.len(),
         verify_metrics.cache_hits,
     );
-    // The verification stage's own snapshot.  (An operator running both pools over
-    // one workload would attach it to the repair snapshot with
-    // `ServiceMetrics::with_verify` for a combined view; the pools in this example
-    // served different workloads, so they are rendered separately.)
+    // The verification stage's own snapshot.
     println!("{}", verify_metrics.render());
 
     // 5: cache persistence — a rebuilt service preloads its predecessor's snapshot

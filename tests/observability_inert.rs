@@ -2,8 +2,8 @@
 //! journal, the telemetry registry or the trace plane on — one at a time and
 //! all together — [`evaluate_model_observed`] returns the `ModelEvaluation`
 //! the unobserved run returns, and each facility that is on has recorded
-//! something: journal records, stage and solve timings, one five-span tree
-//! per case.  (What the facilities cost is measured by `svbench`:
+//! something: journal records, stage and solve timings, one session wall
+//! clock and one five-span tree per case.  (What the facilities cost is measured by `svbench`:
 //! `svserve.{journal,trace,telemetry}.eval_s` in `BENCHMARK.json`.)
 
 use assertsolver::{
@@ -85,6 +85,16 @@ fn journal_telemetry_and_trace_leave_the_evaluation_unchanged() {
             count("eval.stage.sessions") >= 1 && count("service.repair.solve") > 0,
             telemetry_on,
             "stage and solve timings exactly when the registry is on ({facilities:?})"
+        );
+        let walls = if telemetry_on {
+            entries.len() as u64
+        } else {
+            0
+        };
+        assert_eq!(
+            count("session.span.wall"),
+            walls,
+            "one session wall-clock observation per case ({facilities:?})"
         );
         let forest = TraceForest::from_spans(trace.drain());
         let traced = if trace_on { entries.len() } else { 0 };
