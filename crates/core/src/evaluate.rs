@@ -7,6 +7,7 @@
 
 use crate::passk::PassK;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::collections::btree_map::Entry as BTreeEntry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -19,11 +20,12 @@ use svserve::service::splitmix64;
 use svserve::stage as trace_stage;
 use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
-    verdict_key, write_journal, CaseKey, CollapsedProfile, JournalHeader, JournalSink, JournalSpec,
-    MetricClass, PersistSpec, RepairRequest, RepairTicket, ScopedService, ServiceConfig,
-    ServiceMetrics, ShardFleet, TelemetryHandle, TraceContext, TraceHandle, TraceSpan,
-    TracerHandle, VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool, VerifyRequest, VerifyTicket,
-    DEFAULT_COMPACT_AFTER_RUNS, DEFAULT_DRIVERS, JOURNAL_DIR_ENV, SHARD_SOCKETS_ENV,
+    verdict_case_state, verdict_key_after, write_journal, CaseKey, CollapsedProfile, JournalHeader,
+    JournalSink, JournalSpec, MetricClass, PersistSpec, RepairRequest, RepairTicket, ScopedService,
+    ServiceConfig, ServiceMetrics, ShardFleet, TelemetryHandle, TraceContext, TraceHandle,
+    TraceSpan, TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool,
+    VerifyRequest, VerifyTicket, DEFAULT_COMPACT_AFTER_RUNS, DEFAULT_DRIVERS, JOURNAL_DIR_ENV,
+    SHARD_SOCKETS_ENV,
 };
 use svverify::{CheckConfig, VerifyOracle};
 
@@ -203,9 +205,16 @@ impl EvalConfig {
     /// `(case, samples, temperature, model, seed)`), so even a hand-pointed
     /// stale snapshot is rejected at load instead of replaying wrong samples.
     pub fn service_config_for(&self, model_identity: &str) -> ServiceConfig {
+        self.service_config_with(|| model_identity)
+    }
+
+    /// [`EvalConfig::service_config_for`], asking for the model identity only
+    /// when a cache directory resolves and a snapshot name needs it.
+    fn service_config_with<'i>(&self, model_identity: impl FnOnce() -> &'i str) -> ServiceConfig {
         let config = self.service_config();
         match self.resolved_cache_dir() {
             Some(dir) => {
+                let model_identity = model_identity();
                 let mut keyed = model_identity.as_bytes().to_vec();
                 keyed.push(0);
                 keyed.extend_from_slice(&self.seed.to_le_bytes());
@@ -422,13 +431,27 @@ pub fn response_is_correct(
 
 /// Replaces the 1-based line `line_number` of `source` with `replacement`, preserving
 /// the original indentation.
+///
+/// The result is `source`'s lines (as [`str::lines`] splits them, so CRLF
+/// line ends become LF), each ended by `\n`; `None` when the line does not
+/// exist.
 pub fn apply_line_edit(source: &str, line_number: u32, replacement: &str) -> Option<String> {
-    let mut lines: Vec<String> = source.lines().map(|l| l.to_string()).collect();
     let idx = (line_number as usize).checked_sub(1)?;
-    let original = lines.get(idx)?;
-    let indent: String = original.chars().take_while(|c| c.is_whitespace()).collect();
-    lines[idx] = format!("{indent}{}", replacement.trim());
-    Some(lines.join("\n") + "\n")
+    let replacement = replacement.trim();
+    let mut edited = String::with_capacity(source.len() + replacement.len() + 1);
+    let mut found = false;
+    for (at, line) in source.lines().enumerate() {
+        if at == idx {
+            let body = line.trim_start();
+            edited.push_str(&line[..line.len() - body.len()]);
+            edited.push_str(replacement);
+            found = true;
+        } else {
+            edited.push_str(line);
+        }
+        edited.push('\n');
+    }
+    found.then_some(edited)
 }
 
 /// A persistent verification backend for model evaluation.
@@ -490,21 +513,29 @@ impl EvalVerifier {
     /// so identical fixes that differ only in echoed context or reasoning text
     /// share one cached verdict, exactly as the old serial dedup did.
     pub fn key_for(&self, entry: &SvaBugEntry, response: &Response) -> VerdictKey {
+        self.key_after(Self::case_state(entry), response)
+    }
+
+    /// The case half of [`EvalVerifier::key_for`], shared by every candidate
+    /// judged against `entry`.
+    fn case_state(entry: &SvaBugEntry) -> VerdictCaseState {
+        verdict_case_state(&[
+            entry.buggy_source.as_bytes(),
+            &entry.bug_line_number.to_le_bytes(),
+            entry.fixed_line.as_bytes(),
+        ])
+    }
+
+    /// [`EvalVerifier::key_for`] from the case half [`EvalVerifier::case_state`]
+    /// folded.
+    fn key_after(&self, case: VerdictCaseState, response: &Response) -> VerdictKey {
         let normalized = Response {
             bug_line_number: response.bug_line_number,
             buggy_line: String::new(),
             fixed_line: response.fixed_line.clone(),
             cot: None,
         };
-        verdict_key(
-            &[
-                entry.buggy_source.as_bytes(),
-                &entry.bug_line_number.to_le_bytes(),
-                entry.fixed_line.as_bytes(),
-            ],
-            &normalized,
-            &self.check_fingerprint,
-        )
+        verdict_key_after(case, &normalized, &self.check_fingerprint)
     }
 
     /// Takes a metrics snapshot of the verification stage.
@@ -610,21 +641,20 @@ pub fn corpus_fingerprint(entries: &[SvaBugEntry]) -> u64 {
 /// `<dir>/<kind>-<model slug>-<hash>.<ext>`: where a run's journal, trace or
 /// profile artifact goes.  The hash covers model identity, protocol seed and
 /// corpus, so runs that differ in any of them never share a file.
-fn artifact_path<M: RepairModel + ?Sized>(
+fn artifact_path(
     dir: &std::path::Path,
     kind: &str,
     ext: &str,
-    model: &M,
+    identity: &str,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
 ) -> std::path::PathBuf {
-    let identity = model.identity();
     let mut keyed = identity.as_bytes().to_vec();
     keyed.push(0);
     keyed.extend_from_slice(&config.seed.to_le_bytes());
     keyed.extend_from_slice(&corpus_fingerprint(entries).to_le_bytes());
     let hash = fnv64(&keyed) as u32;
-    dir.join(format!("{kind}-{}-{hash:08x}.{ext}", file_slug(&identity)))
+    dir.join(format!("{kind}-{}-{hash:08x}.{ext}", file_slug(identity)))
 }
 
 /// The branch decision behind [`evaluate_model`], pure so a test can pin it
@@ -671,15 +701,18 @@ pub fn evaluate_model<M: RepairModel + Sync + ?Sized>(
     if let Some(warning) = warning {
         eprintln!("{warning}");
     }
+    let identity = OnceCell::new();
+    let identity_of = || identity.get_or_init(|| model.identity()).as_str();
     let fleet = shards.map(|spec| {
         let timeout = std::time::Duration::from_millis(spec.timeout_ms.max(1));
-        ShardFleet::connect_unix(&spec.sockets, Some(&model.identity()), timeout)
+        ShardFleet::connect_unix(&spec.sockets, Some(identity_of()), timeout)
     });
     let manifest =
-        journal.then(|| JournalManifest::for_protocol("", "", &model.identity(), entries, config));
+        journal.then(|| JournalManifest::for_protocol("", "", identity_of(), entries, config));
     let trace = TraceHandle::from_env();
     let mut evaluation = Evaluation::new(model, entries, config).trace(&trace);
     (evaluation.fleet, evaluation.journal) = (fleet.as_ref(), manifest.as_ref());
+    evaluation.identity = identity;
     evaluation.run().evaluation
 }
 
@@ -768,6 +801,9 @@ pub struct Evaluation<'a, M: ?Sized> {
     trace: TraceHandle,
     telemetry: TelemetryHandle,
     fleet: Option<&'a ShardFleet>,
+    /// [`RepairModel::identity`], derived on first read: only a cache
+    /// snapshot name and the artifact names read it.
+    identity: OnceCell<String>,
 }
 
 /// What [`Evaluation::run`] returns.
@@ -796,6 +832,7 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             trace: TraceHandle::off(),
             telemetry: TelemetryHandle::off(),
             fleet: None,
+            identity: OnceCell::new(),
         }
     }
 
@@ -852,11 +889,11 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         let tracer = sink
             .as_ref()
             .map_or(self.tracer.clone(), JournalSink::handle);
+        let mut stages = StageClock::start(&self.telemetry);
         let owned = self.verifier.is_none().then(|| {
             EvalVerifier::start_instrumented(self.config, tracer.clone(), &self.telemetry)
         });
         let verifier = self.verifier.or(owned.as_ref()).expect("a verifier");
-        let mut stages = StageClock::start(&self.telemetry);
         let (judged, _) = self.sample(verifier, &tracer, &mut stages);
         let evaluation = ModelEvaluation {
             model: self.model.name().to_string(),
@@ -875,10 +912,10 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
                 metric.add(total as u64);
             }
         }
-        stages.lap();
         if let Some(owned) = owned {
             owned.shutdown();
         }
+        stages.lap();
         let journal = self.journal.zip(sink).map(|(manifest, sink)| {
             let header = JournalHeader::expected(&manifest.render());
             let payload = serde_json::to_string(&evaluation).expect("evaluation serializes");
@@ -912,7 +949,7 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             return (drive(Sampler::Fleet(fleet)), None);
         }
         let service_config = (self.config)
-            .service_config_for(&self.model.identity())
+            .service_config_with(|| self.identity())
             .with_tracer(tracer.clone())
             .with_telemetry(self.telemetry.clone());
         serve_scoped(self.model, service_config, |service| {
@@ -921,11 +958,16 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         })
     }
 
+    /// The model's identity, derived once per run.
+    fn identity(&self) -> &str {
+        self.identity.get_or_init(|| self.model.identity())
+    }
+
     /// Writes the artifacts of the facilities that are on, best effort: an
     /// unwritable directory must not fail the evaluation itself.
     fn write_artifacts(&self, journal: Option<&str>, profile: Option<&CollapsedProfile>) {
         let path = |dir: &std::path::Path, kind: &str, ext: &str| {
-            artifact_path(dir, kind, ext, self.model, self.entries, self.config)
+            artifact_path(dir, kind, ext, self.identity(), self.entries, self.config)
         };
         if let Some(rendered) = journal {
             if let Some(dir) = self.config.resolved_journal_dir() {
@@ -961,6 +1003,9 @@ fn request_for(entry: &SvaBugEntry, config: &EvalConfig) -> RepairRequest {
 /// next stage at the time since the previous lap, so the three cover the
 /// run's wall-clock end to end (`svobs prof` asserts ≥ 95% attributed), and
 /// with telemetry on `profile` folds them as `evaluate;<stage>` frames.
+/// [`Evaluation::run`] starts the clock before it starts an owned verifier
+/// and takes the `report` lap after that verifier's shutdown, so its thread
+/// spawn, join and flush are attributed too.
 struct StageClock<'t> {
     telemetry: &'t TelemetryHandle,
     clock: Instant,
@@ -1190,8 +1235,9 @@ fn fan_out_candidates(
 ) -> Vec<(usize, VerifyTicket)> {
     let mut multiplicity: BTreeMap<VerdictKey, usize> = BTreeMap::new();
     let mut distinct: Vec<(VerdictKey, Response)> = Vec::new();
+    let case_state = EvalVerifier::case_state(case);
     for response in responses {
-        match multiplicity.entry(verifier.key_for(case, response)) {
+        match multiplicity.entry(verifier.key_after(case_state, response)) {
             BTreeEntry::Occupied(mut occupied) => *occupied.get_mut() += 1,
             BTreeEntry::Vacant(vacant) => {
                 distinct.push((*vacant.key(), response.clone()));
@@ -1466,6 +1512,57 @@ mod tests {
         assert!(apply_line_edit(source, 99, "x").is_none());
     }
 
+    /// [`apply_line_edit`] before it built one `String`: one `String` per
+    /// source line, kept verbatim as its oracle.
+    fn apply_line_edit_oracle(source: &str, line_number: u32, replacement: &str) -> Option<String> {
+        let mut lines: Vec<String> = source.lines().map(|l| l.to_string()).collect();
+        let idx = (line_number as usize).checked_sub(1)?;
+        let original = lines.get(idx)?;
+        let indent: String = original.chars().take_while(|c| c.is_whitespace()).collect();
+        lines[idx] = format!("{indent}{}", replacement.trim());
+        Some(lines.join("\n") + "\n")
+    }
+
+    #[test]
+    fn apply_line_edit_matches_its_oracle_on_every_case_and_line() {
+        let pipeline = crate::TrainConfig::quick(5).pipeline;
+        let machine = svdata::run_pipeline(&pipeline).datasets.sva_bug;
+        let cases = crate::SvaEval::build(machine).all();
+        assert!(cases.len() > human_crafted_cases().len());
+        let mut sources: Vec<String> = Vec::new();
+        for case in &cases {
+            let source = &case.buggy_source;
+            sources.push(source.clone());
+            sources.push(source.replace('\n', "\r\n"));
+            sources.push(source.trim_end_matches('\n').to_string());
+            sources.push(source.replace("\n  ", "\n\u{3000}\t "));
+        }
+        sources.extend(
+            [
+                "",
+                "\n",
+                "x",
+                "\r\n",
+                "a\r",
+                " \u{a0}b\n\n",
+                "\u{2003}é\r\nq",
+            ]
+            .map(String::from),
+        );
+        for source in &sources {
+            let lines = source.lines().count() as u32;
+            for line_number in 0..=lines + 1 {
+                for replacement in ["  assign y = a | b;  ", "", "\u{3000}x\r"] {
+                    assert_eq!(
+                        apply_line_edit(source, line_number, replacement),
+                        apply_line_edit_oracle(source, line_number, replacement),
+                        "{source:?} line {line_number} <- {replacement:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn evaluation_is_identical_at_any_worker_count() {
         let entries = human_crafted_cases();
@@ -1723,6 +1820,81 @@ mod tests {
         );
         // The warm pass re-judges nothing: every verdict job it added was a hit.
         assert_eq!(warm_metrics.cache_misses, cold_metrics.cache_misses);
+    }
+
+    /// A model whose identity counts how often it is derived.
+    struct CountingModel(std::sync::atomic::AtomicUsize);
+
+    impl RepairModel for CountingModel {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn identity(&self) -> String {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            "counting [1]".to_string()
+        }
+
+        fn solve(&self, _: &CaseInput, samples: usize, _: f64, _: u64) -> Vec<Response> {
+            let unanswered = Response {
+                bug_line_number: 0,
+                buggy_line: String::new(),
+                fixed_line: String::new(),
+                cot: None,
+            };
+            vec![unanswered; samples]
+        }
+    }
+
+    #[test]
+    fn model_identity_is_derived_only_for_a_reader() {
+        let entries: Vec<SvaBugEntry> = human_crafted_cases().into_iter().take(2).collect();
+        let model = CountingModel(Default::default());
+        let identities = || model.0.load(std::sync::atomic::Ordering::SeqCst);
+        if svserve::env_cache_dir().is_none() {
+            let plain = EvalConfig::quick(3);
+            Evaluation::new(&model, &entries, &plain).run();
+            assert_eq!(identities(), 0, "nothing reads the identity of a plain run");
+        }
+
+        let dir =
+            std::env::temp_dir().join(format!("assertsolver-identity-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sub = |name: &str| Some(dir.join(name).display().to_string());
+        let config = EvalConfig {
+            cache_dir: sub("cache"),
+            journal_dir: sub("journal"),
+            profile_dir: sub("profile"),
+            ..EvalConfig::quick(3)
+        };
+        let manifest = JournalManifest::for_protocol("", "", "counting [1]", &entries, &config);
+        let telemetry = TelemetryHandle::new(Arc::new(svserve::MetricsRegistry::default()));
+        let before = identities();
+        let run = Evaluation::new(&model, &entries, &config)
+            .journal(&manifest)
+            .telemetry(&telemetry)
+            .run();
+        assert_eq!(
+            identities() - before,
+            1,
+            "one derivation serves every reader"
+        );
+        for (facility, prefix) in [
+            ("cache", "responses-"),
+            ("journal", "journal-"),
+            ("profile", "profile-"),
+        ] {
+            let names: Vec<String> = std::fs::read_dir(dir.join(facility))
+                .expect("the facility wrote its directory")
+                .map(|file| file.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            assert!(
+                names.iter().any(|name| name.starts_with(prefix)),
+                "{facility}: {names:?}"
+            );
+        }
+        assert!(run.journal.is_some() && run.profile.is_some());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -145,18 +145,19 @@ pub(crate) fn line_candidates_in(
             continue;
         }
         let line_number = (idx + 1) as u32;
-        let tokens = crate::lm::tokenize(trimmed);
-        let idents: BTreeSet<String> = tokens
+        let tokens: Vec<&str> = crate::lm::tokens(trimmed).collect();
+        let idents: BTreeSet<&str> = tokens
             .iter()
             .filter(|t| {
                 t.chars()
                     .next()
                     .is_some_and(|c| c.is_alphabetic() || c == '_')
             })
-            .cloned()
+            .copied()
             .collect();
-        let assertion_mentions = idents.intersection(&assertion_signals).count();
-        let cone_mentions = idents.intersection(&cone).count();
+        let mentions = |set: &BTreeSet<String>| idents.iter().filter(|t| set.contains(**t)).count();
+        let assertion_mentions = mentions(&assertion_signals);
+        let cone_mentions = mentions(&cone);
 
         // Cone proximity of the signal this line assigns (if any).
         let assigned = assigned_signal(trimmed);

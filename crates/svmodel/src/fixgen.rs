@@ -121,8 +121,8 @@ pub fn fix_candidates(
     }
 
     // 3. Constant perturbations.
-    for token in crate::lm::tokenize(original) {
-        if let Some((width, value)) = parse_sized_literal(&token) {
+    for token in crate::lm::tokens(original) {
+        if let Some((width, value)) = parse_sized_literal(token) {
             let max = if width >= 64 {
                 u64::MAX
             } else {
@@ -141,17 +141,14 @@ pub fn fix_candidates(
                 if new_value == value {
                     continue;
                 }
-                let new_token = rewrite_literal(&token, new_value);
-                out.push((
-                    original.replacen(token.as_str(), &new_token, 1),
-                    FixEdit::ValueTweak,
-                ));
+                let new_token = rewrite_literal(token, new_value);
+                out.push((original.replacen(token, &new_token, 1), FixEdit::ValueTweak));
             }
         } else if let Ok(value) = token.parse::<u64>() {
             for new_value in [value.wrapping_add(1), value.saturating_sub(1), 0, 1] {
                 if new_value != value {
                     out.push((
-                        original.replacen(token.as_str(), &new_value.to_string(), 1),
+                        original.replacen(token, &new_value.to_string(), 1),
                         FixEdit::ValueTweak,
                     ));
                 }
@@ -223,8 +220,7 @@ fn fix_features(
 }
 
 fn identifiers_in(line: &str) -> Vec<String> {
-    let mut out: Vec<String> = crate::lm::tokenize(line)
-        .into_iter()
+    let mut out: Vec<String> = crate::lm::tokens(line)
         .filter(|t| {
             t.chars()
                 .next()
@@ -233,8 +229,9 @@ fn identifiers_in(line: &str) -> Vec<String> {
                     "if", "else", "case", "assign", "begin", "end", "default", "posedge",
                     "negedge", "or", "always",
                 ]
-                .contains(&t.as_str())
+                .contains(t)
         })
+        .map(str::to_string)
         .collect();
     out.dedup();
     out

@@ -58,6 +58,12 @@ pub trait RepairModel {
     /// the other's.  Defaults to the display name, which suffices for stateless
     /// or hand-tuned models; models with trained or seeded internal state must
     /// fold a content fingerprint in (as [`AssertSolverModel`] does).
+    ///
+    /// That fingerprint costs O(model size) — [`AssertSolverModel`] serializes
+    /// and hashes every weight, ≈0.5 ms for a trained checkpoint — so callers
+    /// derive it only where something reads it: `assertsolver::Evaluation`
+    /// computes it at most once per run, and only for a cache snapshot name, an
+    /// artifact name or a fleet handshake.
     fn identity(&self) -> String {
         self.name().to_string()
     }
@@ -690,6 +696,17 @@ mod tests {
             })
             .count();
         correct as f64 / entries.len() as f64
+    }
+
+    /// The identity names every response snapshot on disk: a change to it (the
+    /// serialized model, the hash, the format) silently orphans every cache
+    /// directory written before it.
+    #[test]
+    fn base_identity_bytes_are_pinned() {
+        assert_eq!(
+            AssertSolverModel::base(3).identity(),
+            "Base model [2c7f2300c7845f08]"
+        );
     }
 
     #[test]

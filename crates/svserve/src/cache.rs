@@ -116,11 +116,29 @@ impl VerdictKey {
 /// `svverify::CheckConfig::fingerprint`).  Every field is folded with a length
 /// prefix, including the field *count*, so no two distinct triples alias.
 pub fn verdict_key(case_fields: &[&[u8]], response: &Response, config: &[u8]) -> VerdictKey {
+    verdict_key_after(verdict_case_state(case_fields), response, config)
+}
+
+/// The case half of a [`VerdictKey`]: the hash state after folding a case's
+/// fields, which every candidate judged against that case shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VerdictCaseState(u128);
+
+/// Folds `case_fields` once, for [`verdict_key_after`] to finish per
+/// candidate: FNV runs in order, so the split key equals [`verdict_key`].
+pub fn verdict_case_state(case_fields: &[&[u8]]) -> VerdictCaseState {
     let mut hash = FNV_OFFSET;
     hash = fold_field(hash, &(case_fields.len() as u64).to_le_bytes());
     for field in case_fields {
         hash = fold_field(hash, field);
     }
+    VerdictCaseState(hash)
+}
+
+/// Finishes a [`verdict_key`] from its case half: folds the response and the
+/// checker configuration.
+pub fn verdict_key_after(case: VerdictCaseState, response: &Response, config: &[u8]) -> VerdictKey {
+    let mut hash = case.0;
     hash = fold_field(hash, &u64::from(response.bug_line_number).to_le_bytes());
     hash = fold_field(hash, response.buggy_line.as_bytes());
     hash = fold_field(hash, response.fixed_line.as_bytes());
@@ -347,6 +365,14 @@ mod tests {
         let mut other_fix = response(3);
         other_fix.fixed_line = "something else".into();
         assert_ne!(base, verdict_key(&[b"case"], &other_fix, b"cfg"));
+    }
+
+    /// Verdict keys name every cached verdict on disk: the split into a case
+    /// half and a response half must not move a single bit of them.
+    #[test]
+    fn verdict_key_bits_are_pinned() {
+        let key = verdict_key(&[b"case"], &response(3), b"cfg");
+        assert_eq!(key.0, 0x834e_d33c_3669_6ecf_439f_fc58_48fd_b489);
     }
 
     #[test]

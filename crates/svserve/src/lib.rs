@@ -87,7 +87,10 @@ pub mod trace;
 pub mod verify;
 pub mod wire;
 
-pub use cache::{case_key, verdict_key, CaseKey, LruCache, VerdictKey};
+pub use cache::{
+    case_key, verdict_case_state, verdict_key, verdict_key_after, CaseKey, LruCache,
+    VerdictCaseState, VerdictKey,
+};
 pub use env::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_shard_sockets, env_telemetry,
     env_trace, env_verify_workers, env_window_width, CACHE_DIR_ENV, DEFAULT_DRIVERS, DRIVERS_ENV,

@@ -7,7 +7,10 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use svmodel::Response;
-use svserve::{verdict_key, LruCache, VerdictKey, VerifyConfig, VerifyPool, VerifyRequest};
+use svserve::{
+    verdict_case_state, verdict_key, verdict_key_after, LruCache, VerdictKey, VerifyConfig,
+    VerifyPool, VerifyRequest,
+};
 
 fn random_string(rng: &mut StdRng, max_len: usize) -> String {
     let len = rng.gen_range(0..=max_len);
@@ -69,6 +72,29 @@ fn distinct_triples_never_alias_to_one_key() {
         triples.len(),
         "distinct (case, response, config) triples aliased to one verdict key"
     );
+}
+
+#[test]
+fn a_case_folded_once_finishes_to_the_whole_key() {
+    let mut rng = StdRng::seed_from_u64(0xCA5E_4A1F);
+    for _ in 0..512 {
+        let fields: Vec<String> = (0..rng.gen_range(0..4usize))
+            .map(|_| random_string(&mut rng, 6))
+            .collect();
+        let fields: Vec<&[u8]> = fields.iter().map(|field| field.as_bytes()).collect();
+        let case = verdict_case_state(&fields);
+        for _ in 0..rng.gen_range(1..8usize) {
+            let response = random_response(&mut rng);
+            let config: Vec<u8> = (0..rng.gen_range(0..4usize))
+                .map(|_| rng.gen::<u8>())
+                .collect();
+            assert_eq!(
+                verdict_key(&fields, &response, &config),
+                verdict_key_after(case, &response, &config),
+                "{fields:?} {response:?} {config:?}"
+            );
+        }
+    }
 }
 
 #[test]
