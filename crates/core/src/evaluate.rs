@@ -21,11 +21,10 @@ use svserve::stage as trace_stage;
 use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
     verdict_case_state, verdict_key_after, write_journal, CaseKey, CollapsedProfile, JournalHeader,
-    JournalSink, JournalSpec, MetricClass, PersistSpec, RepairRequest, RepairTicket, ScopedService,
+    JournalSink, JournalSpec, MetricClass, PersistSpec, RepairRequest, ScopedService,
     ServiceConfig, ServiceMetrics, ShardFleet, TelemetryHandle, TraceContext, TraceHandle,
     TraceSpan, TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool,
-    VerifyRequest, VerifyTicket, DEFAULT_COMPACT_AFTER_RUNS, DEFAULT_DRIVERS, JOURNAL_DIR_ENV,
-    SHARD_SOCKETS_ENV,
+    VerifyRequest, DEFAULT_COMPACT_AFTER_RUNS, JOURNAL_DIR_ENV, SHARD_SOCKETS_ENV,
 };
 use svverify::{CheckConfig, VerifyOracle};
 
@@ -38,20 +37,23 @@ pub struct EvalConfig {
     pub temperature: f64,
     /// Seed for sampling.
     pub seed: u64,
-    /// Worker threads for the repair service that samples the model
-    /// (0 = auto-detect from available parallelism).  Results are identical at any
-    /// worker count; this only changes wall-clock time.
+    /// Response-cache shards of the repair pool that samples the model (0 =
+    /// the host's available parallelism, at most 8).  The pool solves on the
+    /// driver's thread, so this sizes the cache shards and nothing else;
+    /// results are identical at any count.
     pub workers: usize,
-    /// Worker threads for the verification offload pool that judges candidates
-    /// (0 = auto: the `ASSERTSOLVER_VERIFY_WORKERS` environment override, else the
-    /// `svserve::VerifyConfig` default).  Results are identical at any worker count.
+    /// Verdict-cache shards of the pool that judges candidates (0 = the
+    /// `ASSERTSOLVER_VERIFY_WORKERS` environment override, else the
+    /// `svserve::VerifyConfig` default).  The pool judges on the driver's
+    /// thread, so this sizes the cache shards and nothing else; results are
+    /// identical at any count.
     pub verify_workers: usize,
-    /// Threads that drive the cases through submit, sample, verify and
-    /// evaluate (0 = auto: the `ASSERTSOLVER_DRIVERS` environment override,
-    /// else `svserve::DEFAULT_DRIVERS`), never more than there are cases.
-    /// Each thread keeps every case of its share in flight at once, so one
-    /// is enough to keep the pools busy.  Results are identical at any
-    /// driver count.
+    /// Threads that drive the cases, each case sampled and judged start to
+    /// verdict on its driver (0 = auto: the `ASSERTSOLVER_DRIVERS`
+    /// environment override, else the host's available parallelism, at most
+    /// 8), never more than there are cases.  These are the only threads an
+    /// in-process evaluation runs.  Results are identical at any driver
+    /// count.
     pub drivers: usize,
     /// Directory for persistent cache snapshots (`None` = the
     /// `ASSERTSOLVER_CACHE_DIR` environment override, else no persistence).  When
@@ -178,10 +180,7 @@ impl EvalConfig {
     /// The repair-service configuration this protocol implies.
     pub fn service_config(&self) -> ServiceConfig {
         let workers = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
+            default_parallelism()
         } else {
             self.workers
         };
@@ -423,7 +422,7 @@ pub fn response_is_correct(
         return false;
     };
     // The repair must change something and must make the assertions hold.
-    if svparse::emit_module(&repaired) == entry.buggy_source {
+    if svparse::emits_as(&repaired, &entry.buggy_source) {
         return false;
     }
     oracle.repair_solves_failure(&repaired)
@@ -457,7 +456,10 @@ pub fn apply_line_edit(source: &str, line_number: u32, replacement: &str) -> Opt
 /// A persistent verification backend for model evaluation.
 ///
 /// Wraps an `svserve::VerifyPool` whose judge is [`response_is_correct`] under a
-/// [`VerifyOracle`] built from the evaluation's [`CheckConfig`].  Verdict-cache keys
+/// [`VerifyOracle`] built from the evaluation's [`CheckConfig`].  The pool
+/// spawns no thread: each candidate is judged on the case driver that submits
+/// it, and the pool keeps only the verdict cache, its snapshot and its
+/// metrics.  Verdict-cache keys
 /// are `hash(case fingerprint, response, CheckConfig fingerprint)`, so keeping one
 /// verifier alive across several [`evaluate_model_with`] calls replays already-judged
 /// candidates from the cache — re-evaluating a corpus the pool has seen is pure
@@ -473,12 +475,13 @@ pub struct EvalVerifier {
 }
 
 impl EvalVerifier {
-    /// Starts the verify workers for the given protocol.
+    /// Builds the verifier for the given protocol, preloading its verdict
+    /// snapshot when a cache directory resolves.
     pub fn start(config: &EvalConfig) -> Self {
         Self::start_instrumented(config, TracerHandle::off(), &TelemetryHandle::off())
     }
 
-    /// Starts the verify workers with both observability hooks installed: the
+    /// Builds the verifier with both observability hooks installed: the
     /// journal tracer (admit and cache/panic diagnostics land in the session
     /// journal) and a telemetry registry (the pool records its
     /// `verify.queue_wait` / `verify.verdict.latency` histograms into it).
@@ -551,8 +554,8 @@ impl EvalVerifier {
         self.pool.flush()
     }
 
-    /// Stops the verify workers, flushes the verdict snapshot and returns the
-    /// final metrics.
+    /// Closes the verifier, flushes the verdict snapshot and returns the final
+    /// metrics.
     pub fn shutdown(self) -> VerifyMetrics {
         self.pool.shutdown()
     }
@@ -932,16 +935,17 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
 
     /// Samples and judges every case on the one case driver ([`drive_cases`])
     /// as the run's `sessions` stage: on the fleet when one is set, else on an
-    /// in-process repair pool, whose metrics are taken once the cases are done.
+    /// in-process repair pool serving in place, whose metrics are taken once
+    /// the cases are done.
     fn sample(
         &self,
         verifier: &EvalVerifier,
         tracer: &TracerHandle,
         stages: &mut StageClock,
     ) -> (Vec<Judged>, Option<ServiceMetrics>) {
-        let mut drive = |sampler: Sampler<'_>| {
+        let mut drive = |sampler: Sampler<'_, M>| {
             stages.lap();
-            let judged = drive_cases(sampler, verifier, self.entries, self.config, &self.trace);
+            let judged = drive_cases(&sampler, verifier, self.entries, self.config, &self.trace);
             stages.lap();
             judged
         };
@@ -1003,9 +1007,9 @@ fn request_for(entry: &SvaBugEntry, config: &EvalConfig) -> RepairRequest {
 /// next stage at the time since the previous lap, so the three cover the
 /// run's wall-clock end to end (`svobs prof` asserts ≥ 95% attributed), and
 /// with telemetry on `profile` folds them as `evaluate;<stage>` frames.
-/// [`Evaluation::run`] starts the clock before it starts an owned verifier
-/// and takes the `report` lap after that verifier's shutdown, so its thread
-/// spawn, join and flush are attributed too.
+/// [`Evaluation::run`] starts the clock before it builds an owned verifier
+/// and takes the `report` lap after that verifier's shutdown, so its snapshot
+/// preload and flush are attributed too.
 struct StageClock<'t> {
     telemetry: &'t TelemetryHandle,
     clock: Instant,
@@ -1041,11 +1045,15 @@ impl<'t> StageClock<'t> {
 }
 
 /// Where a case's samples come from.
-#[derive(Clone, Copy)]
-enum Sampler<'s> {
-    /// The in-process repair pool; each judged case journals on the tracer
-    /// ([`TracerHandle::case`]), its wall clock landing in the telemetry.
-    Local(&'s ScopedService<'s>, &'s TracerHandle, &'s TelemetryHandle),
+enum Sampler<'s, M: ?Sized> {
+    /// The in-process repair pool, which solves on the calling thread; each
+    /// judged case journals on the tracer ([`TracerHandle::case`]), its wall
+    /// clock landing in the telemetry.
+    Local(
+        &'s ScopedService<'s, M>,
+        &'s TracerHandle,
+        &'s TelemetryHandle,
+    ),
     /// A remote shard fleet, whose submit blocks for the answer.
     Fleet(&'s ShardFleet),
 }
@@ -1058,35 +1066,38 @@ type Judged = (CaseResult, usize);
 /// distinct-candidate count in corpus order (a degraded fleet case is
 /// `n = c = 0` with no candidates).
 ///
-/// Each of `min(drivers, cases)` threads takes a strided share (thread `t`:
-/// cases `t, t + threads, …`; the caller's thread when there is one) through
-/// three stages: submit every repair request; in order, take each case's
-/// samples and submit its distinct candidates; in order, fold its verdicts.
-/// Every job is queued before the driver waits on it, so the pools' workers,
-/// not the driver, bound how much runs at once, and the thread count moves
-/// only the wall clock.
-fn drive_cases(
-    sampler: Sampler<'_>,
+/// Each of `min(drivers, cases)` scoped threads takes a strided share
+/// (thread `t`: cases `t, t + threads, …`) and runs each case of it start to
+/// verdict ([`run_case`]); the caller only waits.  The pools serve in place,
+/// so a case's sampling and judging run on the thread that drives it: the
+/// drivers are the only threads an in-process evaluation runs, and their
+/// count moves only the wall clock.
+///
+/// A single share gets a thread of its own too.  The kernel places a new
+/// thread on the idlest CPU but leaves a running one where it is, so a
+/// long-lived caller driving its evaluations itself keeps every one of them
+/// on one CPU for its whole life.  On a 2-vCPU VM whose CPUs each slow down
+/// ~1.5× for seconds at a time, independently, that made whole runs of
+/// one-case evaluations ~1.5× slower.  A driver spawned per call lands on
+/// either CPU; there it cost ~0.1 ms a call on a cold one-case evaluation and
+/// ~1 ms on a warm one, whose driver reads caches the caller's thread loaded.
+fn drive_cases<M: RepairModel + Sync + ?Sized>(
+    sampler: &Sampler<'_, M>,
     verifier: &EvalVerifier,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
     trace: &TraceHandle,
 ) -> Vec<Judged> {
     let drivers = Some(config.drivers).filter(|&drivers| drivers > 0);
-    let drivers = drivers.or_else(env_drivers).unwrap_or(DEFAULT_DRIVERS);
+    let drivers = drivers
+        .or_else(env_drivers)
+        .unwrap_or_else(default_parallelism);
     let threads = drivers.min(entries.len()).max(1);
     let share = |first: usize| {
         let cases = entries.iter().skip(first).step_by(threads);
-        let submit = |entry| CaseRun::submit(sampler, entry, config, trace);
-        let cases: Vec<_> = cases.map(submit).collect();
-        let fan_out = |(case, pending): (CaseRun, _)| case.fan_out(pending, verifier);
-        let cases: Vec<_> = cases.into_iter().map(fan_out).collect();
-        let judge = |(case, submitted): (CaseRun, _)| case.judge(submitted, sampler, trace);
-        cases.into_iter().map(judge).collect::<Vec<_>>()
+        let run = |entry| run_case(sampler, verifier, entry, config, trace);
+        cases.map(run).collect::<Vec<_>>()
     };
-    if threads == 1 {
-        return share(0);
-    }
     let mut judged: Vec<Option<Judged>> = vec![None; entries.len()];
     std::thread::scope(|scope| {
         let share = &share;
@@ -1101,111 +1112,86 @@ fn drive_cases(
     judged.into_iter().map(Option::unwrap).collect()
 }
 
-/// What a case's samples wait on: its ticket, or its fleet call, which blocks
-/// and so is made when the samples are due.
-enum Pending<'s> {
-    Repair(RepairTicket),
-    Fleet(&'s ShardFleet, RepairRequest),
+/// The host's available parallelism, at most 8: what `workers = 0` and
+/// `drivers = 0` resolve to.
+fn default_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
 }
 
-/// A case's sample count and `(multiplicity, ticket)` jobs.
-type Submitted = (usize, Vec<(usize, VerifyTicket)>);
+/// One case, sampled and judged on the calling thread.  Its trace gets one
+/// lap per stage, each covering the time since the previous one, so the four
+/// child spans tile the `session` root's wall (`svobs trace`'s ≥ 95% bar):
+/// `submit` builds the request, `sample` solves it, `verify` dedups the
+/// candidates into verdict jobs and `evaluate` judges and tallies them.  Over
+/// a fleet, the shard's own `sample` span merges with the driver's, keeping
+/// the larger wall.
+fn run_case<M: RepairModel + ?Sized>(
+    sampler: &Sampler<'_, M>,
+    verifier: &EvalVerifier,
+    entry: &SvaBugEntry,
+    config: &EvalConfig,
+    trace: &TraceHandle,
+) -> Judged {
+    let request = request_for(entry, config);
+    let (key, samples, start) = (request.key(), request.samples, Instant::now());
+    let mut laps = Laps::new(trace.root(key), start);
+    let case = Arc::new(entry.clone());
+    laps.lap("submit", trace_stage::SUBMIT, samples);
+    let responses = match sampler {
+        Sampler::Local(service, ..) => service.submit(request).expect(OPEN).wait().responses,
+        Sampler::Fleet(fleet) => {
+            let outcome = match &laps.root {
+                Some(ctx) => fleet.submit_traced(&request, ctx).map(|(outcome, spans)| {
+                    laps.spans.extend(spans);
+                    outcome
+                }),
+                None => fleet.submit(&request),
+            };
+            let Ok(outcome) = outcome else {
+                return (build_case_result(entry, 0, 0), 0);
+            };
+            Arc::new(outcome.responses)
+        }
+    };
+    let n = responses.len();
+    laps.lap("sample", trace_stage::SAMPLE, n);
+    let candidates = distinct_candidates(verifier, &case, &responses);
+    let distinct = candidates.len();
+    laps.lap("verify", trace_stage::VERIFY, distinct);
+    let c = judge_candidates(verifier, candidates);
+    laps.lap("evaluate", trace_stage::EVALUATE, c);
+    if let Some(root) = &laps.root {
+        let wall = start.elapsed().as_nanos() as u64;
+        let session = TraceSpan::new(root, "session", trace_stage::SESSION, n as u64, wall);
+        laps.spans.push(session);
+        trace.extend(laps.spans);
+    }
+    if let Sampler::Local(_, tracer, telemetry) = sampler {
+        tracer.case(key.fold64(), n as u64, distinct as u64, c as u64);
+        if let Some(wall) = telemetry.histogram("session.span.wall", MetricClass::Volatile) {
+            wall.observe_duration(start.elapsed());
+        }
+    }
+    (build_case_result(entry, n, c), distinct)
+}
 
-/// One case between the driver's stages.  Its trace gets the laps, each
-/// covering the time since the previous one, so the four child spans tile
-/// the `session` root's wall (`svobs trace`'s ≥ 95% bar); over a fleet, the
-/// shard's own `sample` span merges with the driver's, keeping the larger
-/// wall.
-struct CaseRun {
-    case: Arc<SvaBugEntry>,
-    session: u64,
+/// A case's trace laps, recorded while its trace is on.
+struct Laps {
     root: Option<TraceContext>,
-    start: Instant,
     clock: Instant,
-    laps: Vec<TraceSpan>,
+    spans: Vec<TraceSpan>,
 }
 
-impl CaseRun {
-    /// Stage 1: submits the case's repair request.
-    fn submit<'s>(
-        sampler: Sampler<'s>,
-        entry: &SvaBugEntry,
-        config: &EvalConfig,
-        trace: &TraceHandle,
-    ) -> (Self, Pending<'s>) {
-        let request = request_for(entry, config);
-        let (key, samples, start) = (request.key(), request.samples, Instant::now());
-        let pending = match sampler {
-            Sampler::Local(service, ..) => Pending::Repair(service.submit(request).expect(OPEN)),
-            Sampler::Fleet(fleet) => Pending::Fleet(fleet, request),
-        };
-        let (case, root) = (Arc::new(entry.clone()), trace.root(key));
-        let mut run = Self {
-            case,
-            session: key.fold64(),
+impl Laps {
+    fn new(root: Option<TraceContext>, start: Instant) -> Self {
+        Self {
             root,
-            start,
             clock: start,
-            laps: Vec::new(),
-        };
-        run.lap("submit", trace_stage::SUBMIT, samples);
-        (run, pending)
-    }
-
-    /// Stage 2: takes the case's samples and submits its distinct candidates
-    /// for judgement; `None` for a degraded fleet case.
-    fn fan_out(mut self, pending: Pending, verifier: &EvalVerifier) -> (Self, Option<Submitted>) {
-        let responses = match pending {
-            Pending::Repair(ticket) => ticket.wait().responses,
-            Pending::Fleet(fleet, request) => {
-                let outcome = match &self.root {
-                    Some(ctx) => fleet.submit_traced(&request, ctx).map(|(outcome, spans)| {
-                        self.laps.extend(spans);
-                        outcome
-                    }),
-                    None => fleet.submit(&request),
-                };
-                let Ok(outcome) = outcome else {
-                    return (self, None);
-                };
-                Arc::new(outcome.responses)
-            }
-        };
-        let n = responses.len();
-        self.lap("sample", trace_stage::SAMPLE, n);
-        let submitted = fan_out_candidates(verifier, &self.case, &responses);
-        self.lap("verify", trace_stage::VERIFY, submitted.len());
-        (self, Some((n, submitted)))
-    }
-
-    /// Stage 3: folds the case's verdicts, journals the case when its samples
-    /// were local, and hands its trace laps to `trace`, the `session` root
-    /// last.
-    fn judge(
-        mut self,
-        submitted: Option<Submitted>,
-        sampler: Sampler<'_>,
-        trace: &TraceHandle,
-    ) -> Judged {
-        let Some((n, submitted)) = submitted else {
-            return (build_case_result(&self.case, 0, 0), 0);
-        };
-        let distinct = submitted.len();
-        let c = judge_submitted(submitted);
-        self.lap("evaluate", trace_stage::EVALUATE, c);
-        if let Some(root) = &self.root {
-            let wall = self.start.elapsed().as_nanos() as u64;
-            let session = TraceSpan::new(root, "session", trace_stage::SESSION, n as u64, wall);
-            self.laps.push(session);
-            trace.extend(std::mem::take(&mut self.laps));
+            spans: Vec::new(),
         }
-        if let Sampler::Local(_, tracer, telemetry) = sampler {
-            tracer.case(self.session, n as u64, distinct as u64, c as u64);
-            if let Some(wall) = telemetry.histogram("session.span.wall", MetricClass::Volatile) {
-                wall.observe_duration(self.start.elapsed());
-            }
-        }
-        (build_case_result(&self.case, n, c), distinct)
     }
 
     fn lap(&mut self, label: &str, seq: u32, units: usize) {
@@ -1213,7 +1199,7 @@ impl CaseRun {
             let wall = self.clock.elapsed().as_nanos() as u64;
             self.clock = Instant::now();
             let lap = TraceSpan::new(&root.child(label), label, seq, units as u64, wall);
-            self.laps.push(lap);
+            self.spans.push(lap);
         }
     }
 }
@@ -1221,18 +1207,15 @@ impl CaseRun {
 /// The panic message for a pool that closed mid-evaluation.
 const OPEN: &str = "serving pool open during evaluation";
 
-/// Dedups one case's candidates and submits the distinct ones for judgement,
-/// blocking only while the verify shard is at capacity; the returned pairs
-/// are `(multiplicity, ticket)`.
+/// Dedups one case's candidates into verdict jobs with a multiplicity each.
 ///
-/// Identical responses within a case collapse to one verdict job with a
-/// multiplicity, which keeps the per-case correct count `c` independent of
-/// verify-pool scheduling.
-fn fan_out_candidates(
+/// Identical responses within a case collapse to one verdict job, which
+/// keeps the per-case correct count `c` independent of which thread judges.
+fn distinct_candidates(
     verifier: &EvalVerifier,
     case: &Arc<SvaBugEntry>,
     responses: &[Response],
-) -> Vec<(usize, VerifyTicket)> {
+) -> Vec<(usize, VerifyRequest<SvaBugEntry>)> {
     let mut multiplicity: BTreeMap<VerdictKey, usize> = BTreeMap::new();
     let mut distinct: Vec<(VerdictKey, Response)> = Vec::new();
     let case_state = EvalVerifier::case_state(case);
@@ -1245,21 +1228,23 @@ fn fan_out_candidates(
             }
         }
     }
-    let submit = |(key, response)| {
-        let ticket = verifier
-            .pool
-            .submit(VerifyRequest::new(Arc::clone(case), response, key));
-        (multiplicity[&key], ticket.expect(OPEN))
+    let job = |(key, response)| {
+        let request = VerifyRequest::new(Arc::clone(case), response, key);
+        (multiplicity[&key], request)
     };
-    distinct.into_iter().map(submit).collect()
+    distinct.into_iter().map(job).collect()
 }
 
-/// Waits for one case's verdicts and folds them into the correct count `c`
-/// (multiplicities included).
-fn judge_submitted(submitted: Vec<(usize, VerifyTicket)>) -> usize {
-    let verdicts = submitted
+/// Judges one case's verdict jobs on the calling thread and folds them into
+/// the correct count `c` (multiplicities included).
+fn judge_candidates(
+    verifier: &EvalVerifier,
+    candidates: Vec<(usize, VerifyRequest<SvaBugEntry>)>,
+) -> usize {
+    let judge = |request| verifier.pool.submit(request).expect(OPEN).wait();
+    let verdicts = candidates
         .into_iter()
-        .map(|(count, ticket)| (count, ticket.wait()));
+        .map(|(count, request)| (count, judge(request)));
     verdicts
         .filter(|(_, outcome)| outcome.verdict)
         .map(|(count, _)| count)
@@ -1604,76 +1589,152 @@ mod tests {
         assert_eq!(run(1 << 16), run(1));
     }
 
-    /// A model whose `solve` blocks until the test opens its gate.
-    struct Gated {
-        model: svmodel::AssertSolverModel,
-        open: std::sync::Mutex<bool>,
-        opened: std::sync::Condvar,
+    /// The evaluation the in-place pools must reproduce, built another way:
+    /// every case sampled through a threaded [`svserve::RepairService`]
+    /// (persisting like [`Evaluation`]'s pool), then each case's distinct
+    /// candidates judged in corpus order on one fresh [`EvalVerifier`].
+    fn threaded_evaluation(
+        model: &Arc<svmodel::AssertSolverModel>,
+        entries: &[SvaBugEntry],
+        config: &EvalConfig,
+    ) -> ModelEvaluation {
+        let service_config = config.service_config_for(&model.identity());
+        let service = svserve::RepairService::start(Arc::clone(model), service_config);
+        let requests = entries.iter().map(|e| request_for(e, config)).collect();
+        let outcomes = service.solve_all(requests);
+        assert!(outcomes
+            .iter()
+            .all(|o| o.worker < config.service_config().workers));
+        service.shutdown();
+        let verifier = EvalVerifier::start(config);
+        let results = (entries.iter().zip(outcomes))
+            .map(|(entry, outcome)| {
+                let case = Arc::new(entry.clone());
+                let mut candidates: BTreeMap<VerdictKey, (usize, &Response)> = BTreeMap::new();
+                for response in outcome.responses.iter() {
+                    let key = verifier.key_for(entry, response);
+                    candidates.entry(key).or_insert((0, response)).0 += 1;
+                }
+                let verdict = |(key, response): (VerdictKey, &Response)| {
+                    let request = VerifyRequest::new(Arc::clone(&case), response.clone(), key);
+                    verifier.pool.submit(request).unwrap().wait().verdict
+                };
+                let c = (candidates.into_iter())
+                    .filter(|&(key, (_, response))| verdict((key, response)))
+                    .map(|(_, (count, _))| count)
+                    .sum();
+                build_case_result(entry, outcome.responses.len(), c)
+            })
+            .collect();
+        verifier.shutdown();
+        ModelEvaluation {
+            model: model.name().to_string(),
+            results,
+        }
     }
 
-    impl RepairModel for Gated {
+    /// Every file of a cache directory, by name.
+    fn snapshot_files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+        let files = std::fs::read_dir(dir).expect("the evaluation wrote its snapshots");
+        let read = |file: std::fs::DirEntry| {
+            let name = file.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(file.path()).unwrap())
+        };
+        files.map(|file| read(file.unwrap())).collect()
+    }
+
+    #[test]
+    fn in_place_pools_match_a_threaded_service_byte_for_byte() {
+        let entries = human_crafted_cases();
+        let model = Arc::new(svmodel::AssertSolverModel::base(3));
+        let dir =
+            std::env::temp_dir().join(format!("assertsolver-in-place-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for drivers in [1, 4] {
+            let config = |side: &str| EvalConfig {
+                drivers,
+                workers: 2,
+                verify_workers: 2,
+                cache_dir: Some(dir.join(format!("{side}-{drivers}")).display().to_string()),
+                ..EvalConfig::quick(11)
+            };
+            let (in_place, threaded) = (config("in-place"), config("threaded"));
+            for run in ["cold", "warm"] {
+                let ours = evaluate_model(&*model, &entries, &in_place);
+                let theirs = threaded_evaluation(&model, &entries, &threaded);
+                let json =
+                    |evaluation: &ModelEvaluation| serde_json::to_string(evaluation).unwrap();
+                assert_eq!(json(&ours), json(&theirs), "{drivers} drivers, {run}");
+                let files = |config: &EvalConfig| {
+                    snapshot_files(&config.resolved_cache_dir().expect("a cache dir"))
+                };
+                let snapshots = files(&in_place);
+                assert_eq!(snapshots.len(), 2, "a response and a verdict snapshot");
+                assert_eq!(snapshots, files(&threaded), "{drivers} drivers, {run}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A model that records the thread of every `solve`.
+    struct ThreadRecorder {
+        model: svmodel::AssertSolverModel,
+        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl RepairModel for ThreadRecorder {
         fn name(&self) -> &str {
             self.model.name()
         }
 
         fn solve(&self, case: &CaseInput, samples: usize, temp: f64, seed: u64) -> Vec<Response> {
-            let open = self.open.lock().unwrap();
-            drop(self.opened.wait_while(open, |open| !*open).unwrap());
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
             self.model.solve(case, samples, temp, seed)
         }
     }
 
     #[test]
-    fn every_case_is_queued_before_the_driver_waits_on_any() {
+    fn at_one_driver_the_model_and_the_judge_run_on_one_driver_thread() {
         let entries = human_crafted_cases();
-        assert!(entries.len() >= 3);
         let config = EvalConfig {
-            workers: 1,
             drivers: 1,
+            workers: 4,
+            verify_workers: 4,
             ..EvalConfig::quick(5)
         };
-        let gated = Gated {
+        let model = ThreadRecorder {
             model: svmodel::AssertSolverModel::base(3),
-            open: std::sync::Mutex::new(false),
-            opened: std::sync::Condvar::new(),
+            threads: std::sync::Mutex::new(Vec::new()),
         };
-        let (tracer, telemetry, trace) = (
-            TracerHandle::off(),
-            TelemetryHandle::off(),
-            TraceHandle::off(),
-        );
-        let verifier = EvalVerifier::start(&config);
-        let drive = |model: &(dyn RepairModel + Sync),
-                     opener: &(dyn Fn(ScopedService<'_>) + Sync)| {
-            serve_scoped(model, config.service_config(), |service| {
-                std::thread::scope(|scope| {
-                    scope.spawn(|| opener(service));
-                    let sampler = Sampler::Local(service, &tracer, &telemetry);
-                    drive_cases(sampler, &verifier, &entries, &config, &trace)
-                })
-            })
+        let judged = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let oracle = VerifyOracle::new(config.check.clone());
+        let record = Arc::clone(&judged);
+        let judge = move |entry: &SvaBugEntry, response: &Response| {
+            record.lock().unwrap().push(std::thread::current().id());
+            response_is_correct(entry, response, &oracle)
         };
-        let queued = std::sync::atomic::AtomicBool::new(false);
-        let gated_run = drive(&gated, &|service| {
-            // With the one repair worker stuck in `solve`, every case must
-            // still reach the queue.  Opened regardless, so a failure cannot
-            // hang the test.
-            let deadline = Instant::now() + std::time::Duration::from_secs(20);
-            while service.metrics().submitted < entries.len() as u64 && Instant::now() < deadline {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            let all = service.metrics().submitted == entries.len() as u64;
-            queued.store(all, std::sync::atomic::Ordering::SeqCst);
-            *gated.open.lock().unwrap() = true;
-            gated.opened.notify_all();
-        });
-        assert!(
-            queued.load(std::sync::atomic::Ordering::SeqCst),
-            "the driver must submit every case before it waits on one"
-        );
-        let ungated = drive(&gated.model, &|_| {});
+        let verifier = EvalVerifier {
+            pool: VerifyPool::start(Arc::new(judge), config.verify_config()),
+            check_fingerprint: config.check.fingerprint(),
+        };
+        let run = Evaluation::new(&model, &entries, &config).verifier(&verifier);
+        let evaluation = run.run().evaluation;
         verifier.shutdown();
-        assert_eq!(gated_run, ungated);
+        assert_eq!(evaluation, evaluate_model(&model.model, &entries, &config));
+        let caller = std::thread::current().id();
+        let solved = model.threads.into_inner().unwrap();
+        let judged = judged.lock().unwrap();
+        if svserve::env_cache_dir().is_none() {
+            assert_eq!(solved.len(), entries.len(), "one solve per case");
+            assert!(!judged.is_empty(), "a cold verifier judges");
+        }
+        let mut threads = solved.iter().chain(judged.iter());
+        let driver = *threads.next().expect("the model solved");
+        assert_ne!(driver, caller, "the caller only waits");
+        assert!(threads.all(|&id| id == driver));
     }
 
     /// A ladder rung: answers every case it solves with its golden fix on the

@@ -391,6 +391,12 @@ impl EdgeEvent {
     }
 }
 
+impl fmt::Display for EdgeEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.edge, self.signal)
+    }
+}
+
 /// Sensitivity list of an always block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Sensitivity {

@@ -48,7 +48,7 @@ pub use ast::{
 pub use error::ParseError;
 pub use lexer::Lexer;
 pub use parser::Parser;
-pub use pretty::{emit_file, emit_module};
+pub use pretty::{emit_file, emit_module, emits_as};
 pub use sema::{DependencyGraph, SemaError, SemaReport, SignalInfo, SymbolTable};
 pub use span::Span;
 pub use token::{Token, TokenKind};

@@ -10,6 +10,7 @@
 //! property test in the crate.
 
 use crate::ast::*;
+use std::fmt::{self, Display, Formatter, Write};
 
 /// Emits a whole source file in canonical form.
 ///
@@ -27,300 +28,340 @@ pub fn emit_file(file: &SourceFile) -> String {
         if i > 0 {
             out.push('\n');
         }
-        out.push_str(&emit_module(module));
+        write_module(&mut out, module).expect("a String takes every write");
     }
     out
 }
 
 /// Emits a single module in canonical form (one statement per line, two-space indent).
 pub fn emit_module(module: &Module) -> String {
-    let mut w = Writer::new();
-    if module.ports.is_empty() {
-        w.line(0, &format!("module {}();", module.name));
-    } else {
-        w.line(0, &format!("module {}(", module.name));
-        for (i, port) in module.ports.iter().enumerate() {
-            let comma = if i + 1 == module.ports.len() { "" } else { "," };
-            w.line(1, &format!("{}{}", emit_port(port), comma));
-        }
-        w.line(0, ");");
-    }
-    for item in &module.items {
-        emit_item(&mut w, item);
-    }
-    w.line(0, "endmodule");
-    w.finish()
+    let mut out = String::new();
+    write_module(&mut out, module).expect("a String takes every write");
+    out
+}
+
+/// Whether `text` is exactly `module`'s canonical form, i.e.
+/// `emit_module(module) == text`, without building the rendering: the text is
+/// compared as the emitter writes, and the walk stops at the first byte that
+/// differs.
+pub fn emits_as(module: &Module, text: &str) -> bool {
+    let mut rest = Unwritten(text);
+    write_module(&mut rest, module).is_ok() && rest.0.is_empty()
 }
 
 /// Emits an expression in canonical form (minimal parentheses).
 pub fn emit_expr(expr: &Expr) -> String {
-    expr_text(expr, 0)
+    Ex(expr, 0).to_string()
 }
 
 /// Emits a statement in canonical single-line or multi-line form, unindented.
 ///
 /// Useful for rendering golden fixes in dataset entries.
 pub fn emit_stmt(stmt: &Stmt) -> String {
-    let mut w = Writer::new();
-    emit_stmt_at(&mut w, 0, stmt);
-    w.finish().trim_end().to_string()
+    let mut out = String::new();
+    write_stmt(&mut out, 0, stmt).expect("a String takes every write");
+    out.truncate(out.trim_end().len());
+    out
 }
 
 /// Emits an lvalue in canonical form.
 pub fn emit_lvalue(lvalue: &LValue) -> String {
-    match lvalue {
-        LValue::Ident(n) => n.clone(),
-        LValue::Bit(n, idx) => format!("{n}[{}]", emit_expr(idx)),
-        LValue::Part(n, range) => format!("{n}{range}"),
-        LValue::Concat(parts) => {
-            let inner: Vec<String> = parts.iter().map(emit_lvalue).collect();
-            format!("{{{}}}", inner.join(", "))
+    Lv(lvalue).to_string()
+}
+
+/// The text [`emits_as`] has yet to see written; a write that does not match
+/// its start fails, which ends the walk.
+struct Unwritten<'t>(&'t str);
+
+impl Write for Unwritten<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+        Ok(())
+    }
+}
+
+/// The one sink every emitter writes through: a `String`, an [`Unwritten`]
+/// text or a [`Formatter`].
+type Sink<'w> = &'w mut dyn Write;
+
+/// `level` steps of two-space indentation.
+struct Indent(usize);
+
+impl Display for Indent {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        (0..self.0).try_for_each(|_| f.write_str("  "))
+    }
+}
+
+/// An expression as the operand of an operator binding at the given
+/// precedence.
+struct Ex<'a>(&'a Expr, u8);
+
+impl Display for Ex<'_> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        write_expr(f, self.0, self.1)
+    }
+}
+
+struct Lv<'a>(&'a LValue);
+
+impl Display for Lv<'_> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            LValue::Ident(n) => f.write_str(n),
+            LValue::Bit(n, idx) => write!(f, "{n}[{}]", Ex(idx, 0)),
+            LValue::Part(n, range) => write!(f, "{n}{range}"),
+            LValue::Concat(parts) => write!(f, "{{{}}}", Joined(parts, ", ", Lv)),
         }
     }
 }
 
-struct Writer {
-    lines: Vec<String>,
-}
+/// The items of a slice, each displayed through a wrapper, with a separator
+/// between them.
+struct Joined<'a, T, D: Display>(&'a [T], &'a str, fn(&'a T) -> D);
 
-impl Writer {
-    fn new() -> Self {
-        Self { lines: Vec::new() }
-    }
-
-    fn line(&mut self, indent: usize, text: &str) {
-        let mut s = "  ".repeat(indent);
-        s.push_str(text);
-        self.lines.push(s);
-    }
-
-    fn finish(self) -> String {
-        let mut out = self.lines.join("\n");
-        out.push('\n');
-        out
+impl<'a, T, D: Display> Display for Joined<'a, T, D> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        for (i, item) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(self.1)?;
+            }
+            write!(f, "{}", (self.2)(item))?;
+        }
+        Ok(())
     }
 }
 
-fn emit_port(port: &Port) -> String {
-    let mut s = port.dir.to_string();
+/// A simple statement (assignment or null), on one line without its indent.
+struct Simple<'a>(&'a Stmt);
+
+impl Display for Simple<'_> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Stmt::Blocking { lhs, rhs, .. } => write!(f, "{} = {};", Lv(lhs), Ex(rhs, 0)),
+            Stmt::NonBlocking { lhs, rhs, .. } => write!(f, "{} <= {};", Lv(lhs), Ex(rhs, 0)),
+            Stmt::Null => f.write_str(";"),
+            _ => unreachable!("Simple displays a compound statement"),
+        }
+    }
+}
+
+/// A property specification: clock, optional `disable iff`, body and `;`.
+struct Spec<'a>(&'a PropertyDecl);
+
+impl Display for Spec<'_> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        let p = self.0;
+        write!(f, "@({}) ", p.clock)?;
+        if let Some(guard) = &p.disable_iff {
+            write!(f, "disable iff ({}) ", Ex(guard, 0))?;
+        }
+        write!(f, "{};", Prop(&p.body))
+    }
+}
+
+struct Prop<'a>(&'a PropExpr);
+
+impl Display for Prop<'_> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            PropExpr::Expr(e) => write!(f, "{}", Ex(e, 0)),
+            PropExpr::Implication {
+                antecedent,
+                consequent,
+                overlapping,
+            } => {
+                let arrow = if *overlapping { "|->" } else { "|=>" };
+                write!(f, "{} {arrow} {}", Prop(antecedent), Prop(consequent))
+            }
+            PropExpr::Delay { lhs, cycles, rhs } => {
+                if let Some(lhs) = lhs {
+                    write!(f, "{} ", Prop(lhs))?;
+                }
+                write!(f, "##{cycles} {}", Prop(rhs))
+            }
+            PropExpr::Not(inner) => write!(f, "not ({})", Prop(inner)),
+        }
+    }
+}
+
+fn write_module(w: Sink, module: &Module) -> fmt::Result {
+    if module.ports.is_empty() {
+        writeln!(w, "module {}();", module.name)?;
+    } else {
+        writeln!(w, "module {}(", module.name)?;
+        for (i, port) in module.ports.iter().enumerate() {
+            let comma = if i + 1 == module.ports.len() { "" } else { "," };
+            write_port(w, port)?;
+            writeln!(w, "{comma}")?;
+        }
+        w.write_str(");\n")?;
+    }
+    for item in &module.items {
+        write_item(w, item)?;
+    }
+    w.write_str("endmodule\n")
+}
+
+fn write_port(w: Sink, port: &Port) -> fmt::Result {
+    write!(w, "  {}", port.dir)?;
     if port.net == NetKind::Reg && port.dir == PortDir::Output {
-        s.push_str(" reg");
+        w.write_str(" reg")?;
     }
     if let Some(range) = port.width {
-        s.push_str(&format!(" {range}"));
+        write!(w, " {range}")?;
     }
-    s.push(' ');
-    s.push_str(&port.name);
-    s
+    write!(w, " {}", port.name)
 }
 
-fn emit_item(w: &mut Writer, item: &Item) {
+fn write_item(w: Sink, item: &Item) -> fmt::Result {
     match item {
         Item::Net(decl) => {
-            let range = decl.width.map(|r| format!(" {r}")).unwrap_or_default();
-            w.line(
-                1,
-                &format!("{}{} {};", decl.kind, range, decl.names.join(", ")),
-            );
+            write!(w, "  {}", decl.kind)?;
+            if let Some(range) = decl.width {
+                write!(w, " {range}")?;
+            }
+            writeln!(w, " {};", Joined(&decl.names, ", ", |n| n))
         }
         Item::Param(p) => {
             let kw = if p.local { "localparam" } else { "parameter" };
-            w.line(1, &format!("{kw} {} = {};", p.name, emit_expr(&p.value)));
+            writeln!(w, "  {kw} {} = {};", p.name, Ex(&p.value, 0))
         }
-        Item::Assign(a) => {
-            w.line(
-                1,
-                &format!("assign {} = {};", emit_lvalue(&a.lhs), emit_expr(&a.rhs)),
-            );
-        }
+        Item::Assign(a) => writeln!(w, "  assign {} = {};", Lv(&a.lhs), Ex(&a.rhs, 0)),
         Item::Always(block) => {
-            let sens = match &block.sensitivity {
-                Sensitivity::Star => "always @(*)".to_string(),
+            match &block.sensitivity {
+                Sensitivity::Star => w.write_str("  always @(*)")?,
                 Sensitivity::Edges(events) => {
-                    let parts: Vec<String> = events
-                        .iter()
-                        .map(|e| format!("{} {}", e.edge, e.signal))
-                        .collect();
-                    format!("always @({})", parts.join(" or "))
+                    write!(w, "  always @({})", Joined(events, " or ", |e| e))?
                 }
-            };
-            w.line(1, &format!("{sens} begin"));
-            emit_body_lines(w, 2, &block.body);
-            w.line(1, "end");
+            }
+            w.write_str(" begin\n")?;
+            write_body_lines(w, 2, &block.body)?;
+            w.write_str("  end\n")
         }
         Item::Initial(block) => {
-            w.line(1, "initial begin");
-            emit_body_lines(w, 2, &block.body);
-            w.line(1, "end");
+            w.write_str("  initial begin\n")?;
+            write_body_lines(w, 2, &block.body)?;
+            w.write_str("  end\n")
         }
         Item::Property(p) => {
-            w.line(1, &format!("property {};", p.name));
-            w.line(2, &emit_property_spec(p));
-            w.line(1, "endproperty");
+            writeln!(w, "  property {};", p.name)?;
+            writeln!(w, "    {}", Spec(p))?;
+            w.write_str("  endproperty\n")
         }
         Item::Assertion(a) => {
-            let label = a
-                .label
-                .as_ref()
-                .map(|l| format!("{l}: "))
-                .unwrap_or_default();
-            let target = match &a.target {
-                AssertTarget::Named(name) => name.clone(),
-                AssertTarget::Inline(p) => emit_property_spec(p),
-            };
-            let message = a
-                .message
-                .as_ref()
-                .map(|m| format!(" else $error(\"{m}\")"))
-                .unwrap_or_default();
-            w.line(1, &format!("{label}assert property ({target}){message};"));
-        }
-    }
-}
-
-fn emit_property_spec(p: &PropertyDecl) -> String {
-    let mut s = format!("@({} {}) ", p.clock.edge, p.clock.signal);
-    if let Some(guard) = &p.disable_iff {
-        s.push_str(&format!("disable iff ({}) ", emit_expr(guard)));
-    }
-    s.push_str(&emit_prop_expr(&p.body));
-    s.push(';');
-    s
-}
-
-fn emit_prop_expr(p: &PropExpr) -> String {
-    match p {
-        PropExpr::Expr(e) => emit_expr(e),
-        PropExpr::Implication {
-            antecedent,
-            consequent,
-            overlapping,
-        } => {
-            let arrow = if *overlapping { "|->" } else { "|=>" };
-            format!(
-                "{} {arrow} {}",
-                emit_prop_expr(antecedent),
-                emit_prop_expr(consequent)
-            )
-        }
-        PropExpr::Delay { lhs, cycles, rhs } => {
-            let prefix = lhs
-                .as_ref()
-                .map(|l| format!("{} ", emit_prop_expr(l)))
-                .unwrap_or_default();
-            format!("{prefix}##{cycles} {}", emit_prop_expr(rhs))
-        }
-        PropExpr::Not(inner) => format!("not ({})", emit_prop_expr(inner)),
-    }
-}
-
-/// Emits the statements inside a `begin ... end` body without emitting the wrapper.
-fn emit_body_lines(w: &mut Writer, indent: usize, body: &Stmt) {
-    match body {
-        Stmt::Block { stmts, .. } => {
-            for stmt in stmts {
-                emit_stmt_at(w, indent, stmt);
+            w.write_str("  ")?;
+            if let Some(label) = &a.label {
+                write!(w, "{label}: ")?;
             }
+            match &a.target {
+                AssertTarget::Named(name) => write!(w, "assert property ({name})")?,
+                AssertTarget::Inline(p) => write!(w, "assert property ({})", Spec(p))?,
+            }
+            if let Some(message) = &a.message {
+                write!(w, " else $error(\"{message}\")")?;
+            }
+            w.write_str(";\n")
         }
-        other => emit_stmt_at(w, indent, other),
     }
 }
 
-fn emit_stmt_at(w: &mut Writer, indent: usize, stmt: &Stmt) {
+/// Writes the statements inside a `begin ... end` body without the wrapper.
+fn write_body_lines(w: Sink, level: usize, body: &Stmt) -> fmt::Result {
+    match body {
+        Stmt::Block { stmts, .. } => stmts.iter().try_for_each(|s| write_stmt(w, level, s)),
+        other => write_stmt(w, level, other),
+    }
+}
+
+fn write_stmt(w: Sink, level: usize, stmt: &Stmt) -> fmt::Result {
+    let indent = Indent(level);
     match stmt {
         Stmt::Block { stmts, .. } => {
-            w.line(indent, "begin");
+            writeln!(w, "{indent}begin")?;
             for s in stmts {
-                emit_stmt_at(w, indent + 1, s);
+                write_stmt(w, level + 1, s)?;
             }
-            w.line(indent, "end");
+            writeln!(w, "{indent}end")
         }
         Stmt::If {
             cond,
             then_branch,
             else_branch,
             ..
-        } => emit_if(w, indent, cond, then_branch, else_branch.as_deref(), "if"),
+        } => write_if(w, level, cond, then_branch, else_branch.as_deref(), "if"),
         Stmt::Case {
             subject,
             arms,
             default,
             ..
         } => {
-            w.line(indent, &format!("case ({})", emit_expr(subject)));
+            writeln!(w, "{indent}case ({})", Ex(subject, 0))?;
             for arm in arms {
-                let labels: Vec<String> = arm.labels.iter().map(emit_expr).collect();
-                if is_simple(&arm.body) {
-                    w.line(
-                        indent + 1,
-                        &format!("{}: {}", labels.join(", "), simple_stmt_text(&arm.body)),
-                    );
-                } else {
-                    w.line(indent + 1, &format!("{}: begin", labels.join(", ")));
-                    emit_body_lines(w, indent + 2, &arm.body);
-                    w.line(indent + 1, "end");
-                }
+                let labels = Joined(&arm.labels, ", ", |e| Ex(e, 0));
+                write!(w, "{}{labels}", Indent(level + 1))?;
+                write_arm_body(w, level + 1, &arm.body)?;
             }
             if let Some(d) = default {
-                if is_simple(d) {
-                    w.line(indent + 1, &format!("default: {}", simple_stmt_text(d)));
-                } else {
-                    w.line(indent + 1, "default: begin");
-                    emit_body_lines(w, indent + 2, d);
-                    w.line(indent + 1, "end");
-                }
+                write!(w, "{}default", Indent(level + 1))?;
+                write_arm_body(w, level + 1, d)?;
             }
-            w.line(indent, "endcase");
+            writeln!(w, "{indent}endcase")
         }
         Stmt::Blocking { .. } | Stmt::NonBlocking { .. } | Stmt::Null => {
-            w.line(indent, &simple_stmt_text(stmt));
+            writeln!(w, "{indent}{}", Simple(stmt))
         }
     }
 }
 
-fn emit_if(
-    w: &mut Writer,
-    indent: usize,
+/// Writes a case arm's body after its labels, the arm being at `level`.
+fn write_arm_body(w: Sink, level: usize, body: &Stmt) -> fmt::Result {
+    if is_simple(body) {
+        writeln!(w, ": {}", Simple(body))
+    } else {
+        w.write_str(": begin\n")?;
+        write_body_lines(w, level + 1, body)?;
+        writeln!(w, "{}end", Indent(level))
+    }
+}
+
+fn write_if(
+    w: Sink,
+    level: usize,
     cond: &Expr,
     then_branch: &Stmt,
     else_branch: Option<&Stmt>,
     keyword: &str,
-) {
-    let header = format!("{keyword} ({})", emit_expr(cond));
+) -> fmt::Result {
+    let indent = Indent(level);
+    write!(w, "{indent}{keyword} ({})", Ex(cond, 0))?;
     if is_simple(then_branch) {
-        w.line(
-            indent,
-            &format!("{header} {}", simple_stmt_text(then_branch)),
-        );
+        writeln!(w, " {}", Simple(then_branch))?;
     } else {
-        w.line(indent, &format!("{header} begin"));
-        emit_body_lines(w, indent + 1, then_branch);
-        w.line(indent, "end");
+        w.write_str(" begin\n")?;
+        write_body_lines(w, level + 1, then_branch)?;
+        writeln!(w, "{indent}end")?;
     }
     match else_branch {
-        None => {}
+        None => Ok(()),
         Some(Stmt::If {
             cond: else_cond,
             then_branch: else_then,
             else_branch: else_else,
             ..
-        }) => {
-            emit_if(
-                w,
-                indent,
-                else_cond,
-                else_then,
-                else_else.as_deref(),
-                "else if",
-            );
-        }
-        Some(other) if is_simple(other) => {
-            w.line(indent, &format!("else {}", simple_stmt_text(other)));
-        }
+        }) => write_if(
+            w,
+            level,
+            else_cond,
+            else_then,
+            else_else.as_deref(),
+            "else if",
+        ),
+        Some(other) if is_simple(other) => writeln!(w, "{indent}else {}", Simple(other)),
         Some(other) => {
-            w.line(indent, "else begin");
-            emit_body_lines(w, indent + 1, other);
-            w.line(indent, "end");
+            writeln!(w, "{indent}else begin")?;
+            write_body_lines(w, level + 1, other)?;
+            writeln!(w, "{indent}end")
         }
     }
 }
@@ -330,19 +371,6 @@ fn is_simple(stmt: &Stmt) -> bool {
         stmt,
         Stmt::Blocking { .. } | Stmt::NonBlocking { .. } | Stmt::Null
     )
-}
-
-fn simple_stmt_text(stmt: &Stmt) -> String {
-    match stmt {
-        Stmt::Blocking { lhs, rhs, .. } => {
-            format!("{} = {};", emit_lvalue(lhs), emit_expr(rhs))
-        }
-        Stmt::NonBlocking { lhs, rhs, .. } => {
-            format!("{} <= {};", emit_lvalue(lhs), emit_expr(rhs))
-        }
-        Stmt::Null => ";".to_string(),
-        _ => unreachable!("simple_stmt_text called on compound statement"),
-    }
 }
 
 fn precedence(op: BinaryOp) -> u8 {
@@ -360,10 +388,19 @@ fn precedence(op: BinaryOp) -> u8 {
     }
 }
 
-fn expr_text(expr: &Expr, parent_prec: u8) -> String {
+/// `("(", ")")` when `wrap`, else two empty strings.
+fn parens(wrap: bool) -> (&'static str, &'static str) {
+    if wrap {
+        ("(", ")")
+    } else {
+        ("", "")
+    }
+}
+
+fn write_expr(f: &mut Formatter<'_>, expr: &Expr, parent_prec: u8) -> fmt::Result {
     match expr {
-        Expr::Number(lit) => literal_text(lit),
-        Expr::Ident(n) => n.clone(),
+        Expr::Number(lit) => write_literal(f, lit),
+        Expr::Ident(n) => f.write_str(n),
         Expr::Unary(op, inner) => {
             // Parenthesise non-primary operands both for readability and to avoid
             // token gluing (`& &x` vs `&&x`) when unary operators are nested.
@@ -371,65 +408,41 @@ fn expr_text(expr: &Expr, parent_prec: u8) -> String {
                 inner.as_ref(),
                 Expr::Ident(_) | Expr::Number(_) | Expr::Bit(_, _) | Expr::Part(_, _)
             ) {
-                format!("{}{}", op.symbol(), expr_text(inner, 11))
+                write!(f, "{}{}", op.symbol(), Ex(inner, 11))
             } else {
-                format!("{}({})", op.symbol(), expr_text(inner, 0))
+                write!(f, "{}({})", op.symbol(), Ex(inner, 0))
             }
         }
         Expr::Binary(op, lhs, rhs) => {
             let prec = precedence(*op);
-            let text = format!(
-                "{} {} {}",
-                expr_text(lhs, prec),
-                op.symbol(),
-                expr_text(rhs, prec + 1)
-            );
-            if prec < parent_prec {
-                format!("({text})")
-            } else {
-                text
-            }
+            let (open, close) = parens(prec < parent_prec);
+            let (lhs, rhs) = (Ex(lhs, prec), Ex(rhs, prec + 1));
+            write!(f, "{open}{lhs} {} {rhs}{close}", op.symbol())
         }
         Expr::Ternary(cond, a, b) => {
-            let text = format!(
-                "{} ? {} : {}",
-                expr_text(cond, 1),
-                expr_text(a, 0),
-                expr_text(b, 0)
-            );
-            if parent_prec > 0 {
-                format!("({text})")
-            } else {
-                text
-            }
+            let (open, close) = parens(parent_prec > 0);
+            let (cond, a, b) = (Ex(cond, 1), Ex(a, 0), Ex(b, 0));
+            write!(f, "{open}{cond} ? {a} : {b}{close}")
         }
-        Expr::Bit(name, idx) => format!("{name}[{}]", expr_text(idx, 0)),
-        Expr::Part(name, range) => format!("{name}{range}"),
-        Expr::Concat(parts) => {
-            let inner: Vec<String> = parts.iter().map(|p| expr_text(p, 0)).collect();
-            format!("{{{}}}", inner.join(", "))
-        }
-        Expr::Repeat(count, inner) => format!("{{{count}{{{}}}}}", expr_text(inner, 0)),
-        Expr::Past(inner, cycles) => {
-            if *cycles == 1 {
-                format!("$past({})", expr_text(inner, 0))
-            } else {
-                format!("$past({}, {cycles})", expr_text(inner, 0))
-            }
-        }
-        Expr::Rose(inner) => format!("$rose({})", expr_text(inner, 0)),
-        Expr::Fell(inner) => format!("$fell({})", expr_text(inner, 0)),
-        Expr::Stable(inner) => format!("$stable({})", expr_text(inner, 0)),
+        Expr::Bit(name, idx) => write!(f, "{name}[{}]", Ex(idx, 0)),
+        Expr::Part(name, range) => write!(f, "{name}{range}"),
+        Expr::Concat(parts) => write!(f, "{{{}}}", Joined(parts, ", ", |p| Ex(p, 0))),
+        Expr::Repeat(count, inner) => write!(f, "{{{count}{{{}}}}}", Ex(inner, 0)),
+        Expr::Past(inner, 1) => write!(f, "$past({})", Ex(inner, 0)),
+        Expr::Past(inner, cycles) => write!(f, "$past({}, {cycles})", Ex(inner, 0)),
+        Expr::Rose(inner) => write!(f, "$rose({})", Ex(inner, 0)),
+        Expr::Fell(inner) => write!(f, "$fell({})", Ex(inner, 0)),
+        Expr::Stable(inner) => write!(f, "$stable({})", Ex(inner, 0)),
     }
 }
 
-fn literal_text(lit: &Literal) -> String {
+fn write_literal(f: &mut Formatter<'_>, lit: &Literal) -> fmt::Result {
     match (lit.width, lit.base) {
-        (None, _) => format!("{}", lit.value),
-        (Some(w), 'b') => format!("{w}'b{:b}", lit.value),
-        (Some(w), 'h') => format!("{w}'h{:x}", lit.value),
-        (Some(w), 'o') => format!("{w}'o{:o}", lit.value),
-        (Some(w), _) => format!("{w}'d{}", lit.value),
+        (None, _) => write!(f, "{}", lit.value),
+        (Some(w), 'b') => write!(f, "{w}'b{:b}", lit.value),
+        (Some(w), 'h') => write!(f, "{w}'h{:x}", lit.value),
+        (Some(w), 'o') => write!(f, "{w}'o{:o}", lit.value),
+        (Some(w), _) => write!(f, "{w}'d{}", lit.value),
     }
 }
 
@@ -516,10 +529,11 @@ endmodule
 
     #[test]
     fn literal_forms() {
-        assert_eq!(literal_text(&Literal::bin(4, 0b1010)), "4'b1010");
-        assert_eq!(literal_text(&Literal::hex(8, 0xff)), "8'hff");
-        assert_eq!(literal_text(&Literal::sized(2, 3)), "2'd3");
-        assert_eq!(literal_text(&Literal::dec(7)), "7");
+        let text = |lit| emit_expr(&Expr::Number(lit));
+        assert_eq!(text(Literal::bin(4, 0b1010)), "4'b1010");
+        assert_eq!(text(Literal::hex(8, 0xff)), "8'hff");
+        assert_eq!(text(Literal::sized(2, 3)), "2'd3");
+        assert_eq!(text(Literal::dec(7)), "7");
     }
 
     #[test]

@@ -31,17 +31,13 @@ pub const JOURNAL_DIR_ENV: &str = "ASSERTSOLVER_JOURNAL_DIR";
 pub const PROFILE_DIR_ENV: &str = "ASSERTSOLVER_PROFILE_DIR";
 
 /// Environment variable overriding the default number of threads that drive
-/// an evaluation's cases (`assertsolver::EvalConfig::drivers`); CI runs the
-/// driver-determinism suite at 1 and 4.
+/// an evaluation's cases (`assertsolver::EvalConfig::drivers`; unset, the
+/// host's available parallelism); CI runs the driver-determinism suite and
+/// the paper-table goldens at 1 and 4.
 pub const DRIVERS_ENV: &str = "ASSERTSOLVER_DRIVERS";
 
-/// Case-driver thread count used when `assertsolver::EvalConfig::drivers` is 0
-/// and [`DRIVERS_ENV`] is unset.
-pub const DEFAULT_DRIVERS: usize = 2;
-
-/// Environment variable overriding the default verify worker count
-/// (`VerifyConfig::default()`); CI runs the suite at 1 and 4 to exercise both the
-/// single-threaded and the parallel verdict paths.
+/// Environment variable overriding the default verdict-cache shard count
+/// (`VerifyConfig::default()`); CI runs the suite at 1 and 4.
 pub const VERIFY_WORKERS_ENV: &str = "ASSERTSOLVER_VERIFY_WORKERS";
 
 /// Environment knob enabling tracing in `assertsolver::EvalConfig`-driven
@@ -179,8 +175,8 @@ pub fn env_drivers() -> Option<usize> {
 /// Reads the verify-worker override from the environment, if set and valid.
 ///
 /// Same policy as [`env_drivers`]: zero or garbage falls back to the default
-/// with a one-line warning, and huge values clamp instead of spawning an
-/// unbounded number of judge threads.
+/// with a one-line warning, and huge values clamp instead of building an
+/// unbounded number of cache shards.
 pub fn env_verify_workers() -> Option<usize> {
     let raw = std::env::var(VERIFY_WORKERS_ENV).ok()?;
     resolve_thread_knob(VERIFY_WORKERS_ENV, &raw)

@@ -3,11 +3,16 @@
 //! The paper evaluates AssertSolver one case at a time; this crate is the serving
 //! harness that turns a repair model into a system that can absorb heavy traffic:
 //!
-//! * **Sharded worker pool** — N worker threads, each owning one bounded queue shard
-//!   ([`queue`]); submitters block when a shard is full (backpressure) instead of
-//!   growing memory without bound.
-//! * **Micro-batching** — workers drain up to [`ServiceConfig::max_batch`] jobs per
-//!   wake-up, amortizing queue synchronization across model invocations
+//! * **Sharded pools, in place or threaded** — every pool keeps N content-addressed
+//!   shards.  [`serve_scoped`], [`verify_scoped`] and [`VerifyPool`] serve each job
+//!   on the thread that submits it and spawn no thread; only
+//!   [`RepairService::start`] runs worker threads, one per shard with a bounded
+//!   queue ([`queue`]), for the wire's shard server and callers that park a job.
+//!   Its submitters block when a shard is full (backpressure) instead of growing
+//!   memory without bound.
+//! * **Micro-batching** — a [`RepairService`]'s workers drain up to
+//!   [`ServiceConfig::max_batch`] jobs per wake-up, amortizing queue
+//!   synchronization across model invocations
 //!   ([`ServiceMetrics::mean_batch_size`] shows the effect).
 //! * **Content-addressed response cache** — answers are cached under a 128-bit hash
 //!   of `(spec, buggy source, failure log, samples, temperature)` with LRU eviction
@@ -17,14 +22,14 @@
 //! * **Determinism** — sampler seeds derive from the content hash plus the service
 //!   seed, never from arrival order or worker identity, so the same workload yields
 //!   byte-identical responses at any worker count.
-//! * **One engine** — queueing, caching, panic absorption, snapshots and both
-//!   frontends live once, in [`pool`]; the repair pool ([`service`]) and the
-//!   verify pool ([`verify`]) are instantiations of it.
-//! * **Verification offload** — a second instantiation of the engine ([`verify`])
-//!   judges `(case, candidate response)` pairs on dedicated workers,
-//!   with a content-addressed verdict cache keyed by
-//!   `hash(case, response, checker config)`; sampling and verification pipeline
-//!   through the two pools concurrently in `assertsolver::evaluate_model`.
+//! * **One engine** — queueing, caching, panic absorption, snapshots and the one
+//!   frontend ([`pool::Bound`]) live once, in [`pool`]; the repair pool
+//!   ([`service`]) and the verify pool ([`verify`]) are instantiations of it.
+//! * **Verdict cache** — a second instantiation of the engine ([`verify`])
+//!   judges `(case, candidate response)` pairs in place, with a
+//!   content-addressed verdict cache keyed by
+//!   `hash(case, response, checker config)`; `assertsolver::evaluate_model`
+//!   samples and judges each case on the thread that drives it.
 //! * **Cache persistence & warm start** — both caches can spill to versioned
 //!   on-disk snapshots ([`persist`]) that are preloaded at pool start, so repeated
 //!   runs replay responses and verdicts from disk instead of recomputing them;
@@ -33,9 +38,8 @@
 //!   [`PersistSpec::compact_after`] runs are compacted away at flush.
 //! * **Admission control** — a pool with a `max_in_flight` limit sheds the
 //!   overflow with a deterministic [`SubmitError::Busy`] instead of queueing
-//!   it.  Submission is blocking and tickets are plain one-shot slots:
-//!   `assertsolver`'s case driver keeps every case in flight by submitting
-//!   them all before it waits on any.
+//!   it.  Submission is blocking and tickets are plain one-shot slots, served
+//!   before `submit` returns when the pool serves in place.
 //! * **Structured session journal** — a typed-event observability layer
 //!   ([`journal`]): each judged case journals its phases, verdict tally and
 //!   terminal outcome in one call ([`TracerHandle::case`]), and the pools add
@@ -93,9 +97,8 @@ pub use cache::{
 };
 pub use env::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_shard_sockets, env_telemetry,
-    env_trace, env_verify_workers, env_window_width, CACHE_DIR_ENV, DEFAULT_DRIVERS, DRIVERS_ENV,
-    JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SHARD_SOCKETS_ENV, TELEMETRY_ENV, TRACE_ENV,
-    WINDOW_WIDTH_ENV,
+    env_trace, env_verify_workers, env_window_width, CACHE_DIR_ENV, DRIVERS_ENV, JOURNAL_DIR_ENV,
+    PROFILE_DIR_ENV, SHARD_SOCKETS_ENV, TELEMETRY_ENV, TRACE_ENV, WINDOW_WIDTH_ENV,
 };
 pub use journal::{
     logical_tick, parse_journal, render_journal, write_journal, JournalCounters, JournalEvent,

@@ -375,7 +375,7 @@ struct Stage {
 /// A point-in-time view of service health and performance.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceMetrics {
-    /// Number of worker threads.
+    /// Number of shards (a threaded pool runs one worker thread per shard).
     pub workers: usize,
     /// Requests accepted by `submit`.
     pub submitted: u64,
@@ -451,7 +451,7 @@ pub struct ServiceMetrics {
 /// A point-in-time view of the verification offload pool.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VerifyMetrics {
-    /// Number of verify worker threads.
+    /// Number of verdict-cache shards.
     pub workers: usize,
     /// Verdict jobs accepted by `submit`.
     pub submitted: u64,

@@ -1,5 +1,5 @@
-//! The pool engine: one sharded, cached, panic-absorbing worker pool, generic
-//! over what it serves.
+//! The pool engine: one sharded, cached, panic-absorbing pool, generic over
+//! what it serves.
 //!
 //! The paper's protocol is one loop — sample repairs, let the bounded check judge
 //! them — and both halves are served by this engine: [`crate::service`] (repair)
@@ -14,21 +14,33 @@
 //! windows).  The work itself is [`Serve::work`], generic over the backend (a
 //! model, a judge) so that no pool type carries the backend's type.
 //!
+//! ## Where a job runs
+//!
+//! A [`Bound`] pool is bound to its backend one of two ways.  Built
+//! in place (`Bound::in_place`), it serves each job on the thread that submits
+//! it: the evaluation's pools ([`crate::serve_scoped`], [`crate::VerifyPool`])
+//! spawn no thread, and their cache, snapshot, metrics, journal and
+//! telemetry paths are the same code a worker runs.  Only
+//! [`crate::RepairService::start`] spawns (`Bound::spawn`) one worker thread per
+//! shard, for the wire's shard server and for callers that park a job.
+//!
 //! ## What the engine guarantees
 //!
-//! * **Placement** — a job runs on shard `key.fold64() % workers`, a pure
-//!   function of request content, so per-shard caches are disjoint and results
-//!   are independent of worker count and arrival order.
+//! * **Placement** — a job runs on shard `key.fold64() % workers` (its worker
+//!   thread, or its cache shard when served in place), a pure function of
+//!   request content, so per-shard caches are disjoint and results are
+//!   independent of worker count and arrival order.
 //! * **Backpressure and admission** — bounded shard queues block submitters;
 //!   `max_in_flight` sheds with [`SubmitError::Busy`]; a submission that never
 //!   reaches a queue hands its in-flight slot back.
 //! * **Panic absorption** — panicking work fulfils its ticket with
 //!   [`Worker::failed`], is counted, is *not* cached (a retry reaches the
-//!   backend again), and leaves the worker serving its shard.
-//! * **Warm start** — a configured snapshot is preloaded before the workers
-//!   start and flushed after they have joined; a missing, corrupt or mismatched
-//!   file is a counted cold start, an empty cache never overwrites a snapshot,
-//!   and entries idle for `compact_after` runs are dropped at flush.
+//!   backend again), and leaves the pool serving its shard.
+//! * **Warm start** — a configured snapshot is preloaded before the first job
+//!   and flushed once the pool has closed (after its workers have joined); a
+//!   missing, corrupt or mismatched file is a counted cold start, an empty
+//!   cache never overwrites a snapshot, and entries idle for `compact_after`
+//!   runs are dropped at flush.
 //! * **Lifecycle** — closing wakes every waiter; queued jobs are drained before
 //!   the workers exit; submitting after close is [`SubmitError::Closed`].
 
@@ -40,6 +52,7 @@ use crate::queue::{Shard, SubmitError};
 use crate::sync::lock_recover;
 use crate::telemetry::{Metric, MetricClass, TelemetryHandle, TelemetryWindows};
 use crate::ticket::TicketState;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -124,18 +137,22 @@ pub(crate) struct PoolConfig {
     pub(crate) telemetry: TelemetryHandle,
 }
 
-/// Await-handle for a submitted job.
-pub struct Ticket<O>(Arc<TicketState<O>>);
+/// Await-handle for a submitted job: served already when the pool serves in
+/// place, else fulfilled by the worker of the job's shard.
+pub struct Ticket<O>(Slot<O>);
+
+enum Slot<O> {
+    Served(O),
+    Queued(Arc<TicketState<O>>),
+}
 
 impl<O> Ticket<O> {
-    /// Blocks until the job has been served.
+    /// Returns the outcome, blocking until a worker has served the job.
     pub fn wait(self) -> O {
-        self.0.wait()
-    }
-
-    /// Non-blocking poll; returns the outcome once served.
-    pub fn try_take(&self) -> Option<O> {
-        self.0.try_take()
+        match self.0 {
+            Slot::Served(outcome) => outcome,
+            Slot::Queued(state) => state.wait(),
+        }
     }
 }
 
@@ -143,18 +160,18 @@ struct Job<W: Worker> {
     request: W::Request,
     key: Key<W>,
     enqueued_at: Instant,
-    ticket: Arc<TicketState<W::Outcome>>,
 }
 
+/// A queued job and the ticket its worker fulfils.
+type Queued<W> = (Job<W>, Arc<TicketState<<W as Worker>::Outcome>>);
+
 /// The engine: shard queues, shard caches, metrics and the lifecycle flag of
-/// one pool.  Frontends hand it out by reference (the scoped frontends,
-/// [`crate::serve_scoped`] / [`crate::verify_scoped`]) or own it next to its
-/// threads ([`Owned`]).
+/// one pool, owned by its frontend ([`Bound`]).
 pub struct Pool<W: Worker> {
     pub(crate) worker: W,
     /// The normalized config the pool runs under.
     pub(crate) config: PoolConfig,
-    shards: Vec<Shard<Job<W>>>,
+    shards: Vec<Shard<Queued<W>>>,
     caches: Vec<Mutex<LruCache<Key<W>, Value<W>>>>,
     pub(crate) recorder: MetricsRecorder,
     /// Latency histograms ([`Worker::HISTOGRAMS`]) resolved once at start;
@@ -222,8 +239,7 @@ impl<W: Worker> Pool<W> {
 
     /// Writes the cache to the configured snapshot path (atomically), returning
     /// the number of entries written; `Ok(0)` when persistence is not
-    /// configured.  Also runs when an [`Owned`] pool shuts down or drops, and at
-    /// the end of a scoped run.
+    /// configured.  Also runs once when a [`Bound`] pool shuts down or drops.
     ///
     /// An **empty** cache is never written: a pool that loaded nothing (e.g. a
     /// reconfigured run whose preload was rejected) and computed nothing must not
@@ -287,8 +303,8 @@ impl<W: Worker> Pool<W> {
     }
 
     /// Admission + job construction.  On success the in-flight slot has been
-    /// reserved; it is released by the worker when the job completes, or
-    /// rolled back by the caller if the job never reaches a queue.
+    /// reserved; it is released when the job is served, or rolled back by the
+    /// caller if the job never reaches a queue.
     /// `max_in_flight = 0` admits without limit (the slot is still counted).
     fn begin_submit(&self, request: W::Request) -> Result<Job<W>, SubmitError> {
         if self.closed.load(Ordering::Acquire) {
@@ -315,38 +331,21 @@ impl<W: Worker> Pool<W> {
             request,
             key,
             enqueued_at: Instant::now(),
-            ticket: TicketState::new(),
         })
     }
 
-    /// Submits one job; blocks only while the target shard is at capacity.
-    /// Sheds with [`SubmitError::Busy`] at the pool's in-flight limit.
-    pub fn submit(&self, request: W::Request) -> Result<Ticket<W::Outcome>, SubmitError> {
+    /// Admits one job onto its shard's queue; blocks only while that shard is
+    /// at capacity.
+    pub(crate) fn enqueue(&self, request: W::Request) -> Result<Ticket<W::Outcome>, SubmitError> {
         let job = self.begin_submit(request)?;
-        let state = Arc::clone(&job.ticket);
+        let state = TicketState::new();
         // A job that never reached a queue (the pool closed first) hands its
         // admission slot back.
         let depth = self.shards[self.shard_for(job.key)]
-            .push_blocking(job, &self.closed)
+            .push_blocking((job, Arc::clone(&state)), &self.closed)
             .inspect_err(|_| self.recorder.release_in_flight())?;
         self.recorder.record_submit(depth);
-        Ok(Ticket(state))
-    }
-
-    /// Submits a whole workload and waits for every outcome, preserving input
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is closed or sheds one of the requests.
-    pub fn submit_all(&self, requests: Vec<W::Request>) -> Vec<W::Outcome> {
-        // Submit everything first (backpressure throttles us while workers
-        // drain), then await in input order.
-        let tickets: Vec<_> = requests
-            .into_iter()
-            .map(|request| self.submit(request).expect("pool open during submit_all"))
-            .collect();
-        tickets.into_iter().map(Ticket::wait).collect()
+        Ok(Ticket(Slot::Queued(state)))
     }
 
     /// Takes a metrics snapshot.
@@ -366,12 +365,13 @@ impl<W: Worker> Pool<W> {
     }
 
     /// Stops admitting work and wakes every waiter; workers drain their queues
-    /// and exit.
-    pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+    /// and exit.  True if the pool was open.
+    pub(crate) fn close(&self) -> bool {
+        let was_open = !self.closed.swap(true, Ordering::AcqRel);
         for shard in &self.shards {
             shard.notify_all();
         }
+        was_open
     }
 
     /// The worker loop of shard `shard_idx`; returns once the pool is closed
@@ -386,13 +386,13 @@ impl<W: Worker> Pool<W> {
                 return;
             }
             self.recorder.record_batch();
-            for job in batch {
-                self.serve(backend, shard_idx, job);
+            for (job, ticket) in batch {
+                ticket.fulfill(self.serve(backend, shard_idx, job));
             }
         }
     }
 
-    fn serve<B: ?Sized>(&self, backend: &B, shard_idx: usize, job: Job<W>)
+    fn serve<B: ?Sized>(&self, backend: &B, shard_idx: usize, job: Job<W>) -> W::Outcome
     where
         W: Serve<B>,
     {
@@ -416,9 +416,9 @@ impl<W: Worker> Pool<W> {
                 let work_start = Instant::now();
                 // Panicking work must not take the worker down: an unwinding
                 // worker would strand every ticket in its shard (waiters block
-                // forever and scoped pools never join) and poison the pool for
-                // later jobs.  Catch the panic, serve the failed value, and
-                // count it in the metrics.
+                // forever) and poison the pool for later jobs; in place, it
+                // would unwind through the submitter.  Catch the panic, serve
+                // the failed value, and count it in the metrics.
                 let worked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     self.worker.work(backend, &job.request, job.key)
                 }));
@@ -457,64 +457,47 @@ impl<W: Worker> Pool<W> {
             queue_wait,
             service_time,
         };
-        job.ticket.fulfill(W::outcome(value, served));
+        W::outcome(value, served)
     }
 }
 
-/// Closes the pool when dropped, so scoped workers exit even if the body panics.
-struct CloseGuard<'a, W: Worker>(&'a Pool<W>);
-
-impl<W: Worker> Drop for CloseGuard<'_, W> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// Runs `pool`'s workers over a *borrowed* backend for the duration of `body`.
+/// A pool bound to its backend handle `H` (an `Arc` or a borrow) until
+/// [`Bound::shutdown`] or drop, which close it and flush its snapshot once.
+/// Dereferences to its [`Pool`] for metrics and flush.
 ///
-/// The workers are scoped threads, so `backend` only needs `Sync` — no `Arc`, no
-/// `'static`.  They drain outstanding jobs and exit when `body` returns (or
-/// panics).  The snapshot is flushed after they have all joined (so the flush
-/// sees every value the pool computed); a panicking `body` skips the flush.
-pub(crate) fn scoped<W, B, F, R>(pool: Pool<W>, backend: &B, body: F) -> R
-where
-    W: Serve<B>,
-    B: ?Sized + Sync,
-    F: FnOnce(&&Pool<W>) -> R,
-{
-    let result = std::thread::scope(|scope| {
-        let guard = CloseGuard(&pool);
-        for shard_idx in 0..pool.config.workers {
-            let pool = &pool;
-            scope.spawn(move || pool.run(backend, shard_idx));
-        }
-        let result = body(&&pool);
-        drop(guard); // close + wake workers so the scope can join
-        result
-    });
-    let _ = pool.flush();
-    result
-}
-
-/// A persistent pool owning its backend and worker threads until
-/// [`Owned::shutdown`] or drop.  Dereferences to its [`Pool`] for
-/// submit/await, metrics and flush.
-pub struct Owned<W: Worker, B: ?Sized> {
+/// Built in place (`Bound::in_place`) it runs no thread: `submit` serves the
+/// job before it returns.  Spawned (`Bound::spawn`), one worker per shard
+/// serves the shard's queue and `submit` returns once the job is queued.
+pub struct Bound<W: Worker, H> {
     pool: Arc<Pool<W>>,
-    handles: Vec<JoinHandle<()>>,
-    _backend: Arc<B>,
+    backend: H,
+    /// The shard workers; empty when the pool serves in place.
+    threads: Vec<JoinHandle<()>>,
 }
 
-impl<W: Worker, B: ?Sized> Owned<W, B> {
-    pub(crate) fn spawn(pool: Pool<W>, backend: Arc<B>, thread_prefix: &str) -> Self
+impl<W: Worker, H: Deref> Bound<W, H>
+where
+    W: Serve<H::Target>,
+{
+    /// A pool that serves each job on the thread that submits it.
+    pub(crate) fn in_place(pool: Pool<W>, backend: H) -> Self {
+        Self {
+            pool: Arc::new(pool),
+            backend,
+            threads: Vec::new(),
+        }
+    }
+
+    /// A pool with one worker thread per shard, named `<prefix>-<shard>`.
+    pub(crate) fn spawn(pool: Pool<W>, backend: H, thread_prefix: &str) -> Self
     where
-        W: Serve<B> + 'static,
-        B: Send + Sync + 'static,
+        W: 'static,
+        H: Clone + Send + 'static,
     {
         let pool = Arc::new(pool);
-        let handles = (0..pool.config.workers)
+        let threads = (0..pool.config.workers)
             .map(|shard_idx| {
-                let (pool, backend) = (Arc::clone(&pool), Arc::clone(&backend));
+                let (pool, backend) = (Arc::clone(&pool), backend.clone());
                 std::thread::Builder::new()
                     .name(format!("{thread_prefix}-{shard_idx}"))
                     .spawn(move || pool.run(&*backend, shard_idx))
@@ -523,32 +506,66 @@ impl<W: Worker, B: ?Sized> Owned<W, B> {
             .collect();
         Self {
             pool,
-            handles,
-            _backend: backend,
+            backend,
+            threads,
         }
     }
 
-    /// Closes the pool and joins its workers; true if there were any left to
-    /// join (false once `shutdown` has run).
-    fn close_and_join(&mut self) -> bool {
-        self.pool.close();
-        let had_workers = !self.handles.is_empty();
-        for handle in self.handles.drain(..) {
+    /// Submits one job: serves it in place, or queues it for its shard's
+    /// worker (blocking only while that shard is at capacity).  Sheds with
+    /// [`SubmitError::Busy`] at the pool's in-flight limit.
+    pub fn submit(&self, request: W::Request) -> Result<Ticket<W::Outcome>, SubmitError> {
+        if !self.threads.is_empty() {
+            return self.pool.enqueue(request);
+        }
+        let job = self.pool.begin_submit(request)?;
+        self.pool.recorder.record_submit(0);
+        let shard = self.pool.shard_for(job.key);
+        Ok(Ticket(Slot::Served(self.pool.serve(
+            &*self.backend,
+            shard,
+            job,
+        ))))
+    }
+
+    /// Submits a whole workload and waits for every outcome, preserving input
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool is closed or sheds one of the requests.
+    pub fn submit_all(&self, requests: Vec<W::Request>) -> Vec<W::Outcome> {
+        // Submit everything first (backpressure throttles us while workers
+        // drain), then await in input order.
+        let tickets: Vec<_> = requests
+            .into_iter()
+            .map(|request| self.submit(request).expect("pool open during submit_all"))
+            .collect();
+        tickets.into_iter().map(Ticket::wait).collect()
+    }
+}
+
+impl<W: Worker, H> Bound<W, H> {
+    /// Closes the pool and joins its workers; true the first time, so that
+    /// exactly one of `shutdown` and drop flushes.
+    fn close(&mut self) -> bool {
+        let was_open = self.pool.close();
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        had_workers
+        was_open
     }
 
     /// Stops accepting work, drains the queues, joins the workers, flushes the
     /// cache snapshot and returns the final metrics.
     pub fn shutdown(mut self) -> W::Metrics {
-        self.close_and_join();
+        self.close();
         let _ = self.pool.flush();
         self.pool.metrics()
     }
 }
 
-impl<W: Worker, B: ?Sized> std::ops::Deref for Owned<W, B> {
+impl<W: Worker, H> Deref for Bound<W, H> {
     type Target = Pool<W>;
 
     fn deref(&self) -> &Pool<W> {
@@ -556,11 +573,9 @@ impl<W: Worker, B: ?Sized> std::ops::Deref for Owned<W, B> {
     }
 }
 
-impl<W: Worker, B: ?Sized> Drop for Owned<W, B> {
+impl<W: Worker, H> Drop for Bound<W, H> {
     fn drop(&mut self) {
-        // `shutdown` already flushed (and emptied `handles`); only flush here
-        // when the pool is dropped without an explicit shutdown.
-        if self.close_and_join() {
+        if self.close() {
             let _ = self.pool.flush();
         }
     }
@@ -584,10 +599,22 @@ pub(crate) mod contract {
         pub(crate) snapshot_compacted_entries: u64,
     }
 
+    /// How a contract case runs its pool.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) enum Serving {
+        /// `Bound::in_place`: every job on the submitting thread.
+        InPlace,
+        /// `Bound::spawn`: one worker thread per shard.
+        Threads,
+    }
+
     /// One instantiation under test.
     pub(crate) trait Harness {
         type Worker: Serve<Self::Backend> + 'static;
         type Backend: ?Sized + Send + Sync + 'static;
+
+        /// The frontends the instantiation's public API serves through.
+        const SERVING: &'static [Serving];
 
         /// A pool with `workers` shards, persisting under `persist`.
         fn pool(workers: usize, persist: Option<PersistSpec>) -> Pool<Self::Worker>;
@@ -604,11 +631,18 @@ pub(crate) mod contract {
         H::tally(&pool.metrics())
     }
 
-    fn owned<H: Harness>(
+    type Frontend<H> = Bound<<H as Harness>::Worker, Arc<<H as Harness>::Backend>>;
+
+    fn bound<H: Harness>(
+        serving: Serving,
         workers: usize,
         persist: Option<PersistSpec>,
-    ) -> Owned<H::Worker, H::Backend> {
-        Owned::spawn(H::pool(workers, persist), H::backend(), "contract")
+    ) -> Frontend<H> {
+        let pool = H::pool(workers, persist);
+        match serving {
+            Serving::InPlace => Bound::in_place(pool, H::backend()),
+            Serving::Threads => Bound::spawn(pool, H::backend(), "contract"),
+        }
     }
 
     /// A snapshot spec in a fresh directory of this process, harness and case.
@@ -623,13 +657,16 @@ pub(crate) mod contract {
     }
 
     pub(crate) fn submit_after_close_is_refused<H: Harness>() {
-        let pool = H::pool(2, None);
-        pool.close();
-        assert_eq!(
-            pool.submit(H::request(0, false)).err(),
-            Some(SubmitError::Closed)
-        );
-        assert_eq!(tally::<H>(&pool).in_flight, 0, "a refusal reserves nothing");
+        for &serving in H::SERVING {
+            let mut pool = bound::<H>(serving, 2, None);
+            pool.close();
+            assert_eq!(
+                pool.submit(H::request(0, false)).err(),
+                Some(SubmitError::Closed),
+                "{serving:?}"
+            );
+            assert_eq!(tally::<H>(&pool).in_flight, 0, "a refusal reserves nothing");
+        }
     }
 
     /// A submitter blocked on a full shard when the pool closes is refused
@@ -639,10 +676,10 @@ pub(crate) mod contract {
         let pool = H::pool(1, None); // no workers: nothing drains
         let capacity = pool.config.shard_capacity;
         for tag in 0..capacity {
-            pool.submit(H::request(tag, false)).unwrap();
+            pool.enqueue(H::request(tag, false)).unwrap();
         }
         std::thread::scope(|scope| {
-            let blocked = scope.spawn(|| pool.submit(H::request(capacity, false)).err());
+            let blocked = scope.spawn(|| pool.enqueue(H::request(capacity, false)).err());
             while tally::<H>(&pool).in_flight <= capacity {
                 std::thread::yield_now();
             }
@@ -654,9 +691,11 @@ pub(crate) mod contract {
     }
 
     /// Panicking work fulfils its ticket with the failed value, is counted, is
-    /// not cached, and the next job on that shard is served — owned and scoped.
+    /// not cached, and the next job on that shard is served — in place and on
+    /// worker threads.
     pub(crate) fn panicking_work_is_absorbed<H: Harness>() {
-        let check = |pool: &Pool<H::Worker>| {
+        for &serving in H::SERVING {
+            let pool = bound::<H>(serving, 1, None);
             let outcomes = pool.submit_all(vec![
                 H::request(0, false),
                 H::request(1, true),
@@ -670,78 +709,82 @@ pub(crate) mod contract {
             assert_eq!(H::view(&retry), (true, false, 0));
             let again = pool.submit(H::request(2, false)).unwrap().wait();
             assert_eq!(H::view(&again), (false, true, 0));
-            let tally = tally::<H>(pool);
-            assert_eq!((tally.panics, tally.completed), (2, 5));
+            let tally = tally::<H>(&pool);
+            assert_eq!((tally.panics, tally.completed), (2, 5), "{serving:?}");
             assert_eq!(pool.cache_entries(), 2);
-        };
-        let pool = owned::<H>(1, None);
-        check(&pool);
-        pool.shutdown();
-        scoped(H::pool(1, None), &*H::backend(), |pool| check(pool));
+        }
     }
 
     pub(crate) fn an_idle_pool_never_overwrites_a_valuable_snapshot<H: Harness>() {
-        let spec = temp_spec::<H>("idle", b"cfg-v1");
-        let pool = owned::<H>(2, Some(spec.clone()));
-        pool.submit_all((0..6).map(|tag| H::request(tag, false)).collect());
-        pool.shutdown();
-        let valuable = std::fs::read(&spec.path).unwrap();
+        for &serving in H::SERVING {
+            let spec = temp_spec::<H>(&format!("idle-{serving:?}"), b"cfg-v1");
+            let pool = bound::<H>(serving, 2, Some(spec.clone()));
+            pool.submit_all((0..6).map(|tag| H::request(tag, false)).collect());
+            pool.shutdown();
+            let valuable = std::fs::read(&spec.path).unwrap();
 
-        // Reconfigured pool: rejected preload, zero work, flush and shutdown.
-        let reconfigured = PersistSpec::new(spec.path.clone(), b"cfg-v2", "contract");
-        let idle = owned::<H>(2, Some(reconfigured));
-        assert_eq!(tally::<H>(&idle).snapshot_rejects, 1);
-        assert_eq!(idle.flush().unwrap(), 0, "an empty cache is never written");
-        assert_eq!(H::tally(&idle.shutdown()).snapshot_saves, 0);
-        assert_eq!(std::fs::read(&spec.path).unwrap(), valuable);
+            // Reconfigured pool: rejected preload, zero work, flush and shutdown.
+            let reconfigured = PersistSpec::new(spec.path.clone(), b"cfg-v2", "contract");
+            let idle = bound::<H>(serving, 2, Some(reconfigured));
+            assert_eq!(tally::<H>(&idle).snapshot_rejects, 1);
+            assert_eq!(idle.flush().unwrap(), 0, "an empty cache is never written");
+            assert_eq!(H::tally(&idle.shutdown()).snapshot_saves, 0);
+            assert_eq!(std::fs::read(&spec.path).unwrap(), valuable);
 
-        // And the original configuration still warm-starts from it.
-        let pool = H::pool(2, Some(spec.clone()));
-        assert_eq!(tally::<H>(&pool).snapshot_loaded_entries, 6);
-        let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
+            // And the original configuration still warm-starts from it.
+            let pool = H::pool(2, Some(spec.clone()));
+            assert_eq!(tally::<H>(&pool).snapshot_loaded_entries, 6);
+            let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
+        }
     }
 
     /// Entries idle for more than `compact_after` runs are dropped at flush,
     /// and counted only once the write has landed.
     pub(crate) fn idle_entries_are_compacted_once_the_write_lands<H: Harness>() {
-        let spec = temp_spec::<H>("compaction", b"cfg").with_compaction(1);
-        let run = |touched: usize| {
-            let pool = owned::<H>(2, Some(spec.clone()));
-            pool.submit_all((0..touched).map(|tag| H::request(tag, false)).collect());
-            pool
-        };
-        run(4).shutdown(); // generation 1: four entries
-        let second = H::tally(&run(2).shutdown()); // 2 and 3 idle for one run: kept
-        assert_eq!(second.snapshot_loaded_entries, 4);
-        assert_eq!(second.snapshot_compacted_entries, 0);
+        for &serving in H::SERVING {
+            let case = format!("compaction-{serving:?}");
+            let spec = temp_spec::<H>(&case, b"cfg").with_compaction(1);
+            let run = |touched: usize| {
+                let pool = bound::<H>(serving, 2, Some(spec.clone()));
+                pool.submit_all((0..touched).map(|tag| H::request(tag, false)).collect());
+                pool
+            };
+            run(4).shutdown(); // generation 1: four entries
+            let second = H::tally(&run(2).shutdown()); // 2 and 3 idle for one run: kept
+            assert_eq!(second.snapshot_loaded_entries, 4);
+            assert_eq!(second.snapshot_compacted_entries, 0);
 
-        // Generation 3: 2 and 3 are two runs behind (> 1) and must go — but a
-        // flush that cannot land (the path is now a directory) drops nothing.
-        let third = run(2);
-        let snapshot = std::fs::read(&spec.path).unwrap();
-        std::fs::remove_file(&spec.path).unwrap();
-        std::fs::create_dir_all(spec.path.join("occupied")).unwrap();
-        assert!(third.flush().is_err());
-        let failed = tally::<H>(&third);
-        assert_eq!(failed.snapshot_save_failures, 1);
-        assert_eq!(failed.snapshot_compacted_entries, 0);
-        std::fs::remove_dir_all(&spec.path).unwrap();
-        std::fs::write(&spec.path, snapshot).unwrap();
-        assert_eq!(third.flush().unwrap(), 2);
-        assert_eq!(tally::<H>(&third).snapshot_compacted_entries, 2);
-        drop(third);
+            // Generation 3: 2 and 3 are two runs behind (> 1) and must go — but
+            // a flush that cannot land (the path is now a directory) drops
+            // nothing.
+            let third = run(2);
+            let snapshot = std::fs::read(&spec.path).unwrap();
+            std::fs::remove_file(&spec.path).unwrap();
+            std::fs::create_dir_all(spec.path.join("occupied")).unwrap();
+            assert!(third.flush().is_err());
+            let failed = tally::<H>(&third);
+            assert_eq!(failed.snapshot_save_failures, 1);
+            assert_eq!(failed.snapshot_compacted_entries, 0);
+            std::fs::remove_dir_all(&spec.path).unwrap();
+            std::fs::write(&spec.path, snapshot).unwrap();
+            assert_eq!(third.flush().unwrap(), 2);
+            assert_eq!(tally::<H>(&third).snapshot_compacted_entries, 2);
+            drop(third);
 
-        let pool = H::pool(2, Some(spec.clone()));
-        assert_eq!(tally::<H>(&pool).snapshot_loaded_entries, 2);
-        let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
+            let pool = H::pool(2, Some(spec.clone()));
+            assert_eq!(tally::<H>(&pool).snapshot_loaded_entries, 2);
+            let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
+        }
     }
 
     pub(crate) fn placement_is_key_fold64_modulo_workers<H: Harness>() {
-        let pool = owned::<H>(4, None);
-        for tag in 0..32 {
-            let key = <H::Worker as Worker>::key(&H::request(tag, false));
-            let outcome = pool.submit(H::request(tag, false)).unwrap().wait();
-            assert_eq!(H::view(&outcome).2, (key.fold64() % 4) as usize);
+        for &serving in H::SERVING {
+            let pool = bound::<H>(serving, 4, None);
+            for tag in 0..32 {
+                let key = <H::Worker as Worker>::key(&H::request(tag, false));
+                let outcome = pool.submit(H::request(tag, false)).unwrap().wait();
+                assert_eq!(H::view(&outcome).2, (key.fold64() % 4) as usize);
+            }
         }
     }
 }

@@ -1,14 +1,17 @@
 //! The repair service: the *sampling* instantiation of the pool engine.
 //!
-//! [`crate::pool`] owns queueing, caching, panic absorption, snapshots and both
-//! frontends; this module says what is specific to repair ([`Repair`]): requests
+//! [`crate::pool`] owns queueing, caching, panic absorption, snapshots and the
+//! frontend; this module says what is specific to repair ([`Repair`]): requests
 //! are `(case, samples, temperature)` keyed by [`case_key`], the work is one
 //! [`RepairModel::solve`] call, the value is the sampled response set, and the
 //! pool additionally feeds the time-windowed telemetry served over the wire.
 //!
-//! * [`RepairService`] owns its model (`Arc<M>`) and keeps a persistent pool until
-//!   [`RepairService::shutdown`] or drop — the long-running daemon shape;
-//! * [`serve_scoped`] borrows the model for the duration of a closure — the shape
+//! * [`RepairService`] owns its model (`Arc<M>`) and one worker thread per
+//!   shard until [`RepairService::shutdown`] or drop — the long-running daemon
+//!   shape the shard server hosts, and the only pool in the crate that runs
+//!   threads;
+//! * [`serve_scoped`] borrows the model for the duration of a closure and
+//!   solves each request on the thread that submits it — the shape
 //!   `assertsolver::evaluate_model` uses, since evaluation only holds `&M`.
 //!
 //! ## Determinism
@@ -23,8 +26,9 @@ use crate::cache::{case_key, CaseKey};
 use crate::journal::TracerHandle;
 use crate::metrics::ServiceMetrics;
 use crate::persist::{PersistSpec, ResponseSnapshot};
-use crate::pool::{self, Owned, Pool, PoolConfig, Serve, Served, Worker};
+use crate::pool::{self, Bound, Pool, PoolConfig, Serve, Served, Worker};
 use crate::telemetry::{RegistrySnapshot, TelemetryHandle, TelemetryWindows, WindowSnapshot};
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 use svmodel::{CaseInput, RepairModel, Response};
@@ -32,7 +36,8 @@ use svmodel::{CaseInput, RepairModel, Response};
 /// Service tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
-    /// Worker threads (and queue/cache shards). Clamped to at least 1.
+    /// Cache (and queue) shards, clamped to at least 1; a [`RepairService`]
+    /// runs one worker thread per shard, [`serve_scoped`] none.
     pub workers: usize,
     /// Bounded depth of each shard queue; submitters block past this (backpressure).
     pub shard_capacity: usize,
@@ -49,7 +54,7 @@ pub struct ServiceConfig {
     /// depends only on the exact in-flight count, never on timing heuristics.
     pub max_in_flight: usize,
     /// On-disk snapshot of the response cache: preloaded at start, written by
-    /// [`Pool::flush`] / shutdown / the end of [`serve_scoped`].  `None`
+    /// [`Pool::flush`] / shutdown / drop / the end of [`serve_scoped`].  `None`
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
     /// and invalidation rules.
     pub persist: Option<PersistSpec>,
@@ -171,11 +176,13 @@ pub struct RepairOutcome {
 /// Await-handle for a submitted request.
 pub type RepairTicket = pool::Ticket<RepairOutcome>;
 
-/// A persistent repair service owning its model and worker pool.
-pub type RepairService<M> = Owned<Repair, M>;
+/// A persistent repair service owning its model and one worker thread per
+/// shard.
+pub type RepairService<M> = Bound<Repair, Arc<M>>;
 
-/// Borrowed-model service handle available inside [`serve_scoped`].
-pub type ScopedService<'a> = &'a Pool<Repair>;
+/// Borrowed-model service available inside [`serve_scoped`]: it solves each
+/// request on the thread that submits it.
+pub type ScopedService<'a, M> = Bound<Repair, &'a M>;
 
 /// The SplitMix64 finalizer: every content-derived seed, placement and arm
 /// in the serving stack mixes its key through it.
@@ -280,12 +287,17 @@ impl<M: RepairModel + ?Sized> Serve<M> for Repair {
     }
 }
 
-impl Pool<Repair> {
+impl<H: Deref> Bound<Repair, H>
+where
+    H::Target: RepairModel,
+{
     /// Submits a whole workload and waits for every answer, preserving input order.
     pub fn solve_all(&self, requests: Vec<RepairRequest>) -> Vec<RepairOutcome> {
         self.submit_all(requests)
     }
+}
 
+impl Pool<Repair> {
     /// The introspection snapshot served over the wire (`Stats` exchange):
     /// the exported [`ServiceMetrics`] under the `service.` prefix, merged
     /// over the live telemetry registry (latency histograms, wire frame
@@ -310,31 +322,30 @@ impl Pool<Repair> {
 }
 
 impl<M: RepairModel + Send + Sync + 'static> RepairService<M> {
-    /// Starts the worker pool.
+    /// Starts one worker thread per shard.
     pub fn start(model: Arc<M>, config: ServiceConfig) -> Self {
-        Owned::spawn(Repair::pool(config), model, "svserve-worker")
+        Bound::spawn(Repair::pool(config), model, "svserve-worker")
     }
 }
 
-/// Runs a worker pool over a *borrowed* model for the duration of `body`.
-///
-/// The pool is built on scoped threads, so `model` only needs `Sync` — no `Arc`, no
-/// `'static`.  Workers drain outstanding jobs and exit when `body` returns (or
-/// panics).  When [`ServiceConfig::persist`] is set, the snapshot is preloaded
-/// before the workers start and flushed after they have all joined (so the flush
-/// sees every response the pool computed); a panicking `body` skips the flush.
+/// Serves a *borrowed* model for the duration of `body`, solving each request
+/// on the thread that submits it: no thread is spawned, so `model` needs no
+/// `Arc`, no `'static` and no `Sync`.  When [`ServiceConfig::persist`] is
+/// set, the snapshot is preloaded before `body` runs and flushed once it has
+/// returned (or unwound).
 pub fn serve_scoped<M, F, R>(model: &M, config: ServiceConfig, body: F) -> R
 where
-    M: RepairModel + Sync + ?Sized,
-    F: FnOnce(&ScopedService<'_>) -> R,
+    M: RepairModel + ?Sized,
+    F: FnOnce(&ScopedService<'_, M>) -> R,
 {
-    pool::scoped(Repair::pool(config), model, body)
+    let service = Bound::in_place(Repair::pool(config), model);
+    body(&service)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::contract::{self, Harness, Tally};
+    use crate::pool::contract::{self, Harness, Serving, Tally};
     use crate::queue::SubmitError;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -458,21 +469,55 @@ mod tests {
     }
 
     #[test]
-    fn scoped_service_reports_queue_and_batch_metrics() {
-        let model = CountingModel::new();
-        let metrics = serve_scoped(
-            &model,
-            ServiceConfig::default().with_workers(1).with_seed(9),
-            |service| {
-                let outcomes = service.solve_all((0..10).map(request).collect());
-                assert!(outcomes.iter().all(|o| o.worker == 0));
-                service.metrics()
-            },
-        );
+    fn owned_service_reports_queue_and_batch_metrics() {
+        let model = Arc::new(CountingModel::new());
+        let config = ServiceConfig::default().with_workers(1).with_seed(9);
+        let service = RepairService::start(model, config);
+        let outcomes = service.solve_all((0..10).map(request).collect());
+        assert!(outcomes.iter().all(|o| o.worker == 0));
+        let metrics = service.shutdown();
         assert_eq!(metrics.workers, 1);
         assert_eq!(metrics.completed, 10);
         assert!(metrics.mean_batch_size >= 1.0);
         assert!(metrics.throughput_per_sec > 0.0);
+    }
+
+    /// [`CountingModel`] that records the thread of every `solve`.
+    struct ThreadRecordingModel {
+        inner: CountingModel,
+        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl RepairModel for ThreadRecordingModel {
+        fn name(&self) -> &str {
+            "thread-recording"
+        }
+
+        fn solve(&self, case: &CaseInput, samples: usize, temp: f64, seed: u64) -> Vec<Response> {
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            self.inner.solve(case, samples, temp, seed)
+        }
+    }
+
+    #[test]
+    fn a_scoped_service_solves_on_the_submitting_thread() {
+        let model = ThreadRecordingModel {
+            inner: CountingModel::new(),
+            threads: std::sync::Mutex::new(Vec::new()),
+        };
+        let config = ServiceConfig::default().with_workers(4);
+        let outcomes = serve_scoped(&model, config, |service| {
+            service.solve_all((0..12).map(request).collect())
+        });
+        assert!(outcomes
+            .iter()
+            .all(|o| !o.from_cache && o.responses.len() == 4));
+        let threads = model.threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 12);
+        assert!(threads.iter().all(|&id| id == std::thread::current().id()));
     }
 
     /// [`CountingModel`] behind a gate the test opens: while it is shut every
@@ -537,6 +582,8 @@ mod tests {
     impl Harness for RepairHarness {
         type Worker = Repair;
         type Backend = CountingModel;
+
+        const SERVING: &'static [Serving] = &[Serving::InPlace, Serving::Threads];
 
         fn pool(workers: usize, persist: Option<PersistSpec>) -> Pool<Repair> {
             Repair::pool(ServiceConfig {
@@ -610,11 +657,9 @@ mod tests {
         // Seeds derive from content, not order: the same request samples the
         // same responses on any pool, a different request different ones.
         let sample = |tag| {
-            let pool = RepairHarness::pool(1, None);
             let model = CountingModel::new();
-            pool::scoped(pool, &model, |pool| pool.solve_all(vec![request(tag)]))[0]
-                .responses
-                .clone()
+            let service = Bound::in_place(RepairHarness::pool(1, None), &model);
+            service.solve_all(vec![request(tag)])[0].responses.clone()
         };
         assert_eq!(sample(3), sample(3));
         assert_ne!(sample(3)[0].fixed_line, sample(4)[0].fixed_line);

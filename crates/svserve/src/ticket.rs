@@ -1,10 +1,10 @@
-//! Shared submit/wait ticket used by both worker pools.
+//! The rendezvous behind a queued job's ticket.
 //!
 //! A ticket is one slot guarded by a mutex: the worker that serves a job
 //! deposits its outcome with [`TicketState::fulfill`], and the submitter
-//! either blocks on a condvar ([`TicketState::wait`]) or polls
-//! ([`TicketState::try_take`]).  The typed handles ([`crate::RepairTicket`],
-//! [`crate::VerifyTicket`]) wrap it.
+//! blocks on a condvar ([`TicketState::wait`]).  The typed handles
+//! ([`crate::RepairTicket`], [`crate::VerifyTicket`]) wrap it when a pool
+//! runs worker threads; a job served in place needs no rendezvous.
 //!
 //! A fulfilled ticket whose waiter has been dropped is simply a slot nobody
 //! takes.
@@ -45,11 +45,6 @@ impl<T> TicketState<T> {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
-
-    /// Non-blocking poll.
-    pub(crate) fn try_take(&self) -> Option<T> {
-        lock_recover(&self.slot).take()
-    }
 }
 
 #[cfg(test)]
@@ -61,15 +56,15 @@ mod tests {
         let state = TicketState::new();
         state.fulfill(41u32);
         assert_eq!(state.wait(), 41);
-        assert_eq!(state.try_take(), None);
     }
 
     #[test]
     fn fulfilling_a_ticket_with_a_dropped_waiter_is_a_no_op() {
         let state = TicketState::new();
-        // No waiter ever blocked; fulfilling must not panic.
+        // No waiter ever blocked; fulfilling must not panic, and the outcome
+        // waits in the slot.
         state.fulfill(1u32);
-        assert_eq!(state.try_take(), Some(1));
+        assert_eq!(state.wait(), 1);
     }
 
     #[test]

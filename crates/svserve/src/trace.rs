@@ -46,13 +46,13 @@ const TRACE_SALT: u64 = 0x7CA5_E11A_D157_ACED;
 pub mod stage {
     /// The root session span.
     pub const SESSION: u32 = 0;
-    /// Queue admission (submit accepted by the pool or the wire).
+    /// The case's repair request built for the pool or the wire.
     pub const SUBMIT: u32 = 1;
-    /// Model sampling (served locally or by a remote shard).
+    /// Model sampling (served in place or by a remote shard).
     pub const SAMPLE: u32 = 2;
-    /// Candidate fan-out into the verify pool.
+    /// Candidate dedup into verdict jobs.
     pub const VERIFY: u32 = 3;
-    /// Verdict collection and tallying.
+    /// Verdicts judged and tallied.
     pub const EVALUATE: u32 = 4;
 }
 

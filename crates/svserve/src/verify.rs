@@ -1,17 +1,16 @@
 //! The verification offload pool: the *verdict* instantiation of the pool engine.
 //!
-//! `assertsolver::evaluate_model` used to run every bounded-checker verdict serially
-//! on the caller thread, and ROADMAP profiling showed that loop dominating evaluation
-//! wall-clock.  [`crate::pool`] owns queueing, caching, panic absorption, snapshots
-//! and both frontends; this module says what is specific to verdicts
-//! ([`Verify`]): requests are `(case, candidate response)` pairs carrying a
-//! caller-built [`VerdictKey`], the work is one [`ResponseJudge::verdict`] call, the
-//! value is a `bool`, every computed verdict is tallied true/false, and there is no
-//! admission limit (the in-flight count is a gauge only).
+//! [`crate::pool`] owns caching, panic absorption, snapshots and the frontend;
+//! this module says what is specific to verdicts ([`Verify`]): requests are
+//! `(case, candidate response)` pairs carrying a caller-built [`VerdictKey`],
+//! the work is one [`ResponseJudge::verdict`] call, the value is a `bool`, every
+//! computed verdict is tallied true/false, and there is no admission limit (the
+//! in-flight count is a gauge only).  Both frontends judge each candidate on
+//! the thread that submits it; no verdict crosses a thread.
 //!
-//! * [`VerifyPool`] owns its judge (`Arc<dyn ResponseJudge>`) and keeps a persistent
-//!   pool until [`VerifyPool::shutdown`] or drop — reusable across evaluation runs,
-//!   so the verdict cache stays warm;
+//! * [`VerifyPool`] owns its judge (`Arc<dyn ResponseJudge>`) and keeps its
+//!   cache until [`VerifyPool::shutdown`] or drop — reusable across evaluation
+//!   runs, so the verdict cache stays warm;
 //! * [`verify_scoped`] borrows the judge for the duration of a closure.
 //!
 //! ## Determinism
@@ -32,9 +31,10 @@ use crate::env::env_verify_workers;
 use crate::journal::TracerHandle;
 use crate::metrics::VerifyMetrics;
 use crate::persist::{PersistSpec, VerdictSnapshot};
-use crate::pool::{self, Owned, Pool, PoolConfig, Serve, Served, Worker};
+use crate::pool::{self, Bound, Pool, PoolConfig, Serve, Served, Worker};
 use crate::telemetry::TelemetryHandle;
 use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 use svmodel::Response;
@@ -42,16 +42,18 @@ use svmodel::Response;
 /// Verify-pool tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyConfig {
-    /// Worker threads (and queue/cache shards). Clamped to at least 1.
+    /// Verdict-cache shards, clamped to at least 1.  Verdicts are judged on the
+    /// submitting thread, so this sizes the shards and nothing else.
     pub workers: usize,
-    /// Bounded depth of each shard queue; submitters block past this (backpressure).
+    /// Bounded depth of each shard queue; unused by the in-place frontends.
     pub shard_capacity: usize,
-    /// Maximum jobs a worker drains per wake-up (micro-batching).
+    /// Maximum jobs a worker drains per wake-up; unused by the in-place
+    /// frontends.
     pub max_batch: usize,
     /// Total verdict-cache entries across all shards.
     pub cache_capacity: usize,
     /// On-disk snapshot of the verdict cache: preloaded at start, written by
-    /// [`Pool::flush`] / shutdown / the end of [`verify_scoped`].  `None`
+    /// [`Pool::flush`] / shutdown / drop / the end of [`verify_scoped`].  `None`
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
     /// and invalidation rules.
     pub persist: Option<PersistSpec>,
@@ -65,9 +67,9 @@ pub struct VerifyConfig {
 }
 
 impl Default for VerifyConfig {
-    /// Defaults to 4 workers unless [`crate::env::VERIFY_WORKERS_ENV`] overrides it.  Verdict
-    /// jobs are much smaller than repair requests, so queues and caches run deeper
-    /// than [`crate::ServiceConfig`]'s.
+    /// Defaults to 4 cache shards unless [`crate::env::VERIFY_WORKERS_ENV`]
+    /// overrides it.  Verdicts are much smaller than response sets, so the
+    /// cache runs deeper than [`crate::ServiceConfig`]'s.
     fn default() -> Self {
         Self {
             workers: env_verify_workers().unwrap_or(4),
@@ -178,17 +180,18 @@ pub struct VerdictOutcome {
 /// Await-handle for a submitted verdict job.
 pub type VerifyTicket = pool::Ticket<VerdictOutcome>;
 
-/// A persistent verification pool owning its judge and workers.
+/// A persistent verification pool owning its judge and verdict cache; it
+/// judges each candidate on the thread that submits it.
 ///
 /// The judge is type-erased (`dyn ResponseJudge`) so callers can hold the pool in a
 /// struct without naming closure types; the dynamic dispatch is noise next to a
 /// bounded-checker verdict.  Keeping one pool across evaluation runs keeps the
 /// verdict cache warm — re-evaluating a corpus the pool has already judged is pure
 /// cache hits.
-pub type VerifyPool<C> = Owned<Verify<C>, dyn ResponseJudge<C> + Send + Sync>;
+pub type VerifyPool<C> = Bound<Verify<C>, Arc<dyn ResponseJudge<C> + Send + Sync>>;
 
-/// Borrowed-judge pool handle available inside [`verify_scoped`].
-pub type ScopedVerifier<'a, C> = &'a Pool<Verify<C>>;
+/// Borrowed-judge pool available inside [`verify_scoped`].
+pub type ScopedVerifier<'a, C, J> = Bound<Verify<C>, &'a J>;
 
 /// The verdict instantiation of the pool engine, over cases of type `C`.
 pub struct Verify<C>(PhantomData<fn(C)>);
@@ -260,7 +263,10 @@ impl<C: Send + Sync, J: ResponseJudge<C> + ?Sized> Serve<J> for Verify<C> {
     }
 }
 
-impl<C: Send + Sync> Pool<Verify<C>> {
+impl<C: Send + Sync, H: Deref> Bound<Verify<C>, H>
+where
+    H::Target: ResponseJudge<C>,
+{
     /// Submits a whole batch and waits for every verdict, preserving input order.
     pub fn judge_all(&self, requests: Vec<VerifyRequest<C>>) -> Vec<VerdictOutcome> {
         self.submit_all(requests)
@@ -268,33 +274,32 @@ impl<C: Send + Sync> Pool<Verify<C>> {
 }
 
 impl<C: Send + Sync + 'static> VerifyPool<C> {
-    /// Starts the verify workers.
+    /// Builds the pool, preloading its snapshot when one is configured.
     pub fn start(judge: Arc<dyn ResponseJudge<C> + Send + Sync>, config: VerifyConfig) -> Self {
-        Owned::spawn(Verify::pool(config), judge, "svserve-verify")
+        Bound::in_place(Verify::pool(config), judge)
     }
 }
 
-/// Runs a verify pool over a *borrowed* judge for the duration of `body`.
-///
-/// The pool is built on scoped threads, so `judge` only needs `Sync` — no `Arc`, no
-/// `'static`.  Workers drain outstanding jobs and exit when `body` returns (or
-/// panics).  When [`VerifyConfig::persist`] is set, the snapshot is preloaded
-/// before the workers start and flushed after they have all joined (so the flush
-/// sees every verdict the pool computed); a panicking `body` skips the flush.
+/// Serves a *borrowed* judge for the duration of `body`, judging each
+/// candidate on the thread that submits it: no thread is spawned and no
+/// `Arc` or `'static` is needed.  When [`VerifyConfig::persist`] is set, the
+/// snapshot is preloaded before `body` runs and flushed once it has returned
+/// (or unwound).
 pub fn verify_scoped<C, J, F, R>(judge: &J, config: VerifyConfig, body: F) -> R
 where
     C: Send + Sync,
     J: ResponseJudge<C> + ?Sized,
-    F: FnOnce(&ScopedVerifier<'_, C>) -> R,
+    F: FnOnce(&ScopedVerifier<'_, C, J>) -> R,
 {
-    pool::scoped(Verify::pool(config), judge, body)
+    let verifier = Bound::in_place(Verify::pool(config), judge);
+    body(&verifier)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::verdict_key;
-    use crate::pool::contract::{self, Harness, Tally};
+    use crate::pool::contract::{self, Harness, Serving, Tally};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A case whose verdict is "does the fixed line contain the case text?", plus an
@@ -422,6 +427,8 @@ mod tests {
         type Worker = Verify<String>;
         type Backend = dyn ResponseJudge<String> + Send + Sync;
 
+        const SERVING: &'static [Serving] = &[Serving::InPlace];
+
         fn pool(workers: usize, persist: Option<PersistSpec>) -> Pool<Verify<String>> {
             Verify::pool(VerifyConfig {
                 persist,
@@ -523,7 +530,6 @@ mod tests {
         assert_eq!(metrics.workers, 1);
         assert_eq!(metrics.completed, 10);
         assert_eq!(metrics.verdicts_true + metrics.verdicts_false, 10);
-        assert!(metrics.mean_batch_size >= 1.0);
         assert!(metrics.throughput_per_sec > 0.0);
     }
 
