@@ -130,10 +130,10 @@ fn render_rates(merged: &RegistrySnapshot) -> String {
     let (hits, misses) = (value("service.cache.hits"), value("service.cache.misses"));
     format!(
         "  cache: {:.1}% response hit rate ({hits}/{})\n  \
-         pressure: queue depth {}, shed {}, panics {}, journal events {}\n",
+         pressure: in flight {}, shed {}, panics {}, journal events {}\n",
         100.0 * ratio(hits, hits + misses),
         hits + misses,
-        value("service.queue.depth"),
+        value("service.in_flight"),
         value("service.shed_busy"),
         value("service.panics"),
         value("service.journal.events"),
@@ -348,16 +348,16 @@ mod tests {
         ] {
             merged.upsert_counter(name, vol, value);
         }
-        merged.upsert_gauge("service.queue.depth", vol, 5);
+        merged.upsert_gauge("service.in_flight", vol, 5);
         assert_eq!(
             render_rates(&merged),
             "  cache: 75.0% response hit rate (3/4)\n  \
-             pressure: queue depth 5, shed 2, panics 1, journal events 7\n"
+             pressure: in flight 5, shed 2, panics 1, journal events 7\n"
         );
         assert_eq!(
             render_rates(&RegistrySnapshot::new()),
             "  cache: 0.0% response hit rate (0/0)\n  \
-             pressure: queue depth 0, shed 0, panics 0, journal events 0\n",
+             pressure: in flight 0, shed 0, panics 0, journal events 0\n",
             "a fresh fleet renders zeros, not NaN"
         );
     }

@@ -484,7 +484,7 @@ impl EvalVerifier {
     /// Builds the verifier with both observability hooks installed: the
     /// journal tracer (admit and cache/panic diagnostics land in the session
     /// journal) and a telemetry registry (the pool records its
-    /// `verify.queue_wait` / `verify.verdict.latency` histograms into it).
+    /// `verify.verdict.latency` histogram into it).
     /// With both hooks off this is exactly [`EvalVerifier::start`].
     pub fn start_instrumented(
         config: &EvalConfig,
@@ -1589,11 +1589,11 @@ mod tests {
         assert_eq!(run(1 << 16), run(1));
     }
 
-    /// The evaluation the in-place pools must reproduce, built another way:
-    /// every case sampled through a threaded [`svserve::RepairService`]
+    /// The evaluation the per-case driver must reproduce, built another way:
+    /// every case sampled by one batch [`svserve::RepairService::solve_all`]
     /// (persisting like [`Evaluation`]'s pool), then each case's distinct
     /// candidates judged in corpus order on one fresh [`EvalVerifier`].
-    fn threaded_evaluation(
+    fn batch_evaluation(
         model: &Arc<svmodel::AssertSolverModel>,
         entries: &[SvaBugEntry],
         config: &EvalConfig,
@@ -1644,11 +1644,13 @@ mod tests {
     }
 
     #[test]
-    fn in_place_pools_match_a_threaded_service_byte_for_byte() {
+    fn the_case_driver_matches_batch_sampling_then_judging_in_corpus_order() {
         let entries = human_crafted_cases();
         let model = Arc::new(svmodel::AssertSolverModel::base(3));
-        let dir =
-            std::env::temp_dir().join(format!("assertsolver-in-place-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "assertsolver-case-driver-test-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         for drivers in [1, 4] {
             let config = |side: &str| EvalConfig {
@@ -1658,19 +1660,19 @@ mod tests {
                 cache_dir: Some(dir.join(format!("{side}-{drivers}")).display().to_string()),
                 ..EvalConfig::quick(11)
             };
-            let (in_place, threaded) = (config("in-place"), config("threaded"));
+            let (driven, batch) = (config("driven"), config("batch"));
             for run in ["cold", "warm"] {
-                let ours = evaluate_model(&*model, &entries, &in_place);
-                let theirs = threaded_evaluation(&model, &entries, &threaded);
+                let ours = evaluate_model(&*model, &entries, &driven);
+                let theirs = batch_evaluation(&model, &entries, &batch);
                 let json =
                     |evaluation: &ModelEvaluation| serde_json::to_string(evaluation).unwrap();
                 assert_eq!(json(&ours), json(&theirs), "{drivers} drivers, {run}");
                 let files = |config: &EvalConfig| {
                     snapshot_files(&config.resolved_cache_dir().expect("a cache dir"))
                 };
-                let snapshots = files(&in_place);
+                let snapshots = files(&driven);
                 assert_eq!(snapshots.len(), 2, "a response and a verdict snapshot");
-                assert_eq!(snapshots, files(&threaded), "{drivers} drivers, {run}");
+                assert_eq!(snapshots, files(&batch), "{drivers} drivers, {run}");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

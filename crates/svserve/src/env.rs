@@ -37,7 +37,9 @@ pub const PROFILE_DIR_ENV: &str = "ASSERTSOLVER_PROFILE_DIR";
 pub const DRIVERS_ENV: &str = "ASSERTSOLVER_DRIVERS";
 
 /// Environment variable overriding the default verdict-cache shard count
-/// (`VerifyConfig::default()`); CI runs the suite at 1 and 4.
+/// (`VerifyConfig::default()`).  It sizes cache shards, not threads: every
+/// verdict is judged on the thread that submits it.  CI runs the `svserve`
+/// suite at 1 and 4 shards.
 pub const VERIFY_WORKERS_ENV: &str = "ASSERTSOLVER_VERIFY_WORKERS";
 
 /// Environment knob enabling tracing in `assertsolver::EvalConfig`-driven
@@ -172,7 +174,8 @@ pub fn env_drivers() -> Option<usize> {
     resolve_thread_knob(DRIVERS_ENV, &raw)
 }
 
-/// Reads the verify-worker override from the environment, if set and valid.
+/// Reads the verdict-cache shard-count override from the environment, if set
+/// and valid.
 ///
 /// Same policy as [`env_drivers`]: zero or garbage falls back to the default
 /// with a one-line warning, and huge values clamp instead of building an

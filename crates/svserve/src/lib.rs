@@ -3,26 +3,20 @@
 //! The paper evaluates AssertSolver one case at a time; this crate is the serving
 //! harness that turns a repair model into a system that can absorb heavy traffic:
 //!
-//! * **Sharded pools, in place or threaded** — every pool keeps N content-addressed
-//!   shards.  [`serve_scoped`], [`verify_scoped`] and [`VerifyPool`] serve each job
-//!   on the thread that submits it and spawn no thread; only
-//!   [`RepairService::start`] runs worker threads, one per shard with a bounded
-//!   queue ([`queue`]), for the wire's shard server and callers that park a job.
-//!   Its submitters block when a shard is full (backpressure) instead of growing
-//!   memory without bound.
-//! * **Micro-batching** — a [`RepairService`]'s workers drain up to
-//!   [`ServiceConfig::max_batch`] jobs per wake-up, amortizing queue
-//!   synchronization across model invocations
-//!   ([`ServiceMetrics::mean_batch_size`] shows the effect).
+//! * **Sharded pools, served in place** — every pool keeps N content-addressed
+//!   cache shards and serves each job on the thread that submits it
+//!   ([`serve_scoped`], [`verify_scoped`], [`VerifyPool`], [`RepairService`]):
+//!   no pool spawns a thread.  Concurrency comes from the callers — the
+//!   evaluation's case drivers, or the shard server's connection threads.
 //! * **Content-addressed response cache** — answers are cached under a 128-bit hash
 //!   of `(spec, buggy source, failure log, samples, temperature)` with LRU eviction
 //!   and hit/miss counters ([`cache`]).
 //! * **Metrics** — [`ServiceMetrics`] snapshots throughput, per-stage latency
-//!   (queue wait / cache lookup / solve), queue depth and cache hit rate.
+//!   (cache lookup / solve), in-flight sessions and cache hit rate.
 //! * **Determinism** — sampler seeds derive from the content hash plus the service
-//!   seed, never from arrival order or worker identity, so the same workload yields
-//!   byte-identical responses at any worker count.
-//! * **One engine** — queueing, caching, panic absorption, snapshots and the one
+//!   seed, never from arrival order or shard, so the same workload yields
+//!   byte-identical responses at any shard count.
+//! * **One engine** — admission, caching, panic absorption, snapshots and the one
 //!   frontend ([`pool::Bound`]) live once, in [`pool`]; the repair pool
 //!   ([`service`]) and the verify pool ([`verify`]) are instantiations of it.
 //! * **Verdict cache** — a second instantiation of the engine ([`verify`])
@@ -36,16 +30,16 @@
 //!   corrupt or mismatched snapshots degrade to a cold start, never an error.
 //!   Snapshots carry a generation counter, and entries that go unused for
 //!   [`PersistSpec::compact_after`] runs are compacted away at flush.
-//! * **Admission control** — a pool with a `max_in_flight` limit sheds the
-//!   overflow with a deterministic [`SubmitError::Busy`] instead of queueing
-//!   it.  Submission is blocking and tickets are plain one-shot slots, served
-//!   before `submit` returns when the pool serves in place.
+//! * **Admission control** — a pool with a `max_in_flight` limit bounds how
+//!   many submitters are inside the backend at once and sheds the overflow
+//!   with a deterministic [`SubmitError::Busy`].  A ticket holds an outcome
+//!   already served when `submit` returns.
 //! * **Structured session journal** — a typed-event observability layer
 //!   ([`journal`]): each judged case journals its phases, verdict tally and
 //!   terminal outcome in one call ([`TracerHandle::case`]), and the pools add
 //!   volatile diagnostics, into one sink with logical timestamps, rendered as a
 //!   checksummed JSONL artifact whose bytes are deterministic at any
-//!   driver/worker count — a replayable repro artifact, not just a log.  Off
+//!   driver/shard count — a replayable repro artifact, not just a log.  Off
 //!   by default; the hot path pays one branch.
 //! * **Distributed shard fabric** — a versioned, checksummed, length-capped
 //!   frame protocol ([`wire`]) with loopback and unix-socket transports, a
@@ -82,11 +76,9 @@ pub mod journal;
 pub mod metrics;
 pub mod persist;
 pub mod pool;
-pub mod queue;
 pub mod service;
 pub(crate) mod sync;
 pub mod telemetry;
-mod ticket;
 pub mod trace;
 pub mod verify;
 pub mod wire;
@@ -109,7 +101,7 @@ pub use metrics::{render_block, ServiceMetrics, VerifyMetrics};
 pub use persist::{
     PersistSpec, SnapshotHeader, SnapshotLoad, DEFAULT_COMPACT_AFTER_RUNS, SNAPSHOT_FORMAT_VERSION,
 };
-pub use queue::{ServiceClosed, SubmitError};
+pub use pool::SubmitError;
 pub use service::{
     serve_scoped, RepairOutcome, RepairRequest, RepairService, RepairTicket, ScopedService,
     ServiceConfig,

@@ -1,7 +1,7 @@
 //! Lock-free pool instrumentation and the [`ServiceMetrics`] / [`VerifyMetrics`]
 //! snapshots.
 //!
-//! One `MetricsRecorder` instruments one worker pool.  The repair pool snapshots it
+//! One `MetricsRecorder` instruments one pool.  The repair pool snapshots it
 //! as [`ServiceMetrics`]; the verify pool snapshots the same counters (plus the
 //! verdict tallies) as [`VerifyMetrics`].
 
@@ -10,17 +10,16 @@ use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Internal atomic counters shared by the submit path and the workers.
+/// Internal atomic counters shared by every thread that submits to one pool.
 ///
 /// The "solve" stage doubles as the verify pool's "verdict" stage: both are the
-/// cache-miss work a worker performs between dequeue and ticket fulfilment.
+/// cache-miss work a submission runs after its cache lookup.
 pub(crate) struct MetricsRecorder {
     started_at: Instant,
     submitted: AtomicU64,
     completed: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    batches: AtomicU64,
     solve_panics: AtomicU64,
     verdicts_true: AtomicU64,
     verdicts_false: AtomicU64,
@@ -31,12 +30,10 @@ pub(crate) struct MetricsRecorder {
     snapshot_save_failures: AtomicU64,
     snapshot_rejects: AtomicU64,
     snapshot_compacted_entries: AtomicU64,
-    peak_queue_depth: AtomicU64,
     in_flight: AtomicU64,
     peak_in_flight: AtomicU64,
     shed_busy: AtomicU64,
     journal_events: AtomicU64,
-    queue_wait_ns: AtomicU64,
     cache_lookup_ns: AtomicU64,
     solve_ns: AtomicU64,
 }
@@ -49,7 +46,6 @@ impl MetricsRecorder {
             completed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             solve_panics: AtomicU64::new(0),
             verdicts_true: AtomicU64::new(0),
             verdicts_false: AtomicU64::new(0),
@@ -60,29 +56,23 @@ impl MetricsRecorder {
             snapshot_save_failures: AtomicU64::new(0),
             snapshot_rejects: AtomicU64::new(0),
             snapshot_compacted_entries: AtomicU64::new(0),
-            peak_queue_depth: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             peak_in_flight: AtomicU64::new(0),
             shed_busy: AtomicU64::new(0),
             journal_events: AtomicU64::new(0),
-            queue_wait_ns: AtomicU64::new(0),
             cache_lookup_ns: AtomicU64::new(0),
             solve_ns: AtomicU64::new(0),
         }
     }
 
-    pub(crate) fn record_submit(&self, depth_after: usize) {
+    pub(crate) fn record_submit(&self) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.peak_queue_depth
-            .fetch_max(depth_after as u64, Ordering::Relaxed);
     }
 
     /// Admission control: reserves one in-flight slot, or reports the pool
     /// busy.  `limit == 0` means unbounded (the slot is still counted, so the
     /// in-flight gauge works either way).  The reservation is released by
-    /// [`MetricsRecorder::record_job`] when the job completes, or by
-    /// [`MetricsRecorder::release_in_flight`] when the submission is abandoned
-    /// before it ever reached a queue.
+    /// [`MetricsRecorder::record_job`] when the job completes.
     pub(crate) fn try_admit(&self, limit: usize) -> bool {
         let admitted = if limit == 0 {
             self.in_flight.fetch_add(1, Ordering::AcqRel) + 1
@@ -110,21 +100,6 @@ impl MetricsRecorder {
     /// zero while journaling is off.
     pub(crate) fn record_journal_event(&self) {
         self.journal_events.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Releases an in-flight slot for a submission that never became a job
-    /// (the pool closed while it waited for queue space).
-    /// Saturating, so a stray release can never wrap the gauge.
-    pub(crate) fn release_in_flight(&self) {
-        let _ = self
-            .in_flight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |current| {
-                Some(current.saturating_sub(1))
-            });
-    }
-
-    pub(crate) fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_solve_panic(&self) {
@@ -177,16 +152,15 @@ impl MetricsRecorder {
         }
     }
 
-    pub(crate) fn record_job(
-        &self,
-        queue_wait: Duration,
-        cache_lookup: Duration,
-        solve: Option<Duration>,
-    ) {
+    /// Counts one served job and releases its in-flight slot (saturating, so
+    /// a stray release can never wrap the gauge).
+    pub(crate) fn record_job(&self, cache_lookup: Duration, solve: Option<Duration>) {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        self.release_in_flight();
-        self.queue_wait_ns
-            .fetch_add(queue_wait.as_nanos() as u64, Ordering::Relaxed);
+        let _ = self
+            .in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |current| {
+                Some(current.saturating_sub(1))
+            });
         self.cache_lookup_ns
             .fetch_add(cache_lookup.as_nanos() as u64, Ordering::Relaxed);
         match solve {
@@ -207,7 +181,6 @@ impl MetricsRecorder {
         let completed = self.completed.load(Ordering::Relaxed);
         let cache_hits = self.cache_hits.load(Ordering::Relaxed);
         let cache_misses = self.cache_misses.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
         let uptime = self.started_at.elapsed();
         let per_mean = |total_ns: &AtomicU64, count: u64| {
             if count == 0 {
@@ -219,7 +192,6 @@ impl MetricsRecorder {
         Stage {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed,
-            peak_queue_depth: self.peak_queue_depth.load(Ordering::Relaxed) as usize,
             in_flight_sessions: self.in_flight.load(Ordering::Relaxed) as usize,
             peak_in_flight_sessions: self.peak_in_flight.load(Ordering::Relaxed) as usize,
             shed_busy: self.shed_busy.load(Ordering::Relaxed),
@@ -244,12 +216,6 @@ impl MetricsRecorder {
             snapshot_rejects: self.snapshot_rejects.load(Ordering::Relaxed),
             snapshot_compacted_entries: self.snapshot_compacted_entries.load(Ordering::Relaxed),
             panics: self.solve_panics.load(Ordering::Relaxed),
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                completed as f64 / batches as f64
-            },
-            mean_queue_wait_us: per_mean(&self.queue_wait_ns, completed),
             mean_cache_lookup_us: per_mean(&self.cache_lookup_ns, completed),
             mean_work_us: per_mean(&self.solve_ns, cache_misses),
             uptime_secs: uptime.as_secs_f64(),
@@ -261,19 +227,12 @@ impl MetricsRecorder {
         }
     }
 
-    pub(crate) fn snapshot(
-        &self,
-        workers: usize,
-        queue_depth: usize,
-        cache_entries: usize,
-    ) -> ServiceMetrics {
+    pub(crate) fn snapshot(&self, workers: usize, cache_entries: usize) -> ServiceMetrics {
         let stage = self.stage();
         ServiceMetrics {
             workers,
             submitted: stage.submitted,
             completed: stage.completed,
-            queue_depth,
-            peak_queue_depth: stage.peak_queue_depth,
             in_flight_sessions: stage.in_flight_sessions,
             peak_in_flight_sessions: stage.peak_in_flight_sessions,
             shed_busy: stage.shed_busy,
@@ -291,8 +250,6 @@ impl MetricsRecorder {
             snapshot_rejects: stage.snapshot_rejects,
             snapshot_compacted_entries: stage.snapshot_compacted_entries,
             solve_panics: stage.panics,
-            mean_batch_size: stage.mean_batch_size,
-            mean_queue_wait_us: stage.mean_queue_wait_us,
             mean_cache_lookup_us: stage.mean_cache_lookup_us,
             mean_solve_us: stage.mean_work_us,
             uptime_secs: stage.uptime_secs,
@@ -300,19 +257,12 @@ impl MetricsRecorder {
         }
     }
 
-    pub(crate) fn snapshot_verify(
-        &self,
-        workers: usize,
-        queue_depth: usize,
-        cache_entries: usize,
-    ) -> VerifyMetrics {
+    pub(crate) fn snapshot_verify(&self, workers: usize, cache_entries: usize) -> VerifyMetrics {
         let stage = self.stage();
         VerifyMetrics {
             workers,
             submitted: stage.submitted,
             completed: stage.completed,
-            queue_depth,
-            peak_queue_depth: stage.peak_queue_depth,
             in_flight_sessions: stage.in_flight_sessions,
             peak_in_flight_sessions: stage.peak_in_flight_sessions,
             shed_busy: stage.shed_busy,
@@ -332,8 +282,6 @@ impl MetricsRecorder {
             verdict_panics: stage.panics,
             verdicts_true: self.verdicts_true.load(Ordering::Relaxed),
             verdicts_false: self.verdicts_false.load(Ordering::Relaxed),
-            mean_batch_size: stage.mean_batch_size,
-            mean_queue_wait_us: stage.mean_queue_wait_us,
             mean_cache_lookup_us: stage.mean_cache_lookup_us,
             mean_verdict_us: stage.mean_work_us,
             uptime_secs: stage.uptime_secs,
@@ -347,7 +295,6 @@ impl MetricsRecorder {
 struct Stage {
     submitted: u64,
     completed: u64,
-    peak_queue_depth: usize,
     in_flight_sessions: usize,
     peak_in_flight_sessions: usize,
     shed_busy: u64,
@@ -364,8 +311,6 @@ struct Stage {
     snapshot_rejects: u64,
     snapshot_compacted_entries: u64,
     panics: u64,
-    mean_batch_size: f64,
-    mean_queue_wait_us: f64,
     mean_cache_lookup_us: f64,
     mean_work_us: f64,
     uptime_secs: f64,
@@ -375,26 +320,19 @@ struct Stage {
 /// A point-in-time view of service health and performance.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceMetrics {
-    /// Number of shards (a threaded pool runs one worker thread per shard).
+    /// Number of response-cache shards.
     pub workers: usize,
     /// Requests accepted by `submit`.
     pub submitted: u64,
     /// Requests fully served (cache hits included).
     pub completed: u64,
-    /// Jobs currently waiting across all shards.
-    pub queue_depth: usize,
-    /// Highest single-shard depth observed at submit time.
-    pub peak_queue_depth: usize,
-    /// Requests admitted but not yet completed — the in-flight session gauge.
-    /// Admission happens before enqueueing, so this also counts submitters
-    /// blocked awaiting queue space (it can exceed `submitted - completed`
-    /// while they wait, and drops back when they enqueue, complete, or are
-    /// refused at close).
+    /// Requests admitted but not yet completed — the in-flight session gauge:
+    /// how many submitters are inside the model right now.
     pub in_flight_sessions: usize,
     /// Highest concurrent in-flight count observed over the pool's lifetime.
     pub peak_in_flight_sessions: usize,
     /// Requests shed by admission control (`max_in_flight` reached); each one
-    /// was rejected with `SubmitError::Busy` instead of queued.
+    /// was rejected with `SubmitError::Busy` instead of served.
     pub shed_busy: u64,
     /// Events this pool emitted to an installed journal sink (admits,
     /// sheds, cache provenance, panics); zero while journaling is off.
@@ -432,12 +370,8 @@ pub struct ServiceMetrics {
     /// over the pool's lifetime.
     pub snapshot_compacted_entries: u64,
     /// Model invocations that panicked; the service absorbed the panic and served
-    /// an empty response set instead of stranding the ticket.
+    /// an empty response set instead of unwinding through the submitter.
     pub solve_panics: u64,
-    /// Mean jobs drained per worker wake-up (micro-batching effectiveness).
-    pub mean_batch_size: f64,
-    /// Mean time a job spent queued, in microseconds.
-    pub mean_queue_wait_us: f64,
     /// Mean cache probe time, in microseconds.
     pub mean_cache_lookup_us: f64,
     /// Mean model invocation time (misses only), in microseconds.
@@ -457,10 +391,6 @@ pub struct VerifyMetrics {
     pub submitted: u64,
     /// Verdict jobs fully served (cache hits included).
     pub completed: u64,
-    /// Jobs currently waiting across all verify shards.
-    pub queue_depth: usize,
-    /// Highest single-shard depth observed at submit time.
-    pub peak_queue_depth: usize,
     /// Verdict jobs admitted but not yet completed — the in-flight gauge.
     pub in_flight_sessions: usize,
     /// Highest concurrent in-flight count observed over the pool's lifetime.
@@ -503,16 +433,12 @@ pub struct VerifyMetrics {
     /// over the pool's lifetime.
     pub snapshot_compacted_entries: u64,
     /// Judge invocations that panicked; the pool absorbed the panic and served a
-    /// failed verdict instead of stranding the ticket (never cached).
+    /// failed verdict instead of unwinding through the submitter (never cached).
     pub verdict_panics: u64,
     /// Computed verdicts that accepted the candidate.
     pub verdicts_true: u64,
     /// Computed verdicts that rejected the candidate.
     pub verdicts_false: u64,
-    /// Mean jobs drained per worker wake-up (micro-batching effectiveness).
-    pub mean_batch_size: f64,
-    /// Mean time a job spent queued, in microseconds.
-    pub mean_queue_wait_us: f64,
     /// Mean cache probe time, in microseconds.
     pub mean_cache_lookup_us: f64,
     /// Mean judge invocation time (misses only), in microseconds.
@@ -547,10 +473,6 @@ impl VerifyMetrics {
             (
                 "throughput",
                 format!("{:>10.1} verdicts/s", self.throughput_per_sec),
-            ),
-            (
-                "queue depth",
-                format!("{:>10} (peak {})", self.queue_depth, self.peak_queue_depth),
             ),
             (
                 "in flight",
@@ -594,14 +516,6 @@ impl VerifyMetrics {
                 format!("{:>10} events emitted", self.journal_events),
             ),
             (
-                "mean batch size",
-                format!("{:>10.2}", self.mean_batch_size),
-            ),
-            (
-                "queue wait",
-                format!("{:>10.1} \u{b5}s mean", self.mean_queue_wait_us),
-            ),
-            (
                 "cache lookup",
                 format!("{:>10.1} \u{b5}s mean", self.mean_cache_lookup_us),
             ),
@@ -624,7 +538,7 @@ impl ServiceMetrics {
     /// (`<prefix>.submitted`, `<prefix>.cache.hits`, …), so the bespoke view
     /// and the unified telemetry plane expose one set of numbers.  Request and
     /// verdict totals are deterministic (pure functions of the workload);
-    /// queue/cache/scheduling counters are volatile.
+    /// cache and scheduling counters are volatile.
     pub fn export(&self, prefix: &str, out: &mut RegistrySnapshot) {
         let det = MetricClass::Deterministic;
         let vol = MetricClass::Volatile;
@@ -637,16 +551,6 @@ impl ServiceMetrics {
             &format!("{prefix}.cache.entries"),
             vol,
             self.cache_entries as u64,
-        );
-        out.upsert_gauge(
-            &format!("{prefix}.queue.depth"),
-            vol,
-            self.queue_depth as u64,
-        );
-        out.upsert_gauge(
-            &format!("{prefix}.queue.peak_depth"),
-            vol,
-            self.peak_queue_depth as u64,
         );
         out.upsert_gauge(
             &format!("{prefix}.in_flight"),
@@ -671,10 +575,6 @@ impl ServiceMetrics {
             (
                 "throughput",
                 format!("{:>10.1} cases/s", self.throughput_per_sec),
-            ),
-            (
-                "queue depth",
-                format!("{:>10} (peak {})", self.queue_depth, self.peak_queue_depth),
             ),
             (
                 "in flight",
@@ -712,14 +612,6 @@ impl ServiceMetrics {
                 format!("{:>10} events emitted", self.journal_events),
             ),
             (
-                "mean batch size",
-                format!("{:>10.2}", self.mean_batch_size),
-            ),
-            (
-                "queue wait",
-                format!("{:>10.1} \u{b5}s mean", self.mean_queue_wait_us),
-            ),
-            (
                 "cache lookup",
                 format!("{:>10.1} \u{b5}s mean", self.mean_cache_lookup_us),
             ),
@@ -744,25 +636,18 @@ mod tests {
     #[test]
     fn snapshot_aggregates_counters() {
         let recorder = MetricsRecorder::new();
-        recorder.record_submit(3);
-        recorder.record_submit(1);
-        recorder.record_batch();
-        recorder.record_job(
-            Duration::from_micros(10),
-            Duration::from_micros(1),
-            Some(Duration::from_micros(100)),
-        );
-        recorder.record_job(Duration::from_micros(30), Duration::from_micros(1), None);
-        let snap = recorder.snapshot(4, 1, 7);
+        recorder.record_submit();
+        recorder.record_submit();
+        recorder.record_job(Duration::from_micros(1), Some(Duration::from_micros(100)));
+        recorder.record_job(Duration::from_micros(1), None);
+        let snap = recorder.snapshot(4, 7);
         assert_eq!(snap.submitted, 2);
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 1);
-        assert_eq!(snap.peak_queue_depth, 3);
         assert_eq!(snap.cache_entries, 7);
         assert!((snap.cache_hit_rate - 0.5).abs() < 1e-12);
-        assert!((snap.mean_batch_size - 2.0).abs() < 1e-12);
-        assert!((snap.mean_queue_wait_us - 20.0).abs() < 1e-9);
+        assert!((snap.mean_cache_lookup_us - 1.0).abs() < 1e-9);
         assert!((snap.mean_solve_us - 100.0).abs() < 1e-9);
         assert!(snap.render().contains("cases/s"));
     }
@@ -770,22 +655,13 @@ mod tests {
     #[test]
     fn verify_snapshot_tallies_verdicts() {
         let recorder = MetricsRecorder::new();
-        recorder.record_submit(2);
-        recorder.record_batch();
+        recorder.record_submit();
         recorder.record_verdict(true);
-        recorder.record_job(
-            Duration::from_micros(5),
-            Duration::from_micros(1),
-            Some(Duration::from_micros(40)),
-        );
+        recorder.record_job(Duration::from_micros(1), Some(Duration::from_micros(40)));
         recorder.record_verdict(false);
-        recorder.record_job(
-            Duration::from_micros(5),
-            Duration::from_micros(1),
-            Some(Duration::from_micros(60)),
-        );
-        recorder.record_job(Duration::from_micros(5), Duration::from_micros(1), None);
-        let snap = recorder.snapshot_verify(2, 0, 2);
+        recorder.record_job(Duration::from_micros(1), Some(Duration::from_micros(60)));
+        recorder.record_job(Duration::from_micros(1), None);
+        let snap = recorder.snapshot_verify(2, 2);
         assert_eq!(snap.completed, 3);
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 2);
@@ -802,17 +678,13 @@ mod tests {
         recorder.record_snapshot_load(12);
         recorder.record_snapshot_reject();
         // Three completed jobs: two hits (one warm), one miss.
-        recorder.record_job(Duration::from_micros(1), Duration::from_micros(1), None);
+        recorder.record_job(Duration::from_micros(1), None);
         recorder.record_warm_hit();
-        recorder.record_job(Duration::from_micros(1), Duration::from_micros(1), None);
-        recorder.record_job(
-            Duration::from_micros(1),
-            Duration::from_micros(1),
-            Some(Duration::from_micros(5)),
-        );
+        recorder.record_job(Duration::from_micros(1), None);
+        recorder.record_job(Duration::from_micros(1), Some(Duration::from_micros(5)));
         recorder.record_snapshot_save(9);
         recorder.record_snapshot_compaction(3);
-        let snap = recorder.snapshot(1, 0, 9);
+        let snap = recorder.snapshot(1, 9);
         assert_eq!(snap.snapshot_loaded_entries, 12);
         assert_eq!(snap.snapshot_saved_entries, 9);
         assert_eq!(snap.snapshot_saves, 1);
@@ -822,7 +694,7 @@ mod tests {
         assert!((snap.warm_hit_rate - 1.0 / 3.0).abs() < 1e-12);
         assert!(snap.render().contains("warm start"));
         // The verify view derives from the same counters.
-        let verify = recorder.snapshot_verify(1, 0, 9);
+        let verify = recorder.snapshot_verify(1, 9);
         assert_eq!(verify.warm_hits, 1);
         assert_eq!(verify.snapshot_loaded_entries, 12);
         assert!(verify.render().contains("warm start"));
@@ -838,7 +710,7 @@ mod tests {
         assert_eq!(block.lines().count(), 3);
         // The real snapshots render through the same helper.
         let recorder = MetricsRecorder::new();
-        let snap = recorder.snapshot(1, 0, 0);
+        let snap = recorder.snapshot(1, 0);
         assert_eq!(snap.render(), render_block("service metrics", &snap.rows()));
     }
 
@@ -847,14 +719,13 @@ mod tests {
         // An idle pool must report 0 rates, not NaN (0/0) — a `NaN%` hit rate
         // in a summary poisons downstream comparisons and JSON consumers.
         let recorder = MetricsRecorder::new();
-        let snap = recorder.snapshot(1, 0, 0);
+        let snap = recorder.snapshot(1, 0);
         assert_eq!(snap.cache_hit_rate, 0.0);
         assert_eq!(snap.warm_hit_rate, 0.0);
-        assert_eq!(snap.mean_batch_size, 0.0);
-        assert_eq!(snap.mean_queue_wait_us, 0.0);
+        assert_eq!(snap.mean_cache_lookup_us, 0.0);
         assert!(!snap.throughput_per_sec.is_nan());
         assert!(snap.render().contains("(0.0% hit rate)"));
-        let verify = recorder.snapshot_verify(1, 0, 0);
+        let verify = recorder.snapshot_verify(1, 0);
         assert_eq!(verify.cache_hit_rate, 0.0);
         assert!(!verify.mean_verdict_us.is_nan());
         assert!(verify.render().contains("(0.0% hit rate)"));
@@ -863,13 +734,9 @@ mod tests {
     #[test]
     fn export_mirrors_the_bespoke_snapshot() {
         let recorder = MetricsRecorder::new();
-        recorder.record_submit(1);
-        recorder.record_job(
-            Duration::from_micros(10),
-            Duration::from_micros(1),
-            Some(Duration::from_micros(100)),
-        );
-        let snap = recorder.snapshot(1, 0, 1);
+        recorder.record_submit();
+        recorder.record_job(Duration::from_micros(1), Some(Duration::from_micros(100)));
+        let snap = recorder.snapshot(1, 1);
         let mut out = RegistrySnapshot::new();
         snap.export("service", &mut out);
         // One namespace, stable names.

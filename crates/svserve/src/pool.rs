@@ -16,46 +16,37 @@
 //!
 //! ## Where a job runs
 //!
-//! A [`Bound`] pool is bound to its backend one of two ways.  Built
-//! in place (`Bound::in_place`), it serves each job on the thread that submits
-//! it: the evaluation's pools ([`crate::serve_scoped`], [`crate::VerifyPool`])
-//! spawn no thread, and their cache, snapshot, metrics, journal and
-//! telemetry paths are the same code a worker runs.  Only
-//! [`crate::RepairService::start`] spawns (`Bound::spawn`) one worker thread per
-//! shard, for the wire's shard server and for callers that park a job.
+//! A [`Bound`] pool serves each job on the thread that submits it: `submit`
+//! admits the job, probes its cache shard, runs the work on a miss and
+//! returns the served outcome.  No pool spawns a thread; concurrency comes
+//! from the callers — the evaluation's case drivers, or the shard server's
+//! connection threads.
 //!
 //! ## What the engine guarantees
 //!
-//! * **Placement** — a job runs on shard `key.fold64() % workers` (its worker
-//!   thread, or its cache shard when served in place), a pure function of
-//!   request content, so per-shard caches are disjoint and results are
-//!   independent of worker count and arrival order.
-//! * **Backpressure and admission** — bounded shard queues block submitters;
-//!   `max_in_flight` sheds with [`SubmitError::Busy`]; a submission that never
-//!   reaches a queue hands its in-flight slot back.
-//! * **Panic absorption** — panicking work fulfils its ticket with
-//!   [`Worker::failed`], is counted, is *not* cached (a retry reaches the
-//!   backend again), and leaves the pool serving its shard.
+//! * **Placement** — a job is cached on shard `key.fold64() % workers`, a pure
+//!   function of request content, so per-shard caches are disjoint and
+//!   results are independent of shard count and arrival order.
+//! * **Admission** — `max_in_flight` bounds how many submitters are inside
+//!   the work at once; the overflow is shed with [`SubmitError::Busy`].
+//! * **Panic absorption** — panicking work is served as [`Worker::failed`],
+//!   is counted, is *not* cached (a retry reaches the backend again), and
+//!   leaves the pool serving.
 //! * **Warm start** — a configured snapshot is preloaded before the first job
-//!   and flushed once the pool has closed (after its workers have joined); a
-//!   missing, corrupt or mismatched file is a counted cold start, an empty
-//!   cache never overwrites a snapshot, and entries idle for `compact_after`
-//!   runs are dropped at flush.
-//! * **Lifecycle** — closing wakes every waiter; queued jobs are drained before
-//!   the workers exit; submitting after close is [`SubmitError::Closed`].
+//!   and flushed once the pool has closed; a missing, corrupt or mismatched
+//!   file is a counted cold start, an empty cache never overwrites a
+//!   snapshot, and entries idle for `compact_after` runs are dropped at flush.
+//! * **Lifecycle** — submitting after close is [`SubmitError::Closed`].
 
 use crate::cache::{ContentKey, LruCache};
 use crate::journal::{JournalEvent, TracerHandle};
 use crate::metrics::MetricsRecorder;
 use crate::persist::{self, PersistSpec, SnapshotFile, SnapshotLoad};
-use crate::queue::{Shard, SubmitError};
 use crate::sync::lock_recover;
 use crate::telemetry::{Metric, MetricClass, TelemetryHandle, TelemetryWindows};
-use crate::ticket::TicketState;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The cache key of a [`Worker`]'s pool.
@@ -64,14 +55,34 @@ pub type Key<W> = <<W as Worker>::Snapshot as SnapshotFile>::Key;
 /// The cached value of a [`Worker`]'s pool.
 pub type Value<W> = <<W as Worker>::Snapshot as SnapshotFile>::Value;
 
+/// Why a submission was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The pool is shutting down and accepts no new work.
+    Closed,
+    /// Admission control: the pool already holds its configured maximum of
+    /// in-flight jobs (`max_in_flight`); the request was shed deterministically
+    /// instead of served.  See the `shed_busy` counter in the pool metrics.
+    Busy,
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SubmitError::Closed => write!(f, "repair service is closed"),
+            SubmitError::Busy => write!(f, "repair service is at its in-flight limit (busy)"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
+
 /// Provenance and timing of one served job, handed to [`Worker::outcome`].
 pub struct Served {
     /// Whether the value came from the cache.
     pub from_cache: bool,
-    /// Index of the worker (= shard) that served the job.
+    /// Index of the cache shard that served the job.
     pub worker: usize,
-    /// Time the job spent queued before a worker picked it up.
-    pub queue_wait: Duration,
     /// Cache lookup plus (on a miss) the work itself.
     pub service_time: Duration,
 }
@@ -89,9 +100,9 @@ pub trait Worker: Send + Sync + Sized {
 
     /// Pool label on journal diagnostics.
     const POOL: &'static str;
-    /// Names of the queue-wait, cache-lookup and work latency histograms;
-    /// `None` where the pool records none.
-    const HISTOGRAMS: [Option<&'static str>; 3];
+    /// Names of the cache-lookup and work latency histograms; `None` where
+    /// the pool records none.
+    const HISTOGRAMS: [Option<&'static str>; 2];
 
     /// The request's content key: routes it, caches it, identifies it.
     fn key(request: &Self::Request) -> Key<Self>;
@@ -127,8 +138,6 @@ pub trait Serve<B: ?Sized>: Worker {
 /// The tuning every pool shares, normalized at [`Pool::new`].
 pub(crate) struct PoolConfig {
     pub(crate) workers: usize,
-    pub(crate) shard_capacity: usize,
-    pub(crate) max_batch: usize,
     pub(crate) cache_capacity: usize,
     /// `0` = unbounded (the in-flight gauge still counts).
     pub(crate) max_in_flight: usize,
@@ -137,46 +146,27 @@ pub(crate) struct PoolConfig {
     pub(crate) telemetry: TelemetryHandle,
 }
 
-/// Await-handle for a submitted job: served already when the pool serves in
-/// place, else fulfilled by the worker of the job's shard.
-pub struct Ticket<O>(Slot<O>);
-
-enum Slot<O> {
-    Served(O),
-    Queued(Arc<TicketState<O>>),
-}
+/// A submitted job's outcome, served before `submit` returned.
+pub struct Ticket<O>(O);
 
 impl<O> Ticket<O> {
-    /// Returns the outcome, blocking until a worker has served the job.
+    /// Returns the outcome.
     pub fn wait(self) -> O {
-        match self.0 {
-            Slot::Served(outcome) => outcome,
-            Slot::Queued(state) => state.wait(),
-        }
+        self.0
     }
 }
 
-struct Job<W: Worker> {
-    request: W::Request,
-    key: Key<W>,
-    enqueued_at: Instant,
-}
-
-/// A queued job and the ticket its worker fulfils.
-type Queued<W> = (Job<W>, Arc<TicketState<<W as Worker>::Outcome>>);
-
-/// The engine: shard queues, shard caches, metrics and the lifecycle flag of
-/// one pool, owned by its frontend ([`Bound`]).
+/// The engine: shard caches, metrics and the lifecycle flag of one pool,
+/// owned by its frontend ([`Bound`]).
 pub struct Pool<W: Worker> {
     pub(crate) worker: W,
     /// The normalized config the pool runs under.
     pub(crate) config: PoolConfig,
-    shards: Vec<Shard<Queued<W>>>,
     caches: Vec<Mutex<LruCache<Key<W>, Value<W>>>>,
     pub(crate) recorder: MetricsRecorder,
     /// Latency histograms ([`Worker::HISTOGRAMS`]) resolved once at start;
     /// `None` (telemetry off) costs one branch per job at each record site.
-    timers: [Option<Arc<Metric>>; 3],
+    timers: [Option<Arc<Metric>>; 2],
     closed: AtomicBool,
     /// Generation of the snapshot this pool preloaded (0 when cold); the next
     /// flush writes generation + 1 and ages entries against it.
@@ -186,16 +176,11 @@ pub struct Pool<W: Worker> {
 impl<W: Worker> Pool<W> {
     pub(crate) fn new(worker: W, mut config: PoolConfig) -> Self {
         config.workers = config.workers.max(1);
-        config.shard_capacity = config.shard_capacity.max(1);
-        config.max_batch = config.max_batch.max(1);
         config.cache_capacity = config.cache_capacity.max(config.workers);
         let per_shard_cache = config.cache_capacity.div_ceil(config.workers);
         let histogram = |name| config.telemetry.histogram(name, MetricClass::Volatile);
         let pool = Self {
             worker,
-            shards: (0..config.workers)
-                .map(|_| Shard::new(config.shard_capacity))
-                .collect(),
             caches: (0..config.workers)
                 .map(|_| Mutex::new(LruCache::new(per_shard_cache)))
                 .collect(),
@@ -290,7 +275,7 @@ impl<W: Worker> Pool<W> {
     }
 
     fn shard_for(&self, key: Key<W>) -> usize {
-        (key.fold64() % self.shards.len() as u64) as usize
+        (key.fold64() % self.caches.len() as u64) as usize
     }
 
     /// Emits one journal diagnostic; one branch while journaling is off.
@@ -302,11 +287,10 @@ impl<W: Worker> Pool<W> {
         }
     }
 
-    /// Admission + job construction.  On success the in-flight slot has been
-    /// reserved; it is released when the job is served, or rolled back by the
-    /// caller if the job never reaches a queue.
+    /// Admission: on success the in-flight slot has been reserved, and it is
+    /// released when the job is served.  Returns the request's key.
     /// `max_in_flight = 0` admits without limit (the slot is still counted).
-    fn begin_submit(&self, request: W::Request) -> Result<Job<W>, SubmitError> {
+    fn admit(&self, request: &W::Request) -> Result<Key<W>, SubmitError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(SubmitError::Closed);
         }
@@ -318,43 +302,22 @@ impl<W: Worker> Pool<W> {
             // The key is only needed for the diagnostic; don't hash the
             // request content on the shed fast-path while journaling is off.
             if self.config.tracer.is_on() {
-                self.diagnostic(W::key(&request), |pool| JournalEvent::Shed { pool });
+                self.diagnostic(W::key(request), |pool| JournalEvent::Shed { pool });
             }
             return Err(SubmitError::Busy);
         }
-        let key = W::key(&request);
+        let key = W::key(request);
         self.diagnostic(key, |pool| JournalEvent::Admit { pool });
         if let Some(windows) = self.worker.windows() {
             windows.record_submit();
         }
-        Ok(Job {
-            request,
-            key,
-            enqueued_at: Instant::now(),
-        })
-    }
-
-    /// Admits one job onto its shard's queue; blocks only while that shard is
-    /// at capacity.
-    pub(crate) fn enqueue(&self, request: W::Request) -> Result<Ticket<W::Outcome>, SubmitError> {
-        let job = self.begin_submit(request)?;
-        let state = TicketState::new();
-        // A job that never reached a queue (the pool closed first) hands its
-        // admission slot back.
-        let depth = self.shards[self.shard_for(job.key)]
-            .push_blocking((job, Arc::clone(&state)), &self.closed)
-            .inspect_err(|_| self.recorder.release_in_flight())?;
-        self.recorder.record_submit(depth);
-        Ok(Ticket(Slot::Queued(state)))
+        self.recorder.record_submit();
+        Ok(key)
     }
 
     /// Takes a metrics snapshot.
     pub fn metrics(&self) -> W::Metrics {
         W::metrics(self)
-    }
-
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
     }
 
     pub(crate) fn cache_entries(&self) -> usize {
@@ -364,43 +327,22 @@ impl<W: Worker> Pool<W> {
             .sum()
     }
 
-    /// Stops admitting work and wakes every waiter; workers drain their queues
-    /// and exit.  True if the pool was open.
+    /// Stops admitting work; true if the pool was open.
     pub(crate) fn close(&self) -> bool {
-        let was_open = !self.closed.swap(true, Ordering::AcqRel);
-        for shard in &self.shards {
-            shard.notify_all();
-        }
-        was_open
+        !self.closed.swap(true, Ordering::AcqRel)
     }
 
-    /// The worker loop of shard `shard_idx`; returns once the pool is closed
-    /// and the shard has drained.
-    fn run<B: ?Sized>(&self, backend: &B, shard_idx: usize)
+    /// Serves one admitted job from its cache shard, running the work on a
+    /// miss.
+    fn serve<B: ?Sized>(&self, backend: &B, request: &W::Request, key: Key<W>) -> W::Outcome
     where
         W: Serve<B>,
     {
-        loop {
-            let batch = self.shards[shard_idx].drain_batch(self.config.max_batch, &self.closed);
-            if batch.is_empty() {
-                return;
-            }
-            self.recorder.record_batch();
-            for (job, ticket) in batch {
-                ticket.fulfill(self.serve(backend, shard_idx, job));
-            }
-        }
-    }
-
-    fn serve<B: ?Sized>(&self, backend: &B, shard_idx: usize, job: Job<W>) -> W::Outcome
-    where
-        W: Serve<B>,
-    {
-        let queue_wait = job.enqueued_at.elapsed();
+        let shard = self.shard_for(key);
         let service_start = Instant::now();
-        let cached = lock_recover(&self.caches[shard_idx]).get_tagged(job.key);
+        let cached = lock_recover(&self.caches[shard]).get_tagged(key);
         let cache_lookup = service_start.elapsed();
-        self.diagnostic(job.key, |pool| JournalEvent::Cache {
+        self.diagnostic(key, |pool| JournalEvent::Cache {
             pool,
             hit: cached.is_some(),
             warm: matches!(cached, Some((_, true))),
@@ -414,34 +356,30 @@ impl<W: Worker> Pool<W> {
             }
             None => {
                 let work_start = Instant::now();
-                // Panicking work must not take the worker down: an unwinding
-                // worker would strand every ticket in its shard (waiters block
-                // forever) and poison the pool for later jobs; in place, it
-                // would unwind through the submitter.  Catch the panic, serve
-                // the failed value, and count it in the metrics.
+                // Panicking work must not unwind through the submitter: catch
+                // the panic, serve the failed value, and count it.
                 let worked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.worker.work(backend, &job.request, job.key)
+                    self.worker.work(backend, request, key)
                 }));
                 let elapsed = work_start.elapsed();
                 let value = match worked {
                     Ok(value) => {
-                        lock_recover(&self.caches[shard_idx]).insert(job.key, value.clone());
+                        lock_recover(&self.caches[shard]).insert(key, value.clone());
                         W::computed(self, &value);
                         value
                     }
                     Err(_) => {
                         // Not cached: a retry should reach the backend again.
                         self.recorder.record_solve_panic();
-                        self.diagnostic(job.key, |pool| JournalEvent::Panic { pool });
+                        self.diagnostic(key, |pool| JournalEvent::Panic { pool });
                         W::failed()
                     }
                 };
                 (value, Some(elapsed))
             }
         };
-        self.recorder
-            .record_job(queue_wait, cache_lookup, work_time);
-        let laps = [Some(queue_wait), Some(cache_lookup), work_time];
+        self.recorder.record_job(cache_lookup, work_time);
+        let laps = [Some(cache_lookup), work_time];
         for (timer, lap) in self.timers.iter().zip(laps) {
             if let (Some(metric), Some(lap)) = (timer, lap) {
                 metric.observe_duration(lap);
@@ -453,8 +391,7 @@ impl<W: Worker> Pool<W> {
         }
         let served = Served {
             from_cache: work_time.is_none(),
-            worker: shard_idx,
-            queue_wait,
+            worker: shard,
             service_time,
         };
         W::outcome(value, served)
@@ -463,16 +400,11 @@ impl<W: Worker> Pool<W> {
 
 /// A pool bound to its backend handle `H` (an `Arc` or a borrow) until
 /// [`Bound::shutdown`] or drop, which close it and flush its snapshot once.
-/// Dereferences to its [`Pool`] for metrics and flush.
-///
-/// Built in place (`Bound::in_place`) it runs no thread: `submit` serves the
-/// job before it returns.  Spawned (`Bound::spawn`), one worker per shard
-/// serves the shard's queue and `submit` returns once the job is queued.
+/// Dereferences to its [`Pool`] for metrics and flush.  It runs no thread:
+/// `submit` serves the job before it returns.
 pub struct Bound<W: Worker, H> {
-    pool: Arc<Pool<W>>,
+    pool: Pool<W>,
     backend: H,
-    /// The shard workers; empty when the pool serves in place.
-    threads: Vec<JoinHandle<()>>,
 }
 
 impl<W: Worker, H: Deref> Bound<W, H>
@@ -481,85 +413,38 @@ where
 {
     /// A pool that serves each job on the thread that submits it.
     pub(crate) fn in_place(pool: Pool<W>, backend: H) -> Self {
-        Self {
-            pool: Arc::new(pool),
-            backend,
-            threads: Vec::new(),
-        }
+        Self { pool, backend }
     }
 
-    /// A pool with one worker thread per shard, named `<prefix>-<shard>`.
-    pub(crate) fn spawn(pool: Pool<W>, backend: H, thread_prefix: &str) -> Self
-    where
-        W: 'static,
-        H: Clone + Send + 'static,
-    {
-        let pool = Arc::new(pool);
-        let threads = (0..pool.config.workers)
-            .map(|shard_idx| {
-                let (pool, backend) = (Arc::clone(&pool), backend.clone());
-                std::thread::Builder::new()
-                    .name(format!("{thread_prefix}-{shard_idx}"))
-                    .spawn(move || pool.run(&*backend, shard_idx))
-                    .expect("spawn pool worker thread")
-            })
-            .collect();
-        Self {
-            pool,
-            backend,
-            threads,
-        }
-    }
-
-    /// Submits one job: serves it in place, or queues it for its shard's
-    /// worker (blocking only while that shard is at capacity).  Sheds with
+    /// Submits one job and serves it on this thread.  Sheds with
     /// [`SubmitError::Busy`] at the pool's in-flight limit.
     pub fn submit(&self, request: W::Request) -> Result<Ticket<W::Outcome>, SubmitError> {
-        if !self.threads.is_empty() {
-            return self.pool.enqueue(request);
-        }
-        let job = self.pool.begin_submit(request)?;
-        self.pool.recorder.record_submit(0);
-        let shard = self.pool.shard_for(job.key);
-        Ok(Ticket(Slot::Served(self.pool.serve(
-            &*self.backend,
-            shard,
-            job,
-        ))))
+        let key = self.pool.admit(&request)?;
+        Ok(Ticket(self.pool.serve(&*self.backend, &request, key)))
     }
 
-    /// Submits a whole workload and waits for every outcome, preserving input
-    /// order.
+    /// Serves a whole workload, preserving input order.
     ///
     /// # Panics
     ///
     /// Panics if the pool is closed or sheds one of the requests.
     pub fn submit_all(&self, requests: Vec<W::Request>) -> Vec<W::Outcome> {
-        // Submit everything first (backpressure throttles us while workers
-        // drain), then await in input order.
-        let tickets: Vec<_> = requests
+        requests
             .into_iter()
-            .map(|request| self.submit(request).expect("pool open during submit_all"))
-            .collect();
-        tickets.into_iter().map(Ticket::wait).collect()
+            .map(|request| {
+                self.submit(request)
+                    .expect("pool open during submit_all")
+                    .wait()
+            })
+            .collect()
     }
 }
 
 impl<W: Worker, H> Bound<W, H> {
-    /// Closes the pool and joins its workers; true the first time, so that
-    /// exactly one of `shutdown` and drop flushes.
-    fn close(&mut self) -> bool {
-        let was_open = self.pool.close();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-        was_open
-    }
-
-    /// Stops accepting work, drains the queues, joins the workers, flushes the
-    /// cache snapshot and returns the final metrics.
-    pub fn shutdown(mut self) -> W::Metrics {
-        self.close();
+    /// Stops accepting work, flushes the cache snapshot and returns the
+    /// final metrics.
+    pub fn shutdown(self) -> W::Metrics {
+        self.pool.close();
         let _ = self.pool.flush();
         self.pool.metrics()
     }
@@ -575,9 +460,22 @@ impl<W: Worker, H> Deref for Bound<W, H> {
 
 impl<W: Worker, H> Drop for Bound<W, H> {
     fn drop(&mut self) {
-        if self.close() {
+        // True only the first time, so exactly one of `shutdown` and drop
+        // flushes.
+        if self.pool.close() {
             let _ = self.pool.flush();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SubmitError;
+
+    #[test]
+    fn submit_errors_display() {
+        assert!(SubmitError::Closed.to_string().contains("closed"));
+        assert!(SubmitError::Busy.to_string().contains("busy"));
     }
 }
 
@@ -599,22 +497,10 @@ pub(crate) mod contract {
         pub(crate) snapshot_compacted_entries: u64,
     }
 
-    /// How a contract case runs its pool.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub(crate) enum Serving {
-        /// `Bound::in_place`: every job on the submitting thread.
-        InPlace,
-        /// `Bound::spawn`: one worker thread per shard.
-        Threads,
-    }
-
     /// One instantiation under test.
     pub(crate) trait Harness {
-        type Worker: Serve<Self::Backend> + 'static;
-        type Backend: ?Sized + Send + Sync + 'static;
-
-        /// The frontends the instantiation's public API serves through.
-        const SERVING: &'static [Serving];
+        type Worker: Serve<Self::Backend>;
+        type Backend: ?Sized;
 
         /// A pool with `workers` shards, persisting under `persist`.
         fn pool(workers: usize, persist: Option<PersistSpec>) -> Pool<Self::Worker>;
@@ -633,16 +519,8 @@ pub(crate) mod contract {
 
     type Frontend<H> = Bound<<H as Harness>::Worker, Arc<<H as Harness>::Backend>>;
 
-    fn bound<H: Harness>(
-        serving: Serving,
-        workers: usize,
-        persist: Option<PersistSpec>,
-    ) -> Frontend<H> {
-        let pool = H::pool(workers, persist);
-        match serving {
-            Serving::InPlace => Bound::in_place(pool, H::backend()),
-            Serving::Threads => Bound::spawn(pool, H::backend(), "contract"),
-        }
+    fn bound<H: Harness>(workers: usize, persist: Option<PersistSpec>) -> Frontend<H> {
+        Bound::in_place(H::pool(workers, persist), H::backend())
     }
 
     /// A snapshot spec in a fresh directory of this process, harness and case.
@@ -657,134 +535,100 @@ pub(crate) mod contract {
     }
 
     pub(crate) fn submit_after_close_is_refused<H: Harness>() {
-        for &serving in H::SERVING {
-            let mut pool = bound::<H>(serving, 2, None);
-            pool.close();
-            assert_eq!(
-                pool.submit(H::request(0, false)).err(),
-                Some(SubmitError::Closed),
-                "{serving:?}"
-            );
-            assert_eq!(tally::<H>(&pool).in_flight, 0, "a refusal reserves nothing");
-        }
+        let pool = bound::<H>(2, None);
+        pool.close();
+        assert_eq!(
+            pool.submit(H::request(0, false)).err(),
+            Some(SubmitError::Closed)
+        );
+        assert_eq!(tally::<H>(&pool).in_flight, 0, "a refusal reserves nothing");
     }
 
-    /// A submitter blocked on a full shard when the pool closes is refused
-    /// and hands back the admission slot it reserved; the queued jobs keep
-    /// theirs until served.
-    pub(crate) fn a_submit_refused_at_close_returns_its_slot<H: Harness>() {
-        let pool = H::pool(1, None); // no workers: nothing drains
-        let capacity = pool.config.shard_capacity;
-        for tag in 0..capacity {
-            pool.enqueue(H::request(tag, false)).unwrap();
-        }
-        std::thread::scope(|scope| {
-            let blocked = scope.spawn(|| pool.enqueue(H::request(capacity, false)).err());
-            while tally::<H>(&pool).in_flight <= capacity {
-                std::thread::yield_now();
-            }
-            pool.close();
-            assert_eq!(blocked.join().unwrap(), Some(SubmitError::Closed));
-        });
-        assert_eq!(tally::<H>(&pool).in_flight, capacity);
-        assert_eq!(pool.queue_depth(), capacity);
-    }
-
-    /// Panicking work fulfils its ticket with the failed value, is counted, is
-    /// not cached, and the next job on that shard is served — in place and on
-    /// worker threads.
+    /// Panicking work is served as the failed value, is counted, is not
+    /// cached, and the next job on that shard is served.
     pub(crate) fn panicking_work_is_absorbed<H: Harness>() {
-        for &serving in H::SERVING {
-            let pool = bound::<H>(serving, 1, None);
-            let outcomes = pool.submit_all(vec![
-                H::request(0, false),
-                H::request(1, true),
-                H::request(2, false),
-            ]);
-            let failed: Vec<bool> = outcomes.iter().map(|o| H::view(o).0).collect();
-            assert_eq!(failed, [false, true, false], "one shard: all jobs served");
-            // Not cached: the retry reaches the backend (and panics) again,
-            // while a healthy duplicate is a cache hit.
-            let retry = pool.submit(H::request(1, true)).unwrap().wait();
-            assert_eq!(H::view(&retry), (true, false, 0));
-            let again = pool.submit(H::request(2, false)).unwrap().wait();
-            assert_eq!(H::view(&again), (false, true, 0));
-            let tally = tally::<H>(&pool);
-            assert_eq!((tally.panics, tally.completed), (2, 5), "{serving:?}");
-            assert_eq!(pool.cache_entries(), 2);
-        }
+        let pool = bound::<H>(1, None);
+        let outcomes = pool.submit_all(vec![
+            H::request(0, false),
+            H::request(1, true),
+            H::request(2, false),
+        ]);
+        let failed: Vec<bool> = outcomes.iter().map(|o| H::view(o).0).collect();
+        assert_eq!(failed, [false, true, false], "one shard: all jobs served");
+        // Not cached: the retry reaches the backend (and panics) again,
+        // while a healthy duplicate is a cache hit.
+        let retry = pool.submit(H::request(1, true)).unwrap().wait();
+        assert_eq!(H::view(&retry), (true, false, 0));
+        let again = pool.submit(H::request(2, false)).unwrap().wait();
+        assert_eq!(H::view(&again), (false, true, 0));
+        let tally = tally::<H>(&pool);
+        assert_eq!((tally.panics, tally.completed), (2, 5));
+        assert_eq!(pool.cache_entries(), 2);
     }
 
     pub(crate) fn an_idle_pool_never_overwrites_a_valuable_snapshot<H: Harness>() {
-        for &serving in H::SERVING {
-            let spec = temp_spec::<H>(&format!("idle-{serving:?}"), b"cfg-v1");
-            let pool = bound::<H>(serving, 2, Some(spec.clone()));
-            pool.submit_all((0..6).map(|tag| H::request(tag, false)).collect());
-            pool.shutdown();
-            let valuable = std::fs::read(&spec.path).unwrap();
+        let spec = temp_spec::<H>("idle", b"cfg-v1");
+        let pool = bound::<H>(2, Some(spec.clone()));
+        pool.submit_all((0..6).map(|tag| H::request(tag, false)).collect());
+        pool.shutdown();
+        let valuable = std::fs::read(&spec.path).unwrap();
 
-            // Reconfigured pool: rejected preload, zero work, flush and shutdown.
-            let reconfigured = PersistSpec::new(spec.path.clone(), b"cfg-v2", "contract");
-            let idle = bound::<H>(serving, 2, Some(reconfigured));
-            assert_eq!(tally::<H>(&idle).snapshot_rejects, 1);
-            assert_eq!(idle.flush().unwrap(), 0, "an empty cache is never written");
-            assert_eq!(H::tally(&idle.shutdown()).snapshot_saves, 0);
-            assert_eq!(std::fs::read(&spec.path).unwrap(), valuable);
+        // Reconfigured pool: rejected preload, zero work, flush and shutdown.
+        let reconfigured = PersistSpec::new(spec.path.clone(), b"cfg-v2", "contract");
+        let idle = bound::<H>(2, Some(reconfigured));
+        assert_eq!(tally::<H>(&idle).snapshot_rejects, 1);
+        assert_eq!(idle.flush().unwrap(), 0, "an empty cache is never written");
+        assert_eq!(H::tally(&idle.shutdown()).snapshot_saves, 0);
+        assert_eq!(std::fs::read(&spec.path).unwrap(), valuable);
 
-            // And the original configuration still warm-starts from it.
-            let pool = H::pool(2, Some(spec.clone()));
-            assert_eq!(tally::<H>(&pool).snapshot_loaded_entries, 6);
-            let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
-        }
+        // And the original configuration still warm-starts from it.
+        let pool = H::pool(2, Some(spec.clone()));
+        assert_eq!(tally::<H>(&pool).snapshot_loaded_entries, 6);
+        let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
     }
 
     /// Entries idle for more than `compact_after` runs are dropped at flush,
     /// and counted only once the write has landed.
     pub(crate) fn idle_entries_are_compacted_once_the_write_lands<H: Harness>() {
-        for &serving in H::SERVING {
-            let case = format!("compaction-{serving:?}");
-            let spec = temp_spec::<H>(&case, b"cfg").with_compaction(1);
-            let run = |touched: usize| {
-                let pool = bound::<H>(serving, 2, Some(spec.clone()));
-                pool.submit_all((0..touched).map(|tag| H::request(tag, false)).collect());
-                pool
-            };
-            run(4).shutdown(); // generation 1: four entries
-            let second = H::tally(&run(2).shutdown()); // 2 and 3 idle for one run: kept
-            assert_eq!(second.snapshot_loaded_entries, 4);
-            assert_eq!(second.snapshot_compacted_entries, 0);
+        let spec = temp_spec::<H>("compaction", b"cfg").with_compaction(1);
+        let run = |touched: usize| {
+            let pool = bound::<H>(2, Some(spec.clone()));
+            pool.submit_all((0..touched).map(|tag| H::request(tag, false)).collect());
+            pool
+        };
+        run(4).shutdown(); // generation 1: four entries
+        let second = H::tally(&run(2).shutdown()); // 2 and 3 idle for one run: kept
+        assert_eq!(second.snapshot_loaded_entries, 4);
+        assert_eq!(second.snapshot_compacted_entries, 0);
 
-            // Generation 3: 2 and 3 are two runs behind (> 1) and must go — but
-            // a flush that cannot land (the path is now a directory) drops
-            // nothing.
-            let third = run(2);
-            let snapshot = std::fs::read(&spec.path).unwrap();
-            std::fs::remove_file(&spec.path).unwrap();
-            std::fs::create_dir_all(spec.path.join("occupied")).unwrap();
-            assert!(third.flush().is_err());
-            let failed = tally::<H>(&third);
-            assert_eq!(failed.snapshot_save_failures, 1);
-            assert_eq!(failed.snapshot_compacted_entries, 0);
-            std::fs::remove_dir_all(&spec.path).unwrap();
-            std::fs::write(&spec.path, snapshot).unwrap();
-            assert_eq!(third.flush().unwrap(), 2);
-            assert_eq!(tally::<H>(&third).snapshot_compacted_entries, 2);
-            drop(third);
+        // Generation 3: 2 and 3 are two runs behind (> 1) and must go — but
+        // a flush that cannot land (the path is now a directory) drops
+        // nothing.
+        let third = run(2);
+        let snapshot = std::fs::read(&spec.path).unwrap();
+        std::fs::remove_file(&spec.path).unwrap();
+        std::fs::create_dir_all(spec.path.join("occupied")).unwrap();
+        assert!(third.flush().is_err());
+        let failed = tally::<H>(&third);
+        assert_eq!(failed.snapshot_save_failures, 1);
+        assert_eq!(failed.snapshot_compacted_entries, 0);
+        std::fs::remove_dir_all(&spec.path).unwrap();
+        std::fs::write(&spec.path, snapshot).unwrap();
+        assert_eq!(third.flush().unwrap(), 2);
+        assert_eq!(tally::<H>(&third).snapshot_compacted_entries, 2);
+        drop(third);
 
-            let pool = H::pool(2, Some(spec.clone()));
-            assert_eq!(tally::<H>(&pool).snapshot_loaded_entries, 2);
-            let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
-        }
+        let pool = H::pool(2, Some(spec.clone()));
+        assert_eq!(tally::<H>(&pool).snapshot_loaded_entries, 2);
+        let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
     }
 
     pub(crate) fn placement_is_key_fold64_modulo_workers<H: Harness>() {
-        for &serving in H::SERVING {
-            let pool = bound::<H>(serving, 4, None);
-            for tag in 0..32 {
-                let key = <H::Worker as Worker>::key(&H::request(tag, false));
-                let outcome = pool.submit(H::request(tag, false)).unwrap().wait();
-                assert_eq!(H::view(&outcome).2, (key.fold64() % 4) as usize);
-            }
+        let pool = bound::<H>(4, None);
+        for tag in 0..32 {
+            let key = <H::Worker as Worker>::key(&H::request(tag, false));
+            let outcome = pool.submit(H::request(tag, false)).unwrap().wait();
+            assert_eq!(H::view(&outcome).2, (key.fold64() % 4) as usize);
         }
     }
 }

@@ -1,25 +1,25 @@
 //! The repair service: the *sampling* instantiation of the pool engine.
 //!
-//! [`crate::pool`] owns queueing, caching, panic absorption, snapshots and the
+//! [`crate::pool`] owns admission, caching, panic absorption, snapshots and the
 //! frontend; this module says what is specific to repair ([`Repair`]): requests
 //! are `(case, samples, temperature)` keyed by [`case_key`], the work is one
 //! [`RepairModel::solve`] call, the value is the sampled response set, and the
 //! pool additionally feeds the time-windowed telemetry served over the wire.
 //!
-//! * [`RepairService`] owns its model (`Arc<M>`) and one worker thread per
-//!   shard until [`RepairService::shutdown`] or drop — the long-running daemon
-//!   shape the shard server hosts, and the only pool in the crate that runs
-//!   threads;
-//! * [`serve_scoped`] borrows the model for the duration of a closure and
-//!   solves each request on the thread that submits it — the shape
-//!   `assertsolver::evaluate_model` uses, since evaluation only holds `&M`.
+//! Both frontends solve each request on the thread that submits it:
+//!
+//! * [`RepairService`] owns its model (`Arc<M>`) until
+//!   [`RepairService::shutdown`] or drop — the long-running shape the shard
+//!   server hosts, whose connection threads are the submitters;
+//! * [`serve_scoped`] borrows the model for the duration of a closure — the
+//!   shape `assertsolver::evaluate_model` uses, since evaluation only holds `&M`.
 //!
 //! ## Determinism
 //!
 //! The response set for a request is a pure function of the request content and the
 //! service seed: the sampler seed is derived from the content hash (never from
-//! arrival order or worker identity), and requests route to shards by the same hash.
-//! Running the same workload with 1 or 8 workers therefore yields byte-identical
+//! arrival order or shard), and requests route to cache shards by the same hash.
+//! Running the same workload with 1 or 8 shards therefore yields byte-identical
 //! responses — only the wall-clock changes.
 
 use crate::cache::{case_key, CaseKey};
@@ -36,20 +36,16 @@ use svmodel::{CaseInput, RepairModel, Response};
 /// Service tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
-    /// Cache (and queue) shards, clamped to at least 1; a [`RepairService`]
-    /// runs one worker thread per shard, [`serve_scoped`] none.
+    /// Response-cache shards, clamped to at least 1.  Requests are solved
+    /// on the submitting thread, so this sizes the shards and nothing else.
     pub workers: usize,
-    /// Bounded depth of each shard queue; submitters block past this (backpressure).
-    pub shard_capacity: usize,
-    /// Maximum jobs a worker drains per wake-up (micro-batching).
-    pub max_batch: usize,
     /// Total response-cache entries across all shards.
     pub cache_capacity: usize,
     /// Service seed mixed into every per-case sampler seed.
     pub seed: u64,
     /// Admission control: maximum requests in flight (admitted but not yet
-    /// completed) before `submit` sheds new work with [`crate::SubmitError::Busy`]
-    /// instead of queueing it.  `0` = unbounded.  Shed requests are counted in
+    /// completed) before `submit` sheds new work with [`crate::SubmitError::Busy`].
+    /// `0` = unbounded.  Shed requests are counted in
     /// [`ServiceMetrics::shed_busy`]; the rejection is deterministic — it
     /// depends only on the exact in-flight count, never on timing heuristics.
     pub max_in_flight: usize,
@@ -62,7 +58,7 @@ pub struct ServiceConfig {
     /// off by default, in which case each instrumented site costs one branch.
     pub tracer: TracerHandle,
     /// Telemetry registry the pool's latency histograms
-    /// (`service.repair.queue_wait` / `.cache_lookup` / `.solve`) record into;
+    /// (`service.repair.cache_lookup` / `.solve`) record into;
     /// off by default, in which case each instrumented site costs one branch.
     pub telemetry: TelemetryHandle,
 }
@@ -71,8 +67,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            shard_capacity: 64,
-            max_batch: 8,
             cache_capacity: 1024,
             seed: 0x0005_E127_AB1E,
             max_in_flight: 0,
@@ -157,18 +151,16 @@ impl RepairRequest {
 /// Responses are shared (`Arc`) with the service cache, so a cache hit costs one
 /// reference bump rather than a deep clone of every sampled string.  An empty
 /// response set with [`ServiceMetrics::solve_panics`] > 0 indicates the model
-/// panicked on this case (the service absorbs the panic instead of stranding the
-/// ticket).
+/// panicked on this case (the service absorbs the panic instead of unwinding
+/// through the submitter).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairOutcome {
     /// The sampled responses, in sampling order.
     pub responses: Arc<Vec<Response>>,
     /// Whether the answer came from the response cache.
     pub from_cache: bool,
-    /// Index of the worker (= shard) that served the request.
+    /// Index of the cache shard that served the request.
     pub worker: usize,
-    /// Time the job spent queued before a worker picked it up.
-    pub queue_wait: Duration,
     /// Cache lookup plus (on a miss) model invocation time.
     pub service_time: Duration,
 }
@@ -176,8 +168,8 @@ pub struct RepairOutcome {
 /// Await-handle for a submitted request.
 pub type RepairTicket = pool::Ticket<RepairOutcome>;
 
-/// A persistent repair service owning its model and one worker thread per
-/// shard.
+/// A persistent repair service owning its model; it solves each request on
+/// the thread that submits it.
 pub type RepairService<M> = Bound<Repair, Arc<M>>;
 
 /// Borrowed-model service available inside [`serve_scoped`]: it solves each
@@ -211,8 +203,6 @@ impl Repair {
         };
         let config = PoolConfig {
             workers: config.workers,
-            shard_capacity: config.shard_capacity,
-            max_batch: config.max_batch,
             cache_capacity: config.cache_capacity,
             max_in_flight: config.max_in_flight,
             persist: config.persist,
@@ -230,8 +220,7 @@ impl Worker for Repair {
     type Metrics = ServiceMetrics;
 
     const POOL: &'static str = "repair";
-    const HISTOGRAMS: [Option<&'static str>; 3] = [
-        Some("service.repair.queue_wait"),
+    const HISTOGRAMS: [Option<&'static str>; 2] = [
         Some("service.repair.cache_lookup"),
         Some("service.repair.solve"),
     ];
@@ -249,17 +238,13 @@ impl Worker for Repair {
             responses,
             from_cache: served.from_cache,
             worker: served.worker,
-            queue_wait: served.queue_wait,
             service_time: served.service_time,
         }
     }
 
     fn metrics(pool: &Pool<Self>) -> ServiceMetrics {
-        pool.recorder.snapshot(
-            pool.config.workers,
-            pool.queue_depth(),
-            pool.cache_entries(),
-        )
+        pool.recorder
+            .snapshot(pool.config.workers, pool.cache_entries())
     }
 
     /// Folds the service seed into the fingerprint.
@@ -280,7 +265,7 @@ impl Worker for Repair {
 
 impl<M: RepairModel + ?Sized> Serve<M> for Repair {
     /// Samples the model under a seed that is a pure function of service seed
-    /// and content hash, never of arrival order or worker identity.
+    /// and content hash, never of arrival order or shard.
     fn work(&self, model: &M, request: &RepairRequest, key: CaseKey) -> Arc<Vec<Response>> {
         let seed = splitmix64(self.seed ^ key.fold64());
         Arc::new(model.solve(&request.case, request.samples, request.temperature, seed))
@@ -291,7 +276,7 @@ impl<H: Deref> Bound<Repair, H>
 where
     H::Target: RepairModel,
 {
-    /// Submits a whole workload and waits for every answer, preserving input order.
+    /// Serves a whole workload, preserving input order.
     pub fn solve_all(&self, requests: Vec<RepairRequest>) -> Vec<RepairOutcome> {
         self.submit_all(requests)
     }
@@ -321,10 +306,10 @@ impl Pool<Repair> {
     }
 }
 
-impl<M: RepairModel + Send + Sync + 'static> RepairService<M> {
-    /// Starts one worker thread per shard.
+impl<M: RepairModel + ?Sized> RepairService<M> {
+    /// Builds the service, preloading its snapshot when one is configured.
     pub fn start(model: Arc<M>, config: ServiceConfig) -> Self {
-        Bound::spawn(Repair::pool(config), model, "svserve-worker")
+        Bound::in_place(Repair::pool(config), model)
     }
 }
 
@@ -345,8 +330,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::contract::{self, Harness, Serving, Tally};
-    use crate::queue::SubmitError;
+    use crate::pool::contract::{self, Harness, Tally};
+    use crate::pool::SubmitError;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Deterministic test model: echoes a line number derived from case + seed, and
@@ -468,20 +453,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn owned_service_reports_queue_and_batch_metrics() {
-        let model = Arc::new(CountingModel::new());
-        let config = ServiceConfig::default().with_workers(1).with_seed(9);
-        let service = RepairService::start(model, config);
-        let outcomes = service.solve_all((0..10).map(request).collect());
-        assert!(outcomes.iter().all(|o| o.worker == 0));
-        let metrics = service.shutdown();
-        assert_eq!(metrics.workers, 1);
-        assert_eq!(metrics.completed, 10);
-        assert!(metrics.mean_batch_size >= 1.0);
-        assert!(metrics.throughput_per_sec > 0.0);
-    }
-
     /// [`CountingModel`] that records the thread of every `solve`.
     struct ThreadRecordingModel {
         inner: CountingModel,
@@ -502,12 +473,18 @@ mod tests {
         }
     }
 
+    impl ThreadRecordingModel {
+        fn new() -> Self {
+            Self {
+                inner: CountingModel::new(),
+                threads: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+    }
+
     #[test]
     fn a_scoped_service_solves_on_the_submitting_thread() {
-        let model = ThreadRecordingModel {
-            inner: CountingModel::new(),
-            threads: std::sync::Mutex::new(Vec::new()),
-        };
+        let model = ThreadRecordingModel::new();
         let config = ServiceConfig::default().with_workers(4);
         let outcomes = serve_scoped(&model, config, |service| {
             service.solve_all((0..12).map(request).collect())
@@ -520,9 +497,30 @@ mod tests {
         assert!(threads.iter().all(|&id| id == std::thread::current().id()));
     }
 
+    #[test]
+    fn an_owned_service_solves_on_the_submitting_thread() {
+        let model = Arc::new(ThreadRecordingModel::new());
+        let config = ServiceConfig::default().with_workers(4);
+        let service = RepairService::start(Arc::clone(&model), config);
+        let submitter = std::thread::scope(|scope| {
+            let other = scope.spawn(|| {
+                service.solve_all((0..12).map(request).collect());
+                std::thread::current().id()
+            });
+            other.join().unwrap()
+        });
+        let outcomes = service.solve_all((12..24).map(request).collect());
+        assert!(outcomes.iter().all(|o| o.responses.len() == 4));
+        assert_eq!(service.shutdown().completed, 24);
+        let threads = model.threads.lock().unwrap().clone();
+        assert_eq!(threads.len(), 24);
+        assert_eq!(threads[..12], [submitter; 12]);
+        assert_eq!(threads[12..], [std::thread::current().id(); 12]);
+    }
+
     /// [`CountingModel`] behind a gate the test opens: while it is shut every
-    /// worker blocks inside `solve`, so nothing completes and in-flight counts
-    /// are exact.
+    /// submitter blocks inside `solve`, so nothing completes and in-flight
+    /// counts are exact.
     struct GatedModel {
         open: std::sync::Mutex<bool>,
         opened: std::sync::Condvar,
@@ -550,21 +548,29 @@ mod tests {
         });
         let config = ServiceConfig::default().with_workers(2);
         let service = RepairService::start(Arc::clone(&model), config.with_max_in_flight(64));
-        // Gate shut: nothing completes, so exactly the first 64 of 96
-        // submissions are admitted and the other 32 are shed.
-        let submits: Vec<_> = (0..96).map(|tag| service.submit(request(tag))).collect();
-        let busy = submits[64..].iter().map(|submit| submit.as_ref().err());
-        assert!(busy.into_iter().all(|err| err == Some(&SubmitError::Busy)));
-        let admitted: Vec<RepairTicket> =
-            submits.into_iter().take(64).map(Result::unwrap).collect();
-        let metrics = service.metrics();
-        assert_eq!((metrics.shed_busy, metrics.in_flight_sessions), (32, 64));
+        std::thread::scope(|scope| {
+            // Gate shut: 64 submitters park inside `solve`, holding every
+            // slot, so exactly the 32 submissions after them are shed.
+            let parked: Vec<_> = (0..64)
+                .map(|tag| {
+                    let service = &service;
+                    scope.spawn(move || service.submit(request(tag)).map(|t| t.wait()))
+                })
+                .collect();
+            while service.metrics().in_flight_sessions < 64 {
+                std::thread::yield_now();
+            }
+            let shed = (64..96).map(|tag| service.submit(request(tag)).err());
+            assert!(shed.into_iter().all(|err| err == Some(SubmitError::Busy)));
+            let metrics = service.metrics();
+            assert_eq!((metrics.shed_busy, metrics.in_flight_sessions), (32, 64));
 
-        *model.open.lock().unwrap() = true;
-        model.opened.notify_all();
-        for ticket in admitted {
-            assert_eq!(ticket.wait().responses.len(), 4);
-        }
+            *model.open.lock().unwrap() = true;
+            model.opened.notify_all();
+            for submitter in parked {
+                assert_eq!(submitter.join().unwrap().unwrap().responses.len(), 4);
+            }
+        });
         let metrics = service.metrics();
         assert_eq!(metrics.in_flight_sessions, 0);
         assert_eq!((metrics.submitted, metrics.completed), (64, 64));
@@ -582,8 +588,6 @@ mod tests {
     impl Harness for RepairHarness {
         type Worker = Repair;
         type Backend = CountingModel;
-
-        const SERVING: &'static [Serving] = &[Serving::InPlace, Serving::Threads];
 
         fn pool(workers: usize, persist: Option<PersistSpec>) -> Pool<Repair> {
             Repair::pool(ServiceConfig {
@@ -629,11 +633,6 @@ mod tests {
     #[test]
     fn submit_after_close_is_refused() {
         contract::submit_after_close_is_refused::<RepairHarness>();
-    }
-
-    #[test]
-    fn a_submit_refused_at_close_returns_its_slot() {
-        contract::a_submit_refused_at_close_returns_its_slot::<RepairHarness>();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * **[`MetricsRegistry`]** — a process-wide (or per-fleet-shard) registry of
 //!   named metrics.  Registration is idempotent: the same hierarchical name
-//!   (`service.repair.queue_wait`, `verify.verdict.latency`,
+//!   (`service.repair.solve`, `verify.verdict.latency`,
 //!   `wire.frame.bytes`) always resolves to the same
 //!   [`Metric`], so every subsystem can pre-register its handles at pool
 //!   start and record with lock-free atomics on the hot path.
@@ -25,7 +25,7 @@
 //! * **[`MetricClass`]** — the same deterministic/volatile split the journal
 //!   uses.  *Deterministic* metrics derive only from request content (request
 //!   counts, verdict tallies), so their snapshot bytes are
-//!   identical at any worker/driver/shard count, warm or cold — pinned by
+//!   identical at any driver/shard count, warm or cold — pinned by
 //!   `tests/telemetry_determinism.rs` over
 //!   [`RegistrySnapshot::deterministic_only`].  *Volatile* metrics carry wall
 //!   clocks and cache temperature; they are the profiling signal.
@@ -89,7 +89,7 @@ impl MetricClass {
 pub enum MetricKind {
     /// Monotonic count of events.
     Counter,
-    /// A settable level (queue depth, in-flight sessions).
+    /// A settable level (cache entries, in-flight sessions).
     Gauge,
     /// Log-2-bucketed distribution with exact max (latencies, sizes).
     Histogram,
@@ -319,7 +319,7 @@ impl MetricsRegistry {
 /// and means are computed at render time via [`ratio`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricSnapshot {
-    /// Hierarchical metric name (`service.repair.queue_wait`).
+    /// Hierarchical metric name (`service.repair.solve`).
     pub name: String,
     /// Determinism class.
     pub class: MetricClass,
@@ -382,8 +382,8 @@ impl MetricSnapshot {
     fn merge_from(&mut self, other: &MetricSnapshot) {
         match self.kind {
             MetricKind::Counter | MetricKind::Gauge => {
-                // Gauges sum across shards: fleet queue depth is the sum of
-                // per-shard depths, not their max.
+                // Gauges sum across shards: the fleet's in-flight count is
+                // the sum of per-shard counts, not their max.
                 self.value = self.value.saturating_add(other.value);
             }
             MetricKind::Histogram => {

@@ -17,7 +17,7 @@
 //!
 //! Verdicts are pure functions of `(case, response, checker config)` — exactly the
 //! content hashed into the [`VerdictKey`] — so the pool introduces no nondeterminism:
-//! a job's verdict is the same whether it was computed on worker 0 or worker 7, on a
+//! a job's verdict is the same whether it was cached on shard 0 or shard 7, on a
 //! cold cache or a warm one.
 //!
 //! ## Panic absorption
@@ -45,11 +45,6 @@ pub struct VerifyConfig {
     /// Verdict-cache shards, clamped to at least 1.  Verdicts are judged on the
     /// submitting thread, so this sizes the shards and nothing else.
     pub workers: usize,
-    /// Bounded depth of each shard queue; unused by the in-place frontends.
-    pub shard_capacity: usize,
-    /// Maximum jobs a worker drains per wake-up; unused by the in-place
-    /// frontends.
-    pub max_batch: usize,
     /// Total verdict-cache entries across all shards.
     pub cache_capacity: usize,
     /// On-disk snapshot of the verdict cache: preloaded at start, written by
@@ -61,8 +56,8 @@ pub struct VerifyConfig {
     /// default, in which case each instrumented site costs one branch.
     pub tracer: TracerHandle,
     /// Telemetry registry the pool's latency histograms
-    /// (`verify.verdict.latency` / `verify.queue_wait`) record into; off by
-    /// default, in which case each instrumented site costs one branch.
+    /// (`verify.verdict.latency`) records into; off by default, in which case
+    /// each instrumented site costs one branch.
     pub telemetry: TelemetryHandle,
 }
 
@@ -73,8 +68,6 @@ impl Default for VerifyConfig {
     fn default() -> Self {
         Self {
             workers: env_verify_workers().unwrap_or(4),
-            shard_capacity: 128,
-            max_batch: 16,
             cache_capacity: 4096,
             persist: None,
             tracer: TracerHandle::off(),
@@ -169,10 +162,8 @@ pub struct VerdictOutcome {
     pub verdict: bool,
     /// Whether the answer came from the verdict cache.
     pub from_cache: bool,
-    /// Index of the worker (= shard) that served the job.
+    /// Index of the cache shard that served the job.
     pub worker: usize,
-    /// Time the job spent queued before a worker picked it up.
-    pub queue_wait: Duration,
     /// Cache lookup plus (on a miss) judge invocation time.
     pub service_time: Duration,
 }
@@ -201,8 +192,6 @@ impl<C: Send + Sync> Verify<C> {
     fn pool(config: VerifyConfig) -> Pool<Self> {
         let config = PoolConfig {
             workers: config.workers,
-            shard_capacity: config.shard_capacity,
-            max_batch: config.max_batch,
             cache_capacity: config.cache_capacity,
             max_in_flight: 0,
             persist: config.persist,
@@ -220,11 +209,7 @@ impl<C: Send + Sync> Worker for Verify<C> {
     type Metrics = VerifyMetrics;
 
     const POOL: &'static str = "verify";
-    const HISTOGRAMS: [Option<&'static str>; 3] = [
-        Some("verify.queue_wait"),
-        None,
-        Some("verify.verdict.latency"),
-    ];
+    const HISTOGRAMS: [Option<&'static str>; 2] = [None, Some("verify.verdict.latency")];
 
     fn key(request: &VerifyRequest<C>) -> VerdictKey {
         request.key
@@ -239,17 +224,13 @@ impl<C: Send + Sync> Worker for Verify<C> {
             verdict,
             from_cache: served.from_cache,
             worker: served.worker,
-            queue_wait: served.queue_wait,
             service_time: served.service_time,
         }
     }
 
     fn metrics(pool: &Pool<Self>) -> VerifyMetrics {
-        pool.recorder.snapshot_verify(
-            pool.config.workers,
-            pool.queue_depth(),
-            pool.cache_entries(),
-        )
+        pool.recorder
+            .snapshot_verify(pool.config.workers, pool.cache_entries())
     }
 
     fn computed(pool: &Pool<Self>, verdict: &bool) {
@@ -267,7 +248,7 @@ impl<C: Send + Sync, H: Deref> Bound<Verify<C>, H>
 where
     H::Target: ResponseJudge<C>,
 {
-    /// Submits a whole batch and waits for every verdict, preserving input order.
+    /// Judges a whole batch, preserving input order.
     pub fn judge_all(&self, requests: Vec<VerifyRequest<C>>) -> Vec<VerdictOutcome> {
         self.submit_all(requests)
     }
@@ -299,7 +280,7 @@ where
 mod tests {
     use super::*;
     use crate::cache::verdict_key;
-    use crate::pool::contract::{self, Harness, Serving, Tally};
+    use crate::pool::contract::{self, Harness, Tally};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A case whose verdict is "does the fixed line contain the case text?", plus an
@@ -427,8 +408,6 @@ mod tests {
         type Worker = Verify<String>;
         type Backend = dyn ResponseJudge<String> + Send + Sync;
 
-        const SERVING: &'static [Serving] = &[Serving::InPlace];
-
         fn pool(workers: usize, persist: Option<PersistSpec>) -> Pool<Verify<String>> {
             Verify::pool(VerifyConfig {
                 persist,
@@ -468,11 +447,6 @@ mod tests {
     #[test]
     fn submit_after_close_is_refused() {
         contract::submit_after_close_is_refused::<VerifyHarness>();
-    }
-
-    #[test]
-    fn a_submit_refused_at_close_returns_its_slot() {
-        contract::a_submit_refused_at_close_returns_its_slot::<VerifyHarness>();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! unblock from `read` and the whole server joins deterministically.
 
 use super::frame::{read_frame, write_frame, Frame, FrameError, WireOutcome, WIRE_FORMAT_VERSION};
-use crate::queue::SubmitError;
+use crate::pool::SubmitError;
 use crate::service::RepairService;
 use crate::sync::lock_recover;
 use crate::trace::{stage, TraceSpan};

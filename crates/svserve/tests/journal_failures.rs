@@ -134,24 +134,33 @@ fn shed_submissions_journal_one_shed_diagnostic_each() {
             .with_tracer(sink.handle()),
     );
 
-    // Gate shut: nothing completes, so exactly 4 of 10 submissions are
-    // admitted and the other 6 shed.
-    let mut tickets = Vec::new();
-    let mut shed = 0usize;
-    for tag in 0..10 {
-        match service.submit(request(tag)) {
-            Ok(ticket) => tickets.push(ticket),
-            Err(SubmitError::Busy) => shed += 1,
-            Err(SubmitError::Closed) => panic!("pool must be open"),
+    // Gate shut: four submitters park inside `solve`, holding every slot,
+    // so exactly the 6 submissions after them are shed.
+    let (admitted, shed) = std::thread::scope(|scope| {
+        let parked: Vec<_> = (0..4)
+            .map(|tag| {
+                let service = &service;
+                scope.spawn(move || service.submit(request(tag)).map(|t| t.wait()))
+            })
+            .collect();
+        while service.metrics().in_flight_sessions < 4 {
+            std::thread::yield_now();
         }
-    }
-    assert_eq!((tickets.len(), shed), (4, 6));
-    let metrics = service.metrics();
-    assert_eq!((metrics.in_flight_sessions, metrics.shed_busy), (4, 6));
-    gate.open();
-    for ticket in tickets {
-        ticket.wait();
-    }
+        let mut shed = 0usize;
+        for tag in 4..10 {
+            match service.submit(request(tag)) {
+                Ok(_) => panic!("admitted past the in-flight limit"),
+                Err(SubmitError::Busy) => shed += 1,
+                Err(SubmitError::Closed) => panic!("pool must be open"),
+            }
+        }
+        let metrics = service.metrics();
+        assert_eq!((metrics.in_flight_sessions, metrics.shed_busy), (4, 6));
+        gate.open();
+        let served = parked.into_iter().map(|p| p.join().unwrap());
+        (served.filter(Result::is_ok).count(), shed)
+    });
+    assert_eq!((admitted, shed), (4, 6));
 
     let records = sink.drain_sorted();
     let sheds = records

@@ -306,34 +306,124 @@ fn busy_over_the_wire_is_shed_and_journaled_like_a_local_shed() {
     ])
     .with_tracer(sink.handle());
 
-    // Fill the only admission slot directly (the gate keeps it occupied)...
-    let parked = service.submit(request(0)).expect("admitted");
-    // ...so the wire submission is shed deterministically.
-    let shed = fleet.submit(&request(1));
-    assert_eq!(
-        shed,
-        Err(WireError::Busy),
-        "admission shed crosses the wire"
-    );
-    let metrics = fleet.metrics();
-    assert_eq!(metrics.shed_busy, 1, "the shed is counted in fleet metrics");
-    assert_eq!(metrics.wire_errors, 0, "busy is a shed, not a wire failure");
+    std::thread::scope(|scope| {
+        // Fill the only admission slot directly: a submitter parks inside the
+        // gated `solve`...
+        let parked = scope.spawn(|| service.submit(request(0)).map(|t| t.wait()));
+        while service.metrics().in_flight_sessions < 1 {
+            std::thread::yield_now();
+        }
+        // ...so the wire submission is shed deterministically.
+        let shed = fleet.submit(&request(1));
+        assert_eq!(
+            shed,
+            Err(WireError::Busy),
+            "admission shed crosses the wire"
+        );
+        let metrics = fleet.metrics();
+        assert_eq!(metrics.shed_busy, 1, "the shed is counted in fleet metrics");
+        assert_eq!(metrics.wire_errors, 0, "busy is a shed, not a wire failure");
 
-    // And journaled exactly like a local pool shed, under the "wire" pool.
-    let records = sink.drain_sorted();
-    let key = request(1).key().fold64();
-    assert!(
-        records.iter().any(|record| {
-            record.session == key
-                && matches!(&record.event, JournalEvent::Shed { pool } if pool == "wire")
-        }),
-        "a wire shed must journal as Shed{{pool: \"wire\"}} keyed by content hash"
-    );
+        // And journaled exactly like a local pool shed, under the "wire" pool.
+        let records = sink.drain_sorted();
+        let key = request(1).key().fold64();
+        assert!(
+            records.iter().any(|record| {
+                record.session == key
+                    && matches!(&record.event, JournalEvent::Shed { pool } if pool == "wire")
+            }),
+            "a wire shed must journal as Shed{{pool: \"wire\"}} keyed by content hash"
+        );
 
-    gate.open();
-    parked.wait();
+        gate.open();
+        assert!(
+            parked.join().unwrap().is_ok(),
+            "the parked submit is served"
+        );
+    });
     drop(fleet);
     Arc::try_unwrap(service)
+        .ok()
+        .expect("sole owner")
+        .shutdown();
+}
+
+/// Two socket clients of one shard: each connection's submits run on its own
+/// server thread, so while the first is inside the gated model holding the
+/// only admission slot, the second is shed with `Busy` — and once the gate
+/// opens both connections serve what direct submission serves.
+#[test]
+fn a_second_socket_client_is_shed_while_the_first_is_inside_the_model() {
+    let gate = Gate::new();
+    let service = Arc::new(RepairService::start(
+        Arc::new(GatedModel {
+            gate: Arc::clone(&gate),
+        }),
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_seed(42)
+            .with_max_in_flight(1),
+    ));
+    let socket = socket_path("busy");
+    let server = ShardServer::bind(&socket, Arc::clone(&service), "gated").expect("bind");
+    let client = || {
+        RemoteShard::new(Box::new(
+            UnixTransport::connect(&socket, Some("gated"), Duration::from_secs(10))
+                .expect("connect"),
+        ))
+    };
+    let (first, second) = (client(), client());
+
+    let parked = std::thread::scope(|scope| {
+        let parked = scope.spawn(|| first.submit(&request(0)));
+        while service.metrics().in_flight_sessions < 1 {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            second.submit(&request(1)),
+            Err(WireError::Busy),
+            "the only slot is held by the first client"
+        );
+        gate.open();
+        parked.join().unwrap().expect("the parked submit is served")
+    });
+    let reference = echo_service();
+    let direct = |tag| {
+        (*reference
+            .submit(request(tag))
+            .expect("open")
+            .wait()
+            .responses)
+            .clone()
+    };
+    assert_eq!(parked.responses, direct(0));
+    for tag in 1..4 {
+        assert_eq!(
+            first.submit(&request(tag)).expect("served").responses,
+            direct(tag)
+        );
+        let again = second.submit(&request(tag)).expect("served");
+        assert!(
+            again.from_cache,
+            "the second client sees the first's answer"
+        );
+        assert_eq!(again.responses, direct(tag));
+    }
+    let metrics = service.metrics();
+    assert_eq!((metrics.shed_busy, metrics.completed), (1, 7));
+    assert_eq!(
+        server.protocol_errors(),
+        0,
+        "a shed is not a protocol error"
+    );
+
+    drop((first, second));
+    server.shutdown();
+    Arc::try_unwrap(service)
+        .ok()
+        .expect("sole owner")
+        .shutdown();
+    Arc::try_unwrap(reference)
         .ok()
         .expect("sole owner")
         .shutdown();

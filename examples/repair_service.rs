@@ -4,15 +4,16 @@
 //!
 //! 1. **Throughput with metrics** — a mixed workload (machine-generated pipeline
 //!    cases, human-crafted cases, and duplicate resubmissions) runs through the
-//!    sharded worker pool, and the run ends with a [`svserve::ServiceMetrics`]
-//!    snapshot;
+//!    sharded service, solved on the submitting thread, and the run ends with a
+//!    [`svserve::ServiceMetrics`] snapshot;
 //! 2. **Determinism** — the same workload and seed produce byte-identical responses
-//!    with 1 worker and with 4 workers;
+//!    with 1 cache shard and with 4;
 //! 3. **Caching** — resubmitting an already-served case is answered from the
 //!    content-addressed cache without invoking the model again;
-//! 4. **Verification offload** — candidate verdicts run on a second sharded pool
-//!    (`svserve::verify`), pipelined with sampling inside `evaluate_model`, with a
-//!    content-addressed verdict cache that survives across evaluation runs;
+//! 4. **Verification pool** — candidate verdicts go through a second sharded pool
+//!    (`svserve::verify`), judged right after each case is sampled inside
+//!    `evaluate_model`, with a content-addressed verdict cache that survives
+//!    across evaluation runs;
 //! 5. **Cache persistence** — both caches spill to versioned on-disk snapshots and
 //!    preload at pool start, so a rebuilt service warm-starts from a previous one's
 //!    work (see also `examples/warm_start.rs` for the cross-process variant).
@@ -157,8 +158,8 @@ fn main() {
     let final_metrics = service.shutdown();
     assert_eq!(final_metrics.cache_hits, 1);
 
-    // 4: verification offload — verdicts run on their own pool, pipelined with
-    // sampling, deterministic at any worker count, and cached across runs.
+    // 4: the verification pool — verdicts go through their own pool,
+    // deterministic at any shard count, and cached across runs.
     let cases: Vec<_> = assertsolver::human_crafted_cases()
         .into_iter()
         .take(4)
