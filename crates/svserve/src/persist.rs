@@ -223,8 +223,8 @@ pub struct ResponseEntry {
     /// Snapshot generation this entry was last useful in (warm-hit or computed);
     /// see [`SnapshotHeader::generation`].
     pub gen: u64,
-    /// The cached response set, in sampling order.
-    pub responses: Vec<Response>,
+    /// The cached response set, in sampling order (shared with the cache).
+    pub responses: Arc<Vec<Response>>,
 }
 
 /// On-disk form of a repair pool's response cache.
@@ -316,10 +316,10 @@ impl SnapshotFile for ResponseSnapshot {
     type Value = Arc<Vec<Response>>;
 
     fn pack(header: SnapshotHeader, entries: Vec<(String, Self::Value, u64)>) -> Self {
-        let entry = |(key, responses, gen): (String, Self::Value, u64)| ResponseEntry {
+        let entry = |(key, responses, gen)| ResponseEntry {
             key,
             gen,
-            responses: (*responses).clone(),
+            responses,
         };
         Self {
             header,
@@ -328,7 +328,7 @@ impl SnapshotFile for ResponseSnapshot {
     }
 
     fn unpack(self) -> (SnapshotHeader, Vec<(String, Self::Value, u64)>) {
-        let entry = |entry: ResponseEntry| (entry.key, Arc::new(entry.responses), entry.gen);
+        let entry = |entry: ResponseEntry| (entry.key, entry.responses, entry.gen);
         (self.header, self.entries.into_iter().map(entry).collect())
     }
 }
