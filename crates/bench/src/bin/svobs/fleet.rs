@@ -1,6 +1,6 @@
 //! `svobs stat` and `svobs top`: introspection of running `shard-serve`
-//! shards — cumulative since shard start (`stat`) and over the last few time
-//! windows (`top`).
+//! shards over the one `Stats` wire exchange — cumulative since shard start
+//! (`stat`) and poll to poll (`top`).
 //!
 //! Both connect with fingerprint `None`: introspection should work against
 //! any model, so the handshake's model check is skipped (unlike placement,
@@ -12,7 +12,6 @@ use crate::{Failure, Flags, Outcome};
 use std::time::{Duration, Instant};
 use svserve::{
     env_shard_sockets, ratio, FleetStats, MetricKind, MetricSnapshot, RegistrySnapshot, ShardFleet,
-    ShardWindow, WindowSnapshot,
 };
 
 /// The flags of `stat`, plus (when `watch`) the two only `top` takes.
@@ -130,13 +129,12 @@ fn render_rates(merged: &RegistrySnapshot) -> String {
     let (hits, misses) = (value("service.cache.hits"), value("service.cache.misses"));
     format!(
         "  cache: {:.1}% response hit rate ({hits}/{})\n  \
-         pressure: in flight {}, shed {}, panics {}, journal events {}\n",
+         pressure: in flight {}, shed {}, panics {}\n",
         100.0 * ratio(hits, hits + misses),
         hits + misses,
         value("service.in_flight"),
         value("service.shed_busy"),
         value("service.panics"),
-        value("service.journal.events"),
     )
 }
 
@@ -187,153 +185,135 @@ fn render_merged(merged: &RegistrySnapshot) -> String {
     out
 }
 
-/// `svobs top` — polls every shard with the `StatsWindow` wire exchange and
-/// renders a per-shard view of the last few time windows: event rate since
-/// the previous poll, submitted/completed/shed over the retained horizon,
-/// p50/p99/max service latency, and the in-flight gauge with its delta.
+/// `svobs top` — polls every shard with the `Stats` wire exchange and
+/// renders, per shard, the interval since that shard's previous answer
+/// ([`RegistrySnapshot::since`]): the event rate (submits, completions and
+/// sheds per second), submitted/completed/shed counts, p50/p99 model-solve
+/// latency over the interval's cache misses (`-` when it had none), the
+/// solve max since shard start, and the in-flight gauge with its delta.
 /// Unlike `stat`, it shows *recent* behaviour — a shard that was hot an hour
-/// ago but idle now reads as idle.
+/// ago but idle now reads as idle.  The first poll has no previous answer,
+/// so it shows the cumulative snapshot and `-` for the rate.
 ///
-/// A shard that fails the window exchange is reported with its error and
-/// counted as a wire error; the other shards still render.  `--once` prints
-/// a single poll and exits — the shape CI
-/// drives; `--json` prints one JSON object per poll instead of the table,
-/// suitable for scraping.
+/// A shard that fails the exchange is reported with its error and counted
+/// as a wire error; the other shards still render.  `--once` prints a single
+/// poll and exits — the shape CI drives; `--json` prints one JSON object per
+/// poll instead of the table, each live shard's interval snapshot in its
+/// canonical JSON exposition, suitable for scraping.
 pub fn top(flags: Flags) -> Outcome {
     let args = Args::parse(flags, true)?;
     // One fleet for the whole watch — connections persist across polls.
     let fleet = args.connect();
-    // The previous poll and when it was taken, for the delta columns.
-    let mut previous: Vec<ShardWindow> = Vec::new();
-    let mut last_poll: Option<Instant> = None;
+    // Each shard's previous answer and when it came.
+    let mut previous: Vec<Option<(RegistrySnapshot, Instant)>> = vec![None; fleet.shards()];
 
     loop {
-        let windows = fleet.fleet_windows();
-        let elapsed = last_poll.map(|at| at.elapsed());
-        last_poll = Some(Instant::now());
-
+        let stats = fleet.fleet_stats();
+        let polled = Instant::now();
+        let mut table = fleet_header(stats.live(), stats.shards.len());
+        table.push_str(&format!(
+            "{:>5}  {:>8}  {:>9}  {:>9}  {:>6}  {:>10}  {:>10}  {:>10}  {:>9}\n",
+            "shard",
+            "ev/s",
+            "submitted",
+            "completed",
+            "shed",
+            "p50_ns",
+            "p99_ns",
+            "max_ns",
+            "in_flight"
+        ));
+        let mut json = Vec::new();
+        for shard in &stats.shards {
+            let id = shard.shard;
+            match &shard.result {
+                Ok(snapshot) => {
+                    let last = &mut previous[id];
+                    let before = last.as_ref().map(|(before, at)| (before, polled - *at));
+                    let interval =
+                        before.map_or_else(|| snapshot.clone(), |(b, _)| snapshot.since(b));
+                    let stats = interval.render_json();
+                    json.push(format!("{{\"shard\":{id},\"ok\":true,\"stats\":{stats}}}"));
+                    table.push_str(&render_top_row(id, &interval, before));
+                    *last = Some((snapshot.clone(), polled));
+                }
+                Err(reason) => {
+                    let error = serde_json::to_string(reason).unwrap_or_else(|_| "\"?\"".into());
+                    json.push(format!("{{\"shard\":{id},\"ok\":false,\"error\":{error}}}"));
+                    table.push_str(&format!("{id:>5}  {}: {reason}\n", args.socket(id)));
+                }
+            }
+        }
         if args.json {
-            println!("{}", render_windows_json(&windows));
+            println!("{{\"shards\":[{}]}}", json.join(","));
         } else {
-            print!("{}", render_windows(&windows, &args, &previous, elapsed));
+            print!("{table}");
         }
 
         if args.once {
-            if windows.iter().all(|window| window.result.is_err()) {
+            if stats.live() == 0 {
                 return Err(Failure::Runtime(
-                    "no shard answered the window exchange".to_string(),
+                    "no shard answered the stats exchange".to_string(),
                 ));
             }
             return Ok(());
         }
-        previous = windows;
         std::thread::sleep(Duration::from_millis(args.interval_ms.max(1)));
     }
 }
 
-/// One machine-readable poll: shard liveness plus each live shard's window
-/// snapshot in its canonical JSON exposition.
-fn render_windows_json(windows: &[ShardWindow]) -> String {
-    let shards: Vec<String> = windows
-        .iter()
-        .map(|window| match &window.result {
-            Ok(snapshot) => format!(
-                "{{\"shard\":{},\"ok\":true,\"window\":{}}}",
-                window.shard,
-                snapshot.render_json()
-            ),
-            Err(reason) => format!(
-                "{{\"shard\":{},\"ok\":false,\"error\":{}}}",
-                window.shard,
-                serde_json::to_string(reason).unwrap_or_else(|_| "\"?\"".into())
-            ),
-        })
-        .collect();
-    format!("{{\"shards\":[{}]}}", shards.join(","))
-}
-
-fn render_windows(
-    windows: &[ShardWindow],
-    args: &Args,
-    previous: &[ShardWindow],
-    elapsed: Option<Duration>,
-) -> String {
-    let live = windows.iter().filter(|w| w.result.is_ok()).count();
-    let mut out = fleet_header(live, windows.len());
-    out.push_str(&format!(
-        "{:>5}  {:>8}  {:>9}  {:>9}  {:>6}  {:>10}  {:>10}  {:>10}  {:>9}\n",
-        "shard",
-        "ev/s",
-        "submitted",
-        "completed",
-        "shed",
-        "p50_ns",
-        "p99_ns",
-        "max_ns",
-        "in_flight"
-    ));
-    for window in windows {
-        match &window.result {
-            Ok(snapshot) => {
-                let before = previous
-                    .iter()
-                    .find(|before| before.shard == window.shard)
-                    .and_then(|before| before.result.as_ref().ok());
-                out.push_str(&render_shard_row(window.shard, snapshot, before, elapsed))
-            }
-            Err(reason) => out.push_str(&format!(
-                "{:>5}  {}: {reason}\n",
-                window.shard,
-                args.socket(window.shard)
-            )),
-        }
-    }
-    out
-}
-
-/// One live shard's row: poll-to-poll event rate, horizon totals, latency
-/// quantiles (bucket-granular, see `percentile_from_buckets`), and the
-/// in-flight gauge with its delta since the previous poll (`before`, when the
-/// shard answered it).
-fn render_shard_row(
+/// One live shard's row over `interval` (its snapshot since its previous
+/// answer, or the cumulative one when `before` is `None`); `before` is the
+/// previous answer and the time since it.  Latency quantiles are
+/// bucket-granular (see `percentile_from_buckets`).
+fn render_top_row(
     shard: usize,
-    snapshot: &WindowSnapshot,
-    before: Option<&WindowSnapshot>,
-    elapsed: Option<Duration>,
+    interval: &RegistrySnapshot,
+    before: Option<(&RegistrySnapshot, Duration)>,
 ) -> String {
-    let totals = snapshot.totals();
-    let rate = match (before, elapsed) {
-        (Some(before), Some(elapsed)) if elapsed.as_secs_f64() > 0.0 => format!(
+    let value = |snapshot: &RegistrySnapshot, name: &str| snapshot.get(name).map_or(0, |m| m.value);
+    let submitted = value(interval, "service.submitted");
+    let completed = value(interval, "service.completed");
+    let shed = value(interval, "service.shed_busy");
+    let rate = match before {
+        Some((_, elapsed)) if !elapsed.is_zero() => format!(
             "{:.1}",
-            snapshot.tick.saturating_sub(before.tick) as f64 / elapsed.as_secs_f64()
+            (submitted + completed + shed) as f64 / elapsed.as_secs_f64()
         ),
         _ => "-".to_string(),
     };
+    let solve = interval.get("service.repair.solve");
+    let quantile = |q| match solve {
+        Some(solve) if solve.count > 0 => solve.percentile(q).to_string(),
+        _ => "-".to_string(),
+    };
+    let in_flight = value(interval, "service.in_flight");
     let in_flight = match before {
-        Some(before) => {
-            let delta = snapshot.in_flight as i64 - before.in_flight as i64;
-            format!("{} ({delta:+})", snapshot.in_flight)
+        Some((before, _)) => {
+            let delta = in_flight as i64 - value(before, "service.in_flight") as i64;
+            format!("{in_flight} ({delta:+})")
         }
-        None => snapshot.in_flight.to_string(),
+        None => in_flight.to_string(),
     };
     format!(
         "{:>5}  {:>8}  {:>9}  {:>9}  {:>6}  {:>10}  {:>10}  {:>10}  {:>9}\n",
         shard,
         rate,
-        totals.submitted,
-        totals.completed,
-        totals.shed,
-        snapshot.percentile(0.50),
-        snapshot.percentile(0.99),
-        totals.max,
+        submitted,
+        completed,
+        shed,
+        quantile(0.50),
+        quantile(0.99),
+        solve.map_or("-".to_string(), |solve| solve.max.to_string()),
         in_flight,
     )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{render_rates, short_fingerprint};
-    use svserve::{MetricClass, RegistrySnapshot};
+    use super::{render_rates, render_top_row, short_fingerprint};
+    use std::time::Duration;
+    use svserve::{MetricClass, MetricsRegistry, RegistrySnapshot};
 
     #[test]
     fn rates_line_reads_the_repair_pool_series() {
@@ -344,7 +324,6 @@ mod tests {
             ("service.cache.misses", 1),
             ("service.shed_busy", 2),
             ("service.panics", 1),
-            ("service.journal.events", 7),
         ] {
             merged.upsert_counter(name, vol, value);
         }
@@ -352,13 +331,60 @@ mod tests {
         assert_eq!(
             render_rates(&merged),
             "  cache: 75.0% response hit rate (3/4)\n  \
-             pressure: in flight 5, shed 2, panics 1, journal events 7\n"
+             pressure: in flight 5, shed 2, panics 1\n"
         );
         assert_eq!(
             render_rates(&RegistrySnapshot::new()),
             "  cache: 0.0% response hit rate (0/0)\n  \
-             pressure: in flight 0, shed 0, panics 0, journal events 0\n",
+             pressure: in flight 0, shed 0, panics 0\n",
             "a fresh fleet renders zeros, not NaN"
+        );
+    }
+
+    #[test]
+    fn top_rows_read_the_interval_since_the_previous_answer() {
+        let registry = MetricsRegistry::new();
+        let vol = MetricClass::Volatile;
+        let (submitted, completed) = (
+            registry.counter("service.submitted", vol),
+            registry.counter("service.completed", vol),
+        );
+        let (shed, solve) = (
+            registry.counter("service.shed_busy", vol),
+            registry.histogram("service.repair.solve", vol),
+        );
+        let in_flight = registry.gauge("service.in_flight", vol);
+        submitted.add(5);
+        completed.add(5);
+        solve.observe(1_000_000);
+        let first = registry.snapshot();
+        let cells =
+            |row: String| -> Vec<String> { row.split_whitespace().map(str::to_string).collect() };
+        // The first answer: cumulative counts, no rate.
+        assert_eq!(
+            cells(render_top_row(0, &first, None)),
+            ["0", "-", "5", "5", "0", "1000000", "1000000", "1000000", "0"]
+        );
+
+        // Two seconds later: 3 submits, 2 completions (one miss), 1 shed.
+        submitted.add(3);
+        completed.add(2);
+        shed.inc();
+        solve.observe(100);
+        in_flight.set(1);
+        let interval = registry.snapshot().since(&first);
+        let row = render_top_row(0, &interval, Some((&first, Duration::from_secs(2))));
+        assert_eq!(
+            cells(row),
+            ["0", "3.0", "3", "2", "1", "127", "127", "1000000", "1", "(+1)"]
+        );
+
+        // An interval with no miss prints `-` for its quantiles.
+        let idle = registry.snapshot().since(&registry.snapshot());
+        let row = render_top_row(0, &idle, Some((&first, Duration::from_secs(1))));
+        assert_eq!(
+            cells(row),
+            ["0", "0.0", "0", "0", "0", "-", "-", "1000000", "1", "(+1)"]
         );
     }
 

@@ -16,6 +16,7 @@ use assertsolver::{
 };
 use svdata::distribution;
 use svmodel::{all_baselines, RepairModel};
+use svserve::SCALE_ENV;
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +30,7 @@ pub enum Scale {
 impl Scale {
     /// Reads the scale from `ASSERTSOLVER_SCALE` (`full` or `quick`, default quick).
     pub fn from_env() -> Self {
-        Self::from_raw(std::env::var("ASSERTSOLVER_SCALE").ok().as_deref())
+        Self::from_raw(std::env::var(SCALE_ENV).ok().as_deref())
     }
 
     /// Parses a raw scale value (case-insensitive, whitespace-trimmed).
@@ -45,7 +46,7 @@ impl Scale {
             Some(value) if value.eq_ignore_ascii_case("quick") => Scale::Quick,
             Some(value) => {
                 eprintln!(
-                    "warning: ASSERTSOLVER_SCALE={value:?} is not \"full\" or \"quick\"; using quick"
+                    "warning: {SCALE_ENV}={value:?} is not \"full\" or \"quick\"; using quick"
                 );
                 Scale::Quick
             }
@@ -327,7 +328,7 @@ mod tests {
 
     #[test]
     fn scale_from_env_defaults_to_quick() {
-        std::env::remove_var("ASSERTSOLVER_SCALE");
+        std::env::remove_var(SCALE_ENV);
         assert_eq!(Scale::from_env(), Scale::Quick);
     }
 

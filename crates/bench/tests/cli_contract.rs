@@ -6,6 +6,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use svserve::{DRIVERS_ENV, SHARD_SOCKETS_ENV};
 
 fn svobs(args: &[&str]) -> Output {
     svobs_with(args, &[])
@@ -14,7 +15,7 @@ fn svobs(args: &[&str]) -> Output {
 fn svobs_with(args: &[&str], envs: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_svobs"))
         .args(args)
-        .env_remove("ASSERTSOLVER_SHARD_SOCKETS")
+        .env_remove(SHARD_SOCKETS_ENV)
         .envs(envs.iter().copied())
         .output()
         .expect("run svobs")
@@ -174,7 +175,7 @@ fn record_reproduces_the_golden_journal_at_any_driver_count() {
     for drivers in ["1", "4"] {
         let out = format!("{}/drivers-{drivers}.jsonl", dir.display());
         let args = ["record", "--out", &out, "--seed", "9", "--limit", "6"];
-        let output = svobs_with(&args, &[("ASSERTSOLVER_DRIVERS", drivers)]);
+        let output = svobs_with(&args, &[(DRIVERS_ENV, drivers)]);
         assert!(output.status.success(), "record: {}", stderr(&output));
         let recorded = std::fs::read(&out).expect("read journal");
         assert!(

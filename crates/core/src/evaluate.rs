@@ -21,9 +21,9 @@ use svserve::stage as trace_stage;
 use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
     verdict_case_state, verdict_key_after, write_journal, CaseKey, CollapsedProfile, JournalHeader,
-    JournalSink, JournalSpec, MetricClass, PersistSpec, RepairRequest, ScopedService,
-    ServiceConfig, ServiceMetrics, ShardFleet, TelemetryHandle, TraceContext, TraceHandle,
-    TraceSpan, TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool,
+    JournalSink, MetricClass, PersistSpec, RepairRequest, ScopedService, ServiceConfig,
+    ServiceMetrics, ShardFleet, TelemetryHandle, TraceContext, TraceHandle, TraceSpan,
+    TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool,
     VerifyRequest, DEFAULT_COMPACT_AFTER_RUNS, JOURNAL_DIR_ENV, SHARD_SOCKETS_ENV,
 };
 use svverify::{CheckConfig, VerifyOracle};
@@ -478,19 +478,13 @@ impl EvalVerifier {
     /// Builds the verifier for the given protocol, preloading its verdict
     /// snapshot when a cache directory resolves.
     pub fn start(config: &EvalConfig) -> Self {
-        Self::start_instrumented(config, TracerHandle::off(), &TelemetryHandle::off())
+        Self::start_instrumented(config, &TelemetryHandle::off())
     }
 
-    /// Builds the verifier with both observability hooks installed: the
-    /// journal tracer (admit and cache/panic diagnostics land in the session
-    /// journal) and a telemetry registry (the pool records its
-    /// `verify.verdict.latency` histogram into it).
-    /// With both hooks off this is exactly [`EvalVerifier::start`].
-    pub fn start_instrumented(
-        config: &EvalConfig,
-        tracer: TracerHandle,
-        telemetry: &TelemetryHandle,
-    ) -> Self {
+    /// Builds the verifier recording into a telemetry registry (the pool
+    /// records its `verify.verdict.latency` histogram into it).  With
+    /// telemetry off this is exactly [`EvalVerifier::start`].
+    pub fn start_instrumented(config: &EvalConfig, telemetry: &TelemetryHandle) -> Self {
         let oracle = VerifyOracle::new(config.check.clone());
         let judge = move |entry: &SvaBugEntry, response: &Response| {
             response_is_correct(entry, response, &oracle)
@@ -498,10 +492,7 @@ impl EvalVerifier {
         Self {
             pool: VerifyPool::start(
                 Arc::new(judge),
-                config
-                    .verify_config()
-                    .with_tracer(tracer)
-                    .with_telemetry(telemetry.clone()),
+                config.verify_config().with_telemetry(telemetry.clone()),
             ),
             check_fingerprint: config.check.fingerprint(),
         }
@@ -758,9 +749,8 @@ pub fn evaluate_model_instrumented<M: RepairModel + Sync + ?Sized>(
 }
 
 /// [`Evaluation`] with a borrowed verifier and the observability handles:
-/// `tracer` is a journal tracer whose sink the caller drains (it sees the
-/// repair service and every judged case; the verifier journals to the
-/// tracer it was started with).
+/// `tracer` is a journal tracer whose sink the caller drains; it sees every
+/// judged case and nothing else.
 pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
@@ -783,8 +773,8 @@ pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
 /// content and verdicts are pure functions of `(case, response, CheckConfig)`,
 /// so it is identical at any worker/verify-worker/driver count, with warm or
 /// cold caches, in process or over a fleet.  A facility that is off costs one
-/// branch per instrumented site.  With the journal on, the repair service
-/// and every judged case journal into a fresh sink; tracing grows
+/// branch per instrumented site.  With the journal on, every judged case
+/// journals into a fresh sink; tracing grows
 /// one five-span tree per case (a `session` root over `submit` → `sample` →
 /// `verify` → `evaluate` laps that tile it), byte-identical in process and
 /// over a fleet ([`svserve::trace`]).
@@ -840,7 +830,7 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
     }
 
     /// Judges through `verifier` (one with a warm verdict cache, say) instead
-    /// of a fresh one; it keeps the tracer and telemetry it was started with.
+    /// of a fresh one; it keeps the telemetry it was started with.
     pub fn verifier(mut self, verifier: &'a EvalVerifier) -> Self {
         self.verifier = Some(verifier);
         self
@@ -886,16 +876,13 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             self.fleet.is_none() || self.journal.is_none(),
             "a fleet evaluation keeps no local journal"
         );
-        let sink = self
-            .journal
-            .map(|_| JournalSink::shared(JournalSpec::default()));
+        let sink = self.journal.map(|_| JournalSink::shared());
         let tracer = sink
             .as_ref()
             .map_or(self.tracer.clone(), JournalSink::handle);
         let mut stages = StageClock::start(&self.telemetry);
-        let owned = self.verifier.is_none().then(|| {
-            EvalVerifier::start_instrumented(self.config, tracer.clone(), &self.telemetry)
-        });
+        let owned = (self.verifier.is_none())
+            .then(|| EvalVerifier::start_instrumented(self.config, &self.telemetry));
         let verifier = self.verifier.or(owned.as_ref()).expect("a verifier");
         let (judged, _) = self.sample(verifier, &tracer, &mut stages);
         let evaluation = ModelEvaluation {
@@ -954,7 +941,6 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         }
         let service_config = (self.config)
             .service_config_with(|| self.identity())
-            .with_tracer(tracer.clone())
             .with_telemetry(self.telemetry.clone());
         serve_scoped(self.model, service_config, |service| {
             let judged = drive(Sampler::Local(service, tracer, &self.telemetry));

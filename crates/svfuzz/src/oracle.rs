@@ -17,8 +17,8 @@
 //!   (`assign` / `always`) must not change the bounded-check verdict or the
 //!   set of failing assertion names.
 //! * [`OracleKind::WireStats`] — source-derived stats-plane payloads
-//!   round-trip through their wire frames (`StatsReply`, `TraceReply`,
-//!   `StatsWindowReply`), and every deterministic corruption of the encoded
+//!   round-trip through their wire frames (`StatsReply`, `TraceReply`),
+//!   and every deterministic corruption of the encoded
 //!   bytes (flips, truncations, oversized declarations,
 //!   checksummed-but-mangled JSON) degrades to a decode error — never a
 //!   panic.
@@ -52,8 +52,8 @@ pub enum OracleKind {
     MutateClosure,
     /// Bounded-check verdict invariance under concurrent-item permutation.
     BmcPermutation,
-    /// Stats-plane wire-frame robustness (`StatsReply` / `TraceReply` /
-    /// `StatsWindowReply`): corrupt bytes never panic.
+    /// Stats-plane wire-frame robustness (`StatsReply` / `TraceReply`):
+    /// corrupt bytes never panic.
     WireStats,
     /// Compiled simulator and checker against the reference interpreter.
     SimDifferential,
@@ -295,8 +295,7 @@ fn bmc_permutation(source: &str) -> OracleOutcome {
 fn wire_stats(source: &str) -> OracleOutcome {
     use svmodel::CaseInput;
     use svserve::{
-        Frame, MetricClass, MetricsRegistry, RepairRequest, TelemetryWindows, TraceContext,
-        TraceSpan, WireOutcome,
+        Frame, MetricClass, MetricsRegistry, RepairRequest, TraceContext, TraceSpan, WireOutcome,
     };
 
     let seed = fnv64(source.as_bytes()) ^ 0x57A7;
@@ -336,17 +335,9 @@ fn wire_stats(source: &str) -> OracleOutcome {
         ));
     }
 
-    // A source-derived window ring (the `StatsWindowReply` payload).
-    let windows = TelemetryWindows::new(1 + seed % 16);
-    for byte in source.bytes().take(32) {
-        windows.record_submit();
-        windows.record_complete(seed ^ u64::from(byte));
-    }
-    windows.record_shed();
-
-    // Every stats-plane reply frame — cumulative registry, trace tree, time
-    // window — faces the same corruption battery: a corrupt peer must always
-    // degrade to a counted decode error, never a panic.
+    // Every stats-plane reply frame — registry snapshot, trace tree — faces
+    // the same corruption battery: a corrupt peer must always degrade to a
+    // counted decode error, never a panic.
     let frames = [
         ("stats", Frame::StatsReply(registry.snapshot())),
         (
@@ -358,10 +349,6 @@ fn wire_stats(source: &str) -> OracleOutcome {
                 },
                 spans,
             },
-        ),
-        (
-            "stats window",
-            Frame::StatsWindowReply(windows.snapshot(seed % 5)),
         ),
     ];
     for (label, frame) in &frames {
@@ -382,7 +369,7 @@ fn wire_stats(source: &str) -> OracleOutcome {
 /// 4. a checksummed-but-mangled body — the shape a buggy (not malicious)
 ///    peer produces — decodes to an error or some other valid frame without
 ///    panicking, and the typed JSON parsers behind the stats plane
-///    (registry snapshot, window snapshot, trace forest) absorb the mangled
+///    (registry snapshot, trace forest) absorb the mangled
 ///    text without panicking too.
 fn frame_corruption_battery(
     frame: &svserve::Frame,
@@ -480,12 +467,9 @@ fn frame_corruption_battery(
         if let Ok(text) = std::str::from_utf8(&mangled) {
             let owned = text.to_string();
             type TextParser = fn(&str);
-            let parsers: [(&str, TextParser); 3] = [
+            let parsers: [(&str, TextParser); 2] = [
                 ("registry snapshot", |t| {
                     let _ = svserve::RegistrySnapshot::parse_json(t);
-                }),
-                ("window snapshot", |t| {
-                    let _ = svserve::WindowSnapshot::parse_json(t);
                 }),
                 ("trace forest", |t| {
                     let _ = svserve::TraceForest::parse_jsonl(t);

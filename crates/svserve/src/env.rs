@@ -1,12 +1,15 @@
-//! Every `ASSERTSOLVER_*` environment knob the serving layer reads, with its
-//! parser, in one place.
+//! Every `ASSERTSOLVER_*` environment knob the workspace reads, with its
+//! parser, in one place.  CI fails when an `"ASSERTSOLVER_…"` literal appears
+//! in any other source file: callers name these constants instead.
 //!
-//! Each knob is a named constant plus an `env_*` reader; the readers share
+//! Each knob is a named constant; all but [`SCALE_ENV`] (parsed by the
+//! experiment harness) have an `env_*` reader here, and the readers share
 //! three policies so no two knobs of one shape disagree on what a value means:
 //!
 //! * **directories** ([`path_knob`]) — trimmed; blank means unset;
-//! * **switches** — `1`/`on`/`true`/`yes` enable, `0`/`off`/`false`/`no` or
-//!   unset disable, anything else disables with a one-line warning;
+//! * **the switch** ([`env_trace`]) — `1`/`on`/`true`/`yes` enable,
+//!   `0`/`off`/`false`/`no` or unset disable, anything else disables with a
+//!   one-line warning;
 //! * **thread counts** — zero or garbage falls back to the default with a
 //!   warning, and huge values clamp to 512 instead of wedging the process in
 //!   thread spawns.
@@ -14,8 +17,11 @@
 //! Every reader is re-exported from the crate root, so callers name
 //! `svserve::env_cache_dir` rather than this module.
 
-use crate::telemetry::DEFAULT_WINDOW_WIDTH;
 use std::path::PathBuf;
+
+/// Environment variable selecting the experiment scale
+/// (`assertsolver_bench::Scale`): `quick` (the default) or `full`.
+pub const SCALE_ENV: &str = "ASSERTSOLVER_SCALE";
 
 /// Environment variable naming the cache directory `assertsolver::EvalConfig`
 /// persists to; when set, `evaluate_model` runs warm across process invocations.
@@ -45,15 +51,6 @@ pub const VERIFY_WORKERS_ENV: &str = "ASSERTSOLVER_VERIFY_WORKERS";
 /// Environment knob enabling tracing in `assertsolver::EvalConfig`-driven
 /// runs: `1`/`on`/`true`/`yes` enable, `0`/`off`/`false`/unset disable.
 pub const TRACE_ENV: &str = "ASSERTSOLVER_TRACE";
-
-/// Environment knob enabling telemetry in `assertsolver::EvalConfig` driven
-/// runs: `1`/`on`/`true`/`yes` enable, `0`/`off`/`false`/unset disable.
-pub const TELEMETRY_ENV: &str = "ASSERTSOLVER_TELEMETRY";
-
-/// Environment knob setting the time-window bucket width in logical ticks
-/// (one tick per recorded service event); invalid or zero values fall back to
-/// [`DEFAULT_WINDOW_WIDTH`] with a warning.
-pub const WINDOW_WIDTH_ENV: &str = "ASSERTSOLVER_WINDOW_WIDTH";
 
 /// Environment variable listing shard socket paths (comma-separated); when
 /// set, `assertsolver::evaluate_model` runs against the remote fleet instead
@@ -94,11 +91,10 @@ pub fn env_profile_dir() -> Option<PathBuf> {
     env_path(PROFILE_DIR_ENV)
 }
 
-/// Reads an on/off knob, warning (once per call) on unrecognized values
-/// instead of silently ignoring them; `what` names the facility in the
-/// warning.
-fn env_switch(name: &str, what: &str) -> bool {
-    let Ok(raw) = std::env::var(name) else {
+/// Reads [`TRACE_ENV`], warning (once per call) on unrecognized values
+/// instead of silently ignoring them.
+pub fn env_trace() -> bool {
+    let Ok(raw) = std::env::var(TRACE_ENV) else {
         return false;
     };
     let value = raw.trim();
@@ -109,20 +105,8 @@ fn env_switch(name: &str, what: &str) -> bool {
     if is(["1", "on", "true", "yes"]) {
         return true;
     }
-    eprintln!("warning: {name}={value:?} is not on/off; {what} stays off");
+    eprintln!("warning: {TRACE_ENV}={value:?} is not on/off; tracing stays off");
     false
-}
-
-/// Reads [`TRACE_ENV`], warning (once per call) on unrecognized values
-/// instead of silently ignoring them.
-pub fn env_trace() -> bool {
-    env_switch(TRACE_ENV, "tracing")
-}
-
-/// Reads [`TELEMETRY_ENV`], warning (once per call) on unrecognized values
-/// instead of silently ignoring them.
-pub fn env_telemetry() -> bool {
-    env_switch(TELEMETRY_ENV, "telemetry")
 }
 
 /// Outcome of parsing a thread-count knob from the environment.
@@ -183,28 +167,6 @@ pub fn env_drivers() -> Option<usize> {
 pub fn env_verify_workers() -> Option<usize> {
     let raw = std::env::var(VERIFY_WORKERS_ENV).ok()?;
     resolve_thread_knob(VERIFY_WORKERS_ENV, &raw)
-}
-
-/// Reads [`WINDOW_WIDTH_ENV`], clamping to at least 1 and warning on
-/// unparseable values instead of silently ignoring them.
-pub fn env_window_width() -> u64 {
-    let Ok(raw) = std::env::var(WINDOW_WIDTH_ENV) else {
-        return DEFAULT_WINDOW_WIDTH;
-    };
-    let value = raw.trim();
-    if value.is_empty() {
-        return DEFAULT_WINDOW_WIDTH;
-    }
-    match value.parse::<u64>() {
-        Ok(width) if width > 0 => width,
-        _ => {
-            eprintln!(
-                "warning: {WINDOW_WIDTH_ENV}={value:?} is not a positive tick count; \
-                 using {DEFAULT_WINDOW_WIDTH}"
-            );
-            DEFAULT_WINDOW_WIDTH
-        }
-    }
 }
 
 /// Reads the shard socket list from the environment, if set and non-empty.

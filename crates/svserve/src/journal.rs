@@ -8,22 +8,16 @@
 //! journal of an evaluation is a pure function of its inputs — the same
 //! determinism contract the caches and the verdict pool already honour.
 //!
-//! ## Event classes
+//! ## What is journaled
 //!
-//! Events split into two classes, and the split is what makes the artifact
-//! reproducible:
-//!
-//! * **Deterministic** events (session phases, verdict tallies, logical
-//!   timings, terminal outcomes) depend only on content.  A case's are a pure
-//!   function of three counts — samples drawn, distinct candidates, samples
-//!   judged correct — and [`TracerHandle::case`] journals all of them at once
-//!   when the case is judged.  They are serialized in every journal.
-//! * **Volatile** events (cache hit/miss, pool admit/shed, solve/judge panics)
-//!   depend on interleaving or cache temperature.
-//!   They are emitted through [`TracerHandle::diagnostic`], always counted in
-//!   the sink, but serialized only when [`JournalSpec::mode`] is
-//!   [`JournalMode::Full`] — a warm run and a cold run must render the same
-//!   default journal bytes.
+//! Every journaled event is **deterministic**: session phases, verdict
+//! tallies, logical timings and terminal outcomes depend only on content.  A
+//! case's events are a pure function of three counts — samples drawn,
+//! distinct candidates, samples judged correct — and [`TracerHandle::case`]
+//! journals all of them at once when the case is judged.  Events that depend
+//! on interleaving or cache temperature (admits, sheds, cache lookups,
+//! panics) are not journaled at all: the pool metrics count them, so a warm
+//! run and a cold run render the same journal bytes.
 //!
 //! ## Logical time
 //!
@@ -48,7 +42,7 @@ use crate::service::splitmix64;
 use crate::sync::lock_recover;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Journal file layout version (bumped on any incompatible change).
@@ -89,11 +83,8 @@ pub enum SessionEnd {
     Shed,
 }
 
-/// One typed journal event.
-///
-/// The first five variants are **deterministic** (serialized in every journal);
-/// the rest are **volatile** diagnostics (serialized only in
-/// [`JournalMode::Full`]).  See the module docs for why the classes exist.
+/// One typed journal event; every variant is deterministic (see the module
+/// docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JournalEvent {
     /// A session state transition (deterministic).
@@ -135,45 +126,6 @@ pub enum JournalEvent {
         /// How the session ended.
         outcome: SessionEnd,
     },
-    /// A pool admitted a submission (volatile: which submission sheds depends
-    /// on interleaving).
-    Admit {
-        /// Pool name, `"repair"` or `"verify"`.
-        pool: String,
-    },
-    /// A pool shed a submission with `SubmitError::Busy` (volatile).
-    Shed {
-        /// Pool name.
-        pool: String,
-    },
-    /// A cache lookup outcome (volatile: depends on cache temperature).
-    Cache {
-        /// Pool name.
-        pool: String,
-        /// Whether the lookup hit.
-        hit: bool,
-        /// Whether the hit came from a preloaded snapshot entry.
-        warm: bool,
-    },
-    /// A solver or judge invocation panicked and was absorbed (volatile).
-    Panic {
-        /// Pool name.
-        pool: String,
-    },
-    /// A scheduling span such as a task spawn (volatile).  Nothing emits it
-    /// any more; it stays so older full-mode journals still parse.
-    Span {
-        /// Span name.
-        name: String,
-        /// The parent span id in the trace tree ([`crate::trace`]), when the
-        /// emitter runs under a trace context; `None` for an unlinked span.
-        ///
-        /// Versioned for back-compat: journals written before the field
-        /// existed omit it, and the vendored serde treats a missing struct
-        /// field holding an `Option` as `None` — old replay artifacts keep
-        /// parsing unchanged.
-        parent: Option<u64>,
-    },
 }
 
 /// One journaled record: the session it belongs to, its sequence number within
@@ -207,13 +159,13 @@ impl JournalRecord {
     }
 }
 
-/// A cheaply clonable, optional handle on a [`JournalSink`] — the form configs
-/// carry.
+/// A cheaply clonable, optional handle on a [`JournalSink`] — the form an
+/// evaluation carries.
 ///
 /// The default handle is **off**: every emit is one `Option` branch and
 /// nothing else, which is what keeps journaling free on untraced hot paths.
 /// Equality is identity (two handles are equal when they point at the same
-/// sink, or are both off), so configs that derive `PartialEq` keep working.
+/// sink, or are both off).
 #[derive(Clone, Default)]
 pub struct TracerHandle(Option<Arc<JournalSink>>);
 
@@ -264,13 +216,6 @@ impl TracerHandle {
         let records = seqs.zip(events.into_iter().chain([terminal]));
         sink.record(records.map(|(seq, event)| JournalRecord::new(session, seq, event)));
     }
-
-    /// Forwards a volatile diagnostic to the sink, if any.
-    pub fn diagnostic(&self, session: u64, event: JournalEvent) {
-        if let Some(sink) = &self.0 {
-            sink.diagnostic(session, event);
-        }
-    }
 }
 
 impl std::fmt::Debug for TracerHandle {
@@ -295,42 +240,11 @@ impl PartialEq for TracerHandle {
 
 impl Eq for TracerHandle {}
 
-/// Which event classes a [`JournalSink`] serializes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JournalMode {
-    /// Deterministic events only — the journal bytes are a pure function of
-    /// the evaluated content (the default).
-    #[default]
-    Deterministic,
-    /// Deterministic **and** volatile events — a diagnostics trace whose bytes
-    /// depend on interleaving and cache temperature.
-    Full,
-}
-
-/// Sink tuning: which event classes are serialized.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct JournalSpec {
-    /// Which event classes are serialized.
-    pub mode: JournalMode,
-}
-
-impl JournalSpec {
-    /// Returns the spec with the mode replaced.
-    pub fn with_mode(mut self, mode: JournalMode) -> Self {
-        self.mode = mode;
-        self
-    }
-}
-
 /// Counter snapshot of a [`JournalSink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalCounters {
-    /// Deterministic events recorded.
+    /// Events recorded.
     pub recorded: u64,
-    /// Volatile events recorded (only nonzero in [`JournalMode::Full`]).
-    pub diagnostics: u64,
-    /// Volatile events observed but not serialized (deterministic mode).
-    pub suppressed: u64,
     /// Records currently buffered; zero after a drain.
     pub buffered: usize,
 }
@@ -339,31 +253,21 @@ pub struct JournalCounters {
 ///
 /// Install it on configs via [`JournalSink::handle`].  See the module docs for
 /// the buffering and drain contract.
+#[derive(Default)]
 pub struct JournalSink {
-    spec: JournalSpec,
     records: Mutex<Vec<JournalRecord>>,
-    diag_seq: AtomicU32,
     recorded: AtomicU64,
-    diagnostics: AtomicU64,
-    suppressed: AtomicU64,
 }
 
 impl JournalSink {
-    /// Builds a sink with the given spec.
-    pub fn new(spec: JournalSpec) -> Self {
-        Self {
-            spec,
-            records: Mutex::new(Vec::new()),
-            diag_seq: AtomicU32::new(0),
-            recorded: AtomicU64::new(0),
-            diagnostics: AtomicU64::new(0),
-            suppressed: AtomicU64::new(0),
-        }
+    /// An empty sink.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// A shared sink with the given spec, ready to wrap in a handle.
-    pub fn shared(spec: JournalSpec) -> Arc<Self> {
-        Arc::new(Self::new(spec))
+    /// A shared empty sink, ready to wrap in a handle.
+    pub fn shared() -> Arc<Self> {
+        Arc::new(Self::new())
     }
 
     /// A [`TracerHandle`] pointing at this sink.
@@ -371,26 +275,13 @@ impl JournalSink {
         TracerHandle(Some(Arc::clone(self)))
     }
 
-    /// Appends deterministic records in one lock acquisition.
+    /// Appends records in one lock acquisition.
     fn record(&self, records: impl IntoIterator<Item = JournalRecord>) {
         let mut buffer = lock_recover(&self.records);
         let before = buffer.len();
         buffer.extend(records);
         let added = buffer.len() - before;
         self.recorded.fetch_add(added as u64, Ordering::Relaxed);
-    }
-
-    /// Records one volatile diagnostic for `session`, serialized only in
-    /// [`JournalMode::Full`]; its sequence number comes from the sink and
-    /// carries no determinism contract.
-    fn diagnostic(&self, session: u64, event: JournalEvent) {
-        if self.spec.mode == JournalMode::Full {
-            self.diagnostics.fetch_add(1, Ordering::Relaxed);
-            let seq = self.diag_seq.fetch_add(1, Ordering::Relaxed);
-            lock_recover(&self.records).push(JournalRecord::new(session, seq, event));
-        } else {
-            self.suppressed.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Takes every buffered record, sorted by `(session, seq, rendered bytes)`
@@ -405,8 +296,6 @@ impl JournalSink {
     pub fn counters(&self) -> JournalCounters {
         JournalCounters {
             recorded: self.recorded.load(Ordering::Relaxed),
-            diagnostics: self.diagnostics.load(Ordering::Relaxed),
-            suppressed: self.suppressed.load(Ordering::Relaxed),
             buffered: lock_recover(&self.records).len(),
         }
     }
@@ -563,7 +452,7 @@ mod tests {
     use super::*;
 
     fn sink() -> Arc<JournalSink> {
-        JournalSink::shared(JournalSpec::default())
+        JournalSink::shared()
     }
 
     #[test]
@@ -591,35 +480,7 @@ mod tests {
         let on = sink.handle();
         assert_ne!(on, TracerHandle::off());
         assert_eq!(on, on.clone(), "clones compare equal by identity");
-        assert_ne!(on, JournalSink::shared(JournalSpec::default()).handle());
-    }
-
-    #[test]
-    fn span_events_without_a_parent_field_still_parse() {
-        // Journals written before `Span.parent` existed omit the field; they
-        // must keep parsing as `parent: None` so old replay artifacts stay
-        // valid.  This line is the exact shape a pre-PR-10 journal carried.
-        let old_line = r#"{"session":7,"seq":0,"tick":1,"event":{"Span":{"name":"task-spawn"}}}"#;
-        let record: JournalRecord = serde_json::from_str(old_line).expect("old span line parses");
-        assert_eq!(
-            record.event,
-            JournalEvent::Span {
-                name: "task-spawn".to_string(),
-                parent: None,
-            }
-        );
-        // And the new shape round-trips with linkage intact.
-        let linked = JournalRecord::new(
-            7,
-            1,
-            JournalEvent::Span {
-                name: "sample".to_string(),
-                parent: Some(0xABCD),
-            },
-        );
-        let reparsed: JournalRecord =
-            serde_json::from_str(&linked.render()).expect("new span line parses");
-        assert_eq!(reparsed, linked);
+        assert_ne!(on, JournalSink::shared().handle());
     }
 
     #[test]
@@ -644,25 +505,6 @@ mod tests {
         sorted.sort();
         assert_eq!(keys, sorted, "drain must sort by (session, seq)");
         assert_eq!(sink.counters().buffered, 0, "drain empties the buffer");
-    }
-
-    #[test]
-    fn volatile_events_are_suppressed_unless_full_mode() {
-        let cache = || JournalEvent::Cache {
-            pool: "repair".to_string(),
-            hit: true,
-            warm: false,
-        };
-        let deterministic = sink();
-        deterministic.handle().diagnostic(7, cache());
-        let counters = deterministic.counters();
-        assert_eq!(counters.suppressed, 1);
-        assert_eq!(counters.buffered, 0);
-
-        let full = JournalSink::shared(JournalSpec::default().with_mode(JournalMode::Full));
-        full.handle().diagnostic(7, cache());
-        assert_eq!(full.counters().diagnostics, 1);
-        assert_eq!(full.drain_sorted().len(), 1);
     }
 
     #[test]

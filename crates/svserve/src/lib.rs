@@ -36,11 +36,12 @@
 //!   already served when `submit` returns.
 //! * **Structured session journal** — a typed-event observability layer
 //!   ([`journal`]): each judged case journals its phases, verdict tally and
-//!   terminal outcome in one call ([`TracerHandle::case`]), and the pools add
-//!   volatile diagnostics, into one sink with logical timestamps, rendered as a
-//!   checksummed JSONL artifact whose bytes are deterministic at any
-//!   driver/shard count — a replayable repro artifact, not just a log.  Off
-//!   by default; the hot path pays one branch.
+//!   terminal outcome in one call ([`TracerHandle::case`]) into one sink with
+//!   logical timestamps, rendered as a checksummed JSONL artifact whose bytes
+//!   are deterministic at any driver/shard count — a replayable repro
+//!   artifact, not just a log.  Off by default; the hot path pays one branch.
+//!   Pool events (admits, sheds, cache lookups, panics) are counted once, in
+//!   the pool metrics, and served over the wire by the `Stats` exchange.
 //! * **Distributed shard fabric** — a versioned, checksummed, length-capped
 //!   frame protocol ([`wire`]) with loopback and unix-socket transports, a
 //!   [`ShardFleet`] client placing requests by content hash (per-shard caches
@@ -88,14 +89,14 @@ pub use cache::{
     VerdictCaseState, VerdictKey,
 };
 pub use env::{
-    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_shard_sockets, env_telemetry,
-    env_trace, env_verify_workers, env_window_width, CACHE_DIR_ENV, DRIVERS_ENV, JOURNAL_DIR_ENV,
-    PROFILE_DIR_ENV, SHARD_SOCKETS_ENV, TELEMETRY_ENV, TRACE_ENV, WINDOW_WIDTH_ENV,
+    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_shard_sockets, env_trace,
+    env_verify_workers, CACHE_DIR_ENV, DRIVERS_ENV, JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SCALE_ENV,
+    SHARD_SOCKETS_ENV, TRACE_ENV,
 };
 pub use journal::{
     logical_tick, parse_journal, render_journal, write_journal, JournalCounters, JournalEvent,
-    JournalFooter, JournalHeader, JournalMode, JournalRecord, JournalSink, JournalSpec,
-    ParsedJournal, SessionEnd, TracerHandle, JOURNAL_FORMAT_VERSION, JOURNAL_KIND, TERMINAL_SEQ,
+    JournalFooter, JournalHeader, JournalRecord, JournalSink, ParsedJournal, SessionEnd,
+    TracerHandle, JOURNAL_FORMAT_VERSION, JOURNAL_KIND, TERMINAL_SEQ,
 };
 pub use metrics::{render_block, ServiceMetrics, VerifyMetrics};
 pub use persist::{
@@ -108,9 +109,7 @@ pub use service::{
 };
 pub use telemetry::{
     percentile_from_buckets, ratio, CollapsedProfile, Metric, MetricClass, MetricKind,
-    MetricSnapshot, MetricsRegistry, RegistrySnapshot, TelemetryHandle, TelemetryWindows,
-    WindowBucketSnapshot, WindowSnapshot, DEFAULT_WINDOW_WIDTH, HISTOGRAM_BUCKETS,
-    WINDOW_RING_BUCKETS,
+    MetricSnapshot, MetricsRegistry, RegistrySnapshot, TelemetryHandle, HISTOGRAM_BUCKETS,
 };
 pub use trace::{stage, TraceContext, TraceForest, TraceHandle, TraceSessionSummary, TraceSpan};
 pub use verify::{
@@ -119,9 +118,8 @@ pub use verify::{
 };
 pub use wire::{
     decode_frame, encode_frame, read_frame, shard_for_key, write_frame, FleetMetrics, FleetStats,
-    Frame, FrameError, LoopbackTransport, RemoteShard, ShardAnswer, ShardFleet, ShardServer,
-    ShardStats, ShardWindow, Transport, UnixTransport, WireError, WireOutcome, MAX_FRAME_LEN,
-    WIRE_FORMAT_VERSION,
+    Frame, FrameError, LoopbackTransport, RemoteShard, ShardFleet, ShardServer, ShardStats,
+    Transport, UnixTransport, WireError, WireOutcome, MAX_FRAME_LEN, WIRE_FORMAT_VERSION,
 };
 
 #[cfg(test)]
@@ -147,7 +145,5 @@ mod tests {
         assert_send_sync::<super::TraceHandle>();
         assert_send_sync::<super::TraceSpan>();
         assert_send_sync::<super::TraceForest>();
-        assert_send_sync::<super::TelemetryWindows>();
-        assert_send_sync::<super::WindowSnapshot>();
     }
 }

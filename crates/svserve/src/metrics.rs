@@ -33,7 +33,6 @@ pub(crate) struct MetricsRecorder {
     in_flight: AtomicU64,
     peak_in_flight: AtomicU64,
     shed_busy: AtomicU64,
-    journal_events: AtomicU64,
     cache_lookup_ns: AtomicU64,
     solve_ns: AtomicU64,
 }
@@ -59,7 +58,6 @@ impl MetricsRecorder {
             in_flight: AtomicU64::new(0),
             peak_in_flight: AtomicU64::new(0),
             shed_busy: AtomicU64::new(0),
-            journal_events: AtomicU64::new(0),
             cache_lookup_ns: AtomicU64::new(0),
             solve_ns: AtomicU64::new(0),
         }
@@ -94,12 +92,6 @@ impl MetricsRecorder {
     /// Counts one request shed by admission control (`SubmitError::Busy`).
     pub(crate) fn record_shed(&self) {
         self.shed_busy.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one event this pool emitted to an installed journal sink; stays
-    /// zero while journaling is off.
-    pub(crate) fn record_journal_event(&self) {
-        self.journal_events.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_solve_panic(&self) {
@@ -195,7 +187,6 @@ impl MetricsRecorder {
             in_flight_sessions: self.in_flight.load(Ordering::Relaxed) as usize,
             peak_in_flight_sessions: self.peak_in_flight.load(Ordering::Relaxed) as usize,
             shed_busy: self.shed_busy.load(Ordering::Relaxed),
-            journal_events: self.journal_events.load(Ordering::Relaxed),
             cache_hits,
             cache_misses,
             cache_hit_rate: if cache_hits + cache_misses == 0 {
@@ -236,7 +227,6 @@ impl MetricsRecorder {
             in_flight_sessions: stage.in_flight_sessions,
             peak_in_flight_sessions: stage.peak_in_flight_sessions,
             shed_busy: stage.shed_busy,
-            journal_events: stage.journal_events,
             cache_hits: stage.cache_hits,
             cache_misses: stage.cache_misses,
             cache_entries,
@@ -266,7 +256,6 @@ impl MetricsRecorder {
             in_flight_sessions: stage.in_flight_sessions,
             peak_in_flight_sessions: stage.peak_in_flight_sessions,
             shed_busy: stage.shed_busy,
-            journal_events: stage.journal_events,
             cache_hits: stage.cache_hits,
             cache_misses: stage.cache_misses,
             cache_entries,
@@ -298,7 +287,6 @@ struct Stage {
     in_flight_sessions: usize,
     peak_in_flight_sessions: usize,
     shed_busy: u64,
-    journal_events: u64,
     cache_hits: u64,
     cache_misses: u64,
     cache_hit_rate: f64,
@@ -334,9 +322,6 @@ pub struct ServiceMetrics {
     /// Requests shed by admission control (`max_in_flight` reached); each one
     /// was rejected with `SubmitError::Busy` instead of served.
     pub shed_busy: u64,
-    /// Events this pool emitted to an installed journal sink (admits,
-    /// sheds, cache provenance, panics); zero while journaling is off.
-    pub journal_events: u64,
     /// Requests answered from the response cache.
     pub cache_hits: u64,
     /// Requests that required a model invocation.
@@ -397,9 +382,6 @@ pub struct VerifyMetrics {
     pub peak_in_flight_sessions: usize,
     /// Verdict jobs shed by admission control (0 unless a limit is configured).
     pub shed_busy: u64,
-    /// Events this pool emitted to an installed journal sink (admits,
-    /// cache provenance, judge panics); zero while journaling is off.
-    pub journal_events: u64,
     /// Verdicts answered from the verdict cache.
     pub cache_hits: u64,
     /// Verdicts that required running the judge.
@@ -512,10 +494,6 @@ impl VerifyMetrics {
                 ),
             ),
             (
-                "journal",
-                format!("{:>10} events emitted", self.journal_events),
-            ),
-            (
                 "cache lookup",
                 format!("{:>10.1} \u{b5}s mean", self.mean_cache_lookup_us),
             ),
@@ -559,11 +537,6 @@ impl ServiceMetrics {
         );
         out.upsert_counter(&format!("{prefix}.shed_busy"), vol, self.shed_busy);
         out.upsert_counter(&format!("{prefix}.panics"), vol, self.solve_panics);
-        out.upsert_counter(
-            &format!("{prefix}.journal.events"),
-            vol,
-            self.journal_events,
-        );
     }
 
     /// The aligned rows behind [`ServiceMetrics::render`].
@@ -607,10 +580,6 @@ impl ServiceMetrics {
                 ),
             ),
             ("solve panics", format!("{:>10}", self.solve_panics)),
-            (
-                "journal",
-                format!("{:>10} events emitted", self.journal_events),
-            ),
             (
                 "cache lookup",
                 format!("{:>10.1} \u{b5}s mean", self.mean_cache_lookup_us),

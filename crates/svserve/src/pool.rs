@@ -8,11 +8,11 @@
 //! ## What an instantiation provides
 //!
 //! A [`Worker`]: the request, outcome and metrics types; the snapshot file type
-//! (which fixes the cache key and value); the journal pool label and histogram
-//! names; how a request yields its content key; the value served when the work
-//! panics; and optional hooks (snapshot identity, a post-work tally, telemetry
-//! windows).  The work itself is [`Serve::work`], generic over the backend (a
-//! model, a judge) so that no pool type carries the backend's type.
+//! (which fixes the cache key and value); the histogram names; how a request
+//! yields its content key; the value served when the work panics; and
+//! optional hooks (snapshot identity, a post-work tally).  The work itself is
+//! [`Serve::work`], generic over the backend (a model, a judge) so that no
+//! pool type carries the backend's type.
 //!
 //! ## Where a job runs
 //!
@@ -39,11 +39,10 @@
 //! * **Lifecycle** — submitting after close is [`SubmitError::Closed`].
 
 use crate::cache::{ContentKey, LruCache};
-use crate::journal::{JournalEvent, TracerHandle};
 use crate::metrics::MetricsRecorder;
 use crate::persist::{self, PersistSpec, SnapshotFile, SnapshotLoad};
 use crate::sync::lock_recover;
-use crate::telemetry::{Metric, MetricClass, TelemetryHandle, TelemetryWindows};
+use crate::telemetry::{Metric, MetricClass, TelemetryHandle};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -66,11 +65,12 @@ pub enum SubmitError {
     Busy,
 }
 
+/// Worded for any pool: the same error refuses repair and verify submits.
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Closed => write!(f, "repair service is closed"),
-            SubmitError::Busy => write!(f, "repair service is at its in-flight limit (busy)"),
+            SubmitError::Closed => write!(f, "pool is closed"),
+            SubmitError::Busy => write!(f, "pool is at its in-flight limit (busy)"),
         }
     }
 }
@@ -98,8 +98,6 @@ pub trait Worker: Send + Sync + Sized {
     /// The metrics snapshot type.
     type Metrics;
 
-    /// Pool label on journal diagnostics.
-    const POOL: &'static str;
     /// Names of the cache-lookup and work latency histograms; `None` where
     /// the pool records none.
     const HISTOGRAMS: [Option<&'static str>; 2];
@@ -122,11 +120,6 @@ pub trait Worker: Send + Sync + Sized {
 
     /// Called with every freshly computed (not cached, not panicked) value.
     fn computed(_pool: &Pool<Self>, _value: &Value<Self>) {}
-
-    /// Time-windowed telemetry fed with submits, sheds and completions.
-    fn windows(&self) -> Option<&TelemetryWindows> {
-        None
-    }
 }
 
 /// The work of a pool, over backend `B` (a model, a judge).
@@ -142,7 +135,6 @@ pub(crate) struct PoolConfig {
     /// `0` = unbounded (the in-flight gauge still counts).
     pub(crate) max_in_flight: usize,
     pub(crate) persist: Option<PersistSpec>,
-    pub(crate) tracer: TracerHandle,
     pub(crate) telemetry: TelemetryHandle,
 }
 
@@ -278,15 +270,6 @@ impl<W: Worker> Pool<W> {
         (key.fold64() % self.caches.len() as u64) as usize
     }
 
-    /// Emits one journal diagnostic; one branch while journaling is off.
-    fn diagnostic(&self, key: Key<W>, event: impl FnOnce(String) -> JournalEvent) {
-        if self.config.tracer.is_on() {
-            self.recorder.record_journal_event();
-            let event = event(W::POOL.to_string());
-            self.config.tracer.diagnostic(key.fold64(), event);
-        }
-    }
-
     /// Admission: on success the in-flight slot has been reserved, and it is
     /// released when the job is served.  Returns the request's key.
     /// `max_in_flight = 0` admits without limit (the slot is still counted).
@@ -296,23 +279,10 @@ impl<W: Worker> Pool<W> {
         }
         if !self.recorder.try_admit(self.config.max_in_flight) {
             self.recorder.record_shed();
-            if let Some(windows) = self.worker.windows() {
-                windows.record_shed();
-            }
-            // The key is only needed for the diagnostic; don't hash the
-            // request content on the shed fast-path while journaling is off.
-            if self.config.tracer.is_on() {
-                self.diagnostic(W::key(request), |pool| JournalEvent::Shed { pool });
-            }
             return Err(SubmitError::Busy);
         }
-        let key = W::key(request);
-        self.diagnostic(key, |pool| JournalEvent::Admit { pool });
-        if let Some(windows) = self.worker.windows() {
-            windows.record_submit();
-        }
         self.recorder.record_submit();
-        Ok(key)
+        Ok(W::key(request))
     }
 
     /// Takes a metrics snapshot.
@@ -342,11 +312,6 @@ impl<W: Worker> Pool<W> {
         let service_start = Instant::now();
         let cached = lock_recover(&self.caches[shard]).get_tagged(key);
         let cache_lookup = service_start.elapsed();
-        self.diagnostic(key, |pool| JournalEvent::Cache {
-            pool,
-            hit: cached.is_some(),
-            warm: matches!(cached, Some((_, true))),
-        });
         let (value, work_time) = match cached {
             Some((value, warm)) => {
                 if warm {
@@ -371,7 +336,6 @@ impl<W: Worker> Pool<W> {
                     Err(_) => {
                         // Not cached: a retry should reach the backend again.
                         self.recorder.record_solve_panic();
-                        self.diagnostic(key, |pool| JournalEvent::Panic { pool });
                         W::failed()
                     }
                 };
@@ -385,14 +349,10 @@ impl<W: Worker> Pool<W> {
                 metric.observe_duration(lap);
             }
         }
-        let service_time = service_start.elapsed();
-        if let Some(windows) = self.worker.windows() {
-            windows.record_complete(service_time.as_nanos() as u64);
-        }
         let served = Served {
             from_cache: work_time.is_none(),
             worker: shard,
-            service_time,
+            service_time: service_start.elapsed(),
         };
         W::outcome(value, served)
     }
@@ -474,8 +434,14 @@ mod tests {
 
     #[test]
     fn submit_errors_display() {
-        assert!(SubmitError::Closed.to_string().contains("closed"));
-        assert!(SubmitError::Busy.to_string().contains("busy"));
+        for (error, word) in [(SubmitError::Closed, "closed"), (SubmitError::Busy, "busy")] {
+            let text = error.to_string();
+            assert!(text.contains(word), "{text:?}");
+            // One error refuses every pool's submits, so it names none.
+            for pool in ["repair", "verify", "service"] {
+                assert!(!text.contains(pool), "{text:?} names a pool");
+            }
+        }
     }
 }
 

@@ -3,8 +3,7 @@
 //! [`crate::pool`] owns admission, caching, panic absorption, snapshots and the
 //! frontend; this module says what is specific to repair ([`Repair`]): requests
 //! are `(case, samples, temperature)` keyed by [`case_key`], the work is one
-//! [`RepairModel::solve`] call, the value is the sampled response set, and the
-//! pool additionally feeds the time-windowed telemetry served over the wire.
+//! [`RepairModel::solve`] call, and the value is the sampled response set.
 //!
 //! Both frontends solve each request on the thread that submits it:
 //!
@@ -23,11 +22,10 @@
 //! responses — only the wall-clock changes.
 
 use crate::cache::{case_key, CaseKey};
-use crate::journal::TracerHandle;
 use crate::metrics::ServiceMetrics;
 use crate::persist::{PersistSpec, ResponseSnapshot};
 use crate::pool::{self, Bound, Pool, PoolConfig, Serve, Served, Worker};
-use crate::telemetry::{RegistrySnapshot, TelemetryHandle, TelemetryWindows, WindowSnapshot};
+use crate::telemetry::{RegistrySnapshot, TelemetryHandle};
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,9 +52,6 @@ pub struct ServiceConfig {
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
     /// and invalidation rules.
     pub persist: Option<PersistSpec>,
-    /// Journal tracer admit/shed and cache/panic diagnostics are emitted to;
-    /// off by default, in which case each instrumented site costs one branch.
-    pub tracer: TracerHandle,
     /// Telemetry registry the pool's latency histograms
     /// (`service.repair.cache_lookup` / `.solve`) record into;
     /// off by default, in which case each instrumented site costs one branch.
@@ -71,7 +66,6 @@ impl Default for ServiceConfig {
             seed: 0x0005_E127_AB1E,
             max_in_flight: 0,
             persist: None,
-            tracer: TracerHandle::off(),
             telemetry: TelemetryHandle::off(),
         }
     }
@@ -100,12 +94,6 @@ impl ServiceConfig {
     /// (`0` = unbounded).
     pub fn with_max_in_flight(mut self, max_in_flight: usize) -> Self {
         self.max_in_flight = max_in_flight;
-        self
-    }
-
-    /// Returns the config with the journal tracer replaced.
-    pub fn with_tracer(mut self, tracer: TracerHandle) -> Self {
-        self.tracer = tracer;
         self
     }
 
@@ -189,24 +177,17 @@ pub fn splitmix64(mut z: u64) -> u64 {
 pub struct Repair {
     /// Service seed mixed into every per-case sampler seed.
     seed: u64,
-    /// Time-windowed rates/latencies (the `StatsWindow` exchange); installed
-    /// with telemetry, `None` otherwise — the hot path pays one branch.
-    windows: Option<TelemetryWindows>,
 }
 
 impl Repair {
     /// Builds the (not yet running) pool a config describes.
     pub(crate) fn pool(config: ServiceConfig) -> Pool<Self> {
-        let worker = Self {
-            seed: config.seed,
-            windows: config.telemetry.is_on().then(TelemetryWindows::from_env),
-        };
+        let worker = Self { seed: config.seed };
         let config = PoolConfig {
             workers: config.workers,
             cache_capacity: config.cache_capacity,
             max_in_flight: config.max_in_flight,
             persist: config.persist,
-            tracer: config.tracer,
             telemetry: config.telemetry,
         };
         Pool::new(worker, config)
@@ -219,7 +200,6 @@ impl Worker for Repair {
     type Outcome = RepairOutcome;
     type Metrics = ServiceMetrics;
 
-    const POOL: &'static str = "repair";
     const HISTOGRAMS: [Option<&'static str>; 2] = [
         Some("service.repair.cache_lookup"),
         Some("service.repair.solve"),
@@ -257,10 +237,6 @@ impl Worker for Repair {
     fn extend_fingerprint(&self, fingerprint: &mut Vec<u8>) {
         fingerprint.extend_from_slice(&self.seed.to_le_bytes());
     }
-
-    fn windows(&self) -> Option<&TelemetryWindows> {
-        self.windows.as_ref()
-    }
 }
 
 impl<M: RepairModel + ?Sized> Serve<M> for Repair {
@@ -283,26 +259,16 @@ where
 }
 
 impl Pool<Repair> {
-    /// The introspection snapshot served over the wire (`Stats` exchange):
-    /// the exported [`ServiceMetrics`] under the `service.` prefix, merged
-    /// over the live telemetry registry (latency histograms, wire frame
-    /// sizes) when one is installed.  Works with telemetry off — the
-    /// counters and gauges come from the always-on metrics recorder.
+    /// The introspection snapshot served over the wire (`Stats` exchange),
+    /// the one live view of a shard (`svobs stat` merges it, `svobs top`
+    /// diffs it): the exported [`ServiceMetrics`] under the `service.`
+    /// prefix, merged over the live telemetry registry (latency histograms,
+    /// wire frame sizes) when one is installed.  Works with telemetry off —
+    /// the counters and gauges come from the always-on metrics recorder.
     pub fn stats_snapshot(&self) -> RegistrySnapshot {
         let mut out = self.config.telemetry.snapshot();
         self.metrics().export("service", &mut out);
         out
-    }
-
-    /// The time-windowed snapshot served over the wire (`StatsWindow`
-    /// exchange).  With telemetry off the windows are not maintained and
-    /// this returns an empty default — a counted degradation, never an
-    /// error, so `svtop` can poll a mixed fleet.
-    pub fn stats_window(&self) -> WindowSnapshot {
-        match self.worker.windows() {
-            Some(windows) => windows.snapshot(self.metrics().in_flight_sessions as u64),
-            None => WindowSnapshot::default(),
-        }
     }
 }
 

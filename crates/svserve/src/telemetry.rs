@@ -21,18 +21,20 @@
 //!   metric, sorted by name.  One snapshot/render/serialize path serves text
 //!   exposition ([`RegistrySnapshot::render_text`]), JSON exposition
 //!   ([`RegistrySnapshot::render_json`], round-tripped over the wire by the
-//!   `Stats` frame) and fleet-wide aggregation ([`RegistrySnapshot::merge`]).
-//! * **[`MetricClass`]** — the same deterministic/volatile split the journal
-//!   uses.  *Deterministic* metrics derive only from request content (request
-//!   counts, verdict tallies), so their snapshot bytes are
+//!   `Stats` frame), fleet-wide aggregation ([`RegistrySnapshot::merge`]) and
+//!   interval deltas between two polls ([`RegistrySnapshot::since`], what
+//!   `svobs top` renders).
+//! * **[`MetricClass`]** — which metrics join the byte-determinism contract
+//!   the journal keeps.  *Deterministic* metrics derive only from request
+//!   content (request counts, verdict tallies), so their snapshot bytes are
 //!   identical at any driver/shard count, warm or cold — pinned by
 //!   `tests/telemetry_determinism.rs` over
 //!   [`RegistrySnapshot::deterministic_only`].  *Volatile* metrics carry wall
 //!   clocks and cache temperature; they are the profiling signal.
 //! * **[`TelemetryHandle`]** — the off-by-default config handle (the
 //!   [`crate::TracerHandle`] recipe): every hot-path hook is one branch while
-//!   telemetry is off, and [`crate::env::TELEMETRY_ENV`]`=1` turns it on from the
-//!   environment.
+//!   telemetry is off.  Callers turn it on in code: `shard-serve` always does,
+//!   and an evaluation does when it is handed a registry.
 //! * **[`CollapsedProfile`]** — a flamegraph-compatible collapsed-stack
 //!   profile (`stack;frames value` lines) assembled from stage-timer
 //!   histograms; the `svprof` binary renders one for the evaluation pipeline.
@@ -43,7 +45,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::env::{env_telemetry, env_window_width};
 use crate::sync::lock_recover;
 
 /// Number of log-2 histogram buckets: bucket 0 holds zeros, bucket `i` holds
@@ -62,7 +63,7 @@ pub fn ratio(numerator: u64, denominator: u64) -> f64 {
 
 /// Whether a metric participates in the byte-determinism contract.
 ///
-/// Mirrors the journal's event split: deterministic metrics derive only from
+/// Deterministic metrics, like journal events, derive only from
 /// request content and are byte-identical at any worker/driver/shard count;
 /// volatile metrics carry wall clocks, cache temperature, or scheduling
 /// artifacts and are excluded from determinism comparisons.
@@ -125,7 +126,7 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     }
 }
 
-/// The shared quantile kernel over log-2 bucket counts: the inclusive upper
+/// The quantile kernel over log-2 bucket counts: the inclusive upper
 /// bound of the bucket where the cumulative count crosses
 /// `ceil(q * count)` (at least 1), clamped to the exact recorded `max`.
 ///
@@ -482,6 +483,38 @@ impl RegistrySnapshot {
         }
     }
 
+    /// What happened between `earlier` and this snapshot of the same
+    /// registry: counters and histogram `count`/`sum`/`buckets` subtract,
+    /// gauges and histogram `max` keep this snapshot's value (so a delta's
+    /// quantiles clamp to the max since start), and a name `earlier` lacks
+    /// passes through.  If any counter or histogram count fell, the
+    /// registry restarted in between and the whole of `self` is returned.
+    pub fn since(&self, earlier: &RegistrySnapshot) -> RegistrySnapshot {
+        let mut delta = self.clone();
+        for metric in &mut delta.metrics {
+            let Some(before) = earlier.get(&metric.name) else {
+                continue;
+            };
+            match metric.kind {
+                MetricKind::Gauge => {}
+                MetricKind::Counter if metric.value < before.value => return self.clone(),
+                MetricKind::Counter => metric.value -= before.value,
+                MetricKind::Histogram if metric.count < before.count => return self.clone(),
+                MetricKind::Histogram => {
+                    metric.count -= before.count;
+                    metric.sum = metric.sum.saturating_sub(before.sum);
+                    for (bucket, old) in metric.buckets.iter_mut().zip(&before.buckets) {
+                        *bucket = bucket.saturating_sub(*old);
+                    }
+                    while metric.buckets.last() == Some(&0) {
+                        metric.buckets.pop();
+                    }
+                }
+            }
+        }
+        delta
+    }
+
     /// The deterministic-class subset — the bytes the determinism tests
     /// compare across worker/driver/shard counts and transports.
     pub fn deterministic_only(&self) -> RegistrySnapshot {
@@ -533,16 +566,6 @@ impl TelemetryHandle {
     /// A handle recording into `registry`.
     pub fn new(registry: Arc<MetricsRegistry>) -> Self {
         Self(Some(registry))
-    }
-
-    /// A handle honoring [`crate::env::TELEMETRY_ENV`]: a fresh registry when the knob is
-    /// on, `off()` otherwise.
-    pub fn from_env() -> Self {
-        if env_telemetry() {
-            Self::new(Arc::new(MetricsRegistry::new()))
-        } else {
-            Self::off()
-        }
     }
 
     /// Whether telemetry is enabled.
@@ -674,217 +697,9 @@ impl CollapsedProfile {
     }
 }
 
-/// Default window bucket width in logical ticks.
-pub const DEFAULT_WINDOW_WIDTH: u64 = 64;
-
-/// How many window buckets the ring retains (the observable horizon is
-/// `WINDOW_RING_BUCKETS * width` ticks).
-pub const WINDOW_RING_BUCKETS: usize = 8;
-
-/// One bucket of a time window: event tallies plus a log-2 latency histogram
-/// covering `[start_tick, start_tick + width)` logical ticks.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct WindowBucketSnapshot {
-    /// First logical tick this bucket covers.
-    pub start_tick: u64,
-    /// Requests admitted during the bucket.
-    pub submitted: u64,
-    /// Requests completed during the bucket.
-    pub completed: u64,
-    /// Requests shed by admission control during the bucket.
-    pub shed: u64,
-    /// Latency observations recorded during the bucket.
-    pub count: u64,
-    /// Sum of latency observations (nanoseconds).
-    pub sum: u64,
-    /// Exact maximum latency observation (nanoseconds).
-    pub max: u64,
-    /// Log-2 latency bucket counts, trailing zeros trimmed.
-    pub buckets: Vec<u64>,
-}
-
-impl WindowBucketSnapshot {
-    fn observe(&mut self, value: u64) {
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.max = self.max.max(value);
-        let index = bucket_index(value);
-        if self.buckets.len() <= index {
-            self.buckets.resize(index + 1, 0);
-        }
-        self.buckets[index] += 1;
-    }
-
-    /// The `q`-quantile of this bucket's latency observations; same
-    /// bucket-granular error bound as [`percentile_from_buckets`].
-    pub fn percentile(&self, q: f64) -> u64 {
-        percentile_from_buckets(self.count, self.max, &self.buckets, q)
-    }
-}
-
-/// A point-in-time copy of the ring: the last [`WINDOW_RING_BUCKETS`] windows,
-/// oldest first, plus the live logical clock and in-flight gauge.
-///
-/// The window plane is a **volatile** surface: which bucket an event lands in
-/// depends on completion interleaving, and `wall_unix_ms` is a wall clock by
-/// definition — windows exist for live watching (`svtop`), never for
-/// byte-determinism comparisons (the deterministic registry subset serves
-/// those).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct WindowSnapshot {
-    /// Bucket width in logical ticks.
-    pub width: u64,
-    /// The logical clock at snapshot time (events recorded so far).
-    pub tick: u64,
-    /// Requests in flight at snapshot time.
-    pub in_flight: u64,
-    /// Wall-clock annotation (milliseconds since the unix epoch) — volatile,
-    /// for `svtop` rate estimation only.
-    pub wall_unix_ms: u64,
-    /// The retained buckets, oldest first; the last entry is still filling.
-    pub buckets: Vec<WindowBucketSnapshot>,
-}
-
-impl WindowSnapshot {
-    /// Folds every retained bucket into one summary bucket (rates and
-    /// percentiles over the whole observable horizon).
-    pub fn totals(&self) -> WindowBucketSnapshot {
-        let mut total = WindowBucketSnapshot::default();
-        for bucket in &self.buckets {
-            total.submitted += bucket.submitted;
-            total.completed += bucket.completed;
-            total.shed += bucket.shed;
-            total.count += bucket.count;
-            total.sum = total.sum.saturating_add(bucket.sum);
-            total.max = total.max.max(bucket.max);
-            if total.buckets.len() < bucket.buckets.len() {
-                total.buckets.resize(bucket.buckets.len(), 0);
-            }
-            for (index, count) in bucket.buckets.iter().enumerate() {
-                total.buckets[index] += count;
-            }
-        }
-        total
-    }
-
-    /// The `q`-quantile of latency over the whole retained horizon.
-    pub fn percentile(&self, q: f64) -> u64 {
-        let total = self.totals();
-        percentile_from_buckets(total.count, total.max, &total.buckets, q)
-    }
-
-    /// JSON exposition (the wire form of the `StatsWindowReply` frame).
-    pub fn render_json(&self) -> String {
-        serde_json::to_string(self).expect("window snapshots always serialize")
-    }
-
-    /// Parses the JSON exposition back.
-    pub fn parse_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|err| format!("malformed window snapshot: {err}"))
-    }
-}
-
-/// Fixed-width ring-buffer time windows over a service's logical clock.
-///
-/// Every recorded event advances the clock by one tick; buckets cover `width`
-/// ticks each and the ring retains the last [`WINDOW_RING_BUCKETS`] of them,
-/// so rates and percentiles exist *over time* instead of only cumulatively.
-/// Logical ticks (not wall clocks) drive bucket rotation, which keeps the
-/// window plane meaningful under replay and on machines with wildly different
-/// speeds; the wall clock appears only as the snapshot's volatile annotation.
-#[derive(Debug)]
-pub struct TelemetryWindows {
-    width: u64,
-    state: Mutex<WindowState>,
-}
-
-#[derive(Debug)]
-struct WindowState {
-    tick: u64,
-    ring: std::collections::VecDeque<WindowBucketSnapshot>,
-}
-
-impl TelemetryWindows {
-    /// A ring with `width` logical ticks per bucket (clamped to at least 1).
-    pub fn new(width: u64) -> Self {
-        let mut ring = std::collections::VecDeque::with_capacity(WINDOW_RING_BUCKETS);
-        ring.push_back(WindowBucketSnapshot::default());
-        Self {
-            width: width.max(1),
-            state: Mutex::new(WindowState { tick: 0, ring }),
-        }
-    }
-
-    /// A ring honoring [`crate::env::WINDOW_WIDTH_ENV`].
-    pub fn from_env() -> Self {
-        Self::new(env_window_width())
-    }
-
-    /// The bucket width in logical ticks.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    fn advance<'a>(&self, state: &'a mut WindowState) -> &'a mut WindowBucketSnapshot {
-        // The event lands at the *current* tick (so the first `width` events
-        // fill the first bucket exactly); the clock then advances past it.
-        let bucket_start = (state.tick / self.width) * self.width;
-        state.tick += 1;
-        let current_start = state.ring.back().map(|b| b.start_tick).unwrap_or(0);
-        if bucket_start > current_start {
-            state.ring.push_back(WindowBucketSnapshot {
-                start_tick: bucket_start,
-                ..WindowBucketSnapshot::default()
-            });
-            while state.ring.len() > WINDOW_RING_BUCKETS {
-                state.ring.pop_front();
-            }
-        }
-        state.ring.back_mut().expect("ring is never empty")
-    }
-
-    /// Records one admitted request.
-    pub fn record_submit(&self) {
-        let mut state = lock_recover(&self.state);
-        self.advance(&mut state).submitted += 1;
-    }
-
-    /// Records one completed request with its service latency (nanoseconds).
-    pub fn record_complete(&self, latency_ns: u64) {
-        let mut state = lock_recover(&self.state);
-        let bucket = self.advance(&mut state);
-        bucket.completed += 1;
-        bucket.observe(latency_ns);
-    }
-
-    /// Records one shed request.
-    pub fn record_shed(&self) {
-        let mut state = lock_recover(&self.state);
-        self.advance(&mut state).shed += 1;
-    }
-
-    /// A point-in-time copy of the ring; `in_flight` is the caller's live
-    /// gauge (the windows don't track it themselves).
-    pub fn snapshot(&self, in_flight: u64) -> WindowSnapshot {
-        let state = lock_recover(&self.state);
-        let wall_unix_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-            .unwrap_or(0);
-        WindowSnapshot {
-            width: self.width,
-            tick: state.tick,
-            in_flight,
-            wall_unix_ms,
-            buckets: state.ring.iter().cloned().collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{TELEMETRY_ENV, WINDOW_WIDTH_ENV};
 
     #[test]
     fn ratio_defines_zero_over_zero_as_zero() {
@@ -993,6 +808,77 @@ mod tests {
     }
 
     #[test]
+    fn since_subtracts_counters_and_buckets() {
+        let registry = MetricsRegistry::new();
+        let count = registry.counter("c", MetricClass::Deterministic);
+        let hist = registry.histogram("h", MetricClass::Volatile);
+        count.add(3);
+        hist.observe(5);
+        hist.observe(100);
+        let earlier = registry.snapshot();
+        count.add(4);
+        hist.observe(6);
+        let delta = registry.snapshot().since(&earlier);
+        assert_eq!(delta.get("c").unwrap().value, 4);
+        let h = delta.get("h").unwrap();
+        assert_eq!((h.count, h.sum, h.max), (1, 6, 100));
+        // 6 lands in bucket 3; 100's bucket (7) empties and is trimmed.
+        assert_eq!(h.buckets, [0, 0, 0, 1]);
+        // Nothing happened: every counter and bucket is zero.
+        let idle = registry.snapshot().since(&registry.snapshot());
+        assert_eq!(idle.get("c").unwrap().value, 0);
+        assert!(idle.get("h").unwrap().buckets.is_empty());
+    }
+
+    #[test]
+    fn since_percentiles_match_a_registry_that_saw_only_the_interval() {
+        let registry = MetricsRegistry::new();
+        let hist = registry.histogram("h", MetricClass::Volatile);
+        for value in [1u64, 2, 3, 40, 50] {
+            hist.observe(value);
+        }
+        let earlier = registry.snapshot();
+        let fresh = MetricsRegistry::new();
+        let only_later = fresh.histogram("h", MetricClass::Volatile);
+        for value in [70u64, 300, 900, 4_000, 4_096, 10_000] {
+            hist.observe(value);
+            only_later.observe(value);
+        }
+        let delta = registry.snapshot().since(&earlier);
+        let (delta, fresh) = (delta.get("h").unwrap(), fresh.snapshot());
+        let fresh = fresh.get("h").unwrap();
+        assert_eq!((delta.count, delta.sum), (fresh.count, fresh.sum));
+        for q in [0.0, 0.25, 0.50, 0.90, 0.99, 1.0] {
+            assert_eq!(delta.percentile(q), fresh.percentile(q), "q = {q}");
+        }
+    }
+
+    #[test]
+    fn since_keeps_gauges_and_passes_new_names_through() {
+        let registry = MetricsRegistry::new();
+        let gauge = registry.gauge("g", MetricClass::Volatile);
+        gauge.set(9);
+        let earlier = registry.snapshot();
+        gauge.set(4);
+        registry.counter("new", MetricClass::Volatile).add(2);
+        let delta = registry.snapshot().since(&earlier);
+        assert_eq!(delta.get("g").unwrap().value, 4, "a gauge is a level");
+        assert_eq!(delta.get("new").unwrap().value, 2);
+    }
+
+    #[test]
+    fn since_a_restart_is_the_later_snapshot() {
+        let before = MetricsRegistry::new();
+        before.counter("a", MetricClass::Volatile).add(10);
+        before.counter("b", MetricClass::Volatile).add(1);
+        let restarted = MetricsRegistry::new();
+        restarted.counter("a", MetricClass::Volatile).add(3);
+        restarted.counter("b", MetricClass::Volatile).add(5);
+        let later = restarted.snapshot();
+        assert_eq!(later.since(&before.snapshot()), later);
+    }
+
+    #[test]
     fn json_exposition_round_trips() {
         let registry = MetricsRegistry::new();
         registry.counter("a", MetricClass::Deterministic).add(7);
@@ -1040,25 +926,6 @@ mod tests {
         assert!(CollapsedProfile::parse("no-value-line\n").is_err());
         assert!(CollapsedProfile::parse("a;;b 5\n").is_err());
         assert!(CollapsedProfile::parse("a;b not_a_number\n").is_err());
-    }
-
-    #[test]
-    fn env_knob_parses_loosely_and_defaults_off() {
-        std::env::remove_var(TELEMETRY_ENV);
-        assert!(!env_telemetry());
-        std::env::set_var(TELEMETRY_ENV, "1");
-        assert!(env_telemetry());
-        std::env::set_var(TELEMETRY_ENV, " ON ");
-        assert!(env_telemetry());
-        std::env::set_var(TELEMETRY_ENV, "off");
-        assert!(!env_telemetry());
-        std::env::set_var(TELEMETRY_ENV, "maybe");
-        assert!(!env_telemetry());
-        std::env::remove_var(TELEMETRY_ENV);
-        assert!(TelemetryHandle::from_env() == TelemetryHandle::off());
-        std::env::set_var(TELEMETRY_ENV, "yes");
-        assert!(TelemetryHandle::from_env().is_on());
-        std::env::remove_var(TELEMETRY_ENV);
     }
 
     #[test]
@@ -1116,77 +983,5 @@ mod tests {
         // The exact anchors: zeros report exactly, the top reports the max.
         assert_eq!(percentile_from_buckets(0, 0, &[], 0.5), 0);
         assert_eq!(snap.percentile(1.0), snap.max);
-    }
-
-    #[test]
-    fn windows_rotate_by_logical_ticks_and_bound_the_ring() {
-        let windows = TelemetryWindows::new(4);
-        // 4 events per bucket; drive 10 buckets' worth so the ring wraps.
-        for _ in 0..(4 * (WINDOW_RING_BUCKETS as u64 + 2)) {
-            windows.record_submit();
-        }
-        let snap = windows.snapshot(3);
-        assert_eq!(snap.width, 4);
-        assert_eq!(snap.tick, 4 * (WINDOW_RING_BUCKETS as u64 + 2));
-        assert_eq!(snap.in_flight, 3);
-        assert!(snap.buckets.len() <= WINDOW_RING_BUCKETS);
-        // Buckets are contiguous, oldest first, each 4 ticks wide.
-        for pair in snap.buckets.windows(2) {
-            assert_eq!(pair[1].start_tick, pair[0].start_tick + 4);
-        }
-        // Every full bucket saw exactly `width` submissions.
-        let full: Vec<_> = snap
-            .buckets
-            .iter()
-            .filter(|b| b.start_tick + 4 <= snap.tick)
-            .collect();
-        assert!(full.iter().all(|b| b.submitted == 4));
-        assert_eq!(
-            snap.totals().submitted,
-            snap.buckets.iter().map(|b| b.submitted).sum()
-        );
-    }
-
-    #[test]
-    fn window_latency_percentiles_read_over_the_horizon() {
-        let windows = TelemetryWindows::new(8);
-        for i in 0..16u64 {
-            windows.record_submit();
-            windows.record_complete(if i < 15 { 100 } else { 1_000_000 });
-        }
-        windows.record_shed();
-        let snap = windows.snapshot(0);
-        let totals = snap.totals();
-        assert_eq!(totals.completed, 16);
-        assert_eq!(totals.shed, 1);
-        assert_eq!(totals.max, 1_000_000);
-        assert!(snap.percentile(0.50) >= 100);
-        assert!(snap.percentile(0.50) < 200, "p50 stays in the 100ns bucket");
-        assert_eq!(snap.percentile(1.0), 1_000_000);
-    }
-
-    #[test]
-    fn window_snapshot_json_round_trips() {
-        let windows = TelemetryWindows::new(2);
-        windows.record_submit();
-        windows.record_complete(12_345);
-        let snap = windows.snapshot(1);
-        let parsed = WindowSnapshot::parse_json(&snap.render_json()).expect("round trip");
-        assert_eq!(parsed, snap);
-        assert!(WindowSnapshot::parse_json("{nope").is_err());
-    }
-
-    #[test]
-    fn window_width_env_knob_clamps_and_warns() {
-        std::env::remove_var(WINDOW_WIDTH_ENV);
-        assert_eq!(env_window_width(), DEFAULT_WINDOW_WIDTH);
-        std::env::set_var(WINDOW_WIDTH_ENV, "16");
-        assert_eq!(env_window_width(), 16);
-        std::env::set_var(WINDOW_WIDTH_ENV, "0");
-        assert_eq!(env_window_width(), DEFAULT_WINDOW_WIDTH);
-        std::env::set_var(WINDOW_WIDTH_ENV, "lots");
-        assert_eq!(env_window_width(), DEFAULT_WINDOW_WIDTH);
-        std::env::remove_var(WINDOW_WIDTH_ENV);
-        assert_eq!(TelemetryWindows::from_env().width(), DEFAULT_WINDOW_WIDTH);
     }
 }

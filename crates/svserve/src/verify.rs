@@ -28,7 +28,6 @@
 
 use crate::cache::VerdictKey;
 use crate::env::env_verify_workers;
-use crate::journal::TracerHandle;
 use crate::metrics::VerifyMetrics;
 use crate::persist::{PersistSpec, VerdictSnapshot};
 use crate::pool::{self, Bound, Pool, PoolConfig, Serve, Served, Worker};
@@ -52,9 +51,6 @@ pub struct VerifyConfig {
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
     /// and invalidation rules.
     pub persist: Option<PersistSpec>,
-    /// Journal tracer admit and cache/panic diagnostics are emitted to; off by
-    /// default, in which case each instrumented site costs one branch.
-    pub tracer: TracerHandle,
     /// Telemetry registry the pool's latency histograms
     /// (`verify.verdict.latency`) records into; off by default, in which case
     /// each instrumented site costs one branch.
@@ -70,7 +66,6 @@ impl Default for VerifyConfig {
             workers: env_verify_workers().unwrap_or(4),
             cache_capacity: 4096,
             persist: None,
-            tracer: TracerHandle::off(),
             telemetry: TelemetryHandle::off(),
         }
     }
@@ -92,12 +87,6 @@ impl VerifyConfig {
     /// Returns the config with verdict-cache persistence enabled.
     pub fn with_persist(mut self, persist: PersistSpec) -> Self {
         self.persist = Some(persist);
-        self
-    }
-
-    /// Returns the config with the journal tracer replaced.
-    pub fn with_tracer(mut self, tracer: TracerHandle) -> Self {
-        self.tracer = tracer;
         self
     }
 
@@ -195,7 +184,6 @@ impl<C: Send + Sync> Verify<C> {
             cache_capacity: config.cache_capacity,
             max_in_flight: 0,
             persist: config.persist,
-            tracer: config.tracer,
             telemetry: config.telemetry,
         };
         Pool::new(Self(PhantomData), config)
@@ -208,7 +196,6 @@ impl<C: Send + Sync> Worker for Verify<C> {
     type Outcome = VerdictOutcome;
     type Metrics = VerifyMetrics;
 
-    const POOL: &'static str = "verify";
     const HISTOGRAMS: [Option<&'static str>; 2] = [None, Some("verify.verdict.latency")];
 
     fn key(request: &VerifyRequest<C>) -> VerdictKey {

@@ -20,7 +20,7 @@
 
 use crate::persist::fnv64;
 use crate::service::RepairRequest;
-use crate::telemetry::{RegistrySnapshot, WindowSnapshot};
+use crate::telemetry::RegistrySnapshot;
 use crate::trace::{TraceContext, TraceSpan};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
@@ -32,9 +32,10 @@ use svmodel::Response;
 ///
 /// Version 2 added the [`Frame::Stats`] / [`Frame::StatsReply`] introspection
 /// exchange.  Version 3 added distributed tracing
-/// ([`Frame::SubmitTraced`] / [`Frame::TraceReply`]) and windowed telemetry
-/// ([`Frame::StatsWindow`] / [`Frame::StatsWindowReply`]).
-pub const WIRE_FORMAT_VERSION: u32 = 3;
+/// ([`Frame::SubmitTraced`] / [`Frame::TraceReply`]) and a time-window
+/// telemetry exchange.  Version 4 removed the time-window exchange: `svobs
+/// top` diffs consecutive `StatsReply` snapshots instead.
+pub const WIRE_FORMAT_VERSION: u32 = 4;
 
 /// Hard cap on a frame body's declared length.  Larger declarations are
 /// rejected before allocation: a corrupt peer must never drive the process
@@ -96,12 +97,6 @@ pub enum Frame {
     /// form, merged with the live registry when the shard runs with telemetry
     /// on), shard → client.
     StatsReply(RegistrySnapshot),
-    /// Windowed-telemetry request, client → shard (v3+): ask for the
-    /// time-window ring instead of the cumulative registry.
-    StatsWindow,
-    /// The shard's window ring, shard → client (the reply to
-    /// [`Frame::StatsWindow`]).
-    StatsWindowReply(WindowSnapshot),
     /// The shard's service has shut down.
     Closed,
     /// Protocol-level failure (version mismatch, undecodable frame, …); the
@@ -284,13 +279,6 @@ mod tests {
         crate::trace::TraceContext::root(request().key(), 7)
     }
 
-    fn window_snapshot() -> crate::telemetry::WindowSnapshot {
-        let windows = crate::telemetry::TelemetryWindows::new(4);
-        windows.record_submit();
-        windows.record_complete(123_456);
-        windows.snapshot(1)
-    }
-
     #[test]
     fn every_frame_variant_round_trips() {
         let sample_response = Response {
@@ -331,9 +319,6 @@ mod tests {
             Frame::Stats,
             Frame::StatsReply(stats_snapshot()),
             Frame::StatsReply(RegistrySnapshot::new()),
-            Frame::StatsWindow,
-            Frame::StatsWindowReply(window_snapshot()),
-            Frame::StatsWindowReply(crate::telemetry::WindowSnapshot::default()),
             Frame::Closed,
             Frame::Err("boom".into()),
         ];

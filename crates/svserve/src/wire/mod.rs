@@ -12,7 +12,7 @@
 //! `TraceReply`, which adds the spans the shard recorded under the driver's
 //! trace context; `Stats` → `StatsReply`, the shard's live telemetry snapshot
 //! ([`crate::RegistrySnapshot`]) that [`ShardFleet::fleet_stats`] merges
-//! fleet-wide; `StatsWindow` → `StatsWindowReply`.  A submission may instead
+//! fleet-wide and `svobs top` diffs poll to poll.  A submission may instead
 //! be answered `Busy` or `Closed`, and any other frame `Err`, a counted
 //! protocol error.  One shard-side dispatcher answers every frame, for socket
 //! connections and [`LoopbackTransport`] alike.  The declared length is capped
@@ -36,9 +36,8 @@
 //! content and shard count, mirroring `assertsolver::ab_arm` — so per-shard
 //! caches stay disjoint and a [`ShardFleet`] evaluation is byte-identical to
 //! the in-process run at any shard count, warm or cold.  `Busy` survives the
-//! wire: the fleet maps it back to the same shed accounting
-//! ([`FleetMetrics::shed_busy`], `JournalEvent::Shed{pool:"wire"}`) a local
-//! pool uses.
+//! wire: the fleet counts it in [`FleetMetrics::shed_busy`], as a local pool
+//! counts its own sheds.
 
 mod frame;
 mod remote;
@@ -49,9 +48,6 @@ pub use frame::{
     decode_frame, encode_frame, read_frame, write_frame, Frame, FrameError, WireOutcome,
     MAX_FRAME_LEN, WIRE_FORMAT_VERSION,
 };
-pub use remote::{
-    shard_for_key, FleetMetrics, FleetStats, RemoteShard, ShardAnswer, ShardFleet, ShardStats,
-    ShardWindow,
-};
+pub use remote::{shard_for_key, FleetMetrics, FleetStats, RemoteShard, ShardFleet, ShardStats};
 pub use server::ShardServer;
 pub use transport::{LoopbackTransport, Transport, UnixTransport, WireError};

@@ -15,18 +15,17 @@
 //! Every failure is counted, never thrown across the fleet: a shard that
 //! refuses connection occupies a [`Dead`](ShardSlot) slot whose submissions
 //! fail fast; a [`WireError::Busy`] is tallied in
-//! [`FleetMetrics::shed_busy`] and journaled exactly like a local shed; a
-//! protocol failure poisons only that shard's slot.  The fleet itself never
+//! [`FleetMetrics::shed_busy`] exactly like a local shed; a protocol failure
+//! poisons only that shard's slot.  The fleet itself never
 //! panics or hangs on a sick peer.
 
 use super::frame::{Frame, WireOutcome};
 use super::transport::{Transport, UnixTransport, WireError};
 use crate::cache::CaseKey;
-use crate::journal::{JournalEvent, TracerHandle};
 use crate::metrics::render_block;
 use crate::service::{splitmix64, RepairRequest};
 use crate::sync::lock_recover;
-use crate::telemetry::{RegistrySnapshot, WindowSnapshot};
+use crate::telemetry::RegistrySnapshot;
 use crate::trace::{TraceContext, TraceSpan};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,15 +115,6 @@ impl RemoteShard {
         })
     }
 
-    /// Requests the shard's time-windowed telemetry (`StatsWindow`
-    /// exchange), blocking for the answer.
-    pub fn stats_window(&self) -> Result<WindowSnapshot, WireError> {
-        self.call(&Frame::StatsWindow, |reply| match reply {
-            Frame::StatsWindowReply(snapshot) => Ok(snapshot),
-            other => Err(other),
-        })
-    }
-
     /// One exchange under the shared discipline; `expect` takes the awaited
     /// reply apart and hands any other frame back for [`refusal`].
     fn call<T>(
@@ -174,14 +164,12 @@ struct FleetRecorder {
     remote_cache_hits: AtomicU64,
     shed_busy: AtomicU64,
     wire_errors: AtomicU64,
-    journal_events: AtomicU64,
 }
 
 /// A set of shards behind one submit surface, with content-hash placement.
 pub struct ShardFleet {
     slots: Vec<ShardSlot>,
     recorder: Arc<FleetRecorder>,
-    tracer: TracerHandle,
 }
 
 impl ShardFleet {
@@ -218,16 +206,7 @@ impl ShardFleet {
         Self {
             slots: slots.collect(),
             recorder: Arc::new(FleetRecorder::default()),
-            tracer: TracerHandle::off(),
         }
-    }
-
-    /// Returns the fleet with the journal tracer replaced; wire sheds are then
-    /// journaled exactly like local pool sheds
-    /// ([`JournalEvent::Shed`] with pool `"wire"`).
-    pub fn with_tracer(mut self, tracer: TracerHandle) -> Self {
-        self.tracer = tracer;
-        self
     }
 
     /// Number of shards (live + dead).
@@ -286,17 +265,6 @@ impl ShardFleet {
             }
             Err(WireError::Busy) => {
                 self.recorder.shed_busy.fetch_add(1, Ordering::Relaxed);
-                if self.tracer.is_on() {
-                    // Same lifecycle as a local shed (`Pool::begin_submit`):
-                    // the diagnostic keys on the request's content hash.
-                    self.recorder.journal_events.fetch_add(1, Ordering::Relaxed);
-                    self.tracer.diagnostic(
-                        request.key().fold64(),
-                        JournalEvent::Shed {
-                            pool: "wire".to_string(),
-                        },
-                    );
-                }
             }
             Err(WireError::Closed) | Err(WireError::Protocol(_)) => {
                 self.recorder.wire_errors.fetch_add(1, Ordering::Relaxed);
@@ -305,39 +273,23 @@ impl ShardFleet {
         result
     }
 
-    /// Asks every live shard for its telemetry snapshot and merges them into
-    /// one fleet-wide view (the `Stats` wire exchange per shard).
+    /// Asks every shard for its telemetry snapshot (the `Stats` wire
+    /// exchange), in shard order, and merges the answers into one
+    /// fleet-wide view.  `svobs stat` renders one poll; `svobs top` diffs
+    /// each shard's answer against its previous one.
     ///
-    /// A shard that fails the exchange contributes an error string instead of
-    /// a snapshot — and a counted wire error — so one sick peer never hides
-    /// the rest of the fleet's numbers.
+    /// A dead slot answers with why, and a failed exchange with its error —
+    /// a counted wire error — so one sick peer never hides the rest of the
+    /// fleet's numbers.
     pub fn fleet_stats(&self) -> FleetStats {
-        let shards = self.poll(RemoteShard::stats);
-        let mut merged = RegistrySnapshot::new();
-        for snapshot in shards.iter().filter_map(|shard| shard.result.as_ref().ok()) {
-            merged.merge(snapshot);
-        }
-        FleetStats { shards, merged }
-    }
-
-    /// Asks every shard for its time-windowed telemetry (`StatsWindow` per
-    /// shard), in shard order.  Failures degrade exactly as in
-    /// [`ShardFleet::fleet_stats`].  This is the poll `svobs top` runs on
-    /// every refresh.
-    pub fn fleet_windows(&self) -> Vec<ShardWindow> {
-        self.poll(RemoteShard::stats_window)
-    }
-
-    /// One answer per slot, in shard order: a dead slot answers with why,
-    /// and a failed exchange with its error, counted as a wire error.
-    fn poll<T>(&self, ask: impl Fn(&RemoteShard) -> Result<T, WireError>) -> Vec<ShardAnswer<T>> {
-        self.slots
+        let shards: Vec<ShardStats> = self
+            .slots
             .iter()
             .enumerate()
             .map(|(shard, slot)| {
                 let (fingerprint, result) = match slot {
                     ShardSlot::Connected(remote) => {
-                        let result = ask(remote).map_err(|err| {
+                        let result = remote.stats().map_err(|err| {
                             self.recorder.wire_errors.fetch_add(1, Ordering::Relaxed);
                             err.to_string()
                         });
@@ -348,13 +300,18 @@ impl ShardFleet {
                         Err(format!("shard {shard} is down: {reason}")),
                     ),
                 };
-                ShardAnswer {
+                ShardStats {
                     shard,
                     fingerprint,
                     result,
                 }
             })
-            .collect()
+            .collect();
+        let mut merged = RegistrySnapshot::new();
+        for snapshot in shards.iter().filter_map(|shard| shard.result.as_ref().ok()) {
+            merged.merge(snapshot);
+        }
+        FleetStats { shards, merged }
     }
 
     /// Takes a metrics snapshot.
@@ -371,7 +328,6 @@ impl ShardFleet {
             remote_cache_hits: self.recorder.remote_cache_hits.load(Ordering::Relaxed),
             shed_busy: self.recorder.shed_busy.load(Ordering::Relaxed),
             wire_errors: self.recorder.wire_errors.load(Ordering::Relaxed),
-            journal_events: self.recorder.journal_events.load(Ordering::Relaxed),
         }
     }
 }
@@ -393,8 +349,6 @@ pub struct FleetMetrics {
     pub shed_busy: u64,
     /// Requests that failed on the wire (dead shard, protocol error, closed).
     pub wire_errors: u64,
-    /// Diagnostics emitted to an installed tracer; zero while journaling is off.
-    pub journal_events: u64,
 }
 
 impl FleetMetrics {
@@ -415,10 +369,6 @@ impl FleetMetrics {
             ),
             ("shed busy", format!("{:>10}", self.shed_busy)),
             ("wire errors", format!("{:>10}", self.wire_errors)),
-            (
-                "journal",
-                format!("{:>10} events emitted", self.journal_events),
-            ),
         ]
     }
 
@@ -449,23 +399,16 @@ impl FleetStats {
     }
 }
 
-/// One shard's answer to a per-slot poll ([`ShardFleet::fleet_stats`],
-/// [`ShardFleet::fleet_windows`]).
+/// One shard's answer to the `Stats` exchange ([`ShardFleet::fleet_stats`]).
 #[derive(Debug, Clone)]
-pub struct ShardAnswer<T> {
+pub struct ShardStats {
     /// Fleet slot index (also the placement index).
     pub shard: usize,
     /// The shard's model fingerprint; empty for slots that never connected.
     pub fingerprint: String,
-    /// The answer, or why the exchange failed.
-    pub result: Result<T, String>,
+    /// The snapshot, or why the exchange failed.
+    pub result: Result<RegistrySnapshot, String>,
 }
-
-/// One shard's answer to the `Stats` exchange.
-pub type ShardStats = ShardAnswer<RegistrySnapshot>;
-
-/// One shard's answer to the `StatsWindow` exchange.
-pub type ShardWindow = ShardAnswer<WindowSnapshot>;
 
 #[cfg(test)]
 mod tests {

@@ -160,7 +160,6 @@ pub(crate) fn dispatch<M: RepairModel + Send + Sync + 'static>(
         Frame::Submit(request) => (request, None),
         Frame::SubmitTraced { request, context } => (request, Some(context)),
         Frame::Stats => return Frame::StatsReply(service.stats_snapshot()),
-        Frame::StatsWindow => return Frame::StatsWindowReply(service.stats_window()),
         other => return Frame::Err(format!("unexpected frame {other:?}")),
     };
     let started = Instant::now();
@@ -333,10 +332,6 @@ mod tests {
         assert!(matches!(
             dispatch(&service, Frame::Stats),
             Frame::StatsReply(_)
-        ));
-        assert!(matches!(
-            dispatch(&service, Frame::StatsWindow),
-            Frame::StatsWindowReply(_)
         ));
         stop(service);
     }

@@ -10,9 +10,9 @@ use std::time::Duration;
 use svmodel::{CaseInput, RepairModel, Response};
 use svserve::persist::PersistSpec;
 use svserve::{
-    read_frame, write_frame, Frame, JournalEvent, JournalMode, JournalSink, JournalSpec,
-    LoopbackTransport, RemoteShard, RepairRequest, RepairService, ServiceConfig, ShardFleet,
-    ShardServer, Transport, UnixTransport, WireError, WIRE_FORMAT_VERSION,
+    read_frame, write_frame, Frame, LoopbackTransport, RemoteShard, RepairRequest, RepairService,
+    ServiceConfig, ShardFleet, ShardServer, Transport, UnixTransport, WireError,
+    WIRE_FORMAT_VERSION,
 };
 
 /// Deterministic model: responses are a pure function of `(case, samples, seed)`,
@@ -289,7 +289,7 @@ fn fingerprint_mismatch_refuses_the_connection() {
 }
 
 #[test]
-fn busy_over_the_wire_is_shed_and_journaled_like_a_local_shed() {
+fn busy_over_the_wire_is_shed_and_counted_like_a_local_shed() {
     let gate = Gate::new();
     let service = Arc::new(RepairService::start(
         Arc::new(GatedModel {
@@ -299,12 +299,9 @@ fn busy_over_the_wire_is_shed_and_journaled_like_a_local_shed() {
             .with_workers(1)
             .with_max_in_flight(1),
     ));
-    // Full mode: sheds are volatile diagnostics, serialized only when asked.
-    let sink = JournalSink::shared(JournalSpec::default().with_mode(JournalMode::Full));
     let fleet = ShardFleet::new(vec![
         Box::new(LoopbackTransport::new(Arc::clone(&service), "gated")) as Box<dyn Transport>,
-    ])
-    .with_tracer(sink.handle());
+    ]);
 
     std::thread::scope(|scope| {
         // Fill the only admission slot directly: a submitter parks inside the
@@ -323,16 +320,10 @@ fn busy_over_the_wire_is_shed_and_journaled_like_a_local_shed() {
         let metrics = fleet.metrics();
         assert_eq!(metrics.shed_busy, 1, "the shed is counted in fleet metrics");
         assert_eq!(metrics.wire_errors, 0, "busy is a shed, not a wire failure");
-
-        // And journaled exactly like a local pool shed, under the "wire" pool.
-        let records = sink.drain_sorted();
-        let key = request(1).key().fold64();
-        assert!(
-            records.iter().any(|record| {
-                record.session == key
-                    && matches!(&record.event, JournalEvent::Shed { pool } if pool == "wire")
-            }),
-            "a wire shed must journal as Shed{{pool: \"wire\"}} keyed by content hash"
+        assert_eq!(
+            service.metrics().shed_busy,
+            1,
+            "and in the shard's own metrics"
         );
 
         gate.open();
@@ -424,6 +415,53 @@ fn a_second_socket_client_is_shed_while_the_first_is_inside_the_model() {
         .expect("sole owner")
         .shutdown();
     Arc::try_unwrap(reference)
+        .ok()
+        .expect("sole owner")
+        .shutdown();
+}
+
+/// `svobs top` reads a shard's counters from its `Stats` reply; they come
+/// from the always-on pool metrics, so a shard with telemetry off (the
+/// default config) serves them too.
+#[test]
+fn a_telemetry_off_shard_serves_the_counters_top_reads() {
+    let gate = Gate::new();
+    let service = Arc::new(RepairService::start(
+        Arc::new(GatedModel {
+            gate: Arc::clone(&gate),
+        }),
+        ServiceConfig::default().with_max_in_flight(1),
+    ));
+    let socket = socket_path("stats");
+    let server = ShardServer::bind(&socket, Arc::clone(&service), "gated").expect("bind");
+    let client = || {
+        RemoteShard::new(Box::new(
+            UnixTransport::connect(&socket, Some("gated"), Duration::from_secs(10))
+                .expect("connect"),
+        ))
+    };
+    let (first, second) = (client(), client());
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| first.submit(&request(0)));
+        while service.metrics().in_flight_sessions < 1 {
+            std::thread::yield_now();
+        }
+        assert_eq!(second.submit(&request(1)), Err(WireError::Busy));
+        gate.open();
+        parked.join().unwrap().expect("the parked submit is served");
+    });
+    for tag in 1..3 {
+        second.submit(&request(tag)).expect("served");
+    }
+    let stats = first.stats().expect("stats reply");
+    let value = |name: &str| stats.get(name).map(|metric| metric.value);
+    assert_eq!(value("service.submitted"), Some(3));
+    assert_eq!(value("service.shed_busy"), Some(1));
+    assert_eq!(value("service.in_flight"), Some(0));
+
+    drop((first, second));
+    server.shutdown();
+    Arc::try_unwrap(service)
         .ok()
         .expect("sole owner")
         .shutdown();
@@ -594,10 +632,6 @@ fn loopback_and_socket_exchanges_answer_every_frame_alike() {
     assert!(matches!(
         both(Frame::Stats),
         (Frame::StatsReply(_), Frame::StatsReply(_))
-    ));
-    assert!(matches!(
-        both(Frame::StatsWindow),
-        (Frame::StatsWindowReply(_), Frame::StatsWindowReply(_))
     ));
 
     // A frame no client sends is refused alike, and the socket counts it.

@@ -20,8 +20,8 @@
 //! 2. **svtrace** — `--sockets --deterministic` prints those same bytes, and
 //!    `--slowest 3 --min-coverage 95` exits 0 (≥95% of each listed session's
 //!    wall-clock is attributed to named spans);
-//! 3. **svtop** — `--once` renders every shard live with plausible window
-//!    columns, `--once --json` emits a parseable per-shard exposition, and
+//! 3. **svtop** — `--once` renders every shard live with its `Stats`
+//!    columns, `--once --json` emits each shard's registry snapshot, and
 //!    against an all-dead fleet `--once` exits 1 without hanging.
 
 mod common;
@@ -141,7 +141,7 @@ fn main() {
     println!("trace_fleet: svtrace binary agrees and clears the coverage bar");
 
     // 4. svtop against the same fleet: the shards have served real traffic,
-    //    so the window plane reports completions and latency quantiles.
+    //    so their `Stats` replies carry completions and latency quantiles.
     let (ok, table, stderr) = run(&svobs, &["top", "--sockets", &socket_list, "--once"]);
     assert!(ok, "svtop --once exits 0 (stderr: {stderr})");
     assert!(
@@ -155,8 +155,8 @@ fn main() {
     );
     assert!(ok, "svtop --once --json exits 0");
     assert!(
-        json.contains("\"ok\":true") && json.contains("\"width\":"),
-        "svtop --json carries per-shard window expositions:\n{json}"
+        json.contains("\"ok\":true") && json.contains("\"stats\":"),
+        "svtop --json carries per-shard registry snapshots:\n{json}"
     );
     println!("trace_fleet: svtop table + json surfaces answer");
 

@@ -13,8 +13,7 @@ use std::sync::Arc;
 use svdata::SvaBugEntry;
 use svmodel::{AssertSolverModel, RepairModel};
 use svserve::{
-    JournalSink, JournalSpec, MetricsRegistry, TelemetryHandle, TraceForest, TraceHandle,
-    TracerHandle,
+    JournalSink, MetricsRegistry, TelemetryHandle, TraceForest, TraceHandle, TracerHandle,
 };
 
 /// The mixed corpus the determinism suites sweep: machine-generated pipeline
@@ -46,7 +45,7 @@ fn journal_telemetry_and_trace_leave_the_evaluation_unchanged() {
         (true, true, true),
     ] {
         let (journal_on, telemetry_on, trace_on) = facilities;
-        let sink = JournalSink::shared(JournalSpec::default());
+        let sink = JournalSink::shared();
         let tracer = if journal_on {
             sink.handle()
         } else {
@@ -63,7 +62,7 @@ fn journal_telemetry_and_trace_leave_the_evaluation_unchanged() {
             TraceHandle::off()
         };
 
-        let verifier = EvalVerifier::start_instrumented(&config, tracer.clone(), &telemetry);
+        let verifier = EvalVerifier::start_instrumented(&config, &telemetry);
         let observed = evaluate_model_observed(
             &model, &entries, &config, &verifier, &tracer, &telemetry, &trace,
         );
