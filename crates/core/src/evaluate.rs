@@ -16,15 +16,14 @@ use svdata::SvaBugEntry;
 use svmodel::{CaseInput, RepairModel, Response};
 use svserve::env::path_knob;
 use svserve::persist::{fnv64, write_atomic};
-use svserve::service::splitmix64;
 use svserve::stage as trace_stage;
 use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
-    verdict_case_state, verdict_key_after, write_journal, CaseKey, CollapsedProfile, JournalHeader,
-    JournalSink, MetricClass, PersistSpec, RepairRequest, ScopedService, ServiceConfig,
-    ServiceMetrics, ShardFleet, TelemetryHandle, TraceContext, TraceHandle, TraceSpan,
-    TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool,
-    VerifyRequest, DEFAULT_COMPACT_AFTER_RUNS, JOURNAL_DIR_ENV, SHARD_SOCKETS_ENV,
+    verdict_case_state, verdict_key_after, write_journal, CollapsedProfile, JournalHeader,
+    JournalSink, MetricClass, PersistSpec, RepairRequest, ScopedService, ServiceConfig, ShardFleet,
+    TelemetryHandle, TraceContext, TraceHandle, TraceSpan, TracerHandle, VerdictCaseState,
+    VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool, VerifyRequest, DEFAULT_COMPACT_AFTER_RUNS,
+    JOURNAL_DIR_ENV, SHARD_SOCKETS_ENV,
 };
 use svverify::{CheckConfig, VerifyOracle};
 
@@ -340,9 +339,7 @@ impl ModelEvaluation {
     /// pass@k per Table-I bug-type label.
     pub fn by_bug_type(&self) -> BTreeMap<String, PassK> {
         let mut out = BTreeMap::new();
-        for label in [
-            "Direct", "Indirect", "Var", "Value", "Op", "Cond", "Non_cond",
-        ] {
+        for label in svmutate::TABLE1_LABELS {
             let counts = self.counts(|r| r.profile.labels().contains(&label));
             if !counts.is_empty() {
                 out.insert(label.to_string(), PassK::from_counts(&counts));
@@ -377,12 +374,6 @@ impl ModelEvaluation {
             buckets[c] += 1;
         }
         buckets
-    }
-
-    /// Number of cases with at least one correct sample (`c > 0`) — the
-    /// "solved" count ladder comparisons and the escalation example report.
-    pub fn solved_cases(&self) -> usize {
-        self.results.iter().filter(|r| r.c > 0).count()
     }
 
     fn counts(&self, filter: impl Fn(&CaseResult) -> bool) -> Vec<(usize, usize)> {
@@ -884,10 +875,29 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         let owned = (self.verifier.is_none())
             .then(|| EvalVerifier::start_instrumented(self.config, &self.telemetry));
         let verifier = self.verifier.or(owned.as_ref()).expect("a verifier");
-        let (judged, _) = self.sample(verifier, &tracer, &mut stages);
+        // Every case on the one case driver (`drive_cases`), as the run's
+        // `sessions` stage: on the fleet when one is set, else on an
+        // in-process repair pool serving in place.
+        let mut drive = |sampler: Sampler<'_, M>| {
+            stages.lap();
+            let results = drive_cases(&sampler, verifier, self.entries, self.config, &self.trace);
+            stages.lap();
+            results
+        };
+        let results = match self.fleet {
+            Some(fleet) => drive(Sampler::Fleet(fleet)),
+            None => {
+                let service_config = (self.config)
+                    .service_config_with(|| self.identity())
+                    .with_telemetry(self.telemetry.clone());
+                serve_scoped(self.model, service_config, |service| {
+                    drive(Sampler::Local(service, &tracer, &self.telemetry))
+                })
+            }
+        };
         let evaluation = ModelEvaluation {
             model: self.model.name().to_string(),
-            results: judged.into_iter().map(|(result, _)| result).collect(),
+            results,
         };
         // Workload tallies are pure functions of `(model, corpus, protocol)` —
         // the registry's deterministic plane, byte-stable at any driver/worker
@@ -918,34 +928,6 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             journal,
             profile,
         }
-    }
-
-    /// Samples and judges every case on the one case driver ([`drive_cases`])
-    /// as the run's `sessions` stage: on the fleet when one is set, else on an
-    /// in-process repair pool serving in place, whose metrics are taken once
-    /// the cases are done.
-    fn sample(
-        &self,
-        verifier: &EvalVerifier,
-        tracer: &TracerHandle,
-        stages: &mut StageClock,
-    ) -> (Vec<Judged>, Option<ServiceMetrics>) {
-        let mut drive = |sampler: Sampler<'_, M>| {
-            stages.lap();
-            let judged = drive_cases(&sampler, verifier, self.entries, self.config, &self.trace);
-            stages.lap();
-            judged
-        };
-        if let Some(fleet) = self.fleet {
-            return (drive(Sampler::Fleet(fleet)), None);
-        }
-        let service_config = (self.config)
-            .service_config_with(|| self.identity())
-            .with_telemetry(self.telemetry.clone());
-        serve_scoped(self.model, service_config, |service| {
-            let judged = drive(Sampler::Local(service, tracer, &self.telemetry));
-            (judged, Some(service.metrics()))
-        })
     }
 
     /// The model's identity, derived once per run.
@@ -1044,13 +1026,9 @@ enum Sampler<'s, M: ?Sized> {
     Fleet(&'s ShardFleet),
 }
 
-/// One case's result and its number of distinct candidates.
-type Judged = (CaseResult, usize);
-
 /// The one case driver: every case of `entries` through `sampler`, judged on
-/// `verifier`, its trace laps into `trace`; returns each case's result and
-/// distinct-candidate count in corpus order (a degraded fleet case is
-/// `n = c = 0` with no candidates).
+/// `verifier`, its trace laps into `trace`; returns each case's result in
+/// corpus order (a degraded fleet case is `n = c = 0`).
 ///
 /// Each of `min(drivers, cases)` scoped threads takes a strided share
 /// (thread `t`: cases `t, t + threads, …`) and runs each case of it start to
@@ -1073,7 +1051,7 @@ fn drive_cases<M: RepairModel + Sync + ?Sized>(
     entries: &[SvaBugEntry],
     config: &EvalConfig,
     trace: &TraceHandle,
-) -> Vec<Judged> {
+) -> Vec<CaseResult> {
     let drivers = Some(config.drivers).filter(|&drivers| drivers > 0);
     let drivers = drivers
         .or_else(env_drivers)
@@ -1084,18 +1062,18 @@ fn drive_cases<M: RepairModel + Sync + ?Sized>(
         let run = |entry| run_case(sampler, verifier, entry, config, trace);
         cases.map(run).collect::<Vec<_>>()
     };
-    let mut judged: Vec<Option<Judged>> = vec![None; entries.len()];
+    let mut results: Vec<Option<CaseResult>> = vec![None; entries.len()];
     std::thread::scope(|scope| {
         let share = &share;
         let spawn = |first| scope.spawn(move || share(first));
         let shares: Vec<_> = (0..threads).map(spawn).collect();
         for (first, share) in shares.into_iter().enumerate() {
             let share = share.join().expect("a case driver panicked");
-            let slots = judged.iter_mut().skip(first).step_by(threads);
+            let slots = results.iter_mut().skip(first).step_by(threads);
             slots.zip(share).for_each(|(slot, case)| *slot = Some(case));
         }
     });
-    judged.into_iter().map(Option::unwrap).collect()
+    results.into_iter().map(Option::unwrap).collect()
 }
 
 /// The host's available parallelism, at most 8: what `workers = 0` and
@@ -1120,7 +1098,7 @@ fn run_case<M: RepairModel + ?Sized>(
     entry: &SvaBugEntry,
     config: &EvalConfig,
     trace: &TraceHandle,
-) -> Judged {
+) -> CaseResult {
     let request = request_for(entry, config);
     let (key, samples, start) = (request.key(), request.samples, Instant::now());
     let mut laps = Laps::new(trace.root(key), start);
@@ -1137,7 +1115,7 @@ fn run_case<M: RepairModel + ?Sized>(
                 None => fleet.submit(&request),
             };
             let Ok(outcome) = outcome else {
-                return (build_case_result(entry, 0, 0), 0);
+                return build_case_result(entry, 0, 0);
             };
             Arc::new(outcome.responses)
         }
@@ -1161,7 +1139,7 @@ fn run_case<M: RepairModel + ?Sized>(
             wall.observe_duration(start.elapsed());
         }
     }
-    (build_case_result(entry, n, c), distinct)
+    build_case_result(entry, n, c)
 }
 
 /// A case's trace laps, recorded while its trace is on.
@@ -1246,172 +1224,6 @@ fn build_case_result(entry: &SvaBugEntry, n: usize, c: usize) -> CaseResult {
         profile: entry.profile,
         code_lines: entry.code_lines,
         human_crafted: entry.human_crafted,
-    }
-}
-
-/// Salt mixed into the A/B arm hash so arm assignment decorrelates from shard
-/// placement (both start from the same 64-bit key fold).
-const AB_SALT: u64 = 0xAB5E_C0DE_5EED_0A2B;
-
-/// The deterministic A/B arm for a request key over `arms` models.
-///
-/// A salted hash of the request content modulo the model count, so the split
-/// is reproducible and independent of worker counts, shard capacities and
-/// arrival order.
-pub fn ab_arm(key: CaseKey, arms: usize) -> usize {
-    (splitmix64(key.fold64() ^ AB_SALT) % arms.max(1) as u64) as usize
-}
-
-/// One rung of a case's escalation trail: which model ran, what its
-/// candidates scored.  Every field is a pure function of request content.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LadderAttempt {
-    /// Model display name.
-    pub backend: String,
-    /// The model's ladder cost ([`RepairModel::cost`]).
-    pub cost: u32,
-    /// Whether the rung's candidates were judged; always `true`.
-    pub judged: bool,
-    /// Distinct candidates judged (identical fixes collapse to one verdict).
-    pub distinct_candidates: usize,
-    /// Candidates judged correct, with multiplicity: the rung's `c`.
-    pub correct_candidates: usize,
-    /// Whether escalation stopped here: the rung solved the case, or it is
-    /// the last one.
-    pub terminal: bool,
-}
-
-/// One case's escalation record: which rungs ran, what each one scored.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EscalationTrail {
-    /// Module the case came from.
-    pub module_name: String,
-    /// One judged attempt per rung tried, in ladder (cheapest-first) order.
-    pub attempts: Vec<LadderAttempt>,
-}
-
-/// The pure evaluation data of one ladder run: per-model, A/B-split and
-/// escalation [`ModelEvaluation`]s plus the per-case escalation trails.
-///
-/// Everything here is a deterministic function of `(models, corpus, config)` —
-/// byte-identical at any worker count and with warm or cold caches — which is
-/// what the ladder-determinism suite asserts on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LadderEvaluation {
-    /// One evaluation per model, in registration order.
-    pub per_model: Vec<ModelEvaluation>,
-    /// The A/B split: each case is answered by its content-hash arm
-    /// ([`ab_arm`]).
-    pub ab_split: ModelEvaluation,
-    /// Escalation: each case is answered by the first (cheapest) rung with a
-    /// correct candidate, else by the last rung; `c` is that rung's.
-    pub escalate: ModelEvaluation,
-    /// Per-case escalation trails, aligned with the corpus order.
-    pub trails: Vec<EscalationTrail>,
-}
-
-/// Everything [`evaluate_ladder`] produces: the pure evaluation data plus
-/// each pool's metrics snapshot.
-pub struct LadderReport {
-    /// The deterministic evaluation data.
-    pub evaluation: LadderEvaluation,
-    /// Each model's repair-pool metrics, in registration order, taken once
-    /// its pass has judged every case (not part of the determinism contract).
-    pub metrics: Vec<ServiceMetrics>,
-    /// The shared verify pool's final metrics.
-    pub verify: VerifyMetrics,
-    /// Model indices in escalation (cheapest-first) order.
-    pub ladder: Vec<usize>,
-}
-
-/// Evaluates a ladder of models over a corpus: per-model, A/B-split and
-/// escalation [`ModelEvaluation`]s, plus per-case escalation trails.
-///
-/// Each model is sampled once, in registration order, by the same case-driver
-/// pass [`Evaluation`] runs — its own repair pool and response cache
-/// (persisted under its own identity when [`EvalConfig::cache_dir`]
-/// resolves), all judged by one shared [`EvalVerifier`].  The A/B split and
-/// escalation are then folds over those per-model results: a case's A/B
-/// result is its [`ab_arm`]'s, and escalation walks the models cheapest-first
-/// (by `(`[`RepairModel::cost`]`, index)`), stopping at the first rung whose
-/// `c` is non-zero.  Sampling is content-seeded and verdicts are pure, so
-/// serving a case again on the rung it was pinned to could only replay the
-/// same responses and verdicts.  Each case's escalation is decided by its own
-/// `c`: corpus entries that share case content but not a golden fix are each
-/// judged against their own.
-///
-/// Determinism: [`LadderReport::evaluation`] is byte-identical at any
-/// [`EvalConfig::workers`] / [`EvalConfig::verify_workers`] /
-/// [`EvalConfig::drivers`] setting and with warm or cold caches (in-memory or
-/// on-disk).
-///
-/// # Panics
-///
-/// Panics if `models` is empty.
-pub fn evaluate_ladder(
-    models: &[Arc<dyn RepairModel + Send + Sync>],
-    entries: &[SvaBugEntry],
-    config: &EvalConfig,
-) -> LadderReport {
-    assert!(!models.is_empty(), "ladder needs at least one model");
-    let verifier = EvalVerifier::start(config);
-    let (passes, metrics): (Vec<Vec<Judged>>, Vec<ServiceMetrics>) = (models.iter())
-        .map(|model| {
-            let pass = Evaluation::new(&**model, entries, config);
-            let mut stages = StageClock::start(&pass.telemetry);
-            let (judged, metrics) = pass.sample(&verifier, &TracerHandle::off(), &mut stages);
-            (judged, metrics.expect("an in-process pass"))
-        })
-        .unzip();
-    let verify = verifier.shutdown();
-    let mut ladder: Vec<usize> = (0..models.len()).collect();
-    ladder.sort_by_key(|&idx| (models[idx].cost(), idx));
-
-    let result = |idx: usize, case: usize| passes[idx][case].0.clone();
-    let evaluation = |model: String, results| ModelEvaluation { model, results };
-    let per_model = (models.iter().enumerate())
-        .map(|(idx, model)| {
-            let results = (0..entries.len()).map(|case| result(idx, case)).collect();
-            evaluation(model.name().to_string(), results)
-        })
-        .collect();
-    let arm = |(case, entry)| result(ab_arm(request_for(entry, config).key(), models.len()), case);
-    let arms = entries.iter().enumerate().map(arm).collect();
-    let ab_split = evaluation(format!("A/B split ({} arms)", models.len()), arms);
-
-    let (escalate, trails) = (entries.iter().enumerate())
-        .map(|(case, entry)| {
-            let stop = (ladder.iter())
-                .position(|&idx| passes[idx][case].0.c > 0)
-                .unwrap_or(ladder.len() - 1);
-            let attempt = |(rung, &idx): (usize, &usize)| LadderAttempt {
-                backend: models[idx].name().to_string(),
-                cost: models[idx].cost(),
-                judged: true,
-                distinct_candidates: passes[idx][case].1,
-                correct_candidates: passes[idx][case].0.c,
-                terminal: rung == stop,
-            };
-            let attempts = ladder[..=stop].iter().enumerate().map(attempt).collect();
-            let module_name = entry.module_name.clone();
-            let trail = EscalationTrail {
-                module_name,
-                attempts,
-            };
-            (result(ladder[stop], case), trail)
-        })
-        .unzip();
-    let escalate = evaluation(format!("Escalate ({} rungs)", models.len()), escalate);
-    LadderReport {
-        evaluation: LadderEvaluation {
-            per_model,
-            ab_split,
-            escalate,
-            trails,
-        },
-        metrics,
-        verify,
-        ladder,
     }
 }
 
@@ -1725,127 +1537,37 @@ mod tests {
         assert!(threads.all(|&id| id == driver));
     }
 
-    /// A ladder rung: answers every case it solves with its golden fix on the
-    /// first sample, and otherwise with one of two wrong fixes (line 0).
-    struct Toy {
-        name: &'static str,
-        cost: u32,
-        solves: Vec<Response>,
-        sources: Vec<String>,
-    }
-
-    impl RepairModel for Toy {
-        fn name(&self) -> &str {
-            self.name
-        }
-
-        fn cost(&self) -> u32 {
-            self.cost
-        }
-
-        fn solve(&self, case: &CaseInput, samples: usize, _: f64, _: u64) -> Vec<Response> {
-            let solved = self.sources.iter().position(|s| *s == case.buggy_source);
-            let fix = solved.map(|idx| &self.solves[idx]);
-            let wrong = |i: usize| Response {
-                bug_line_number: 0,
-                buggy_line: String::new(),
-                fixed_line: format!("wrong {}", i % 4 / 2),
-                cot: None,
-            };
-            let sample = |i| fix.filter(|_| i == 0).cloned().unwrap_or_else(|| wrong(i));
-            (0..samples).map(sample).collect()
-        }
-    }
-
-    /// Three human cases and a toy rung per `(name, cost, solved cases)`.
-    fn toy_ladder(rungs: &[(&'static str, u32, &[usize])]) -> (Vec<SvaBugEntry>, LadderReport) {
-        let entries: Vec<SvaBugEntry> = human_crafted_cases().into_iter().take(3).collect();
-        let golden = |entry: &SvaBugEntry| Response {
-            bug_line_number: entry.bug_line_number,
-            buggy_line: entry.buggy_line.clone(),
-            fixed_line: entry.fixed_line.clone(),
-            cot: None,
+    #[test]
+    fn each_twin_case_is_judged_against_its_own_golden_fix() {
+        // Twins share spec, buggy source and logs — so one request key and
+        // one response-cache entry — but not their golden fix.  `twin` takes
+        // as its golden a line edit the model samples on `case` that is wrong
+        // for `case`, so the model scores higher on the twin than on the case.
+        let model = svmodel::BaselineModel::new(svmodel::BaselineKind::RandomGuess);
+        let config = EvalConfig {
+            workers: 2,
+            verify_workers: 2,
+            ..EvalConfig::quick(19)
         };
-        let models: Vec<Arc<dyn RepairModel + Send + Sync>> = (rungs.iter())
-            .map(|&(name, cost, solved)| {
-                let solved = solved.iter().map(|&idx| &entries[idx]);
-                Arc::new(Toy {
-                    name,
-                    cost,
-                    solves: solved.clone().map(golden).collect(),
-                    sources: solved.map(|entry| entry.buggy_source.clone()).collect(),
-                }) as Arc<dyn RepairModel + Send + Sync>
-            })
-            .collect();
-        let report = evaluate_ladder(&models, &entries, &EvalConfig::quick(3));
-        (entries, report)
-    }
-
-    #[test]
-    fn ladder_orders_models_by_cost_then_index() {
-        // Registered strongest-first, with a cost tie between the last two.
-        let (_, report) =
-            toy_ladder(&[("strong", 50, &[0, 1]), ("weak", 1, &[0]), ("tie", 1, &[])]);
-        assert_eq!(report.ladder, [1, 2, 0], "(cost, index) order");
-        let trail = &report.evaluation.trails[1].attempts;
-        let names: Vec<&str> = trail.iter().map(|a| a.backend.as_str()).collect();
-        assert_eq!(names, ["weak", "tie", "strong"]);
-        assert_eq!(trail.iter().map(|a| a.cost).collect::<Vec<_>>(), [1, 1, 50]);
-    }
-
-    #[test]
-    fn escalation_stops_at_the_first_rung_with_a_correct_candidate() {
-        let (_, report) =
-            toy_ladder(&[("weak", 1, &[0]), ("mid", 5, &[0, 1]), ("strong", 9, &[1])]);
-        let evaluation = &report.evaluation;
-        assert_eq!(evaluation.escalate.model, "Escalate (3 rungs)");
-        // Case 0 stops at the first rung, case 1 at the second: never later.
-        for (case, rungs) in [(0, 1), (1, 2)] {
-            let trail = &evaluation.trails[case].attempts;
-            assert_eq!(trail.len(), rungs, "case {case}");
-            let stop = &trail[rungs - 1];
-            assert!(stop.terminal && stop.judged && stop.correct_candidates > 0);
-            assert!(trail[..rungs - 1]
-                .iter()
-                .all(|a| !a.terminal && a.correct_candidates == 0));
-            let stopped = &evaluation.per_model[report.ladder[rungs - 1]].results[case];
-            assert_eq!(&evaluation.escalate.results[case], stopped);
-        }
-        // Distinct candidates are distinct verdict keys: the golden fix plus
-        // two wrong ones on a solving rung, the two wrong ones elsewhere.
-        let distinct: Vec<usize> = (evaluation.trails[1].attempts.iter())
-            .map(|a| a.distinct_candidates)
-            .collect();
-        assert_eq!(distinct, [2, 3]);
-        assert_eq!(evaluation.escalate.results[1].c, 1, "one golden sample");
-    }
-
-    #[test]
-    fn an_exhausted_ladder_ends_on_its_last_rung() {
-        let (_, report) = toy_ladder(&[("weak", 1, &[0]), ("mid", 5, &[0])]);
-        let evaluation = &report.evaluation;
-        let trail = &evaluation.trails[2].attempts;
-        assert_eq!(trail.len(), 2, "every rung was tried");
-        assert!(!trail[0].terminal && trail[1].terminal);
-        assert_eq!(trail[1].backend, "mid");
-        assert_eq!(trail[1].correct_candidates, 0);
-        assert_eq!(
-            evaluation.escalate.results[2],
-            evaluation.per_model[1].results[2]
-        );
-    }
-
-    #[test]
-    fn ab_split_answers_each_case_with_its_predicted_arm() {
-        let (entries, report) = toy_ladder(&[("a", 1, &[0]), ("b", 2, &[1]), ("c", 3, &[2])]);
-        let evaluation = &report.evaluation;
-        assert_eq!(evaluation.ab_split.model, "A/B split (3 arms)");
-        let config = EvalConfig::quick(3);
-        for (case, entry) in entries.iter().enumerate() {
-            let arm = ab_arm(request_for(entry, &config).key(), 3);
-            let predicted = &evaluation.per_model[arm].results[case];
-            assert_eq!(&evaluation.ab_split.results[case], predicted, "case {case}");
-        }
+        let case = human_crafted_cases().remove(0);
+        let samples = serve_scoped(&model, config.service_config(), |service| {
+            service.solve_all(vec![request_for(&case, &config)])
+        });
+        let oracle = VerifyOracle::new(config.check.clone());
+        let edit = |r: &&Response| r.bug_line_number != 0 && !r.fixed_line.trim().is_empty();
+        let wrong = (samples[0].responses.iter())
+            .find(|r| edit(r) && !response_is_correct(&case, r, &oracle))
+            .expect("the model proposes a wrong line edit")
+            .clone();
+        let twin = SvaBugEntry {
+            bug_line_number: wrong.bug_line_number,
+            fixed_line: wrong.fixed_line,
+            ..case.clone()
+        };
+        let evaluate = |entries: &[SvaBugEntry]| evaluate_model(&model, entries, &config).results;
+        let both = evaluate(&[case.clone(), twin.clone()]);
+        assert_eq!(both, [evaluate(&[case]), evaluate(&[twin])].concat());
+        assert!(both[1].c > both[0].c, "the wrong fix solves the twin");
     }
 
     #[test]

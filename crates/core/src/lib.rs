@@ -44,11 +44,10 @@ pub mod train;
 
 pub use benchmark::{human_crafted_cases, SvaEval};
 pub use evaluate::{
-    ab_arm, apply_line_edit, corpus_fingerprint, evaluate_ladder, evaluate_model,
-    evaluate_model_instrumented, evaluate_model_journaled, evaluate_model_observed,
-    evaluate_model_with, response_is_correct, CaseResult, EscalationTrail, EvalConfig,
-    EvalVerifier, Evaluation, EvaluationRun, JournalManifest, LadderAttempt, LadderEvaluation,
-    LadderReport, ModelEvaluation, ShardSpec,
+    apply_line_edit, corpus_fingerprint, evaluate_model, evaluate_model_instrumented,
+    evaluate_model_journaled, evaluate_model_observed, evaluate_model_with, response_is_correct,
+    CaseResult, EvalConfig, EvalVerifier, Evaluation, EvaluationRun, JournalManifest,
+    ModelEvaluation, ShardSpec,
 };
 pub use passk::{pass_at_k, PassK};
 pub use report::{

@@ -92,9 +92,7 @@ pub fn render_breakdown(
         out.push_str(&format!(" {:>16}", name));
     }
     out.push('\n');
-    for label in [
-        "Direct", "Indirect", "Var", "Value", "Op", "Cond", "Non_cond",
-    ] {
+    for label in svmutate::TABLE1_LABELS {
         out.push_str(&format!("{:<14}", label));
         for (_, eval) in evaluations {
             let value = eval
@@ -145,17 +143,13 @@ pub fn render_distribution(title: &str, rows: &[(&str, svdata::Distribution)]) -
         out.push_str(&format!(" {:>8}\n", dist.total));
     }
     out.push_str(&format!("{:<12}", "Bug type"));
-    for label in [
-        "Direct", "Indirect", "Var", "Value", "Op", "Cond", "Non_cond",
-    ] {
+    for label in svmutate::TABLE1_LABELS {
         out.push_str(&format!(" {:>9}", label));
     }
     out.push('\n');
     for (name, dist) in rows {
         out.push_str(&format!("{:<12}", name));
-        for label in [
-            "Direct", "Indirect", "Var", "Value", "Op", "Cond", "Non_cond",
-        ] {
+        for label in svmutate::TABLE1_LABELS {
             out.push_str(&format!(
                 " {:>9}",
                 dist.per_bug_type.get(label).copied().unwrap_or(0)

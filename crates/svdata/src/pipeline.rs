@@ -493,9 +493,7 @@ pub fn distribution(entries: &[SvaBugEntry]) -> Distribution {
         total: entries.len(),
         ..Distribution::default()
     };
-    for label in [
-        "Direct", "Indirect", "Var", "Value", "Op", "Cond", "Non_cond",
-    ] {
+    for label in svmutate::TABLE1_LABELS {
         dist.per_bug_type.insert(label.to_string(), 0);
     }
     for entry in entries {

@@ -67,20 +67,6 @@ impl BaselineKind {
     pub fn display_name(&self) -> String {
         format!("{} (surrogate)", self.surrogate_for())
     }
-
-    /// Relative serving cost of this tier (see [`RepairModel::cost`]): strictly
-    /// increasing from random guessing to o1-style iterative reasoning, so a
-    /// ladder built from [`all_baselines`] escalates weakest-and-cheapest first.
-    pub fn cost(&self) -> u32 {
-        match self {
-            BaselineKind::RandomGuess => 1,
-            BaselineKind::AssignmentGuess => 2,
-            BaselineKind::KeywordMatch => 4,
-            BaselineKind::GeneralHeuristic => 12,
-            BaselineKind::ConeAnalyst => 30,
-            BaselineKind::IterativeReasoner => 55,
-        }
-    }
 }
 
 /// A baseline repair engine.
@@ -196,10 +182,6 @@ fn hand_tuned_policies(kind: BaselineKind) -> (Policy, Policy) {
 impl RepairModel for BaselineModel {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn cost(&self) -> u32 {
-        self.kind.cost()
     }
 
     /// Samples through one sampling plan per call, as `AssertSolverModel::solve`
@@ -495,20 +477,6 @@ mod tests {
         assert!(BaselineKind::GeneralHeuristic
             .display_name()
             .contains("surrogate"));
-    }
-
-    #[test]
-    fn baseline_costs_escalate_strictly_with_tier() {
-        let costs: Vec<u32> = BaselineKind::all().iter().map(BaselineKind::cost).collect();
-        assert!(
-            costs.windows(2).all(|pair| pair[0] < pair[1]),
-            "tier order must be a strict cost ladder, got {costs:?}"
-        );
-        // The trait surfaces the same number, and every annotated tier is
-        // cheaper than an un-annotated model's default.
-        let model = BaselineModel::new(BaselineKind::ConeAnalyst);
-        assert_eq!(model.cost(), BaselineKind::ConeAnalyst.cost());
-        assert!(costs.iter().all(|&cost| cost < 100));
     }
 
     #[test]

@@ -68,19 +68,6 @@ pub trait RepairModel {
         self.name().to_string()
     }
 
-    /// Relative cost of one [`RepairModel::solve`] invocation, in abstract units.
-    ///
-    /// Ladder evaluations (`assertsolver::evaluate_ladder`) escalate through
-    /// their models cheapest-first by this number, so it only needs to be
-    /// *ordinally* correct — "the SFT checkpoint is pricier than the base
-    /// model, o1-style iterative reasoning is the most expensive baseline".
-    /// Defaults to 100 so un-annotated models sort after every annotated one
-    /// (and are tried last by an escalation ladder).  [`AssertSolverModel`] maps its [`TrainingStage`] onto this
-    /// scale; `BaselineModel` maps its tier.
-    fn cost(&self) -> u32 {
-        100
-    }
-
     /// Generates `samples` candidate solutions for a case at the given temperature.
     fn solve(&self, case: &CaseInput, samples: usize, temperature: f64, seed: u64)
         -> Vec<Response>;
@@ -97,31 +84,6 @@ pub enum TrainingStage {
     Sft,
     /// After DPO on challenging cases (the full AssertSolver).
     Dpo,
-}
-
-impl TrainingStage {
-    /// Short human-readable label ("base", "pt", "sft", "dpo") used in ladder
-    /// tables and routing metrics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TrainingStage::Base => "base",
-            TrainingStage::Pretrained => "pt",
-            TrainingStage::Sft => "sft",
-            TrainingStage::Dpo => "dpo",
-        }
-    }
-
-    /// Relative serving cost of a checkpoint at this stage (see
-    /// [`RepairModel::cost`]): later stages are strictly pricier, so a
-    /// base → SFT → DPO ladder escalates in training order.
-    pub fn cost(&self) -> u32 {
-        match self {
-            TrainingStage::Base => 10,
-            TrainingStage::Pretrained => 20,
-            TrainingStage::Sft => 45,
-            TrainingStage::Dpo => 60,
-        }
-    }
 }
 
 /// A preference pair harvested from a challenging case.
@@ -438,13 +400,6 @@ impl RepairModel for AssertSolverModel {
         format!("{} [{hash:016x}]", self.display_name)
     }
 
-    /// Cost tracks the training stage: every stage makes the checkpoint
-    /// strictly pricier to serve, so a multi-stage ladder escalates in
-    /// training order (see [`TrainingStage::cost`]).
-    fn cost(&self) -> u32 {
-        self.stage.cost()
-    }
-
     /// Builds one sampling plan for the case — one parse, the line feature matrix,
     /// fix candidates memoised per line on its first draw — and draws every
     /// sample through it, in the same RNG order as rebuilding all of it per
@@ -745,28 +700,6 @@ mod tests {
         assert!(
             dpo_accuracy + 0.34 >= sft_accuracy,
             "DPO collapsed accuracy: sft={sft_accuracy} dpo={dpo_accuracy}"
-        );
-    }
-
-    #[test]
-    fn training_stage_costs_follow_training_order() {
-        let stages = [
-            TrainingStage::Base,
-            TrainingStage::Pretrained,
-            TrainingStage::Sft,
-            TrainingStage::Dpo,
-        ];
-        let costs: Vec<u32> = stages.iter().map(TrainingStage::cost).collect();
-        assert!(
-            costs.windows(2).all(|pair| pair[0] < pair[1]),
-            "later stages must be strictly pricier, got {costs:?}"
-        );
-        assert_eq!(TrainingStage::Dpo.label(), "dpo");
-        let model = AssertSolverModel::base(1);
-        assert_eq!(model.cost(), TrainingStage::Base.cost());
-        assert!(
-            model.cost() < 100,
-            "annotated models beat the trait default"
         );
     }
 

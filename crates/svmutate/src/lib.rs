@@ -35,7 +35,9 @@ pub use classify::{
 };
 pub use inject::{BugInjector, InjectedBug};
 pub use sites::{collect_sites, replace_site, Site, SiteContext};
-pub use taxonomy::{table1_rows, BugKind, BugProfile, Structural, TaxonomyRow, Visibility};
+pub use taxonomy::{
+    table1_rows, BugKind, BugProfile, Structural, TaxonomyRow, Visibility, TABLE1_LABELS,
+};
 
 #[cfg(test)]
 mod tests {

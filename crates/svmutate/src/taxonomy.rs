@@ -170,6 +170,11 @@ pub struct TaxonomyRow {
     pub assertion: Option<&'static str>,
 }
 
+/// The seven Table I labels, in the paper's row order.
+pub const TABLE1_LABELS: [&str; 7] = [
+    "Direct", "Indirect", "Var", "Value", "Op", "Cond", "Non_cond",
+];
+
 /// The seven rows of Table I, verbatim from the paper.
 pub fn table1_rows() -> Vec<TaxonomyRow> {
     vec![
@@ -237,6 +242,7 @@ mod tests {
             labels,
             vec!["Direct", "Indirect", "Var", "Value", "Op", "Cond", "Non_cond"]
         );
+        assert_eq!(labels, TABLE1_LABELS);
     }
 
     #[test]

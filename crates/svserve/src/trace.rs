@@ -36,8 +36,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Salt folded into every trace id; distinct from the A/B and shard-placement
-/// salts so trace identity is an independent hash dimension.
+/// Salt folded into every trace id; distinct from the shard-placement salt
+/// so trace identity is an independent hash dimension.
 const TRACE_SALT: u64 = 0x7CA5_E11A_D157_ACED;
 
 /// Stage sequence numbers: fixed per span name so logical start ticks — and

@@ -33,9 +33,9 @@
 //! ## Placement and determinism
 //!
 //! [`shard_for_key`] places each request by content hash — a pure function of
-//! content and shard count, mirroring `assertsolver::ab_arm` — so per-shard
-//! caches stay disjoint and a [`ShardFleet`] evaluation is byte-identical to
-//! the in-process run at any shard count, warm or cold.  `Busy` survives the
+//! content and shard count — so per-shard caches stay disjoint and a
+//! [`ShardFleet`] evaluation is byte-identical to the in-process run at any
+//! shard count, warm or cold.  `Busy` survives the
 //! wire: the fleet counts it in [`FleetMetrics::shed_busy`], as a local pool
 //! counts its own sheds.
 

@@ -1,18 +1,16 @@
-//! End-to-end determinism of the case driver: `evaluate_model` and
-//! `evaluate_ladder` drive every case through submit → sample → verify →
-//! evaluate on `EvalConfig::drivers` threads, and the results must be
-//! byte-identical at any driver count (1/2/4/8), with warm or cold caches
-//! (in-memory and on-disk).
+//! End-to-end determinism of the case driver: `evaluate_model` drives every
+//! case through submit → sample → verify → evaluate on `EvalConfig::drivers`
+//! threads, and the results must be byte-identical at any driver count
+//! (1/2/4/8), with warm or cold caches (in-memory and on-disk).
 //!
 //! The driver count only changes *which thread* drives a case and when;
 //! everything a case produces is a pure function of request content
 //! (content-derived sampler seeds, content-hash shard placement, pure
 //! verdicts).  These tests pin that contract.
 
-use assertsolver::{evaluate_ladder, evaluate_model, EvalConfig, LadderEvaluation};
-use std::sync::Arc;
+use assertsolver::{evaluate_model, EvalConfig};
 use svdata::SvaBugEntry;
-use svmodel::{AssertSolverModel, BaselineKind, BaselineModel, RepairModel};
+use svmodel::AssertSolverModel;
 
 fn corpus(limit: usize) -> Vec<SvaBugEntry> {
     // A small mixed corpus: machine-generated pipeline cases plus human-crafted
@@ -61,36 +59,6 @@ fn evaluation_is_byte_identical_at_1_2_4_8_drivers() {
         );
         assert_eq!(baseline.passk(), run.passk());
         assert_eq!(baseline.histogram(8), run.histogram(8));
-    }
-}
-
-fn ladder_models() -> Vec<Arc<dyn RepairModel + Send + Sync>> {
-    [
-        BaselineKind::RandomGuess,
-        BaselineKind::KeywordMatch,
-        BaselineKind::IterativeReasoner,
-    ]
-    .into_iter()
-    .map(|kind| Arc::new(BaselineModel::new(kind)) as Arc<dyn RepairModel + Send + Sync>)
-    .collect()
-}
-
-fn ladder_eval(config: &EvalConfig, entries: &[SvaBugEntry]) -> LadderEvaluation {
-    evaluate_ladder(&ladder_models(), entries, config).evaluation
-}
-
-#[test]
-fn ladder_evaluation_is_byte_identical_across_driver_counts() {
-    let entries = corpus(4);
-    let baseline = ladder_eval(&config(1), &entries);
-    let baseline_json = serde_json::to_string(&baseline).expect("ladder serialises");
-    for drivers in [4usize, 8] {
-        let run = ladder_eval(&config(drivers), &entries);
-        assert_eq!(
-            baseline_json,
-            serde_json::to_string(&run).expect("ladder serialises"),
-            "driver count {drivers} changed the ladder evaluation"
-        );
     }
 }
 
