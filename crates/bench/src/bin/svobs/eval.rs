@@ -4,11 +4,8 @@
 use crate::{Failure, Flags, Outcome, Quick};
 use assertsolver::Evaluation;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use svmodel::RepairModel;
-use svserve::{
-    CollapsedProfile, MetricsRegistry, ShardFleet, TelemetryHandle, TraceForest, TraceHandle,
-};
+use std::time::Instant;
+use svserve::{CollapsedProfile, MetricsRegistry, TelemetryHandle, TraceForest, TraceHandle};
 
 /// `svobs prof` — dual-clock stage profiler for the quick evaluation protocol.
 ///
@@ -78,18 +75,13 @@ pub fn prof(mut flags: Flags) -> Outcome {
     }
 }
 
-/// `svobs trace` — render the distributed causal trace tree of an evaluation.
+/// `svobs trace` — render the causal trace tree of an evaluation.
 ///
 /// Runs the quick protocol over the human-crafted corpus with the trace
 /// plane on and prints the reconstructed trace forest: one tree per repair
 /// session, `session` at the root, `submit`/`sample`/`verify`/`evaluate`
 /// below it, each line carrying the span's logical start tick,
 /// content-derived units and wall-clock nanoseconds.
-/// With `--sockets` the same evaluation runs against a live `shard-serve`
-/// fleet instead: the shard-side `sample` spans travel back in `TraceReply`
-/// frames and merge into the driver's tree, so the printed forest is the
-/// full cross-process reconstruction — byte-identical (in its
-/// `--deterministic` projection) to the in-process run.
 ///
 /// * `--deterministic` prints only the content-derived fields (the
 ///   byte-comparison projection; wall clocks omitted).
@@ -105,7 +97,6 @@ pub fn prof(mut flags: Flags) -> Outcome {
 ///   form `ASSERTSOLVER_TRACE=1` evaluations drop in the profile dir).
 pub fn trace(mut flags: Flags) -> Outcome {
     let (mut seed, mut limit) = (2025u64, usize::MAX);
-    let (mut sockets, mut timeout_ms) = (Vec::new(), 5_000u64);
     let (mut deterministic, mut flame) = (false, false);
     let mut slowest: Option<usize> = None;
     let mut min_coverage: Option<f64> = None;
@@ -114,8 +105,6 @@ pub fn trace(mut flags: Flags) -> Outcome {
         match flag.as_str() {
             "--seed" => seed = flags.value(&flag)?,
             "--limit" => limit = flags.value(&flag)?,
-            "--sockets" => sockets = flags.sockets(&flag)?,
-            "--timeout-ms" => timeout_ms = flags.value(&flag)?,
             "--deterministic" => deterministic = true,
             "--flame" => flame = true,
             "--slowest" => slowest = Some(flags.value(&flag)?),
@@ -131,21 +120,10 @@ pub fn trace(mut flags: Flags) -> Outcome {
     let trace = TraceHandle::new(0);
 
     let wall_start = Instant::now();
-    let fleet = (!sockets.is_empty()).then(|| {
-        let timeout = Duration::from_millis(timeout_ms.max(1));
-        ShardFleet::connect_unix(&sockets, Some(&quick.model.identity()), timeout)
-    });
-    let mut run = Evaluation::new(&quick.model, &quick.entries, &quick.config).trace(&trace);
-    if let Some(fleet) = &fleet {
-        run = run.fleet(fleet);
-    }
-    let evaluation = run.run().evaluation;
-    let wire_errors = fleet.map_or(0, |fleet| fleet.metrics().wire_errors);
-    if wire_errors > 0 {
-        return Err(Failure::Runtime(format!(
-            "{wire_errors} wire errors against the fleet — trace is partial"
-        )));
-    }
+    let evaluation = Evaluation::new(&quick.model, &quick.entries, &quick.config)
+        .trace(&trace)
+        .run()
+        .evaluation;
     let wall = wall_start.elapsed();
 
     let forest = TraceForest::from_spans(trace.drain());

@@ -1,16 +1,14 @@
-//! `svobs` — the operator CLI: profile, trace, journal and watch an
-//! evaluation or a live `shard-serve` fleet.
+//! `svobs` — the operator CLI: profile, trace and journal an evaluation.
 //!
-//! `svobs --help` prints the synopsis of all six subcommands ([`SUBCOMMANDS`]).
+//! `svobs --help` prints the synopsis of all four subcommands ([`SUBCOMMANDS`]).
 //!
 //! `prof`, `trace` and `record` run the quick protocol in process ([`Quick`]);
-//! `trace --sockets`, `stat` and `top` talk to running shards.  Every
-//! subcommand reads its arguments through the one [`Flags`] cursor and fails
-//! through the one [`Failure`] type, so the exit status means the same thing
-//! everywhere: 0 ok, 1 runtime failure or missed bar, 2 usage.
+//! `replay` re-drives a recorded journal.  Every subcommand reads its
+//! arguments through the one [`Flags`] cursor and fails through the one
+//! [`Failure`] type, so the exit status means the same thing everywhere: 0 ok,
+//! 1 runtime failure or missed bar, 2 usage.
 
 mod eval;
-mod fleet;
 mod journal;
 
 use assertsolver::{human_crafted_cases, EvalConfig};
@@ -58,17 +56,6 @@ impl Flags {
             .map_err(|err| Failure::Usage(format!("{flag}: {err}")))
     }
 
-    /// The comma-separated socket list that must follow `flag`.
-    pub fn sockets(&mut self, flag: &str) -> Result<Vec<String>, Failure> {
-        let raw: String = self.value(flag)?;
-        Ok(raw
-            .split(',')
-            .map(str::trim)
-            .filter(|socket| !socket.is_empty())
-            .map(str::to_string)
-            .collect())
-    }
-
     /// The failure for a token no arm of the subcommand consumed: an unknown
     /// flag, or junk after the last argument.
     pub fn unexpected(token: &str) -> Failure {
@@ -110,8 +97,8 @@ impl Quick {
 /// Name, synopsis and entry point of a subcommand.
 type Subcommand = (&'static str, &'static str, fn(Flags) -> Outcome);
 
-/// The six subcommands, in `--help` order.
-const SUBCOMMANDS: [Subcommand; 6] = [
+/// The four subcommands, in `--help` order.
+const SUBCOMMANDS: [Subcommand; 4] = [
     (
         "prof",
         "[--seed N] [--limit N] [--profile-dir DIR] [--min-coverage PCT]",
@@ -119,8 +106,8 @@ const SUBCOMMANDS: [Subcommand; 6] = [
     ),
     (
         "trace",
-        "[--seed N] [--limit N] [--sockets a.sock,b.sock] [--timeout-ms N] [--deterministic] \
-         [--flame] [--slowest N] [--min-coverage PCT] [--out PATH]",
+        "[--seed N] [--limit N] [--deterministic] [--flame] [--slowest N] \
+         [--min-coverage PCT] [--out PATH]",
         eval::trace,
     ),
     (
@@ -129,16 +116,6 @@ const SUBCOMMANDS: [Subcommand; 6] = [
         journal::record,
     ),
     ("replay", "PATH", journal::replay),
-    (
-        "stat",
-        "[--sockets a.sock,b.sock] [--timeout-ms N] [--json]",
-        fleet::stat,
-    ),
-    (
-        "top",
-        "[--sockets a.sock,b.sock] [--timeout-ms N] [--interval-ms N] [--once] [--json]",
-        fleet::top,
-    ),
 ];
 
 /// The synopsis of `only`, or of every subcommand when it names none.

@@ -11,8 +11,9 @@
 //! case, closer to the paper's protocol).
 
 use assertsolver::{
-    evaluate_model, render_breakdown, render_distribution, render_histogram, render_passk_table,
-    render_split_table, train, EvalConfig, ModelEvaluation, PassK, TrainConfig, TrainedArtifacts,
+    evaluate_model_on, render_breakdown, render_distribution, render_histogram, render_passk_table,
+    render_split_table, train, EvalConfig, EvalVerifier, ModelEvaluation, PassK, TrainConfig,
+    TrainedArtifacts,
 };
 use svdata::distribution;
 use svmodel::{all_baselines, RepairModel};
@@ -120,25 +121,39 @@ pub struct ExperimentSuite {
 
 impl ExperimentSuite {
     /// Trains and evaluates everything at the given scale.
+    ///
+    /// All nine models are judged by one [`EvalVerifier`]: a verdict is a
+    /// pure function of `(case, response, CheckConfig)`, so a candidate two
+    /// models propose is judged once, and with a cache directory the verdict
+    /// snapshot is loaded and flushed once per run.
     pub fn new(scale: Scale, seed: u64) -> Self {
         let artifacts = train(&scale.train_config(seed));
         let eval_config = scale.eval_config(seed ^ 0xE7);
-        let benchmark = artifacts.sva_eval.all();
+        let verifier = EvalVerifier::start(&eval_config);
+        let suite = Self::evaluate(artifacts, eval_config, Some(&verifier));
+        verifier.shutdown();
+        suite
+    }
 
-        let mut checkpoints = Vec::new();
-        for model in [&artifacts.base, &artifacts.sft, &artifacts.assert_solver] {
-            checkpoints.push(EvaluatedModel {
-                name: model.name().to_string(),
-                evaluation: evaluate_model(model, &benchmark, &eval_config),
-            });
-        }
-        let mut baselines = Vec::new();
-        for baseline in all_baselines() {
-            baselines.push(EvaluatedModel {
-                name: baseline.name().to_string(),
-                evaluation: evaluate_model(&baseline, &benchmark, &eval_config),
-            });
-        }
+    /// Evaluates the three checkpoints and the six baselines, judged by
+    /// `verifier`, else each by a fresh one.
+    fn evaluate(
+        artifacts: TrainedArtifacts,
+        eval_config: EvalConfig,
+        verifier: Option<&EvalVerifier>,
+    ) -> Self {
+        let benchmark = artifacts.sva_eval.all();
+        let evaluated = |model: &(dyn RepairModel + Sync)| EvaluatedModel {
+            name: model.name().to_string(),
+            evaluation: evaluate_model_on(model, &benchmark, &eval_config, verifier),
+        };
+        let checkpoints = [&artifacts.base, &artifacts.sft, &artifacts.assert_solver]
+            .map(|model| evaluated(model))
+            .into();
+        let baselines = all_baselines()
+            .iter()
+            .map(|baseline| evaluated(baseline))
+            .collect();
         let samples = eval_config.samples;
         Self {
             artifacts,
@@ -324,6 +339,21 @@ mod tests {
         let base = suite.checkpoints[0].overall();
         let solver = suite.checkpoints[2].overall();
         assert!(solver.pass1 > base.pass1);
+    }
+
+    /// The per-model path — a fresh verifier for each of the nine models — is
+    /// the oracle the shared verifier must reproduce, table for table.
+    #[test]
+    fn a_shared_verifier_renders_the_tables_per_model_verifiers_do() {
+        let seed = 43;
+        let artifacts = train(&Scale::Quick.train_config(seed));
+        let eval_config = Scale::Quick.eval_config(seed ^ 0xE7);
+        let per_model = ExperimentSuite::evaluate(artifacts.clone(), eval_config.clone(), None);
+        let verifier = EvalVerifier::start(&eval_config);
+        let shared = ExperimentSuite::evaluate(artifacts, eval_config, Some(&verifier));
+        let metrics = verifier.shutdown();
+        assert_eq!(shared.all(), per_model.all());
+        assert!(metrics.cache_hits > 0, "models share judged candidates");
     }
 
     #[test]

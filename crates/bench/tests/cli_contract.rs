@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
-use svserve::{DRIVERS_ENV, SHARD_SOCKETS_ENV};
+use svserve::DRIVERS_ENV;
 
 fn svobs(args: &[&str]) -> Output {
     svobs_with(args, &[])
@@ -15,7 +15,6 @@ fn svobs(args: &[&str]) -> Output {
 fn svobs_with(args: &[&str], envs: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_svobs"))
         .args(args)
-        .env_remove(SHARD_SOCKETS_ENV)
         .envs(envs.iter().copied())
         .output()
         .expect("run svobs")
@@ -48,12 +47,6 @@ fn bad_command_lines_exit_2_with_usage_and_help_exits_0() {
         ("prof", vec![], "--seed"),
         ("trace", vec![], "--slowest"),
         ("record", vec!["--out", "never-written.jsonl"], "--limit"),
-        ("stat", vec!["--sockets", "no.sock"], "--timeout-ms"),
-        (
-            "top",
-            vec!["--once", "--sockets", "no.sock"],
-            "--interval-ms",
-        ),
     ];
     for (sub, valid, valued) in subcommands {
         let with = |tail: &[&'static str]| [&[sub], valid.as_slice(), tail].concat();
@@ -66,45 +59,19 @@ fn bad_command_lines_exit_2_with_usage_and_help_exits_0() {
     assert_usage_error(&["replay", "never-read.jsonl", "junk"]);
     assert_usage_error(&["replay", "never-read.jsonl", "--no-such-flag"]);
 
-    // `record` without `--out`, `--out` without a value, a fleet subcommand
-    // without sockets, the repeatable `--socket` the old binaries took, and
-    // `top`'s flags on `stat`.
+    // `record` without `--out` and `--out` without a value.
     assert_usage_error(&["record", "--seed", "9"]);
     assert_usage_error(&["record", "--out"]);
-    assert_usage_error(&["stat"]);
-    assert_usage_error(&["top", "--once"]);
-    assert_usage_error(&["stat", "--socket", "no.sock"]);
-    assert_usage_error(&["stat", "--sockets", "no.sock", "--once"]);
 
-    // No subcommand, unknown ones — and `--help`, which lists all six.
+    // No subcommand, unknown ones — and `--help`, which lists all four.
     assert_usage_error(&[]);
     assert_usage_error(&["explain"]);
     assert_usage_error(&["svtrace"]);
     let help = svobs(&["--help"]);
     assert_eq!(help.status.code(), Some(0));
     let listing = String::from_utf8_lossy(&help.stdout);
-    for sub in ["prof", "trace", "record", "replay", "stat", "top"] {
+    for sub in ["prof", "trace", "record", "replay"] {
         assert!(listing.contains(&format!("svobs {sub} ")), "{listing}");
-    }
-}
-
-#[test]
-fn a_fleet_nobody_listens_on_is_a_runtime_failure() {
-    let socket = format!("{}/nobody.sock", scratch_dir("dead").display());
-    for args in [
-        vec!["stat", "--sockets", &socket],
-        vec!["stat", "--sockets", &socket, "--json"],
-        vec!["top", "--once", "--sockets", &socket],
-        vec!["top", "--once", "--json", "--sockets", &socket],
-    ] {
-        let output = svobs(&args);
-        assert_eq!(output.status.code(), Some(1), "svobs {args:?}");
-        assert!(
-            stderr(&output).contains("no shard answered"),
-            "svobs {args:?} explains the failure: {}",
-            stderr(&output)
-        );
-        assert!(!output.stdout.is_empty(), "the dead shard is still listed");
     }
 }
 

@@ -20,10 +20,9 @@ use svserve::stage as trace_stage;
 use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
     verdict_case_state, verdict_key_after, write_journal, CollapsedProfile, JournalHeader,
-    JournalSink, MetricClass, PersistSpec, RepairRequest, ScopedService, ServiceConfig, ShardFleet,
+    JournalSink, MetricClass, PersistSpec, RepairRequest, ScopedService, ServiceConfig,
     TelemetryHandle, TraceContext, TraceHandle, TraceSpan, TracerHandle, VerdictCaseState,
     VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool, VerifyRequest, DEFAULT_COMPACT_AFTER_RUNS,
-    JOURNAL_DIR_ENV, SHARD_SOCKETS_ENV,
 };
 use svverify::{CheckConfig, VerifyOracle};
 
@@ -66,14 +65,6 @@ pub struct EvalConfig {
     /// events and writes a checksummed JSONL journal there; journal bytes are
     /// identical at any worker/driver count and with warm or cold caches.
     pub journal_dir: Option<String>,
-    /// Remote shard fleet to sample against (`None` = the
-    /// `ASSERTSOLVER_SHARD_SOCKETS` environment override, else in-process
-    /// serving).  When resolved, [`evaluate_model`] submits every case over
-    /// the wire to `shard-serve` processes instead of starting a local repair
-    /// service; results are byte-identical to the in-process run as long as
-    /// the shards serve the same model and seed (the `Hello` fingerprint
-    /// handshake enforces the model half).  Verification always runs locally.
-    pub shards: Option<ShardSpec>,
     /// Directory for collapsed-stack profile artifacts (`None` = the
     /// `ASSERTSOLVER_PROFILE_DIR` environment override, else no profile
     /// write).  When resolved, an [`Evaluation`] with telemetry on writes its
@@ -83,28 +74,6 @@ pub struct EvalConfig {
     pub profile_dir: Option<String>,
     /// Bounded-check configuration used to decide whether a repair solves the failure.
     pub check: CheckConfig,
-}
-
-/// Where a remote shard fleet lives: one unix-socket path per shard process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardSpec {
-    /// One `shard-serve` socket path per shard; requests place onto shards by
-    /// content hash (`svserve::shard_for_key`), so the paths' *order* matters
-    /// — every client of one fleet must list them identically.
-    pub sockets: Vec<String>,
-    /// Per-call read/write timeout in milliseconds; a wedged shard degrades to
-    /// a counted error after this long, never a hung evaluation.
-    pub timeout_ms: u64,
-}
-
-impl ShardSpec {
-    /// A spec with the default 30-second call timeout.
-    pub fn new(sockets: Vec<String>) -> Self {
-        Self {
-            sockets,
-            timeout_ms: 30_000,
-        }
-    }
 }
 
 impl Default for EvalConfig {
@@ -118,7 +87,6 @@ impl Default for EvalConfig {
             drivers: 0,
             cache_dir: None,
             journal_dir: None,
-            shards: None,
             profile_dir: None,
             check: CheckConfig {
                 depth: 12,
@@ -164,16 +132,6 @@ impl EvalConfig {
     /// (`svserve::PROFILE_DIR_ENV`).
     pub fn resolved_profile_dir(&self) -> Option<std::path::PathBuf> {
         resolve_dir(&self.profile_dir, env_profile_dir)
-    }
-
-    /// The remote shard fleet this protocol samples against, if any: the
-    /// explicit [`EvalConfig::shards`] field, else the
-    /// `ASSERTSOLVER_SHARD_SOCKETS` environment override
-    /// (`svserve::SHARD_SOCKETS_ENV`, comma-separated socket paths).
-    pub fn resolved_shards(&self) -> Option<ShardSpec> {
-        self.shards
-            .clone()
-            .or_else(|| svserve::env_shard_sockets().map(ShardSpec::new))
     }
 
     /// The repair-service configuration this protocol implies.
@@ -544,7 +502,7 @@ impl EvalVerifier {
 }
 
 /// What a session journal was recorded over: enough identity to *rebuild* the
-/// evaluation (`svreplay replay`) and enough fingerprints to refuse a replay
+/// evaluation (`svobs replay`) and enough fingerprints to refuse a replay
 /// against the wrong inputs.
 ///
 /// Rendered (as one JSON line) into the journal header's `manifest` field.
@@ -642,61 +600,46 @@ fn artifact_path(
     dir.join(format!("{kind}-{}-{hash:08x}.{ext}", file_slug(identity)))
 }
 
-/// The branch decision behind [`evaluate_model`], pure so a test can pin it
-/// without process env: whether to journal, and the warning to print.  A
-/// resolved journal directory turns the journal on unless shards resolved
-/// too — a fleet run's sessions happen on the shards and leave no local
-/// journal — and then the warning names both knobs.
-fn journal_decision(shards: bool, journal_dir: bool) -> (bool, Option<String>) {
-    let warning = (shards && journal_dir).then(|| {
-        format!(
-            "warning: {SHARD_SOCKETS_ENV} and {JOURNAL_DIR_ENV} (or EvalConfig::shards and \
-             EvalConfig::journal_dir) are both set; a fleet run keeps no local journal, so none \
-             is written"
-        )
-    });
-    (journal_dir && !shards, warning)
-}
-
 /// Evaluates a model over a set of cases: an [`Evaluation`] with the
 /// facilities the protocol's knobs turn on, judged by a fresh
 /// [`EvalVerifier`].  To share a warm verdict cache across several
 /// evaluations, start an [`EvalVerifier`] once and call
-/// [`evaluate_model_with`].
+/// [`evaluate_model_on`].
 ///
-/// * [`EvalConfig::shards`] (or `ASSERTSOLVER_SHARD_SOCKETS`) samples every
-///   case on that remote fleet ([`Evaluation::fleet`]).
 /// * [`EvalConfig::journal_dir`] (or `ASSERTSOLVER_JOURNAL_DIR`) records a
 ///   session journal and writes it to `journal-<slug>-<hash>.jsonl` there as
 ///   a record-only artifact (empty rebuild tags; `svobs record` writes
-///   replayable ones).  A fleet run keeps no local journal: with both set, a
-///   warning names the two knobs.
+///   replayable ones).
 /// * `ASSERTSOLVER_TRACE` collects the trace forest and writes it to
 ///   `trace-<slug>-<hash>.jsonl` in the profile directory
 ///   ([`EvalConfig::profile_dir`] or `ASSERTSOLVER_PROFILE_DIR`) when one
-///   resolves.  Tracing composes with either of the above.
+///   resolves.  Tracing composes with the journal.
 pub fn evaluate_model<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
 ) -> ModelEvaluation {
-    let shards = config.resolved_shards();
-    let journal_dir = config.resolved_journal_dir().is_some();
-    let (journal, warning) = journal_decision(shards.is_some(), journal_dir);
-    if let Some(warning) = warning {
-        eprintln!("{warning}");
-    }
+    evaluate_model_on(model, entries, config, None)
+}
+
+/// [`evaluate_model`], judged by `verifier` when one is given instead of a
+/// fresh one.  Verdicts are pure functions of `(case, response,
+/// CheckConfig)`, so a verifier shared by several models answers each of
+/// them as a fresh one would, judging each distinct candidate once.
+pub fn evaluate_model_on<M: RepairModel + Sync + ?Sized>(
+    model: &M,
+    entries: &[SvaBugEntry],
+    config: &EvalConfig,
+    verifier: Option<&EvalVerifier>,
+) -> ModelEvaluation {
     let identity = OnceCell::new();
-    let identity_of = || identity.get_or_init(|| model.identity()).as_str();
-    let fleet = shards.map(|spec| {
-        let timeout = std::time::Duration::from_millis(spec.timeout_ms.max(1));
-        ShardFleet::connect_unix(&spec.sockets, Some(identity_of()), timeout)
+    let manifest = config.resolved_journal_dir().map(|_| {
+        let identity = identity.get_or_init(|| model.identity());
+        JournalManifest::for_protocol("", "", identity, entries, config)
     });
-    let manifest =
-        journal.then(|| JournalManifest::for_protocol("", "", identity_of(), entries, config));
     let trace = TraceHandle::from_env();
     let mut evaluation = Evaluation::new(model, entries, config).trace(&trace);
-    (evaluation.fleet, evaluation.journal) = (fleet.as_ref(), manifest.as_ref());
+    (evaluation.journal, evaluation.verifier) = (manifest.as_ref(), verifier);
     evaluation.identity = identity;
     evaluation.run().evaluation
 }
@@ -763,12 +706,11 @@ pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
 /// No facility changes the [`ModelEvaluation`]: sampler seeds derive from case
 /// content and verdicts are pure functions of `(case, response, CheckConfig)`,
 /// so it is identical at any worker/verify-worker/driver count, with warm or
-/// cold caches, in process or over a fleet.  A facility that is off costs one
-/// branch per instrumented site.  With the journal on, every judged case
-/// journals into a fresh sink; tracing grows
-/// one five-span tree per case (a `session` root over `submit` → `sample` →
-/// `verify` → `evaluate` laps that tile it), byte-identical in process and
-/// over a fleet ([`svserve::trace`]).
+/// cold caches.  A facility that is off costs one branch per instrumented
+/// site.  With the journal on, every judged case journals into a fresh sink;
+/// tracing grows one five-span tree per case (a `session` root over `submit`
+/// → `sample` → `verify` → `evaluate` laps that tile it), byte-identical at
+/// any driver count ([`svserve::trace`]).
 ///
 /// Artifacts, best effort: with the journal on, `journal-<slug>-<hash>.jsonl`
 /// in the journal directory; in the profile directory, `trace-….jsonl` when
@@ -784,7 +726,6 @@ pub struct Evaluation<'a, M: ?Sized> {
     tracer: TracerHandle,
     trace: TraceHandle,
     telemetry: TelemetryHandle,
-    fleet: Option<&'a ShardFleet>,
     /// [`RepairModel::identity`], derived on first read: only a cache
     /// snapshot name and the artifact names read it.
     identity: OnceCell<String>,
@@ -815,7 +756,6 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             tracer: TracerHandle::off(),
             trace: TraceHandle::off(),
             telemetry: TelemetryHandle::off(),
-            fleet: None,
             identity: OnceCell::new(),
         }
     }
@@ -847,26 +787,8 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         self
     }
 
-    /// Samples on `fleet`, whose shards serve this model at this seed;
-    /// verification stays local, and a case whose shard is down, busy or
-    /// corrupt degrades to `n = 0, c = 0` (counted in the fleet metrics).
-    pub fn fleet(mut self, fleet: &'a ShardFleet) -> Self {
-        self.fleet = Some(fleet);
-        self
-    }
-
     /// Runs the evaluation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both [`Evaluation::fleet`] and [`Evaluation::journal`] are
-    /// on: a fleet run's sessions happen on the shards and leave no local
-    /// journal.
     pub fn run(self) -> EvaluationRun {
-        assert!(
-            self.fleet.is_none() || self.journal.is_none(),
-            "a fleet evaluation keeps no local journal"
-        );
         let sink = self.journal.map(|_| JournalSink::shared());
         let tracer = sink
             .as_ref()
@@ -875,26 +797,26 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         let owned = (self.verifier.is_none())
             .then(|| EvalVerifier::start_instrumented(self.config, &self.telemetry));
         let verifier = self.verifier.or(owned.as_ref()).expect("a verifier");
-        // Every case on the one case driver (`drive_cases`), as the run's
-        // `sessions` stage: on the fleet when one is set, else on an
-        // in-process repair pool serving in place.
-        let mut drive = |sampler: Sampler<'_, M>| {
+        // Every case on the one case driver (`drive_cases`), sampled by an
+        // in-process repair pool serving in place, as the run's `sessions`
+        // stage.
+        let service_config = (self.config)
+            .service_config_with(|| self.identity())
+            .with_telemetry(self.telemetry.clone());
+        let results = serve_scoped(self.model, service_config, |service| {
+            let driver = CaseDriver {
+                service,
+                verifier,
+                config: self.config,
+                tracer: &tracer,
+                telemetry: &self.telemetry,
+                trace: &self.trace,
+            };
             stages.lap();
-            let results = drive_cases(&sampler, verifier, self.entries, self.config, &self.trace);
+            let results = drive_cases(&driver, self.entries);
             stages.lap();
             results
-        };
-        let results = match self.fleet {
-            Some(fleet) => drive(Sampler::Fleet(fleet)),
-            None => {
-                let service_config = (self.config)
-                    .service_config_with(|| self.identity())
-                    .with_telemetry(self.telemetry.clone());
-                serve_scoped(self.model, service_config, |service| {
-                    drive(Sampler::Local(service, &tracer, &self.telemetry))
-                })
-            }
-        };
+        });
         let evaluation = ModelEvaluation {
             model: self.model.name().to_string(),
             results,
@@ -1012,23 +934,22 @@ impl<'t> StageClock<'t> {
     }
 }
 
-/// Where a case's samples come from.
-enum Sampler<'s, M: ?Sized> {
-    /// The in-process repair pool, which solves on the calling thread; each
-    /// judged case journals on the tracer ([`TracerHandle::case`]), its wall
-    /// clock landing in the telemetry.
-    Local(
-        &'s ScopedService<'s, M>,
-        &'s TracerHandle,
-        &'s TelemetryHandle,
-    ),
-    /// A remote shard fleet, whose submit blocks for the answer.
-    Fleet(&'s ShardFleet),
+/// What every case of one run shares: the in-process repair pool that
+/// samples it (solving on the calling thread), the verifier that judges it,
+/// the protocol, and the observability handles — each judged case journals
+/// on the tracer ([`TracerHandle::case`]), its wall clock landing in the
+/// telemetry and its laps in the trace.
+struct CaseDriver<'s, M: ?Sized> {
+    service: &'s ScopedService<'s, M>,
+    verifier: &'s EvalVerifier,
+    config: &'s EvalConfig,
+    tracer: &'s TracerHandle,
+    telemetry: &'s TelemetryHandle,
+    trace: &'s TraceHandle,
 }
 
-/// The one case driver: every case of `entries` through `sampler`, judged on
-/// `verifier`, its trace laps into `trace`; returns each case's result in
-/// corpus order (a degraded fleet case is `n = c = 0`).
+/// The one case driver: every case of `entries` sampled and judged through
+/// `driver`; returns each case's result in corpus order.
 ///
 /// Each of `min(drivers, cases)` scoped threads takes a strided share
 /// (thread `t`: cases `t, t + threads, …`) and runs each case of it start to
@@ -1046,20 +967,17 @@ enum Sampler<'s, M: ?Sized> {
 /// either CPU; there it cost ~0.1 ms a call on a cold one-case evaluation and
 /// ~1 ms on a warm one, whose driver reads caches the caller's thread loaded.
 fn drive_cases<M: RepairModel + Sync + ?Sized>(
-    sampler: &Sampler<'_, M>,
-    verifier: &EvalVerifier,
+    driver: &CaseDriver<'_, M>,
     entries: &[SvaBugEntry],
-    config: &EvalConfig,
-    trace: &TraceHandle,
 ) -> Vec<CaseResult> {
-    let drivers = Some(config.drivers).filter(|&drivers| drivers > 0);
+    let drivers = Some(driver.config.drivers).filter(|&drivers| drivers > 0);
     let drivers = drivers
         .or_else(env_drivers)
         .unwrap_or_else(default_parallelism);
     let threads = drivers.min(entries.len()).max(1);
     let share = |first: usize| {
         let cases = entries.iter().skip(first).step_by(threads);
-        let run = |entry| run_case(sampler, verifier, entry, config, trace);
+        let run = |entry| run_case(driver, entry);
         cases.map(run).collect::<Vec<_>>()
     };
     let mut results: Vec<Option<CaseResult>> = vec![None; entries.len()];
@@ -1089,37 +1007,18 @@ fn default_parallelism() -> usize {
 /// lap per stage, each covering the time since the previous one, so the four
 /// child spans tile the `session` root's wall (`svobs trace`'s ≥ 95% bar):
 /// `submit` builds the request, `sample` solves it, `verify` dedups the
-/// candidates into verdict jobs and `evaluate` judges and tallies them.  Over
-/// a fleet, the shard's own `sample` span merges with the driver's, keeping
-/// the larger wall.
+/// candidates into verdict jobs and `evaluate` judges and tallies them.
 fn run_case<M: RepairModel + ?Sized>(
-    sampler: &Sampler<'_, M>,
-    verifier: &EvalVerifier,
+    driver: &CaseDriver<'_, M>,
     entry: &SvaBugEntry,
-    config: &EvalConfig,
-    trace: &TraceHandle,
 ) -> CaseResult {
-    let request = request_for(entry, config);
+    let (verifier, trace) = (driver.verifier, driver.trace);
+    let request = request_for(entry, driver.config);
     let (key, samples, start) = (request.key(), request.samples, Instant::now());
     let mut laps = Laps::new(trace.root(key), start);
     let case = Arc::new(entry.clone());
     laps.lap("submit", trace_stage::SUBMIT, samples);
-    let responses = match sampler {
-        Sampler::Local(service, ..) => service.submit(request).expect(OPEN).wait().responses,
-        Sampler::Fleet(fleet) => {
-            let outcome = match &laps.root {
-                Some(ctx) => fleet.submit_traced(&request, ctx).map(|(outcome, spans)| {
-                    laps.spans.extend(spans);
-                    outcome
-                }),
-                None => fleet.submit(&request),
-            };
-            let Ok(outcome) = outcome else {
-                return build_case_result(entry, 0, 0);
-            };
-            Arc::new(outcome.responses)
-        }
-    };
+    let responses = driver.service.submit(request).expect(OPEN).wait().responses;
     let n = responses.len();
     laps.lap("sample", trace_stage::SAMPLE, n);
     let candidates = distinct_candidates(verifier, &case, &responses);
@@ -1133,11 +1032,14 @@ fn run_case<M: RepairModel + ?Sized>(
         laps.spans.push(session);
         trace.extend(laps.spans);
     }
-    if let Sampler::Local(_, tracer, telemetry) = sampler {
-        tracer.case(key.fold64(), n as u64, distinct as u64, c as u64);
-        if let Some(wall) = telemetry.histogram("session.span.wall", MetricClass::Volatile) {
-            wall.observe_duration(start.elapsed());
-        }
+    driver
+        .tracer
+        .case(key.fold64(), n as u64, distinct as u64, c as u64);
+    let wall = driver
+        .telemetry
+        .histogram("session.span.wall", MetricClass::Volatile);
+    if let Some(wall) = wall {
+        wall.observe_duration(start.elapsed());
     }
     build_case_result(entry, n, c)
 }
@@ -1861,21 +1763,6 @@ mod tests {
             assert_eq!(none.service_config_for("m").persist, None);
             assert_eq!(none.verify_config().persist, None);
         }
-    }
-
-    #[test]
-    fn a_fleet_skips_the_journal_and_says_so() {
-        assert_eq!(journal_decision(false, false), (false, None));
-        assert_eq!(journal_decision(false, true), (true, None));
-        assert_eq!(journal_decision(true, false), (false, None));
-        let (journal, warning) = journal_decision(true, true);
-        assert!(!journal, "a fleet run keeps no local journal");
-        let warning = warning.expect("both knobs set warns");
-        assert!(warning.starts_with("warning: "), "{warning}");
-        assert!(
-            warning.contains(SHARD_SOCKETS_ENV) && warning.contains(JOURNAL_DIR_ENV),
-            "the warning names both knobs: {warning}"
-        );
     }
 
     #[test]

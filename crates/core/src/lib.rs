@@ -13,8 +13,8 @@
 //!
 //! Every evaluation runs one body, [`Evaluation`]: `Evaluation::new(model,
 //! entries, config)` is the plain protocol, and `.verifier(..)`,
-//! `.journal(..)`, `.trace(..)`, `.telemetry(..)` and `.fleet(..)` each
-//! switch on one facility; [`Evaluation::run`] returns the
+//! `.journal(..)`, `.trace(..)` and `.telemetry(..)` each switch on one
+//! facility; [`Evaluation::run`] returns the
 //! [`ModelEvaluation`] plus, when they are on, the rendered journal and the
 //! stage profile.  [`evaluate_model`] is the builder with the facilities the
 //! `EvalConfig` fields and `ASSERTSOLVER_*` knobs turn on;
@@ -45,9 +45,9 @@ pub mod train;
 pub use benchmark::{human_crafted_cases, SvaEval};
 pub use evaluate::{
     apply_line_edit, corpus_fingerprint, evaluate_model, evaluate_model_instrumented,
-    evaluate_model_journaled, evaluate_model_observed, evaluate_model_with, response_is_correct,
-    CaseResult, EvalConfig, EvalVerifier, Evaluation, EvaluationRun, JournalManifest,
-    ModelEvaluation, ShardSpec,
+    evaluate_model_journaled, evaluate_model_observed, evaluate_model_on, evaluate_model_with,
+    response_is_correct, CaseResult, EvalConfig, EvalVerifier, Evaluation, EvaluationRun,
+    JournalManifest, ModelEvaluation,
 };
 pub use passk::{pass_at_k, PassK};
 pub use report::{

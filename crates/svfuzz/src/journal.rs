@@ -6,7 +6,7 @@
 //! verify, simulate, classify), evaluated under the quick protocol, and the
 //! rendered journal is embedded in the artifact. `repro` re-derives the entry
 //! from `(base_source, derive_seed)` alone and byte-compares the journals —
-//! the same record/replay contract `svreplay` enforces for full evaluations.
+//! the same record/replay contract `svobs replay` enforces for full evaluations.
 
 use assertsolver::{evaluate_model_journaled, EvalConfig, JournalManifest};
 use svdata::SvaBugEntry;

@@ -16,12 +16,12 @@
 //! * [`OracleKind::BmcPermutation`] — permuting a module's concurrent items
 //!   (`assign` / `always`) must not change the bounded-check verdict or the
 //!   set of failing assertion names.
-//! * [`OracleKind::WireStats`] — source-derived stats-plane payloads
-//!   round-trip through their wire frames (`StatsReply`, `TraceReply`),
-//!   and every deterministic corruption of the encoded
-//!   bytes (flips, truncations, oversized declarations,
-//!   checksummed-but-mangled JSON) degrades to a decode error — never a
-//!   panic.
+//! * [`OracleKind::WireStats`] — source-derived `Submit` and `Response`
+//!   frames round-trip through the frame codec, and every deterministic
+//!   corruption of the encoded bytes (flips, truncations, oversized
+//!   declarations, checksummed-but-mangled JSON) degrades to a decode error
+//!   — never a panic; a source-derived trace forest's JSONL round-trips and
+//!   its bit-flipped text never panics the parser.
 //! * [`OracleKind::SimDifferential`] — the compiled simulator and bounded
 //!   checker agree with the reference interpreter (`svsim::reference`) and
 //!   the plain check loop on the source and on `svmutate` mutants of it:
@@ -52,8 +52,7 @@ pub enum OracleKind {
     MutateClosure,
     /// Bounded-check verdict invariance under concurrent-item permutation.
     BmcPermutation,
-    /// Stats-plane wire-frame robustness (`StatsReply` / `TraceReply`):
-    /// corrupt bytes never panic.
+    /// Wire-frame and trace-JSONL robustness: corrupt bytes never panic.
     WireStats,
     /// Compiled simulator and checker against the reference interpreter.
     SimDifferential,
@@ -293,27 +292,13 @@ fn bmc_permutation(source: &str) -> OracleOutcome {
 }
 
 fn wire_stats(source: &str) -> OracleOutcome {
-    use svmodel::CaseInput;
-    use svserve::{
-        Frame, MetricClass, MetricsRegistry, RepairRequest, TraceContext, TraceSpan, WireOutcome,
-    };
+    use svmodel::{CaseInput, Response};
+    use svserve::{Frame, RepairRequest, TraceContext, TraceForest, TraceSpan, WireOutcome};
 
     let seed = fnv64(source.as_bytes()) ^ 0x57A7;
 
-    // A snapshot derived from the source content: one deterministic counter
-    // plus a histogram fed source bytes, so corpus inputs reach different
-    // bucket layouts, value magnitudes and JSON shapes.
-    let registry = MetricsRegistry::default();
-    registry
-        .counter("fuzz.source.bytes", MetricClass::Deterministic)
-        .add(source.len() as u64);
-    let content = registry.histogram("fuzz.source.content", MetricClass::Volatile);
-    for (i, byte) in source.bytes().take(64).enumerate() {
-        content.observe(seed.rotate_left(i as u32) ^ u64::from(byte));
-    }
-
-    // A source-derived trace tree (the `TraceReply` payload): one root with a
-    // child per leading source byte, ids flowing from the real derivation.
+    // A source-derived request and a reply echoing source lines, so corpus
+    // inputs reach different JSON shapes, escapes and lengths.
     let request = RepairRequest::new(
         CaseInput {
             spec: source.chars().take(48).collect(),
@@ -323,6 +308,33 @@ fn wire_stats(source: &str) -> OracleOutcome {
         1 + (seed as usize) % 7,
         0.2,
     );
+    let responses = (source.lines().take(4).enumerate())
+        .map(|(i, line)| Response {
+            bug_line_number: 1 + i as u32,
+            buggy_line: line.to_string(),
+            fixed_line: line.chars().rev().collect(),
+            cot: (i % 2 == 1).then(|| format!("cot {seed:x}")),
+        })
+        .collect();
+    let frames = [
+        ("submit", Frame::Submit(request.clone())),
+        (
+            "response",
+            Frame::Response(WireOutcome {
+                responses,
+                from_cache: seed & 1 == 0,
+            }),
+        ),
+    ];
+    for (label, frame) in &frames {
+        if let Some(outcome) = frame_corruption_battery(frame, seed, label) {
+            return outcome;
+        }
+    }
+
+    // A source-derived trace tree: one root with a child per leading source
+    // byte, ids flowing from the real derivation.  Its JSONL round-trips, and
+    // bit flips in it never panic the parser.
     let root = TraceContext::root(request.key(), seed);
     let mut spans = vec![TraceSpan::new(&root, "session", 0, 1, seed & 0xFFFF)];
     for (i, byte) in source.bytes().take(6).enumerate() {
@@ -334,26 +346,22 @@ fn wire_stats(source: &str) -> OracleOutcome {
             seed.rotate_left(i as u32) & 0xFFF,
         ));
     }
-
-    // Every stats-plane reply frame — registry snapshot, trace tree — faces
-    // the same corruption battery: a corrupt peer must always degrade to a
-    // counted decode error, never a panic.
-    let frames = [
-        ("stats", Frame::StatsReply(registry.snapshot())),
-        (
-            "trace reply",
-            Frame::TraceReply {
-                outcome: WireOutcome {
-                    responses: Vec::new(),
-                    from_cache: seed & 1 == 0,
-                },
-                spans,
-            },
-        ),
-    ];
-    for (label, frame) in &frames {
-        if let Some(outcome) = frame_corruption_battery(frame, seed, label) {
-            return outcome;
+    let forest = TraceForest::from_spans(spans);
+    let jsonl = forest.render_jsonl();
+    if TraceForest::parse_jsonl(&jsonl).as_ref() != Ok(&forest) {
+        return OracleOutcome::fail("trace forest JSONL did not round-trip".to_string());
+    }
+    for step in 0..8u32 {
+        let flip_at = (seed.rotate_left(step * 7) as usize) % jsonl.len();
+        let mut flipped = jsonl.clone().into_bytes();
+        flipped[flip_at] ^= 1 << (step % 7);
+        let Ok(text) = String::from_utf8(flipped) else {
+            continue;
+        };
+        if catch_unwind(AssertUnwindSafe(|| TraceForest::parse_jsonl(&text))).is_err() {
+            return OracleOutcome::fail(format!(
+                "trace forest: byte flip at {flip_at} panicked the JSONL parser"
+            ));
         }
     }
     OracleOutcome::Pass
@@ -368,9 +376,8 @@ fn wire_stats(source: &str) -> OracleOutcome {
 /// 3. an oversized length declaration is refused before any body allocation;
 /// 4. a checksummed-but-mangled body — the shape a buggy (not malicious)
 ///    peer produces — decodes to an error or some other valid frame without
-///    panicking, and the typed JSON parsers behind the stats plane
-///    (registry snapshot, trace forest) absorb the mangled
-///    text without panicking too.
+///    panicking, and the trace-forest JSONL parser absorbs the mangled text
+///    without panicking too.
 fn frame_corruption_battery(
     frame: &svserve::Frame,
     seed: u64,
@@ -465,22 +472,10 @@ fn frame_corruption_battery(
             )));
         }
         if let Ok(text) = std::str::from_utf8(&mangled) {
-            let owned = text.to_string();
-            type TextParser = fn(&str);
-            let parsers: [(&str, TextParser); 2] = [
-                ("registry snapshot", |t| {
-                    let _ = svserve::RegistrySnapshot::parse_json(t);
-                }),
-                ("trace forest", |t| {
-                    let _ = svserve::TraceForest::parse_jsonl(t);
-                }),
-            ];
-            for (parser_label, parser) in parsers {
-                if catch_unwind(AssertUnwindSafe(|| parser(&owned))).is_err() {
-                    return Some(OracleOutcome::fail(format!(
-                        "{label}: {parser_label} parser panicked on mangled JSON"
-                    )));
-                }
+            if catch_unwind(AssertUnwindSafe(|| svserve::TraceForest::parse_jsonl(text))).is_err() {
+                return Some(OracleOutcome::fail(format!(
+                    "{label}: trace forest parser panicked on mangled JSON"
+                )));
             }
         }
     }

@@ -62,8 +62,8 @@ pub trait RepairModel {
     /// That fingerprint costs O(model size) — [`AssertSolverModel`] serializes
     /// and hashes every weight, ≈0.5 ms for a trained checkpoint — so callers
     /// derive it only where something reads it: `assertsolver::Evaluation`
-    /// computes it at most once per run, and only for a cache snapshot name, an
-    /// artifact name or a fleet handshake.
+    /// computes it at most once per run, and only for a cache snapshot name or
+    /// an artifact name.
     fn identity(&self) -> String {
         self.name().to_string()
     }

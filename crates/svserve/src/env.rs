@@ -52,11 +52,6 @@ pub const VERIFY_WORKERS_ENV: &str = "ASSERTSOLVER_VERIFY_WORKERS";
 /// runs: `1`/`on`/`true`/`yes` enable, `0`/`off`/`false`/unset disable.
 pub const TRACE_ENV: &str = "ASSERTSOLVER_TRACE";
 
-/// Environment variable listing shard socket paths (comma-separated); when
-/// set, `assertsolver::evaluate_model` runs against the remote fleet instead
-/// of an in-process service.
-pub const SHARD_SOCKETS_ENV: &str = "ASSERTSOLVER_SHARD_SOCKETS";
-
 /// Hard ceiling on thread counts accepted from the environment.  A typo like
 /// a driver count of 40000 would otherwise spawn forty thousand OS threads
 /// and wedge the process before the first task runs.
@@ -167,18 +162,6 @@ pub fn env_drivers() -> Option<usize> {
 pub fn env_verify_workers() -> Option<usize> {
     let raw = std::env::var(VERIFY_WORKERS_ENV).ok()?;
     resolve_thread_knob(VERIFY_WORKERS_ENV, &raw)
-}
-
-/// Reads the shard socket list from the environment, if set and non-empty.
-pub fn env_shard_sockets() -> Option<Vec<String>> {
-    let raw = std::env::var(SHARD_SOCKETS_ENV).ok()?;
-    let sockets: Vec<String> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|socket| !socket.is_empty())
-        .map(str::to_string)
-        .collect();
-    (!sockets.is_empty()).then_some(sockets)
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //!
 //! * **Sharded pools, served in place** — every pool keeps N content-addressed
 //!   cache shards and serves each job on the thread that submits it
-//!   ([`serve_scoped`], [`verify_scoped`], [`VerifyPool`], [`RepairService`]):
-//!   no pool spawns a thread.  Concurrency comes from the callers — the
-//!   evaluation's case drivers, or the shard server's connection threads.
+//!   ([`serve_scoped`], [`VerifyPool`], [`RepairService`]): no pool spawns a
+//!   thread.  Concurrency comes from the callers — the evaluation's case
+//!   drivers.
 //! * **Content-addressed response cache** — answers are cached under a 128-bit hash
 //!   of `(spec, buggy source, failure log, samples, temperature)` with LRU eviction
 //!   and hit/miss counters ([`cache`]).
@@ -38,17 +38,15 @@
 //!   ([`journal`]): each judged case journals its phases, verdict tally and
 //!   terminal outcome in one call ([`TracerHandle::case`]) into one sink with
 //!   logical timestamps, rendered as a checksummed JSONL artifact whose bytes
-//!   are deterministic at any driver/shard count — a replayable repro
+//!   are deterministic at any driver/worker count — a replayable repro
 //!   artifact, not just a log.  Off by default; the hot path pays one branch.
 //!   Pool events (admits, sheds, cache lookups, panics) are counted once, in
-//!   the pool metrics, and served over the wire by the `Stats` exchange.
-//! * **Distributed shard fabric** — a versioned, checksummed, length-capped
-//!   frame protocol ([`wire`]) with loopback and unix-socket transports, a
-//!   [`ShardFleet`] client placing requests by content hash (per-shard caches
-//!   stay disjoint; results are byte-identical to in-process at any shard
-//!   count) and a [`ShardServer`] / `shard-serve` binary hosting a service
-//!   behind a socket.  `Busy` and every wire failure degrade to counted
-//!   outcomes, never a client panic or hang.
+//!   the pool metrics.
+//! * **Frame protocol** — a checksummed, length-capped frame codec ([`wire`])
+//!   with an in-process loopback transport and a [`ShardFleet`] client placing
+//!   requests by content hash (per-shard caches stay disjoint; answers are
+//!   byte-identical to direct submission at any shard count).  `Busy` and
+//!   every wire failure degrade to counted outcomes, never a client panic.
 //!
 //! ## Quick example
 //!
@@ -89,9 +87,8 @@ pub use cache::{
     VerdictCaseState, VerdictKey,
 };
 pub use env::{
-    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_shard_sockets, env_trace,
-    env_verify_workers, CACHE_DIR_ENV, DRIVERS_ENV, JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SCALE_ENV,
-    SHARD_SOCKETS_ENV, TRACE_ENV,
+    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_trace, env_verify_workers,
+    CACHE_DIR_ENV, DRIVERS_ENV, JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SCALE_ENV, TRACE_ENV,
 };
 pub use journal::{
     logical_tick, parse_journal, render_journal, write_journal, JournalCounters, JournalEvent,
@@ -113,13 +110,11 @@ pub use telemetry::{
 };
 pub use trace::{stage, TraceContext, TraceForest, TraceHandle, TraceSessionSummary, TraceSpan};
 pub use verify::{
-    verify_scoped, ResponseJudge, ScopedVerifier, VerdictOutcome, VerifyConfig, VerifyPool,
-    VerifyRequest, VerifyTicket,
+    ResponseJudge, VerdictOutcome, VerifyConfig, VerifyPool, VerifyRequest, VerifyTicket,
 };
 pub use wire::{
-    decode_frame, encode_frame, read_frame, shard_for_key, write_frame, FleetMetrics, FleetStats,
-    Frame, FrameError, LoopbackTransport, RemoteShard, ShardFleet, ShardServer, ShardStats,
-    Transport, UnixTransport, WireError, WireOutcome, MAX_FRAME_LEN, WIRE_FORMAT_VERSION,
+    decode_frame, encode_frame, FleetMetrics, Frame, FrameError, LoopbackTransport, ShardFleet,
+    Transport, WireError, WireOutcome, MAX_FRAME_LEN,
 };
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 //! as [`ServiceMetrics`]; the verify pool snapshots the same counters (plus the
 //! verdict tallies) as [`VerifyMetrics`].
 
-use crate::telemetry::{MetricClass, RegistrySnapshot};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -512,33 +511,6 @@ impl VerifyMetrics {
 }
 
 impl ServiceMetrics {
-    /// Exports the snapshot's fields as registry series under `prefix`
-    /// (`<prefix>.submitted`, `<prefix>.cache.hits`, …), so the bespoke view
-    /// and the unified telemetry plane expose one set of numbers.  Request and
-    /// verdict totals are deterministic (pure functions of the workload);
-    /// cache and scheduling counters are volatile.
-    pub fn export(&self, prefix: &str, out: &mut RegistrySnapshot) {
-        let det = MetricClass::Deterministic;
-        let vol = MetricClass::Volatile;
-        out.upsert_counter(&format!("{prefix}.submitted"), det, self.submitted);
-        out.upsert_counter(&format!("{prefix}.completed"), det, self.completed);
-        out.upsert_counter(&format!("{prefix}.cache.hits"), vol, self.cache_hits);
-        out.upsert_counter(&format!("{prefix}.cache.misses"), vol, self.cache_misses);
-        out.upsert_counter(&format!("{prefix}.cache.warm_hits"), vol, self.warm_hits);
-        out.upsert_gauge(
-            &format!("{prefix}.cache.entries"),
-            vol,
-            self.cache_entries as u64,
-        );
-        out.upsert_gauge(
-            &format!("{prefix}.in_flight"),
-            vol,
-            self.in_flight_sessions as u64,
-        );
-        out.upsert_counter(&format!("{prefix}.shed_busy"), vol, self.shed_busy);
-        out.upsert_counter(&format!("{prefix}.panics"), vol, self.solve_panics);
-    }
-
     /// The aligned rows behind [`ServiceMetrics::render`].
     fn rows(&self) -> Vec<(&'static str, String)> {
         vec![
@@ -698,28 +670,5 @@ mod tests {
         assert_eq!(verify.cache_hit_rate, 0.0);
         assert!(!verify.mean_verdict_us.is_nan());
         assert!(verify.render().contains("(0.0% hit rate)"));
-    }
-
-    #[test]
-    fn export_mirrors_the_bespoke_snapshot() {
-        let recorder = MetricsRecorder::new();
-        recorder.record_submit();
-        recorder.record_job(Duration::from_micros(1), Some(Duration::from_micros(100)));
-        let snap = recorder.snapshot(1, 1);
-        let mut out = RegistrySnapshot::new();
-        snap.export("service", &mut out);
-        // One namespace, stable names.
-        let submitted = out.get("service.submitted").expect("service.submitted");
-        assert_eq!(submitted.class, MetricClass::Deterministic);
-        assert_eq!(submitted.value, 1);
-        assert_eq!(
-            out.get("service.cache.misses").map(|m| m.value),
-            Some(1),
-            "cache counters export verbatim"
-        );
-        // Deterministic-only filtering keeps workload counters, drops timing.
-        let det = out.deterministic_only();
-        assert!(det.get("service.submitted").is_some());
-        assert!(det.get("service.cache.misses").is_none());
     }
 }

@@ -19,8 +19,7 @@
 //! A [`Bound`] pool serves each job on the thread that submits it: `submit`
 //! admits the job, probes its cache shard, runs the work on a miss and
 //! returns the served outcome.  No pool spawns a thread; concurrency comes
-//! from the callers — the evaluation's case drivers, or the shard server's
-//! connection threads.
+//! from the callers — the evaluation's case drivers.
 //!
 //! ## What the engine guarantees
 //!

@@ -25,7 +25,7 @@ use crate::cache::{case_key, CaseKey};
 use crate::metrics::ServiceMetrics;
 use crate::persist::{PersistSpec, ResponseSnapshot};
 use crate::pool::{self, Bound, Pool, PoolConfig, Serve, Served, Worker};
-use crate::telemetry::{RegistrySnapshot, TelemetryHandle};
+use crate::telemetry::TelemetryHandle;
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
@@ -106,7 +106,7 @@ impl ServiceConfig {
 
 /// One repair request: the case plus the sampling protocol.
 ///
-/// Serializable so it can cross a process boundary verbatim ([`crate::wire`]);
+/// Serializable so it can travel in a wire frame verbatim ([`crate::wire`]);
 /// the content-addressed key derives from the same fields on both sides.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RepairRequest {
@@ -255,20 +255,6 @@ where
     /// Serves a whole workload, preserving input order.
     pub fn solve_all(&self, requests: Vec<RepairRequest>) -> Vec<RepairOutcome> {
         self.submit_all(requests)
-    }
-}
-
-impl Pool<Repair> {
-    /// The introspection snapshot served over the wire (`Stats` exchange),
-    /// the one live view of a shard (`svobs stat` merges it, `svobs top`
-    /// diffs it): the exported [`ServiceMetrics`] under the `service.`
-    /// prefix, merged over the live telemetry registry (latency histograms,
-    /// wire frame sizes) when one is installed.  Works with telemetry off —
-    /// the counters and gauges come from the always-on metrics recorder.
-    pub fn stats_snapshot(&self) -> RegistrySnapshot {
-        let mut out = self.config.telemetry.snapshot();
-        self.metrics().export("service", &mut out);
-        out
     }
 }
 

@@ -1,43 +1,38 @@
 //! Unified telemetry plane: one registry of counters, gauges and log-2-bucketed
 //! latency histograms shared by every subsystem in the serving stack.
 //!
-//! The bespoke metrics snapshots (`ServiceMetrics`, `VerifyMetrics`,
-//! `FleetMetrics`) each grew their own ad-hoc counters and `render()` blocks;
-//! none of them could answer a latency *distribution* question (p50/p90/p99),
-//! and none of them could be asked over the wire.  This module is the common
+//! The bespoke metrics snapshots (`ServiceMetrics`, `VerifyMetrics`) each
+//! grew their own ad-hoc counters and `render()` blocks; neither could answer
+//! a latency *distribution* question (p50/p90/p99).  This module is the common
 //! substrate underneath them:
 //!
-//! * **[`MetricsRegistry`]** — a process-wide (or per-fleet-shard) registry of
-//!   named metrics.  Registration is idempotent: the same hierarchical name
-//!   (`service.repair.solve`, `verify.verdict.latency`,
-//!   `wire.frame.bytes`) always resolves to the same
-//!   [`Metric`], so every subsystem can pre-register its handles at pool
-//!   start and record with lock-free atomics on the hot path.
+//! * **[`MetricsRegistry`]** — a process-wide registry of named metrics.
+//!   Registration is idempotent: the same hierarchical name
+//!   (`service.repair.solve`, `verify.verdict.latency`) always resolves to
+//!   the same [`Metric`], so every subsystem can pre-register its handles at
+//!   pool start and record with lock-free atomics on the hot path.
 //! * **[`Metric`]** — counter, gauge, or histogram.  Histograms bucket values
 //!   by `log2` (65 buckets cover the full `u64` range) and track the exact
 //!   maximum, so [`MetricSnapshot::percentile`] reports p50/p90/p99 with
 //!   bucket-granular error and an exact max.
 //! * **[`RegistrySnapshot`]** — a point-in-time, integer-only copy of every
-//!   metric, sorted by name.  One snapshot/render/serialize path serves text
-//!   exposition ([`RegistrySnapshot::render_text`]), JSON exposition
-//!   ([`RegistrySnapshot::render_json`], round-tripped over the wire by the
-//!   `Stats` frame), fleet-wide aggregation ([`RegistrySnapshot::merge`]) and
-//!   interval deltas between two polls ([`RegistrySnapshot::since`], what
-//!   `svobs top` renders).
+//!   metric, sorted by name.  One snapshot/render path serves text
+//!   exposition ([`RegistrySnapshot::render_text`]) and JSON exposition
+//!   ([`RegistrySnapshot::render_json`]).
 //! * **[`MetricClass`]** — which metrics join the byte-determinism contract
 //!   the journal keeps.  *Deterministic* metrics derive only from request
 //!   content (request counts, verdict tallies), so their snapshot bytes are
-//!   identical at any driver/shard count, warm or cold — pinned by
+//!   identical at any driver/worker count, warm or cold — pinned by
 //!   `tests/telemetry_determinism.rs` over
 //!   [`RegistrySnapshot::deterministic_only`].  *Volatile* metrics carry wall
 //!   clocks and cache temperature; they are the profiling signal.
 //! * **[`TelemetryHandle`]** — the off-by-default config handle (the
 //!   [`crate::TracerHandle`] recipe): every hot-path hook is one branch while
-//!   telemetry is off.  Callers turn it on in code: `shard-serve` always does,
-//!   and an evaluation does when it is handed a registry.
+//!   telemetry is off.  Callers turn it on in code: an evaluation does when
+//!   it is handed a registry.
 //! * **[`CollapsedProfile`]** — a flamegraph-compatible collapsed-stack
 //!   profile (`stack;frames value` lines) assembled from stage-timer
-//!   histograms; the `svprof` binary renders one for the evaluation pipeline.
+//!   histograms; `svobs prof` renders one for the evaluation pipeline.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -315,8 +310,8 @@ impl MetricsRegistry {
 
 /// A point-in-time, integer-only copy of one metric.
 ///
-/// Every numeric field is a `u64` — no floats cross the wire, so the JSON
-/// exposition round-trips exactly through the vendored `serde_json`.  Rates
+/// Every numeric field is a `u64` — no floats, so the JSON exposition
+/// round-trips exactly through the vendored `serde_json`.  Rates
 /// and means are computed at render time via [`ratio`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricSnapshot {
@@ -379,31 +374,9 @@ impl MetricSnapshot {
             ),
         }
     }
-
-    fn merge_from(&mut self, other: &MetricSnapshot) {
-        match self.kind {
-            MetricKind::Counter | MetricKind::Gauge => {
-                // Gauges sum across shards: the fleet's in-flight count is
-                // the sum of per-shard counts, not their max.
-                self.value = self.value.saturating_add(other.value);
-            }
-            MetricKind::Histogram => {
-                self.count = self.count.saturating_add(other.count);
-                self.sum = self.sum.saturating_add(other.sum);
-                self.max = self.max.max(other.max);
-                if self.buckets.len() < other.buckets.len() {
-                    self.buckets.resize(other.buckets.len(), 0);
-                }
-                for (index, bucket) in other.buckets.iter().enumerate() {
-                    self.buckets[index] = self.buckets[index].saturating_add(*bucket);
-                }
-            }
-        }
-    }
 }
 
-/// A sorted, mergeable collection of [`MetricSnapshot`]s — the unit of
-/// exposition, wire transfer (the `Stats` frame) and fleet aggregation.
+/// A sorted collection of [`MetricSnapshot`]s — the unit of exposition.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RegistrySnapshot {
     /// Snapshots sorted by metric name (the registry's BTreeMap order).
@@ -411,11 +384,6 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
-    /// An empty snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of metrics in the snapshot.
     pub fn len(&self) -> usize {
         self.metrics.len()
@@ -434,89 +402,8 @@ impl RegistrySnapshot {
             .map(|index| &self.metrics[index])
     }
 
-    /// Inserts (or merges into) a metric, keeping the name order.
-    pub fn upsert(&mut self, snapshot: MetricSnapshot) {
-        match self
-            .metrics
-            .binary_search_by(|m| m.name.as_str().cmp(&snapshot.name))
-        {
-            Ok(index) => self.metrics[index].merge_from(&snapshot),
-            Err(index) => self.metrics.insert(index, snapshot),
-        }
-    }
-
-    /// Convenience: upserts a counter reading (used by the bespoke metrics
-    /// structs when they export their fields into registry form).
-    pub fn upsert_counter(&mut self, name: &str, class: MetricClass, value: u64) {
-        self.upsert(MetricSnapshot {
-            name: name.to_string(),
-            class,
-            kind: MetricKind::Counter,
-            value,
-            count: 0,
-            sum: 0,
-            max: 0,
-            buckets: Vec::new(),
-        });
-    }
-
-    /// Convenience: upserts a gauge reading.
-    pub fn upsert_gauge(&mut self, name: &str, class: MetricClass, value: u64) {
-        self.upsert(MetricSnapshot {
-            name: name.to_string(),
-            class,
-            kind: MetricKind::Gauge,
-            value,
-            count: 0,
-            sum: 0,
-            max: 0,
-            buckets: Vec::new(),
-        });
-    }
-
-    /// Merges another snapshot in: same-name series combine (counters and
-    /// histograms sum, gauges sum, maxes take the max), new names insert in
-    /// order.  Fleet aggregation is a fold over per-shard snapshots.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for metric in &other.metrics {
-            self.upsert(metric.clone());
-        }
-    }
-
-    /// What happened between `earlier` and this snapshot of the same
-    /// registry: counters and histogram `count`/`sum`/`buckets` subtract,
-    /// gauges and histogram `max` keep this snapshot's value (so a delta's
-    /// quantiles clamp to the max since start), and a name `earlier` lacks
-    /// passes through.  If any counter or histogram count fell, the
-    /// registry restarted in between and the whole of `self` is returned.
-    pub fn since(&self, earlier: &RegistrySnapshot) -> RegistrySnapshot {
-        let mut delta = self.clone();
-        for metric in &mut delta.metrics {
-            let Some(before) = earlier.get(&metric.name) else {
-                continue;
-            };
-            match metric.kind {
-                MetricKind::Gauge => {}
-                MetricKind::Counter if metric.value < before.value => return self.clone(),
-                MetricKind::Counter => metric.value -= before.value,
-                MetricKind::Histogram if metric.count < before.count => return self.clone(),
-                MetricKind::Histogram => {
-                    metric.count -= before.count;
-                    metric.sum = metric.sum.saturating_sub(before.sum);
-                    for (bucket, old) in metric.buckets.iter_mut().zip(&before.buckets) {
-                        *bucket = bucket.saturating_sub(*old);
-                    }
-                    while metric.buckets.last() == Some(&0) {
-                        metric.buckets.pop();
-                    }
-                }
-            }
-        }
-        delta
-    }
-
     /// The deterministic-class subset — the bytes the determinism tests
-    /// compare across worker/driver/shard counts and transports.
+    /// compare across worker/driver counts.
     pub fn deterministic_only(&self) -> RegistrySnapshot {
         RegistrySnapshot {
             metrics: self
@@ -538,16 +425,10 @@ impl RegistrySnapshot {
         out
     }
 
-    /// JSON exposition (the wire form of the `Stats` frame reply).  Field
-    /// order is fixed by the struct and metric order by name, so the bytes
-    /// are stable for a given set of readings.
+    /// JSON exposition.  Field order is fixed by the struct and metric order
+    /// by name, so the bytes are stable for a given set of readings.
     pub fn render_json(&self) -> String {
         serde_json::to_string(self).expect("registry snapshots always serialize")
-    }
-
-    /// Parses the JSON exposition back (the client side of the `Stats` frame).
-    pub fn parse_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|err| format!("malformed registry snapshot: {err}"))
     }
 }
 
@@ -671,7 +552,7 @@ impl CollapsedProfile {
     }
 
     /// Parses collapsed-stack text back, rejecting malformed lines — the
-    /// validation `svprof` and CI run over emitted profiles.
+    /// validation `svobs prof` and CI run over emitted profiles.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut profile = Self::new();
         for (number, line) in text.lines().enumerate() {
@@ -786,99 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_histograms_and_maxes_the_max() {
-        let a = MetricsRegistry::new();
-        a.counter("c", MetricClass::Deterministic).add(3);
-        a.histogram("h", MetricClass::Volatile).observe(10);
-        let b = MetricsRegistry::new();
-        b.counter("c", MetricClass::Deterministic).add(4);
-        b.histogram("h", MetricClass::Volatile).observe(1000);
-        b.counter("only_b", MetricClass::Volatile).inc();
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.get("c").unwrap().value, 7);
-        let h = merged.get("h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 1010);
-        assert_eq!(h.max, 1000);
-        assert_eq!(merged.get("only_b").unwrap().value, 1);
-        // Merge keeps name order.
-        let names: Vec<&str> = merged.metrics.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, vec!["c", "h", "only_b"]);
-    }
-
-    #[test]
-    fn since_subtracts_counters_and_buckets() {
-        let registry = MetricsRegistry::new();
-        let count = registry.counter("c", MetricClass::Deterministic);
-        let hist = registry.histogram("h", MetricClass::Volatile);
-        count.add(3);
-        hist.observe(5);
-        hist.observe(100);
-        let earlier = registry.snapshot();
-        count.add(4);
-        hist.observe(6);
-        let delta = registry.snapshot().since(&earlier);
-        assert_eq!(delta.get("c").unwrap().value, 4);
-        let h = delta.get("h").unwrap();
-        assert_eq!((h.count, h.sum, h.max), (1, 6, 100));
-        // 6 lands in bucket 3; 100's bucket (7) empties and is trimmed.
-        assert_eq!(h.buckets, [0, 0, 0, 1]);
-        // Nothing happened: every counter and bucket is zero.
-        let idle = registry.snapshot().since(&registry.snapshot());
-        assert_eq!(idle.get("c").unwrap().value, 0);
-        assert!(idle.get("h").unwrap().buckets.is_empty());
-    }
-
-    #[test]
-    fn since_percentiles_match_a_registry_that_saw_only_the_interval() {
-        let registry = MetricsRegistry::new();
-        let hist = registry.histogram("h", MetricClass::Volatile);
-        for value in [1u64, 2, 3, 40, 50] {
-            hist.observe(value);
-        }
-        let earlier = registry.snapshot();
-        let fresh = MetricsRegistry::new();
-        let only_later = fresh.histogram("h", MetricClass::Volatile);
-        for value in [70u64, 300, 900, 4_000, 4_096, 10_000] {
-            hist.observe(value);
-            only_later.observe(value);
-        }
-        let delta = registry.snapshot().since(&earlier);
-        let (delta, fresh) = (delta.get("h").unwrap(), fresh.snapshot());
-        let fresh = fresh.get("h").unwrap();
-        assert_eq!((delta.count, delta.sum), (fresh.count, fresh.sum));
-        for q in [0.0, 0.25, 0.50, 0.90, 0.99, 1.0] {
-            assert_eq!(delta.percentile(q), fresh.percentile(q), "q = {q}");
-        }
-    }
-
-    #[test]
-    fn since_keeps_gauges_and_passes_new_names_through() {
-        let registry = MetricsRegistry::new();
-        let gauge = registry.gauge("g", MetricClass::Volatile);
-        gauge.set(9);
-        let earlier = registry.snapshot();
-        gauge.set(4);
-        registry.counter("new", MetricClass::Volatile).add(2);
-        let delta = registry.snapshot().since(&earlier);
-        assert_eq!(delta.get("g").unwrap().value, 4, "a gauge is a level");
-        assert_eq!(delta.get("new").unwrap().value, 2);
-    }
-
-    #[test]
-    fn since_a_restart_is_the_later_snapshot() {
-        let before = MetricsRegistry::new();
-        before.counter("a", MetricClass::Volatile).add(10);
-        before.counter("b", MetricClass::Volatile).add(1);
-        let restarted = MetricsRegistry::new();
-        restarted.counter("a", MetricClass::Volatile).add(3);
-        restarted.counter("b", MetricClass::Volatile).add(5);
-        let later = restarted.snapshot();
-        assert_eq!(later.since(&before.snapshot()), later);
-    }
-
-    #[test]
     fn json_exposition_round_trips() {
         let registry = MetricsRegistry::new();
         registry.counter("a", MetricClass::Deterministic).add(7);
@@ -887,9 +675,9 @@ mod tests {
             .observe(123456);
         registry.gauge("c.depth", MetricClass::Volatile).set(4);
         let snap = registry.snapshot();
-        let parsed = RegistrySnapshot::parse_json(&snap.render_json()).expect("round trip");
-        assert_eq!(parsed, snap);
-        assert!(RegistrySnapshot::parse_json("{nonsense").is_err());
+        let parse = serde_json::from_str::<RegistrySnapshot>;
+        assert_eq!(parse(&snap.render_json()).expect("round trip"), snap);
+        assert!(parse("{nonsense").is_err());
     }
 
     #[test]

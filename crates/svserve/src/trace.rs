@@ -1,5 +1,5 @@
-//! Deterministic distributed tracing: content-derived trace trees that are
-//! byte-identical at any driver/worker/shard count.
+//! Deterministic tracing: content-derived trace trees that are
+//! byte-identical at any driver/worker count.
 //!
 //! Conventional tracers mint span ids from wall clocks or randomness, which
 //! makes two runs of the same workload incomparable.  Here every id is a pure
@@ -10,20 +10,13 @@
 //!   disjoint id spaces;
 //! * a **span id** is `splitmix64(parent_span_id ^ fnv64(label))` — the tree
 //!   *shape* is part of the contract, so the same request produces the same
-//!   tree whether it was served in-process, over loopback, or by a remote
-//!   shard;
+//!   tree however the evaluation was scheduled;
 //! * a span's **start** is a [`logical_tick`] of `(trace_id, stage seq)`,
 //!   never a wall clock.
 //!
 //! Wall-clock durations ride along in [`TraceSpan::wall_ns`] as **volatile**
-//! payload: they power `svtrace --slowest` and `--flame`, but are excluded
+//! payload: they power `svobs trace --slowest` and `--flame`, but are excluded
 //! from [`TraceForest::render_deterministic`], the byte-compared projection.
-//!
-//! Cross-process propagation: the wire layer's `SubmitTraced` frame carries a
-//! [`TraceContext`], the shard emits its spans under the remote parent, and a
-//! `TraceReply` returns them for [`TraceForest`] reconstruction — the merged
-//! tree is byte-identical to the tree an in-process run produces, because
-//! every deterministic field derives from content on both sides.
 
 use crate::cache::CaseKey;
 use crate::env::env_trace;
@@ -36,8 +29,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Salt folded into every trace id; distinct from the shard-placement salt
-/// so trace identity is an independent hash dimension.
+/// Salt folded into every trace id, so trace identity is its own hash of the
+/// request key rather than the bare fold.
 const TRACE_SALT: u64 = 0x7CA5_E11A_D157_ACED;
 
 /// Stage sequence numbers: fixed per span name so logical start ticks — and
@@ -46,9 +39,9 @@ const TRACE_SALT: u64 = 0x7CA5_E11A_D157_ACED;
 pub mod stage {
     /// The root session span.
     pub const SESSION: u32 = 0;
-    /// The case's repair request built for the pool or the wire.
+    /// The case's repair request built for the pool.
     pub const SUBMIT: u32 = 1;
-    /// Model sampling (served in place or by a remote shard).
+    /// Model sampling, served in place.
     pub const SAMPLE: u32 = 2;
     /// Candidate dedup into verdict jobs.
     pub const VERIFY: u32 = 3;
@@ -56,12 +49,8 @@ pub mod stage {
     pub const EVALUATE: u32 = 4;
 }
 
-/// The propagated identity of one span: enough to adopt a remote parent.
-///
-/// Contexts cross process boundaries verbatim (the `SubmitTraced` wire frame),
-/// so a shard that has never seen the driver's salt still derives child span
-/// ids that slot into the driver's tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The identity of one span: enough to derive its children's ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// The trace this span belongs to (one trace per repair session).
     pub trace_id: u64,
@@ -210,7 +199,7 @@ impl TraceHandle {
         }
     }
 
-    /// Merges remotely-collected spans (a shard's `TraceReply`) into the sink.
+    /// Records a batch of completed spans (one case's laps, say).
     pub fn extend(&self, spans: Vec<TraceSpan>) {
         if let Some(core) = &self.0 {
             lock_recover(&core.spans).extend(spans);
@@ -260,7 +249,7 @@ impl PartialEq for TraceHandle {
 
 impl Eq for TraceHandle {}
 
-/// Per-root-span summary: the numbers `svtrace --slowest` mines.
+/// Per-root-span summary: the numbers `svobs trace --slowest` mines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSessionSummary {
     /// Trace id.
@@ -288,21 +277,21 @@ impl TraceSessionSummary {
 }
 
 /// A reconstructed set of trace trees: spans sorted deterministically, with
-/// duplicates (the same span observed by two processes) merged.
+/// duplicates (the same span recorded twice) merged.
 ///
-/// Duplicate deterministic keys arise by design in fleet runs: the driver
-/// times its side of a remote `sample` stage and the shard times its own; both
-/// spans share every deterministic field, so the merge keeps one span with
-/// the **max** wall clock (the driver's view includes the wire, and ≥ covers
-/// the shard's).
+/// Duplicate deterministic keys arise in-process: twin cases (the same
+/// request content judged against different golden fixes) share a
+/// [`CaseKey`], so their sessions derive the same span ids.  Duplicates share
+/// every deterministic field, so the merge keeps one span with the **max**
+/// wall clock.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceForest {
     spans: Vec<TraceSpan>,
 }
 
 /// The deterministic identity of a span — every field except the volatile
-/// wall clock.  Two processes observing the same logical span produce the
-/// same key, which is what lets [`TraceForest::from_spans`] merge them.
+/// wall clock.  Two recordings of the same logical span produce the same
+/// key, which is what lets [`TraceForest::from_spans`] merge them.
 type SpanKey = (u64, u64, u64, String, u64, Option<u64>);
 
 impl TraceForest {
@@ -358,14 +347,6 @@ impl TraceForest {
         self.spans.is_empty()
     }
 
-    /// Merges another forest in (e.g. shard-journal spans into the driver's);
-    /// duplicate spans keep the max wall clock.
-    pub fn merged_with(self, other: TraceForest) -> TraceForest {
-        let mut spans = self.spans;
-        spans.extend(other.spans);
-        Self::from_spans(spans)
-    }
-
     /// Root spans (no parent, or parent absent from the set), in order.
     fn roots(&self) -> Vec<&TraceSpan> {
         let ids: std::collections::BTreeSet<u64> = self.spans.iter().map(|s| s.span).collect();
@@ -400,8 +381,8 @@ impl TraceForest {
     }
 
     /// The byte-compared projection: the full tree, indented, deterministic
-    /// fields only.  Identical for the same corpus at any driver/worker/shard
-    /// count, warm or cold, in-process or over the wire.
+    /// fields only.  Identical for the same corpus at any driver/worker
+    /// count, warm or cold.
     pub fn render_deterministic(&self) -> String {
         let mut out = String::new();
         for root in self.roots() {
@@ -421,7 +402,7 @@ impl TraceForest {
     }
 
     /// Collapsed-stack projection of the wall clocks: one
-    /// `root;…;span wall_ns` frame per span path (the format `svprof`,
+    /// `root;…;span wall_ns` frame per span path (the format `svobs prof`,
     /// `flamegraph.pl` and `inferno` consume).  The root frame carries the
     /// session's *unattributed* residual so the profile total equals the sum
     /// of root walls.
@@ -480,7 +461,7 @@ impl TraceForest {
     }
 
     /// Serializes the forest as JSONL (one span per line, deterministic
-    /// order) — the artifact form `svtrace --out` writes.
+    /// order) — the artifact form `svobs trace --out` writes.
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
         for span in &self.spans {
@@ -560,7 +541,7 @@ mod tests {
     #[test]
     fn forest_merges_duplicates_by_max_wall() {
         let mut spans = session_tree(1, 0, 100);
-        // The same deterministic span observed by a second process, slower.
+        // The same deterministic spans recorded again (a twin case), slower.
         spans.extend(session_tree(1, 0, 250));
         let forest = TraceForest::from_spans(spans);
         assert_eq!(forest.len(), 5, "duplicates merge");

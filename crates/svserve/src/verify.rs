@@ -5,13 +5,11 @@
 //! `(case, candidate response)` pairs carrying a caller-built [`VerdictKey`],
 //! the work is one [`ResponseJudge::verdict`] call, the value is a `bool`, every
 //! computed verdict is tallied true/false, and there is no admission limit (the
-//! in-flight count is a gauge only).  Both frontends judge each candidate on
-//! the thread that submits it; no verdict crosses a thread.
-//!
-//! * [`VerifyPool`] owns its judge (`Arc<dyn ResponseJudge>`) and keeps its
-//!   cache until [`VerifyPool::shutdown`] or drop — reusable across evaluation
-//!   runs, so the verdict cache stays warm;
-//! * [`verify_scoped`] borrows the judge for the duration of a closure.
+//! in-flight count is a gauge only).  A [`VerifyPool`] owns its judge
+//! (`Arc<dyn ResponseJudge>`), judges each candidate on the thread that
+//! submits it (no verdict crosses a thread) and keeps its cache until
+//! [`VerifyPool::shutdown`] or drop — reusable across evaluation runs, so the
+//! verdict cache stays warm.
 //!
 //! ## Determinism
 //!
@@ -33,7 +31,6 @@ use crate::persist::{PersistSpec, VerdictSnapshot};
 use crate::pool::{self, Bound, Pool, PoolConfig, Serve, Served, Worker};
 use crate::telemetry::TelemetryHandle;
 use std::marker::PhantomData;
-use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 use svmodel::Response;
@@ -47,7 +44,7 @@ pub struct VerifyConfig {
     /// Total verdict-cache entries across all shards.
     pub cache_capacity: usize,
     /// On-disk snapshot of the verdict cache: preloaded at start, written by
-    /// [`Pool::flush`] / shutdown / drop / the end of [`verify_scoped`].  `None`
+    /// [`Pool::flush`] / shutdown / drop.  `None`
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
     /// and invalidation rules.
     pub persist: Option<PersistSpec>,
@@ -75,12 +72,6 @@ impl VerifyConfig {
     /// Returns the config with the worker count replaced.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Returns the config with the total cache capacity replaced.
-    pub fn with_cache_capacity(mut self, cache_capacity: usize) -> Self {
-        self.cache_capacity = cache_capacity;
         self
     }
 
@@ -170,9 +161,6 @@ pub type VerifyTicket = pool::Ticket<VerdictOutcome>;
 /// cache hits.
 pub type VerifyPool<C> = Bound<Verify<C>, Arc<dyn ResponseJudge<C> + Send + Sync>>;
 
-/// Borrowed-judge pool available inside [`verify_scoped`].
-pub type ScopedVerifier<'a, C, J> = Bound<Verify<C>, &'a J>;
-
 /// The verdict instantiation of the pool engine, over cases of type `C`.
 pub struct Verify<C>(PhantomData<fn(C)>);
 
@@ -231,36 +219,11 @@ impl<C: Send + Sync, J: ResponseJudge<C> + ?Sized> Serve<J> for Verify<C> {
     }
 }
 
-impl<C: Send + Sync, H: Deref> Bound<Verify<C>, H>
-where
-    H::Target: ResponseJudge<C>,
-{
-    /// Judges a whole batch, preserving input order.
-    pub fn judge_all(&self, requests: Vec<VerifyRequest<C>>) -> Vec<VerdictOutcome> {
-        self.submit_all(requests)
-    }
-}
-
 impl<C: Send + Sync + 'static> VerifyPool<C> {
     /// Builds the pool, preloading its snapshot when one is configured.
     pub fn start(judge: Arc<dyn ResponseJudge<C> + Send + Sync>, config: VerifyConfig) -> Self {
         Bound::in_place(Verify::pool(config), judge)
     }
-}
-
-/// Serves a *borrowed* judge for the duration of `body`, judging each
-/// candidate on the thread that submits it: no thread is spawned and no
-/// `Arc` or `'static` is needed.  When [`VerifyConfig::persist`] is set, the
-/// snapshot is preloaded before `body` runs and flushed once it has returned
-/// (or unwound).
-pub fn verify_scoped<C, J, F, R>(judge: &J, config: VerifyConfig, body: F) -> R
-where
-    C: Send + Sync,
-    J: ResponseJudge<C> + ?Sized,
-    F: FnOnce(&ScopedVerifier<'_, C, J>) -> R,
-{
-    let verifier = Bound::in_place(Verify::pool(config), judge);
-    body(&verifier)
 }
 
 #[cfg(test)]
@@ -311,7 +274,7 @@ mod tests {
         let requests: Vec<VerifyRequest<String>> = (0..16)
             .map(|i| request("needle", &format!("fix {i} needle={}", i % 2 == 0)))
             .collect();
-        let outcomes = pool.judge_all(requests);
+        let outcomes = pool.submit_all(requests);
         assert_eq!(outcomes.len(), 16);
         assert!(outcomes.iter().all(|o| o.verdict));
         let metrics = pool.shutdown();
@@ -363,17 +326,12 @@ mod tests {
             let judge = SubstringJudge {
                 calls: AtomicUsize::new(0),
             };
-            verify_scoped(
-                &judge,
+            let verifier = VerifyPool::start(
+                Arc::new(judge),
                 VerifyConfig::default().with_workers(workers),
-                |verifier| {
-                    verifier
-                        .judge_all(requests)
-                        .into_iter()
-                        .map(|o| o.verdict)
-                        .collect()
-                },
-            )
+            );
+            let outcomes = verifier.submit_all(requests);
+            outcomes.into_iter().map(|o| o.verdict).collect()
         };
 
         let one = run(workload.clone(), 1);
@@ -440,17 +398,15 @@ mod tests {
     fn a_panicking_judge_fails_the_candidate_without_poisoning_the_pool() {
         contract::panicking_work_is_absorbed::<VerifyHarness>();
         // A panicked invocation tallies no verdict, true or false.
-        let metrics = verify_scoped(
-            &*VerifyHarness::backend(),
+        let verifier = VerifyPool::start(
+            VerifyHarness::backend(),
             VerifyConfig::default().with_workers(1),
-            |verifier| {
-                verifier.judge_all(vec![
-                    VerifyHarness::request(0, false),
-                    VerifyHarness::request(1, true),
-                ]);
-                verifier.metrics()
-            },
         );
+        verifier.submit_all(vec![
+            VerifyHarness::request(0, false),
+            VerifyHarness::request(1, true),
+        ]);
+        let metrics = verifier.shutdown();
         assert_eq!(metrics.verdicts_true + metrics.verdicts_false, 1);
         assert_eq!(metrics.cache_misses - metrics.verdict_panics, 1);
     }
@@ -475,19 +431,14 @@ mod tests {
         let judge = SubstringJudge {
             calls: AtomicUsize::new(0),
         };
-        let metrics = verify_scoped(
-            &judge,
-            VerifyConfig::default().with_workers(1),
-            |verifier| {
-                let outcomes = verifier.judge_all(
-                    (0..10)
-                        .map(|i| request("x", &format!("{} x={}", i, i % 2 == 0)))
-                        .collect(),
-                );
-                assert!(outcomes.iter().all(|o| o.worker == 0));
-                verifier.metrics()
-            },
+        let verifier = VerifyPool::start(Arc::new(judge), VerifyConfig::default().with_workers(1));
+        let outcomes = verifier.submit_all(
+            (0..10)
+                .map(|i| request("x", &format!("{} x={}", i, i % 2 == 0)))
+                .collect(),
         );
+        assert!(outcomes.iter().all(|o| o.worker == 0));
+        let metrics = verifier.metrics();
         assert_eq!(metrics.workers, 1);
         assert_eq!(metrics.completed, 10);
         assert_eq!(metrics.verdicts_true + metrics.verdicts_false, 10);

@@ -1,24 +1,16 @@
-//! The [`Transport`] trait and its two implementations: in-process loopback
-//! and unix-socket.
+//! The [`Transport`] trait, its in-process implementation, and the one
+//! shard-side dispatcher that answers a client frame.
 //!
 //! A transport is one client-side connection to one shard: `exchange` sends
-//! one client frame and blocks for the shard's reply frame.  Both
-//! implementations push every message through the same frame codec — the
-//! loopback transport encodes and decodes each frame in memory and answers it
-//! with the socket server's own dispatcher — so a test passing over loopback
-//! exercises byte-for-byte the protocol a socket peer would see.
+//! one client frame and blocks for the shard's reply frame.  The loopback
+//! transport encodes and decodes each frame in memory and answers it with
+//! [`dispatch`], so a test passing over loopback exercises the codec and the
+//! shard's side byte for byte.
 
-use super::frame::{
-    decode_frame, encode_frame, read_frame, Frame, FrameError, WIRE_FORMAT_VERSION,
-};
-use super::server::dispatch;
+use super::frame::{decode_frame, encode_frame, Frame, WireOutcome};
+use crate::pool::SubmitError;
 use crate::service::RepairService;
-use crate::telemetry::{Metric, MetricClass, TelemetryHandle};
-use std::io::{BufReader, Write};
-use std::os::unix::net::UnixStream;
-use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 use svmodel::RepairModel;
 
 /// Why a wire submission failed.
@@ -30,8 +22,8 @@ pub enum WireError {
     Busy,
     /// The shard's service has shut down; retrying this connection is not.
     Closed,
-    /// The connection or protocol failed (timeout, corrupt frame, version or
-    /// fingerprint mismatch, dead peer).  The string is diagnostic only.
+    /// The exchange or the protocol failed (corrupt frame, a reply other than
+    /// the awaited one).  The string is diagnostic only.
     Protocol(String),
 }
 
@@ -49,10 +41,6 @@ impl std::error::Error for WireError {}
 
 /// One client-side connection to a shard.
 pub trait Transport: Send {
-    /// The serving model's identity fingerprint, learned in the `Hello`
-    /// handshake.
-    fn fingerprint(&self) -> &str;
-
     /// Sends one client frame and blocks for the shard's reply frame.  An
     /// `Err` means the exchange itself failed (the stream may be
     /// desynchronized); a shard's refusal comes back as an `Ok` reply
@@ -63,154 +51,139 @@ pub trait Transport: Send {
 /// In-process transport over a local [`RepairService`].
 ///
 /// Every request and reply round-trips through the frame codec
-/// (`encode_frame`/`decode_frame`) exactly as the socket transport's bytes
-/// would, and the decoded request is answered by the same dispatcher a
-/// [`super::ShardServer`] runs, so loopback-backed tests cover the codec and
+/// (`encode_frame`/`decode_frame`), and the decoded request is answered by
+/// the shard-side dispatcher, so loopback-backed tests cover the codec and
 /// the shard's side, not just the service.
 pub struct LoopbackTransport<M: RepairModel + Send + Sync + 'static> {
     service: Arc<RepairService<M>>,
-    fingerprint: String,
-    frame_bytes: Option<Arc<Metric>>,
 }
 
 impl<M: RepairModel + Send + Sync + 'static> LoopbackTransport<M> {
-    /// Wraps a local service; `fingerprint` should be the serving model's
-    /// [`RepairModel::identity`].
-    pub fn new(service: Arc<RepairService<M>>, fingerprint: impl Into<String>) -> Self {
-        Self {
-            service,
-            fingerprint: fingerprint.into(),
-            frame_bytes: None,
-        }
+    /// Wraps a local service.  `_fingerprint` names the serving model
+    /// ([`RepairModel::identity`]); an in-process peer needs no handshake to
+    /// check it, so it is not kept.
+    pub fn new(service: Arc<RepairService<M>>, _fingerprint: impl Into<String>) -> Self {
+        Self { service }
     }
+}
 
-    /// Records every encoded frame's byte length into the registry's
-    /// `wire.frame.bytes` histogram when `telemetry` is on.
-    pub fn with_telemetry(mut self, telemetry: &TelemetryHandle) -> Self {
-        self.frame_bytes = telemetry.histogram("wire.frame.bytes", MetricClass::Volatile);
-        self
-    }
-
-    fn codec_round_trip(&self, frame: &Frame) -> Result<Frame, WireError> {
-        let bytes = encode_frame(frame).map_err(|err| WireError::Protocol(err.to_string()))?;
-        if let Some(metric) = &self.frame_bytes {
-            metric.observe(bytes.len() as u64);
-        }
-        decode_frame(&bytes).map_err(|err| WireError::Protocol(err.to_string()))
-    }
+/// One frame through the codec, as a peer would have decoded it.
+fn codec_round_trip(frame: &Frame) -> Result<Frame, WireError> {
+    let bytes = encode_frame(frame).map_err(|err| WireError::Protocol(err.to_string()))?;
+    decode_frame(&bytes).map_err(|err| WireError::Protocol(err.to_string()))
 }
 
 impl<M: RepairModel + Send + Sync + 'static> Transport for LoopbackTransport<M> {
-    fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
-
     fn exchange(&mut self, frame: &Frame) -> Result<Frame, WireError> {
         // What the shard "hears" and what the client reads back are what a
-        // socket peer would have decoded.
-        let heard = self.codec_round_trip(frame)?;
-        self.codec_round_trip(&dispatch(&self.service, heard))
+        // peer would have decoded.
+        let heard = codec_round_trip(frame)?;
+        codec_round_trip(&dispatch(&self.service, heard))
     }
 }
 
-/// Unix-domain-socket transport to a `shard-serve` process.
-///
-/// Both directions carry a deadline ([`UnixTransport::connect`]'s `timeout`):
-/// a wedged or killed shard degrades to a [`WireError::Protocol`] after the
-/// timeout, never a hung client.
-pub struct UnixTransport {
-    /// Reads buffer here; writes go straight to the inner stream, one
-    /// encoded frame per `write_all`.
-    stream: BufReader<UnixStream>,
-    fingerprint: String,
-    frame_bytes: Option<Arc<Metric>>,
+/// The shard's answer to one client frame: a `Submit` is served and answered
+/// `Response`, `Busy` or `Closed`; any other frame gets an `Err` reply.
+fn dispatch<M: RepairModel + Send + Sync + 'static>(
+    service: &RepairService<M>,
+    frame: Frame,
+) -> Frame {
+    let Frame::Submit(request) = frame else {
+        return Frame::Err(format!("unexpected frame {frame:?}"));
+    };
+    match service.submit(request) {
+        Ok(ticket) => {
+            let served = ticket.wait();
+            Frame::Response(WireOutcome {
+                responses: (*served.responses).clone(),
+                from_cache: served.from_cache,
+            })
+        }
+        Err(SubmitError::Busy) => Frame::Busy,
+        Err(SubmitError::Closed) => Frame::Closed,
+    }
 }
 
-impl UnixTransport {
-    /// Connects and performs the `Hello` handshake.
-    ///
-    /// The client announces [`WIRE_FORMAT_VERSION`] and the shard answers
-    /// with its own.  The connection is refused — with a
-    /// [`WireError::Protocol`] naming the mismatch — when the shard speaks
-    /// any other version, or when the shard serves a model whose identity
-    /// differs from `expected_fingerprint`: a fleet must never silently mix
-    /// incompatible shards, because their answers would differ from the
-    /// local model's.
-    pub fn connect(
-        path: impl AsRef<Path>,
-        expected_fingerprint: Option<&str>,
-        timeout: Duration,
-    ) -> Result<Self, WireError> {
-        let stream = UnixStream::connect(path.as_ref())
-            .map_err(|err| WireError::Protocol(format!("connect: {err}")))?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .and_then(|()| stream.set_write_timeout(Some(timeout)))
-            .map_err(|err| WireError::Protocol(format!("set timeout: {err}")))?;
-        let mut transport = Self {
-            stream: BufReader::new(stream),
-            fingerprint: String::new(),
-            frame_bytes: None,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::{RepairRequest, ServiceConfig};
+    use svmodel::{CaseInput, Response};
+
+    struct EchoModel;
+
+    impl RepairModel for EchoModel {
+        fn name(&self) -> &str {
+            "echo"
+        }
+
+        fn solve(&self, case: &CaseInput, samples: usize, _: f64, seed: u64) -> Vec<Response> {
+            (0..samples)
+                .map(|i| Response {
+                    bug_line_number: i as u32,
+                    buggy_line: case.buggy_source.clone(),
+                    fixed_line: format!("seed-{seed}-sample-{i}"),
+                    cot: None,
+                })
+                .collect()
+        }
+    }
+
+    fn echo_service() -> RepairService<EchoModel> {
+        RepairService::start(
+            Arc::new(EchoModel),
+            ServiceConfig::default().with_workers(1).with_seed(5),
+        )
+    }
+
+    fn request() -> RepairRequest {
+        RepairRequest::new(
+            CaseInput {
+                spec: "spec".into(),
+                buggy_source: "module m(); endmodule".into(),
+                logs: "assertion a failed".into(),
+            },
+            3,
+            0.2,
+        )
+    }
+
+    #[test]
+    fn dispatch_answers_every_client_frame_with_its_reply() {
+        let service = echo_service();
+        let Frame::Response(cold) = dispatch(&service, Frame::Submit(request())) else {
+            panic!("a submission is answered with a Response");
         };
-        let hello = Frame::Hello {
-            format_version: WIRE_FORMAT_VERSION,
-            fingerprint: expected_fingerprint.unwrap_or("").to_string(),
+        assert_eq!(cold.responses.len(), 3);
+        assert!(!cold.from_cache);
+        let Frame::Response(warm) = dispatch(&service, Frame::Submit(request())) else {
+            panic!("a submission is answered with a Response");
         };
-        match transport.exchange(&hello)? {
-            Frame::Hello {
-                format_version,
-                fingerprint,
-            } => {
-                if format_version != WIRE_FORMAT_VERSION {
-                    return Err(WireError::Protocol(format!(
-                        "wire version mismatch: shard speaks v{format_version}, \
-                         client speaks v{WIRE_FORMAT_VERSION}"
-                    )));
-                }
-                if let Some(expected) = expected_fingerprint {
-                    if fingerprint != expected {
-                        return Err(WireError::Protocol(format!(
-                            "fingerprint mismatch: shard serves {fingerprint:?}, \
-                             expected {expected:?}"
-                        )));
-                    }
-                }
-                transport.fingerprint = fingerprint;
-                Ok(transport)
-            }
-            Frame::Err(msg) => Err(WireError::Protocol(format!("shard refused hello: {msg}"))),
-            other => Err(WireError::Protocol(format!(
-                "expected Hello, got {other:?}"
-            ))),
-        }
+        assert_eq!(warm.responses, cold.responses);
+        assert!(warm.from_cache, "the second sighting is a cache hit");
+        service.shutdown();
     }
 
-    /// Records every sent frame's encoded byte length into the registry's
-    /// `wire.frame.bytes` histogram when `telemetry` is on.
-    pub fn with_telemetry(mut self, telemetry: &TelemetryHandle) -> Self {
-        self.frame_bytes = telemetry.histogram("wire.frame.bytes", MetricClass::Volatile);
-        self
-    }
-}
-
-impl Transport for UnixTransport {
-    fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
-
-    fn exchange(&mut self, frame: &Frame) -> Result<Frame, WireError> {
-        let bytes = encode_frame(frame).map_err(|err| WireError::Protocol(err.to_string()))?;
-        if let Some(metric) = &self.frame_bytes {
-            metric.observe(bytes.len() as u64);
+    #[test]
+    fn dispatch_refuses_every_frame_but_a_submission() {
+        let service = echo_service();
+        let replies = [
+            Frame::Response(WireOutcome {
+                responses: Vec::new(),
+                from_cache: false,
+            }),
+            Frame::Busy,
+            Frame::Closed,
+            Frame::Err("boom".into()),
+        ];
+        for frame in replies {
+            let reply = dispatch(&service, frame.clone());
+            assert!(
+                matches!(&reply, Frame::Err(msg) if msg.starts_with("unexpected frame")),
+                "{frame:?} must be refused, got {reply:?}"
+            );
         }
-        self.stream
-            .get_ref()
-            .write_all(&bytes)
-            .map_err(|err| WireError::Protocol(format!("write frame: {err}")))?;
-        match read_frame(&mut self.stream) {
-            Ok(reply) => Ok(reply),
-            Err(FrameError::Eof) => Err(WireError::Protocol("shard closed the connection".into())),
-            Err(err) => Err(WireError::Protocol(err.to_string())),
-        }
+        assert_eq!(service.metrics().submitted, 0, "nothing reached the pool");
+        service.shutdown();
     }
 }

@@ -204,7 +204,7 @@ fn an_idle_pool_never_overwrites_a_valuable_snapshot() {
         Arc::<LenJudge>::clone(&judge),
         VerifyConfig::default().with_persist(spec.clone()),
     );
-    pool.judge_all(verify_workload());
+    pool.submit_all(verify_workload());
     pool.shutdown();
     let valuable = std::fs::read(&spec.path).unwrap();
 
@@ -280,7 +280,7 @@ fn verify_pool_warm_starts_from_its_own_snapshot() {
     });
     let pool = VerifyPool::start(Arc::<LenJudge>::clone(&cold_judge), config.clone());
     let cold: Vec<bool> = pool
-        .judge_all(verify_workload())
+        .submit_all(verify_workload())
         .into_iter()
         .map(|o| o.verdict)
         .collect();
@@ -296,7 +296,7 @@ fn verify_pool_warm_starts_from_its_own_snapshot() {
     });
     let pool = VerifyPool::start(Arc::<LenJudge>::clone(&warm_judge), config.with_workers(4));
     let warm: Vec<bool> = pool
-        .judge_all(verify_workload())
+        .submit_all(verify_workload())
         .into_iter()
         .map(|o| o.verdict)
         .collect();
@@ -339,7 +339,7 @@ fn verify_pool_rejects_stale_snapshots_and_truncated_files() {
             .with_workers(1)
             .with_persist(spec.clone()),
     );
-    let outcomes = pool.judge_all(verify_workload());
+    let outcomes = pool.submit_all(verify_workload());
     let metrics = pool.metrics();
     assert_eq!(outcomes.len(), 16);
     assert_eq!(metrics.snapshot_loaded_entries, 0);

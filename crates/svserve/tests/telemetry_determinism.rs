@@ -1,8 +1,8 @@
 //! Determinism of the unified telemetry plane: the **deterministic-class**
 //! subset of a registry snapshot renders to byte-identical text at any
-//! driver count, any worker count, warm or cold caches, and over either
-//! transport — while the volatile subset (latency histograms, cache
-//! temperature, poll timings) is free to differ and is provably present.
+//! driver count, any worker count, and warm or cold caches — while the
+//! volatile subset (latency histograms, cache temperature, poll timings) is
+//! free to differ and is provably present.
 //!
 //! The split mirrors the journal's event classes: metrics fed by request
 //! *content* (submitted/completed counters, verdict tallies, rung costs)
@@ -13,11 +13,8 @@
 use assertsolver::{evaluate_model_instrumented, EvalConfig};
 use std::sync::Arc;
 use svdata::SvaBugEntry;
-use svmodel::{AssertSolverModel, CaseInput, RepairModel, Response};
-use svserve::{
-    LoopbackTransport, MetricsRegistry, RegistrySnapshot, RepairRequest, RepairService,
-    ServiceConfig, ShardFleet, ShardServer, TelemetryHandle, Transport,
-};
+use svmodel::AssertSolverModel;
+use svserve::{MetricsRegistry, RegistrySnapshot, TelemetryHandle};
 
 fn corpus(limit: usize) -> Vec<SvaBugEntry> {
     let pipeline = svdata::run_pipeline(&svdata::PipelineConfig::tiny(31));
@@ -119,119 +116,4 @@ fn warm_and_cold_caches_expose_identical_deterministic_bytes() {
         "cache temperature leaked into the deterministic telemetry bytes"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Deterministic model for the transport comparison: answers are a pure
-/// function of `(case, samples, seed)`.
-struct EchoModel;
-
-impl RepairModel for EchoModel {
-    fn name(&self) -> &str {
-        "echo"
-    }
-
-    fn solve(
-        &self,
-        case: &CaseInput,
-        samples: usize,
-        _temperature: f64,
-        seed: u64,
-    ) -> Vec<Response> {
-        (0..samples)
-            .map(|i| Response {
-                bug_line_number: (case.spec.len() as u32) + i as u32,
-                buggy_line: case.buggy_source.clone(),
-                fixed_line: format!("seed-{seed}-sample-{i}"),
-                cot: None,
-            })
-            .collect()
-    }
-}
-
-fn request(tag: usize) -> RepairRequest {
-    RepairRequest::new(
-        CaseInput {
-            spec: format!("spec {tag}"),
-            buggy_source: format!("module m{tag}(); endmodule"),
-            logs: format!("assertion a{tag} failed"),
-        },
-        3,
-        0.2,
-    )
-}
-
-fn telemetry_service() -> Arc<RepairService<EchoModel>> {
-    Arc::new(RepairService::start(
-        Arc::new(EchoModel),
-        ServiceConfig::default()
-            .with_workers(2)
-            .with_seed(42)
-            .with_telemetry(TelemetryHandle::new(Arc::new(MetricsRegistry::default()))),
-    ))
-}
-
-#[test]
-fn loopback_and_unix_fleets_merge_identical_deterministic_stats() {
-    // The same 12-case workload through a 2-shard loopback fleet and a
-    // 2-shard unix-socket fleet: `fleet_stats().merged` must agree on every
-    // deterministic series (placement is content-derived, so per-shard
-    // workloads match shard for shard).
-    let loopback_services: Vec<_> = (0..2).map(|_| telemetry_service()).collect();
-    let loopback = ShardFleet::new(
-        loopback_services
-            .iter()
-            .map(|service| {
-                Box::new(LoopbackTransport::new(Arc::clone(service), "echo")) as Box<dyn Transport>
-            })
-            .collect(),
-    );
-
-    let unix_services: Vec<_> = (0..2).map(|_| telemetry_service()).collect();
-    let sockets: Vec<_> = (0..2)
-        .map(|i| {
-            std::env::temp_dir().join(format!("svserve-telemetry-{}-{i}.sock", std::process::id()))
-        })
-        .collect();
-    let servers: Vec<_> = unix_services
-        .iter()
-        .zip(&sockets)
-        .map(|(service, socket)| {
-            ShardServer::bind(socket, Arc::clone(service), "echo").expect("bind shard server")
-        })
-        .collect();
-    let unix = ShardFleet::connect_unix(&sockets, Some("echo"), std::time::Duration::from_secs(10));
-
-    for tag in 0..12 {
-        let a = loopback.submit(&request(tag)).expect("loopback healthy");
-        let b = unix.submit(&request(tag)).expect("unix fleet healthy");
-        assert_eq!(a.responses, b.responses, "case {tag} answers diverged");
-    }
-
-    let loopback_stats = loopback.fleet_stats();
-    let unix_stats = unix.fleet_stats();
-    assert_eq!(loopback_stats.live(), 2);
-    assert_eq!(unix_stats.live(), 2);
-    assert_eq!(
-        loopback_stats.merged.deterministic_only().render_text(),
-        unix_stats.merged.deterministic_only().render_text(),
-        "transport choice changed the deterministic fleet stats"
-    );
-    // Both transports actually measured latency; the unix side also recorded
-    // wire frame sizes — volatile series, present but uncompared.
-    for stats in [&loopback_stats, &unix_stats] {
-        let solve = stats.merged.get("service.repair.solve").expect("histogram");
-        assert!(solve.count > 0, "solve latency observed over the wire");
-    }
-
-    drop(loopback);
-    drop(unix);
-    for server in servers {
-        server.shutdown();
-    }
-    for service in loopback_services.into_iter().chain(unix_services) {
-        Arc::try_unwrap(service)
-            .ok()
-            .expect("sole owner")
-            .shutdown();
-    }
 }

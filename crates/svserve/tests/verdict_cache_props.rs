@@ -143,9 +143,10 @@ fn hit_and_miss_counters_stay_consistent_under_concurrent_submitters() {
     };
     let pool: VerifyPool<String> = VerifyPool::start(
         Arc::new(judge),
-        VerifyConfig::default()
-            .with_workers(4)
-            .with_cache_capacity(64),
+        VerifyConfig {
+            cache_capacity: 64,
+            ..VerifyConfig::default().with_workers(4)
+        },
     );
     const THREADS: u64 = 4;
     const PER_THREAD: usize = 120;
