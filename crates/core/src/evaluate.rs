@@ -374,7 +374,7 @@ pub fn response_is_correct(
     if svparse::emits_as(&repaired, &entry.buggy_source) {
         return false;
     }
-    oracle.repair_solves_failure(&repaired)
+    oracle.repair_solves_failure_owned(repaired)
 }
 
 /// Replaces the 1-based line `line_number` of `source` with `replacement`, preserving

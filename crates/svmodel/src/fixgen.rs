@@ -76,16 +76,15 @@ pub fn fix_candidates(
     lm: &crate::lm::NgramLm,
 ) -> Vec<FixCandidate> {
     let original = line.trim();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    seen.insert(original.to_string());
+    let identifiers = identifiers_in(original);
     let mut out: Vec<(String, FixEdit)> = Vec::new();
 
     // 1. Negation toggles on identifiers (condition flips are the most common bug).
-    for ident in identifiers_in(original) {
+    for &ident in &identifiers {
         let negated = format!("!{ident}");
         if original.contains(&negated) {
             out.push((
-                original.replacen(&negated, &ident, 1),
+                original.replacen(&negated, ident, 1),
                 FixEdit::ToggleNegation,
             ));
         } else {
@@ -93,9 +92,9 @@ pub fn fix_candidates(
             // `assign !y = a`.
             if let Some(cond_start) = original.find('(') {
                 let (head, tail) = original.split_at(cond_start);
-                if tail.contains(&ident) && (head.contains("if") || head.contains("case")) {
+                if tail.contains(ident) && (head.contains("if") || head.contains("case")) {
                     out.push((
-                        format!("{head}{}", tail.replacen(&ident, &negated, 1)),
+                        format!("{head}{}", tail.replacen(ident, &negated, 1)),
                         FixEdit::ToggleNegation,
                     ));
                 }
@@ -157,21 +156,28 @@ pub fn fix_candidates(
     }
 
     // 4. Identifier substitutions.
-    for ident in identifiers_in(original) {
-        for replacement in declared_signals {
-            if replacement == &ident || !declared_signals.contains(&ident) {
-                continue;
-            }
+    for &ident in &identifiers {
+        if !declared_signals.iter().any(|declared| declared == ident) {
+            continue;
+        }
+        for replacement in declared_signals.iter().filter(|r| *r != ident) {
             out.push((
-                replace_identifier_once(original, &ident, replacement),
+                replace_identifier_once(original, ident, replacement),
                 FixEdit::VarSwap,
             ));
         }
     }
 
+    // The first of each text that is not the original line, found by borrowing
+    // the texts, which the candidates then take over.
+    let first: Vec<bool> = {
+        let mut seen = BTreeSet::from([original]);
+        out.iter().map(|(text, _)| seen.insert(text)).collect()
+    };
     let original_surprisal = lm.surprisal(original);
     out.into_iter()
-        .filter(|(text, _)| text != original && seen.insert(text.clone()))
+        .zip(first)
+        .filter_map(|(candidate, first)| first.then_some(candidate))
         .map(|(text, edit)| {
             let features = fix_features(
                 &text,
@@ -219,8 +225,9 @@ fn fix_features(
     ]
 }
 
-fn identifiers_in(line: &str) -> Vec<String> {
-    let mut out: Vec<String> = crate::lm::tokens(line)
+/// The identifier tokens of a line, consecutive repeats dropped.
+fn identifiers_in(line: &str) -> Vec<&str> {
+    let mut out: Vec<&str> = crate::lm::tokens(line)
         .filter(|t| {
             t.chars()
                 .next()
@@ -231,7 +238,6 @@ fn identifiers_in(line: &str) -> Vec<String> {
                 ]
                 .contains(t)
         })
-        .map(str::to_string)
         .collect();
     out.dedup();
     out
@@ -314,6 +320,156 @@ pub(crate) fn fix_context(
         .flat_map(|name| svmutate::signals_of_assertion(m, name))
         .collect();
     (m.declared_names(), signals)
+}
+
+/// The candidate generator before its dedup stopped cloning texts and
+/// `identifiers_in` stopped copying names, verbatim but for its `use` lines;
+/// `plan::tests` holds the two equal.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{fix_features, parse_sized_literal, replace_identifier_once, rewrite_literal};
+    use super::{FixCandidate, FixEdit, OP_SWAPS};
+    use std::collections::BTreeSet;
+
+    /// [`super::fix_candidates`] as it was, cloning each text into its dedup set.
+    pub fn fix_candidates(
+        line: &str,
+        declared_signals: &[String],
+        assertion_signals: &[String],
+        lm: &crate::lm::NgramLm,
+    ) -> Vec<FixCandidate> {
+        let original = line.trim();
+        let mut seen: BTreeSet<String> = BTreeSet::new();
+        seen.insert(original.to_string());
+        let mut out: Vec<(String, FixEdit)> = Vec::new();
+
+        // 1. Negation toggles on identifiers (condition flips are the most common bug).
+        for ident in identifiers_in(original) {
+            let negated = format!("!{ident}");
+            if original.contains(&negated) {
+                out.push((
+                    original.replacen(&negated, &ident, 1),
+                    FixEdit::ToggleNegation,
+                ));
+            } else {
+                // Only toggle inside a conditional context to avoid nonsense like
+                // `assign !y = a`.
+                if let Some(cond_start) = original.find('(') {
+                    let (head, tail) = original.split_at(cond_start);
+                    if tail.contains(&ident) && (head.contains("if") || head.contains("case")) {
+                        out.push((
+                            format!("{head}{}", tail.replacen(&ident, &negated, 1)),
+                            FixEdit::ToggleNegation,
+                        ));
+                    }
+                }
+            }
+        }
+
+        // 2. Operator swaps.
+        for (from, to) in OP_SWAPS {
+            if original.contains(from) {
+                out.push((original.replacen(from, to, 1), FixEdit::OpSwap));
+                // If the operator occurs twice, also swap the second occurrence.
+                if original.matches(from).count() > 1 {
+                    let first = original.find(from).expect("operator present");
+                    let rest_swapped = format!(
+                        "{}{}",
+                        &original[..first + from.len()],
+                        original[first + from.len()..].replacen(from, to, 1)
+                    );
+                    out.push((rest_swapped, FixEdit::OpSwap));
+                }
+            }
+        }
+
+        // 3. Constant perturbations.
+        for token in crate::lm::tokens(original) {
+            if let Some((width, value)) = parse_sized_literal(token) {
+                let max = if width >= 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << width) - 1
+                };
+                let mut replacements: Vec<u64> = vec![
+                    value.wrapping_add(1) & max,
+                    value.wrapping_sub(1) & max,
+                    0,
+                    max,
+                ];
+                for bit in 0..width.min(16) {
+                    replacements.push((value ^ (1 << bit)) & max);
+                }
+                for new_value in replacements {
+                    if new_value == value {
+                        continue;
+                    }
+                    let new_token = rewrite_literal(token, new_value);
+                    out.push((original.replacen(token, &new_token, 1), FixEdit::ValueTweak));
+                }
+            } else if let Ok(value) = token.parse::<u64>() {
+                for new_value in [value.wrapping_add(1), value.saturating_sub(1), 0, 1] {
+                    if new_value != value {
+                        out.push((
+                            original.replacen(token, &new_value.to_string(), 1),
+                            FixEdit::ValueTweak,
+                        ));
+                    }
+                }
+            }
+        }
+
+        // 4. Identifier substitutions.
+        for ident in identifiers_in(original) {
+            for replacement in declared_signals {
+                if replacement == &ident || !declared_signals.contains(&ident) {
+                    continue;
+                }
+                out.push((
+                    replace_identifier_once(original, &ident, replacement),
+                    FixEdit::VarSwap,
+                ));
+            }
+        }
+
+        let original_surprisal = lm.surprisal(original);
+        out.into_iter()
+            .filter(|(text, _)| text != original && seen.insert(text.clone()))
+            .map(|(text, edit)| {
+                let features = fix_features(
+                    &text,
+                    original,
+                    edit,
+                    assertion_signals,
+                    lm,
+                    original_surprisal,
+                );
+                FixCandidate {
+                    text,
+                    edit,
+                    features,
+                }
+            })
+            .collect()
+    }
+
+    fn identifiers_in(line: &str) -> Vec<String> {
+        let mut out: Vec<String> = crate::lm::tokens(line)
+            .filter(|t| {
+                t.chars()
+                    .next()
+                    .is_some_and(|c| c.is_alphabetic() || c == '_')
+                    && ![
+                        "if", "else", "case", "assign", "begin", "end", "default", "posedge",
+                        "negedge", "or", "always",
+                    ]
+                    .contains(t)
+            })
+            .map(str::to_string)
+            .collect();
+        out.dedup();
+        out
+    }
 }
 
 #[cfg(test)]

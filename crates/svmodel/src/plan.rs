@@ -113,6 +113,7 @@ impl<'a> SamplingPlan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixgen::{oracle, FixCandidate, FixEdit};
     use crate::{
         AssertSolverModel, BaselineKind, BaselineModel, PreferencePair, RepairModel, Response,
     };
@@ -336,6 +337,41 @@ end
             let returned = distinct_lines(&reasoner.sample(&plan, samples, t, seed));
             assert!(returned <= plan.memoised() && plan.memoised() <= 3 * samples);
         });
+    }
+
+    /// Every line any draw of the sweep can pick, under every checkpoint's and the
+    /// reasoner's language model: the fix candidates equal the oracle's in text,
+    /// edit kind and feature bits, in order.
+    #[test]
+    fn fix_candidates_match_their_oracle_on_every_candidate_line() {
+        let f = fixture();
+        let reasoner = BaselineModel::new(BaselineKind::IterativeReasoner);
+        let lms = [&f.base, &f.sft, &f.dpo]
+            .map(|model| model.language_model())
+            .into_iter()
+            .chain([reasoner.language_model()]);
+        let mut compared = 0;
+        for lm in lms {
+            for case in &f.cases {
+                let plan = SamplingPlan::new(case, lm);
+                for line in &plan.lines.texts {
+                    let args = (line.as_str(), &plan.declared, &plan.fix_signals, lm);
+                    let fixes = fix_candidates(args.0, args.1, args.2, args.3);
+                    let expected = oracle::fix_candidates(args.0, args.1, args.2, args.3);
+                    let view = |fixes: &[FixCandidate]| -> Vec<(String, FixEdit, Vec<u64>)> {
+                        let bits =
+                            |f: &FixCandidate| f.features.iter().map(|x| x.to_bits()).collect();
+                        fixes
+                            .iter()
+                            .map(|f| (f.text.clone(), f.edit, bits(f)))
+                            .collect()
+                    };
+                    assert_eq!(view(&fixes), view(&expected), "{line}");
+                    compared += fixes.len();
+                }
+            }
+        }
+        assert!(compared > 1000, "{compared} candidates compared");
     }
 
     fn distinct_lines(responses: &[Response]) -> usize {

@@ -581,15 +581,21 @@ impl Stmt {
     /// Collects the names of all signals assigned anywhere in this statement.
     pub fn assigned_signals(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.walk(&mut |s| match s {
-            Stmt::Blocking { lhs, .. } | Stmt::NonBlocking { lhs, .. } => {
-                out.extend(lhs.base_names());
-            }
-            _ => {}
-        });
+        self.for_each_assigned(&mut |name| out.push(name.to_string()));
         out.sort();
         out.dedup();
         out
+    }
+
+    /// Every base signal an assignment writes, in traversal order, with repeats:
+    /// [`Stmt::assigned_signals`] without the sort, the dedup or the copies.
+    pub fn for_each_assigned<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
+        self.walk(&mut |s| match s {
+            Stmt::Blocking { lhs, .. } | Stmt::NonBlocking { lhs, .. } => {
+                lhs.for_each_base_name(visit);
+            }
+            _ => {}
+        });
     }
 }
 
@@ -620,9 +626,16 @@ pub enum LValue {
 impl LValue {
     /// Base signal names written by this lvalue.
     pub fn base_names(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        self.for_each_base_name(&mut |name| out.push(name.to_string()));
+        out
+    }
+
+    /// [`LValue::base_names`], in the same order, without the copies.
+    pub fn for_each_base_name<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
         match self {
-            LValue::Ident(n) | LValue::Bit(n, _) | LValue::Part(n, _) => vec![n.clone()],
-            LValue::Concat(parts) => parts.iter().flat_map(|p| p.base_names()).collect(),
+            LValue::Ident(n) | LValue::Bit(n, _) | LValue::Part(n, _) => visit(n),
+            LValue::Concat(parts) => parts.iter().for_each(|p| p.for_each_base_name(visit)),
         }
     }
 }
@@ -885,41 +898,38 @@ impl Expr {
     /// `$past`/`$rose`/... and index expressions).
     pub fn idents(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.collect_idents(&mut out);
+        self.for_each_ident(&mut |name| out.push(name.to_string()));
         out.sort();
         out.dedup();
         out
     }
 
-    fn collect_idents(&self, out: &mut Vec<String>) {
+    /// Every identifier the expression references, in order of appearance, with
+    /// repeats: [`Expr::idents`] without the sort, the dedup or the copies.
+    pub fn for_each_ident<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
         match self {
             Expr::Number(_) => {}
-            Expr::Ident(n) => out.push(n.clone()),
+            Expr::Ident(n) | Expr::Part(n, _) => visit(n),
             Expr::Unary(_, e)
             | Expr::Past(e, _)
             | Expr::Rose(e)
             | Expr::Fell(e)
             | Expr::Stable(e)
-            | Expr::Repeat(_, e) => e.collect_idents(out),
+            | Expr::Repeat(_, e) => e.for_each_ident(visit),
             Expr::Binary(_, a, b) => {
-                a.collect_idents(out);
-                b.collect_idents(out);
+                a.for_each_ident(visit);
+                b.for_each_ident(visit);
             }
             Expr::Ternary(c, a, b) => {
-                c.collect_idents(out);
-                a.collect_idents(out);
-                b.collect_idents(out);
+                c.for_each_ident(visit);
+                a.for_each_ident(visit);
+                b.for_each_ident(visit);
             }
             Expr::Bit(n, idx) => {
-                out.push(n.clone());
-                idx.collect_idents(out);
+                visit(n);
+                idx.for_each_ident(visit);
             }
-            Expr::Part(n, _) => out.push(n.clone()),
-            Expr::Concat(parts) => {
-                for p in parts {
-                    p.collect_idents(out);
-                }
-            }
+            Expr::Concat(parts) => parts.iter().for_each(|p| p.for_each_ident(visit)),
         }
     }
 
@@ -1016,30 +1026,32 @@ impl PropExpr {
     /// All signal identifiers referenced anywhere in the property expression.
     pub fn idents(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.collect_idents(&mut out);
+        self.for_each_ident(&mut |name| out.push(name.to_string()));
         out.sort();
         out.dedup();
         out
     }
 
-    fn collect_idents(&self, out: &mut Vec<String>) {
+    /// Every identifier the property references, in order of appearance, with
+    /// repeats: [`PropExpr::idents`] without the sort, the dedup or the copies.
+    pub fn for_each_ident<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
         match self {
-            PropExpr::Expr(e) => out.extend(e.idents()),
+            PropExpr::Expr(e) => e.for_each_ident(visit),
             PropExpr::Implication {
                 antecedent,
                 consequent,
                 ..
             } => {
-                antecedent.collect_idents(out);
-                consequent.collect_idents(out);
+                antecedent.for_each_ident(visit);
+                consequent.for_each_ident(visit);
             }
             PropExpr::Delay { lhs, rhs, .. } => {
                 if let Some(l) = lhs {
-                    l.collect_idents(out);
+                    l.for_each_ident(visit);
                 }
-                rhs.collect_idents(out);
+                rhs.for_each_ident(visit);
             }
-            PropExpr::Not(inner) => inner.collect_idents(out),
+            PropExpr::Not(inner) => inner.for_each_ident(visit),
         }
     }
 

@@ -77,9 +77,14 @@ impl Parser {
         }
     }
 
+    /// Moves the current token out and advances.  The parser never looks back at
+    /// a token's kind, only at its line, so the slot keeps its line and an `Eof`.
+    /// The final `Eof` is never passed.
     fn bump(&mut self) -> Token {
-        let tok = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+        let last = self.tokens.len() - 1;
+        let slot = &mut self.tokens[self.pos.min(last)];
+        let tok = Token::new(std::mem::replace(&mut slot.kind, TokenKind::Eof), slot.line);
+        if self.pos < last {
             self.pos += 1;
         }
         tok
@@ -120,13 +125,12 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match &self.peek().kind {
-            TokenKind::Ident(name) => {
-                let name = name.clone();
-                self.bump();
-                Ok(name)
-            }
-            _ => Err(self.unexpected("identifier")),
+        if !matches!(self.peek().kind, TokenKind::Ident(_)) {
+            return Err(self.unexpected("identifier"));
+        }
+        match self.bump().kind {
+            TokenKind::Ident(name) => Ok(name),
+            _ => unreachable!("peeked an identifier"),
         }
     }
 
@@ -144,10 +148,16 @@ impl Parser {
     /// A cycle count (`##N`, `$past(x, N)`): a number that fits in 32 bits.
     fn expect_cycles(&mut self, what: &str) -> Result<u32, ParseError> {
         let count = self.expect_number()?;
-        u32::try_from(count).map_err(|_| {
+        self.narrow(count, what, "count")
+    }
+
+    /// `value` as 32 bits, or an error naming it as `what` and `noun` (a range or
+    /// part-select bound, a replication or cycle count) rather than a truncation.
+    fn narrow(&self, value: u64, what: &str, noun: &str) -> Result<u32, ParseError> {
+        u32::try_from(value).map_err(|_| {
             ParseError::new(
                 format!(
-                    "{what} count {count} exceeds the largest supported, {}",
+                    "{what} {noun} {value} exceeds the largest supported, {}",
                     u32::MAX
                 ),
                 self.line(),
@@ -240,10 +250,12 @@ impl Parser {
     fn parse_opt_range(&mut self) -> Result<Option<BitRange>, ParseError> {
         if self.peek().is_symbol("[") {
             self.bump();
-            let msb = self.expect_number()? as u32;
+            let msb = self.expect_number()?;
             self.expect_symbol(":")?;
-            let lsb = self.expect_number()? as u32;
+            let lsb = self.expect_number()?;
             self.expect_symbol("]")?;
+            let msb = self.narrow(msb, "range", "bound")?;
+            let lsb = self.narrow(lsb, "range", "bound")?;
             Ok(Some(BitRange::new(msb, lsb)))
         } else {
             Ok(None)
@@ -252,8 +264,7 @@ impl Parser {
 
     fn parse_item(&mut self) -> Result<Item, ParseError> {
         let start = self.line();
-        let kind = self.peek().kind.clone();
-        match kind {
+        match &self.peek().kind {
             TokenKind::Keyword(Keyword::Wire) => self.parse_net_decl(NetKind::Wire, start),
             TokenKind::Keyword(Keyword::Reg) | TokenKind::Keyword(Keyword::Logic) => {
                 self.parse_net_decl(NetKind::Reg, start)
@@ -268,8 +279,8 @@ impl Parser {
             TokenKind::Keyword(Keyword::Initial) => self.parse_initial(start),
             TokenKind::Keyword(Keyword::Property) => self.parse_property(start).map(Item::Property),
             TokenKind::Keyword(Keyword::Assert) => self.parse_assert(None, start),
-            TokenKind::Ident(label) if self.peek_at(1).is_symbol(":") => {
-                self.bump(); // label
+            TokenKind::Ident(_) if self.peek_at(1).is_symbol(":") => {
+                let label = self.expect_ident()?;
                 self.bump(); // :
                 if self.peek().is_keyword(Keyword::Assert) {
                     self.parse_assert(Some(label), start)
@@ -520,9 +531,10 @@ impl Parser {
                 let msb = expr_const(&first).ok_or_else(|| {
                     ParseError::new("part-select bounds must be constant", self.line())
                 })?;
-                let lsb = self.expect_number()? as u32;
+                let lsb = self.expect_number()?;
                 self.expect_symbol("]")?;
-                return Ok(LValue::Part(name, BitRange::new(msb as u32, lsb)));
+                let range = self.part_select(msb, lsb)?;
+                return Ok(LValue::Part(name, range));
             }
             self.expect_symbol("]")?;
             return Ok(LValue::Bit(name, Box::new(first)));
@@ -710,24 +722,36 @@ impl Parser {
         }
     }
 
+    /// The bounds of a part-select, both read after its closing `]`.
+    fn part_select(&self, msb: u64, lsb: u64) -> Result<BitRange, ParseError> {
+        let msb = self.narrow(msb, "part-select", "bound")?;
+        let lsb = self.narrow(lsb, "part-select", "bound")?;
+        Ok(BitRange::new(msb, lsb))
+    }
+
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
-        let kind = self.peek().kind.clone();
-        match kind {
+        let token = match self.peek().kind {
+            TokenKind::Number { .. }
+            | TokenKind::Ident(_)
+            | TokenKind::SysIdent(_)
+            | TokenKind::Symbol("(" | "{") => self.bump(),
+            _ => return Err(self.unexpected("expression")),
+        };
+        match token.kind {
             TokenKind::Number { width, value, base } => {
-                self.bump();
                 Ok(Expr::Number(Literal { width, value, base }))
             }
             TokenKind::Ident(name) => {
-                self.bump();
                 if self.eat_symbol("[") {
                     let first = self.parse_expr()?;
                     if self.eat_symbol(":") {
                         let msb = expr_const(&first).ok_or_else(|| {
                             ParseError::new("part-select bounds must be constant", self.line())
                         })?;
-                        let lsb = self.expect_number()? as u32;
+                        let lsb = self.expect_number()?;
                         self.expect_symbol("]")?;
-                        return Ok(Expr::Part(name, BitRange::new(msb as u32, lsb)));
+                        let range = self.part_select(msb, lsb)?;
+                        return Ok(Expr::Part(name, range));
                     }
                     self.expect_symbol("]")?;
                     return Ok(Expr::Bit(name, Box::new(first)));
@@ -735,7 +759,6 @@ impl Parser {
                 Ok(Expr::Ident(name))
             }
             TokenKind::SysIdent(sys) => {
-                self.bump();
                 self.expect_symbol("(")?;
                 let inner = self.parse_expr()?;
                 let result = match sys.as_str() {
@@ -761,23 +784,22 @@ impl Parser {
                 Ok(result)
             }
             TokenKind::Symbol("(") => {
-                self.bump();
                 let inner = self.parse_expr()?;
                 self.expect_symbol(")")?;
                 Ok(inner)
             }
             TokenKind::Symbol("{") => {
-                self.bump();
                 let first = self.parse_expr()?;
                 // Replication: {N{expr}}
                 if self.peek().is_symbol("{") {
                     let count = expr_const(&first).ok_or_else(|| {
                         ParseError::new("replication count must be constant", self.line())
-                    })? as u32;
+                    })?;
                     self.bump();
                     let inner = self.parse_expr()?;
                     self.expect_symbol("}")?;
                     self.expect_symbol("}")?;
+                    let count = self.narrow(count, "replication", "count")?;
                     return Ok(Expr::Repeat(count, Box::new(inner)));
                 }
                 let mut parts = vec![first];
@@ -787,7 +809,7 @@ impl Parser {
                 self.expect_symbol("}")?;
                 Ok(Expr::Concat(parts))
             }
-            _ => Err(self.unexpected("expression")),
+            _ => unreachable!("the primary's first token was matched above"),
         }
     }
 
@@ -913,9 +935,10 @@ impl Parser {
                 _ => return Err(self.unexpected("system task after `else`")),
             }
             self.expect_symbol("(")?;
-            if let TokenKind::StringLit(text) = self.peek().kind.clone() {
-                message = Some(text);
-                self.bump();
+            if matches!(self.peek().kind, TokenKind::StringLit(_)) {
+                if let TokenKind::StringLit(text) = self.bump().kind {
+                    message = Some(text);
+                }
             }
             // Skip any extra arguments.
             while !self.peek().is_symbol(")") {
@@ -1136,6 +1159,74 @@ endmodule
         let err = with("$past(a, 4294967297) |-> b").unwrap_err();
         assert!(
             err.to_string().contains("`$past` count 4294967297"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn range_bounds_beyond_u32_are_errors_not_truncated() {
+        let port =
+            |range: &str| crate::parse_module(&format!("module m(input {range} a); endmodule"));
+        let widest = port("[4294967295:0]").unwrap();
+        assert_eq!(widest.ports[0].width, Some(BitRange::new(u32::MAX, 0)));
+        // `[4294967303:0]` used to read as `[7:0]`.
+        let err = port("[4294967303:0]").unwrap_err();
+        assert!(err.message().contains("range bound 4294967303"), "{err}");
+        let err = port("[3:4294967296]").unwrap_err();
+        assert!(err.message().contains("range bound 4294967296"), "{err}");
+    }
+
+    #[test]
+    fn part_select_bounds_beyond_u32_are_errors_not_truncated() {
+        let with = |stmt: &str| {
+            crate::parse_module(&format!(
+                "module m(input [7:0] a, output [7:0] y);\n  {stmt}\nendmodule"
+            ))
+        };
+        let widest = with("assign y = a[4294967295:4294967294];").unwrap();
+        match &widest.assigns().next().unwrap().rhs {
+            Expr::Part(name, range) => {
+                assert_eq!(
+                    (name.as_str(), *range),
+                    ("a", BitRange::new(u32::MAX, u32::MAX - 1))
+                )
+            }
+            other => panic!("expected a part-select, got {other:?}"),
+        }
+        // `a[4294967297:4294967296]` used to read as `a[1:0]`, on either side.
+        for stmt in [
+            "assign y = a[4294967297:4294967296];",
+            "assign y[4294967297:4294967296] = a;",
+        ] {
+            let err = with(stmt).unwrap_err();
+            assert!(
+                err.message().contains("part-select bound 4294967297"),
+                "{stmt}: {err}"
+            );
+        }
+        let err = with("assign y[1:4294967296] = a;").unwrap_err();
+        assert!(
+            err.message().contains("part-select bound 4294967296"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn replication_counts_beyond_u32_are_errors_not_truncated() {
+        let with = |rhs: &str| {
+            crate::parse_module(&format!(
+                "module m(input a, output [3:0] y);\n  assign y = {rhs};\nendmodule"
+            ))
+        };
+        let widest = with("{4294967295{a}}").unwrap();
+        assert!(matches!(
+            widest.assigns().next().unwrap().rhs,
+            Expr::Repeat(u32::MAX, _)
+        ));
+        // `{4294967300{a}}` used to read as `{4{a}}`.
+        let err = with("{4294967300{a}}").unwrap_err();
+        assert!(
+            err.message().contains("replication count 4294967300"),
             "{err}"
         );
     }

@@ -80,11 +80,11 @@ impl SymbolTable {
             if block.sensitivity.is_combinational() {
                 continue;
             }
-            for name in block.body.assigned_signals() {
-                if let Some(info) = signals.get_mut(&name) {
+            block.body.for_each_assigned(&mut |name| {
+                if let Some(info) = signals.get_mut(name) {
                     info.is_clocked = true;
                 }
-            }
+            });
         }
         Self {
             signals,
@@ -323,6 +323,15 @@ pub fn const_eval(expr: &Expr) -> Option<u64> {
     }
 }
 
+/// Whether every name `names` hands its visitor is declared.  A clean expression
+/// costs this one walk; only one with an undeclared name pays for the sorted,
+/// deduplicated list of names its errors are reported in.
+fn all_declared(table: &SymbolTable, names: impl FnOnce(&mut dyn FnMut(&str))) -> bool {
+    let mut declared = true;
+    names(&mut |name| declared &= table.is_declared(name));
+    declared
+}
+
 /// Runs all semantic checks on a module.
 ///
 /// # Examples
@@ -336,10 +345,18 @@ pub fn const_eval(expr: &Expr) -> Option<u64> {
 /// # Ok::<(), svparse::ParseError>(())
 /// ```
 pub fn check_module(module: &Module) -> SemaReport {
-    let table = SymbolTable::build(module);
+    check_module_with(module, &SymbolTable::build(module))
+}
+
+/// [`check_module`] against the module's symbol table, built by the caller
+/// ([`SymbolTable::build`]) so that it can keep it.
+pub fn check_module_with(module: &Module, table: &SymbolTable) -> SemaReport {
     let mut report = SemaReport::default();
 
     let check_expr = |expr: &Expr, span: Span, report: &mut SemaReport| {
+        if all_declared(table, |visit| expr.for_each_ident(visit)) {
+            return;
+        }
         for name in expr.idents() {
             if !table.is_declared(&name) {
                 report.errors.push(SemaError {
@@ -350,19 +367,20 @@ pub fn check_module(module: &Module) -> SemaReport {
         }
     };
 
-    let mut driven_by_always: BTreeMap<String, u32> = BTreeMap::new();
+    let mut driven_by_always: BTreeMap<&str, u32> = BTreeMap::new();
+    let mut assigned = Vec::new();
 
     for item in &module.items {
         match item {
             Item::Assign(assign) => {
                 check_expr(&assign.rhs, assign.span, &mut report);
-                for name in assign.lhs.base_names() {
-                    if !table.is_declared(&name) {
+                assign.lhs.for_each_base_name(&mut |name| {
+                    if !table.is_declared(name) {
                         report.errors.push(SemaError {
                             message: format!("assignment to undeclared signal `{name}`"),
                             line: assign.span.start_line,
                         });
-                    } else if let Some(info) = table.signal(&name) {
+                    } else if let Some(info) = table.signal(name) {
                         if info.kind == NetKind::Reg && info.dir != Some(PortDir::Input) {
                             report.warnings.push(SemaError {
                                 message: format!("continuous assignment drives reg `{name}`"),
@@ -370,7 +388,7 @@ pub fn check_module(module: &Module) -> SemaReport {
                             });
                         }
                     }
-                }
+                });
             }
             Item::Always(block) => {
                 if let Sensitivity::Edges(events) = &block.sensitivity {
@@ -389,21 +407,27 @@ pub fn check_module(module: &Module) -> SemaReport {
                 block.body.walk(&mut |stmt| match stmt {
                     Stmt::Blocking { lhs, rhs, span } | Stmt::NonBlocking { lhs, rhs, span } => {
                         check_expr(rhs, *span, &mut report);
-                        for name in lhs.base_names() {
-                            if !table.is_declared(&name) {
+                        lhs.for_each_base_name(&mut |name| {
+                            if !table.is_declared(name) {
                                 report.errors.push(SemaError {
                                     message: format!("assignment to undeclared signal `{name}`"),
                                     line: span.start_line,
                                 });
                             }
-                        }
+                        });
                     }
                     Stmt::If { cond, span, .. } => check_expr(cond, *span, &mut report),
                     Stmt::Case { subject, span, .. } => check_expr(subject, *span, &mut report),
                     _ => {}
                 });
                 if !block.sensitivity.is_combinational() {
-                    for name in block.body.assigned_signals() {
+                    assigned.clear();
+                    block
+                        .body
+                        .for_each_assigned(&mut |name| assigned.push(name));
+                    assigned.sort_unstable();
+                    assigned.dedup();
+                    for name in &assigned {
                         *driven_by_always.entry(name).or_insert(0) += 1;
                     }
                 }
@@ -418,15 +442,18 @@ pub fn check_module(module: &Module) -> SemaReport {
                 });
             }
             Item::Property(prop) => {
-                for name in prop.body.idents() {
-                    if !table.is_declared(&name) {
-                        report.errors.push(SemaError {
-                            message: format!(
-                                "property `{}` references undeclared signal `{name}`",
-                                prop.name
-                            ),
-                            line: prop.span.start_line,
-                        });
+                let names = |visit: &mut dyn FnMut(&str)| prop.body.for_each_ident(visit);
+                if !all_declared(table, names) {
+                    for name in prop.body.idents() {
+                        if !table.is_declared(&name) {
+                            report.errors.push(SemaError {
+                                message: format!(
+                                    "property `{}` references undeclared signal `{name}`",
+                                    prop.name
+                                ),
+                                line: prop.span.start_line,
+                            });
+                        }
                     }
                 }
                 if !table.is_declared(&prop.clock.signal) {

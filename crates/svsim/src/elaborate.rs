@@ -72,19 +72,30 @@ pub struct Design {
 }
 
 impl Design {
-    /// Elaborates a module.
+    /// Elaborates a module: [`Design::from_module`] on a copy of it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Design::from_module`].
+    pub fn elaborate(module: &Module) -> Result<Design, ElabError> {
+        Self::from_module(module.clone())
+    }
+
+    /// Elaborates a module the caller hands over, which becomes [`Design::module`];
+    /// a caller done with its module saves [`Design::elaborate`]'s copy.  The
+    /// semantic check and the design share one [`SymbolTable`].
     ///
     /// # Errors
     ///
     /// Returns an [`ElabError`] when the module references undeclared signals, uses
     /// more than one clock, or exceeds the 64-bit signal width supported by the
     /// simulator.
-    pub fn elaborate(module: &Module) -> Result<Design, ElabError> {
-        let report = svparse::sema::check_module(module);
+    pub fn from_module(module: Module) -> Result<Design, ElabError> {
+        let symbols = SymbolTable::build(&module);
+        let report = svparse::sema::check_module_with(&module, &symbols);
         if let Some(err) = report.errors.first() {
             return Err(ElabError::new(format!("semantic error: {err}")));
         }
-        let symbols = SymbolTable::build(module);
 
         let mut widths = BTreeMap::new();
         for info in symbols.signals() {
@@ -138,11 +149,11 @@ impl Design {
             .map(|p| p.name.clone())
             .collect();
 
-        let assertions = resolve_assertions(module)?;
-        let compiled = Compiled::lower(module, &widths, &assertions);
+        let assertions = resolve_assertions(&module)?;
+        let compiled = Compiled::lower(&module, &widths, &assertions);
 
         Ok(Design {
-            module: module.clone(),
+            module,
             symbols,
             inputs,
             outputs,

@@ -247,6 +247,12 @@ impl<'a> Engine<'a> {
         crate::sva::check(self.design, rows, decided, &mut self.scratch.stack)
     }
 
+    /// Whether [`Engine::check`] would find no failure: the same attempts in the same
+    /// order, stopping at the first that fails, and nothing recorded.
+    pub fn holds<R: Rows + ?Sized>(&mut self, rows: &R, decided: usize) -> bool {
+        crate::sva::holds(self.design, rows, decided, &mut self.scratch.stack)
+    }
+
     /// Sweeps the combinational items, in module order, until a sweep changes nothing.
     fn settle(&mut self, state: &mut [Value]) -> Result<(), SimError> {
         let compiled = &self.design.compiled;

@@ -15,13 +15,14 @@
 //! [`Design::max_property_horizon`] and [`Design::max_property_lookback`] bound both
 //! over a design; `tests/property_horizon.rs` pins them.
 
-use crate::elaborate::Design;
+use crate::elaborate::{Design, ResolvedAssertion};
 use crate::eval::{Code, Prog, Read};
 use crate::lower::{Property, Seq};
 use crate::simulator::Trace;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// One assertion failure detected on a trace.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,6 +89,46 @@ pub(crate) fn check<R: Rows + ?Sized>(
     stack: &mut Vec<Value>,
 ) -> Vec<AssertionFailure> {
     let mut failures = Vec::new();
+    let _ = for_each_failure(
+        design,
+        rows,
+        decided,
+        stack,
+        |assertion, start, fail_cycle| {
+            failures.push(AssertionFailure {
+                assertion: assertion.name.clone(),
+                start_cycle: start,
+                fail_cycle,
+                message: assertion.message.clone(),
+            });
+            ControlFlow::Continue(())
+        },
+    );
+    failures
+}
+
+/// Whether [`check`] would find no failure, stopping at the first it would.
+pub(crate) fn holds<R: Rows + ?Sized>(
+    design: &Design,
+    rows: &R,
+    decided: usize,
+    stack: &mut Vec<Value>,
+) -> bool {
+    for_each_failure(design, rows, decided, stack, |_, _, _| {
+        ControlFlow::Break(())
+    })
+    .is_continue()
+}
+
+/// Evaluates the attempts [`check`] evaluates, in its order, and hands each failing
+/// one to `found` (its assertion, start cycle and fail cycle) until `found` breaks.
+fn for_each_failure<R: Rows + ?Sized>(
+    design: &Design,
+    rows: &R,
+    decided: usize,
+    stack: &mut Vec<Value>,
+    mut found: impl FnMut(&ResolvedAssertion, usize, usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     for (property, assertion) in design.compiled.properties.iter().zip(&design.assertions) {
         let mut checker = Checker {
             code: &design.compiled.code,
@@ -99,16 +140,11 @@ pub(crate) fn check<R: Rows + ?Sized>(
         // than this was decided by rows the caller has already seen pass.
         for start in decided.saturating_sub(property.horizon)..rows.cycles() {
             if let Some(fail_cycle) = checker.attempt(property, start) {
-                failures.push(AssertionFailure {
-                    assertion: assertion.name.clone(),
-                    start_cycle: start,
-                    fail_cycle,
-                    message: assertion.message.clone(),
-                });
+                found(assertion, start, fail_cycle)?;
             }
         }
     }
-    failures
+    ControlFlow::Continue(())
 }
 
 /// The sampled values as seen from one cycle: `past` reaches back, clamping at cycle 0.

@@ -206,6 +206,9 @@ impl BoundedChecker {
     }
 
     /// Checks every assertion of an elaborated design within the bound.
+    ///
+    /// A failing verdict carries its witness: the first failing sequence in
+    /// canonical order, replayed once to record its inputs and failures.
     pub fn check_design(&self, design: &Design) -> Verdict {
         self.check_design_counted(design).0
     }
@@ -213,12 +216,44 @@ impl BoundedChecker {
     /// [`BoundedChecker::check_design`], also reporting the work the sweep did.
     pub fn check_design_counted(&self, design: &Design) -> (Verdict, SweepWork) {
         let mut work = SweepWork::default();
+        let verdict = match self.sweep(design, true, &mut work) {
+            Ok(verdict) => verdict,
+            Err(SimError::CombinationalLoop { module }) => Verdict::Unverifiable {
+                reason: format!("combinational loop in module `{module}`"),
+            },
+            Err(other) => Verdict::Unverifiable {
+                reason: other.to_string(),
+            },
+        };
+        (verdict, work)
+    }
+
+    /// Whether every assertion of the design holds within the bound: exactly
+    /// `check_design(design).passed()`, without the verdict.
+    ///
+    /// The same search or plain loop runs, and stops at the first edge or
+    /// sequence on which an assertion fails or the design cannot be simulated.
+    /// No witness is replayed, no input vector built and no failure recorded:
+    /// this is the question a repair's judge asks
+    /// ([`crate::VerifyOracle::repair_solves_failure`]).
+    pub fn passes(&self, design: &Design) -> bool {
+        let verdict = self.sweep(design, false, &mut SweepWork::default());
+        matches!(verdict, Ok(Verdict::Pass { .. }))
+    }
+
+    /// Chooses the stimuli and runs them; with `witness` off, a bad sequence
+    /// ends the run as a `Fail` with no witness and no failures (see [`run`]).
+    fn sweep(
+        &self,
+        design: &Design,
+        witness: bool,
+        work: &mut SweepWork,
+    ) -> Result<Verdict, SimError> {
         if !design.has_assertions() {
-            let verdict = Verdict::Pass {
+            return Ok(Verdict::Pass {
                 method: CheckMethod::Exhaustive,
                 sequences: 0,
-            };
-            return (verdict, work);
+            });
         }
         // Make sure the unrolling is deep enough for the longest look-ahead.
         let depth = self
@@ -235,16 +270,7 @@ impl BoundedChecker {
                     Stimuli::random(design, depth, self.config.random_cases, self.config.seed),
                 )
             };
-        let verdict = match run(design, method, stimuli, FRONTIER_BYTES, &mut work) {
-            Ok(verdict) => verdict,
-            Err(SimError::CombinationalLoop { module }) => Verdict::Unverifiable {
-                reason: format!("combinational loop in module `{module}`"),
-            },
-            Err(other) => Verdict::Unverifiable {
-                reason: other.to_string(),
-            },
-        };
-        (verdict, work)
+        run(design, method, stimuli, FRONTIER_BYTES, witness, work)
     }
 }
 
@@ -269,11 +295,16 @@ const FRONTIER_BYTES: usize = 64 << 20;
 
 /// Checks the stimuli: an enumeration by the search, falling back to the plain loop
 /// if its frontier outgrows `budget` bytes; a random set by the plain loop.
+///
+/// With `witness` off, the first sequence (or edge of the search) on which an
+/// assertion fails ends the run with a `Fail` that records nothing: no witness,
+/// no failures, and no smallest candidate sought.
 fn run(
     design: &Design,
     method: CheckMethod,
     mut stimuli: Stimuli,
     budget: usize,
+    witness: bool,
     work: &mut SweepWork,
 ) -> Result<Verdict, SimError> {
     let mut bench = Bench {
@@ -284,11 +315,16 @@ fn run(
             .map(|column| design.input_slot(&column.name))
             .collect(),
         slots: design.slot_count(),
+        depth: stimuli.depth(),
         rows: Vec::new(),
+        state: Vec::new(),
     };
     if method == CheckMethod::Exhaustive {
         let power_up = bench.engine.power_up()?;
-        if let Some(verdict) = search(design, &mut bench, &stimuli, &power_up, budget, work)? {
+        let searched = search(
+            design, &mut bench, &stimuli, &power_up, budget, witness, work,
+        )?;
+        if let Some(verdict) = searched {
             return Ok(verdict);
         }
     }
@@ -301,8 +337,15 @@ fn run(
             Some(state) => state,
             None => power_up.insert(bench.engine.power_up()?),
         };
-        let failures = bench.simulate(power_up, &values, stimuli.depth(), work)?;
+        bench.simulate(power_up, &values, work)?;
         work.sequences += 1;
+        if !witness {
+            if !bench.holds() {
+                return Ok(unrecorded_fail(method));
+            }
+            continue;
+        }
+        let failures = bench.failures();
         if !failures.is_empty() {
             return Ok(Verdict::Fail {
                 method,
@@ -317,14 +360,24 @@ fn run(
     })
 }
 
+/// A bad sequence found with `witness` off (see [`run`]).
+fn unrecorded_fail(method: CheckMethod) -> Verdict {
+    Verdict::Fail {
+        method,
+        witness: Vec::new(),
+        failures: Vec::new(),
+    }
+}
+
 /// The search of an exhaustive check (see the module docs); `None` if its frontier
-/// outgrew `budget` bytes.
+/// outgrew `budget` bytes.  With `witness` off it stops at the first bad edge.
 fn search(
     design: &Design,
     bench: &mut Bench,
     stimuli: &Stimuli,
     power_up: &[Value],
     budget: usize,
+    witness: bool,
     work: &mut SweepWork,
 ) -> Result<Option<Verdict>, SimError> {
     let (depth, bits, slots) = (stimuli.depth(), stimuli.bits(), bench.slots);
@@ -360,7 +413,7 @@ fn search(
                 scratch.extend_from_slice(key);
                 scratch.extend_from_slice(&key[held * slots..]);
                 let (rows, state) = scratch.split_at_mut((held + 1) * slots);
-                bench.drive(state, &row);
+                drive(&bench.inputs, state, &row);
                 work.cycles += 1;
                 let stepped = bench.engine.cycle(state, &mut rows[held * slots..]);
                 let window = Window {
@@ -369,7 +422,10 @@ fn search(
                     slots,
                     values: rows,
                 };
-                if stepped.is_err() || !bench.engine.check(&window, cycle).is_empty() {
+                if stepped.is_err() || !bench.engine.holds(&window, cycle) {
+                    if !witness {
+                        return Ok(Some(unrecorded_fail(CheckMethod::Exhaustive)));
+                    }
                     best = sequence;
                     break 'inputs;
                 }
@@ -398,7 +454,8 @@ fn search(
     let mut values = Vec::new();
     stimuli.decode_into(best, &mut values);
     work.sequences = best as usize;
-    let failures = bench.simulate(power_up, &values, depth, work)?;
+    bench.simulate(power_up, &values, work)?;
+    let failures = bench.failures();
     work.sequences += 1;
     debug_assert!(!failures.is_empty(), "sequence {best} passed its replay");
     Ok(Some(Verdict::Fail {
@@ -408,49 +465,71 @@ fn search(
     }))
 }
 
-/// The engine of a check, where each stimulus column is driven, and the row buffer of
-/// the plain loop.
+/// The engine of a check, where each stimulus column is driven, and the plain
+/// loop's buffers: the `depth` rows of the last sequence it stepped and its state.
 struct Bench<'d> {
     engine: Engine<'d>,
     inputs: Vec<Option<InputSlot>>,
     slots: usize,
+    depth: usize,
     rows: Vec<Value>,
+    state: Vec<Value>,
+}
+
+/// Drives one cycle's decoded values, one per stimulus column.
+fn drive(inputs: &[Option<InputSlot>], state: &mut [Value], values: &[u64]) {
+    for (input, value) in inputs.iter().zip(values) {
+        if let Some(input) = input {
+            input.drive(state, *value);
+        }
+    }
 }
 
 impl Bench<'_> {
-    /// Drives one cycle's decoded values, one per stimulus column.
-    fn drive(&self, state: &mut [Value], values: &[u64]) {
-        for (input, value) in self.inputs.iter().zip(values) {
-            if let Some(input) = input {
-                input.drive(state, *value);
-            }
-        }
-    }
-
-    /// Steps one decoded sequence from `power_up` and checks every attempt over it.
+    /// Steps one decoded sequence from `power_up` into the row buffer.
     fn simulate(
         &mut self,
         power_up: &[Value],
         values: &[u64],
-        depth: usize,
         work: &mut SweepWork,
-    ) -> Result<Vec<AssertionFailure>, SimError> {
+    ) -> Result<(), SimError> {
         let (slots, columns) = (self.slots, self.inputs.len());
-        self.rows.resize(depth * slots, Value::bit(false));
-        let mut state = power_up.to_vec();
-        for cycle in 0..depth {
-            self.drive(&mut state, &values[cycle * columns..][..columns]);
+        self.rows.resize(self.depth * slots, Value::bit(false));
+        self.state.clear();
+        self.state.extend_from_slice(power_up);
+        for cycle in 0..self.depth {
+            drive(
+                &self.inputs,
+                &mut self.state,
+                &values[cycle * columns..][..columns],
+            );
             work.cycles += 1;
             self.engine
-                .cycle(&mut state, &mut self.rows[cycle * slots..][..slots])?;
+                .cycle(&mut self.state, &mut self.rows[cycle * slots..][..slots])?;
         }
+        Ok(())
+    }
+
+    /// Every attempt's failure over the sequence stepped last.
+    fn failures(&mut self) -> Vec<AssertionFailure> {
         let rows = Window {
             first: 0,
-            cycles: depth,
-            slots,
+            cycles: self.depth,
+            slots: self.slots,
             values: &self.rows,
         };
-        Ok(self.engine.check(&rows, 0))
+        self.engine.check(&rows, 0)
+    }
+
+    /// Whether no attempt fails over the sequence stepped last.
+    fn holds(&mut self) -> bool {
+        let rows = Window {
+            first: 0,
+            cycles: self.depth,
+            slots: self.slots,
+            values: &self.rows,
+        };
+        self.engine.holds(&rows, 0)
     }
 }
 
@@ -650,7 +729,14 @@ endmodule
     fn checked(design: &Design, bytes: usize) -> (Verdict, SweepWork) {
         let stimuli = Stimuli::exhaustive(design, 12);
         let mut work = SweepWork::default();
-        let verdict = run(design, CheckMethod::Exhaustive, stimuli, bytes, &mut work);
+        let verdict = run(
+            design,
+            CheckMethod::Exhaustive,
+            stimuli,
+            bytes,
+            true,
+            &mut work,
+        );
         (verdict.expect("the latch settles"), work)
     }
 

@@ -73,8 +73,18 @@ impl VerifyOracle {
     /// A repair is accepted when the repaired module's assertions pass within the
     /// bound.  This is the acceptance criterion the pass@k evaluation uses ("deeming
     /// `c` of them effective if they successfully solve the assertion failure").
+    ///
+    /// The answer is [`BoundedChecker::passes`]: a yes/no check that stops at the
+    /// first failing sequence and builds no witness.  Questions 1 and 2 and
+    /// [`BoundedChecker::check_design`] still build theirs.
     pub fn repair_solves_failure(&self, repaired: &Module) -> bool {
-        self.checker.check_module(repaired).passed()
+        self.repair_solves_failure_owned(repaired.clone())
+    }
+
+    /// [`VerifyOracle::repair_solves_failure`] on a module the caller is done
+    /// with: it becomes the design's own ([`Design::from_module`]), uncopied.
+    pub fn repair_solves_failure_owned(&self, repaired: Module) -> bool {
+        Design::from_module(repaired).is_ok_and(|design| self.checker.passes(&design))
     }
 
     /// Bounded input/output equivalence of two modules over shared outputs.

@@ -632,3 +632,123 @@ fn at_depth_twelve_the_search_gets_the_reference_verdict_and_counts_its_keys() {
     );
     assert!(passes > 100 && fails > 50, "{passes} passes, {fails} fails");
 }
+
+/// The repaired designs the judge checks at quick scale: every distinct candidate
+/// the three checkpoints sample for SVA-Eval (the `experiments` seed and protocol)
+/// that misses the textual fast path, applies, parses, changes the buggy module and
+/// elaborates — what `response_is_correct` hands the bounded check.
+fn judged_candidates() -> (Vec<Design>, CheckConfig) {
+    use assertsolver::{apply_line_edit, train, EvalConfig, TrainConfig};
+    use svmodel::CaseInput;
+    use svserve::{serve_scoped, RepairRequest};
+
+    let artifacts = train(&TrainConfig::quick(2025));
+    let config = EvalConfig::quick(2025 ^ 0xE7);
+    let cases = artifacts.sva_eval.all();
+    let mut designs = Vec::new();
+    for model in [&artifacts.base, &artifacts.sft, &artifacts.assert_solver] {
+        let requests = cases
+            .iter()
+            .map(|entry| {
+                let case = CaseInput::from_entry(entry);
+                RepairRequest::new(case, config.samples, config.temperature)
+            })
+            .collect();
+        let outcomes = serve_scoped(model, config.service_config(), |service| {
+            service.solve_all(requests)
+        });
+        for (entry, outcome) in cases.iter().zip(outcomes) {
+            let mut seen = HashSet::new();
+            for response in outcome.responses.iter() {
+                let (line, fix) = (response.bug_line_number, response.fixed_line.trim());
+                let golden = line == entry.bug_line_number && fix == entry.fixed_line.trim();
+                if golden || line == 0 || fix.is_empty() || !seen.insert((line, fix)) {
+                    continue;
+                }
+                let Some(source) = apply_line_edit(&entry.buggy_source, line, fix) else {
+                    continue;
+                };
+                let Ok(module) = parse_module(&source) else {
+                    continue;
+                };
+                if svparse::emits_as(&module, &entry.buggy_source) {
+                    continue;
+                }
+                designs.extend(Design::from_module(module));
+            }
+        }
+    }
+    (designs, config.check)
+}
+
+/// [`BoundedChecker::passes`] is `check_design(..).passed()` without the verdict:
+/// over every design this file builds, under every configuration it uses, and
+/// over every candidate the judge checks at quick scale.
+#[test]
+fn the_yes_no_check_agrees_with_the_verdict() {
+    let mut modules = Vec::new();
+    for (seed, golden) in family_goldens() {
+        let mutants = BugInjector::new(seed).inject_batch(&golden, 8);
+        modules.extend(looped_and_undeclared(&golden));
+        modules.extend(mutants.into_iter().map(|bug| bug.buggy));
+        modules.push(golden);
+    }
+    modules.extend(["4'd15", "4'd9", "4'd4"].map(latch));
+    modules.extend(
+        [
+            "module loopy(input clk, input a, output y);\n  assign y = !y;\n  property p; @(posedge clk) a |-> y; endproperty\n  assert property (p);\nendmodule",
+            "module two_bits(input clk, input rst_n, input a, input b, output reg q);\n  always @(posedge clk or negedge rst_n) begin\n    if (!rst_n) q <= 0;\n    else q <= a ^ b;\n  end\n  property p; @(posedge clk) disable iff (!rst_n) 1 |=> q == ($past(a) ^ $past(b)); endproperty\n  assert property (p);\nendmodule",
+            "module free(input clk, input a, input [1:0] b, output reg y);\n  always @(posedge clk) y <= a ^ b[0];\nendmodule",
+        ]
+        .map(|source| parse_module(source).unwrap()),
+    );
+    let configs = [
+        small_exhaustive(),
+        always_random(),
+        depth_twelve(),
+        CheckConfig {
+            random_cases: 0,
+            ..always_random()
+        },
+        CheckConfig {
+            random_cases: 1,
+            ..always_random()
+        },
+        CheckConfig {
+            max_exhaustive_bits: u32::MAX,
+            ..depth_twelve()
+        },
+    ];
+    let (mut passed, mut failed) = (0, 0);
+    let mut agree = |design: &Design, config: &CheckConfig| {
+        let checker = BoundedChecker::new(config.clone());
+        let verdict = checker.check_design(design);
+        assert_eq!(
+            checker.passes(design),
+            verdict.passed(),
+            "{} under {config:?}: {verdict:?}",
+            design.module.name
+        );
+        if verdict.passed() {
+            passed += 1;
+        } else {
+            failed += 1;
+        }
+    };
+    let designs: Vec<Design> = modules
+        .iter()
+        .filter_map(|module| Design::elaborate(module).ok())
+        .collect();
+    for design in &designs {
+        configs.iter().for_each(|config| agree(design, config));
+    }
+    let (candidates, check) = judged_candidates();
+    assert!(candidates.len() > 100, "{} candidates", candidates.len());
+    for design in &candidates {
+        agree(design, &check);
+    }
+    assert!(
+        passed > 500 && failed > 500,
+        "{passed} passed, {failed} failed"
+    );
+}
