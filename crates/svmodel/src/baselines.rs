@@ -11,12 +11,11 @@
 use crate::features::CaseInput;
 use crate::fixgen::FixEdit;
 use crate::lm::NgramLm;
-use crate::plan::SamplingPlan;
+use crate::plan::{SamplingPlan, Softmax};
 use crate::policy::Policy;
 use crate::solver::{RepairModel, Response};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The baseline tiers, ordered from weakest to strongest.
@@ -203,7 +202,9 @@ impl RepairModel for BaselineModel {
 }
 
 impl BaselineModel {
-    /// Draws `samples` responses through `plan` from one RNG seeded with `seed`.
+    /// Draws `samples` responses through `plan` from one RNG seeded with `seed`,
+    /// each response rendered on the first draw of its (line, fix) pair and
+    /// cloned for every repeat.
     pub(crate) fn sample(
         &self,
         plan: &SamplingPlan,
@@ -211,16 +212,6 @@ impl BaselineModel {
         temperature: f64,
         seed: u64,
     ) -> Vec<Response> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..samples)
-            .map(|_| self.draw(plan, temperature, &mut rng))
-            .collect()
-    }
-
-    fn draw(&self, plan: &SamplingPlan, temperature: f64, rng: &mut StdRng) -> Response {
-        if plan.lines.is_empty() {
-            return Response::unanswered();
-        }
         // Weak tiers sample at a much higher effective temperature (they are not
         // confident); the iterative reasoner runs an internal best-of-3 pass.
         let effective_temperature = match self.kind {
@@ -228,35 +219,59 @@ impl BaselineModel {
             BaselineKind::KeywordMatch => temperature.max(1.0),
             _ => temperature,
         };
+        let softmax = Softmax::new(
+            plan,
+            &self.line_policy,
+            &self.fix_policy,
+            effective_temperature,
+        );
+        let respond = |line: usize, fix: Option<usize>| {
+            let bug_line_number = plan.line_numbers[line];
+            Response {
+                bug_line_number,
+                buggy_line: plan.lines.texts[line].clone(),
+                fixed_line: plan.fixed_line(line, fix).to_string(),
+                cot: Some(format!(
+                    "Heuristic analysis of the failing assertion points at line {bug_line_number}."
+                )),
+            }
+        };
+        plan.sample(samples, seed, |rng| self.draw(plan, &softmax, rng), respond)
+    }
+
+    /// One draw: the candidate line and its fix candidate (`None` when the line
+    /// has none).
+    fn draw(
+        &self,
+        plan: &SamplingPlan,
+        softmax: &Softmax,
+        rng: &mut StdRng,
+    ) -> (usize, Option<usize>) {
         let candidates_to_try = if self.kind == BaselineKind::IterativeReasoner {
             3
         } else {
             1
         };
-        let mut best: Option<(f64, usize, String)> = None;
+        let mut best: Option<(f64, usize, Option<usize>)> = None;
         for _ in 0..candidates_to_try {
-            let line = self
-                .line_policy
-                .sample(&plan.lines.features, effective_temperature, rng);
+            let line = softmax.line(rng);
             let text = &plan.lines.texts[line];
             let fixes = plan.fixes(line);
-            let (fixed_line, fix_score) = if fixes.is_empty() {
-                (text.clone(), 0.0)
+            let (fix, fix_score) = if fixes.is_empty() {
+                (None, 0.0)
             } else {
                 let idx = if matches!(
                     self.kind,
                     BaselineKind::RandomGuess | BaselineKind::AssignmentGuess
                 ) {
-                    rng_choice(fixes.texts.len(), rng)
+                    // Uniform over the fixes: the one roll `SliceRandom::choose` makes.
+                    rng.gen_range(0..fixes.texts.len())
                 } else {
-                    self.fix_policy
-                        .sample(&fixes.features, effective_temperature, rng)
+                    softmax.fix(line, rng)
                 };
-                (
-                    fixes.texts[idx].clone(),
-                    self.fix_policy.score(&fixes.features[idx]),
-                )
+                (Some(idx), self.fix_policy.score(&fixes.features[idx]))
             };
+            let fixed_line = plan.fixed_line(line, fix);
             // Self-check score: line score plus fix score, with a bonus when a
             // conditional line's fix changes its negations.
             let mut score = self.line_policy.score(&plan.lines.features[line]) + fix_score;
@@ -266,19 +281,11 @@ impl BaselineModel {
                 score += 0.5;
             }
             if best.as_ref().is_none_or(|(s, _, _)| score > *s) {
-                best = Some((score, line, fixed_line));
+                best = Some((score, line, fix));
             }
         }
-        let (_, line, fixed_line) = best.expect("at least one candidate generated");
-        let bug_line_number = plan.line_numbers[line];
-        Response {
-            bug_line_number,
-            buggy_line: plan.lines.texts[line].clone(),
-            fixed_line,
-            cot: Some(format!(
-                "Heuristic analysis of the failing assertion points at line {bug_line_number}."
-            )),
-        }
+        let (_, line, fix) = best.expect("at least one candidate generated");
+        (line, fix)
     }
 }
 
@@ -298,6 +305,7 @@ impl BaselineModel {
         temperature: f64,
         seed: u64,
     ) -> Vec<Response> {
+        use rand::SeedableRng;
         let lines = crate::features::line_candidates(case, &self.lm);
         let mut rng = StdRng::seed_from_u64(seed);
         (0..samples)
@@ -386,7 +394,10 @@ impl BaselineModel {
     }
 }
 
+/// The oracle's uniform fix choice: one `choose` over an index vector.
+#[cfg(test)]
 fn rng_choice(len: usize, rng: &mut StdRng) -> usize {
+    use rand::seq::SliceRandom;
     *(0..len).collect::<Vec<usize>>().choose(rng).unwrap_or(&0)
 }
 

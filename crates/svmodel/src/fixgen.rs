@@ -6,8 +6,10 @@
 //! the candidates.
 
 use crate::features::CaseInput;
+use crate::lm::FrozenLm;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Number of features describing a fix candidate.
 pub const FIX_FEATURES: usize = 10;
@@ -160,11 +162,9 @@ pub fn fix_candidates(
         if !declared_signals.iter().any(|declared| declared == ident) {
             continue;
         }
+        let at = find_identifier(original, ident);
         for replacement in declared_signals.iter().filter(|r| *r != ident) {
-            out.push((
-                replace_identifier_once(original, ident, replacement),
-                FixEdit::VarSwap,
-            ));
+            out.push((splice(original, at.clone(), replacement), FixEdit::VarSwap));
         }
     }
 
@@ -174,43 +174,92 @@ pub fn fix_candidates(
         let mut seen = BTreeSet::from([original]);
         out.iter().map(|(text, _)| seen.insert(text)).collect()
     };
-    let original_surprisal = lm.surprisal(original);
+    let context = FixContext::new(original, assertion_signals, lm.frozen());
     out.into_iter()
         .zip(first)
         .filter_map(|(candidate, first)| first.then_some(candidate))
-        .map(|(text, edit)| {
-            let features = fix_features(
-                &text,
-                original,
-                edit,
-                assertion_signals,
-                lm,
-                original_surprisal,
-            );
-            FixCandidate {
-                text,
-                edit,
-                features,
-            }
+        .map(|(text, edit)| FixCandidate {
+            features: context.features(&text, edit),
+            text,
+            edit,
         })
         .collect()
 }
 
-/// Feature vector of a fix candidate.
-fn fix_features(
+/// What every fix candidate of one line is compared against: the original
+/// line, its surprisal, and how often it mentions each distinct assertion
+/// signal.
+struct FixContext<'a> {
+    original: &'a str,
+    lm: &'a FrozenLm,
+    original_surprisal: f64,
+    signal_counts: Vec<(&'a str, usize)>,
+}
+
+impl<'a> FixContext<'a> {
+    fn new(original: &'a str, assertion_signals: &'a [String], lm: &'a FrozenLm) -> Self {
+        let mut signal_counts: Vec<(&str, usize)> = Vec::with_capacity(assertion_signals.len());
+        for signal in assertion_signals {
+            if !signal_counts.iter().any(|(seen, _)| seen == signal) {
+                signal_counts.push((signal, occurrences(original, signal)));
+            }
+        }
+        Self {
+            original,
+            lm,
+            original_surprisal: lm.surprisal(original),
+            signal_counts,
+        }
+    }
+
+    /// Feature vector of fix candidate `text`.
+    fn features(&self, text: &str, edit: FixEdit) -> Vec<f64> {
+        let introduces_assertion_signal = (self.signal_counts.iter())
+            .any(|&(signal, count_old)| occurrences(text, signal) > count_old);
+        let surprisal_delta = (self.original_surprisal - self.lm.surprisal(text)).clamp(-3.0, 3.0);
+        let original = self.original;
+        fix_feature_vector(
+            text,
+            original,
+            edit,
+            introduces_assertion_signal,
+            surprisal_delta,
+        )
+    }
+}
+
+/// `text.matches(pattern).count()`, the non-overlapping occurrences found left
+/// to right, without building a substring searcher for each call.  Bytes
+/// suffice: a UTF-8 pattern can only match at a character boundary.
+fn occurrences(text: &str, pattern: &str) -> usize {
+    if pattern.is_empty() {
+        // The empty pattern matches at every character boundary.
+        return text.chars().count() + 1;
+    }
+    let (text, pattern) = (text.as_bytes(), pattern.as_bytes());
+    let first = pattern[0];
+    let (mut count, mut at) = (0, 0);
+    while at + pattern.len() <= text.len() {
+        if text[at] == first && text[at..].starts_with(pattern) {
+            count += 1;
+            at += pattern.len();
+        } else {
+            at += 1;
+        }
+    }
+    count
+}
+
+/// The feature vector of fix candidate `text` of line `original`, given the
+/// two features that need the case: whether the fix mentions some assertion
+/// signal more often than the line, and the drop in surprisal (clamped to ±3).
+fn fix_feature_vector(
     text: &str,
     original: &str,
     edit: FixEdit,
-    assertion_signals: &[String],
-    lm: &crate::lm::NgramLm,
-    original_surprisal: f64,
+    introduces_assertion_signal: bool,
+    surprisal_delta: f64,
 ) -> Vec<f64> {
-    let introduces_assertion_signal = assertion_signals.iter().any(|s| {
-        let count_new = text.matches(s.as_str()).count();
-        let count_old = original.matches(s.as_str()).count();
-        count_new > count_old
-    });
-    let surprisal_delta = (original_surprisal - lm.surprisal(text)).clamp(-3.0, 3.0);
     vec![
         1.0,
         f64::from(edit == FixEdit::ToggleNegation),
@@ -243,28 +292,38 @@ fn identifiers_in(line: &str) -> Vec<&str> {
     out
 }
 
-fn replace_identifier_once(line: &str, ident: &str, replacement: &str) -> String {
-    // Replace only whole-token occurrences so `in` does not match inside `valid_in`.
-    let mut result = String::new();
-    let mut replaced = false;
-    let mut token = String::new();
-    for c in line.chars().chain(std::iter::once(' ')) {
-        if c.is_alphanumeric() || c == '_' {
-            token.push(c);
-        } else {
-            if !token.is_empty() {
-                if !replaced && token == ident {
-                    result.push_str(replacement);
-                    replaced = true;
-                } else {
-                    result.push_str(&token);
-                }
-                token.clear();
-            }
-            result.push(c);
+/// The byte range of the first whole-token occurrence of `ident` in `line`,
+/// so `in` does not match inside `valid_in`; a token is a run of
+/// alphanumerics and `_`.
+fn find_identifier(line: &str, ident: &str) -> Option<Range<usize>> {
+    let is_token_char = |c: char| c.is_alphanumeric() || c == '_';
+    let mut rest = line;
+    while let Some(start) = rest.find(is_token_char) {
+        let token = &rest[start..];
+        let len = token
+            .find(|c: char| !is_token_char(c))
+            .unwrap_or(token.len());
+        if &token[..len] == ident {
+            let at = line.len() - token.len();
+            return Some(at..at + len);
         }
+        rest = &token[len..];
     }
-    result.trim_end().to_string()
+    None
+}
+
+/// `line` with `range` (if any) replaced by `replacement` and trailing
+/// whitespace trimmed, in one allocation.
+fn splice(line: &str, range: Option<Range<usize>>, replacement: &str) -> String {
+    let Some(range) = range else {
+        return line.trim_end().to_string();
+    };
+    let mut result = String::with_capacity(line.len() - range.len() + replacement.len());
+    result.push_str(&line[..range.start]);
+    result.push_str(replacement);
+    result.push_str(&line[range.end..]);
+    result.truncate(result.trim_end().len());
+    result
 }
 
 fn parse_sized_literal(token: &str) -> Option<(u32, u64)> {
@@ -322,12 +381,14 @@ pub(crate) fn fix_context(
     (m.declared_names(), signals)
 }
 
-/// The candidate generator before its dedup stopped cloning texts and
-/// `identifiers_in` stopped copying names, verbatim but for its `use` lines;
-/// `plan::tests` holds the two equal.
+/// The candidate generator before its dedup stopped cloning texts,
+/// `identifiers_in` stopped copying names, the features stopped recounting the
+/// line's signals and the LM lookups went through the frozen index, verbatim
+/// but for its `use` lines and the LM's keyed lookup; `plan::tests` holds the
+/// two equal.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::{fix_features, parse_sized_literal, replace_identifier_once, rewrite_literal};
+    use super::{fix_feature_vector, parse_sized_literal, rewrite_literal};
     use super::{FixCandidate, FixEdit, OP_SWAPS};
     use std::collections::BTreeSet;
 
@@ -432,7 +493,7 @@ pub(crate) mod oracle {
             }
         }
 
-        let original_surprisal = lm.surprisal(original);
+        let original_surprisal = lm.surprisal_keyed(original);
         out.into_iter()
             .filter(|(text, _)| text != original && seen.insert(text.clone()))
             .map(|(text, edit)| {
@@ -451,6 +512,53 @@ pub(crate) mod oracle {
                 }
             })
             .collect()
+    }
+
+    fn fix_features(
+        text: &str,
+        original: &str,
+        edit: FixEdit,
+        assertion_signals: &[String],
+        lm: &crate::lm::NgramLm,
+        original_surprisal: f64,
+    ) -> Vec<f64> {
+        let introduces_assertion_signal = assertion_signals.iter().any(|s| {
+            let count_new = text.matches(s.as_str()).count();
+            let count_old = original.matches(s.as_str()).count();
+            count_new > count_old
+        });
+        let surprisal_delta = (original_surprisal - lm.surprisal_keyed(text)).clamp(-3.0, 3.0);
+        fix_feature_vector(
+            text,
+            original,
+            edit,
+            introduces_assertion_signal,
+            surprisal_delta,
+        )
+    }
+
+    pub fn replace_identifier_once(line: &str, ident: &str, replacement: &str) -> String {
+        // Replace only whole-token occurrences so `in` does not match inside `valid_in`.
+        let mut result = String::new();
+        let mut replaced = false;
+        let mut token = String::new();
+        for c in line.chars().chain(std::iter::once(' ')) {
+            if c.is_alphanumeric() || c == '_' {
+                token.push(c);
+            } else {
+                if !token.is_empty() {
+                    if !replaced && token == ident {
+                        result.push_str(replacement);
+                        replaced = true;
+                    } else {
+                        result.push_str(&token);
+                    }
+                    token.clear();
+                }
+                result.push(c);
+            }
+        }
+        result.trim_end().to_string()
     }
 
     fn identifiers_in(line: &str) -> Vec<String> {
@@ -536,6 +644,70 @@ mod tests {
             .any(|f| f.text == "else if (end_cnt && valid_in) valid_out <= 1;"));
         for f in &fixes {
             assert_eq!(f.features.len(), FIX_FEATURES);
+        }
+    }
+
+    #[test]
+    fn occurrences_count_like_str_matches() {
+        let texts = [
+            "",
+            "a",
+            "aaaa",
+            "cnt <= cnt + 1;",
+            "é_é é",
+            "valid_in && !valid",
+            "ababab",
+        ];
+        let patterns = [
+            "",
+            "a",
+            "aa",
+            "cnt",
+            "valid",
+            "é",
+            "aba",
+            "b",
+            "zz",
+            "cnt <= cnt + 1;;",
+        ];
+        for text in texts {
+            for pattern in patterns {
+                assert_eq!(
+                    occurrences(text, pattern),
+                    text.matches(pattern).count(),
+                    "{text:?} {pattern:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn identifier_splices_match_the_old_replacement() {
+        let lines = [
+            "assign out = in;",
+            "assign out = valid_in & in;",
+            "if (in_a && !in) in <= in + 1;",
+            "x<=x_1+x;",
+            "a  ",
+            "",
+            "   ",
+            "é = in + é; // in",
+            "q[in] <= {in, 2'd1};",
+            "in",
+            "_in_ in _in_",
+            "cnt'd in",
+        ];
+        let idents = ["in", "x", "é", "_in_", "q", "a", "", "cnt'd", "nope"];
+        for line in lines {
+            for ident in idents {
+                for replacement in ["valid_in", "y", " spaced "] {
+                    assert_eq!(
+                        splice(line, find_identifier(line, ident), replacement),
+                        oracle::replace_identifier_once(line, ident, replacement),
+                        "{line:?} {ident:?} {replacement:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -15,13 +15,17 @@
 //!
 //! Every [`RepairModel::solve`] here builds one crate-private sampling plan for the
 //! case: the buggy source is parsed once, the line candidates and their feature
-//! matrix are built once, and a line's fix candidates (one LM surprisal each) are
-//! built on the first draw of that line and reused by every later draw of it.  The
-//! RNG is consumed in the same order as rebuilding all of that per sample, so the
-//! responses are byte-identical to the per-sample path, which the crate's tests
-//! keep as an oracle.  SFT prepares each example's feature matrices once, before
-//! the epoch loop, and DPO harvesting reads its pairs from the plan it sampled
-//! through.
+//! matrix are built once (one search of the assertions' fan-in cone), and a
+//! line's fix candidates (one LM surprisal each) are built on the first draw of
+//! that line and reused by every later draw of it.  The policies' softmax is
+//! computed once per `solve` for the lines and once per drawn line for its fixes,
+//! a (line, fix) pair's response is rendered once and cloned for its repeats,
+//! and a trained [`NgramLm`] answers every lookup from a frozen id-keyed index.
+//! The RNG is consumed in the same order as rebuilding all of that per sample,
+//! so the responses are byte-identical to the per-sample path, which the
+//! crate's tests keep as an oracle.  SFT prepares each example's feature
+//! matrices once, before the epoch loop, and DPO harvesting reads its pairs
+//! from the plan it sampled through.
 //!
 //! ## Quick example
 //!

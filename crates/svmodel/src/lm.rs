@@ -6,7 +6,9 @@
 //! knowledge a pretrained transformer would contribute.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Multi-character operators, longest first: a token is the first of these
 /// the text continues with.
@@ -46,11 +48,38 @@ pub fn tokenize(text: &str) -> Vec<String> {
 }
 
 /// An interpolated bigram language model with add-k smoothing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The counts are keyed by token text: that is what training updates and what
+/// serialisation (hence a model's identity) writes.  Lookups go through a
+/// frozen index instead — token ids, unigram counts by id, bigram counts by
+/// packed id pair — built on the first lookup after training or
+/// deserialisation and dropped by [`NgramLm::train_text`].  The index is not
+/// serialised, and equality ignores it.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct NgramLm {
     unigrams: BTreeMap<String, u64>,
     bigrams: BTreeMap<(String, String), u64>,
     total_tokens: u64,
+    #[serde(skip)]
+    index: OnceLock<FrozenLm>,
+}
+
+impl PartialEq for NgramLm {
+    fn eq(&self, other: &Self) -> bool {
+        self.unigrams == other.unigrams
+            && self.bigrams == other.bigrams
+            && self.total_tokens == other.total_tokens
+    }
+}
+
+impl fmt::Debug for NgramLm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NgramLm")
+            .field("unigrams", &self.unigrams)
+            .field("bigrams", &self.bigrams)
+            .field("total_tokens", &self.total_tokens)
+            .finish()
+    }
 }
 
 impl NgramLm {
@@ -71,6 +100,7 @@ impl NgramLm {
 
     /// Ingests one text into the counts.
     pub fn train_text(&mut self, text: &str) {
+        self.index = OnceLock::new();
         let tokens: Vec<&str> = tokens(text).collect();
         let mut key = (String::new(), String::new());
         for window in tokens.windows(2) {
@@ -100,11 +130,148 @@ impl NgramLm {
         }
     }
 
-    /// Interpolated probability of `next` following `prev`.
-    pub fn probability(&self, prev: &str, next: &str) -> f64 {
-        self.probability_keyed(prev, next, &mut (String::new(), String::new()))
+    /// The frozen lookup index of the current counts, built on first use.
+    pub(crate) fn frozen(&self) -> &FrozenLm {
+        self.index.get_or_init(|| FrozenLm::new(self))
     }
 
+    /// Interpolated probability of `next` following `prev`.
+    pub fn probability(&self, prev: &str, next: &str) -> f64 {
+        let lm = self.frozen();
+        lm.probability(lm.id(prev), lm.id(next))
+    }
+
+    /// Mean negative log-probability per token of a line (its surprisal).
+    ///
+    /// Untrained models return a constant so the feature is uninformative rather than
+    /// misleading.
+    pub fn surprisal(&self, line: &str) -> f64 {
+        self.frozen().surprisal(line)
+    }
+
+    /// Perplexity of a text under the model.
+    pub fn perplexity(&self, text: &str) -> f64 {
+        self.surprisal(text).exp()
+    }
+}
+
+/// Overwrites the bigram key buffer with `(prev, next)`, reusing its capacity.
+fn set_key(key: &mut (String, String), prev: &str, next: &str) {
+    key.0.clear();
+    key.0.push_str(prev);
+    key.1.clear();
+    key.1.push_str(next);
+}
+
+/// Add-k smoothing constant of both estimates.
+const K: f64 = 0.05;
+
+/// An [`NgramLm`]'s counts re-keyed for lookup: each token its `u32` id (its
+/// rank in the unigram map), unigram counts by id and bigram counts by the
+/// packed id pair, with the smoothing denominators computed once.  A token the
+/// model never saw has no id and counts zero everywhere.  Its answers are the
+/// `String`-keyed lookup's, bit for bit: the same arithmetic on the same
+/// counts in the same order.
+#[derive(Clone)]
+pub(crate) struct FrozenLm {
+    trained: bool,
+    ids: HashMap<String, u32>,
+    unigrams: Vec<u64>,
+    bigrams: HashMap<u64, u64>,
+    /// `k · vocabulary`, the bigram estimate's smoothing mass.
+    smoothing: f64,
+    /// `tokens + k · vocabulary`, the unigram estimate's denominator.
+    unigram_denominator: f64,
+}
+
+impl FrozenLm {
+    fn new(lm: &NgramLm) -> Self {
+        let mut ids = HashMap::with_capacity(lm.unigrams.len());
+        let mut unigrams = Vec::with_capacity(lm.unigrams.len());
+        for (id, (token, &count)) in lm.unigrams.iter().enumerate() {
+            ids.insert(token.clone(), id as u32);
+            unigrams.push(count);
+        }
+        let mut bigrams = HashMap::with_capacity(lm.bigrams.len());
+        for ((prev, next), &count) in &lm.bigrams {
+            // Training counts each token of a bigram as a unigram too; a model
+            // read from elsewhere may not, and its stray tokens count zero.
+            let mut id = |token: &String| match ids.get(token.as_str()) {
+                Some(&id) => id,
+                None => {
+                    let id = unigrams.len() as u32;
+                    unigrams.push(0);
+                    ids.insert(token.clone(), id);
+                    id
+                }
+            };
+            let key = pack(id(prev), id(next));
+            bigrams.insert(key, count);
+        }
+        let vocab = lm.vocab_size().max(1) as f64;
+        Self {
+            trained: lm.is_trained(),
+            ids,
+            unigrams,
+            bigrams,
+            smoothing: K * vocab,
+            unigram_denominator: lm.total_tokens as f64 + K * vocab,
+        }
+    }
+
+    /// The id of `token`, `None` when the model never saw it.
+    fn id(&self, token: &str) -> Option<u32> {
+        self.ids.get(token).copied()
+    }
+
+    fn count(&self, id: Option<u32>) -> u64 {
+        id.map_or(0, |id| self.unigrams[id as usize])
+    }
+
+    /// Interpolated probability of token `next` following token `prev`, by id.
+    fn probability(&self, prev: Option<u32>, next: Option<u32>) -> f64 {
+        let unigram_count = self.count(next) as f64;
+        let unigram = (unigram_count + K) / self.unigram_denominator;
+        let prev_count = self.count(prev) as f64;
+        let bigram_count = match (prev, next) {
+            (Some(prev), Some(next)) => self.bigrams.get(&pack(prev, next)).copied(),
+            _ => None,
+        };
+        let bigram = (bigram_count.unwrap_or(0) as f64 + K) / (prev_count + self.smoothing);
+        0.7 * bigram + 0.3 * unigram
+    }
+
+    /// [`NgramLm::surprisal`]: one tokenisation, one id lookup per token, and
+    /// the terms summed in token order.
+    pub(crate) fn surprisal(&self, line: &str) -> f64 {
+        if !self.trained {
+            return 1.0;
+        }
+        let mut ids = tokens(line).map(|token| self.id(token));
+        let Some(mut prev) = ids.next() else {
+            return 1.0;
+        };
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for next in ids {
+            total += -self.probability(prev, next).ln();
+            count += 1;
+            prev = next;
+        }
+        if count == 0 {
+            return 1.0;
+        }
+        total / count as f64
+    }
+}
+
+fn pack(prev: u32, next: u32) -> u64 {
+    u64::from(prev) << 32 | u64::from(next)
+}
+
+/// The `String`-keyed lookup the frozen index replaced, kept as its oracle.
+#[cfg(test)]
+impl NgramLm {
     /// [`NgramLm::probability`], looking the bigram up through `key`, a
     /// buffer the caller reuses across lookups.
     fn probability_keyed(&self, prev: &str, next: &str, key: &mut (String, String)) -> f64 {
@@ -119,11 +286,8 @@ impl NgramLm {
         0.7 * bigram + 0.3 * unigram
     }
 
-    /// Mean negative log-probability per token of a line (its surprisal).
-    ///
-    /// Untrained models return a constant so the feature is uninformative rather than
-    /// misleading.
-    pub fn surprisal(&self, line: &str) -> f64 {
+    /// [`NgramLm::surprisal`] over [`NgramLm::probability_keyed`].
+    pub(crate) fn surprisal_keyed(&self, line: &str) -> f64 {
         if !self.is_trained() {
             return 1.0;
         }
@@ -144,19 +308,6 @@ impl NgramLm {
         }
         total / count as f64
     }
-
-    /// Perplexity of a text under the model.
-    pub fn perplexity(&self, text: &str) -> f64 {
-        self.surprisal(text).exp()
-    }
-}
-
-/// Overwrites the bigram key buffer with `(prev, next)`, reusing its capacity.
-fn set_key(key: &mut (String, String), prev: &str, next: &str) {
-    key.0.clear();
-    key.0.push_str(prev);
-    key.1.clear();
-    key.1.push_str(next);
 }
 
 #[cfg(test)]
@@ -300,6 +451,92 @@ mod tests {
             let (new, old) = (lm.surprisal(&line), surprisal_oracle(&oracle, &line));
             assert_eq!(new.to_bits(), old.to_bits(), "{line:?}");
         }
+    }
+
+    /// Lines of seeded random tokens: words and operators the model saw, words
+    /// it did not (some of them multi-byte) and stray punctuation, joined by
+    /// spaces or by nothing.
+    fn token_soups(lm: &NgramLm, seed: u64, count: usize) -> Vec<String> {
+        const UNSEEN: [&str; 8] = ["zz_oov", "q9q", "λx", "_", "@@", "é", "1'b", "🦀"];
+        let seen: Vec<&String> = lm.unigrams.keys().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let len = rng.gen_range(0..12usize);
+                let mut line = String::new();
+                for _ in 0..len {
+                    if rng.gen_bool(0.7) {
+                        line.push_str(seen[rng.gen_range(0..seen.len())]);
+                    } else {
+                        line.push_str(UNSEEN[rng.gen_range(0..UNSEEN.len())]);
+                    }
+                    if rng.gen_bool(0.8) {
+                        line.push(' ');
+                    }
+                }
+                line
+            })
+            .collect()
+    }
+
+    /// The frozen index against the `String`-keyed lookup it replaced, bit for
+    /// bit, under a model trained on the default corpus, the pretrained model of
+    /// `plan::tests` and an untrained model: every line of the default corpus
+    /// and of the human cases, every candidate line and fix-candidate text of
+    /// `plan::tests`' cases, random token soups, and empty and one-token lines.
+    #[test]
+    fn surprisal_through_the_frozen_index_matches_the_keyed_lookup() {
+        let texts = default_corpus_texts();
+        let mut corpus_lm = NgramLm::new();
+        corpus_lm.train(texts.iter().map(String::as_str));
+        let fixture = crate::plan::tests::fixture();
+        let pretrained = fixture.pretrained.language_model();
+        assert!(pretrained.is_trained());
+
+        let mut lines: Vec<String> = Vec::new();
+        let human = assertsolver::human_crafted_cases();
+        let human_texts = human
+            .iter()
+            .flat_map(|e| [&e.spec, &e.buggy_source, &e.logs, &e.golden_source]);
+        for text in texts.iter().chain(human_texts) {
+            lines.extend(text.lines().map(str::to_string));
+        }
+        for case in &fixture.cases {
+            let plan = crate::plan::SamplingPlan::new(case, pretrained);
+            for line in 0..plan.lines.texts.len() {
+                lines.push(plan.lines.texts[line].clone());
+                lines.extend(plan.fixes(line).texts.iter().cloned());
+            }
+        }
+        lines.extend(token_soups(&corpus_lm, 0x50C9, 3_000));
+        lines.extend(token_soups(pretrained, 0x50CA, 3_000));
+        lines.extend(["", " ", "\t", "a", "always", "<=", "zz_oov", "🦀"].map(String::from));
+
+        let untrained = NgramLm::new();
+        for lm in [&corpus_lm, pretrained, &untrained] {
+            for line in &lines {
+                let (frozen, keyed) = (lm.surprisal(line), lm.surprisal_keyed(line));
+                assert_eq!(frozen.to_bits(), keyed.to_bits(), "{line:?}");
+            }
+        }
+        assert!(lines.len() > 10_000, "{} lines", lines.len());
+    }
+
+    /// Retraining drops the index: the next lookup sees the new counts.
+    #[test]
+    fn training_after_a_lookup_refreezes_the_index() {
+        let mut lm = NgramLm::new();
+        lm.train_text("a b a b");
+        let before = lm.surprisal("a c");
+        lm.train_text("a c a c a c");
+        let after = lm.surprisal("a c");
+        assert!(after < before, "before={before} after={after}");
+        assert_eq!(after.to_bits(), lm.surprisal_keyed("a c").to_bits());
+        assert_eq!(
+            lm.probability("a", "c").to_bits(),
+            lm.probability_keyed("a", "c", &mut Default::default())
+                .to_bits()
+        );
     }
 
     #[test]

@@ -5,17 +5,27 @@
 //! policy's softmax, then a fix for that line from the fix policy's.  Between draws
 //! only the RNG moves: the line candidates, their features and the failing
 //! assertions stay put, and so do the fix candidates of any one line.  The plan
-//! therefore parses the buggy source once, builds the line feature matrix and the
-//! CoT's failing-assertion list once, and builds a line's fix candidates (one LM
-//! surprisal per candidate) the first time that line is drawn.  Draws consume the
-//! RNG exactly as a per-sample rebuild would, so responses are byte-identical to
-//! it; the `#[cfg(test)]` oracles in `solver.rs` and `baselines.rs` keep that
+//! therefore parses the buggy source once, builds the line feature matrix (one
+//! search of the assertions' fan-in cone, one LM lookup per token through the
+//! frozen index) and the CoT's failing-assertion list once, and builds a line's
+//! fix candidates (one LM surprisal per candidate) the first time that line is
+//! drawn.  A [`Softmax`] does the same for the policies' side: the line
+//! distribution once per `solve`, a line's fix distribution on that line's first
+//! draw.  Draws consume the RNG exactly as a per-sample rebuild would — one roll
+//! for the line, one for the fix when the line has fixes, each scanned against the
+//! distribution the rebuild would have computed — so responses are byte-identical
+//! to it; the `#[cfg(test)]` oracles in `solver.rs` and `baselines.rs` keep that
 //! per-sample path, and the tests below hold the two equal.
 
 use crate::features::{line_candidates_in, CaseInput};
 use crate::fixgen::{fix_candidates, fix_context};
 use crate::lm::NgramLm;
+use crate::policy::Policy;
+use crate::solver::Response;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::cell::OnceCell;
+use std::collections::BTreeMap;
 
 /// One policy's choice set: candidate texts and their feature matrix, row `i`
 /// describing `texts[i]`.
@@ -56,7 +66,7 @@ impl<'a> SamplingPlan<'a> {
         let module = svparse::parse_module(&case.buggy_source).ok();
         let failing = case.failing_assertions();
         let (declared, fix_signals) = fix_context(module.as_ref(), &failing);
-        let candidates = line_candidates_in(&case.buggy_source, module.as_ref(), &failing, lm);
+        let candidates = line_candidates_in(&case.buggy_source, module.as_ref(), &fix_signals, lm);
         let mut line_numbers = Vec::with_capacity(candidates.len());
         let mut lines = Choices {
             texts: Vec::with_capacity(candidates.len()),
@@ -100,6 +110,40 @@ impl<'a> SamplingPlan<'a> {
         Choices { texts, features }
     }
 
+    /// The text a response to candidate line `line` proposes: its fix
+    /// candidate `fix`, or the line itself when it has none.
+    pub(crate) fn fixed_line(&self, line: usize, fix: Option<usize>) -> &str {
+        fix.map_or(&self.lines.texts[line], |fix| &self.fixes(line).texts[fix])
+    }
+
+    /// Draws `samples` responses from one RNG seeded with `seed`: `draw` picks a
+    /// candidate line and its fix candidate (`None` when the line has none),
+    /// and `respond` renders a pair's response on its first draw, which every
+    /// repeat of the pair clones.  With no candidate line every sample is
+    /// [`Response::unanswered`] and nothing is drawn.
+    pub(crate) fn sample(
+        &self,
+        samples: usize,
+        seed: u64,
+        mut draw: impl FnMut(&mut StdRng) -> (usize, Option<usize>),
+        respond: impl Fn(usize, Option<usize>) -> Response,
+    ) -> Vec<Response> {
+        if self.lines.is_empty() {
+            return vec![Response::unanswered(); samples];
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut drawn = BTreeMap::new();
+        (0..samples)
+            .map(|_| {
+                let (line, fix) = draw(&mut rng);
+                let response = drawn
+                    .entry((line, fix))
+                    .or_insert_with(|| respond(line, fix));
+                Response::clone(response)
+            })
+            .collect()
+    }
+
     /// How many candidate lines have their fix candidates built.
     #[cfg(test)]
     pub(crate) fn memoised(&self) -> usize {
@@ -110,13 +154,56 @@ impl<'a> SamplingPlan<'a> {
     }
 }
 
+/// A policy pair's softmax over one plan at one temperature: the line
+/// distribution, computed once, and each line's fix distribution, computed on
+/// that line's first draw.  Each draw is one roll scanned against a
+/// distribution, as [`Policy::sample_from`] does.
+pub(crate) struct Softmax<'p> {
+    plan: &'p SamplingPlan<'p>,
+    fix_policy: &'p Policy,
+    temperature: f64,
+    lines: Vec<f64>,
+    fixes: Vec<OnceCell<Vec<f64>>>,
+}
+
+impl<'p> Softmax<'p> {
+    pub(crate) fn new(
+        plan: &'p SamplingPlan<'p>,
+        line_policy: &Policy,
+        fix_policy: &'p Policy,
+        temperature: f64,
+    ) -> Self {
+        Self {
+            plan,
+            fix_policy,
+            temperature,
+            lines: line_policy.distribution(&plan.lines.features, temperature),
+            fixes: std::iter::repeat_with(OnceCell::new)
+                .take(plan.lines.texts.len())
+                .collect(),
+        }
+    }
+
+    /// Draws a candidate line.
+    pub(crate) fn line(&self, rng: &mut StdRng) -> usize {
+        Policy::sample_from(&self.lines, rng)
+    }
+
+    /// Draws a fix of candidate line `line`.
+    pub(crate) fn fix(&self, line: usize, rng: &mut StdRng) -> usize {
+        let dist = self.fixes[line].get_or_init(|| {
+            (self.fix_policy).distribution(&self.plan.fixes(line).features, self.temperature)
+        });
+        Policy::sample_from(dist, rng)
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::features::{self, LineCandidate};
     use crate::fixgen::{oracle, FixCandidate, FixEdit};
-    use crate::{
-        AssertSolverModel, BaselineKind, BaselineModel, PreferencePair, RepairModel, Response,
-    };
+    use crate::{AssertSolverModel, BaselineKind, BaselineModel, PreferencePair, RepairModel};
     use std::collections::BTreeSet;
     use std::sync::OnceLock;
     use svdata::{run_pipeline, split_by_module, SvaBugEntry, VerilogBugEntry};
@@ -168,18 +255,18 @@ end
         }
     }
 
-    struct Fixture {
+    pub(crate) struct Fixture {
         recipe: Recipe,
-        pretrained: AssertSolverModel,
+        pub(crate) pretrained: AssertSolverModel,
         base: AssertSolverModel,
         sft: AssertSolverModel,
         dpo: AssertSolverModel,
         /// Every eval case of the pipeline run, the human cases, a case whose
         /// source does not parse and a case with no candidate line.
-        cases: Vec<CaseInput>,
+        pub(crate) cases: Vec<CaseInput>,
     }
 
-    fn fixture() -> &'static Fixture {
+    pub(crate) fn fixture() -> &'static Fixture {
         static FIXTURE: OnceLock<Fixture> = OnceLock::new();
         FIXTURE.get_or_init(|| {
             let config = assertsolver::TrainConfig::quick(5);
@@ -339,19 +426,63 @@ end
         });
     }
 
+    /// The language models of the three checkpoints and of the reasoner.
+    fn language_models() -> impl Iterator<Item = &'static NgramLm> {
+        let f = fixture();
+        static REASONER: OnceLock<BaselineModel> = OnceLock::new();
+        let reasoner = REASONER.get_or_init(|| BaselineModel::new(BaselineKind::IterativeReasoner));
+        [&f.base, &f.sft, &f.dpo]
+            .map(|model| model.language_model())
+            .into_iter()
+            .chain([reasoner.language_model()])
+    }
+
+    /// Every case of the sweep, every training case and every Verilog-Bug case
+    /// (no log, so the cone starts from every assertion's signals) under every
+    /// language model: the line candidates equal the oracle's in line number,
+    /// text and feature bits, in order.
+    #[test]
+    fn line_candidates_match_their_oracle_on_every_case() {
+        let f = fixture();
+        let training = (f.recipe.train.iter()).map(CaseInput::from_entry);
+        let verilog_bug = f.recipe.verilog_bug.iter().map(|e| CaseInput {
+            spec: e.spec.clone(),
+            buggy_source: e.buggy_source.clone(),
+            logs: String::new(),
+        });
+        let cases: Vec<CaseInput> = (f.cases.iter().cloned())
+            .chain(training)
+            .chain(verilog_bug)
+            .collect();
+        let mut compared = 0;
+        for lm in language_models() {
+            for case in &cases {
+                let module = svparse::parse_module(&case.buggy_source).ok();
+                let (_, signals) = fix_context(module.as_ref(), &case.failing_assertions());
+                let args = (&case.buggy_source, module.as_ref(), &signals, lm);
+                let lines = line_candidates_in(args.0, args.1, args.2, args.3);
+                let expected = features::oracle::line_candidates_in(args.0, args.1, args.2, args.3);
+                let view = |lines: &[LineCandidate]| -> Vec<(u32, String, Vec<u64>)> {
+                    let bits = |c: &LineCandidate| c.features.iter().map(|x| x.to_bits()).collect();
+                    (lines.iter())
+                        .map(|c| (c.line_number, c.text.clone(), bits(c)))
+                        .collect()
+                };
+                assert_eq!(view(&lines), view(&expected), "{:?}", case.buggy_source);
+                compared += lines.len();
+            }
+        }
+        assert!(compared > 2500, "{compared} candidates compared");
+    }
+
     /// Every line any draw of the sweep can pick, under every checkpoint's and the
     /// reasoner's language model: the fix candidates equal the oracle's in text,
     /// edit kind and feature bits, in order.
     #[test]
     fn fix_candidates_match_their_oracle_on_every_candidate_line() {
         let f = fixture();
-        let reasoner = BaselineModel::new(BaselineKind::IterativeReasoner);
-        let lms = [&f.base, &f.sft, &f.dpo]
-            .map(|model| model.language_model())
-            .into_iter()
-            .chain([reasoner.language_model()]);
         let mut compared = 0;
-        for lm in lms {
+        for lm in language_models() {
             for case in &f.cases {
                 let plan = SamplingPlan::new(case, lm);
                 for line in &plan.lines.texts {

@@ -87,9 +87,12 @@ impl Policy {
         exps.into_iter().map(|e| e / sum).collect()
     }
 
-    /// Samples a candidate index from the softmax distribution.
-    pub fn sample(&self, candidates: &[Vec<f64>], temperature: f64, rng: &mut StdRng) -> usize {
-        let dist = self.distribution(candidates, temperature);
+    /// Samples a candidate index from a [`Policy::distribution`]: one uniform
+    /// roll, then the first index whose cumulative probability reaches it (the
+    /// last index if round-off leaves the roll above the total, 0 if `dist` is
+    /// empty).  A sampler that computes the distribution once may draw from it
+    /// any number of times.
+    pub fn sample_from(dist: &[f64], rng: &mut StdRng) -> usize {
         let roll: f64 = rng.gen();
         let mut cumulative = 0.0;
         for (i, p) in dist.iter().enumerate() {
@@ -167,6 +170,25 @@ impl Policy {
             .filter(|(candidates, label)| self.argmax(candidates) == *label)
             .count();
         correct as f64 / examples.len() as f64
+    }
+}
+
+/// Sampling before the distribution was computed once per plan, kept as the
+/// oracle of `plan::tests`.
+#[cfg(test)]
+impl Policy {
+    /// Samples a candidate index from the softmax distribution.
+    pub fn sample(&self, candidates: &[Vec<f64>], temperature: f64, rng: &mut StdRng) -> usize {
+        let dist = self.distribution(candidates, temperature);
+        let roll: f64 = rng.gen();
+        let mut cumulative = 0.0;
+        for (i, p) in dist.iter().enumerate() {
+            cumulative += p;
+            if roll <= cumulative {
+                return i;
+            }
+        }
+        dist.len().saturating_sub(1)
     }
 }
 
@@ -250,6 +272,29 @@ mod tests {
                 .collect()
         };
         assert_eq!(a, b);
+    }
+
+    /// One distribution drawn from many times consumes the RNG and picks the
+    /// indices that recomputing it per draw does.
+    #[test]
+    fn sampling_from_one_distribution_matches_sampling_per_draw() {
+        let policy = Policy::noisy(3, 11);
+        let candidates: Vec<Vec<f64>> = (0..7)
+            .map(|i| vec![1.0, f64::from(i) / 7.0, f64::from(i % 3)])
+            .collect();
+        for t in [0.001, 0.2, 1.0, 50.0] {
+            for candidates in [&candidates[..], &candidates[..1], &[]] {
+                let dist = policy.distribution(candidates, t);
+                let (mut once, mut per_draw) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+                for _ in 0..200 {
+                    assert_eq!(
+                        Policy::sample_from(&dist, &mut once),
+                        policy.sample(candidates, t, &mut per_draw)
+                    );
+                }
+                assert_eq!(once.gen::<u64>(), per_draw.gen::<u64>());
+            }
+        }
     }
 
     #[test]

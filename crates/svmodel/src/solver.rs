@@ -8,7 +8,7 @@
 
 use crate::features::CaseInput;
 use crate::lm::NgramLm;
-use crate::plan::SamplingPlan;
+use crate::plan::{SamplingPlan, Softmax};
 use crate::policy::Policy;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -303,6 +303,11 @@ impl AssertSolverModel {
     }
 
     /// Draws `samples` responses through `plan` from one RNG seeded with `seed`.
+    ///
+    /// Each draw is a line from the line policy, then — when that line has fix
+    /// candidates — a fix from the fix policy, one RNG roll each against the
+    /// plan's [`Softmax`].  The response of a (line, fix) pair, CoT included, is
+    /// rendered on its first draw and cloned for every repeat.
     pub(crate) fn sample(
         &self,
         plan: &SamplingPlan,
@@ -310,29 +315,24 @@ impl AssertSolverModel {
         temperature: f64,
         seed: u64,
     ) -> Vec<Response> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..samples)
-            .map(|_| self.draw(plan, temperature, &mut rng))
-            .collect()
+        let softmax = Softmax::new(plan, &self.line_policy, &self.fix_policy, temperature);
+        let draw = |rng: &mut StdRng| {
+            let line = softmax.line(rng);
+            (
+                line,
+                (!plan.fixes(line).is_empty()).then(|| softmax.fix(line, rng)),
+            )
+        };
+        plan.sample(samples, seed, draw, |line, fix| {
+            self.respond(plan, line, fix)
+        })
     }
 
-    /// One response: a line from the line policy, then — when that line has fix
-    /// candidates — a fix from the fix policy, one RNG draw each.
-    fn draw(&self, plan: &SamplingPlan, temperature: f64, rng: &mut StdRng) -> Response {
-        if plan.lines.is_empty() {
-            return Response::unanswered();
-        }
-        let line = self
-            .line_policy
-            .sample(&plan.lines.features, temperature, rng);
+    /// The response naming candidate line `line` and its fix candidate `fix`.
+    fn respond(&self, plan: &SamplingPlan, line: usize, fix: Option<usize>) -> Response {
         let line_number = plan.line_numbers[line];
         let buggy_line = &plan.lines.texts[line];
-        let fixes = plan.fixes(line);
-        let fixed_line = if fixes.is_empty() {
-            buggy_line.clone()
-        } else {
-            fixes.texts[self.fix_policy.sample(&fixes.features, temperature, rng)].clone()
-        };
+        let fixed_line = plan.fixed_line(line, fix);
         let cot = (self.stage >= TrainingStage::Sft).then(|| {
             format!(
                 "The log reports the failing assertion(s) [{}]. Tracing the signals they observe back through the design, line {line_number} (`{buggy_line}`) drives the observed behaviour and contradicts the specification; replacing it with `{fixed_line}` makes the assertion hold.",
@@ -342,7 +342,7 @@ impl AssertSolverModel {
         Response {
             bug_line_number: line_number,
             buggy_line: buggy_line.clone(),
-            fixed_line,
+            fixed_line: fixed_line.to_string(),
             cot,
         }
     }
@@ -661,6 +661,34 @@ mod tests {
         assert_eq!(
             AssertSolverModel::base(3).identity(),
             "Base model [2c7f2300c7845f08]"
+        );
+    }
+
+    /// A trained checkpoint's identity hashes its serialized weights and LM
+    /// counts.  The LM's lookup index is neither serialized nor compared, so
+    /// building it, or losing it to a JSON round trip, leaves the identity —
+    /// pinned here as the bytes it had before the index existed — unchanged.
+    #[test]
+    fn trained_identities_ignore_the_lm_index() {
+        let (train, _, pt, vbug) = pipeline_entries();
+        let mut model = AssertSolverModel::base(4);
+        model.pretrain(&pt);
+        let unindexed = model.identity();
+        assert!(model.language_model().surprisal("q <= d;") > 0.0);
+        assert_eq!(model.identity(), unindexed);
+        assert_eq!(unindexed, "PT model [96b86c49f439cb47]");
+
+        model.sft(&train, &vbug, 2, 0.4, 3);
+        assert_eq!(model.identity(), "SFT model [3c969d3aed49760c]");
+        let json = serde_json::to_string(&model).expect("model serialises");
+        let read: AssertSolverModel = serde_json::from_str(&json).expect("model reads");
+        assert_eq!(read, model);
+        assert_eq!(read.identity(), model.identity());
+        let case = CaseInput::from_entry(&train[0]);
+        assert_eq!(read.solve(&case, 5, 0.2, 1), model.solve(&case, 5, 0.2, 1));
+        assert_eq!(
+            serde_json::to_string(&read).expect("model serialises"),
+            json
         );
     }
 

@@ -230,6 +230,16 @@ impl DependencyGraph {
         None
     }
 
+    /// Every driver edge as `(signal, driver)`, borrowed: signals in name order,
+    /// each signal's drivers in name order.
+    pub fn edges(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        self.edges.iter().flat_map(|(signal, drivers)| {
+            drivers
+                .iter()
+                .map(move |driver| (signal.as_str(), driver.as_str()))
+        })
+    }
+
     /// All signals that have at least one driver edge.
     pub fn driven_signals(&self) -> Vec<String> {
         self.edges.keys().cloned().collect()
@@ -592,6 +602,24 @@ endmodule
         assert_eq!(graph.distance("valid_out", "cnt"), Some(2));
         assert_eq!(graph.distance("valid_out", "valid_out"), Some(0));
         assert_eq!(graph.distance("end_cnt", "valid_out"), None);
+    }
+
+    #[test]
+    fn dependency_graph_edges_are_the_drivers_of_each_signal() {
+        let m = parse_module(SRC).unwrap();
+        let graph = DependencyGraph::build(&m);
+        let mut expected = Vec::new();
+        for signal in graph.driven_signals() {
+            for driver in graph.drivers(&signal) {
+                expected.push((signal.clone(), driver));
+            }
+        }
+        let edges: Vec<(String, String)> = graph
+            .edges()
+            .map(|(signal, driver)| (signal.to_string(), driver.to_string()))
+            .collect();
+        assert!(edges.contains(&("valid_out".to_string(), "end_cnt".to_string())));
+        assert_eq!(edges, expected);
     }
 
     #[test]

@@ -312,7 +312,7 @@ fn run(
         inputs: stimuli
             .columns()
             .iter()
-            .map(|column| design.input_slot(&column.name))
+            .map(|column| design.input_slot(column.name))
             .collect(),
         slots: design.slot_count(),
         depth: stimuli.depth(),

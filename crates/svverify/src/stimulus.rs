@@ -44,6 +44,16 @@ pub fn driven_inputs(design: &Design) -> Vec<DrivenInput> {
         .collect()
 }
 
+/// One driven column of a [`Stimuli`] set: an input's name, borrowed from the
+/// design, and its width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InputColumn<'d> {
+    /// Signal name.
+    pub name: &'d str,
+    /// Bit width.
+    pub width: u32,
+}
+
 /// Total number of input bits driven per cycle.
 pub fn input_bits(design: &Design) -> u32 {
     design.inputs.iter().map(|name| design.width(name)).sum()
@@ -88,8 +98,8 @@ pub fn exhaustive_is_tractable(design: &Design, depth: usize, max_bits: u32) -> 
 /// field of `e`, cycle 0 in the lowest bits.  A random set draws its values from a
 /// seeded generator in sequence order.
 #[derive(Debug, Clone)]
-pub struct Stimuli {
-    columns: Vec<DrivenInput>,
+pub struct Stimuli<'d> {
+    columns: Vec<InputColumn<'d>>,
     has_reset: bool,
     depth: usize,
     next: u64,
@@ -98,13 +108,13 @@ pub struct Stimuli {
     rng: Option<StdRng>,
 }
 
-impl Stimuli {
-    fn new(design: &Design, depth: usize, count: u64, rng: Option<StdRng>) -> Self {
+impl<'d> Stimuli<'d> {
+    fn new(design: &'d Design, depth: usize, count: u64, rng: Option<StdRng>) -> Self {
         let columns = design.reset_n.iter().chain(free_inputs(design));
         Self {
             columns: columns
-                .map(|name| DrivenInput {
-                    name: name.clone(),
+                .map(|name| InputColumn {
+                    name,
                     width: design.width(name),
                 })
                 .collect(),
@@ -123,7 +133,7 @@ impl Stimuli {
     ///
     /// Panics if the enumeration spans more than [`MAX_EXHAUSTIVE_BITS`] bits; callers
     /// are expected to check [`exhaustive_is_tractable`] first.
-    pub fn exhaustive(design: &Design, depth: usize) -> Self {
+    pub fn exhaustive(design: &'d Design, depth: usize) -> Self {
         let total_bits = free_bits(design) * depth as u64;
         assert!(
             total_bits <= u64::from(MAX_EXHAUSTIVE_BITS),
@@ -139,13 +149,13 @@ impl Stimuli {
     /// issue cheaply.  The remaining sequences are uniformly random with the reset
     /// released after cycle 0 (one in eight sequences also pulses reset mid-run to
     /// exercise the `disable iff` paths).
-    pub fn random(design: &Design, depth: usize, count: usize, seed: u64) -> Self {
+    pub fn random(design: &'d Design, depth: usize, count: usize, seed: u64) -> Self {
         let rng = StdRng::seed_from_u64(seed);
         Self::new(design, depth, count as u64, Some(rng))
     }
 
     /// The driven columns: the reset, if any, then the other inputs in port order.
-    pub fn columns(&self) -> &[DrivenInput] {
+    pub fn columns(&self) -> &[InputColumn<'d>] {
         &self.columns
     }
 
@@ -230,7 +240,7 @@ impl Stimuli {
             .map(|_| {
                 let mut vector = InputVector::new();
                 for (column, value) in self.columns.iter().zip(&mut values) {
-                    vector.insert(column.name.clone(), *value);
+                    vector.insert(column.name.to_string(), *value);
                 }
                 vector
             })
@@ -238,7 +248,7 @@ impl Stimuli {
     }
 }
 
-impl Iterator for Stimuli {
+impl Iterator for Stimuli<'_> {
     type Item = Vec<InputVector>;
 
     fn next(&mut self) -> Option<Self::Item> {

@@ -562,7 +562,7 @@ fn distinct_keys(design: &Design, depth: usize) -> usize {
     let inputs: Vec<_> = stimuli
         .columns()
         .iter()
-        .map(|column| design.input_slot(&column.name))
+        .map(|column| design.input_slot(column.name))
         .collect();
     let mut engine = Engine::new(design);
     let power_up = engine.power_up().expect("the design settles");

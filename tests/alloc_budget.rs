@@ -1,32 +1,34 @@
-//! Heap allocations per judged candidate, pinned as counts.
+//! Heap allocations per `solve` and per judged candidate, pinned as counts.
 //!
-//! `response_is_correct` parses, elaborates and checks every distinct
-//! candidate that misses the textual fast path, so its fixed cost per
-//! candidate bounds a cold evaluation.  This binary counts the heap
-//! allocations (`alloc`, `alloc_zeroed` and `realloc` calls) of each stage
-//! over the candidate set of one `svbench` `eval_cold` round — the three
-//! checkpoints, n = 20 at T = 0.2, over the first 16 SVA-Bug cases and the
-//! five human cases of a 16-design training run — and holds the mean per
-//! candidate under a ceiling:
+//! A cold evaluation samples every (model, case) once and then parses,
+//! elaborates and checks every distinct candidate that misses
+//! `response_is_correct`'s textual fast path, so these fixed costs bound it.
+//! This binary counts the heap allocations (`alloc`, `alloc_zeroed` and
+//! `realloc` calls) of each stage over one `svbench` `eval_cold` round — the
+//! three checkpoints, n = 20 at T = 0.2, over the first 16 SVA-Bug cases and
+//! the five human cases of a 16-design training run — and holds the mean
+//! under a ceiling:
 //!
-//! | stage | ceiling | what runs |
-//! |---|---|---|
-//! | parse | 100 | `svparse::parse_module` of the edited source |
-//! | elaborate | 120 | `Design::from_module` of the parsed module |
-//! | check | 50 | `BoundedChecker::passes` on the design |
+//! | stage | ceiling | mean of | what runs |
+//! |---|---|---|---|
+//! | sample | 700 | the 63 (model, case) calls | `RepairModel::solve` under the service's seed |
+//! | parse | 100 | the judged candidates | `svparse::parse_module` of the edited source |
+//! | elaborate | 120 | the judged candidates | `Design::from_module` of the parsed module |
+//! | check | 45 | the judged candidates | `BoundedChecker::passes` on the design |
 //!
 //! The ceilings are counts, not seconds, so they do not move with the host.
 //! To re-measure, run `cargo test --release --test alloc_budget -- --nocapture`:
-//! the test prints the candidate count and the mean of each stage (debug and
-//! release builds allocate alike).  The binary holds one test only, because
-//! the counter is global and a second test would count into it.
+//! the test prints the call and candidate counts and the mean of each stage
+//! (debug and release builds allocate alike).  The binary holds one test only,
+//! because the counter is global and a second test would count into it.
 
 use assertsolver::{apply_line_edit, train, EvalConfig, TrainConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use svdata::{PipelineConfig, SvaBugEntry};
-use svmodel::{CaseInput, Response};
+use svmodel::{CaseInput, RepairModel, Response};
 use svserve::{serve_scoped, RepairRequest};
 use svsim::Design;
 use svverify::BoundedChecker;
@@ -69,13 +71,45 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
+const SAMPLE_CEILING: u64 = 700;
 const PARSE_CEILING: u64 = 100;
 const ELABORATE_CEILING: u64 = 120;
-const CHECK_CEILING: u64 = 50;
+const CHECK_CEILING: u64 = 45;
+
+/// A model that counts the calls to its `solve` and the allocations they make.
+struct Sampled<'m, M> {
+    model: &'m M,
+    calls: Cell<u64>,
+    allocations: Cell<u64>,
+}
+
+impl<M: RepairModel> RepairModel for Sampled<'_, M> {
+    fn name(&self) -> &str {
+        self.model.name()
+    }
+
+    fn identity(&self) -> String {
+        self.model.identity()
+    }
+
+    fn solve(&self, case: &CaseInput, samples: usize, t: f64, seed: u64) -> Vec<Response> {
+        let (responses, allocs) = counted(|| self.model.solve(case, samples, t, seed));
+        self.calls.set(self.calls.get() + 1);
+        self.allocations.set(self.allocations.get() + allocs);
+        responses
+    }
+}
+
+/// One `eval_cold` round's sampling: the `solve` calls and their allocations.
+struct Sampling {
+    calls: u64,
+    allocations: u64,
+}
 
 /// The edited sources of every distinct candidate an `eval_cold` round hands
-/// the bounded check, per case, with the check that judges them.
-fn eval_cold_candidates() -> (Vec<(SvaBugEntry, String)>, BoundedChecker) {
+/// the bounded check, per case, with the check that judges them, and what
+/// sampling them took.
+fn eval_cold_candidates() -> (Vec<(SvaBugEntry, String)>, BoundedChecker, Sampling) {
     let pipeline = PipelineConfig::default();
     let config = TrainConfig {
         pipeline: PipelineConfig {
@@ -93,7 +127,16 @@ fn eval_cold_candidates() -> (Vec<(SvaBugEntry, String)>, BoundedChecker) {
     let machine = artifacts.datasets.sva_bug.iter().take(16);
     let cases: Vec<&SvaBugEntry> = machine.chain(&artifacts.sva_eval.human).collect();
     let mut candidates = Vec::new();
+    let mut sampling = Sampling {
+        calls: 0,
+        allocations: 0,
+    };
     for model in [&artifacts.base, &artifacts.sft, &artifacts.assert_solver] {
+        let model = Sampled {
+            model,
+            calls: Cell::new(0),
+            allocations: Cell::new(0),
+        };
         let requests = cases
             .iter()
             .map(|entry| {
@@ -101,9 +144,11 @@ fn eval_cold_candidates() -> (Vec<(SvaBugEntry, String)>, BoundedChecker) {
                 RepairRequest::new(case, eval.samples, eval.temperature)
             })
             .collect();
-        let outcomes = serve_scoped(model, eval.service_config(), |service| {
+        let outcomes = serve_scoped(&model, eval.service_config(), |service| {
             service.solve_all(requests)
         });
+        sampling.calls += model.calls.get();
+        sampling.allocations += model.allocations.get();
         for (entry, outcome) in cases.iter().zip(outcomes) {
             let mut seen = BTreeSet::new();
             for response in outcome.responses.iter() {
@@ -115,7 +160,7 @@ fn eval_cold_candidates() -> (Vec<(SvaBugEntry, String)>, BoundedChecker) {
             }
         }
     }
-    (candidates, BoundedChecker::new(eval.check))
+    (candidates, BoundedChecker::new(eval.check), sampling)
 }
 
 /// The source `response_is_correct` parses for a response, or `None` when the
@@ -137,7 +182,7 @@ fn judged_source(entry: &SvaBugEntry, response: &Response) -> Option<String> {
 
 #[test]
 fn a_judged_candidate_stays_under_its_allocation_ceilings() {
-    let (candidates, checker) = eval_cold_candidates();
+    let (candidates, checker, sampling) = eval_cold_candidates();
     let (mut parsed, mut elaborated, mut checked) = (0u64, 0u64, 0u64);
     let (mut parse_allocs, mut elaborate_allocs, mut check_allocs) = (0u64, 0u64, 0u64);
     for (entry, source) in &candidates {
@@ -156,15 +201,25 @@ fn a_judged_candidate_stays_under_its_allocation_ceilings() {
         checked += 1;
         check_allocs += allocs;
     }
+    assert_eq!(sampling.calls, 63, "one solve per (model, case)");
     assert!(checked > 100, "only {checked} candidates reached the check");
     let mean = |total: u64, count: u64| total as f64 / count as f64;
+    let sample = mean(sampling.allocations, sampling.calls);
     let parse = mean(parse_allocs, parsed);
     let elaborate = mean(elaborate_allocs, elaborated);
     let check = mean(check_allocs, checked);
     println!(
+        "{} solve calls: sample {sample:.1} allocations each",
+        sampling.calls
+    );
+    println!(
         "{} candidates: parse {parse:.1} allocations each ({parsed}), \
          elaborate {elaborate:.1} ({elaborated}), passes {check:.1} ({checked})",
         candidates.len()
+    );
+    assert!(
+        sample <= SAMPLE_CEILING as f64,
+        "sample: {sample:.1} allocations"
     );
     assert!(
         parse <= PARSE_CEILING as f64,
