@@ -9,11 +9,11 @@ use svserve::{CollapsedProfile, MetricsRegistry, TelemetryHandle, TraceForest, T
 
 /// `svobs prof` — dual-clock stage profiler for the quick evaluation protocol.
 ///
-/// Runs the quick protocol over the human-crafted corpus with the telemetry
-/// plane's stage timers on (`eval.stage.setup` / `.sessions` / `.report`),
-/// prints the collapsed-stack profile to stdout (flamegraph.pl's input
-/// format: `stack value` per line), and reports on stderr how much of the
-/// measured wall-clock the named stages attribute.  The stage timers tile
+/// Runs the quick protocol over the human-crafted corpus with its stage
+/// profile on (`evaluate;setup` / `;sessions` / `;report`), prints the
+/// collapsed-stack profile to stdout (flamegraph.pl's input format: `stack
+/// value` per line), and reports on stderr how much of the measured
+/// wall-clock the named stages attribute.  The stage timers tile
 /// the evaluation contiguously, so attribution answers "which stage
 /// dominates" directly — `evaluate;sessions` is where `ASSERTSOLVER_SCALE`
 /// buys parallelism; `setup`/`report` are the serial floor.
@@ -39,7 +39,7 @@ pub fn prof(mut flags: Flags) -> Outcome {
     quick.config.profile_dir = profile_dir;
 
     let wall_start = Instant::now();
-    let telemetry = TelemetryHandle::new(Arc::new(MetricsRegistry::default()));
+    let telemetry = TelemetryHandle::new(Arc::new(MetricsRegistry::new()));
     let run = Evaluation::new(&quick.model, &quick.entries, &quick.config)
         .telemetry(&telemetry)
         .run();

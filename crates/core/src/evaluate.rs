@@ -20,9 +20,9 @@ use svserve::stage as trace_stage;
 use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
     verdict_case_state, verdict_key_after, write_journal, CollapsedProfile, JournalHeader,
-    JournalSink, MetricClass, PersistSpec, RepairRequest, ScopedService, ServiceConfig,
-    TelemetryHandle, TraceContext, TraceHandle, TraceSpan, TracerHandle, VerdictCaseState,
-    VerdictKey, VerifyConfig, VerifyMetrics, VerifyPool, VerifyRequest, DEFAULT_COMPACT_AFTER_RUNS,
+    JournalSink, PersistSpec, RepairRequest, ScopedService, ServiceConfig, TelemetryHandle,
+    TraceContext, TraceHandle, TraceSpan, TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig,
+    VerifyMetrics, VerifyPool, VerifyRequest, DEFAULT_COMPACT_AFTER_RUNS,
 };
 use svverify::{CheckConfig, VerifyOracle};
 
@@ -427,22 +427,12 @@ impl EvalVerifier {
     /// Builds the verifier for the given protocol, preloading its verdict
     /// snapshot when a cache directory resolves.
     pub fn start(config: &EvalConfig) -> Self {
-        Self::start_instrumented(config, &TelemetryHandle::off())
-    }
-
-    /// Builds the verifier recording into a telemetry registry (the pool
-    /// records its `verify.verdict.latency` histogram into it).  With
-    /// telemetry off this is exactly [`EvalVerifier::start`].
-    pub fn start_instrumented(config: &EvalConfig, telemetry: &TelemetryHandle) -> Self {
         let oracle = VerifyOracle::new(config.check.clone());
         let judge = move |entry: &SvaBugEntry, response: &Response| {
             response_is_correct(entry, response, &oracle)
         };
         Self {
-            pool: VerifyPool::start(
-                Arc::new(judge),
-                config.verify_config().with_telemetry(telemetry.clone()),
-            ),
+            pool: VerifyPool::start(Arc::new(judge), config.verify_config()),
             check_fingerprint: config.check.fingerprint(),
         }
     }
@@ -670,8 +660,8 @@ pub fn evaluate_model_journaled<M: RepairModel + Sync + ?Sized>(
     (run.evaluation, run.journal.expect("the journal is on"))
 }
 
-/// [`Evaluation`] with a telemetry registry threaded through every serving
-/// layer.
+/// [`Evaluation`] with the stage profile on; the profile itself is dropped
+/// (read it from [`EvaluationRun::profile`]).
 pub fn evaluate_model_instrumented<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
@@ -761,7 +751,7 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
     }
 
     /// Judges through `verifier` (one with a warm verdict cache, say) instead
-    /// of a fresh one; it keeps the telemetry it was started with.
+    /// of a fresh one.
     pub fn verifier(mut self, verifier: &'a EvalVerifier) -> Self {
         self.verifier = Some(verifier);
         self
@@ -779,9 +769,8 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         self
     }
 
-    /// Records into `telemetry`'s registry: the pool, runtime and span
-    /// histograms, the tiled `eval.stage.*` timers and the deterministic
-    /// `eval.{cases,samples,correct}` tallies.
+    /// Records the run's stage profile ([`EvaluationRun::profile`]) when
+    /// `telemetry` is on.
     pub fn telemetry(mut self, telemetry: &TelemetryHandle) -> Self {
         self.telemetry = telemetry.clone();
         self
@@ -794,22 +783,18 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             .as_ref()
             .map_or(self.tracer.clone(), JournalSink::handle);
         let mut stages = StageClock::start(&self.telemetry);
-        let owned = (self.verifier.is_none())
-            .then(|| EvalVerifier::start_instrumented(self.config, &self.telemetry));
+        let owned = (self.verifier.is_none()).then(|| EvalVerifier::start(self.config));
         let verifier = self.verifier.or(owned.as_ref()).expect("a verifier");
         // Every case on the one case driver (`drive_cases`), sampled by an
         // in-process repair pool serving in place, as the run's `sessions`
         // stage.
-        let service_config = (self.config)
-            .service_config_with(|| self.identity())
-            .with_telemetry(self.telemetry.clone());
+        let service_config = (self.config).service_config_with(|| self.identity());
         let results = serve_scoped(self.model, service_config, |service| {
             let driver = CaseDriver {
                 service,
                 verifier,
                 config: self.config,
                 tracer: &tracer,
-                telemetry: &self.telemetry,
                 trace: &self.trace,
             };
             stages.lap();
@@ -821,19 +806,6 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             model: self.model.name().to_string(),
             results,
         };
-        // Workload tallies are pure functions of `(model, corpus, protocol)` —
-        // the registry's deterministic plane, byte-stable at any driver/worker
-        // count and cache temperature (unlike the volatile stage timers).
-        let results = &evaluation.results;
-        for (name, total) in [
-            ("eval.cases", results.len()),
-            ("eval.samples", results.iter().map(|r| r.n).sum()),
-            ("eval.correct", results.iter().map(|r| r.c).sum()),
-        ] {
-            if let Some(metric) = self.telemetry.counter(name, MetricClass::Deterministic) {
-                metric.add(total as u64);
-            }
-        }
         if let Some(owned) = owned {
             owned.shutdown();
         }
@@ -843,7 +815,7 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             let payload = serde_json::to_string(&evaluation).expect("evaluation serializes");
             render_journal(&header, &sink.drain_sorted(), &payload)
         });
-        let profile = self.telemetry.is_on().then_some(stages.profile);
+        let profile = stages.profile;
         self.write_artifacts(journal.as_deref(), profile.as_ref());
         EvaluationRun {
             evaluation,
@@ -893,27 +865,26 @@ fn request_for(entry: &SvaBugEntry, config: &EvalConfig) -> RepairRequest {
     )
 }
 
-/// The tiled `eval.stage.{setup,sessions,report}` timers: each lap closes the
-/// next stage at the time since the previous lap, so the three cover the
-/// run's wall-clock end to end (`svobs prof` asserts ≥ 95% attributed), and
-/// with telemetry on `profile` folds them as `evaluate;<stage>` frames.
+/// The tiled `evaluate;{setup,sessions,report}` stage timers: each lap
+/// closes the next stage at the time since the previous lap, so the three
+/// cover the run's wall-clock end to end (`svobs prof` asserts ≥ 95%
+/// attributed); with telemetry on, `profile` records them as frames.
 /// [`Evaluation::run`] starts the clock before it builds an owned verifier
 /// and takes the `report` lap after that verifier's shutdown, so its snapshot
 /// preload and flush are attributed too.
-struct StageClock<'t> {
-    telemetry: &'t TelemetryHandle,
+struct StageClock {
     clock: Instant,
     laps: usize,
-    profile: CollapsedProfile,
+    /// `None` while telemetry is off.
+    profile: Option<CollapsedProfile>,
 }
 
-impl<'t> StageClock<'t> {
-    fn start(telemetry: &'t TelemetryHandle) -> Self {
+impl StageClock {
+    fn start(telemetry: &TelemetryHandle) -> Self {
         Self {
-            telemetry,
             clock: Instant::now(),
             laps: 0,
-            profile: CollapsedProfile::new(),
+            profile: telemetry.is_on().then(CollapsedProfile::new),
         }
     }
 
@@ -921,15 +892,10 @@ impl<'t> StageClock<'t> {
         let now = Instant::now();
         let elapsed = now.duration_since(self.clock);
         self.clock = now;
-        let (name, frame) = [
-            ("eval.stage.setup", "evaluate;setup"),
-            ("eval.stage.sessions", "evaluate;sessions"),
-            ("eval.stage.report", "evaluate;report"),
-        ][self.laps];
+        let frame = ["evaluate;setup", "evaluate;sessions", "evaluate;report"][self.laps];
         self.laps += 1;
-        if let Some(metric) = self.telemetry.histogram(name, MetricClass::Volatile) {
-            metric.observe_duration(elapsed);
-            self.profile.record(frame, elapsed.as_nanos() as u64);
+        if let Some(profile) = &mut self.profile {
+            profile.record(frame, elapsed.as_nanos() as u64);
         }
     }
 }
@@ -937,14 +903,12 @@ impl<'t> StageClock<'t> {
 /// What every case of one run shares: the in-process repair pool that
 /// samples it (solving on the calling thread), the verifier that judges it,
 /// the protocol, and the observability handles — each judged case journals
-/// on the tracer ([`TracerHandle::case`]), its wall clock landing in the
-/// telemetry and its laps in the trace.
+/// on the tracer ([`TracerHandle::case`]) and its laps land in the trace.
 struct CaseDriver<'s, M: ?Sized> {
     service: &'s ScopedService<'s, M>,
     verifier: &'s EvalVerifier,
     config: &'s EvalConfig,
     tracer: &'s TracerHandle,
-    telemetry: &'s TelemetryHandle,
     trace: &'s TraceHandle,
 }
 
@@ -1035,12 +999,6 @@ fn run_case<M: RepairModel + ?Sized>(
     driver
         .tracer
         .case(key.fold64(), n as u64, distinct as u64, c as u64);
-    let wall = driver
-        .telemetry
-        .histogram("session.span.wall", MetricClass::Volatile);
-    if let Some(wall) = wall {
-        wall.observe_duration(start.elapsed());
-    }
     build_case_result(entry, n, c)
 }
 
@@ -1541,7 +1499,7 @@ mod tests {
             ..EvalConfig::quick(3)
         };
         let manifest = JournalManifest::for_protocol("", "", "counting [1]", &entries, &config);
-        let telemetry = TelemetryHandle::new(Arc::new(svserve::MetricsRegistry::default()));
+        let telemetry = TelemetryHandle::new(Arc::new(svserve::MetricsRegistry::new()));
         let before = identities();
         let run = Evaluation::new(&model, &entries, &config)
             .journal(&manifest)

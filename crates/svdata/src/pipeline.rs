@@ -339,7 +339,7 @@ fn teacher_cot(case: &SvaCase, rng: &mut StdRng) -> (u32, String) {
     assertion_signals.sort();
     assertion_signals.dedup();
     let graph = svparse::DependencyGraph::build(&buggy);
-    let mut cone_signals: BTreeSet<String> = assertion_signals.iter().cloned().collect();
+    let mut cone_signals: BTreeSet<&str> = assertion_signals.iter().map(String::as_str).collect();
     for signal in &assertion_signals {
         cone_signals.extend(graph.cone_of_influence(signal));
     }
@@ -359,7 +359,7 @@ fn teacher_cot(case: &SvaCase, rng: &mut StdRng) -> (u32, String) {
         {
             continue;
         }
-        if cone_signals.iter().any(|s| trimmed.contains(s.as_str())) {
+        if cone_signals.iter().any(|s| trimmed.contains(s)) {
             candidates.push((line_no, trimmed.to_string()));
         }
     }
@@ -376,9 +376,7 @@ fn teacher_cot(case: &SvaCase, rng: &mut StdRng) -> (u32, String) {
     let touches_assertion_signal = assertion_signals
         .iter()
         .any(|s| bug_line_text.contains(s.as_str()));
-    let touches_cone_signal = cone_signals
-        .iter()
-        .any(|s| bug_line_text.contains(s.as_str()));
+    let touches_cone_signal = cone_signals.iter().any(|s| bug_line_text.contains(s));
     let pick = if touches_assertion_signal || (touches_cone_signal && rng.gen_bool(0.72)) {
         (case.bug_line_number, bug_line_text.to_string())
     } else {

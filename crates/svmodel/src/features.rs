@@ -321,7 +321,7 @@ pub(crate) mod oracle {
             let g = DependencyGraph::build(m);
             for s in &assertion_signals {
                 cone.insert(s.clone());
-                cone.extend(g.cone_of_influence(s));
+                cone.extend(g.cone_of_influence(s).into_iter().map(str::to_string));
             }
             graph = Some(g);
         }

@@ -157,52 +157,46 @@ impl SemaReport {
 }
 
 /// Dependency graph over module signals: edges point from a signal to the signals
-/// appearing in expressions that drive it.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DependencyGraph {
-    edges: BTreeMap<String, BTreeSet<String>>,
+/// appearing in expressions that drive it.  Names borrow from the module.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DependencyGraph<'m> {
+    edges: Edges<'m>,
 }
 
-impl DependencyGraph {
+/// Each driven signal's drivers, both in name order.
+type Edges<'m> = BTreeMap<&'m str, BTreeSet<&'m str>>;
+
+impl<'m> DependencyGraph<'m> {
     /// Builds the driver-dependency graph for a module.
-    pub fn build(module: &Module) -> Self {
-        let mut edges: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        let mut add = |target: &str, sources: Vec<String>| {
-            edges.entry(target.to_string()).or_default().extend(sources);
-        };
+    pub fn build(module: &'m Module) -> Self {
+        let mut edges = Edges::new();
         for assign in module.assigns() {
-            for target in assign.lhs.base_names() {
-                add(&target, assign.rhs.idents());
-            }
+            add_drivers(&mut edges, &assign.lhs, &assign.rhs, &[]);
         }
         for block in module.always_blocks() {
-            collect_stmt_deps(&block.body, &mut Vec::new(), &mut |target, sources| {
-                add(target, sources)
-            });
+            collect_stmt_deps(&block.body, &mut Vec::new(), &mut edges);
         }
         Self { edges }
     }
 
+    /// The direct drivers (fan-in) of a signal, borrowed.
+    fn fan_in(&self, signal: &str) -> impl Iterator<Item = &'m str> + '_ {
+        self.edges.get(signal).into_iter().flatten().copied()
+    }
+
     /// The direct drivers (fan-in) of a signal.
     pub fn drivers(&self, signal: &str) -> Vec<String> {
-        self.edges
-            .get(signal)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default()
+        self.fan_in(signal).map(str::to_string).collect()
     }
 
     /// The transitive fan-in cone of a signal, excluding the signal itself unless it
     /// participates in a feedback loop.
-    pub fn cone_of_influence(&self, signal: &str) -> BTreeSet<String> {
+    pub fn cone_of_influence(&self, signal: &str) -> BTreeSet<&'m str> {
         let mut seen = BTreeSet::new();
-        let mut queue: VecDeque<String> = self.drivers(signal).into();
+        let mut queue: VecDeque<&str> = self.fan_in(signal).collect();
         while let Some(current) = queue.pop_front() {
-            if seen.insert(current.clone()) {
-                for next in self.drivers(&current) {
-                    if !seen.contains(&next) {
-                        queue.push_back(next);
-                    }
-                }
+            if seen.insert(current) {
+                queue.extend(self.fan_in(current).filter(|next| !seen.contains(next)));
             }
         }
         seen
@@ -215,46 +209,49 @@ impl DependencyGraph {
             return Some(0);
         }
         let mut seen = BTreeSet::new();
-        let mut queue: VecDeque<(String, u32)> =
-            self.drivers(from).into_iter().map(|d| (d, 1)).collect();
+        let mut queue: VecDeque<(&str, u32)> = self.fan_in(from).map(|d| (d, 1)).collect();
         while let Some((current, depth)) = queue.pop_front() {
             if current == to {
                 return Some(depth);
             }
-            if seen.insert(current.clone()) {
-                for next in self.drivers(&current) {
-                    queue.push_back((next, depth + 1));
-                }
+            if seen.insert(current) {
+                queue.extend(self.fan_in(current).map(|next| (next, depth + 1)));
             }
         }
         None
     }
 
-    /// Every driver edge as `(signal, driver)`, borrowed: signals in name order,
-    /// each signal's drivers in name order.
-    pub fn edges(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
-        self.edges.iter().flat_map(|(signal, drivers)| {
-            drivers
-                .iter()
-                .map(move |driver| (signal.as_str(), driver.as_str()))
-        })
+    /// Every driver edge as `(signal, driver)`: signals in name order, each
+    /// signal's drivers in name order.
+    pub fn edges(&self) -> impl Iterator<Item = (&'m str, &'m str)> + '_ {
+        self.edges
+            .iter()
+            .flat_map(|(&signal, drivers)| drivers.iter().map(move |&driver| (signal, driver)))
     }
 
     /// All signals that have at least one driver edge.
     pub fn driven_signals(&self) -> Vec<String> {
-        self.edges.keys().cloned().collect()
+        self.edges.keys().map(|signal| signal.to_string()).collect()
     }
 }
 
-fn collect_stmt_deps(
-    stmt: &Stmt,
-    control_context: &mut Vec<String>,
-    add: &mut impl FnMut(&str, Vec<String>),
-) {
+/// Adds the identifiers of `rhs` and the signals of the enclosing `control`
+/// conditions as drivers of every base name `lhs` assigns.
+fn add_drivers<'m>(edges: &mut Edges<'m>, lhs: &'m LValue, rhs: &'m Expr, control: &[&'m str]) {
+    lhs.for_each_base_name(&mut |target| {
+        let drivers = edges.entry(target).or_default();
+        rhs.for_each_ident(&mut |name| {
+            drivers.insert(name);
+        });
+        drivers.extend(control.iter().copied());
+    });
+}
+
+fn collect_stmt_deps<'m>(stmt: &'m Stmt, control: &mut Vec<&'m str>, edges: &mut Edges<'m>) {
     match stmt {
         Stmt::Block { stmts, .. } => {
             for s in stmts {
-                collect_stmt_deps(s, control_context, add);
+                collect_stmt_deps(s, control, edges);
             }
         }
         Stmt::If {
@@ -263,13 +260,13 @@ fn collect_stmt_deps(
             else_branch,
             ..
         } => {
-            let cond_ids = cond.idents();
-            control_context.extend(cond_ids.clone());
-            collect_stmt_deps(then_branch, control_context, add);
+            let depth = control.len();
+            cond.for_each_ident(&mut |name| control.push(name));
+            collect_stmt_deps(then_branch, control, edges);
             if let Some(e) = else_branch {
-                collect_stmt_deps(e, control_context, add);
+                collect_stmt_deps(e, control, edges);
             }
-            control_context.truncate(control_context.len() - cond_ids.len());
+            control.truncate(depth);
         }
         Stmt::Case {
             subject,
@@ -277,22 +274,18 @@ fn collect_stmt_deps(
             default,
             ..
         } => {
-            let subject_ids = subject.idents();
-            control_context.extend(subject_ids.clone());
+            let depth = control.len();
+            subject.for_each_ident(&mut |name| control.push(name));
             for arm in arms {
-                collect_stmt_deps(&arm.body, control_context, add);
+                collect_stmt_deps(&arm.body, control, edges);
             }
             if let Some(d) = default {
-                collect_stmt_deps(d, control_context, add);
+                collect_stmt_deps(d, control, edges);
             }
-            control_context.truncate(control_context.len() - subject_ids.len());
+            control.truncate(depth);
         }
         Stmt::Blocking { lhs, rhs, .. } | Stmt::NonBlocking { lhs, rhs, .. } => {
-            let mut sources = rhs.idents();
-            sources.extend(control_context.iter().cloned());
-            for target in lhs.base_names() {
-                add(&target, sources.clone());
-            }
+            add_drivers(edges, lhs, rhs, control);
         }
         Stmt::Null => {}
     }

@@ -42,6 +42,9 @@
 //!   artifact, not just a log.  Off by default; the hot path pays one branch.
 //!   Pool events (admits, sheds, cache lookups, panics) are counted once, in
 //!   the pool metrics.
+//! * **Stage profile** — a [`TelemetryHandle`] that is on has an evaluation
+//!   time its setup, sessions and report stages as a [`CollapsedProfile`]
+//!   ([`telemetry`]).
 //! * **Frame protocol** — a checksummed, length-capped frame codec ([`wire`])
 //!   with an in-process loopback transport and a [`ShardFleet`] client placing
 //!   requests by content hash (per-shard caches stay disjoint; answers are
@@ -104,10 +107,7 @@ pub use service::{
     serve_scoped, RepairOutcome, RepairRequest, RepairService, RepairTicket, ScopedService,
     ServiceConfig,
 };
-pub use telemetry::{
-    percentile_from_buckets, ratio, CollapsedProfile, Metric, MetricClass, MetricKind,
-    MetricSnapshot, MetricsRegistry, RegistrySnapshot, TelemetryHandle, HISTOGRAM_BUCKETS,
-};
+pub use telemetry::{CollapsedProfile, MetricsRegistry, TelemetryHandle};
 pub use trace::{stage, TraceContext, TraceForest, TraceHandle, TraceSessionSummary, TraceSpan};
 pub use verify::{
     ResponseJudge, VerdictOutcome, VerifyConfig, VerifyPool, VerifyRequest, VerifyTicket,
@@ -135,7 +135,6 @@ mod tests {
         assert_send_sync::<super::TracerHandle>();
         assert_send_sync::<super::TelemetryHandle>();
         assert_send_sync::<super::MetricsRegistry>();
-        assert_send_sync::<super::RegistrySnapshot>();
         assert_send_sync::<super::JournalSink>();
         assert_send_sync::<super::TraceHandle>();
         assert_send_sync::<super::TraceSpan>();

@@ -8,8 +8,8 @@
 //! ## What an instantiation provides
 //!
 //! A [`Worker`]: the request, outcome and metrics types; the snapshot file type
-//! (which fixes the cache key and value); the histogram names; how a request
-//! yields its content key; the value served when the work panics; and
+//! (which fixes the cache key and value); how a request yields its content
+//! key; the value served when the work panics; and
 //! optional hooks (snapshot identity, a post-work tally).  The work itself is
 //! [`Serve::work`], generic over the backend (a model, a judge) so that no
 //! pool type carries the backend's type.
@@ -41,10 +41,9 @@ use crate::cache::{ContentKey, LruCache};
 use crate::metrics::MetricsRecorder;
 use crate::persist::{self, PersistSpec, SnapshotFile, SnapshotLoad};
 use crate::sync::lock_recover;
-use crate::telemetry::{Metric, MetricClass, TelemetryHandle};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The cache key of a [`Worker`]'s pool.
@@ -97,10 +96,6 @@ pub trait Worker: Send + Sync + Sized {
     /// The metrics snapshot type.
     type Metrics;
 
-    /// Names of the cache-lookup and work latency histograms; `None` where
-    /// the pool records none.
-    const HISTOGRAMS: [Option<&'static str>; 2];
-
     /// The request's content key: routes it, caches it, identifies it.
     fn key(request: &Self::Request) -> Key<Self>;
 
@@ -134,7 +129,6 @@ pub(crate) struct PoolConfig {
     /// `0` = unbounded (the in-flight gauge still counts).
     pub(crate) max_in_flight: usize,
     pub(crate) persist: Option<PersistSpec>,
-    pub(crate) telemetry: TelemetryHandle,
 }
 
 /// A submitted job's outcome, served before `submit` returned.
@@ -155,9 +149,6 @@ pub struct Pool<W: Worker> {
     pub(crate) config: PoolConfig,
     caches: Vec<Mutex<LruCache<Key<W>, Value<W>>>>,
     pub(crate) recorder: MetricsRecorder,
-    /// Latency histograms ([`Worker::HISTOGRAMS`]) resolved once at start;
-    /// `None` (telemetry off) costs one branch per job at each record site.
-    timers: [Option<Arc<Metric>>; 2],
     closed: AtomicBool,
     /// Generation of the snapshot this pool preloaded (0 when cold); the next
     /// flush writes generation + 1 and ages entries against it.
@@ -169,14 +160,12 @@ impl<W: Worker> Pool<W> {
         config.workers = config.workers.max(1);
         config.cache_capacity = config.cache_capacity.max(config.workers);
         let per_shard_cache = config.cache_capacity.div_ceil(config.workers);
-        let histogram = |name| config.telemetry.histogram(name, MetricClass::Volatile);
         let pool = Self {
             worker,
             caches: (0..config.workers)
                 .map(|_| Mutex::new(LruCache::new(per_shard_cache)))
                 .collect(),
             recorder: MetricsRecorder::new(),
-            timers: W::HISTOGRAMS.map(|name| name.and_then(histogram)),
             closed: AtomicBool::new(false),
             snapshot_generation: AtomicU64::new(0),
             config,
@@ -342,12 +331,6 @@ impl<W: Worker> Pool<W> {
             }
         };
         self.recorder.record_job(cache_lookup, work_time);
-        let laps = [Some(cache_lookup), work_time];
-        for (timer, lap) in self.timers.iter().zip(laps) {
-            if let (Some(metric), Some(lap)) = (timer, lap) {
-                metric.observe_duration(lap);
-            }
-        }
         let served = Served {
             from_cache: work_time.is_none(),
             worker: shard,
@@ -449,6 +432,7 @@ mod tests {
 #[cfg(test)]
 pub(crate) mod contract {
     use super::*;
+    use std::sync::Arc;
 
     /// The counters the contract reads, common to every metrics type.
     pub(crate) struct Tally {

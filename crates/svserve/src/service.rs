@@ -25,7 +25,6 @@ use crate::cache::{case_key, CaseKey};
 use crate::metrics::ServiceMetrics;
 use crate::persist::{PersistSpec, ResponseSnapshot};
 use crate::pool::{self, Bound, Pool, PoolConfig, Serve, Served, Worker};
-use crate::telemetry::TelemetryHandle;
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,10 +51,6 @@ pub struct ServiceConfig {
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
     /// and invalidation rules.
     pub persist: Option<PersistSpec>,
-    /// Telemetry registry the pool's latency histograms
-    /// (`service.repair.cache_lookup` / `.solve`) record into;
-    /// off by default, in which case each instrumented site costs one branch.
-    pub telemetry: TelemetryHandle,
 }
 
 impl Default for ServiceConfig {
@@ -66,7 +61,6 @@ impl Default for ServiceConfig {
             seed: 0x0005_E127_AB1E,
             max_in_flight: 0,
             persist: None,
-            telemetry: TelemetryHandle::off(),
         }
     }
 }
@@ -94,12 +88,6 @@ impl ServiceConfig {
     /// (`0` = unbounded).
     pub fn with_max_in_flight(mut self, max_in_flight: usize) -> Self {
         self.max_in_flight = max_in_flight;
-        self
-    }
-
-    /// Returns the config with the telemetry handle replaced.
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
         self
     }
 }
@@ -188,7 +176,6 @@ impl Repair {
             cache_capacity: config.cache_capacity,
             max_in_flight: config.max_in_flight,
             persist: config.persist,
-            telemetry: config.telemetry,
         };
         Pool::new(worker, config)
     }
@@ -199,11 +186,6 @@ impl Worker for Repair {
     type Snapshot = ResponseSnapshot;
     type Outcome = RepairOutcome;
     type Metrics = ServiceMetrics;
-
-    const HISTOGRAMS: [Option<&'static str>; 2] = [
-        Some("service.repair.cache_lookup"),
-        Some("service.repair.solve"),
-    ];
 
     fn key(request: &RepairRequest) -> CaseKey {
         request.key()

@@ -147,8 +147,8 @@ struct TraceCore {
     spans: Mutex<Vec<TraceSpan>>,
 }
 
-/// The config-threaded tracing switch: `off()` by default, one branch per
-/// hot-path hook, pointer-identity equality (the `TracerHandle` recipe).
+/// The tracing switch: `off()` by default, one branch per hot-path hook
+/// (the `TracerHandle` recipe).
 ///
 /// The handle owns the registered salt (folded into every trace id) and the
 /// span sink; [`TraceHandle::drain`] takes the collected spans in
@@ -236,18 +236,6 @@ impl std::fmt::Debug for TraceHandle {
         })
     }
 }
-
-impl PartialEq for TraceHandle {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.0, &other.0) {
-            (None, None) => true,
-            (Some(a), Some(b)) => std::ptr::eq(Arc::as_ptr(a), Arc::as_ptr(b)),
-            _ => false,
-        }
-    }
-}
-
-impl Eq for TraceHandle {}
 
 /// Per-root-span summary: the numbers `svobs trace --slowest` mines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -602,7 +590,6 @@ mod tests {
     fn handle_follows_the_tracer_recipe() {
         let off = TraceHandle::off();
         assert!(!off.is_on());
-        assert_eq!(off, TraceHandle::off());
         assert!(off.root(key(1)).is_none());
         off.record(session_tree(1, 0, 1).remove(0));
         assert!(off.drain().is_empty());
@@ -610,8 +597,6 @@ mod tests {
 
         let on = TraceHandle::new(0);
         assert!(on.is_on());
-        assert_eq!(on, on.clone());
-        assert_ne!(on, TraceHandle::new(0), "identity, not salt equality");
         let ctx = on.root(key(1)).expect("root context");
         assert_eq!(ctx, TraceContext::root(key(1), 0));
         on.record(TraceSpan::new(&ctx, "session", stage::SESSION, 1, 5));

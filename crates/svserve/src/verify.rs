@@ -29,7 +29,6 @@ use crate::env::env_verify_workers;
 use crate::metrics::VerifyMetrics;
 use crate::persist::{PersistSpec, VerdictSnapshot};
 use crate::pool::{self, Bound, Pool, PoolConfig, Serve, Served, Worker};
-use crate::telemetry::TelemetryHandle;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,10 +47,6 @@ pub struct VerifyConfig {
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
     /// and invalidation rules.
     pub persist: Option<PersistSpec>,
-    /// Telemetry registry the pool's latency histograms
-    /// (`verify.verdict.latency`) records into; off by default, in which case
-    /// each instrumented site costs one branch.
-    pub telemetry: TelemetryHandle,
 }
 
 impl Default for VerifyConfig {
@@ -63,7 +58,6 @@ impl Default for VerifyConfig {
             workers: env_verify_workers().unwrap_or(4),
             cache_capacity: 4096,
             persist: None,
-            telemetry: TelemetryHandle::off(),
         }
     }
 }
@@ -78,12 +72,6 @@ impl VerifyConfig {
     /// Returns the config with verdict-cache persistence enabled.
     pub fn with_persist(mut self, persist: PersistSpec) -> Self {
         self.persist = Some(persist);
-        self
-    }
-
-    /// Returns the config with the telemetry handle replaced.
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
         self
     }
 }
@@ -172,7 +160,6 @@ impl<C: Send + Sync> Verify<C> {
             cache_capacity: config.cache_capacity,
             max_in_flight: 0,
             persist: config.persist,
-            telemetry: config.telemetry,
         };
         Pool::new(Self(PhantomData), config)
     }
@@ -183,8 +170,6 @@ impl<C: Send + Sync> Worker for Verify<C> {
     type Snapshot = VerdictSnapshot;
     type Outcome = VerdictOutcome;
     type Metrics = VerifyMetrics;
-
-    const HISTOGRAMS: [Option<&'static str>; 2] = [None, Some("verify.verdict.latency")];
 
     fn key(request: &VerifyRequest<C>) -> VerdictKey {
         request.key

@@ -11,7 +11,7 @@
 //!
 //! | stage | ceiling | mean of | what runs |
 //! |---|---|---|---|
-//! | sample | 700 | the 63 (model, case) calls | `RepairModel::solve` under the service's seed |
+//! | sample | 630 | the 63 (model, case) calls | `RepairModel::solve` under the service's seed |
 //! | parse | 100 | the judged candidates | `svparse::parse_module` of the edited source |
 //! | elaborate | 120 | the judged candidates | `Design::from_module` of the parsed module |
 //! | check | 45 | the judged candidates | `BoundedChecker::passes` on the design |
@@ -71,7 +71,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
-const SAMPLE_CEILING: u64 = 700;
+const SAMPLE_CEILING: u64 = 630;
 const PARSE_CEILING: u64 = 100;
 const ELABORATE_CEILING: u64 = 120;
 const CHECK_CEILING: u64 = 45;

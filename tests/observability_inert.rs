@@ -1,20 +1,17 @@
 //! An observability facility never changes the evaluation: with the session
-//! journal, the telemetry registry or the trace plane on — one at a time and
-//! all together — [`evaluate_model_observed`] returns the `ModelEvaluation`
-//! the unobserved run returns, and each facility that is on has recorded
-//! something: journal records, stage and solve timings, one session wall
-//! clock and one five-span tree per case.  (What the facilities cost is measured by `svbench`:
-//! `svserve.{journal,trace,telemetry}.eval_s` in `BENCHMARK.json`.)
+//! journal, the stage profile or the trace plane on — one at a time and all
+//! together — [`Evaluation::run`] returns the `ModelEvaluation` the
+//! unobserved run returns, and each facility that is on has recorded
+//! something: eight journal records per case, the three `evaluate;…` stage
+//! frames and one five-span tree per case.  (What the facilities cost is
+//! measured by `svbench`: `svserve.{journal,trace,telemetry}.eval_s` in
+//! `BENCHMARK.json`.)
 
-use assertsolver::{
-    evaluate_model, evaluate_model_observed, EvalConfig, EvalVerifier, Evaluation, JournalManifest,
-};
+use assertsolver::{evaluate_model, EvalConfig, EvalVerifier, Evaluation, JournalManifest};
 use std::sync::Arc;
 use svdata::SvaBugEntry;
 use svmodel::{AssertSolverModel, RepairModel};
-use svserve::{
-    JournalSink, MetricsRegistry, TelemetryHandle, TraceForest, TraceHandle, TracerHandle,
-};
+use svserve::{parse_journal, MetricsRegistry, TelemetryHandle, TraceForest, TraceHandle};
 
 /// The mixed corpus the determinism suites sweep: machine-generated pipeline
 /// cases, then the human-crafted set.
@@ -36,6 +33,7 @@ fn journal_telemetry_and_trace_leave_the_evaluation_unchanged() {
         ..EvalConfig::quick(37)
     };
     let baseline = evaluate_model(&model, &entries, &config);
+    let manifest = JournalManifest::for_protocol("", "", &model.identity(), &entries, &config);
 
     // (journal, telemetry, trace)
     for facilities in [
@@ -45,55 +43,45 @@ fn journal_telemetry_and_trace_leave_the_evaluation_unchanged() {
         (true, true, true),
     ] {
         let (journal_on, telemetry_on, trace_on) = facilities;
-        let sink = JournalSink::shared();
-        let tracer = if journal_on {
-            sink.handle()
-        } else {
-            TracerHandle::off()
-        };
-        let telemetry = if telemetry_on {
-            TelemetryHandle::new(Arc::new(MetricsRegistry::default()))
-        } else {
-            TelemetryHandle::off()
-        };
-        let trace = if trace_on {
-            TraceHandle::new(0)
-        } else {
-            TraceHandle::off()
-        };
-
-        let verifier = EvalVerifier::start_instrumented(&config, &telemetry);
-        let observed = evaluate_model_observed(
-            &model, &entries, &config, &verifier, &tracer, &telemetry, &trace,
-        );
+        let telemetry = TelemetryHandle::new(Arc::new(MetricsRegistry::new()));
+        let trace = TraceHandle::new(0);
+        let verifier = EvalVerifier::start(&config);
+        let mut evaluation = Evaluation::new(&model, &entries, &config).verifier(&verifier);
+        if journal_on {
+            evaluation = evaluation.journal(&manifest);
+        }
+        if telemetry_on {
+            evaluation = evaluation.telemetry(&telemetry);
+        }
+        if trace_on {
+            evaluation = evaluation.trace(&trace);
+        }
+        let run = evaluation.run();
         verifier.shutdown();
         assert_eq!(
-            baseline, observed,
+            baseline, run.evaluation,
             "(journal, telemetry, trace) = {facilities:?} changed the evaluation"
         );
 
-        let records = sink.drain_sorted();
+        let records = run.journal.map(|journal| {
+            let parsed = parse_journal(&journal).expect("the journal parses");
+            parsed.records.len()
+        });
         assert_eq!(
-            !records.is_empty(),
-            journal_on,
-            "journal records exactly when the tracer is on ({facilities:?})"
+            records,
+            journal_on.then_some(8 * entries.len()),
+            "eight journal records per case exactly when the journal is on ({facilities:?})"
         );
-        let snapshot = telemetry.snapshot();
-        let count = |name: &str| snapshot.get(name).map_or(0, |metric| metric.count);
+        let frames = run.profile.map(|profile| {
+            assert!(profile.total() > 0, "the stages took time ({facilities:?})");
+            let frames = profile.frames().map(|(stack, _)| stack.to_string());
+            frames.collect::<Vec<_>>()
+        });
+        let stages = ["evaluate;report", "evaluate;sessions", "evaluate;setup"];
         assert_eq!(
-            count("eval.stage.sessions") >= 1 && count("service.repair.solve") > 0,
-            telemetry_on,
-            "stage and solve timings exactly when the registry is on ({facilities:?})"
-        );
-        let walls = if telemetry_on {
-            entries.len() as u64
-        } else {
-            0
-        };
-        assert_eq!(
-            count("session.span.wall"),
-            walls,
-            "one session wall-clock observation per case ({facilities:?})"
+            frames,
+            telemetry_on.then(|| stages.map(String::from).to_vec()),
+            "the three stage frames exactly when telemetry is on ({facilities:?})"
         );
         let forest = TraceForest::from_spans(trace.drain());
         let traced = if trace_on { entries.len() } else { 0 };
@@ -212,7 +200,7 @@ fn artifacts_are_named_by_facility() {
         let manifest = JournalManifest::for_protocol("", "", &model.identity(), &entries, &config);
         let (trace, telemetry) = (
             TraceHandle::new(0),
-            TelemetryHandle::new(Arc::new(MetricsRegistry::default())),
+            TelemetryHandle::new(Arc::new(MetricsRegistry::new())),
         );
         let mut evaluation = Evaluation::new(&model, &entries, &config);
         if journal_on {
