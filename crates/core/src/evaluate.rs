@@ -10,10 +10,11 @@ use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 use std::collections::btree_map::Entry as BTreeEntry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use svdata::SvaBugEntry;
 use svmodel::{CaseInput, RepairModel, Response};
+use svparse::FrontEnd;
 use svserve::env::path_knob;
 use svserve::persist::{fnv64, write_atomic};
 use svserve::stage as trace_stage;
@@ -348,18 +349,34 @@ impl ModelEvaluation {
 /// The fast path compares the proposed line and fix textually against the golden
 /// solution; otherwise the proposed edit is applied to the buggy source and the
 /// repaired design is re-checked with the bounded verifier.
+///
+/// This parses the whole edited text; the evaluation's judge,
+/// [`JudgedCase::verdict`], reaches the same verdict re-parsing one item.
 pub fn response_is_correct(
     entry: &SvaBugEntry,
     response: &Response,
     oracle: &VerifyOracle,
 ) -> bool {
+    textual_verdict(entry, response).unwrap_or_else(|| edited_text_solves(entry, response, oracle))
+}
+
+/// The verdict the response's text alone decides: `true` for the golden line
+/// and fix, `false` for no line or an empty fix; `None` when the edit must be
+/// checked.
+fn textual_verdict(entry: &SvaBugEntry, response: &Response) -> Option<bool> {
     let line_matches = response.bug_line_number == entry.bug_line_number;
     if line_matches && response.fixed_line.trim() == entry.fixed_line.trim() {
-        return true;
+        return Some(true);
     }
     if response.bug_line_number == 0 || response.fixed_line.trim().is_empty() {
-        return false;
+        return Some(false);
     }
+    None
+}
+
+/// Whether the response's line edit, applied to the buggy text and parsed
+/// whole, changes the design and makes its assertions hold.
+fn edited_text_solves(entry: &SvaBugEntry, response: &Response, oracle: &VerifyOracle) -> bool {
     let Some(repaired_source) = apply_line_edit(
         &entry.buggy_source,
         response.bug_line_number,
@@ -374,7 +391,64 @@ pub fn response_is_correct(
     if svparse::emits_as(&repaired, &entry.buggy_source) {
         return false;
     }
-    oracle.repair_solves_failure_owned(repaired)
+    oracle.repair_solves_failure_lent(repaired).0
+}
+
+/// One case as the evaluation's verifier judges it: the entry, and the
+/// [`FrontEnd`] of its buggy source, built the first time a candidate misses
+/// the textual fast path.
+///
+/// A case whose candidates are all decided by their text never parses its
+/// source.  Every other candidate is a one-line edit the front end answers as
+/// a one-item delta: one lexed line, one re-parsed item, a no-op test on that
+/// item and the edited module lent to the check uncopied.  An edit the front
+/// end declines is judged as [`response_is_correct`] judges it.
+#[derive(Debug)]
+pub struct JudgedCase {
+    entry: SvaBugEntry,
+    front_end: OnceLock<Option<Mutex<FrontEnd>>>,
+}
+
+impl JudgedCase {
+    /// The case of `entry`, its front end not yet built.
+    pub fn new(entry: SvaBugEntry) -> Self {
+        Self {
+            entry,
+            front_end: OnceLock::new(),
+        }
+    }
+
+    /// The corpus entry.
+    pub fn entry(&self) -> &SvaBugEntry {
+        &self.entry
+    }
+
+    /// Whether `response` solves the case: [`response_is_correct`]'s verdict,
+    /// with the edited module derived as a one-item delta.
+    ///
+    /// The front end is held for the whole judgment; a candidate that finds
+    /// it held by another thread (or poisoned by a panicking check) is judged
+    /// from its whole text instead.
+    pub fn verdict(&self, response: &Response, oracle: &VerifyOracle) -> bool {
+        let entry = &self.entry;
+        if let Some(verdict) = textual_verdict(entry, response) {
+            return verdict;
+        }
+        let front_end = self
+            .front_end
+            .get_or_init(|| FrontEnd::new(&entry.buggy_source).ok().map(Mutex::new));
+        let Some(Ok(mut front_end)) = front_end.as_ref().map(Mutex::try_lock) else {
+            return edited_text_solves(entry, response, oracle);
+        };
+        let Some(edit) = front_end.edit_line(response.bug_line_number, &response.fixed_line) else {
+            return edited_text_solves(entry, response, oracle);
+        };
+        // The repair must change something and must make the assertions hold.
+        if front_end.is_no_op(&entry.buggy_source, &edit) {
+            return false;
+        }
+        front_end.lend(edit, |repaired| oracle.repair_solves_failure_lent(repaired))
+    }
 }
 
 /// Replaces the 1-based line `line_number` of `source` with `replacement`, preserving
@@ -404,7 +478,8 @@ pub fn apply_line_edit(source: &str, line_number: u32, replacement: &str) -> Opt
 
 /// A persistent verification backend for model evaluation.
 ///
-/// Wraps an `svserve::VerifyPool` whose judge is [`response_is_correct`] under a
+/// Wraps an `svserve::VerifyPool` whose judge is [`JudgedCase::verdict`]
+/// ([`response_is_correct`]'s verdict) under a
 /// [`VerifyOracle`] built from the evaluation's [`CheckConfig`].  The pool
 /// spawns no thread: each candidate is judged on the case driver that submits
 /// it, and the pool keeps only the verdict cache, its snapshot and its
@@ -419,7 +494,7 @@ pub fn apply_line_edit(source: &str, line_number: u32, replacement: &str) -> Opt
 /// *processes*: it preloads from its `verdicts-<hash>.json` at start and flushes back on
 /// shutdown/drop (or an explicit [`EvalVerifier::flush`]).
 pub struct EvalVerifier {
-    pool: VerifyPool<SvaBugEntry>,
+    pool: VerifyPool<JudgedCase>,
     check_fingerprint: [u8; 28],
 }
 
@@ -428,9 +503,7 @@ impl EvalVerifier {
     /// snapshot when a cache directory resolves.
     pub fn start(config: &EvalConfig) -> Self {
         let oracle = VerifyOracle::new(config.check.clone());
-        let judge = move |entry: &SvaBugEntry, response: &Response| {
-            response_is_correct(entry, response, &oracle)
-        };
+        let judge = move |case: &JudgedCase, response: &Response| case.verdict(response, &oracle);
         Self {
             pool: VerifyPool::start(Arc::new(judge), config.verify_config()),
             check_fingerprint: config.check.fingerprint(),
@@ -980,7 +1053,7 @@ fn run_case<M: RepairModel + ?Sized>(
     let request = request_for(entry, driver.config);
     let (key, samples, start) = (request.key(), request.samples, Instant::now());
     let mut laps = Laps::new(trace.root(key), start);
-    let case = Arc::new(entry.clone());
+    let case = Arc::new(JudgedCase::new(entry.clone()));
     laps.lap("submit", trace_stage::SUBMIT, samples);
     let responses = driver.service.submit(request).expect(OPEN).wait().responses;
     let n = responses.len();
@@ -1037,12 +1110,12 @@ const OPEN: &str = "serving pool open during evaluation";
 /// keeps the per-case correct count `c` independent of which thread judges.
 fn distinct_candidates(
     verifier: &EvalVerifier,
-    case: &Arc<SvaBugEntry>,
+    case: &Arc<JudgedCase>,
     responses: &[Response],
-) -> Vec<(usize, VerifyRequest<SvaBugEntry>)> {
+) -> Vec<(usize, VerifyRequest<JudgedCase>)> {
     let mut multiplicity: BTreeMap<VerdictKey, usize> = BTreeMap::new();
     let mut distinct: Vec<(VerdictKey, Response)> = Vec::new();
-    let case_state = EvalVerifier::case_state(case);
+    let case_state = EvalVerifier::case_state(case.entry());
     for response in responses {
         match multiplicity.entry(verifier.key_after(case_state, response)) {
             BTreeEntry::Occupied(mut occupied) => *occupied.get_mut() += 1,
@@ -1063,7 +1136,7 @@ fn distinct_candidates(
 /// the correct count `c` (multiplicities included).
 fn judge_candidates(
     verifier: &EvalVerifier,
-    candidates: Vec<(usize, VerifyRequest<SvaBugEntry>)>,
+    candidates: Vec<(usize, VerifyRequest<JudgedCase>)>,
 ) -> usize {
     let judge = |request| verifier.pool.submit(request).expect(OPEN).wait();
     let verdicts = candidates
@@ -1267,7 +1340,7 @@ mod tests {
         let verifier = EvalVerifier::start(config);
         let results = (entries.iter().zip(outcomes))
             .map(|(entry, outcome)| {
-                let case = Arc::new(entry.clone());
+                let case = Arc::new(JudgedCase::new(entry.clone()));
                 let mut candidates: BTreeMap<VerdictKey, (usize, &Response)> = BTreeMap::new();
                 for response in outcome.responses.iter() {
                     let key = verifier.key_for(entry, response);
@@ -1372,9 +1445,9 @@ mod tests {
         let judged = Arc::new(std::sync::Mutex::new(Vec::new()));
         let oracle = VerifyOracle::new(config.check.clone());
         let record = Arc::clone(&judged);
-        let judge = move |entry: &SvaBugEntry, response: &Response| {
+        let judge = move |case: &JudgedCase, response: &Response| {
             record.lock().unwrap().push(std::thread::current().id());
-            response_is_correct(entry, response, &oracle)
+            case.verdict(response, &oracle)
         };
         let verifier = EvalVerifier {
             pool: VerifyPool::start(Arc::new(judge), config.verify_config()),

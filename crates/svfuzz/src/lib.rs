@@ -17,7 +17,9 @@
 //!   module's concurrent items must not change the verdict), and the
 //!   simulator differential (the compiled `svsim` engine and the state-searching
 //!   bounded checker against `svsim::reference` and the plain check loop, cycle
-//!   for cycle and verdict for verdict).
+//!   for cycle and verdict for verdict), and the line-edit differential (the
+//!   judge's one-item delta, `svparse::FrontEnd`, against the whole-text parse
+//!   of the edited source).
 //! * **Miner** ([`miner`]) — findings are deduplicated by failure class,
 //!   shrunk with a built-in delta-debugging minimizer ([`shrink`]), and written
 //!   to `fuzz/corpus/<family>/` as self-describing JSON cases ([`finding`],
@@ -51,7 +53,7 @@ pub use finding::{case_fingerprint, class_fingerprint, CaseFile, Expectation, CA
 pub use generate::{generate_input, mangle, FuzzInput};
 pub use journal::{derive_entry, find_derivation, render_case_journal, verify_case_journal};
 pub use miner::{compose_case, run_fuzz, FuzzConfig, FuzzReport, FuzzStats};
-pub use oracle::{drive_oracle, sim_differential, OracleKind, OracleOutcome};
+pub use oracle::{drive_oracle, line_edit, sim_differential, OracleKind, OracleOutcome};
 pub use shrink::ddmin_lines;
 
 #[cfg(test)]

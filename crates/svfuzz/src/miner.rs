@@ -10,7 +10,7 @@
 use crate::finding::{case_fingerprint, class_fingerprint, CaseFile, Expectation, CASE_SCHEMA};
 use crate::generate::{generate_input, iteration_rng, FuzzInput};
 use crate::journal::{case_corpus_tag, find_derivation, render_case_journal};
-use crate::oracle::{drive_oracle, sim_differential, OracleKind, OracleOutcome};
+use crate::oracle::{drive_oracle, line_edit, sim_differential, OracleKind, OracleOutcome};
 use crate::shrink::ddmin_lines;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -54,6 +54,8 @@ pub struct FuzzStats {
     pub findings: u64,
     /// Unique failure classes.
     pub unique: u64,
+    /// Line edits the `line-edit` oracle answered as a one-item delta.
+    pub line_deltas: u64,
     /// Design × stimulus pairs the `sim-diff` oracle traced through both engines.
     pub sim_pairs: u64,
 }
@@ -97,6 +99,11 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
                     stats.sim_pairs += pairs;
                     outcome
                 }
+                OracleKind::LineEdit => {
+                    let (outcome, answered) = line_edit(&input.source);
+                    stats.line_deltas += answered;
+                    outcome
+                }
                 _ => drive_oracle(kind, &input.source),
             };
             let OracleOutcome::Fail { detail } = outcome else {
@@ -133,12 +140,13 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
 
     let _ = writeln!(
         log,
-        "svfuzz: inputs={} parsed={} findings={} unique={} cases={} sim_pairs={}",
+        "svfuzz: inputs={} parsed={} findings={} unique={} cases={} line_deltas={} sim_pairs={}",
         stats.inputs,
         stats.parsed,
         stats.findings,
         stats.unique,
         cases.len(),
+        stats.line_deltas,
         stats.sim_pairs
     );
     FuzzReport { log, cases, stats }
@@ -156,6 +164,8 @@ fn oracles_for(config: &FuzzConfig, iteration: u64, parses: bool) -> Vec<OracleK
         kinds.push(OracleKind::Roundtrip);
         // The one semantic oracle: every parseable input, every iteration.
         kinds.push(OracleKind::SimDifferential);
+        // Cheap (one front end, four one-line edits): every parseable input.
+        kinds.push(OracleKind::LineEdit);
         if iteration.is_multiple_of(config.mutate_every.max(1)) {
             kinds.push(OracleKind::MutateClosure);
         }

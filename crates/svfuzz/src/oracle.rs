@@ -27,10 +27,15 @@
 //!   the plain check loop on the source and on `svmutate` mutants of it:
 //!   every value of every cycle, the `SimError`, the assertion failures, the
 //!   rendered log, and the verdict field for field.
+//! * [`OracleKind::LineEdit`] — content-seeded one-line edits of the source
+//!   (hostile texts, copied lines, operator swaps, trailing comments): where
+//!   `svparse::FrontEnd` answers an edit as a one-item delta, its module equals,
+//!   spans included, `parse_module` of `apply_line_edit`'s whole text, and its
+//!   no-op answer equals `emits_as`; otherwise it declines.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use svmutate::{collect_sites, replace_site, BugInjector, BugKind};
@@ -56,11 +61,13 @@ pub enum OracleKind {
     WireStats,
     /// Compiled simulator and checker against the reference interpreter.
     SimDifferential,
+    /// The one-item delta of a line edit against the whole-text parse.
+    LineEdit,
 }
 
 impl OracleKind {
     /// Every oracle, in the order the miner drives them.
-    pub fn all() -> [OracleKind; 6] {
+    pub fn all() -> [OracleKind; 7] {
         [
             OracleKind::ParserEnvelope,
             OracleKind::Roundtrip,
@@ -68,6 +75,7 @@ impl OracleKind {
             OracleKind::BmcPermutation,
             OracleKind::WireStats,
             OracleKind::SimDifferential,
+            OracleKind::LineEdit,
         ]
     }
 
@@ -80,6 +88,7 @@ impl OracleKind {
             OracleKind::BmcPermutation => "bmc-permutation",
             OracleKind::WireStats => "wire-stats",
             OracleKind::SimDifferential => "sim-diff",
+            OracleKind::LineEdit => "line-edit",
         }
     }
 
@@ -144,6 +153,7 @@ pub fn drive_oracle(kind: OracleKind, source: &str) -> OracleOutcome {
         OracleKind::BmcPermutation => bmc_permutation(source),
         OracleKind::WireStats => wire_stats(source),
         OracleKind::SimDifferential => sim_differential(source).0,
+        OracleKind::LineEdit => line_edit(source).0,
     }
 }
 
@@ -541,6 +551,107 @@ pub fn sim_differential(source: &str) -> (OracleOutcome, u64) {
     (OracleOutcome::Pass, pairs)
 }
 
+/// Line edits the [`OracleKind::LineEdit`] oracle drives per input.
+const LINE_EDITS: u64 = 4;
+
+/// Texts a line edit may put on a line: block openers and closers, a module
+/// header, the delimiters of lexemes that span lines, line breaks and
+/// whitespace.
+pub const HOSTILE_LINES: [&str; 14] = [
+    "begin",
+    "end",
+    "endcase",
+    "endmodule",
+    "module m;",
+    "/*",
+    "*/",
+    "\"x\"",
+    "// comment",
+    "x <= 1;\nx <= 0;",
+    "x <= 1;\ry <= 0;",
+    "   ",
+    "end else begin",
+    "endproperty",
+];
+
+/// Operator and literal swaps that keep a line well formed.
+const SWAPS: [(&str, &str); 6] = [
+    ("&&", "||"),
+    ("==", "!="),
+    (" + ", " - "),
+    ("<=", "="),
+    ("1'b1", "1'b0"),
+    ("posedge", "negedge"),
+];
+
+/// Drives four content-seeded line edits of the source through
+/// `svparse::FrontEnd` and the whole-text parse, and reports how many edits
+/// the one-item delta answered.
+///
+/// Each edit puts on a seeded line one of: the old line with a trailing
+/// comment, another line of the source, the old line with one operator or
+/// literal swapped, or a hostile text.  Where the delta answers, its module
+/// must equal `parse_module(apply_line_edit(..))` with spans, and its no-op
+/// answer `emits_as(edited, source)`; a decline passes.
+pub fn line_edit(source: &str) -> (OracleOutcome, u64) {
+    if parse_module(source).is_err() {
+        return (OracleOutcome::Pass, 0);
+    }
+    let Ok(front_end) = svparse::FrontEnd::new(source) else {
+        return (
+            OracleOutcome::fail("the front end refuses a source that parses"),
+            0,
+        );
+    };
+    let lines: Vec<&str> = source.lines().collect();
+    let mut rng = StdRng::seed_from_u64(fnv64(source.as_bytes()) ^ 0x11E7);
+    let mut answered = 0;
+    for _ in 0..LINE_EDITS {
+        let at = rng.gen_range(0..lines.len());
+        let old = lines[at].trim();
+        let text = match rng.gen_range(0..4u32) {
+            0 => format!("{old} // edited"),
+            1 => lines[rng.gen_range(0..lines.len())].to_string(),
+            2 => SWAPS
+                .iter()
+                .find(|(from, _)| old.contains(from))
+                .map_or_else(|| old.to_string(), |(from, to)| old.replacen(from, to, 1)),
+            _ => HOSTILE_LINES[rng.gen_range(0..HOSTILE_LINES.len())].to_string(),
+        };
+        let line = at as u32 + 1;
+        let Some(edit) = front_end.edit_line(line, &text) else {
+            continue;
+        };
+        answered += 1;
+        let whole = assertsolver::apply_line_edit(source, line, &text).map(|t| parse_module(&t));
+        let Some(Ok(expected)) = whole else {
+            return (
+                OracleOutcome::fail(format!(
+                    "line {line} {text:?}: the delta answers a text that does not parse"
+                )),
+                answered,
+            );
+        };
+        let mut module = front_end.module().clone();
+        module.items[edit.index()] = edit.item().clone();
+        if module != expected {
+            return (
+                OracleOutcome::fail(format!(
+                    "line {line} {text:?}: the delta differs from the whole parse"
+                )),
+                answered,
+            );
+        }
+        if front_end.is_no_op(source, &edit) != svparse::emits_as(&expected, source) {
+            return (
+                OracleOutcome::fail(format!("line {line} {text:?}: the no-op answers differ")),
+                answered,
+            );
+        }
+    }
+    (OracleOutcome::Pass, answered)
+}
+
 /// `BoundedChecker::check_design` as it was before designs were compiled: build the
 /// whole stimulus set, run every sequence from reset on the reference interpreter,
 /// check every attempt, stop at the first failing sequence.
@@ -722,6 +833,20 @@ mod tests {
         let (outcome, pairs) = sim_differential(looped);
         assert_eq!(outcome, OracleOutcome::Pass);
         assert!(pairs >= SIM_DIFF_SEQUENCES as u64);
+    }
+
+    #[test]
+    fn line_edits_answer_on_a_golden_design_and_pass_vacuously_elsewhere() {
+        let answered: u64 = [Family::Counter, Family::Fifo, Family::Alu, Family::Parity]
+            .into_iter()
+            .map(|family| {
+                let (outcome, answered) = line_edit(&golden(family));
+                assert_eq!(outcome, OracleOutcome::Pass, "{family}");
+                answered
+            })
+            .sum();
+        assert!(answered > 0, "no edit of four goldens took the delta");
+        assert_eq!(line_edit("module m("), (OracleOutcome::Pass, 0));
     }
 
     #[test]

@@ -30,9 +30,16 @@
 //! The canonical form produced by [`pretty::emit_module`] is the textual substrate on
 //! which the bug-injection and repair-model crates operate: one statement per line, so
 //! that "buggy line" answers are well defined.
+//!
+//! A judge that weighs many one-line edits of one source builds a [`FrontEnd`] from
+//! it once: [`FrontEnd::edit_line`] lexes only the new line and re-parses only the
+//! item that holds it, [`FrontEnd::is_no_op`] compares that one item's rendering, and
+//! [`FrontEnd::lend`] hands the edited module out without copying it.  An edit it
+//! cannot answer exactly as [`parse_module`] of the edited text would, it declines.
 
 pub mod ast;
 pub mod error;
+pub mod front_end;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
@@ -46,6 +53,7 @@ pub use ast::{
     ParamDecl, Port, PortDir, PropExpr, PropertyDecl, Sensitivity, SourceFile, Stmt, UnaryOp,
 };
 pub use error::ParseError;
+pub use front_end::{FrontEnd, ItemEdit};
 pub use lexer::Lexer;
 pub use parser::Parser;
 pub use pretty::{emit_file, emit_module, emits_as};

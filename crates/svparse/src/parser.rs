@@ -5,6 +5,7 @@ use crate::error::ParseError;
 use crate::lexer::Lexer;
 use crate::span::Span;
 use crate::token::{Keyword, Token, TokenKind};
+use std::ops::Range;
 
 /// Recursive-descent parser over a pre-lexed token stream.
 ///
@@ -39,11 +40,21 @@ impl Parser {
     ///
     /// Returns a [`ParseError`] if the source cannot be tokenized.
     pub fn new(source: &str) -> Result<Self, ParseError> {
-        Ok(Self {
-            tokens: Lexer::tokenize(source)?,
+        Ok(Self::over(Lexer::tokenize(source)?))
+    }
+
+    /// A parser over tokens already lexed; the last must be [`TokenKind::Eof`].
+    pub(crate) fn over(tokens: Vec<Token>) -> Self {
+        Self {
+            tokens,
             pos: 0,
             depth: 0,
-        })
+        }
+    }
+
+    /// Whether every token before the final `Eof` has been consumed.
+    pub(crate) fn at_eof(&self) -> bool {
+        self.pos + 1 == self.tokens.len()
     }
 
     fn enter_nested(&mut self) -> Result<(), ParseError> {
@@ -186,6 +197,14 @@ impl Parser {
     }
 
     fn parse_module(&mut self) -> Result<Module, ParseError> {
+        self.parse_module_with(|_| ())
+    }
+
+    /// Parses one module, telling `item_tokens` the token range of each item.
+    pub(crate) fn parse_module_with(
+        &mut self,
+        mut item_tokens: impl FnMut(Range<usize>),
+    ) -> Result<Module, ParseError> {
         let start = self.line();
         self.expect_keyword(Keyword::Module)?;
         let name = self.expect_ident()?;
@@ -208,7 +227,9 @@ impl Parser {
             if self.peek().is_eof() {
                 return Err(ParseError::new("missing `endmodule`", self.line()));
             }
+            let first = self.pos;
             items.push(self.parse_item()?);
+            item_tokens(first..self.pos);
         }
         self.expect_keyword(Keyword::Endmodule)?;
         Ok(Module {
@@ -262,7 +283,7 @@ impl Parser {
         }
     }
 
-    fn parse_item(&mut self) -> Result<Item, ParseError> {
+    pub(crate) fn parse_item(&mut self) -> Result<Item, ParseError> {
         let start = self.line();
         match &self.peek().kind {
             TokenKind::Keyword(Keyword::Wire) => self.parse_net_decl(NetKind::Wire, start),

@@ -49,6 +49,13 @@ pub fn emits_as(module: &Module, text: &str) -> bool {
     write_module(&mut rest, module).is_ok() && rest.0.is_empty()
 }
 
+/// Whether `text` is exactly `item`'s canonical form as a module item (its
+/// indent and line ends included), compared as [`emits_as`] compares.
+pub(crate) fn item_emits_as(item: &Item, text: &str) -> bool {
+    let mut rest = Unwritten(text);
+    write_item(&mut rest, item).is_ok() && rest.0.is_empty()
+}
+
 /// Emits an expression in canonical form (minimal parentheses).
 pub fn emit_expr(expr: &Expr) -> String {
     Ex(expr, 0).to_string()

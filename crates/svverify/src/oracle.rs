@@ -78,13 +78,18 @@ impl VerifyOracle {
     /// first failing sequence and builds no witness.  Questions 1 and 2 and
     /// [`BoundedChecker::check_design`] still build theirs.
     pub fn repair_solves_failure(&self, repaired: &Module) -> bool {
-        self.repair_solves_failure_owned(repaired.clone())
+        self.repair_solves_failure_lent(repaired.clone()).0
     }
 
-    /// [`VerifyOracle::repair_solves_failure`] on a module the caller is done
-    /// with: it becomes the design's own ([`Design::from_module`]), uncopied.
-    pub fn repair_solves_failure_owned(&self, repaired: Module) -> bool {
-        Design::from_module(repaired).is_ok_and(|design| self.checker.passes(&design))
+    /// [`VerifyOracle::repair_solves_failure`] on a module the caller lends:
+    /// it becomes the design's own ([`Design::from_module`]), uncopied, and is
+    /// handed back after the check, `None` only when it does not elaborate
+    /// (elaboration takes it).
+    pub fn repair_solves_failure_lent(&self, repaired: Module) -> (bool, Option<Module>) {
+        match Design::from_module(repaired) {
+            Ok(design) => (self.checker.passes(&design), Some(design.module)),
+            Err(_) => (false, None),
+        }
     }
 
     /// Bounded input/output equivalence of two modules over shared outputs.

@@ -1,20 +1,26 @@
-//! Heap allocations per `solve` and per judged candidate, pinned as counts.
+//! Heap allocations per `solve`, per case front end and per judged
+//! candidate, pinned as counts.
 //!
-//! A cold evaluation samples every (model, case) once and then parses,
-//! elaborates and checks every distinct candidate that misses
-//! `response_is_correct`'s textual fast path, so these fixed costs bound it.
-//! This binary counts the heap allocations (`alloc`, `alloc_zeroed` and
-//! `realloc` calls) of each stage over one `svbench` `eval_cold` round — the
-//! three checkpoints, n = 20 at T = 0.2, over the first 16 SVA-Bug cases and
-//! the five human cases of a 16-design training run — and holds the mean
-//! under a ceiling:
+//! A cold evaluation samples every (model, case) once and then judges every
+//! distinct candidate that misses `response_is_correct`'s textual fast path:
+//! the case's `svparse::FrontEnd`, built once, re-parses the one item the
+//! edit changes (else the whole edited text is parsed), the module is
+//! elaborated and checked.  These fixed costs bound it.  This binary counts
+//! the heap allocations (`alloc`, `alloc_zeroed` and `realloc` calls) of each
+//! stage over one `svbench` `eval_cold` round — the three checkpoints, n = 20
+//! at T = 0.2, over the first 16 SVA-Bug cases and the five human cases of a
+//! 16-design training run — and holds the mean under a ceiling:
 //!
 //! | stage | ceiling | mean of | what runs |
 //! |---|---|---|---|
 //! | sample | 630 | the 63 (model, case) calls | `RepairModel::solve` under the service's seed |
-//! | parse | 100 | the judged candidates | `svparse::parse_module` of the edited source |
-//! | elaborate | 120 | the judged candidates | `Design::from_module` of the parsed module |
-//! | check | 45 | the judged candidates | `BoundedChecker::passes` on the design |
+//! | front end | 165 | the (model, case) pairs with a judged candidate | `FrontEnd::new` of the buggy source |
+//! | parse | 26 | the judged candidates | `FrontEnd::edit_line`, else `parse_module` of `apply_line_edit` |
+//! | elaborate | 120 | the candidates that parse and change the text | `Design::from_module` of the module |
+//! | check | 45 | the candidates that elaborate | `BoundedChecker::passes` on the design |
+//!
+//! It also holds that at least 97 % of the judged candidates take the
+//! one-item delta, so a silent fallback to the whole text fails here.
 //!
 //! The ceilings are counts, not seconds, so they do not move with the host.
 //! To re-measure, run `cargo test --release --test alloc_budget -- --nocapture`:
@@ -22,14 +28,16 @@
 //! (debug and release builds allocate alike).  The binary holds one test only,
 //! because the counter is global and a second test would count into it.
 
-use assertsolver::{apply_line_edit, train, EvalConfig, TrainConfig};
+#[path = "../crates/core/tests/support/line_edits.rs"]
+mod line_edits;
+
+use assertsolver::{apply_line_edit, EvalConfig};
+use line_edits::{eval_cold_cases, sampled_edits, CaseEdits};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use svdata::{PipelineConfig, SvaBugEntry};
 use svmodel::{CaseInput, RepairModel, Response};
-use svserve::{serve_scoped, RepairRequest};
+use svparse::FrontEnd;
 use svsim::Design;
 use svverify::BoundedChecker;
 
@@ -72,9 +80,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 const SAMPLE_CEILING: u64 = 630;
-const PARSE_CEILING: u64 = 100;
+const FRONT_END_CEILING: u64 = 165;
+const PARSE_CEILING: u64 = 26;
 const ELABORATE_CEILING: u64 = 120;
 const CHECK_CEILING: u64 = 45;
+/// The least share of judged candidates, in percent, that the one-item delta
+/// must answer: a silent fallback to the whole text fails here.
+const DELTA_SHARE_PCT: u64 = 97;
 
 /// A model that counts the calls to its `solve` and the allocations they make.
 struct Sampled<'m, M> {
@@ -100,137 +112,126 @@ impl<M: RepairModel> RepairModel for Sampled<'_, M> {
     }
 }
 
-/// One `eval_cold` round's sampling: the `solve` calls and their allocations.
-struct Sampling {
-    calls: u64,
+/// One `eval_cold` round's judged candidates per (model, case), with the
+/// check that judges them, and its `solve` calls and their allocations.
+fn eval_cold_candidates() -> (Vec<CaseEdits>, BoundedChecker, u64, u64) {
+    let (artifacts, cases) = eval_cold_cases();
+    let checkpoints = [&artifacts.base, &artifacts.sft, &artifacts.assert_solver];
+    let models = checkpoints.map(|model| Sampled {
+        model,
+        calls: Cell::new(0),
+        allocations: Cell::new(0),
+    });
+    let sampled: Vec<&dyn RepairModel> = models.iter().map(|m| m as &dyn RepairModel).collect();
+    let eval = EvalConfig::default();
+    let candidates = sampled_edits(&sampled, &cases, &eval);
+    let calls = models.iter().map(|m| m.calls.get()).sum();
+    let allocations = models.iter().map(|m| m.allocations.get()).sum();
+    (
+        candidates,
+        BoundedChecker::new(eval.check),
+        calls,
+        allocations,
+    )
+}
+
+/// Running totals of one stage: how many times it ran and what it allocated.
+#[derive(Default)]
+struct Stage {
+    runs: u64,
     allocations: u64,
 }
 
-/// The edited sources of every distinct candidate an `eval_cold` round hands
-/// the bounded check, per case, with the check that judges them, and what
-/// sampling them took.
-fn eval_cold_candidates() -> (Vec<(SvaBugEntry, String)>, BoundedChecker, Sampling) {
-    let pipeline = PipelineConfig::default();
-    let config = TrainConfig {
-        pipeline: PipelineConfig {
-            corpus: svgen::CorpusConfig {
-                golden_designs: 16,
-                ..pipeline.corpus
-            },
-            bugs_per_design: 4,
-            ..pipeline
-        },
-        ..TrainConfig::default()
-    };
-    let artifacts = train(&config);
-    let eval = EvalConfig::default();
-    let machine = artifacts.datasets.sva_bug.iter().take(16);
-    let cases: Vec<&SvaBugEntry> = machine.chain(&artifacts.sva_eval.human).collect();
-    let mut candidates = Vec::new();
-    let mut sampling = Sampling {
-        calls: 0,
-        allocations: 0,
-    };
-    for model in [&artifacts.base, &artifacts.sft, &artifacts.assert_solver] {
-        let model = Sampled {
-            model,
-            calls: Cell::new(0),
-            allocations: Cell::new(0),
-        };
-        let requests = cases
-            .iter()
-            .map(|entry| {
-                let case = CaseInput::from_entry(entry);
-                RepairRequest::new(case, eval.samples, eval.temperature)
-            })
-            .collect();
-        let outcomes = serve_scoped(&model, eval.service_config(), |service| {
-            service.solve_all(requests)
-        });
-        sampling.calls += model.calls.get();
-        sampling.allocations += model.allocations.get();
-        for (entry, outcome) in cases.iter().zip(outcomes) {
-            let mut seen = BTreeSet::new();
-            for response in outcome.responses.iter() {
-                if let Some(source) = judged_source(entry, response) {
-                    if seen.insert(source.clone()) {
-                        candidates.push(((*entry).clone(), source));
-                    }
-                }
-            }
-        }
+impl Stage {
+    fn add(&mut self, allocations: u64) {
+        self.runs += 1;
+        self.allocations += allocations;
     }
-    (candidates, BoundedChecker::new(eval.check), sampling)
-}
 
-/// The source `response_is_correct` parses for a response, or `None` when the
-/// textual fast path or a malformed edit decides it first.
-fn judged_source(entry: &SvaBugEntry, response: &Response) -> Option<String> {
-    let line_matches = response.bug_line_number == entry.bug_line_number;
-    if line_matches && response.fixed_line.trim() == entry.fixed_line.trim() {
-        return None;
+    fn mean(&self) -> f64 {
+        self.allocations as f64 / self.runs as f64
     }
-    if response.bug_line_number == 0 || response.fixed_line.trim().is_empty() {
-        return None;
-    }
-    apply_line_edit(
-        &entry.buggy_source,
-        response.bug_line_number,
-        &response.fixed_line,
-    )
 }
 
 #[test]
 fn a_judged_candidate_stays_under_its_allocation_ceilings() {
-    let (candidates, checker, sampling) = eval_cold_candidates();
-    let (mut parsed, mut elaborated, mut checked) = (0u64, 0u64, 0u64);
-    let (mut parse_allocs, mut elaborate_allocs, mut check_allocs) = (0u64, 0u64, 0u64);
-    for (entry, source) in &candidates {
-        let (module, allocs) = counted(|| svparse::parse_module(source));
-        parsed += 1;
-        parse_allocs += allocs;
-        let Ok(module) = module else { continue };
-        if svparse::emits_as(&module, &entry.buggy_source) {
-            continue;
+    let (cases, checker, calls, sample_allocs) = eval_cold_candidates();
+    let [mut front_ends, mut parse, mut elaborate, mut check] = [(); 4].map(|_| Stage::default());
+    let mut delta = 0u64;
+    for case in cases.iter().filter(|case| !case.edits.is_empty()) {
+        let (front_end, allocs) = counted(|| FrontEnd::new(&case.entry.buggy_source));
+        let mut front_end = front_end.expect("a buggy source parses");
+        front_ends.add(allocs);
+        let source = &case.entry.buggy_source;
+        for (line, text) in &case.edits {
+            // The judge's parse: the one-item delta, else the whole edited text.
+            let (edit, allocs) = counted(|| front_end.edit_line(*line, text));
+            let Some(edit) = edit else {
+                let (module, more) = counted(|| {
+                    apply_line_edit(source, *line, text)
+                        .map(|edited| svparse::parse_module(&edited))
+                });
+                parse.add(allocs + more);
+                let Some(Ok(module)) = module else { continue };
+                if svparse::emits_as(&module, source) {
+                    continue;
+                }
+                let (design, allocs) = counted(|| Design::from_module(module));
+                elaborate.add(allocs);
+                let Ok(design) = design else { continue };
+                check.add(counted(|| checker.passes(&design)).1);
+                continue;
+            };
+            parse.add(allocs);
+            delta += 1;
+            if front_end.is_no_op(source, &edit) {
+                continue;
+            }
+            front_end.lend(edit, |module| {
+                let (design, allocs) = counted(|| Design::from_module(module));
+                elaborate.add(allocs);
+                let Ok(design) = design else {
+                    return ((), None);
+                };
+                check.add(counted(|| checker.passes(&design)).1);
+                ((), Some(design.module))
+            });
         }
-        let (design, allocs) = counted(|| Design::from_module(module));
-        elaborated += 1;
-        elaborate_allocs += allocs;
-        let Ok(design) = design else { continue };
-        let (_, allocs) = counted(|| checker.passes(&design));
-        checked += 1;
-        check_allocs += allocs;
     }
-    assert_eq!(sampling.calls, 63, "one solve per (model, case)");
-    assert!(checked > 100, "only {checked} candidates reached the check");
-    let mean = |total: u64, count: u64| total as f64 / count as f64;
-    let sample = mean(sampling.allocations, sampling.calls);
-    let parse = mean(parse_allocs, parsed);
-    let elaborate = mean(elaborate_allocs, elaborated);
-    let check = mean(check_allocs, checked);
+    assert_eq!(calls, 63, "one solve per (model, case)");
+    assert!(
+        check.runs > 100,
+        "only {} candidates reached the check",
+        check.runs
+    );
+    let sample = sample_allocs as f64 / calls as f64;
+    println!("{calls} solve calls: sample {sample:.1} allocations each");
     println!(
-        "{} solve calls: sample {sample:.1} allocations each",
-        sampling.calls
+        "{} front ends: {:.1} allocations each",
+        front_ends.runs,
+        front_ends.mean()
     );
     println!(
-        "{} candidates: parse {parse:.1} allocations each ({parsed}), \
-         elaborate {elaborate:.1} ({elaborated}), passes {check:.1} ({checked})",
-        candidates.len()
+        "{} candidates ({delta} delta): parse {:.1} allocations each, \
+         elaborate {:.1} ({}), passes {:.1} ({})",
+        parse.runs,
+        parse.mean(),
+        elaborate.mean(),
+        elaborate.runs,
+        check.mean(),
+        check.runs
     );
     assert!(
-        sample <= SAMPLE_CEILING as f64,
-        "sample: {sample:.1} allocations"
+        delta * 100 >= parse.runs * DELTA_SHARE_PCT,
+        "only {delta} of {} candidates took the one-item delta",
+        parse.runs
     );
-    assert!(
-        parse <= PARSE_CEILING as f64,
-        "parse: {parse:.1} allocations"
-    );
-    assert!(
-        elaborate <= ELABORATE_CEILING as f64,
-        "elaborate: {elaborate:.1} allocations"
-    );
-    assert!(
-        check <= CHECK_CEILING as f64,
-        "passes: {check:.1} allocations"
-    );
+    let within = |stage: &str, mean: f64, ceiling: u64| {
+        assert!(mean <= ceiling as f64, "{stage}: {mean:.1} allocations");
+    };
+    within("sample", sample, SAMPLE_CEILING);
+    within("front end", front_ends.mean(), FRONT_END_CEILING);
+    within("parse", parse.mean(), PARSE_CEILING);
+    within("elaborate", elaborate.mean(), ELABORATE_CEILING);
+    within("passes", check.mean(), CHECK_CEILING);
 }
