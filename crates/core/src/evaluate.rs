@@ -10,20 +10,19 @@ use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 use std::collections::btree_map::Entry as BTreeEntry;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use svdata::SvaBugEntry;
 use svmodel::{CaseInput, RepairModel, Response};
 use svparse::FrontEnd;
 use svserve::env::path_knob;
-use svserve::persist::{fnv64, write_atomic};
+use svserve::persist::{fnv64, write_atomic, VerdictSnapshot};
 use svserve::stage as trace_stage;
 use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
     verdict_case_state, verdict_key_after, write_journal, CollapsedProfile, JournalHeader,
-    JournalSink, PersistSpec, RepairRequest, ScopedService, ServiceConfig, TelemetryHandle,
+    JournalSink, Memo, PersistSpec, RepairRequest, ScopedService, ServiceConfig, TelemetryHandle,
     TraceContext, TraceHandle, TraceSpan, TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig,
-    VerifyMetrics, VerifyPool, VerifyRequest, DEFAULT_COMPACT_AFTER_RUNS,
+    VerifyMetrics, DEFAULT_COMPACT_AFTER_RUNS,
 };
 use svverify::{CheckConfig, VerifyOracle};
 
@@ -41,11 +40,10 @@ pub struct EvalConfig {
     /// driver's thread, so this sizes the cache shards and nothing else;
     /// results are identical at any count.
     pub workers: usize,
-    /// Verdict-cache shards of the pool that judges candidates (0 = the
-    /// `ASSERTSOLVER_VERIFY_WORKERS` environment override, else the
-    /// `svserve::VerifyConfig` default).  The pool judges on the driver's
-    /// thread, so this sizes the cache shards and nothing else; results are
-    /// identical at any count.
+    /// Verdict-cache shards of the verifier that judges candidates (0 = the
+    /// `svserve::VerifyConfig` default, 4).  The verifier judges on the
+    /// driver's thread, so this sizes the cache shards and nothing else;
+    /// results are identical at any count.
     pub verify_workers: usize,
     /// Threads that drive the cases, each case sampled and judged start to
     /// verdict on its driver (0 = auto: the `ASSERTSOLVER_DRIVERS`
@@ -192,12 +190,11 @@ impl EvalConfig {
         }
     }
 
-    /// The verify-pool configuration this protocol implies, including
-    /// verdict-cache persistence when a cache directory is resolved.
+    /// The verdict-cache configuration this protocol implies, including
+    /// persistence when a cache directory is resolved.
     ///
-    /// `verify_workers == 0` defers to [`VerifyConfig::default`], which honours the
-    /// `ASSERTSOLVER_VERIFY_WORKERS` environment override; an explicit setting wins
-    /// over both.  The verdict snapshot (`verdicts-<hash>.json`, the hash
+    /// `verify_workers == 0` defers to [`VerifyConfig::default`]; an explicit
+    /// setting wins.  The verdict snapshot (`verdicts-<hash>.json`, the hash
     /// covering [`CheckConfig::fingerprint`]) is fingerprinted by the same bytes
     /// — verdicts are pure functions of `(case, response, CheckConfig)` and
     /// independent of which model proposed the response, so one file is shared
@@ -404,50 +401,54 @@ fn edited_text_solves(entry: &SvaBugEntry, response: &Response, oracle: &VerifyO
 /// item and the edited module lent to the check uncopied.  An edit the front
 /// end declines is judged as [`response_is_correct`] judges it.
 #[derive(Debug)]
-pub struct JudgedCase {
-    entry: SvaBugEntry,
-    front_end: OnceLock<Option<Mutex<FrontEnd>>>,
+pub struct JudgedCase<'e> {
+    entry: &'e SvaBugEntry,
+    /// `None` until a candidate needs it, and while one is judged through
+    /// it; `Some(None)` when the buggy source does not parse.
+    front_end: Option<Option<FrontEnd>>,
 }
 
-impl JudgedCase {
+impl<'e> JudgedCase<'e> {
     /// The case of `entry`, its front end not yet built.
-    pub fn new(entry: SvaBugEntry) -> Self {
+    pub fn new(entry: &'e SvaBugEntry) -> Self {
         Self {
             entry,
-            front_end: OnceLock::new(),
+            front_end: None,
         }
     }
 
     /// The corpus entry.
-    pub fn entry(&self) -> &SvaBugEntry {
-        &self.entry
+    pub fn entry(&self) -> &'e SvaBugEntry {
+        self.entry
     }
 
     /// Whether `response` solves the case: [`response_is_correct`]'s verdict,
     /// with the edited module derived as a one-item delta.
     ///
-    /// The front end is held for the whole judgment; a candidate that finds
-    /// it held by another thread (or poisoned by a panicking check) is judged
-    /// from its whole text instead.
-    pub fn verdict(&self, response: &Response, oracle: &VerifyOracle) -> bool {
-        let entry = &self.entry;
+    /// The front end is taken out of the case for the judgment and put back
+    /// once the check returns, so a judgment that unwinds leaves no
+    /// half-swapped module behind: the next candidate builds a fresh one.
+    pub fn verdict(&mut self, response: &Response, oracle: &VerifyOracle) -> bool {
+        let entry = self.entry;
         if let Some(verdict) = textual_verdict(entry, response) {
             return verdict;
         }
-        let front_end = self
-            .front_end
-            .get_or_init(|| FrontEnd::new(&entry.buggy_source).ok().map(Mutex::new));
-        let Some(Ok(mut front_end)) = front_end.as_ref().map(Mutex::try_lock) else {
+        let built = self.front_end.take();
+        let built = built.unwrap_or_else(|| FrontEnd::new(&entry.buggy_source).ok());
+        let Some(mut front_end) = built else {
+            self.front_end = Some(None);
             return edited_text_solves(entry, response, oracle);
         };
-        let Some(edit) = front_end.edit_line(response.bug_line_number, &response.fixed_line) else {
-            return edited_text_solves(entry, response, oracle);
+        let verdict = match front_end.edit_line(response.bug_line_number, &response.fixed_line) {
+            None => edited_text_solves(entry, response, oracle),
+            // The repair must change something and must make the assertions hold.
+            Some(edit) if front_end.is_no_op(&entry.buggy_source, &edit) => false,
+            Some(edit) => {
+                front_end.lend(edit, |repaired| oracle.repair_solves_failure_lent(repaired))
+            }
         };
-        // The repair must change something and must make the assertions hold.
-        if front_end.is_no_op(&entry.buggy_source, &edit) {
-            return false;
-        }
-        front_end.lend(edit, |repaired| oracle.repair_solves_failure_lent(repaired))
+        self.front_end = Some(Some(front_end));
+        verdict
     }
 }
 
@@ -478,15 +479,14 @@ pub fn apply_line_edit(source: &str, line_number: u32, replacement: &str) -> Opt
 
 /// A persistent verification backend for model evaluation.
 ///
-/// Wraps an `svserve::VerifyPool` whose judge is [`JudgedCase::verdict`]
-/// ([`response_is_correct`]'s verdict) under a
-/// [`VerifyOracle`] built from the evaluation's [`CheckConfig`].  The pool
-/// spawns no thread: each candidate is judged on the case driver that submits
-/// it, and the pool keeps only the verdict cache, its snapshot and its
-/// metrics.  Verdict-cache keys
+/// A verdict cache (`svserve::Memo`) in front of [`JudgedCase::verdict`]
+/// ([`response_is_correct`]'s verdict) under a [`VerifyOracle`] built from
+/// the evaluation's [`CheckConfig`].  It spawns no thread: each candidate is
+/// judged on the case driver that asks for it, on a cache miss.
+/// Verdict-cache keys
 /// are `hash(case fingerprint, response, CheckConfig fingerprint)`, so keeping one
 /// verifier alive across several [`evaluate_model_with`] calls replays already-judged
-/// candidates from the cache — re-evaluating a corpus the pool has seen is pure
+/// candidates from the cache — re-evaluating a corpus the verifier has seen is pure
 /// cache hits, and the verdicts (being pure functions) are identical either way.
 ///
 /// When the evaluation resolves a cache directory ([`EvalConfig::cache_dir`] or
@@ -494,19 +494,24 @@ pub fn apply_line_edit(source: &str, line_number: u32, replacement: &str) -> Opt
 /// *processes*: it preloads from its `verdicts-<hash>.json` at start and flushes back on
 /// shutdown/drop (or an explicit [`EvalVerifier::flush`]).
 pub struct EvalVerifier {
-    pool: VerifyPool<JudgedCase>,
+    memo: Memo<VerdictSnapshot>,
+    oracle: VerifyOracle,
     check_fingerprint: [u8; 28],
+    /// Hears the thread of every judgment, for the tests that pin it.
+    #[cfg(test)]
+    judged: Option<std::sync::mpsc::Sender<std::thread::ThreadId>>,
 }
 
 impl EvalVerifier {
     /// Builds the verifier for the given protocol, preloading its verdict
     /// snapshot when a cache directory resolves.
     pub fn start(config: &EvalConfig) -> Self {
-        let oracle = VerifyOracle::new(config.check.clone());
-        let judge = move |case: &JudgedCase, response: &Response| case.verdict(response, &oracle);
         Self {
-            pool: VerifyPool::start(Arc::new(judge), config.verify_config()),
+            memo: Memo::verdicts(config.verify_config()),
+            oracle: VerifyOracle::new(config.check.clone()),
             check_fingerprint: config.check.fingerprint(),
+            #[cfg(test)]
+            judged: None,
         }
     }
 
@@ -544,9 +549,26 @@ impl EvalVerifier {
         verdict_key_after(case, &normalized, &self.check_fingerprint)
     }
 
+    /// Whether `response`, keyed `key`, solves `case`: the cached verdict,
+    /// else the judge's, computed and tallied on this thread.  A judge that
+    /// panics is served as a failed verdict and not cached.
+    fn judge(&self, case: &mut JudgedCase<'_>, key: VerdictKey, response: &Response) -> bool {
+        let judge = || {
+            #[cfg(test)]
+            if let Some(judged) = &self.judged {
+                let _ = judged.send(std::thread::current().id());
+            }
+            let verdict = case.verdict(response, &self.oracle);
+            self.memo.tally(verdict);
+            verdict
+        };
+        // The memo closes only at shutdown, which takes the verifier.
+        self.memo.serve(key, judge).is_ok_and(|served| served.value)
+    }
+
     /// Takes a metrics snapshot of the verification stage.
     pub fn metrics(&self) -> VerifyMetrics {
-        self.pool.metrics()
+        self.memo.metrics()
     }
 
     /// Writes the verdict cache to its configured snapshot path, returning the
@@ -554,13 +576,14 @@ impl EvalVerifier {
     /// Shutdown and drop flush automatically; this is for long-lived verifiers
     /// that want durability between evaluations.
     pub fn flush(&self) -> std::io::Result<usize> {
-        self.pool.flush()
+        self.memo.flush()
     }
 
     /// Closes the verifier, flushes the verdict snapshot and returns the final
     /// metrics.
     pub fn shutdown(self) -> VerifyMetrics {
-        self.pool.shutdown()
+        self.memo.close();
+        self.memo.metrics()
     }
 }
 
@@ -990,7 +1013,7 @@ struct CaseDriver<'s, M: ?Sized> {
 ///
 /// Each of `min(drivers, cases)` scoped threads takes a strided share
 /// (thread `t`: cases `t, t + threads, …`) and runs each case of it start to
-/// verdict ([`run_case`]); the caller only waits.  The pools serve in place,
+/// verdict ([`run_case`]); the caller only waits.  The caches serve in place,
 /// so a case's sampling and judging run on the thread that drives it: the
 /// drivers are the only threads an in-process evaluation runs, and their
 /// count moves only the wall clock.
@@ -1053,15 +1076,14 @@ fn run_case<M: RepairModel + ?Sized>(
     let request = request_for(entry, driver.config);
     let (key, samples, start) = (request.key(), request.samples, Instant::now());
     let mut laps = Laps::new(trace.root(key), start);
-    let case = Arc::new(JudgedCase::new(entry.clone()));
     laps.lap("submit", trace_stage::SUBMIT, samples);
     let responses = driver.service.submit(request).expect(OPEN).wait().responses;
     let n = responses.len();
     laps.lap("sample", trace_stage::SAMPLE, n);
-    let candidates = distinct_candidates(verifier, &case, &responses);
+    let candidates = distinct_candidates(verifier, entry, &responses);
     let distinct = candidates.len();
     laps.lap("verify", trace_stage::VERIFY, distinct);
-    let c = judge_candidates(verifier, candidates);
+    let c = judge_candidates(verifier, &mut JudgedCase::new(entry), candidates);
     laps.lap("evaluate", trace_stage::EVALUATE, c);
     if let Some(root) = &laps.root {
         let wall = start.elapsed().as_nanos() as u64;
@@ -1101,51 +1123,49 @@ impl Laps {
     }
 }
 
-/// The panic message for a pool that closed mid-evaluation.
+/// The panic message for a repair service that closed mid-evaluation.
 const OPEN: &str = "serving pool open during evaluation";
 
-/// Dedups one case's candidates into verdict jobs with a multiplicity each.
+/// One distinct candidate of a case: its multiplicity, key and response.
+type Candidate<'r> = (usize, VerdictKey, &'r Response);
+
+/// Dedups one case's candidates, in first-seen order, with a multiplicity
+/// each.
 ///
-/// Identical responses within a case collapse to one verdict job, which
-/// keeps the per-case correct count `c` independent of which thread judges.
-fn distinct_candidates(
+/// Identical responses within a case collapse to one verdict, which keeps
+/// the per-case correct count `c` independent of which thread judges.
+fn distinct_candidates<'r>(
     verifier: &EvalVerifier,
-    case: &Arc<JudgedCase>,
-    responses: &[Response],
-) -> Vec<(usize, VerifyRequest<JudgedCase>)> {
+    entry: &SvaBugEntry,
+    responses: &'r [Response],
+) -> Vec<Candidate<'r>> {
     let mut multiplicity: BTreeMap<VerdictKey, usize> = BTreeMap::new();
-    let mut distinct: Vec<(VerdictKey, Response)> = Vec::new();
-    let case_state = EvalVerifier::case_state(case.entry());
+    let mut distinct: Vec<(VerdictKey, &Response)> = Vec::new();
+    let case_state = EvalVerifier::case_state(entry);
     for response in responses {
         match multiplicity.entry(verifier.key_after(case_state, response)) {
             BTreeEntry::Occupied(mut occupied) => *occupied.get_mut() += 1,
             BTreeEntry::Vacant(vacant) => {
-                distinct.push((*vacant.key(), response.clone()));
+                distinct.push((*vacant.key(), response));
                 vacant.insert(1);
             }
         }
     }
-    let job = |(key, response)| {
-        let request = VerifyRequest::new(Arc::clone(case), response, key);
-        (multiplicity[&key], request)
-    };
-    distinct.into_iter().map(job).collect()
+    let candidate = |(key, response)| (multiplicity[&key], key, response);
+    distinct.into_iter().map(candidate).collect()
 }
 
-/// Judges one case's verdict jobs on the calling thread and folds them into
-/// the correct count `c` (multiplicities included).
+/// Judges one case's distinct candidates on the calling thread and folds
+/// them into the correct count `c` (multiplicities included).
 fn judge_candidates(
     verifier: &EvalVerifier,
-    candidates: Vec<(usize, VerifyRequest<JudgedCase>)>,
+    case: &mut JudgedCase<'_>,
+    candidates: Vec<Candidate<'_>>,
 ) -> usize {
-    let judge = |request| verifier.pool.submit(request).expect(OPEN).wait();
-    let verdicts = candidates
-        .into_iter()
-        .map(|(count, request)| (count, judge(request)));
-    verdicts
-        .filter(|(_, outcome)| outcome.verdict)
-        .map(|(count, _)| count)
-        .sum()
+    let solved = |(count, key, response): Candidate<'_>| {
+        verifier.judge(case, key, response).then_some(count)
+    };
+    candidates.into_iter().filter_map(solved).sum()
 }
 
 /// Folds one case's sample and correct counts into a [`CaseResult`].
@@ -1164,6 +1184,7 @@ fn build_case_result(entry: &SvaBugEntry, n: usize, c: usize) -> CaseResult {
 mod tests {
     use super::*;
     use crate::benchmark::human_crafted_cases;
+    use std::sync::{mpsc, Arc};
     use svmodel::Response;
 
     fn fig1_entry() -> SvaBugEntry {
@@ -1218,6 +1239,30 @@ mod tests {
             cot: None,
         };
         assert!(!response_is_correct(&entry, &nonsense, &oracle));
+    }
+
+    #[test]
+    fn a_judged_case_builds_its_front_end_once_and_keeps_it() {
+        let entry = fig1_entry();
+        let oracle = VerifyOracle::default();
+        let mut case = JudgedCase::new(&entry);
+        let golden = Response {
+            bug_line_number: entry.bug_line_number,
+            buggy_line: entry.buggy_line.clone(),
+            fixed_line: entry.fixed_line.clone(),
+            cot: None,
+        };
+        assert!(case.verdict(&golden, &oracle));
+        assert!(case.front_end.is_none(), "the text decides: nothing parsed");
+        let wrong = Response {
+            fixed_line: "else if (!end_cnt) valid_out <= 0;".to_string(),
+            ..golden
+        };
+        assert!(!case.verdict(&wrong, &oracle));
+        assert!(
+            matches!(case.front_end, Some(Some(_))),
+            "the front end is put back for the next candidate"
+        );
     }
 
     #[test]
@@ -1340,18 +1385,14 @@ mod tests {
         let verifier = EvalVerifier::start(config);
         let results = (entries.iter().zip(outcomes))
             .map(|(entry, outcome)| {
-                let case = Arc::new(JudgedCase::new(entry.clone()));
+                let mut case = JudgedCase::new(entry);
                 let mut candidates: BTreeMap<VerdictKey, (usize, &Response)> = BTreeMap::new();
                 for response in outcome.responses.iter() {
                     let key = verifier.key_for(entry, response);
                     candidates.entry(key).or_insert((0, response)).0 += 1;
                 }
-                let verdict = |(key, response): (VerdictKey, &Response)| {
-                    let request = VerifyRequest::new(Arc::clone(&case), response.clone(), key);
-                    verifier.pool.submit(request).unwrap().wait().verdict
-                };
                 let c = (candidates.into_iter())
-                    .filter(|&(key, (_, response))| verdict((key, response)))
+                    .filter(|&(key, (_, response))| verifier.judge(&mut case, key, response))
                     .map(|(_, (count, _))| count)
                     .sum();
                 build_case_result(entry, outcome.responses.len(), c)
@@ -1412,7 +1453,7 @@ mod tests {
     /// A model that records the thread of every `solve`.
     struct ThreadRecorder {
         model: svmodel::AssertSolverModel,
-        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+        threads: mpsc::Sender<std::thread::ThreadId>,
     }
 
     impl RepairModel for ThreadRecorder {
@@ -1421,10 +1462,7 @@ mod tests {
         }
 
         fn solve(&self, case: &CaseInput, samples: usize, temp: f64, seed: u64) -> Vec<Response> {
-            self.threads
-                .lock()
-                .unwrap()
-                .push(std::thread::current().id());
+            self.threads.send(std::thread::current().id()).unwrap();
             self.model.solve(case, samples, temp, seed)
         }
     }
@@ -1438,32 +1476,31 @@ mod tests {
             verify_workers: 4,
             ..EvalConfig::quick(5)
         };
+        let (solves, solved) = mpsc::channel();
         let model = ThreadRecorder {
             model: svmodel::AssertSolverModel::base(3),
-            threads: std::sync::Mutex::new(Vec::new()),
+            threads: solves,
         };
-        let judged = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let oracle = VerifyOracle::new(config.check.clone());
-        let record = Arc::clone(&judged);
-        let judge = move |case: &JudgedCase, response: &Response| {
-            record.lock().unwrap().push(std::thread::current().id());
-            case.verdict(response, &oracle)
-        };
+        let (judgments, judged) = mpsc::channel();
         let verifier = EvalVerifier {
-            pool: VerifyPool::start(Arc::new(judge), config.verify_config()),
-            check_fingerprint: config.check.fingerprint(),
+            judged: Some(judgments),
+            ..EvalVerifier::start(&config)
         };
         let run = Evaluation::new(&model, &entries, &config).verifier(&verifier);
         let evaluation = run.run().evaluation;
-        verifier.shutdown();
+        let metrics = verifier.shutdown();
         assert_eq!(evaluation, evaluate_model(&model.model, &entries, &config));
         let caller = std::thread::current().id();
-        let solved = model.threads.into_inner().unwrap();
-        let judged = judged.lock().unwrap();
+        let solved: Vec<_> = solved.try_iter().collect();
+        let judged: Vec<_> = judged.try_iter().collect();
         if svserve::env_cache_dir().is_none() {
             assert_eq!(solved.len(), entries.len(), "one solve per case");
             assert!(!judged.is_empty(), "a cold verifier judges");
         }
+        // Every miss is one judgment, tallied once, true or false.
+        let judgments = judged.len() as u64;
+        assert_eq!(metrics.cache_misses, judgments);
+        assert_eq!(metrics.verdicts_true + metrics.verdicts_false, judgments);
         let mut threads = solved.iter().chain(judged.iter());
         let driver = *threads.next().expect("the model solved");
         assert_ne!(driver, caller, "the caller only waits");

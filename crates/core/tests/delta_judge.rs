@@ -40,7 +40,7 @@ fn response(line: u32, text: &str) -> Response {
 fn check(set: &str, cases: &[CaseEdits], oracle: &VerifyOracle) -> Tally {
     let mut tally = Tally::default();
     for case in cases {
-        let judged = JudgedCase::new(case.entry.clone());
+        let mut judged = JudgedCase::new(&case.entry);
         for (line, text) in &case.edits {
             let response = response(*line, text);
             let whole = response_is_correct(&case.entry, &response, oracle);
@@ -120,7 +120,7 @@ fn a_candidate_that_does_not_elaborate_leaves_the_front_end_whole() {
         "a delta edit"
     );
     let oracle = VerifyOracle::default();
-    let judged = JudgedCase::new(entry.clone());
+    let mut judged = JudgedCase::new(&entry);
     assert!(!judged.verdict(&undeclared, &oracle));
     // The front end the failed elaboration took is derived again, and the
     // next candidate is judged against the buggy module, not a broken one.

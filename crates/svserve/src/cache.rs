@@ -7,7 +7,7 @@
 //!   asked the identical question.  The same key also seeds the sampler (see
 //!   [`crate::service`]), which is what makes service results independent of worker
 //!   count and arrival order.
-//! * [`VerdictKey`] (verify pool) — the caller-supplied case fingerprint, every field
+//! * [`VerdictKey`] (verdict cache) — the caller-supplied case fingerprint, every field
 //!   of the candidate [`Response`], and the checker-configuration fingerprint, so a
 //!   cached verdict is reused exactly when the same candidate would be re-judged for
 //!   the same case under the same bounded-check settings.
@@ -110,8 +110,8 @@ impl VerdictKey {
 
 /// Computes the content-addressed key of one verdict.
 ///
-/// `case_fields` is the caller's stable fingerprint of the case being judged (the
-/// verify pool is generic over the case type, so it cannot hash the case itself);
+/// `case_fields` is the caller's stable fingerprint of the case being judged (this
+/// crate knows no case type, so it cannot hash the case itself);
 /// `config` is the byte fingerprint of the checker configuration (e.g.
 /// `svverify::CheckConfig::fingerprint`).  Every field is folded with a length
 /// prefix, including the field *count*, so no two distinct triples alias.
@@ -171,8 +171,8 @@ struct Entry<V> {
 
 /// A least-recently-used content-addressed cache.
 ///
-/// Defaults to the repair pool's shape (response sets keyed by [`CaseKey`]); the
-/// verify pool instantiates it as `LruCache<VerdictKey, bool>`.  Recency is tracked
+/// Defaults to the repair service's shape (response sets keyed by [`CaseKey`]); the
+/// verdict cache instantiates it as `LruCache<VerdictKey, bool>`.  Recency is tracked
 /// with a monotonically increasing stamp per access plus a stamp-ordered index,
 /// giving `O(log n)` lookup/insert/evict with no linked list to maintain.
 ///

@@ -42,12 +42,6 @@ pub const PROFILE_DIR_ENV: &str = "ASSERTSOLVER_PROFILE_DIR";
 /// the paper-table goldens at 1 and 4.
 pub const DRIVERS_ENV: &str = "ASSERTSOLVER_DRIVERS";
 
-/// Environment variable overriding the default verdict-cache shard count
-/// (`VerifyConfig::default()`).  It sizes cache shards, not threads: every
-/// verdict is judged on the thread that submits it.  CI runs the `svserve`
-/// suite at 1 and 4 shards.
-pub const VERIFY_WORKERS_ENV: &str = "ASSERTSOLVER_VERIFY_WORKERS";
-
 /// Environment knob enabling tracing in `assertsolver::EvalConfig`-driven
 /// runs: `1`/`on`/`true`/`yes` enable, `0`/`off`/`false`/unset disable.
 pub const TRACE_ENV: &str = "ASSERTSOLVER_TRACE";
@@ -151,17 +145,6 @@ pub(crate) fn resolve_thread_knob(name: &str, raw: &str) -> Option<usize> {
 pub fn env_drivers() -> Option<usize> {
     let raw = std::env::var(DRIVERS_ENV).ok()?;
     resolve_thread_knob(DRIVERS_ENV, &raw)
-}
-
-/// Reads the verdict-cache shard-count override from the environment, if set
-/// and valid.
-///
-/// Same policy as [`env_drivers`]: zero or garbage falls back to the default
-/// with a one-line warning, and huge values clamp instead of building an
-/// unbounded number of cache shards.
-pub fn env_verify_workers() -> Option<usize> {
-    let raw = std::env::var(VERIFY_WORKERS_ENV).ok()?;
-    resolve_thread_knob(VERIFY_WORKERS_ENV, &raw)
 }
 
 #[cfg(test)]

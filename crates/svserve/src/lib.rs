@@ -3,11 +3,11 @@
 //! The paper evaluates AssertSolver one case at a time; this crate is the serving
 //! harness that turns a repair model into a system that can absorb heavy traffic:
 //!
-//! * **Sharded pools, served in place** — every pool keeps N content-addressed
-//!   cache shards and serves each job on the thread that submits it
-//!   ([`serve_scoped`], [`VerifyPool`], [`RepairService`]): no pool spawns a
-//!   thread.  Concurrency comes from the callers — the evaluation's case
-//!   drivers.
+//! * **Sharded caches, served in place** — every cache is a [`Memo`] of N
+//!   content-addressed shards that runs its work on the thread that asks
+//!   ([`serve_scoped`], [`RepairService`], `assertsolver::EvalVerifier`): no
+//!   memo spawns a thread.  Concurrency comes from the callers — the
+//!   evaluation's case drivers.
 //! * **Content-addressed response cache** — answers are cached under a 128-bit hash
 //!   of `(spec, buggy source, failure log, samples, temperature)` with LRU eviction
 //!   and hit/miss counters ([`cache`]).
@@ -16,24 +16,21 @@
 //! * **Determinism** — sampler seeds derive from the content hash plus the service
 //!   seed, never from arrival order or shard, so the same workload yields
 //!   byte-identical responses at any shard count.
-//! * **One engine** — admission, caching, panic absorption, snapshots and the one
-//!   frontend ([`pool::Bound`]) live once, in [`pool`]; the repair pool
-//!   ([`service`]) and the verify pool ([`verify`]) are instantiations of it.
-//! * **Verdict cache** — a second instantiation of the engine ([`verify`])
-//!   judges `(case, candidate response)` pairs in place, with a
-//!   content-addressed verdict cache keyed by
-//!   `hash(case, response, checker config)`; `assertsolver::evaluate_model`
-//!   samples and judges each case on the thread that drives it.
+//! * **One memo** — caching, panic absorption and snapshots live once, in
+//!   [`Memo`] ([`pool`]); the repair service ([`service`]) is a model behind
+//!   one, and the verdict cache ([`verify`]) is another, keyed by
+//!   `hash(case, response, checker config)`, that `assertsolver::EvalVerifier`
+//!   judges through on the thread that drives each case.
 //! * **Cache persistence & warm start** — both caches can spill to versioned
 //!   on-disk snapshots ([`persist`]) that are preloaded at pool start, so repeated
 //!   runs replay responses and verdicts from disk instead of recomputing them;
 //!   corrupt or mismatched snapshots degrade to a cold start, never an error.
 //!   Snapshots carry a generation counter, and entries that go unused for
 //!   [`PersistSpec::compact_after`] runs are compacted away at flush.
-//! * **Admission control** — a pool with a `max_in_flight` limit bounds how
-//!   many submitters are inside the backend at once and sheds the overflow
-//!   with a deterministic [`SubmitError::Busy`].  A ticket holds an outcome
-//!   already served when `submit` returns.
+//! * **Admission control** — a repair service with a `max_in_flight` limit
+//!   bounds how many submitters are inside the model at once and sheds the
+//!   overflow with a deterministic [`SubmitError::Busy`].  A ticket holds an
+//!   outcome already served when `submit` returns.
 //! * **Structured session journal** — a typed-event observability layer
 //!   ([`journal`]): each judged case journals its phases, verdict tally and
 //!   terminal outcome in one call ([`TracerHandle::case`]) into one sink with
@@ -90,8 +87,8 @@ pub use cache::{
     VerdictCaseState, VerdictKey,
 };
 pub use env::{
-    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_trace, env_verify_workers,
-    CACHE_DIR_ENV, DRIVERS_ENV, JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SCALE_ENV, TRACE_ENV,
+    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_trace, CACHE_DIR_ENV,
+    DRIVERS_ENV, JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SCALE_ENV, TRACE_ENV,
 };
 pub use journal::{
     logical_tick, parse_journal, render_journal, write_journal, JournalCounters, JournalEvent,
@@ -102,16 +99,14 @@ pub use metrics::{render_block, ServiceMetrics, VerifyMetrics};
 pub use persist::{
     PersistSpec, SnapshotHeader, SnapshotLoad, DEFAULT_COMPACT_AFTER_RUNS, SNAPSHOT_FORMAT_VERSION,
 };
-pub use pool::SubmitError;
+pub use pool::{Memo, SubmitError};
 pub use service::{
     serve_scoped, RepairOutcome, RepairRequest, RepairService, RepairTicket, ScopedService,
     ServiceConfig,
 };
 pub use telemetry::{CollapsedProfile, MetricsRegistry, TelemetryHandle};
 pub use trace::{stage, TraceContext, TraceForest, TraceHandle, TraceSessionSummary, TraceSpan};
-pub use verify::{
-    ResponseJudge, VerdictOutcome, VerifyConfig, VerifyPool, VerifyRequest, VerifyTicket,
-};
+pub use verify::VerifyConfig;
 pub use wire::{
     decode_frame, encode_frame, FleetMetrics, Frame, FrameError, LoopbackTransport, ShardFleet,
     Transport, WireError, WireOutcome, MAX_FRAME_LEN,
@@ -129,9 +124,9 @@ mod tests {
         assert_send_sync::<super::RepairTicket>();
         assert_send_sync::<super::VerifyConfig>();
         assert_send_sync::<super::VerifyMetrics>();
-        assert_send_sync::<super::VerifyRequest<String>>();
-        assert_send_sync::<super::VerdictOutcome>();
-        assert_send_sync::<super::VerifyTicket>();
+        assert_send_sync::<super::Memo<super::persist::VerdictSnapshot>>();
+        assert_send_sync::<super::Memo<super::persist::ResponseSnapshot>>();
+        assert_send_sync::<super::pool::Served<bool>>();
         assert_send_sync::<super::TracerHandle>();
         assert_send_sync::<super::TelemetryHandle>();
         assert_send_sync::<super::MetricsRegistry>();

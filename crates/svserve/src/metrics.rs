@@ -1,18 +1,18 @@
-//! Lock-free pool instrumentation and the [`ServiceMetrics`] / [`VerifyMetrics`]
+//! Lock-free memo instrumentation and the [`ServiceMetrics`] / [`VerifyMetrics`]
 //! snapshots.
 //!
-//! One `MetricsRecorder` instruments one pool.  The repair pool snapshots it
-//! as [`ServiceMetrics`]; the verify pool snapshots the same counters (plus the
-//! verdict tallies) as [`VerifyMetrics`].
+//! One `MetricsRecorder` instruments one [`crate::Memo`].  The repair service
+//! snapshots it as [`ServiceMetrics`]; the verdict cache snapshots the same
+//! counters (plus the verdict tallies) as [`VerifyMetrics`].
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Internal atomic counters shared by every thread that submits to one pool.
+/// Internal atomic counters shared by every thread that calls one memo.
 ///
-/// The "solve" stage doubles as the verify pool's "verdict" stage: both are the
-/// cache-miss work a submission runs after its cache lookup.
+/// The "solve" stage doubles as the verdict cache's "verdict" stage: both are
+/// the cache-miss work a call runs after its cache lookup.
 pub(crate) struct MetricsRecorder {
     started_at: Instant,
     submitted: AtomicU64,
@@ -366,7 +366,7 @@ pub struct ServiceMetrics {
     pub throughput_per_sec: f64,
 }
 
-/// A point-in-time view of the verification offload pool.
+/// A point-in-time view of the verdict cache.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VerifyMetrics {
     /// Number of verdict-cache shards.

@@ -62,7 +62,7 @@ pub const DEFAULT_COMPACT_AFTER_RUNS: u64 = 16;
 /// Snapshot kind tag for response-cache files (repair pool).
 pub const RESPONSE_KIND: &str = "response-cache";
 
-/// Snapshot kind tag for verdict-cache files (verify pool).
+/// Snapshot kind tag for verdict-cache files.
 pub const VERDICT_KIND: &str = "verdict-cache";
 
 /// Where and under what identity a pool persists its cache.
@@ -248,7 +248,7 @@ pub struct VerdictEntry {
     pub verdict: bool,
 }
 
-/// On-disk form of a verify pool's verdict cache.
+/// On-disk form of a verdict cache.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VerdictSnapshot {
     /// Identity block; checked before any entry is loaded.
@@ -298,8 +298,9 @@ pub trait SnapshotFile: Serialize + Deserialize {
     const KIND: &'static str;
     /// The cache key the entries are addressed by.
     type Key: ContentKey;
-    /// The cached value.
-    type Value: Clone + Send;
+    /// The cached value; its `Default` is what a panicking computation of it
+    /// is served as.
+    type Value: Clone + Default + Send;
 
     /// Builds the file from a header and entries already sorted by key.  Keys
     /// cross this trait hex-encoded in both directions: the codec owns
@@ -743,15 +744,12 @@ mod tests {
             load_response_snapshot(&spec),
             SnapshotLoad::Rejected(reason) if unparseable(&reason)
         ));
-        // A pool pointed at it counts the reject and starts cold.
-        let pool: crate::VerifyPool<String> = crate::VerifyPool::start(
-            Arc::new(|_: &String, _: &Response| true),
-            crate::VerifyConfig::default().with_persist(spec.clone()),
-        );
-        let metrics = pool.metrics();
+        // A memo pointed at it counts the reject and starts cold.
+        let memo = crate::Memo::verdicts(crate::VerifyConfig::default().with_persist(spec.clone()));
+        let metrics = memo.metrics();
         assert_eq!(metrics.snapshot_rejects, 1);
         assert_eq!(metrics.snapshot_loaded_entries, 0);
-        pool.shutdown();
+        memo.close();
         cleanup(&spec);
     }
 

@@ -1,15 +1,13 @@
-//! The repair service: the *sampling* instantiation of the pool engine.
+//! The repair service: a model handle behind a response [`Memo`].
 //!
-//! [`crate::pool`] owns admission, caching, panic absorption, snapshots and the
-//! frontend; this module says what is specific to repair ([`Repair`]): requests
-//! are `(case, samples, temperature)` keyed by [`case_key`], the work is one
-//! [`RepairModel::solve`] call, and the value is the sampled response set.
-//!
-//! Both frontends solve each request on the thread that submits it:
+//! A [`Service`] solves each request on the thread that submits it and
+//! memoizes the sampled response set under the request's [`case_key`];
+//! admission control sheds submitters beyond `max_in_flight`.  It comes in
+//! two shapes:
 //!
 //! * [`RepairService`] owns its model (`Arc<M>`) until
-//!   [`RepairService::shutdown`] or drop — the long-running shape the shard
-//!   server hosts, whose connection threads are the submitters;
+//!   [`Service::shutdown`] or drop — the long-running shape a wire shard
+//!   hosts, whose connection threads are the submitters;
 //! * [`serve_scoped`] borrows the model for the duration of a closure — the
 //!   shape `assertsolver::evaluate_model` uses, since evaluation only holds `&M`.
 //!
@@ -24,7 +22,7 @@
 use crate::cache::{case_key, CaseKey};
 use crate::metrics::ServiceMetrics;
 use crate::persist::{PersistSpec, ResponseSnapshot};
-use crate::pool::{self, Bound, Pool, PoolConfig, Serve, Served, Worker};
+use crate::pool::{Memo, SubmitError};
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,7 +45,7 @@ pub struct ServiceConfig {
     /// depends only on the exact in-flight count, never on timing heuristics.
     pub max_in_flight: usize,
     /// On-disk snapshot of the response cache: preloaded at start, written by
-    /// [`Pool::flush`] / shutdown / drop / the end of [`serve_scoped`].  `None`
+    /// [`Service::flush`] / shutdown / drop / the end of [`serve_scoped`].  `None`
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
     /// and invalidation rules.
     pub persist: Option<PersistSpec>,
@@ -141,16 +139,22 @@ pub struct RepairOutcome {
     pub service_time: Duration,
 }
 
-/// Await-handle for a submitted request.
-pub type RepairTicket = pool::Ticket<RepairOutcome>;
+/// Await-handle for a submitted request: the outcome, already served.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RepairTicket(RepairOutcome);
 
-/// A persistent repair service owning its model; it solves each request on
-/// the thread that submits it.
-pub type RepairService<M> = Bound<Repair, Arc<M>>;
+impl RepairTicket {
+    /// Returns the outcome.
+    pub fn wait(self) -> RepairOutcome {
+        self.0
+    }
+}
 
-/// Borrowed-model service available inside [`serve_scoped`]: it solves each
-/// request on the thread that submits it.
-pub type ScopedService<'a, M> = Bound<Repair, &'a M>;
+/// A persistent repair service owning its model.
+pub type RepairService<M> = Service<Arc<M>>;
+
+/// Borrowed-model service available inside [`serve_scoped`].
+pub type ScopedService<'a, M> = Service<&'a M>;
 
 /// The SplitMix64 finalizer: every content-derived seed, placement and arm
 /// in the serving stack mixes its key through it.
@@ -161,89 +165,100 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The repair instantiation of the pool engine.
-pub struct Repair {
+/// A model handle `H` (an `Arc` or a borrow) behind a response [`Memo`]; see
+/// the [module docs](self).  It runs no thread: `submit` serves the request
+/// before it returns.
+pub struct Service<H> {
+    memo: Memo<ResponseSnapshot>,
+    model: H,
     /// Service seed mixed into every per-case sampler seed.
     seed: u64,
+    /// `0` = unbounded (the in-flight gauge still counts).
+    max_in_flight: usize,
 }
 
-impl Repair {
-    /// Builds the (not yet running) pool a config describes.
-    pub(crate) fn pool(config: ServiceConfig) -> Pool<Self> {
-        let worker = Self { seed: config.seed };
-        let config = PoolConfig {
-            workers: config.workers,
-            cache_capacity: config.cache_capacity,
-            max_in_flight: config.max_in_flight,
-            persist: config.persist,
-        };
-        Pool::new(worker, config)
-    }
-}
-
-impl Worker for Repair {
-    type Request = RepairRequest;
-    type Snapshot = ResponseSnapshot;
-    type Outcome = RepairOutcome;
-    type Metrics = ServiceMetrics;
-
-    fn key(request: &RepairRequest) -> CaseKey {
-        request.key()
-    }
-
-    fn failed() -> Arc<Vec<Response>> {
-        Arc::new(Vec::new())
-    }
-
-    fn outcome(responses: Arc<Vec<Response>>, served: Served) -> RepairOutcome {
-        RepairOutcome {
-            responses,
-            from_cache: served.from_cache,
-            worker: served.worker,
-            service_time: served.service_time,
-        }
-    }
-
-    fn metrics(pool: &Pool<Self>) -> ServiceMetrics {
-        pool.recorder
-            .snapshot(pool.config.workers, pool.cache_entries())
-    }
-
-    /// Folds the service seed into the fingerprint.
-    ///
-    /// Cached responses depend on the sampler seed (derived from the service seed
-    /// plus the content hash), but [`CaseKey`] does not cover it — so the seed must
-    /// be part of the snapshot identity or a warm start under a different seed
-    /// would silently replay wrong responses.  Folding it here makes the invariant
-    /// unbreakable instead of a caller convention.
-    fn extend_fingerprint(&self, fingerprint: &mut Vec<u8>) {
-        fingerprint.extend_from_slice(&self.seed.to_le_bytes());
-    }
-}
-
-impl<M: RepairModel + ?Sized> Serve<M> for Repair {
-    /// Samples the model under a seed that is a pure function of service seed
-    /// and content hash, never of arrival order or shard.
-    fn work(&self, model: &M, request: &RepairRequest, key: CaseKey) -> Arc<Vec<Response>> {
-        let seed = splitmix64(self.seed ^ key.fold64());
-        Arc::new(model.solve(&request.case, request.samples, request.temperature, seed))
-    }
-}
-
-impl<H: Deref> Bound<Repair, H>
+impl<H: Deref> Service<H>
 where
     H::Target: RepairModel,
 {
+    /// The service `config` describes over `model`, its snapshot preloaded
+    /// when one is configured.
+    ///
+    /// Cached responses depend on the sampler seed (derived from the service
+    /// seed plus the content hash), but [`CaseKey`] does not cover it — so the
+    /// seed is folded into the snapshot fingerprint here, or a warm start
+    /// under a different seed would silently replay wrong responses.
+    fn new(model: H, config: ServiceConfig) -> Self {
+        let persist = config.persist.map(|mut spec| {
+            spec.fingerprint
+                .extend_from_slice(&config.seed.to_le_bytes());
+            spec
+        });
+        Self {
+            memo: Memo::new(config.workers, config.cache_capacity, persist),
+            model,
+            seed: config.seed,
+            max_in_flight: config.max_in_flight,
+        }
+    }
+
+    /// Submits one request and serves it on this thread, sampling the model
+    /// on a miss under a seed that is a pure function of service seed and
+    /// content hash, never of arrival order or shard.  Sheds with
+    /// [`SubmitError::Busy`] at the in-flight limit.
+    pub fn submit(&self, request: RepairRequest) -> Result<RepairTicket, SubmitError> {
+        let key = request.key();
+        let solve = || {
+            let seed = splitmix64(self.seed ^ key.fold64());
+            let model = &*self.model;
+            Arc::new(model.solve(&request.case, request.samples, request.temperature, seed))
+        };
+        let served = self.memo.serve_within(self.max_in_flight, key, solve)?;
+        Ok(RepairTicket(RepairOutcome {
+            responses: served.value,
+            from_cache: served.from_cache,
+            worker: served.shard,
+            service_time: served.service_time,
+        }))
+    }
+
     /// Serves a whole workload, preserving input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service is closed or sheds one of the requests.
     pub fn solve_all(&self, requests: Vec<RepairRequest>) -> Vec<RepairOutcome> {
-        self.submit_all(requests)
+        let solve = |request| self.submit(request).expect("service open during solve_all");
+        requests
+            .into_iter()
+            .map(|request| solve(request).wait())
+            .collect()
+    }
+}
+
+impl<H> Service<H> {
+    /// Takes a metrics snapshot.
+    pub fn metrics(&self) -> ServiceMetrics {
+        (self.memo.recorder).snapshot(self.memo.shards(), self.memo.cache_entries())
+    }
+
+    /// Writes the response cache to its snapshot; see [`Memo::flush`].
+    pub fn flush(&self) -> std::io::Result<usize> {
+        self.memo.flush()
+    }
+
+    /// Stops accepting work, flushes the cache snapshot and returns the
+    /// final metrics.  Dropping the service flushes too.
+    pub fn shutdown(self) -> ServiceMetrics {
+        self.memo.close();
+        self.metrics()
     }
 }
 
 impl<M: RepairModel + ?Sized> RepairService<M> {
     /// Builds the service, preloading its snapshot when one is configured.
     pub fn start(model: Arc<M>, config: ServiceConfig) -> Self {
-        Bound::in_place(Repair::pool(config), model)
+        Service::new(model, config)
     }
 }
 
@@ -257,15 +272,13 @@ where
     M: RepairModel + ?Sized,
     F: FnOnce(&ScopedService<'_, M>) -> R,
 {
-    let service = Bound::in_place(Repair::pool(config), model);
-    body(&service)
+    body(&Service::new(model, config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::contract::{self, Harness, Tally};
-    use crate::pool::SubmitError;
+    use crate::pool::contract;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Deterministic test model: echoes a line number derived from case + seed, and
@@ -516,83 +529,69 @@ mod tests {
         service.shutdown();
     }
 
-    /// The repair instantiation, as the engine's contract tests drive it.
-    struct RepairHarness;
-
-    impl Harness for RepairHarness {
-        type Worker = Repair;
-        type Backend = CountingModel;
-
-        fn pool(workers: usize, persist: Option<PersistSpec>) -> Pool<Repair> {
-            Repair::pool(ServiceConfig {
-                persist,
-                ..ServiceConfig::default().with_workers(workers)
-            })
-        }
-
-        fn backend() -> Arc<CountingModel> {
-            Arc::new(CountingModel::new())
-        }
-
-        fn request(tag: usize, poisoned: bool) -> RepairRequest {
-            let mut request = request(tag);
-            if poisoned {
-                request.case.spec.push_str(" poison");
-            }
-            request
-        }
-
-        fn view(outcome: &RepairOutcome) -> (bool, bool, usize) {
-            (
-                outcome.responses.is_empty(),
-                outcome.from_cache,
-                outcome.worker,
-            )
-        }
-
-        fn tally(metrics: &ServiceMetrics) -> Tally {
-            Tally {
-                in_flight: metrics.in_flight_sessions,
-                completed: metrics.completed,
-                panics: metrics.solve_panics,
-                snapshot_loaded_entries: metrics.snapshot_loaded_entries,
-                snapshot_saves: metrics.snapshot_saves,
-                snapshot_save_failures: metrics.snapshot_save_failures,
-                snapshot_rejects: metrics.snapshot_rejects,
-                snapshot_compacted_entries: metrics.snapshot_compacted_entries,
-            }
-        }
+    /// A response set other than the default (empty) one.
+    fn healthy() -> Arc<Vec<Response>> {
+        let model = CountingModel::new();
+        Arc::new(model.solve(&request(0).case, 2, 0.2, 0))
     }
 
     #[test]
     fn submit_after_close_is_refused() {
-        contract::submit_after_close_is_refused::<RepairHarness>();
+        contract::submit_after_close_is_refused::<ResponseSnapshot>(healthy());
     }
 
     #[test]
     fn a_panicking_model_does_not_strand_tickets() {
-        contract::panicking_work_is_absorbed::<RepairHarness>();
+        contract::panicking_work_is_absorbed::<ResponseSnapshot>(healthy());
+        // Through the service: the poisoned case is served empty and counted.
+        let model = CountingModel::new();
+        serve_scoped(
+            &model,
+            ServiceConfig::default().with_workers(1),
+            |service| {
+                let mut poisoned = request(1);
+                poisoned.case.spec.push_str(" poison");
+                let outcomes = service.solve_all(vec![request(0), poisoned]);
+                assert_eq!(outcomes[0].responses.len(), 4);
+                assert!(outcomes[1].responses.is_empty());
+                assert_eq!(service.metrics().solve_panics, 1);
+            },
+        );
     }
 
     #[test]
     fn an_idle_pool_never_overwrites_a_valuable_snapshot() {
-        contract::an_idle_pool_never_overwrites_a_valuable_snapshot::<RepairHarness>();
+        contract::an_idle_memo_never_overwrites_a_valuable_snapshot::<ResponseSnapshot>(healthy());
     }
 
     #[test]
     fn idle_entries_are_compacted_once_the_write_lands() {
-        contract::idle_entries_are_compacted_once_the_write_lands::<RepairHarness>();
+        contract::idle_entries_are_compacted_once_the_write_lands::<ResponseSnapshot>(healthy());
     }
 
     #[test]
     fn shard_routing_is_content_based() {
-        contract::placement_is_key_fold64_modulo_workers::<RepairHarness>();
+        contract::placement_is_key_fold64_modulo_shards::<ResponseSnapshot>(healthy());
+        let model = CountingModel::new();
+        serve_scoped(
+            &model,
+            ServiceConfig::default().with_workers(4),
+            |service| {
+                for tag in 0..32 {
+                    let key = request(tag).key();
+                    let outcome = service.submit(request(tag)).unwrap().wait();
+                    assert_eq!(outcome.worker, (key.fold64() % 4) as usize);
+                }
+            },
+        );
         // Seeds derive from content, not order: the same request samples the
         // same responses on any pool, a different request different ones.
         let sample = |tag| {
             let model = CountingModel::new();
-            let service = Bound::in_place(RepairHarness::pool(1, None), &model);
-            service.solve_all(vec![request(tag)])[0].responses.clone()
+            let config = ServiceConfig::default().with_workers(1);
+            serve_scoped(&model, config, |service| {
+                service.solve_all(vec![request(tag)])[0].responses.clone()
+            })
         };
         assert_eq!(sample(3), sample(3));
         assert_ne!(sample(3)[0].fixed_line, sample(4)[0].fixed_line);

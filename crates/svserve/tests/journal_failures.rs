@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use svmodel::{CaseInput, RepairModel, Response};
 use svserve::{
-    verdict_key, JournalEvent, JournalRecord, JournalSink, RepairRequest, RepairService,
-    ServiceConfig, SessionEnd, SubmitError, VerifyConfig, VerifyPool, VerifyRequest, TERMINAL_SEQ,
+    verdict_key, JournalEvent, JournalRecord, JournalSink, Memo, RepairRequest, RepairService,
+    ServiceConfig, SessionEnd, SubmitError, VerifyConfig, TERMINAL_SEQ,
 };
 
 struct Gate {
@@ -167,20 +167,12 @@ fn shed_submissions_are_refused_and_counted() {
 fn judge_panic_is_counted_and_journals_a_single_completed_terminal() {
     let sink = JournalSink::shared();
     let tracer = sink.handle();
-    let verifier: VerifyPool<String> = VerifyPool::start(
-        Arc::new(|case: &String, response: &Response| {
-            if response.fixed_line.contains("boom") {
-                panic!("judge blew up");
-            }
-            response.fixed_line.contains(case.as_str())
-        }),
-        VerifyConfig {
-            workers: 1,
-            ..VerifyConfig::default()
-        },
-    );
+    let verifier = Memo::verdicts(VerifyConfig {
+        workers: 1,
+        ..VerifyConfig::default()
+    });
 
-    let make = |tag: &str, line: &str| {
+    let judge = |tag: &str, line: &str| {
         let case = format!("case {tag}");
         let response = Response {
             bug_line_number: 1,
@@ -189,16 +181,23 @@ fn judge_panic_is_counted_and_journals_a_single_completed_terminal() {
             cot: None,
         };
         let key = verdict_key(&[case.as_bytes()], &response, b"journal-failures");
-        VerifyRequest::new(Arc::new(case), response, key)
+        let work = || {
+            if response.fixed_line.contains("boom") {
+                panic!("judge blew up");
+            }
+            let verdict = response.fixed_line.contains(case.as_str());
+            verifier.tally(verdict);
+            verdict
+        };
+        verifier.serve(key, work).expect("memo open").value
     };
 
-    let good = verifier
-        .submit(make("good", "fix case good"))
-        .expect("pool open");
-    let bad = verifier.submit(make("bad", "boom")).expect("pool open");
-    assert!(good.wait().verdict, "healthy judge path still verdicts");
     assert!(
-        !bad.wait().verdict,
+        judge("good", "fix case good"),
+        "healthy judge path still verdicts"
+    );
+    assert!(
+        !judge("bad", "boom"),
         "absorbed panic serves a failed verdict"
     );
     // The case is journaled once judged: two samples, two distinct, one correct.
@@ -213,5 +212,5 @@ fn judge_panic_is_counted_and_journals_a_single_completed_terminal() {
     );
     assert_eq!(records.len(), 8, "the case's records and nothing else");
     assert_fully_drained(&sink);
-    verifier.shutdown();
+    verifier.close();
 }

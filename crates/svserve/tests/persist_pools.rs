@@ -1,9 +1,9 @@
-//! Pool-level persistence: warm starts through `RepairService` and `VerifyPool`,
+//! Cache-level persistence: warm starts through `RepairService` and a verdict `Memo`,
 //! and every corruption/mismatch mode degrading to a cold start.
 //!
 //! The unit tests in `svserve::persist` cover the codec; these tests cover the
 //! wiring — load-at-start, flush-on-shutdown, warm-hit attribution in the metrics,
-//! and byte-identical results across a process-like cold/warm boundary (two pools
+//! and byte-identical results across a process-like cold/warm boundary (two caches
 //! sharing nothing but the snapshot file).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -11,8 +11,8 @@ use std::sync::Arc;
 use svmodel::{CaseInput, RepairModel, Response};
 use svserve::persist::{save_verdict_snapshot, SNAPSHOT_FORMAT_VERSION};
 use svserve::{
-    verdict_key, PersistSpec, RepairRequest, RepairService, ResponseJudge, ServiceConfig,
-    VerifyConfig, VerifyPool, VerifyRequest,
+    verdict_key, Memo, PersistSpec, RepairRequest, RepairService, ServiceConfig, VerdictKey,
+    VerifyConfig,
 };
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -197,73 +197,71 @@ fn an_idle_pool_never_overwrites_a_valuable_snapshot() {
     let dir = temp_dir("no-empty-overwrite");
     let _ = std::fs::remove_dir_all(&dir);
     let spec = PersistSpec::new(dir.join("verdicts.json"), b"cfg-v1", "-");
-    let judge = Arc::new(LenJudge {
-        calls: AtomicUsize::new(0),
-    });
-    let pool = VerifyPool::start(
-        Arc::<LenJudge>::clone(&judge),
-        VerifyConfig::default().with_persist(spec.clone()),
-    );
-    pool.submit_all(verify_workload());
-    pool.shutdown();
+    let memo = Memo::verdicts(VerifyConfig::default().with_persist(spec.clone()));
+    LenJudge::default().judge_all(&memo);
+    memo.close();
     let valuable = std::fs::read(&spec.path).unwrap();
 
-    // Reconfigured pool: rejected preload, zero work, shutdown.
+    // Reconfigured memo: rejected preload, zero work, close.
     let reconfigured = PersistSpec::new(spec.path.clone(), b"cfg-v2", "-");
-    let idle: VerifyPool<String> = VerifyPool::start(
-        Arc::new(|_: &String, _: &Response| true),
-        VerifyConfig::default().with_persist(reconfigured),
-    );
+    let idle = Memo::verdicts(VerifyConfig::default().with_persist(reconfigured));
     assert_eq!(idle.metrics().snapshot_rejects, 1);
     assert_eq!(
         idle.flush().unwrap(),
         0,
         "an empty cache must not be written"
     );
-    idle.shutdown();
+    idle.close();
     assert_eq!(
         std::fs::read(&spec.path).unwrap(),
         valuable,
-        "the cfg-v1 snapshot must survive an idle cfg-v2 pool"
+        "the cfg-v1 snapshot must survive an idle cfg-v2 memo"
     );
 
     // And the original configuration still warm-starts from it.
-    let pool = VerifyPool::start(
-        Arc::new(|_: &String, _: &Response| true),
-        VerifyConfig::default().with_persist(spec),
-    );
-    assert_eq!(pool.metrics().snapshot_loaded_entries, 16);
-    pool.shutdown();
+    let memo = Memo::verdicts(VerifyConfig::default().with_persist(spec));
+    assert_eq!(memo.metrics().snapshot_loaded_entries, 16);
+    memo.close();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Judge that counts invocations; verdict is a pure content function.
+#[derive(Default)]
 struct LenJudge {
     calls: AtomicUsize,
 }
 
-impl ResponseJudge<String> for LenJudge {
-    fn verdict(&self, case: &String, response: &Response) -> bool {
-        self.calls.fetch_add(1, Ordering::SeqCst);
-        response.fixed_line.len() > case.len()
+impl LenJudge {
+    /// Serves every job of [`verify_workload`] through `memo`, judging and
+    /// tallying on a miss.
+    fn judge_all(&self, memo: &Memo<svserve::persist::VerdictSnapshot>) -> Vec<bool> {
+        let judge = |(key, case, fixed_line): (VerdictKey, String, String)| {
+            let work = || {
+                self.calls.fetch_add(1, Ordering::SeqCst);
+                let verdict = fixed_line.len() > case.len();
+                memo.tally(verdict);
+                verdict
+            };
+            memo.serve(key, work).expect("memo open").value
+        };
+        verify_workload().into_iter().map(judge).collect()
     }
 }
 
-fn verify_request(case: &str, fixed_line: &str) -> VerifyRequest<String> {
-    let response = Response {
-        bug_line_number: 1,
-        buggy_line: "buggy".into(),
-        fixed_line: fixed_line.into(),
-        cot: None,
+/// Sixteen `(key, case, fixed line)` verdict jobs over five cases.
+fn verify_workload() -> Vec<(VerdictKey, String, String)> {
+    let job = |i: usize| {
+        let (case, fixed_line) = (format!("case {}", i % 5), format!("fix number {i}"));
+        let response = Response {
+            bug_line_number: 1,
+            buggy_line: "buggy".into(),
+            fixed_line: fixed_line.clone(),
+            cot: None,
+        };
+        let key = verdict_key(&[case.as_bytes()], &response, b"cfg");
+        (key, case, fixed_line)
     };
-    let key = verdict_key(&[case.as_bytes()], &response, b"cfg");
-    VerifyRequest::new(Arc::new(case.to_string()), response, key)
-}
-
-fn verify_workload() -> Vec<VerifyRequest<String>> {
-    (0..16)
-        .map(|i| verify_request(&format!("case {}", i % 5), &format!("fix number {i}")))
-        .collect()
+    (0..16).map(job).collect()
 }
 
 #[test]
@@ -275,33 +273,22 @@ fn verify_pool_warm_starts_from_its_own_snapshot() {
         .with_workers(2)
         .with_persist(spec.clone());
 
-    let cold_judge = Arc::new(LenJudge {
-        calls: AtomicUsize::new(0),
-    });
-    let pool = VerifyPool::start(Arc::<LenJudge>::clone(&cold_judge), config.clone());
-    let cold: Vec<bool> = pool
-        .submit_all(verify_workload())
-        .into_iter()
-        .map(|o| o.verdict)
-        .collect();
-    let cold_metrics = pool.shutdown();
+    let cold_judge = LenJudge::default();
+    let memo = Memo::verdicts(config.clone());
+    let cold = cold_judge.judge_all(&memo);
+    memo.close();
+    let cold_metrics = memo.metrics();
     assert_eq!(cold_judge.calls.load(Ordering::SeqCst), 16);
     assert_eq!(cold_metrics.snapshot_saves, 1);
     assert_eq!(cold_metrics.snapshot_saved_entries, 16);
 
-    // Fresh pool, same file, different worker count: zero judge calls, identical
-    // verdicts, warm hits attributed.
-    let warm_judge = Arc::new(LenJudge {
-        calls: AtomicUsize::new(0),
-    });
-    let pool = VerifyPool::start(Arc::<LenJudge>::clone(&warm_judge), config.with_workers(4));
-    let warm: Vec<bool> = pool
-        .submit_all(verify_workload())
-        .into_iter()
-        .map(|o| o.verdict)
-        .collect();
-    let warm_metrics = pool.metrics();
-    pool.shutdown();
+    // Fresh memo, same file, different shard count: zero judge calls,
+    // identical verdicts, warm hits attributed.
+    let warm_judge = LenJudge::default();
+    let memo = Memo::verdicts(config.with_workers(4));
+    let warm = warm_judge.judge_all(&memo);
+    let warm_metrics = memo.metrics();
+    memo.close();
     assert_eq!(warm_judge.calls.load(Ordering::SeqCst), 0);
     assert_eq!(cold, warm, "verdicts must survive the snapshot round trip");
     assert_eq!(warm_metrics.snapshot_loaded_entries, 16);
@@ -319,7 +306,7 @@ fn verify_pool_rejects_stale_snapshots_and_truncated_files() {
     // A snapshot written under a *future* format version must be rejected.
     let entries = verify_workload()
         .into_iter()
-        .map(|r| (r.key, true))
+        .map(|(key, ..)| (key, true))
         .collect::<Vec<_>>();
     save_verdict_snapshot(&spec, entries).unwrap();
     let text = std::fs::read_to_string(&spec.path).unwrap();
@@ -330,18 +317,12 @@ fn verify_pool_rejects_stale_snapshots_and_truncated_files() {
     assert_ne!(bumped, text);
     std::fs::write(&spec.path, bumped).unwrap();
 
-    let judge = Arc::new(LenJudge {
-        calls: AtomicUsize::new(0),
-    });
-    let pool = VerifyPool::start(
-        Arc::<LenJudge>::clone(&judge),
-        VerifyConfig::default()
-            .with_workers(1)
-            .with_persist(spec.clone()),
-    );
-    let outcomes = pool.submit_all(verify_workload());
-    let metrics = pool.metrics();
-    assert_eq!(outcomes.len(), 16);
+    let judge = LenJudge::default();
+    let config = VerifyConfig::default().with_workers(1);
+    let memo = Memo::verdicts(config.clone().with_persist(spec.clone()));
+    let verdicts = judge.judge_all(&memo);
+    let metrics = memo.metrics();
+    assert_eq!(verdicts.len(), 16);
     assert_eq!(metrics.snapshot_loaded_entries, 0);
     assert_eq!(metrics.snapshot_rejects, 1);
     assert_eq!(
@@ -349,19 +330,16 @@ fn verify_pool_rejects_stale_snapshots_and_truncated_files() {
         16,
         "cold start re-judges"
     );
-    pool.shutdown();
+    memo.close();
 
     // Truncate the (now rewritten, valid) snapshot mid-file: reject, cold start.
     let full = std::fs::read_to_string(&spec.path).unwrap();
     std::fs::write(&spec.path, &full[..full.len() / 3]).unwrap();
-    let pool: VerifyPool<String> = VerifyPool::start(
-        Arc::new(|_: &String, _: &Response| true),
-        VerifyConfig::default().with_workers(1).with_persist(spec),
-    );
-    let metrics = pool.metrics();
+    let memo = Memo::verdicts(config.with_persist(spec));
+    let metrics = memo.metrics();
     assert_eq!(metrics.snapshot_loaded_entries, 0);
     assert_eq!(metrics.snapshot_rejects, 1);
-    pool.shutdown();
+    memo.close();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -5,11 +5,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashSet};
-use std::sync::Arc;
 use svmodel::Response;
 use svserve::{
-    verdict_case_state, verdict_key, verdict_key_after, LruCache, VerdictKey, VerifyConfig,
-    VerifyPool, VerifyRequest,
+    verdict_case_state, verdict_key, verdict_key_after, LruCache, Memo, VerdictKey, VerifyConfig,
 };
 
 fn random_string(rng: &mut StdRng, max_len: usize) -> String {
@@ -138,16 +136,10 @@ fn lru_eviction_respects_capacity_under_random_workloads() {
 
 #[test]
 fn hit_and_miss_counters_stay_consistent_under_concurrent_submitters() {
-    let judge = |case: &String, response: &Response| {
-        case.len().is_multiple_of(2) && !response.bug_line_number.is_multiple_of(2)
-    };
-    let pool: VerifyPool<String> = VerifyPool::start(
-        Arc::new(judge),
-        VerifyConfig {
-            cache_capacity: 64,
-            ..VerifyConfig::default().with_workers(4)
-        },
-    );
+    let pool = Memo::verdicts(VerifyConfig {
+        cache_capacity: 64,
+        ..VerifyConfig::default().with_workers(4)
+    });
     const THREADS: u64 = 4;
     const PER_THREAD: usize = 120;
     std::thread::scope(|scope| {
@@ -155,29 +147,30 @@ fn hit_and_miss_counters_stay_consistent_under_concurrent_submitters() {
             let pool = &pool;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xD1CE ^ thread);
-                let tickets: Vec<_> = (0..PER_THREAD)
-                    .map(|_| {
-                        // A small id space, so threads collide on identical jobs and
-                        // exercise the hit path concurrently.
-                        let case = random_string(&mut rng, 4);
-                        let response = Response {
-                            bug_line_number: rng.gen_range(0..8u32),
-                            buggy_line: String::new(),
-                            fixed_line: random_string(&mut rng, 2),
-                            cot: None,
-                        };
-                        let key = verdict_key(&[case.as_bytes()], &response, b"prop");
-                        pool.submit(VerifyRequest::new(Arc::new(case), response, key))
-                            .expect("pool open")
-                    })
-                    .collect();
-                for ticket in tickets {
-                    ticket.wait();
+                for _ in 0..PER_THREAD {
+                    // A small id space, so threads collide on identical jobs and
+                    // exercise the hit path concurrently.
+                    let case = random_string(&mut rng, 4);
+                    let response = Response {
+                        bug_line_number: rng.gen_range(0..8u32),
+                        buggy_line: String::new(),
+                        fixed_line: random_string(&mut rng, 2),
+                        cot: None,
+                    };
+                    let key = verdict_key(&[case.as_bytes()], &response, b"prop");
+                    let judge = || {
+                        let verdict = case.len().is_multiple_of(2)
+                            && !response.bug_line_number.is_multiple_of(2);
+                        pool.tally(verdict);
+                        verdict
+                    };
+                    pool.serve(key, judge).expect("memo open");
                 }
             });
         }
     });
-    let metrics = pool.shutdown();
+    pool.close();
+    let metrics = pool.metrics();
     let total = THREADS * PER_THREAD as u64;
     assert_eq!(metrics.submitted, total);
     assert_eq!(metrics.completed, total);

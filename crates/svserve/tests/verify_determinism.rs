@@ -50,30 +50,6 @@ fn evaluation_is_byte_identical_at_1_2_4_8_verify_workers() {
 }
 
 #[test]
-fn auto_verify_workers_honour_env_without_changing_results() {
-    // `verify_workers == 0` defers to `VerifyConfig::default()`, which reads
-    // `ASSERTSOLVER_VERIFY_WORKERS` — the path CI's verify-pool matrix exercises by
-    // running this suite with the variable set to 1 and to 4.  Whatever the
-    // environment resolves to, results must match an explicitly pinned run.
-    let resolved = svserve::env_verify_workers();
-    let auto = EvalConfig {
-        workers: 2,
-        verify_workers: 0,
-        ..EvalConfig::quick(11)
-    };
-    assert_eq!(auto.verify_config().workers, resolved.unwrap_or(4));
-
-    let entries = corpus();
-    let model = AssertSolverModel::base(7);
-    let from_env = evaluate_model(&model, &entries, &auto);
-    let pinned = evaluate_model(&model, &entries, &config(1));
-    assert_eq!(
-        from_env, pinned,
-        "env-resolved verify worker count ({resolved:?}) changed the evaluation"
-    );
-}
-
-#[test]
 fn evaluation_is_byte_identical_with_prewarmed_verdict_cache() {
     let entries = corpus();
     let model = AssertSolverModel::base(7);

@@ -7,7 +7,6 @@
 use crate::lower::Compiled;
 use crate::simulator::InputSlot;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use svparse::{
     AssertTarget, AssertionItem, Item, Module, PortDir, PropertyDecl, Stmt, SymbolTable,
@@ -63,8 +62,6 @@ pub struct Design {
     pub reset_n: Option<String>,
     /// Resolved assertions, in declaration order.
     pub assertions: Vec<ResolvedAssertion>,
-    /// Widths of every signal the simulator needs to track.
-    pub widths: BTreeMap<String, u32>,
     /// The slot-indexed programs the simulator and the assertion checker run; lowered
     /// from the fields above when the design is elaborated, and not kept in step with
     /// later edits to them.
@@ -97,15 +94,11 @@ impl Design {
             return Err(ElabError::new(format!("semantic error: {err}")));
         }
 
-        let mut widths = BTreeMap::new();
-        for info in symbols.signals() {
-            if info.width > 64 {
-                return Err(ElabError::new(format!(
-                    "signal `{}` is {} bits wide; the simulator supports at most 64",
-                    info.name, info.width
-                )));
-            }
-            widths.insert(info.name.clone(), info.width);
+        if let Some(info) = symbols.signals().find(|info| info.width > 64) {
+            return Err(ElabError::new(format!(
+                "signal `{}` is {} bits wide; the simulator supports at most 64",
+                info.name, info.width
+            )));
         }
 
         // Identify the clock: the posedge signal of clocked always blocks, falling
@@ -150,7 +143,7 @@ impl Design {
             .collect();
 
         let assertions = resolve_assertions(&module)?;
-        let compiled = Compiled::lower(&module, &widths, &assertions);
+        let compiled = Compiled::lower(&module, &symbols, &assertions);
 
         Ok(Design {
             module,
@@ -160,15 +153,15 @@ impl Design {
             clock,
             reset_n,
             assertions,
-            widths,
             compiled,
         })
     }
 
-    /// Width of a signal (defaults to 1 for unknown names, which only happens for
-    /// signals synthesised internally by the simulator).
+    /// Width of a signal, as its symbol declares it (defaults to 1 for unknown
+    /// names, which only happens for signals synthesised internally by the
+    /// simulator).
     pub fn width(&self, name: &str) -> u32 {
-        self.widths.get(name).copied().unwrap_or(1)
+        self.symbols.signal(name).map_or(1, |info| info.width)
     }
 
     /// Number of slots in a state of this design (see [`crate::Engine`]).

@@ -343,7 +343,7 @@ fn pop(stack: &mut Vec<Value>) -> Value {
 mod tests {
     use super::*;
     use crate::lower::Lowering;
-    use std::collections::BTreeMap;
+    use svparse::sema::SymbolTable;
     use svparse::{Expr, LValue, Parser};
 
     fn expr(src: &str) -> Expr {
@@ -352,10 +352,13 @@ mod tests {
 
     /// A lowering over the declared signals `(name, value, width)`, and their state.
     fn machine(pairs: &[(&str, u64, u32)]) -> (Lowering, Vec<Value>) {
-        let widths: BTreeMap<String, u32> =
-            pairs.iter().map(|(n, _, w)| (n.to_string(), *w)).collect();
-        let lowering = Lowering::new(&widths);
-        let mut state = vec![Value::ABSENT; widths.len()];
+        let declare =
+            |(name, _, width): &(&str, u64, u32)| format!("reg [{}:0] {name};\n", width - 1);
+        let decls: String = pairs.iter().map(declare).collect();
+        let module = svparse::parse_module(&format!("module m();\n{decls}endmodule\n")).unwrap();
+        let symbols = SymbolTable::build(&module);
+        let lowering = Lowering::new(&symbols);
+        let mut state = vec![Value::ABSENT; symbols.len()];
         for (name, value, width) in pairs {
             state[lowering.slot(name).unwrap() as usize] = Value::new(*value, *width);
         }

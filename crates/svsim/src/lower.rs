@@ -12,6 +12,7 @@ use crate::eval::{CaseLabel, Code, ConcatPart, Op, Prog, Step, Target};
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use svparse::sema::SymbolTable;
 use svparse::{Expr, Item, LValue, Module, PropExpr, Stmt};
 
 /// Which slot each name lives in, shared by a design and the traces recorded from it.
@@ -106,12 +107,8 @@ pub(crate) struct Compiled {
 }
 
 impl Compiled {
-    pub fn lower(
-        module: &Module,
-        widths: &BTreeMap<String, u32>,
-        assertions: &[ResolvedAssertion],
-    ) -> Self {
-        let mut lowering = Lowering::new(widths);
+    pub fn lower(module: &Module, symbols: &SymbolTable, assertions: &[ResolvedAssertion]) -> Self {
+        let mut lowering = Lowering::new(symbols);
         let (mut initial, mut comb, mut clocked) = (Vec::new(), Vec::new(), Vec::new());
         for item in &module.items {
             match item {
@@ -173,10 +170,15 @@ pub(crate) struct Lowering {
 }
 
 impl Lowering {
-    pub fn new(widths: &BTreeMap<String, u32>) -> Self {
+    /// A lowering whose declared signals take the first slots, in name order.
+    pub fn new(symbols: &SymbolTable) -> Self {
         Self {
-            slots: widths.keys().cloned().zip(0..).collect(),
-            widths: widths.values().map(|width| Some(*width)).collect(),
+            slots: symbols
+                .signals()
+                .map(|info| info.name.clone())
+                .zip(0..)
+                .collect(),
+            widths: symbols.signals().map(|info| Some(info.width)).collect(),
             code: Code::default(),
             deepest_past: 0,
         }

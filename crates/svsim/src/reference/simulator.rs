@@ -6,6 +6,7 @@ use super::eval::{eval_in_state, exec_stmt, read_state, State};
 use crate::elaborate::Design;
 use crate::simulator::{InputVector, SimError};
 use crate::value::Value;
+use std::collections::BTreeMap;
 use svparse::Item;
 
 /// Maximum number of sweeps allowed for combinational settling before a loop is
@@ -68,6 +69,8 @@ impl Trace {
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     design: &'a Design,
+    /// Every declared signal's width, from the design's symbol table.
+    widths: BTreeMap<String, u32>,
     state: State,
     trace: Trace,
 }
@@ -81,14 +84,15 @@ impl<'a> Simulator<'a> {
     /// Returns [`SimError::CombinationalLoop`] if the design's combinational logic has
     /// no fixpoint.
     pub fn new(design: &'a Design) -> Result<Self, SimError> {
-        let mut state: State = design
-            .widths
+        let widths: BTreeMap<String, u32> = (design.symbols.signals())
+            .map(|info| (info.name.clone(), info.width))
+            .collect();
+        let mut state: State = widths
             .iter()
             .map(|(name, width)| (name.clone(), Value::zero(*width)))
             .collect();
 
         // Execute initial blocks once (blocking semantics).
-        let widths = design.widths.clone();
         let mut deferred = Vec::new();
         for item in &design.module.items {
             if let Item::Initial(block) = item {
@@ -101,6 +105,7 @@ impl<'a> Simulator<'a> {
 
         let mut sim = Self {
             design,
+            widths,
             state,
             trace: Trace::new(),
         };
@@ -143,7 +148,7 @@ impl<'a> Simulator<'a> {
 
         // 4. Clock edge: run clocked blocks against the pre-edge state, commit
         //    non-blocking updates, settle again.
-        let widths = self.design.widths.clone();
+        let widths = self.widths.clone();
         let mut deferred: Vec<(String, Value)> = Vec::new();
         for block in self.design.module.always_blocks() {
             if block.sensitivity.is_combinational() {
@@ -175,7 +180,7 @@ impl<'a> Simulator<'a> {
     }
 
     fn settle(&mut self) -> Result<(), SimError> {
-        let widths = self.design.widths.clone();
+        let widths = self.widths.clone();
         for _ in 0..MAX_SETTLE_ITERATIONS {
             let before = self.state.clone();
             for item in &self.design.module.items {

@@ -10,10 +10,10 @@
 //!    with 1 cache shard and with 4;
 //! 3. **Caching** — resubmitting an already-served case is answered from the
 //!    content-addressed cache without invoking the model again;
-//! 4. **Verification pool** — candidate verdicts go through a second sharded pool
-//!    (`svserve::verify`), judged right after each case is sampled inside
-//!    `evaluate_model`, with a content-addressed verdict cache that survives
-//!    across evaluation runs;
+//! 4. **Verdict cache** — candidate verdicts go through a second sharded cache
+//!    (`assertsolver::EvalVerifier`'s `svserve::Memo`), judged right after each
+//!    case is sampled inside `evaluate_model`, and the cache survives across
+//!    evaluation runs;
 //! 5. **Cache persistence** — both caches spill to versioned on-disk snapshots and
 //!    preload at pool start, so a rebuilt service warm-starts from a previous one's
 //!    work (see also `examples/warm_start.rs` for the cross-process variant).
@@ -158,7 +158,7 @@ fn main() {
     let final_metrics = service.shutdown();
     assert_eq!(final_metrics.cache_hits, 1);
 
-    // 4: the verification pool — verdicts go through their own pool,
+    // 4: the verdict cache — verdicts go through their own memo,
     // deterministic at any shard count, and cached across runs.
     let cases: Vec<_> = assertsolver::human_crafted_cases()
         .into_iter()
