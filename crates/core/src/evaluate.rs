@@ -19,7 +19,7 @@ use svserve::persist::{fnv64, write_atomic, VerdictSnapshot};
 use svserve::stage as trace_stage;
 use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
-    verdict_case_state, verdict_key_after, write_journal, CollapsedProfile, JournalHeader,
+    verdict_case_state, verdict_key_of_fields, write_journal, CollapsedProfile, JournalHeader,
     JournalSink, Memo, PersistSpec, RepairRequest, ScopedService, ServiceConfig, TelemetryHandle,
     TraceContext, TraceHandle, TraceSpan, TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig,
     VerifyMetrics, DEFAULT_COMPACT_AFTER_RUNS,
@@ -538,15 +538,11 @@ impl EvalVerifier {
     }
 
     /// [`EvalVerifier::key_for`] from the case half [`EvalVerifier::case_state`]
-    /// folded.
+    /// folded: the key of the response normalised to its line number and fix
+    /// (an empty buggy line, no reasoning), folded from the borrowed fields.
     fn key_after(&self, case: VerdictCaseState, response: &Response) -> VerdictKey {
-        let normalized = Response {
-            bug_line_number: response.bug_line_number,
-            buggy_line: String::new(),
-            fixed_line: response.fixed_line.clone(),
-            cot: None,
-        };
-        verdict_key_after(case, &normalized, &self.check_fingerprint)
+        let (line, fix) = (response.bug_line_number, &response.fixed_line);
+        verdict_key_of_fields(case, line, "", fix, None, &self.check_fingerprint)
     }
 
     /// Whether `response`, keyed `key`, solves `case`: the cached verdict,
@@ -1239,6 +1235,50 @@ mod tests {
             cot: None,
         };
         assert!(!response_is_correct(&entry, &nonsense, &oracle));
+    }
+
+    /// The verifier folds a response's line number and fix straight into the
+    /// key: it must equal the key of the response normalised to those two
+    /// fields, which names every verdict in a snapshot.
+    #[test]
+    fn the_direct_key_fold_equals_the_normalised_response_key() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use svserve::verdict_key_after;
+        let text = |rng: &mut StdRng| -> String {
+            let len = rng.gen_range(0..12usize);
+            (0..len)
+                .map(|_| char::from(rng.gen_range(b' '..=b'~')))
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(0x4B3F_0D1E);
+        let verifier = EvalVerifier::start(&EvalConfig::quick(1));
+        let mut entry = fig1_entry();
+        for _ in 0..64 {
+            entry.buggy_source = text(&mut rng);
+            entry.bug_line_number = rng.gen_range(0..40u32);
+            entry.fixed_line = text(&mut rng);
+            let case = EvalVerifier::case_state(&entry);
+            for _ in 0..8 {
+                let response = Response {
+                    bug_line_number: rng.gen_range(0..40u32),
+                    buggy_line: text(&mut rng),
+                    fixed_line: text(&mut rng),
+                    cot: rng.gen_bool(0.5).then(|| text(&mut rng)),
+                };
+                let normalized = Response {
+                    bug_line_number: response.bug_line_number,
+                    buggy_line: String::new(),
+                    fixed_line: response.fixed_line.clone(),
+                    cot: None,
+                };
+                assert_eq!(
+                    verifier.key_after(case, &response),
+                    verdict_key_after(case, &normalized, &verifier.check_fingerprint),
+                    "{response:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Content-addressed caches with LRU eviction, shared by both worker pools.
+//! Content keys and the per-shard map that every [`crate::Memo`] caches in.
 //!
 //! Cache keys are 128-bit FNV-1a hashes over the full job content:
 //!
@@ -15,9 +15,8 @@
 //! All fields are folded with a length prefix, so field boundaries can never alias
 //! (`("ab", "c")` hashes differently from `("a", "bc")`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
 use svmodel::{CaseInput, Response};
 
 /// Content hash of one repair request.
@@ -138,11 +137,32 @@ pub fn verdict_case_state(case_fields: &[&[u8]]) -> VerdictCaseState {
 /// Finishes a [`verdict_key`] from its case half: folds the response and the
 /// checker configuration.
 pub fn verdict_key_after(case: VerdictCaseState, response: &Response, config: &[u8]) -> VerdictKey {
+    let Response {
+        bug_line_number,
+        buggy_line,
+        fixed_line,
+        cot,
+    } = response;
+    let cot = cot.as_deref();
+    verdict_key_of_fields(case, *bug_line_number, buggy_line, fixed_line, cot, config)
+}
+
+/// [`verdict_key_after`] over a response's fields, borrowed: a caller that
+/// keys a normalised response (say, an empty buggy line and no reasoning)
+/// folds the fields it holds without building a [`Response`].
+pub fn verdict_key_of_fields(
+    case: VerdictCaseState,
+    bug_line_number: u32,
+    buggy_line: &str,
+    fixed_line: &str,
+    cot: Option<&str>,
+    config: &[u8],
+) -> VerdictKey {
     let mut hash = case.0;
-    hash = fold_field(hash, &u64::from(response.bug_line_number).to_le_bytes());
-    hash = fold_field(hash, response.buggy_line.as_bytes());
-    hash = fold_field(hash, response.fixed_line.as_bytes());
-    match &response.cot {
+    hash = fold_field(hash, &u64::from(bug_line_number).to_le_bytes());
+    hash = fold_field(hash, buggy_line.as_bytes());
+    hash = fold_field(hash, fixed_line.as_bytes());
+    match cot {
         Some(cot) => {
             hash = fold_field(hash, b"cot");
             hash = fold_field(hash, cot.as_bytes());
@@ -155,7 +175,6 @@ pub fn verdict_key_after(case: VerdictCaseState, response: &Response, config: &[
 
 struct Entry<V> {
     value: V,
-    stamp: u64,
     /// Whether the entry was preloaded from a persisted snapshot (see
     /// [`crate::persist`]) rather than computed in this process.
     warm: bool,
@@ -169,141 +188,72 @@ struct Entry<V> {
     touched: bool,
 }
 
-/// A least-recently-used content-addressed cache.
-///
-/// Defaults to the repair service's shape (response sets keyed by [`CaseKey`]); the
-/// verdict cache instantiates it as `LruCache<VerdictKey, bool>`.  Recency is tracked
-/// with a monotonically increasing stamp per access plus a stamp-ordered index,
-/// giving `O(log n)` lookup/insert/evict with no linked list to maintain.
-///
-/// Entries inserted with [`LruCache::preload`] (snapshot warm-start) are tagged, so
-/// pools can report how much of their traffic a persisted snapshot absorbed:
-///
-/// ```
-/// use svserve::LruCache;
-///
-/// let mut cache: LruCache<u64, String> = LruCache::new(2);
-/// cache.preload(1, "from snapshot".to_string());
-/// cache.insert(2, "computed".to_string());
-/// assert_eq!(cache.get_tagged(1), Some(("from snapshot".to_string(), true)));
-/// assert_eq!(cache.get_tagged(2), Some(("computed".to_string(), false)));
-/// // Plain `get` ignores the tag, and re-inserting clears it.
-/// assert_eq!(cache.get(1).as_deref(), Some("from snapshot"));
-/// cache.insert(1, "recomputed".to_string());
-/// assert_eq!(cache.get_tagged(1), Some(("recomputed".to_string(), false)));
-/// ```
-pub struct LruCache<K = CaseKey, V = Arc<Vec<Response>>> {
+/// One shard of a [`crate::Memo`]: a content-addressed map that never
+/// evicts (snapshot compaction in [`crate::persist`] ages entries out, across
+/// runs).  Entries preloaded from a snapshot are tagged warm, so a memo can
+/// report how much of its traffic a snapshot absorbed.
+pub(crate) struct CacheShard<K, V> {
     map: HashMap<K, Entry<V>>,
-    by_stamp: BTreeMap<u64, K>,
-    next_stamp: u64,
-    capacity: usize,
 }
 
-impl<K: Copy + Eq + Hash, V: Clone> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries (minimum one).
-    pub fn new(capacity: usize) -> Self {
+impl<K, V> Default for CacheShard<K, V> {
+    fn default() -> Self {
         Self {
             map: HashMap::new(),
-            by_stamp: BTreeMap::new(),
-            next_stamp: 0,
-            capacity: capacity.max(1),
         }
     }
+}
 
+impl<K: Copy + Eq + Hash, V: Clone> CacheShard<K, V> {
     /// Number of cached entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Looks up a key, refreshing its recency on a hit.  Values are cloned out;
-    /// pick a cheap-to-clone value type (`Arc<...>`, `bool`).
-    pub fn get(&mut self, key: K) -> Option<V> {
-        self.get_tagged(key).map(|(value, _)| value)
-    }
-
-    /// Like [`LruCache::get`], but also reports whether the entry was preloaded
-    /// from a snapshot ([`LruCache::preload`]) rather than computed this process.
-    pub fn get_tagged(&mut self, key: K) -> Option<(V, bool)> {
+    /// Looks up a key, also reporting whether the entry was preloaded from a
+    /// snapshot ([`CacheShard::preload_aged`]) rather than computed this
+    /// process.  Values are cloned out; pick a cheap-to-clone value type
+    /// (`Arc<...>`, `bool`).
+    pub(crate) fn get_tagged(&mut self, key: K) -> Option<(V, bool)> {
         let entry = self.map.get_mut(&key)?;
-        self.by_stamp.remove(&entry.stamp);
-        entry.stamp = self.next_stamp;
         entry.touched = true;
-        self.by_stamp.insert(self.next_stamp, key);
-        self.next_stamp += 1;
         Some((entry.value.clone(), entry.warm))
     }
 
-    /// Inserts a value, evicting the least recently used entry when full.
-    pub fn insert(&mut self, key: K, value: V) {
+    /// Inserts a value computed in this process.
+    pub(crate) fn insert(&mut self, key: K, value: V) {
         self.insert_entry(key, value, false, 0);
     }
 
-    /// Inserts a snapshot-restored value, tagging it as warm so later hits can be
-    /// attributed to the snapshot (see [`LruCache::get_tagged`]).
-    pub fn preload(&mut self, key: K, value: V) {
-        self.insert_entry(key, value, true, 0);
-    }
-
-    /// Like [`LruCache::preload`], but also records the snapshot generation the
-    /// entry was last useful in, so age-based compaction ([`crate::persist`]) can
-    /// drop entries that go unused for several runs.
-    pub fn preload_aged(&mut self, key: K, value: V, generation: u64) {
+    /// Inserts a snapshot-restored value, tagged warm (see
+    /// [`CacheShard::get_tagged`]), with the snapshot generation it was last
+    /// useful in, so age-based compaction ([`crate::persist`]) can drop
+    /// entries that go unused for several runs.
+    pub(crate) fn preload_aged(&mut self, key: K, value: V, generation: u64) {
         self.insert_entry(key, value, true, generation);
     }
 
     fn insert_entry(&mut self, key: K, value: V, warm: bool, generation: u64) {
-        if let Some(existing) = self.map.get(&key) {
-            self.by_stamp.remove(&existing.stamp);
-        } else if self.map.len() >= self.capacity {
-            if let Some((&oldest_stamp, &oldest_key)) = self.by_stamp.iter().next() {
-                self.by_stamp.remove(&oldest_stamp);
-                self.map.remove(&oldest_key);
-            }
-        }
-        self.map.insert(
-            key,
-            Entry {
-                value,
-                stamp: self.next_stamp,
-                warm,
-                generation,
-                // Computed entries were, by construction, useful this run.
-                touched: !warm,
-            },
-        );
-        self.by_stamp.insert(self.next_stamp, key);
-        self.next_stamp += 1;
+        let entry = Entry {
+            value,
+            warm,
+            generation,
+            // Computed entries were, by construction, useful this run.
+            touched: !warm,
+        };
+        self.map.insert(key, entry);
     }
 
-    /// Clones every entry out, least-recently-used first.  Used by
-    /// [`crate::persist`] to build snapshots — which re-sort by key for
-    /// byte-stable files, so recency deliberately resets to insertion order on a
-    /// warm start (harmless: eviction order never affects results, only what a
-    /// small cache keeps).
-    pub fn export(&self) -> Vec<(K, V)> {
-        self.by_stamp
-            .values()
-            .map(|key| (*key, self.map[key].value.clone()))
-            .collect()
-    }
-
-    /// Like [`LruCache::export`], but each entry carries its age:
-    /// `(key, value, last_useful_generation, touched_this_process)`.  Pools use
-    /// this at flush time to re-stamp touched entries with the new snapshot
-    /// generation and to compact entries that have gone unused for too many
-    /// runs (see `PersistSpec::compact_after`).
-    pub fn export_aged(&self) -> Vec<(K, V, u64, bool)> {
-        self.by_stamp
-            .values()
-            .map(|key| {
-                let entry = &self.map[key];
-                (*key, entry.value.clone(), entry.generation, entry.touched)
-            })
+    /// Clones every entry out, in no particular order, with its age:
+    /// `(key, value, last_useful_generation, touched_this_process)`.  Memos
+    /// use this at flush time to re-stamp touched entries with the new
+    /// snapshot generation and to compact entries that have gone unused for
+    /// too many runs (see `PersistSpec::compact_after`); the snapshot sorts
+    /// by key.
+    pub(crate) fn export_aged(&self) -> Vec<(K, V, u64, bool)> {
+        self.map
+            .iter()
+            .map(|(key, entry)| (*key, entry.value.clone(), entry.generation, entry.touched))
             .collect()
     }
 }
@@ -311,6 +261,7 @@ impl<K: Copy + Eq + Hash, V: Clone> LruCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn case(spec: &str, source: &str, logs: &str) -> CaseInput {
         CaseInput {
@@ -394,33 +345,14 @@ mod tests {
         let keys: Vec<VerdictKey> = (0..3)
             .map(|i| verdict_key(&[b"case"], &response(i), b"cfg"))
             .collect();
-        let mut cache: LruCache<VerdictKey, bool> = LruCache::new(2);
+        let mut cache: CacheShard<VerdictKey, bool> = CacheShard::default();
         cache.insert(keys[0], true);
         cache.insert(keys[1], false);
-        assert_eq!(cache.get(keys[0]), Some(true));
+        assert_eq!(cache.get_tagged(keys[0]), Some((true, false)));
         cache.insert(keys[2], true);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(keys[1]), None, "LRU verdict must be evicted");
-        assert_eq!(cache.get(keys[2]), Some(true));
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let keys: Vec<CaseKey> = (0..4)
-            .map(|i| case_key(&case(&format!("s{i}"), "", ""), 1, 0.0))
-            .collect();
-        let mut cache = LruCache::new(3);
-        for (i, &key) in keys.iter().take(3).enumerate() {
-            cache.insert(key, Arc::new(vec![response(i as u32)]));
-        }
-        // Touch key 0 so key 1 becomes the LRU entry.
-        assert!(cache.get(keys[0]).is_some());
-        cache.insert(keys[3], Arc::new(vec![response(3)]));
-        assert_eq!(cache.len(), 3);
-        assert!(cache.get(keys[1]).is_none(), "LRU entry must be evicted");
-        assert!(cache.get(keys[0]).is_some());
-        assert!(cache.get(keys[2]).is_some());
-        assert!(cache.get(keys[3]).is_some());
+        assert_eq!(cache.len(), 3, "a shard never evicts");
+        assert_eq!(cache.get_tagged(keys[1]), Some((false, false)));
+        assert_eq!(cache.get_tagged(keys[2]), Some((true, false)));
     }
 
     #[test]
@@ -428,8 +360,8 @@ mod tests {
         let keys: Vec<CaseKey> = (0..3)
             .map(|i| case_key(&case(&format!("s{i}"), "", ""), 1, 0.0))
             .collect();
-        let mut cache = LruCache::new(8);
-        cache.preload(keys[0], Arc::new(vec![response(0)]));
+        let mut cache = CacheShard::default();
+        cache.preload_aged(keys[0], Arc::new(vec![response(0)]), 1);
         cache.insert(keys[1], Arc::new(vec![response(1)]));
         assert!(cache.get_tagged(keys[0]).unwrap().1);
         assert!(!cache.get_tagged(keys[1]).unwrap().1);
@@ -438,29 +370,15 @@ mod tests {
         // restores it.
         cache.insert(keys[0], Arc::new(vec![response(9)]));
         assert!(!cache.get_tagged(keys[0]).unwrap().1);
-        let exported = cache.export();
+        let exported = cache.export_aged();
         assert_eq!(exported.len(), 2);
-        let mut reloaded = LruCache::new(8);
-        for (key, value) in exported {
-            reloaded.preload(key, value);
+        let mut reloaded = CacheShard::default();
+        for (key, value, generation, _) in exported {
+            reloaded.preload_aged(key, value, generation);
         }
-        assert!(reloaded.get_tagged(keys[0]).unwrap().1);
-        assert_eq!(reloaded.get(keys[0]).unwrap()[0].bug_line_number, 9);
-    }
-
-    #[test]
-    fn export_preserves_lru_order() {
-        let keys: Vec<CaseKey> = (0..3)
-            .map(|i| case_key(&case(&format!("s{i}"), "", ""), 1, 0.0))
-            .collect();
-        let mut cache = LruCache::new(8);
-        for (i, &key) in keys.iter().enumerate() {
-            cache.insert(key, Arc::new(vec![response(i as u32)]));
-        }
-        // Touch key 0 so it becomes most recent.
-        cache.get(keys[0]);
-        let order: Vec<CaseKey> = cache.export().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(order, vec![keys[1], keys[2], keys[0]]);
+        let (value, warm) = reloaded.get_tagged(keys[0]).unwrap();
+        assert!(warm);
+        assert_eq!(value[0].bug_line_number, 9);
     }
 
     #[test]
@@ -468,12 +386,12 @@ mod tests {
         let keys: Vec<CaseKey> = (0..3)
             .map(|i| case_key(&case(&format!("s{i}"), "", ""), 1, 0.0))
             .collect();
-        let mut cache = LruCache::new(8);
+        let mut cache = CacheShard::default();
         cache.preload_aged(keys[0], Arc::new(vec![response(0)]), 4);
         cache.preload_aged(keys[1], Arc::new(vec![response(1)]), 4);
         cache.insert(keys[2], Arc::new(vec![response(2)]));
         // Hit only the first preloaded entry.
-        assert!(cache.get(keys[0]).is_some());
+        assert!(cache.get_tagged(keys[0]).is_some());
         let aged: std::collections::HashMap<CaseKey, (u64, bool)> = cache
             .export_aged()
             .into_iter()
@@ -495,10 +413,10 @@ mod tests {
     #[test]
     fn reinserting_a_key_does_not_grow_the_cache() {
         let key = case_key(&case("s", "", ""), 1, 0.0);
-        let mut cache = LruCache::new(2);
+        let mut cache = CacheShard::default();
         cache.insert(key, Arc::new(vec![response(1)]));
         cache.insert(key, Arc::new(vec![response(2)]));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(key).unwrap()[0].bug_line_number, 2);
+        assert_eq!(cache.get_tagged(key).unwrap().0[0].bug_line_number, 2);
     }
 }

@@ -9,10 +9,11 @@
 //!   memo spawns a thread.  Concurrency comes from the callers — the
 //!   evaluation's case drivers.
 //! * **Content-addressed response cache** — answers are cached under a 128-bit hash
-//!   of `(spec, buggy source, failure log, samples, temperature)` with LRU eviction
-//!   and hit/miss counters ([`cache`]).
-//! * **Metrics** — [`ServiceMetrics`] snapshots throughput, per-stage latency
-//!   (cache lookup / solve), in-flight sessions and cache hit rate.
+//!   of `(spec, buggy source, failure log, samples, temperature)` in per-shard
+//!   maps that never evict ([`cache`]).
+//! * **Metrics** — [`ServiceMetrics`] and [`VerifyMetrics`] snapshot a memo's
+//!   counters: hits and misses, warm hits, snapshot traffic, panics and the
+//!   in-flight gauge.
 //! * **Determinism** — sampler seeds derive from the content hash plus the service
 //!   seed, never from arrival order or shard, so the same workload yields
 //!   byte-identical responses at any shard count.
@@ -83,7 +84,7 @@ pub mod verify;
 pub mod wire;
 
 pub use cache::{
-    case_key, verdict_case_state, verdict_key, verdict_key_after, CaseKey, LruCache,
+    case_key, verdict_case_state, verdict_key, verdict_key_after, verdict_key_of_fields, CaseKey,
     VerdictCaseState, VerdictKey,
 };
 pub use env::{
@@ -95,7 +96,7 @@ pub use journal::{
     JournalFooter, JournalHeader, JournalRecord, JournalSink, ParsedJournal, SessionEnd,
     TracerHandle, JOURNAL_FORMAT_VERSION, JOURNAL_KIND, TERMINAL_SEQ,
 };
-pub use metrics::{render_block, ServiceMetrics, VerifyMetrics};
+pub use metrics::{ServiceMetrics, VerifyMetrics};
 pub use persist::{
     PersistSpec, SnapshotHeader, SnapshotLoad, DEFAULT_COMPACT_AFTER_RUNS, SNAPSHOT_FORMAT_VERSION,
 };

@@ -56,7 +56,7 @@ pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 /// Default [`PersistSpec::compact_after`] used by `assertsolver::EvalConfig`:
 /// a snapshot entry survives this many consecutive runs without a warm hit
 /// before a flush drops it.  Generous on purpose — compaction is a disk-hygiene
-/// mechanism, not an eviction policy (the in-memory LRU handles pressure).
+/// mechanism, not an eviction policy (a memo holds every entry it serves).
 pub const DEFAULT_COMPACT_AFTER_RUNS: u64 = 16;
 
 /// Snapshot kind tag for response-cache files (repair pool).

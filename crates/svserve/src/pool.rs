@@ -15,6 +15,8 @@
 //! * **Placement** — a key is cached on shard `key.fold64() % shards`, a pure
 //!   function of content, so per-shard caches are disjoint and results are
 //!   independent of shard count and arrival order.
+//! * **No eviction** — every value served stays cached until the memo
+//!   drops; a full paper run holds about a thousand verdicts.
 //! * **Panic absorption** — panicking work is served as the value's
 //!   `Default` (an empty response set, a `false` verdict), is counted, is
 //!   *not* cached (a retry reaches the work again), and leaves the memo
@@ -26,13 +28,12 @@
 //! * **Lifecycle** — serving after [`Memo::close`] is [`SubmitError::Closed`];
 //!   the first close (or the drop) flushes the snapshot, once.
 
-use crate::cache::{ContentKey, LruCache};
-use crate::metrics::MetricsRecorder;
+use crate::cache::{CacheShard, ContentKey};
+use crate::metrics::{bump, MetricsRecorder};
 use crate::persist::{self, PersistSpec, SnapshotFile, SnapshotLoad};
 use crate::sync::lock_recover;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +58,7 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// One served value with its provenance and timing.
+/// One served value with its provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Served<V> {
     /// The cached or computed value; the value's `Default` when the work
@@ -67,14 +68,12 @@ pub struct Served<V> {
     pub from_cache: bool,
     /// Index of the cache shard that served the key.
     pub shard: usize,
-    /// Cache lookup plus (on a miss) the work itself.
-    pub service_time: Duration,
 }
 
-/// Sharded LRU caches, their snapshot and their counters; see the
+/// Sharded maps, their snapshot and their counters; see the
 /// [module docs](self).
 pub struct Memo<S: SnapshotFile> {
-    caches: Vec<Mutex<LruCache<S::Key, S::Value>>>,
+    caches: Vec<Mutex<CacheShard<S::Key, S::Value>>>,
     /// The snapshot spec, its fingerprint complete.
     persist: Option<PersistSpec>,
     pub(crate) recorder: MetricsRecorder,
@@ -85,18 +84,13 @@ pub struct Memo<S: SnapshotFile> {
 }
 
 impl<S: SnapshotFile> Memo<S> {
-    /// A memo of `shards` caches (at least 1) holding `cache_capacity`
-    /// entries between them (at least one each), preloading `persist`'s
+    /// A memo of `shards` caches (at least 1), preloading `persist`'s
     /// snapshot when one is given.
-    pub fn new(shards: usize, cache_capacity: usize, persist: Option<PersistSpec>) -> Self {
-        let shards = shards.max(1);
-        let per_shard = cache_capacity.max(shards).div_ceil(shards);
+    pub fn new(shards: usize, persist: Option<PersistSpec>) -> Self {
         let memo = Self {
-            caches: (0..shards)
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
-                .collect(),
+            caches: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             persist,
-            recorder: MetricsRecorder::new(),
+            recorder: MetricsRecorder::default(),
             closed: AtomicBool::new(false),
             snapshot_generation: AtomicU64::new(0),
         };
@@ -119,10 +113,10 @@ impl<S: SnapshotFile> Memo<S> {
                 for (key, value, gen) in loaded.entries {
                     lock_recover(&self.caches[self.shard_for(key)]).preload_aged(key, value, gen);
                 }
-                self.recorder.record_snapshot_load(count);
+                bump(&self.recorder.snapshot_loaded_entries, count as u64);
             }
             SnapshotLoad::Missing => {}
-            SnapshotLoad::Rejected(_) => self.recorder.record_snapshot_reject(),
+            SnapshotLoad::Rejected(_) => bump(&self.recorder.snapshot_rejects, 1),
         }
     }
 
@@ -165,14 +159,14 @@ impl<S: SnapshotFile> Memo<S> {
                 // Counted only once the write landed: a failed save has not
                 // actually dropped anything from disk.
                 if compacted > 0 {
-                    self.recorder.record_snapshot_compaction(compacted);
+                    bump(&self.recorder.snapshot_compacted_entries, compacted as u64);
                 }
                 Ok(count)
             }
             Err(err) => {
                 // The automatic flush paths (close/drop) discard this error;
                 // the counter is the surviving signal.
-                self.recorder.record_snapshot_save_failure();
+                bump(&self.recorder.snapshot_save_failures, 1);
                 Err(err)
             }
         }
@@ -227,47 +221,39 @@ impl<S: SnapshotFile> Memo<S> {
             return Err(SubmitError::Closed);
         }
         if !self.recorder.try_admit(max_in_flight) {
-            self.recorder.record_shed();
+            bump(&self.recorder.shed_busy, 1);
             return Err(SubmitError::Busy);
         }
-        self.recorder.record_submit();
+        bump(&self.recorder.submitted, 1);
         let shard = self.shard_for(key);
-        let service_start = Instant::now();
         let cached = lock_recover(&self.caches[shard]).get_tagged(key);
-        let cache_lookup = service_start.elapsed();
-        let (value, work_time) = match cached {
+        let from_cache = cached.is_some();
+        let value = match cached {
             Some((value, warm)) => {
                 if warm {
-                    self.recorder.record_warm_hit();
+                    bump(&self.recorder.warm_hits, 1);
                 }
-                (value, None)
+                value
             }
-            None => {
-                let work_start = Instant::now();
-                // Panicking work must not unwind through the caller: catch
-                // the panic, serve the default value, and count it.
-                let worked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
-                let elapsed = work_start.elapsed();
-                let value = match worked {
-                    Ok(value) => {
-                        lock_recover(&self.caches[shard]).insert(key, value.clone());
-                        value
-                    }
-                    Err(_) => {
-                        // Not cached: a retry should reach the work again.
-                        self.recorder.record_solve_panic();
-                        S::Value::default()
-                    }
-                };
-                (value, Some(elapsed))
-            }
+            // Panicking work must not unwind through the caller: catch the
+            // panic, serve the default value, and count it.
+            None => match std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)) {
+                Ok(value) => {
+                    lock_recover(&self.caches[shard]).insert(key, value.clone());
+                    value
+                }
+                Err(_) => {
+                    // Not cached: a retry should reach the work again.
+                    bump(&self.recorder.panics, 1);
+                    S::Value::default()
+                }
+            },
         };
-        self.recorder.record_job(cache_lookup, work_time);
+        self.recorder.record_job(from_cache);
         Ok(Served {
             value,
-            from_cache: work_time.is_none(),
+            from_cache,
             shard,
-            service_time: service_start.elapsed(),
         })
     }
 }
@@ -337,7 +323,7 @@ pub(crate) mod contract {
     }
 
     pub(crate) fn submit_after_close_is_refused<S: SnapshotFile>(healthy: S::Value) {
-        let memo = Memo::<S>::new(2, 16, None);
+        let memo = Memo::<S>::new(2, None);
         assert!(memo.close(), "the first close closes");
         assert!(!memo.close(), "a second close is a no-op");
         let refused = memo.serve(key::<S>(0), || healthy);
@@ -352,7 +338,7 @@ pub(crate) mod contract {
     where
         S::Value: PartialEq + Debug,
     {
-        let memo = Memo::<S>::new(1, 16, None);
+        let memo = Memo::<S>::new(1, None);
         let failed: Vec<bool> = [Some(&healthy), None, Some(&healthy)]
             .into_iter()
             .enumerate()
@@ -377,7 +363,7 @@ pub(crate) mod contract {
         healthy: S::Value,
     ) {
         let spec = temp_spec::<S>("idle", b"cfg-v1");
-        let memo = Memo::<S>::new(2, 16, Some(spec.clone()));
+        let memo = Memo::<S>::new(2, Some(spec.clone()));
         for tag in 0..6 {
             serve(&memo, tag, Some(&healthy));
         }
@@ -386,7 +372,7 @@ pub(crate) mod contract {
 
         // Reconfigured memo: rejected preload, zero work, flush and close.
         let reconfigured = PersistSpec::new(spec.path.clone(), b"cfg-v2", "contract");
-        let idle = Memo::<S>::new(2, 16, Some(reconfigured));
+        let idle = Memo::<S>::new(2, Some(reconfigured));
         assert_eq!(tally(&idle).snapshot_rejects, 1);
         assert_eq!(idle.flush().unwrap(), 0, "an empty cache is never written");
         idle.close();
@@ -394,7 +380,7 @@ pub(crate) mod contract {
         assert_eq!(std::fs::read(&spec.path).unwrap(), valuable);
 
         // And the original configuration still warm-starts from it.
-        let memo = Memo::<S>::new(2, 16, Some(spec.clone()));
+        let memo = Memo::<S>::new(2, Some(spec.clone()));
         assert_eq!(tally(&memo).snapshot_loaded_entries, 6);
         let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
     }
@@ -406,7 +392,7 @@ pub(crate) mod contract {
     ) {
         let spec = temp_spec::<S>("compaction", b"cfg").with_compaction(1);
         let run = |touched: usize| {
-            let memo = Memo::<S>::new(2, 16, Some(spec.clone()));
+            let memo = Memo::<S>::new(2, Some(spec.clone()));
             for tag in 0..touched {
                 serve(&memo, tag, Some(&healthy));
             }
@@ -437,13 +423,37 @@ pub(crate) mod contract {
         assert_eq!(tally(&third).snapshot_compacted_entries, 2);
         drop(third);
 
-        let memo = Memo::<S>::new(2, 16, Some(spec.clone()));
+        let memo = Memo::<S>::new(2, Some(spec.clone()));
         assert_eq!(tally(&memo).snapshot_loaded_entries, 2);
         let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
     }
 
+    /// Nothing is evicted: every served key stays, and a second pass over
+    /// them is all cache hits.
+    pub(crate) fn every_served_key_stays_cached<S: SnapshotFile>(healthy: S::Value) {
+        const KEYS: usize = 300;
+        for shards in [1, 4] {
+            let memo = Memo::<S>::new(shards, None);
+            let first = (0..KEYS).filter(|&tag| !serve(&memo, tag, Some(&healthy)).from_cache);
+            assert_eq!(
+                first.count(),
+                KEYS,
+                "{shards} shards: the first pass misses"
+            );
+            assert_eq!(memo.cache_entries(), KEYS);
+            // The second pass never reaches the (panicking) work.
+            assert!((0..KEYS).all(|tag| serve(&memo, tag, None).from_cache));
+            let tally = tally(&memo);
+            assert_eq!(
+                (tally.cache_hits, tally.cache_misses),
+                (KEYS as u64, KEYS as u64)
+            );
+            assert_eq!(memo.cache_entries(), KEYS);
+        }
+    }
+
     pub(crate) fn placement_is_key_fold64_modulo_shards<S: SnapshotFile>(healthy: S::Value) {
-        let memo = Memo::<S>::new(4, 64, None);
+        let memo = Memo::<S>::new(4, None);
         for tag in 0..32 {
             let served = serve(&memo, tag, Some(&healthy));
             assert_eq!(served.shard, (key::<S>(tag).fold64() % 4) as usize);

@@ -25,7 +25,6 @@ use crate::persist::{PersistSpec, ResponseSnapshot};
 use crate::pool::{Memo, SubmitError};
 use std::ops::Deref;
 use std::sync::Arc;
-use std::time::Duration;
 use svmodel::{CaseInput, RepairModel, Response};
 
 /// Service tuning parameters.
@@ -34,8 +33,6 @@ pub struct ServiceConfig {
     /// Response-cache shards, clamped to at least 1.  Requests are solved
     /// on the submitting thread, so this sizes the shards and nothing else.
     pub workers: usize,
-    /// Total response-cache entries across all shards.
-    pub cache_capacity: usize,
     /// Service seed mixed into every per-case sampler seed.
     pub seed: u64,
     /// Admission control: maximum requests in flight (admitted but not yet
@@ -55,7 +52,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            cache_capacity: 1024,
             seed: 0x0005_E127_AB1E,
             max_in_flight: 0,
             persist: None,
@@ -120,7 +116,7 @@ impl RepairRequest {
     }
 }
 
-/// A served request: the model's answers plus provenance and timing.
+/// A served request: the model's answers plus provenance.
 ///
 /// Responses are shared (`Arc`) with the service cache, so a cache hit costs one
 /// reference bump rather than a deep clone of every sampled string.  An empty
@@ -135,8 +131,6 @@ pub struct RepairOutcome {
     pub from_cache: bool,
     /// Index of the cache shard that served the request.
     pub worker: usize,
-    /// Cache lookup plus (on a miss) model invocation time.
-    pub service_time: Duration,
 }
 
 /// Await-handle for a submitted request: the outcome, already served.
@@ -195,7 +189,7 @@ where
             spec
         });
         Self {
-            memo: Memo::new(config.workers, config.cache_capacity, persist),
+            memo: Memo::new(config.workers, persist),
             model,
             seed: config.seed,
             max_in_flight: config.max_in_flight,
@@ -218,7 +212,6 @@ where
             responses: served.value,
             from_cache: served.from_cache,
             worker: served.shard,
-            service_time: served.service_time,
         }))
     }
 
@@ -521,7 +514,6 @@ mod tests {
         let metrics = service.metrics();
         assert_eq!(metrics.in_flight_sessions, 0);
         assert_eq!((metrics.submitted, metrics.completed), (64, 64));
-        assert_eq!(metrics.peak_in_flight_sessions, 64);
         assert!(metrics.render().contains("shed busy"));
         // With the pool drained, admission has recovered.
         let late = service.submit(request(96)).expect("slots free again");
@@ -567,6 +559,11 @@ mod tests {
     #[test]
     fn idle_entries_are_compacted_once_the_write_lands() {
         contract::idle_entries_are_compacted_once_the_write_lands::<ResponseSnapshot>(healthy());
+    }
+
+    #[test]
+    fn every_served_request_stays_cached() {
+        contract::every_served_key_stays_cached::<ResponseSnapshot>(healthy());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   evaluation pipeline, and [`crate::TraceForest::collapsed`] folds span
 //!   trees into the same form.
 //!
-//! Pool latencies are counted once, by the pool metrics
-//! ([`crate::ServiceMetrics`], [`crate::VerifyMetrics`]); per-session walls
-//! are the trace's `session` spans.
+//! The memos count hits and misses, never time ([`crate::ServiceMetrics`],
+//! [`crate::VerifyMetrics`]); per-session walls are the trace's `session`
+//! spans.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

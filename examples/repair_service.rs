@@ -1,8 +1,8 @@
 //! Serving a 100-case mixed workload through the `svserve` repair service.
 //!
-//! Demonstrates the three serving-layer guarantees:
+//! Demonstrates the serving-layer guarantees:
 //!
-//! 1. **Throughput with metrics** — a mixed workload (machine-generated pipeline
+//! 1. **Serving with metrics** — a mixed workload (machine-generated pipeline
 //!    cases, human-crafted cases, and duplicate resubmissions) runs through the
 //!    sharded service, solved on the submitting thread, and the run ends with a
 //!    [`svserve::ServiceMetrics`] snapshot;

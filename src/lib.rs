@@ -12,7 +12,7 @@
 //! * [`svmodel`] — the trainable surrogate model and the baseline surrogates;
 //! * [`svserve`] — the serving layer: a concurrent, sharded repair service that wraps
 //!   any [`svmodel::RepairModel`] behind a submit API that serves each request on
-//!   the submitting thread, with admission control, content-addressed LRU caches with persistent
+//!   the submitting thread, with admission control, content-addressed caches with persistent
 //!   on-disk snapshots ([`svserve::persist`]) and [`svserve::ServiceMetrics`]
 //!   snapshots.  Sampler seeds derive from case content, so results are
 //!   byte-identical at any worker count and across cold/warm starts
