@@ -4,17 +4,16 @@
 //! of the augmentation pipeline) and 38 human-crafted cases derived from the RTLLM
 //! dataset.  Here the machine part comes from [`svdata::split_by_module`]'s evaluation
 //! side, and the human part is a set of hand-written golden/buggy design pairs in the
-//! same spirit (realistic small IP blocks with realistic bug stories), validated by the
-//! same simulator so every case carries genuine failure logs.
+//! same spirit (realistic small IP blocks with realistic bug stories).  Each human case
+//! is validated by the pipeline's own Stage-2 step ([`svdata::ValidatedGolden`]): its
+//! golden SVAs must hold, its hand-written bug must fail them, and the witness is
+//! simulated so every case carries genuine failure logs.
 
 use serde::{Deserialize, Serialize};
-use svdata::SvaBugEntry;
-use svmutate::{
-    classify_visibility, single_line_diff, BugKind, BugProfile, Structural, Visibility,
-};
-use svparse::{emit_module, parse_module};
-use svsim::failing_assertions_in_log;
-use svverify::{CheckConfig, Verdict, VerifyOracle};
+use svdata::{Stage2Outcome, SvaBugEntry, ValidatedGolden};
+use svmutate::{BugKind, InjectedBug, Structural};
+use svparse::parse_module;
+use svverify::{CheckConfig, VerifyOracle};
 
 /// The full SVA-Eval benchmark.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -81,36 +80,18 @@ pub fn human_crafted_cases() -> Vec<SvaBugEntry> {
 
 fn build_human_entry(oracle: &VerifyOracle, case: &HumanCase) -> Option<SvaBugEntry> {
     let golden = parse_module(case.golden).ok()?;
-    let buggy = parse_module(case.buggy).ok()?;
-    let golden_text = emit_module(&golden);
-    let buggy_text = emit_module(&buggy);
-    if !oracle.repair_solves_failure(&golden) {
-        return None;
-    }
-    let verdict = oracle.bug_triggers_failure(&buggy).ok()??;
-    let Verdict::Fail { witness, .. } = verdict else {
-        return None;
+    let bug = InjectedBug {
+        buggy: parse_module(case.buggy).ok()?,
+        kind: case.kind,
+        structural: case.structural,
+        affected_signals: vec![case.affected.to_string()],
+        description: String::new(),
     };
-    let outcome = svsim::simulate(&buggy, &witness).ok()?;
-    let diff = single_line_diff(&golden_text, &buggy_text)?;
-    let failing = failing_assertions_in_log(&outcome.log);
-    let visibility = classify_visibility(&golden, &[case.affected.to_string()], &failing);
     let spec = svgen::render_spec(&golden, case.spec_function);
-    Some(SvaBugEntry {
-        module_name: golden.name.clone(),
-        spec,
-        buggy_source: buggy_text.clone(),
-        golden_source: golden_text,
-        logs: outcome.log,
-        failing_assertions: failing,
-        bug_line_number: diff.line,
-        buggy_line: diff.buggy_line,
-        fixed_line: diff.golden_line,
-        profile: BugProfile::new(case.kind, case.structural, visibility),
-        cot: None,
-        code_lines: buggy_text.lines().count(),
-        human_crafted: true,
-    })
+    match ValidatedGolden::validate(oracle, &golden, &golden.name, &spec)?.derive(&bug) {
+        Stage2Outcome::Case(case) => Some(case.into_entry(None, true)),
+        Stage2Outcome::VerilogBug(_) | Stage2Outcome::Discard => None,
+    }
 }
 
 fn human_case_definitions() -> Vec<HumanCase> {
@@ -326,22 +307,23 @@ endmodule
     ]
 }
 
-/// Sanity check used by the human-case tests: the buggy line must differ and the bug
-/// must be labelled `Cond` only when the edit is inside a condition.
-pub fn human_case_is_consistent(entry: &SvaBugEntry) -> bool {
-    entry.buggy_line != entry.fixed_line
-        && entry.human_crafted
-        && !entry.failing_assertions.is_empty()
-        && (entry.profile.structural != Structural::Cond
-            || entry.buggy_line.contains("if (")
-            || entry.buggy_line.contains("case ("))
-        && (entry.profile.visibility == Visibility::Direct
-            || entry.profile.visibility == Visibility::Indirect)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use svmutate::Visibility;
+
+    /// The buggy line must differ and the bug must be labelled `Cond` only when
+    /// the edit is inside a condition.
+    fn human_case_is_consistent(entry: &SvaBugEntry) -> bool {
+        entry.buggy_line != entry.fixed_line
+            && entry.human_crafted
+            && !entry.failing_assertions.is_empty()
+            && (entry.profile.structural != Structural::Cond
+                || entry.buggy_line.contains("if (")
+                || entry.buggy_line.contains("case ("))
+            && (entry.profile.visibility == Visibility::Direct
+                || entry.profile.visibility == Visibility::Indirect)
+    }
 
     #[test]
     fn human_cases_validate_end_to_end() {

@@ -2,7 +2,9 @@
 //!
 //! Reproduces Section II of the paper: starting from a (synthetic) Verilog corpus the
 //! pipeline filters and syntax-checks the samples (Stage 1), injects and validates
-//! bugs and SVAs with the simulator and bounded checker (Stage 2), and generates and
+//! bugs and SVAs with the simulator and bounded checker (Stage 2, one step per bug:
+//! [`ValidatedGolden::derive`], which the human-crafted SVA-Eval cases and the fuzz
+//! corpus derive through as well), and generates and
 //! validates chains of thought (Stage 3), producing the *Verilog-PT*, *Verilog-Bug*
 //! and *SVA-Bug* datasets plus the 90/10 module-level train/evaluation split that
 //! becomes SVA-Eval-Machine.
@@ -24,8 +26,8 @@ pub mod store;
 pub use entries::{Datasets, SvaBugEntry, VerilogBugEntry, VerilogPtEntry};
 pub use pipeline::{
     distribution, run_pipeline, split_by_module, stage1_filter, stage2_generate, stage3_cot,
-    AcceptedDesign, Distribution, PipelineConfig, PipelineOutput, Stage1Output, Stage2Output,
-    SvaCase, TrainTestSplit,
+    AcceptedDesign, Distribution, PipelineConfig, PipelineOutput, Stage1Output, Stage2Outcome,
+    Stage2Output, SvaCase, TrainTestSplit, ValidatedGolden,
 };
 pub use store::{
     datasets_from_json, datasets_to_json, load_datasets, save_datasets, split_from_json,

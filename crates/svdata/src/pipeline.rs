@@ -5,9 +5,10 @@
 //!   together with a failure analysis; healthy sources proceed.
 //! * **Stage 2 — key-component generation and validation**: bugs are injected
 //!   (`svmutate`), the golden design's SVAs are validated with the bounded checker
-//!   (`svverify`), and every bug is simulated: bugs that trigger assertion failures
+//!   (`svverify`), and every bug is checked: bugs that trigger assertion failures
 //!   become *SVA-Bug* cases (with logs from `svsim`), bugs that do not become
-//!   *Verilog-Bug* entries.
+//!   *Verilog-Bug* entries.  [`ValidatedGolden::derive`] is this step for one bug;
+//!   the human-crafted SVA-Eval cases and the fuzz corpus derive through it too.
 //! * **Stage 3 — CoT generation and validation**: a static-analysis "teacher"
 //!   produces a chain of thought for each case; CoTs whose predicted buggy line
 //!   matches the golden solution are kept (the paper reports ≈74.55 % validity).
@@ -19,8 +20,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use svgen::{render_spec, CorpusConfig, CorpusGenerator, Family, RawSample};
-use svmutate::{classify_visibility, single_line_diff, BugInjector, BugProfile};
-use svparse::{emit_module, parse_module};
+use svmutate::{classify_visibility, single_line_diff, BugInjector, BugProfile, InjectedBug};
+use svparse::{emit_module, parse_module, Module};
 use svsim::failing_assertions_in_log;
 use svverify::{CheckConfig, SvaValidity, Verdict, VerifyOracle};
 
@@ -130,6 +131,27 @@ pub struct SvaCase {
     pub code_lines: usize,
 }
 
+impl SvaCase {
+    /// The SVA-Bug entry of this case, with Stage 3's validated CoT (if any).
+    pub fn into_entry(self, cot: Option<String>, human_crafted: bool) -> SvaBugEntry {
+        SvaBugEntry {
+            module_name: self.module_name,
+            spec: self.spec,
+            buggy_source: self.buggy_source,
+            golden_source: self.golden_source,
+            logs: self.logs,
+            failing_assertions: self.failing_assertions,
+            bug_line_number: self.bug_line_number,
+            buggy_line: self.buggy_line,
+            fixed_line: self.fixed_line,
+            profile: self.profile,
+            cot,
+            code_lines: self.code_lines,
+            human_crafted,
+        }
+    }
+}
+
 /// Output of Stage 2.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Stage2Output {
@@ -213,73 +235,118 @@ pub fn stage1_filter(corpus: &[RawSample]) -> Stage1Output {
     out
 }
 
+/// A golden design whose SVAs hold within the bound, ready for Stage 2's step
+/// ([`ValidatedGolden::derive`]).
+#[derive(Debug, Clone)]
+pub struct ValidatedGolden<'a> {
+    oracle: &'a VerifyOracle,
+    module: &'a Module,
+    text: String,
+    module_name: &'a str,
+    spec: &'a str,
+}
+
+/// What Stage 2 makes of one injected bug.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Stage2Outcome {
+    /// The bug triggers an assertion failure: an SVA-Bug case with its log.
+    Case(SvaCase),
+    /// The bug violates no assertion within the bound: a Verilog-Bug entry.
+    VerilogBug(VerilogBugEntry),
+    /// The bug is not a single-line edit, or cannot be checked or simulated.
+    Discard,
+}
+
+impl<'a> ValidatedGolden<'a> {
+    /// Validates the golden design's SVAs, exactly like running SymbiYosys on the
+    /// un-mutated code; `None` unless they are [`SvaValidity::Valid`].  The
+    /// module name and spec are recorded on every derived entry.
+    pub fn validate(
+        oracle: &'a VerifyOracle,
+        module: &'a Module,
+        module_name: &'a str,
+        spec: &'a str,
+    ) -> Option<Self> {
+        if oracle.sva_valid_on_golden(module) != SvaValidity::Valid {
+            return None;
+        }
+        Some(Self {
+            oracle,
+            module,
+            text: emit_module(module),
+            module_name,
+            spec,
+        })
+    }
+
+    /// Stage 2 on one bug: diff the canonical texts to one line, require an
+    /// assertion-failure witness within the bound, simulate it for the log and
+    /// classify the bug's visibility.
+    pub fn derive(&self, bug: &InjectedBug) -> Stage2Outcome {
+        let buggy_text = emit_module(&bug.buggy);
+        let Some(diff) = single_line_diff(&self.text, &buggy_text) else {
+            return Stage2Outcome::Discard;
+        };
+        let witness = match self.oracle.bug_triggers_failure(&bug.buggy) {
+            Err(_) => return Stage2Outcome::Discard,
+            Ok(Some(Verdict::Fail { witness, .. })) => witness,
+            Ok(_) => {
+                // Bug compiles and simulates but never violates an assertion:
+                // keep it as a Verilog-Bug (functional bug) entry.
+                return Stage2Outcome::VerilogBug(VerilogBugEntry {
+                    module_name: self.module_name.to_string(),
+                    spec: self.spec.to_string(),
+                    buggy_source: buggy_text,
+                    golden_source: self.text.clone(),
+                    bug_line_number: diff.line,
+                    buggy_line: diff.buggy_line,
+                    fixed_line: diff.golden_line,
+                });
+            }
+        };
+        let Ok(outcome) = svsim::simulate(&bug.buggy, &witness) else {
+            return Stage2Outcome::Discard;
+        };
+        let failing = failing_assertions_in_log(&outcome.log);
+        let visibility = classify_visibility(self.module, &bug.affected_signals, &failing);
+        Stage2Outcome::Case(SvaCase {
+            module_name: self.module_name.to_string(),
+            spec: self.spec.to_string(),
+            golden_source: self.text.clone(),
+            code_lines: buggy_text.lines().count(),
+            buggy_source: buggy_text,
+            logs: outcome.log,
+            failing_assertions: failing,
+            bug_line_number: diff.line,
+            buggy_line: diff.buggy_line,
+            fixed_line: diff.golden_line,
+            profile: BugProfile::new(bug.kind, bug.structural, visibility),
+        })
+    }
+}
+
 /// Stage 2: bug/SVA generation and tool-based validation.
 pub fn stage2_generate(accepted: &[AcceptedDesign], config: &PipelineConfig) -> Stage2Output {
     let oracle = VerifyOracle::new(config.check.clone());
     let mut out = Stage2Output::default();
     for (design_index, design) in accepted.iter().enumerate() {
-        let golden = match parse_module(&design.source) {
-            Ok(m) => m,
-            Err(_) => {
-                out.discarded_mutants += 1;
-                continue;
-            }
+        let Ok(module) = parse_module(&design.source) else {
+            out.discarded_mutants += 1;
+            continue;
         };
-        // Validate the SVAs on the golden design, exactly like running SymbiYosys on
-        // the un-mutated code.
-        match oracle.sva_valid_on_golden(&golden) {
-            SvaValidity::Valid => {}
-            _ => {
-                out.invalid_sva_designs += 1;
-                continue;
-            }
-        }
-        let golden_text = emit_module(&golden);
+        let Some(golden) =
+            ValidatedGolden::validate(&oracle, &module, &design.module_name, &design.spec)
+        else {
+            out.invalid_sva_designs += 1;
+            continue;
+        };
         let mut injector =
             BugInjector::new(config.seed ^ (design_index as u64).wrapping_mul(0x9E37));
-        let bugs = injector.inject_batch(&golden, config.bugs_per_design);
-        for bug in bugs {
-            let buggy_text = emit_module(&bug.buggy);
-            let Some(diff) = single_line_diff(&golden_text, &buggy_text) else {
-                out.discarded_mutants += 1;
-                continue;
-            };
-            match oracle.bug_triggers_failure(&bug.buggy) {
-                Err(_) => out.discarded_mutants += 1,
-                Ok(Some(Verdict::Fail { witness, .. })) => {
-                    let Ok(outcome) = svsim::simulate(&bug.buggy, &witness) else {
-                        out.discarded_mutants += 1;
-                        continue;
-                    };
-                    let failing = failing_assertions_in_log(&outcome.log);
-                    let visibility = classify_visibility(&golden, &bug.affected_signals, &failing);
-                    out.cases.push(SvaCase {
-                        module_name: design.module_name.clone(),
-                        spec: design.spec.clone(),
-                        golden_source: golden_text.clone(),
-                        buggy_source: buggy_text.clone(),
-                        logs: outcome.log,
-                        failing_assertions: failing,
-                        bug_line_number: diff.line,
-                        buggy_line: diff.buggy_line.clone(),
-                        fixed_line: diff.golden_line.clone(),
-                        profile: BugProfile::new(bug.kind, bug.structural, visibility),
-                        code_lines: buggy_text.lines().count(),
-                    });
-                }
-                Ok(Some(_)) | Ok(None) => {
-                    // Bug compiles and simulates but never violates an assertion:
-                    // keep it as a Verilog-Bug (functional issue) entry.
-                    out.verilog_bug.push(VerilogBugEntry {
-                        module_name: design.module_name.clone(),
-                        spec: design.spec.clone(),
-                        buggy_source: buggy_text.clone(),
-                        golden_source: golden_text.clone(),
-                        bug_line_number: diff.line,
-                        buggy_line: diff.buggy_line.clone(),
-                        fixed_line: diff.golden_line.clone(),
-                    });
-                }
+        for bug in injector.inject_batch(&module, config.bugs_per_design) {
+            match golden.derive(&bug) {
+                Stage2Outcome::Case(case) => out.cases.push(case),
+                Stage2Outcome::VerilogBug(entry) => out.verilog_bug.push(entry),
+                Stage2Outcome::Discard => out.discarded_mutants += 1,
             }
         }
     }
@@ -303,21 +370,7 @@ pub fn stage3_cot(cases: Vec<SvaCase>, seed: u64) -> (Vec<SvaBugEntry>, f64) {
             } else {
                 None
             };
-            SvaBugEntry {
-                module_name: case.module_name,
-                spec: case.spec,
-                buggy_source: case.buggy_source,
-                golden_source: case.golden_source,
-                logs: case.logs,
-                failing_assertions: case.failing_assertions,
-                bug_line_number: case.bug_line_number,
-                buggy_line: case.buggy_line,
-                fixed_line: case.fixed_line,
-                profile: case.profile,
-                cot,
-                code_lines: case.code_lines,
-                human_crafted: false,
-            }
+            case.into_entry(cot, false)
         })
         .collect();
     (entries, valid as f64 / total as f64)

@@ -2,21 +2,21 @@
 //!
 //! Every corpus case carries a session journal recorded by
 //! [`assertsolver::evaluate_model_journaled`]: a bug entry is derived from the
-//! case's pristine `base_source` (mirroring the Stage-2 pipeline: inject,
-//! verify, simulate, classify), evaluated under the quick protocol, and the
+//! case's pristine `base_source` by the data pipeline's own Stage-2 step
+//! ([`svdata::ValidatedGolden`]: validate the golden, inject, check, simulate,
+//! classify), evaluated under the quick protocol, and the
 //! rendered journal is embedded in the artifact. `repro` re-derives the entry
 //! from `(base_source, derive_seed)` alone and byte-compares the journals —
 //! the same record/replay contract `svobs replay` enforces for full evaluations.
 
 use assertsolver::{evaluate_model_journaled, EvalConfig, JournalManifest};
-use svdata::SvaBugEntry;
+use svdata::{Stage2Outcome, SvaBugEntry, ValidatedGolden};
 use svgen::render_spec;
 use svmodel::{AssertSolverModel, RepairModel};
-use svmutate::{classify_visibility, single_line_diff, BugInjector, BugProfile};
-use svparse::{emit_module, parse_module};
+use svmutate::BugInjector;
+use svparse::parse_module;
 use svserve::parse_journal;
-use svsim::failing_assertions_in_log;
-use svverify::{CheckConfig, SvaValidity, Verdict, VerifyOracle};
+use svverify::{CheckConfig, VerifyOracle};
 
 use crate::finding::CaseFile;
 
@@ -37,51 +37,25 @@ fn derivation_check_config() -> CheckConfig {
 }
 
 /// Derives a journalable bug entry from a golden source with one injector
-/// seed: inject a bug, require an assertion-failure witness within the bound,
-/// simulate it for logs, classify, and assemble the [`SvaBugEntry`].
+/// seed: validate the golden's SVAs, then run Stage 2's step
+/// ([`ValidatedGolden::derive`]) over the seed's injected bugs and keep the
+/// first assertion-failure case.
 ///
 /// Returns `None` when this seed yields no assertion-visible bug (the caller
 /// probes successive seeds via [`find_derivation`]).
 pub fn derive_entry(base_source: &str, derive_seed: u64) -> Option<SvaBugEntry> {
     let golden = parse_module(base_source).ok()?;
     let oracle = VerifyOracle::new(derivation_check_config());
-    if oracle.sva_valid_on_golden(&golden) != SvaValidity::Valid {
-        return None;
-    }
-    let golden_text = emit_module(&golden);
+    let spec = render_spec(&golden, MINED_FUNCTION);
+    let validated = ValidatedGolden::validate(&oracle, &golden, &golden.name, &spec)?;
     let mut injector = BugInjector::new(derive_seed);
-    for bug in injector.inject_batch(&golden, 4) {
-        let buggy_text = emit_module(&bug.buggy);
-        let Some(diff) = single_line_diff(&golden_text, &buggy_text) else {
-            continue;
-        };
-        let Ok(Some(Verdict::Fail { witness, .. })) = oracle.bug_triggers_failure(&bug.buggy)
-        else {
-            continue;
-        };
-        let Ok(outcome) = svsim::simulate(&bug.buggy, &witness) else {
-            continue;
-        };
-        let failing = failing_assertions_in_log(&outcome.log);
-        let visibility = classify_visibility(&golden, &bug.affected_signals, &failing);
-        let code_lines = buggy_text.lines().count();
-        return Some(SvaBugEntry {
-            module_name: golden.name.clone(),
-            spec: render_spec(&golden, MINED_FUNCTION),
-            buggy_source: buggy_text,
-            golden_source: golden_text.clone(),
-            logs: outcome.log,
-            failing_assertions: failing,
-            bug_line_number: diff.line,
-            buggy_line: diff.buggy_line.clone(),
-            fixed_line: diff.golden_line.clone(),
-            profile: BugProfile::new(bug.kind, bug.structural, visibility),
-            cot: None,
-            code_lines,
-            human_crafted: false,
-        });
-    }
-    None
+    injector
+        .inject_batch(&golden, 4)
+        .iter()
+        .find_map(|bug| match validated.derive(bug) {
+            Stage2Outcome::Case(case) => Some(case.into_entry(None, false)),
+            Stage2Outcome::VerilogBug(_) | Stage2Outcome::Discard => None,
+        })
 }
 
 /// Probes injector seeds `1..=16` until one yields a journalable entry.

@@ -126,12 +126,6 @@ impl AssertSolverModel {
         self.stage
     }
 
-    /// Overrides the display name (used when labelling table rows).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.display_name = name.into();
-        self
-    }
-
     /// Read access to the language model (exposed for diagnostics and benches).
     pub fn language_model(&self) -> &NgramLm {
         &self.lm

@@ -786,21 +786,6 @@ impl BinaryOp {
         }
     }
 
-    /// Returns `true` if the operator produces a 1-bit (boolean) result.
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Lt
-                | BinaryOp::Le
-                | BinaryOp::Gt
-                | BinaryOp::Ge
-                | BinaryOp::Eq
-                | BinaryOp::Ne
-                | BinaryOp::LogicalAnd
-                | BinaryOp::LogicalOr
-        )
-    }
-
     /// All binary operators, useful for mutation enumeration.
     pub fn all() -> &'static [BinaryOp] {
         &[

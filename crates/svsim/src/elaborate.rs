@@ -34,15 +34,36 @@ impl fmt::Display for ElabError {
 
 impl std::error::Error for ElabError {}
 
-/// One resolved assertion: a property plus the name under which failures are reported.
+/// One resolved assertion: where its property sits in the design's module, plus the
+/// name under which failures are reported.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedAssertion {
     /// Name used in failure logs (`label` if present, otherwise the property name).
     pub name: String,
-    /// The property to check.
-    pub property: PropertyDecl,
+    /// Index into the module's items of the property to check: the named
+    /// `property` declaration, or the assertion itself for an inline property.
+    item: usize,
     /// Optional `$error` message attached to the assertion.
     pub message: Option<String>,
+}
+
+impl ResolvedAssertion {
+    /// The property to check, in the module the assertion was resolved from
+    /// ([`Design::module`]).
+    ///
+    /// # Panics
+    ///
+    /// When `module` is not that module: its item there is no property.
+    pub fn property<'m>(&self, module: &'m Module) -> &'m PropertyDecl {
+        match &module.items[self.item] {
+            Item::Property(property) => property,
+            Item::Assertion(AssertionItem {
+                target: AssertTarget::Inline(property),
+                ..
+            }) => property,
+            _ => panic!("assertion `{}` resolved against another module", self.name),
+        }
+    }
 }
 
 /// An elaborated, simulatable design.
@@ -218,7 +239,7 @@ impl Design {
     pub fn max_property_horizon(&self) -> u32 {
         self.assertions
             .iter()
-            .map(|a| a.property.body.horizon())
+            .map(|a| a.property(&self.module).body.horizon())
             .max()
             .unwrap_or(0)
     }
@@ -238,17 +259,21 @@ impl Design {
 
 fn resolve_assertions(module: &Module) -> Result<Vec<ResolvedAssertion>, ElabError> {
     let mut out = Vec::new();
-    for assertion in module.assertions() {
-        let property = match &assertion.target {
+    for (index, item) in module.items.iter().enumerate() {
+        let Item::Assertion(assertion) = item else {
+            continue;
+        };
+        let item = match &assertion.target {
             AssertTarget::Named(name) => module
-                .property(name)
-                .cloned()
+                .items
+                .iter()
+                .position(|other| matches!(other, Item::Property(p) if p.name == *name))
                 .ok_or_else(|| ElabError::new(format!("unknown property `{name}`")))?,
-            AssertTarget::Inline(p) => (**p).clone(),
+            AssertTarget::Inline(_) => index,
         };
         out.push(ResolvedAssertion {
             name: assertion_name(assertion),
-            property,
+            item,
             message: assertion.message.clone(),
         });
     }

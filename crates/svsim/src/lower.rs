@@ -130,17 +130,17 @@ impl Compiled {
         let properties = assertions
             .iter()
             .map(|assertion| {
+                let property = assertion.property(module);
                 lowering.deepest_past = 0;
-                let guard = assertion
-                    .property
+                let guard = property
                     .disable_iff
                     .as_ref()
                     .map(|guard| lowering.expr(guard));
-                let body = lowering.seq(&assertion.property.body);
+                let body = lowering.seq(&property.body);
                 Property {
                     guard,
                     body,
-                    horizon: assertion.property.body.horizon() as usize,
+                    horizon: property.body.horizon() as usize,
                     lookback: lowering.deepest_past as usize,
                 }
             })

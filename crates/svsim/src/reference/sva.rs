@@ -31,26 +31,27 @@ enum Attempt {
 pub fn check_assertions(design: &Design, trace: &Trace) -> Vec<AssertionFailure> {
     let mut failures = Vec::new();
     for assertion in &design.assertions {
-        failures.extend(check_assertion(assertion, trace));
+        failures.extend(check_assertion(design, assertion, trace));
     }
     failures
 }
 
-/// Checks a single assertion against the trace, one attempt per start cycle.
-pub fn check_assertion(assertion: &ResolvedAssertion, trace: &Trace) -> Vec<AssertionFailure> {
+/// Checks a single assertion of the design against the trace, one attempt per start
+/// cycle.
+pub fn check_assertion(
+    design: &Design,
+    assertion: &ResolvedAssertion,
+    trace: &Trace,
+) -> Vec<AssertionFailure> {
+    let property = assertion.property(&design.module);
     let mut failures = Vec::new();
     for start in 0..trace.len() {
-        if let Some(guard) = &assertion.property.disable_iff {
+        if let Some(guard) = &property.disable_iff {
             if eval_at(guard, trace, start).is_true() {
                 continue;
             }
         }
-        match eval_prop(
-            &assertion.property.body,
-            trace,
-            start,
-            &assertion.property.disable_iff,
-        ) {
+        match eval_prop(&property.body, trace, start, &property.disable_iff) {
             Attempt::Fails(cycle) => failures.push(AssertionFailure {
                 assertion: assertion.name.clone(),
                 start_cycle: start,

@@ -105,7 +105,7 @@ fn pin(label: &str, module: &Module, seed: u64, tally: &mut Tally) {
                 .assertions
                 .iter()
                 .filter(|other| other.name == assertion.name)
-                .map(|other| other.property.body.horizon() as usize)
+                .map(|other| other.property(&design.module).body.horizon() as usize)
                 .max()
                 .unwrap_or(0);
             for start in 0..trace.len() {

@@ -95,14 +95,6 @@ impl Default for CheckConfig {
 }
 
 impl CheckConfig {
-    /// A configuration with a specific unrolling depth and otherwise default limits.
-    pub fn with_depth(depth: usize) -> Self {
-        Self {
-            depth,
-            ..Self::default()
-        }
-    }
-
     /// Stable little-endian byte encoding of every field.
     ///
     /// Used as the configuration component of content-addressed verdict-cache keys

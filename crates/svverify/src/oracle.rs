@@ -6,14 +6,13 @@
 //! 2. does an injected bug *trigger* an assertion failure?
 //! 3. does a candidate fix actually *solve* the failure?
 //!
-//! This module packages the [`crate::bmc::BoundedChecker`] into those three oracles,
-//! plus a bounded input/output equivalence check used by tests and ablations.
+//! This module packages the [`crate::bmc::BoundedChecker`] into those three oracles.
+//! Stage 2 asks questions 1 and 2 in one place, `svdata::ValidatedGolden`.
 
 use crate::bmc::{BoundedChecker, CheckConfig, Verdict};
-use crate::stimulus::Stimuli;
 use serde::{Deserialize, Serialize};
 use svparse::Module;
-use svsim::{Design, Simulator};
+use svsim::Design;
 
 /// Outcome of validating a golden design against its assertions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,36 +90,6 @@ impl VerifyOracle {
             Err(_) => (false, None),
         }
     }
-
-    /// Bounded input/output equivalence of two modules over shared outputs.
-    ///
-    /// Both modules are driven with the same randomised stimulus (derived from the
-    /// first module's interface) and their output traces are compared cycle by cycle.
-    pub fn outputs_equivalent(
-        &self,
-        reference: &Module,
-        candidate: &Module,
-        sequences: usize,
-        seed: u64,
-    ) -> Result<bool, String> {
-        let ref_design = Design::elaborate(reference).map_err(|e| e.to_string())?;
-        let cand_design = Design::elaborate(candidate).map_err(|e| e.to_string())?;
-        let depth = self.checker.config().depth;
-        for stim in Stimuli::random(&ref_design, depth, sequences, seed) {
-            let ref_trace = Simulator::run(&ref_design, &stim).map_err(|e| e.to_string())?;
-            let cand_trace = Simulator::run(&cand_design, &stim).map_err(|e| e.to_string())?;
-            for cycle in 0..ref_trace.len() {
-                for output in &ref_design.outputs {
-                    let a = ref_trace.value(output, cycle);
-                    let b = cand_trace.value(output, cycle);
-                    if a.map(|v| v.bits()) != b.map(|v| v.bits()) {
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-        Ok(true)
-    }
 }
 
 #[cfg(test)]
@@ -181,18 +150,6 @@ endmodule
             oracle.sva_valid_on_golden(&module),
             SvaValidity::InvalidOnGolden
         );
-    }
-
-    #[test]
-    fn equivalence_check_distinguishes_designs() {
-        let golden = parse_module(GOLDEN).unwrap();
-        let same = parse_module(GOLDEN).unwrap();
-        let buggy =
-            parse_module(&GOLDEN.replace("code <= (bin >> 1) ^ bin;", "code <= (bin >> 1) | bin;"))
-                .unwrap();
-        let oracle = VerifyOracle::default();
-        assert!(oracle.outputs_equivalent(&golden, &same, 8, 7).unwrap());
-        assert!(!oracle.outputs_equivalent(&golden, &buggy, 8, 7).unwrap());
     }
 
     #[test]

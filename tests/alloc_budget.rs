@@ -16,7 +16,7 @@
 //! | sample | 630 | the 63 (model, case) calls | `RepairModel::solve` under the service's seed |
 //! | front end | 165 | the (model, case) pairs with a judged candidate | `FrontEnd::new` of the buggy source |
 //! | parse | 26 | the judged candidates | `FrontEnd::edit_line`, else `parse_module` of `apply_line_edit` |
-//! | elaborate | 106 | the candidates that parse and change the text | `Design::from_module` of the module |
+//! | elaborate | 75 | the candidates that parse and change the text | `Design::from_module` of the module |
 //! | check | 45 | the candidates that elaborate | `BoundedChecker::passes` on the design |
 //!
 //! It also holds that at least 97 % of the judged candidates take the
@@ -82,7 +82,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 const SAMPLE_CEILING: u64 = 630;
 const FRONT_END_CEILING: u64 = 165;
 const PARSE_CEILING: u64 = 26;
-const ELABORATE_CEILING: u64 = 106;
+const ELABORATE_CEILING: u64 = 75;
 const CHECK_CEILING: u64 = 45;
 /// The least share of judged candidates, in percent, that the one-item delta
 /// must answer: a silent fallback to the whole text fails here.
