@@ -95,7 +95,7 @@ pub struct EvaluatedModel {
 
 impl EvaluatedModel {
     /// pass@k over all cases.
-    pub fn overall(&self) -> PassK {
+    pub(crate) fn overall(&self) -> PassK {
         self.evaluation.passk()
     }
 

@@ -114,14 +114,14 @@ impl EvalConfig {
     /// The cache directory this protocol persists to, if any: the explicit
     /// [`EvalConfig::cache_dir`] field, else the `ASSERTSOLVER_CACHE_DIR`
     /// environment override (`svserve::CACHE_DIR_ENV`).
-    pub fn resolved_cache_dir(&self) -> Option<std::path::PathBuf> {
+    pub(crate) fn resolved_cache_dir(&self) -> Option<std::path::PathBuf> {
         resolve_dir(&self.cache_dir, env_cache_dir)
     }
 
     /// The journal directory this protocol records to, if any: the explicit
     /// [`EvalConfig::journal_dir`] field, else the `ASSERTSOLVER_JOURNAL_DIR`
     /// environment override (`svserve::JOURNAL_DIR_ENV`).
-    pub fn resolved_journal_dir(&self) -> Option<std::path::PathBuf> {
+    pub(crate) fn resolved_journal_dir(&self) -> Option<std::path::PathBuf> {
         resolve_dir(&self.journal_dir, env_journal_dir)
     }
 
@@ -129,7 +129,7 @@ impl EvalConfig {
     /// to, if any: the explicit [`EvalConfig::profile_dir`] field, else the
     /// `ASSERTSOLVER_PROFILE_DIR` environment override
     /// (`svserve::PROFILE_DIR_ENV`).
-    pub fn resolved_profile_dir(&self) -> Option<std::path::PathBuf> {
+    pub(crate) fn resolved_profile_dir(&self) -> Option<std::path::PathBuf> {
         resolve_dir(&self.profile_dir, env_profile_dir)
     }
 
@@ -293,7 +293,7 @@ impl ModelEvaluation {
     }
 
     /// pass@k per Table-I bug-type label.
-    pub fn by_bug_type(&self) -> BTreeMap<String, PassK> {
+    pub(crate) fn by_bug_type(&self) -> BTreeMap<String, PassK> {
         let mut out = BTreeMap::new();
         for label in svmutate::TABLE1_LABELS {
             let counts = self.counts(|r| r.profile.labels().contains(&label));
@@ -305,7 +305,7 @@ impl ModelEvaluation {
     }
 
     /// pass@k per Table-II code-length bin.
-    pub fn by_length_bin(&self) -> Vec<(String, PassK)> {
+    pub(crate) fn by_length_bin(&self) -> Vec<(String, PassK)> {
         svgen::LENGTH_BINS
             .iter()
             .enumerate()
@@ -602,7 +602,7 @@ pub struct JournalManifest {
     /// Recorder-chosen recipe for rebuilding the corpus (opaque to the core).
     pub corpus_tag: String,
     /// FNV-1a/64 over every corpus entry's verdict-relevant content, in hex.
-    pub corpus_fnv: String,
+    pub(crate) corpus_fnv: String,
     /// Samples per case (`n`).
     pub samples: u64,
     /// Sampling temperature in milli-units (`0.2` → `200`).
@@ -610,7 +610,7 @@ pub struct JournalManifest {
     /// Evaluation seed.
     pub seed: u64,
     /// FNV-1a/64 of the bounded-check fingerprint, in hex.
-    pub check_fnv: String,
+    pub(crate) check_fnv: String,
 }
 
 impl JournalManifest {

@@ -42,7 +42,7 @@ pub struct PassK {
 
 impl PassK {
     /// Aggregates `(n, c)` pairs — one per problem — into mean pass@1/pass@5.
-    pub fn from_counts(counts: &[(usize, usize)]) -> Self {
+    pub(crate) fn from_counts(counts: &[(usize, usize)]) -> Self {
         if counts.is_empty() {
             return Self::default();
         }

@@ -64,7 +64,7 @@ pub struct CaseFile {
     /// Run seed that mined the case (0 for externally registered ones).
     pub seed: u64,
     /// Iteration within the run that produced the input.
-    pub iteration: u64,
+    pub(crate) iteration: u64,
     /// Human-readable description of the original failure.
     pub detail: String,
     /// The (shrunk) input driven at the oracle.

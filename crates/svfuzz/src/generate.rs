@@ -21,7 +21,7 @@ pub struct FuzzInput {
     /// The pristine family source the input was derived from (journal base).
     pub base_source: String,
     /// `true` when the mangler ran over the family source.
-    pub mangled: bool,
+    pub(crate) mangled: bool,
 }
 
 /// Tokens the mangler splices into sources; a mix of keywords, operators and
@@ -226,7 +226,7 @@ fn nest_first_rhs(text: &str, depth: usize) -> String {
 }
 
 /// Derives the per-iteration RNG from the run seed and iteration index.
-pub fn iteration_rng(seed: u64, iteration: u64) -> StdRng {
+pub(crate) fn iteration_rng(seed: u64, iteration: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ iteration.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 

@@ -80,7 +80,7 @@ pub fn render_case_journal(entry: &SvaBugEntry, corpus_tag: &str) -> String {
 }
 
 /// The corpus tag a case's journal manifest carries.
-pub fn case_corpus_tag(family: &str, fingerprint: &str) -> String {
+pub(crate) fn case_corpus_tag(family: &str, fingerprint: &str) -> String {
     format!("svfuzz:{family}:{fingerprint}")
 }
 

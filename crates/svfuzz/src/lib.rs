@@ -20,7 +20,7 @@
 //!   for cycle and verdict for verdict), and the line-edit differential (the
 //!   judge's one-item delta, `svparse::FrontEnd`, against the whole-text parse
 //!   of the edited source).
-//! * **Miner** ([`miner`]) — findings are deduplicated by failure class,
+//! * **Miner** ([`run_fuzz`]) — findings are deduplicated by failure class,
 //!   shrunk with a built-in delta-debugging minimizer ([`shrink`]), and written
 //!   to `fuzz/corpus/<family>/` as self-describing JSON cases ([`finding`],
 //!   [`corpus`]). Each case is re-driven through
@@ -44,7 +44,7 @@ pub mod corpus;
 pub mod finding;
 pub mod generate;
 pub mod journal;
-pub mod miner;
+pub(crate) mod miner;
 pub mod oracle;
 pub mod shrink;
 

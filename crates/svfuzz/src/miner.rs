@@ -23,11 +23,11 @@ pub struct FuzzConfig {
     /// Number of inputs to generate and drive.
     pub iters: u64,
     /// Drive the mutation-closure oracle every Nth iteration (cost control).
-    pub mutate_every: u64,
+    pub(crate) mutate_every: u64,
     /// Drive the BMC-permutation oracle every Nth iteration (cost control).
-    pub bmc_every: u64,
+    pub(crate) bmc_every: u64,
     /// Predicate-evaluation budget per shrink.
-    pub shrink_budget: usize,
+    pub(crate) shrink_budget: usize,
 }
 
 impl FuzzConfig {
@@ -55,9 +55,9 @@ pub struct FuzzStats {
     /// Unique failure classes.
     pub unique: u64,
     /// Line edits the `line-edit` oracle answered as a one-item delta.
-    pub line_deltas: u64,
+    pub(crate) line_deltas: u64,
     /// Design × stimulus pairs the `sim-diff` oracle traced through both engines.
-    pub sim_pairs: u64,
+    pub(crate) sim_pairs: u64,
 }
 
 /// Everything a run produces.

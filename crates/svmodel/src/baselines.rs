@@ -9,7 +9,6 @@
 //! middle, iterative reasoning on top, and the domain-tuned AssertSolver above all.
 
 use crate::features::CaseInput;
-use crate::fixgen::FixEdit;
 use crate::lm::NgramLm;
 use crate::plan::{SamplingPlan, Softmax};
 use crate::policy::Policy;
@@ -51,7 +50,7 @@ impl BaselineKind {
     }
 
     /// The paper model this baseline stands in for.
-    pub fn surrogate_for(&self) -> &'static str {
+    pub(crate) fn surrogate_for(&self) -> &'static str {
         match self {
             BaselineKind::RandomGuess => "Deepseek-Coder-6.7b",
             BaselineKind::AssignmentGuess => "CodeLlama-7b",
@@ -409,19 +408,6 @@ pub fn all_baselines() -> Vec<BaselineModel> {
         .collect()
 }
 
-/// Marker edit-kind helper re-exported for the benches (maps fix edits to Table-I
-/// bug kinds when reporting ablations).
-pub fn edit_matches_kind(edit: FixEdit, kind: svmutate::BugKind) -> bool {
-    matches!(
-        (edit, kind),
-        (
-            FixEdit::ToggleNegation | FixEdit::OpSwap,
-            svmutate::BugKind::Op
-        ) | (FixEdit::ValueTweak, svmutate::BugKind::Value)
-            | (FixEdit::VarSwap, svmutate::BugKind::Var)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,15 +483,5 @@ mod tests {
         let case = CaseInput::from_entry(entry);
         let model = BaselineModel::new(BaselineKind::ConeAnalyst);
         assert_eq!(model.solve(&case, 5, 0.2, 3), model.solve(&case, 5, 0.2, 3));
-    }
-
-    #[test]
-    fn edit_kind_mapping() {
-        assert!(edit_matches_kind(
-            FixEdit::ValueTweak,
-            svmutate::BugKind::Value
-        ));
-        assert!(edit_matches_kind(FixEdit::VarSwap, svmutate::BugKind::Var));
-        assert!(!edit_matches_kind(FixEdit::VarSwap, svmutate::BugKind::Op));
     }
 }

@@ -52,12 +52,12 @@ pub struct LineCandidate {
     /// Trimmed line text.
     pub text: String,
     /// Feature vector of length [`LINE_FEATURES`].
-    pub features: Vec<f64>,
+    pub(crate) features: Vec<f64>,
 }
 
 /// Returns `true` for lines that can plausibly carry an injected bug (assignments,
 /// conditional headers, case subjects/labels).
-pub fn is_candidate_line(trimmed: &str) -> bool {
+pub(crate) fn is_candidate_line(trimmed: &str) -> bool {
     if trimmed.is_empty()
         || trimmed.starts_with("module")
         || trimmed.starts_with("input")
@@ -255,12 +255,8 @@ impl<'a> Cone<'a> {
     }
 }
 
-/// The signal assigned on a line, textually (`lhs <= rhs;` or `lhs = rhs;`).
-pub fn assigned_signal(line: &str) -> Option<String> {
-    assigned_name(line).map(str::to_string)
-}
-
-/// [`assigned_signal`], borrowed from `line`.
+/// The signal assigned on a line, textually (`lhs <= rhs;` or `lhs = rhs;`),
+/// borrowed from `line`.
 fn assigned_name(line: &str) -> Option<&str> {
     let lhs = if let Some(pos) = line.find("<=") {
         &line[..pos]
@@ -399,7 +395,7 @@ pub(crate) mod oracle {
         candidates
     }
 
-    /// [`super::assigned_signal`] as it was, building two `String`s.
+    /// [`super::assigned_name`] as it was, building two `String`s.
     pub fn assigned_signal(line: &str) -> Option<String> {
         let lhs = if let Some(pos) = line.find("<=") {
             &line[..pos]
@@ -482,14 +478,11 @@ mod tests {
 
     #[test]
     fn assigned_signal_extraction() {
-        assert_eq!(
-            assigned_signal("if (!rst_n) cnt <= 2'd0;"),
-            Some("cnt".into())
-        );
-        assert_eq!(assigned_signal("assign y = a & b;"), Some("y".into()));
-        assert_eq!(assigned_signal("flags[2] <= 1;"), Some("flags".into()));
-        assert_eq!(assigned_signal("a == b"), None);
-        assert_eq!(assigned_signal("case (sel)"), None);
+        assert_eq!(assigned_name("if (!rst_n) cnt <= 2'd0;"), Some("cnt"));
+        assert_eq!(assigned_name("assign y = a & b;"), Some("y"));
+        assert_eq!(assigned_name("flags[2] <= 1;"), Some("flags"));
+        assert_eq!(assigned_name("a == b"), None);
+        assert_eq!(assigned_name("case (sel)"), None);
     }
 
     #[test]

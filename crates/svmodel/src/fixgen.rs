@@ -47,7 +47,7 @@ pub struct FixCandidate {
     /// The edit applied.
     pub edit: FixEdit,
     /// Feature vector of length [`FIX_FEATURES`].
-    pub features: Vec<f64>,
+    pub(crate) features: Vec<f64>,
 }
 
 const OP_SWAPS: &[(&str, &str)] = &[

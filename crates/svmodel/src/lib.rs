@@ -41,9 +41,9 @@
 //! ```
 
 pub mod baselines;
-pub mod features;
-pub mod fixgen;
-pub mod lm;
+pub(crate) mod features;
+pub(crate) mod fixgen;
+pub(crate) mod lm;
 mod plan;
 pub mod policy;
 pub mod solver;

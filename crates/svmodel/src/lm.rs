@@ -53,7 +53,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// serialisation (hence a model's identity) writes.  Lookups go through a
 /// frozen index instead — token ids, unigram counts by id, bigram counts by
 /// packed id pair — built on the first lookup after training or
-/// deserialisation and dropped by [`NgramLm::train_text`].  The index is not
+/// deserialisation and dropped by [`NgramLm::train`].  The index is not
 /// serialised, and equality ignores it.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct NgramLm {
@@ -89,17 +89,17 @@ impl NgramLm {
     }
 
     /// Returns `true` once some text has been ingested.
-    pub fn is_trained(&self) -> bool {
+    pub(crate) fn is_trained(&self) -> bool {
         self.total_tokens > 0
     }
 
     /// Number of distinct tokens seen.
-    pub fn vocab_size(&self) -> usize {
+    pub(crate) fn vocab_size(&self) -> usize {
         self.unigrams.len()
     }
 
     /// Ingests one text into the counts.
-    pub fn train_text(&mut self, text: &str) {
+    pub(crate) fn train_text(&mut self, text: &str) {
         self.index = OnceLock::new();
         let tokens: Vec<&str> = tokens(text).collect();
         let mut key = (String::new(), String::new());
@@ -133,25 +133,6 @@ impl NgramLm {
     /// The frozen lookup index of the current counts, built on first use.
     pub(crate) fn frozen(&self) -> &FrozenLm {
         self.index.get_or_init(|| FrozenLm::new(self))
-    }
-
-    /// Interpolated probability of `next` following `prev`.
-    pub fn probability(&self, prev: &str, next: &str) -> f64 {
-        let lm = self.frozen();
-        lm.probability(lm.id(prev), lm.id(next))
-    }
-
-    /// Mean negative log-probability per token of a line (its surprisal).
-    ///
-    /// Untrained models return a constant so the feature is uninformative rather than
-    /// misleading.
-    pub fn surprisal(&self, line: &str) -> f64 {
-        self.frozen().surprisal(line)
-    }
-
-    /// Perplexity of a text under the model.
-    pub fn perplexity(&self, text: &str) -> f64 {
-        self.surprisal(text).exp()
     }
 }
 
@@ -241,8 +222,10 @@ impl FrozenLm {
         0.7 * bigram + 0.3 * unigram
     }
 
-    /// [`NgramLm::surprisal`]: one tokenisation, one id lookup per token, and
-    /// the terms summed in token order.
+    /// Mean negative log-probability per token of a line (its surprisal): one
+    /// tokenisation, one id lookup per token, and the terms summed in token
+    /// order.  An untrained model, or a line of fewer than two tokens, scores
+    /// a constant, so the feature is uninformative rather than misleading.
     pub(crate) fn surprisal(&self, line: &str) -> f64 {
         if !self.trained {
             return 1.0;
@@ -272,8 +255,8 @@ fn pack(prev: u32, next: u32) -> u64 {
 /// The `String`-keyed lookup the frozen index replaced, kept as its oracle.
 #[cfg(test)]
 impl NgramLm {
-    /// [`NgramLm::probability`], looking the bigram up through `key`, a
-    /// buffer the caller reuses across lookups.
+    /// [`FrozenLm::probability`] by token text, looking the bigram up through
+    /// `key`, a buffer the caller reuses across lookups.
     fn probability_keyed(&self, prev: &str, next: &str, key: &mut (String, String)) -> f64 {
         let k = 0.05;
         let vocab = self.vocab_size().max(1) as f64;
@@ -286,7 +269,7 @@ impl NgramLm {
         0.7 * bigram + 0.3 * unigram
     }
 
-    /// [`NgramLm::surprisal`] over [`NgramLm::probability_keyed`].
+    /// [`FrozenLm::surprisal`] over [`NgramLm::probability_keyed`].
     pub(crate) fn surprisal_keyed(&self, line: &str) -> f64 {
         if !self.is_trained() {
             return 1.0;
@@ -385,7 +368,8 @@ mod tests {
         let mut total = 0.0;
         let mut count = 0usize;
         for window in tokens.windows(2) {
-            total += -lm.probability(&window[0], &window[1]).ln();
+            let key = &mut Default::default();
+            total += -lm.probability_keyed(&window[0], &window[1], key).ln();
             count += 1;
         }
         total / count.max(1) as f64
@@ -448,7 +432,10 @@ mod tests {
             .iter()
             .flat_map(|text| text.lines().map(str::to_string));
         for line in lines.chain(random_texts(0x11E5, 2_000)) {
-            let (new, old) = (lm.surprisal(&line), surprisal_oracle(&oracle, &line));
+            let (new, old) = (
+                lm.frozen().surprisal(&line),
+                surprisal_oracle(&oracle, &line),
+            );
             assert_eq!(new.to_bits(), old.to_bits(), "{line:?}");
         }
     }
@@ -515,7 +502,7 @@ mod tests {
         let untrained = NgramLm::new();
         for lm in [&corpus_lm, pretrained, &untrained] {
             for line in &lines {
-                let (frozen, keyed) = (lm.surprisal(line), lm.surprisal_keyed(line));
+                let (frozen, keyed) = (lm.frozen().surprisal(line), lm.surprisal_keyed(line));
                 assert_eq!(frozen.to_bits(), keyed.to_bits(), "{line:?}");
             }
         }
@@ -527,13 +514,14 @@ mod tests {
     fn training_after_a_lookup_refreezes_the_index() {
         let mut lm = NgramLm::new();
         lm.train_text("a b a b");
-        let before = lm.surprisal("a c");
+        let before = lm.frozen().surprisal("a c");
         lm.train_text("a c a c a c");
-        let after = lm.surprisal("a c");
+        let after = lm.frozen().surprisal("a c");
         assert!(after < before, "before={before} after={after}");
         assert_eq!(after.to_bits(), lm.surprisal_keyed("a c").to_bits());
+        let frozen = lm.frozen();
         assert_eq!(
-            lm.probability("a", "c").to_bits(),
+            frozen.probability(frozen.id("a"), frozen.id("c")).to_bits(),
             lm.probability_keyed("a", "c", &mut Default::default())
                 .to_bits()
         );
@@ -561,32 +549,25 @@ mod tests {
             );
         }
         assert!(lm.is_trained());
-        let familiar = lm.surprisal("if (!rst_n) q <= 0;");
-        let weird = lm.surprisal("zz9 %% qq7 ^^ @@");
+        let familiar = lm.frozen().surprisal("if (!rst_n) q <= 0;");
+        let weird = lm.frozen().surprisal("zz9 %% qq7 ^^ @@");
         assert!(familiar < weird, "familiar={familiar} weird={weird}");
     }
 
     #[test]
     fn untrained_model_is_neutral() {
         let lm = NgramLm::new();
-        assert_eq!(lm.surprisal("anything at all"), 1.0);
+        assert_eq!(lm.frozen().surprisal("anything at all"), 1.0);
         assert!(!lm.is_trained());
-    }
-
-    #[test]
-    fn perplexity_is_exp_of_surprisal() {
-        let mut lm = NgramLm::new();
-        lm.train_text("assign y = a & b;");
-        let s = lm.surprisal("assign y = a & b;");
-        assert!((lm.perplexity("assign y = a & b;") - s.exp()).abs() < 1e-9);
     }
 
     #[test]
     fn probabilities_are_normalised_enough() {
         let mut lm = NgramLm::new();
         lm.train_text("a b a b a b a c");
-        let p_ab = lm.probability("a", "b");
-        let p_ac = lm.probability("a", "c");
+        let frozen = lm.frozen();
+        let p_ab = frozen.probability(frozen.id("a"), frozen.id("b"));
+        let p_ac = frozen.probability(frozen.id("a"), frozen.id("c"));
         assert!(p_ab > p_ac);
         assert!(p_ab <= 1.0 && p_ac > 0.0);
     }

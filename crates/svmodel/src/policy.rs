@@ -43,7 +43,7 @@ impl Policy {
 
     /// Creates a policy from an explicit weight vector (used by the hand-tuned
     /// baseline surrogates).
-    pub fn from_weights(weights: Vec<f64>) -> Self {
+    pub(crate) fn from_weights(weights: Vec<f64>) -> Self {
         Self { weights }
     }
 
@@ -63,7 +63,7 @@ impl Policy {
     }
 
     /// Raw score of one feature vector.
-    pub fn score(&self, features: &[f64]) -> f64 {
+    pub(crate) fn score(&self, features: &[f64]) -> f64 {
         self.weights
             .iter()
             .zip(features.iter())
@@ -92,7 +92,7 @@ impl Policy {
     /// last index if round-off leaves the roll above the total, 0 if `dist` is
     /// empty).  A sampler that computes the distribution once may draw from it
     /// any number of times.
-    pub fn sample_from(dist: &[f64], rng: &mut StdRng) -> usize {
+    pub(crate) fn sample_from(dist: &[f64], rng: &mut StdRng) -> usize {
         let roll: f64 = rng.gen();
         let mut cumulative = 0.0;
         for (i, p) in dist.iter().enumerate() {
@@ -104,23 +104,9 @@ impl Policy {
         dist.len().saturating_sub(1)
     }
 
-    /// Index of the highest-scoring candidate.
-    pub fn argmax(&self, candidates: &[Vec<f64>]) -> usize {
-        let mut best = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        for (i, c) in candidates.iter().enumerate() {
-            let s = self.score(c);
-            if s > best_score {
-                best_score = s;
-                best = i;
-            }
-        }
-        best
-    }
-
     /// One SFT step: cross-entropy gradient pushing probability mass onto the correct
     /// candidate.
-    pub fn sft_step(&mut self, candidates: &[Vec<f64>], correct: usize, learning_rate: f64) {
+    pub(crate) fn sft_step(&mut self, candidates: &[Vec<f64>], correct: usize, learning_rate: f64) {
         if candidates.is_empty() || correct >= candidates.len() {
             return;
         }
@@ -139,7 +125,7 @@ impl Policy {
     /// For a linear policy the DPO objective reduces to a logistic loss on
     /// `beta * (margin - reference_margin)`; `reference_margin` is the margin of the
     /// frozen SFT policy on the same pair.
-    pub fn dpo_step(
+    pub(crate) fn dpo_step(
         &mut self,
         chosen: &[f64],
         rejected: &[f64],
@@ -158,18 +144,6 @@ impl Policy {
         {
             *w += learning_rate * beta * sigma * (c - r);
         }
-    }
-
-    /// Accuracy of greedy selection over a labelled set (used by training diagnostics).
-    pub fn accuracy(&self, examples: &[(Vec<Vec<f64>>, usize)]) -> f64 {
-        if examples.is_empty() {
-            return 0.0;
-        }
-        let correct = examples
-            .iter()
-            .filter(|(candidates, label)| self.argmax(candidates) == *label)
-            .count();
-        correct as f64 / examples.len() as f64
     }
 }
 
@@ -210,17 +184,30 @@ mod tests {
         out
     }
 
+    /// Share of the examples whose label scores strictly highest.
+    fn greedy_accuracy(policy: &Policy, examples: &[(Vec<Vec<f64>>, usize)]) -> f64 {
+        let correct = examples
+            .iter()
+            .filter(|(candidates, label)| {
+                let best = policy.score(&candidates[*label]);
+                let mut others = candidates.iter().enumerate().filter(|(i, _)| i != label);
+                others.all(|(_, c)| policy.score(c) < best)
+            })
+            .count();
+        correct as f64 / examples.len() as f64
+    }
+
     #[test]
     fn sft_learns_a_separable_problem() {
         let mut policy = Policy::zeros(2);
         let examples = toy_examples();
-        assert!(policy.accuracy(&examples) < 0.7);
+        assert!(greedy_accuracy(&policy, &examples) < 0.7);
         for _ in 0..50 {
             for (candidates, correct) in &examples {
                 policy.sft_step(candidates, *correct, 0.5);
             }
         }
-        assert_eq!(policy.accuracy(&examples), 1.0);
+        assert_eq!(greedy_accuracy(&policy, &examples), 1.0);
     }
 
     #[test]

@@ -94,9 +94,9 @@ pub struct PreferencePair {
     /// Features of the incorrect (rejected) candidate the model actually produced.
     pub rejected: Vec<f64>,
     /// Margin of the frozen reference (SFT) policy on this pair.
-    pub reference_margin: f64,
+    pub(crate) reference_margin: f64,
     /// `true` when the pair belongs to the line policy, `false` for the fix policy.
-    pub is_line_pair: bool,
+    pub(crate) is_line_pair: bool,
 }
 
 /// The trainable surrogate of the paper's AssertSolver model.
@@ -124,11 +124,6 @@ impl AssertSolverModel {
     /// Current training stage.
     pub fn stage(&self) -> TrainingStage {
         self.stage
-    }
-
-    /// Read access to the language model (exposed for diagnostics and benches).
-    pub fn language_model(&self) -> &NgramLm {
-        &self.lm
     }
 
     /// Stage 1: continual pretraining on the Verilog-PT dataset.
@@ -420,6 +415,10 @@ impl RepairModel for AssertSolverModel {
 /// and `collect_challenging` builds them beside a `solve`.
 #[cfg(test)]
 impl AssertSolverModel {
+    pub(crate) fn language_model(&self) -> &NgramLm {
+        &self.lm
+    }
+
     pub(crate) fn solve_oracle(
         &self,
         case: &CaseInput,
@@ -668,7 +667,7 @@ mod tests {
         let mut model = AssertSolverModel::base(4);
         model.pretrain(&pt);
         let unindexed = model.identity();
-        assert!(model.language_model().surprisal("q <= d;") > 0.0);
+        assert!(model.language_model().frozen().surprisal("q <= d;") > 0.0);
         assert_eq!(model.identity(), unindexed);
         assert_eq!(unindexed, "PT model [96b86c49f439cb47]");
 

@@ -15,7 +15,7 @@ use svparse::{BinaryOp, Expr, Literal, UnaryOp};
 ///
 /// Returns `None` when the expression contains no identifiers or no candidate differs
 /// from the chosen one.
-pub fn mutate_var(expr: &Expr, candidates: &[String], rng: &mut StdRng) -> Option<Expr> {
+pub(crate) fn mutate_var(expr: &Expr, candidates: &[String], rng: &mut StdRng) -> Option<Expr> {
     let idents = collect_ident_count(expr);
     if idents == 0 || candidates.is_empty() {
         return None;
@@ -41,7 +41,7 @@ pub fn mutate_var(expr: &Expr, candidates: &[String], rng: &mut StdRng) -> Optio
 }
 
 /// Perturbs one numeric literal (off-by-one, bit flip, zeroing, or width change).
-pub fn mutate_value(expr: &Expr, rng: &mut StdRng) -> Option<Expr> {
+pub(crate) fn mutate_value(expr: &Expr, rng: &mut StdRng) -> Option<Expr> {
     let literals = collect_literal_count(expr);
     if literals == 0 {
         return None;
@@ -96,7 +96,7 @@ pub fn mutate_value(expr: &Expr, rng: &mut StdRng) -> Option<Expr> {
 
 /// Replaces one binary operator with a confusable alternative, or toggles a logical
 /// negation at the root (the classic `if (valid)` → `if (!valid)` flip).
-pub fn mutate_op(expr: &Expr, rng: &mut StdRng) -> Option<Expr> {
+pub(crate) fn mutate_op(expr: &Expr, rng: &mut StdRng) -> Option<Expr> {
     let ops = collect_binop_count(expr);
     // One extra "virtual site" stands for toggling negation at the root.
     let total_sites = ops + 1;
@@ -128,7 +128,7 @@ pub fn mutate_op(expr: &Expr, rng: &mut StdRng) -> Option<Expr> {
 }
 
 /// Wraps the expression in a logical negation, or strips one if already present.
-pub fn toggle_negation(expr: &Expr) -> Expr {
+pub(crate) fn toggle_negation(expr: &Expr) -> Expr {
     match expr {
         Expr::Unary(UnaryOp::LogicalNot, inner) => (**inner).clone(),
         other => Expr::unary(UnaryOp::LogicalNot, other.clone()),
@@ -136,7 +136,7 @@ pub fn toggle_negation(expr: &Expr) -> Expr {
 }
 
 /// Operators that engineers plausibly confuse with `op`, from the same family.
-pub fn confusable_op(op: BinaryOp, rng: &mut StdRng) -> BinaryOp {
+pub(crate) fn confusable_op(op: BinaryOp, rng: &mut StdRng) -> BinaryOp {
     let family: &[BinaryOp] = match op {
         BinaryOp::Add | BinaryOp::Sub => &[BinaryOp::Add, BinaryOp::Sub],
         BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
@@ -154,100 +154,6 @@ pub fn confusable_op(op: BinaryOp, rng: &mut StdRng) -> BinaryOp {
     };
     let alternatives: Vec<BinaryOp> = family.iter().copied().filter(|o| *o != op).collect();
     *alternatives.choose(rng).unwrap_or(&op)
-}
-
-/// Enumerates every single-operator replacement of `expr` (used by the repair model's
-/// fix-candidate generator, which explores the inverse of the injection space).
-pub fn enumerate_op_rewrites(expr: &Expr) -> Vec<Expr> {
-    let count = collect_binop_count(expr);
-    let mut out = Vec::new();
-    for site in 0..count {
-        let current = nth_binop(expr, site).expect("site index in range");
-        for replacement in BinaryOp::all() {
-            if *replacement == current || !same_family(current, *replacement) {
-                continue;
-            }
-            let rewritten = rewrite_binops(expr, &mut |i, op| {
-                if i == site {
-                    *replacement
-                } else {
-                    op
-                }
-            });
-            out.push(rewritten);
-        }
-    }
-    out.push(toggle_negation(expr));
-    out
-}
-
-/// Enumerates single-identifier substitutions of `expr` over the candidate pool.
-pub fn enumerate_var_rewrites(expr: &Expr, candidates: &[String]) -> Vec<Expr> {
-    let count = collect_ident_count(expr);
-    let mut out = Vec::new();
-    for site in 0..count {
-        for candidate in candidates {
-            let mut changed = false;
-            let rewritten = rewrite_idents(expr, &mut |i, name| {
-                if i == site && name != *candidate {
-                    changed = true;
-                    candidate.clone()
-                } else {
-                    name.to_string()
-                }
-            });
-            if changed {
-                out.push(rewritten);
-            }
-        }
-    }
-    out
-}
-
-/// Enumerates small perturbations of every literal in `expr`.
-pub fn enumerate_value_rewrites(expr: &Expr) -> Vec<Expr> {
-    let count = collect_literal_count(expr);
-    let mut out = Vec::new();
-    for site in 0..count {
-        for delta in [-1i64, 1, 2, -2] {
-            let mut changed = false;
-            let rewritten = rewrite_literals(expr, &mut |i, lit| {
-                if i == site {
-                    let width = lit.width.unwrap_or(32);
-                    let max = if width >= 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << width) - 1
-                    };
-                    let value = (lit.value as i64).wrapping_add(delta).max(0) as u64 & max;
-                    if value != lit.value {
-                        changed = true;
-                    }
-                    Literal { value, ..*lit }
-                } else {
-                    *lit
-                }
-            });
-            if changed {
-                out.push(rewritten);
-            }
-        }
-    }
-    out
-}
-
-fn same_family(a: BinaryOp, b: BinaryOp) -> bool {
-    use BinaryOp::*;
-    let family = |op: BinaryOp| match op {
-        Add | Sub => 0,
-        Mul | Div | Mod => 1,
-        Shl | Shr => 2,
-        Lt | Le | Gt | Ge => 3,
-        Eq | Ne => 4,
-        BitAnd | BitOr | BitXor => 5,
-        LogicalAnd | LogicalOr => 6,
-    };
-    family(a) == family(b)
 }
 
 // --- small structural rewriting helpers -------------------------------------------
@@ -449,34 +355,6 @@ mod tests {
             let logical = confusable_op(BinaryOp::LogicalAnd, &mut r);
             assert_eq!(logical, BinaryOp::LogicalOr);
         }
-    }
-
-    #[test]
-    fn enumerate_op_rewrites_covers_families_and_negation() {
-        let e = expr("a & b | c");
-        let rewrites = enumerate_op_rewrites(&e);
-        // Two operators × 2 in-family alternatives each + negation toggle.
-        assert_eq!(rewrites.len(), 5);
-        assert!(rewrites.iter().all(|r| *r != e));
-    }
-
-    #[test]
-    fn enumerate_var_rewrites_respects_pool() {
-        let e = expr("a + b");
-        let rewrites = enumerate_var_rewrites(&e, &["a".into(), "b".into(), "c".into()]);
-        // Each of the two sites can become any of the other two names.
-        assert_eq!(rewrites.len(), 4);
-        for r in &rewrites {
-            assert_ne!(r, &e);
-        }
-    }
-
-    #[test]
-    fn enumerate_value_rewrites_perturbs_literals() {
-        let e = expr("cnt == 2'd3");
-        let rewrites = enumerate_value_rewrites(&e);
-        assert!(!rewrites.is_empty());
-        assert!(rewrites.iter().all(|r| *r != e));
     }
 
     #[test]

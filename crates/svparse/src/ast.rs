@@ -135,16 +135,6 @@ impl Port {
         }
     }
 
-    /// Convenience constructor for a vector registered output.
-    pub fn output_reg_vec(name: impl Into<String>, msb: u32) -> Self {
-        Self {
-            dir: PortDir::Output,
-            net: NetKind::Reg,
-            width: Some(BitRange::new(msb, 0)),
-            name: name.into(),
-        }
-    }
-
     /// Convenience constructor for a single-bit wire output.
     pub fn output_wire(name: impl Into<String>) -> Self {
         Self {
@@ -166,7 +156,7 @@ impl Port {
     }
 
     /// Bit width of the port (1 when no range is given).
-    pub fn bit_width(&self) -> u32 {
+    pub(crate) fn bit_width(&self) -> u32 {
         self.width.map_or(1, |r| r.width())
     }
 }
@@ -243,26 +233,6 @@ impl Module {
             }
         }
         names
-    }
-
-    /// Returns the declared width of a signal, if it is declared.
-    pub fn signal_width(&self, name: &str) -> Option<u32> {
-        if let Some(port) = self.ports.iter().find(|p| p.name == name) {
-            return Some(port.bit_width());
-        }
-        for item in &self.items {
-            match item {
-                Item::Net(decl) if decl.names.iter().any(|n| n == name) => {
-                    return Some(match decl.kind {
-                        NetKind::Integer => 32,
-                        _ => decl.width.map_or(1, |r| r.width()),
-                    });
-                }
-                Item::Param(p) if p.name == name => return Some(32),
-                _ => {}
-            }
-        }
-        None
     }
 
     /// Returns `true` if the module contains functional logic (assignments or
@@ -547,37 +517,6 @@ impl Stmt {
         }
     }
 
-    /// Mutable depth-first traversal; the closure is applied to every nested statement.
-    pub fn walk_mut(&mut self, visit: &mut dyn FnMut(&mut Stmt)) {
-        visit(self);
-        match self {
-            Stmt::Block { stmts, .. } => {
-                for s in stmts {
-                    s.walk_mut(visit);
-                }
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                then_branch.walk_mut(visit);
-                if let Some(e) = else_branch {
-                    e.walk_mut(visit);
-                }
-            }
-            Stmt::Case { arms, default, .. } => {
-                for arm in arms {
-                    arm.body.walk_mut(visit);
-                }
-                if let Some(d) = default {
-                    d.walk_mut(visit);
-                }
-            }
-            Stmt::Blocking { .. } | Stmt::NonBlocking { .. } | Stmt::Null => {}
-        }
-    }
-
     /// Collects the names of all signals assigned anywhere in this statement.
     pub fn assigned_signals(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -589,7 +528,7 @@ impl Stmt {
 
     /// Every base signal an assignment writes, in traversal order, with repeats:
     /// [`Stmt::assigned_signals`] without the sort, the dedup or the copies.
-    pub fn for_each_assigned<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
+    pub(crate) fn for_each_assigned<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
         self.walk(&mut |s| match s {
             Stmt::Blocking { lhs, .. } | Stmt::NonBlocking { lhs, .. } => {
                 lhs.for_each_base_name(visit);
@@ -632,7 +571,7 @@ impl LValue {
     }
 
     /// [`LValue::base_names`], in the same order, without the copies.
-    pub fn for_each_base_name<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
+    pub(crate) fn for_each_base_name<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
         match self {
             LValue::Ident(n) | LValue::Bit(n, _) | LValue::Part(n, _) => visit(n),
             LValue::Concat(parts) => parts.iter().for_each(|p| p.for_each_base_name(visit)),
@@ -653,7 +592,7 @@ pub struct Literal {
 
 impl Literal {
     /// An unsized decimal literal.
-    pub fn dec(value: u64) -> Self {
+    pub(crate) fn dec(value: u64) -> Self {
         Self {
             width: None,
             value,
@@ -891,7 +830,7 @@ impl Expr {
 
     /// Every identifier the expression references, in order of appearance, with
     /// repeats: [`Expr::idents`] without the sort, the dedup or the copies.
-    pub fn for_each_ident<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
+    pub(crate) fn for_each_ident<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
         match self {
             Expr::Number(_) => {}
             Expr::Ident(n) | Expr::Part(n, _) => visit(n),
@@ -945,14 +884,6 @@ impl Expr {
                 }
             }
         }
-    }
-
-    /// Counts the nodes in the expression tree (a rough complexity measure used by the
-    /// repair-model feature extractor).
-    pub fn node_count(&self) -> usize {
-        let mut count = 0usize;
-        self.walk(&mut |_| count += 1);
-        count
     }
 }
 
@@ -1019,7 +950,7 @@ impl PropExpr {
 
     /// Every identifier the property references, in order of appearance, with
     /// repeats: [`PropExpr::idents`] without the sort, the dedup or the copies.
-    pub fn for_each_ident<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
+    pub(crate) fn for_each_ident<'a>(&'a self, visit: &mut dyn FnMut(&'a str)) {
         match self {
             PropExpr::Expr(e) => e.for_each_ident(visit),
             PropExpr::Implication {
@@ -1118,12 +1049,6 @@ mod tests {
     }
 
     #[test]
-    fn expr_node_count() {
-        let e = Expr::binary(BinaryOp::Add, Expr::ident("a"), Expr::num(1));
-        assert_eq!(e.node_count(), 3);
-    }
-
-    #[test]
     fn lvalue_base_names() {
         let lv = LValue::Concat(vec![
             LValue::Ident("carry".into()),
@@ -1197,7 +1122,7 @@ mod tests {
     fn module_helpers() {
         let m = Module::new(
             "m",
-            vec![Port::input("a"), Port::output_reg_vec("q", 3)],
+            vec![Port::input("a"), Port::output_reg("q")],
             vec![Item::Net(NetDecl {
                 kind: NetKind::Wire,
                 width: Some(BitRange::new(7, 0)),
@@ -1205,10 +1130,6 @@ mod tests {
                 span: Span::line(2),
             })],
         );
-        assert_eq!(m.signal_width("a"), Some(1));
-        assert_eq!(m.signal_width("q"), Some(4));
-        assert_eq!(m.signal_width("tmp"), Some(8));
-        assert_eq!(m.signal_width("nope"), None);
         assert!(!m.has_functional_logic());
         assert_eq!(m.declared_names().len(), 3);
     }

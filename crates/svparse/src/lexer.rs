@@ -13,7 +13,7 @@ use crate::token::{Keyword, Token, TokenKind};
 /// ```
 /// use svparse::Lexer;
 /// let tokens = Lexer::tokenize("assign y = a & b;")?;
-/// assert!(tokens.iter().any(|t| t.is_symbol("&")));
+/// assert!(tokens.iter().any(|t| t.kind == svparse::TokenKind::Symbol("&")));
 /// # Ok::<(), svparse::ParseError>(())
 /// ```
 #[derive(Debug)]

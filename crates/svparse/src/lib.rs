@@ -63,8 +63,8 @@ pub use token::{Token, TokenKind};
 
 /// Parses a complete source file containing zero or more modules.
 ///
-/// This is the main entry point most callers need; it is equivalent to constructing a
-/// [`Parser`] and calling [`Parser::parse_file`].
+/// This is the main entry point most callers need; it runs a [`Parser`] over the
+/// whole source.
 ///
 /// # Errors
 ///

@@ -13,9 +13,8 @@ use std::ops::Range;
 ///
 /// ```
 /// use svparse::Parser;
-/// let file = Parser::new("module m(input a, output b); assign b = !a; endmodule")?
-///     .parse_file()?;
-/// assert_eq!(file.modules[0].assigns().count(), 1);
+/// let expr = Parser::new("a & !b")?.parse_expr()?;
+/// assert_eq!(expr.idents(), ["a", "b"]);
 /// # Ok::<(), svparse::ParseError>(())
 /// ```
 #[derive(Debug)]
@@ -188,7 +187,7 @@ impl Parser {
     /// # Errors
     ///
     /// Returns a [`ParseError`] on the first syntax problem.
-    pub fn parse_file(&mut self) -> Result<SourceFile, ParseError> {
+    pub(crate) fn parse_file(&mut self) -> Result<SourceFile, ParseError> {
         let mut modules = Vec::new();
         while !self.peek().is_eof() {
             modules.push(self.parse_module()?);

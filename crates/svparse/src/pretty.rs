@@ -61,16 +61,6 @@ pub fn emit_expr(expr: &Expr) -> String {
     Ex(expr, 0).to_string()
 }
 
-/// Emits a statement in canonical single-line or multi-line form, unindented.
-///
-/// Useful for rendering golden fixes in dataset entries.
-pub fn emit_stmt(stmt: &Stmt) -> String {
-    let mut out = String::new();
-    write_stmt(&mut out, 0, stmt).expect("a String takes every write");
-    out.truncate(out.trim_end().len());
-    out
-}
-
 /// Emits an lvalue in canonical form.
 pub fn emit_lvalue(lvalue: &LValue) -> String {
     Lv(lvalue).to_string()
@@ -541,19 +531,6 @@ endmodule
         assert_eq!(text(Literal::hex(8, 0xff)), "8'hff");
         assert_eq!(text(Literal::sized(2, 3)), "2'd3");
         assert_eq!(text(Literal::dec(7)), "7");
-    }
-
-    #[test]
-    fn emit_stmt_renders_single_line_fix() {
-        let module = parse_module(SRC).unwrap();
-        let always = module.always_blocks().next().unwrap();
-        let mut assigns = Vec::new();
-        always.body.walk(&mut |s| {
-            if matches!(s, Stmt::NonBlocking { .. }) {
-                assigns.push(s.clone());
-            }
-        });
-        assert_eq!(emit_stmt(&assigns[0]), "cnt <= 2'd0;");
     }
 
     #[test]

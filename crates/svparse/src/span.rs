@@ -17,14 +17,14 @@ use std::fmt;
 /// use svparse::Span;
 /// let s = Span::line(3);
 /// assert_eq!(s.start_line, 3);
-/// assert!(s.contains_line(3));
+/// assert_eq!(s.to_string(), "line 3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Span {
     /// First line covered by the span (1-based).
     pub start_line: u32,
     /// Last line covered by the span (inclusive, 1-based).
-    pub end_line: u32,
+    pub(crate) end_line: u32,
 }
 
 impl Span {
@@ -34,7 +34,7 @@ impl Span {
     ///
     /// ```
     /// let s = svparse::Span::new(2, 5);
-    /// assert!(s.contains_line(4));
+    /// assert_eq!(s.to_string(), "lines 2-5");
     /// ```
     pub fn new(start_line: u32, end_line: u32) -> Self {
         Self {
@@ -54,13 +54,8 @@ impl Span {
     }
 
     /// Returns `true` if this span was produced by [`Span::synthetic`].
-    pub fn is_synthetic(&self) -> bool {
+    pub(crate) fn is_synthetic(&self) -> bool {
         self.start_line == 0
-    }
-
-    /// Returns `true` if the given 1-based line falls inside the span.
-    pub fn contains_line(&self, line: u32) -> bool {
-        line >= self.start_line && line <= self.end_line
     }
 
     /// Returns the smallest span covering both `self` and `other`.
@@ -78,15 +73,6 @@ impl Span {
             self.start_line.min(other.start_line),
             self.end_line.max(other.end_line),
         )
-    }
-
-    /// Number of lines covered (at least 1 for non-synthetic spans).
-    pub fn line_count(&self) -> u32 {
-        if self.is_synthetic() {
-            0
-        } else {
-            self.end_line - self.start_line + 1
-        }
     }
 }
 
@@ -128,12 +114,6 @@ mod tests {
     fn display_single_and_range() {
         assert_eq!(Span::line(7).to_string(), "line 7");
         assert_eq!(Span::new(2, 4).to_string(), "lines 2-4");
-    }
-
-    #[test]
-    fn line_count() {
-        assert_eq!(Span::new(2, 4).line_count(), 3);
-        assert_eq!(Span::synthetic().line_count(), 0);
     }
 
     #[test]

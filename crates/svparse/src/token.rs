@@ -174,12 +174,12 @@ impl Token {
     }
 
     /// Returns `true` if the token is the given symbol.
-    pub fn is_symbol(&self, sym: &str) -> bool {
+    pub(crate) fn is_symbol(&self, sym: &str) -> bool {
         matches!(&self.kind, TokenKind::Symbol(s) if *s == sym)
     }
 
     /// Returns `true` if the token is the given keyword.
-    pub fn is_keyword(&self, kw: Keyword) -> bool {
+    pub(crate) fn is_keyword(&self, kw: Keyword) -> bool {
         matches!(&self.kind, TokenKind::Keyword(k) if *k == kw)
     }
 

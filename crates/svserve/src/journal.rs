@@ -341,7 +341,7 @@ pub struct JournalFooter {
     /// Opaque payload the journal certifies (may be empty).
     pub payload: String,
     /// Lower-hex FNV-1a/64 of the preceding bytes plus the payload.
-    pub fnv: String,
+    pub(crate) fnv: String,
 }
 
 /// Renders a complete journal file: header line, one line per record (in the

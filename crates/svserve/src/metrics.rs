@@ -172,7 +172,7 @@ pub struct ServiceMetrics {
     pub snapshot_saves: u64,
     /// Snapshot flushes that failed with an I/O error: the automatic flush
     /// paths swallow the error, so this is the signal that persistence failed.
-    pub snapshot_save_failures: u64,
+    pub(crate) snapshot_save_failures: u64,
     /// Snapshots rejected as corrupt or mismatched, each a cold start.
     pub snapshot_rejects: u64,
     /// Snapshot entries dropped by age-based compaction at flush time.
@@ -214,7 +214,7 @@ pub struct VerifyMetrics {
     /// Successful snapshot flushes.
     pub snapshot_saves: u64,
     /// Snapshot flushes that failed with an I/O error.
-    pub snapshot_save_failures: u64,
+    pub(crate) snapshot_save_failures: u64,
     /// Snapshots rejected as corrupt or mismatched, each a cold start.
     pub snapshot_rejects: u64,
     /// Snapshot entries dropped by age-based compaction at flush time.

@@ -12,7 +12,7 @@
 //! A snapshot is a single JSON document (vendored `serde_json`) with two parts:
 //!
 //! * a [`SnapshotHeader`] carrying the format version, the cache kind
-//!   ([`RESPONSE_KIND`] or [`VERDICT_KIND`]), a hex fingerprint of the
+//!   (`response-cache` or `verdict-cache`), a hex fingerprint of the
 //!   configuration the cached values depend on (service seed for responses,
 //!   `svverify::CheckConfig::fingerprint()` for verdicts), and the model identity;
 //! * the entries, each pairing a hex-encoded 128-bit content key with its cached
@@ -60,10 +60,10 @@ pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 pub const DEFAULT_COMPACT_AFTER_RUNS: u64 = 16;
 
 /// Snapshot kind tag for response-cache files (repair pool).
-pub const RESPONSE_KIND: &str = "response-cache";
+pub(crate) const RESPONSE_KIND: &str = "response-cache";
 
 /// Snapshot kind tag for verdict-cache files.
-pub const VERDICT_KIND: &str = "verdict-cache";
+pub(crate) const VERDICT_KIND: &str = "verdict-cache";
 
 /// Where and under what identity a pool persists its cache.
 ///
@@ -111,7 +111,7 @@ impl PersistSpec {
 pub struct SnapshotHeader {
     /// Layout version; see [`SNAPSHOT_FORMAT_VERSION`].
     pub format_version: u32,
-    /// Cache kind: [`RESPONSE_KIND`] or [`VERDICT_KIND`].
+    /// Cache kind: `response-cache` or `verdict-cache`.
     pub kind: String,
     /// Lower-hex encoding of the configuration fingerprint bytes.
     pub fingerprint: String,
@@ -195,7 +195,7 @@ pub fn hex(bytes: &[u8]) -> String {
 }
 
 /// Encodes a 128-bit content key as fixed-width lower hex.
-pub fn encode_key(raw: u128) -> String {
+pub(crate) fn encode_key(raw: u128) -> String {
     format!("{raw:032x}")
 }
 
@@ -204,7 +204,7 @@ pub fn encode_key(raw: u128) -> String {
 /// Only the canonical form is accepted — exactly 32 lower-hex digits — so
 /// non-canonical spellings `from_str_radix` would tolerate (a leading `+`,
 /// uppercase digits) are rejected, keeping load → save byte-stable.
-pub fn decode_key(text: &str) -> Option<u128> {
+pub(crate) fn decode_key(text: &str) -> Option<u128> {
     if text.len() != 32
         || !text
             .bytes()
@@ -217,7 +217,7 @@ pub fn decode_key(text: &str) -> Option<u128> {
 
 /// One persisted response-cache entry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResponseEntry {
+pub(crate) struct ResponseEntry {
     /// Hex-encoded [`CaseKey`].
     pub key: String,
     /// Snapshot generation this entry was last useful in (warm-hit or computed);
@@ -229,7 +229,7 @@ pub struct ResponseEntry {
 
 /// On-disk form of a repair pool's response cache.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResponseSnapshot {
+pub(crate) struct ResponseSnapshot {
     /// Identity block; checked before any entry is loaded.
     pub header: SnapshotHeader,
     /// Entries sorted by key.
@@ -288,8 +288,8 @@ pub type ResponseLoad = SnapshotContents<CaseKey, Arc<Vec<Response>>>;
 /// What [`load_verdict_snapshot`] yields: verdicts by [`VerdictKey`].
 pub type VerdictLoad = SnapshotContents<VerdictKey, bool>;
 
-/// One concrete on-disk snapshot type, as the generic codec ([`load_snapshot`] /
-/// [`save_snapshot_aged`]) sees it: a kind tag plus the mapping between the
+/// One concrete on-disk snapshot type, as the generic codec (`load_snapshot` /
+/// `save_snapshot_aged`) sees it: a kind tag plus the mapping between the
 /// file's entries and `(key, value, generation)` triples.  The vendored
 /// `serde_derive` rejects generic types, so the file structs stay concrete and
 /// this trait is the seam between them and the one codec.
@@ -304,7 +304,7 @@ pub trait SnapshotFile: Serialize + Deserialize {
 
     /// Builds the file from a header and entries already sorted by key.  Keys
     /// cross this trait hex-encoded in both directions: the codec owns
-    /// [`encode_key`] / [`decode_key`] and the malformed-key rejection.
+    /// `encode_key` / `decode_key` and the malformed-key rejection.
     fn pack(header: SnapshotHeader, entries: Vec<(String, Self::Value, u64)>) -> Self;
 
     /// Splits the file into its header and entries.
@@ -357,7 +357,7 @@ impl SnapshotFile for VerdictSnapshot {
 ///
 /// Every failure mode — missing file, corrupt JSON, version/kind/fingerprint/model
 /// mismatch, malformed key — degrades to a cold start; nothing panics or errors.
-pub fn load_snapshot<S: SnapshotFile>(
+pub(crate) fn load_snapshot<S: SnapshotFile>(
     spec: &PersistSpec,
 ) -> SnapshotLoad<SnapshotContents<S::Key, S::Value>> {
     let text = match std::fs::read_to_string(&spec.path) {
@@ -392,7 +392,7 @@ pub fn load_snapshot<S: SnapshotFile>(
 /// Entries are sorted by key before writing, so saving, loading and saving again
 /// (at the same generation) produces byte-identical files regardless of cache
 /// insertion order or worker count.
-pub fn save_snapshot_aged<S: SnapshotFile>(
+pub(crate) fn save_snapshot_aged<S: SnapshotFile>(
     spec: &PersistSpec,
     generation: u64,
     mut entries: Vec<(S::Key, S::Value, u64)>,
@@ -422,12 +422,16 @@ fn save_snapshot<S: SnapshotFile>(
     save_snapshot_aged::<S>(spec, 1, aged.collect())
 }
 
-/// Loads a response snapshot; see [`load_snapshot`] for the degradation contract.
+/// Loads a response snapshot, validating the header against `spec`.
+///
+/// Every failure mode — missing file, corrupt JSON, version/kind/fingerprint/model
+/// mismatch, malformed key — degrades to a cold start; nothing panics or errors.
 pub fn load_response_snapshot(spec: &PersistSpec) -> SnapshotLoad<ResponseLoad> {
     load_snapshot::<ResponseSnapshot>(spec)
 }
 
-/// Loads a verdict snapshot; see [`load_snapshot`] for the degradation contract.
+/// Loads a verdict snapshot; it degrades to a cold start as
+/// [`load_response_snapshot`] does.
 pub fn load_verdict_snapshot(spec: &PersistSpec) -> SnapshotLoad<VerdictLoad> {
     load_snapshot::<VerdictSnapshot>(spec)
 }
@@ -441,8 +445,12 @@ pub fn save_response_snapshot(
     save_snapshot::<ResponseSnapshot>(spec, entries)
 }
 
-/// Saves a response snapshot; see [`save_snapshot_aged`] for the byte-stability
-/// contract.
+/// Saves a response snapshot atomically under an explicit run counter, with
+/// per-entry `last useful` generations; returns the number of entries written.
+///
+/// Entries are sorted by key before writing, so saving, loading and saving again
+/// (at the same generation) produces byte-identical files regardless of cache
+/// insertion order or worker count.
 pub fn save_response_snapshot_aged(
     spec: &PersistSpec,
     generation: u64,
@@ -482,8 +490,8 @@ pub fn save_verdict_snapshot(
     save_snapshot::<VerdictSnapshot>(spec, entries)
 }
 
-/// Saves a verdict snapshot; see [`save_snapshot_aged`] for the byte-stability
-/// contract.
+/// Saves a verdict snapshot; it is byte-stable as
+/// [`save_response_snapshot_aged`] is.
 pub fn save_verdict_snapshot_aged(
     spec: &PersistSpec,
     generation: u64,
@@ -501,7 +509,7 @@ pub fn save_verdict_snapshot_aged(
 /// loaded generation, so a hand-edited future stamp cannot pin an entry
 /// forever).  With `compact_after > 0`, entries more than that many generations
 /// behind are dropped.  Returns the surviving entries plus the dropped count.
-pub fn age_entries<K, V>(
+pub(crate) fn age_entries<K, V>(
     entries: Vec<(K, V, u64, bool)>,
     loaded_generation: u64,
     next_generation: u64,

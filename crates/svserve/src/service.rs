@@ -40,7 +40,7 @@ pub struct ServiceConfig {
     /// `0` = unbounded.  Shed requests are counted in
     /// [`ServiceMetrics::shed_busy`]; the rejection is deterministic — it
     /// depends only on the exact in-flight count, never on timing heuristics.
-    pub max_in_flight: usize,
+    pub(crate) max_in_flight: usize,
     /// On-disk snapshot of the response cache: preloaded at start, written by
     /// [`Service::flush`] / shutdown / drop / the end of [`serve_scoped`].  `None`
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format

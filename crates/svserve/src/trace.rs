@@ -53,11 +53,11 @@ pub mod stage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// The trace this span belongs to (one trace per repair session).
-    pub trace_id: u64,
+    pub(crate) trace_id: u64,
     /// This span's id.
-    pub span_id: u64,
+    pub(crate) span_id: u64,
     /// The parent span's id; `None` for the root.
-    pub parent_span_id: Option<u64>,
+    pub(crate) parent_span_id: Option<u64>,
 }
 
 impl TraceContext {
@@ -130,7 +130,7 @@ impl TraceSpan {
 
     /// The deterministic projection of this span: every field except the
     /// wall clock, rendered byte-stably.
-    pub fn deterministic_line(&self) -> String {
+    pub(crate) fn deterministic_line(&self) -> String {
         let parent = match self.parent {
             Some(parent) => format!("{parent:016x}"),
             None => "-".to_string(),
@@ -321,7 +321,7 @@ impl TraceForest {
     }
 
     /// Consumes the forest, returning the sorted spans.
-    pub fn into_spans(self) -> Vec<TraceSpan> {
+    pub(crate) fn into_spans(self) -> Vec<TraceSpan> {
         self.spans
     }
 

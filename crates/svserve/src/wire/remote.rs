@@ -178,7 +178,7 @@ pub struct FleetMetrics {
     /// Requests that returned a response.
     pub completed: u64,
     /// Completed requests served from a shard's warm response cache.
-    pub remote_cache_hits: u64,
+    pub(crate) remote_cache_hits: u64,
     /// Requests shed by a shard's admission control (`Busy` over the wire).
     pub shed_busy: u64,
     /// Requests that failed on the wire (dead shard, protocol error, closed).

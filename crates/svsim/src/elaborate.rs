@@ -206,7 +206,7 @@ impl Design {
     }
 
     /// Names of registers driven by clocked always blocks.
-    pub fn clocked_registers(&self) -> Vec<String> {
+    pub(crate) fn clocked_registers(&self) -> Vec<String> {
         let mut regs = Vec::new();
         for block in self.module.always_blocks() {
             if !block.sensitivity.is_combinational() {
@@ -219,7 +219,7 @@ impl Design {
     }
 
     /// Names of signals driven combinationally (continuous assigns and `always @(*)`).
-    pub fn combinational_signals(&self) -> Vec<String> {
+    pub(crate) fn combinational_signals(&self) -> Vec<String> {
         let mut signals = Vec::new();
         for item in &self.module.items {
             match item {
@@ -286,7 +286,7 @@ fn assertion_name(assertion: &AssertionItem) -> String {
 
 /// Returns `true` when the statement writes any signal through a blocking assignment —
 /// used to sanity-check clocked blocks in tests.
-pub fn uses_blocking_assignment(stmt: &Stmt) -> bool {
+pub(crate) fn uses_blocking_assignment(stmt: &Stmt) -> bool {
     let mut found = false;
     stmt.walk(&mut |s| {
         if matches!(s, Stmt::Blocking { .. }) {

@@ -13,7 +13,7 @@ pub type State = BTreeMap<String, Value>;
 /// Plain design evaluation always asks for `past = 0`; the SVA checker supplies a
 /// reader that indexes into the recorded trace so `$past`, `$rose`, `$fell` and
 /// `$stable` work.
-pub type Reader<'a> = dyn Fn(&str, u32) -> Value + 'a;
+pub(crate) type Reader<'a> = dyn Fn(&str, u32) -> Value + 'a;
 
 /// Evaluates an expression using the supplied reader.
 ///
@@ -126,7 +126,7 @@ pub fn eval_in_state(expr: &Expr, state: &State) -> Value {
 }
 
 /// Reads a signal from a state, defaulting to a 1-bit zero for unknown names.
-pub fn read_state(state: &State, name: &str) -> Value {
+pub(crate) fn read_state(state: &State, name: &str) -> Value {
     state
         .get(name)
         .copied()
@@ -135,7 +135,7 @@ pub fn read_state(state: &State, name: &str) -> Value {
 
 /// How procedural assignments are applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AssignMode {
+pub(crate) enum AssignMode {
     /// Blocking semantics: writes become visible to later statements immediately.
     Immediate,
     /// Non-blocking semantics: writes are deferred until the end of the time step.
@@ -147,7 +147,7 @@ pub enum AssignMode {
 /// Blocking assignments write into `state` immediately.  Non-blocking assignments are
 /// appended to `deferred` (resolving bit/part selects against the *current* value, per
 /// Verilog semantics) and must be applied by the caller after all clocked blocks ran.
-pub fn exec_stmt(
+pub(crate) fn exec_stmt(
     stmt: &Stmt,
     state: &mut State,
     deferred: &mut Vec<(String, Value)>,
@@ -205,7 +205,7 @@ pub fn exec_stmt(
 }
 
 /// Resolves an lvalue write into one or more whole-signal updates.
-pub fn apply_assignment(
+pub(crate) fn apply_assignment(
     lhs: &LValue,
     value: Value,
     state: &mut State,

@@ -27,7 +27,7 @@ use crate::sva::AssertionFailure;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// [`crate::render_log`] for a reference trace: the same bytes for the same failures.
-pub fn render_log(design: &Design, trace: &Trace, failures: &[AssertionFailure]) -> String {
+pub(crate) fn render_log(design: &Design, trace: &Trace, failures: &[AssertionFailure]) -> String {
     crate::log::render(&design.module.name, trace.len(), failures)
 }
 

@@ -46,7 +46,7 @@ impl Trace {
     }
 
     /// The value of a signal `past` cycles before `cycle`, clamping at cycle 0.
-    pub fn value_past(&self, name: &str, cycle: usize, past: u32) -> Value {
+    pub(crate) fn value_past(&self, name: &str, cycle: usize, past: u32) -> Value {
         let idx = cycle.saturating_sub(past as usize);
         self.samples
             .get(idx)
@@ -124,7 +124,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Consumes the simulator and returns the recorded trace.
-    pub fn into_trace(self) -> Trace {
+    pub(crate) fn into_trace(self) -> Trace {
         self.trace
     }
 

@@ -65,7 +65,7 @@ pub fn check_assertion(
 }
 
 /// Evaluates a boolean expression at a trace cycle, supporting `$past`-style reads.
-pub fn eval_at(expr: &Expr, trace: &Trace, cycle: usize) -> Value {
+pub(crate) fn eval_at(expr: &Expr, trace: &Trace, cycle: usize) -> Value {
     eval_expr(expr, &|name, past| trace.value_past(name, cycle, past))
 }
 

@@ -116,12 +116,6 @@ impl Trace {
                 .unwrap_or(Value::bit(false))
         })
     }
-
-    /// The value of a signal `past` cycles before `cycle`, clamping at cycle 0.
-    pub fn value_past(&self, name: &str, cycle: usize, past: u32) -> Value {
-        self.value(name, cycle.saturating_sub(past as usize))
-            .unwrap_or(Value::bit(false))
-    }
 }
 
 impl Rows for Trace {
@@ -323,7 +317,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Consumes the simulator and returns the recorded trace.
-    pub fn into_trace(self) -> Trace {
+    pub(crate) fn into_trace(self) -> Trace {
         self.trace
     }
 
@@ -554,16 +548,14 @@ endmodule
     }
 
     #[test]
-    fn trace_value_past_clamps_at_zero() {
+    fn trace_value_is_none_past_the_end_and_zero_for_unknown_signals() {
         let module = parse_module(
             "module m(input clk, input [3:0] x, output reg [3:0] q);\n  always @(posedge clk) q <= x;\nendmodule",
         )
         .unwrap();
         let design = Design::elaborate(&module).unwrap();
         let trace = Simulator::run(&design, &vecs(&[&[("x", 1)], &[("x", 2)]])).unwrap();
-        assert_eq!(trace.value_past("x", 1, 0).bits(), 2);
-        assert_eq!(trace.value_past("x", 1, 1).bits(), 1);
-        assert_eq!(trace.value_past("x", 1, 5).bits(), 1);
+        assert_eq!(trace.value("x", 1).unwrap().bits(), 2);
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.value("x", 2), None);
         assert_eq!(trace.value("ghost", 1), Some(Value::bit(false)));

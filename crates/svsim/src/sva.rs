@@ -32,7 +32,7 @@ pub struct AssertionFailure {
     /// Cycle (0-based) at which the failing attempt started.
     pub start_cycle: usize,
     /// Cycle at which the violation was observed.
-    pub fail_cycle: usize,
+    pub(crate) fail_cycle: usize,
     /// Optional `$error` message attached to the assertion.
     pub message: Option<String>,
 }

@@ -17,13 +17,13 @@ pub struct Value {
 
 impl Value {
     /// Maximum supported width in bits.
-    pub const MAX_WIDTH: u32 = 64;
+    pub(crate) const MAX_WIDTH: u32 = 64;
 
     /// Creates a value, masking `bits` to `width` bits.
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero or exceeds [`Value::MAX_WIDTH`].
+    /// Panics if `width` is zero or exceeds 64 bits (`Value::MAX_WIDTH`).
     pub fn new(bits: u64, width: u32) -> Self {
         assert!(
             (1..=Self::MAX_WIDTH).contains(&width),
@@ -67,7 +67,7 @@ impl Value {
     }
 
     /// `true` when any bit is set (Verilog truthiness).
-    pub fn is_true(&self) -> bool {
+    pub(crate) fn is_true(&self) -> bool {
         self.bits != 0
     }
 
@@ -77,7 +77,7 @@ impl Value {
     }
 
     /// Extracts a single bit as a 1-bit value; out-of-range indices read as zero.
-    pub fn extract_bit(&self, index: u32) -> Value {
+    pub(crate) fn extract_bit(&self, index: u32) -> Value {
         if index >= self.width {
             Value::bit(false)
         } else {
@@ -86,14 +86,14 @@ impl Value {
     }
 
     /// Extracts the inclusive bit range `[msb:lsb]`.
-    pub fn extract_range(&self, msb: u32, lsb: u32) -> Value {
+    pub(crate) fn extract_range(&self, msb: u32, lsb: u32) -> Value {
         let (hi, lo) = if msb >= lsb { (msb, lsb) } else { (lsb, msb) };
         let width = hi - lo + 1;
         Value::new(self.bits >> lo, width.min(Self::MAX_WIDTH))
     }
 
     /// Writes a single bit, returning the updated value; out-of-range writes are ignored.
-    pub fn with_bit(&self, index: u32, bit: bool) -> Value {
+    pub(crate) fn with_bit(&self, index: u32, bit: bool) -> Value {
         if index >= self.width {
             return *self;
         }
@@ -102,7 +102,7 @@ impl Value {
     }
 
     /// Writes the inclusive range `[msb:lsb]` from `value`, returning the updated value.
-    pub fn with_range(&self, msb: u32, lsb: u32, value: u64) -> Value {
+    pub(crate) fn with_range(&self, msb: u32, lsb: u32, value: u64) -> Value {
         let (hi, lo) = if msb >= lsb { (msb, lsb) } else { (lsb, msb) };
         if lo >= self.width {
             return *self;
@@ -115,17 +115,17 @@ impl Value {
     }
 
     /// Reduction AND of all bits.
-    pub fn reduce_and(&self) -> Value {
+    pub(crate) fn reduce_and(&self) -> Value {
         Value::bit(self.bits == mask(self.width))
     }
 
     /// Reduction OR of all bits.
-    pub fn reduce_or(&self) -> Value {
+    pub(crate) fn reduce_or(&self) -> Value {
         Value::bit(self.bits != 0)
     }
 
     /// Reduction XOR (parity) of all bits.
-    pub fn reduce_xor(&self) -> Value {
+    pub(crate) fn reduce_xor(&self) -> Value {
         Value::bit(self.bits.count_ones() % 2 == 1)
     }
 
@@ -174,7 +174,7 @@ pub mod ops {
     }
 
     /// Modular multiplication at the wider operand width.
-    pub fn mul(a: Value, b: Value) -> Value {
+    pub(crate) fn mul(a: Value, b: Value) -> Value {
         Value::new(a.bits().wrapping_mul(b.bits()), arith_width(a, b))
     }
 
@@ -189,7 +189,7 @@ pub mod ops {
     }
 
     /// Remainder; modulo zero yields zero.
-    pub fn rem(a: Value, b: Value) -> Value {
+    pub(crate) fn rem(a: Value, b: Value) -> Value {
         let r = if b.bits() == 0 {
             0
         } else {
@@ -199,48 +199,48 @@ pub mod ops {
     }
 
     /// Logical shift left at the left operand's width.
-    pub fn shl(a: Value, b: Value) -> Value {
+    pub(crate) fn shl(a: Value, b: Value) -> Value {
         let shift = b.bits().min(64) as u32;
         let bits = if shift >= 64 { 0 } else { a.bits() << shift };
         Value::new(bits, a.width())
     }
 
     /// Logical shift right at the left operand's width.
-    pub fn shr(a: Value, b: Value) -> Value {
+    pub(crate) fn shr(a: Value, b: Value) -> Value {
         let shift = b.bits().min(64) as u32;
         let bits = if shift >= 64 { 0 } else { a.bits() >> shift };
         Value::new(bits, a.width())
     }
 
     /// Bitwise AND at the wider operand width.
-    pub fn bit_and(a: Value, b: Value) -> Value {
+    pub(crate) fn bit_and(a: Value, b: Value) -> Value {
         Value::new(a.bits() & b.bits(), arith_width(a, b))
     }
 
     /// Bitwise OR at the wider operand width.
-    pub fn bit_or(a: Value, b: Value) -> Value {
+    pub(crate) fn bit_or(a: Value, b: Value) -> Value {
         Value::new(a.bits() | b.bits(), arith_width(a, b))
     }
 
     /// Bitwise XOR at the wider operand width.
-    pub fn bit_xor(a: Value, b: Value) -> Value {
+    pub(crate) fn bit_xor(a: Value, b: Value) -> Value {
         Value::new(a.bits() ^ b.bits(), arith_width(a, b))
     }
 
     /// Unsigned comparison operators returning 1-bit results.
-    pub fn lt(a: Value, b: Value) -> Value {
+    pub(crate) fn lt(a: Value, b: Value) -> Value {
         Value::bit(a.bits() < b.bits())
     }
     /// `<=`
-    pub fn le(a: Value, b: Value) -> Value {
+    pub(crate) fn le(a: Value, b: Value) -> Value {
         Value::bit(a.bits() <= b.bits())
     }
     /// `>`
-    pub fn gt(a: Value, b: Value) -> Value {
+    pub(crate) fn gt(a: Value, b: Value) -> Value {
         Value::bit(a.bits() > b.bits())
     }
     /// `>=`
-    pub fn ge(a: Value, b: Value) -> Value {
+    pub(crate) fn ge(a: Value, b: Value) -> Value {
         Value::bit(a.bits() >= b.bits())
     }
     /// `==`
@@ -248,15 +248,15 @@ pub mod ops {
         Value::bit(a.bits() == b.bits())
     }
     /// `!=`
-    pub fn ne(a: Value, b: Value) -> Value {
+    pub(crate) fn ne(a: Value, b: Value) -> Value {
         Value::bit(a.bits() != b.bits())
     }
     /// `&&`
-    pub fn logical_and(a: Value, b: Value) -> Value {
+    pub(crate) fn logical_and(a: Value, b: Value) -> Value {
         Value::bit(a.is_true() && b.is_true())
     }
     /// `||`
-    pub fn logical_or(a: Value, b: Value) -> Value {
+    pub(crate) fn logical_or(a: Value, b: Value) -> Value {
         Value::bit(a.is_true() || b.is_true())
     }
 
