@@ -16,8 +16,9 @@ use svserve::{parse_journal, write_journal};
 const PIPELINE_SEED: u64 = 31;
 
 /// `svobs record` — runs a quick-protocol evaluation with journaling on and
-/// writes the rendered journal (header manifest, sorted deterministic events,
-/// the serialized `ModelEvaluation` payload, checksummed footer) to `--out`.
+/// writes the rendered journal (header manifest, one sorted record per judged
+/// case, the serialized `ModelEvaluation` payload, checksummed footer) to
+/// `--out`.
 /// The manifest carries *rebuild tags* — recipes for reconstructing the exact
 /// model (`base:<seed>`) and corpus (`tiny:<seed>+human:<limit>`) — plus
 /// content fingerprints pinning them.
@@ -136,7 +137,7 @@ pub fn replay(mut flags: Flags) -> Outcome {
         )));
     }
     println!(
-        "svobs replay: replayed {path} ({} events, {} bytes) byte-identical",
+        "svobs replay: replayed {path} ({} records, {} bytes) byte-identical",
         parsed.footer.events,
         text.len()
     );

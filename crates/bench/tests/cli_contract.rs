@@ -92,7 +92,8 @@ fn experiments_rejects_unknown_names_before_training() {
 fn journal_round_trip_holds_bytes_and_refuses_a_flipped_one() {
     let dir = scratch_dir("journal");
     let path = |name: &str| format!("{}/{name}", dir.display());
-    let (a, b, flipped) = (path("a.jsonl"), path("b.jsonl"), path("flipped.jsonl"));
+    let (a, b) = (path("a.jsonl"), path("b.jsonl"));
+    let (flipped, old) = (path("flipped.jsonl"), path("old.jsonl"));
     let record = |out: &str| svobs(&["record", "--out", out, "--seed", "9", "--limit", "4"]);
 
     let output = record(&a);
@@ -108,20 +109,34 @@ fn journal_round_trip_holds_bytes_and_refuses_a_flipped_one() {
         "re-recording from scratch reproduces the file"
     );
 
-    // Flip the low bit of the first event's tick ('6' <-> '7'; the header
-    // line carries none): the journal either refuses the checksum or replays
-    // to a divergence.
-    let needle = b"\"tick\":";
+    // Flip the low bit of the first record's sample count ('8' <-> '9'; the
+    // header line carries none): the journal either refuses the checksum or
+    // replays to a divergence.
+    let needle = b"\"samples\":";
     let found = bytes.windows(needle.len()).position(|at| at == needle);
-    let tick = found.expect("an event line carries a tick") + needle.len();
-    let mut tampered = bytes;
-    tampered[tick] ^= 1;
+    let samples = found.expect("a record line carries its samples") + needle.len();
+    let mut tampered = bytes.clone();
+    tampered[samples] ^= 1;
     std::fs::write(&flipped, tampered).expect("write tampered journal");
     let output = svobs(&["replay", &flipped]);
     assert_eq!(
         output.status.code(),
         Some(1),
         "a tampered journal is a runtime failure: {}",
+        stderr(&output)
+    );
+
+    // A journal of the previous layout is refused by its version, whatever
+    // its records say.
+    let text = String::from_utf8(bytes).expect("journal is text");
+    let v1 = text.replacen("\"format_version\":2", "\"format_version\":1", 1);
+    assert_ne!(v1, text, "the header carries the layout version");
+    std::fs::write(&old, v1).expect("write old-version journal");
+    let output = svobs(&["replay", &old]);
+    assert_eq!(output.status.code(), Some(1), "an old journal is refused");
+    assert!(
+        stderr(&output).contains("format version 1 (expected 2)"),
+        "the refusal names the version: {}",
         stderr(&output)
     );
 

@@ -60,8 +60,8 @@ pub struct EvalConfig {
     pub cache_dir: Option<String>,
     /// Directory for session-journal artifacts (`None` = the
     /// `ASSERTSOLVER_JOURNAL_DIR` environment override, else no journaling).
-    /// When resolved, [`evaluate_model`] records every session's deterministic
-    /// events and writes a checksummed JSONL journal there; journal bytes are
+    /// When resolved, [`evaluate_model`] journals each judged case as one
+    /// record and writes a checksummed JSONL journal there; journal bytes are
     /// identical at any worker/driver count and with warm or cold caches.
     pub journal_dir: Option<String>,
     /// Directory for collapsed-stack profile artifacts (`None` = the
@@ -649,7 +649,7 @@ impl JournalManifest {
 
 /// FNV-1a/64 over every corpus entry's identity-relevant fields, in corpus
 /// order — the fingerprint [`JournalManifest`] pins a journal to.
-pub fn corpus_fingerprint(entries: &[SvaBugEntry]) -> u64 {
+pub(crate) fn corpus_fingerprint(entries: &[SvaBugEntry]) -> u64 {
     let mut bytes = Vec::new();
     for entry in entries {
         bytes.extend_from_slice(entry.module_name.as_bytes());

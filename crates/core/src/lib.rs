@@ -44,10 +44,10 @@ pub mod train;
 
 pub use benchmark::{human_crafted_cases, SvaEval};
 pub use evaluate::{
-    apply_line_edit, corpus_fingerprint, evaluate_model, evaluate_model_instrumented,
-    evaluate_model_journaled, evaluate_model_observed, evaluate_model_on, evaluate_model_with,
-    response_is_correct, CaseResult, EvalConfig, EvalVerifier, Evaluation, EvaluationRun,
-    JournalManifest, JudgedCase, ModelEvaluation,
+    apply_line_edit, evaluate_model, evaluate_model_instrumented, evaluate_model_journaled,
+    evaluate_model_observed, evaluate_model_on, evaluate_model_with, response_is_correct,
+    CaseResult, EvalConfig, EvalVerifier, Evaluation, EvaluationRun, JournalManifest, JudgedCase,
+    ModelEvaluation,
 };
 pub use passk::{pass_at_k, PassK};
 pub use report::{

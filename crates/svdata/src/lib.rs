@@ -21,17 +21,12 @@
 
 pub mod entries;
 pub mod pipeline;
-pub mod store;
 
 pub use entries::{Datasets, SvaBugEntry, VerilogBugEntry, VerilogPtEntry};
 pub use pipeline::{
     distribution, run_pipeline, split_by_module, stage1_filter, stage2_generate, stage3_cot,
     AcceptedDesign, Distribution, PipelineConfig, PipelineOutput, Stage1Output, Stage2Outcome,
     Stage2Output, SvaCase, TrainTestSplit, ValidatedGolden,
-};
-pub use store::{
-    datasets_from_json, datasets_to_json, load_datasets, save_datasets, split_from_json,
-    split_to_json,
 };
 
 #[cfg(test)]

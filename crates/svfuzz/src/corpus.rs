@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use svgen::{Family, RawSample};
 
 /// The on-disk location of a case inside a corpus root.
-pub fn case_path(root: &Path, case: &CaseFile) -> PathBuf {
+pub(crate) fn case_path(root: &Path, case: &CaseFile) -> PathBuf {
     root.join(&case.family)
         .join(format!("{}-{}.json", case.oracle.tag(), case.fingerprint))
 }

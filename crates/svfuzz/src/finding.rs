@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use svserve::persist::fnv64;
 
 /// Schema tag of the corpus case format.
-pub const CASE_SCHEMA: &str = "svfuzz-case-v1";
+pub(crate) const CASE_SCHEMA: &str = "svfuzz-case-v1";
 
 /// What `repro` must observe when re-driving a case's oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,7 +49,7 @@ impl Expectation {
 /// `fuzz/corpus/<family>/<oracle>-<fingerprint>.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CaseFile {
-    /// Format tag ([`CASE_SCHEMA`]).
+    /// Format tag (`CASE_SCHEMA`).
     pub schema: String,
     /// The oracle that caught (or now guards) this input.
     pub oracle: OracleKind,
@@ -90,7 +90,7 @@ pub fn class_fingerprint(oracle: OracleKind, detail: &str) -> u64 {
 }
 
 /// Case fingerprint: oracle tag, source bytes and expectation.
-pub fn case_fingerprint(oracle: OracleKind, source: &str, expect: Expectation) -> u64 {
+pub(crate) fn case_fingerprint(oracle: OracleKind, source: &str, expect: Expectation) -> u64 {
     let mut bytes: Vec<u8> = oracle.tag().as_bytes().to_vec();
     bytes.push(0);
     bytes.extend_from_slice(source.as_bytes());

@@ -13,7 +13,7 @@ use svgen::{instantiate, Family, FamilyParams};
 
 /// One generated fuzz input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzInput {
+pub(crate) struct FuzzInput {
     /// The source text driven at the oracles (possibly mangled).
     pub source: String,
     /// The family whose instance seeded this input.
@@ -84,7 +84,7 @@ const ALPHABET: &[u8] = b"abcxyz019 ()[]{};:,=+-*/%&|^~!<>?@#$_.'\"\n";
 ///
 /// The result is a pure function of `(seed, iteration)`: the caller derives
 /// `rng` from them and the same pair always yields the same input.
-pub fn generate_input(rng: &mut StdRng, iteration: u64) -> FuzzInput {
+pub(crate) fn generate_input(rng: &mut StdRng, iteration: u64) -> FuzzInput {
     let families = Family::all();
     let family = families[rng.gen_range(0..families.len())];
     let params = FamilyParams {
@@ -112,7 +112,7 @@ pub fn generate_input(rng: &mut StdRng, iteration: u64) -> FuzzInput {
 }
 
 /// Applies one to three random mangling operations to a source.
-pub fn mangle(source: &str, rng: &mut StdRng) -> String {
+pub(crate) fn mangle(source: &str, rng: &mut StdRng) -> String {
     let mut text = source.to_string();
     for _ in 0..rng.gen_range(1..=3u32) {
         text = mangle_once(&text, rng);

@@ -42,7 +42,7 @@ fn derivation_check_config() -> CheckConfig {
 /// first assertion-failure case.
 ///
 /// Returns `None` when this seed yields no assertion-visible bug (the caller
-/// probes successive seeds via [`find_derivation`]).
+/// probes successive seeds via `find_derivation`).
 pub fn derive_entry(base_source: &str, derive_seed: u64) -> Option<SvaBugEntry> {
     let golden = parse_module(base_source).ok()?;
     let oracle = VerifyOracle::new(derivation_check_config());
@@ -59,7 +59,7 @@ pub fn derive_entry(base_source: &str, derive_seed: u64) -> Option<SvaBugEntry> 
 }
 
 /// Probes injector seeds `1..=16` until one yields a journalable entry.
-pub fn find_derivation(base_source: &str) -> Option<(u64, SvaBugEntry)> {
+pub(crate) fn find_derivation(base_source: &str) -> Option<(u64, SvaBugEntry)> {
     (1..=16u64).find_map(|seed| derive_entry(base_source, seed).map(|entry| (seed, entry)))
 }
 
@@ -88,7 +88,7 @@ pub(crate) fn case_corpus_tag(family: &str, fingerprint: &str) -> String {
 /// re-derive the entry from `(base_source, derive_seed)`, re-drive the
 /// evaluation, and byte-compare — any divergence is reported with the first
 /// differing line.
-pub fn verify_case_journal(case: &CaseFile) -> Result<(), String> {
+pub(crate) fn verify_case_journal(case: &CaseFile) -> Result<(), String> {
     if case.journal.is_empty() {
         return Err("case carries no journal".to_string());
     }

@@ -48,12 +48,11 @@ pub(crate) mod miner;
 pub mod oracle;
 pub mod shrink;
 
-pub use corpus::{case_path, load_case, load_corpus, mined_samples, repro_case, write_case};
-pub use finding::{case_fingerprint, class_fingerprint, CaseFile, Expectation, CASE_SCHEMA};
-pub use generate::{generate_input, mangle, FuzzInput};
-pub use journal::{derive_entry, find_derivation, render_case_journal, verify_case_journal};
+pub use corpus::{load_case, load_corpus, mined_samples, repro_case, write_case};
+pub use finding::{class_fingerprint, CaseFile, Expectation};
+pub use journal::{derive_entry, render_case_journal};
 pub use miner::{compose_case, run_fuzz, FuzzConfig, FuzzReport, FuzzStats};
-pub use oracle::{drive_oracle, line_edit, sim_differential, OracleKind, OracleOutcome};
+pub use oracle::{drive_oracle, OracleKind, OracleOutcome};
 pub use shrink::ddmin_lines;
 
 #[cfg(test)]

@@ -505,7 +505,7 @@ const SIM_DIFF_DEPTH: usize = 8;
 /// elaborate, traced over 32 random 8-cycle sequences by
 /// `svsim::reference::first_divergence`, then judged by [`BoundedChecker`] and by the
 /// plain loop over the reference engine; any difference is a finding.
-pub fn sim_differential(source: &str) -> (OracleOutcome, u64) {
+pub(crate) fn sim_differential(source: &str) -> (OracleOutcome, u64) {
     let Ok(module) = parse_module(source) else {
         return (OracleOutcome::Pass, 0);
     };
@@ -593,7 +593,7 @@ const SWAPS: [(&str, &str); 6] = [
 /// literal swapped, or a hostile text.  Where the delta answers, its module
 /// must equal `parse_module(apply_line_edit(..))` with spans, and its no-op
 /// answer `emits_as(edited, source)`; a decline passes.
-pub fn line_edit(source: &str) -> (OracleOutcome, u64) {
+pub(crate) fn line_edit(source: &str) -> (OracleOutcome, u64) {
     if parse_module(source).is_err() {
         return (OracleOutcome::Pass, 0);
     }

@@ -97,7 +97,7 @@ impl BaselineModel {
 }
 
 /// Hand-tuned policy weights per tier.  Indices follow
-/// [`crate::features::line_candidates`] and [`crate::fixgen::fix_candidates`].
+/// [`crate::features::line_candidates_in`] and [`crate::fixgen::fix_candidates`].
 fn hand_tuned_policies(kind: BaselineKind) -> (Policy, Policy) {
     use BaselineKind::*;
     let line = match kind {
@@ -305,7 +305,7 @@ impl BaselineModel {
         seed: u64,
     ) -> Vec<Response> {
         use rand::SeedableRng;
-        let lines = crate::features::line_candidates(case, &self.lm);
+        let lines = crate::solver::line_candidates(case, &self.lm);
         let mut rng = StdRng::seed_from_u64(seed);
         (0..samples)
             .map(|_| self.propose_oracle(case, &lines, temperature, &mut rng))
@@ -319,7 +319,7 @@ impl BaselineModel {
         temperature: f64,
         rng: &mut StdRng,
     ) -> Response {
-        use crate::fixgen::fix_candidates_for_case;
+        use crate::solver::fix_candidates_for_case;
         if lines.is_empty() {
             return Response {
                 bug_line_number: 0,

@@ -14,7 +14,7 @@ use svparse::{DependencyGraph, Module};
 use svsim::failing_assertions_in_log;
 
 /// Number of features describing a candidate line.
-pub const LINE_FEATURES: usize = 13;
+pub(crate) const LINE_FEATURES: usize = 13;
 
 /// What the model is allowed to see at inference time: Spec, buggy code and logs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,7 +46,7 @@ impl CaseInput {
 
 /// One candidate buggy line with its feature vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LineCandidate {
+pub(crate) struct LineCandidate {
     /// 1-based line number in the buggy source.
     pub line_number: u32,
     /// Trimmed line text.
@@ -90,19 +90,13 @@ pub(crate) fn is_candidate_line(trimmed: &str) -> bool {
         || trimmed.starts_with("case (")
 }
 
-/// Extracts every candidate line of a case together with its features.
+/// Every candidate line of `source` together with its features, over an
+/// already parsed `module` (`None` when `source` does not parse) and the
+/// signals the case's failing assertions observe.
 ///
-/// The `lm` parameter supplies the surprisal feature; pass an untrained model to make
-/// that feature neutral (this is exactly the difference between the base model and the
-/// pretrained model).
-pub fn line_candidates(case: &CaseInput, lm: &NgramLm) -> Vec<LineCandidate> {
-    let module = svparse::parse_module(&case.buggy_source).ok();
-    let (_, signals) = crate::fixgen::fix_context(module.as_ref(), &case.failing_assertions());
-    line_candidates_in(&case.buggy_source, module.as_ref(), &signals, lm)
-}
-
-/// [`line_candidates`] over an already parsed `module` (`None` when `source` does
-/// not parse) and the signals the case's failing assertions observe.
+/// The `lm` supplies the surprisal feature; pass an untrained model to make
+/// that feature neutral (this is exactly the difference between the base
+/// model and the pretrained model).
 pub(crate) fn line_candidates_in(
     source: &str,
     module: Option<&Module>,
@@ -431,6 +425,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::line_candidates;
     use svdata::{run_pipeline, PipelineConfig};
 
     fn sample_case() -> (CaseInput, u32) {

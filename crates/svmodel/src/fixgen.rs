@@ -5,18 +5,17 @@
 //! constant perturbations and identifier substitutions.  A second policy then ranks
 //! the candidates.
 
-use crate::features::CaseInput;
 use crate::lm::FrozenLm;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::ops::Range;
 
 /// Number of features describing a fix candidate.
-pub const FIX_FEATURES: usize = 10;
+pub(crate) const FIX_FEATURES: usize = 10;
 
 /// The kind of edit a fix candidate applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FixEdit {
+pub(crate) enum FixEdit {
     /// Add or remove a logical negation.
     ToggleNegation,
     /// Swap a binary operator for a confusable one.
@@ -27,21 +26,9 @@ pub enum FixEdit {
     VarSwap,
 }
 
-impl FixEdit {
-    /// All edit kinds, in a stable order.
-    pub fn all() -> [FixEdit; 4] {
-        [
-            FixEdit::ToggleNegation,
-            FixEdit::OpSwap,
-            FixEdit::ValueTweak,
-            FixEdit::VarSwap,
-        ]
-    }
-}
-
 /// One candidate replacement line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FixCandidate {
+pub(crate) struct FixCandidate {
     /// Full replacement line text (trimmed, same shape as the original line).
     pub text: String,
     /// The edit applied.
@@ -71,7 +58,7 @@ const OP_SWAPS: &[(&str, &str)] = &[
 ///
 /// `declared_signals` is the pool used for identifier substitutions (typically every
 /// declared name of the module); `assertion_signals` steers the feature extraction.
-pub fn fix_candidates(
+pub(crate) fn fix_candidates(
     line: &str,
     declared_signals: &[String],
     assertion_signals: &[String],
@@ -351,17 +338,6 @@ fn rewrite_literal(token: &str, new_value: u64) -> String {
         'o' => format!("{width}'o{new_value:o}"),
         _ => format!("{width}'d{new_value}"),
     }
-}
-
-/// Generates fix candidates directly from a [`CaseInput`] and a chosen line.
-pub fn fix_candidates_for_case(
-    case: &CaseInput,
-    line_text: &str,
-    lm: &crate::lm::NgramLm,
-) -> Vec<FixCandidate> {
-    let module = svparse::parse_module(&case.buggy_source).ok();
-    let (declared, assertion_signals) = fix_context(module.as_ref(), &case.failing_assertions());
-    fix_candidates(line_text, &declared, &assertion_signals, lm)
 }
 
 /// The two name lists [`fix_candidates`] needs from a case: every declared name of

@@ -20,7 +20,7 @@
 //! that line and reused by every later draw of it.  The policies' softmax is
 //! computed once per `solve` for the lines and once per drawn line for its fixes,
 //! a (line, fix) pair's response is rendered once and cloned for its repeats,
-//! and a trained [`NgramLm`] answers every lookup from a frozen id-keyed index.
+//! and a trained `NgramLm` answers every lookup from a frozen id-keyed index.
 //! The RNG is consumed in the same order as rebuilding all of that per sample,
 //! so the responses are byte-identical to the per-sample path, which the
 //! crate's tests keep as an oracle.  SFT prepares each example's feature
@@ -49,9 +49,8 @@ pub mod policy;
 pub mod solver;
 
 pub use baselines::{all_baselines, BaselineKind, BaselineModel};
-pub use features::{line_candidates, CaseInput, LineCandidate, LINE_FEATURES};
-pub use fixgen::{fix_candidates, fix_candidates_for_case, FixCandidate, FixEdit, FIX_FEATURES};
-pub use lm::{tokenize, NgramLm};
+pub use features::CaseInput;
+pub use lm::tokenize;
 pub use policy::Policy;
 pub use solver::{AssertSolverModel, PreferencePair, RepairModel, Response, TrainingStage};
 
@@ -63,6 +62,6 @@ mod tests {
         assert_send_sync::<super::AssertSolverModel>();
         assert_send_sync::<super::BaselineModel>();
         assert_send_sync::<super::Response>();
-        assert_send_sync::<super::NgramLm>();
+        assert_send_sync::<super::lm::NgramLm>();
     }
 }

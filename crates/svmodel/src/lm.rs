@@ -53,10 +53,10 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// serialisation (hence a model's identity) writes.  Lookups go through a
 /// frozen index instead — token ids, unigram counts by id, bigram counts by
 /// packed id pair — built on the first lookup after training or
-/// deserialisation and dropped by [`NgramLm::train`].  The index is not
+/// deserialisation and dropped by [`NgramLm::train_text`].  The index is not
 /// serialised, and equality ignores it.
 #[derive(Clone, Default, Serialize, Deserialize)]
-pub struct NgramLm {
+pub(crate) struct NgramLm {
     unigrams: BTreeMap<String, u64>,
     bigrams: BTreeMap<(String, String), u64>,
     total_tokens: u64,
@@ -120,13 +120,6 @@ impl NgramLm {
                 }
             }
             self.total_tokens += 1;
-        }
-    }
-
-    /// Ingests a batch of texts.
-    pub fn train<'a>(&mut self, texts: impl IntoIterator<Item = &'a str>) {
-        for text in texts {
-            self.train_text(text);
         }
     }
 
@@ -475,7 +468,9 @@ mod tests {
     fn surprisal_through_the_frozen_index_matches_the_keyed_lookup() {
         let texts = default_corpus_texts();
         let mut corpus_lm = NgramLm::new();
-        corpus_lm.train(texts.iter().map(String::as_str));
+        for text in &texts {
+            corpus_lm.train_text(text);
+        }
         let fixture = crate::plan::tests::fixture();
         let pretrained = fixture.pretrained.language_model();
         assert!(pretrained.is_trained());

@@ -426,7 +426,7 @@ impl AssertSolverModel {
         temperature: f64,
         seed: u64,
     ) -> Vec<Response> {
-        let lines = crate::features::line_candidates(case, &self.lm);
+        let lines = line_candidates(case, &self.lm);
         let mut rng = StdRng::seed_from_u64(seed);
         (0..samples)
             .map(|_| self.propose_oracle(case, &lines, temperature, &mut rng))
@@ -451,7 +451,7 @@ impl AssertSolverModel {
         let line_features: Vec<Vec<f64>> = lines.iter().map(|c| c.features.clone()).collect();
         let line_idx = self.line_policy.sample(&line_features, temperature, rng);
         let line = &lines[line_idx];
-        let fixes = crate::fixgen::fix_candidates_for_case(case, &line.text, &self.lm);
+        let fixes = fix_candidates_for_case(case, &line.text, &self.lm);
         let fixed_line = if fixes.is_empty() {
             line.text.clone()
         } else {
@@ -484,8 +484,6 @@ impl AssertSolverModel {
         learning_rate: f64,
         seed: u64,
     ) {
-        use crate::features::line_candidates;
-        use crate::fixgen::fix_candidates_for_case;
         self.line_policy = Policy::zeros(crate::features::LINE_FEATURES);
         self.fix_policy = Policy::zeros(crate::fixgen::FIX_FEATURES);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -541,8 +539,6 @@ impl AssertSolverModel {
         temperature: f64,
         seed: u64,
     ) -> Vec<PreferencePair> {
-        use crate::features::line_candidates;
-        use crate::fixgen::fix_candidates_for_case;
         let mut pairs = Vec::new();
         for (i, entry) in entries.iter().enumerate() {
             let case = CaseInput::from_entry(entry);
@@ -597,6 +593,33 @@ impl AssertSolverModel {
     pub(crate) fn policies(&self) -> (&Policy, &Policy) {
         (&self.line_policy, &self.fix_policy)
     }
+}
+
+/// Every candidate line of a case with its features, parsed afresh — what the
+/// oracles above (and `BaselineModel`'s) rebuild per sample.  The `lm`
+/// supplies the surprisal feature; an untrained one makes it neutral.
+#[cfg(test)]
+pub(crate) fn line_candidates(
+    case: &CaseInput,
+    lm: &NgramLm,
+) -> Vec<crate::features::LineCandidate> {
+    let module = svparse::parse_module(&case.buggy_source).ok();
+    let (_, signals) = crate::fixgen::fix_context(module.as_ref(), &case.failing_assertions());
+    crate::features::line_candidates_in(&case.buggy_source, module.as_ref(), &signals, lm)
+}
+
+/// The fix candidates of one chosen line of a case, parsed afresh — the
+/// oracles' per-sample fix step.
+#[cfg(test)]
+pub(crate) fn fix_candidates_for_case(
+    case: &CaseInput,
+    line_text: &str,
+    lm: &NgramLm,
+) -> Vec<crate::fixgen::FixCandidate> {
+    let module = svparse::parse_module(&case.buggy_source).ok();
+    let failing = case.failing_assertions();
+    let (declared, assertion_signals) = crate::fixgen::fix_context(module.as_ref(), &failing);
+    crate::fixgen::fix_candidates(line_text, &declared, &assertion_signals, lm)
 }
 
 #[cfg(test)]

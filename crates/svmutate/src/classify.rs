@@ -7,7 +7,7 @@
 
 use crate::taxonomy::Visibility;
 use serde::{Deserialize, Serialize};
-use svparse::{DependencyGraph, Module};
+use svparse::Module;
 
 /// Classifies a bug's visibility with respect to a set of failing assertions.
 ///
@@ -59,35 +59,6 @@ pub fn signals_of_assertion(module: &Module, assertion_name: &str) -> Vec<String
         .property(assertion_name)
         .map(|p| p.body.idents())
         .unwrap_or_default()
-}
-
-/// How many driver hops separate the bug from the nearest failing assertion signal.
-///
-/// Distance 0 means a bugged signal is referenced directly (a `Direct` bug); larger
-/// distances quantify how deep in the cone the bug hides, which the evaluation uses to
-/// characterise difficulty.
-pub fn assertion_distance(
-    module: &Module,
-    affected_signals: &[String],
-    failing_assertions: &[String],
-) -> Option<u32> {
-    let graph = DependencyGraph::build(module);
-    let mut best: Option<u32> = None;
-    for assertion in failing_assertions {
-        for observed in signals_of_assertion(module, assertion) {
-            for bugged in affected_signals {
-                let d = if &observed == bugged {
-                    Some(0)
-                } else {
-                    graph.distance(&observed, bugged)
-                };
-                if let Some(d) = d {
-                    best = Some(best.map_or(d, |b| b.min(d)));
-                }
-            }
-        }
-    }
-    best
 }
 
 /// One differing line between the golden and buggy canonical texts.
@@ -188,24 +159,6 @@ endmodule
         assert_eq!(
             classify_visibility(&module, &["cnt".to_string()], &failing),
             Visibility::Indirect
-        );
-    }
-
-    #[test]
-    fn distance_quantifies_depth() {
-        let module = parse_module(SRC).unwrap();
-        let failing = vec!["valid_out_check_assertion".to_string()];
-        assert_eq!(
-            assertion_distance(&module, &["valid_out".to_string()], &failing),
-            Some(0)
-        );
-        assert_eq!(
-            assertion_distance(&module, &["cnt".to_string()], &failing),
-            Some(1)
-        );
-        assert_eq!(
-            assertion_distance(&module, &["ghost".to_string()], &failing),
-            None
         );
     }
 

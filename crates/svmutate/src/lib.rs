@@ -30,8 +30,7 @@ pub mod sites;
 pub mod taxonomy;
 
 pub use classify::{
-    assertion_distance, classify_visibility, diff_lines, signals_of_assertion, single_line_diff,
-    LineDiff,
+    classify_visibility, diff_lines, signals_of_assertion, single_line_diff, LineDiff,
 };
 pub use inject::{BugInjector, InjectedBug};
 pub use sites::{collect_sites, replace_site, Site, SiteContext};

@@ -86,7 +86,7 @@ fn fold_field(state: u128, bytes: &[u8]) -> u128 {
 }
 
 /// Computes the content-addressed key of a request.
-pub fn case_key(case: &CaseInput, samples: usize, temperature: f64) -> CaseKey {
+pub(crate) fn case_key(case: &CaseInput, samples: usize, temperature: f64) -> CaseKey {
     let mut hash = FNV_OFFSET;
     hash = fold_field(hash, case.spec.as_bytes());
     hash = fold_field(hash, case.buggy_source.as_bytes());

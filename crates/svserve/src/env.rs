@@ -7,7 +7,7 @@
 //! three policies so no two knobs of one shape disagree on what a value means:
 //!
 //! * **directories** ([`path_knob`]) — trimmed; blank means unset;
-//! * **the switch** ([`env_trace`]) — `1`/`on`/`true`/`yes` enable,
+//! * **the switch** (`env_trace`) — `1`/`on`/`true`/`yes` enable,
 //!   `0`/`off`/`false`/`no` or unset disable, anything else disables with a
 //!   one-line warning;
 //! * **thread counts** — zero or garbage falls back to the default with a
@@ -44,7 +44,7 @@ pub const DRIVERS_ENV: &str = "ASSERTSOLVER_DRIVERS";
 
 /// Environment knob enabling tracing in `assertsolver::EvalConfig`-driven
 /// runs: `1`/`on`/`true`/`yes` enable, `0`/`off`/`false`/unset disable.
-pub const TRACE_ENV: &str = "ASSERTSOLVER_TRACE";
+pub(crate) const TRACE_ENV: &str = "ASSERTSOLVER_TRACE";
 
 /// Hard ceiling on thread counts accepted from the environment.  A typo like
 /// a driver count of 40000 would otherwise spawn forty thousand OS threads
@@ -82,7 +82,7 @@ pub fn env_profile_dir() -> Option<PathBuf> {
 
 /// Reads [`TRACE_ENV`], warning (once per call) on unrecognized values
 /// instead of silently ignoring them.
-pub fn env_trace() -> bool {
+pub(crate) fn env_trace() -> bool {
     let Ok(raw) = std::env::var(TRACE_ENV) else {
         return false;
     };

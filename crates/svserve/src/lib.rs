@@ -32,12 +32,12 @@
 //!   bounds how many submitters are inside the model at once and sheds the
 //!   overflow with a deterministic [`SubmitError::Busy`].  A ticket holds an
 //!   outcome already served when `submit` returns.
-//! * **Structured session journal** — a typed-event observability layer
-//!   ([`journal`]): each judged case journals its phases, verdict tally and
-//!   terminal outcome in one call ([`TracerHandle::case`]) into one sink with
-//!   logical timestamps, rendered as a checksummed JSONL artifact whose bytes
-//!   are deterministic at any driver/worker count — a replayable repro
-//!   artifact, not just a log.  Off by default; the hot path pays one branch.
+//! * **Session journal** — one record per judged case ([`journal`]): its
+//!   samples drawn, distinct candidates and samples judged correct, appended
+//!   in one call ([`TracerHandle::case`]) into one sink and rendered as a
+//!   checksummed JSONL artifact whose bytes are deterministic at any
+//!   driver/worker count — a replayable repro artifact, not just a log.  Off
+//!   by default; the hot path pays one branch.
 //!   Pool events (admits, sheds, cache lookups, panics) are counted once, in
 //!   the pool metrics.
 //! * **Stage profile** — a [`TelemetryHandle`] that is on has an evaluation
@@ -84,17 +84,16 @@ pub mod verify;
 pub mod wire;
 
 pub use cache::{
-    case_key, verdict_case_state, verdict_key, verdict_key_after, verdict_key_of_fields, CaseKey,
+    verdict_case_state, verdict_key, verdict_key_after, verdict_key_of_fields, CaseKey,
     VerdictCaseState, VerdictKey,
 };
 pub use env::{
-    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, env_trace, CACHE_DIR_ENV,
-    DRIVERS_ENV, JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SCALE_ENV, TRACE_ENV,
+    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, CACHE_DIR_ENV, DRIVERS_ENV,
+    JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SCALE_ENV,
 };
 pub use journal::{
-    logical_tick, parse_journal, render_journal, write_journal, JournalCounters, JournalEvent,
-    JournalFooter, JournalHeader, JournalRecord, JournalSink, ParsedJournal, SessionEnd,
-    TracerHandle, JOURNAL_FORMAT_VERSION, JOURNAL_KIND, TERMINAL_SEQ,
+    parse_journal, render_journal, write_journal, JournalCounters, JournalFooter, JournalHeader,
+    JournalRecord, JournalSink, ParsedJournal, TracerHandle,
 };
 pub use metrics::{ServiceMetrics, VerifyMetrics};
 pub use persist::{
@@ -109,8 +108,8 @@ pub use telemetry::{CollapsedProfile, MetricsRegistry, TelemetryHandle};
 pub use trace::{stage, TraceContext, TraceForest, TraceHandle, TraceSessionSummary, TraceSpan};
 pub use verify::VerifyConfig;
 pub use wire::{
-    decode_frame, encode_frame, FleetMetrics, Frame, FrameError, LoopbackTransport, ShardFleet,
-    Transport, WireError, WireOutcome, MAX_FRAME_LEN,
+    decode_frame, encode_frame, Frame, LoopbackTransport, ShardFleet, Transport, WireError,
+    WireOutcome,
 };
 
 #[cfg(test)]

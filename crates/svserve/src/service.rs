@@ -1,7 +1,7 @@
 //! The repair service: a model handle behind a response [`Memo`].
 //!
 //! A [`Service`] solves each request on the thread that submits it and
-//! memoizes the sampled response set under the request's [`case_key`];
+//! memoizes the sampled response set under the request's `case_key`;
 //! admission control sheds submitters beyond `max_in_flight`.  It comes in
 //! two shapes:
 //!

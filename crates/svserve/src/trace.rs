@@ -11,7 +11,7 @@
 //! * a **span id** is `splitmix64(parent_span_id ^ fnv64(label))` — the tree
 //!   *shape* is part of the contract, so the same request produces the same
 //!   tree however the evaluation was scheduled;
-//! * a span's **start** is a [`logical_tick`] of `(trace_id, stage seq)`,
+//! * a span's **start** is a logical tick of `(trace_id, stage seq)`,
 //!   never a wall clock.
 //!
 //! Wall-clock durations ride along in [`TraceSpan::wall_ns`] as **volatile**
@@ -20,7 +20,6 @@
 
 use crate::cache::CaseKey;
 use crate::env::env_trace;
-use crate::journal::logical_tick;
 use crate::persist::fnv64;
 use crate::service::splitmix64;
 use crate::sync::lock_recover;
@@ -32,6 +31,16 @@ use std::sync::{Arc, Mutex};
 /// Salt folded into every trace id, so trace identity is its own hash of the
 /// request key rather than the bare fold.
 const TRACE_SALT: u64 = 0x7CA5_E11A_D157_ACED;
+
+/// Logical timestamp of stage `seq` in trace `trace`.
+///
+/// `seq * 16` keeps ticks strictly monotonic per trace; the low nibble is a
+/// deterministic jitter bucketed out of the trace id, so two traces'
+/// timelines differ without any wall clock involved.
+pub(crate) fn logical_tick(trace: u64, seq: u32) -> u64 {
+    let jitter = splitmix64(trace ^ (u64::from(seq) << 1 | 1)) & 0xF;
+    u64::from(seq) * 16 + jitter
+}
 
 /// Stage sequence numbers: fixed per span name so logical start ticks — and
 /// therefore the deterministic render order — are part of the protocol, not
@@ -100,7 +109,8 @@ pub struct TraceSpan {
     pub parent: Option<u64>,
     /// Stage name (`"session"`, `"submit"`, `"sample"`, …).
     pub name: String,
-    /// Logical start tick: [`logical_tick`] of `(trace, stage seq)`.
+    /// Logical start tick of `(trace, stage seq)`: `seq * 16` plus a jitter
+    /// nibble of the trace id.
     pub start: u64,
     /// Content-derived magnitude (samples drawn, candidates judged, …).
     pub units: u64,
@@ -170,7 +180,7 @@ impl TraceHandle {
         })))
     }
 
-    /// A handle honoring [`crate::env::TRACE_ENV`]: enabled with salt 0 when the knob is
+    /// A handle honoring `ASSERTSOLVER_TRACE`: enabled with salt 0 when the knob is
     /// on, `off()` otherwise.
     pub fn from_env() -> Self {
         if env_trace() {
@@ -492,6 +502,21 @@ mod tests {
             3,
             0.2,
         )
+    }
+
+    #[test]
+    fn logical_ticks_are_monotonic_and_pure() {
+        for trace in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
+            let mut last = None;
+            for seq in 0..64u32 {
+                let tick = logical_tick(trace, seq);
+                assert_eq!(tick, logical_tick(trace, seq), "pure in (trace, seq)");
+                if let Some(last) = last {
+                    assert!(tick > last, "ticks must be strictly monotonic per trace");
+                }
+                last = Some(tick);
+            }
+        }
     }
 
     fn session_tree(tag: usize, salt: u64, wall: u64) -> Vec<TraceSpan> {

@@ -2,15 +2,15 @@
 //! function of `(model, corpus, protocol)`.
 //!
 //! Extends the `async_determinism` contract from evaluation *results* to the
-//! observability artifact itself: the journal records logical ticks (no wall
-//! clock), session-keyed sequence numbers (no arrival order) and only
-//! deterministic events by default (no cache-temperature leakage), so its
-//! bytes must be identical at any driver count and with warm or cold caches.
+//! observability artifact itself: the journal holds one record of counts per
+//! judged case, sorted by session (no arrival order, no wall clock, no
+//! cache-temperature leakage), so its bytes must be identical at any driver
+//! count and with warm or cold caches.
 
-use assertsolver::{evaluate_model_journaled, EvalConfig, JournalManifest};
+use assertsolver::{evaluate_model_journaled, EvalConfig, JournalManifest, ModelEvaluation};
 use svdata::SvaBugEntry;
 use svmodel::{AssertSolverModel, RepairModel};
-use svserve::{parse_journal, JournalEvent, TERMINAL_SEQ};
+use svserve::parse_journal;
 
 fn corpus(limit: usize) -> Vec<SvaBugEntry> {
     let pipeline = svdata::run_pipeline(&svdata::PipelineConfig::tiny(31));
@@ -40,7 +40,7 @@ fn journal_bytes_identical_at_1_2_4_8_drivers() {
     let parsed = parse_journal(&baseline).expect("baseline journal parses");
     assert!(
         parsed.footer.events > 0,
-        "journal must record session events"
+        "journal must record the judged cases"
     );
 
     for drivers in [2usize, 4, 8] {
@@ -98,26 +98,30 @@ fn journal_certifies_the_evaluation_and_one_terminal_per_session() {
     let parsed = parse_journal(&rendered).expect("journal parses");
 
     // The footer payload is the run's serialized evaluation — the byte-equality
-    // `svobs replay` asserts covers the outcome, not only the event stream.
+    // `svobs replay` asserts covers the outcome, not only the records.
     let payload = serde_json::to_string(&evaluation).expect("evaluation serializes");
     assert_eq!(parsed.footer.payload, payload);
     assert_eq!(parsed.header.manifest, manifest.render());
 
-    // Exactly one terminal per journaled session, and sessions cover the corpus.
+    // One record per judged case: the records are the footer payload's (n, c)
+    // counts, and their sessions are distinct and cover the corpus.
+    let certified: ModelEvaluation =
+        serde_json::from_str(&parsed.footer.payload).expect("payload parses");
+    assert_eq!(parsed.records.len(), certified.results.len());
+    let mut journaled: Vec<(u64, u64)> = parsed
+        .records
+        .iter()
+        .map(|r| (r.samples, r.correct))
+        .collect();
+    let mut scored: Vec<(u64, u64)> = certified
+        .results
+        .iter()
+        .map(|r| (r.n as u64, r.c as u64))
+        .collect();
+    journaled.sort_unstable();
+    scored.sort_unstable();
+    assert_eq!(journaled, scored, "records and payload disagree on (n, c)");
     let mut sessions: Vec<u64> = parsed.records.iter().map(|r| r.session).collect();
-    sessions.sort_unstable();
     sessions.dedup();
-    assert_eq!(sessions.len(), entries.len());
-    for session in sessions {
-        let terminals = parsed
-            .records
-            .iter()
-            .filter(|r| {
-                r.session == session
-                    && r.seq == TERMINAL_SEQ
-                    && matches!(r.event, JournalEvent::Terminal { .. })
-            })
-            .count();
-        assert_eq!(terminals, 1, "session {session:x} must have one terminal");
-    }
+    assert_eq!(sessions.len(), entries.len(), "one record per session");
 }

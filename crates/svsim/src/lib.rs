@@ -61,7 +61,7 @@ pub mod sva;
 pub mod value;
 
 pub use elaborate::{Design, ElabError, ResolvedAssertion, SignalClass};
-pub use log::{failing_assertions_in_log, render_failure_line, render_log};
+pub use log::failing_assertions_in_log;
 pub use simulator::{
     simulate, Engine, InputSlot, InputVector, SimError, SimOutcome, Simulator, Trace,
 };

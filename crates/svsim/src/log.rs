@@ -28,7 +28,7 @@ use crate::sva::AssertionFailure;
 /// assert!(outcome.log.starts_with("# simulation of module m"));
 /// # Ok::<(), svsim::SimError>(())
 /// ```
-pub fn render_log(design: &Design, trace: &Trace, failures: &[AssertionFailure]) -> String {
+pub(crate) fn render_log(design: &Design, trace: &Trace, failures: &[AssertionFailure]) -> String {
     render(&design.module.name, trace.len(), failures)
 }
 
@@ -69,7 +69,7 @@ pub(crate) fn render(module: &str, cycles: usize, failures: &[AssertionFailure])
 }
 
 /// Renders a single failure in the `ERROR:` style used by event-driven simulators.
-pub fn render_failure_line(module_name: &str, failure: &AssertionFailure) -> String {
+pub(crate) fn render_failure_line(module_name: &str, failure: &AssertionFailure) -> String {
     let message = failure
         .message
         .as_deref()

@@ -26,7 +26,7 @@ use crate::simulator::{InputVector, SimError};
 use crate::sva::AssertionFailure;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// [`crate::render_log`] for a reference trace: the same bytes for the same failures.
+/// [`crate::log::render_log`] for a reference trace: the same bytes for the same failures.
 pub(crate) fn render_log(design: &Design, trace: &Trace, failures: &[AssertionFailure]) -> String {
     crate::log::render(&design.module.name, trace.len(), failures)
 }
@@ -49,7 +49,7 @@ pub fn first_divergence(design: &Design, stimulus: &[InputVector]) -> Option<Str
         catch_unwind(AssertUnwindSafe(|| {
             let trace = crate::Simulator::run(design, stimulus)?;
             let failures = crate::check_assertions(design, &trace);
-            let log = crate::render_log(design, &trace, &failures);
+            let log = crate::log::render_log(design, &trace, &failures);
             Ok((trace, failures, log))
         }));
     let (reference, compiled) = match (reference, compiled) {

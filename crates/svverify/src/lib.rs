@@ -34,8 +34,8 @@ pub mod stimulus;
 pub use bmc::{BoundedChecker, CheckConfig, CheckMethod, SweepWork, Verdict};
 pub use oracle::{SvaValidity, VerifyOracle};
 pub use stimulus::{
-    driven_inputs, exhaustive_is_tractable, exhaustive_stimuli, input_bits, random_stimuli,
-    reset_then_constant, DrivenInput, InputColumn, Stimuli, MAX_EXHAUSTIVE_BITS,
+    driven_inputs, exhaustive_is_tractable, exhaustive_stimuli, random_stimuli, DrivenInput,
+    InputColumn, Stimuli, MAX_EXHAUSTIVE_BITS,
 };
 
 #[cfg(test)]

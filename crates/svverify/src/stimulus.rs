@@ -13,7 +13,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use svsim::value::mask;
 use svsim::{Design, InputVector};
 
@@ -55,7 +54,7 @@ pub struct InputColumn<'d> {
 }
 
 /// Total number of input bits driven per cycle.
-pub fn input_bits(design: &Design) -> u32 {
+pub(crate) fn input_bits(design: &Design) -> u32 {
     design.inputs.iter().map(|name| design.width(name)).sum()
 }
 
@@ -284,29 +283,6 @@ pub fn random_stimuli(
     Stimuli::random(design, depth, count, seed).collect()
 }
 
-/// A reset-then-constant stimulus useful for smoke tests and examples.
-pub fn reset_then_constant(
-    design: &Design,
-    depth: usize,
-    constants: &BTreeMap<String, u64>,
-) -> Vec<InputVector> {
-    let inputs = driven_inputs(design);
-    let reset = design.reset_n.clone();
-    (0..depth)
-        .map(|cycle| {
-            let mut vector = InputVector::new();
-            if let Some(rst) = &reset {
-                vector.insert(rst.clone(), u64::from(cycle > 0));
-            }
-            for input in inputs.iter().filter(|i| Some(&i.name) != reset.as_ref()) {
-                let value = constants.get(&input.name).copied().unwrap_or(1);
-                vector.insert(input.name.clone(), value & mask(input.width));
-            }
-            vector
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,15 +367,5 @@ endmodule
                 assert!(vector.get("en").copied().unwrap_or(0) <= 1);
             }
         }
-    }
-
-    #[test]
-    fn reset_then_constant_shapes() {
-        let d = design();
-        let stim = reset_then_constant(&d, 5, &BTreeMap::from([("mode".to_string(), 2u64)]));
-        assert_eq!(stim.len(), 5);
-        assert_eq!(stim[0].get("rst_n"), Some(&0));
-        assert_eq!(stim[4].get("rst_n"), Some(&1));
-        assert_eq!(stim[3].get("mode"), Some(&2));
     }
 }

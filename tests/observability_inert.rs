@@ -69,8 +69,8 @@ fn journal_telemetry_and_trace_leave_the_evaluation_unchanged() {
         });
         assert_eq!(
             records,
-            journal_on.then_some(8 * entries.len()),
-            "eight journal records per case exactly when the journal is on ({facilities:?})"
+            journal_on.then_some(entries.len()),
+            "one journal record per case exactly when the journal is on ({facilities:?})"
         );
         let frames = run.profile.map(|profile| {
             assert!(profile.total() > 0, "the stages took time ({facilities:?})");
