@@ -1,7 +1,7 @@
 //! `svobs record` and `svobs replay`: byte-deterministic session journals.
 //!
 //! Journal bytes are a pure function of `(model, corpus, protocol)`: a replay
-//! passes at any `ASSERTSOLVER_DRIVERS` / worker count and with warm or cold
+//! passes at any `ASSERTSOLVER_DRIVERS` count and with warm or cold
 //! caches, and the exit status is the verdict, so CI can chain
 //! `svobs record … && svobs replay …`.
 
@@ -56,8 +56,8 @@ pub fn record(mut flags: Flags) -> Outcome {
 }
 
 /// The fixture a manifest's rebuild tags describe, with the manifest's
-/// sampling knobs on the quick protocol's bounded check.  Worker/driver counts
-/// stay at the environment-resolved defaults — they must not change journal
+/// sampling knobs on the quick protocol's bounded check.  The driver count
+/// stays at the environment-resolved default — it must not change journal
 /// bytes.
 fn quick_from_manifest(manifest: &JournalManifest) -> Result<Quick, Failure> {
     let tags = || {

@@ -35,15 +35,11 @@ pub struct EvalConfig {
     pub temperature: f64,
     /// Seed for sampling.
     pub seed: u64,
-    /// Response-cache shards of the repair pool that samples the model (0 =
-    /// the host's available parallelism, at most 8).  The pool solves on the
-    /// driver's thread, so this sizes the cache shards and nothing else;
-    /// results are identical at any count.
+    /// Ignored: the response memo is one map.  The benchmark harness still
+    /// sets it; it goes with the next change to the harness.
     pub workers: usize,
-    /// Verdict-cache shards of the verifier that judges candidates (0 = the
-    /// `svserve::VerifyConfig` default, 4).  The verifier judges on the
-    /// driver's thread, so this sizes the cache shards and nothing else;
-    /// results are identical at any count.
+    /// Ignored: the verdict memo is one map.  The benchmark harness still
+    /// sets it; it goes with the next change to the harness.
     pub verify_workers: usize,
     /// Threads that drive the cases, each case sampled and judged start to
     /// verdict on its driver (0 = auto: the `ASSERTSOLVER_DRIVERS`
@@ -62,7 +58,7 @@ pub struct EvalConfig {
     /// `ASSERTSOLVER_JOURNAL_DIR` environment override, else no journaling).
     /// When resolved, [`evaluate_model`] journals each judged case as one
     /// record and writes a checksummed JSONL journal there; journal bytes are
-    /// identical at any worker/driver count and with warm or cold caches.
+    /// identical at any driver count and with warm or cold caches.
     pub journal_dir: Option<String>,
     /// Directory for collapsed-stack profile artifacts (`None` = the
     /// `ASSERTSOLVER_PROFILE_DIR` environment override, else no profile
@@ -135,14 +131,7 @@ impl EvalConfig {
 
     /// The repair-service configuration this protocol implies.
     pub fn service_config(&self) -> ServiceConfig {
-        let workers = if self.workers == 0 {
-            default_parallelism()
-        } else {
-            self.workers
-        };
-        ServiceConfig::default()
-            .with_workers(workers)
-            .with_seed(self.seed)
+        ServiceConfig::default().with_seed(self.seed)
     }
 
     /// The repair-service configuration for sampling a specific model, including
@@ -193,8 +182,7 @@ impl EvalConfig {
     /// The verdict-cache configuration this protocol implies, including
     /// persistence when a cache directory is resolved.
     ///
-    /// `verify_workers == 0` defers to [`VerifyConfig::default`]; an explicit
-    /// setting wins.  The verdict snapshot (`verdicts-<hash>.json`, the hash
+    /// The verdict snapshot (`verdicts-<hash>.json`, the hash
     /// covering [`CheckConfig::fingerprint`]) is fingerprinted by the same bytes
     /// — verdicts are pure functions of `(case, response, CheckConfig)` and
     /// independent of which model proposed the response, so one file is shared
@@ -203,11 +191,6 @@ impl EvalConfig {
     /// rejecting and overwriting each other's.
     pub fn verify_config(&self) -> VerifyConfig {
         let base = VerifyConfig::default();
-        let base = if self.verify_workers == 0 {
-            base
-        } else {
-            base.with_workers(self.verify_workers)
-        };
         match self.resolved_cache_dir() {
             Some(dir) => {
                 let fingerprint = self.check.fingerprint();
@@ -787,8 +770,7 @@ pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
 ///
 /// No facility changes the [`ModelEvaluation`]: sampler seeds derive from case
 /// content and verdicts are pure functions of `(case, response, CheckConfig)`,
-/// so it is identical at any worker/verify-worker/driver count, with warm or
-/// cold caches.  A facility that is off costs one branch per instrumented
+/// so it is identical at any driver count, with warm or cold caches.  A facility that is off costs one branch per instrumented
 /// site.  With the journal on, every judged case journals into a fresh sink;
 /// tracing grows one five-span tree per case (a `session` root over `submit`
 /// → `sample` → `verify` → `evaluate` laps that tile it), byte-identical at
@@ -1050,8 +1032,8 @@ fn drive_cases<M: RepairModel + Sync + ?Sized>(
     results.into_iter().map(Option::unwrap).collect()
 }
 
-/// The host's available parallelism, at most 8: what `workers = 0` and
-/// `drivers = 0` resolve to.
+/// The host's available parallelism, at most 8: what `drivers = 0`
+/// resolves to.
 fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -1244,7 +1226,6 @@ mod tests {
     fn the_direct_key_fold_equals_the_normalised_response_key() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        use svserve::verdict_key_after;
         let text = |rng: &mut StdRng| -> String {
             let len = rng.gen_range(0..12usize);
             (0..len)
@@ -1266,15 +1247,28 @@ mod tests {
                     fixed_line: text(&mut rng),
                     cot: rng.gen_bool(0.5).then(|| text(&mut rng)),
                 };
-                let normalized = Response {
+                let Response {
+                    bug_line_number,
+                    buggy_line,
+                    fixed_line,
+                    cot,
+                } = Response {
                     bug_line_number: response.bug_line_number,
                     buggy_line: String::new(),
                     fixed_line: response.fixed_line.clone(),
                     cot: None,
                 };
+                let (cot, fingerprint) = (cot.as_deref(), &verifier.check_fingerprint);
                 assert_eq!(
                     verifier.key_after(case, &response),
-                    verdict_key_after(case, &normalized, &verifier.check_fingerprint),
+                    verdict_key_of_fields(
+                        case,
+                        bug_line_number,
+                        &buggy_line,
+                        &fixed_line,
+                        cot,
+                        fingerprint
+                    ),
                     "{response:?}"
                 );
             }
@@ -1418,9 +1412,6 @@ mod tests {
         let service = svserve::RepairService::start(Arc::clone(model), service_config);
         let requests = entries.iter().map(|e| request_for(e, config)).collect();
         let outcomes = service.solve_all(requests);
-        assert!(outcomes
-            .iter()
-            .all(|o| o.worker < config.service_config().workers));
         service.shutdown();
         let verifier = EvalVerifier::start(config);
         let results = (entries.iter().zip(outcomes))

@@ -38,28 +38,6 @@ impl CorruptionKind {
             CorruptionKind::NoFunctionalLogic,
         ]
     }
-
-    /// A short human-readable explanation, used as the "compiler analysis" text in
-    /// Verilog-PT entries.
-    pub fn analysis(&self) -> &'static str {
-        match self {
-            CorruptionKind::MissingEndmodule => {
-                "the module is never closed: `endmodule` is missing, so the compiler reaches end of file while still inside the module body"
-            }
-            CorruptionKind::DroppedSemicolon => {
-                "a statement is missing its terminating semicolon, so the compiler reports an unexpected token on the following line"
-            }
-            CorruptionKind::UndeclaredIdentifier => {
-                "an expression references a signal that is never declared in the module, so elaboration fails"
-            }
-            CorruptionKind::UnbalancedBegin => {
-                "a begin/end pair is unbalanced, so the procedural block never terminates cleanly"
-            }
-            CorruptionKind::NoFunctionalLogic => {
-                "the module declares ports and nets but contains no assignments or procedural blocks, so it has no functional logic to verify"
-            }
-        }
-    }
 }
 
 /// A corrupted corpus sample.
@@ -211,13 +189,6 @@ mod tests {
         let sample = corrupt(&golden(), CorruptionKind::NoFunctionalLogic, &mut rng);
         let module = svparse::parse_module(&sample.source).unwrap();
         assert!(!module.has_functional_logic());
-    }
-
-    #[test]
-    fn every_kind_has_analysis_text() {
-        for kind in CorruptionKind::all() {
-            assert!(!kind.analysis().is_empty());
-        }
     }
 
     #[test]

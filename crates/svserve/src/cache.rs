@@ -1,14 +1,14 @@
-//! Content keys and the per-shard map that every [`crate::Memo`] caches in.
+//! Content keys and the map that every [`crate::Memo`] caches in.
 //!
 //! Cache keys are 128-bit FNV-1a hashes over the full job content:
 //!
 //! * [`CaseKey`] (repair pool) — spec, buggy source, failure log, sample count and
 //!   temperature, so two requests share an entry exactly when the model would be
 //!   asked the identical question.  The same key also seeds the sampler (see
-//!   [`crate::service`]), which is what makes service results independent of worker
-//!   count and arrival order.
+//!   [`crate::service`]), which is what makes service results independent of
+//!   arrival order.
 //! * [`VerdictKey`] (verdict cache) — the caller-supplied case fingerprint, every field
-//!   of the candidate [`Response`], and the checker-configuration fingerprint, so a
+//!   of the candidate [`svmodel::Response`], and the checker-configuration fingerprint, so a
 //!   cached verdict is reused exactly when the same candidate would be re-judged for
 //!   the same case under the same bounded-check settings.
 //!
@@ -17,20 +17,21 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use svmodel::{CaseInput, Response};
+use svmodel::CaseInput;
 
 /// Content hash of one repair request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CaseKey(pub u128);
 
 impl CaseKey {
-    /// Folds the 128-bit key into 64 bits (used for shard routing and seeding).
+    /// Folds the 128-bit key into 64 bits (the sampler seed, session id and
+    /// wire placement derive from it).
     pub fn fold64(self) -> u64 {
-        ContentKey::fold64(self)
+        (self.0 as u64) ^ ((self.0 >> 64) as u64)
     }
 }
 
-/// A 128-bit content hash a pool can route, cache and persist by: what
+/// A 128-bit content hash a memo can cache and persist by: what
 /// [`crate::pool`] and the [`crate::persist`] codec need from [`CaseKey`] and
 /// [`VerdictKey`] alike.
 pub trait ContentKey: Copy + Eq + Hash + Ord + Send + Sync + 'static {
@@ -39,11 +40,6 @@ pub trait ContentKey: Copy + Eq + Hash + Ord + Send + Sync + 'static {
 
     /// The raw hash.
     fn raw(self) -> u128;
-
-    /// Folds the key into 64 bits; shard placement is `fold64() % workers`.
-    fn fold64(self) -> u64 {
-        (self.raw() as u64) ^ ((self.raw() >> 64) as u64)
-    }
 }
 
 impl ContentKey for CaseKey {
@@ -100,31 +96,18 @@ pub(crate) fn case_key(case: &CaseInput, samples: usize, temperature: f64) -> Ca
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VerdictKey(pub u128);
 
-impl VerdictKey {
-    /// Folds the 128-bit key into 64 bits (used for verify-shard routing).
-    pub fn fold64(self) -> u64 {
-        ContentKey::fold64(self)
-    }
-}
-
-/// Computes the content-addressed key of one verdict.
-///
-/// `case_fields` is the caller's stable fingerprint of the case being judged (this
-/// crate knows no case type, so it cannot hash the case itself);
-/// `config` is the byte fingerprint of the checker configuration (e.g.
-/// `svverify::CheckConfig::fingerprint`).  Every field is folded with a length
-/// prefix, including the field *count*, so no two distinct triples alias.
-pub fn verdict_key(case_fields: &[&[u8]], response: &Response, config: &[u8]) -> VerdictKey {
-    verdict_key_after(verdict_case_state(case_fields), response, config)
-}
-
 /// The case half of a [`VerdictKey`]: the hash state after folding a case's
 /// fields, which every candidate judged against that case shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerdictCaseState(u128);
 
-/// Folds `case_fields` once, for [`verdict_key_after`] to finish per
-/// candidate: FNV runs in order, so the split key equals [`verdict_key`].
+/// Folds `case_fields` once, for [`verdict_key_of_fields`] to finish per
+/// candidate.
+///
+/// `case_fields` is the caller's stable fingerprint of the case being judged
+/// (this crate knows no case type, so it cannot hash the case itself).  Every
+/// field is folded with a length prefix, and so is the field *count*, so no
+/// two distinct field lists alias.
 pub fn verdict_case_state(case_fields: &[&[u8]]) -> VerdictCaseState {
     let mut hash = FNV_OFFSET;
     hash = fold_field(hash, &(case_fields.len() as u64).to_le_bytes());
@@ -134,22 +117,12 @@ pub fn verdict_case_state(case_fields: &[&[u8]]) -> VerdictCaseState {
     VerdictCaseState(hash)
 }
 
-/// Finishes a [`verdict_key`] from its case half: folds the response and the
-/// checker configuration.
-pub fn verdict_key_after(case: VerdictCaseState, response: &Response, config: &[u8]) -> VerdictKey {
-    let Response {
-        bug_line_number,
-        buggy_line,
-        fixed_line,
-        cot,
-    } = response;
-    let cot = cot.as_deref();
-    verdict_key_of_fields(case, *bug_line_number, buggy_line, fixed_line, cot, config)
-}
-
-/// [`verdict_key_after`] over a response's fields, borrowed: a caller that
-/// keys a normalised response (say, an empty buggy line and no reasoning)
-/// folds the fields it holds without building a [`Response`].
+/// Finishes a [`VerdictKey`] from its case half: folds a candidate
+/// response's fields, borrowed, and `config`, the byte fingerprint of the
+/// checker configuration (e.g. `svverify::CheckConfig::fingerprint`).  A
+/// caller that keys a normalised response (say, an empty buggy line and no
+/// reasoning) folds the fields it holds without building a
+/// [`svmodel::Response`].
 pub fn verdict_key_of_fields(
     case: VerdictCaseState,
     bug_line_number: u32,
@@ -188,15 +161,15 @@ struct Entry<V> {
     touched: bool,
 }
 
-/// One shard of a [`crate::Memo`]: a content-addressed map that never
+/// The map of a [`crate::Memo`]: content-addressed, and it never
 /// evicts (snapshot compaction in [`crate::persist`] ages entries out, across
 /// runs).  Entries preloaded from a snapshot are tagged warm, so a memo can
 /// report how much of its traffic a snapshot absorbed.
-pub(crate) struct CacheShard<K, V> {
+pub(crate) struct CacheMap<K, V> {
     map: HashMap<K, Entry<V>>,
 }
 
-impl<K, V> Default for CacheShard<K, V> {
+impl<K, V> Default for CacheMap<K, V> {
     fn default() -> Self {
         Self {
             map: HashMap::new(),
@@ -204,14 +177,14 @@ impl<K, V> Default for CacheShard<K, V> {
     }
 }
 
-impl<K: Copy + Eq + Hash, V: Clone> CacheShard<K, V> {
+impl<K: Copy + Eq + Hash, V: Clone> CacheMap<K, V> {
     /// Number of cached entries.
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// Looks up a key, also reporting whether the entry was preloaded from a
-    /// snapshot ([`CacheShard::preload_aged`]) rather than computed this
+    /// snapshot ([`CacheMap::preload_aged`]) rather than computed this
     /// process.  Values are cloned out; pick a cheap-to-clone value type
     /// (`Arc<...>`, `bool`).
     pub(crate) fn get_tagged(&mut self, key: K) -> Option<(V, bool)> {
@@ -226,7 +199,7 @@ impl<K: Copy + Eq + Hash, V: Clone> CacheShard<K, V> {
     }
 
     /// Inserts a snapshot-restored value, tagged warm (see
-    /// [`CacheShard::get_tagged`]), with the snapshot generation it was last
+    /// [`CacheMap::get_tagged`]), with the snapshot generation it was last
     /// useful in, so age-based compaction ([`crate::persist`]) can drop
     /// entries that go unused for several runs.
     pub(crate) fn preload_aged(&mut self, key: K, value: V, generation: u64) {
@@ -262,6 +235,7 @@ impl<K: Copy + Eq + Hash, V: Clone> CacheShard<K, V> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use svmodel::Response;
 
     fn case(spec: &str, source: &str, logs: &str) -> CaseInput {
         CaseInput {
@@ -278,6 +252,20 @@ mod tests {
             fixed_line: format!("fixed {line}"),
             cot: None,
         }
+    }
+
+    /// The verdict key of every field of `response`, folded through the case
+    /// half and then the response half.
+    fn verdict_key(case_fields: &[&[u8]], response: &Response, config: &[u8]) -> VerdictKey {
+        let Response {
+            bug_line_number,
+            buggy_line,
+            fixed_line,
+            cot,
+        } = response;
+        let case = verdict_case_state(case_fields);
+        let cot = cot.as_deref();
+        verdict_key_of_fields(case, *bug_line_number, buggy_line, fixed_line, cot, config)
     }
 
     #[test]
@@ -345,12 +333,12 @@ mod tests {
         let keys: Vec<VerdictKey> = (0..3)
             .map(|i| verdict_key(&[b"case"], &response(i), b"cfg"))
             .collect();
-        let mut cache: CacheShard<VerdictKey, bool> = CacheShard::default();
+        let mut cache: CacheMap<VerdictKey, bool> = CacheMap::default();
         cache.insert(keys[0], true);
         cache.insert(keys[1], false);
         assert_eq!(cache.get_tagged(keys[0]), Some((true, false)));
         cache.insert(keys[2], true);
-        assert_eq!(cache.len(), 3, "a shard never evicts");
+        assert_eq!(cache.len(), 3, "the map never evicts");
         assert_eq!(cache.get_tagged(keys[1]), Some((false, false)));
         assert_eq!(cache.get_tagged(keys[2]), Some((true, false)));
     }
@@ -360,7 +348,7 @@ mod tests {
         let keys: Vec<CaseKey> = (0..3)
             .map(|i| case_key(&case(&format!("s{i}"), "", ""), 1, 0.0))
             .collect();
-        let mut cache = CacheShard::default();
+        let mut cache = CacheMap::default();
         cache.preload_aged(keys[0], Arc::new(vec![response(0)]), 1);
         cache.insert(keys[1], Arc::new(vec![response(1)]));
         assert!(cache.get_tagged(keys[0]).unwrap().1);
@@ -372,7 +360,7 @@ mod tests {
         assert!(!cache.get_tagged(keys[0]).unwrap().1);
         let exported = cache.export_aged();
         assert_eq!(exported.len(), 2);
-        let mut reloaded = CacheShard::default();
+        let mut reloaded = CacheMap::default();
         for (key, value, generation, _) in exported {
             reloaded.preload_aged(key, value, generation);
         }
@@ -386,7 +374,7 @@ mod tests {
         let keys: Vec<CaseKey> = (0..3)
             .map(|i| case_key(&case(&format!("s{i}"), "", ""), 1, 0.0))
             .collect();
-        let mut cache = CacheShard::default();
+        let mut cache = CacheMap::default();
         cache.preload_aged(keys[0], Arc::new(vec![response(0)]), 4);
         cache.preload_aged(keys[1], Arc::new(vec![response(1)]), 4);
         cache.insert(keys[2], Arc::new(vec![response(2)]));
@@ -413,7 +401,7 @@ mod tests {
     #[test]
     fn reinserting_a_key_does_not_grow_the_cache() {
         let key = case_key(&case("s", "", ""), 1, 0.0);
-        let mut cache = CacheShard::default();
+        let mut cache = CacheMap::default();
         cache.insert(key, Arc::new(vec![response(1)]));
         cache.insert(key, Arc::new(vec![response(2)]));
         assert_eq!(cache.len(), 1);

@@ -9,9 +9,9 @@
 //! [`TracerHandle::case`] appends it once the case is judged.  The journal of
 //! an evaluation is therefore a pure function of its inputs — the same
 //! determinism contract the caches honour.  What depends on interleaving or
-//! cache temperature (admits, sheds, cache lookups, panics) is not journaled:
-//! the pool metrics count it, so a warm run and a cold run render the same
-//! journal bytes.
+//! cache temperature (cache lookups, panics) is not journaled: the memo
+//! metrics count it, so a warm run and a cold run render the same journal
+//! bytes.
 //!
 //! ## Buffering and drain
 //!
@@ -28,7 +28,6 @@ use crate::persist::{self, fnv64};
 use crate::sync::lock_recover;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Journal file layout version (bumped on any incompatible change).
@@ -95,15 +94,6 @@ impl std::fmt::Debug for TracerHandle {
     }
 }
 
-/// Counter snapshot of a [`JournalSink`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalCounters {
-    /// Records appended.
-    pub recorded: u64,
-    /// Records currently buffered; zero after a drain.
-    pub buffered: usize,
-}
-
 /// The in-memory record sink: one append-only buffer, drained sorted.
 ///
 /// Install it on configs via [`JournalSink::handle`].  See the module docs for
@@ -111,7 +101,6 @@ pub struct JournalCounters {
 #[derive(Default)]
 pub struct JournalSink {
     records: Mutex<Vec<JournalRecord>>,
-    recorded: AtomicU64,
 }
 
 impl JournalSink {
@@ -132,7 +121,6 @@ impl JournalSink {
 
     fn record(&self, record: JournalRecord) {
         lock_recover(&self.records).push(record);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Takes every buffered record in the canonical order the JSONL
@@ -141,14 +129,6 @@ impl JournalSink {
         let mut records = std::mem::take(&mut *lock_recover(&self.records));
         records.sort_unstable();
         records
-    }
-
-    /// Snapshot of the sink's counters.
-    pub fn counters(&self) -> JournalCounters {
-        JournalCounters {
-            recorded: self.recorded.load(Ordering::Relaxed),
-            buffered: lock_recover(&self.records).len(),
-        }
     }
 }
 
@@ -161,7 +141,7 @@ pub struct JournalHeader {
     pub kind: String,
     /// Opaque recipe string (the caller's manifest, typically JSON) describing
     /// how to reproduce the run — model tag, corpus tag, protocol knobs.
-    /// Deliberately excludes driver/worker counts: they must not change bytes.
+    /// Deliberately excludes the driver count: it must not change bytes.
     pub manifest: String,
 }
 
@@ -306,16 +286,13 @@ mod tests {
                 handle.case(session, samples, samples / 2, samples / 4);
             }
         }
-        let counters = sink.counters();
-        assert_eq!(counters.recorded, 64);
-        assert_eq!(counters.buffered, 64, "the buffer keeps every record");
         let records = sink.drain_sorted();
-        assert_eq!(records.len(), 64);
+        assert_eq!(records.len(), 64, "the buffer keeps every record");
         let keys: Vec<(u64, u64)> = records.iter().map(|r| (r.session, r.samples)).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "drain must sort by session, then counts");
-        assert_eq!(sink.counters().buffered, 0, "drain empties the buffer");
+        assert!(sink.drain_sorted().is_empty(), "drain empties the buffer");
     }
 
     #[test]
@@ -333,7 +310,6 @@ mod tests {
             r#"{"session":11,"samples":8,"candidates":5,"correct":3}"#
         );
         assert_eq!(sink.drain_sorted(), [record]);
-        assert_eq!(sink.counters().recorded, 1);
 
         // The off handle records nothing.
         TracerHandle::off().case(12, 8, 5, 3);

@@ -1,22 +1,21 @@
-//! # svserve — a concurrent, sharded repair service over any [`svmodel::RepairModel`]
+//! # svserve — a concurrent, memoized repair service over any [`svmodel::RepairModel`]
 //!
 //! The paper evaluates AssertSolver one case at a time; this crate is the serving
 //! harness that turns a repair model into a system that can absorb heavy traffic:
 //!
-//! * **Sharded caches, served in place** — every cache is a [`Memo`] of N
-//!   content-addressed shards that runs its work on the thread that asks
+//! * **Caches served in place** — every cache is a [`Memo`], one
+//!   content-addressed map that runs its work on the thread that asks
 //!   ([`serve_scoped`], [`RepairService`], `assertsolver::EvalVerifier`): no
 //!   memo spawns a thread.  Concurrency comes from the callers — the
 //!   evaluation's case drivers.
 //! * **Content-addressed response cache** — answers are cached under a 128-bit hash
-//!   of `(spec, buggy source, failure log, samples, temperature)` in per-shard
-//!   maps that never evict ([`cache`]).
+//!   of `(spec, buggy source, failure log, samples, temperature)` in a map
+//!   that never evicts ([`cache`]).
 //! * **Metrics** — [`ServiceMetrics`] and [`VerifyMetrics`] snapshot a memo's
-//!   counters: hits and misses, warm hits, snapshot traffic, panics and the
-//!   in-flight gauge.
+//!   counters: hits and misses, warm hits, snapshot traffic and panics.
 //! * **Determinism** — sampler seeds derive from the content hash plus the service
-//!   seed, never from arrival order or shard, so the same workload yields
-//!   byte-identical responses at any shard count.
+//!   seed, never from arrival order or the submitting thread, so the same
+//!   workload yields byte-identical responses at any driver count.
 //! * **One memo** — caching, panic absorption and snapshots live once, in
 //!   [`Memo`] ([`pool`]); the repair service ([`service`]) is a model behind
 //!   one, and the verdict cache ([`verify`]) is another, keyed by
@@ -28,26 +27,24 @@
 //!   corrupt or mismatched snapshots degrade to a cold start, never an error.
 //!   Snapshots carry a generation counter, and entries that go unused for
 //!   [`PersistSpec::compact_after`] runs are compacted away at flush.
-//! * **Admission control** — a repair service with a `max_in_flight` limit
-//!   bounds how many submitters are inside the model at once and sheds the
-//!   overflow with a deterministic [`SubmitError::Busy`].  A ticket holds an
-//!   outcome already served when `submit` returns.
+//! * **Tickets** — a ticket holds an outcome already served when `submit`
+//!   returns; the one refusal is [`SubmitError::Closed`], after shutdown.
 //! * **Session journal** — one record per judged case ([`journal`]): its
 //!   samples drawn, distinct candidates and samples judged correct, appended
 //!   in one call ([`TracerHandle::case`]) into one sink and rendered as a
 //!   checksummed JSONL artifact whose bytes are deterministic at any
-//!   driver/worker count — a replayable repro artifact, not just a log.  Off
-//!   by default; the hot path pays one branch.
-//!   Pool events (admits, sheds, cache lookups, panics) are counted once, in
-//!   the pool metrics.
+//!   driver count — a replayable repro artifact, not just a log.  Off by
+//!   default; the hot path pays one branch.  Memo events (cache lookups,
+//!   panics) are counted once, in the memo metrics.
 //! * **Stage profile** — a [`TelemetryHandle`] that is on has an evaluation
 //!   time its setup, sessions and report stages as a [`CollapsedProfile`]
 //!   ([`telemetry`]).
 //! * **Frame protocol** — a checksummed, length-capped frame codec ([`wire`])
 //!   with an in-process loopback transport and a [`ShardFleet`] client placing
 //!   requests by content hash (per-shard caches stay disjoint; answers are
-//!   byte-identical to direct submission at any shard count).  `Busy` and
-//!   every wire failure degrade to counted outcomes, never a client panic.
+//!   byte-identical to direct submission at any shard count).  A peer's
+//!   `Busy` and every wire failure degrade to counted outcomes, never a
+//!   client panic.
 //!
 //! ## Quick example
 //!
@@ -83,17 +80,14 @@ pub mod trace;
 pub mod verify;
 pub mod wire;
 
-pub use cache::{
-    verdict_case_state, verdict_key, verdict_key_after, verdict_key_of_fields, CaseKey,
-    VerdictCaseState, VerdictKey,
-};
+pub use cache::{verdict_case_state, verdict_key_of_fields, CaseKey, VerdictCaseState, VerdictKey};
 pub use env::{
     env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, CACHE_DIR_ENV, DRIVERS_ENV,
     JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SCALE_ENV,
 };
 pub use journal::{
-    parse_journal, render_journal, write_journal, JournalCounters, JournalFooter, JournalHeader,
-    JournalRecord, JournalSink, ParsedJournal, TracerHandle,
+    parse_journal, render_journal, write_journal, JournalFooter, JournalHeader, JournalRecord,
+    JournalSink, ParsedJournal, TracerHandle,
 };
 pub use metrics::{ServiceMetrics, VerifyMetrics};
 pub use persist::{

@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// a judgment on the verdict side.
 #[derive(Default)]
 pub(crate) struct MetricsRecorder {
-    pub(crate) submitted: AtomicU64,
     pub(crate) completed: AtomicU64,
     pub(crate) cache_hits: AtomicU64,
     pub(crate) cache_misses: AtomicU64,
@@ -28,8 +27,6 @@ pub(crate) struct MetricsRecorder {
     pub(crate) snapshot_save_failures: AtomicU64,
     pub(crate) snapshot_rejects: AtomicU64,
     pub(crate) snapshot_compacted_entries: AtomicU64,
-    pub(crate) in_flight: AtomicU64,
-    pub(crate) shed_busy: AtomicU64,
 }
 
 /// Adds `by` to one of a recorder's counters.
@@ -51,21 +48,6 @@ fn rate(part: u64, whole: u64) -> f64 {
 }
 
 impl MetricsRecorder {
-    /// Admission control: reserves one in-flight slot, or reports the memo
-    /// busy.  `limit == 0` means unbounded (the slot is still counted, so the
-    /// in-flight gauge works either way).  [`MetricsRecorder::record_job`]
-    /// releases the slot.
-    pub(crate) fn try_admit(&self, limit: usize) -> bool {
-        if limit == 0 {
-            bump(&self.in_flight, 1);
-            return true;
-        }
-        let admit = |current| (current < limit as u64).then_some(current + 1);
-        (self.in_flight)
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, admit)
-            .is_ok()
-    }
-
     /// Records a successful snapshot write of `entries` cache entries.
     pub(crate) fn record_snapshot_save(&self, entries: usize) {
         bump(&self.snapshot_saves, 1);
@@ -77,24 +59,17 @@ impl MetricsRecorder {
         bump(if verdict { accepted } else { rejected }, 1);
     }
 
-    /// Counts one served job, a cache hit or a miss, and releases its
-    /// in-flight slot (saturating, so a stray release never wraps the gauge).
+    /// Counts one served job, a cache hit or a miss.
     pub(crate) fn record_job(&self, hit: bool) {
         let [misses, hits] = [&self.cache_misses, &self.cache_hits];
         bump(&self.completed, 1);
         bump(if hit { hits } else { misses }, 1);
-        let release = |current: u64| Some(current.saturating_sub(1));
-        let _ = (self.in_flight).fetch_update(Ordering::AcqRel, Ordering::Acquire, release);
     }
 
-    pub(crate) fn snapshot(&self, workers: usize, cache_entries: usize) -> ServiceMetrics {
+    pub(crate) fn snapshot(&self, cache_entries: usize) -> ServiceMetrics {
         let (hits, misses) = (load(&self.cache_hits), load(&self.cache_misses));
         ServiceMetrics {
-            workers,
-            submitted: load(&self.submitted),
             completed: load(&self.completed),
-            in_flight_sessions: load(&self.in_flight) as usize,
-            shed_busy: load(&self.shed_busy),
             cache_hits: hits,
             cache_misses: misses,
             cache_entries,
@@ -111,14 +86,11 @@ impl MetricsRecorder {
         }
     }
 
-    pub(crate) fn snapshot_verify(&self, workers: usize, cache_entries: usize) -> VerifyMetrics {
+    pub(crate) fn snapshot_verify(&self, cache_entries: usize) -> VerifyMetrics {
         let (hits, misses) = (load(&self.cache_hits), load(&self.cache_misses));
         VerifyMetrics {
-            workers,
-            submitted: load(&self.submitted),
             completed: load(&self.completed),
-            in_flight_sessions: load(&self.in_flight) as usize,
-            shed_busy: load(&self.shed_busy),
+            shed_busy: 0,
             cache_hits: hits,
             cache_misses: misses,
             cache_entries,
@@ -141,21 +113,13 @@ impl MetricsRecorder {
 /// A point-in-time view of the repair service's response memo.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceMetrics {
-    /// Number of response-cache shards.
-    pub workers: usize,
-    /// Requests accepted by `submit`.
-    pub submitted: u64,
-    /// Requests fully served (cache hits included).
+    /// Requests served (cache hits included).
     pub completed: u64,
-    /// Requests admitted but not yet completed: the in-flight gauge.
-    pub in_flight_sessions: usize,
-    /// Requests refused with `SubmitError::Busy` at `max_in_flight`.
-    pub shed_busy: u64,
     /// Requests answered from the response cache.
     pub cache_hits: u64,
     /// Requests that required a model invocation.
     pub cache_misses: u64,
-    /// Entries currently resident across all shard caches.
+    /// Entries currently cached.
     pub cache_entries: usize,
     /// `cache_hits / (cache_hits + cache_misses)`, 0 when nothing completed.
     pub cache_hit_rate: f64,
@@ -185,21 +149,16 @@ pub struct ServiceMetrics {
 /// read for verdicts, plus the verdict tallies.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VerifyMetrics {
-    /// Number of verdict-cache shards.
-    pub workers: usize,
-    /// Verdict jobs accepted.
-    pub submitted: u64,
-    /// Verdict jobs fully served (cache hits included).
+    /// Verdict jobs served (cache hits included).
     pub completed: u64,
-    /// Verdict jobs admitted but not yet completed — the in-flight gauge.
-    pub in_flight_sessions: usize,
-    /// Verdict jobs shed by admission control (0: no limit is configured).
+    /// Always 0: a memo sheds nothing.  The benchmark harness still adds it
+    /// to its refusal count; it goes with the next change to the harness.
     pub shed_busy: u64,
     /// Verdicts answered from the verdict cache.
     pub cache_hits: u64,
     /// Verdicts that required running the judge.
     pub cache_misses: u64,
-    /// Verdicts currently resident across all shard caches.
+    /// Verdicts currently cached.
     pub cache_entries: usize,
     /// `cache_hits / (cache_hits + cache_misses)`, 0 when nothing completed.
     pub cache_hit_rate: f64,
@@ -243,13 +202,7 @@ fn render_block(title: &str, rows: &[(&str, String)]) -> String {
 macro_rules! memo_rows {
     ($m:expr, $extra:expr) => {
         [
-            ("workers", format!("{:>10}", $m.workers)),
-            ("submitted", format!("{:>10}", $m.submitted)),
             ("completed", format!("{:>10}", $m.completed)),
-            (
-                "in flight",
-                format!("{:>10} now, {} shed busy", $m.in_flight_sessions, $m.shed_busy),
-            ),
             (
                 "cache",
                 format!(
@@ -302,12 +255,9 @@ mod tests {
     #[test]
     fn snapshot_aggregates_counters() {
         let recorder = MetricsRecorder::default();
-        bump(&recorder.submitted, 1);
-        bump(&recorder.submitted, 1);
         recorder.record_job(false);
         recorder.record_job(true);
-        let snap = recorder.snapshot(4, 7);
-        assert_eq!(snap.submitted, 2);
+        let snap = recorder.snapshot(7);
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 1);
@@ -319,13 +269,12 @@ mod tests {
     #[test]
     fn verify_snapshot_tallies_verdicts() {
         let recorder = MetricsRecorder::default();
-        bump(&recorder.submitted, 1);
         recorder.record_verdict(true);
         recorder.record_job(false);
         recorder.record_verdict(false);
         recorder.record_job(false);
         recorder.record_job(true);
-        let snap = recorder.snapshot_verify(2, 2);
+        let snap = recorder.snapshot_verify(2);
         assert_eq!(snap.completed, 3);
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 2);
@@ -347,7 +296,7 @@ mod tests {
         recorder.record_job(false);
         recorder.record_snapshot_save(9);
         bump(&recorder.snapshot_compacted_entries, 3);
-        let snap = recorder.snapshot(1, 9);
+        let snap = recorder.snapshot(9);
         assert_eq!(snap.snapshot_loaded_entries, 12);
         assert_eq!(snap.snapshot_saved_entries, 9);
         assert_eq!(snap.snapshot_saves, 1);
@@ -357,7 +306,7 @@ mod tests {
         assert!((snap.warm_hit_rate - 1.0 / 3.0).abs() < 1e-12);
         assert!(snap.render().contains("warm start"));
         // The verify view derives from the same counters.
-        let verify = recorder.snapshot_verify(1, 9);
+        let verify = recorder.snapshot_verify(9);
         assert_eq!(verify.warm_hits, 1);
         assert_eq!(verify.snapshot_loaded_entries, 12);
         assert!(verify.render().contains("warm start"));
@@ -374,12 +323,12 @@ mod tests {
         // Both snapshots of one recorder render the same shared rows, then
         // one row of their own.
         let recorder = MetricsRecorder::default();
-        let service = recorder.snapshot(1, 0).render();
-        let verify = recorder.snapshot_verify(1, 0).render();
+        let service = recorder.snapshot(0).render();
+        let verify = recorder.snapshot_verify(0).render();
         assert!(service.starts_with("service metrics\n") && verify.starts_with("verify metrics\n"));
-        let shared = |text: &str| text.lines().skip(1).take(6).collect::<Vec<_>>().join("\n");
+        let shared = |text: &str| text.lines().skip(1).take(3).collect::<Vec<_>>().join("\n");
         assert_eq!(shared(&service), shared(&verify));
-        assert_eq!((service.lines().count(), verify.lines().count()), (8, 8));
+        assert_eq!((service.lines().count(), verify.lines().count()), (5, 5));
         assert_ne!(service.lines().last(), verify.lines().last());
     }
 
@@ -388,11 +337,11 @@ mod tests {
         // An idle pool must report 0 rates, not NaN (0/0) — a `NaN%` hit rate
         // in a summary poisons downstream comparisons and JSON consumers.
         let recorder = MetricsRecorder::default();
-        let snap = recorder.snapshot(1, 0);
+        let snap = recorder.snapshot(0);
         assert_eq!(snap.cache_hit_rate, 0.0);
         assert_eq!(snap.warm_hit_rate, 0.0);
         assert!(snap.render().contains("(0.0% hit rate)"));
-        let verify = recorder.snapshot_verify(1, 0);
+        let verify = recorder.snapshot_verify(0);
         assert_eq!(verify.cache_hit_rate, 0.0);
         assert_eq!(verify.warm_hit_rate, 0.0);
         assert!(verify.render().contains("(0.0% hit rate)"));

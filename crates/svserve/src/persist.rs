@@ -391,7 +391,7 @@ pub(crate) fn load_snapshot<S: SnapshotFile>(
 ///
 /// Entries are sorted by key before writing, so saving, loading and saving again
 /// (at the same generation) produces byte-identical files regardless of cache
-/// insertion order or worker count.
+/// insertion order.
 pub(crate) fn save_snapshot_aged<S: SnapshotFile>(
     spec: &PersistSpec,
     generation: u64,
@@ -412,16 +412,6 @@ pub(crate) fn save_snapshot_aged<S: SnapshotFile>(
     Ok(count)
 }
 
-/// Stamps a freshly computed cache with no history — generation 1, every
-/// entry current — and saves it.
-fn save_snapshot<S: SnapshotFile>(
-    spec: &PersistSpec,
-    entries: Vec<(S::Key, S::Value)>,
-) -> io::Result<usize> {
-    let aged = entries.into_iter().map(|(key, value)| (key, value, 1));
-    save_snapshot_aged::<S>(spec, 1, aged.collect())
-}
-
 /// Loads a response snapshot, validating the header against `spec`.
 ///
 /// Every failure mode — missing file, corrupt JSON, version/kind/fingerprint/model
@@ -436,21 +426,12 @@ pub fn load_verdict_snapshot(spec: &PersistSpec) -> SnapshotLoad<VerdictLoad> {
     load_snapshot::<VerdictSnapshot>(spec)
 }
 
-/// Saves a response snapshot atomically as generation 1 with every entry
-/// current; returns the number of entries written.
-pub fn save_response_snapshot(
-    spec: &PersistSpec,
-    entries: Vec<(CaseKey, Arc<Vec<Response>>)>,
-) -> io::Result<usize> {
-    save_snapshot::<ResponseSnapshot>(spec, entries)
-}
-
 /// Saves a response snapshot atomically under an explicit run counter, with
 /// per-entry `last useful` generations; returns the number of entries written.
 ///
 /// Entries are sorted by key before writing, so saving, loading and saving again
 /// (at the same generation) produces byte-identical files regardless of cache
-/// insertion order or worker count.
+/// insertion order.
 pub fn save_response_snapshot_aged(
     spec: &PersistSpec,
     generation: u64,
@@ -459,18 +440,19 @@ pub fn save_response_snapshot_aged(
     save_snapshot_aged::<ResponseSnapshot>(spec, generation, entries)
 }
 
-/// Saves a verdict snapshot atomically as generation 1 with every entry
-/// current; returns the number of entries written.
+/// Saves a verdict snapshot; it is byte-stable as
+/// [`save_response_snapshot_aged`] is.
 ///
 /// ```
 /// use svserve::persist::{
-///     load_verdict_snapshot, save_verdict_snapshot, PersistSpec, SnapshotLoad, VerdictLoad,
+///     load_verdict_snapshot, save_verdict_snapshot_aged, PersistSpec, SnapshotLoad, VerdictLoad,
 /// };
 /// use svserve::VerdictKey;
 ///
 /// let dir = std::env::temp_dir().join(format!("svserve-doc-{}", std::process::id()));
 /// let spec = PersistSpec::new(dir.join("verdicts.json"), b"check-config", "-");
-/// save_verdict_snapshot(&spec, vec![(VerdictKey(7), true), (VerdictKey(3), false)]).unwrap();
+/// let entries = vec![(VerdictKey(7), true, 1), (VerdictKey(3), false, 1)];
+/// save_verdict_snapshot_aged(&spec, 1, entries).unwrap();
 /// assert_eq!(
 ///     load_verdict_snapshot(&spec),
 ///     SnapshotLoad::Loaded(VerdictLoad {
@@ -483,15 +465,6 @@ pub fn save_response_snapshot_aged(
 /// assert!(matches!(load_verdict_snapshot(&stale), SnapshotLoad::Rejected(_)));
 /// std::fs::remove_dir_all(&dir).ok();
 /// ```
-pub fn save_verdict_snapshot(
-    spec: &PersistSpec,
-    entries: Vec<(VerdictKey, bool)>,
-) -> io::Result<usize> {
-    save_snapshot::<VerdictSnapshot>(spec, entries)
-}
-
-/// Saves a verdict snapshot; it is byte-stable as
-/// [`save_response_snapshot_aged`] is.
 pub fn save_verdict_snapshot_aged(
     spec: &PersistSpec,
     generation: u64,
@@ -616,10 +589,10 @@ mod tests {
     fn response_snapshot_round_trips_with_recency_independent_bytes() {
         let spec = temp_spec("resp-roundtrip");
         let entries = vec![
-            (CaseKey(9), Arc::new(vec![response(1), response(2)])),
-            (CaseKey(2), Arc::new(vec![])),
+            (CaseKey(9), Arc::new(vec![response(1), response(2)]), 1),
+            (CaseKey(2), Arc::new(vec![]), 1),
         ];
-        save_response_snapshot(&spec, entries.clone()).unwrap();
+        save_response_snapshot_aged(&spec, 1, entries).unwrap();
         let first_bytes = std::fs::read(&spec.path).unwrap();
         let SnapshotLoad::Loaded(loaded) = load_response_snapshot(&spec) else {
             panic!("snapshot must load");
@@ -676,7 +649,7 @@ mod tests {
         ));
 
         // Truncated valid JSON.
-        save_verdict_snapshot(&spec, vec![(VerdictKey(1), true)]).unwrap();
+        save_verdict_snapshot_aged(&spec, 1, vec![(VerdictKey(1), true, 1)]).unwrap();
         let full = std::fs::read_to_string(&spec.path).unwrap();
         std::fs::write(&spec.path, &full[..full.len() / 2]).unwrap();
         assert!(matches!(

@@ -1,5 +1,5 @@
-//! The memo: one sharded, cached, panic-absorbing lookup, generic over the
-//! snapshot file it persists to.
+//! The memo: one cached, panic-absorbing lookup, generic over the snapshot
+//! file it persists to.
 //!
 //! The paper's protocol is one loop — sample repairs, let the bounded check
 //! judge them — and both halves memoize through a [`Memo`]: the repair
@@ -12,23 +12,23 @@
 //!
 //! ## What the memo guarantees
 //!
-//! * **Placement** — a key is cached on shard `key.fold64() % shards`, a pure
-//!   function of content, so per-shard caches are disjoint and results are
-//!   independent of shard count and arrival order.
+//! * **One map** — every key is cached in one `Mutex`-guarded map, held only
+//!   for the lookup and the insert, never while the work runs; a value is a
+//!   pure function of its key, so results are independent of arrival order.
 //! * **No eviction** — every value served stays cached until the memo
 //!   drops; a full paper run holds about a thousand verdicts.
 //! * **Panic absorption** — panicking work is served as the value's
 //!   `Default` (an empty response set, a `false` verdict), is counted, is
 //!   *not* cached (a retry reaches the work again), and leaves the memo
 //!   serving.
-//! * **Warm start** — a configured snapshot is preloaded at [`Memo::new`] and
-//!   flushed once the memo has closed; a missing, corrupt or mismatched file
+//! * **Warm start** — a configured snapshot is preloaded when the memo is
+//!   built and flushed once it has closed; a missing, corrupt or mismatched file
 //!   is a counted cold start, an empty cache never overwrites a snapshot, and
 //!   entries idle for `compact_after` runs are dropped at flush.
 //! * **Lifecycle** — serving after [`Memo::close`] is [`SubmitError::Closed`];
 //!   the first close (or the drop) flushes the snapshot, once.
 
-use crate::cache::{CacheShard, ContentKey};
+use crate::cache::CacheMap;
 use crate::metrics::{bump, MetricsRecorder};
 use crate::persist::{self, PersistSpec, SnapshotFile, SnapshotLoad};
 use crate::sync::lock_recover;
@@ -40,10 +40,6 @@ use std::sync::Mutex;
 pub enum SubmitError {
     /// The pool is shutting down and accepts no new work.
     Closed,
-    /// Admission control: the pool already holds its configured maximum of
-    /// in-flight jobs (`max_in_flight`); the request was shed deterministically
-    /// instead of served.  See the `shed_busy` counter in the pool metrics.
-    Busy,
 }
 
 /// Worded for any pool: the same error refuses repair and verify submits.
@@ -51,7 +47,6 @@ impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::Closed => write!(f, "pool is closed"),
-            SubmitError::Busy => write!(f, "pool is at its in-flight limit (busy)"),
         }
     }
 }
@@ -66,14 +61,11 @@ pub struct Served<V> {
     pub value: V,
     /// Whether the value came from the cache.
     pub from_cache: bool,
-    /// Index of the cache shard that served the key.
-    pub shard: usize,
 }
 
-/// Sharded maps, their snapshot and their counters; see the
-/// [module docs](self).
+/// One map, its snapshot and its counters; see the [module docs](self).
 pub struct Memo<S: SnapshotFile> {
-    caches: Vec<Mutex<CacheShard<S::Key, S::Value>>>,
+    cache: Mutex<CacheMap<S::Key, S::Value>>,
     /// The snapshot spec, its fingerprint complete.
     persist: Option<PersistSpec>,
     pub(crate) recorder: MetricsRecorder,
@@ -84,11 +76,10 @@ pub struct Memo<S: SnapshotFile> {
 }
 
 impl<S: SnapshotFile> Memo<S> {
-    /// A memo of `shards` caches (at least 1), preloading `persist`'s
-    /// snapshot when one is given.
-    pub fn new(shards: usize, persist: Option<PersistSpec>) -> Self {
+    /// An empty memo, preloading `persist`'s snapshot when one is given.
+    pub(crate) fn new(persist: Option<PersistSpec>) -> Self {
         let memo = Self {
-            caches: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            cache: Mutex::default(),
             persist,
             recorder: MetricsRecorder::default(),
             closed: AtomicBool::new(false),
@@ -110,8 +101,9 @@ impl<S: SnapshotFile> Memo<S> {
                 let count = loaded.entries.len();
                 self.snapshot_generation
                     .store(loaded.generation, Ordering::Relaxed);
+                let mut cache = lock_recover(&self.cache);
                 for (key, value, gen) in loaded.entries {
-                    lock_recover(&self.caches[self.shard_for(key)]).preload_aged(key, value, gen);
+                    cache.preload_aged(key, value, gen);
                 }
                 bump(&self.recorder.snapshot_loaded_entries, count as u64);
             }
@@ -131,10 +123,7 @@ impl<S: SnapshotFile> Memo<S> {
         let Some(spec) = &self.persist else {
             return Ok(0);
         };
-        let mut entries = Vec::new();
-        for cache in &self.caches {
-            entries.extend(lock_recover(cache).export_aged());
-        }
+        let entries = lock_recover(&self.cache).export_aged();
         if entries.is_empty() {
             return Ok(0);
         }
@@ -172,20 +161,8 @@ impl<S: SnapshotFile> Memo<S> {
         }
     }
 
-    fn shard_for(&self, key: S::Key) -> usize {
-        (key.fold64() % self.caches.len() as u64) as usize
-    }
-
-    /// The number of cache shards.
-    pub(crate) fn shards(&self) -> usize {
-        self.caches.len()
-    }
-
     pub(crate) fn cache_entries(&self) -> usize {
-        self.caches
-            .iter()
-            .map(|cache| lock_recover(cache).len())
-            .sum()
+        lock_recover(&self.cache).len()
     }
 
     /// Stops serving and flushes the snapshot; only the first call (or the
@@ -198,35 +175,17 @@ impl<S: SnapshotFile> Memo<S> {
         open
     }
 
-    /// Serves `key` from its cache shard, running `work` on this thread on a
-    /// miss.  Refused with [`SubmitError::Closed`] once the memo has closed.
+    /// Serves `key` from the cache, running `work` on this thread on a miss.
+    /// Refused with [`SubmitError::Closed`] once the memo has closed.
     pub fn serve(
         &self,
-        key: S::Key,
-        work: impl FnOnce() -> S::Value,
-    ) -> Result<Served<S::Value>, SubmitError> {
-        self.serve_within(0, key, work)
-    }
-
-    /// [`Memo::serve`], shedding with [`SubmitError::Busy`] while
-    /// `max_in_flight` callers are already inside it (`0` = no limit; the
-    /// in-flight gauge counts either way).
-    pub(crate) fn serve_within(
-        &self,
-        max_in_flight: usize,
         key: S::Key,
         work: impl FnOnce() -> S::Value,
     ) -> Result<Served<S::Value>, SubmitError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(SubmitError::Closed);
         }
-        if !self.recorder.try_admit(max_in_flight) {
-            bump(&self.recorder.shed_busy, 1);
-            return Err(SubmitError::Busy);
-        }
-        bump(&self.recorder.submitted, 1);
-        let shard = self.shard_for(key);
-        let cached = lock_recover(&self.caches[shard]).get_tagged(key);
+        let cached = lock_recover(&self.cache).get_tagged(key);
         let from_cache = cached.is_some();
         let value = match cached {
             Some((value, warm)) => {
@@ -239,7 +198,7 @@ impl<S: SnapshotFile> Memo<S> {
             // panic, serve the default value, and count it.
             None => match std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)) {
                 Ok(value) => {
-                    lock_recover(&self.caches[shard]).insert(key, value.clone());
+                    lock_recover(&self.cache).insert(key, value.clone());
                     value
                 }
                 Err(_) => {
@@ -250,11 +209,7 @@ impl<S: SnapshotFile> Memo<S> {
             },
         };
         self.recorder.record_job(from_cache);
-        Ok(Served {
-            value,
-            from_cache,
-            shard,
-        })
+        Ok(Served { value, from_cache })
     }
 }
 
@@ -270,13 +225,11 @@ mod tests {
 
     #[test]
     fn submit_errors_display() {
-        for (error, word) in [(SubmitError::Closed, "closed"), (SubmitError::Busy, "busy")] {
-            let text = error.to_string();
-            assert!(text.contains(word), "{text:?}");
-            // One error refuses every pool's submits, so it names none.
-            for pool in ["repair", "verify", "service"] {
-                assert!(!text.contains(pool), "{text:?} names a pool");
-            }
+        let text = SubmitError::Closed.to_string();
+        assert!(text.contains("closed"), "{text:?}");
+        // One error refuses every pool's submits, so it names none.
+        for pool in ["repair", "verify", "service"] {
+            assert!(!text.contains(pool), "{text:?} names a pool");
         }
     }
 }
@@ -288,9 +241,10 @@ mod tests {
 #[cfg(test)]
 pub(crate) mod contract {
     use super::*;
+    use crate::cache::ContentKey;
     use std::fmt::Debug;
 
-    /// The key of tag `tag`: distinct tags, distinct keys, spread over shards.
+    /// The key of tag `tag`: distinct tags, distinct keys.
     fn key<S: SnapshotFile>(tag: usize) -> S::Key {
         S::Key::from_raw((tag as u128 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835))
     }
@@ -308,7 +262,7 @@ pub(crate) mod contract {
     /// The memo's counters, in the repair view: the verify view reads the
     /// same ones.
     fn tally<S: SnapshotFile>(memo: &Memo<S>) -> crate::ServiceMetrics {
-        memo.recorder.snapshot(memo.shards(), memo.cache_entries())
+        memo.recorder.snapshot(memo.cache_entries())
     }
 
     /// A snapshot spec in a fresh directory of this process, kind and case.
@@ -323,28 +277,27 @@ pub(crate) mod contract {
     }
 
     pub(crate) fn submit_after_close_is_refused<S: SnapshotFile>(healthy: S::Value) {
-        let memo = Memo::<S>::new(2, None);
+        let memo = Memo::<S>::new(None);
         assert!(memo.close(), "the first close closes");
         assert!(!memo.close(), "a second close is a no-op");
         let refused = memo.serve(key::<S>(0), || healthy);
         assert_eq!(refused.err(), Some(SubmitError::Closed));
-        let tally = tally(&memo);
-        assert_eq!((tally.submitted, tally.in_flight_sessions), (0, 0));
+        assert_eq!(tally(&memo).completed, 0);
     }
 
     /// Panicking work is served as the default value, is counted, is not
-    /// cached, and the next key on that shard is served.
+    /// cached, and the next key is served.
     pub(crate) fn panicking_work_is_absorbed<S: SnapshotFile>(healthy: S::Value)
     where
         S::Value: PartialEq + Debug,
     {
-        let memo = Memo::<S>::new(1, None);
+        let memo = Memo::<S>::new(None);
         let failed: Vec<bool> = [Some(&healthy), None, Some(&healthy)]
             .into_iter()
             .enumerate()
             .map(|(tag, value)| serve(&memo, tag, value).value == S::Value::default())
             .collect();
-        assert_eq!(failed, [false, true, false], "one shard: every key served");
+        assert_eq!(failed, [false, true, false], "every key served");
         // Not cached: the retry reaches the work (and panics) again, while a
         // healthy duplicate is a cache hit.
         let retry = serve(&memo, 1, None);
@@ -363,7 +316,7 @@ pub(crate) mod contract {
         healthy: S::Value,
     ) {
         let spec = temp_spec::<S>("idle", b"cfg-v1");
-        let memo = Memo::<S>::new(2, Some(spec.clone()));
+        let memo = Memo::<S>::new(Some(spec.clone()));
         for tag in 0..6 {
             serve(&memo, tag, Some(&healthy));
         }
@@ -372,7 +325,7 @@ pub(crate) mod contract {
 
         // Reconfigured memo: rejected preload, zero work, flush and close.
         let reconfigured = PersistSpec::new(spec.path.clone(), b"cfg-v2", "contract");
-        let idle = Memo::<S>::new(2, Some(reconfigured));
+        let idle = Memo::<S>::new(Some(reconfigured));
         assert_eq!(tally(&idle).snapshot_rejects, 1);
         assert_eq!(idle.flush().unwrap(), 0, "an empty cache is never written");
         idle.close();
@@ -380,7 +333,7 @@ pub(crate) mod contract {
         assert_eq!(std::fs::read(&spec.path).unwrap(), valuable);
 
         // And the original configuration still warm-starts from it.
-        let memo = Memo::<S>::new(2, Some(spec.clone()));
+        let memo = Memo::<S>::new(Some(spec.clone()));
         assert_eq!(tally(&memo).snapshot_loaded_entries, 6);
         let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
     }
@@ -392,7 +345,7 @@ pub(crate) mod contract {
     ) {
         let spec = temp_spec::<S>("compaction", b"cfg").with_compaction(1);
         let run = |touched: usize| {
-            let memo = Memo::<S>::new(2, Some(spec.clone()));
+            let memo = Memo::<S>::new(Some(spec.clone()));
             for tag in 0..touched {
                 serve(&memo, tag, Some(&healthy));
             }
@@ -423,7 +376,7 @@ pub(crate) mod contract {
         assert_eq!(tally(&third).snapshot_compacted_entries, 2);
         drop(third);
 
-        let memo = Memo::<S>::new(2, Some(spec.clone()));
+        let memo = Memo::<S>::new(Some(spec.clone()));
         assert_eq!(tally(&memo).snapshot_loaded_entries, 2);
         let _ = std::fs::remove_dir_all(spec.path.parent().unwrap());
     }
@@ -432,31 +385,17 @@ pub(crate) mod contract {
     /// them is all cache hits.
     pub(crate) fn every_served_key_stays_cached<S: SnapshotFile>(healthy: S::Value) {
         const KEYS: usize = 300;
-        for shards in [1, 4] {
-            let memo = Memo::<S>::new(shards, None);
-            let first = (0..KEYS).filter(|&tag| !serve(&memo, tag, Some(&healthy)).from_cache);
-            assert_eq!(
-                first.count(),
-                KEYS,
-                "{shards} shards: the first pass misses"
-            );
-            assert_eq!(memo.cache_entries(), KEYS);
-            // The second pass never reaches the (panicking) work.
-            assert!((0..KEYS).all(|tag| serve(&memo, tag, None).from_cache));
-            let tally = tally(&memo);
-            assert_eq!(
-                (tally.cache_hits, tally.cache_misses),
-                (KEYS as u64, KEYS as u64)
-            );
-            assert_eq!(memo.cache_entries(), KEYS);
-        }
-    }
-
-    pub(crate) fn placement_is_key_fold64_modulo_shards<S: SnapshotFile>(healthy: S::Value) {
-        let memo = Memo::<S>::new(4, None);
-        for tag in 0..32 {
-            let served = serve(&memo, tag, Some(&healthy));
-            assert_eq!(served.shard, (key::<S>(tag).fold64() % 4) as usize);
-        }
+        let memo = Memo::<S>::new(None);
+        let first = (0..KEYS).filter(|&tag| !serve(&memo, tag, Some(&healthy)).from_cache);
+        assert_eq!(first.count(), KEYS, "the first pass misses");
+        assert_eq!(memo.cache_entries(), KEYS);
+        // The second pass never reaches the (panicking) work.
+        assert!((0..KEYS).all(|tag| serve(&memo, tag, None).from_cache));
+        let tally = tally(&memo);
+        assert_eq!(
+            (tally.cache_hits, tally.cache_misses),
+            (KEYS as u64, KEYS as u64)
+        );
+        assert_eq!(memo.cache_entries(), KEYS);
     }
 }

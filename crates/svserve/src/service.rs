@@ -1,9 +1,8 @@
 //! The repair service: a model handle behind a response [`Memo`].
 //!
 //! A [`Service`] solves each request on the thread that submits it and
-//! memoizes the sampled response set under the request's `case_key`;
-//! admission control sheds submitters beyond `max_in_flight`.  It comes in
-//! two shapes:
+//! memoizes the sampled response set under the request's `case_key`.  It
+//! comes in two shapes:
 //!
 //! * [`RepairService`] owns its model (`Arc<M>`) until
 //!   [`Service::shutdown`] or drop — the long-running shape a wire shard
@@ -14,9 +13,9 @@
 //! ## Determinism
 //!
 //! The response set for a request is a pure function of the request content and the
-//! service seed: the sampler seed is derived from the content hash (never from
-//! arrival order or shard), and requests route to cache shards by the same hash.
-//! Running the same workload with 1 or 8 shards therefore yields byte-identical
+//! service seed: the sampler seed is derived from the content hash, never from
+//! arrival order or the submitting thread.  Running the same workload in any
+//! order, from any number of threads, therefore yields byte-identical
 //! responses — only the wall-clock changes.
 
 use crate::cache::{case_key, CaseKey};
@@ -27,20 +26,11 @@ use std::ops::Deref;
 use std::sync::Arc;
 use svmodel::{CaseInput, RepairModel, Response};
 
-/// Service tuning parameters.
+/// Service parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
-    /// Response-cache shards, clamped to at least 1.  Requests are solved
-    /// on the submitting thread, so this sizes the shards and nothing else.
-    pub workers: usize,
     /// Service seed mixed into every per-case sampler seed.
     pub seed: u64,
-    /// Admission control: maximum requests in flight (admitted but not yet
-    /// completed) before `submit` sheds new work with [`crate::SubmitError::Busy`].
-    /// `0` = unbounded.  Shed requests are counted in
-    /// [`ServiceMetrics::shed_busy`]; the rejection is deterministic — it
-    /// depends only on the exact in-flight count, never on timing heuristics.
-    pub(crate) max_in_flight: usize,
     /// On-disk snapshot of the response cache: preloaded at start, written by
     /// [`Service::flush`] / shutdown / drop / the end of [`serve_scoped`].  `None`
     /// keeps the cache purely in-memory.  See [`crate::persist`] for the format
@@ -51,18 +41,17 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            workers: 4,
             seed: 0x0005_E127_AB1E,
-            max_in_flight: 0,
             persist: None,
         }
     }
 }
 
 impl ServiceConfig {
-    /// Returns the config with the worker count replaced.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    /// Returns the config unchanged: `workers` is ignored, since the response
+    /// memo is one map.  The benchmark harness still calls it; it goes with
+    /// the next change to the harness.
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -75,13 +64,6 @@ impl ServiceConfig {
     /// Returns the config with response-cache persistence enabled.
     pub fn with_persist(mut self, persist: PersistSpec) -> Self {
         self.persist = Some(persist);
-        self
-    }
-
-    /// Returns the config with the in-flight admission limit replaced
-    /// (`0` = unbounded).
-    pub fn with_max_in_flight(mut self, max_in_flight: usize) -> Self {
-        self.max_in_flight = max_in_flight;
         self
     }
 }
@@ -129,8 +111,6 @@ pub struct RepairOutcome {
     pub responses: Arc<Vec<Response>>,
     /// Whether the answer came from the response cache.
     pub from_cache: bool,
-    /// Index of the cache shard that served the request.
-    pub worker: usize,
 }
 
 /// Await-handle for a submitted request: the outcome, already served.
@@ -167,8 +147,6 @@ pub struct Service<H> {
     model: H,
     /// Service seed mixed into every per-case sampler seed.
     seed: u64,
-    /// `0` = unbounded (the in-flight gauge still counts).
-    max_in_flight: usize,
 }
 
 impl<H: Deref> Service<H>
@@ -189,17 +167,16 @@ where
             spec
         });
         Self {
-            memo: Memo::new(config.workers, persist),
+            memo: Memo::new(persist),
             model,
             seed: config.seed,
-            max_in_flight: config.max_in_flight,
         }
     }
 
     /// Submits one request and serves it on this thread, sampling the model
     /// on a miss under a seed that is a pure function of service seed and
-    /// content hash, never of arrival order or shard.  Sheds with
-    /// [`SubmitError::Busy`] at the in-flight limit.
+    /// content hash, never of arrival order.  Refused with
+    /// [`SubmitError::Closed`] once the service has shut down.
     pub fn submit(&self, request: RepairRequest) -> Result<RepairTicket, SubmitError> {
         let key = request.key();
         let solve = || {
@@ -207,11 +184,10 @@ where
             let model = &*self.model;
             Arc::new(model.solve(&request.case, request.samples, request.temperature, seed))
         };
-        let served = self.memo.serve_within(self.max_in_flight, key, solve)?;
+        let served = self.memo.serve(key, solve)?;
         Ok(RepairTicket(RepairOutcome {
             responses: served.value,
             from_cache: served.from_cache,
-            worker: served.shard,
         }))
     }
 
@@ -219,7 +195,7 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if the service is closed or sheds one of the requests.
+    /// Panics if the service is closed.
     pub fn solve_all(&self, requests: Vec<RepairRequest>) -> Vec<RepairOutcome> {
         let solve = |request| self.submit(request).expect("service open during solve_all");
         requests
@@ -232,7 +208,7 @@ where
 impl<H> Service<H> {
     /// Takes a metrics snapshot.
     pub fn metrics(&self) -> ServiceMetrics {
-        (self.memo.recorder).snapshot(self.memo.shards(), self.memo.cache_entries())
+        (self.memo.recorder).snapshot(self.memo.cache_entries())
     }
 
     /// Writes the response cache to its snapshot; see [`Memo::flush`].
@@ -329,8 +305,7 @@ mod tests {
     #[test]
     fn owned_service_serves_and_shuts_down() {
         let model = Arc::new(CountingModel::new());
-        let service =
-            RepairService::start(Arc::clone(&model), ServiceConfig::default().with_workers(2));
+        let service = RepairService::start(Arc::clone(&model), ServiceConfig::default());
         let outcomes = service.solve_all((0..20).map(request).collect());
         assert_eq!(outcomes.len(), 20);
         assert!(outcomes.iter().all(|o| o.responses.len() == 4));
@@ -343,8 +318,7 @@ mod tests {
     #[test]
     fn repeated_submission_is_served_from_cache() {
         let model = Arc::new(CountingModel::new());
-        let service =
-            RepairService::start(Arc::clone(&model), ServiceConfig::default().with_workers(2));
+        let service = RepairService::start(Arc::clone(&model), ServiceConfig::default());
         let first = service.submit(request(7)).unwrap().wait();
         let second = service.submit(request(7)).unwrap().wait();
         assert!(!first.from_cache);
@@ -361,34 +335,27 @@ mod tests {
     }
 
     #[test]
-    fn results_are_identical_across_worker_counts_and_orders() {
+    fn results_are_identical_across_arrival_orders() {
         let workload: Vec<RepairRequest> = (0..40).map(request).collect();
         let mut reversed = workload.clone();
         reversed.reverse();
 
-        let run = |requests: Vec<RepairRequest>, workers: usize| -> Vec<Arc<Vec<Response>>> {
+        let run = |requests: Vec<RepairRequest>| -> Vec<Arc<Vec<Response>>> {
             let model = CountingModel::new();
-            serve_scoped(
-                &model,
-                ServiceConfig::default().with_workers(workers),
-                |service| {
-                    service
-                        .solve_all(requests)
-                        .into_iter()
-                        .map(|o| o.responses)
-                        .collect()
-                },
-            )
+            serve_scoped(&model, ServiceConfig::default(), |service| {
+                service
+                    .solve_all(requests)
+                    .into_iter()
+                    .map(|o| o.responses)
+                    .collect()
+            })
         };
 
-        let one = run(workload.clone(), 1);
-        let four = run(workload.clone(), 4);
-        assert_eq!(one, four, "worker count must not change results");
-
-        let mut reversed_results = run(reversed, 4);
+        let forward = run(workload);
+        let mut reversed_results = run(reversed);
         reversed_results.reverse();
         assert_eq!(
-            one, reversed_results,
+            forward, reversed_results,
             "arrival order must not change results"
         );
     }
@@ -425,8 +392,7 @@ mod tests {
     #[test]
     fn a_scoped_service_solves_on_the_submitting_thread() {
         let model = ThreadRecordingModel::new();
-        let config = ServiceConfig::default().with_workers(4);
-        let outcomes = serve_scoped(&model, config, |service| {
+        let outcomes = serve_scoped(&model, ServiceConfig::default(), |service| {
             service.solve_all((0..12).map(request).collect())
         });
         assert!(outcomes
@@ -440,8 +406,7 @@ mod tests {
     #[test]
     fn an_owned_service_solves_on_the_submitting_thread() {
         let model = Arc::new(ThreadRecordingModel::new());
-        let config = ServiceConfig::default().with_workers(4);
-        let service = RepairService::start(Arc::clone(&model), config);
+        let service = RepairService::start(Arc::clone(&model), ServiceConfig::default());
         let submitter = std::thread::scope(|scope| {
             let other = scope.spawn(|| {
                 service.solve_all((0..12).map(request).collect());
@@ -456,69 +421,6 @@ mod tests {
         assert_eq!(threads.len(), 24);
         assert_eq!(threads[..12], [submitter; 12]);
         assert_eq!(threads[12..], [std::thread::current().id(); 12]);
-    }
-
-    /// [`CountingModel`] behind a gate the test opens: while it is shut every
-    /// submitter blocks inside `solve`, so nothing completes and in-flight
-    /// counts are exact.
-    struct GatedModel {
-        open: std::sync::Mutex<bool>,
-        opened: std::sync::Condvar,
-        inner: CountingModel,
-    }
-
-    impl RepairModel for GatedModel {
-        fn name(&self) -> &str {
-            "gated"
-        }
-
-        fn solve(&self, case: &CaseInput, samples: usize, temp: f64, seed: u64) -> Vec<Response> {
-            let open = self.open.lock().unwrap();
-            drop(self.opened.wait_while(open, |open| !*open).unwrap());
-            self.inner.solve(case, samples, temp, seed)
-        }
-    }
-
-    #[test]
-    fn admission_sheds_exactly_the_overflow_deterministically() {
-        let model = Arc::new(GatedModel {
-            open: std::sync::Mutex::new(false),
-            opened: std::sync::Condvar::new(),
-            inner: CountingModel::new(),
-        });
-        let config = ServiceConfig::default().with_workers(2);
-        let service = RepairService::start(Arc::clone(&model), config.with_max_in_flight(64));
-        std::thread::scope(|scope| {
-            // Gate shut: 64 submitters park inside `solve`, holding every
-            // slot, so exactly the 32 submissions after them are shed.
-            let parked: Vec<_> = (0..64)
-                .map(|tag| {
-                    let service = &service;
-                    scope.spawn(move || service.submit(request(tag)).map(|t| t.wait()))
-                })
-                .collect();
-            while service.metrics().in_flight_sessions < 64 {
-                std::thread::yield_now();
-            }
-            let shed = (64..96).map(|tag| service.submit(request(tag)).err());
-            assert!(shed.into_iter().all(|err| err == Some(SubmitError::Busy)));
-            let metrics = service.metrics();
-            assert_eq!((metrics.shed_busy, metrics.in_flight_sessions), (32, 64));
-
-            *model.open.lock().unwrap() = true;
-            model.opened.notify_all();
-            for submitter in parked {
-                assert_eq!(submitter.join().unwrap().unwrap().responses.len(), 4);
-            }
-        });
-        let metrics = service.metrics();
-        assert_eq!(metrics.in_flight_sessions, 0);
-        assert_eq!((metrics.submitted, metrics.completed), (64, 64));
-        assert!(metrics.render().contains("shed busy"));
-        // With the pool drained, admission has recovered.
-        let late = service.submit(request(96)).expect("slots free again");
-        assert_eq!(late.wait().responses.len(), 4);
-        service.shutdown();
     }
 
     /// A response set other than the default (empty) one.
@@ -537,18 +439,14 @@ mod tests {
         contract::panicking_work_is_absorbed::<ResponseSnapshot>(healthy());
         // Through the service: the poisoned case is served empty and counted.
         let model = CountingModel::new();
-        serve_scoped(
-            &model,
-            ServiceConfig::default().with_workers(1),
-            |service| {
-                let mut poisoned = request(1);
-                poisoned.case.spec.push_str(" poison");
-                let outcomes = service.solve_all(vec![request(0), poisoned]);
-                assert_eq!(outcomes[0].responses.len(), 4);
-                assert!(outcomes[1].responses.is_empty());
-                assert_eq!(service.metrics().solve_panics, 1);
-            },
-        );
+        serve_scoped(&model, ServiceConfig::default(), |service| {
+            let mut poisoned = request(1);
+            poisoned.case.spec.push_str(" poison");
+            let outcomes = service.solve_all(vec![request(0), poisoned]);
+            assert_eq!(outcomes[0].responses.len(), 4);
+            assert!(outcomes[1].responses.is_empty());
+            assert_eq!(service.metrics().solve_panics, 1);
+        });
     }
 
     #[test]
@@ -567,26 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_is_content_based() {
-        contract::placement_is_key_fold64_modulo_shards::<ResponseSnapshot>(healthy());
-        let model = CountingModel::new();
-        serve_scoped(
-            &model,
-            ServiceConfig::default().with_workers(4),
-            |service| {
-                for tag in 0..32 {
-                    let key = request(tag).key();
-                    let outcome = service.submit(request(tag)).unwrap().wait();
-                    assert_eq!(outcome.worker, (key.fold64() % 4) as usize);
-                }
-            },
-        );
+    fn sampler_seeds_are_content_based() {
         // Seeds derive from content, not order: the same request samples the
-        // same responses on any pool, a different request different ones.
+        // same responses on any service, a different request different ones.
         let sample = |tag| {
             let model = CountingModel::new();
-            let config = ServiceConfig::default().with_workers(1);
-            serve_scoped(&model, config, |service| {
+            serve_scoped(&model, ServiceConfig::default(), |service| {
                 service.solve_all(vec![request(tag)])[0].responses.clone()
             })
         };

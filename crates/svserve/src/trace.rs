@@ -1,5 +1,5 @@
 //! Deterministic tracing: content-derived trace trees that are
-//! byte-identical at any driver/worker count.
+//! byte-identical at any driver count.
 //!
 //! Conventional tracers mint span ids from wall clocks or randomness, which
 //! makes two runs of the same workload incomparable.  Here every id is a pure
@@ -379,8 +379,8 @@ impl TraceForest {
     }
 
     /// The byte-compared projection: the full tree, indented, deterministic
-    /// fields only.  Identical for the same corpus at any driver/worker
-    /// count, warm or cold.
+    /// fields only.  Identical for the same corpus at any driver count, warm
+    /// or cold.
     pub fn render_deterministic(&self) -> String {
         let mut out = String::new();
         for root in self.roots() {

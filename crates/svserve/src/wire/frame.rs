@@ -46,7 +46,8 @@ pub enum Frame {
     Submit(RepairRequest),
     /// The served answer, shard → client.
     Response(WireOutcome),
-    /// Admission control shed the request (`SubmitError::Busy` over the wire).
+    /// The shard shed the request.  This side never sends it; a client
+    /// counts one it hears as a shed.
     Busy,
     /// The shard's service has shut down.
     Closed,

@@ -10,11 +10,10 @@
 //!
 //! ## Degradation
 //!
-//! Every failure is counted, never thrown across the fleet: a
-//! [`WireError::Busy`] is tallied in [`FleetMetrics::shed_busy`] exactly like
-//! a local shed, and a protocol failure retires only that shard's connection,
-//! whose later submissions fail fast.  The fleet itself never panics on a
-//! sick peer.
+//! Every failure is counted, never thrown across the fleet: a peer's
+//! [`WireError::Busy`] is tallied in [`FleetMetrics::shed_busy`], and a
+//! protocol failure retires only that shard's connection, whose later
+//! submissions fail fast.  The fleet itself never panics on a sick peer.
 
 use super::frame::{Frame, WireOutcome};
 use super::transport::{Transport, WireError};
@@ -179,7 +178,7 @@ pub struct FleetMetrics {
     pub completed: u64,
     /// Completed requests served from a shard's warm response cache.
     pub(crate) remote_cache_hits: u64,
-    /// Requests shed by a shard's admission control (`Busy` over the wire).
+    /// Requests a peer shed (`Busy` over the wire).
     pub shed_busy: u64,
     /// Requests that failed on the wire (dead shard, protocol error, closed).
     pub wire_errors: u64,

@@ -16,9 +16,9 @@ use svmodel::RepairModel;
 /// Why a wire submission failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The shard's admission control shed the request
-    /// ([`crate::SubmitError::Busy`] over the wire); retrying later is
-    /// reasonable.
+    /// The peer answered `Busy`: it shed the request, and retrying later is
+    /// reasonable.  A local service sheds nothing, but a peer's frame is
+    /// outside input.
     Busy,
     /// The shard's service has shut down; retrying this connection is not.
     Closed,
@@ -83,7 +83,7 @@ impl<M: RepairModel + Send + Sync + 'static> Transport for LoopbackTransport<M> 
 }
 
 /// The shard's answer to one client frame: a `Submit` is served and answered
-/// `Response`, `Busy` or `Closed`; any other frame gets an `Err` reply.
+/// `Response` or `Closed`; any other frame gets an `Err` reply.
 fn dispatch<M: RepairModel + Send + Sync + 'static>(
     service: &RepairService<M>,
     frame: Frame,
@@ -99,7 +99,6 @@ fn dispatch<M: RepairModel + Send + Sync + 'static>(
                 from_cache: served.from_cache,
             })
         }
-        Err(SubmitError::Busy) => Frame::Busy,
         Err(SubmitError::Closed) => Frame::Closed,
     }
 }
@@ -130,10 +129,7 @@ mod tests {
     }
 
     fn echo_service() -> RepairService<EchoModel> {
-        RepairService::start(
-            Arc::new(EchoModel),
-            ServiceConfig::default().with_workers(1).with_seed(5),
-        )
+        RepairService::start(Arc::new(EchoModel), ServiceConfig::default().with_seed(5))
     }
 
     fn request() -> RepairRequest {
@@ -183,7 +179,7 @@ mod tests {
                 "{frame:?} must be refused, got {reply:?}"
             );
         }
-        assert_eq!(service.metrics().submitted, 0, "nothing reached the pool");
+        assert_eq!(service.metrics().completed, 0, "nothing reached the pool");
         service.shutdown();
     }
 }

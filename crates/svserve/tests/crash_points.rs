@@ -11,8 +11,8 @@ use svmodel::Response;
 use svserve::cache::ContentKey;
 use svserve::journal::parse_journal;
 use svserve::persist::{
-    load_response_snapshot, load_verdict_snapshot, save_response_snapshot, save_verdict_snapshot,
-    SnapshotLoad,
+    load_response_snapshot, load_verdict_snapshot, save_response_snapshot_aged,
+    save_verdict_snapshot_aged, SnapshotLoad,
 };
 use svserve::{CaseKey, PersistSpec, VerdictKey};
 
@@ -64,9 +64,15 @@ fn every_prefix_of_a_verdict_snapshot_is_a_cold_start_or_exact() {
     let dir = temp_dir("verdicts");
     let spec = PersistSpec::new(dir.join("verdicts.json"), b"check", "-");
     let entries = (0..4u128)
-        .map(|i| (VerdictKey::from_raw(i * 0x9e37_79b9_7f4a_7c15), i % 3 == 0))
+        .map(|i| {
+            (
+                VerdictKey::from_raw(i * 0x9e37_79b9_7f4a_7c15),
+                i % 3 == 0,
+                1,
+            )
+        })
         .collect();
-    save_verdict_snapshot(&spec, entries).expect("save");
+    save_verdict_snapshot_aged(&spec, 1, entries).expect("save");
     assert_eq!(sweep(&spec, load_verdict_snapshot), 1);
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -85,10 +91,11 @@ fn every_prefix_of_a_response_snapshot_is_a_cold_start_or_exact() {
         (
             CaseKey::from_raw(7),
             Arc::new(vec![response(3, Some("line 3\nflips")), response(0, None)]),
+            1,
         ),
-        (CaseKey::from_raw(u128::MAX), Arc::new(Vec::new())),
+        (CaseKey::from_raw(u128::MAX), Arc::new(Vec::new()), 1),
     ];
-    save_response_snapshot(&spec, entries).expect("save");
+    save_response_snapshot_aged(&spec, 1, entries).expect("save");
     assert_eq!(sweep(&spec, load_response_snapshot), 1);
     let _ = std::fs::remove_dir_all(dir);
 }

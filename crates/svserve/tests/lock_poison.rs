@@ -1,6 +1,6 @@
 //! Regression: a panic inside user code (the model or a judge) must never
 //! poison the service's internal locks.  Before `svserve::sync::lock_recover`,
-//! a panic that unwound while a shard cache or metrics mutex was held left the
+//! a panic that unwound while a memo cache or metrics mutex was held left the
 //! mutex poisoned, and every *later* submission — healthy requests included —
 //! died in `lock().unwrap()` cascades.  These tests drive the full service
 //! through a panic and prove the pool keeps serving.
@@ -13,7 +13,7 @@ use svserve::{RepairRequest, RepairService, ServiceConfig};
 const PANIC_BAIT: &str = "panic-bait";
 
 /// Panics the first time it sees a bait case, answers normally otherwise — so
-/// one request can crash a worker and a retry of the *same* key can succeed.
+/// one request can crash a solve and a retry of the *same* key can succeed.
 struct TouchyModel {
     calls: AtomicUsize,
     panics: AtomicUsize,
@@ -64,12 +64,9 @@ fn a_model_panic_does_not_poison_later_submissions() {
         calls: AtomicUsize::new(0),
         panics: AtomicUsize::new(0),
     });
-    let service = RepairService::start(
-        Arc::clone(&model),
-        ServiceConfig::default().with_workers(2).with_seed(7),
-    );
+    let service = RepairService::start(Arc::clone(&model), ServiceConfig::default().with_seed(7));
 
-    // The poisoned request: the worker's catch_unwind absorbs the panic and
+    // The poisoned request: the memo's catch_unwind absorbs the panic and
     // the waiter gets an empty (failed) response set instead of hanging.
     let crashed = service
         .submit(request(PANIC_BAIT, 0))
@@ -81,7 +78,7 @@ fn a_model_panic_does_not_poison_later_submissions() {
     );
     assert_eq!(service.metrics().solve_panics, 1, "the panic is counted");
 
-    // Healthy requests afterwards are served normally — the shard caches and
+    // Healthy requests afterwards are served normally — the memo cache and
     // metrics the panicking thread touched must not be poisoned.
     for tag in 1..6 {
         let outcome = service

@@ -9,10 +9,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use svmodel::{CaseInput, RepairModel, Response};
-use svserve::persist::{save_verdict_snapshot, SNAPSHOT_FORMAT_VERSION};
+use svserve::persist::{save_verdict_snapshot_aged, SNAPSHOT_FORMAT_VERSION};
 use svserve::{
-    verdict_key, Memo, PersistSpec, RepairRequest, RepairService, ServiceConfig, VerdictKey,
-    VerifyConfig,
+    verdict_case_state, verdict_key_of_fields, Memo, PersistSpec, RepairRequest, RepairService,
+    ServiceConfig, VerdictKey, VerifyConfig,
 };
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -74,9 +74,7 @@ fn repair_service_warm_starts_from_its_own_snapshot() {
     let dir = temp_dir("repair-warm");
     let _ = std::fs::remove_dir_all(&dir);
     let spec = PersistSpec::new(dir.join("responses.json"), b"seed-bytes", "counting");
-    let config = ServiceConfig::default()
-        .with_workers(2)
-        .with_persist(spec.clone());
+    let config = ServiceConfig::default().with_persist(spec.clone());
 
     // Cold service: every request reaches the model; shutdown flushes.
     let cold_model = Arc::new(CountingModel::new());
@@ -126,9 +124,7 @@ fn mismatched_response_snapshots_cold_start_without_error() {
     let dir = temp_dir("repair-mismatch");
     let _ = std::fs::remove_dir_all(&dir);
     let spec = PersistSpec::new(dir.join("responses.json"), b"fp-a", "counting");
-    let config = ServiceConfig::default()
-        .with_workers(2)
-        .with_persist(spec.clone());
+    let config = ServiceConfig::default().with_persist(spec.clone());
     RepairService::start(Arc::new(CountingModel::new()), config.clone())
         .solve_all((0..4).map(request).collect());
 
@@ -252,13 +248,8 @@ impl LenJudge {
 fn verify_workload() -> Vec<(VerdictKey, String, String)> {
     let job = |i: usize| {
         let (case, fixed_line) = (format!("case {}", i % 5), format!("fix number {i}"));
-        let response = Response {
-            bug_line_number: 1,
-            buggy_line: "buggy".into(),
-            fixed_line: fixed_line.clone(),
-            cot: None,
-        };
-        let key = verdict_key(&[case.as_bytes()], &response, b"cfg");
+        let case_state = verdict_case_state(&[case.as_bytes()]);
+        let key = verdict_key_of_fields(case_state, 1, "buggy", &fixed_line, None, b"cfg");
         (key, case, fixed_line)
     };
     (0..16).map(job).collect()
@@ -269,9 +260,7 @@ fn verify_pool_warm_starts_from_its_own_snapshot() {
     let dir = temp_dir("verify-warm");
     let _ = std::fs::remove_dir_all(&dir);
     let spec = PersistSpec::new(dir.join("verdicts.json"), b"cfg", "-");
-    let config = VerifyConfig::default()
-        .with_workers(2)
-        .with_persist(spec.clone());
+    let config = VerifyConfig::default().with_persist(spec.clone());
 
     let cold_judge = LenJudge::default();
     let memo = Memo::verdicts(config.clone());
@@ -282,10 +271,10 @@ fn verify_pool_warm_starts_from_its_own_snapshot() {
     assert_eq!(cold_metrics.snapshot_saves, 1);
     assert_eq!(cold_metrics.snapshot_saved_entries, 16);
 
-    // Fresh memo, same file, different shard count: zero judge calls,
-    // identical verdicts, warm hits attributed.
+    // Fresh memo, same file: zero judge calls, identical verdicts, warm hits
+    // attributed.
     let warm_judge = LenJudge::default();
-    let memo = Memo::verdicts(config.with_workers(4));
+    let memo = Memo::verdicts(config);
     let warm = warm_judge.judge_all(&memo);
     let warm_metrics = memo.metrics();
     memo.close();
@@ -306,9 +295,9 @@ fn verify_pool_rejects_stale_snapshots_and_truncated_files() {
     // A snapshot written under a *future* format version must be rejected.
     let entries = verify_workload()
         .into_iter()
-        .map(|(key, ..)| (key, true))
+        .map(|(key, ..)| (key, true, 1))
         .collect::<Vec<_>>();
-    save_verdict_snapshot(&spec, entries).unwrap();
+    save_verdict_snapshot_aged(&spec, 1, entries).unwrap();
     let text = std::fs::read_to_string(&spec.path).unwrap();
     let bumped = text.replace(
         &format!("\"format_version\":{SNAPSHOT_FORMAT_VERSION}"),
@@ -318,7 +307,7 @@ fn verify_pool_rejects_stale_snapshots_and_truncated_files() {
     std::fs::write(&spec.path, bumped).unwrap();
 
     let judge = LenJudge::default();
-    let config = VerifyConfig::default().with_workers(1);
+    let config = VerifyConfig::default();
     let memo = Memo::verdicts(config.clone().with_persist(spec.clone()));
     let verdicts = judge.judge_all(&memo);
     let metrics = memo.metrics();
@@ -350,9 +339,7 @@ fn stale_snapshot_entries_are_compacted_after_k_idle_runs() {
     // K = 1: an entry survives one idle run and is dropped by the flush of the
     // second consecutive run that never touches it.
     let spec = PersistSpec::new(dir.join("responses.json"), b"seed", "counting").with_compaction(1);
-    let config = ServiceConfig::default()
-        .with_workers(2)
-        .with_persist(spec.clone());
+    let config = ServiceConfig::default().with_persist(spec.clone());
 
     // Run 1 (cold → generation 1): computes and persists all 8 entries.
     let service = RepairService::start(Arc::new(CountingModel::new()), config.clone());
@@ -400,45 +387,38 @@ fn snapshot_files_are_byte_stable_across_save_load_save() {
     let spec = PersistSpec::new(dir.join("responses.json"), b"seed", "counting");
     let config = ServiceConfig::default().with_persist(spec.clone());
 
-    // Cold run at 4 workers writes the generation-1 snapshot.
-    RepairService::start(
-        Arc::new(CountingModel::new()),
-        config.clone().with_workers(4),
-    )
-    .solve_all((0..10).map(request).collect());
-    let cold_4 = std::fs::read(&spec.path).unwrap();
+    let forward: Vec<RepairRequest> = (0..10).map(request).collect();
+    let mut reversed = forward.clone();
+    reversed.reverse();
+    let run = |requests: &[RepairRequest]| {
+        RepairService::start(Arc::new(CountingModel::new()), config.clone())
+            .solve_all(requests.to_vec());
+        std::fs::read(&spec.path).unwrap()
+    };
 
-    // A cold run at 1 worker (different sharding, different insertion order)
-    // writes byte-identical generation-1 bytes.
+    // A cold run writes the generation-1 snapshot; a cold run in the
+    // opposite insertion order writes byte-identical bytes.
+    let cold_forward = run(&forward);
     std::fs::remove_file(&spec.path).unwrap();
-    RepairService::start(
-        Arc::new(CountingModel::new()),
-        config.clone().with_workers(1),
-    )
-    .solve_all((0..10).map(request).collect());
-    let cold_1 = std::fs::read(&spec.path).unwrap();
+    let cold_reversed = run(&reversed);
     assert_eq!(
-        cold_4, cold_1,
-        "cold snapshot bytes must be independent of worker count and insertion order"
+        cold_forward, cold_reversed,
+        "cold snapshot bytes must be independent of insertion order"
     );
 
     // Warm runs advance the generation counter (1 → 2), but are themselves
-    // byte-stable at any worker count: re-warm from the same generation-1 file
-    // with different pool shapes and compare.
-    RepairService::start(
-        Arc::new(CountingModel::new()),
-        config.clone().with_workers(1),
-    )
-    .solve_all((0..10).map(request).collect());
-    let warm_1 = std::fs::read(&spec.path).unwrap();
-    assert_ne!(warm_1, cold_1, "a warm flush advances the generation");
-    std::fs::write(&spec.path, &cold_1).unwrap();
-    RepairService::start(Arc::new(CountingModel::new()), config.with_workers(4))
-        .solve_all((0..10).map(request).collect());
-    let warm_4 = std::fs::read(&spec.path).unwrap();
+    // byte-stable: re-warm from the same generation-1 file in the other
+    // order and compare.
+    let warm_forward = run(&forward);
+    assert_ne!(
+        warm_forward, cold_forward,
+        "a warm flush advances the generation"
+    );
+    std::fs::write(&spec.path, &cold_forward).unwrap();
+    let warm_reversed = run(&reversed);
     assert_eq!(
-        warm_1, warm_4,
-        "warm snapshot bytes must be independent of worker count too"
+        warm_forward, warm_reversed,
+        "warm snapshot bytes must be independent of insertion order too"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

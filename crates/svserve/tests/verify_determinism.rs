@@ -1,6 +1,6 @@
-//! End-to-end determinism of the two-pool evaluation: `evaluate_model` must produce
-//! a byte-identical `ModelEvaluation` — per-case verdicts, pass@k, histograms — at
-//! any verify worker count, and whether the verdict cache is cold or pre-warmed.
+//! End-to-end determinism of the evaluation: `evaluate_model` must produce a
+//! byte-identical `ModelEvaluation` — per-case verdicts, pass@k, histograms —
+//! whether the verdict cache is cold or pre-warmed.
 
 use assertsolver::{evaluate_model, evaluate_model_with, EvalConfig, EvalVerifier};
 use svdata::SvaBugEntry;
@@ -8,7 +8,7 @@ use svmodel::AssertSolverModel;
 
 fn corpus() -> Vec<SvaBugEntry> {
     // A small mixed corpus: machine-generated pipeline cases plus human-crafted
-    // ones, truncated to keep the four-way evaluation sweep fast.
+    // ones, truncated to keep the three evaluations fast.
     let pipeline = svdata::run_pipeline(&svdata::PipelineConfig::tiny(23));
     let mut entries = pipeline.datasets.sva_bug;
     entries.extend(assertsolver::human_crafted_cases());
@@ -17,43 +17,11 @@ fn corpus() -> Vec<SvaBugEntry> {
     entries
 }
 
-fn config(verify_workers: usize) -> EvalConfig {
-    EvalConfig {
-        workers: 2,
-        verify_workers,
-        ..EvalConfig::quick(11)
-    }
-}
-
-#[test]
-fn evaluation_is_byte_identical_at_1_2_4_8_verify_workers() {
-    let entries = corpus();
-    let model = AssertSolverModel::base(7);
-    let baseline = evaluate_model(&model, &entries, &config(1));
-    let baseline_json = serde_json::to_string(&baseline).expect("evaluation serialises");
-    // The full evaluation must match byte for byte: per-case verdict counts,
-    // aggregate pass@k, and the Fig.-3 histogram.
-    for verify_workers in [2usize, 4, 8] {
-        let run = evaluate_model(&model, &entries, &config(verify_workers));
-        assert_eq!(
-            baseline, run,
-            "verify worker count {verify_workers} changed the evaluation"
-        );
-        assert_eq!(
-            baseline_json,
-            serde_json::to_string(&run).expect("evaluation serialises"),
-            "verify worker count {verify_workers} changed the serialized evaluation"
-        );
-        assert_eq!(baseline.passk(), run.passk());
-        assert_eq!(baseline.histogram(8), run.histogram(8));
-    }
-}
-
 #[test]
 fn evaluation_is_byte_identical_with_prewarmed_verdict_cache() {
     let entries = corpus();
     let model = AssertSolverModel::base(7);
-    let config = config(4);
+    let config = EvalConfig::quick(11);
 
     // Cold: a fresh verifier per run (this is what `evaluate_model` does).
     let cold = evaluate_model(&model, &entries, &config);

@@ -4,16 +4,16 @@
 //!
 //! 1. **Serving with metrics** — a mixed workload (machine-generated pipeline
 //!    cases, human-crafted cases, and duplicate resubmissions) runs through the
-//!    sharded service, solved on the submitting thread, and the run ends with a
+//!    service, solved on the submitting thread, and the run ends with a
 //!    [`svserve::ServiceMetrics`] snapshot;
 //! 2. **Determinism** — the same workload and seed produce byte-identical responses
-//!    with 1 cache shard and with 4;
+//!    in submission order and in reverse;
 //! 3. **Caching** — resubmitting an already-served case is answered from the
 //!    content-addressed cache without invoking the model again;
-//! 4. **Verdict cache** — candidate verdicts go through a second sharded cache
+//! 4. **Verdict cache** — candidate verdicts go through a second cache
 //!    (`assertsolver::EvalVerifier`'s `svserve::Memo`), judged right after each
 //!    case is sampled inside `evaluate_model`, and the cache survives across
-//!    evaluation runs;
+//!    evaluation runs at any driver count;
 //! 5. **Cache persistence** — both caches spill to versioned on-disk snapshots and
 //!    preload at pool start, so a rebuilt service warm-starts from a previous one's
 //!    work (see also `examples/warm_start.rs` for the cross-process variant).
@@ -77,21 +77,17 @@ fn build_workload() -> Vec<RepairRequest> {
         .collect()
 }
 
-fn serve(workload: Vec<RepairRequest>, workers: usize, seed: u64) -> Vec<Arc<Vec<Response>>> {
+fn serve(workload: Vec<RepairRequest>, order: &str, seed: u64) -> Vec<Arc<Vec<Response>>> {
     let model = Arc::new(Counting {
         inner: AssertSolverModel::base(11),
         calls: AtomicUsize::new(0),
     });
-    let service = RepairService::start(
-        Arc::clone(&model),
-        ServiceConfig::default()
-            .with_workers(workers)
-            .with_seed(seed),
-    );
+    let service =
+        RepairService::start(Arc::clone(&model), ServiceConfig::default().with_seed(seed));
     let outcomes = service.solve_all(workload);
     let metrics = service.metrics();
     println!(
-        "\n=== {workers} worker(s): {} requests, {} model invocations ===",
+        "\n=== {order}: {} requests, {} model invocations ===",
         outcomes.len(),
         model.calls.load(Ordering::SeqCst),
     );
@@ -112,27 +108,28 @@ fn main() {
         workload.len(),
     );
 
-    // 1 + 2: serve at two worker counts, compare byte-for-byte.
+    // 1 + 2: serve in submission order and in reverse, compare byte-for-byte.
     let seed = 0x00A5_5E27;
-    let single = serve(workload.clone(), 1, seed);
-    let quad = serve(workload.clone(), 4, seed);
-    let single_bytes: Vec<String> = single
-        .iter()
-        .flat_map(|r| r.iter())
-        .map(Response::to_json)
-        .collect();
-    let quad_bytes: Vec<String> = quad
-        .iter()
-        .flat_map(|r| r.iter())
-        .map(Response::to_json)
-        .collect();
+    let forward = serve(workload.clone(), "in order", seed);
+    let mut reversed = workload.clone();
+    reversed.reverse();
+    let mut backward = serve(reversed, "reversed", seed);
+    backward.reverse();
+    let bytes = |sets: &[Arc<Vec<Response>>]| -> Vec<String> {
+        sets.iter()
+            .flat_map(|r| r.iter())
+            .map(Response::to_json)
+            .collect()
+    };
+    let forward_bytes = bytes(&forward);
     assert_eq!(
-        single_bytes, quad_bytes,
-        "determinism violated: 1-worker and 4-worker responses differ"
+        forward_bytes,
+        bytes(&backward),
+        "determinism violated: in-order and reversed responses differ"
     );
     println!(
-        "\n1-worker and 4-worker responses are byte-identical ({} responses)",
-        single_bytes.len()
+        "\nin-order and reversed responses are byte-identical ({} responses)",
+        forward_bytes.len()
     );
 
     // 3: a repeated submission must be a cache hit that never reaches the model.
@@ -159,18 +156,17 @@ fn main() {
     assert_eq!(final_metrics.cache_hits, 1);
 
     // 4: the verdict cache — verdicts go through their own memo,
-    // deterministic at any shard count, and cached across runs.
+    // deterministic at any driver count, and cached across runs.
     let cases: Vec<_> = assertsolver::human_crafted_cases()
         .into_iter()
         .take(4)
         .collect();
     let single = EvalConfig {
-        workers: 1,
-        verify_workers: 1,
+        drivers: 1,
         ..EvalConfig::quick(2)
     };
     let parallel = EvalConfig {
-        verify_workers: 4,
+        drivers: 4,
         ..single.clone()
     };
     let model = AssertSolverModel::base(11);
@@ -183,14 +179,11 @@ fn main() {
     );
     let verify_metrics = verifier.shutdown();
     assert!(verify_metrics.cache_hits > 0, "warm run must hit the cache");
-    let one_worker = assertsolver::evaluate_model(&model, &cases, &single);
-    assert_eq!(
-        one_worker, cold,
-        "verify worker count changed evaluation results"
-    );
+    let one_driver = assertsolver::evaluate_model(&model, &cases, &single);
+    assert_eq!(one_driver, cold, "driver count changed evaluation results");
     println!(
-        "\nverification offload: {} verdict jobs over {} cases, warm rerun identical \
-         ({} cache hits); 1-worker and 4-worker evaluations identical\n",
+        "\nverdict cache: {} verdict jobs over {} cases, warm rerun identical \
+         ({} cache hits); 1-driver and 4-driver evaluations identical\n",
         verify_metrics.completed,
         cases.len(),
         verify_metrics.cache_hits,
@@ -209,7 +202,6 @@ fn main() {
         "AssertSolver (base)",
     );
     let persistent_config = ServiceConfig::default()
-        .with_workers(2)
         .with_seed(seed)
         .with_persist(persist);
     let first_model = Arc::new(Counting {

@@ -1,7 +1,6 @@
 //! Trace-tree byte-determinism: the deterministic projection of a trace
 //! forest ([`TraceForest::render_deterministic`]) is a pure function of
-//! (corpus, salt) — identical at any driver-thread count and any worker
-//! count.
+//! (corpus, salt) — identical at any driver-thread count.
 //!
 //! Wall clocks are the *only* volatile span field, and they are excluded
 //! from the projection, so these suites compare bytes, not structures — the
@@ -53,26 +52,6 @@ fn trace_tree_is_byte_identical_at_any_driver_count() {
         assert_eq!(
             tree, reference,
             "trace tree at {drivers} drivers must match the single-driver bytes"
-        );
-    }
-}
-
-#[test]
-fn trace_tree_is_byte_identical_at_any_worker_count() {
-    let reference = traced_run(&EvalConfig {
-        workers: 1,
-        verify_workers: 1,
-        ..EvalConfig::quick(11)
-    });
-    for workers in 2..=8 {
-        let tree = traced_run(&EvalConfig {
-            workers,
-            verify_workers: 1 + workers % 3,
-            ..EvalConfig::quick(11)
-        });
-        assert_eq!(
-            tree, reference,
-            "trace tree at {workers} workers must match the single-worker bytes"
         );
     }
 }
