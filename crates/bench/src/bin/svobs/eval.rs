@@ -18,25 +18,20 @@ use svserve::{CollapsedProfile, MetricsRegistry, TelemetryHandle, TraceForest, T
 /// dominates" directly — `evaluate;sessions` is where `ASSERTSOLVER_SCALE`
 /// buys parallelism; `setup`/`report` are the serial floor.
 ///
-/// With `--profile-dir` (or `ASSERTSOLVER_PROFILE_DIR`) the same profile is
-/// also written as a content-keyed `.folded` artifact.  With
-/// `--min-coverage PCT` the exit status asserts attribution: below the bar
-/// exits 1, so CI can pin "≥95% of wall-clock is named".
+/// With `--min-coverage PCT` the exit status asserts attribution: below the
+/// bar exits 1, so CI can pin "≥95% of wall-clock is named".
 pub fn prof(mut flags: Flags) -> Outcome {
     let (mut seed, mut limit) = (2025u64, usize::MAX);
-    let mut profile_dir: Option<String> = None;
     let mut min_coverage: Option<f64> = None;
     while let Some(flag) = flags.token() {
         match flag.as_str() {
             "--seed" => seed = flags.value(&flag)?,
             "--limit" => limit = flags.value(&flag)?,
-            "--profile-dir" => profile_dir = Some(flags.value(&flag)?),
             "--min-coverage" => min_coverage = Some(flags.value(&flag)?),
             _ => return Err(Flags::unexpected(&flag)),
         }
     }
-    let mut quick = Quick::new(seed, limit, None)?;
-    quick.config.profile_dir = profile_dir;
+    let quick = Quick::new(seed, limit, None)?;
 
     let wall_start = Instant::now();
     let telemetry = TelemetryHandle::new(Arc::new(MetricsRegistry::new()));
@@ -93,8 +88,8 @@ pub fn prof(mut flags: Flags) -> Outcome {
 ///   child spans explain).
 /// * `--min-coverage PCT` exits 1 unless every listed session attributes at
 ///   least PCT% of its wall-clock to named spans (CI pins 95).
-/// * `--out PATH` additionally writes the forest as JSONL (the same artifact
-///   form `ASSERTSOLVER_TRACE=1` evaluations drop in the profile dir).
+/// * `--out PATH` additionally writes the forest as JSONL, one span per
+///   line.
 pub fn trace(mut flags: Flags) -> Outcome {
     let (mut seed, mut limit) = (2025u64, usize::MAX);
     let (mut deterministic, mut flame) = (false, false);
@@ -115,8 +110,7 @@ pub fn trace(mut flags: Flags) -> Outcome {
     }
     let quick = Quick::new(seed, limit, None)?;
     // Salt 0: the salt keys multi-tenant separation, not privacy; a fixed
-    // salt keeps the output comparable across invocations and against the
-    // `ASSERTSOLVER_TRACE=1` artifact of the same corpus.
+    // salt keeps the output comparable across invocations.
     let trace = TraceHandle::new(0);
 
     let wall_start = Instant::now();

@@ -6,7 +6,7 @@
 //! `svobs record … && svobs replay …`.
 
 use crate::{Failure, Flags, Outcome, Quick};
-use assertsolver::{evaluate_model_journaled, EvalConfig, JournalManifest};
+use assertsolver::{EvalConfig, Evaluation, JournalManifest};
 use std::path::Path;
 use svmodel::RepairModel;
 use svserve::{parse_journal, write_journal};
@@ -42,15 +42,17 @@ pub fn record(mut flags: Flags) -> Outcome {
         &quick.entries,
         &quick.config,
     );
-    let (evaluation, rendered) =
-        evaluate_model_journaled(&quick.model, &quick.entries, &quick.config, &manifest);
+    let run = Evaluation::new(&quick.model, &quick.entries, &quick.config)
+        .journal(&manifest)
+        .run();
+    let rendered = run.journal.expect("the journal is on");
     write_journal(Path::new(&out), &rendered)
         .map_err(|err| format!("cannot write {out}: {err}"))?;
     println!(
         "svobs record: recorded {} cases ({} bytes, pass@1 {:.1}%) -> {out}",
         quick.entries.len(),
         rendered.len(),
-        evaluation.passk().pass1_percent(),
+        run.evaluation.passk().pass1_percent(),
     );
     Ok(())
 }
@@ -123,8 +125,10 @@ pub fn replay(mut flags: Flags) -> Outcome {
         )));
     }
 
-    let (_, rendered) =
-        evaluate_model_journaled(&quick.model, &quick.entries, &quick.config, &manifest);
+    let run = Evaluation::new(&quick.model, &quick.entries, &quick.config)
+        .journal(&manifest)
+        .run();
+    let rendered = run.journal.expect("the journal is on");
     if rendered != text {
         let agreeing = rendered
             .lines()

@@ -101,7 +101,7 @@ type Subcommand = (&'static str, &'static str, fn(Flags) -> Outcome);
 const SUBCOMMANDS: [Subcommand; 4] = [
     (
         "prof",
-        "[--seed N] [--limit N] [--profile-dir DIR] [--min-coverage PCT]",
+        "[--seed N] [--limit N] [--min-coverage PCT]",
         eval::prof,
     ),
     (

@@ -11,9 +11,9 @@
 //! case, closer to the paper's protocol).
 
 use assertsolver::{
-    evaluate_model_on, render_breakdown, render_distribution, render_histogram, render_passk_table,
-    render_split_table, train, EvalConfig, EvalVerifier, ModelEvaluation, PassK, TrainConfig,
-    TrainedArtifacts,
+    render_breakdown, render_distribution, render_histogram, render_passk_table,
+    render_split_table, train, EvalConfig, EvalVerifier, Evaluation, ModelEvaluation, PassK,
+    TrainConfig, TrainedArtifacts,
 };
 use svdata::distribution;
 use svmodel::{all_baselines, RepairModel};
@@ -143,9 +143,15 @@ impl ExperimentSuite {
         verifier: Option<&EvalVerifier>,
     ) -> Self {
         let benchmark = artifacts.sva_eval.all();
-        let evaluated = |model: &(dyn RepairModel + Sync)| EvaluatedModel {
-            name: model.name().to_string(),
-            evaluation: evaluate_model_on(model, &benchmark, &eval_config, verifier),
+        let evaluated = |model: &(dyn RepairModel + Sync)| {
+            let mut evaluation = Evaluation::new(model, &benchmark, &eval_config);
+            if let Some(verifier) = verifier {
+                evaluation = evaluation.verifier(verifier);
+            }
+            EvaluatedModel {
+                name: model.name().to_string(),
+                evaluation: evaluation.run().evaluation,
+            }
         };
         let checkpoints = [&artifacts.base, &artifacts.sft, &artifacts.assert_solver]
             .map(|model| evaluated(model))

@@ -15,13 +15,13 @@ use svdata::SvaBugEntry;
 use svmodel::{CaseInput, RepairModel, Response};
 use svparse::FrontEnd;
 use svserve::env::path_knob;
-use svserve::persist::{fnv64, write_atomic, VerdictSnapshot};
+use svserve::persist::{fnv64, VerdictSnapshot};
 use svserve::stage as trace_stage;
 use svserve::{
-    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, render_journal, serve_scoped,
-    verdict_case_state, verdict_key_of_fields, write_journal, CollapsedProfile, JournalHeader,
-    JournalSink, Memo, PersistSpec, RepairRequest, ScopedService, ServiceConfig, TelemetryHandle,
-    TraceContext, TraceHandle, TraceSpan, TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig,
+    env_cache_dir, env_drivers, env_journal_dir, render_journal, serve_scoped, verdict_case_state,
+    verdict_key_of_fields, write_journal, CollapsedProfile, JournalHeader, JournalRecord, Memo,
+    PersistSpec, RepairRequest, ScopedService, ServiceConfig, TelemetryHandle, TraceContext,
+    TraceHandle, TraceSpan, TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig,
     VerifyMetrics, DEFAULT_COMPACT_AFTER_RUNS,
 };
 use svverify::{CheckConfig, VerifyOracle};
@@ -55,18 +55,11 @@ pub struct EvalConfig {
     /// warm run's `ModelEvaluation` is byte-identical to a cold run's.
     pub cache_dir: Option<String>,
     /// Directory for session-journal artifacts (`None` = the
-    /// `ASSERTSOLVER_JOURNAL_DIR` environment override, else no journaling).
-    /// When resolved, [`evaluate_model`] journals each judged case as one
-    /// record and writes a checksummed JSONL journal there; journal bytes are
+    /// `ASSERTSOLVER_JOURNAL_DIR` environment override, else no journal
+    /// file).  When resolved, every [`Evaluation`] writes its checksummed
+    /// JSONL journal there, one record per judged case; journal bytes are
     /// identical at any driver count and with warm or cold caches.
     pub journal_dir: Option<String>,
-    /// Directory for collapsed-stack profile artifacts (`None` = the
-    /// `ASSERTSOLVER_PROFILE_DIR` environment override, else no profile
-    /// write).  When resolved, an [`Evaluation`] with telemetry on writes its
-    /// flamegraph-compatible `profile-<slug>-<hash>.folded` there, and one
-    /// with tracing on its `trace-<slug>-<hash>.jsonl` (best effort, like the
-    /// cache flush paths).
-    pub profile_dir: Option<String>,
     /// Bounded-check configuration used to decide whether a repair solves the failure.
     pub check: CheckConfig,
 }
@@ -82,7 +75,6 @@ impl Default for EvalConfig {
             drivers: 0,
             cache_dir: None,
             journal_dir: None,
-            profile_dir: None,
             check: CheckConfig {
                 depth: 12,
                 random_cases: 16,
@@ -119,14 +111,6 @@ impl EvalConfig {
     /// environment override (`svserve::JOURNAL_DIR_ENV`).
     pub(crate) fn resolved_journal_dir(&self) -> Option<std::path::PathBuf> {
         resolve_dir(&self.journal_dir, env_journal_dir)
-    }
-
-    /// The profile directory this protocol writes collapsed-stack artifacts
-    /// to, if any: the explicit [`EvalConfig::profile_dir`] field, else the
-    /// `ASSERTSOLVER_PROFILE_DIR` environment override
-    /// (`svserve::PROFILE_DIR_ENV`).
-    pub(crate) fn resolved_profile_dir(&self) -> Option<std::path::PathBuf> {
-        resolve_dir(&self.profile_dir, env_profile_dir)
     }
 
     /// The repair-service configuration this protocol implies.
@@ -646,13 +630,11 @@ pub(crate) fn corpus_fingerprint(entries: &[SvaBugEntry]) -> u64 {
     fnv64(&bytes)
 }
 
-/// `<dir>/<kind>-<model slug>-<hash>.<ext>`: where a run's journal, trace or
-/// profile artifact goes.  The hash covers model identity, protocol seed and
-/// corpus, so runs that differ in any of them never share a file.
-fn artifact_path(
+/// `<dir>/journal-<model slug>-<hash>.jsonl`: where a run's journal goes.
+/// The hash covers model identity, protocol seed and corpus, so runs that
+/// differ in any of them never share a file.
+fn journal_path(
     dir: &std::path::Path,
-    kind: &str,
-    ext: &str,
     identity: &str,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
@@ -662,51 +644,19 @@ fn artifact_path(
     keyed.extend_from_slice(&config.seed.to_le_bytes());
     keyed.extend_from_slice(&corpus_fingerprint(entries).to_le_bytes());
     let hash = fnv64(&keyed) as u32;
-    dir.join(format!("{kind}-{}-{hash:08x}.{ext}", file_slug(identity)))
+    dir.join(format!("journal-{}-{hash:08x}.jsonl", file_slug(identity)))
 }
 
-/// Evaluates a model over a set of cases: an [`Evaluation`] with the
-/// facilities the protocol's knobs turn on, judged by a fresh
-/// [`EvalVerifier`].  To share a warm verdict cache across several
-/// evaluations, start an [`EvalVerifier`] once and call
-/// [`evaluate_model_on`].
-///
-/// * [`EvalConfig::journal_dir`] (or `ASSERTSOLVER_JOURNAL_DIR`) records a
-///   session journal and writes it to `journal-<slug>-<hash>.jsonl` there as
-///   a record-only artifact (empty rebuild tags; `svobs record` writes
-///   replayable ones).
-/// * `ASSERTSOLVER_TRACE` collects the trace forest and writes it to
-///   `trace-<slug>-<hash>.jsonl` in the profile directory
-///   ([`EvalConfig::profile_dir`] or `ASSERTSOLVER_PROFILE_DIR`) when one
-///   resolves.  Tracing composes with the journal.
+/// Evaluates a model over a set of cases: the plain [`Evaluation`], judged
+/// by a fresh [`EvalVerifier`].  To share a warm verdict cache across
+/// several evaluations, start an [`EvalVerifier`] once and hand it to
+/// [`Evaluation::verifier`].
 pub fn evaluate_model<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
 ) -> ModelEvaluation {
-    evaluate_model_on(model, entries, config, None)
-}
-
-/// [`evaluate_model`], judged by `verifier` when one is given instead of a
-/// fresh one.  Verdicts are pure functions of `(case, response,
-/// CheckConfig)`, so a verifier shared by several models answers each of
-/// them as a fresh one would, judging each distinct candidate once.
-pub fn evaluate_model_on<M: RepairModel + Sync + ?Sized>(
-    model: &M,
-    entries: &[SvaBugEntry],
-    config: &EvalConfig,
-    verifier: Option<&EvalVerifier>,
-) -> ModelEvaluation {
-    let identity = OnceCell::new();
-    let manifest = config.resolved_journal_dir().map(|_| {
-        let identity = identity.get_or_init(|| model.identity());
-        JournalManifest::for_protocol("", "", identity, entries, config)
-    });
-    let trace = TraceHandle::from_env();
-    let mut evaluation = Evaluation::new(model, entries, config).trace(&trace);
-    (evaluation.journal, evaluation.verifier) = (manifest.as_ref(), verifier);
-    evaluation.identity = identity;
-    evaluation.run().evaluation
+    Evaluation::new(model, entries, config).run().evaluation
 }
 
 /// [`Evaluation`] judged by a borrowed verifier: re-evaluating a corpus the
@@ -747,21 +697,19 @@ pub fn evaluate_model_instrumented<M: RepairModel + Sync + ?Sized>(
     evaluation.run().evaluation
 }
 
-/// [`Evaluation`] with a borrowed verifier and the observability handles:
-/// `tracer` is a journal tracer whose sink the caller drains; it sees every
-/// judged case and nothing else.
+/// [`Evaluation`] with a borrowed verifier, the stage profile and the trace
+/// plane; the [`TracerHandle`] is ignored.
 pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
     verifier: &EvalVerifier,
-    tracer: &TracerHandle,
+    _tracer: &TracerHandle,
     telemetry: &TelemetryHandle,
     trace: &TraceHandle,
 ) -> ModelEvaluation {
-    let mut evaluation = Evaluation::new(model, entries, config).telemetry(telemetry);
-    (evaluation.tracer, evaluation.trace) = (tracer.clone(), trace.clone());
-    evaluation.verifier(verifier).run().evaluation
+    let evaluation = Evaluation::new(model, entries, config).telemetry(telemetry);
+    evaluation.trace(trace).verifier(verifier).run().evaluation
 }
 
 /// One run of the paper's protocol — `n` samples per case at the configured
@@ -770,28 +718,31 @@ pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
 ///
 /// No facility changes the [`ModelEvaluation`]: sampler seeds derive from case
 /// content and verdicts are pure functions of `(case, response, CheckConfig)`,
-/// so it is identical at any driver count, with warm or cold caches.  A facility that is off costs one branch per instrumented
-/// site.  With the journal on, every judged case journals into a fresh sink;
-/// tracing grows one five-span tree per case (a `session` root over `submit`
-/// → `sample` → `verify` → `evaluate` laps that tile it), byte-identical at
-/// any driver count ([`svserve::trace`]).
+/// so it is identical at any driver count, with warm or cold caches.  A
+/// facility that is off costs one branch per instrumented site.  Each case
+/// driver returns what it observed of its cases — a journal record per case
+/// and, with tracing on, a five-span tree (a `session` root over `submit` →
+/// `sample` → `verify` → `evaluate` laps that tile it) — so the drivers
+/// share nothing but the two memos.  The run sorts the records into the
+/// journal and hands the spans to the trace handle in one call; both are
+/// byte-identical at any driver count ([`svserve::trace`]).
 ///
-/// Artifacts, best effort: with the journal on, `journal-<slug>-<hash>.jsonl`
-/// in the journal directory; in the profile directory, `trace-….jsonl` when
-/// the trace handle holds spans and `profile-….folded` with telemetry on.
-/// Each directory resolves from its [`EvalConfig`] field, else the
-/// environment, and is read only when a facility writing there is on.
+/// The journal is rendered when [`Evaluation::journal`] is on or a journal
+/// directory resolves ([`EvalConfig::journal_dir`], else
+/// `ASSERTSOLVER_JOURNAL_DIR`); in the latter case it is also written there
+/// as `journal-<slug>-<hash>.jsonl`, best effort, with empty rebuild tags
+/// unless [`Evaluation::journal`] gave a manifest (`svobs record` writes
+/// replayable ones).
 pub struct Evaluation<'a, M: ?Sized> {
     model: &'a M,
     entries: &'a [SvaBugEntry],
     config: &'a EvalConfig,
     verifier: Option<&'a EvalVerifier>,
     journal: Option<&'a JournalManifest>,
-    tracer: TracerHandle,
     trace: TraceHandle,
     telemetry: TelemetryHandle,
     /// [`RepairModel::identity`], derived on first read: only a cache
-    /// snapshot name and the artifact names read it.
+    /// snapshot name and the journal read it.
     identity: OnceCell<String>,
 }
 
@@ -800,7 +751,8 @@ pub struct Evaluation<'a, M: ?Sized> {
 pub struct EvaluationRun {
     /// The pass@k data.
     pub evaluation: ModelEvaluation,
-    /// The rendered session journal, when [`Evaluation::journal`] was on.
+    /// The rendered session journal, when [`Evaluation::journal`] was on or a
+    /// journal directory resolved.
     pub journal: Option<String>,
     /// The `evaluate;{setup,sessions,report}` profile of this run, when
     /// [`Evaluation::telemetry`] was on.
@@ -817,7 +769,6 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             config,
             verifier: None,
             journal: None,
-            tracer: TracerHandle::off(),
             trace: TraceHandle::off(),
             telemetry: TelemetryHandle::off(),
             identity: OnceCell::new(),
@@ -837,7 +788,7 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         self
     }
 
-    /// Collects the per-case trace trees into `trace`; the caller drains it.
+    /// Hands the per-case trace trees to `trace`; the caller drains it.
     pub fn trace(mut self, trace: &TraceHandle) -> Self {
         self.trace = trace.clone();
         self
@@ -852,10 +803,6 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
 
     /// Runs the evaluation.
     pub fn run(self) -> EvaluationRun {
-        let sink = self.journal.map(|_| JournalSink::shared());
-        let tracer = sink
-            .as_ref()
-            .map_or(self.tracer.clone(), JournalSink::handle);
         let mut stages = StageClock::start(&self.telemetry);
         let owned = (self.verifier.is_none()).then(|| EvalVerifier::start(self.config));
         let verifier = self.verifier.or(owned.as_ref()).expect("a verifier");
@@ -863,19 +810,27 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         // in-process repair pool serving in place, as the run's `sessions`
         // stage.
         let service_config = (self.config).service_config_with(|| self.identity());
-        let results = serve_scoped(self.model, service_config, |service| {
+        let cases = serve_scoped(self.model, service_config, |service| {
             let driver = CaseDriver {
                 service,
                 verifier,
                 config: self.config,
-                tracer: &tracer,
                 trace: &self.trace,
             };
             stages.lap();
-            let results = drive_cases(&driver, self.entries);
+            let cases = drive_cases(&driver, self.entries);
             stages.lap();
-            results
+            cases
         });
+        let (mut records, mut spans) = (Vec::with_capacity(cases.len()), Vec::new());
+        let results = (cases.into_iter())
+            .map(|case| {
+                records.push(case.record);
+                spans.extend(case.spans);
+                case.result
+            })
+            .collect();
+        self.trace.extend(spans);
         let evaluation = ModelEvaluation {
             model: self.model.name().to_string(),
             results,
@@ -884,17 +839,11 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             owned.shutdown();
         }
         stages.lap();
-        let journal = self.journal.zip(sink).map(|(manifest, sink)| {
-            let header = JournalHeader::expected(&manifest.render());
-            let payload = serde_json::to_string(&evaluation).expect("evaluation serializes");
-            render_journal(&header, &sink.drain_sorted(), &payload)
-        });
-        let profile = stages.profile;
-        self.write_artifacts(journal.as_deref(), profile.as_ref());
+        let journal = self.rendered_journal(&evaluation, records);
         EvaluationRun {
             evaluation,
             journal,
-            profile,
+            profile: stages.profile,
         }
     }
 
@@ -903,30 +852,29 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         self.identity.get_or_init(|| self.model.identity())
     }
 
-    /// Writes the artifacts of the facilities that are on, best effort: an
-    /// unwritable directory must not fail the evaluation itself.
-    fn write_artifacts(&self, journal: Option<&str>, profile: Option<&CollapsedProfile>) {
-        let path = |dir: &std::path::Path, kind: &str, ext: &str| {
-            artifact_path(dir, kind, ext, self.identity(), self.entries, self.config)
-        };
-        if let Some(rendered) = journal {
-            if let Some(dir) = self.config.resolved_journal_dir() {
-                let _ = write_journal(&path(&dir, "journal", "jsonl"), rendered);
-            }
+    /// The rendered journal of `records`, when [`Evaluation::journal`] gave
+    /// a manifest or a journal directory resolves.  A resolved directory
+    /// also gets the file, best effort: an unwritable directory must not
+    /// fail the evaluation itself.
+    fn rendered_journal(
+        &self,
+        evaluation: &ModelEvaluation,
+        mut records: Vec<JournalRecord>,
+    ) -> Option<String> {
+        let dir = self.config.resolved_journal_dir();
+        let record_only = (self.journal.is_none() && dir.is_some()).then(|| {
+            JournalManifest::for_protocol("", "", self.identity(), self.entries, self.config)
+        });
+        let manifest = self.journal.or(record_only.as_ref())?;
+        records.sort_unstable();
+        let header = JournalHeader::expected(&manifest.render());
+        let payload = serde_json::to_string(evaluation).expect("evaluation serializes");
+        let rendered = render_journal(&header, &records, &payload);
+        if let Some(dir) = dir {
+            let path = journal_path(&dir, self.identity(), self.entries, self.config);
+            let _ = write_journal(&path, &rendered);
         }
-        if !self.trace.is_on() && profile.is_none() {
-            return;
-        }
-        let Some(dir) = self.config.resolved_profile_dir() else {
-            return;
-        };
-        let forest = self.trace.forest();
-        if !forest.is_empty() {
-            let _ = write_atomic(&path(&dir, "trace", "jsonl"), &forest.render_jsonl());
-        }
-        if let Some(profile) = profile {
-            let _ = write_atomic(&path(&dir, "profile", "folded"), &profile.render());
-        }
+        Some(rendered)
     }
 }
 
@@ -976,18 +924,25 @@ impl StageClock {
 
 /// What every case of one run shares: the in-process repair pool that
 /// samples it (solving on the calling thread), the verifier that judges it,
-/// the protocol, and the observability handles — each judged case journals
-/// on the tracer ([`TracerHandle::case`]) and its laps land in the trace.
+/// the protocol, and the trace handle, read only for each case's root
+/// context.
 struct CaseDriver<'s, M: ?Sized> {
     service: &'s ScopedService<'s, M>,
     verifier: &'s EvalVerifier,
     config: &'s EvalConfig,
-    tracer: &'s TracerHandle,
     trace: &'s TraceHandle,
 }
 
+/// What a case driver observed of one case: its result, its journal record
+/// and, with tracing on, its five spans.
+struct CaseRun {
+    result: CaseResult,
+    record: JournalRecord,
+    spans: Vec<TraceSpan>,
+}
+
 /// The one case driver: every case of `entries` sampled and judged through
-/// `driver`; returns each case's result in corpus order.
+/// `driver`; returns what each case's driver observed, in corpus order.
 ///
 /// Each of `min(drivers, cases)` scoped threads takes a strided share
 /// (thread `t`: cases `t, t + threads, …`) and runs each case of it start to
@@ -1007,7 +962,7 @@ struct CaseDriver<'s, M: ?Sized> {
 fn drive_cases<M: RepairModel + Sync + ?Sized>(
     driver: &CaseDriver<'_, M>,
     entries: &[SvaBugEntry],
-) -> Vec<CaseResult> {
+) -> Vec<CaseRun> {
     let drivers = Some(driver.config.drivers).filter(|&drivers| drivers > 0);
     let drivers = drivers
         .or_else(env_drivers)
@@ -1018,7 +973,7 @@ fn drive_cases<M: RepairModel + Sync + ?Sized>(
         let run = |entry| run_case(driver, entry);
         cases.map(run).collect::<Vec<_>>()
     };
-    let mut results: Vec<Option<CaseResult>> = vec![None; entries.len()];
+    let mut results: Vec<Option<CaseRun>> = entries.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
         let share = &share;
         let spawn = |first| scope.spawn(move || share(first));
@@ -1046,14 +1001,11 @@ fn default_parallelism() -> usize {
 /// child spans tile the `session` root's wall (`svobs trace`'s ≥ 95% bar):
 /// `submit` builds the request, `sample` solves it, `verify` dedups the
 /// candidates into verdict jobs and `evaluate` judges and tallies them.
-fn run_case<M: RepairModel + ?Sized>(
-    driver: &CaseDriver<'_, M>,
-    entry: &SvaBugEntry,
-) -> CaseResult {
-    let (verifier, trace) = (driver.verifier, driver.trace);
+fn run_case<M: RepairModel + ?Sized>(driver: &CaseDriver<'_, M>, entry: &SvaBugEntry) -> CaseRun {
+    let verifier = driver.verifier;
     let request = request_for(entry, driver.config);
     let (key, samples, start) = (request.key(), request.samples, Instant::now());
-    let mut laps = Laps::new(trace.root(key), start);
+    let mut laps = Laps::new(driver.trace.root(key), start);
     laps.lap("submit", trace_stage::SUBMIT, samples);
     let responses = driver.service.submit(request).expect(OPEN).wait().responses;
     let n = responses.len();
@@ -1067,12 +1019,18 @@ fn run_case<M: RepairModel + ?Sized>(
         let wall = start.elapsed().as_nanos() as u64;
         let session = TraceSpan::new(root, "session", trace_stage::SESSION, n as u64, wall);
         laps.spans.push(session);
-        trace.extend(laps.spans);
     }
-    driver
-        .tracer
-        .case(key.fold64(), n as u64, distinct as u64, c as u64);
-    build_case_result(entry, n, c)
+    let record = JournalRecord {
+        session: key.fold64(),
+        samples: n as u64,
+        candidates: distinct as u64,
+        correct: c as u64,
+    };
+    CaseRun {
+        result: build_case_result(entry, n, c),
+        record,
+        spans: laps.spans,
+    }
 }
 
 /// A case's trace laps, recorded while its trace is on.
@@ -1359,31 +1317,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluation_is_identical_at_any_worker_count() {
-        let entries = human_crafted_cases();
-        let model = svmodel::AssertSolverModel::base(3);
-        let one = evaluate_model(
-            &model,
-            &entries,
-            &EvalConfig {
-                workers: 1,
-                verify_workers: 1,
-                ..EvalConfig::quick(5)
-            },
-        );
-        let four = evaluate_model(
-            &model,
-            &entries,
-            &EvalConfig {
-                workers: 4,
-                verify_workers: 4,
-                ..EvalConfig::quick(5)
-            },
-        );
-        assert_eq!(one, four, "worker count changed evaluation results");
-    }
-
-    #[test]
     fn the_driver_count_is_bounded_by_the_cases() {
         // Regression: a nonzero `drivers` used to pass through unclamped, so
         // this spawned 65 536 driver threads for two cases.
@@ -1458,8 +1391,6 @@ mod tests {
         for drivers in [1, 4] {
             let config = |side: &str| EvalConfig {
                 drivers,
-                workers: 2,
-                verify_workers: 2,
                 cache_dir: Some(dir.join(format!("{side}-{drivers}")).display().to_string()),
                 ..EvalConfig::quick(11)
             };
@@ -1503,8 +1434,6 @@ mod tests {
         let entries = human_crafted_cases();
         let config = EvalConfig {
             drivers: 1,
-            workers: 4,
-            verify_workers: 4,
             ..EvalConfig::quick(5)
         };
         let (solves, solved) = mpsc::channel();
@@ -1546,8 +1475,6 @@ mod tests {
         // for `case`, so the model scores higher on the twin than on the case.
         let model = svmodel::BaselineModel::new(svmodel::BaselineKind::RandomGuess);
         let config = EvalConfig {
-            workers: 2,
-            verify_workers: 2,
             ..EvalConfig::quick(19)
         };
         let case = human_crafted_cases().remove(0);
@@ -1576,8 +1503,6 @@ mod tests {
         let entries: Vec<SvaBugEntry> = human_crafted_cases().into_iter().take(4).collect();
         let model = svmodel::AssertSolverModel::base(3);
         let config = EvalConfig {
-            workers: 2,
-            verify_workers: 2,
             ..EvalConfig::quick(7)
         };
         let verifier = EvalVerifier::start(&config);
@@ -1623,7 +1548,7 @@ mod tests {
         let entries: Vec<SvaBugEntry> = human_crafted_cases().into_iter().take(2).collect();
         let model = CountingModel(Default::default());
         let identities = || model.0.load(std::sync::atomic::Ordering::SeqCst);
-        if svserve::env_cache_dir().is_none() {
+        if svserve::env_cache_dir().is_none() && svserve::env_journal_dir().is_none() {
             let plain = EvalConfig::quick(3);
             Evaluation::new(&model, &entries, &plain).run();
             assert_eq!(identities(), 0, "nothing reads the identity of a plain run");
@@ -1636,26 +1561,16 @@ mod tests {
         let config = EvalConfig {
             cache_dir: sub("cache"),
             journal_dir: sub("journal"),
-            profile_dir: sub("profile"),
             ..EvalConfig::quick(3)
         };
-        let manifest = JournalManifest::for_protocol("", "", "counting [1]", &entries, &config);
-        let telemetry = TelemetryHandle::new(Arc::new(svserve::MetricsRegistry::new()));
         let before = identities();
-        let run = Evaluation::new(&model, &entries, &config)
-            .journal(&manifest)
-            .telemetry(&telemetry)
-            .run();
+        let run = Evaluation::new(&model, &entries, &config).run();
         assert_eq!(
             identities() - before,
             1,
             "one derivation serves every reader"
         );
-        for (facility, prefix) in [
-            ("cache", "responses-"),
-            ("journal", "journal-"),
-            ("profile", "profile-"),
-        ] {
+        for (facility, prefix) in [("cache", "responses-"), ("journal", "journal-")] {
             let names: Vec<String> = std::fs::read_dir(dir.join(facility))
                 .expect("the facility wrote its directory")
                 .map(|file| file.unwrap().file_name().to_string_lossy().into_owned())
@@ -1665,7 +1580,10 @@ mod tests {
                 "{facility}: {names:?}"
             );
         }
-        assert!(run.journal.is_some() && run.profile.is_some());
+        assert!(
+            run.journal.is_some(),
+            "a resolved journal directory renders one"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1679,8 +1597,6 @@ mod tests {
         let entries: Vec<SvaBugEntry> = human_crafted_cases().into_iter().take(3).collect();
         let model = svmodel::AssertSolverModel::base(3);
         let config = EvalConfig {
-            workers: 2,
-            verify_workers: 2,
             cache_dir: Some(dir.display().to_string()),
             ..EvalConfig::quick(13)
         };

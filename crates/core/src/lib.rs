@@ -16,11 +16,11 @@
 //! `.journal(..)`, `.trace(..)` and `.telemetry(..)` each switch on one
 //! facility; [`Evaluation::run`] returns the
 //! [`ModelEvaluation`] plus, when they are on, the rendered journal and the
-//! stage profile.  [`evaluate_model`] is the builder with the facilities the
-//! `EvalConfig` fields and `ASSERTSOLVER_*` knobs turn on;
-//! [`evaluate_model_with`], [`evaluate_model_journaled`],
-//! [`evaluate_model_instrumented`] and [`evaluate_model_observed`] are thin
-//! shims over it.
+//! stage profile; a run also writes its journal wherever
+//! `EvalConfig::journal_dir` or `ASSERTSOLVER_JOURNAL_DIR` resolves.
+//! [`evaluate_model`] is the plain builder; [`evaluate_model_with`],
+//! [`evaluate_model_journaled`], [`evaluate_model_instrumented`] and
+//! [`evaluate_model_observed`] are thin shims over it.
 //!
 //! ## Quick example
 //!
@@ -45,9 +45,8 @@ pub mod train;
 pub use benchmark::{human_crafted_cases, SvaEval};
 pub use evaluate::{
     apply_line_edit, evaluate_model, evaluate_model_instrumented, evaluate_model_journaled,
-    evaluate_model_observed, evaluate_model_on, evaluate_model_with, response_is_correct,
-    CaseResult, EvalConfig, EvalVerifier, Evaluation, EvaluationRun, JournalManifest, JudgedCase,
-    ModelEvaluation,
+    evaluate_model_observed, evaluate_model_with, response_is_correct, CaseResult, EvalConfig,
+    EvalVerifier, Evaluation, EvaluationRun, JournalManifest, JudgedCase, ModelEvaluation,
 };
 pub use passk::{pass_at_k, PassK};
 pub use report::{

@@ -1,15 +1,15 @@
 //! Replayable journals for corpus cases.
 //!
-//! Every corpus case carries a session journal recorded by
-//! [`assertsolver::evaluate_model_journaled`]: a bug entry is derived from the
-//! case's pristine `base_source` by the data pipeline's own Stage-2 step
-//! ([`svdata::ValidatedGolden`]: validate the golden, inject, check, simulate,
-//! classify), evaluated under the quick protocol, and the
-//! rendered journal is embedded in the artifact. `repro` re-derives the entry
+//! Every corpus case carries a session journal recorded by an
+//! [`assertsolver::Evaluation`] with its journal on: a bug entry is derived
+//! from the case's pristine `base_source` by the data pipeline's own Stage-2
+//! step ([`svdata::ValidatedGolden`]: validate the golden, inject, check,
+//! simulate, classify), evaluated under the quick protocol, and the rendered
+//! journal is embedded in the artifact. `repro` re-derives the entry
 //! from `(base_source, derive_seed)` alone and byte-compares the journals —
 //! the same record/replay contract `svobs replay` enforces for full evaluations.
 
-use assertsolver::{evaluate_model_journaled, EvalConfig, JournalManifest};
+use assertsolver::{EvalConfig, Evaluation, JournalManifest};
 use svdata::{Stage2Outcome, SvaBugEntry, ValidatedGolden};
 use svgen::render_spec;
 use svmodel::{AssertSolverModel, RepairModel};
@@ -76,7 +76,8 @@ pub fn render_case_journal(entry: &SvaBugEntry, corpus_tag: &str) -> String {
         entries,
         &config,
     );
-    evaluate_model_journaled(&model, entries, &config, &manifest).1
+    let run = Evaluation::new(&model, entries, &config).journal(&manifest);
+    run.run().journal.expect("the journal is on")
 }
 
 /// The corpus tag a case's journal manifest carries.

@@ -20,8 +20,7 @@
 //!   frames round-trip through the frame codec, and every deterministic
 //!   corruption of the encoded bytes (flips, truncations, oversized
 //!   declarations, checksummed-but-mangled JSON) degrades to a decode error
-//!   — never a panic; a source-derived trace forest's JSONL round-trips and
-//!   its bit-flipped text never panics the parser.
+//!   — never a panic.
 //! * [`OracleKind::SimDifferential`] — the compiled simulator and bounded
 //!   checker agree with the reference interpreter (`svsim::reference`) and
 //!   the plain check loop on the source and on `svmutate` mutants of it:
@@ -57,7 +56,7 @@ pub enum OracleKind {
     MutateClosure,
     /// Bounded-check verdict invariance under concurrent-item permutation.
     BmcPermutation,
-    /// Wire-frame and trace-JSONL robustness: corrupt bytes never panic.
+    /// Wire-frame robustness: corrupt bytes never panic.
     WireStats,
     /// Compiled simulator and checker against the reference interpreter.
     SimDifferential,
@@ -303,7 +302,7 @@ fn bmc_permutation(source: &str) -> OracleOutcome {
 
 fn wire_stats(source: &str) -> OracleOutcome {
     use svmodel::{CaseInput, Response};
-    use svserve::{Frame, RepairRequest, TraceContext, TraceForest, TraceSpan, WireOutcome};
+    use svserve::{Frame, RepairRequest, WireOutcome};
 
     let seed = fnv64(source.as_bytes()) ^ 0x57A7;
 
@@ -341,39 +340,6 @@ fn wire_stats(source: &str) -> OracleOutcome {
             return outcome;
         }
     }
-
-    // A source-derived trace tree: one root with a child per leading source
-    // byte, ids flowing from the real derivation.  Its JSONL round-trips, and
-    // bit flips in it never panic the parser.
-    let root = TraceContext::root(request.key(), seed);
-    let mut spans = vec![TraceSpan::new(&root, "session", 0, 1, seed & 0xFFFF)];
-    for (i, byte) in source.bytes().take(6).enumerate() {
-        spans.push(TraceSpan::new(
-            &root.child(&format!("stage.{byte}")),
-            format!("stage.{byte}"),
-            1 + i as u32,
-            u64::from(byte),
-            seed.rotate_left(i as u32) & 0xFFF,
-        ));
-    }
-    let forest = TraceForest::from_spans(spans);
-    let jsonl = forest.render_jsonl();
-    if TraceForest::parse_jsonl(&jsonl).as_ref() != Ok(&forest) {
-        return OracleOutcome::fail("trace forest JSONL did not round-trip".to_string());
-    }
-    for step in 0..8u32 {
-        let flip_at = (seed.rotate_left(step * 7) as usize) % jsonl.len();
-        let mut flipped = jsonl.clone().into_bytes();
-        flipped[flip_at] ^= 1 << (step % 7);
-        let Ok(text) = String::from_utf8(flipped) else {
-            continue;
-        };
-        if catch_unwind(AssertUnwindSafe(|| TraceForest::parse_jsonl(&text))).is_err() {
-            return OracleOutcome::fail(format!(
-                "trace forest: byte flip at {flip_at} panicked the JSONL parser"
-            ));
-        }
-    }
     OracleOutcome::Pass
 }
 
@@ -386,8 +352,7 @@ fn wire_stats(source: &str) -> OracleOutcome {
 /// 3. an oversized length declaration is refused before any body allocation;
 /// 4. a checksummed-but-mangled body — the shape a buggy (not malicious)
 ///    peer produces — decodes to an error or some other valid frame without
-///    panicking, and the trace-forest JSONL parser absorbs the mangled text
-///    without panicking too.
+///    panicking.
 fn frame_corruption_battery(
     frame: &svserve::Frame,
     seed: u64,
@@ -480,13 +445,6 @@ fn frame_corruption_battery(
                 "{label}: mangled body (byte {drop_at} dropped, checksum fixed) \
                  panicked the decoder"
             )));
-        }
-        if let Ok(text) = std::str::from_utf8(&mangled) {
-            if catch_unwind(AssertUnwindSafe(|| svserve::TraceForest::parse_jsonl(text))).is_err() {
-                return Some(OracleOutcome::fail(format!(
-                    "{label}: trace forest parser panicked on mangled JSON"
-                )));
-            }
         }
     }
     None

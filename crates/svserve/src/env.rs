@@ -4,12 +4,9 @@
 //!
 //! Each knob is a named constant; all but [`SCALE_ENV`] (parsed by the
 //! experiment harness) have an `env_*` reader here, and the readers share
-//! three policies so no two knobs of one shape disagree on what a value means:
+//! two policies so no two knobs of one shape disagree on what a value means:
 //!
 //! * **directories** ([`path_knob`]) — trimmed; blank means unset;
-//! * **the switch** (`env_trace`) — `1`/`on`/`true`/`yes` enable,
-//!   `0`/`off`/`false`/`no` or unset disable, anything else disables with a
-//!   one-line warning;
 //! * **thread counts** — zero or garbage falls back to the default with a
 //!   warning, and huge values clamp to 512 instead of wedging the process in
 //!   thread spawns.
@@ -27,24 +24,15 @@ pub const SCALE_ENV: &str = "ASSERTSOLVER_SCALE";
 /// persists to; when set, `evaluate_model` runs warm across process invocations.
 pub const CACHE_DIR_ENV: &str = "ASSERTSOLVER_CACHE_DIR";
 
-/// Environment variable naming the directory `assertsolver::evaluate_model`
-/// writes session journals to; unset (the default) disables journaling.
+/// Environment variable naming the directory every `assertsolver::Evaluation`
+/// writes its session journal to; unset (the default) writes none.
 pub const JOURNAL_DIR_ENV: &str = "ASSERTSOLVER_JOURNAL_DIR";
-
-/// Environment variable naming the directory evaluations write their
-/// collapsed-stack profiles and trace forests to; unset (the default)
-/// disables both writes.
-pub const PROFILE_DIR_ENV: &str = "ASSERTSOLVER_PROFILE_DIR";
 
 /// Environment variable overriding the default number of threads that drive
 /// an evaluation's cases (`assertsolver::EvalConfig::drivers`; unset, the
 /// host's available parallelism); CI runs the driver-determinism suite and
 /// the paper-table goldens at 1 and 4.
 pub const DRIVERS_ENV: &str = "ASSERTSOLVER_DRIVERS";
-
-/// Environment knob enabling tracing in `assertsolver::EvalConfig`-driven
-/// runs: `1`/`on`/`true`/`yes` enable, `0`/`off`/`false`/unset disable.
-pub(crate) const TRACE_ENV: &str = "ASSERTSOLVER_TRACE";
 
 /// Hard ceiling on thread counts accepted from the environment.  A typo like
 /// a driver count of 40000 would otherwise spawn forty thousand OS threads
@@ -72,30 +60,6 @@ pub fn env_cache_dir() -> Option<PathBuf> {
 /// non-empty.
 pub fn env_journal_dir() -> Option<PathBuf> {
     env_path(JOURNAL_DIR_ENV)
-}
-
-/// Reads the profile-directory override from the environment, if set and
-/// non-empty.
-pub fn env_profile_dir() -> Option<PathBuf> {
-    env_path(PROFILE_DIR_ENV)
-}
-
-/// Reads [`TRACE_ENV`], warning (once per call) on unrecognized values
-/// instead of silently ignoring them.
-pub(crate) fn env_trace() -> bool {
-    let Ok(raw) = std::env::var(TRACE_ENV) else {
-        return false;
-    };
-    let value = raw.trim();
-    let is = |set: [&str; 4]| set.iter().any(|v| value.eq_ignore_ascii_case(v));
-    if value.is_empty() || is(["0", "off", "false", "no"]) {
-        return false;
-    }
-    if is(["1", "on", "true", "yes"]) {
-        return true;
-    }
-    eprintln!("warning: {TRACE_ENV}={value:?} is not on/off; tracing stays off");
-    false
 }
 
 /// Outcome of parsing a thread-count knob from the environment.

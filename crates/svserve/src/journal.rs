@@ -5,30 +5,23 @@
 //! the journal says how each case's verdicts fell.  A case is scored by three
 //! counts — samples drawn, distinct candidates among them, samples judged
 //! correct — so its [`JournalRecord`] is exactly those counts keyed by
-//! **session id** (the 64-bit fold of the request's content hash), and
-//! [`TracerHandle::case`] appends it once the case is judged.  The journal of
-//! an evaluation is therefore a pure function of its inputs — the same
-//! determinism contract the caches honour.  What depends on interleaving or
-//! cache temperature (cache lookups, panics) is not journaled: the memo
-//! metrics count it, so a warm run and a cold run render the same journal
-//! bytes.
+//! **session id** (the 64-bit fold of the request's content hash).  The case
+//! driver returns that record beside the case's result, so the journal of an
+//! evaluation is a pure function of its inputs — the same determinism
+//! contract the caches honour.  What depends on interleaving or cache
+//! temperature (cache lookups, panics) is not journaled: the memo metrics
+//! count it, so a warm run and a cold run render the same journal bytes.
 //!
-//! ## Buffering and drain
-//!
-//! [`JournalSink`] appends records to one buffer (lock held only for the
-//! append); nothing is ever dropped.  [`JournalSink::drain_sorted`] takes every
-//! buffered record and sorts it by the record's derived order, which is what
-//! makes the rendered JSONL independent of arrival interleaving.
+//! The evaluation sorts its records by their derived order, which is what
+//! makes the rendered JSONL independent of which driver judged which case;
 //! [`render_journal`] then writes the versioned header (mirroring
-//! [`crate::persist::SnapshotHeader`]), one record per line, and a checksummed
-//! footer carrying an opaque payload — the same atomic-write flush path the
-//! cache snapshots use.
+//! [`crate::persist::SnapshotHeader`]), one record per line, and a
+//! checksummed footer carrying an opaque payload — the same atomic-write
+//! flush path the cache snapshots use.
 
 use crate::persist::{self, fnv64};
-use crate::sync::lock_recover;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// Journal file layout version (bumped on any incompatible change).
 pub(crate) const JOURNAL_FORMAT_VERSION: u32 = 2;
@@ -51,84 +44,17 @@ pub struct JournalRecord {
     pub correct: u64,
 }
 
-/// A cheaply clonable, optional handle on a [`JournalSink`] — the form an
-/// evaluation carries.
-///
-/// The default handle is **off**: every emit is one `Option` branch and
-/// nothing else, which is what keeps journaling free on untraced hot paths.
-#[derive(Clone, Default)]
-pub struct TracerHandle(Option<Arc<JournalSink>>);
+/// Ignored: a case driver returns its journal record.  The benchmark
+/// harness still passes `TracerHandle::off()` to
+/// `assertsolver::evaluate_model_observed`; it goes with the next change to
+/// the harness.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TracerHandle;
 
 impl TracerHandle {
-    /// The disabled handle (also what `Default` returns).
+    /// The placeholder.
     pub fn off() -> Self {
-        Self(None)
-    }
-
-    /// Whether a sink is installed — the one branch instrumented code pays.
-    pub fn is_on(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Journals one judged case under `session`: `samples` drawn, `candidates`
-    /// distinct among them, `correct` judged correct — one record, one append.
-    pub fn case(&self, session: u64, samples: u64, candidates: u64, correct: u64) {
-        if let Some(sink) = &self.0 {
-            sink.record(JournalRecord {
-                session,
-                samples,
-                candidates,
-                correct,
-            });
-        }
-    }
-}
-
-impl std::fmt::Debug for TracerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.is_on() {
-            "TracerHandle(on)"
-        } else {
-            "TracerHandle(off)"
-        })
-    }
-}
-
-/// The in-memory record sink: one append-only buffer, drained sorted.
-///
-/// Install it on configs via [`JournalSink::handle`].  See the module docs for
-/// the buffering and drain contract.
-#[derive(Default)]
-pub struct JournalSink {
-    records: Mutex<Vec<JournalRecord>>,
-}
-
-impl JournalSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A shared empty sink, ready to wrap in a handle.
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::new())
-    }
-
-    /// A [`TracerHandle`] pointing at this sink.
-    pub fn handle(self: &Arc<Self>) -> TracerHandle {
-        TracerHandle(Some(Arc::clone(self)))
-    }
-
-    fn record(&self, record: JournalRecord) {
-        lock_recover(&self.records).push(record);
-    }
-
-    /// Takes every buffered record in the canonical order the JSONL
-    /// serialization uses (the record's derived order).
-    pub fn drain_sorted(&self) -> Vec<JournalRecord> {
-        let mut records = std::mem::take(&mut *lock_recover(&self.records));
-        records.sort_unstable();
-        records
+        Self
     }
 }
 
@@ -170,7 +96,7 @@ pub struct JournalFooter {
 }
 
 /// Renders a complete journal file: header line, one line per record (in the
-/// order given — pass [`JournalSink::drain_sorted`] output), footer line.
+/// order given — pass them sorted), footer line.
 pub fn render_journal(header: &JournalHeader, records: &[JournalRecord], payload: &str) -> String {
     let mut out = serde_json::to_string(header).expect("journal header serializes");
     out.push('\n');
@@ -262,43 +188,8 @@ pub fn write_journal(path: &Path, rendered: &str) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
-    fn sink() -> Arc<JournalSink> {
-        JournalSink::shared()
-    }
-
-    #[test]
-    fn off_handle_is_inert() {
-        let handle = TracerHandle::off();
-        assert!(!handle.is_on());
-        assert!(!TracerHandle::default().is_on());
-        handle.case(1, 8, 3, 1);
-        assert!(sink().handle().is_on());
-    }
-
-    #[test]
-    fn deterministic_events_survive_overflow_and_sort_canonically() {
-        let sink = sink();
-        let handle = sink.handle();
-        // 64 records over 4 sessions, appended in a scrambled order: nothing
-        // may be dropped, and the drain restores the canonical order.
-        for samples in (0..16u64).rev() {
-            for session in [3u64, 1, 2, 0] {
-                handle.case(session, samples, samples / 2, samples / 4);
-            }
-        }
-        let records = sink.drain_sorted();
-        assert_eq!(records.len(), 64, "the buffer keeps every record");
-        let keys: Vec<(u64, u64)> = records.iter().map(|r| (r.session, r.samples)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted, "drain must sort by session, then counts");
-        assert!(sink.drain_sorted().is_empty(), "drain empties the buffer");
-    }
-
     #[test]
     fn a_journaled_case_is_one_record_of_its_counts() {
-        let sink = sink();
-        sink.handle().case(11, 8, 5, 3);
         let record = JournalRecord {
             session: 11,
             samples: 8,
@@ -309,22 +200,21 @@ mod tests {
             serde_json::to_string(&record).unwrap(),
             r#"{"session":11,"samples":8,"candidates":5,"correct":3}"#
         );
-        assert_eq!(sink.drain_sorted(), [record]);
-
-        // The off handle records nothing.
-        TracerHandle::off().case(12, 8, 5, 3);
-        assert!(sink.drain_sorted().is_empty());
     }
 
     #[test]
     fn render_parse_roundtrip_validates_checksum() {
-        let sink = sink();
-        sink.handle().case(42, 8, 6, 3);
+        let records = [JournalRecord {
+            session: 42,
+            samples: 8,
+            candidates: 6,
+            correct: 3,
+        }];
         let header = JournalHeader::expected("{\"recipe\":\"test\"}");
-        let rendered = render_journal(&header, &sink.drain_sorted(), "payload bytes");
+        let rendered = render_journal(&header, &records, "payload bytes");
         let parsed = parse_journal(&rendered).expect("roundtrip parses");
         assert_eq!(parsed.header, header);
-        assert_eq!(parsed.records.len(), 1);
+        assert_eq!(parsed.records, records);
         assert_eq!(parsed.footer.events, 1);
         assert_eq!(parsed.footer.payload, "payload bytes");
         assert_eq!(

@@ -30,12 +30,11 @@
 //! * **Tickets** — a ticket holds an outcome already served when `submit`
 //!   returns; the one refusal is [`SubmitError::Closed`], after shutdown.
 //! * **Session journal** — one record per judged case ([`journal`]): its
-//!   samples drawn, distinct candidates and samples judged correct, appended
-//!   in one call ([`TracerHandle::case`]) into one sink and rendered as a
-//!   checksummed JSONL artifact whose bytes are deterministic at any
-//!   driver count — a replayable repro artifact, not just a log.  Off by
-//!   default; the hot path pays one branch.  Memo events (cache lookups,
-//!   panics) are counted once, in the memo metrics.
+//!   samples drawn, distinct candidates and samples judged correct, which
+//!   the case driver returns beside the case's result, rendered sorted as a
+//!   checksummed JSONL artifact whose bytes are deterministic at any driver
+//!   count — a replayable repro artifact, not just a log.  Memo events
+//!   (cache lookups, panics) are counted once, in the memo metrics.
 //! * **Stage profile** — a [`TelemetryHandle`] that is on has an evaluation
 //!   time its setup, sessions and report stages as a [`CollapsedProfile`]
 //!   ([`telemetry`]).
@@ -82,12 +81,12 @@ pub mod wire;
 
 pub use cache::{verdict_case_state, verdict_key_of_fields, CaseKey, VerdictCaseState, VerdictKey};
 pub use env::{
-    env_cache_dir, env_drivers, env_journal_dir, env_profile_dir, CACHE_DIR_ENV, DRIVERS_ENV,
-    JOURNAL_DIR_ENV, PROFILE_DIR_ENV, SCALE_ENV,
+    env_cache_dir, env_drivers, env_journal_dir, CACHE_DIR_ENV, DRIVERS_ENV, JOURNAL_DIR_ENV,
+    SCALE_ENV,
 };
 pub use journal::{
     parse_journal, render_journal, write_journal, JournalFooter, JournalHeader, JournalRecord,
-    JournalSink, ParsedJournal, TracerHandle,
+    ParsedJournal, TracerHandle,
 };
 pub use metrics::{ServiceMetrics, VerifyMetrics};
 pub use persist::{
@@ -124,7 +123,6 @@ mod tests {
         assert_send_sync::<super::TracerHandle>();
         assert_send_sync::<super::TelemetryHandle>();
         assert_send_sync::<super::MetricsRegistry>();
-        assert_send_sync::<super::JournalSink>();
         assert_send_sync::<super::TraceHandle>();
         assert_send_sync::<super::TraceSpan>();
         assert_send_sync::<super::TraceForest>();

@@ -5,8 +5,8 @@
 //! panic that slips through while a `Mutex` is held must not escalate into
 //! cascading `PoisonError` panics in *unrelated* threads that merely touch
 //! the same lock later.  None of the protected state carries cross-field
-//! invariants that a mid-update panic could break (memo maps,
-//! append-only journal buffers, connection registries), so recovering the
+//! invariants that a mid-update panic could break (memo maps, trace span
+//! buffers, connection registries), so recovering the
 //! guard is strictly better than poisoning the whole pool.
 //!
 //! All internal lock sites go through it instead of

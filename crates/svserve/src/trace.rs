@@ -19,7 +19,6 @@
 //! from [`TraceForest::render_deterministic`], the byte-compared projection.
 
 use crate::cache::CaseKey;
-use crate::env::env_trace;
 use crate::persist::fnv64;
 use crate::service::splitmix64;
 use crate::sync::lock_recover;
@@ -157,11 +156,10 @@ struct TraceCore {
     spans: Mutex<Vec<TraceSpan>>,
 }
 
-/// The tracing switch: `off()` by default, one branch per hot-path hook
-/// (the `TracerHandle` recipe).
+/// The tracing switch: `off()` by default, one branch per hot-path hook.
 ///
 /// The handle owns the registered salt (folded into every trace id) and the
-/// span sink; [`TraceHandle::drain`] takes the collected spans in
+/// spans an evaluation hands back; [`TraceHandle::drain`] takes them in
 /// deterministic order.
 #[derive(Clone, Default)]
 pub struct TraceHandle(Option<Arc<TraceCore>>);
@@ -180,21 +178,6 @@ impl TraceHandle {
         })))
     }
 
-    /// A handle honoring `ASSERTSOLVER_TRACE`: enabled with salt 0 when the knob is
-    /// on, `off()` otherwise.
-    pub fn from_env() -> Self {
-        if env_trace() {
-            Self::new(0)
-        } else {
-            Self::off()
-        }
-    }
-
-    /// Whether tracing is enabled.
-    pub fn is_on(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// The root context for `key`, or `None` while tracing is off.
     pub fn root(&self, key: CaseKey) -> Option<TraceContext> {
         self.0
@@ -202,14 +185,8 @@ impl TraceHandle {
             .map(|core| TraceContext::root(key, core.salt))
     }
 
-    /// Records one completed span; dropped silently while tracing is off.
-    pub fn record(&self, span: TraceSpan) {
-        if let Some(core) = &self.0 {
-            lock_recover(&core.spans).push(span);
-        }
-    }
-
-    /// Records a batch of completed spans (one case's laps, say).
+    /// Records a batch of completed spans (an evaluation's, say); dropped
+    /// silently while tracing is off.
     pub fn extend(&self, spans: Vec<TraceSpan>) {
         if let Some(core) = &self.0 {
             lock_recover(&core.spans).extend(spans);
@@ -226,20 +203,11 @@ impl TraceHandle {
         };
         TraceForest::from_spans(spans).into_spans()
     }
-
-    /// The spans collected so far as a forest, leaving them in the sink for
-    /// a later [`TraceHandle::drain`]; empty while tracing is off.
-    pub fn forest(&self) -> TraceForest {
-        match &self.0 {
-            Some(core) => TraceForest::from_spans(lock_recover(&core.spans).clone()),
-            None => TraceForest::default(),
-        }
-    }
 }
 
 impl std::fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.is_on() {
+        f.write_str(if self.0.is_some() {
             "TraceHandle(on)"
         } else {
             "TraceHandle(off)"
@@ -459,7 +427,7 @@ impl TraceForest {
     }
 
     /// Serializes the forest as JSONL (one span per line, deterministic
-    /// order) — the artifact form `svobs trace --out` writes.
+    /// order) — what `svobs trace --out` writes.
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
         for span in &self.spans {
@@ -468,28 +436,12 @@ impl TraceForest {
         }
         out
     }
-
-    /// Parses a JSONL forest back, rejecting malformed lines.
-    pub fn parse_jsonl(text: &str) -> Result<Self, String> {
-        let mut spans = Vec::new();
-        for (number, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let span: TraceSpan = serde_json::from_str(line)
-                .map_err(|err| format!("line {}: malformed trace span: {err}", number + 1))?;
-            spans.push(span);
-        }
-        Ok(Self::from_spans(spans))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::case_key;
-    use crate::env::TRACE_ENV;
     use svmodel::CaseInput;
 
     fn key(tag: usize) -> CaseKey {
@@ -606,32 +558,30 @@ mod tests {
     #[test]
     fn jsonl_round_trips() {
         let forest = TraceForest::from_spans(session_tree(5, 9, 42));
-        let parsed = TraceForest::parse_jsonl(&forest.render_jsonl()).expect("round trip");
-        assert_eq!(parsed, forest);
-        assert!(TraceForest::parse_jsonl("{nonsense\n").is_err());
+        let jsonl = forest.render_jsonl();
+        let spans = jsonl
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap());
+        assert_eq!(TraceForest::from_spans(spans.collect()), forest);
+        assert_eq!(jsonl.lines().count(), forest.len(), "one span per line");
     }
 
     #[test]
     fn handle_follows_the_tracer_recipe() {
         let off = TraceHandle::off();
-        assert!(!off.is_on());
         assert!(off.root(key(1)).is_none());
-        off.record(session_tree(1, 0, 1).remove(0));
+        off.extend(session_tree(1, 0, 1));
         assert!(off.drain().is_empty());
         assert_eq!(format!("{off:?}"), "TraceHandle(off)");
 
         let on = TraceHandle::new(0);
-        assert!(on.is_on());
+        assert_eq!(format!("{on:?}"), "TraceHandle(on)");
         let ctx = on.root(key(1)).expect("root context");
         assert_eq!(ctx, TraceContext::root(key(1), 0));
-        on.record(TraceSpan::new(&ctx, "session", stage::SESSION, 1, 5));
-        on.extend(vec![TraceSpan::new(
-            &ctx.child("sample"),
-            "sample",
-            stage::SAMPLE,
-            1,
-            5,
-        )]);
+        on.extend(vec![
+            TraceSpan::new(&ctx, "session", stage::SESSION, 1, 5),
+            TraceSpan::new(&ctx.child("sample"), "sample", stage::SAMPLE, 1, 5),
+        ]);
         let drained = on.drain();
         assert_eq!(drained.len(), 2);
         assert!(on.drain().is_empty(), "drain takes");
@@ -646,24 +596,9 @@ mod tests {
             if reverse {
                 spans.reverse();
             }
-            for span in spans {
-                handle.record(span);
-            }
+            handle.extend(spans);
             handle.drain()
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn env_knob_parses_loosely_and_defaults_off() {
-        std::env::remove_var(TRACE_ENV);
-        assert!(!env_trace());
-        assert!(!TraceHandle::from_env().is_on());
-        std::env::set_var(TRACE_ENV, "1");
-        assert!(env_trace());
-        assert!(TraceHandle::from_env().is_on());
-        std::env::set_var(TRACE_ENV, "off");
-        assert!(!env_trace());
-        std::env::remove_var(TRACE_ENV);
     }
 }

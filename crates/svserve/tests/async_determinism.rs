@@ -5,7 +5,7 @@
 //!
 //! The driver count only changes *which thread* drives a case and when;
 //! everything a case produces is a pure function of request content
-//! (content-derived sampler seeds, content-hash shard placement, pure
+//! (content-derived sampler seeds, content-keyed memo entries, pure
 //! verdicts).  These tests pin that contract.
 
 use assertsolver::{evaluate_model, EvalConfig};

@@ -55,8 +55,6 @@ fn main() {
         .take(4)
         .collect();
     let config = EvalConfig {
-        workers: 2,
-        verify_workers: 2,
         cache_dir: Some(dir.display().to_string()),
         ..EvalConfig::quick(17)
     };

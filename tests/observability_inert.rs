@@ -2,7 +2,7 @@
 //! journal, the stage profile or the trace plane on — one at a time and all
 //! together — [`Evaluation::run`] returns the `ModelEvaluation` the
 //! unobserved run returns, and each facility that is on has recorded
-//! something: eight journal records per case, the three `evaluate;…` stage
+//! something: one journal record per case, the three `evaluate;…` stage
 //! frames and one five-span tree per case.  (What the facilities cost is
 //! measured by `svbench`: `svserve.{journal,trace,telemetry}.eval_s` in
 //! `BENCHMARK.json`.)
@@ -27,11 +27,7 @@ fn corpus() -> Vec<SvaBugEntry> {
 fn journal_telemetry_and_trace_leave_the_evaluation_unchanged() {
     let entries = corpus();
     let model = AssertSolverModel::base(9);
-    let config = EvalConfig {
-        workers: 2,
-        verify_workers: 2,
-        ..EvalConfig::quick(37)
-    };
+    let config = EvalConfig::quick(37);
     let baseline = evaluate_model(&model, &entries, &config);
     let manifest = JournalManifest::for_protocol("", "", &model.identity(), &entries, &config);
 
@@ -117,11 +113,7 @@ fn journal_telemetry_and_trace_leave_the_evaluation_unchanged() {
 fn trace_and_journal_compose_on_one_run() {
     let entries = corpus();
     let model = AssertSolverModel::base(9);
-    let config = EvalConfig {
-        workers: 2,
-        verify_workers: 2,
-        ..EvalConfig::quick(41)
-    };
+    let config = EvalConfig::quick(41);
     let manifest = JournalManifest::for_protocol("", "", &model.identity(), &entries, &config);
     let plain = Evaluation::new(&model, &entries, &config).run();
     let journaled = Evaluation::new(&model, &entries, &config)
@@ -149,11 +141,12 @@ fn trace_and_journal_compose_on_one_run() {
     );
 }
 
-/// Which artifacts a run leaves, per facility: `journal-<slug>-<hash>.jsonl`
-/// in the journal directory with the journal on; `trace-<slug>-<hash>.jsonl`
-/// (tracing on) and `profile-<slug>-<hash>.folded` (telemetry on) in the
-/// profile directory; nothing otherwise.  The directories are config fields,
-/// never process env, so parallel tests cannot see each other's.
+/// The one artifact a run leaves: `journal-<slug>-<hash>.jsonl` in the
+/// resolved journal directory, holding the journal the run returned — with
+/// the caller's manifest when [`Evaluation::journal`] is on, else a
+/// record-only one with empty rebuild tags.  Tracing and the stage profile
+/// write nothing.  The directory is a config field, never process env, so
+/// parallel tests cannot see each other's.
 #[test]
 fn artifacts_are_named_by_facility() {
     let entries: Vec<SvaBugEntry> = assertsolver::human_crafted_cases()
@@ -176,104 +169,51 @@ fn artifacts_are_named_by_facility() {
     let root = std::env::temp_dir().join(format!("artifact-names-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
-    for (journal_on, trace_on, telemetry_on) in [
-        (false, false, false),
-        (true, false, false),
-        (false, true, false),
-        (false, false, true),
-        (true, true, false),
-        (true, false, true),
-        (false, true, true),
-        (true, true, true),
-    ] {
-        let facilities = (journal_on, trace_on, telemetry_on);
-        let case = root.join(format!(
-            "{}{}{}",
-            journal_on as u8, trace_on as u8, telemetry_on as u8
-        ));
-        let (journal_dir, profile_dir) = (case.join("journal"), case.join("profile"));
+    for observed in [false, true] {
+        let journal_dir = root.join(format!("{}", observed as u8));
         let config = EvalConfig {
             journal_dir: Some(journal_dir.display().to_string()),
-            profile_dir: Some(profile_dir.display().to_string()),
             ..EvalConfig::quick(43)
         };
-        let manifest = JournalManifest::for_protocol("", "", &model.identity(), &entries, &config);
+        let manifest =
+            JournalManifest::for_protocol("m", "c", &model.identity(), &entries, &config);
         let (trace, telemetry) = (
             TraceHandle::new(0),
             TelemetryHandle::new(Arc::new(MetricsRegistry::new())),
         );
         let mut evaluation = Evaluation::new(&model, &entries, &config);
-        if journal_on {
-            evaluation = evaluation.journal(&manifest);
-        }
-        if trace_on {
-            evaluation = evaluation.trace(&trace);
-        }
-        if telemetry_on {
-            evaluation = evaluation.telemetry(&telemetry);
+        if observed {
+            evaluation = evaluation
+                .journal(&manifest)
+                .trace(&trace)
+                .telemetry(&telemetry);
         }
         let run = evaluation.run();
 
-        let listing = |dir: &std::path::Path| -> Vec<(String, String)> {
-            let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
-                .map(|entries| {
-                    entries
-                        .map(|entry| entry.expect("dir entry").path())
-                        .map(|path| {
-                            let name = path.file_name().unwrap().to_string_lossy().to_string();
-                            (
-                                name,
-                                std::fs::read_to_string(&path).expect("artifact reads"),
-                            )
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            files.sort();
-            files
-        };
-        let (journals, profiles) = (listing(&journal_dir), listing(&profile_dir));
-        let kinds = |files: &[(String, String)]| -> Vec<String> {
-            files
-                .iter()
-                .map(|(name, _)| {
-                    let (kind, rest) = name.split_once('-').expect("kind prefix");
-                    let (stem, ext) = rest.rsplit_once('.').expect("extension");
-                    let hash = stem
-                        .strip_prefix(&format!("{slug}-"))
-                        .unwrap_or_else(|| panic!("{name} carries the model slug"));
-                    assert!(
-                        hash.len() == 8 && hash.chars().all(|c| c.is_ascii_hexdigit()),
-                        "{name} ends in an 8-digit hash"
-                    );
-                    format!("{kind}.{ext}")
-                })
-                .collect()
-        };
-        let expected_journals: Vec<&str> = if journal_on {
-            vec!["journal.jsonl"]
-        } else {
-            vec![]
-        };
-        let mut expected_profiles = Vec::new();
-        if telemetry_on {
-            expected_profiles.push("profile.folded");
-        }
-        if trace_on {
-            expected_profiles.push("trace.jsonl");
-        }
-        assert_eq!(kinds(&journals), expected_journals, "{facilities:?}");
-        assert_eq!(kinds(&profiles), expected_profiles, "{facilities:?}");
-
-        // Each artifact holds what the run returned or collected.
-        for (name, text) in journals.iter().chain(&profiles) {
-            let expected = match name.split_once('-').expect("kind prefix").0 {
-                "journal" => run.journal.clone().expect("journal on"),
-                "profile" => run.profile.as_ref().expect("telemetry on").render(),
-                _ => TraceForest::from_spans(trace.drain()).render_jsonl(),
-            };
-            assert_eq!(text, &expected, "{name} content ({facilities:?})");
-        }
+        let files: Vec<_> = std::fs::read_dir(&journal_dir)
+            .expect("the run wrote its journal directory")
+            .map(|entry| entry.expect("dir entry").path())
+            .collect();
+        assert_eq!(files.len(), 1, "one artifact ({observed})");
+        let name = files[0].file_name().unwrap().to_string_lossy().to_string();
+        let hash = (name.strip_prefix(&format!("journal-{slug}-")))
+            .and_then(|rest| rest.strip_suffix(".jsonl"))
+            .unwrap_or_else(|| panic!("{name} is journal-<slug>-<hash>.jsonl"));
+        assert!(
+            hash.len() == 8 && hash.chars().all(|c| c.is_ascii_hexdigit()),
+            "{name} ends in an 8-digit hash"
+        );
+        let text = std::fs::read_to_string(&files[0]).expect("artifact reads");
+        assert_eq!(Some(&text), run.journal.as_ref(), "{name} content");
+        let header = parse_journal(&text).expect("the journal parses").header;
+        let tags = JournalManifest::parse(&header.manifest).expect("the manifest parses");
+        let tags = (tags.model_tag, tags.corpus_tag);
+        let expected = if observed { ("m", "c") } else { ("", "") };
+        assert_eq!(
+            tags,
+            (expected.0.into(), expected.1.into()),
+            "{name} manifest"
+        );
     }
     let _ = std::fs::remove_dir_all(&root);
 }
