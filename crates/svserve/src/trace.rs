@@ -587,6 +587,98 @@ mod tests {
         assert!(on.drain().is_empty(), "drain takes");
     }
 
+    /// One session of the pin: `(tag, requested, samples, candidates,
+    /// correct)` and the session, submit, sample, verify and evaluate walls.
+    fn pinned_session(counts: [u64; 5], walls: [u64; 5]) -> Vec<TraceSpan> {
+        let [tag, requested, samples, candidates, correct] = counts;
+        let root = TraceContext::root(key(tag as usize), 5);
+        vec![
+            TraceSpan::new(&root, "session", stage::SESSION, samples, walls[0]),
+            TraceSpan::new(&root.child("submit"), "submit", 1, requested, walls[1]),
+            TraceSpan::new(&root.child("sample"), "sample", 2, samples, walls[2]),
+            TraceSpan::new(&root.child("verify"), "verify", 3, candidates, walls[3]),
+            TraceSpan::new(&root.child("evaluate"), "evaluate", 4, correct, walls[4]),
+        ]
+    }
+
+    /// The renders of a fixed forest, byte for byte: three sessions and an
+    /// exact duplicate of the first (merged by the larger wall per stage,
+    /// whose stage walls then exceed the session's), two sessions tied on
+    /// their wall.
+    #[test]
+    fn renders_of_a_fixed_forest_are_pinned() {
+        let mut spans = pinned_session([1, 3, 3, 2, 1], [100, 10, 40, 20, 25]);
+        spans.extend(pinned_session([2, 4, 4, 4, 0], [70, 5, 30, 15, 15]));
+        spans.extend(pinned_session([3, 2, 2, 1, 2], [70, 1, 60, 2, 3]));
+        spans.extend(pinned_session([1, 3, 3, 2, 1], [90, 12, 35, 30, 25]));
+        let forest = TraceForest::from_spans(spans);
+        let slowest: String = (forest.slowest(2).iter())
+            .map(|s| {
+                let (wall, attributed) = (s.wall_ns, s.attributed_ns);
+                let coverage = 100.0 * s.coverage();
+                format!(
+                    "{:016x} {wall} {attributed} {coverage:.1} {}\n",
+                    s.trace, s.units
+                )
+            })
+            .collect();
+        let rendered = [
+            forest.render(),
+            forest.collapsed().render(),
+            forest.render_jsonl(),
+            slowest,
+        ];
+        assert_eq!(rendered, PINNED_RENDERS);
+    }
+
+    const PINNED_RENDERS: [&str; 4] = [
+        concat!(
+            "trace=83b05d40ca857d7b span=83b05d40ca857d7b parent=- start=6 units=4 name=session wall_ns=70\n",
+            "  trace=83b05d40ca857d7b span=b518370856d5bb60 parent=83b05d40ca857d7b start=18 units=4 name=submit wall_ns=5\n",
+            "  trace=83b05d40ca857d7b span=2e866ba29037c24f parent=83b05d40ca857d7b start=32 units=4 name=sample wall_ns=30\n",
+            "  trace=83b05d40ca857d7b span=39305c62eed6e1aa parent=83b05d40ca857d7b start=48 units=4 name=verify wall_ns=15\n",
+            "  trace=83b05d40ca857d7b span=f301f23e73e07280 parent=83b05d40ca857d7b start=67 units=0 name=evaluate wall_ns=15\n",
+            "trace=af96f8e4e02acad1 span=af96f8e4e02acad1 parent=- start=6 units=3 name=session wall_ns=100\n",
+            "  trace=af96f8e4e02acad1 span=154c05ee1cf1f015 parent=af96f8e4e02acad1 start=31 units=3 name=submit wall_ns=12\n",
+            "  trace=af96f8e4e02acad1 span=d22b49fbda317d08 parent=af96f8e4e02acad1 start=38 units=3 name=sample wall_ns=40\n",
+            "  trace=af96f8e4e02acad1 span=5f9ab7c20630f56f parent=af96f8e4e02acad1 start=51 units=2 name=verify wall_ns=30\n",
+            "  trace=af96f8e4e02acad1 span=80140bffdfcb0236 parent=af96f8e4e02acad1 start=78 units=1 name=evaluate wall_ns=25\n",
+            "trace=f58e62d6395f2807 span=f58e62d6395f2807 parent=- start=1 units=2 name=session wall_ns=70\n",
+            "  trace=f58e62d6395f2807 span=bbef767c37f7a7d1 parent=f58e62d6395f2807 start=22 units=2 name=submit wall_ns=1\n",
+            "  trace=f58e62d6395f2807 span=9eb725331f6a9d51 parent=f58e62d6395f2807 start=45 units=2 name=sample wall_ns=60\n",
+            "  trace=f58e62d6395f2807 span=b7bec14c6ad93c8c parent=f58e62d6395f2807 start=54 units=1 name=verify wall_ns=2\n",
+            "  trace=f58e62d6395f2807 span=0d17e183aadaa269 parent=f58e62d6395f2807 start=75 units=2 name=evaluate wall_ns=3\n",
+        ),
+        concat!(
+            "session 9\n",
+            "session;evaluate 43\n",
+            "session;sample 130\n",
+            "session;submit 18\n",
+            "session;verify 47\n",
+        ),
+        concat!(
+            "{\"trace\":9489186947726671227,\"span\":9489186947726671227,\"parent\":null,\"name\":\"session\",\"start\":6,\"units\":4,\"wall_ns\":70}\n",
+            "{\"trace\":9489186947726671227,\"span\":13049240429262125920,\"parent\":9489186947726671227,\"name\":\"submit\",\"start\":18,\"units\":4,\"wall_ns\":5}\n",
+            "{\"trace\":9489186947726671227,\"span\":3352485318572360271,\"parent\":9489186947726671227,\"name\":\"sample\",\"start\":32,\"units\":4,\"wall_ns\":30}\n",
+            "{\"trace\":9489186947726671227,\"span\":4120895239027614122,\"parent\":9489186947726671227,\"name\":\"verify\",\"start\":48,\"units\":4,\"wall_ns\":15}\n",
+            "{\"trace\":9489186947726671227,\"span\":17510543176239182464,\"parent\":9489186947726671227,\"name\":\"evaluate\",\"start\":67,\"units\":0,\"wall_ns\":15}\n",
+            "{\"trace\":12652573865041119953,\"span\":12652573865041119953,\"parent\":null,\"name\":\"session\",\"start\":6,\"units\":3,\"wall_ns\":100}\n",
+            "{\"trace\":12652573865041119953,\"span\":1534608093272469525,\"parent\":12652573865041119953,\"name\":\"submit\",\"start\":31,\"units\":3,\"wall_ns\":12}\n",
+            "{\"trace\":12652573865041119953,\"span\":15144279518009720072,\"parent\":12652573865041119953,\"name\":\"sample\",\"start\":38,\"units\":3,\"wall_ns\":40}\n",
+            "{\"trace\":12652573865041119953,\"span\":6889020623972005231,\"parent\":12652573865041119953,\"name\":\"verify\",\"start\":51,\"units\":2,\"wall_ns\":30}\n",
+            "{\"trace\":12652573865041119953,\"span\":9229014729988178486,\"parent\":12652573865041119953,\"name\":\"evaluate\",\"start\":78,\"units\":1,\"wall_ns\":25}\n",
+            "{\"trace\":17694188658210318343,\"span\":17694188658210318343,\"parent\":null,\"name\":\"session\",\"start\":1,\"units\":2,\"wall_ns\":70}\n",
+            "{\"trace\":17694188658210318343,\"span\":13542172880413370321,\"parent\":17694188658210318343,\"name\":\"submit\",\"start\":22,\"units\":2,\"wall_ns\":1}\n",
+            "{\"trace\":17694188658210318343,\"span\":11436650680231304529,\"parent\":17694188658210318343,\"name\":\"sample\",\"start\":45,\"units\":2,\"wall_ns\":60}\n",
+            "{\"trace\":17694188658210318343,\"span\":13240232488470133900,\"parent\":17694188658210318343,\"name\":\"verify\",\"start\":54,\"units\":1,\"wall_ns\":2}\n",
+            "{\"trace\":17694188658210318343,\"span\":943470602580828777,\"parent\":17694188658210318343,\"name\":\"evaluate\",\"start\":75,\"units\":2,\"wall_ns\":3}\n",
+        ),
+        concat!(
+            "af96f8e4e02acad1 100 107 100.0 3\n",
+            "83b05d40ca857d7b 70 65 92.9 4\n",
+        ),
+    ];
+
     #[test]
     fn drain_order_is_independent_of_collection_order() {
         let run = |reverse: bool| {
