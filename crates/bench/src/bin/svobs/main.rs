@@ -1,15 +1,15 @@
-//! `svobs` — the operator CLI: profile, trace and journal an evaluation.
+//! `svobs` — the operator CLI: trace and journal an evaluation.
 //!
-//! `svobs --help` prints the synopsis of all four subcommands ([`SUBCOMMANDS`]).
+//! `svobs --help` prints the synopsis of all three subcommands ([`SUBCOMMANDS`]).
 //!
-//! `prof`, `trace` and `record` run the quick protocol in process ([`Quick`]);
+//! `trace` and `record` run the quick protocol in process ([`Quick`]);
 //! `replay` re-drives a recorded journal.  Every subcommand reads its
 //! arguments through the one [`Flags`] cursor and fails through the one
 //! [`Failure`] type, so the exit status means the same thing everywhere: 0 ok,
 //! 1 runtime failure or missed bar, 2 usage.
 
-mod eval;
 mod journal;
+mod trace;
 
 use assertsolver::{human_crafted_cases, EvalConfig};
 use std::fmt::Display;
@@ -63,7 +63,7 @@ impl Flags {
     }
 }
 
-/// The quick-protocol fixture behind `prof`, `trace`, `record` and `replay`:
+/// The quick-protocol fixture behind `trace`, `record` and `replay`:
 /// `seed` picks the base model and the protocol seed, `limit` truncates the
 /// corpus.
 pub struct Quick {
@@ -97,18 +97,13 @@ impl Quick {
 /// Name, synopsis and entry point of a subcommand.
 type Subcommand = (&'static str, &'static str, fn(Flags) -> Outcome);
 
-/// The four subcommands, in `--help` order.
-const SUBCOMMANDS: [Subcommand; 4] = [
-    (
-        "prof",
-        "[--seed N] [--limit N] [--min-coverage PCT]",
-        eval::prof,
-    ),
+/// The three subcommands, in `--help` order.
+const SUBCOMMANDS: [Subcommand; 3] = [
     (
         "trace",
         "[--seed N] [--limit N] [--deterministic] [--flame] [--slowest N] \
          [--min-coverage PCT] [--out PATH]",
-        eval::trace,
+        trace::trace,
     ),
     (
         "record",

@@ -1,93 +1,28 @@
-//! `svobs prof` and `svobs trace`: where an evaluation's time goes, by stage
-//! and by session.
+//! `svobs trace`: where an evaluation's time goes, by session and stage.
 
 use crate::{Failure, Flags, Outcome, Quick};
 use assertsolver::Evaluation;
-use std::sync::Arc;
 use std::time::Instant;
-use svserve::{CollapsedProfile, MetricsRegistry, TelemetryHandle, TraceForest, TraceHandle};
-
-/// `svobs prof` — dual-clock stage profiler for the quick evaluation protocol.
-///
-/// Runs the quick protocol over the human-crafted corpus with its stage
-/// profile on (`evaluate;setup` / `;sessions` / `;report`), prints the
-/// collapsed-stack profile to stdout (flamegraph.pl's input format: `stack
-/// value` per line), and reports on stderr how much of the measured
-/// wall-clock the named stages attribute.  The stage timers tile
-/// the evaluation contiguously, so attribution answers "which stage
-/// dominates" directly — `evaluate;sessions` is where `ASSERTSOLVER_SCALE`
-/// buys parallelism; `setup`/`report` are the serial floor.
-///
-/// With `--min-coverage PCT` the exit status asserts attribution: below the
-/// bar exits 1, so CI can pin "≥95% of wall-clock is named".
-pub fn prof(mut flags: Flags) -> Outcome {
-    let (mut seed, mut limit) = (2025u64, usize::MAX);
-    let mut min_coverage: Option<f64> = None;
-    while let Some(flag) = flags.token() {
-        match flag.as_str() {
-            "--seed" => seed = flags.value(&flag)?,
-            "--limit" => limit = flags.value(&flag)?,
-            "--min-coverage" => min_coverage = Some(flags.value(&flag)?),
-            _ => return Err(Flags::unexpected(&flag)),
-        }
-    }
-    let quick = Quick::new(seed, limit, None)?;
-
-    let wall_start = Instant::now();
-    let telemetry = TelemetryHandle::new(Arc::new(MetricsRegistry::new()));
-    let run = Evaluation::new(&quick.model, &quick.entries, &quick.config)
-        .telemetry(&telemetry)
-        .run();
-    let (evaluation, profile) = (run.evaluation, run.profile.expect("telemetry is on"));
-    let wall = wall_start.elapsed();
-
-    // The rendered profile must round-trip through the parser — the same
-    // contract CI leans on before feeding it to flamegraph tooling.
-    let rendered = profile.render();
-    let reparsed = CollapsedProfile::parse(&rendered)
-        .map_err(|err| format!("rendered profile does not re-parse: {err}"))?;
-    if reparsed.total() != profile.total() {
-        return Err(Failure::Runtime(
-            "profile render/parse round-trip lost observations".to_string(),
-        ));
-    }
-    print!("{rendered}");
-
-    let coverage = 100.0 * profile.total() as f64 / wall.as_nanos().max(1) as f64;
-    eprintln!(
-        "svobs prof: {} cases, pass@1 {:.1}%, wall {:.3}s, {:.1}% attributed to {} stages",
-        quick.entries.len(),
-        evaluation.passk().pass1_percent(),
-        wall.as_secs_f64(),
-        coverage,
-        profile.frames().count(),
-    );
-    match min_coverage {
-        Some(bar) if coverage < bar => Err(Failure::Runtime(format!(
-            "attribution {coverage:.1}% is below the {bar:.1}% bar"
-        ))),
-        _ => Ok(()),
-    }
-}
+use svserve::{TraceForest, TraceHandle};
 
 /// `svobs trace` — render the causal trace tree of an evaluation.
 ///
 /// Runs the quick protocol over the human-crafted corpus with the trace
-/// plane on and prints the reconstructed trace forest: one tree per repair
-/// session, `session` at the root, `submit`/`sample`/`verify`/`evaluate`
-/// below it, each line carrying the span's logical start tick,
-/// content-derived units and wall-clock nanoseconds.
+/// plane on and prints the rendered trace forest: one tree per traced case,
+/// `session` at the root, `submit`/`sample`/`verify`/`evaluate` below it,
+/// each line carrying the span's logical start tick, content-derived units
+/// and wall-clock nanoseconds.
 ///
 /// * `--deterministic` prints only the content-derived fields (the
 ///   byte-comparison projection; wall clocks omitted).
 /// * `--flame` prints collapsed stacks (`session;verify 1234` per line) —
-///   the format `svobs prof`, `flamegraph.pl` and `inferno` consume; the root
-///   frame carries the unattributed residual so totals tile.
+///   the format `flamegraph.pl` and `inferno` consume; the root frame
+///   carries the unattributed residual so totals tile.
 /// * `--slowest N` prints the N slowest sessions by root wall-clock with
 ///   their attribution coverage (how much of each session's wall the named
 ///   child spans explain).
 /// * `--min-coverage PCT` exits 1 unless every listed session attributes at
-///   least PCT% of its wall-clock to named spans (CI pins 95).
+///   least PCT% of its wall-clock to its stage spans (CI pins 95).
 /// * `--out PATH` additionally writes the forest as JSONL, one span per
 ///   line.
 pub fn trace(mut flags: Flags) -> Outcome {

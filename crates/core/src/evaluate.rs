@@ -16,13 +16,12 @@ use svmodel::{CaseInput, RepairModel, Response};
 use svparse::FrontEnd;
 use svserve::env::path_knob;
 use svserve::persist::{fnv64, VerdictSnapshot};
-use svserve::stage as trace_stage;
 use svserve::{
     env_cache_dir, env_drivers, env_journal_dir, render_journal, serve_scoped, verdict_case_state,
-    verdict_key_of_fields, write_journal, CollapsedProfile, JournalHeader, JournalRecord, Memo,
-    PersistSpec, RepairRequest, ScopedService, ServiceConfig, TelemetryHandle, TraceContext,
-    TraceHandle, TraceSpan, TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig,
-    VerifyMetrics, DEFAULT_COMPACT_AFTER_RUNS,
+    verdict_key_of_fields, write_journal, JournalHeader, JournalRecord, Memo, PersistSpec,
+    RepairRequest, ScopedService, ServiceConfig, TelemetryHandle, TraceHandle, TracedCase,
+    TracerHandle, VerdictCaseState, VerdictKey, VerifyConfig, VerifyMetrics,
+    DEFAULT_COMPACT_AFTER_RUNS,
 };
 use svverify::{CheckConfig, VerifyOracle};
 
@@ -591,11 +590,24 @@ impl JournalManifest {
         entries: &[SvaBugEntry],
         config: &EvalConfig,
     ) -> Self {
+        let corpus = corpus_fingerprint(entries);
+        Self::for_corpus(model_tag, corpus_tag, model_identity, corpus, config)
+    }
+
+    /// [`JournalManifest::for_protocol`] over a corpus already folded by
+    /// [`corpus_fingerprint`].
+    fn for_corpus(
+        model_tag: &str,
+        corpus_tag: &str,
+        model_identity: &str,
+        corpus: u64,
+        config: &EvalConfig,
+    ) -> Self {
         Self {
             model: model_identity.to_string(),
             model_tag: model_tag.to_string(),
             corpus_tag: corpus_tag.to_string(),
-            corpus_fnv: format!("{:016x}", corpus_fingerprint(entries)),
+            corpus_fnv: format!("{corpus:016x}"),
             samples: config.samples as u64,
             temperature_milli: (config.temperature * 1000.0).round() as u64,
             seed: config.seed,
@@ -631,18 +643,19 @@ pub(crate) fn corpus_fingerprint(entries: &[SvaBugEntry]) -> u64 {
 }
 
 /// `<dir>/journal-<model slug>-<hash>.jsonl`: where a run's journal goes.
-/// The hash covers model identity, protocol seed and corpus, so runs that
-/// differ in any of them never share a file.
+/// The hash covers model identity, protocol seed and the corpus (its
+/// [`corpus_fingerprint`]), so runs that differ in any of them never share a
+/// file.
 fn journal_path(
     dir: &std::path::Path,
     identity: &str,
-    entries: &[SvaBugEntry],
+    corpus: u64,
     config: &EvalConfig,
 ) -> std::path::PathBuf {
     let mut keyed = identity.as_bytes().to_vec();
     keyed.push(0);
     keyed.extend_from_slice(&config.seed.to_le_bytes());
-    keyed.extend_from_slice(&corpus_fingerprint(entries).to_le_bytes());
+    keyed.extend_from_slice(&corpus.to_le_bytes());
     let hash = fnv64(&keyed) as u32;
     dir.join(format!("journal-{}-{hash:08x}.jsonl", file_slug(identity)))
 }
@@ -685,31 +698,30 @@ pub fn evaluate_model_journaled<M: RepairModel + Sync + ?Sized>(
     (run.evaluation, run.journal.expect("the journal is on"))
 }
 
-/// [`Evaluation`] with the stage profile on; the profile itself is dropped
-/// (read it from [`EvaluationRun::profile`]).
+/// The plain [`Evaluation`]; the [`TelemetryHandle`] is an ignored
+/// placeholder the benchmark harness still passes.
 pub fn evaluate_model_instrumented<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
-    telemetry: &TelemetryHandle,
+    _telemetry: &TelemetryHandle,
 ) -> ModelEvaluation {
-    let evaluation = Evaluation::new(model, entries, config).telemetry(telemetry);
-    evaluation.run().evaluation
+    evaluate_model(model, entries, config)
 }
 
-/// [`Evaluation`] with a borrowed verifier, the stage profile and the trace
-/// plane; the [`TracerHandle`] is ignored.
+/// [`Evaluation`] with a borrowed verifier and the trace plane; the
+/// [`TracerHandle`] and [`TelemetryHandle`] are ignored.
 pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
     model: &M,
     entries: &[SvaBugEntry],
     config: &EvalConfig,
     verifier: &EvalVerifier,
     _tracer: &TracerHandle,
-    telemetry: &TelemetryHandle,
+    _telemetry: &TelemetryHandle,
     trace: &TraceHandle,
 ) -> ModelEvaluation {
-    let evaluation = Evaluation::new(model, entries, config).telemetry(telemetry);
-    evaluation.trace(trace).verifier(verifier).run().evaluation
+    let evaluation = Evaluation::new(model, entries, config).trace(trace);
+    evaluation.verifier(verifier).run().evaluation
 }
 
 /// One run of the paper's protocol — `n` samples per case at the configured
@@ -721,10 +733,11 @@ pub fn evaluate_model_observed<M: RepairModel + Sync + ?Sized>(
 /// so it is identical at any driver count, with warm or cold caches.  A
 /// facility that is off costs one branch per instrumented site.  Each case
 /// driver returns what it observed of its cases — a journal record per case
-/// and, with tracing on, a five-span tree (a `session` root over `submit` →
-/// `sample` → `verify` → `evaluate` laps that tile it) — so the drivers
-/// share nothing but the two memos.  The run sorts the records into the
-/// journal and hands the spans to the trace handle in one call; both are
+/// and, with tracing on, that record again with the walls of the case's five
+/// stages (a `session` over `submit` → `sample` → `verify` → `evaluate`
+/// laps that tile it) — so the drivers share nothing but the two memos.  The
+/// run sorts the records into the journal and hands the traced cases to the
+/// trace handle in one call; the journal and the rendered trace are
 /// byte-identical at any driver count ([`svserve::trace`]).
 ///
 /// The journal is rendered when [`Evaluation::journal`] is on or a journal
@@ -740,7 +753,6 @@ pub struct Evaluation<'a, M: ?Sized> {
     verifier: Option<&'a EvalVerifier>,
     journal: Option<&'a JournalManifest>,
     trace: TraceHandle,
-    telemetry: TelemetryHandle,
     /// [`RepairModel::identity`], derived on first read: only a cache
     /// snapshot name and the journal read it.
     identity: OnceCell<String>,
@@ -754,9 +766,6 @@ pub struct EvaluationRun {
     /// The rendered session journal, when [`Evaluation::journal`] was on or a
     /// journal directory resolved.
     pub journal: Option<String>,
-    /// The `evaluate;{setup,sessions,report}` profile of this run, when
-    /// [`Evaluation::telemetry`] was on.
-    pub profile: Option<CollapsedProfile>,
 }
 
 impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
@@ -770,7 +779,6 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
             verifier: None,
             journal: None,
             trace: TraceHandle::off(),
-            telemetry: TelemetryHandle::off(),
             identity: OnceCell::new(),
         }
     }
@@ -788,49 +796,37 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         self
     }
 
-    /// Hands the per-case trace trees to `trace`; the caller drains it.
+    /// Hands the traced cases to `trace`; the caller drains it.
     pub fn trace(mut self, trace: &TraceHandle) -> Self {
         self.trace = trace.clone();
         self
     }
 
-    /// Records the run's stage profile ([`EvaluationRun::profile`]) when
-    /// `telemetry` is on.
-    pub fn telemetry(mut self, telemetry: &TelemetryHandle) -> Self {
-        self.telemetry = telemetry.clone();
-        self
-    }
-
     /// Runs the evaluation.
     pub fn run(self) -> EvaluationRun {
-        let mut stages = StageClock::start(&self.telemetry);
         let owned = (self.verifier.is_none()).then(|| EvalVerifier::start(self.config));
         let verifier = self.verifier.or(owned.as_ref()).expect("a verifier");
         // Every case on the one case driver (`drive_cases`), sampled by an
-        // in-process repair pool serving in place, as the run's `sessions`
-        // stage.
+        // in-process repair pool serving in place.
         let service_config = (self.config).service_config_with(|| self.identity());
         let cases = serve_scoped(self.model, service_config, |service| {
             let driver = CaseDriver {
                 service,
                 verifier,
                 config: self.config,
-                trace: &self.trace,
+                traced: self.trace.is_on(),
             };
-            stages.lap();
-            let cases = drive_cases(&driver, self.entries);
-            stages.lap();
-            cases
+            drive_cases(&driver, self.entries)
         });
-        let (mut records, mut spans) = (Vec::with_capacity(cases.len()), Vec::new());
+        let (mut records, mut traced) = (Vec::with_capacity(cases.len()), Vec::new());
         let results = (cases.into_iter())
             .map(|case| {
                 records.push(case.record);
-                spans.extend(case.spans);
+                traced.extend(case.traced);
                 case.result
             })
             .collect();
-        self.trace.extend(spans);
+        self.trace.extend(traced);
         let evaluation = ModelEvaluation {
             model: self.model.name().to_string(),
             results,
@@ -838,12 +834,10 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
         if let Some(owned) = owned {
             owned.shutdown();
         }
-        stages.lap();
         let journal = self.rendered_journal(&evaluation, records);
         EvaluationRun {
             evaluation,
             journal,
-            profile: stages.profile,
         }
     }
 
@@ -855,23 +849,25 @@ impl<'a, M: RepairModel + Sync + ?Sized> Evaluation<'a, M> {
     /// The rendered journal of `records`, when [`Evaluation::journal`] gave
     /// a manifest or a journal directory resolves.  A resolved directory
     /// also gets the file, best effort: an unwritable directory must not
-    /// fail the evaluation itself.
+    /// fail the evaluation itself.  The run folds its corpus at most once,
+    /// for the file's name and a record-only manifest alike.
     fn rendered_journal(
         &self,
         evaluation: &ModelEvaluation,
         mut records: Vec<JournalRecord>,
     ) -> Option<String> {
         let dir = self.config.resolved_journal_dir();
-        let record_only = (self.journal.is_none() && dir.is_some()).then(|| {
-            JournalManifest::for_protocol("", "", self.identity(), self.entries, self.config)
+        let corpus = dir.as_ref().map(|_| corpus_fingerprint(self.entries));
+        let record_only = corpus.filter(|_| self.journal.is_none()).map(|corpus| {
+            JournalManifest::for_corpus("", "", self.identity(), corpus, self.config)
         });
         let manifest = self.journal.or(record_only.as_ref())?;
         records.sort_unstable();
         let header = JournalHeader::expected(&manifest.render());
         let payload = serde_json::to_string(evaluation).expect("evaluation serializes");
         let rendered = render_journal(&header, &records, &payload);
-        if let Some(dir) = dir {
-            let path = journal_path(&dir, self.identity(), self.entries, self.config);
+        if let (Some(dir), Some(corpus)) = (dir, corpus) {
+            let path = journal_path(&dir, self.identity(), corpus, self.config);
             let _ = write_journal(&path, &rendered);
         }
         Some(rendered)
@@ -887,58 +883,22 @@ fn request_for(entry: &SvaBugEntry, config: &EvalConfig) -> RepairRequest {
     )
 }
 
-/// The tiled `evaluate;{setup,sessions,report}` stage timers: each lap
-/// closes the next stage at the time since the previous lap, so the three
-/// cover the run's wall-clock end to end (`svobs prof` asserts ≥ 95%
-/// attributed); with telemetry on, `profile` records them as frames.
-/// [`Evaluation::run`] starts the clock before it builds an owned verifier
-/// and takes the `report` lap after that verifier's shutdown, so its snapshot
-/// preload and flush are attributed too.
-struct StageClock {
-    clock: Instant,
-    laps: usize,
-    /// `None` while telemetry is off.
-    profile: Option<CollapsedProfile>,
-}
-
-impl StageClock {
-    fn start(telemetry: &TelemetryHandle) -> Self {
-        Self {
-            clock: Instant::now(),
-            laps: 0,
-            profile: telemetry.is_on().then(CollapsedProfile::new),
-        }
-    }
-
-    fn lap(&mut self) {
-        let now = Instant::now();
-        let elapsed = now.duration_since(self.clock);
-        self.clock = now;
-        let frame = ["evaluate;setup", "evaluate;sessions", "evaluate;report"][self.laps];
-        self.laps += 1;
-        if let Some(profile) = &mut self.profile {
-            profile.record(frame, elapsed.as_nanos() as u64);
-        }
-    }
-}
-
 /// What every case of one run shares: the in-process repair pool that
 /// samples it (solving on the calling thread), the verifier that judges it,
-/// the protocol, and the trace handle, read only for each case's root
-/// context.
+/// the protocol, and whether tracing is on.
 struct CaseDriver<'s, M: ?Sized> {
     service: &'s ScopedService<'s, M>,
     verifier: &'s EvalVerifier,
     config: &'s EvalConfig,
-    trace: &'s TraceHandle,
+    traced: bool,
 }
 
 /// What a case driver observed of one case: its result, its journal record
-/// and, with tracing on, its five spans.
+/// and, with tracing on, that record with its stage walls.
 struct CaseRun {
     result: CaseResult,
     record: JournalRecord,
-    spans: Vec<TraceSpan>,
+    traced: Option<TracedCase>,
 }
 
 /// The one case driver: every case of `entries` sampled and judged through
@@ -996,66 +956,54 @@ fn default_parallelism() -> usize {
         .min(8)
 }
 
-/// One case, sampled and judged on the calling thread.  Its trace gets one
-/// lap per stage, each covering the time since the previous one, so the four
-/// child spans tile the `session` root's wall (`svobs trace`'s ≥ 95% bar):
-/// `submit` builds the request, `sample` solves it, `verify` dedups the
-/// candidates into verdict jobs and `evaluate` judges and tallies them.
+/// One case, sampled and judged on the calling thread.  With tracing on,
+/// each lap reads the clock once and closes the next stage at the time since
+/// the previous lap, so the `submit`, `sample`, `verify` and `evaluate` walls
+/// tile the `session` wall (`svobs trace`'s ≥ 95% bar); off, no clock is
+/// read.  `submit` builds the request, `sample` solves it, `verify` dedups
+/// the candidates into verdict jobs and `evaluate` judges and tallies them.
 fn run_case<M: RepairModel + ?Sized>(driver: &CaseDriver<'_, M>, entry: &SvaBugEntry) -> CaseRun {
     let verifier = driver.verifier;
     let request = request_for(entry, driver.config);
-    let (key, samples, start) = (request.key(), request.samples, Instant::now());
-    let mut laps = Laps::new(driver.trace.root(key), start);
-    laps.lap("submit", trace_stage::SUBMIT, samples);
+    let (key, requested) = (request.key(), request.samples);
+    let start = driver.traced.then(Instant::now);
+    let (mut walls, mut last, mut stage) = ([0u64; 5], start, 0);
+    let mut lap = || {
+        if let Some(last) = &mut last {
+            let now = Instant::now();
+            stage += 1;
+            walls[stage] = now.duration_since(*last).as_nanos() as u64;
+            *last = now;
+        }
+    };
+    lap();
     let responses = driver.service.submit(request).expect(OPEN).wait().responses;
     let n = responses.len();
-    laps.lap("sample", trace_stage::SAMPLE, n);
+    lap();
     let candidates = distinct_candidates(verifier, entry, &responses);
     let distinct = candidates.len();
-    laps.lap("verify", trace_stage::VERIFY, distinct);
+    lap();
     let c = judge_candidates(verifier, &mut JudgedCase::new(entry), candidates);
-    laps.lap("evaluate", trace_stage::EVALUATE, c);
-    if let Some(root) = &laps.root {
-        let wall = start.elapsed().as_nanos() as u64;
-        let session = TraceSpan::new(root, "session", trace_stage::SESSION, n as u64, wall);
-        laps.spans.push(session);
-    }
+    lap();
     let record = JournalRecord {
         session: key.fold64(),
         samples: n as u64,
         candidates: distinct as u64,
         correct: c as u64,
     };
+    let traced = start.map(|start| {
+        walls[0] = start.elapsed().as_nanos() as u64;
+        let requested = requested as u64;
+        TracedCase {
+            record,
+            requested,
+            walls,
+        }
+    });
     CaseRun {
         result: build_case_result(entry, n, c),
         record,
-        spans: laps.spans,
-    }
-}
-
-/// A case's trace laps, recorded while its trace is on.
-struct Laps {
-    root: Option<TraceContext>,
-    clock: Instant,
-    spans: Vec<TraceSpan>,
-}
-
-impl Laps {
-    fn new(root: Option<TraceContext>, start: Instant) -> Self {
-        Self {
-            root,
-            clock: start,
-            spans: Vec::new(),
-        }
-    }
-
-    fn lap(&mut self, label: &str, seq: u32, units: usize) {
-        if let Some(root) = &self.root {
-            let wall = self.clock.elapsed().as_nanos() as u64;
-            self.clock = Instant::now();
-            let lap = TraceSpan::new(&root.child(label), label, seq, units as u64, wall);
-            self.spans.push(lap);
-        }
+        traced,
     }
 }
 

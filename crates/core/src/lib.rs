@@ -13,10 +13,10 @@
 //!
 //! Every evaluation runs one body, [`Evaluation`]: `Evaluation::new(model,
 //! entries, config)` is the plain protocol, and `.verifier(..)`,
-//! `.journal(..)`, `.trace(..)` and `.telemetry(..)` each switch on one
-//! facility; [`Evaluation::run`] returns the
-//! [`ModelEvaluation`] plus, when they are on, the rendered journal and the
-//! stage profile; a run also writes its journal wherever
+//! `.journal(..)` and `.trace(..)` each switch on one facility;
+//! [`Evaluation::run`] returns the [`ModelEvaluation`] plus, when it is on,
+//! the rendered journal, and hands each traced case to the trace handle; a
+//! run also writes its journal wherever
 //! `EvalConfig::journal_dir` or `ASSERTSOLVER_JOURNAL_DIR` resolves.
 //! [`evaluate_model`] is the plain builder; [`evaluate_model_with`],
 //! [`evaluate_model_journaled`], [`evaluate_model_instrumented`] and

@@ -35,9 +35,10 @@
 //!   checksummed JSONL artifact whose bytes are deterministic at any driver
 //!   count — a replayable repro artifact, not just a log.  Memo events
 //!   (cache lookups, panics) are counted once, in the memo metrics.
-//! * **Stage profile** — a [`TelemetryHandle`] that is on has an evaluation
-//!   time its setup, sessions and report stages as a [`CollapsedProfile`]
-//!   ([`telemetry`]).
+//! * **Trace** — with a [`TraceHandle`] on, each case driver also returns
+//!   its case's [`TracedCase`]: the journal record, the samples requested
+//!   and five stage walls, rendered as a content-addressed span tree per
+//!   case whose ids are byte-identical at any driver count ([`trace`]).
 //! * **Frame protocol** — a checksummed, length-capped frame codec ([`wire`])
 //!   with an in-process loopback transport and a [`ShardFleet`] client placing
 //!   requests by content hash (per-shard caches stay disjoint; answers are
@@ -74,7 +75,6 @@ pub mod persist;
 pub mod pool;
 pub mod service;
 pub(crate) mod sync;
-pub mod telemetry;
 pub mod trace;
 pub mod verify;
 pub mod wire;
@@ -86,7 +86,7 @@ pub use env::{
 };
 pub use journal::{
     parse_journal, render_journal, write_journal, JournalFooter, JournalHeader, JournalRecord,
-    ParsedJournal, TracerHandle,
+    MetricsRegistry, ParsedJournal, TelemetryHandle, TracerHandle,
 };
 pub use metrics::{ServiceMetrics, VerifyMetrics};
 pub use persist::{
@@ -97,8 +97,7 @@ pub use service::{
     serve_scoped, RepairOutcome, RepairRequest, RepairService, RepairTicket, ScopedService,
     ServiceConfig,
 };
-pub use telemetry::{CollapsedProfile, MetricsRegistry, TelemetryHandle};
-pub use trace::{stage, TraceContext, TraceForest, TraceHandle, TraceSessionSummary, TraceSpan};
+pub use trace::{CollapsedProfile, TraceForest, TraceHandle, TraceSessionSummary, TracedCase};
 pub use verify::VerifyConfig;
 pub use wire::{
     decode_frame, encode_frame, Frame, LoopbackTransport, ShardFleet, Transport, WireError,
@@ -124,7 +123,7 @@ mod tests {
         assert_send_sync::<super::TelemetryHandle>();
         assert_send_sync::<super::MetricsRegistry>();
         assert_send_sync::<super::TraceHandle>();
-        assert_send_sync::<super::TraceSpan>();
+        assert_send_sync::<super::TracedCase>();
         assert_send_sync::<super::TraceForest>();
     }
 }

@@ -1,28 +1,30 @@
-//! Deterministic tracing: content-derived trace trees that are
-//! byte-identical at any driver count.
+//! Deterministic tracing: one record per traced case, rendered as span trees
+//! that are byte-identical at any driver count.
 //!
-//! Conventional tracers mint span ids from wall clocks or randomness, which
-//! makes two runs of the same workload incomparable.  Here every id is a pure
-//! function of request content:
+//! A traced case ([`TracedCase`]) is what its case driver observed: its
+//! journal record, the samples it requested and the wall clock of each of its
+//! five stages.  The render turns each case into a five-span tree, a
+//! `session` root over `submit` → `sample` → `verify` → `evaluate`, whose
+//! every id is a pure function of the record's session and the handle's
+//! salt, derived when the trace is rendered:
 //!
-//! * a **trace id** is `splitmix64(CaseKey.fold64() ^ TRACE_SALT ^ salt)` —
-//!   the registered salt lets two experiments over the same corpus keep
-//!   disjoint id spaces;
-//! * a **span id** is `splitmix64(parent_span_id ^ fnv64(label))` — the tree
-//!   *shape* is part of the contract, so the same request produces the same
-//!   tree however the evaluation was scheduled;
+//! * a **trace id** is `splitmix64(session ^ TRACE_SALT ^ salt)`, where the
+//!   session is the fold of the case's request key — the salt lets two
+//!   experiments over the same corpus keep disjoint id spaces.  The root
+//!   span's id is its trace id;
+//! * a **stage span id** is `splitmix64(trace_id ^ fnv64(label))`, the
+//!   root its parent;
 //! * a span's **start** is a logical tick of `(trace_id, stage seq)`,
 //!   never a wall clock.
 //!
-//! Wall-clock durations ride along in [`TraceSpan::wall_ns`] as **volatile**
+//! Wall-clock durations ride along in each span's `wall_ns` as **volatile**
 //! payload: they power `svobs trace --slowest` and `--flame`, but are excluded
 //! from [`TraceForest::render_deterministic`], the byte-compared projection.
 
-use crate::cache::CaseKey;
+use crate::journal::JournalRecord;
 use crate::persist::fnv64;
 use crate::service::splitmix64;
 use crate::sync::lock_recover;
-use crate::telemetry::CollapsedProfile;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -30,6 +32,14 @@ use std::sync::{Arc, Mutex};
 /// Salt folded into every trace id, so trace identity is its own hash of the
 /// request key rather than the bare fold.
 const TRACE_SALT: u64 = 0x7CA5_E11A_D157_ACED;
+
+/// The five stages of a traced case, in sequence order: the `session` root,
+/// then the four laps that tile it — `submit` builds the request, `sample`
+/// solves it, `verify` dedups the candidates into verdict jobs and
+/// `evaluate` judges and tallies them.  A stage's index is its sequence
+/// number, so logical start ticks, and with them the render order, are part
+/// of the protocol.
+const STAGES: [&str; 5] = ["session", "submit", "sample", "verify", "evaluate"];
 
 /// Logical timestamp of stage `seq` in trace `trace`.
 ///
@@ -41,105 +51,55 @@ pub(crate) fn logical_tick(trace: u64, seq: u32) -> u64 {
     u64::from(seq) * 16 + jitter
 }
 
-/// Stage sequence numbers: fixed per span name so logical start ticks — and
-/// therefore the deterministic render order — are part of the protocol, not
-/// an accident of scheduling.
-pub mod stage {
-    /// The root session span.
-    pub const SESSION: u32 = 0;
-    /// The case's repair request built for the pool.
-    pub const SUBMIT: u32 = 1;
-    /// Model sampling, served in place.
-    pub const SAMPLE: u32 = 2;
-    /// Candidate dedup into verdict jobs.
-    pub const VERIFY: u32 = 3;
-    /// Verdicts judged and tallied.
-    pub const EVALUATE: u32 = 4;
+/// One traced case: what its case driver observed, with tracing on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TracedCase {
+    /// The case's journal record: its session and its counts.
+    pub record: JournalRecord,
+    /// Samples the case requested (the `submit` span's units).
+    pub requested: u64,
+    /// Wall-clock nanoseconds of the session, submit, sample, verify and
+    /// evaluate stages, in that order (volatile).
+    pub walls: [u64; 5],
 }
 
-/// The identity of one span: enough to derive its children's ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The trace this span belongs to (one trace per repair session).
-    pub(crate) trace_id: u64,
-    /// This span's id.
-    pub(crate) span_id: u64,
-    /// The parent span's id; `None` for the root.
-    pub(crate) parent_span_id: Option<u64>,
-}
-
-impl TraceContext {
-    /// The root context for a request: ids derive from the content hash and
-    /// the registered salt, never from wall clock or randomness.
-    pub fn root(key: CaseKey, salt: u64) -> Self {
-        let trace_id = splitmix64(key.fold64() ^ TRACE_SALT ^ salt);
-        Self {
-            trace_id,
-            span_id: trace_id,
-            parent_span_id: None,
-        }
-    }
-
-    /// A child context under this span: the child id hashes the parent id
-    /// with the stage label, so the same label under the same parent is the
-    /// same span on every machine.
-    pub fn child(&self, label: &str) -> Self {
-        Self {
-            trace_id: self.trace_id,
-            span_id: splitmix64(self.span_id ^ fnv64(label.as_bytes())),
-            parent_span_id: Some(self.span_id),
-        }
+impl TracedCase {
+    /// The wall-clock of the four stages, which tile the session's.
+    fn attributed_ns(&self) -> u64 {
+        let stages = self.walls[1..].iter();
+        stages.fold(0u64, |acc, wall| acc.saturating_add(*wall))
     }
 }
 
-/// One completed span.
+/// One span of a rendered trace tree: a line of `svobs trace --out`.
 ///
 /// `trace`/`span`/`parent`/`name`/`start`/`units` are **deterministic** —
 /// pure functions of request content and tree shape; `wall_ns` is the
 /// **volatile** wall-clock payload and is excluded from the byte-compared
 /// projection ([`TraceForest::render_deterministic`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceSpan {
+pub(crate) struct TraceSpan {
     /// Trace id.
-    pub trace: u64,
+    trace: u64,
     /// Span id.
-    pub span: u64,
+    span: u64,
     /// Parent span id; `None` for the root.
-    pub parent: Option<u64>,
+    parent: Option<u64>,
     /// Stage name (`"session"`, `"submit"`, `"sample"`, …).
-    pub name: String,
+    name: String,
     /// Logical start tick of `(trace, stage seq)`: `seq * 16` plus a jitter
     /// nibble of the trace id.
-    pub start: u64,
+    start: u64,
     /// Content-derived magnitude (samples drawn, candidates judged, …).
-    pub units: u64,
+    units: u64,
     /// Wall-clock duration in nanoseconds (volatile diagnostic).
-    pub wall_ns: u64,
+    wall_ns: u64,
 }
 
 impl TraceSpan {
-    /// Builds the span for `ctx` at stage `seq`.
-    pub fn new(
-        ctx: &TraceContext,
-        name: impl Into<String>,
-        seq: u32,
-        units: u64,
-        wall_ns: u64,
-    ) -> Self {
-        Self {
-            trace: ctx.trace_id,
-            span: ctx.span_id,
-            parent: ctx.parent_span_id,
-            name: name.into(),
-            start: logical_tick(ctx.trace_id, seq),
-            units,
-            wall_ns,
-        }
-    }
-
     /// The deterministic projection of this span: every field except the
     /// wall clock, rendered byte-stably.
-    pub(crate) fn deterministic_line(&self) -> String {
+    fn deterministic_line(&self) -> String {
         let parent = match self.parent {
             Some(parent) => format!("{parent:016x}"),
             None => "-".to_string(),
@@ -153,14 +113,14 @@ impl TraceSpan {
 
 struct TraceCore {
     salt: u64,
-    spans: Mutex<Vec<TraceSpan>>,
+    cases: Mutex<Vec<TracedCase>>,
 }
 
-/// The tracing switch: `off()` by default, one branch per hot-path hook.
+/// The tracing switch: `off()` by default, one branch per case.
 ///
 /// The handle owns the registered salt (folded into every trace id) and the
-/// spans an evaluation hands back; [`TraceHandle::drain`] takes them in
-/// deterministic order.
+/// traced cases an evaluation hands back; [`TraceHandle::drain`] takes them
+/// in deterministic order.
 #[derive(Clone, Default)]
 pub struct TraceHandle(Option<Arc<TraceCore>>);
 
@@ -174,34 +134,33 @@ impl TraceHandle {
     pub fn new(salt: u64) -> Self {
         Self(Some(Arc::new(TraceCore {
             salt,
-            spans: Mutex::new(Vec::new()),
+            cases: Mutex::new(Vec::new()),
         })))
     }
 
-    /// The root context for `key`, or `None` while tracing is off.
-    pub fn root(&self, key: CaseKey) -> Option<TraceContext> {
-        self.0
-            .as_ref()
-            .map(|core| TraceContext::root(key, core.salt))
+    /// Whether tracing is on: a case driver reads its stage clocks only then.
+    pub fn is_on(&self) -> bool {
+        self.0.is_some()
     }
 
-    /// Records a batch of completed spans (an evaluation's, say); dropped
+    /// Records a batch of traced cases (an evaluation's, say); dropped
     /// silently while tracing is off.
-    pub fn extend(&self, spans: Vec<TraceSpan>) {
+    pub fn extend(&self, cases: Vec<TracedCase>) {
         if let Some(core) = &self.0 {
-            lock_recover(&core.spans).extend(spans);
+            lock_recover(&core.cases).extend(cases);
         }
     }
 
-    /// Takes every collected span, sorted and deduplicated the same way
-    /// [`TraceForest::from_spans`] sorts them — collection order (a scheduling
-    /// artifact) never leaks into the output.
-    pub fn drain(&self) -> Vec<TraceSpan> {
-        let spans = match &self.0 {
-            Some(core) => std::mem::take(&mut *lock_recover(&core.spans)),
-            None => Vec::new(),
+    /// Takes the salt and every traced case, sorted and merged the way
+    /// [`TraceForest::from_spans`] sorts them — collection order (a
+    /// scheduling artifact) never leaks into the output.
+    pub fn drain(&self) -> (u64, Vec<TracedCase>) {
+        let Some(core) = &self.0 else {
+            return (0, Vec::new());
         };
-        TraceForest::from_spans(spans).into_spans()
+        let cases = std::mem::take(&mut *lock_recover(&core.cases));
+        let sessions = merged(core.salt, cases).into_iter();
+        (core.salt, sessions.map(|(_, case)| case).collect())
     }
 }
 
@@ -215,23 +174,21 @@ impl std::fmt::Debug for TraceHandle {
     }
 }
 
-/// Per-root-span summary: the numbers `svobs trace --slowest` mines.
+/// Per-session summary: the numbers `svobs trace --slowest` mines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSessionSummary {
     /// Trace id.
     pub trace: u64,
-    /// Root span name.
-    pub name: String,
-    /// The root span's wall-clock duration.
+    /// The session's wall-clock duration.
     pub wall_ns: u64,
-    /// Wall-clock attributed to named descendant spans.
+    /// Wall-clock attributed to its four stage spans.
     pub attributed_ns: u64,
-    /// The root span's content-derived magnitude.
+    /// Samples the session drew.
     pub units: u64,
 }
 
 impl TraceSessionSummary {
-    /// Fraction of the session's wall-clock attributed to named child spans
+    /// Fraction of the session's wall-clock attributed to its stage spans
     /// (1.0 for a zero-duration session — nothing is unaccounted for).
     pub fn coverage(&self) -> f64 {
         if self.wall_ns == 0 {
@@ -242,183 +199,149 @@ impl TraceSessionSummary {
     }
 }
 
-/// A reconstructed set of trace trees: spans sorted deterministically, with
-/// duplicates (the same span recorded twice) merged.
-///
-/// Duplicate deterministic keys arise in-process: twin cases (the same
-/// request content judged against different golden fixes) share a
-/// [`CaseKey`], so their sessions derive the same span ids.  Duplicates share
-/// every deterministic field, so the merge keeps one span with the **max**
-/// wall clock.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TraceForest {
-    spans: Vec<TraceSpan>,
+/// Sorts traced cases by trace id under `salt` and merges exact duplicates:
+/// twin cases (the same request content judged against different golden
+/// fixes) share a session, and when their counts agree too they are one
+/// session, kept with the **larger** wall per stage.
+fn merged(salt: u64, cases: Vec<TracedCase>) -> Vec<(u64, TracedCase)> {
+    let mut merged: BTreeMap<(u64, JournalRecord, u64), [u64; 5]> = BTreeMap::new();
+    for case in cases {
+        let trace = splitmix64(case.record.session ^ TRACE_SALT ^ salt);
+        let walls = merged.entry((trace, case.record, case.requested));
+        let walls = walls.or_default();
+        for (wall, lap) in walls.iter_mut().zip(case.walls) {
+            *wall = (*wall).max(lap);
+        }
+    }
+    let session = |((trace, record, requested), walls)| {
+        let case = TracedCase {
+            record,
+            requested,
+            walls,
+        };
+        (trace, case)
+    };
+    merged.into_iter().map(session).collect()
 }
 
-/// The deterministic identity of a span — every field except the volatile
-/// wall clock.  Two recordings of the same logical span produce the same
-/// key, which is what lets [`TraceForest::from_spans`] merge them.
-type SpanKey = (u64, u64, u64, String, u64, Option<u64>);
+/// The traced sessions of one or more evaluations, sorted by trace id with
+/// exact duplicates merged, and their renders: each session is a five-span
+/// tree.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct TraceForest {
+    /// `(trace id, case)` per session, in trace-id order.
+    sessions: Vec<(u64, TracedCase)>,
+}
 
 impl TraceForest {
-    /// Builds a forest: sorts by the deterministic key and merges duplicates.
-    pub fn from_spans(spans: Vec<TraceSpan>) -> Self {
-        let mut merged: BTreeMap<SpanKey, u64> = BTreeMap::new();
-        for span in spans {
-            let key = (
-                span.trace,
-                span.start,
-                span.span,
-                span.name,
-                span.units,
-                span.parent,
-            );
-            let wall = merged.entry(key).or_insert(0);
-            *wall = (*wall).max(span.wall_ns);
+    /// Builds a forest from what [`TraceHandle::drain`] took: the salt and
+    /// the traced cases, sorted and merged.
+    pub fn from_spans((salt, cases): (u64, Vec<TracedCase>)) -> Self {
+        Self {
+            sessions: merged(salt, cases),
         }
-        let spans = merged
-            .into_iter()
-            .map(
-                |((trace, start, span, name, units, parent), wall_ns)| TraceSpan {
-                    trace,
-                    span,
-                    parent,
-                    name,
-                    start,
-                    units,
-                    wall_ns,
-                },
-            )
-            .collect();
-        Self { spans }
     }
 
-    /// The spans in deterministic order.
-    pub fn spans(&self) -> &[TraceSpan] {
-        &self.spans
-    }
-
-    /// Consumes the forest, returning the sorted spans.
-    pub(crate) fn into_spans(self) -> Vec<TraceSpan> {
-        self.spans
-    }
-
-    /// Number of spans.
+    /// Number of spans: five per session.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        STAGES.len() * self.sessions.len()
     }
 
     /// Whether the forest holds no spans.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.sessions.is_empty()
     }
 
-    /// Root spans (no parent, or parent absent from the set), in order.
-    fn roots(&self) -> Vec<&TraceSpan> {
-        let ids: std::collections::BTreeSet<u64> = self.spans.iter().map(|s| s.span).collect();
-        self.spans
-            .iter()
-            .filter(|s| match s.parent {
-                None => true,
-                Some(parent) => !ids.contains(&parent),
+    /// Every span in render order: per session, the root and then its four
+    /// stages.
+    fn spans(&self) -> impl Iterator<Item = TraceSpan> + '_ {
+        self.sessions.iter().flat_map(|&(trace, ref case)| {
+            let record = &case.record;
+            let units = [
+                record.samples,
+                case.requested,
+                record.samples,
+                record.candidates,
+                record.correct,
+            ];
+            (0..STAGES.len()).map(move |seq| {
+                let label = STAGES[seq];
+                let parent = (seq > 0).then_some(trace);
+                TraceSpan {
+                    trace,
+                    span: parent.map_or(trace, |root| splitmix64(root ^ fnv64(label.as_bytes()))),
+                    parent,
+                    name: label.to_string(),
+                    start: logical_tick(trace, seq as u32),
+                    units: units[seq],
+                    wall_ns: case.walls[seq],
+                }
             })
-            .collect()
+        })
     }
 
-    fn children_of(&self, trace: u64, span: u64) -> Vec<&TraceSpan> {
-        self.spans
-            .iter()
-            .filter(|s| s.trace == trace && s.parent == Some(span) && s.span != span)
-            .collect()
+    /// One line per span, stages indented under their session, with the
+    /// wall clock unless `deterministic`.
+    fn render_lines(&self, deterministic: bool) -> String {
+        let mut out = String::new();
+        for span in self.spans() {
+            if span.parent.is_some() {
+                out.push_str("  ");
+            }
+            out.push_str(&span.deterministic_line());
+            if !deterministic {
+                out.push_str(&format!(" wall_ns={}", span.wall_ns));
+            }
+            out.push('\n');
+        }
+        out
     }
 
-    fn render_node(&self, span: &TraceSpan, depth: usize, deterministic: bool, out: &mut String) {
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-        out.push_str(&span.deterministic_line());
-        if !deterministic {
-            out.push_str(&format!(" wall_ns={}", span.wall_ns));
-        }
-        out.push('\n');
-        for child in self.children_of(span.trace, span.span) {
-            self.render_node(child, depth + 1, deterministic, out);
-        }
-    }
-
-    /// The byte-compared projection: the full tree, indented, deterministic
-    /// fields only.  Identical for the same corpus at any driver count, warm
-    /// or cold.
+    /// The byte-compared projection: every tree, stages indented under
+    /// their session, deterministic fields only.  Identical for the same
+    /// corpus at any driver count, warm or cold.
     pub fn render_deterministic(&self) -> String {
-        let mut out = String::new();
-        for root in self.roots() {
-            self.render_node(root, 0, true, &mut out);
-        }
-        out
+        self.render_lines(true)
     }
 
-    /// The full tree including per-span wall clocks (for humans, not for
-    /// byte comparison).
+    /// The trees including per-span wall clocks (for humans, not for byte
+    /// comparison).
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        for root in self.roots() {
-            self.render_node(root, 0, false, &mut out);
-        }
-        out
+        self.render_lines(false)
     }
 
-    /// Collapsed-stack projection of the wall clocks: one
-    /// `root;…;span wall_ns` frame per span path (the format `svobs prof`,
-    /// `flamegraph.pl` and `inferno` consume).  The root frame carries the
-    /// session's *unattributed* residual so the profile total equals the sum
-    /// of root walls.
+    /// Collapsed-stack projection of the wall clocks: one `session;<stage>
+    /// wall_ns` frame per stage, summed over sessions (the format
+    /// `flamegraph.pl` and `inferno` consume).  The `session` frame carries
+    /// the sessions' *unattributed* residual, so the profile total equals
+    /// the sum of session walls.
     pub fn collapsed(&self) -> CollapsedProfile {
-        let mut profile = CollapsedProfile::new();
-        for root in self.roots() {
-            let attributed = self.collapse_children(root, &root.name.clone(), &mut profile);
-            profile.record(&root.name, root.wall_ns.saturating_sub(attributed));
+        let mut profile = CollapsedProfile::default();
+        for (_, case) in &self.sessions {
+            for (label, wall) in STAGES.iter().zip(case.walls).skip(1) {
+                profile.record(&format!("{};{label}", STAGES[0]), wall);
+            }
+            profile.record(
+                STAGES[0],
+                case.walls[0].saturating_sub(case.attributed_ns()),
+            );
         }
         profile
     }
 
-    fn collapse_children(
-        &self,
-        span: &TraceSpan,
-        path: &str,
-        profile: &mut CollapsedProfile,
-    ) -> u64 {
-        let mut attributed = 0u64;
-        for child in self.children_of(span.trace, span.span) {
-            let child_path = format!("{path};{}", child.name);
-            let nested = self.collapse_children(child, &child_path, profile);
-            profile.record(&child_path, child.wall_ns.saturating_sub(nested));
-            attributed = attributed.saturating_add(child.wall_ns);
-        }
-        attributed
-    }
-
-    /// One summary per root span, in deterministic order.
+    /// One summary per session, in trace-id order.
     pub fn sessions(&self) -> Vec<TraceSessionSummary> {
-        self.roots()
-            .iter()
-            .map(|root| TraceSessionSummary {
-                trace: root.trace,
-                name: root.name.clone(),
-                wall_ns: root.wall_ns,
-                attributed_ns: self.attributed_below(root),
-                units: root.units,
-            })
-            .collect()
+        let summary = |&(trace, ref case): &(u64, TracedCase)| TraceSessionSummary {
+            trace,
+            wall_ns: case.walls[0],
+            attributed_ns: case.attributed_ns(),
+            units: case.record.samples,
+        };
+        self.sessions.iter().map(summary).collect()
     }
 
-    fn attributed_below(&self, root: &TraceSpan) -> u64 {
-        self.children_of(root.trace, root.span)
-            .iter()
-            .fold(0u64, |acc, child| acc.saturating_add(child.wall_ns))
-    }
-
-    /// The `n` slowest sessions by root wall-clock (ties broken by trace id,
-    /// so the listing is stable).
+    /// The `n` slowest sessions by wall-clock (ties broken by trace id, so
+    /// the listing is stable).
     pub fn slowest(&self, n: usize) -> Vec<TraceSessionSummary> {
         let mut sessions = self.sessions();
         sessions.sort_by(|a, b| b.wall_ns.cmp(&a.wall_ns).then(a.trace.cmp(&b.trace)));
@@ -426,12 +349,55 @@ impl TraceForest {
         sessions
     }
 
-    /// Serializes the forest as JSONL (one span per line, deterministic
-    /// order) — what `svobs trace --out` writes.
+    /// Serializes the forest as JSONL (one span per line, render order) —
+    /// what `svobs trace --out` writes.
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
-        for span in &self.spans {
-            out.push_str(&serde_json::to_string(span).expect("trace spans serialize"));
+        for span in self.spans() {
+            out.push_str(&serde_json::to_string(&span).expect("trace spans serialize"));
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// A flamegraph-compatible collapsed-stack profile: `frame;frame value`
+/// lines, one per stack, values in nanoseconds, sorted by stack for
+/// byte-stable rendering.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct CollapsedProfile {
+    frames: BTreeMap<String, u64>,
+}
+
+impl CollapsedProfile {
+    /// Adds `nanos` to the `stack` frame (frames merge by stack name).
+    fn record(&mut self, stack: &str, nanos: u64) {
+        let slot = self.frames.entry(stack.to_string()).or_insert(0);
+        *slot = slot.saturating_add(nanos);
+    }
+
+    /// The frames in render order.
+    pub fn frames(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.frames
+            .iter()
+            .map(|(stack, value)| (stack.as_str(), *value))
+    }
+
+    /// Sum of every frame value — the attributed portion of the profile.
+    pub fn total(&self) -> u64 {
+        self.frames
+            .values()
+            .fold(0u64, |acc, v| acc.saturating_add(*v))
+    }
+
+    /// Renders the collapsed-stack text (`stack value` per line; the format
+    /// `flamegraph.pl` and `inferno` consume).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (stack, value) in &self.frames {
+            out.push_str(stack);
+            out.push(' ');
+            out.push_str(&value.to_string());
             out.push('\n');
         }
         out
@@ -444,16 +410,13 @@ mod tests {
     use crate::cache::case_key;
     use svmodel::CaseInput;
 
-    fn key(tag: usize) -> CaseKey {
-        case_key(
-            &CaseInput {
-                spec: format!("spec {tag}"),
-                buggy_source: format!("module m{tag}(); endmodule"),
-                logs: String::new(),
-            },
-            3,
-            0.2,
-        )
+    fn session(tag: usize) -> u64 {
+        let case = CaseInput {
+            spec: format!("spec {tag}"),
+            buggy_source: format!("module m{tag}(); endmodule"),
+            logs: String::new(),
+        };
+        case_key(&case, 3, 0.2).fold64()
     }
 
     #[test]
@@ -471,69 +434,74 @@ mod tests {
         }
     }
 
-    fn session_tree(tag: usize, salt: u64, wall: u64) -> Vec<TraceSpan> {
-        let root = TraceContext::root(key(tag), salt);
-        vec![
-            TraceSpan::new(&root, "session", stage::SESSION, 3, wall * 4),
-            TraceSpan::new(&root.child("submit"), "submit", stage::SUBMIT, 3, wall),
-            TraceSpan::new(&root.child("sample"), "sample", stage::SAMPLE, 3, wall),
-            TraceSpan::new(&root.child("verify"), "verify", stage::VERIFY, 2, wall),
-            TraceSpan::new(
-                &root.child("evaluate"),
-                "evaluate",
-                stage::EVALUATE,
-                1,
-                wall,
-            ),
-        ]
+    /// A session of three samples, two distinct candidates and one correct,
+    /// whose four stages take `wall` each and tile its `4 * wall`.
+    fn traced(tag: usize, wall: u64) -> TracedCase {
+        let record = JournalRecord {
+            session: session(tag),
+            samples: 3,
+            candidates: 2,
+            correct: 1,
+        };
+        TracedCase {
+            record,
+            requested: 3,
+            walls: [wall * 4, wall, wall, wall, wall],
+        }
+    }
+
+    fn forest(salt: u64, cases: Vec<TracedCase>) -> TraceForest {
+        TraceForest::from_spans((salt, cases))
     }
 
     #[test]
     fn contexts_are_pure_functions_of_content_and_salt() {
-        let a = TraceContext::root(key(1), 0);
-        assert_eq!(a, TraceContext::root(key(1), 0));
-        assert_ne!(a.trace_id, TraceContext::root(key(2), 0).trace_id);
-        assert_ne!(a.trace_id, TraceContext::root(key(1), 7).trace_id);
-        let child = a.child("sample");
-        assert_eq!(child, a.child("sample"));
-        assert_eq!(child.trace_id, a.trace_id);
-        assert_eq!(child.parent_span_id, Some(a.span_id));
-        assert_ne!(child.span_id, a.child("verify").span_id);
-        // Grandchildren chain: same label under different parents differs.
-        assert_ne!(child.child("x").span_id, a.child("x").span_id);
+        let spans = |tag, salt| {
+            forest(salt, vec![traced(tag, 1)])
+                .spans()
+                .collect::<Vec<_>>()
+        };
+        let a = spans(1, 0);
+        assert_eq!(a, spans(1, 0));
+        assert_ne!(a[0].trace, spans(2, 0)[0].trace);
+        assert_ne!(a[0].trace, spans(1, 7)[0].trace);
+        let (root, stages) = (&a[0], &a[1..]);
+        assert_eq!((root.span, root.parent), (root.trace, None));
+        for stage in stages {
+            assert_eq!((stage.trace, stage.parent), (root.trace, Some(root.span)));
+            let label = fnv64(stage.name.as_bytes());
+            assert_eq!(stage.span, splitmix64(root.span ^ label));
+        }
+        let ids: std::collections::BTreeSet<u64> = a.iter().map(|span| span.span).collect();
+        assert_eq!(ids.len(), 5, "every stage label is its own span");
     }
 
     #[test]
     fn forest_merges_duplicates_by_max_wall() {
-        let mut spans = session_tree(1, 0, 100);
-        // The same deterministic spans recorded again (a twin case), slower.
-        spans.extend(session_tree(1, 0, 250));
-        let forest = TraceForest::from_spans(spans);
+        // The same session recorded again (a twin case), slower.
+        let forest = forest(0, vec![traced(1, 100), traced(1, 250)]);
         assert_eq!(forest.len(), 5, "duplicates merge");
-        assert!(forest.spans().iter().all(|s| s.wall_ns >= 250));
+        assert!(forest.spans().all(|s| s.wall_ns >= 250));
     }
 
     #[test]
     fn deterministic_render_excludes_wall_and_is_stable() {
-        let fast = TraceForest::from_spans(session_tree(3, 0, 10));
-        let slow = TraceForest::from_spans(session_tree(3, 0, 99_999));
+        let fast = forest(0, vec![traced(3, 10)]);
+        let slow = forest(0, vec![traced(3, 99_999)]);
         assert_eq!(fast.render_deterministic(), slow.render_deterministic());
         assert_ne!(fast.render(), slow.render());
         let text = fast.render_deterministic();
         assert!(text.contains("name=session"));
-        // Children indent under the root.
+        // Stages indent under the root.
         assert!(text.contains("\n  trace="));
     }
 
     #[test]
     fn trees_reconstruct_roots_and_children() {
-        let mut spans = session_tree(1, 0, 10);
-        spans.extend(session_tree(2, 0, 20));
-        let forest = TraceForest::from_spans(spans);
+        let forest = forest(0, vec![traced(1, 10), traced(2, 20)]);
         let sessions = forest.sessions();
         assert_eq!(sessions.len(), 2);
         for session in &sessions {
-            assert_eq!(session.name, "session");
             assert_eq!(session.wall_ns, session.attributed_ns);
             assert!((session.coverage() - 1.0).abs() < 1e-9);
         }
@@ -544,8 +512,7 @@ mod tests {
 
     #[test]
     fn collapsed_stacks_total_the_root_walls() {
-        let forest = TraceForest::from_spans(session_tree(1, 0, 25));
-        let profile = forest.collapsed();
+        let profile = forest(0, vec![traced(1, 25)]).collapsed();
         assert_eq!(profile.total(), 100, "profile total equals the root wall");
         let frames: Vec<(&str, u64)> = profile.frames().collect();
         assert!(frames.iter().any(|(stack, _)| *stack == "session;sample"));
@@ -556,49 +523,58 @@ mod tests {
     }
 
     #[test]
+    fn collapsed_profile_renders_and_totals() {
+        let mut profile = CollapsedProfile::default();
+        profile.record("session;sample", 500);
+        profile.record("session", 100);
+        profile.record("session;sample", 250);
+        assert_eq!(profile.render(), "session 100\nsession;sample 750\n");
+        assert_eq!(profile.total(), 850);
+    }
+
+    #[test]
     fn jsonl_round_trips() {
-        let forest = TraceForest::from_spans(session_tree(5, 9, 42));
+        let forest = forest(9, vec![traced(5, 42)]);
         let jsonl = forest.render_jsonl();
         let spans = jsonl
             .lines()
-            .map(|line| serde_json::from_str(line).unwrap());
-        assert_eq!(TraceForest::from_spans(spans.collect()), forest);
+            .map(|line| serde_json::from_str::<TraceSpan>(line).unwrap());
+        assert!(spans.eq(forest.spans()));
         assert_eq!(jsonl.lines().count(), forest.len(), "one span per line");
     }
 
     #[test]
     fn handle_follows_the_tracer_recipe() {
         let off = TraceHandle::off();
-        assert!(off.root(key(1)).is_none());
-        off.extend(session_tree(1, 0, 1));
-        assert!(off.drain().is_empty());
+        assert!(!off.is_on());
+        off.extend(vec![traced(1, 1)]);
+        assert!(off.drain().1.is_empty());
         assert_eq!(format!("{off:?}"), "TraceHandle(off)");
 
-        let on = TraceHandle::new(0);
+        let on = TraceHandle::new(3);
+        assert!(on.is_on());
         assert_eq!(format!("{on:?}"), "TraceHandle(on)");
-        let ctx = on.root(key(1)).expect("root context");
-        assert_eq!(ctx, TraceContext::root(key(1), 0));
-        on.extend(vec![
-            TraceSpan::new(&ctx, "session", stage::SESSION, 1, 5),
-            TraceSpan::new(&ctx.child("sample"), "sample", stage::SAMPLE, 1, 5),
-        ]);
-        let drained = on.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(on.drain().is_empty(), "drain takes");
+        on.extend(vec![traced(1, 5), traced(2, 5)]);
+        let (salt, drained) = on.drain();
+        assert_eq!((salt, drained.len()), (3, 2));
+        assert!(on.drain().1.is_empty(), "drain takes");
     }
 
     /// One session of the pin: `(tag, requested, samples, candidates,
     /// correct)` and the session, submit, sample, verify and evaluate walls.
-    fn pinned_session(counts: [u64; 5], walls: [u64; 5]) -> Vec<TraceSpan> {
+    fn pinned_session(counts: [u64; 5], walls: [u64; 5]) -> TracedCase {
         let [tag, requested, samples, candidates, correct] = counts;
-        let root = TraceContext::root(key(tag as usize), 5);
-        vec![
-            TraceSpan::new(&root, "session", stage::SESSION, samples, walls[0]),
-            TraceSpan::new(&root.child("submit"), "submit", 1, requested, walls[1]),
-            TraceSpan::new(&root.child("sample"), "sample", 2, samples, walls[2]),
-            TraceSpan::new(&root.child("verify"), "verify", 3, candidates, walls[3]),
-            TraceSpan::new(&root.child("evaluate"), "evaluate", 4, correct, walls[4]),
-        ]
+        let record = JournalRecord {
+            session: session(tag as usize),
+            samples,
+            candidates,
+            correct,
+        };
+        TracedCase {
+            record,
+            requested,
+            walls,
+        }
     }
 
     /// The renders of a fixed forest, byte for byte: three sessions and an
@@ -607,11 +583,15 @@ mod tests {
     /// their wall.
     #[test]
     fn renders_of_a_fixed_forest_are_pinned() {
-        let mut spans = pinned_session([1, 3, 3, 2, 1], [100, 10, 40, 20, 25]);
-        spans.extend(pinned_session([2, 4, 4, 4, 0], [70, 5, 30, 15, 15]));
-        spans.extend(pinned_session([3, 2, 2, 1, 2], [70, 1, 60, 2, 3]));
-        spans.extend(pinned_session([1, 3, 3, 2, 1], [90, 12, 35, 30, 25]));
-        let forest = TraceForest::from_spans(spans);
+        let forest = forest(
+            5,
+            vec![
+                pinned_session([1, 3, 3, 2, 1], [100, 10, 40, 20, 25]),
+                pinned_session([2, 4, 4, 4, 0], [70, 5, 30, 15, 15]),
+                pinned_session([3, 2, 2, 1, 2], [70, 1, 60, 2, 3]),
+                pinned_session([1, 3, 3, 2, 1], [90, 12, 35, 30, 25]),
+            ],
+        );
         let slowest: String = (forest.slowest(2).iter())
             .map(|s| {
                 let (wall, attributed) = (s.wall_ns, s.attributed_ns);
@@ -683,12 +663,11 @@ mod tests {
     fn drain_order_is_independent_of_collection_order() {
         let run = |reverse: bool| {
             let handle = TraceHandle::new(0);
-            let mut spans = session_tree(1, 0, 7);
-            spans.extend(session_tree(2, 0, 7));
+            let mut cases = vec![traced(1, 7), traced(2, 7), traced(1, 9)];
             if reverse {
-                spans.reverse();
+                cases.reverse();
             }
-            handle.extend(spans);
+            handle.extend(cases);
             handle.drain()
         };
         assert_eq!(run(false), run(true));

@@ -19,16 +19,19 @@
 use assertsolver::{evaluate_model_with, EvalConfig, EvalVerifier};
 use svmodel::{AssertSolverModel, RepairModel};
 
-/// Hash over the protocol (config + model identity + corpus), keying the
-/// reference file: a changed protocol writes a fresh reference instead of
+/// Hash over what the evaluation depends on (samples, temperature, seed, the
+/// bounded-check fingerprint, model identity and the corpus modules), keying
+/// the reference file: a changed protocol writes a fresh reference instead of
 /// panicking against a stale one, mirroring the snapshots' own invalidation.
+/// Config fields that cannot change the evaluation (worker and driver
+/// counts, cache and journal directories) do not rename it.
 fn protocol_hash(config: &EvalConfig, model_identity: &str, modules: &[String]) -> u64 {
-    let config_json = serde_json::to_string(config).expect("config serialises");
     let mut keyed = Vec::new();
-    for part in std::iter::once(config_json.as_str())
-        .chain(std::iter::once(model_identity))
-        .chain(modules.iter().map(String::as_str))
-    {
+    keyed.extend_from_slice(&(config.samples as u64).to_le_bytes());
+    keyed.extend_from_slice(&config.temperature.to_bits().to_le_bytes());
+    keyed.extend_from_slice(&config.seed.to_le_bytes());
+    keyed.extend_from_slice(&config.check.fingerprint());
+    for part in std::iter::once(model_identity).chain(modules.iter().map(String::as_str)) {
         keyed.extend_from_slice(part.as_bytes());
         keyed.push(0); // part separator
     }
