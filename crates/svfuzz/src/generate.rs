@@ -231,6 +231,10 @@ pub(crate) fn iteration_rng(seed: u64, iteration: u64) -> StdRng {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/parse_digests.rs"]
+mod parse_digests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -270,6 +274,22 @@ mod tests {
             }
         }
         assert!(changed >= 12, "mangler rarely changes text: {changed}");
+    }
+
+    /// The parse of every input of `svfuzz run --seed 1 --iters 512`, the
+    /// nesting-bound ones among them, pinned with the workspace's other parses
+    /// (`tests/parse_pin.rs` says how to re-record them).
+    #[test]
+    fn parse_pin_of_generated_inputs() {
+        let (mut group, mut too_deep) = (parse_digests::Group::default(), 0);
+        for i in 0..512u64 {
+            let input = generate_input(&mut iteration_rng(1, i), i);
+            let parsed = svparse::parse_module(&input.source);
+            too_deep += usize::from(parsed.is_err_and(|e| e.message().contains("nesting deeper")));
+            group.parse(format!("fuzz/seed1/{i:03}"), &input.source);
+        }
+        assert!(too_deep > 0, "no input nests past the parser's bound");
+        group.check("fuzz");
     }
 
     #[test]
