@@ -957,15 +957,14 @@ fn default_parallelism() -> usize {
 }
 
 /// One case, sampled and judged on the calling thread.  With tracing on,
-/// each lap reads the clock once and closes the next stage at the time since
-/// the previous lap, so the `submit`, `sample`, `verify` and `evaluate` walls
-/// tile the `session` wall (`svobs trace`'s ≥ 95% bar); off, no clock is
-/// read.  `submit` builds the request, `sample` solves it, `verify` dedups
-/// the candidates into verdict jobs and `evaluate` judges and tallies them.
+/// the clock starts before the request is built and each lap reads it once
+/// and closes the next stage at the time since the previous lap, so the
+/// `submit`, `sample`, `verify` and `evaluate` walls tile the `session` wall
+/// (`svobs trace`'s ≥ 95% bar); off, no clock is read.  `submit` builds the
+/// request and its session key, `sample` solves it, `verify` dedups the
+/// candidates into verdict jobs and `evaluate` judges and tallies them.
 fn run_case<M: RepairModel + ?Sized>(driver: &CaseDriver<'_, M>, entry: &SvaBugEntry) -> CaseRun {
     let verifier = driver.verifier;
-    let request = request_for(entry, driver.config);
-    let (key, requested) = (request.key(), request.samples);
     let start = driver.traced.then(Instant::now);
     let (mut walls, mut last, mut stage) = ([0u64; 5], start, 0);
     let mut lap = || {
@@ -976,6 +975,8 @@ fn run_case<M: RepairModel + ?Sized>(driver: &CaseDriver<'_, M>, entry: &SvaBugE
             *last = now;
         }
     };
+    let request = request_for(entry, driver.config);
+    let (key, requested) = (request.key(), request.samples);
     lap();
     let responses = driver.service.submit(request).expect(OPEN).wait().responses;
     let n = responses.len();

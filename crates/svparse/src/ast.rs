@@ -628,125 +628,128 @@ impl Literal {
     }
 }
 
-/// Unary operators.
+/// Unary operators; each one's spelling is in [`UnaryOp::symbol`]'s table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum UnaryOp {
-    /// Logical negation `!`
+    /// Logical negation
     LogicalNot,
-    /// Bitwise complement `~`
+    /// Bitwise complement
     BitNot,
-    /// Arithmetic negation `-`
+    /// Arithmetic negation
     Neg,
-    /// Reduction AND `&`
+    /// Reduction AND
     RedAnd,
-    /// Reduction OR `|`
+    /// Reduction OR
     RedOr,
-    /// Reduction XOR `^`
+    /// Reduction XOR
     RedXor,
 }
+
+/// Every unary operator's spelling, in declaration order.
+const UNARY_OPS: [(UnaryOp, &str); 6] = [
+    (UnaryOp::LogicalNot, "!"),
+    (UnaryOp::BitNot, "~"),
+    (UnaryOp::Neg, "-"),
+    (UnaryOp::RedAnd, "&"),
+    (UnaryOp::RedOr, "|"),
+    (UnaryOp::RedXor, "^"),
+];
 
 impl UnaryOp {
     /// The source spelling of the operator.
     pub fn symbol(&self) -> &'static str {
-        match self {
-            UnaryOp::LogicalNot => "!",
-            UnaryOp::BitNot => "~",
-            UnaryOp::Neg => "-",
-            UnaryOp::RedAnd => "&",
-            UnaryOp::RedOr => "|",
-            UnaryOp::RedXor => "^",
-        }
+        UNARY_OPS[*self as usize].1
+    }
+
+    /// The operator spelled `symbol`, if one is.
+    pub(crate) fn from_symbol(symbol: &str) -> Option<UnaryOp> {
+        UNARY_OPS
+            .iter()
+            .find(|&&(_, spelling)| spelling == symbol)
+            .map(|&(op, _)| op)
     }
 }
 
-/// Binary operators, ordered roughly by precedence class.
+/// Binary operators; each one's spelling and precedence are in
+/// [`BinaryOp::symbol`]'s table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[allow(missing_docs)]
 pub enum BinaryOp {
-    /// `+`
     Add,
-    /// `-`
     Sub,
-    /// `*`
     Mul,
-    /// `/`
     Div,
-    /// `%`
     Mod,
-    /// `<<`
     Shl,
-    /// `>>`
     Shr,
-    /// `<`
     Lt,
-    /// `<=`
     Le,
-    /// `>`
     Gt,
-    /// `>=`
     Ge,
-    /// `==`
     Eq,
-    /// `!=`
     Ne,
-    /// `&`
     BitAnd,
-    /// `|`
     BitOr,
-    /// `^`
     BitXor,
-    /// `&&`
     LogicalAnd,
-    /// `||`
     LogicalOr,
 }
+
+/// Every binary operator once, in declaration order: its spelling, another
+/// spelling the parser reads as it (the two-state simulator has no `===`),
+/// and its precedence class, from 1 (`||`, loosest) to 10 (`*`, tightest).
+/// Every class is left-associative.
+const BINARY_OPS: [(BinaryOp, &str, Option<&str>, u8); 18] = [
+    (BinaryOp::Add, "+", None, 9),
+    (BinaryOp::Sub, "-", None, 9),
+    (BinaryOp::Mul, "*", None, 10),
+    (BinaryOp::Div, "/", None, 10),
+    (BinaryOp::Mod, "%", None, 10),
+    (BinaryOp::Shl, "<<", Some("<<<"), 8),
+    (BinaryOp::Shr, ">>", Some(">>>"), 8),
+    (BinaryOp::Lt, "<", None, 7),
+    (BinaryOp::Le, "<=", None, 7),
+    (BinaryOp::Gt, ">", None, 7),
+    (BinaryOp::Ge, ">=", None, 7),
+    (BinaryOp::Eq, "==", Some("==="), 6),
+    (BinaryOp::Ne, "!=", Some("!=="), 6),
+    (BinaryOp::BitAnd, "&", None, 5),
+    (BinaryOp::BitOr, "|", None, 3),
+    (BinaryOp::BitXor, "^", None, 4),
+    (BinaryOp::LogicalAnd, "&&", None, 2),
+    (BinaryOp::LogicalOr, "||", None, 1),
+];
 
 impl BinaryOp {
     /// The source spelling of the operator.
     pub fn symbol(&self) -> &'static str {
-        match self {
-            BinaryOp::Add => "+",
-            BinaryOp::Sub => "-",
-            BinaryOp::Mul => "*",
-            BinaryOp::Div => "/",
-            BinaryOp::Mod => "%",
-            BinaryOp::Shl => "<<",
-            BinaryOp::Shr => ">>",
-            BinaryOp::Lt => "<",
-            BinaryOp::Le => "<=",
-            BinaryOp::Gt => ">",
-            BinaryOp::Ge => ">=",
-            BinaryOp::Eq => "==",
-            BinaryOp::Ne => "!=",
-            BinaryOp::BitAnd => "&",
-            BinaryOp::BitOr => "|",
-            BinaryOp::BitXor => "^",
-            BinaryOp::LogicalAnd => "&&",
-            BinaryOp::LogicalOr => "||",
-        }
+        BINARY_OPS[*self as usize].1
     }
 
     /// All binary operators, useful for mutation enumeration.
     pub fn all() -> &'static [BinaryOp] {
-        &[
-            BinaryOp::Add,
-            BinaryOp::Sub,
-            BinaryOp::Mul,
-            BinaryOp::Div,
-            BinaryOp::Mod,
-            BinaryOp::Shl,
-            BinaryOp::Shr,
-            BinaryOp::Lt,
-            BinaryOp::Le,
-            BinaryOp::Gt,
-            BinaryOp::Ge,
-            BinaryOp::Eq,
-            BinaryOp::Ne,
-            BinaryOp::BitAnd,
-            BinaryOp::BitOr,
-            BinaryOp::BitXor,
-            BinaryOp::LogicalAnd,
-            BinaryOp::LogicalOr,
-        ]
+        const ALL: [BinaryOp; 18] = {
+            let (mut all, mut i) = ([BinaryOp::Add; 18], 0);
+            while i < all.len() {
+                all[i] = BINARY_OPS[i].0;
+                i += 1;
+            }
+            all
+        };
+        &ALL
+    }
+
+    /// The operator's precedence class: a higher class binds tighter.
+    pub(crate) fn precedence(self) -> u8 {
+        BINARY_OPS[self as usize].3
+    }
+
+    /// The operator spelled `symbol`, by its spelling or its alias, if one is.
+    pub(crate) fn from_symbol(symbol: &str) -> Option<BinaryOp> {
+        BINARY_OPS
+            .iter()
+            .find(|&&(_, spelling, alias, _)| spelling == symbol || alias == Some(symbol))
+            .map(|&(op, ..)| op)
     }
 }
 
@@ -1029,6 +1032,16 @@ impl AssertionItem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn operator_tables_are_in_declaration_order() {
+        for (at, &(op, ..)) in BINARY_OPS.iter().enumerate() {
+            assert_eq!(op as usize, at, "{op:?}");
+        }
+        for (at, &(op, _)) in UNARY_OPS.iter().enumerate() {
+            assert_eq!(op as usize, at, "{op:?}");
+        }
+    }
 
     #[test]
     fn bit_range_width() {

@@ -29,10 +29,19 @@ const MULTI_SYMBOLS: &[&str] = &[
     "+:", "-:",
 ];
 
-const SINGLE_SYMBOLS: &[char] = &[
-    '(', ')', '[', ']', '{', '}', ';', ',', ':', '?', '@', '#', '=', '+', '-', '*', '/', '%', '&',
-    '|', '^', '~', '!', '<', '>', '.',
-];
+/// Single-character symbols, indexed by their byte.
+const SINGLE_SYMBOLS: [Option<&str>; 128] = {
+    let symbols = [
+        "(", ")", "[", "]", "{", "}", ";", ",", ":", "?", "@", "#", "=", "+", "-", "*", "/", "%",
+        "&", "|", "^", "~", "!", "<", ">", ".",
+    ];
+    let (mut table, mut at) = ([None; 128], 0);
+    while at < symbols.len() {
+        table[symbols[at].as_bytes()[0] as usize] = Some(symbols[at]);
+        at += 1;
+    }
+    table
+};
 
 impl<'a> Lexer<'a> {
     /// Creates a lexer over the given source text.
@@ -172,9 +181,8 @@ impl<'a> Lexer<'a> {
                 return Ok(Token::new(TokenKind::Symbol(sym), line));
             }
         }
-        if SINGLE_SYMBOLS.contains(&(c as char)) {
+        if let Some(&Some(sym)) = SINGLE_SYMBOLS.get(usize::from(c)) {
             self.bump();
-            let sym = single_symbol_str(c as char);
             return Ok(Token::new(TokenKind::Symbol(sym), line));
         }
 
@@ -326,38 +334,6 @@ impl<'a> Lexer<'a> {
             },
             line,
         ))
-    }
-}
-
-fn single_symbol_str(c: char) -> &'static str {
-    match c {
-        '(' => "(",
-        ')' => ")",
-        '[' => "[",
-        ']' => "]",
-        '{' => "{",
-        '}' => "}",
-        ';' => ";",
-        ',' => ",",
-        ':' => ":",
-        '?' => "?",
-        '@' => "@",
-        '#' => "#",
-        '=' => "=",
-        '+' => "+",
-        '-' => "-",
-        '*' => "*",
-        '/' => "/",
-        '%' => "%",
-        '&' => "&",
-        '|' => "|",
-        '^' => "^",
-        '~' => "~",
-        '!' => "!",
-        '<' => "<",
-        '>' => ">",
-        '.' => ".",
-        _ => unreachable!("symbol table covers all single symbols"),
     }
 }
 

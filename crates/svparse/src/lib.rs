@@ -2,9 +2,11 @@
 //!
 //! This crate is the reproduction's stand-in for the Icarus Verilog compiler used by
 //! the AssertSolver paper (Zhou et al., DAC 2025) as a syntax oracle.  It provides a
-//! lexer, recursive-descent parser, abstract syntax tree, canonical pretty-printer and
-//! a lightweight semantic checker for the Verilog-2001 subset (plus concurrent
-//! SystemVerilog assertions) exercised by the rest of the workspace.
+//! lexer, a parser (recursive descent, with precedence climbing for expressions),
+//! abstract syntax tree, canonical pretty-printer and a lightweight semantic checker
+//! for the Verilog-2001 subset (plus concurrent SystemVerilog assertions) exercised
+//! by the rest of the workspace.  The parser and the printer read each binary
+//! operator's precedence from one table.
 //!
 //! The crate is deliberately self-contained: it performs no I/O and has no
 //! dependencies beyond `serde` for dataset serialisation.

@@ -1,4 +1,10 @@
-//! Recursive-descent parser producing the [`crate::ast`] types.
+//! Parser producing the [`crate::ast`] types.
+//!
+//! Items, statements and properties are parsed by recursive descent, one
+//! function per construct.  Binary expressions are parsed by precedence
+//! climbing over [`BinaryOp`]'s one table of spellings and precedence
+//! classes, the table the printer reads to place parentheses; unary
+//! operators and keywords are each looked up in one table too.
 
 use crate::ast::*;
 use crate::error::ParseError;
@@ -7,7 +13,7 @@ use crate::span::Span;
 use crate::token::{Keyword, Token, TokenKind};
 use std::ops::Range;
 
-/// Recursive-descent parser over a pre-lexed token stream.
+/// Parser over a pre-lexed token stream (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -26,10 +32,12 @@ pub struct Parser {
 
 /// Maximum syntactic nesting depth (parenthesised expressions, unary chains,
 /// nested statements, concatenations) before the parser reports an error instead
-/// of exhausting the call stack. Each level costs the full precedence-chain stack
-/// frame budget, so the bound must stay small enough for debug builds on default
-/// 2 MiB test threads. Deeply nested input is adversarial, not real hardware;
-/// hand-written and generated designs stay far below this bound.
+/// of exhausting the call stack. An expression level costs a handful of stack
+/// frames (`parse_expr`, `parse_ternary`, one `parse_binary` per precedence
+/// class its operators climb, `parse_unary`, `parse_primary`), so the bound must
+/// stay small enough for debug builds on default 2 MiB test threads. Deeply
+/// nested input is adversarial, not real hardware; hand-written and generated
+/// designs stay far below this bound.
 const MAX_NESTING_DEPTH: u32 = 64;
 
 impl Parser {
@@ -98,6 +106,14 @@ impl Parser {
             self.pos += 1;
         }
         tok
+    }
+
+    /// The current token's spelling, if it is a symbol.
+    fn peek_symbol(&self) -> Option<&'static str> {
+        match self.peek().kind {
+            TokenKind::Symbol(sym) => Some(sym),
+            _ => None,
+        }
     }
 
     fn eat_symbol(&mut self, sym: &str) -> bool {
@@ -575,7 +591,7 @@ impl Parser {
     }
 
     fn parse_ternary(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.parse_logical_or()?;
+        let cond = self.parse_binary(1)?;
         if self.eat_symbol("?") {
             let then_val = self.parse_expr()?;
             self.expect_symbol(":")?;
@@ -589,157 +605,31 @@ impl Parser {
         Ok(cond)
     }
 
-    fn parse_logical_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_logical_and()?;
-        while self.eat_symbol("||") {
-            let rhs = self.parse_logical_and()?;
-            lhs = Expr::binary(BinaryOp::LogicalOr, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_logical_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_bit_or()?;
-        while self.eat_symbol("&&") {
-            let rhs = self.parse_bit_or()?;
-            lhs = Expr::binary(BinaryOp::LogicalAnd, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_bit_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_bit_xor()?;
-        while self.eat_symbol("|") {
-            let rhs = self.parse_bit_xor()?;
-            lhs = Expr::binary(BinaryOp::BitOr, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_bit_xor(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_bit_and()?;
-        while self.eat_symbol("^") {
-            let rhs = self.parse_bit_and()?;
-            lhs = Expr::binary(BinaryOp::BitXor, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_bit_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_equality()?;
-        while self.eat_symbol("&") {
-            let rhs = self.parse_equality()?;
-            lhs = Expr::binary(BinaryOp::BitAnd, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_equality(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_relational()?;
-        loop {
-            if self.eat_symbol("==") || self.eat_symbol("===") {
-                let rhs = self.parse_relational()?;
-                lhs = Expr::binary(BinaryOp::Eq, lhs, rhs);
-            } else if self.eat_symbol("!=") || self.eat_symbol("!==") {
-                let rhs = self.parse_relational()?;
-                lhs = Expr::binary(BinaryOp::Ne, lhs, rhs);
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn parse_relational(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_shift()?;
-        loop {
-            let op = if self.eat_symbol("<=") {
-                BinaryOp::Le
-            } else if self.eat_symbol(">=") {
-                BinaryOp::Ge
-            } else if self.eat_symbol("<") {
-                BinaryOp::Lt
-            } else if self.eat_symbol(">") {
-                BinaryOp::Gt
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.parse_shift()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-    }
-
-    fn parse_shift(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_additive()?;
-        loop {
-            let op = if self.eat_symbol("<<") || self.eat_symbol("<<<") {
-                BinaryOp::Shl
-            } else if self.eat_symbol(">>") || self.eat_symbol(">>>") {
-                BinaryOp::Shr
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.parse_additive()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = if self.eat_symbol("+") {
-                BinaryOp::Add
-            } else if self.eat_symbol("-") {
-                BinaryOp::Sub
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
+    /// Parses unary operands joined by binary operators of precedence class
+    /// `class` or tighter.  Each right operand is parsed one class tighter
+    /// than its operator, so every operator is left-associative.
+    fn parse_binary(&mut self, class: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_unary()?;
-        loop {
-            let op = if self.eat_symbol("*") {
-                BinaryOp::Mul
-            } else if self.eat_symbol("/") {
-                BinaryOp::Div
-            } else if self.eat_symbol("%") {
-                BinaryOp::Mod
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.parse_unary()?;
+        while let Some(op) = self.peek_symbol().and_then(BinaryOp::from_symbol) {
+            if op.precedence() < class {
+                break;
+            }
+            self.bump();
+            let rhs = self.parse_binary(op.precedence() + 1)?;
             lhs = Expr::binary(op, lhs, rhs);
         }
+        Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
-        let op = if self.eat_symbol("!") {
-            Some(UnaryOp::LogicalNot)
-        } else if self.eat_symbol("~") {
-            Some(UnaryOp::BitNot)
-        } else if self.eat_symbol("-") {
-            Some(UnaryOp::Neg)
-        } else if self.eat_symbol("&") {
-            Some(UnaryOp::RedAnd)
-        } else if self.eat_symbol("|") {
-            Some(UnaryOp::RedOr)
-        } else if self.eat_symbol("^") {
-            Some(UnaryOp::RedXor)
-        } else {
-            None
+        let Some(op) = self.peek_symbol().and_then(UnaryOp::from_symbol) else {
+            return self.parse_primary();
         };
-        match op {
-            Some(op) => {
-                self.enter_nested()?;
-                let inner = self.parse_unary();
-                self.depth -= 1;
-                Ok(Expr::unary(op, inner?))
-            }
-            None => self.parse_primary(),
-        }
+        self.bump();
+        self.enter_nested()?;
+        let inner = self.parse_unary();
+        self.depth -= 1;
+        Ok(Expr::unary(op, inner?))
     }
 
     /// The bounds of a part-select, both read after its closing `]`.

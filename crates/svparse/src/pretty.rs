@@ -370,21 +370,6 @@ fn is_simple(stmt: &Stmt) -> bool {
     )
 }
 
-fn precedence(op: BinaryOp) -> u8 {
-    match op {
-        BinaryOp::LogicalOr => 1,
-        BinaryOp::LogicalAnd => 2,
-        BinaryOp::BitOr => 3,
-        BinaryOp::BitXor => 4,
-        BinaryOp::BitAnd => 5,
-        BinaryOp::Eq | BinaryOp::Ne => 6,
-        BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => 7,
-        BinaryOp::Shl | BinaryOp::Shr => 8,
-        BinaryOp::Add | BinaryOp::Sub => 9,
-        BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => 10,
-    }
-}
-
 /// `("(", ")")` when `wrap`, else two empty strings.
 fn parens(wrap: bool) -> (&'static str, &'static str) {
     if wrap {
@@ -411,7 +396,7 @@ fn write_expr(f: &mut Formatter<'_>, expr: &Expr, parent_prec: u8) -> fmt::Resul
             }
         }
         Expr::Binary(op, lhs, rhs) => {
-            let prec = precedence(*op);
+            let prec = op.precedence();
             let (open, close) = parens(prec < parent_prec);
             let (lhs, rhs) = (Ex(lhs, prec), Ex(rhs, prec + 1));
             write!(f, "{open}{lhs} {} {rhs}{close}", op.symbol())

@@ -68,88 +68,93 @@ pub enum Keyword {
     Signed,
 }
 
+/// Every keyword's spelling, in declaration order.
+const KEYWORDS: [(Keyword, &str); 34] = [
+    (Keyword::Module, "module"),
+    (Keyword::Endmodule, "endmodule"),
+    (Keyword::Input, "input"),
+    (Keyword::Output, "output"),
+    (Keyword::Inout, "inout"),
+    (Keyword::Wire, "wire"),
+    (Keyword::Reg, "reg"),
+    (Keyword::Integer, "integer"),
+    (Keyword::Logic, "logic"),
+    (Keyword::Parameter, "parameter"),
+    (Keyword::Localparam, "localparam"),
+    (Keyword::Assign, "assign"),
+    (Keyword::Always, "always"),
+    (Keyword::AlwaysFf, "always_ff"),
+    (Keyword::AlwaysComb, "always_comb"),
+    (Keyword::Initial, "initial"),
+    (Keyword::Begin, "begin"),
+    (Keyword::End, "end"),
+    (Keyword::If, "if"),
+    (Keyword::Else, "else"),
+    (Keyword::Case, "case"),
+    (Keyword::Casez, "casez"),
+    (Keyword::Endcase, "endcase"),
+    (Keyword::Default, "default"),
+    (Keyword::Posedge, "posedge"),
+    (Keyword::Negedge, "negedge"),
+    (Keyword::Or, "or"),
+    (Keyword::Property, "property"),
+    (Keyword::Endproperty, "endproperty"),
+    (Keyword::Assert, "assert"),
+    (Keyword::Disable, "disable"),
+    (Keyword::Iff, "iff"),
+    (Keyword::Not, "not"),
+    (Keyword::Signed, "signed"),
+];
+
 impl Keyword {
     /// Maps an identifier to a keyword, if it is one.
     #[allow(clippy::should_implement_trait)]
     pub fn from_str(word: &str) -> Option<Keyword> {
-        Some(match word {
-            "module" => Keyword::Module,
-            "endmodule" => Keyword::Endmodule,
-            "input" => Keyword::Input,
-            "output" => Keyword::Output,
-            "inout" => Keyword::Inout,
-            "wire" => Keyword::Wire,
-            "reg" => Keyword::Reg,
-            "integer" => Keyword::Integer,
-            "logic" => Keyword::Logic,
-            "parameter" => Keyword::Parameter,
-            "localparam" => Keyword::Localparam,
-            "assign" => Keyword::Assign,
-            "always" => Keyword::Always,
-            "always_ff" => Keyword::AlwaysFf,
-            "always_comb" => Keyword::AlwaysComb,
-            "initial" => Keyword::Initial,
-            "begin" => Keyword::Begin,
-            "end" => Keyword::End,
-            "if" => Keyword::If,
-            "else" => Keyword::Else,
-            "case" => Keyword::Case,
-            "casez" => Keyword::Casez,
-            "endcase" => Keyword::Endcase,
-            "default" => Keyword::Default,
-            "posedge" => Keyword::Posedge,
-            "negedge" => Keyword::Negedge,
-            "or" => Keyword::Or,
-            "property" => Keyword::Property,
-            "endproperty" => Keyword::Endproperty,
-            "assert" => Keyword::Assert,
-            "disable" => Keyword::Disable,
-            "iff" => Keyword::Iff,
-            "not" => Keyword::Not,
-            "signed" => Keyword::Signed,
-            _ => return None,
-        })
+        let key = key(word.as_bytes());
+        match SLOTS[slot(key)] {
+            Some((held, keyword)) if held == key => Some(keyword),
+            _ => None,
+        }
     }
 
     /// The canonical source spelling of the keyword.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            Keyword::Module => "module",
-            Keyword::Endmodule => "endmodule",
-            Keyword::Input => "input",
-            Keyword::Output => "output",
-            Keyword::Inout => "inout",
-            Keyword::Wire => "wire",
-            Keyword::Reg => "reg",
-            Keyword::Integer => "integer",
-            Keyword::Logic => "logic",
-            Keyword::Parameter => "parameter",
-            Keyword::Localparam => "localparam",
-            Keyword::Assign => "assign",
-            Keyword::Always => "always",
-            Keyword::AlwaysFf => "always_ff",
-            Keyword::AlwaysComb => "always_comb",
-            Keyword::Initial => "initial",
-            Keyword::Begin => "begin",
-            Keyword::End => "end",
-            Keyword::If => "if",
-            Keyword::Else => "else",
-            Keyword::Case => "case",
-            Keyword::Casez => "casez",
-            Keyword::Endcase => "endcase",
-            Keyword::Default => "default",
-            Keyword::Posedge => "posedge",
-            Keyword::Negedge => "negedge",
-            Keyword::Or => "or",
-            Keyword::Property => "property",
-            Keyword::Endproperty => "endproperty",
-            Keyword::Assert => "assert",
-            Keyword::Disable => "disable",
-            Keyword::Iff => "iff",
-            Keyword::Not => "not",
-            Keyword::Signed => "signed",
-        }
+        KEYWORDS[*self as usize].1
     }
+}
+
+/// Each keyword with its [`key`], at the key's [`slot`]: the lexer finds a
+/// word's keyword by one hash and one comparison.
+const SLOTS: [Option<(u128, Keyword)>; 128] = {
+    let (mut slots, mut at) = ([None; 128], 0);
+    while at < KEYWORDS.len() {
+        let (keyword, spelling) = KEYWORDS[at];
+        let key = key(spelling.as_bytes());
+        assert!(slots[slot(key)].is_none(), "two keywords share a slot");
+        slots[slot(key)] = Some((key, keyword));
+        at += 1;
+    }
+    slots
+};
+
+/// `word`'s last 16 bytes as the digits of a base-256 number.  A keyword is
+/// at most 11 bytes, so a word without a NUL byte, as every lexed word is,
+/// has a keyword's key only if it is that keyword.
+const fn key(word: &[u8]) -> u128 {
+    let (mut key, mut at) = (0u128, 0);
+    while at < word.len() {
+        key = key << 8 | word[at] as u128;
+        at += 1;
+    }
+    key
+}
+
+/// A key's slot in [`SLOTS`]: the key folded to 64 bits and hashed to 7 by
+/// a multiplier that gives each keyword a slot of its own (`SLOTS` does not
+/// compile otherwise).
+const fn slot(key: u128) -> usize {
+    let folded = (key >> 64) as u64 ^ key as u64;
+    (folded.wrapping_mul(0xf341_e07a_83f7_3f17) >> 57) as usize
 }
 
 impl fmt::Display for Keyword {
@@ -206,6 +211,14 @@ impl fmt::Display for TokenKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_keyword_table_is_in_declaration_order() {
+        for (at, &(keyword, spelling)) in KEYWORDS.iter().enumerate() {
+            assert_eq!(keyword as usize, at, "{keyword:?}");
+            assert_eq!(Keyword::from_str(spelling), Some(keyword));
+        }
+    }
 
     #[test]
     fn keyword_round_trip() {
